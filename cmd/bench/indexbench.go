@@ -14,27 +14,27 @@ import (
 	"oipsr/simrank/query"
 )
 
-// runIndexWorkload measures the on-disk walk-index formats: the dense v1
-// payload against the delta/varint-compressed v2 posting blocks, and the
-// in-memory (decoded) serving path against the demand-paged (mmap-backed)
-// one.
+// runIndexWorkload measures the on-disk walk-index format: the
+// delta/varint-compressed posting blocks against the dense in-memory
+// payload (4·n·R·K bytes), and the in-memory (decoded) serving path against
+// the demand-paged (mmap-backed) one.
 //
 // Three numbers matter. Bytes per vertex — the coupled walks coalesce, so
-// shared suffixes delta-encode to almost nothing and v2 is required to
-// come in at no more than half of v1 on these graphs (a hard gate: a
-// regression exits non-zero, which the CI index smoke relies on). Cold
-// single-source latency — a mapped index answers its first query straight
-// from the page cache after decoding only the blocks it touches, which is
-// the entire point of paying the decode on the query path. Warm latency —
-// once the decoded-block LRU holds the working set, mapped queries must
-// sit within noise of dense ones.
+// shared suffixes delta-encode to almost nothing and the file is required
+// to come in at no more than half of the dense payload on these graphs (a
+// hard gate: a regression exits non-zero, which the CI index smoke relies
+// on). Cold single-source latency — a mapped index answers its first query
+// straight from the page cache after decoding only the blocks it touches,
+// which is the entire point of paying the decode on the query path. Warm
+// latency — once the decoded-block LRU holds the working set, mapped
+// queries must sit within noise of dense ones.
 //
-// Before anything is timed, the three backings are equivalence-checked:
-// dense v1, decoded v2 and mapped v2 must answer the sample queries
-// bit-identically, before and after an edit batch (which for the mapped
-// index also rewrites its backing file). Divergence exits non-zero.
+// Before anything is timed, the backings are equivalence-checked: the
+// built index, the decoded file and the mapped file must answer the sample
+// queries bit-identically, before and after an edit batch (which for the
+// mapped index also rewrites its backing file). Divergence exits non-zero.
 func runIndexWorkload(cfg config) {
-	header("On-disk formats: compressed v2 + demand paging vs dense v1", "walkindex format v2")
+	header("On-disk format: compressed file + demand paging vs dense in memory", "walkindex format v2")
 
 	dir, err := os.MkdirTemp("", "bench-index-*")
 	must(err)
@@ -59,19 +59,17 @@ func runIndexWorkload(cfg config) {
 	}
 
 	fmt.Printf("%-10s | %12s %12s %8s | %12s %12s | %12s %12s %12s\n",
-		"workload", "v1 bytes", "v2 bytes", "ratio", "B/vertex v1", "B/vertex v2", "cold us", "warm us", "warm nopf us")
+		"workload", "dense bytes", "file bytes", "ratio", "B/vtx dense", "B/vtx file", "cold us", "warm us", "warm nopf us")
 
 	for _, w := range workloads {
 		n := w.g.NumVertices()
 		idx, err := query.BuildIndex(w.g, query.Options{Walks: w.walks, Seed: cfg.seed, Workers: benchWorkers})
 		must(err)
 
-		v1Path := filepath.Join(dir, w.name+".v1.idx")
-		v2Path := filepath.Join(dir, w.name+".v2.idx")
-		must(idx.SaveFileFormat(v1Path, query.FormatV1))
-		must(idx.SaveFileFormat(v2Path, query.FormatV2))
-		v1Bytes, v2Bytes := fileSize(v1Path), fileSize(v2Path)
-		ratio := float64(v2Bytes) / float64(v1Bytes)
+		path := filepath.Join(dir, w.name+".idx")
+		must(idx.SaveFile(path))
+		denseBytes, fileBytes := 4*int64(n)*int64(idx.Walks())*int64(idx.Horizon()), fileSize(path)
+		ratio := float64(fileBytes) / float64(denseBytes)
 
 		// Streaming-builder equivalence gate: the out-of-core build under a
 		// budget small enough to force many slices must publish exactly the
@@ -79,18 +77,17 @@ func runIndexWorkload(cfg config) {
 		streamPath := filepath.Join(dir, w.name+".stream.idx")
 		_, err = query.BuildFileStreaming(w.g, query.Options{Walks: w.walks, Seed: cfg.seed, Workers: benchWorkers}, streamPath, 64<<10)
 		must(err)
-		if !filesEqual(v2Path, streamPath) {
-			fmt.Fprintf(os.Stderr, "bench: index: %s: streaming build differs from materialized v2 save\n", w.name)
+		if !filesEqual(path, streamPath) {
+			fmt.Fprintf(os.Stderr, "bench: index: %s: streaming build differs from materialized save\n", w.name)
 			os.Exit(1)
 		}
 
-		// Equivalence gate across the three backings, then through an edit
-		// batch (the mapped index flushes it back to v2Path).
-		dense, err := query.LoadFile(v1Path)
+		// Equivalence gate across the backings, then through an edit batch
+		// (the mapped index flushes it back to path).
+		dense := idx
+		decoded, err := query.LoadFile(path)
 		must(err)
-		decoded, err := query.LoadFile(v2Path)
-		must(err)
-		mapped, err := query.LoadFileMapped(v2Path, query.MappedOptions{})
+		mapped, err := query.LoadFileMapped(path, query.MappedOptions{})
 		must(err)
 		sample := queryVertices(n, 8)
 		checkIndexEquivalence(w.name+" load", sample, dense, decoded, mapped)
@@ -106,7 +103,7 @@ func runIndexWorkload(cfg config) {
 		}
 		checkIndexEquivalence(w.name+" edited", sample, dense, decoded, mapped)
 		// The flushed file must reproduce the live mapped index on its own.
-		reloaded, err := query.LoadFileMapped(v2Path, query.MappedOptions{})
+		reloaded, err := query.LoadFileMapped(path, query.MappedOptions{})
 		must(err)
 		checkIndexEquivalence(w.name+" reloaded", sample, mapped, reloaded)
 		must(reloaded.Close())
@@ -114,14 +111,14 @@ func runIndexWorkload(cfg config) {
 
 		// Cold: a fresh mapped open answering its first query (decodes only
 		// the touched blocks) — against a fresh COPY of the file with its
-		// page cache dropped, because v2Path itself was just written and
+		// page cache dropped, because path itself was just written and
 		// read, so timing it again would measure the page cache, not the
 		// disk. Warm: the same query once the block LRU holds the working
 		// set, with the prefetch pool on (default) and off, so the readahead
 		// win is visible. Dense-decoded latency is the reference.
 		q := sample[0]
 		coldPath := filepath.Join(dir, w.name+".cold.idx")
-		must(copyFile(coldPath, v2Path))
+		must(copyFile(coldPath, path))
 		must(dropPageCache(coldPath))
 		t0 := time.Now()
 		cold, err := query.LoadFileMapped(coldPath, query.MappedOptions{})
@@ -132,32 +129,32 @@ func runIndexWorkload(cfg config) {
 		warmLat := timeSingleSource(cold, q, 20)
 		denseLat := timeSingleSource(decoded, q, 20)
 		must(cold.Close())
-		nopf, err := query.LoadFileMapped(v2Path, query.MappedOptions{PrefetchBlocks: -1})
+		nopf, err := query.LoadFileMapped(path, query.MappedOptions{PrefetchBlocks: -1})
 		must(err)
 		warmNoPf := timeSingleSource(nopf, q, 20)
 		must(nopf.Close())
 
 		fmt.Printf("%-10s | %12d %12d %7.1f%% | %12.1f %12.1f | %12d %12d %12d\n",
-			w.name, v1Bytes, v2Bytes, ratio*100,
-			float64(v1Bytes)/float64(n), float64(v2Bytes)/float64(n),
+			w.name, denseBytes, fileBytes, ratio*100,
+			float64(denseBytes)/float64(n), float64(fileBytes)/float64(n),
 			coldLat.Microseconds(), warmLat.Microseconds(), warmNoPf.Microseconds())
 		emitJSON("index", map[string]any{
 			"workload": w.name, "n": n, "walks": w.walks,
-			"v1_bytes": v1Bytes, "v2_bytes": v2Bytes, "compression_ratio": ratio,
-			"bytes_per_vertex_v1": float64(v1Bytes) / float64(n),
-			"bytes_per_vertex_v2": float64(v2Bytes) / float64(n),
-			"cold_us_mapped":      coldLat.Microseconds(), "warm_us_mapped": warmLat.Microseconds(),
+			"dense_bytes": denseBytes, "v2_bytes": fileBytes, "compression_ratio": ratio,
+			"bytes_per_vertex_dense": float64(denseBytes) / float64(n),
+			"bytes_per_vertex_v2":    float64(fileBytes) / float64(n),
+			"cold_us_mapped":         coldLat.Microseconds(), "warm_us_mapped": warmLat.Microseconds(),
 			"warm_us_mapped_noprefetch": warmNoPf.Microseconds(),
 			"warm_us_dense":             denseLat.Microseconds(),
 			"equivalence":               "dense/decoded/mapped/streamed bit-identical incl. edits",
 		})
 
 		if ratio > 0.5 {
-			fmt.Fprintf(os.Stderr, "bench: index: %s v2 is %.1f%% of v1, want <= 50%%\n", w.name, ratio*100)
+			fmt.Fprintf(os.Stderr, "bench: index: %s file is %.1f%% of the dense payload, want <= 50%%\n", w.name, ratio*100)
 			os.Exit(1)
 		}
 	}
-	fmt.Println("\nv2 <= 50% of v1 verified; dense/decoded/mapped answers bit-identical before and after edits; streaming build byte-identical to materialized save")
+	fmt.Println("\nfile <= 50% of dense verified; dense/decoded/mapped answers bit-identical before and after edits; streaming build byte-identical to materialized save")
 
 	runStreamingBuild(cfg, dir)
 }

@@ -111,7 +111,6 @@ type options struct {
 
 	indexPath    string
 	rebuild      bool
-	indexFormat  int
 	indexMmap    bool
 	buildBudget  int64
 	c            float64
@@ -168,33 +167,24 @@ func validate(o *options) error {
 	if o.prewarmExact && o.mode != "serve" {
 		return fmt.Errorf("-prewarm-exact only applies to -mode serve (got %q)", o.mode)
 	}
-	if o.indexFormat != query.FormatV1 && o.indexFormat != query.FormatV2 {
-		return fmt.Errorf("-index-format must be %d or %d (got %d)", query.FormatV1, query.FormatV2, o.indexFormat)
-	}
 	if o.indexMmap {
 		switch o.mode {
 		case "serve":
 			if o.indexPath == "" {
 				return errors.New("-index-mmap needs -index (a file to map)")
 			}
-			if o.indexFormat != query.FormatV2 {
-				return fmt.Errorf("-index-mmap requires -index-format %d (only format v2 files can be mapped)", query.FormatV2)
-			}
 		case "shard":
 			if o.shardDir == "" {
-				return errors.New("-index-mmap in shard mode needs -shard-dir (a built format-v2 manifest)")
+				return errors.New("-index-mmap in shard mode needs -shard-dir (a built manifest)")
 			}
 		default:
-			return fmt.Errorf("-index-mmap only applies to -mode serve or shard (got %q: the router holds no index, build-shards chooses formats with -index-format)", o.mode)
+			return fmt.Errorf("-index-mmap only applies to -mode serve or shard (got %q: the router holds no index, build-shards only writes files)", o.mode)
 		}
 	}
 	if o.buildBudget < 0 {
 		return fmt.Errorf("-build-budget must not be negative (got %d)", o.buildBudget)
 	}
 	if o.buildBudget > 0 {
-		if o.indexFormat != query.FormatV2 {
-			return fmt.Errorf("-build-budget requires -index-format %d (the streaming builder writes format v2)", query.FormatV2)
-		}
 		switch o.mode {
 		case "serve":
 			if o.indexPath == "" {
@@ -257,8 +247,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "generator / index seed")
 	flag.StringVar(&o.indexPath, "index", "", "walk-index file: loaded when present, else built and saved here")
 	flag.BoolVar(&o.rebuild, "rebuild", false, "rebuild the index even if -index exists")
-	flag.IntVar(&o.indexFormat, "index-format", query.FormatV2, "on-disk format written for -index and build-shards: 1 (dense) or 2 (compressed, mappable); loading negotiates from the file")
-	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: page the walk index from its format-v2 file on demand (mmap-backed) instead of decoding it into memory")
+	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: page the walk index from its file on demand (mmap-backed) instead of decoding it into memory")
 	flag.Int64Var(&o.buildBudget, "build-budget", 0, "serve/build-shards: stream the index build to disk in slices of at most this many bytes of walk state, bounding builder memory (0 = materialize in memory); output is byte-identical")
 	flag.Float64Var(&o.c, "c", 0.6, "damping factor C")
 	flag.IntVar(&o.k, "k", 0, "walk horizon (0 = derive from -eps)")
@@ -320,7 +309,7 @@ func main() {
 		if o.buildBudget > 0 {
 			m, err = shard.BuildAllStreaming(g, opt, o.shardDir, o.shards, o.buildBudget)
 		} else {
-			m, err = shard.BuildAllFormat(g, opt, o.shardDir, o.shards, o.indexFormat)
+			m, err = shard.BuildAll(g, opt, o.shardDir, o.shards)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
@@ -489,10 +478,10 @@ func openShard(g *graph.Graph, o *options, opt query.Options) (*shard.Shard, err
 }
 
 // openIndex loads the walk index from path when possible, building (and,
-// with a path, persisting, in -index-format) it otherwise. With
-// -index-mmap a freshly built index is saved first and then reopened
-// mapped, so serving always pages from the sealed file. A loaded index
-// gets the graph re-attached so reranked top-k queries work.
+// with a path, persisting) it otherwise. With -index-mmap a freshly built
+// index is saved first and then reopened mapped, so serving always pages
+// from the sealed file. A loaded index gets the graph re-attached so
+// reranked top-k queries work.
 func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, error) {
 	path := o.indexPath
 	load := func() (*query.Index, error) {
@@ -546,10 +535,10 @@ func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, err
 	}
 	log.Printf("index: built in %v", time.Since(t0))
 	if path != "" {
-		if err := idx.SaveFileFormat(path, o.indexFormat); err != nil {
+		if err := idx.SaveFile(path); err != nil {
 			return nil, fmt.Errorf("saving index %s: %w", path, err)
 		}
-		log.Printf("index: saved %s (format v%d)", path, o.indexFormat)
+		log.Printf("index: saved %s (format v%d)", path, query.FormatVersion)
 		if o.indexMmap {
 			mapped, err := load()
 			if err != nil {

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"oipsr/simrank/query"
 )
 
 // goodOptions is a valid baseline; each failure case perturbs one field.
@@ -19,7 +17,6 @@ func goodOptions() options {
 		queueDepth:  0,
 		reqTimeout:  10 * time.Second,
 		drain:       10 * time.Second,
-		indexFormat: query.FormatV2,
 	}
 }
 
@@ -49,13 +46,7 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 			o.backends = "http://a:1"
 			o.shardTimeout = -time.Second
 		}, "-shard-timeout"},
-		{"bad_index_format", func(o *options) { o.indexFormat = 3 }, "-index-format"},
 		{"mmap_no_index", func(o *options) { o.indexMmap = true }, "-index"},
-		{"mmap_v1_format", func(o *options) {
-			o.indexMmap = true
-			o.indexPath = "walks.idx"
-			o.indexFormat = query.FormatV1
-		}, "-index-format"},
 		{"mmap_router", func(o *options) {
 			o.mode = "router"
 			o.backends = "http://a:1"
@@ -68,11 +59,6 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		}, "-shard-dir"},
 		{"neg_build_budget", func(o *options) { o.buildBudget = -1 }, "-build-budget"},
 		{"budget_no_index", func(o *options) { o.buildBudget = 1 << 20 }, "-index"},
-		{"budget_v1_format", func(o *options) {
-			o.buildBudget = 1 << 20
-			o.indexPath = "walks.idx"
-			o.indexFormat = query.FormatV1
-		}, "-index-format"},
 		{"budget_shard_mode", func(o *options) {
 			o.mode = "shard"
 			o.shards = 2
@@ -124,12 +110,6 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 			o.shards = 4
 			o.shardDir = "s/"
 			o.buildBudget = 64 << 20
-		}},
-		{"build_v1", func(o *options) {
-			o.mode = "build-shards"
-			o.shards = 4
-			o.shardDir = "s/"
-			o.indexFormat = query.FormatV1
 		}},
 	}
 	for _, tc := range cases {

@@ -48,7 +48,9 @@ func TestMatchesNaive(t *testing.T) {
 // the analytic count.
 func TestAdditionCounting(t *testing.T) {
 	g := graph.MustFromEdges(4, [][2]int{{0, 2}, {1, 2}, {0, 3}, {1, 3}})
-	_, st, err := Compute(g, Options{C: 0.6, K: 1})
+	// Workers is pinned: the partial-sum buffers are per worker, so AuxBytes
+	// would otherwise follow the host's CPU count.
+	_, st, err := Compute(g, Options{C: 0.6, K: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestMappedServesBitIdenticalResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "walks.v2.idx")
-	if err := built.SaveFileFormat(path, query.FormatV2); err != nil {
+	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 

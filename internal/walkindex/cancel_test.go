@@ -13,7 +13,7 @@ import (
 // path with the context's error instead of completing the sweep.
 func TestQueriesHonorCancellation(t *testing.T) {
 	g := gen.WebGraph(300, 6, 17)
-	ix, err := Build(g, Options{Walks: 50, Seed: 11})
+	ix, err := buildFull(g, Options{Walks: 50, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,10 +24,10 @@ func TestQueriesHonorCancellation(t *testing.T) {
 		t.Errorf("SingleSource on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	for _, workers := range []int{1, 3} {
-		if _, err := ix.MultiSource(cancelled, []int{1, 2, 3}, workers); !errors.Is(err, context.Canceled) {
+		if _, err := ix.MultiSource(cancelled, nil, []int{1, 2, 3}, workers); !errors.Is(err, context.Canceled) {
 			t.Errorf("MultiSource(workers=%d) on cancelled ctx: err = %v, want context.Canceled", workers, err)
 		}
-		if _, err := ix.Join(cancelled, 10, 0.05, 1<<20, workers); !errors.Is(err, context.Canceled) {
+		if _, err := ix.Join(cancelled, nil, 10, 0.05, 1<<20, workers); !errors.Is(err, context.Canceled) {
 			t.Errorf("Join(workers=%d) on cancelled ctx: err = %v, want context.Canceled", workers, err)
 		}
 	}
@@ -45,7 +45,7 @@ func TestQueriesHonorCancellation(t *testing.T) {
 // return promptly with the context's error (the chunk-boundary polls).
 func TestCancellationMidSweep(t *testing.T) {
 	g := gen.WebGraph(400, 8, 23)
-	ix, err := Build(g, Options{Walks: 200, Seed: 13})
+	ix, err := buildFull(g, Options{Walks: 200, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for {
-			if _, err := ix.MultiSource(ctx, []int{0, 50, 100, 150}, 2); err != nil {
+			if _, err := ix.MultiSource(ctx, nil, []int{0, 50, 100, 150}, 2); err != nil {
 				done <- err
 				return
 			}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"oipsr/graph"
 	"oipsr/internal/par"
 )
 
@@ -32,6 +33,18 @@ import (
 // real graphs is far below n^2/2 at useful thresholds. Candidates are then
 // re-scored exactly (the same arithmetic as SingleSource/Pair) and the
 // top-k above the threshold survive.
+//
+// The join partitions along the FINGERPRINT axis, not the vertex axis: a
+// candidate pair is any two vertices co-located at some (fingerprint,
+// step) slot within the prune depth, and one fingerprint's slots need the
+// positions of ALL n vertices — which every range can produce, because
+// walk prefixes are pure hash recomputations (walkFrom) regardless of who
+// stores them. Each member of a fleet therefore enumerates a disjoint
+// fingerprint range (JoinCandidates), the router unions the candidate sets
+// (each a subset of the distinct-pair union, so the cap trips exactly when
+// the single-node merge would), pair scoring scatters back (ScorePairs),
+// and FinishJoin on the merged scored pairs reproduces Join bitwise. Join
+// itself is that pipeline over the one fingerprint range [0, R).
 
 // JoinPair is one result pair of a similarity join, canonical A < B.
 type JoinPair struct {
@@ -74,8 +87,7 @@ func TooDenseError(threshold float64, maxCandidates int) error {
 
 // joinDepth returns the last step index whose first-meeting weight clears
 // the threshold, or -1 when no slot can (pow is strictly decreasing, so
-// the scan stops early). Join and the shard candidate enumeration share it,
-// so both prune at exactly the same float comparison.
+// the scan stops early).
 func joinDepth(pow []float64, threshold float64) int {
 	maxT := -1
 	for t, w := range pow {
@@ -125,50 +137,80 @@ func FinishJoin(pairs []JoinPair, k int, threshold float64) []JoinPair {
 // abandons the join at the next chunk boundary (workers poll between
 // slots during enumeration and between candidates during re-scoring) and
 // returns the context's error.
-func (ix *Index) Join(ctx context.Context, k int, threshold float64, maxCandidates, workers int) ([]JoinPair, error) {
+func (ix *Index) Join(ctx context.Context, g *graph.Graph, k int, threshold float64, maxCandidates, workers int) ([]JoinPair, error) {
 	if err := CheckJoinArgs(k, threshold, maxCandidates); err != nil {
 		return nil, err
+	}
+	keys, err := ix.JoinCandidates(ctx, g, threshold, 0, ix.r, maxCandidates, workers)
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := ix.ScorePairs(ctx, g, keys, workers)
+	if err != nil {
+		return nil, err
+	}
+	return FinishJoin(pairs, k, threshold), nil
+}
+
+// JoinCandidates enumerates the co-located vertex pairs of fingerprints
+// [fpLo, fpHi) within the threshold's prune depth, returning canonical
+// a<b keys (a<<32|b) in ascending order. The union of the key sets over a
+// partition of [0, R) is exactly the candidate set Join enumerates.
+// maxCandidates caps this call's set — every per-range set is a subset of
+// the full distinct-pair union, so an overflow here implies the
+// single-node join overflows too (the converse is caught by the caller's
+// merge, which must re-apply the cap as the union grows).
+//
+// g supplies the walk prefixes of vertices the index does not store (see
+// Index for when it may be nil).
+func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold float64, fpLo, fpHi, maxCandidates, workers int) ([]uint64, error) {
+	if fpLo < 0 || fpHi < fpLo || fpHi > ix.r {
+		return nil, fmt.Errorf("walkindex: fingerprint range [%d,%d) outside [0,%d)", fpLo, fpHi, ix.r)
+	}
+	if maxCandidates < 1 {
+		return nil, fmt.Errorf("walkindex: join candidate cap %d < 1", maxCandidates)
 	}
 	// Depth prune: slots past maxT cannot introduce a pair reaching the
 	// threshold.
 	maxT := joinDepth(ix.pow, threshold)
-	if maxT < 0 || ix.n < 2 {
-		return []JoinPair{}, nil
+	if maxT < 0 || ix.n < 2 || fpLo == fpHi {
+		return []uint64{}, ctx.Err()
 	}
 
-	// Phase 1 (parallel over fingerprints): enumerate co-located pairs into
-	// per-worker dedup sets. Grouping a slot by position uses intrusive
-	// chains (head/next over vertex ids) — two flat int32 arrays per
-	// worker, no per-slot map churn.
-	parts := par.ResolveMax(workers, ix.r)
+	// Parallel over fingerprints: enumerate co-located pairs into per-worker
+	// dedup sets. The slot scan is position-major — entry (v, fp, t) for
+	// every v — so each fingerprint's prefix positions (depth maxT+1) are
+	// materialized once, vertex-sequentially: owned rows stream out of the
+	// store (each backing block of a mapped store decodes once per
+	// fingerprint), foreign ones are recomputed as prefix walks,
+	// bit-identical to the rows the owning range stores. That is
+	// O(n·(maxT+1)) per fingerprint — the same order as scanning the slots
+	// it feeds. Grouping a slot by position uses intrusive chains (head/next
+	// over vertex ids) — two flat int32 arrays per worker, no per-slot map
+	// churn.
+	hseed := splitmix64(uint64(ix.seed))
+	depth := maxT + 1
+	parts := par.ResolveMax(workers, fpHi-fpLo)
 	sets := make([]map[uint64]struct{}, parts)
 	var overflow atomic.Bool
 	par.Do(parts, func(w int) {
-		lo, hi := par.Range(ix.r, parts, w)
+		wlo, whi := par.Range(fpHi-fpLo, parts, w)
 		check := par.NewCancelChecker(ctx, 1) // each slot is O(n) work
 		set := make(map[uint64]struct{})
+		pos := make([]int32, ix.n*depth) // pos[v*depth+t]
 		head := make([]int32, ix.n)
 		next := make([]int32, ix.n)
-		// The slot scan is position-major — entry (v, fp, t) for every v —
-		// which a flat materialized store serves by direct indexing. A
-		// mapped store instead materializes each fingerprint's prefix
-		// positions once (vertex-sequential, so each backing block decodes
-		// once per fingerprint), mirroring the shard join's recomputation
-		// buffer.
-		flat := ix.store.Flat()
-		depth := maxT + 1
-		var pos []int32 // pos[v*depth+t], only for the mapped path
-		if flat == nil {
-			pos = make([]int32, ix.n*depth)
-		}
-		for fp := lo; fp < hi; fp++ {
-			if flat == nil {
-				if overflow.Load() || check.Stop() != nil {
-					return
-				}
-				ix.store.Prefetch(0, ix.n) // vertex-sequential materialization
-				for v := 0; v < ix.n; v++ {
-					copy(pos[v*depth:(v+1)*depth], ix.store.Row(v)[fp*ix.k:fp*ix.k+depth])
+		for fp := fpLo + wlo; fp < fpLo+whi; fp++ {
+			if overflow.Load() || check.Stop() != nil {
+				return
+			}
+			ix.store.Prefetch(0, ix.hi-ix.lo) // owned rows stream in vertex order
+			for v := 0; v < ix.n; v++ {
+				row := pos[v*depth : (v+1)*depth]
+				if ix.Owns(v) {
+					copy(row, ix.store.Row(v - ix.lo)[fp*ix.k:(fp+1)*ix.k])
+				} else {
+					walkFrom(g, hseed, fp, 0, v, row)
 				}
 			}
 			for t := 0; t <= maxT; t++ {
@@ -180,12 +222,7 @@ func (ix *Index) Join(ctx context.Context, k int, threshold float64, maxCandidat
 				}
 				alive := false
 				for v := 0; v < ix.n; v++ {
-					var p int32
-					if flat != nil {
-						p = flat[(v*ix.r+fp)*ix.k+t]
-					} else {
-						p = pos[v*depth+t]
-					}
+					p := pos[v*depth+t]
 					if p < 0 {
 						continue
 					}
@@ -241,26 +278,49 @@ func (ix *Index) Join(ctx context.Context, k int, threshold float64, maxCandidat
 		keys = append(keys, key)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys, nil
+}
 
-	// Phase 2 (parallel over candidates): exact estimates via the same
-	// arithmetic as SingleSource, so scores — and therefore the threshold
-	// filter and the final order — match the full estimate matrix bitwise.
+// ScorePairs computes the exact estimate of every candidate key (canonical
+// a<<32|b) via the same arithmetic as SingleSource and Pair, so scores —
+// and therefore the threshold filter and the final order — match the full
+// estimate matrix bitwise. Rows of unowned vertices are recomputed from g
+// and memoized per worker. Cancelling ctx abandons the scoring and returns
+// the context's error.
+func (ix *Index) ScorePairs(ctx context.Context, g *graph.Graph, keys []uint64, workers int) ([]JoinPair, error) {
 	pairs := make([]JoinPair, len(keys))
-	parts = par.ResolveMax(workers, len(keys))
+	if len(keys) == 0 {
+		return pairs, ctx.Err()
+	}
+	parts := par.ResolveMax(workers, len(keys))
 	par.Do(parts, func(w int) {
 		lo, hi := par.Range(len(keys), parts, w)
 		check := par.NewCancelChecker(ctx, cancelCheckTargets)
+		// Foreign rows memoize per worker: candidate keys are sorted, so
+		// repeated a-sides hit the cache run-length style, and heavily
+		// co-located b-sides (hub vertices) hit it across keys.
+		cache := make(map[int][]int32)
+		rowFor := func(v int) []int32 {
+			if ix.Owns(v) {
+				return ix.store.Row(v - ix.lo)
+			}
+			if row, ok := cache[v]; ok {
+				return row
+			}
+			row := ix.sourceRow(g, v, nil)
+			cache[v] = row
+			return row
+		}
 		for i := lo; i < hi; i++ {
 			if check.Stop() != nil {
 				return // partial scores are discarded below
 			}
 			a, b := int(keys[i]>>32), int(keys[i]&0xFFFFFFFF)
-			pairs[i] = JoinPair{A: a, B: b, Score: ix.Pair(a, b)}
+			pairs[i] = JoinPair{A: a, B: b, Score: pairFromRows(rowFor(a), rowFor(b), ix.pow, ix.k, ix.r)}
 		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	return FinishJoin(pairs, k, threshold), nil
+	return pairs, nil
 }

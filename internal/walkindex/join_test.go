@@ -52,14 +52,14 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		b.AddEdge(rng.Intn(70), rng.Intn(70))
 	}
 	g := b.MustBuild()
-	ix, err := Build(g, Options{Walks: 120, Seed: 9})
+	ix, err := buildFull(g, Options{Walks: 120, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, threshold := range []float64{0, 0.03, 0.1, 0.3, 0.7} {
 		for _, k := range []int{1, 5, 40, 100000} {
 			want := bruteJoin(t, ix, k, threshold)
-			got, err := ix.Join(context.Background(), k, threshold, 1<<20, 3)
+			got, err := ix.Join(context.Background(), nil, k, threshold, 1<<20, 3)
 			if err != nil {
 				t.Fatalf("Join(k=%d, theta=%g): %v", k, threshold, err)
 			}
@@ -79,16 +79,16 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 // every worker count.
 func TestJoinDeterministicAcrossWorkers(t *testing.T) {
 	g := gen.CoauthorGraph(120, 4, 7)
-	ix, err := Build(g, Options{Walks: 80, Seed: 2})
+	ix, err := buildFull(g, Options{Walks: 80, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := ix.Join(context.Background(), 25, 0.05, 1<<20, 1)
+	serial, err := ix.Join(context.Background(), nil, 25, 0.05, 1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		par, err := ix.Join(context.Background(), 25, 0.05, 1<<20, workers)
+		par, err := ix.Join(context.Background(), nil, 25, 0.05, 1<<20, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,11 +107,11 @@ func TestJoinDeterministicAcrossWorkers(t *testing.T) {
 // it returns empty without scanning.
 func TestJoinThresholdAboveC(t *testing.T) {
 	g := gen.WebGraph(50, 5, 3)
-	ix, err := Build(g, Options{C: 0.6, Walks: 30, Seed: 1})
+	ix, err := buildFull(g, Options{C: 0.6, Walks: 30, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.Join(context.Background(), 10, 0.9, 1<<20, 2)
+	got, err := ix.Join(context.Background(), nil, 10, 0.9, 1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestJoinThresholdAboveC(t *testing.T) {
 // unbounded memory growth.
 func TestJoinTooDense(t *testing.T) {
 	g := gen.WebGraph(200, 8, 5)
-	ix, err := Build(g, Options{Walks: 50, Seed: 4})
+	ix, err := buildFull(g, Options{Walks: 50, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.Join(context.Background(), 10, 0, 5, 2); !errors.Is(err, ErrTooDense) {
+	if _, err := ix.Join(context.Background(), nil, 10, 0, 5, 2); !errors.Is(err, ErrTooDense) {
 		t.Fatalf("Join with cap 5 returned %v, want ErrTooDense", err)
 	}
 }
@@ -136,7 +136,7 @@ func TestJoinTooDense(t *testing.T) {
 // TestJoinValidation: bad arguments are rejected up front.
 func TestJoinValidation(t *testing.T) {
 	g := gen.WebGraph(20, 4, 1)
-	ix, err := Build(g, Options{Walks: 10, Seed: 1})
+	ix, err := buildFull(g, Options{Walks: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestJoinValidation(t *testing.T) {
 		{5, 1.5, 100},
 		{5, 0.1, 0},
 	} {
-		if _, err := ix.Join(context.Background(), bad.k, bad.th, bad.cap_, 1); err == nil {
+		if _, err := ix.Join(context.Background(), nil, bad.k, bad.th, bad.cap_, 1); err == nil {
 			t.Errorf("Join(%d, %g, cap %d) succeeded, want error", bad.k, bad.th, bad.cap_)
 		}
 	}

@@ -1,13 +1,8 @@
 package walkindex
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"slices"
 	"sync"
@@ -17,10 +12,10 @@ import (
 	"oipsr/internal/lru"
 )
 
-// Mapped (paged) loading of format-v2 index files.
+// Mapped (paged) serving of index files.
 //
-// LoadMapped and LoadShardMapped open a v2 file without materializing the
-// dense []int32 path payload. Queries decode single posting blocks on
+// LoadMapped (serialize.go) opens a file without materializing the dense
+// []int32 path payload. Queries decode single posting blocks on
 // demand — zero-copy out of an mmap'd region where the platform supports
 // it (mmap_unix.go), through ReadAt otherwise — behind a small LRU of
 // decoded blocks. The file is fully validated at open (header guards,
@@ -43,7 +38,7 @@ import (
 // vertices per block) this keeps ~2k vertices' decoded walks hot.
 const DefaultMappedCacheBlocks = 32
 
-// MappedOptions configures LoadMapped and LoadShardMapped.
+// MappedOptions configures LoadMapped.
 type MappedOptions struct {
 	// CacheBlocks is the capacity of the decoded-block LRU. Zero means
 	// DefaultMappedCacheBlocks; negative disables caching (every row
@@ -137,7 +132,7 @@ func (bk *fileBacking) close() error {
 	return err
 }
 
-// mappedStore is the PathStore paging a format-v2 file block by block.
+// mappedStore is the PathStore paging an index file block by block.
 type mappedStore struct {
 	path   string
 	what   string // "index" or "shard", for error labels
@@ -171,19 +166,24 @@ type mappedStore struct {
 	pfLoads atomic.Int64 // blocks decoded by the pool (tests, bench)
 }
 
-func newMappedStore(path, what string, rows, k, r int, blockB int64, dir []int64, pre []byte, opts MappedOptions) (*mappedStore, error) {
+// newMappedStore pages the file at path, which readFile has just
+// validated as f.
+func newMappedStore(path string, f *validFile, opts MappedOptions) (*mappedStore, error) {
 	bk, err := openBacking(path, opts.DisableMmap)
 	if err != nil {
 		return nil, err
 	}
+	nb := len(f.dir) - 1
+	pre := f.hdr.preamble(int(f.blockB), nb) // the file's own leading bytes
+	k, r := int(f.hdr.k), int(f.hdr.r)
 	ms := &mappedStore{
-		path: path, what: what, rows: rows, k: k, r: r, stride: r * k,
-		blockB: int(blockB), opts: opts,
-		pre: pre, dir: dir, payloadOff: int64(len(pre)) + 8*int64(len(dir)),
+		path: path, what: f.hdr.kind.String(), rows: int(f.hdr.rows()), k: k, r: r, stride: r * k,
+		blockB: int(f.blockB), opts: opts,
+		pre: pre, dir: f.dir, payloadOff: int64(len(pre)) + 8*int64(len(f.dir)),
 		bk:      bk,
 		cache:   lru.New[int, []int32](opts.cacheBlocks()),
 		overlay: map[int][]int32{},
-		nb:      len(dir) - 1,
+		nb:      nb,
 		pfDepth: opts.prefetchDepth(),
 	}
 	ms.startPrefetch()
@@ -254,10 +254,6 @@ func (ms *mappedStore) MutableRow(v int) []int32 {
 	off := (v - b*ms.blockB) * ms.stride
 	return blk[off : off+ms.stride]
 }
-
-// Flat returns nil: a mapped store has no dense backing slice, so callers
-// take their per-block fallback paths.
-func (ms *mappedStore) Flat() []int32 { return nil }
 
 func (ms *mappedStore) Rows() int { return ms.rows }
 
@@ -356,195 +352,4 @@ func (ms *mappedStore) flush() error {
 		return fmt.Errorf("walkindex: closing pre-flush mapping: %w", err)
 	}
 	return nil
-}
-
-// LoadMapped opens a format-v2 index file for demand paging instead of
-// decoding it into memory. The whole file is validated up front — same
-// checks, same order as Load (see serialize.go) — but the decoded payload
-// is discarded block by block; only the ~16 B/block directory stays
-// resident. v1 files are dense-only: re-save with SaveFormat(FormatV2)
-// to map them (Load reads both formats into memory).
-func LoadMapped(path string, opts MappedOptions) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("walkindex: opening mapped index: %w", err)
-	}
-	defer f.Close()
-	crc := crc32.NewIEEE()
-	br := bufio.NewReaderSize(f, 1<<16)
-
-	// Step 1: header parse + plausibility guards (as in Load).
-	var hdr [headerSize]byte
-	if err := readFull(br, crc, hdr[:], "header"); err != nil {
-		return nil, err
-	}
-	if [8]byte(hdr[:8]) != magic {
-		return nil, ErrBadMagic
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:])
-	if version == FormatV1 {
-		return nil, fmt.Errorf("%w: file is format v1 (dense); only format v2 can be mapped — re-save it with SaveFormat(FormatV2)", ErrVersion)
-	}
-	if version != FormatV2 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d and %d", ErrVersion, version, FormatV1, FormatV2)
-	}
-	n := int64(binary.LittleEndian.Uint64(hdr[12:]))
-	k := int64(binary.LittleEndian.Uint64(hdr[20:]))
-	fps := int64(binary.LittleEndian.Uint64(hdr[28:]))
-	c := math.Float64frombits(binary.LittleEndian.Uint64(hdr[36:]))
-	seed := int64(binary.LittleEndian.Uint64(hdr[44:]))
-	if n < 0 || k < 1 || fps < 1 {
-		return nil, fmt.Errorf("walkindex: invalid header (n=%d, k=%d, r=%d)", n, k, fps)
-	}
-	if k > maxHorizon {
-		return nil, fmt.Errorf("walkindex: implausible walk horizon k = %d", k)
-	}
-	if !(c > 0 && c < 1) {
-		return nil, fmt.Errorf("walkindex: invalid header damping factor %v", c)
-	}
-	elems := n * fps * k
-	if n > 0 && (elems/n/fps != k || elems > maxElems) {
-		return nil, fmt.Errorf("walkindex: implausible index size n*r*k = %d*%d*%d", n, fps, k)
-	}
-
-	// Steps 2–5: structural + semantic scan of every block, checksum,
-	// trailing-data probe — retaining only the directory.
-	blockB, dir, err := scanV2Payload(br, crc, n, k, fps, n, "paths")
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 6: construction from validated fields only.
-	pre := make([]byte, headerSize+8)
-	copy(pre, hdr[:])
-	binary.LittleEndian.PutUint32(pre[headerSize:], uint32(blockB))
-	binary.LittleEndian.PutUint32(pre[headerSize+4:], uint32(len(dir)-1))
-	ms, err := newMappedStore(path, "index", int(n), int(k), int(fps), blockB, dir, pre, opts)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{n: int(n), k: int(k), r: int(fps), c: c, seed: seed, store: ms}
-	ix.initPow()
-	return ix, nil
-}
-
-// LoadShardMapped is LoadMapped for shard files written by
-// ShardIndex.SaveFormat with FormatV2.
-func LoadShardMapped(path string, opts MappedOptions) (*ShardIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("walkindex: opening mapped shard: %w", err)
-	}
-	defer f.Close()
-	crc := crc32.NewIEEE()
-	br := bufio.NewReaderSize(f, 1<<16)
-
-	// Step 1: header parse + plausibility guards (as in LoadShard).
-	var hdr [shardHeaderSize]byte
-	if err := readFull(br, crc, hdr[:], "shard header"); err != nil {
-		return nil, err
-	}
-	if [8]byte(hdr[:8]) != shardMagic {
-		return nil, ErrBadMagic
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:])
-	if version == FormatV1 {
-		return nil, fmt.Errorf("%w: file is format v1 (dense); only format v2 can be mapped — re-save it with SaveFormat(FormatV2)", ErrVersion)
-	}
-	if version != FormatV2 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d and %d", ErrVersion, version, FormatV1, FormatV2)
-	}
-	n := int64(binary.LittleEndian.Uint64(hdr[12:]))
-	lo := int64(binary.LittleEndian.Uint64(hdr[20:]))
-	hi := int64(binary.LittleEndian.Uint64(hdr[28:]))
-	k := int64(binary.LittleEndian.Uint64(hdr[36:]))
-	fps := int64(binary.LittleEndian.Uint64(hdr[44:]))
-	c := math.Float64frombits(binary.LittleEndian.Uint64(hdr[52:]))
-	seed := int64(binary.LittleEndian.Uint64(hdr[60:]))
-	if n < 0 || k < 1 || fps < 1 {
-		return nil, fmt.Errorf("walkindex: invalid shard header (n=%d, k=%d, r=%d)", n, k, fps)
-	}
-	if lo < 0 || hi < lo || hi > n {
-		return nil, fmt.Errorf("walkindex: invalid shard header range [%d,%d) with n=%d", lo, hi, n)
-	}
-	if k > maxHorizon {
-		return nil, fmt.Errorf("walkindex: implausible walk horizon k = %d", k)
-	}
-	if !(c > 0 && c < 1) {
-		return nil, fmt.Errorf("walkindex: invalid shard header damping factor %v", c)
-	}
-	width := hi - lo
-	elems := width * fps * k
-	if width > 0 && (elems/width/fps != k || elems > maxElems) {
-		return nil, fmt.Errorf("walkindex: implausible shard size width*r*k = %d*%d*%d", width, fps, k)
-	}
-
-	// Steps 2–5 on the owned range; entries are global vertex ids in [0, n).
-	blockB, dir, err := scanV2Payload(br, crc, width, k, fps, n, "shard paths")
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 6: construction from validated fields only.
-	pre := make([]byte, shardHeaderSize+8)
-	copy(pre, hdr[:])
-	binary.LittleEndian.PutUint32(pre[shardHeaderSize:], uint32(blockB))
-	binary.LittleEndian.PutUint32(pre[shardHeaderSize+4:], uint32(len(dir)-1))
-	ms, err := newMappedStore(path, "shard", int(width), int(k), int(fps), blockB, dir, pre, opts)
-	if err != nil {
-		return nil, err
-	}
-	sx := &ShardIndex{n: int(n), lo: int(lo), hi: int(hi), k: int(k), r: int(fps), c: c, seed: seed, store: ms}
-	sx.initPow()
-	return sx, nil
-}
-
-// scanV2Payload validates the v2 payload exactly as readV2Payload decodes
-// it — same directory guards, same per-block structural decode, plus the
-// per-entry range check that Load runs afterward — but into one reused
-// block buffer, so open-time validation of a mapped file costs a single
-// block of memory, not the dense index. The documented load order is
-// preserved: an out-of-range entry found mid-scan is held back until the
-// checksum and trailing-data probe have run, so a corrupt file reports
-// ErrChecksum here exactly as it would through Load.
-func scanV2Payload(br *bufio.Reader, crc hash.Hash32, rows, k, r, n int64, section string) (blockB int64, dir []int64, err error) {
-	blockB, dir, err = readV2Dir(br, crc, rows, k, section)
-	if err != nil {
-		return 0, nil, err
-	}
-	nb := int64(len(dir)) - 1
-	var blockBuf []byte
-	var dst []int32
-	var rangeErr error
-	for b := int64(0); b < nb; b++ {
-		width := min(blockB, rows-b*blockB)
-		blen := dir[b+1] - dir[b]
-		if blen > v2MaxBlockLen(width, k, r) {
-			return 0, nil, fmt.Errorf("walkindex: implausible v2 block length %d", blen)
-		}
-		if int64(cap(blockBuf)) < blen {
-			blockBuf = make([]byte, blen)
-		}
-		buf := blockBuf[:blen]
-		if err := readFull(br, crc, buf, section+" v2 block"); err != nil {
-			return 0, nil, err
-		}
-		need := int(width * r * k)
-		if cap(dst) < need {
-			dst = make([]int32, need)
-		}
-		if err := decodeV2Block(buf, dst[:need], int(width), int(k), int(r)); err != nil {
-			return 0, nil, fmt.Errorf("walkindex: %s block %d: %w", section, b, err)
-		}
-		if rangeErr == nil {
-			rangeErr = validateEntries(dst[:need], n, section[:len(section)-1])
-		}
-	}
-	if err := checkTrailer(br, crc, section+" checksum"); err != nil {
-		return 0, nil, err
-	}
-	if rangeErr != nil {
-		return 0, nil, rangeErr
-	}
-	return blockB, dir, nil
 }

@@ -1,9 +1,7 @@
 package walkindex
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,21 +11,18 @@ import (
 	"oipsr/graph/gen"
 )
 
-// saveV2File writes ix in format v2 to a temp file and returns the path.
-func saveV2File(t *testing.T, ix *Index) string {
+// saveFile writes ix as a file of the given kind to a temp file and
+// returns the path.
+func saveFile(t *testing.T, ix *Index, kind FileKind) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "index.srwk")
-	var buf bytes.Buffer
-	if err := ix.SaveFormat(&buf, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), kind.String()+".srwk")
+	if err := os.WriteFile(path, saveBytes(t, ix, kind), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// mappedVariants opens the same v2 file through every mapped configuration
+// mappedVariants opens the same file through every mapped configuration
 // worth distinguishing: mmap'd, ReadAt fallback, and uncached.
 func mappedVariants(t *testing.T, path string) map[string]*Index {
 	t.Helper()
@@ -38,7 +33,7 @@ func mappedVariants(t *testing.T, path string) map[string]*Index {
 	}
 	out := make(map[string]*Index, len(variants))
 	for name, opts := range variants {
-		mx, err := LoadMapped(path, opts)
+		mx, err := LoadMapped(path, IndexFile, opts)
 		if err != nil {
 			t.Fatalf("LoadMapped(%s): %v", name, err)
 		}
@@ -54,19 +49,19 @@ func mappedVariants(t *testing.T, path string) map[string]*Index {
 // Join — same walks, same summation order, so exact equality, not epsilon.
 func TestMappedByteIdenticalQueries(t *testing.T) {
 	g := gen.WebGraph(500, 6, 13)
-	dense, err := Build(g, Options{Walks: 30, Seed: 9})
+	dense, err := buildFull(g, Options{Walks: 30, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := saveV2File(t, dense)
+	path := saveFile(t, dense, IndexFile)
 	ctx := context.Background()
 
-	denseJoin, err := dense.Join(ctx, 25, 0.05, 200000, 2)
+	denseJoin, err := dense.Join(ctx, nil, 25, 0.05, 200000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sources := []int{0, 7, 99, 250, 499}
-	denseMS, err := dense.MultiSource(ctx, sources, 3)
+	denseMS, err := dense.MultiSource(ctx, nil, sources, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +84,11 @@ func TestMappedByteIdenticalQueries(t *testing.T) {
 					t.Fatalf("%s: SingleSource(%d)[%d] = %v, dense %v", name, q, v, mr[v], dr[v])
 				}
 			}
-			if got, want := mx.Pair(q, (q+13)%500), dense.Pair(q, (q+13)%500); got != want {
+			if got, want := mx.Pair(nil, q, (q+13)%500), dense.Pair(nil, q, (q+13)%500); got != want {
 				t.Fatalf("%s: Pair(%d) = %v, dense %v", name, q, got, want)
 			}
 		}
-		ms, err := mx.MultiSource(ctx, sources, 3)
+		ms, err := mx.MultiSource(ctx, nil, sources, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +99,7 @@ func TestMappedByteIdenticalQueries(t *testing.T) {
 				}
 			}
 		}
-		mj, err := mx.Join(ctx, 25, 0.05, 200000, 2)
+		mj, err := mx.Join(ctx, nil, 25, 0.05, 200000, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,12 +120,12 @@ func TestMappedByteIdenticalQueries(t *testing.T) {
 // dense — sees the post-edit index.
 func TestMappedUpdatePersists(t *testing.T) {
 	g := gen.CitationGraph(300, 4, 5)
-	dense, err := Build(g, Options{Walks: 15, Seed: 4})
+	dense, err := buildFull(g, Options{Walks: 15, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := saveV2File(t, dense)
-	mx, err := LoadMapped(path, MappedOptions{})
+	path := saveFile(t, dense, IndexFile)
+	mx, err := LoadMapped(path, IndexFile, MappedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +143,7 @@ func TestMappedUpdatePersists(t *testing.T) {
 		if _, err := mx.Update(next, sum.DirtyIn, 3); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Build(next, Options{Walks: 15, Seed: 4})
+		fresh, err := buildFull(next, Options{Walks: 15, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +152,7 @@ func TestMappedUpdatePersists(t *testing.T) {
 		}
 
 		// The flush rewrote the file: a cold open must see the same index.
-		reopened, err := LoadMapped(path, MappedOptions{})
+		reopened, err := LoadMapped(path, IndexFile, MappedOptions{})
 		if err != nil {
 			t.Fatalf("batch %d: reopening flushed file: %v", batch, err)
 		}
@@ -169,7 +164,7 @@ func TestMappedUpdatePersists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load(f)
+		loaded, err := Load(f, IndexFile)
 		f.Close()
 		if err != nil {
 			t.Fatalf("batch %d: dense-loading flushed file: %v", batch, err)
@@ -186,19 +181,12 @@ func TestMappedUpdatePersists(t *testing.T) {
 func TestShardMappedByteIdentical(t *testing.T) {
 	g := gen.WebGraph(400, 5, 17)
 	opt := Options{Walks: 20, Seed: 6}
-	sx, err := BuildShard(g, opt, 100, 300)
+	sx, err := Build(g, opt, 100, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "shard.srwk")
-	var buf bytes.Buffer
-	if err := sx.SaveFormat(&buf, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mx, err := LoadShardMapped(path, MappedOptions{})
+	path := saveFile(t, sx, ShardFile)
+	mx, err := LoadMapped(path, ShardFile, MappedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +197,11 @@ func TestShardMappedByteIdentical(t *testing.T) {
 
 	ctx := context.Background()
 	sources := []int{0, 100, 150, 299, 399}
-	want, err := sx.PartialMultiSource(ctx, g, sources, 2)
+	want, err := sx.MultiSource(ctx, g, sources, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mx.PartialMultiSource(ctx, g, sources, 2)
+	got, err := mx.MultiSource(ctx, g, sources, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,14 +223,14 @@ func TestShardMappedByteIdentical(t *testing.T) {
 	if _, err := mx.Update(next, sum.DirtyIn, 2); err != nil {
 		t.Fatal(err)
 	}
-	freshShard, err := BuildShard(next, opt, 100, 300)
+	freshShard, err := Build(next, opt, 100, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !mx.Equal(freshShard) {
 		t.Fatal("mapped shard Update != fresh shard build")
 	}
-	reopened, err := LoadShardMapped(path, MappedOptions{})
+	reopened, err := LoadMapped(path, ShardFile, MappedOptions{})
 	if err != nil {
 		t.Fatalf("reopening flushed shard: %v", err)
 	}
@@ -256,12 +244,12 @@ func TestShardMappedByteIdentical(t *testing.T) {
 // block cache; under -race this checks the store's synchronization.
 func TestMappedConcurrentReaders(t *testing.T) {
 	g := gen.WebGraph(300, 5, 23)
-	dense, err := Build(g, Options{Walks: 12, Seed: 2})
+	dense, err := buildFull(g, Options{Walks: 12, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A 2-block cache against a ~5-block file keeps eviction churning.
-	mx, err := LoadMapped(saveV2File(t, dense), MappedOptions{CacheBlocks: 2})
+	mx, err := LoadMapped(saveFile(t, dense, IndexFile), IndexFile, MappedOptions{CacheBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,53 +283,26 @@ func TestMappedConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLoadMappedRejections: v1 files, corruption, truncation, and trailing
-// data are all rejected at open — the paged read path never sees them.
+// TestLoadMappedRejections: what only the mapped opening can get wrong —
+// a missing file, and the backend it reports. (Every corruption case runs
+// over the mapped openings in serialize_test.go.)
 func TestLoadMappedRejections(t *testing.T) {
 	ix := buildSmall(t)
-	dir := t.TempDir()
-	write := func(name string, data []byte) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	var v1, v2 bytes.Buffer
-	if err := ix.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SaveFormat(&v2, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := LoadMapped(write("v1.srwk", v1.Bytes()), MappedOptions{}); !errors.Is(err, ErrVersion) {
-		t.Errorf("LoadMapped(v1 file) = %v, want ErrVersion", err)
-	}
-	corrupt := append([]byte(nil), v2.Bytes()...)
-	corrupt[len(corrupt)-8] ^= 0x10
-	if _, err := LoadMapped(write("corrupt.srwk", corrupt), MappedOptions{}); err == nil {
-		t.Error("LoadMapped accepted a bit-flipped file")
-	}
-	if _, err := LoadMapped(write("trunc.srwk", v2.Bytes()[:v2.Len()-6]), MappedOptions{}); err == nil {
-		t.Error("LoadMapped accepted a truncated file")
-	}
-	trailing := append(append([]byte(nil), v2.Bytes()...), 0x00)
-	if _, err := LoadMapped(write("trailing.srwk", trailing), MappedOptions{}); !errors.Is(err, ErrTrailingData) {
-		t.Errorf("LoadMapped(trailing byte) = %v, want ErrTrailingData", err)
-	}
-	if _, err := LoadMapped(filepath.Join(dir, "missing.srwk"), MappedOptions{}); err == nil {
+	path := saveFile(t, ix, IndexFile)
+	if _, err := LoadMapped(filepath.Join(filepath.Dir(path), "missing.srwk"), IndexFile, MappedOptions{}); err == nil {
 		t.Error("LoadMapped accepted a missing file")
 	}
-	mx, err := LoadMapped(write("good.srwk", v2.Bytes()), MappedOptions{})
-	if err != nil {
-		t.Fatalf("LoadMapped rejected a valid file: %v", err)
+	for _, opts := range []MappedOptions{{}, {DisableMmap: true}} {
+		mx, err := LoadMapped(path, IndexFile, opts)
+		if err != nil {
+			t.Fatalf("LoadMapped rejected a valid file: %v", err)
+		}
+		if !ix.Equal(mx) {
+			t.Error("mapped small index != original")
+		}
+		if b := mx.Backend(); b != "mapped-readat" && (opts.DisableMmap || b != "mapped") {
+			t.Errorf("Backend() = %q with %+v", b, opts)
+		}
+		mx.Close()
 	}
-	if !ix.Equal(mx) {
-		t.Error("mapped small index != original")
-	}
-	if mx.Backend() != "mapped" && mx.Backend() != "mapped-readat" {
-		t.Errorf("Backend() = %q", mx.Backend())
-	}
-	mx.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 
+	"oipsr/graph"
 	"oipsr/internal/par"
 )
 
@@ -34,27 +35,44 @@ type srcEntry struct {
 }
 
 // MultiSource estimates s(q, v) for every source q in sources and every
-// target v, returning one dense score row per source (out[i][v] is
-// s(sources[i], v); the entry for the source itself is exactly 1). Every
-// row is bit-identical to SingleSource(sources[i], nil), for every worker
-// count (1 = serial, <1 = all CPUs): per (source, target) pair the same
-// first-meeting weights are accumulated in the same fingerprint order and
-// scaled by the same 1/R, so not even the floating-point rounding differs.
+// OWNED target v in [lo, hi), returning one score row per source:
+// out[i][v-lo] is s(sources[i], v), and the entry for an owned source
+// itself is exactly 1. On a full-range index every row is bit-identical to
+// SingleSource(sources[i], nil); on a narrower range it is the exact
+// [lo, hi) sub-slice of that row — for every worker count (1 = serial, <1 =
+// all CPUs): per (source, target) pair the same first-meeting weights are
+// accumulated in the same fingerprint order and scaled by the same 1/R, so
+// not even the floating-point rounding differs, and concatenating the rows
+// of a covering set of ranges reproduces the single-node answer without
+// any merge arithmetic. Sources outside [lo, hi) are recomputed from g
+// (see Index for when g may be nil).
 //
-// Sources must be valid vertex ids (the query layer validates); duplicates
-// are allowed and produce identical rows.
+// Sources must be valid vertex ids of the full graph (the serving layer
+// validates); duplicates are allowed and produce identical rows.
 //
 // Cancelling ctx abandons the sweep at the next chunk boundary (every
 // worker polls between target vertices) and returns the context's error;
 // the returned rows are then nil. An uncancelled ctx never changes the
 // result.
-func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([][]float64, error) {
+func (ix *Index) MultiSource(ctx context.Context, g *graph.Graph, sources []int, workers int) ([][]float64, error) {
+	width := ix.hi - ix.lo
 	out := make([][]float64, len(sources))
 	for i := range out {
-		out[i] = make([]float64, ix.n)
+		out[i] = make([]float64, width)
 	}
-	if len(sources) == 0 {
-		return out, nil
+	if len(sources) == 0 || width == 0 {
+		return out, ctx.Err()
+	}
+
+	// Materialize every source's walk block once — owned blocks are the
+	// stored rows, foreign blocks are recomputed.
+	srcRows := make([][]int32, len(sources))
+	tableCheck := par.NewCancelChecker(ctx, 4) // each source is O(R·K) work
+	for si, q := range sources {
+		if err := tableCheck.Stop(); err != nil {
+			return nil, err
+		}
+		srcRows[si] = ix.sourceRow(g, q, nil)
 	}
 
 	// Slot tables: slot (fp, t) holds the living source walker positions at
@@ -64,15 +82,9 @@ func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([
 	// fingerprint, and an empty slot ends the sweep's step loop early.
 	nslots := ix.r * ix.k
 	off := make([]int, nslots+1)
-	tableCheck := par.NewCancelChecker(ctx, 4) // each source is O(R·K) table work
-	for _, q := range sources {
-		if err := tableCheck.Stop(); err != nil {
-			return nil, err
-		}
-		blk := ix.store.Row(q)
+	for _, row := range srcRows {
 		for fp := 0; fp < ix.r; fp++ {
-			row := blk[fp*ix.k : (fp+1)*ix.k]
-			for t, p := range row {
+			for t, p := range row[fp*ix.k : (fp+1)*ix.k] {
 				if p < 0 {
 					break
 				}
@@ -86,11 +98,9 @@ func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([
 	entries := make([]srcEntry, off[nslots])
 	cur := make([]int, nslots)
 	copy(cur, off[:nslots])
-	for si, q := range sources {
-		blk := ix.store.Row(q)
+	for si, row := range srcRows {
 		for fp := 0; fp < ix.r; fp++ {
-			row := blk[fp*ix.k : (fp+1)*ix.k]
-			for t, p := range row {
+			for t, p := range row[fp*ix.k : (fp+1)*ix.k] {
 				if p < 0 {
 					break
 				}
@@ -111,17 +121,17 @@ func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([
 	}
 
 	inv := 1 / float64(ix.r)
-	parts := par.ResolveMax(workers, ix.n)
+	parts := par.ResolveMax(workers, width)
 	par.Do(parts, func(w int) {
-		lo, hi := par.Range(ix.n, parts, w)
-		ix.store.Prefetch(lo, hi) // each worker sweeps its target range in order
+		wlo, whi := par.Range(width, parts, w)
+		ix.store.Prefetch(wlo, whi) // each worker sweeps its target range in order
 		check := par.NewCancelChecker(ctx, cancelCheckTargets)
 		acc := make([]float64, len(sources))
 		// met[si] == epoch marks "si already met the current (target,
 		// fingerprint)"; bumping the epoch clears all marks at once.
 		met := make([]int, len(sources))
 		epoch := 0
-		for v := lo; v < hi; v++ {
+		for v := wlo; v < whi; v++ { // store-local target
 			if check.Stop() != nil {
 				return // partial rows are discarded below
 			}
@@ -159,11 +169,14 @@ func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Overwrite each source's own entry with the exact 1 SingleSource
+	// Overwrite each owned source's own entry with the exact 1 SingleSource
 	// promises (the sweep instead credits the trivial self-meeting at the
-	// first step, which would leave C there).
+	// first step, which would leave C there) — only the owning range holds
+	// that cell.
 	for si, q := range sources {
-		out[si][q] = 1
+		if ix.Owns(q) {
+			out[si][q-ix.lo] = 1
+		}
 	}
 	return out, nil
 }

@@ -13,7 +13,7 @@ import (
 // shared-traversal sweep.
 func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
 	g := gen.WebGraph(150, 6, 13)
-	ix, err := Build(g, Options{Walks: 60, Seed: 3})
+	ix, err := buildFull(g, Options{Walks: 60, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
 // the source itself, 0 everywhere else.
 func TestMultiSourceDeadAndIsolated(t *testing.T) {
 	g := graph.MustFromEdges(4, [][2]int{{0, 1}}) // 2 and 3 isolated, 0 a source
-	ix, err := Build(g, Options{Walks: 20, Seed: 5})
+	ix, err := buildFull(g, Options{Walks: 20, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMultiSourceDeadAndIsolated(t *testing.T) {
 // TestMultiSourceEmptyBatch: an empty batch is a clean no-op.
 func TestMultiSourceEmptyBatch(t *testing.T) {
 	g := gen.WebGraph(20, 4, 1)
-	ix, err := Build(g, Options{Walks: 10, Seed: 1})
+	ix, err := buildFull(g, Options{Walks: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

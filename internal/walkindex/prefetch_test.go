@@ -1,10 +1,7 @@
 package walkindex
 
 import (
-	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -32,11 +29,11 @@ func mappedOf(t *testing.T, ix *Index) *mappedStore {
 // harmless).
 func TestPrefetchEquivalenceTinyCache(t *testing.T) {
 	g := gen.WebGraph(500, 6, 13)
-	dense, err := Build(g, Options{Walks: 20, Seed: 9})
+	dense, err := buildFull(g, Options{Walks: 20, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := saveV2File(t, dense)
+	path := saveFile(t, dense, IndexFile)
 	ctx := context.Background()
 
 	for name, opts := range map[string]MappedOptions{
@@ -47,7 +44,7 @@ func TestPrefetchEquivalenceTinyCache(t *testing.T) {
 		"nopf":      {CacheBlocks: 2, PrefetchBlocks: -1},
 		"nocachepf": {CacheBlocks: -1, PrefetchBlocks: 4}, // no cache: pf auto-off
 	} {
-		mx, err := LoadMapped(path, opts)
+		mx, err := LoadMapped(path, IndexFile, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -66,15 +63,15 @@ func TestPrefetchEquivalenceTinyCache(t *testing.T) {
 					t.Fatalf("%s: SingleSource(%d)[%d] = %v, dense %v", name, q, v, got[v], want[v])
 				}
 			}
-			if got, want := mx.Pair(q, (q+77)%500), dense.Pair(q, (q+77)%500); got != want {
+			if got, want := mx.Pair(nil, q, (q+77)%500), dense.Pair(nil, q, (q+77)%500); got != want {
 				t.Fatalf("%s: Pair(%d) = %v, dense %v", name, q, got, want)
 			}
 		}
-		wantMS, err := dense.MultiSource(ctx, sources, 3)
+		wantMS, err := dense.MultiSource(ctx, nil, sources, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMS, err := mx.MultiSource(ctx, sources, 3)
+		gotMS, err := mx.MultiSource(ctx, nil, sources, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +82,11 @@ func TestPrefetchEquivalenceTinyCache(t *testing.T) {
 				}
 			}
 		}
-		wantJoin, err := dense.Join(ctx, 20, 0.05, 200000, 2)
+		wantJoin, err := dense.Join(ctx, nil, 20, 0.05, 200000, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotJoin, err := mx.Join(ctx, 20, 0.05, 200000, 2)
+		gotJoin, err := mx.Join(ctx, nil, 20, 0.05, 200000, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,25 +116,17 @@ func TestPrefetchEquivalenceTinyCache(t *testing.T) {
 	}
 }
 
-// TestPrefetchShardEquivalence covers the shard sweeps: PartialMultiSource
-// and JoinCandidates on a 2-block-LRU mapped shard must match the dense
-// shard exactly while the pool is prefetching.
+// TestPrefetchShardEquivalence covers the ranged sweeps: MultiSource and
+// JoinCandidates on a 2-block-LRU mapped shard must match the dense shard
+// exactly while the pool is prefetching.
 func TestPrefetchShardEquivalence(t *testing.T) {
 	g := gen.CitationGraph(420, 4, 19)
 	opt := Options{Walks: 16, Seed: 5}
-	sx, err := BuildShard(g, opt, 60, 350)
+	sx, err := Build(g, opt, 60, 350)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "shard.srwk")
-	var buf bytes.Buffer
-	if err := sx.SaveFormat(&buf, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mx, err := LoadShardMapped(path, MappedOptions{CacheBlocks: 2})
+	mx, err := LoadMapped(saveFile(t, sx, ShardFile), ShardFile, MappedOptions{CacheBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +134,11 @@ func TestPrefetchShardEquivalence(t *testing.T) {
 
 	ctx := context.Background()
 	sources := []int{0, 60, 200, 349, 419}
-	want, err := sx.PartialMultiSource(ctx, g, sources, 3)
+	want, err := sx.MultiSource(ctx, g, sources, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mx.PartialMultiSource(ctx, g, sources, 3)
+	got, err := mx.MultiSource(ctx, g, sources, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +180,11 @@ func TestPrefetchShardEquivalence(t *testing.T) {
 func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
 	g := gen.WebGraph(400, 5, 31)
 	opt := Options{Walks: 12, Seed: 8}
-	dense, err := Build(g, opt)
+	dense, err := buildFull(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mx, err := LoadMapped(saveV2File(t, dense), MappedOptions{CacheBlocks: 3})
+	mx, err := LoadMapped(saveFile(t, dense, IndexFile), IndexFile, MappedOptions{CacheBlocks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +208,7 @@ func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
 				if _, err := mx.SingleSource(ctx, (w*97+i*13)%400, nil); err != nil {
 					t.Error(err)
 				}
-				if _, err := mx.MultiSource(ctx, []int{w, (w + 100) % 400}, 2); err != nil {
+				if _, err := mx.MultiSource(ctx, nil, []int{w, (w + 100) % 400}, 2); err != nil {
 					t.Error(err)
 				}
 				mu.RUnlock()
@@ -257,7 +246,7 @@ func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	fresh, err := Build(cur, opt)
+	fresh, err := buildFull(cur, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +261,11 @@ func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
 // asynchronous by design.
 func TestPrefetchPoolLoads(t *testing.T) {
 	g := gen.WebGraph(900, 5, 7) // 15 blocks, well past the window
-	dense, err := Build(g, Options{Walks: 12, Seed: 4})
+	dense, err := buildFull(g, Options{Walks: 12, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mx, err := LoadMapped(saveV2File(t, dense), MappedOptions{CacheBlocks: 16, PrefetchBlocks: 8})
+	mx, err := LoadMapped(saveFile(t, dense, IndexFile), IndexFile, MappedOptions{CacheBlocks: 16, PrefetchBlocks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,12 +300,12 @@ func TestPrefetchPoolLoads(t *testing.T) {
 // against a closed file.
 func TestPrefetchCloseDrainsPool(t *testing.T) {
 	g := gen.WebGraph(600, 5, 3)
-	dense, err := Build(g, Options{Walks: 10, Seed: 1})
+	dense, err := buildFull(g, Options{Walks: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		mx, err := LoadMapped(saveV2File(t, dense), MappedOptions{CacheBlocks: 2})
+		mx, err := LoadMapped(saveFile(t, dense, IndexFile), IndexFile, MappedOptions{CacheBlocks: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

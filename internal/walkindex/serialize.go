@@ -9,80 +9,102 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"slices"
 )
 
-// On-disk formats (all integers little-endian). Both formats share the
-// 52-byte header; the version field selects the payload encoding.
+// On-disk format (all integers little-endian). One payload encoding, two
+// header layouts — a full index and a shard differ only in whether the
+// owned range is spliced into the header:
 //
-// Format 1 (dense):
+//	index file                          shard file
+//	offset  size  field                 offset  size  field
+//	0       8     magic "SRWKIDX\x00"   0       8     magic "SRWKSHRD"
+//	8       4     format version (2)    8       4     format version (2)
+//	12      8     n   (vertices)        12      8     n   (full-graph vertices)
+//	                                    20      8     lo  (first owned vertex)
+//	                                    28      8     hi  (one past the last)
+//	20      8     k   (horizon)         36      8     k
+//	28      8     r   (fingerprints)    44      8     r
+//	36      8     c   (IEEE-754 bits)   52      8     c
+//	44      8     seed                  60      8     seed
+//	52                                  68
 //
-//	offset  size  field
-//	0       8     magic "SRWKIDX\x00"
-//	8       4     format version (1)
-//	12      8     n   (vertices, int64)
-//	20      8     k   (horizon, int64)
-//	28      8     r   (fingerprints, int64)
-//	36      8     c   (damping factor, IEEE-754 bits)
-//	44      8     seed (int64)
-//	52      4*n*r*k   paths ([]int32)
-//	...     4     CRC-32 (IEEE) of every preceding byte
+// (n, lo, hi, k, r, seed are int64.) An index file's range is [0, n) by
+// construction. After either header:
 //
-// Format 2 (compressed, mmap-able; see v2.go for the posting codec):
-//
-//	offset  size  field
-//	0..51         same header fields, version 2
-//	52      4     block size B (start vertices per posting block, uint32)
-//	56      4     numBlocks = ceil(n/B) (uint32)
-//	60      8*(numBlocks+1)  block directory: byte offset of each posting
+//	+0      4     block size B (start vertices per posting block, uint32)
+//	+4      4     numBlocks = ceil(rows/B) (uint32), rows = hi-lo
+//	+8      8*(numBlocks+1)  block directory: byte offset of each posting
 //	              block within the payload; entry 0 is 0, entry numBlocks
 //	              is the payload length
-//	...     delta/varint posting blocks (payload)
+//	...     delta/varint posting blocks (payload; see v2.go for the codec)
 //	...     4     CRC-32 (IEEE) of every preceding byte
 //
 // The trailing checksum makes truncation and bit corruption detectable
-// without trusting the payload; the version field rejects indexes written
-// by a future (or past, incompatible) format revision.
+// without trusting the payload; the version field rejects files written by
+// a future or a retired revision (format 1, the dense raw-[]int32 payload,
+// is no longer read or written). The distinct magics keep a shard file
+// from ever loading as a full index or vice versa: every opening states
+// the kind it expects and the other kind's file is ErrBadMagic, not a
+// silent misread.
 //
-// Load order — one documented sequence shared by the v1 and v2 readers,
-// for the full index (Load) and shards (LoadShard) alike:
+// Load order — one sequence, run by readFile for both file kinds, whether
+// the result is decoded into memory (Load) or paged from the file
+// (LoadMapped):
 //
 //  1. header parse + plausibility guards: nothing payload-sized is
 //     allocated from unvalidated fields;
 //  2. payload decode, with allocations growing as bytes are actually
 //     read, so a forged header on a short stream fails with a truncation
-//     error after a proportional allocation;
+//     error after a proportional allocation (a payload whose corruption
+//     is structurally undecodable fails here, before the trailer is
+//     reachable);
 //  3. checksum verification — a corrupt file reports ErrChecksum even
-//     when its decoded entries would also fail validation (a v2 payload
-//     whose corruption is structurally undecodable fails at step 2
-//     instead, before the trailer is reachable);
+//     when its decoded entries would also fail validation;
 //  4. trailing-data probe: Save writes exactly one index per stream, so
 //     any byte after the checksum is ErrTrailingData, not slack to
 //     ignore;
-//  5. per-entry range validation of the decoded paths;
-//  6. index construction (initPow last, from validated fields only).
+//  5. per-entry range validation of the decoded paths (checked while
+//     decoding, reported only after steps 3 and 4);
+//  6. index construction from validated fields only.
 
-// Supported on-disk format revisions.
+// FormatVersion is the on-disk format revision this build reads and
+// writes.
+const FormatVersion = 2
+
+// FileKind names the two header layouts. Every save and every opening
+// states the kind it means, so an index file and a shard file can never
+// stand in for each other.
+type FileKind int
+
 const (
-	// FormatV1 is the dense format: the raw []int32 path payload.
-	FormatV1 = 1
-	// FormatV2 is the compressed format: delta/varint posting blocks with
-	// a block directory, mmap-able via LoadMapped.
-	FormatV2 = 2
-	// FormatVersion is the newest revision this build reads and writes.
-	FormatVersion = FormatV2
+	// IndexFile is the 52-byte-header layout of a full-range index.
+	IndexFile FileKind = iota
+	// ShardFile is the 68-byte-header layout carrying the owned range.
+	ShardFile
 )
 
-var magic = [8]byte{'S', 'R', 'W', 'K', 'I', 'D', 'X', 0}
+var fileMagic = [...][8]byte{
+	IndexFile: {'S', 'R', 'W', 'K', 'I', 'D', 'X', 0},
+	ShardFile: {'S', 'R', 'W', 'K', 'S', 'H', 'R', 'D'},
+}
 
-const headerSize = 8 + 4 + 8 + 8 + 8 + 8 + 8
+// String names the kind in error and section labels.
+func (kind FileKind) String() string {
+	if kind == ShardFile {
+		return "shard"
+	}
+	return "index"
+}
 
 // Sentinel errors returned by Save and Load (possibly wrapped with detail).
 var (
-	ErrBadMagic = errors.New("walkindex: not a walk-index file (bad magic)")
+	ErrBadMagic = errors.New("walkindex: not a walk-index file of the expected kind (bad magic)")
 	ErrVersion  = errors.New("walkindex: unsupported format version")
 	ErrChecksum = errors.New("walkindex: checksum mismatch (corrupted index)")
 	// ErrTrailingData reports bytes after the CRC trailer — a concatenated
-	// or overlong file. Load used to silently ignore them.
+	// or overlong file.
 	ErrTrailingData = errors.New("walkindex: trailing data after index")
 	// ErrFormatLimits reports an index that exceeds what the on-disk
 	// format's load guards accept — Save refuses to write a file Load
@@ -90,206 +112,255 @@ var (
 	ErrFormatLimits = errors.New("walkindex: index exceeds on-disk format limits")
 )
 
-// maxElems caps n*r*k at load time so a corrupted header cannot trigger an
-// absurd allocation before the checksum is ever seen.
+// maxElems caps rows*r*k at load time so a corrupted header cannot trigger
+// an absurd allocation before the checksum is ever seen.
 const maxElems = int64(1) << 33
 
-// maxHorizon caps k on its own: initPow allocates k floats even when a
-// forged header claims n = 0 (zero payload elements), so the product guard
-// alone does not bound it. Real horizons are the iteration counts of the
-// Lizorkin bound — double digits.
-const maxHorizon = int64(1) << 20
+// fileHeader is the parameter block both header layouts carry; it is the
+// one place that knows their byte layout (preamble writes it, readHeader
+// parses it).
+type fileHeader struct {
+	kind            FileKind
+	n, lo, hi, k, r int64
+	c               float64
+	seed            int64
+}
 
-// formatGuard validates at save time everything the load-side header
-// guards will check, so every file Save writes is guaranteed loadable.
-// Violations wrap ErrFormatLimits.
-func formatGuard(rows, k, r int64, c float64, format int) error {
-	if rows < 0 || k < 1 || r < 1 {
-		return fmt.Errorf("%w: invalid dimensions (rows=%d, k=%d, r=%d)", ErrFormatLimits, rows, k, r)
+// writableHeader describes an index of the given shape as a file of the
+// given kind, after running everything the load-side guards will check —
+// so every file this package writes is guaranteed loadable. Violations
+// wrap ErrFormatLimits. Only a full-range index can be an index file: that
+// layout has nowhere to record a range.
+func writableHeader(kind FileKind, n, lo, hi, k, r int, c float64, seed int64) (fileHeader, error) {
+	if kind == IndexFile && (lo != 0 || hi != n) {
+		return fileHeader{}, fmt.Errorf("walkindex: range [%d,%d) of [0,%d) cannot be written as a full index file", lo, hi, n)
 	}
-	if k > maxHorizon {
-		return fmt.Errorf("%w: walk horizon k = %d exceeds %d", ErrFormatLimits, k, maxHorizon)
+	h := fileHeader{kind: kind, n: int64(n), lo: int64(lo), hi: int64(hi), k: int64(k), r: int64(r), c: c, seed: seed}
+	if err := h.check(); err != nil {
+		return fileHeader{}, fmt.Errorf("%w: %v", ErrFormatLimits, err)
 	}
-	if format == FormatV2 && k > maxV2Horizon {
-		return fmt.Errorf("%w: walk horizon k = %d exceeds %d (format v2)", ErrFormatLimits, k, maxV2Horizon)
+	return h, nil
+}
+
+func (h fileHeader) rows() int64 { return h.hi - h.lo }
+
+// check is the plausibility guard of load step 1.
+func (h fileHeader) check() error {
+	if h.n < 0 || h.k < 1 || h.r < 1 {
+		return fmt.Errorf("invalid dimensions (n=%d, k=%d, r=%d)", h.n, h.k, h.r)
 	}
-	if !(c > 0 && c < 1) {
-		return fmt.Errorf("%w: damping factor %v outside (0,1)", ErrFormatLimits, c)
+	if h.lo < 0 || h.hi < h.lo || h.hi > h.n {
+		return fmt.Errorf("invalid range [%d,%d) with n=%d", h.lo, h.hi, h.n)
 	}
-	elems := rows * r * k
-	if rows > 0 && (elems/rows/r != k || elems > maxElems) {
-		return fmt.Errorf("%w: rows*r*k = %d*%d*%d exceeds %d elements", ErrFormatLimits, rows, r, k, maxElems)
+	if h.k > maxV2Horizon {
+		return fmt.Errorf("walk horizon k = %d exceeds %d", h.k, maxV2Horizon)
+	}
+	if !(h.c > 0 && h.c < 1) {
+		return fmt.Errorf("damping factor %v outside (0,1)", h.c)
+	}
+	rows := h.rows()
+	elems := rows * h.r * h.k
+	if rows > 0 && (elems/rows/h.r != h.k || elems > maxElems) {
+		return fmt.Errorf("rows*r*k = %d*%d*%d exceeds %d elements", rows, h.r, h.k, maxElems)
 	}
 	return nil
 }
 
-// Save writes the index to w in format v1, the dense revision every build
-// of this package reads. Use SaveFormat with FormatV2 for the compressed,
-// mmap-able revision.
-func (ix *Index) Save(w io.Writer) error { return ix.SaveFormat(w, FormatV1) }
+// preamble marshals everything that precedes the block directory: the
+// kind's header layout, then the block size and block count.
+func (h fileHeader) preamble(blockB, numBlocks int) []byte {
+	fields := []uint64{uint64(h.n), uint64(h.k), uint64(h.r), math.Float64bits(h.c), uint64(h.seed)}
+	if h.kind == ShardFile {
+		fields = slices.Insert(fields, 1, uint64(h.lo), uint64(h.hi))
+	}
+	pre := make([]byte, 0, 12+8*len(fields)+8)
+	pre = append(pre, fileMagic[h.kind][:]...)
+	pre = binary.LittleEndian.AppendUint32(pre, FormatVersion)
+	for _, f := range fields {
+		pre = binary.LittleEndian.AppendUint64(pre, f)
+	}
+	pre = binary.LittleEndian.AppendUint32(pre, uint32(blockB))
+	return binary.LittleEndian.AppendUint32(pre, uint32(numBlocks))
+}
 
-// SaveFormat writes the index to w in the requested on-disk format. It
-// validates the index against the load-side guards first and returns an
-// ErrFormatLimits-wrapped error instead of writing an unloadable file.
-func (ix *Index) SaveFormat(w io.Writer, format int) error {
-	if format != FormatV1 && format != FormatV2 {
-		return fmt.Errorf("%w: unknown save format %d", ErrVersion, format)
+// readHeader is load step 1: it parses a header of the expected kind and
+// runs the plausibility guards.
+func readHeader(br *bufio.Reader, crc hash.Hash32, kind FileKind) (fileHeader, error) {
+	section := kind.String() + " header"
+	var lead [12]byte
+	if err := readFull(br, crc, lead[:], section); err != nil {
+		return fileHeader{}, err
 	}
-	if err := formatGuard(int64(ix.n), int64(ix.k), int64(ix.r), ix.c, format); err != nil {
-		return err
+	if [8]byte(lead[:8]) != fileMagic[kind] {
+		return fileHeader{}, ErrBadMagic
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(format))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(int64(ix.n)))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(int64(ix.k)))
-	binary.LittleEndian.PutUint64(hdr[28:], uint64(int64(ix.r)))
-	binary.LittleEndian.PutUint64(hdr[36:], math.Float64bits(ix.c))
-	binary.LittleEndian.PutUint64(hdr[44:], uint64(ix.seed))
-	if format == FormatV1 {
-		return writeDense(w, hdr[:], ix.store.Row, ix.n, "index")
+	if version := binary.LittleEndian.Uint32(lead[8:]); version != FormatVersion {
+		return fileHeader{}, fmt.Errorf("%w: file has version %d, this build reads version %d", ErrVersion, version, FormatVersion)
 	}
-	blocks, err := encodeV2Blocks(ix.store.Row, ix.n, ix.k, ix.r)
+	nfields := 5
+	if kind == ShardFile {
+		nfields = 7
+	}
+	buf := make([]byte, 8*nfields)
+	if err := readFull(br, crc, buf, section); err != nil {
+		return fileHeader{}, err
+	}
+	field := func() int64 {
+		v := int64(binary.LittleEndian.Uint64(buf))
+		buf = buf[8:]
+		return v
+	}
+	h := fileHeader{kind: kind, n: field()}
+	if kind == ShardFile {
+		h.lo, h.hi = field(), field()
+	} else {
+		h.hi = h.n
+	}
+	h.k, h.r = field(), field()
+	h.c = math.Float64frombits(uint64(field()))
+	h.seed = field()
+	if err := h.check(); err != nil {
+		return fileHeader{}, fmt.Errorf("walkindex: implausible %s: %w", section, err)
+	}
+	return h, nil
+}
+
+// newIndex is load step 6: construction from validated fields only.
+func (h fileHeader) newIndex(store PathStore) *Index {
+	return newIndex(int(h.n), int(h.lo), int(h.hi), int(h.k), int(h.r), h.c, h.seed, store)
+}
+
+// Save writes the index to w as a file of the given kind. It validates the
+// index against the load-side guards first and returns an
+// ErrFormatLimits-wrapped error instead of writing an unloadable file. The
+// encoding is canonical: load → save reproduces the file byte for byte.
+func (ix *Index) Save(w io.Writer, kind FileKind) error {
+	h, err := writableHeader(kind, ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed)
 	if err != nil {
 		return err
 	}
-	pre := make([]byte, headerSize+8)
-	copy(pre, hdr[:])
-	binary.LittleEndian.PutUint32(pre[headerSize:], v2BlockVertices)
-	binary.LittleEndian.PutUint32(pre[headerSize+4:], uint32(len(blocks)))
-	return writeV2(w, pre, blocks, "index")
+	blocks, err := encodeV2Blocks(ix.store.Row, ix.hi-ix.lo, ix.k, ix.r)
+	if err != nil {
+		return err
+	}
+	return writeV2(w, h.preamble(v2BlockVertices, len(blocks)), blocks, kind.String())
 }
 
-// writeDense writes a format-v1 body: the header, every walk block as raw
-// little-endian int32s, and the CRC trailer.
-func writeDense(w io.Writer, hdr []byte, rowOf func(v int) []int32, rows int, what string) error {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
-	if _, err := bw.Write(hdr); err != nil {
-		return fmt.Errorf("walkindex: writing %s header: %w", what, err)
+// Load reads a file of the given kind written by Save or BuildStreaming
+// and decodes it into a dense in-memory index (use LoadMapped to page it on
+// demand instead). It rejects files with a wrong magic, an unsupported
+// format version, a truncated payload, a checksum mismatch, or trailing
+// data after the trailer, in the documented load order above.
+func Load(r io.Reader, kind FileKind) (*Index, error) {
+	f, err := readFile(r, kind, true)
+	if err != nil {
+		return nil, err
 	}
-	var buf [1 << 14]byte
-	nb := 0
-	for v := 0; v < rows; v++ {
-		for _, e := range rowOf(v) {
-			if nb+4 > len(buf) {
-				if _, err := bw.Write(buf[:nb]); err != nil {
-					return fmt.Errorf("walkindex: writing %s paths: %w", what, err)
-				}
-				nb = 0
-			}
-			binary.LittleEndian.PutUint32(buf[nb:], uint32(e))
-			nb += 4
-		}
-	}
-	if _, err := bw.Write(buf[:nb]); err != nil {
-		return fmt.Errorf("walkindex: writing %s paths: %w", what, err)
-	}
-	// Flush payload into the CRC before sealing it, then append the sum
-	// directly (the checksum is not part of its own coverage).
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("walkindex: writing %s paths: %w", what, err)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("walkindex: writing %s checksum: %w", what, err)
-	}
-	return nil
+	return f.hdr.newIndex(newDenseStore(f.paths, int(f.hdr.r*f.hdr.k))), nil
 }
 
-// Load reads an index written by Save or SaveFormat, negotiating the
-// format from the version field (v1 and v2 both decode into a dense
-// in-memory index; use LoadMapped to page a v2 file on demand instead).
-// It rejects files with a wrong magic, an unsupported format version, a
-// truncated payload, a checksum mismatch, or trailing data after the
-// trailer, in the documented load order above.
-func Load(r io.Reader) (*Index, error) {
+// LoadMapped opens a file of the given kind for demand paging instead of
+// decoding it into memory. The whole file is validated up front — same
+// checks, same order as Load — but the decoded payload is discarded block
+// by block; only the ~16 B/block directory stays resident. Call Close when
+// done to release the mapping.
+func LoadMapped(path string, kind FileKind, opts MappedOptions) (*Index, error) {
+	src, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("walkindex: opening mapped %s: %w", kind, err)
+	}
+	defer src.Close()
+	f, err := readFile(src, kind, false)
+	if err != nil {
+		return nil, err
+	}
+	ms, err := newMappedStore(path, f, opts)
+	if err != nil {
+		return nil, err
+	}
+	return f.hdr.newIndex(ms), nil
+}
+
+// validFile is what readFile vouches for: the header, the block geometry,
+// and — when asked to keep them — the decoded paths.
+type validFile struct {
+	hdr    fileHeader
+	blockB int64
+	dir    []int64 // numBlocks+1 payload byte offsets
+	paths  []int32 // every row, vertex-major; nil unless kept
+}
+
+// readFile is the one reader: it runs load steps 1–5 over r. With
+// keepPaths the decoded blocks accumulate into one dense slice (growing
+// with the bytes actually read); without, every block decodes into one
+// reused buffer, so validating a file to map costs a single block of
+// memory, not the dense index.
+func readFile(r io.Reader, kind FileKind, keepPaths bool) (*validFile, error) {
 	// The CRC must cover exactly the bytes logically consumed (a tee under
 	// bufio would also hash read-ahead, including the trailing checksum),
 	// so readFull feeds each chunk to the hash by hand.
 	crc := crc32.NewIEEE()
 	br := bufio.NewReaderSize(r, 1<<16)
+	what := kind.String()
 
-	// Step 1: header parse + plausibility guards.
-	var hdr [headerSize]byte
-	if err := readFull(br, crc, hdr[:], "header"); err != nil {
+	hdr, err := readHeader(br, crc, kind)
+	if err != nil {
 		return nil, err
 	}
-	if [8]byte(hdr[:8]) != magic {
-		return nil, ErrBadMagic
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:])
-	if version != FormatV1 && version != FormatV2 {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d and %d", ErrVersion, version, FormatV1, FormatV2)
-	}
-	n := int64(binary.LittleEndian.Uint64(hdr[12:]))
-	k := int64(binary.LittleEndian.Uint64(hdr[20:]))
-	fps := int64(binary.LittleEndian.Uint64(hdr[28:]))
-	c := math.Float64frombits(binary.LittleEndian.Uint64(hdr[36:]))
-	seed := int64(binary.LittleEndian.Uint64(hdr[44:]))
-	if n < 0 || k < 1 || fps < 1 {
-		return nil, fmt.Errorf("walkindex: invalid header (n=%d, k=%d, r=%d)", n, k, fps)
-	}
-	if k > maxHorizon {
-		return nil, fmt.Errorf("walkindex: implausible walk horizon k = %d", k)
-	}
-	if !(c > 0 && c < 1) {
-		return nil, fmt.Errorf("walkindex: invalid header damping factor %v", c)
-	}
-	elems := n * fps * k
-	if n > 0 && (elems/n/fps != k || elems > maxElems) {
-		return nil, fmt.Errorf("walkindex: implausible index size n*r*k = %d*%d*%d", n, fps, k)
-	}
-
-	// Step 2: payload decode, allocations growing with bytes read.
-	var paths []int32
-	var err error
-	if version == FormatV1 {
-		paths, err = readDensePayload(br, crc, elems, "paths")
-	} else {
-		paths, err = readV2Payload(br, crc, n, k, fps, "paths")
-	}
+	rows, k, fps := hdr.rows(), hdr.k, hdr.r
+	blockB, dir, err := readV2Dir(br, crc, rows, what)
 	if err != nil {
 		return nil, err
 	}
 
-	// Steps 3+4: checksum, then the trailing-data probe.
-	if err := checkTrailer(br, crc, "checksum"); err != nil {
-		return nil, err
+	f := &validFile{hdr: hdr, blockB: blockB, dir: dir}
+	if keepPaths {
+		f.paths = make([]int32, 0, min(rows*fps*k, 1<<16))
 	}
-	// Step 5: per-entry range validation.
-	if err := validateEntries(paths, n, "path"); err != nil {
-		return nil, err
-	}
-	// Step 6: construction from validated fields only.
-	ix := &Index{n: int(n), k: int(k), r: int(fps), c: c, seed: seed,
-		store: newDenseStore(paths, int(fps*k))}
-	ix.initPow()
-	return ix, nil
-}
-
-// readDensePayload reads elems raw little-endian int32s. The slice grows
-// with the bytes actually read instead of being sized from the header up
-// front: a forged header claiming a huge n*r*k on a short stream fails
-// with a truncation error after a proportional allocation, not an absurd
-// up-front one.
-func readDensePayload(br *bufio.Reader, crc hash.Hash32, elems int64, section string) ([]int32, error) {
-	paths := make([]int32, 0, min(elems, 1<<16))
-	var buf [1 << 14]byte
-	for int64(len(paths)) < elems {
-		nb := len(buf)
-		if rem := elems - int64(len(paths)); rem < int64(len(buf)/4) {
-			nb = int(rem) * 4
+	var blockBuf []byte
+	var scratch []int32
+	var rangeErr error
+	for b := int64(0); b < int64(len(dir))-1; b++ {
+		width := min(blockB, rows-b*blockB)
+		blen := dir[b+1] - dir[b]
+		if !v2BlockLenPlausible(blen, width, k, fps) {
+			return nil, fmt.Errorf("walkindex: implausible %s block length %d", what, blen)
 		}
-		if err := readFull(br, crc, buf[:nb], section); err != nil {
+		if int64(cap(blockBuf)) < blen {
+			blockBuf = make([]byte, blen)
+		}
+		buf := blockBuf[:blen]
+		if err := readFull(br, crc, buf, what+" block"); err != nil {
 			return nil, err
 		}
-		for b := 0; b < nb; b += 4 {
-			paths = append(paths, int32(binary.LittleEndian.Uint32(buf[b:])))
+		need := int(width * fps * k)
+		var dst []int32
+		if keepPaths {
+			start := len(f.paths)
+			f.paths = slices.Grow(f.paths, need)[:start+need]
+			dst = f.paths[start:]
+		} else {
+			if cap(scratch) < need {
+				scratch = make([]int32, need)
+			}
+			dst = scratch[:need]
+		}
+		if err := decodeV2Block(buf, dst, int(width), int(k), int(fps)); err != nil {
+			return nil, fmt.Errorf("walkindex: %s block %d: %w", what, b, err)
+		}
+		// Step 5 runs here, block by block, but an out-of-range entry is
+		// held back until the checksum and trailing-data probe have run.
+		if rangeErr == nil {
+			rangeErr = validateEntries(dst, hdr.n, what, b*blockB*fps*k)
 		}
 	}
-	return paths, nil
+	if err := checkTrailer(br, crc, what+" checksum"); err != nil {
+		return nil, err
+	}
+	if rangeErr != nil {
+		return nil, rangeErr
+	}
+	return f, nil
 }
 
 // checkTrailer verifies the stored CRC against everything read so far,
@@ -312,12 +383,13 @@ func checkTrailer(br *bufio.Reader, crc hash.Hash32, section string) error {
 	return nil
 }
 
-// validateEntries range-checks every decoded path entry against the
-// vertex count (entries are positions in [0, n), or -1 once dead).
-func validateEntries(paths []int32, n int64, what string) error {
+// validateEntries range-checks decoded path entries against the vertex
+// count of the full graph (entries are positions in [0, n), or -1 once
+// dead); base is the payload index of paths[0], for the error text.
+func validateEntries(paths []int32, n int64, what string, base int64) error {
 	for i, p := range paths {
 		if p < -1 || int64(p) >= n {
-			return fmt.Errorf("walkindex: %s entry %d out of range: %d", what, i, p)
+			return fmt.Errorf("walkindex: %s path entry %d out of range: %d", what, base+int64(i), p)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"oipsr/graph/gen"
@@ -27,19 +28,21 @@ func shardRanges(n, parts int) [][2]int {
 func TestBuildShardEqualsFullSlice(t *testing.T) {
 	g := gen.WebGraph(73, 6, 11)
 	opt := Options{Walks: 20, Seed: 42, Workers: 2}
-	full, err := Build(g, opt)
+	full, err := buildFull(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parts := range []int{1, 2, 3, 5} {
 		covered := 0
 		for _, r := range shardRanges(g.NumVertices(), parts) {
-			sx, err := BuildShard(g, opt, r[0], r[1])
+			sx, err := Build(g, opt, r[0], r[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sx.EqualSlice(full) {
-				t.Fatalf("parts=%d shard [%d,%d): rows differ from full index slice", parts, r[0], r[1])
+			for v := r[0]; v < r[1]; v++ {
+				if !slices.Equal(sx.store.Row(v-r[0]), full.store.Row(v)) {
+					t.Fatalf("parts=%d shard [%d,%d): row %d differs from the full index", parts, r[0], r[1], v)
+				}
 			}
 			covered += sx.Width()
 		}
@@ -52,11 +55,11 @@ func TestBuildShardEqualsFullSlice(t *testing.T) {
 func TestBuildShardValidation(t *testing.T) {
 	g := gen.WebGraph(20, 4, 1)
 	for _, r := range [][2]int{{-1, 5}, {5, 4}, {0, 21}, {19, 25}} {
-		if _, err := BuildShard(g, Options{Walks: 5}, r[0], r[1]); err == nil {
+		if _, err := Build(g, Options{Walks: 5}, r[0], r[1]); err == nil {
 			t.Errorf("range [%d,%d): expected error", r[0], r[1])
 		}
 	}
-	if _, err := BuildShard(g, Options{C: 2}, 0, 10); err == nil {
+	if _, err := Build(g, Options{C: 2}, 0, 10); err == nil {
 		t.Error("invalid damping factor: expected error")
 	}
 }
@@ -68,13 +71,13 @@ func TestBuildShardValidation(t *testing.T) {
 func TestPartialMultiSourceMatchesFull(t *testing.T) {
 	g := gen.CitationGraph(61, 5, 7)
 	opt := Options{Walks: 25, Seed: 3, Workers: 2}
-	full, err := Build(g, opt)
+	full, err := buildFull(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := g.NumVertices()
 	sources := []int{0, 17, 60, 17, 33} // ends, interior, duplicate
-	want, err := full.MultiSource(context.Background(), sources, 1)
+	want, err := full.MultiSource(context.Background(), nil, sources, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +89,11 @@ func TestPartialMultiSourceMatchesFull(t *testing.T) {
 				got[i] = make([]float64, 0, n)
 			}
 			for _, r := range shardRanges(n, parts) {
-				sx, err := BuildShard(g, opt, r[0], r[1])
+				sx, err := Build(g, opt, r[0], r[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows, err := sx.PartialMultiSource(context.Background(), g, sources, workers)
+				rows, err := sx.MultiSource(context.Background(), g, sources, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,16 +118,16 @@ func TestPartialMultiSourceMatchesFull(t *testing.T) {
 func TestShardPairMatchesFull(t *testing.T) {
 	g := gen.WebGraph(40, 5, 9)
 	opt := Options{Walks: 30, Seed: 8, Workers: 1}
-	full, err := Build(g, opt)
+	full, err := buildFull(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := BuildShard(g, opt, 10, 20) // owns [10,20)
+	sx, err := Build(g, opt, 10, 20) // owns [10,20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pr := range [][2]int{{12, 15}, {12, 35}, {3, 15}, {3, 35}, {7, 7}} {
-		if got, want := sx.Pair(g, pr[0], pr[1]), full.Pair(pr[0], pr[1]); got != want {
+		if got, want := sx.Pair(g, pr[0], pr[1]), full.Pair(nil, pr[0], pr[1]); got != want {
 			t.Errorf("Pair(%d,%d): shard %v != full %v", pr[0], pr[1], got, want)
 		}
 	}
@@ -142,9 +145,9 @@ func TestShardUpdateBitIdentical(t *testing.T) {
 		opt := Options{Walks: 8 + rng.Intn(20), Seed: rng.Int63(), Workers: 1}
 		parts := 2 + rng.Intn(3)
 
-		shards := make([]*ShardIndex, 0, parts)
+		shards := make([]*Index, 0, parts)
 		for _, r := range shardRanges(n, parts) {
-			sx, err := BuildShard(g, opt, r[0], r[1])
+			sx, err := Build(g, opt, r[0], r[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +165,7 @@ func TestShardUpdateBitIdentical(t *testing.T) {
 				if _, err := sx.Update(next, sum.DirtyIn, workers); err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := BuildShard(next, opt, sx.Lo(), sx.Hi())
+				fresh, err := Build(next, opt, sx.Lo(), sx.Hi())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -177,7 +180,7 @@ func TestShardUpdateBitIdentical(t *testing.T) {
 
 func TestShardUpdateValidation(t *testing.T) {
 	g := gen.WebGraph(20, 4, 1)
-	sx, err := BuildShard(g, Options{Walks: 5}, 5, 15)
+	sx, err := Build(g, Options{Walks: 5}, 5, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,53 +193,35 @@ func TestShardUpdateValidation(t *testing.T) {
 	}
 }
 
-// TestShardSaveLoadRoundTrip: the on-disk format reproduces the shard
-// exactly, and the usual corruptions are rejected.
+// TestShardSaveLoadRoundTrip: which index may become which file. Any range
+// is a shard file — the full range and an empty one included — but only
+// the full range is an index file: that layout has nowhere to record a
+// range, so a narrower index is refused before a byte is written. (The
+// round trip and every corruption case run over both kinds in
+// serialize_test.go.)
 func TestShardSaveLoadRoundTrip(t *testing.T) {
 	g := gen.WebGraph(35, 5, 4)
-	sx, err := BuildShard(g, Options{Walks: 12, Seed: 5}, 8, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sx.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadShard(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sx.Equal(loaded) {
-		t.Fatal("round-tripped shard differs")
-	}
-	if loaded.Lo() != 8 || loaded.Hi() != 23 || loaded.N() != 35 {
-		t.Fatalf("round-tripped range/size wrong: n=%d [%d,%d)", loaded.N(), loaded.Lo(), loaded.Hi())
-	}
-
-	// Bit corruption in the payload trips the checksum.
-	corrupt := append([]byte(nil), buf.Bytes()...)
-	corrupt[shardHeaderSize+5] ^= 0x40
-	if _, err := LoadShard(bytes.NewReader(corrupt)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("corrupted payload: got %v, want ErrChecksum", err)
-	}
-	// Truncation is a clean error, not a panic.
-	if _, err := LoadShard(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-		t.Fatal("truncated shard file: expected error")
-	}
-	// A full-index file is not a shard file and vice versa.
-	var fullBuf bytes.Buffer
-	full, err := Build(g, Options{Walks: 12, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := full.Save(&fullBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadShard(bytes.NewReader(fullBuf.Bytes())); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("full index via LoadShard: got %v, want ErrBadMagic", err)
-	}
-	if _, err := Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("shard via Load: got %v, want ErrBadMagic", err)
+	opt := Options{Walks: 12, Seed: 5}
+	for _, r := range [][2]int{{8, 23}, {0, 35}, {5, 5}, {0, 34}, {1, 35}} {
+		sx, err := Build(g, opt, r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(bytes.NewReader(saveBytes(t, sx, ShardFile)), ShardFile)
+		if err != nil {
+			t.Fatalf("[%d,%d): %v", r[0], r[1], err)
+		}
+		if !sx.Equal(loaded) || loaded.Lo() != r[0] || loaded.Hi() != r[1] || loaded.N() != 35 {
+			t.Fatalf("[%d,%d): round-tripped shard differs (n=%d [%d,%d))", r[0], r[1], loaded.N(), loaded.Lo(), loaded.Hi())
+		}
+		var buf bytes.Buffer
+		err = sx.Save(&buf, IndexFile)
+		if full := r[0] == 0 && r[1] == 35; full != (err == nil) {
+			t.Fatalf("[%d,%d): Save as an index file = %v", r[0], r[1], err)
+		}
+		if err != nil && buf.Len() != 0 {
+			t.Fatalf("[%d,%d): refused save still wrote %d bytes", r[0], r[1], buf.Len())
+		}
 	}
 }
 
@@ -246,7 +231,7 @@ func TestShardSaveLoadRoundTrip(t *testing.T) {
 func TestShardedJoinMatchesFull(t *testing.T) {
 	g := gen.CitationGraph(45, 4, 13)
 	opt := Options{Walks: 24, Seed: 21, Workers: 1}
-	full, err := Build(g, opt)
+	full, err := buildFull(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +240,14 @@ func TestShardedJoinMatchesFull(t *testing.T) {
 	const maxCand = 1 << 16
 
 	for _, threshold := range []float64{0, 0.05, 0.2, 0.6} {
-		want, err := full.Join(ctx, 25, threshold, maxCand, 2)
+		want, err := full.Join(ctx, nil, 25, threshold, maxCand, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, parts := range []int{1, 3} {
-			shards := make([]*ShardIndex, 0, parts)
+			shards := make([]*Index, 0, parts)
 			for _, r := range shardRanges(n, parts) {
-				sx, err := BuildShard(g, opt, r[0], r[1])
+				sx, err := Build(g, opt, r[0], r[1])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -318,7 +303,7 @@ func TestShardedJoinMatchesFull(t *testing.T) {
 func TestShardJoinCandidatesTooDense(t *testing.T) {
 	g := gen.WebGraph(50, 6, 2)
 	opt := Options{Walks: 16, Seed: 1}
-	sx, err := BuildShard(g, opt, 0, 25)
+	sx, err := Build(g, opt, 0, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +316,7 @@ func TestShardJoinCandidatesTooDense(t *testing.T) {
 // TestShardJoinCandidatesValidation rejects bad fingerprint ranges.
 func TestShardJoinCandidatesValidation(t *testing.T) {
 	g := gen.WebGraph(20, 4, 1)
-	sx, err := BuildShard(g, Options{Walks: 8}, 0, 20)
+	sx, err := Build(g, Options{Walks: 8}, 0, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

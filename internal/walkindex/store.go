@@ -2,11 +2,10 @@ package walkindex
 
 // PathStore is the storage seam between the query/update machinery and the
 // bytes that back a walk index. Every reader — SingleSource, MultiSource,
-// TopK's rerank, Join, the shard sweeps, and the incremental-update repair —
-// goes through Row/MutableRow, so an Index answers bit-identically whether
-// its walks live in one dense in-memory slice (fresh builds, format-v1
-// loads, fully-decoded v2 loads) or are paged on demand from an mmapped
-// format-v2 file (LoadMapped).
+// TopK's rerank, Join, and the incremental-update repair — goes through
+// Row/MutableRow, so an Index answers bit-identically whether its walks
+// live in one dense in-memory slice (fresh builds, decoded loads) or are
+// paged on demand from an mmapped file (LoadMapped).
 //
 // A store is safe for concurrent Row calls. MutableRow is only called by
 // Update, which callers already serialize against queries; a mapped store
@@ -31,12 +30,6 @@ type PathStore interface {
 	// page (dense) ignores it. Safe to call concurrently with Row.
 	Prefetch(lo, hi int)
 
-	// Flat returns the whole store as one vertex-major slice when the
-	// walks are materialized in memory, and nil otherwise. Callers with a
-	// slot-major access pattern (Join's candidate enumeration) use it as a
-	// fast path and fall back to Row when it is nil.
-	Flat() []int32
-
 	// Rows returns the number of stored start vertices.
 	Rows() int
 
@@ -54,7 +47,7 @@ type PathStore interface {
 }
 
 // denseStore backs an index with one flat materialized slice — the layout
-// Build produces and format v1 stores verbatim.
+// Build produces and Load decodes into.
 type denseStore struct {
 	paths  []int32
 	stride int // r*k entries per vertex
@@ -67,7 +60,6 @@ func newDenseStore(paths []int32, stride int) *denseStore {
 func (s *denseStore) Row(v int) []int32        { return s.paths[v*s.stride : (v+1)*s.stride] }
 func (s *denseStore) MutableRow(v int) []int32 { return s.paths[v*s.stride : (v+1)*s.stride] }
 func (s *denseStore) Prefetch(lo, hi int)      {} // nothing to page
-func (s *denseStore) Flat() []int32            { return s.paths }
 func (s *denseStore) Rows() int                { return len(s.paths) / s.stride }
 func (s *denseStore) Bytes() int64             { return int64(len(s.paths)) * 4 }
 func (s *denseStore) Kind() string             { return "dense" }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"oipsr/graph"
 	"oipsr/internal/par"
@@ -20,15 +19,15 @@ import (
 // escape. BuildStreaming removes it: walks are generated in vertex-range
 // slices sized to a caller-supplied byte budget and encoded straight to
 // format-v2 posting blocks, so peak memory is bounded by the budget, never
-// by n. The output is byte-identical to SaveFormat(FormatV2) on a full
-// Build — same header, same directory, same block bytes, same CRC trailer
-// — because both sides share the walk hash (edgeChoice is a pure function
-// of (seed, fingerprint, step, vertex), so any vertex range is computable
-// independently) and the posting codec (appendWalk needs only the
-// immediately preceding vertex's row, which the slice loop carries across
-// slice boundaries and resets at block boundaries).
+// by n. The output is byte-identical to Save on a materialized Build of
+// the same range — same header, same directory, same block bytes, same CRC
+// trailer — because both sides share the walk hash (edgeChoice is a pure
+// function of (seed, fingerprint, step, vertex), so any vertex range is
+// computable independently) and the posting codec (appendWalk needs only
+// the immediately preceding vertex's row, which the slice loop carries
+// across slice boundaries and resets at block boundaries).
 //
-// Format v2 places the block directory BEFORE the payload, but directory
+// The format places the block directory BEFORE the payload, but directory
 // offsets are cumulative block lengths known only after encoding. The
 // builder therefore writes through an io.WriterAt: header and meta land at
 // offset 0 up front, posting blocks stream sequentially into the payload
@@ -44,8 +43,7 @@ import (
 // record what was actually built — shard.BuildAllStreaming builds its
 // manifest entries from them.
 type StreamStats struct {
-	// Rows is the number of start vertices written: n for a full index,
-	// hi-lo for a shard.
+	// Rows is the number of start vertices written, hi-lo.
 	Rows  int
 	K     int
 	Walks int
@@ -66,94 +64,34 @@ type StreamStats struct {
 	Blocks        int
 }
 
-// BuildStreaming builds the walk index for g and writes it to w in format
-// v2, generating walks in vertex slices of at most budgetBytes of decoded
-// path data instead of materializing the whole index. The bytes written
-// are identical to SaveFormat(w, FormatV2) on Build(g, opt) — for any
-// budget and any worker count — so files from the two paths are
-// interchangeable, byte for byte. Small fixed overheads (one encoded
-// posting block, one carried row, the write buffer) ride on top of the
-// budget; a budget below one row's 4*R*K bytes degrades to one-vertex
-// slices rather than failing.
-func BuildStreaming(g *graph.Graph, opt Options, w io.WriterAt, budgetBytes int64) (*StreamStats, error) {
+// BuildStreaming builds the walk index of vertex range [lo, hi) of g and
+// writes it to w as a file of the given kind, generating walks in vertex
+// slices of at most budgetBytes of decoded path data instead of
+// materializing the whole index. The bytes written are identical to
+// Save(w, kind) on Build(g, opt, lo, hi) — for any budget and any worker
+// count — so files from the two paths are interchangeable, byte for byte.
+// Small fixed overheads (one encoded posting block, one carried row, the
+// write buffer) ride on top of the budget; a budget below one row's 4*R*K
+// bytes degrades to one-vertex slices rather than failing.
+func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io.WriterAt, budget int64) (*StreamStats, error) {
 	if err := opt.resolve(); err != nil {
 		return nil, err
 	}
-	n := g.NumVertices()
-	if err := formatGuard(int64(n), int64(opt.K), int64(opt.Walks), opt.C, FormatV2); err != nil {
-		return nil, err
-	}
-	var hdr [headerSize]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], FormatV2)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(int64(n)))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(int64(opt.K)))
-	binary.LittleEndian.PutUint64(hdr[28:], uint64(int64(opt.Walks)))
-	binary.LittleEndian.PutUint64(hdr[36:], math.Float64bits(opt.C))
-	binary.LittleEndian.PutUint64(hdr[44:], uint64(opt.Seed))
-	return streamV2(g, opt, 0, n, hdr[:], w, budgetBytes, "index")
-}
-
-// BuildShardStreaming is BuildStreaming for the shard of vertex range
-// [lo, hi): the bytes written are identical to
-// ShardIndex.SaveFormat(w, FormatV2) on BuildShard(g, opt, lo, hi).
-func BuildShardStreaming(g *graph.Graph, opt Options, lo, hi int, w io.WriterAt, budgetBytes int64) (*StreamStats, error) {
-	if err := opt.resolve(); err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	if lo < 0 || hi < lo || hi > n {
-		return nil, fmt.Errorf("walkindex: shard range [%d,%d) outside [0,%d)", lo, hi, n)
-	}
-	if err := formatGuard(int64(hi-lo), int64(opt.K), int64(opt.Walks), opt.C, FormatV2); err != nil {
-		return nil, err
-	}
-	var hdr [shardHeaderSize]byte
-	copy(hdr[:8], shardMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], FormatV2)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(int64(n)))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(int64(lo)))
-	binary.LittleEndian.PutUint64(hdr[28:], uint64(int64(hi)))
-	binary.LittleEndian.PutUint64(hdr[36:], uint64(int64(opt.K)))
-	binary.LittleEndian.PutUint64(hdr[44:], uint64(int64(opt.Walks)))
-	binary.LittleEndian.PutUint64(hdr[52:], math.Float64bits(opt.C))
-	binary.LittleEndian.PutUint64(hdr[60:], uint64(opt.Seed))
-	return streamV2(g, opt, lo, hi, hdr[:], w, budgetBytes, "shard")
-}
-
-// streamSliceVertices resolves the byte budget to a generation slice width
-// in vertices: as many rows of 4*stride bytes as fit, at least one, at
-// most rows.
-func streamSliceVertices(budget int64, stride, rows int) int {
-	s := budget / (4 * int64(stride))
-	if s < 1 {
-		s = 1
-	}
-	if rows > 0 && s > int64(rows) {
-		s = int64(rows)
-	}
-	return int(s)
-}
-
-// streamV2 is the shared one-pass core of BuildStreaming and
-// BuildShardStreaming; opt is already resolved and hdr is the caller's
-// format header (index or shard). Rows [lo, hi) of g are generated slice
-// by slice and encoded block by block into w.
-func streamV2(g *graph.Graph, opt Options, lo, hi int, hdr []byte, w io.WriterAt, budget int64, what string) (*StreamStats, error) {
+	what := kind.String()
 	if budget < 1 {
 		return nil, fmt.Errorf("walkindex: streaming %s build budget %d bytes, want >= 1", what, budget)
+	}
+	hdr, err := writableHeader(kind, g.NumVertices(), lo, hi, opt.K, opt.Walks, opt.C, opt.Seed)
+	if err != nil {
+		return nil, err
 	}
 	rows := hi - lo
 	k, r := opt.K, opt.Walks
 	stride := r * k
 	nb := int(v2NumBlocks(int64(rows), v2BlockVertices))
 
-	// pre is exactly what writeV2 hashes and writes first: the caller's
-	// header plus the v2 block size/count meta.
-	pre := make([]byte, len(hdr)+8)
-	copy(pre, hdr)
-	binary.LittleEndian.PutUint32(pre[len(hdr):], v2BlockVertices)
-	binary.LittleEndian.PutUint32(pre[len(hdr)+4:], uint32(nb))
+	// pre is exactly what writeV2 hashes and writes first.
+	pre := hdr.preamble(v2BlockVertices, nb)
 	dirOff := int64(len(pre))
 	payloadOff := dirOff + 8*int64(nb+1)
 
@@ -269,6 +207,20 @@ func streamV2(g *graph.Graph, opt Options, lo, hi int, hdr []byte, w io.WriterAt
 		Bytes: payloadOff + payloadLen + 4, CRC32: fileCRC,
 		SliceVertices: sliceW, Slices: slices, Blocks: blocks,
 	}, nil
+}
+
+// streamSliceVertices resolves the byte budget to a generation slice width
+// in vertices: as many rows of 4*stride bytes as fit, at least one, at
+// most rows.
+func streamSliceVertices(budget int64, stride, rows int) int {
+	s := budget / (4 * int64(stride))
+	if s < 1 {
+		s = 1
+	}
+	if rows > 0 && s > int64(rows) {
+		s = int64(rows)
+	}
+	return int(s)
 }
 
 // crc32Combine returns the CRC-32 (IEEE) of the concatenation a‖b given

@@ -37,8 +37,8 @@ func streamBudgets(stride int) []int64 {
 
 // TestBuildStreamingByteIdentical is the tentpole property: for random
 // graphs, every budget (including ones forcing one-vertex slices), and
-// every worker count, BuildStreaming writes the exact bytes of
-// SaveFormat(FormatV2) on a materialized Build — and the file round-trips
+// every worker count, BuildStreaming writes the exact bytes of Save on a
+// materialized Build — and the file round-trips
 // through both Load and LoadMapped to an Equal index.
 func TestBuildStreamingByteIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -50,18 +50,15 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 	}
 	for name, g := range graphs {
 		opt := Options{Walks: 9, K: 7, Seed: 11}
-		dense, err := Build(g, opt)
+		dense, err := buildFull(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want bytes.Buffer
-		if err := dense.SaveFormat(&want, FormatV2); err != nil {
-			t.Fatal(err)
-		}
+		want := bytes.NewBuffer(saveBytes(t, dense, IndexFile))
 		for _, budget := range streamBudgets(opt.Walks * opt.K) {
 			for _, workers := range []int{1, 3} {
 				w := &memWriterAt{}
-				st, err := BuildStreaming(g, Options{Walks: 9, K: 7, Seed: 11, Workers: workers}, w, budget)
+				st, err := BuildStreaming(g, Options{Walks: 9, K: 7, Seed: 11, Workers: workers}, 0, g.NumVertices(), IndexFile, w, budget)
 				if err != nil {
 					t.Fatalf("%s budget=%d workers=%d: %v", name, budget, workers, err)
 				}
@@ -80,7 +77,7 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 
 		// One round trip per graph: the streamed file loads dense and mapped
 		// to an index Equal to the materialized build.
-		loaded, err := Load(bytes.NewReader(want.Bytes()))
+		loaded, err := Load(bytes.NewReader(want.Bytes()), IndexFile)
 		if err != nil {
 			t.Fatalf("%s: loading streamed bytes: %v", name, err)
 		}
@@ -91,7 +88,7 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 		if err := os.WriteFile(path, want.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mx, err := LoadMapped(path, MappedOptions{})
+		mx, err := LoadMapped(path, IndexFile, MappedOptions{})
 		if err != nil {
 			t.Fatalf("%s: mapping streamed bytes: %v", name, err)
 		}
@@ -102,26 +99,23 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildShardStreamingByteIdentical: the shard variant must reproduce
-// ShardIndex.SaveFormat(FormatV2) bytes for ranges that start and end in
-// the middle of posting blocks, including empty and one-vertex ranges.
+// TestBuildShardStreamingByteIdentical: a streamed shard file must
+// reproduce Save's bytes for ranges that start and end in the middle of
+// posting blocks, including empty and one-vertex ranges.
 func TestBuildShardStreamingByteIdentical(t *testing.T) {
 	g := gen.WebGraph(300, 5, 21)
 	opt := Options{Walks: 8, K: 6, Seed: 17}
 	ranges := [][2]int{{0, 300}, {37, 181}, {64, 128}, {1, 2}, {50, 50}, {299, 300}, {0, 63}}
 	for _, rg := range ranges {
 		lo, hi := rg[0], rg[1]
-		sx, err := BuildShard(g, opt, lo, hi)
+		sx, err := Build(g, opt, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want bytes.Buffer
-		if err := sx.SaveFormat(&want, FormatV2); err != nil {
-			t.Fatal(err)
-		}
+		want := bytes.NewBuffer(saveBytes(t, sx, ShardFile))
 		for _, budget := range streamBudgets(opt.Walks * opt.K) {
 			w := &memWriterAt{}
-			st, err := BuildShardStreaming(g, Options{Walks: 8, K: 6, Seed: 17, Workers: 2}, lo, hi, w, budget)
+			st, err := BuildStreaming(g, Options{Walks: 8, K: 6, Seed: 17, Workers: 2}, lo, hi, ShardFile, w, budget)
 			if err != nil {
 				t.Fatalf("[%d,%d) budget=%d: %v", lo, hi, budget, err)
 			}
@@ -132,7 +126,7 @@ func TestBuildShardStreamingByteIdentical(t *testing.T) {
 				t.Fatalf("[%d,%d): stats report %d rows", lo, hi, st.Rows)
 			}
 		}
-		loaded, err := LoadShard(bytes.NewReader(want.Bytes()))
+		loaded, err := Load(bytes.NewReader(want.Bytes()), ShardFile)
 		if err != nil {
 			t.Fatalf("[%d,%d): loading streamed shard: %v", lo, hi, err)
 		}
@@ -154,18 +148,15 @@ func TestBuildStreamingRandomized(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			opt.K = 1 + rng.Intn(9)
 		}
-		dense, err := Build(g, opt)
+		dense, err := buildFull(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want bytes.Buffer
-		if err := dense.SaveFormat(&want, FormatV2); err != nil {
-			t.Fatal(err)
-		}
+		want := bytes.NewBuffer(saveBytes(t, dense, IndexFile))
 		budget := 1 + rng.Int63n(int64(4*n*dense.Walks()*dense.Horizon())+64)
 		w := &memWriterAt{}
 		stream := Options{Walks: opt.Walks, K: opt.K, Seed: opt.Seed, Workers: 1 + rng.Intn(4)}
-		if _, err := BuildStreaming(g, stream, w, budget); err != nil {
+		if _, err := BuildStreaming(g, stream, 0, n, IndexFile, w, budget); err != nil {
 			t.Fatalf("trial %d (n=%d budget=%d): %v", trial, n, budget, err)
 		}
 		if !bytes.Equal(w.buf, want.Bytes()) {
@@ -180,21 +171,24 @@ func TestBuildStreamingErrors(t *testing.T) {
 	g := gen.WebGraph(20, 4, 1)
 	for _, budget := range []int64{0, -7} {
 		w := &memWriterAt{}
-		if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, w, budget); err == nil {
+		if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 0, 20, IndexFile, w, budget); err == nil {
 			t.Errorf("BuildStreaming accepted budget %d", budget)
 		}
 		if len(w.buf) != 0 {
 			t.Errorf("BuildStreaming wrote %d bytes despite budget error", len(w.buf))
 		}
 	}
-	if _, err := BuildStreaming(g, Options{C: 2}, &memWriterAt{}, 1<<20); err == nil {
+	if _, err := BuildStreaming(g, Options{C: 2}, 0, 20, IndexFile, &memWriterAt{}, 1<<20); err == nil {
 		t.Error("BuildStreaming accepted damping factor 2")
 	}
-	if _, err := BuildShardStreaming(g, Options{Walks: 4, K: 3}, 5, 30, &memWriterAt{}, 1<<20); err == nil {
-		t.Error("BuildShardStreaming accepted out-of-range shard")
+	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 30, ShardFile, &memWriterAt{}, 1<<20); err == nil {
+		t.Error("BuildStreaming accepted out-of-range shard")
 	}
-	if _, err := BuildShardStreaming(g, Options{Walks: 4, K: 3}, 5, 10, &memWriterAt{}, 0); err == nil {
-		t.Error("BuildShardStreaming accepted zero budget")
+	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 10, IndexFile, &memWriterAt{}, 1<<20); err == nil {
+		t.Error("BuildStreaming wrote a narrower range as a full index file")
+	}
+	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 10, ShardFile, &memWriterAt{}, 0); err == nil {
+		t.Error("BuildStreaming accepted zero budget")
 	}
 }
 

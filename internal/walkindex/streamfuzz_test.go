@@ -11,8 +11,8 @@ import (
 // path: the budget decides where vertex-range slices cut across 64-vertex
 // posting blocks, and wherever the cut lands — mid-block, at a block
 // edge, one vertex per slice — the emitted file must stay byte-identical
-// to the materialized SaveFormat(FormatV2) writer, for both full indexes
-// and shard ranges. The seed corpus under testdata/fuzz pins the known
+// to the materialized Save writer, for both full indexes and shard
+// ranges. The seed corpus under testdata/fuzz pins the known
 // hard geometries (budget 1, cuts at 63/64/65, shard ranges straddling a
 // block).
 func FuzzStreamSliceBoundary(f *testing.F) {
@@ -41,20 +41,17 @@ func FuzzStreamSliceBoundary(f *testing.F) {
 		}
 		g := graph.MustFromEdges(n, edges)
 
-		ix, err := Build(g, opt)
+		ix, err := buildFull(g, opt)
 		if err != nil {
 			t.Skip() // invalid option combination; rejection is tested elsewhere
 		}
-		var want bytes.Buffer
-		if err := ix.SaveFormat(&want, FormatV2); err != nil {
-			t.Fatal(err)
-		}
+		want := saveBytes(t, ix, IndexFile)
 		var got memWriterAt
-		st, err := BuildStreaming(g, opt, &got, budget)
+		st, err := BuildStreaming(g, opt, 0, n, IndexFile, &got, budget)
 		if err != nil {
 			t.Fatalf("BuildStreaming(n=%d, budget=%d): %v", n, budget, err)
 		}
-		if !bytes.Equal(got.buf, want.Bytes()) {
+		if !bytes.Equal(got.buf, want) {
 			t.Fatalf("streamed index differs from materialized v2 (n=%d budget=%d slice=%d)", n, budget, st.SliceVertices)
 		}
 
@@ -62,19 +59,16 @@ func FuzzStreamSliceBoundary(f *testing.F) {
 		// it — empty ranges included.
 		lo := int(lo8) % (n + 1)
 		hi := lo + int(hi8)%(n-lo+1)
-		sx, err := BuildShard(g, opt, lo, hi)
+		sx, err := Build(g, opt, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wantS bytes.Buffer
-		if err := sx.SaveFormat(&wantS, FormatV2); err != nil {
-			t.Fatal(err)
-		}
+		wantS := saveBytes(t, sx, ShardFile)
 		var gotS memWriterAt
-		if _, err := BuildShardStreaming(g, opt, lo, hi, &gotS, budget); err != nil {
-			t.Fatalf("BuildShardStreaming([%d,%d), budget=%d): %v", lo, hi, budget, err)
+		if _, err := BuildStreaming(g, opt, lo, hi, ShardFile, &gotS, budget); err != nil {
+			t.Fatalf("BuildStreaming([%d,%d), budget=%d): %v", lo, hi, budget, err)
 		}
-		if !bytes.Equal(gotS.buf, wantS.Bytes()) {
+		if !bytes.Equal(gotS.buf, wantS) {
 			t.Fatalf("streamed shard [%d,%d) differs from materialized v2 (budget=%d)", lo, hi, budget)
 		}
 	})

@@ -34,16 +34,17 @@ var ErrTooLarge = errors.New("walkindex: index too large for incremental updates
 // walks are repaired, so a long stream of small edit batches never rescans
 // the whole path store.
 //
-// The machinery operates on a storeView shared by the full Index (base 0,
-// width n) and a ShardIndex (base lo, width hi-lo), so a sharded
-// deployment repairs each shard's walks with exactly the code the
-// single-node daemon runs — the union of per-shard repairs is the
-// single-node repair. Reads and writes route through the PathStore seam:
-// on a mapped store the repair mutates decoded overlay blocks, and Update
-// flushes the dirty blocks back to the index file afterwards (mapped.go).
+// The repair is range-agnostic: walk ids are store-local, positions and the
+// visit index are global (an owned walk can occupy any vertex of the
+// graph), so a sharded deployment repairs each range's walks with exactly
+// the code the single-node daemon runs — the union of per-range repairs is
+// the single-node repair. Reads and writes route through the PathStore
+// seam: on a mapped store the repair mutates decoded overlay blocks, and
+// Update flushes the dirty blocks back to the index file afterwards
+// (mapped.go).
 
 // visitPosting says a walk's path occupies some vertex, first at the given
-// time. Walk ids are store-local — (v-base)*R + fp — bounded by maxWalks.
+// time. Walk ids are store-local — (v-lo)*R + fp — bounded by maxWalks.
 type visitPosting struct {
 	walk int32
 	time uint16
@@ -53,7 +54,7 @@ type visitPosting struct {
 const maxWalks = math.MaxInt32
 
 // rawVisit is a posting tagged with its vertex, the per-worker scratch
-// format of buildVisits and the patch format of repairStore.
+// format of buildVisits and the patch format of repair.
 type rawVisit struct {
 	x int32
 	p visitPosting
@@ -76,28 +77,6 @@ func lookupVisit(list []visitPair, x int32) (uint16, bool) {
 	return 0, false
 }
 
-// storeView is the view of a walk store the repair machinery operates on:
-// a PathStore covering `width` start vertices beginning at global id
-// `base`, plus the inverted visit index over those walks (indexed by
-// global vertex id — walk positions span the whole graph regardless of
-// which shard owns the walk).
-type storeView struct {
-	store   PathStore
-	visits  [][]visitPosting
-	k, r    int
-	base    int // global id of the first stored start vertex
-	width   int // stored start vertices
-	nGlobal int // graph vertex count (visit-index width)
-	seed    int64
-}
-
-func (ix *Index) repairView() storeView {
-	return storeView{
-		store: ix.store, visits: ix.visits,
-		k: ix.k, r: ix.r, base: 0, width: ix.n, nGlobal: ix.n, seed: ix.seed,
-	}
-}
-
 // flushStore persists pending repairs when the backend keeps one (a mapped
 // store's dirty-block overlay); dense stores have nothing to flush. On
 // error the in-memory index already holds the repair — queries stay
@@ -118,26 +97,27 @@ func (ix *Index) PrepareUpdate(workers int) error {
 	if ix.visits != nil {
 		return nil
 	}
-	if int64(ix.n)*int64(ix.r) > maxWalks {
-		return fmt.Errorf("%w: n*R = %d*%d exceeds %d walks", ErrTooLarge, ix.n, ix.r, maxWalks)
+	if int64(ix.hi-ix.lo)*int64(ix.r) > maxWalks {
+		return fmt.Errorf("%w: width*R = %d*%d exceeds %d walks", ErrTooLarge, ix.hi-ix.lo, ix.r, maxWalks)
 	}
-	ix.visits = buildVisits(ix.repairView(), workers)
+	ix.visits = ix.buildVisits(workers)
 	return nil
 }
 
 // buildVisits scans every stored path once, in parallel over vertices, and
 // assembles per-vertex posting lists holding each walk's first occupancy.
-func buildVisits(st storeView, workers int) [][]visitPosting {
-	parts := par.ResolveMax(workers, st.width)
+func (ix *Index) buildVisits(workers int) [][]visitPosting {
+	width := ix.hi - ix.lo
+	parts := par.ResolveMax(workers, width)
 	bufs := make([][]rawVisit, parts)
 	par.Do(parts, func(w int) {
-		lo, hi := par.Range(st.width, parts, w)
+		lo, hi := par.Range(width, parts, w)
 		var buf []rawVisit
-		scratch := make([]visitPair, 0, st.k+1)
+		scratch := make([]visitPair, 0, ix.k+1)
 		for v := lo; v < hi; v++ { // store-local start vertex
-			for fp := 0; fp < st.r; fp++ {
-				walk := int32(v*st.r + fp)
-				scratch = firstVisitsPath(int32(st.base+v), st.pathRow(walk), scratch[:0])
+			for fp := 0; fp < ix.r; fp++ {
+				walk := int32(v*ix.r + fp)
+				scratch = firstVisitsPath(int32(ix.lo+v), ix.pathRow(walk), scratch[:0])
 				for _, p := range scratch {
 					buf = append(buf, rawVisit{x: p.x, p: visitPosting{walk: walk, time: p.time}})
 				}
@@ -146,7 +126,7 @@ func buildVisits(st storeView, workers int) [][]visitPosting {
 		bufs[w] = buf
 	})
 
-	counts := make([]int, st.nGlobal)
+	counts := make([]int, ix.n)
 	total := 0
 	for _, buf := range bufs {
 		for _, rv := range buf {
@@ -157,7 +137,7 @@ func buildVisits(st storeView, workers int) [][]visitPosting {
 	// One flat allocation sliced per vertex; later patches that grow a list
 	// reallocate just that vertex's slice.
 	flat := make([]visitPosting, total)
-	visits := make([][]visitPosting, st.nGlobal)
+	visits := make([][]visitPosting, ix.n)
 	off := 0
 	for x, c := range counts {
 		visits[x] = flat[off : off : off+c]
@@ -172,17 +152,17 @@ func buildVisits(st storeView, workers int) [][]visitPosting {
 }
 
 // pathRow returns the stored path of a store-local walk id, read-only.
-func (st storeView) pathRow(walk int32) []int32 {
-	off := (int(walk) % st.r) * st.k
-	return st.store.Row(int(walk) / st.r)[off : off+st.k]
+func (ix *Index) pathRow(walk int32) []int32 {
+	off := (int(walk) % ix.r) * ix.k
+	return ix.store.Row(int(walk) / ix.r)[off : off+ix.k]
 }
 
 // mutablePathRow returns the stored path of a store-local walk id for
 // in-place repair (routed through MutableRow so a mapped store marks the
 // containing block dirty).
-func (st storeView) mutablePathRow(walk int32) []int32 {
-	off := (int(walk) % st.r) * st.k
-	return st.store.MutableRow(int(walk) / st.r)[off : off+st.k]
+func (ix *Index) mutablePathRow(walk int32) []int32 {
+	off := (int(walk) % ix.r) * ix.k
+	return ix.store.MutableRow(int(walk) / ix.r)[off : off+ix.k]
 }
 
 // firstVisitsPath appends (vertex, first occupancy time) pairs for the walk
@@ -212,16 +192,19 @@ func firstVisitsPath(start int32, path []int32, dst []visitPair) []visitPair {
 }
 
 // Update repairs the index in place after the graph it was built on changed
-// into g. dirty must list every vertex whose in-neighbor list differs
-// between the two graphs (graph.ApplyEdits reports exactly this set as
-// EditSummary.DirtyIn); listing extra vertices is harmless, omitting a
-// changed one silently corrupts the repair. The vertex count must be
-// unchanged.
+// into g. dirty must list every vertex of the FULL graph whose in-neighbor
+// list differs between the two graphs (graph.ApplyEdits reports exactly
+// this set as EditSummary.DirtyIn) — dirty vertices outside [lo, hi) still
+// matter, an owned walk can occupy them; listing extra vertices is
+// harmless, omitting a changed one silently corrupts the repair. The
+// vertex count must be unchanged.
 //
 // Update recomputes only the suffixes of walks that occupy a dirty vertex
 // before the horizon, so its cost scales with the number of affected walks
-// rather than n·R·K; the result is bit-identical to Build(g) with the same
-// options, for every worker count. It returns the number of walks repaired.
+// rather than n·R·K; the result is bit-identical to Build on g with the
+// same options and range, for every worker count — so every member of a
+// fleet applying the same edits stays a consistent partition of the
+// single-node index. It returns the number of walks repaired.
 //
 // Update must not run concurrently with queries or other Updates; callers
 // serving live traffic serialize it behind a write lock (see cmd/simrankd).
@@ -237,25 +220,22 @@ func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
 	if err := ix.PrepareUpdate(workers); err != nil {
 		return 0, err
 	}
-	repaired := repairStore(g, ix.repairView(), dirty, workers)
-	if err := flushStore(ix.store); err != nil {
-		return repaired, err
-	}
-	return repaired, nil
+	repaired := ix.repair(g, dirty, workers)
+	return repaired, flushStore(ix.store)
 }
 
-// repairStore recomputes the suffixes of stored walks that occupy a dirty
+// repair recomputes the suffixes of stored walks that occupy a dirty
 // vertex before the horizon and patches the visit index, returning the
 // number of walks repaired. The caller validates dirty and has built
-// st.visits.
-func repairStore(g *graph.Graph, st storeView, dirty []int, workers int) int {
+// ix.visits.
+func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) int {
 	// A walk is affected iff it occupies some dirty vertex at a time from
 	// which a further move is made, i.e. before the horizon; repair starts
 	// at the earliest such occupancy.
 	firstDirty := make(map[int32]uint16)
 	for _, d := range dirty {
-		for _, p := range st.visits[d] {
-			if int(p.time) >= st.k {
+		for _, p := range ix.visits[d] {
+			if int(p.time) >= ix.k {
 				continue // occupied only at the final position: no move follows
 			}
 			if cur, ok := firstDirty[p.walk]; !ok || p.time < cur {
@@ -274,17 +254,17 @@ func repairStore(g *graph.Graph, st storeView, dirty []int, workers int) int {
 
 	// Phase 1 (parallel over affected walks, disjoint path rows): recompute
 	// each walk's suffix on the new graph and collect posting diffs.
-	hseed := splitmix64(uint64(st.seed))
+	hseed := splitmix64(uint64(ix.seed))
 	parts := par.ResolveMax(workers, len(walks))
 	removals := make([][]rawVisit, parts) // stale postings (time ignored)
 	additions := make([][]rawVisit, parts)
 	par.Do(parts, func(w int) {
 		lo, hi := par.Range(len(walks), parts, w)
-		oldFV := make([]visitPair, 0, st.k+1)
-		newFV := make([]visitPair, 0, st.k+1)
+		oldFV := make([]visitPair, 0, ix.k+1)
+		newFV := make([]visitPair, 0, ix.k+1)
 		for _, walk := range walks[lo:hi] {
-			v, fp := st.base+int(walk)/st.r, int(walk)%st.r
-			row := st.mutablePathRow(walk)
+			v, fp := ix.lo+int(walk)/ix.r, int(walk)%ix.r
+			row := ix.mutablePathRow(walk)
 			oldFV = firstVisitsPath(int32(v), row, oldFV[:0])
 
 			// Replay from the first dirty occupancy; the prefix is valid
@@ -326,19 +306,19 @@ func repairStore(g *graph.Graph, st storeView, dirty []int, workers int) int {
 	}
 	for x, stale := range rmByVertex {
 		sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-		keep := st.visits[x][:0]
-		for _, p := range st.visits[x] {
+		keep := ix.visits[x][:0]
+		for _, p := range ix.visits[x] {
 			i := sort.Search(len(stale), func(i int) bool { return stale[i] >= p.walk })
 			if i < len(stale) && stale[i] == p.walk {
 				continue
 			}
 			keep = append(keep, p)
 		}
-		st.visits[x] = keep
+		ix.visits[x] = keep
 	}
 	for _, buf := range additions {
 		for _, rv := range buf {
-			st.visits[rv.x] = append(st.visits[rv.x], rv.p)
+			ix.visits[rv.x] = append(ix.visits[rv.x], rv.p)
 		}
 	}
 	return len(walks)

@@ -13,11 +13,7 @@ import (
 // behavior on an index without in-memory derived state.
 func saveLoadRoundTrip(t *testing.T, ix *Index) *Index {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(bytes.NewReader(saveBytes(t, ix, IndexFile)), IndexFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +55,7 @@ func TestUpdateBitIdenticalProperty(t *testing.T) {
 
 		for _, workers := range []int{1, 2, 3, 7} {
 			opt.Workers = workers
-			ix, err := Build(g, opt)
+			ix, err := buildFull(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +69,7 @@ func TestUpdateBitIdenticalProperty(t *testing.T) {
 				if _, err := ix.Update(next, sum.DirtyIn, workers); err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := Build(next, opt)
+				fresh, err := buildFull(next, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +89,7 @@ func TestUpdateResurrectsDeadWalks(t *testing.T) {
 	// 0 <- 1 <- 2; vertex 0 has in-degree 0, so every walk from any vertex
 	// eventually dies at 0.
 	g := graph.MustFromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	ix, err := Build(g, Options{Walks: 20, K: 6, Seed: 5})
+	ix, err := buildFull(g, Options{Walks: 20, K: 6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +110,7 @@ func TestUpdateResurrectsDeadWalks(t *testing.T) {
 	if changed == 0 {
 		t.Fatal("cycle-closing edit repaired no walks")
 	}
-	fresh, err := Build(g2, Options{Walks: 20, K: 6, Seed: 5})
+	fresh, err := buildFull(g2, Options{Walks: 20, K: 6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +131,11 @@ func TestUpdateResurrectsDeadWalks(t *testing.T) {
 // and leaves the index bit-identical.
 func TestUpdateNoopBatch(t *testing.T) {
 	g := gen.WebGraph(40, 5, 3)
-	ix, err := Build(g, Options{Walks: 15, Seed: 11})
+	ix, err := buildFull(g, Options{Walks: 15, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := Build(g, Options{Walks: 15, Seed: 11})
+	before, err := buildFull(g, Options{Walks: 15, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +161,7 @@ func TestUpdateNoopBatch(t *testing.T) {
 func TestUpdateAfterLoad(t *testing.T) {
 	g := gen.CitationGraph(50, 4, 8)
 	opt := Options{Walks: 25, Seed: 13}
-	ix, err := Build(g, opt)
+	ix, err := buildFull(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +177,7 @@ func TestUpdateAfterLoad(t *testing.T) {
 	if _, err := loaded.Update(g2, sum.DirtyIn, 2); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Build(g2, opt)
+	fresh, err := buildFull(g2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +188,7 @@ func TestUpdateAfterLoad(t *testing.T) {
 
 func TestUpdateValidation(t *testing.T) {
 	g := gen.WebGraph(20, 4, 1)
-	ix, err := Build(g, Options{Walks: 5, Seed: 2})
+	ix, err := buildFull(g, Options{Walks: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

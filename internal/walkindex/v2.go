@@ -8,14 +8,13 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 )
 
-// Format v2 posting codec.
+// Posting codec of the on-disk format (revision 2, hence the v2 names).
 //
-// Format v2 stores the walk blocks of v2BlockVertices consecutive start
+// The payload stores the walk blocks of v2BlockVertices consecutive start
 // vertices per posting block, each block independently decodable, with a
-// byte-offset directory so a mapped loader can page single blocks on
+// byte-offset directory so a mapped store can page single blocks on
 // demand (mapped.go). Within a block, each walk is encoded as:
 //
 //	uvarint hdr = m<<1 | shared
@@ -36,8 +35,8 @@ import (
 //	  block has no predecessor and always encodes shared == 0.
 //
 // The encoder picks whichever form stores fewer explicit entries, so the
-// encoding is canonical given the block layout, and decode(encode(x)) == x
-// exactly — the v1→v2→v1 round trip is byte-identical.
+// encoding is canonical given the block layout: decode(encode(x)) == x
+// exactly, and load → save reproduces a file byte for byte.
 
 // v2BlockVertices is the number of start vertices per posting block. Small
 // enough that a mapped point query decodes little beyond the row it needs
@@ -49,15 +48,16 @@ const v2BlockVertices = 64
 // maxV2BlockVertices bounds the header-declared block size at load time.
 const maxV2BlockVertices = 1 << 16
 
-// maxV2Horizon caps k for format v2, tighter than maxHorizon: a shared
-// walk decodes k entries from a single byte, so k bounds the decoder's
-// allocation amplification per payload byte. Real horizons are the
-// iteration counts of the Lizorkin bound — double digits.
+// maxV2Horizon caps k: a shared walk decodes k entries from a single byte,
+// so k bounds the decoder's allocation amplification per payload byte (and
+// newIndex allocates k floats even when a forged header claims zero rows).
+// Real horizons are the iteration counts of the Lizorkin bound — double
+// digits.
 const maxV2Horizon = 1 << 12
 
 // maxV2BlockBytes is the absolute cap on one encoded posting block, over
-// and above the per-block structural bound width*r*(5k+2); formatGuard
-// keeps writable indexes comfortably below it.
+// and above the per-block structural bound width*r*(5k+2); the header
+// guards keep writable indexes comfortably below it.
 const maxV2BlockBytes = 1 << 27
 
 // v2NumBlocks returns ceil(rows / blockB), the posting-block count.
@@ -111,8 +111,8 @@ func appendWalk(dst []byte, path, prev []int32) ([]byte, error) {
 // decodeWalk decodes one walk from buf into dst (len k), resolving a
 // shared tail against prev, and returns the bytes consumed. Checks are
 // structural (well-formed varints, m <= k, entries fit int32); the
-// semantic [0, n) range check runs over the whole decoded payload after
-// the checksum, like the v1 reader's (see the load order in serialize.go).
+// semantic [0, n) range check is reported only after the checksum (see the
+// load order in serialize.go).
 func decodeWalk(buf []byte, dst, prev []int32) (int, error) {
 	k := len(dst)
 	hdr, w := binary.Uvarint(buf)
@@ -264,20 +264,21 @@ func writeV2(w io.Writer, pre []byte, blocks [][]byte, what string) error {
 	return nil
 }
 
-// v2MaxBlockLen bounds one encoded block's plausible byte length: at most
-// 2 header bytes plus 5 bytes per explicit entry per walk.
-func v2MaxBlockLen(width, k, r int64) int64 {
-	return min(maxV2BlockBytes, width*r*(5*k+2))
+// v2BlockLenPlausible reports whether blen can be the encoded byte length
+// of a posting block of width vertices. Every walk costs at least its one
+// header byte — so a header forging r or k over a short stream is refused
+// before the block's width*r*k decoded entries are allocated, which caps
+// the reader's allocation at 4k bytes per byte actually read — and at most
+// 2 header bytes plus 5 bytes per explicit entry.
+func v2BlockLenPlausible(blen, width, k, r int64) bool {
+	return blen >= width*r && blen <= min(maxV2BlockBytes, width*r*(5*k+2))
 }
 
-// readV2Dir reads the v2 payload preamble — block size, block count, and
+// readV2Dir reads what follows the header — block size, block count, and
 // the offset directory — validating structure as it goes. The directory is
 // read incrementally (8 bytes at a time), so a forged block count on a
 // short stream fails with a truncation error, not a huge allocation.
-func readV2Dir(br *bufio.Reader, crc hash.Hash32, rows, k int64, section string) (blockB int64, dir []int64, err error) {
-	if k > maxV2Horizon {
-		return 0, nil, fmt.Errorf("walkindex: implausible v2 walk horizon k = %d", k)
-	}
+func readV2Dir(br *bufio.Reader, crc hash.Hash32, rows int64, section string) (blockB int64, dir []int64, err error) {
 	var meta [8]byte
 	if err := readFull(br, crc, meta[:], section+" v2 block sizes"); err != nil {
 		return 0, nil, err
@@ -313,42 +314,4 @@ func readV2Dir(br *bufio.Reader, crc hash.Hash32, rows, k int64, section string)
 		prevOff = off
 	}
 	return blockB, dir, nil
-}
-
-// readV2Payload reads the v2 payload section — block size, block count,
-// directory, posting blocks — decoding into one dense slice. Allocations
-// grow with the bytes actually read (directory and blocks alike), so a
-// forged header on a short stream fails with a truncation error after a
-// proportional allocation; the residual amplification is bounded by
-// maxV2Horizon (one shared-walk byte decodes to at most k entries).
-func readV2Payload(br *bufio.Reader, crc hash.Hash32, rows, k, r int64, section string) ([]int32, error) {
-	blockB, dir, err := readV2Dir(br, crc, rows, k, section)
-	if err != nil {
-		return nil, err
-	}
-	nb := int64(len(dir)) - 1
-
-	paths := make([]int32, 0, min(rows*r*k, 1<<16))
-	var blockBuf []byte
-	for b := int64(0); b < nb; b++ {
-		width := min(blockB, rows-b*blockB)
-		blen := dir[b+1] - dir[b]
-		if blen > v2MaxBlockLen(width, k, r) {
-			return nil, fmt.Errorf("walkindex: implausible v2 block length %d", blen)
-		}
-		if int64(cap(blockBuf)) < blen {
-			blockBuf = make([]byte, blen)
-		}
-		buf := blockBuf[:blen]
-		if err := readFull(br, crc, buf, section+" v2 block"); err != nil {
-			return nil, err
-		}
-		need := int(width * r * k)
-		start := len(paths)
-		paths = slices.Grow(paths, need)[:start+need]
-		if err := decodeV2Block(buf, paths[start:], int(width), int(k), int(r)); err != nil {
-			return nil, fmt.Errorf("walkindex: %s block %d: %w", section, b, err)
-		}
-	}
-	return paths, nil
 }

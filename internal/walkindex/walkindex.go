@@ -27,15 +27,30 @@
 // block is the position of v's fingerprint-r walker after step t+1, or -1
 // once the walk has died at an in-degree-0 vertex — so the per-vertex
 // query scan is one contiguous range. The blocks live behind the PathStore
-// seam (store.go): a dense in-memory slice for fresh builds and format-v1
-// loads, or an mmap-backed pager over the compressed format v2
-// (mapped.go). See serialize.go for the versioned on-disk formats.
+// seam (store.go): a dense in-memory slice for fresh builds and decoded
+// loads, or an mmap-backed pager over the compressed file (mapped.go). See
+// serialize.go for the on-disk format.
+//
+// An Index owns the walks of one contiguous vertex range [lo, hi) of an
+// n-vertex graph — exactly the rows a full build stores for those start
+// vertices, bit for bit. The single-node index is the range [0, n); a
+// serving shard is any other range. A ranged index still answers for
+// arbitrary vertices, because the coupled walks are pure hash functions of
+// (graph, Options): given the graph (cheap CSR, tiny next to the n·R·K path
+// store) it recomputes any foreign vertex's walks on demand via walkFrom,
+// identical to what the owning index has stored. Per-target scores depend
+// only on the source's walks and the target's stored row, so a row of
+// scores over [lo, hi) is the exact sub-slice of the full-range answer,
+// and concatenating the rows of a covering set of ranges reproduces it
+// bitwise — no merge arithmetic, no rounding drift. The similarity join
+// partitions along the other axis (fingerprints, see join.go).
 package walkindex
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"oipsr/graph"
 	"oipsr/internal/par"
@@ -61,36 +76,44 @@ type Options struct {
 	Workers int
 }
 
-// Index is a built walk index, safe for concurrent queries. Update (see
-// update.go) is the one mutating operation; callers must serialize it
-// against queries and other Updates.
+// Index is the walk index of vertex range [lo, hi) of an n-vertex graph,
+// safe for concurrent queries. Update (see update.go) is the one mutating
+// operation; callers must serialize it against queries and other Updates.
+//
+// Methods that take a graph use it only to recompute the walks of vertices
+// outside [lo, hi); it must be the graph the index was built on (or
+// repaired to via Update), and may be nil when every vertex the call
+// touches is owned — always, for a full-range index.
 type Index struct {
-	n    int     // vertices
-	k    int     // walk horizon
-	r    int     // fingerprints per vertex
-	c    float64 // damping factor
-	seed int64
+	n      int     // vertices in the full graph
+	lo, hi int     // owned vertex range [lo, hi)
+	k      int     // walk horizon
+	r      int     // fingerprints per vertex
+	c      float64 // damping factor
+	seed   int64
 
-	// store backs the per-vertex walk blocks: Row(v) holds r*k entries
-	// where entry fp*k+t is the position of v's fingerprint-fp walker
-	// after step t+1, or -1 if the walk died at or before that step. See
-	// store.go for the seam and its dense/mapped implementations.
+	// store backs the owned walk blocks: Row(v-lo) holds vertex v's r*k
+	// entries, where entry fp*k+t is the position of v's fingerprint-fp
+	// walker after step t+1, or -1 if the walk died at or before that
+	// step. See store.go for the seam and its dense/mapped
+	// implementations.
 	store PathStore
 
 	// pow[t] = c^(t+1), the first-meeting weight of path index t.
 	pow []float64
 
 	// visits is the inverted visit index used for incremental updates:
-	// visits[x] lists every walk whose path occupies x, with the first
-	// occupancy time. Nil until PrepareUpdate / the first Update builds it
-	// (see update.go); derived state, excluded from Equal and Save.
+	// visits[x] lists every owned walk whose path occupies x, with the
+	// first occupancy time. Nil until PrepareUpdate / the first Update
+	// builds it (see update.go); derived state, excluded from Equal and
+	// Save.
 	visits [][]visitPosting
 }
 
 // resolve normalizes Options in place: defaults filled, the horizon
-// derived from Eps when K is zero, bounds validated. Build and BuildShard
-// share it so a shard set and a full index resolve identical parameters
-// from identical flags.
+// derived from Eps when K is zero, bounds validated. Build and
+// BuildStreaming share it so every range of a shard set, a full index and
+// a streamed file resolve identical parameters from identical flags.
 func (opt *Options) resolve() error {
 	if opt.C == 0 {
 		opt.C = 0.6
@@ -125,36 +148,49 @@ func (opt *Options) resolve() error {
 	return nil
 }
 
-// Build constructs the walk index for g.
-func Build(g *graph.Graph, opt Options) (*Index, error) {
+// Build constructs the walk index of vertex range [lo, hi) of g; [0, n) is
+// the single-node index. The stored rows are bit-identical to the
+// corresponding rows of any wider build: n/S-vertex ranges on S machines
+// and the full range on one are the same computation, partitioned.
+func Build(g *graph.Graph, opt Options, lo, hi int) (*Index, error) {
 	if err := opt.resolve(); err != nil {
 		return nil, err
 	}
-
 	n := g.NumVertices()
-	paths := make([]int32, n*opt.Walks*opt.K)
-	ix := &Index{
-		n:     n,
-		k:     opt.K,
-		r:     opt.Walks,
-		c:     opt.C,
-		seed:  opt.Seed,
-		store: newDenseStore(paths, opt.Walks*opt.K),
+	if lo < 0 || hi < lo || hi > n {
+		return nil, fmt.Errorf("walkindex: vertex range [%d,%d) outside [0,%d)", lo, hi, n)
 	}
-	ix.initPow()
+
+	width := hi - lo
+	paths := make([]int32, width*opt.Walks*opt.K)
+	ix := newIndex(n, lo, hi, opt.K, opt.Walks, opt.C, opt.Seed, newDenseStore(paths, opt.Walks*opt.K))
 
 	hseed := splitmix64(uint64(opt.Seed))
-	workers := par.ResolveMax(opt.Workers, n)
+	workers := par.ResolveMax(opt.Workers, width)
 	par.Do(workers, func(w int) {
-		lo, hi := par.Range(n, workers, w)
-		for v := lo; v < hi; v++ {
+		wlo, whi := par.Range(width, workers, w)
+		for v := wlo; v < whi; v++ {
 			base := v * ix.r * ix.k
 			for fp := 0; fp < ix.r; fp++ {
-				walkFrom(g, hseed, fp, 0, v, paths[base+fp*ix.k:base+(fp+1)*ix.k])
+				walkFrom(g, hseed, fp, 0, lo+v, paths[base+fp*ix.k:base+(fp+1)*ix.k])
 			}
 		}
 	})
 	return ix, nil
+}
+
+// newIndex assembles an index over store from validated parameters;
+// pow[t] = c^(t+1) is derived here so every construction path (build,
+// decoded load, mapped load) weighs meetings identically.
+func newIndex(n, lo, hi, k, r int, c float64, seed int64, store PathStore) *Index {
+	ix := &Index{n: n, lo: lo, hi: hi, k: k, r: r, c: c, seed: seed, store: store}
+	ix.pow = make([]float64, k)
+	w := 1.0
+	for t := range ix.pow {
+		w *= c
+		ix.pow[t] = w
+	}
+	return ix
 }
 
 // walkFrom fills path[tau:] with the coupled reverse walk of fingerprint fp
@@ -162,8 +198,8 @@ func Build(g *graph.Graph, opt Options) (*Index, error) {
 // whole walk; Update's suffix repair passes the first dirty occupancy). A
 // prefix slice (len(path) < K) yields exactly the first len(path) entries
 // of the full walk, because each step depends only on the previous
-// position — shards exploit this to recompute foreign walks on demand,
-// bit-identically to what a full Build would have stored.
+// position — a ranged index exploits this to recompute foreign walks on
+// demand, bit-identically to what the owning range has stored.
 func walkFrom(g *graph.Graph, hseed uint64, fp, tau, p int, path []int32) {
 	for t := tau; t < len(path); t++ {
 		in := g.In(p)
@@ -175,15 +211,6 @@ func walkFrom(g *graph.Graph, hseed uint64, fp, tau, p int, path []int32) {
 		}
 		p = in[edgeChoice(hseed, fp, t, p, len(in))]
 		path[t] = int32(p)
-	}
-}
-
-func (ix *Index) initPow() {
-	ix.pow = make([]float64, ix.k)
-	w := 1.0
-	for t := 0; t < ix.k; t++ {
-		w *= ix.c
-		ix.pow[t] = w
 	}
 }
 
@@ -207,8 +234,20 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// N returns the number of indexed vertices.
+// N returns the vertex count of the full graph the index was built on.
 func (ix *Index) N() int { return ix.n }
+
+// Lo returns the first owned vertex.
+func (ix *Index) Lo() int { return ix.lo }
+
+// Hi returns one past the last owned vertex.
+func (ix *Index) Hi() int { return ix.hi }
+
+// Width returns the number of owned vertices, hi-lo.
+func (ix *Index) Width() int { return ix.hi - ix.lo }
+
+// Owns reports whether the index stores v's walks.
+func (ix *Index) Owns(v int) bool { return v >= ix.lo && v < ix.hi }
 
 // Horizon returns the walk horizon K.
 func (ix *Index) Horizon() int { return ix.k }
@@ -243,11 +282,16 @@ const cancelCheckTargets = 64
 
 // SingleSource estimates s(q, v) for every v and writes the result into
 // dst, which must have length N() (pass nil to allocate). It returns dst.
-// The estimate for q itself is exactly 1. Cancelling ctx abandons the
-// sweep at the next chunk boundary and returns the context's error; the
-// contents of dst are then unspecified. An uncancelled ctx never changes
-// the result: the scores are bit-identical to a context-free sweep.
+// The estimate for q itself is exactly 1. It is the dedicated one-source
+// sweep of a full-range index (a ranged index answers through
+// MultiSource). Cancelling ctx abandons the sweep at the next chunk
+// boundary and returns the context's error; the contents of dst are then
+// unspecified. An uncancelled ctx never changes the result: the scores are
+// bit-identical to a context-free sweep.
 func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]float64, error) {
+	if ix.lo != 0 || ix.hi != ix.n {
+		return nil, fmt.Errorf("walkindex: SingleSource needs a full-range index, this one owns [%d,%d) of [0,%d)", ix.lo, ix.hi, ix.n)
+	}
 	if dst == nil {
 		dst = make([]float64, ix.n)
 	}
@@ -282,22 +326,42 @@ func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]floa
 	return dst, nil
 }
 
-// Pair estimates the single score s(a, b). It runs the same accumulation
-// as SingleSource — first-meeting weights in fingerprint order, scaled by
-// the same precomputed 1/R — so Pair(a, b) is bit-identical to
-// SingleSource(a, nil)[b] (and, by symmetry of the meeting computation, to
-// SingleSource(b, nil)[a] and to the MultiSource and Join estimates).
-func (ix *Index) Pair(a, b int) float64 {
+// sourceRow returns the full walk block of any vertex q: the stored row
+// when the index owns q, otherwise a recomputation from g into buf (nil
+// allocates the r*k entries). The recomputed block equals the owning
+// range's stored row bitwise — walkFrom is the code path Build stored it
+// through.
+func (ix *Index) sourceRow(g *graph.Graph, q int, buf []int32) []int32 {
+	if ix.Owns(q) {
+		return ix.store.Row(q - ix.lo)
+	}
+	if buf == nil {
+		buf = make([]int32, ix.r*ix.k)
+	}
+	hseed := splitmix64(uint64(ix.seed))
+	for fp := 0; fp < ix.r; fp++ {
+		walkFrom(g, hseed, fp, 0, q, buf[fp*ix.k:(fp+1)*ix.k])
+	}
+	return buf
+}
+
+// Pair estimates the single score s(a, b); neither vertex needs to be
+// owned. It runs the same accumulation as SingleSource — first-meeting
+// weights in fingerprint order, scaled by the same precomputed 1/R — so
+// Pair(a, b) is bit-identical to SingleSource(a, nil)[b] (and, by symmetry
+// of the meeting computation, to SingleSource(b, nil)[a] and to the
+// MultiSource and Join estimates), on every range.
+func (ix *Index) Pair(g *graph.Graph, a, b int) float64 {
 	if a == b {
 		return 1
 	}
-	return pairFromRows(ix.store.Row(a), ix.store.Row(b), ix.pow, ix.k, ix.r)
+	return pairFromRows(ix.sourceRow(g, a, nil), ix.sourceRow(g, b, nil), ix.pow, ix.k, ix.r)
 }
 
 // pairFromRows runs the first-meeting accumulation over two walk blocks
-// (r*k entries each, walk-major). Index.Pair and ShardIndex scoring both
-// go through it, so a shard scoring a pair from recomputed rows produces
-// the unsharded estimate bit for bit.
+// (r*k entries each, walk-major). Pair and ScorePairs both go through it,
+// so a pair scored from recomputed rows is the stored-row estimate bit for
+// bit.
 func pairFromRows(ap, bp []int32, pow []float64, k, r int) float64 {
 	var s float64
 	for fp := 0; fp < r; fp++ {
@@ -316,19 +380,16 @@ func pairFromRows(ap, bp []int32, pow []float64, k, r int) float64 {
 	return s * (1 / float64(r))
 }
 
-// Equal reports whether two indexes hold identical parameters and paths
-// (and therefore answer every query bit-identically).
+// Equal reports whether two indexes hold identical parameters, ranges and
+// paths (and therefore answer every query bit-identically).
 func (ix *Index) Equal(other *Index) bool {
-	if ix.n != other.n || ix.k != other.k || ix.r != other.r ||
-		ix.c != other.c || ix.seed != other.seed {
+	if ix.n != other.n || ix.lo != other.lo || ix.hi != other.hi ||
+		ix.k != other.k || ix.r != other.r || ix.c != other.c || ix.seed != other.seed {
 		return false
 	}
-	for v := 0; v < ix.n; v++ {
-		a, b := ix.store.Row(v), other.store.Row(v)
-		for i, p := range a {
-			if b[i] != p {
-				return false
-			}
+	for v := 0; v < ix.Width(); v++ {
+		if !slices.Equal(ix.store.Row(v), other.store.Row(v)) {
+			return false
 		}
 	}
 	return true

@@ -11,6 +11,11 @@ import (
 	"oipsr/internal/naive"
 )
 
+// buildFull builds the single-node index: the range [0, n).
+func buildFull(g *graph.Graph, opt Options) (*Index, error) {
+	return Build(g, opt, 0, g.NumVertices())
+}
+
 // ssRow is the test shorthand for an uncancellable SingleSource row.
 func ssRow(t *testing.T, ix *Index, q int) []float64 {
 	t.Helper()
@@ -24,7 +29,7 @@ func ssRow(t *testing.T, ix *Index, q int) []float64 {
 // msRows is the test shorthand for an uncancellable MultiSource call.
 func msRows(t *testing.T, ix *Index, sources []int, workers int) [][]float64 {
 	t.Helper()
-	rows, err := ix.MultiSource(context.Background(), sources, workers)
+	rows, err := ix.MultiSource(context.Background(), nil, sources, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +41,11 @@ func msRows(t *testing.T, ix *Index, sources []int, workers int) [][]float64 {
 // exactly C and the estimate is C with zero variance.
 func TestSiblingsExact(t *testing.T) {
 	g := graph.MustFromEdges(3, [][2]int{{0, 1}, {0, 2}})
-	ix, err := Build(g, Options{C: 0.8, K: 5, Walks: 10, Seed: 1})
+	ix, err := buildFull(g, Options{C: 0.8, K: 5, Walks: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Pair(1, 2); math.Abs(got-0.8) > 1e-12 {
+	if got := ix.Pair(nil, 1, 2); math.Abs(got-0.8) > 1e-12 {
 		t.Errorf("s(1,2) = %g, want exactly C = 0.8", got)
 	}
 	row := ssRow(t, ix, 1)
@@ -52,11 +57,11 @@ func TestSiblingsExact(t *testing.T) {
 // TestTwoCycleNeverMeets: walkers on the 2-cycle swap positions forever.
 func TestTwoCycleNeverMeets(t *testing.T) {
 	g := graph.MustFromEdges(2, [][2]int{{0, 1}, {1, 0}})
-	ix, err := Build(g, Options{C: 0.9, K: 50, Walks: 20, Seed: 2})
+	ix, err := buildFull(g, Options{C: 0.9, K: 50, Walks: 20, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Pair(0, 1); got != 0 {
+	if got := ix.Pair(nil, 0, 1); got != 0 {
 		t.Errorf("s(0,1) = %g, want 0", got)
 	}
 }
@@ -65,12 +70,12 @@ func TestTwoCycleNeverMeets(t *testing.T) {
 // reaches a source (empty in-set) before meeting score 0.
 func TestDeadWalkersContributeZero(t *testing.T) {
 	g := graph.MustFromEdges(3, [][2]int{{0, 1}}) // vertex 2 isolated
-	ix, err := Build(g, Options{C: 0.6, K: 10, Walks: 25, Seed: 3})
+	ix, err := buildFull(g, Options{C: 0.6, K: 10, Walks: 25, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
-		if got := ix.Pair(pair[0], pair[1]); got != 0 {
+		if got := ix.Pair(nil, pair[0], pair[1]); got != 0 {
 			t.Errorf("s(%d,%d) = %g, want 0", pair[0], pair[1], got)
 		}
 	}
@@ -91,7 +96,7 @@ func TestApproximatesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(g, Options{C: 0.6, K: 15, Walks: 3000, Seed: 4})
+	ix, err := buildFull(g, Options{C: 0.6, K: 15, Walks: 3000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +123,14 @@ func TestApproximatesExact(t *testing.T) {
 // TestSymmetry: the estimator is symmetric by construction.
 func TestSymmetry(t *testing.T) {
 	g := gen.WebGraph(60, 5, 9)
-	ix, err := Build(g, Options{Walks: 50, Seed: 5})
+	ix, err := buildFull(g, Options{Walks: 50, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for a := 0; a < 60; a += 7 {
 		row := ssRow(t, ix, a)
 		for b := 0; b < 60; b += 3 {
-			if got, want := ix.Pair(b, a), row[b]; got != want {
+			if got, want := ix.Pair(nil, b, a), row[b]; got != want {
 				t.Fatalf("Pair(%d,%d) = %g, SingleSource row = %g", b, a, got, want)
 			}
 		}
@@ -136,12 +141,12 @@ func TestSymmetry(t *testing.T) {
 // index bit-identical for every worker count.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	g := gen.WebGraph(120, 6, 11)
-	serial, err := Build(g, Options{Walks: 40, Seed: 17, Workers: 1})
+	serial, err := buildFull(g, Options{Walks: 40, Seed: 17, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, 16} {
-		par, err := Build(g, Options{Walks: 40, Seed: 17, Workers: workers})
+		par, err := buildFull(g, Options{Walks: 40, Seed: 17, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,11 +160,11 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 // averaging fingerprints would be meaningless).
 func TestSeedChangesIndex(t *testing.T) {
 	g := gen.WebGraph(80, 6, 3)
-	a, err := Build(g, Options{Walks: 30, Seed: 1})
+	a, err := buildFull(g, Options{Walks: 30, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(g, Options{Walks: 30, Seed: 2})
+	b, err := buildFull(g, Options{Walks: 30, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +177,7 @@ func TestSeedChangesIndex(t *testing.T) {
 // vertex they must move together for every remaining step.
 func TestCoalescence(t *testing.T) {
 	g := gen.WebGraph(100, 8, 21)
-	ix, err := Build(g, Options{K: 12, Walks: 20, Seed: 6})
+	ix, err := buildFull(g, Options{K: 12, Walks: 20, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +207,7 @@ func TestCoalescence(t *testing.T) {
 // TestOptionDefaults: zero options mean C=0.6, eps=1e-3 horizon, 100 walks.
 func TestOptionDefaults(t *testing.T) {
 	g := gen.WebGraph(10, 3, 1)
-	ix, err := Build(g, Options{})
+	ix, err := buildFull(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +232,8 @@ func TestBadOptions(t *testing.T) {
 		{K: 0x10000},     // would alias (fp, t) pairs in edgeChoice
 		{Walks: 0x10000}, // likewise
 	} {
-		if _, err := Build(g, opt); err == nil {
-			t.Errorf("Build(%+v) succeeded, want error", opt)
+		if _, err := buildFull(g, opt); err == nil {
+			t.Errorf("buildFull(%+v) succeeded, want error", opt)
 		}
 	}
 }

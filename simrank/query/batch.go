@@ -38,7 +38,7 @@ func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([
 	if err := ix.checkSources(sources); err != nil {
 		return nil, err
 	}
-	return ix.wi.MultiSource(ctx, sources, workers)
+	return ix.wi.MultiSource(ctx, nil, sources, workers)
 }
 
 // TopKBatch answers TopK(q, k, opt) for every source q in sources,
@@ -66,7 +66,7 @@ func (ix *Index) TopKBatch(ctx context.Context, sources []int, k int, opt *TopKO
 		return nil, fmt.Errorf("query: rerank needs the source graph (AttachGraph after Load)")
 	}
 
-	rows, err := ix.wi.MultiSource(ctx, sources, workers)
+	rows, err := ix.wi.MultiSource(ctx, nil, sources, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"io"
 	"os"
 
 	"oipsr/graph"
@@ -9,64 +8,34 @@ import (
 	"oipsr/internal/walkindex"
 )
 
-// On-disk format selection and mapped loading, re-exported from
-// oipsr/internal/walkindex. Save/SaveFile keep writing format v1 — the
-// revision every deployed build reads — so format v2 is always an explicit
-// choice; Load/LoadFile negotiate the version from the file header and
-// read both.
+// Streaming builds and mapped loading, re-exported from
+// oipsr/internal/walkindex. There is one on-disk format: Save, SaveFile
+// and BuildFileStreaming write it, Load, LoadFile and LoadFileMapped read
+// it.
 
-// Supported index file format revisions.
-const (
-	// FormatV1 is the dense format: raw path payload, readable by every
-	// build of this package.
-	FormatV1 = walkindex.FormatV1
-	// FormatV2 is the compressed format: delta/varint posting blocks with
-	// a block directory. Only v2 files can be opened with LoadFileMapped.
-	FormatV2 = walkindex.FormatV2
-	// FormatVersion is the newest revision this build reads and writes.
-	FormatVersion = walkindex.FormatVersion
-)
+// FormatVersion is the on-disk format revision this build reads and
+// writes.
+const FormatVersion = walkindex.FormatVersion
 
 // MappedOptions configures LoadFileMapped; see walkindex.MappedOptions.
 type MappedOptions = walkindex.MappedOptions
-
-// SaveFormat writes the index to w in the requested format (FormatV1 or
-// FormatV2). It validates the index against the load-side guards first
-// and refuses (walkindex.ErrFormatLimits) to write an unloadable file.
-func (ix *Index) SaveFormat(w io.Writer, format int) error {
-	return ix.wi.SaveFormat(w, format)
-}
-
-// SaveFileFormat is SaveFile (durable, atomic) with an explicit format.
-func (ix *Index) SaveFileFormat(path string, format int) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		return ix.wi.SaveFormat(w, format)
-	})
-}
 
 // BuildStreamStats reports what a streaming build wrote; see
 // walkindex.StreamStats.
 type BuildStreamStats = walkindex.StreamStats
 
-// BuildFileStreaming builds a format-v2 index file for g directly on
-// disk, never materializing the index in memory: walks are generated in
-// vertex-range slices sized to budgetBytes and encoded straight into the
-// file, so peak builder memory is bounded by the budget, not by n. The
-// file is byte-identical to BuildIndex + SaveFileFormat(path, FormatV2)
-// and is published atomically (temp, fsync, rename). Open it with
-// LoadFileMapped to serve graphs whose dense index exceeds RAM.
+// BuildFileStreaming builds an index file for g directly on disk, never
+// materializing the index in memory: walks are generated in vertex-range
+// slices sized to budgetBytes and encoded straight into the file, so peak
+// builder memory is bounded by the budget, not by n. The file is
+// byte-identical to BuildIndex + SaveFile and is published atomically
+// (temp, fsync, rename). Open it with LoadFileMapped to serve graphs whose
+// dense index exceeds RAM.
 func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes int64) (*BuildStreamStats, error) {
 	var st *walkindex.StreamStats
 	err := atomicio.WriteFileAt(path, func(f *os.File) error {
 		var err error
-		st, err = walkindex.BuildStreaming(g, walkindex.Options{
-			C:       opt.C,
-			K:       opt.K,
-			Eps:     opt.Eps,
-			Walks:   opt.Walks,
-			Seed:    opt.Seed,
-			Workers: opt.Workers,
-		}, f, budgetBytes)
+		st, err = walkindex.BuildStreaming(g, walkindex.Options(opt), 0, g.NumVertices(), walkindex.IndexFile, f, budgetBytes)
 		return err
 	})
 	if err != nil {
@@ -75,14 +44,14 @@ func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes in
 	return st, nil
 }
 
-// LoadFileMapped opens a format-v2 index file for demand paging: queries
-// decode single posting blocks (mmap-backed where the platform supports
-// it) behind a small LRU instead of materializing the dense walk payload.
-// The file is fully validated at open. Answers are bit-identical to
-// LoadFile's; v1 files are rejected — re-save them with SaveFileFormat.
-// Call Close when done to release the mapping.
+// LoadFileMapped opens an index file for demand paging: queries decode
+// single posting blocks (mmap-backed where the platform supports it)
+// behind a small LRU instead of materializing the dense walk payload. The
+// file is fully validated at open, exactly as LoadFile validates it, and
+// answers are bit-identical to LoadFile's. Call Close when done to release
+// the mapping.
 func LoadFileMapped(path string, opts MappedOptions) (*Index, error) {
-	wi, err := walkindex.LoadMapped(path, opts)
+	wi, err := walkindex.LoadMapped(path, walkindex.IndexFile, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func (ix *Index) Join(ctx context.Context, k int, threshold float64, opt *JoinOp
 	if maxCand < 1 {
 		return nil, fmt.Errorf("query: join candidate cap %d < 1", maxCand)
 	}
-	pairs, err := ix.wi.Join(ctx, k, threshold, maxCand, opt.Workers)
+	pairs, err := ix.wi.Join(ctx, nil, k, threshold, maxCand, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,10 @@ import (
 )
 
 // Options configure BuildIndex. The zero value means C = 0.6, horizon from
-// eps = 1e-3, 100 walks per vertex, seed 0, all CPUs.
+// eps = 1e-3, 100 walks per vertex, seed 0, all CPUs. The fields mirror
+// walkindex.Options one for one, so callers convert with
+// walkindex.Options(opt) — a conversion that stops compiling the moment
+// the two drift apart.
 type Options struct {
 	// C is the damping factor in (0,1); 0 means 0.6.
 	C float64
@@ -41,6 +44,9 @@ type Options struct {
 // simrankd server holds an RWMutex: queries under the read lock, updates
 // under the write lock).
 type Index struct {
+	// wi is always a full-range walk index: BuildIndex builds [0, n), and
+	// the loaders only open index files, whose range is [0, n) by
+	// construction (a shard file is ErrBadMagic).
 	wi *walkindex.Index
 	// g is the graph the index was built from; needed for exact reranking
 	// and for ApplyEdits. Nil after Load until AttachGraph.
@@ -63,14 +69,7 @@ type Ranked struct {
 // BuildIndex precomputes the walk index for g. The graph stays attached,
 // so TopK reranking works immediately.
 func BuildIndex(g *graph.Graph, opt Options) (*Index, error) {
-	wi, err := walkindex.Build(g, walkindex.Options{
-		C:       opt.C,
-		K:       opt.K,
-		Eps:     opt.Eps,
-		Walks:   opt.Walks,
-		Seed:    opt.Seed,
-		Workers: opt.Workers,
-	})
+	wi, err := walkindex.Build(g, walkindex.Options(opt), 0, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +224,7 @@ func (ix *Index) Pair(a, b int) (float64, error) {
 	if a < 0 || a >= n || b < 0 || b >= n {
 		return 0, fmt.Errorf("query: pair (%d,%d) out of range [0,%d)", a, b, n)
 	}
-	return ix.wi.Pair(a, b), nil
+	return ix.wi.Pair(nil, a, b), nil
 }
 
 // TopKOptions tune a TopK call. The zero value (or a nil pointer) means:
@@ -434,15 +433,18 @@ func topByScore(scores []float64, skip, m int) []Ranked {
 }
 
 // Save writes the index (not the graph) to w in the versioned binary
-// walk-index format; see oipsr/internal/walkindex for the layout.
-func (ix *Index) Save(w io.Writer) error { return ix.wi.Save(w) }
+// walk-index format; see oipsr/internal/walkindex for the layout. It
+// validates the index against the load-side guards first and refuses
+// (walkindex.ErrFormatLimits) to write an unloadable file.
+func (ix *Index) Save(w io.Writer) error { return ix.wi.Save(w, walkindex.IndexFile) }
 
-// Load reads an index written by Save. The result answers SingleSource,
-// Pair, and estimate-only TopK immediately; call AttachGraph to enable
-// reranking. Load rejects truncated files, corrupted payloads (CRC), and
-// format-version mismatches.
+// Load reads an index written by Save, SaveFile or BuildFileStreaming,
+// decoding it into memory. The result answers SingleSource, Pair, and
+// estimate-only TopK immediately; call AttachGraph to enable reranking.
+// Load rejects truncated files, corrupted payloads (CRC), trailing data,
+// shard files, and format-version mismatches.
 func Load(r io.Reader) (*Index, error) {
-	wi, err := walkindex.Load(r)
+	wi, err := walkindex.Load(r, walkindex.IndexFile)
 	if err != nil {
 		return nil, err
 	}

@@ -3,13 +3,18 @@ package query
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
 	"oipsr/graph/gen"
+	"oipsr/internal/walkindex"
 )
 
 func buildTestIndex(t *testing.T) *Index {
@@ -78,6 +83,40 @@ func TestSaveFileLoadFile(t *testing.T) {
 	b, _ := loaded.SingleSource(context.Background(), 7)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("SingleSource differs after SaveFile/LoadFile")
+	}
+}
+
+// format1File forges a file of the retired dense format 1 from a valid
+// file's 52-byte header: version 1, then elems = n*r*k raw int32 path
+// entries (zeros) and the CRC trailer. Nothing writes or reads such files
+// any more; the tests and fuzz seeds keep them as must-reject inputs.
+func format1File(valid []byte, elems int) []byte {
+	v1 := append([]byte(nil), valid[:52]...)
+	v1[8] = 1
+	v1 = append(v1, make([]byte, 4*elems)...)
+	return binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+}
+
+// TestLoadRejectsRetiredFormat1: a format-1 file is a clean ErrVersion
+// through every public loader — never a misread, never a v1 decode.
+func TestLoadRejectsRetiredFormat1(t *testing.T) {
+	ix := buildTestIndex(t)
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v1 := format1File(buf.Bytes(), ix.N()*ix.Walks()*ix.Horizon())
+	path := filepath.Join(t.TempDir(), "format1.idx")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, errLoad := Load(bytes.NewReader(v1))
+	_, errFile := LoadFile(path)
+	_, errMapped := LoadFileMapped(path, MappedOptions{})
+	for name, err := range map[string]error{"Load": errLoad, "LoadFile": errFile, "LoadFileMapped": errMapped} {
+		if !errors.Is(err, walkindex.ErrVersion) {
+			t.Errorf("%s(format-1 file) = %v, want ErrVersion", name, err)
+		}
 	}
 }
 

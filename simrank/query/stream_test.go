@@ -11,8 +11,8 @@ import (
 
 // TestBuildFileStreamingByteIdentical is the query-layer equivalence
 // gate: streaming the build to disk under any budget must publish
-// exactly the bytes SaveFileFormat(FormatV2) writes for the materialized
-// index, and the sealed file must serve (mapped) bit-identically.
+// exactly the bytes SaveFile writes for the materialized index, and the
+// sealed file must serve (mapped) bit-identically.
 func TestBuildFileStreamingByteIdentical(t *testing.T) {
 	g := gen.CitationGraph(240, 5, 3)
 	opt := Options{Walks: 30, Seed: 11}
@@ -22,7 +22,7 @@ func TestBuildFileStreamingByteIdentical(t *testing.T) {
 	}
 	dir := t.TempDir()
 	wantPath := filepath.Join(dir, "materialized.srwk")
-	if err := ix.SaveFileFormat(wantPath, FormatV2); err != nil {
+	if err := ix.SaveFile(wantPath); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(wantPath)

@@ -67,10 +67,9 @@ type Manifest struct {
 	K       int     `json:"k"`
 	Walks   int     `json:"walks"`
 	Seed    int64   `json:"seed"`
-	// Format is the on-disk format version of every shard file (see
-	// query.FormatV1/FormatV2). Manifests written before the field existed
-	// omit it; LoadManifest normalizes 0 to FormatV1, which is what those
-	// builds wrote.
+	// Format is the on-disk format version of every shard file
+	// (query.FormatVersion). Manifests of the retired format 1 — which
+	// omit the field or say 1 — are rejected by LoadManifest.
 	Format int        `json:"format,omitempty"`
 	Shards []FileInfo `json:"shards"`
 }
@@ -80,68 +79,47 @@ type Manifest struct {
 // Every file lands via write-temp/fsync/rename, the manifest last, so a
 // reader that finds a manifest finds every file it names, complete. The
 // shard rows are collectively bit-identical to query.BuildIndex(g, opt).
-// Files are written in format v2 (compressed, mappable); use
-// BuildAllFormat to pin format v1 for fleets with pre-v2 readers.
 func BuildAll(g *graph.Graph, opt query.Options, dir string, shards int) (*Manifest, error) {
-	return BuildAllFormat(g, opt, dir, shards, query.FormatV2)
-}
-
-// BuildAllFormat is BuildAll writing shard files in an explicit on-disk
-// format (query.FormatV1 or query.FormatV2), recorded in the manifest.
-func BuildAllFormat(g *graph.Graph, opt query.Options, dir string, shards, format int) (*Manifest, error) {
-	plan, err := Plan(g.NumVertices(), shards)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	m := &Manifest{Version: ManifestVersion, N: g.NumVertices(), Format: format}
-	for i, r := range plan {
+	return buildAll(g, dir, shards, func(path string, r Range) (*walkindex.StreamStats, error) {
 		s, err := Build(g, opt, r.Lo, r.Hi)
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			// The resolved parameters (defaults filled, K derived from Eps)
-			// come from the built shard, so the manifest records what was
-			// actually built, not the possibly-zero request.
-			m.C, m.K, m.Walks, m.Seed = s.C(), s.Horizon(), s.Walks(), s.Seed()
-		}
-		name := fmt.Sprintf("shard-%04d.srwk", i)
 		tw := &trailerCRCWriter{crc: crc32.NewIEEE()}
-		var size int64
-		err = atomicio.WriteFile(filepath.Join(dir, name), func(w io.Writer) error {
-			cw := &countingWriter{w: io.MultiWriter(w, tw)}
-			if err := s.sx.SaveFormat(cw, format); err != nil {
-				return err
-			}
-			size = cw.n
-			return nil
+		cw := &countingWriter{w: tw}
+		err = atomicio.WriteFile(path, func(w io.Writer) error {
+			return s.sx.Save(io.MultiWriter(w, cw), walkindex.ShardFile)
 		})
-		if err != nil {
-			return nil, err
-		}
-		m.Shards = append(m.Shards, FileInfo{
-			Range: r,
-			File:  name,
-			CRC32: fmt.Sprintf("%08x", tw.crc.Sum32()),
-			Bytes: size,
-		})
-	}
-	if err := WriteManifest(dir, m); err != nil {
-		return nil, err
-	}
-	return m, nil
+		// The resolved parameters (defaults filled, K derived from Eps)
+		// come from the built shard, so the manifest records what was
+		// actually built, not the possibly-zero request.
+		return &walkindex.StreamStats{K: s.Horizon(), Walks: s.Walks(), C: s.C(), Seed: s.Seed(),
+			Bytes: cw.n, CRC32: tw.crc.Sum32()}, err
+	})
 }
 
 // BuildAllStreaming is BuildAll through the out-of-core streaming
 // builder: each shard's walks are generated in budget-sized vertex
 // slices and encoded straight to its file, so peak builder memory is
-// bounded by budgetBytes, not by the widest shard. Files are always
-// format v2 and byte-identical to BuildAll's — same manifest, same
-// checksums — so readers cannot tell which builder produced a directory.
+// bounded by budgetBytes, not by the widest shard. Files are
+// byte-identical to BuildAll's — same manifest, same checksums — so
+// readers cannot tell which builder produced a directory.
 func BuildAllStreaming(g *graph.Graph, opt query.Options, dir string, shards int, budgetBytes int64) (*Manifest, error) {
+	return buildAll(g, dir, shards, func(path string, r Range) (st *walkindex.StreamStats, err error) {
+		err = atomicio.WriteFileAt(path, func(f *os.File) error {
+			st, err = walkindex.BuildStreaming(g, walkindex.Options(opt), r.Lo, r.Hi, walkindex.ShardFile, f, budgetBytes)
+			return err
+		})
+		return st, err
+	})
+}
+
+// buildAll is the directory half both builders share: plan, publish one
+// file per range through writeShard, seal the manifest last. writeShard
+// reports the resolved build parameters, the file's size and its trailer
+// CRC — the CRC over the file minus its own trailer, which is exactly the
+// manifest's checksum convention.
+func buildAll(g *graph.Graph, dir string, shards int, writeShard func(path string, r Range) (*walkindex.StreamStats, error)) (*Manifest, error) {
 	plan, err := Plan(g.NumVertices(), shards)
 	if err != nil {
 		return nil, err
@@ -149,33 +127,16 @@ func BuildAllStreaming(g *graph.Graph, opt query.Options, dir string, shards int
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	wopt := walkindex.Options{
-		C:       opt.C,
-		K:       opt.K,
-		Eps:     opt.Eps,
-		Walks:   opt.Walks,
-		Seed:    opt.Seed,
-		Workers: opt.Workers,
-	}
-	m := &Manifest{Version: ManifestVersion, N: g.NumVertices(), Format: query.FormatV2}
+	m := &Manifest{Version: ManifestVersion, N: g.NumVertices(), Format: query.FormatVersion}
 	for i, r := range plan {
 		name := fmt.Sprintf("shard-%04d.srwk", i)
-		var st *walkindex.StreamStats
-		err := atomicio.WriteFileAt(filepath.Join(dir, name), func(f *os.File) error {
-			var err error
-			st, err = walkindex.BuildShardStreaming(g, wopt, r.Lo, r.Hi, f, budgetBytes)
-			return err
-		})
+		st, err := writeShard(filepath.Join(dir, name), r)
 		if err != nil {
 			return nil, err
 		}
 		if i == 0 {
-			// The streaming stats carry the resolved parameters (defaults
-			// filled, K derived from Eps), same as a built shard would.
 			m.C, m.K, m.Walks, m.Seed = st.C, st.K, st.Walks, st.Seed
 		}
-		// st.CRC32 is the trailer value = CRC over the file minus its own
-		// trailer — exactly the manifest's checksum convention.
 		m.Shards = append(m.Shards, FileInfo{
 			Range: r,
 			File:  name,
@@ -272,14 +233,11 @@ func LoadManifest(dir string) (*Manifest, error) {
 	if m.N < 0 || m.K < 1 || m.Walks < 1 || !(m.C > 0 && m.C < 1) {
 		return nil, fmt.Errorf("shard: invalid manifest parameters (n=%d, k=%d, walks=%d, c=%v)", m.N, m.K, m.Walks, m.C)
 	}
-	switch m.Format {
-	case 0:
-		// Pre-format-field manifests described v1 files.
-		m.Format = query.FormatV1
-	case query.FormatV1, query.FormatV2:
-	default:
-		return nil, fmt.Errorf("shard: manifest declares shard file format %d, this build reads formats %d and %d",
-			m.Format, query.FormatV1, query.FormatV2)
+	// A manifest without the field predates it and describes format-1
+	// files, like one that says 1.
+	if m.Format != query.FormatVersion {
+		return nil, fmt.Errorf("shard: manifest declares shard file format %d, this build reads format %d only — rebuild the shard directory",
+			max(m.Format, 1), query.FormatVersion)
 	}
 	next := 0
 	for i, fi := range m.Shards {
@@ -318,7 +276,7 @@ func OpenShard(dir string, m *Manifest, i int) (*Shard, error) {
 	if got := fmt.Sprintf("%08x", crc32.ChecksumIEEE(data[:len(data)-4])); got != fi.CRC32 {
 		return nil, fmt.Errorf("%w: %s has crc %s, manifest says %s", ErrShardChecksum, fi.File, got, fi.CRC32)
 	}
-	sx, err := walkindex.LoadShard(bytes.NewReader(data))
+	sx, err := walkindex.Load(bytes.NewReader(data), walkindex.ShardFile)
 	if err != nil {
 		return nil, err
 	}
@@ -329,22 +287,19 @@ func OpenShard(dir string, m *Manifest, i int) (*Shard, error) {
 }
 
 // OpenShardMapped is OpenShard paging the shard file on demand instead of
-// decoding it into memory (see query.LoadFileMapped). The manifest must
-// describe format-v2 files. The manifest checksum is verified with a
-// streaming read, so the open never materializes the dense payload.
+// decoding it into memory (see query.LoadFileMapped). The manifest
+// checksum is verified with a streaming read, so the open never
+// materializes the dense payload.
 func OpenShardMapped(dir string, m *Manifest, i int, opts query.MappedOptions) (*Shard, error) {
 	if i < 0 || i >= len(m.Shards) {
 		return nil, fmt.Errorf("shard: shard ordinal %d outside [0,%d)", i, len(m.Shards))
-	}
-	if m.Format != query.FormatV2 {
-		return nil, fmt.Errorf("shard: manifest describes format v%d shard files; only format v2 can be mapped — rebuild with BuildAll", m.Format)
 	}
 	fi := m.Shards[i]
 	path := filepath.Join(dir, fi.File)
 	if err := verifyFileCRC(path, fi); err != nil {
 		return nil, err
 	}
-	sx, err := walkindex.LoadShardMapped(path, opts)
+	sx, err := walkindex.LoadMapped(path, walkindex.ShardFile, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +337,7 @@ func verifyFileCRC(path string, fi FileInfo) error {
 
 // checkShardManifest validates a loaded shard's parameters against its
 // manifest entry before trusting it.
-func checkShardManifest(sx *walkindex.ShardIndex, m *Manifest, fi FileInfo) error {
+func checkShardManifest(sx *walkindex.Index, m *Manifest, fi FileInfo) error {
 	if sx.N() != m.N || sx.Lo() != fi.Lo || sx.Hi() != fi.Hi ||
 		sx.C() != m.C || sx.Horizon() != m.K || sx.Walks() != m.Walks || sx.Seed() != m.Seed {
 		return fmt.Errorf("shard: %s does not match its manifest entry (n=%d [%d,%d) c=%v k=%d r=%d seed=%d)",

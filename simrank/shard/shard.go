@@ -64,12 +64,12 @@ func Plan(n, shards int) ([]Range, error) {
 	return out, nil
 }
 
-// Shard is one serving shard: a range-restricted walk index plus the full
-// graph it was built against. Safe for concurrent queries; ApplyEdits is
+// Shard is one serving shard: a walk index over the owned range plus the
+// full graph it was built against. Safe for concurrent queries; ApplyEdits is
 // the one mutating operation and must be serialized against queries (the
 // shard server holds an RWMutex exactly like the single-node daemon).
 type Shard struct {
-	sx *walkindex.ShardIndex
+	sx *walkindex.Index // owns [Lo, Hi)
 	g  *graph.Graph
 	// gen counts applied updates; the router folds every shard's gen into
 	// its cache keys (see Generation).
@@ -80,14 +80,7 @@ type Shard struct {
 // rows are bit-identical to rows [lo, hi) of query.BuildIndex(g, opt)'s
 // walk index.
 func Build(g *graph.Graph, opt query.Options, lo, hi int) (*Shard, error) {
-	sx, err := walkindex.BuildShard(g, walkindex.Options{
-		C:       opt.C,
-		K:       opt.K,
-		Eps:     opt.Eps,
-		Walks:   opt.Walks,
-		Seed:    opt.Seed,
-		Workers: opt.Workers,
-	}, lo, hi)
+	sx, err := walkindex.Build(g, walkindex.Options(opt), lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -169,12 +162,12 @@ func (s *Shard) PartialScores(ctx context.Context, sources []int, workers int) (
 			return nil, fmt.Errorf("shard: vertex %d out of range [0,%d)", q, n)
 		}
 	}
-	return s.sx.PartialMultiSource(ctx, s.g, sources, workers)
+	return s.sx.MultiSource(ctx, s.g, sources, workers)
 }
 
 // JoinCandidates enumerates the co-located candidate pairs of fingerprint
 // range [fpLo, fpHi) within the threshold's prune depth; see
-// walkindex.(*ShardIndex).JoinCandidates for the union/cap contract.
+// walkindex.(*Index).JoinCandidates for the union/cap contract.
 func (s *Shard) JoinCandidates(ctx context.Context, threshold float64, fpLo, fpHi, maxCandidates, workers int) ([]uint64, error) {
 	if s.g == nil {
 		return nil, fmt.Errorf("shard: JoinCandidates needs the source graph (AttachGraph after load)")

@@ -3,12 +3,16 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"oipsr/graph"
 	"oipsr/graph/gen"
+	"oipsr/internal/walkindex"
 	"oipsr/simrank/query"
 )
 
@@ -172,6 +176,19 @@ func TestManifestCorruptionDetection(t *testing.T) {
 	if _, err := OpenShard(dir, m, 1); !errors.Is(err, ErrShardChecksum) {
 		t.Fatalf("swapped shard files: got %v, want ErrShardChecksum", err)
 	}
+
+	// A manifest of the retired format 1 — the field says 1, or predates
+	// the field — is a clean error, not an attempt to read the files.
+	for _, format := range []int{1, 0, 3} {
+		old := *m
+		old.Format = format
+		if err := WriteManifest(dir, &old); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadManifest(dir); err == nil || !strings.Contains(err.Error(), "format") {
+			t.Fatalf("manifest with format %d: got %v, want a format error", format, err)
+		}
+	}
 }
 
 // TestShardApplyEditsParity: after identical edit batches, a shard fleet
@@ -249,8 +266,8 @@ func TestShardApplyEditsParity(t *testing.T) {
 
 // TestOpenShardMappedParity: shards opened demand-paged through the
 // manifest answer bit-identically to densely opened ones, survive edits
-// (flushed back through the sealed file), and refuse what they must: v1
-// manifests and tampered files.
+// (flushed back through the sealed file), and refuse what they must:
+// tampered files, and index files standing in for shard files.
 func TestOpenShardMappedParity(t *testing.T) {
 	g := gen.WebGraph(57, 6, 2)
 	opt := query.Options{Walks: 18, Seed: 7, Workers: 1}
@@ -259,8 +276,8 @@ func TestOpenShardMappedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Format != query.FormatV2 {
-		t.Fatalf("BuildAll wrote format %d, want default %d", m.Format, query.FormatV2)
+	if m.Format != query.FormatVersion {
+		t.Fatalf("BuildAll wrote format %d, want %d", m.Format, query.FormatVersion)
 	}
 
 	sources := []int{0, 31, 56}
@@ -326,36 +343,57 @@ func TestOpenShardMappedParity(t *testing.T) {
 		t.Fatalf("edited shard file: got %v, want ErrShardChecksum", err)
 	}
 
-	// A v1 directory cannot be demand-paged: only format v2 maps.
-	v1dir := t.TempDir()
-	m1, err := BuildAllFormat(g, opt, v1dir, 2, query.FormatV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.Format != query.FormatV1 {
-		t.Fatalf("BuildAllFormat(v1) recorded format %d", m1.Format)
-	}
-	if s, err := OpenShard(v1dir, m1, 0); err != nil {
-		t.Fatalf("v1 manifest must stay densely openable: %v", err)
-	} else if s.Backend() != "dense" {
-		t.Fatalf("v1 shard backend = %q", s.Backend())
-	}
-	if _, err := OpenShardMapped(v1dir, m1, 0, query.MappedOptions{}); err == nil {
-		t.Fatal("OpenShardMapped on a v1 manifest: expected error")
-	}
-
 	// Tampered shard files are refused before mapping.
-	spath := filepath.Join(v1dir, m1.Shards[0].File)
+	other := (rewritten + 1) % len(m.Shards)
+	spath := filepath.Join(dir, m.Shards[other].File)
 	sdata, err := os.ReadFile(spath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdata[len(sdata)/2] ^= 0x10
-	if err := os.WriteFile(spath, sdata, 0o644); err != nil {
+	tampered := append([]byte(nil), sdata...)
+	tampered[len(tampered)/2] ^= 0x10
+	if err := os.WriteFile(spath, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShard(v1dir, m1, 0); !errors.Is(err, ErrShardChecksum) {
-		t.Fatalf("tampered v1 shard: got %v, want ErrShardChecksum", err)
+	if _, err := OpenShardMapped(dir, m, other, query.MappedOptions{}); !errors.Is(err, ErrShardChecksum) {
+		t.Fatalf("tampered shard: got %v, want ErrShardChecksum", err)
+	}
+
+	// The two file kinds never stand in for each other, even when the
+	// manifest vouches for the bytes: a full index file named by a one-shard
+	// manifest is ErrBadMagic through both shard openings, and a shard file
+	// — full range [0, n) and all — is ErrBadMagic through the query
+	// loaders, so a ranged index can never become a query.Index.
+	onedir := t.TempDir()
+	m1, err := BuildAll(g, opt, onedir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardPath := filepath.Join(onedir, m1.Shards[0].File)
+	if _, err := query.LoadFile(shardPath); !errors.Is(err, walkindex.ErrBadMagic) {
+		t.Fatalf("query.LoadFile(shard file): got %v, want ErrBadMagic", err)
+	}
+	if _, err := query.LoadFileMapped(shardPath, query.MappedOptions{}); !errors.Is(err, walkindex.ErrBadMagic) {
+		t.Fatalf("query.LoadFileMapped(shard file): got %v, want ErrBadMagic", err)
+	}
+	full, err := query.BuildIndex(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.SaveFile(shardPath); err != nil {
+		t.Fatal(err)
+	}
+	idata, err := os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Shards[0].Bytes = int64(len(idata))
+	m1.Shards[0].CRC32 = fmt.Sprintf("%08x", crc32.ChecksumIEEE(idata[:len(idata)-4]))
+	if _, err := OpenShard(onedir, m1, 0); !errors.Is(err, walkindex.ErrBadMagic) {
+		t.Fatalf("OpenShard(index file): got %v, want ErrBadMagic", err)
+	}
+	if _, err := OpenShardMapped(onedir, m1, 0, query.MappedOptions{}); !errors.Is(err, walkindex.ErrBadMagic) {
+		t.Fatalf("OpenShardMapped(index file): got %v, want ErrBadMagic", err)
 	}
 }
 
