@@ -33,8 +33,8 @@
 // The -scale flag shrinks the workloads (absolute numbers change, shapes do
 // not); -quick is shorthand for a fast smoke run. -workers sets the
 // worker-pool size for the timed experiments (0 = all CPUs). One NDJSON
-// record per measured data point is always written to BENCH_PR9.json in
-// the working directory (the perf trajectory file); -json FILE (or "-" for
+// record per measured data point is always written to the file named by
+// benchJSONFile in the working directory (the perf trajectory file); -json FILE (or "-" for
 // stdout) tees the same records to a second sink.
 package main
 

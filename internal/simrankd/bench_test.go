@@ -1,6 +1,7 @@
 package simrankd
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -36,6 +37,50 @@ func BenchmarkServeSingleSource(b *testing.B) {
 		srv.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d", rec.Code)
+		}
+	}
+}
+
+// benchIndex is the serve-zipf index of the benchmark (WebGraph n=6000,
+// R=100), under the handler stack: what a response-cache miss costs.
+func benchIndex(b *testing.B) *query.Index {
+	b.Helper()
+	idx, err := query.BuildIndex(gen.WebGraph(6000, 11, 1), query.Options{Walks: 100, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return idx
+}
+
+// BenchmarkSingleSource measures one single-source row over rotating
+// sources into a reused buffer.
+func BenchmarkSingleSource(b *testing.B) {
+	idx := benchIndex(b)
+	dst := make([]float64, idx.N())
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := idx.SingleSourceInto(ctx, i*37%idx.N(), dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMultiSource16 measures the 16-source batch behind POST
+// /v1/batch, one worker.
+func BenchmarkMultiSource16(b *testing.B) {
+	idx := benchIndex(b)
+	ctx := context.Background()
+	sources := make([]int, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range sources {
+			sources[j] = (i*16 + j) * 37 % idx.N()
+		}
+		if _, err := idx.MultiSource(ctx, sources, 1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -131,7 +131,8 @@ func TestMappedServesBitIdenticalResponses(t *testing.T) {
 	}
 
 	var hz struct {
-		Backend string `json:"backend"`
+		Backend     string `json:"backend"`
+		ForestBytes int64  `json:"index_forest_bytes"`
 	}
 	_, hzBody := get(t, tsMapped.URL+"/healthz")
 	if err := json.Unmarshal(hzBody, &hz); err != nil {
@@ -139,5 +140,8 @@ func TestMappedServesBitIdenticalResponses(t *testing.T) {
 	}
 	if hz.Backend != mapped.Backend() {
 		t.Fatalf("healthz backend = %q, want %q", hz.Backend, mapped.Backend())
+	}
+	if hz.ForestBytes != 0 {
+		t.Fatalf("healthz index_forest_bytes = %d on a mapped index, which keeps the sweep", hz.ForestBytes)
 	}
 }

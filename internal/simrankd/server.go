@@ -459,6 +459,9 @@ type healthzResponse struct {
 	Horizon    int     `json:"horizon"`
 	C          float64 `json:"c"`
 	IndexBytes int64   `json:"index_bytes"`
+	// ForestBytes is the coalescence order a dense index answers from,
+	// derived state on top of IndexBytes; 0 when mapped.
+	ForestBytes int64 `json:"index_forest_bytes"`
 	// Backend is the walk-storage backing: "dense" in memory, "mapped"
 	// (or "mapped-readat") when serving a demand-paged v2 index file.
 	Backend    string  `json:"backend"`
@@ -471,15 +474,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.RUnlock()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(healthzResponse{
-		Status:     "ok",
-		Vertices:   s.idx.N(),
-		Walks:      s.idx.Walks(),
-		Horizon:    s.idx.Horizon(),
-		C:          s.idx.C(),
-		IndexBytes: s.idx.Bytes(),
-		Backend:    s.idx.Backend(),
-		Generation: s.idx.Generation(),
-		UptimeSecs: time.Since(s.started).Seconds(),
+		Status:      "ok",
+		Vertices:    s.idx.N(),
+		Walks:       s.idx.Walks(),
+		Horizon:     s.idx.Horizon(),
+		C:           s.idx.C(),
+		IndexBytes:  s.idx.Bytes(),
+		ForestBytes: s.idx.ForestBytes(),
+		Backend:     s.idx.Backend(),
+		Generation:  s.idx.Generation(),
+		UptimeSecs:  time.Since(s.started).Seconds(),
 	})
 }
 
@@ -490,7 +494,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	generation := s.idx.Generation()
 	vertices := s.idx.N()
-	indexBytes := s.idx.Bytes()
+	indexBytes, forestBytes := s.idx.Bytes(), s.idx.ForestBytes()
 	s.mu.RUnlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	buildInfoMetric(w, "serve")
@@ -518,4 +522,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "simrankd_update_walks_repaired_total %d\n", s.walksRepaired.Load())
 	fmt.Fprintf(w, "simrankd_index_vertices %d\n", vertices)
 	fmt.Fprintf(w, "simrankd_index_bytes %d\n", indexBytes)
+	fmt.Fprintf(w, "simrankd_index_forest_bytes %d\n", forestBytes)
 }

@@ -3,6 +3,7 @@ package simrankd
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"oipsr/internal/eval"
 	"oipsr/simrank"
 	"oipsr/simrank/query"
+	"oipsr/simrank/shard"
 )
 
 func testIndex(t *testing.T) (*graph.Graph, *query.Index) {
@@ -207,6 +209,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if h.Status != "ok" || h.Vertices != idx.N() || h.Walks != idx.Walks() {
 		t.Fatalf("healthz = %+v", h)
 	}
+	// The coalescence order is accounted beside the path storage, not in
+	// it: 6 bytes per stored walk on a dense index.
+	forest := int64(6 * idx.N() * idx.Walks())
+	if h.ForestBytes != forest || h.IndexBytes != int64(4*idx.N()*idx.Walks()*idx.Horizon()) {
+		t.Fatalf("healthz index_bytes = %d, index_forest_bytes = %d, want 4·n·R·K and 6·n·R = %d", h.IndexBytes, h.ForestBytes, forest)
+	}
 
 	// Same query twice: the second hit must come from the LRU.
 	get(t, ts.URL+"/v1/topk?q=5&k=10")
@@ -222,10 +230,39 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"simrankd_cache_hits_total 1",
 		"simrankd_cache_misses_total 1",
 		"simrankd_index_vertices 150",
+		fmt.Sprintf("simrankd_index_forest_bytes %d\n", forest),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestShardHealthzAndMetricsForestBytes: a shard server accounts its
+// range's coalescence order the way the single node does.
+func TestShardHealthzAndMetricsForestBytes(t *testing.T) {
+	sh, err := shard.Build(gen.WebGraph(90, 5, 3), query.Options{Walks: 20, Seed: 1}, 30, 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewShardServer(sh, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(ss)
+	defer ts.Close()
+	want := int64(6 * 40 * 20)
+	var h shardHealthzResponse
+	_, body := get(t, ts.URL+"/healthz")
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.ForestBytes != want || h.IndexBytes != sh.Bytes() {
+		t.Fatalf("shard healthz index_bytes = %d, index_forest_bytes = %d, want %d and %d", h.IndexBytes, h.ForestBytes, sh.Bytes(), want)
+	}
+	_, body = get(t, ts.URL+"/metrics")
+	if line := fmt.Sprintf("simrankd_index_forest_bytes %d\n", want); !strings.Contains(string(body), line) {
+		t.Errorf("shard metrics missing %q:\n%s", line, body)
 	}
 }
 

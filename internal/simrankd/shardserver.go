@@ -320,6 +320,9 @@ type shardHealthzResponse struct {
 	C          float64 `json:"c"`
 	Seed       int64   `json:"seed"`
 	IndexBytes int64   `json:"index_bytes"`
+	// ForestBytes is the coalescence order a dense shard answers from,
+	// derived state on top of IndexBytes; 0 when mapped.
+	ForestBytes int64 `json:"index_forest_bytes"`
 	// Backend is the walk-storage backing: "dense" in memory, "mapped"
 	// (or "mapped-readat") when serving a demand-paged v2 shard file.
 	Backend    string  `json:"backend"`
@@ -332,18 +335,19 @@ func (s *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.RUnlock()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(shardHealthzResponse{
-		Status:     "ok",
-		Vertices:   s.sh.N(),
-		Lo:         s.sh.Lo(),
-		Hi:         s.sh.Hi(),
-		Walks:      s.sh.Walks(),
-		Horizon:    s.sh.Horizon(),
-		C:          s.sh.C(),
-		Seed:       s.sh.Seed(),
-		IndexBytes: s.sh.Bytes(),
-		Backend:    s.sh.Backend(),
-		Generation: s.sh.Generation(),
-		UptimeSecs: time.Since(s.started).Seconds(),
+		Status:      "ok",
+		Vertices:    s.sh.N(),
+		Lo:          s.sh.Lo(),
+		Hi:          s.sh.Hi(),
+		Walks:       s.sh.Walks(),
+		Horizon:     s.sh.Horizon(),
+		C:           s.sh.C(),
+		Seed:        s.sh.Seed(),
+		IndexBytes:  s.sh.Bytes(),
+		ForestBytes: s.sh.ForestBytes(),
+		Backend:     s.sh.Backend(),
+		Generation:  s.sh.Generation(),
+		UptimeSecs:  time.Since(s.started).Seconds(),
 	})
 }
 
@@ -351,7 +355,7 @@ func (s *ShardServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	generation := s.sh.Generation()
 	lo, hi := s.sh.Lo(), s.sh.Hi()
-	indexBytes := s.sh.Bytes()
+	indexBytes, forestBytes := s.sh.Bytes(), s.sh.ForestBytes()
 	s.mu.RUnlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	buildInfoMetric(w, "shard")
@@ -373,4 +377,5 @@ func (s *ShardServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "simrankd_shard_lo %d\n", lo)
 	fmt.Fprintf(w, "simrankd_shard_hi %d\n", hi)
 	fmt.Fprintf(w, "simrankd_index_bytes %d\n", indexBytes)
+	fmt.Fprintf(w, "simrankd_index_forest_bytes %d\n", forestBytes)
 }

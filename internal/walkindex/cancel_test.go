@@ -10,13 +10,20 @@ import (
 )
 
 // TestQueriesHonorCancellation: a cancelled context aborts every query
-// path with the context's error instead of completing the sweep.
+// path — the coalescence order of a resident index and the sweep a mapped
+// one keeps — with the context's error instead of completing.
 func TestQueriesHonorCancellation(t *testing.T) {
 	g := gen.WebGraph(300, 6, 17)
-	ix, err := buildFull(g, Options{Walks: 50, Seed: 11})
+	built, err := buildFull(g, Options{Walks: 50, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, ix := range []*Index{built, sweepOracle(built)} {
+		queriesHonorCancellation(t, ix)
+	}
+}
+
+func queriesHonorCancellation(t *testing.T, ix *Index) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -68,5 +75,46 @@ func TestCancellationMidSweep(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("sweep did not notice cancellation within 5s")
+	}
+}
+
+// countingCtx counts Err polls and reports cancellation from the
+// cancelAt-th poll on.
+type countingCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *countingCtx) Err() error {
+	c.polls++
+	if c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestForestPollsEveryFingerprint: the order path has no per-target chunk
+// to poll at, so it polls the context once per fingerprint — a cancelled
+// request stops within one fingerprint's walk, wherever the cancel lands.
+func TestForestPollsEveryFingerprint(t *testing.T) {
+	g := gen.WebGraph(300, 6, 17)
+	const walks = 50
+	ix, err := buildFull(g, Options{Walks: walks, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &countingCtx{Context: context.Background(), cancelAt: walks + 1}
+	if _, err := ix.SingleSource(ctx, 5, nil); err != nil || ctx.polls != walks {
+		t.Fatalf("uncancelled SingleSource: err %v after %d polls, want nil after %d", err, ctx.polls, walks)
+	}
+	for _, at := range []int{1, walks / 2, walks} {
+		ctx := &countingCtx{Context: context.Background(), cancelAt: at}
+		if _, err := ix.SingleSource(ctx, 5, nil); !errors.Is(err, context.Canceled) || ctx.polls != at {
+			t.Fatalf("cancel at poll %d: err %v after %d polls", at, err, ctx.polls)
+		}
+		ctx = &countingCtx{Context: context.Background(), cancelAt: at}
+		if rows, err := ix.MultiSource(ctx, nil, []int{1, 2, 3}, 1); !errors.Is(err, context.Canceled) || rows != nil {
+			t.Fatalf("MultiSource cancel at poll %d: rows %v, err %v", at, rows != nil, err)
+		}
 	}
 }

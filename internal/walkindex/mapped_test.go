@@ -208,7 +208,7 @@ func TestShardMappedByteIdentical(t *testing.T) {
 	for i := range want {
 		for v := range want[i] {
 			if want[i][v] != got[i][v] {
-				t.Fatalf("PartialMultiSource row %d differs at %d", i, v)
+				t.Fatalf("MultiSource row %d differs at %d", i, v)
 			}
 		}
 	}

@@ -10,15 +10,21 @@ import (
 
 // Batched multi-source queries.
 //
-// A SingleSource call sweeps the whole path store once, comparing every
-// stored target position against the source's walker at the same
-// (fingerprint, step). Answering a batch of S sources with S independent
-// calls therefore sweeps the store S times — O(S*n*R*K) — even though the
-// sweeps read identical data. MultiSource amortizes that shared traversal:
-// the batch's source walker positions are gathered into one sorted table
-// per (fingerprint, step) slot, and a single sweep over the path store
-// looks each target position up in its slot's table, crediting every
-// source whose walker stands there in one step. The sweep costs
+// MultiSource has two paths, chosen by the storage backend like
+// SingleSource's. On an index whose rows are resident it answers each
+// source from the coalescence order (walkorder.go) over the owned range, in
+// parallel over sources: a batch costs the sum of its answers. The rest of
+// this file is the mapped path, where one source costs a sweep of the
+// whole store and a batch must not pay it S times.
+//
+// A swept SingleSource call compares every stored target position against
+// the source's walker at the same (fingerprint, step). Answering a batch
+// of S sources with S independent sweeps costs O(S*n*R*K), even though the
+// sweeps read identical data. The batched sweep amortizes that shared
+// traversal: the batch's source walker positions are gathered into one
+// sorted table per (fingerprint, step) slot, and a single sweep over the
+// path store looks each target position up in its slot's table, crediting
+// every source whose walker stands there in one step. The sweep costs
 // O(n*R*K*log S) lookups plus one accumulator update per first meeting, so
 // cost per source shrinks as the batch grows.
 //
@@ -50,10 +56,10 @@ type srcEntry struct {
 // Sources must be valid vertex ids of the full graph (the serving layer
 // validates); duplicates are allowed and produce identical rows.
 //
-// Cancelling ctx abandons the sweep at the next chunk boundary (every
-// worker polls between target vertices) and returns the context's error;
-// the returned rows are then nil. An uncancelled ctx never changes the
-// result.
+// Cancelling ctx abandons the query at the next poll (every worker polls
+// between fingerprints of the order, or between target vertices of the
+// sweep) and returns the context's error; the returned rows are then nil.
+// An uncancelled ctx never changes the result.
 func (ix *Index) MultiSource(ctx context.Context, g *graph.Graph, sources []int, workers int) ([][]float64, error) {
 	width := ix.hi - ix.lo
 	out := make([][]float64, len(sources))
@@ -62,6 +68,12 @@ func (ix *Index) MultiSource(ctx context.Context, g *graph.Graph, sources []int,
 	}
 	if len(sources) == 0 || width == 0 {
 		return out, ctx.Err()
+	}
+	if ix.forest != nil {
+		if err := ix.multiSourceForest(ctx, g, sources, out, workers); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
 
 	// Materialize every source's walk block once — owned blocks are the

@@ -145,7 +145,7 @@ func TestPrefetchShardEquivalence(t *testing.T) {
 	for i := range want {
 		for v := range want[i] {
 			if want[i][v] != got[i][v] {
-				t.Fatalf("PartialMultiSource row %d differs at %d", i, v)
+				t.Fatalf("MultiSource row %d differs at %d", i, v)
 			}
 		}
 	}

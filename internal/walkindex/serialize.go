@@ -256,7 +256,9 @@ func Load(r io.Reader, kind FileKind) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.hdr.newIndex(newDenseStore(f.paths, int(f.hdr.r*f.hdr.k))), nil
+	ix := f.hdr.newIndex(newDenseStore(f.paths, int(f.hdr.r*f.hdr.k)))
+	ix.forest = buildForest(ix, 0)
+	return ix, nil
 }
 
 // LoadMapped opens a file of the given kind for demand paging instead of

@@ -323,9 +323,9 @@ func TestLoadRejectsTrailingData(t *testing.T) {
 
 // TestParentWrittenFilesLoad is the compatibility gate of the one-reader
 // refactor: testdata/parent holds an index file and a shard file (range
-// [10, 120)) written by the last commit that still had Index and
-// ShardIndex, four loaders and two formats — SaveFormat(FormatV2) on
-// gen.WebGraph(130, 5, 7), Options{C: 0.7, K: 6, Walks: 8, Seed: 42} — and
+// [10, 120)) written by the parent of that refactor, when a full index and
+// a shard were still two types — Build(g, opt, lo, hi) then Save today — on
+// gen.WebGraph(130, 5, 7), Options{C: 0.7, K: 6, Walks: 8, Seed: 42}, and
 // the answers that commit's code gave over them. Through every opening the
 // files must load, equal a fresh build, re-save to the same bytes, and
 // answer every query family with the recorded bits (JSON round-trips

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -64,11 +65,11 @@ func TestBuildShardValidation(t *testing.T) {
 	}
 }
 
-// TestPartialMultiSourceMatchesFull: concatenating the partial rows of a
-// covering shard set reproduces MultiSource (and therefore SingleSource)
-// bitwise — for owned sources, foreign sources, duplicates, and every
-// worker count.
-func TestPartialMultiSourceMatchesFull(t *testing.T) {
+// TestRangedMultiSourceMatchesFull: concatenating the MultiSource rows of
+// a covering set of ranges reproduces the full-range MultiSource (and
+// therefore SingleSource) bitwise — for owned sources, foreign sources,
+// duplicates, and every worker count.
+func TestRangedMultiSourceMatchesFull(t *testing.T) {
 	g := gen.CitationGraph(61, 5, 7)
 	opt := Options{Walks: 25, Seed: 3, Workers: 2}
 	full, err := buildFull(g, opt)
@@ -113,8 +114,8 @@ func TestPartialMultiSourceMatchesFull(t *testing.T) {
 	}
 }
 
-// TestShardPairMatchesFull: ShardIndex.Pair equals Index.Pair whether the
-// shard owns both, one, or neither endpoint.
+// TestShardPairMatchesFull: Pair on a ranged index equals Pair on the
+// full range whether the range owns both, one, or neither endpoint.
 func TestShardPairMatchesFull(t *testing.T) {
 	g := gen.WebGraph(40, 5, 9)
 	opt := Options{Walks: 30, Seed: 8, Workers: 1}
@@ -134,8 +135,8 @@ func TestShardPairMatchesFull(t *testing.T) {
 }
 
 // TestShardUpdateBitIdentical: the property test, sharded — after chains
-// of random edit batches, each repaired shard equals a fresh BuildShard on
-// the edited graph, so a fleet applying the same edits stays an exact
+// of random edit batches, each repaired shard equals a fresh Build(g, opt,
+// lo, hi) on the edited graph, coalescence order included, so a fleet applying the same edits stays an exact
 // partition of the single-node index.
 func TestShardUpdateBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -172,6 +173,7 @@ func TestShardUpdateBitIdentical(t *testing.T) {
 				if !sx.Equal(fresh) {
 					t.Fatalf("trial %d batch %d shard [%d,%d): update != rebuild", trial, batch, sx.Lo(), sx.Hi())
 				}
+				requireSameForest(t, sx, fresh, fmt.Sprintf("trial %d batch %d shard [%d,%d)", trial, batch, sx.Lo(), sx.Hi()))
 			}
 			cur = next
 		}

@@ -153,8 +153,7 @@ func (ix *Index) buildVisits(workers int) [][]visitPosting {
 
 // pathRow returns the stored path of a store-local walk id, read-only.
 func (ix *Index) pathRow(walk int32) []int32 {
-	off := (int(walk) % ix.r) * ix.k
-	return ix.store.Row(int(walk) / ix.r)[off : off+ix.k]
+	return ix.path(walk/int32(ix.r), int(walk)%ix.r)
 }
 
 // mutablePathRow returns the stored path of a store-local walk id for
@@ -206,6 +205,11 @@ func firstVisitsPath(start int32, path []int32, dst []visitPair) []visitPair {
 // fleet applying the same edits stays a consistent partition of the
 // single-node index. It returns the number of walks repaired.
 //
+// On a resident index Update also moves the repaired walkers to their new
+// ranks in the coalescence order (forest.patch) — one pass per touched
+// fingerprint, never a re-sort — and the patched order is the one that
+// fresh Build sorts, entry for entry.
+//
 // Update must not run concurrently with queries or other Updates; callers
 // serving live traffic serialize it behind a write lock (see cmd/simrankd).
 func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
@@ -225,9 +229,9 @@ func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
 }
 
 // repair recomputes the suffixes of stored walks that occupy a dirty
-// vertex before the horizon and patches the visit index, returning the
-// number of walks repaired. The caller validates dirty and has built
-// ix.visits.
+// vertex before the horizon and patches the visit index and the
+// coalescence order, returning the number of walks repaired. The caller
+// validates dirty and has built ix.visits.
 func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) int {
 	// A walk is affected iff it occupies some dirty vertex at a time from
 	// which a further move is made, i.e. before the horizon; repair starts
@@ -320,6 +324,9 @@ func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) int {
 		for _, rv := range buf {
 			ix.visits[rv.x] = append(ix.visits[rv.x], rv.p)
 		}
+	}
+	if ix.forest != nil {
+		ix.forest.patch(ix, walks, workers)
 	}
 	return len(walks)
 }

@@ -2,6 +2,7 @@ package walkindex
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -45,7 +46,9 @@ func randomEdits(rng *rand.Rand, g *graph.Graph, count int) []graph.Edit {
 // edit batches on random graphs, Update produces an index Equal() to a
 // fresh Build on the edited graph, for every worker count — including
 // across chains of successive batches, which also exercises the
-// incremental patching of the inverted visit index.
+// incremental patching of the inverted visit index — and the patched
+// coalescence order is, entry for entry, the one that fresh Build sorted
+// ("patched ≡ rebuilt").
 func TestUpdateBitIdenticalProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 25; trial++ {
@@ -77,6 +80,7 @@ func TestUpdateBitIdenticalProperty(t *testing.T) {
 					t.Fatalf("trial %d workers %d batch %d: Update != fresh Build (n=%d, %d edits, %d dirty)",
 						trial, workers, batch, n, len(edits), len(sum.DirtyIn))
 				}
+				requireSameForest(t, ix, fresh, fmt.Sprintf("trial %d workers %d batch %d", trial, workers, batch))
 				cur = next
 			}
 		}

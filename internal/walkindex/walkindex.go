@@ -15,13 +15,24 @@
 // of scheduling — and makes an index fully reproducible from (graph,
 // Options) alone.
 //
-// A single-source query against vertex q scans the stored paths: for every
-// other vertex v and every fingerprint, the first step t at which q's and
-// v's walkers stand on the same vertex contributes C^t, and the average
-// over fingerprints estimates s(q, v) truncated at horizon K. The scan is
-// O(R*K) per vertex with sequential access into one contiguous walk block,
-// so a query costs O(n*R*K) independent of the graph — no Theta(n^2) state
-// is ever materialized.
+// A single-source query against vertex q needs, for every other vertex v
+// and every fingerprint, the first step t at which q's and v's walkers
+// stand on the same vertex: it contributes C^t, and the average over
+// fingerprints estimates s(q, v) truncated at horizon K. No Theta(n^2)
+// state is ever materialized, and there are two ways to find the meetings;
+// which one runs is a property of the storage backend, not an option:
+//
+//   - An index whose rows are resident (Build, Load, every shard range)
+//     keeps a per-fingerprint coalescence order (walkorder.go): the walkers
+//     sorted so that everyone who ever meets q is a contiguous
+//     neighbourhood of q. A query is R key searches plus a walk over those
+//     neighbourhoods — cost proportional to the number of non-zero scores,
+//     6*R bytes per vertex on top of the paths.
+//   - A mapped index (LoadMapped) sweeps the path store: O(R*K) per vertex
+//     with sequential access into one contiguous walk block, O(n*R*K) per
+//     query independent of the graph. Its block codec serves rows in
+//     sequence, not at random, so it keeps the sweep; the sweep is also the
+//     oracle the order is tested against, score for score with ==.
 //
 // Storage is laid out vertex-major — entry (r*K + t) of vertex v's walk
 // block is the position of v's fingerprint-r walker after step t+1, or -1
@@ -108,6 +119,13 @@ type Index struct {
 	// builds it (see update.go); derived state, excluded from Equal and
 	// Save.
 	visits [][]visitPosting
+
+	// forest is the per-fingerprint coalescence order that answers
+	// SingleSource and MultiSource in time proportional to the answer (see
+	// walkorder.go). Build and Load construct it, Update patches it; nil on a
+	// mapped index, which answers by sweeping the store. Derived state,
+	// excluded from Equal, Save and Bytes.
+	forest *forest
 }
 
 // resolve normalizes Options in place: defaults filled, the horizon
@@ -176,6 +194,7 @@ func Build(g *graph.Graph, opt Options, lo, hi int) (*Index, error) {
 			}
 		}
 	})
+	ix.forest = buildForest(ix, opt.Workers)
 	return ix, nil
 }
 
@@ -283,17 +302,26 @@ const cancelCheckTargets = 64
 // SingleSource estimates s(q, v) for every v and writes the result into
 // dst, which must have length N() (pass nil to allocate). It returns dst.
 // The estimate for q itself is exactly 1. It is the dedicated one-source
-// sweep of a full-range index (a ranged index answers through
-// MultiSource). Cancelling ctx abandons the sweep at the next chunk
-// boundary and returns the context's error; the contents of dst are then
-// unspecified. An uncancelled ctx never changes the result: the scores are
-// bit-identical to a context-free sweep.
+// query of a full-range index (a ranged index answers through
+// MultiSource): from the coalescence order when the rows are resident, by
+// the sweep below on a mapped index — bit-identical, each score receiving
+// the same addends in the same order. Cancelling ctx abandons the query at
+// the next poll (every fingerprint of the order, every 64 targets of the
+// sweep) and returns the context's error; the contents of dst are then
+// unspecified. An uncancelled ctx never changes the result.
 func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]float64, error) {
 	if ix.lo != 0 || ix.hi != ix.n {
 		return nil, fmt.Errorf("walkindex: SingleSource needs a full-range index, this one owns [%d,%d) of [0,%d)", ix.lo, ix.hi, ix.n)
 	}
 	if dst == nil {
 		dst = make([]float64, ix.n)
+	}
+	if ix.forest != nil {
+		clear(dst)
+		if err := ix.forestRow(ctx, ix.store.Row(q), q, dst); err != nil {
+			return nil, err
+		}
+		return dst, nil
 	}
 	qp := ix.store.Row(q)
 	inv := 1 / float64(ix.r)

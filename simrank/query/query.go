@@ -94,6 +94,11 @@ func (ix *Index) Seed() int64 { return ix.wi.Seed() }
 // Bytes returns the in-memory size of the walk storage.
 func (ix *Index) Bytes() int64 { return ix.wi.Bytes() }
 
+// ForestBytes returns the in-memory size of the coalescence order that
+// answers queries on a dense index in output-sensitive time — 6 bytes per
+// stored walk, on top of Bytes; 0 for a mapped index, which has none.
+func (ix *Index) ForestBytes() int64 { return ix.wi.ForestBytes() }
+
 // Graph returns the attached graph, or nil for a loaded index without
 // AttachGraph.
 func (ix *Index) Graph() *graph.Graph { return ix.g }

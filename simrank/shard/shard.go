@@ -118,6 +118,10 @@ func (s *Shard) Seed() int64 { return s.sx.Seed() }
 // shard, the compressed backing file for a mapped one.
 func (s *Shard) Bytes() int64 { return s.sx.Bytes() }
 
+// ForestBytes returns the size of the coalescence order a dense shard
+// answers from, on top of Bytes; 0 for a mapped shard.
+func (s *Shard) ForestBytes() int64 { return s.sx.ForestBytes() }
+
 // Backend reports the walk storage backing this shard: "dense" for
 // in-memory shards, "mapped" (or "mapped-readat" without mmap) for
 // demand-paged ones opened via OpenShardMapped.
