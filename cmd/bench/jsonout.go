@@ -19,14 +19,8 @@ import (
 // across PRs — and are additionally teed to the -json sink when given.
 var jsonOut *json.Encoder
 
-// benchJSONFile is the always-on NDJSON sink; prior trajectory files are
-// read for record preservation so renaming the sink between PRs keeps the
-// history.
+// benchJSONFile is the always-on NDJSON sink: the one trajectory file.
 const benchJSONFile = "BENCH_PR10.json"
-
-// benchJSONPrev is the previous PR's trajectory file, consulted for
-// records to carry forward when benchJSONFile does not exist yet.
-const benchJSONPrev = "BENCH_PR9.json"
 
 var jsonFiles []*os.File
 
@@ -36,11 +30,6 @@ var jsonFiles []*os.File
 // must not destroy the rest of the trajectory.
 func initJSON(path string, running []string) error {
 	keep := preservedRecords(benchJSONFile, running)
-	if keep == nil {
-		if _, err := os.Stat(benchJSONFile); err != nil {
-			keep = preservedRecords(benchJSONPrev, running)
-		}
-	}
 	f, err := os.Create(benchJSONFile)
 	if err != nil {
 		return err

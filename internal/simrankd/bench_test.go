@@ -117,3 +117,61 @@ func TestServeSingleSourceAllocSteadyState(t *testing.T) {
 		t.Errorf("single_source request = %.1f allocs, ceiling %d — did a per-request buffer lose its pool?", avg, ceiling)
 	}
 }
+
+// rerankSources are hub-heavy sources of benchIndex's graph: their default
+// rerank pools expand through the highest in-degree vertices, so each
+// leaves a memo of 80 000 to 380 000 entries — the requests that are the
+// tail of serve-zipf.
+var rerankSources = []int{70, 238, 84, 14, 791, 0, 105, 693, 413, 133, 735, 378, 147, 329, 140, 2212}
+
+// BenchmarkRerank measures the exact rerank of one default pool (k=10, 40
+// candidates) from an already-swept row, rotating over rerankSources:
+// what ?rerank=1 adds to a top-k miss.
+func BenchmarkRerank(b *testing.B) {
+	idx := benchIndex(b)
+	ctx := context.Background()
+	rows := make([][]float64, len(rerankSources))
+	for i, q := range rerankSources {
+		var err error
+		if rows[i], err = idx.SingleSource(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opt := &query.TopKOptions{Rerank: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(rerankSources)
+		if _, err := idx.TopKFromScores(ctx, rows[j], rerankSources[j], 10, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestServeRerankAllocSteadyState pins the allocations of a warm
+// ?rerank=1 request: the exact scorer's memo table comes from a pool, so a
+// request allocates its candidate list, its response and the handler's
+// small change — not a table. The source is a hub (vertex 0 of the web
+// graph), whose memo runs to hundreds of entries; building that in a Go map
+// per request, as the scorer once did, costs several times the ceiling.
+func TestServeRerankAllocSteadyState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc counting is disturbed by -short's test interleaving")
+	}
+	srv := benchServer(t)
+	req := httptest.NewRequest(http.MethodGet, "/v1/topk?q=0&k=10&rerank=1", nil)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			panic(fmt.Sprintf("status %d", rec.Code))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		serve()
+	}
+	const ceiling = 64
+	if avg := testing.AllocsPerRun(50, serve); avg > ceiling {
+		t.Errorf("reranked top-k request = %.1f allocs, ceiling %d — did the scorer's table lose its pool?", avg, ceiling)
+	}
+}

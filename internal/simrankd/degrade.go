@@ -2,6 +2,8 @@ package simrankd
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"sync/atomic"
 	"time"
 )
@@ -78,6 +80,7 @@ func (sv *serving) observeRerank(elapsed time.Duration, candidates int) {
 	if candidates <= 0 {
 		return
 	}
+	sv.rerankSeconds.Observe(elapsed)
 	ewmaObserve(&sv.rerankNanosPerCand, elapsed.Nanoseconds()/int64(candidates))
 }
 
@@ -86,6 +89,16 @@ func (sv *serving) observeRerank(elapsed time.Duration, candidates int) {
 // one-time diagonal solve, so the model tracks steady-state query cost.
 func (sv *serving) observeExact(elapsed time.Duration) {
 	ewmaObserve(&sv.exactNanos, elapsed.Nanoseconds())
+}
+
+// writeCostModelMetrics emits the live values the degrade decisions are
+// made from — the two EWMA cells, 0 until their first observation — and the
+// rerank time distribution; the single-node and router /metrics handlers
+// call it.
+func (sv *serving) writeCostModelMetrics(w io.Writer) {
+	fmt.Fprintf(w, "simrankd_rerank_nanos_per_candidate %d\n", sv.rerankNanosPerCand.Load())
+	fmt.Fprintf(w, "simrankd_exact_solve_nanos %d\n", sv.exactNanos.Load())
+	sv.rerankSeconds.WriteProm(w, "simrankd_rerank_seconds")
 }
 
 // shouldDegrade reports whether an exact rerank of `candidates` pool

@@ -284,3 +284,45 @@ func TestEngineMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestCostModelMetrics: the degradation cost model is readable from
+// /metrics on both shapes — the two EWMA cells as gauges, 0 until their
+// first observation, and the rerank time histogram — and moves when a
+// rerank or an exact solve completes.
+func TestCostModelMetrics(t *testing.T) {
+	fl := newRouterFleet(t, 2, Config{Workers: 1}, 0)
+	for name, base := range map[string]string{"single": fl.single.URL, "router": fl.router.URL} {
+		_, body := get(t, base+"/metrics")
+		for _, want := range []string{
+			"simrankd_rerank_nanos_per_candidate 0\n",
+			"simrankd_exact_solve_nanos 0\n",
+			"simrankd_rerank_seconds_count 0\n",
+		} {
+			if !strings.Contains(string(body), want) {
+				t.Errorf("%s before any rerank: metrics missing %q", name, want)
+			}
+		}
+
+		// A plain top-k observes nothing; a reranked one seeds the rerank
+		// cell; the second linearized solve (the first pays the one-time
+		// diagonal and is skipped) seeds the exact cell.
+		get(t, base+"/v1/topk?q=11&k=5")
+		if code, body := get(t, base+"/v1/topk?q=11&k=5&rerank=1"); code != http.StatusOK {
+			t.Fatalf("%s rerank: %d %s", name, code, body)
+		}
+		get(t, base+"/v1/single_source?q=4&engine=linearized")
+		get(t, base+"/v1/single_source?q=5&engine=linearized")
+
+		_, body = get(t, base+"/metrics")
+		for _, gone := range []string{"simrankd_rerank_nanos_per_candidate 0\n", "simrankd_exact_solve_nanos 0\n"} {
+			if strings.Contains(string(body), gone) {
+				t.Errorf("%s after a rerank and a solve: %q did not move", name, strings.TrimSpace(gone))
+			}
+		}
+		for _, want := range []string{"simrankd_rerank_seconds_count 1\n", `simrankd_rerank_seconds_bucket{le="+Inf"} 1` + "\n"} {
+			if !strings.Contains(string(body), want) {
+				t.Errorf("%s after one rerank: metrics missing %q", name, want)
+			}
+		}
+	}
+}

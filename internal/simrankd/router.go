@@ -641,6 +641,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "simrankd_requests_shed_total %d\n", rt.shedTotal.Load())
 	fmt.Fprintf(w, "simrankd_requests_degraded_total %d\n", rt.degradedTotal.Load())
 	rt.writeEngineMetrics(w)
+	rt.writeCostModelMetrics(w)
 	fmt.Fprintf(w, "simrankd_shard_errors_total %d\n", rt.shardErrors.Load())
 	fmt.Fprintf(w, "simrankd_inflight_requests %d\n", rt.inflight.Load())
 	fmt.Fprintf(w, "simrankd_queued_requests %d\n", rt.queued.Load())

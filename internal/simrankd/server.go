@@ -509,6 +509,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "simrankd_requests_shed_total %d\n", s.shedTotal.Load())
 	fmt.Fprintf(w, "simrankd_requests_degraded_total %d\n", s.degradedTotal.Load())
 	s.writeEngineMetrics(w)
+	s.writeCostModelMetrics(w)
 	fmt.Fprintf(w, "simrankd_inflight_requests %d\n", s.inflight.Load())
 	fmt.Fprintf(w, "simrankd_queued_requests %d\n", s.queued.Load())
 	fmt.Fprintf(w, "simrankd_cache_hits_total %d\n", hits)

@@ -51,6 +51,12 @@ type serving struct {
 	// ?engine=linearized requests (see degrade.go).
 	exactNanos atomic.Uint64
 
+	// rerankSeconds is the wall time of every completed exact rerank (one
+	// top-k request, or one chunk of a batch) — the observations the
+	// per-candidate EWMA is folded from, kept as a distribution because the
+	// EWMA hides the hub-heavy tail that deadlines actually meet.
+	rerankSeconds *histogram.Histogram
+
 	// Per-engine request counters for the endpoints that accept ?engine=
 	// (/v1/single_source and /v1/topk), exported on /metrics as
 	// simrankd_engine_requests_total{engine}.
@@ -100,6 +106,7 @@ func (sv *serving) initServing(cfg Config) {
 	}
 	sv.sem = make(chan struct{}, sv.maxInflight)
 	sv.latency = histogram.New(nil)
+	sv.rerankSeconds = histogram.New(nil)
 	sv.encPool.New = func() any { return new(bytes.Buffer) }
 	sv.started = time.Now()
 }

@@ -46,24 +46,15 @@ func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([
 // shared MultiSource traversal; the optional exact rerank runs per source
 // (in parallel across sources, each with its own memo). Every result list
 // is bit-identical to the corresponding independent TopK call, for every
-// worker count. Cancelling ctx abandons the batch — mid-sweep or between
-// rerank candidates — and returns the context's error.
+// worker count. Cancelling ctx abandons the batch — mid-sweep or
+// mid-rerank — and returns the context's error.
 func (ix *Index) TopKBatch(ctx context.Context, sources []int, k int, opt *TopKOptions, workers int) ([][]Ranked, error) {
-	n := ix.wi.N()
 	if err := ix.checkSources(sources); err != nil {
 		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("query: top-k size %d < 1", k)
-	}
-	if k > n-1 {
-		k = n - 1
-	}
-	if opt == nil {
-		opt = &TopKOptions{}
-	}
-	if opt.Rerank && ix.g == nil {
-		return nil, fmt.Errorf("query: rerank needs the source graph (AttachGraph after Load)")
+	k, opt, err := ix.checkTopK(k, opt)
+	if err != nil {
+		return nil, err
 	}
 
 	rows, err := ix.wi.MultiSource(ctx, nil, sources, workers)

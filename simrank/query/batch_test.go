@@ -28,7 +28,7 @@ func TestTopKBatchBitIdenticalToTopK(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, workers := range []int{1, 2, 5} {
+		for _, workers := range []int{1, 2, 5, 8} {
 			got, err := ix.TopKBatch(context.Background(), sources, 7, opt, workers)
 			if err != nil {
 				t.Fatal(err)

@@ -68,6 +68,55 @@ func TestRerankCancellationMidPool(t *testing.T) {
 	}
 }
 
+// TestRerankCancellationMidCandidate: one hub candidate is tens of
+// thousands of memo stores, so the scorer polls the context from inside
+// the recursion (every 2^12 stores) and unwinds. The pool here is a single
+// candidate — two hubs of the serve-zipf graph — so the only poll between
+// candidates is the first one, and a context that dies on a later poll
+// died mid-candidate.
+func TestRerankCancellationMidCandidate(t *testing.T) {
+	g := gen.WebGraph(6000, 11, 1)
+	const q, hub = 23, 33
+	scores := make([]float64, g.NumVertices())
+	scores[hub] = 1
+	opt := &TopKOptions{Rerank: true, Candidates: 1}
+
+	const budget = 1 << 30
+	live := &cancelAfterN{Context: context.Background(), n: budget}
+	if _, err := RankScores(live, g, 0.6, 13, scores, q, 1, opt); err != nil {
+		t.Fatal(err)
+	}
+	if polls := budget - live.n; polls < 4 {
+		t.Fatalf("an uncancelled rerank of (%d,%d) polled %d times, want the one before the candidate and at least three inside it", q, hub, polls)
+	}
+
+	dying := &cancelAfterN{Context: context.Background(), n: 2}
+	if _, err := RankScores(dying, g, 0.6, 13, scores, q, 1, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RankScores with a context dying mid-candidate: err = %v, want context.Canceled", err)
+	}
+	if dying.n != -1 {
+		t.Fatalf("the context was polled %d more times after it reported cancellation", -1-dying.n)
+	}
+
+	// The unwinding is early: the scorer stops within one poll interval of
+	// the cancellation instead of finishing the candidate.
+	full := testScorer(t, g, 0.6, 13, 1e-5)
+	if _, err := full.pair(q, hub); err != nil {
+		t.Fatal(err)
+	}
+	cut, err := newExactScorer(&cancelAfterN{Context: context.Background(), n: 1}, g, 0.6, 13, 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cut.release()
+	if _, err := cut.pair(q, hub); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pair under a context dying at the second poll: err = %v, want context.Canceled", err)
+	}
+	if cut.memo.live > 2*memoCancelEvery || cut.memo.live >= full.memo.live {
+		t.Fatalf("cancelled at the second poll, yet the memo reached %d of %d entries", cut.memo.live, full.memo.live)
+	}
+}
+
 type cancelAfterN struct {
 	context.Context
 	n int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -245,7 +246,7 @@ type TopKOptions struct {
 	// PruneEps stops the exact recursion once a branch's accumulated
 	// weight — its maximum possible contribution to the root score —
 	// falls below it; 0 means 1e-5. Larger values are faster and less
-	// exact.
+	// exact; a negative or NaN value is an error.
 	PruneEps float64
 }
 
@@ -253,30 +254,51 @@ type TopKOptions struct {
 // decreasing score order with ties broken by vertex id. With opt.Rerank
 // the scores are exact truncated SimRank values for the candidate pool;
 // otherwise they are the index estimates. Cancelling ctx abandons the
-// call — during the score sweep or between rerank candidates — and
-// returns the context's error.
+// call — during the score sweep, between rerank candidates or inside one —
+// and returns the context's error.
 func (ix *Index) TopK(ctx context.Context, q, k int, opt *TopKOptions) ([]Ranked, error) {
-	n := ix.wi.N()
-	if q < 0 || q >= n {
+	if n := ix.wi.N(); q < 0 || q >= n {
 		return nil, fmt.Errorf("query: vertex %d out of range [0,%d)", q, n)
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("query: top-k size %d < 1", k)
-	}
-	if k > n-1 {
-		k = n - 1
-	}
-	if opt == nil {
-		opt = &TopKOptions{}
-	}
-	if opt.Rerank && ix.g == nil {
-		return nil, fmt.Errorf("query: rerank needs the source graph (AttachGraph after Load)")
+	k, opt, err := ix.checkTopK(k, opt)
+	if err != nil {
+		return nil, err
 	}
 	scores, err := ix.wi.SingleSource(ctx, q, nil)
 	if err != nil {
 		return nil, err
 	}
 	return ix.rankFromScores(ctx, scores, q, k, opt)
+}
+
+// checkTopK is the argument validation TopK, TopKFromScores and TopKBatch
+// share: k at least 1 and clamped to n-1, nil options defaulted, option
+// values in range, and a graph attached when a rerank is asked for.
+func (ix *Index) checkTopK(k int, opt *TopKOptions) (int, *TopKOptions, error) {
+	if k < 1 {
+		return 0, nil, fmt.Errorf("query: top-k size %d < 1", k)
+	}
+	k = min(k, ix.wi.N()-1)
+	if opt == nil {
+		opt = &TopKOptions{}
+	}
+	if err := opt.validate(); err != nil {
+		return 0, nil, err
+	}
+	if opt.Rerank && ix.g == nil {
+		return 0, nil, fmt.Errorf("query: rerank needs the source graph (AttachGraph after Load)")
+	}
+	return k, opt, nil
+}
+
+// validate rejects option values no rerank can honour. A negative or NaN
+// PruneEps would make "weight < PruneEps" never true and silently turn the
+// pruned recursion into the full exponential expansion.
+func (opt *TopKOptions) validate() error {
+	if opt.PruneEps < 0 || math.IsNaN(opt.PruneEps) {
+		return fmt.Errorf("query: PruneEps %v is negative or NaN", opt.PruneEps)
+	}
+	return nil
 }
 
 // TopKFromScores finishes a TopK query from an already-computed dense
@@ -294,17 +316,9 @@ func (ix *Index) TopKFromScores(ctx context.Context, scores []float64, q, k int,
 	if q < 0 || q >= n {
 		return nil, fmt.Errorf("query: vertex %d out of range [0,%d)", q, n)
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("query: top-k size %d < 1", k)
-	}
-	if k > n-1 {
-		k = n - 1
-	}
-	if opt == nil {
-		opt = &TopKOptions{}
-	}
-	if opt.Rerank && ix.g == nil {
-		return nil, fmt.Errorf("query: rerank needs the source graph (AttachGraph after Load)")
+	k, opt, err := ix.checkTopK(k, opt)
+	if err != nil {
+		return nil, err
 	}
 	return ix.rankFromScores(ctx, scores, q, k, opt)
 }
@@ -338,10 +352,8 @@ func RerankPool(n, k, candidates int) int {
 // candidate selection by estimated score, then the optional exact rerank.
 // TopK and TopKBatch both end here — sharing the code is what makes the
 // batched path bit-identical to independent calls by construction. Callers
-// validate q/k/opt (k already clamped to at most n-1) and, when reranking,
-// an attached graph. The only error source is ctx: the rerank polls it
-// between candidates (each exact pair score is expensive enough to check
-// every time) and abandons the call with the context's error.
+// validate q/k/opt with checkTopK; what is left to fail is ctx, which the
+// rerank polls between candidates and inside them (see exact.go).
 func (ix *Index) rankFromScores(ctx context.Context, scores []float64, q, k int, opt *TopKOptions) ([]Ranked, error) {
 	return RankScores(ctx, ix.g, ix.wi.C(), ix.wi.Horizon(), scores, q, k, opt)
 }
@@ -358,21 +370,20 @@ func (ix *Index) rankFromScores(ctx context.Context, scores []float64, q, k int,
 //
 // Callers validate q/k (k already clamped to at most n-1) and, when
 // opt.Rerank is set, pass the non-nil graph the scores were computed
-// against. The only error source is ctx cancellation.
+// against. The errors are an option value out of range (see TopKOptions),
+// a graph or horizon beyond what the exact scorer's memo keys hold, and
+// ctx cancellation.
 func RankScores(ctx context.Context, g *graph.Graph, c float64, horizon int, scores []float64, q, k int, opt *TopKOptions) ([]Ranked, error) {
 	n := len(scores)
 	if opt == nil {
 		opt = &TopKOptions{}
 	}
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	pool := k
 	if opt.Rerank {
-		pool = opt.Candidates
-		if pool <= 0 {
-			pool = max(4*k, k+16)
-		}
-		if pool > n-1 {
-			pool = n - 1
-		}
+		pool = RerankPool(n, k, opt.Candidates)
 	}
 	cands := topByScore(scores, q, pool)
 
@@ -381,18 +392,24 @@ func RankScores(ctx context.Context, g *graph.Graph, c float64, horizon int, sco
 		if pruneEps == 0 {
 			pruneEps = 1e-5
 		}
-		// A fresh scorer per call: the memo's weight-bounded reuse is
-		// accuracy-preserving but not bit-stable across visiting orders, so
-		// sharing one scorer across a batch could (harmlessly but
-		// detectably) perturb scores. Independent memos keep the batch
-		// bit-identical to independent TopK calls.
-		ex := newExactScorer(g, c, horizon, pruneEps)
+		// One memo per call, never shared between calls: its weight-bounded
+		// reuse is accuracy-preserving but not bit-stable across visiting
+		// orders, so a memo that outlived the call would make a score depend
+		// on what was asked before it. What is pooled is the table's memory,
+		// not its contents.
+		ex, err := newExactScorer(ctx, g, c, horizon, pruneEps)
+		if err != nil {
+			return nil, err
+		}
+		defer ex.release()
 		check := par.NewCancelChecker(ctx, 1)
 		for i := range cands {
 			if err := check.Stop(); err != nil {
 				return nil, err
 			}
-			cands[i].Score = ex.pair(q, cands[i].Vertex)
+			if cands[i].Score, err = ex.pair(q, cands[i].Vertex); err != nil {
+				return nil, err
+			}
 		}
 		sort.SliceStable(cands, func(i, j int) bool {
 			if cands[i].Score != cands[j].Score {

@@ -104,10 +104,10 @@ func TestExactScorerMatchesBatch(t *testing.T) {
 	g := gen.WebGraph(60, 5, 55)
 	const c, k = 0.6, 8
 	exact := exactScores(t, g, c, k)
-	ex := newExactScorer(g, c, k, 1e-15)
+	ex := testScorer(t, g, c, k, 1e-15)
 	for a := 0; a < 60; a += 5 {
 		for b := 0; b < 60; b += 7 {
-			got := ex.pair(a, b)
+			got, _ := ex.pair(a, b)
 			want := exact.Score(a, b)
 			if math.Abs(got-want) > 1e-8 {
 				t.Fatalf("exactScorer(%d,%d) = %.12f, batch = %.12f", a, b, got, want)
@@ -121,11 +121,12 @@ func TestExactScorerMatchesBatch(t *testing.T) {
 func TestExactScorerPruning(t *testing.T) {
 	g := gen.WebGraph(60, 5, 56)
 	const c, k = 0.6, 10
-	full := newExactScorer(g, c, k, 1e-15)
-	def := newExactScorer(g, c, k, 1e-5) // the TopK default
+	full := testScorer(t, g, c, k, 1e-15)
+	def := testScorer(t, g, c, k, 1e-5) // the TopK default
 	for a := 0; a < 60; a += 9 {
 		for b := 0; b < 60; b += 4 {
-			f, d := full.pair(a, b), def.pair(a, b)
+			f, _ := full.pair(a, b)
+			d, _ := def.pair(a, b)
 			// Pruning only removes non-negative contribution mass.
 			if d > f+1e-12 {
 				t.Fatalf("pruned s(%d,%d) = %.9f exceeds unpruned %.9f", a, b, d, f)
