@@ -6,16 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
+	"oipsr/internal/par"
 	"oipsr/simrank/query"
 )
 
-// Batched serving: POST /v1/batch answers many sources in one request
-// through the shared-traversal MultiSource/TopKBatch path of simrank/query,
-// streaming one NDJSON line per source; POST /v1/join serves the all-pairs
-// top-k similarity join.
+// Batched serving: POST /v1/batch answers many sources in one request,
+// fetching the missed rows a chunk at a time from the row source (one
+// shared traversal locally, one scatter over a fleet) and streaming one
+// NDJSON line per source; POST /v1/join serves the all-pairs top-k
+// similarity join.
 //
 // Batch lines are byte-identical to the corresponding single-endpoint
 // responses and share their cache entries (same generation-aware keys), so
@@ -137,16 +138,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "batch of %d sources exceeds the %d limit", len(req.Sources), s.maxBatch)
 		return
 	}
-	if mode == "single_source" && req.Min == nil {
-		s.mu.RLock()
-		n := s.idx.N()
-		s.mu.RUnlock()
-		if int64(len(req.Sources))*int64(n) > maxDenseBatchScores {
-			s.writeError(w, http.StatusBadRequest,
-				"dense batch of %d sources on %d vertices exceeds %d total scores; pass \"min\" or split the batch",
-				len(req.Sources), n, maxDenseBatchScores)
-			return
-		}
+	if mode == "single_source" && req.Min == nil && int64(len(req.Sources))*int64(s.n) > maxDenseBatchScores {
+		s.writeError(w, http.StatusBadRequest,
+			"dense batch of %d sources on %d vertices exceeds %d total scores; pass \"min\" or split the batch",
+			len(req.Sources), s.n, maxDenseBatchScores)
+		return
 	}
 	s.batchItems.Add(int64(len(req.Sources)))
 
@@ -154,8 +150,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// streaming: a slow client must not block /v1/edges.
 	lines, itemErrors, degraded, err := s.computeBatchLines(r.Context(), &req, mode)
 	if err != nil {
-		// The only error sources are the context (deadline, drain) and
-		// encoding; writeQueryError maps the former, 500 covers the rest.
+		// The error sources are the context (deadline, drain), a rerank
+		// without a graph, and encoding; writeQueryError maps the first, 500
+		// covers the rest.
 		s.writeQueryError(w, err, http.StatusInternalServerError)
 		return
 	}
@@ -170,20 +167,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // computeBatchLines resolves a validated batch request into one response
 // line per source: per-item validation, cache lookups, one shared-traversal
-// call per chunk for the misses, and cache fills. It holds the read lock
-// for the whole computation so every line reflects one index generation.
-// degraded reports that at least one chunk was served raw estimates
-// because the remaining deadline could not afford its exact rerank.
+// (or one scatter) per chunk for the misses, and cache fills. It holds the
+// read lock for the whole computation so every line reflects one
+// generation. degraded reports that at least one chunk was not what was
+// asked for: raw estimates because the remaining deadline could not afford
+// its exact rerank, or rows missing a vertex range.
 func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode string) (lines [][]byte, itemErrors int64, degraded bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
-	gen := s.idx.Generation()
-	n := s.idx.N()
+	tag := s.src.genTag()
 	sparse := req.Min != nil
 	var minVal float64
 	if sparse {
 		minVal = *req.Min
+	}
+	// The key of an item's line, shared with the single endpoints; "" for
+	// the dense single_source form, which is O(n) bytes and stays out of
+	// the cache there too.
+	keyOf := func(q int) string {
+		switch {
+		case mode == "topk":
+			return topKCacheKey(tag, q, req.K, req.Rerank)
+		case sparse:
+			return ssCacheKey(tag, q, minVal)
+		}
+		return ""
 	}
 
 	lines = make([][]byte, len(req.Sources))
@@ -193,8 +202,8 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 	missSlot := make(map[int]int)
 	var miss []int
 	for i, q := range req.Sources {
-		if q < 0 || q >= n {
-			line, merr := s.marshalBody(batchItemError{Source: q, Error: fmt.Sprintf("query: vertex %d out of range [0,%d)", q, n)})
+		if q < 0 || q >= s.n {
+			line, merr := s.marshalBody(batchItemError{Source: q, Error: fmt.Sprintf("query: vertex %d out of range [0,%d)", q, s.n)})
 			if merr != nil {
 				return nil, 0, false, merr
 			}
@@ -202,14 +211,7 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 			itemErrors++
 			continue
 		}
-		var key string
-		cacheable := mode == "topk" || sparse
-		if cacheable {
-			if mode == "topk" {
-				key = topKCacheKey(gen, q, req.K, req.Rerank)
-			} else {
-				key = ssCacheKey(gen, q, minVal)
-			}
+		if key := keyOf(q); key != "" {
 			if body, ok := s.cache.Get(key); ok {
 				lines[i] = body
 				continue
@@ -224,64 +226,57 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 		return lines, itemErrors, false, nil
 	}
 
-	// Misses run through the shared traversal in chunks: MultiSource holds
-	// one dense float64 row per source, so an unchunked batch on a large
-	// graph would pin len(miss)*n*8 bytes at once. Each chunk's rows are
-	// released before the next starts; per-source results are unaffected
-	// (every row is independent of which batch it was computed in).
+	// Misses are fetched in chunks: a chunk holds one dense float64 row per
+	// source, so an unchunked batch on a large graph would pin
+	// len(miss)*n*8 bytes at once. Each chunk's rows are released before
+	// the next starts; per-source results are unaffected (every row is
+	// independent of which batch it was computed in).
 	bodies := make([][]byte, len(miss))
-	chunk := batchChunk(n)
+	chunk := batchChunk(s.n)
 	for lo := 0; lo < len(miss); lo += chunk {
 		hi := min(lo+chunk, len(miss))
-		switch mode {
-		case "topk":
-			// The degrade decision is per chunk: the rerank budget check
-			// sees the whole chunk's candidate volume against the remaining
-			// deadline, so a batch that starts exact can finish degraded as
-			// the budget drains — each line honestly marked.
-			useRerank := req.Rerank
-			pool := s.idx.RerankPoolSize(req.K, 0)
-			chunkDegraded := useRerank && s.shouldDegrade(ctx, pool*(hi-lo))
-			if chunkDegraded {
-				useRerank = false
-				degraded = true
+		rows, chunkDegraded, rerr := s.src.rows(ctx, miss[lo:hi], nil)
+		if rerr != nil {
+			return nil, 0, false, rerr
+		}
+		var results [][]query.Ranked
+		useRerank := false
+		if mode == "topk" {
+			// The degrade decision is per chunk, by the rules of /v1/topk:
+			// rows missing a range disable the rerank outright, and the
+			// budget check sees the whole chunk's candidate volume against
+			// the remaining deadline — so a batch that starts exact can
+			// finish degraded as the budget drains, each line honestly
+			// marked.
+			useRerank = req.Rerank && !chunkDegraded
+			pool := query.RerankPool(s.n, req.K, 0) * (hi - lo)
+			if useRerank && s.shouldDegrade(ctx, pool) {
+				useRerank, chunkDegraded = false, true
 			}
 			t1 := time.Now()
-			results, berr := s.idx.TopKBatch(ctx, miss[lo:hi], req.K, &query.TopKOptions{Rerank: useRerank}, s.workers)
-			if berr != nil {
-				return nil, 0, false, berr
+			if results, err = s.rankRows(ctx, rows, miss[lo:hi], req.K, useRerank); err != nil {
+				return nil, 0, false, err
 			}
 			if useRerank {
-				s.observeRerank(time.Since(t1), pool*(hi-lo))
-			}
-			for j, q := range miss[lo:hi] {
-				body, berr := s.topKBody(q, req.K, useRerank, chunkDegraded, results[j])
-				if berr != nil {
-					return nil, 0, false, berr
-				}
-				bodies[lo+j] = body
-				if !chunkDegraded {
-					s.cache.Put(topKCacheKey(gen, q, req.K, req.Rerank), body)
-				}
-			}
-		case "single_source":
-			rows, berr := s.idx.MultiSource(ctx, miss[lo:hi], s.workers)
-			if berr != nil {
-				return nil, 0, false, berr
-			}
-			for j, q := range miss[lo:hi] {
-				body, berr := s.singleSourceBody(q, rows[j], sparse, minVal, false)
-				if berr != nil {
-					return nil, 0, false, berr
-				}
-				bodies[lo+j] = body
-				if sparse {
-					// The same policy as /v1/single_source: dense rows are
-					// O(n) bytes and stay out of the cache.
-					s.cache.Put(ssCacheKey(gen, q, minVal), body)
-				}
+				s.observeRerank(time.Since(t1), pool)
 			}
 		}
+		for j, q := range miss[lo:hi] {
+			var body []byte
+			if mode == "topk" {
+				body, err = s.topKBody(q, req.K, useRerank, chunkDegraded, results[j])
+			} else {
+				body, err = s.singleSourceBody(q, rows[j], sparse, minVal, chunkDegraded)
+			}
+			if err != nil {
+				return nil, 0, false, err
+			}
+			bodies[lo+j] = body
+			if key := keyOf(q); key != "" && !chunkDegraded {
+				s.cache.Put(key, body)
+			}
+		}
+		degraded = degraded || chunkDegraded
 	}
 	for i, q := range req.Sources {
 		if lines[i] == nil {
@@ -289,6 +284,27 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 		}
 	}
 	return lines, itemErrors, degraded, nil
+}
+
+// rankRows ranks one chunk's rows, in parallel across sources over the
+// configured workers: rows are independent and every rerank has its own
+// memo, so the results are bit-identical for every worker count.
+func (s *Server) rankRows(ctx context.Context, rows [][]float64, sources []int, k int, rerank bool) ([][]query.Ranked, error) {
+	out := make([][]query.Ranked, len(rows))
+	parts := par.ResolveMax(s.workers, len(rows))
+	errs := make([]error, parts)
+	par.Do(parts, func(w int) {
+		lo, hi := par.Range(len(rows), parts, w)
+		for i := lo; i < hi && errs[w] == nil; i++ {
+			out[i], errs[w] = s.rank(ctx, rows[i], sources[i], k, rerank)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 type joinRequest struct {
@@ -301,8 +317,8 @@ type joinResponse struct {
 	K         int              `json:"k"`
 	Threshold float64          `json:"threshold"`
 	Pairs     []query.JoinPair `json:"pairs"`
-	// Degraded marks a router-merged join missing at least one backend's
-	// candidates or scores. The single-node daemon never sets it.
+	// Degraded marks a fleet-merged join missing at least one backend's
+	// candidates or scores. A local index never sets it.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -331,13 +347,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	key := fmt.Sprintf("g%d:join:%d:%s:%d", s.idx.Generation(), req.K,
-		strconv.FormatFloat(req.Threshold, 'g', -1, 64), maxCand)
-	if body, ok := s.cache.Get(key); ok {
-		writeJSONBytes(w, body)
+	key := joinCacheKey(s.src.genTag(), req.K, req.Threshold, maxCand)
+	if s.cached(w, key) {
 		return
 	}
-	pairs, err := s.idx.Join(r.Context(), req.K, req.Threshold, &query.JoinOptions{MaxCandidates: maxCand, Workers: s.workers})
+	pairs, degraded, err := s.src.join(r.Context(), req.K, req.Threshold, maxCand)
 	if err != nil {
 		// A too-dense join is the client's to fix (raise the threshold or
 		// lower k); so are out-of-range parameters. Context errors map to
@@ -345,19 +359,15 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	body, err := s.marshalBody(joinResponse{K: req.K, Threshold: req.Threshold, Pairs: pairs})
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
+	body, err := s.marshalBody(joinResponse{K: req.K, Threshold: req.Threshold, Pairs: pairs, Degraded: degraded})
 	// The LRU is entry-count bounded, so only modest bodies may enter it —
 	// the same reasoning that keeps dense single-source rows out. A join
 	// with a large k can legitimately return megabytes; serve it, don't
 	// cache it.
-	if len(body) <= maxCachedJoinBody {
-		s.cache.Put(key, body)
+	if len(body) > maxCachedJoinBody {
+		key = ""
 	}
-	writeJSONBytes(w, body)
+	s.writeBody(w, key, degraded, body, err)
 }
 
 // maxCachedJoinBody bounds the join response bodies admitted to the LRU

@@ -186,7 +186,7 @@ func TestBatchGenerationAwareness(t *testing.T) {
 		t.Fatalf("edges status %d: %s", code, body)
 	}
 	_, after := postJSON(t, ts.URL+"/v1/batch", req)
-	want, err := srv.idx.TopK(context.Background(), 8, 5, &query.TopKOptions{})
+	want, err := idx.TopK(context.Background(), 8, 5, &query.TopKOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestJoinEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	want, err := srv.idx.Join(context.Background(), 8, 0.05, &query.JoinOptions{MaxCandidates: srv.joinMaxCand, Workers: 2})
+	want, err := idx.Join(context.Background(), 8, 0.05, &query.JoinOptions{MaxCandidates: srv.joinMaxCand, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

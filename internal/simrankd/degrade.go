@@ -93,8 +93,7 @@ func (sv *serving) observeExact(elapsed time.Duration) {
 
 // writeCostModelMetrics emits the live values the degrade decisions are
 // made from — the two EWMA cells, 0 until their first observation — and the
-// rerank time distribution; the single-node and router /metrics handlers
-// call it.
+// rerank time distribution.
 func (sv *serving) writeCostModelMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_rerank_nanos_per_candidate %d\n", sv.rerankNanosPerCand.Load())
 	fmt.Fprintf(w, "simrankd_exact_solve_nanos %d\n", sv.exactNanos.Load())

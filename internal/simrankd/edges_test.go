@@ -279,78 +279,81 @@ func TestEdgesValidation(t *testing.T) {
 // TestMethodNotAllowed: /v1 endpoints answer 405 (with Allow) for methods
 // they don't serve, instead of silently handling them.
 func TestMethodNotAllowed(t *testing.T) {
-	_, idx := testIndex(t)
-	ts := httptest.NewServer(newServer(idx, 16, 1))
-	defer ts.Close()
+	forEachBackend(t, func(t *testing.T, kind string) {
+		ts := httptest.NewServer(smallBackend(t, kind, Config{CacheSize: 16, Workers: 1}))
+		defer ts.Close()
 
-	check := func(method, path, wantAllow string) {
-		t.Helper()
-		req, err := http.NewRequest(method, ts.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
+		check := func(method, path, wantAllow string) {
+			t.Helper()
+			req, err := http.NewRequest(method, ts.URL+path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s: status %d, want 405 (body %s)", method, path, resp.StatusCode, body)
+			}
+			if got := resp.Header.Get("Allow"); got != wantAllow {
+				t.Errorf("%s %s: Allow = %q, want %q", method, path, got, wantAllow)
+			}
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("%s %s: status %d, want 405 (body %s)", method, path, resp.StatusCode, body)
-		}
-		if got := resp.Header.Get("Allow"); got != wantAllow {
-			t.Errorf("%s %s: Allow = %q, want %q", method, path, got, wantAllow)
-		}
-	}
-	check(http.MethodDelete, "/v1/topk?q=1", "GET, POST")
-	check(http.MethodPut, "/v1/single_source?q=1", "GET, POST")
-	check(http.MethodGet, "/v1/edges", "POST")
-	check(http.MethodDelete, "/v1/edges", "POST")
+		check(http.MethodDelete, "/v1/topk?q=1", "GET, POST")
+		check(http.MethodPut, "/v1/single_source?q=1", "GET, POST")
+		check(http.MethodGet, "/v1/edges", "POST")
+		check(http.MethodDelete, "/v1/edges", "POST")
+	})
 }
 
 // TestMinCacheKeyCanonical: equivalent spellings of min must share one
 // cache entry, keyed on the parsed value.
 func TestMinCacheKeyCanonical(t *testing.T) {
-	_, idx := testIndex(t)
-	srv := newServer(idx, 64, 1)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	forEachBackend(t, func(t *testing.T, kind string) {
+		srv := smallBackend(t, kind, Config{CacheSize: 64, Workers: 1})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
 
-	var bodies [][]byte
-	for _, m := range []string{"0.01", "0.010", "1e-2"} {
-		code, body := get(t, ts.URL+"/v1/single_source?q=3&min="+m)
-		if code != http.StatusOK {
-			t.Fatalf("min=%s: status %d", m, code)
+		var bodies [][]byte
+		for _, m := range []string{"0.01", "0.010", "1e-2"} {
+			code, body := get(t, ts.URL+"/v1/single_source?q=3&min="+m)
+			if code != http.StatusOK {
+				t.Fatalf("min=%s: status %d", m, code)
+			}
+			bodies = append(bodies, body)
 		}
-		bodies = append(bodies, body)
-	}
-	for i := 1; i < len(bodies); i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Fatal("equivalent min spellings returned different bodies")
+		for i := 1; i < len(bodies); i++ {
+			if !bytes.Equal(bodies[0], bodies[i]) {
+				t.Fatal("equivalent min spellings returned different bodies")
+			}
 		}
-	}
-	hits, misses := srv.cache.Stats()
-	if misses != 1 || hits != 2 {
-		t.Fatalf("cache stats hits=%d misses=%d, want 2 hits / 1 miss for three equivalent spellings", hits, misses)
-	}
+		hits, misses := srv.cache.Stats()
+		if misses != 1 || hits != 2 {
+			t.Fatalf("cache stats hits=%d misses=%d, want 2 hits / 1 miss for three equivalent spellings", hits, misses)
+		}
+	})
 }
 
 // TestErrorPathsCountLatency: 4xx responses contribute latency samples
 // (the pre-fix code only counted successes, skewing the average).
 func TestErrorPathsCountLatency(t *testing.T) {
-	_, idx := testIndex(t)
-	srv := newServer(idx, 16, 1)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	forEachBackend(t, func(t *testing.T, kind string) {
+		srv := smallBackend(t, kind, Config{CacheSize: 16, Workers: 1})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
 
-	get(t, ts.URL+"/v1/topk")              // 400: missing q
-	get(t, ts.URL+"/v1/single_source?q=x") // 400: bad q
-	postJSON(t, ts.URL+"/v1/edges", `bad`) // 400: bad body
-	if n := srv.latency.Count(); n != 3 {
-		t.Fatalf("latency samples = %d after 3 error responses, want 3", n)
-	}
-	get(t, ts.URL+"/v1/topk?q=1&k=3")
-	if n := srv.latency.Count(); n != 4 {
-		t.Fatalf("latency samples = %d after a success, want 4", n)
-	}
+		get(t, ts.URL+"/v1/topk")              // 400: missing q
+		get(t, ts.URL+"/v1/single_source?q=x") // 400: bad q
+		postJSON(t, ts.URL+"/v1/edges", `bad`) // 400: bad body
+		if n := srv.latency.Count(); n != 3 {
+			t.Fatalf("latency samples = %d after 3 error responses, want 3", n)
+		}
+		get(t, ts.URL+"/v1/topk?q=1&k=3")
+		if n := srv.latency.Count(); n != 4 {
+			t.Fatalf("latency samples = %d after a success, want 4", n)
+		}
+	})
 }

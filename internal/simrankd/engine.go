@@ -4,13 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
-	"sync"
 	"time"
-
-	"oipsr/graph"
-	"oipsr/internal/linsr"
-	"oipsr/simrank/query"
 )
 
 // The engine seam: /v1/single_source and /v1/topk accept ?engine= to pick
@@ -24,12 +18,11 @@ import (
 //     to query.ExactTol, deterministic, and independent of the index seed.
 //
 // The engine choice is folded into the response-cache key (distinct "lss"/
-// "etopk" key families, so walk and exact bodies can never collide), an
-// unknown value is a 400 before any work happens, and a linearized request
-// whose remaining deadline cannot afford the exact solve degrades to the
-// walk estimates by the same cost-model rules as rerank starvation (see
-// degrade.go). /v1/batch and /v1/join are walk-only and reject an explicit
-// non-walk engine.
+// "etopk" key families, see server.go), an unknown value is a 400 before
+// any work happens, and a linearized request whose remaining deadline
+// cannot afford the exact solve degrades to the walk estimates by the same
+// cost-model rules as rerank starvation (see degrade.go). /v1/batch and
+// /v1/join are walk-only and reject an explicit non-walk engine.
 
 // engineWalk and engineLinearized are the values of the ?engine= query
 // parameter.
@@ -61,13 +54,6 @@ func (sv *serving) countEngine(eng string) {
 	}
 }
 
-// writeEngineMetrics emits the simrankd_engine_requests_total lines; both
-// the single-node and router /metrics handlers call it.
-func (sv *serving) writeEngineMetrics(w http.ResponseWriter) {
-	fmt.Fprintf(w, "simrankd_engine_requests_total{engine=\"walk\"} %d\n", sv.engineWalkTotal.Load())
-	fmt.Fprintf(w, "simrankd_engine_requests_total{engine=\"linearized\"} %d\n", sv.engineLinTotal.Load())
-}
-
 // requireWalkEngine rejects an explicit non-walk ?engine= on the endpoints
 // that only serve walk estimates (/v1/batch, /v1/join). Returns false
 // after answering the request.
@@ -84,292 +70,70 @@ func (sv *serving) requireWalkEngine(w http.ResponseWriter, r *http.Request) boo
 	return true
 }
 
-// lssCacheKey and etopkCacheKey are the linearized-engine versions of
-// ssCacheKey and topKCacheKey. etopk has no rerank component: exact scores
-// need no rerank, so there is only one response shape per (q, k).
-func lssCacheKey(gen uint64, q int, min float64) string {
-	return fmt.Sprintf("g%d:lss:%d:%s", gen, q, strconv.FormatFloat(min, 'g', -1, 64))
+// exactOrWalkRow is the row behind an engine=linearized request: row q of
+// the converged SimRank matrix from the source's linearized solver, or —
+// when the remaining deadline cannot afford the solve — the walk estimates,
+// marked degraded. Callers hold mu.RLock and pass a scorePool row.
+func (s *Server) exactOrWalkRow(ctx context.Context, q int, buf []float64) (row []float64, degraded bool, err error) {
+	if s.shouldDegradeExact(ctx) {
+		// A range missing from the estimates changes nothing here: the
+		// answer is marked degraded and kept out of the cache either way.
+		row, _, err = s.walkRow(ctx, q, buf)
+		return row, true, err
+	}
+	t1 := time.Now()
+	row, steady, err := s.src.exactRow(ctx, q, buf)
+	if err == nil && steady {
+		// A call that also paid the one-time diagonal solve stays out of
+		// the per-query cost model.
+		s.observeExact(time.Since(t1))
+	}
+	return row, false, err
 }
 
-func etopkCacheKey(gen uint64, q, k int) string {
-	return fmt.Sprintf("g%d:etopk:%d:%d", gen, q, k)
-}
-
-func rtLSSKey(tag string, q int, min float64) string {
-	return fmt.Sprintf("g%s:lss:%d:%s", tag, q, strconv.FormatFloat(min, 'g', -1, 64))
-}
-
-func rtETopKKey(tag string, q, k int) string {
-	return fmt.Sprintf("g%s:etopk:%d:%d", tag, q, k)
-}
-
-// serveSingleSourceExact answers /v1/single_source?engine=linearized: row
-// q of the converged SimRank matrix via the index's shared linearized
-// solver, falling back to the walk estimates (marked degraded, never
-// cached) when the remaining deadline cannot afford the exact solve.
+// serveSingleSourceExact answers /v1/single_source?engine=linearized.
 // Callers hold mu.RLock.
 func (s *Server) serveSingleSourceExact(w http.ResponseWriter, r *http.Request, q int, sparse bool, minVal float64) {
 	// The same caching policy as the walk path: dense rows are O(n) bytes
 	// and stay out of the LRU, only the thresholded form is memoized.
-	cacheable := sparse
 	var key string
-	if cacheable {
-		key = lssCacheKey(s.idx.Generation(), q, minVal)
-		if body, ok := s.cache.Get(key); ok {
-			writeJSONBytes(w, body)
+	if sparse {
+		key = lssCacheKey(s.src.genTag(), q, minVal)
+		if s.cached(w, key) {
 			return
 		}
 	}
 	buf := s.scorePool.Get().(*[]float64)
 	defer s.scorePool.Put(buf)
-	if s.shouldDegradeExact(r.Context()) {
-		scores, err := s.idx.SingleSourceInto(r.Context(), q, *buf)
-		if err != nil {
-			s.writeQueryError(w, err, http.StatusBadRequest)
-			return
-		}
-		body, err := s.singleSourceBody(q, scores, sparse, minVal, true)
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-			return
-		}
-		s.degradedTotal.Add(1)
-		w.Header().Set("X-Simrank-Degraded", "true")
-		writeJSONBytes(w, body)
-		return
-	}
-	_, prebuilt := s.idx.ExactStats()
-	t1 := time.Now()
-	scores, err := s.idx.ExactSingleSource(r.Context(), q, *buf)
+	row, degraded, err := s.exactOrWalkRow(r.Context(), q, *buf)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	if prebuilt {
-		// The first call also pays the one-time diagonal solve; only
-		// steady-state queries feed the per-query cost model.
-		s.observeExact(time.Since(t1))
-	}
-	body, err := s.singleSourceBody(q, scores, sparse, minVal, false)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	if cacheable {
-		s.cache.Put(key, body)
-	}
-	writeJSONBytes(w, body)
+	body, err := s.singleSourceBody(q, row, sparse, minVal, degraded)
+	s.writeBody(w, key, degraded, body, err)
 }
 
 // serveTopKExact answers /v1/topk?engine=linearized: the exact row ranked
-// without any rerank step (the scores are already exact), with the same
-// degrade-to-walk fallback as the exact single-source path. Callers hold
+// without any rerank step (the scores are already exact). Callers hold
 // mu.RLock.
 func (s *Server) serveTopKExact(w http.ResponseWriter, r *http.Request, q, k int) {
-	key := etopkCacheKey(s.idx.Generation(), q, k)
-	if body, ok := s.cache.Get(key); ok {
-		writeJSONBytes(w, body)
+	key := etopkCacheKey(s.src.genTag(), q, k)
+	if s.cached(w, key) {
 		return
 	}
 	buf := s.scorePool.Get().(*[]float64)
 	defer s.scorePool.Put(buf)
-	if s.shouldDegradeExact(r.Context()) {
-		scores, err := s.idx.SingleSourceInto(r.Context(), q, *buf)
-		if err != nil {
-			s.writeQueryError(w, err, http.StatusBadRequest)
-			return
-		}
-		results, err := s.idx.TopKFromScores(r.Context(), scores, q, k, &query.TopKOptions{})
-		if err != nil {
-			s.writeQueryError(w, err, http.StatusBadRequest)
-			return
-		}
-		body, err := s.topKBody(q, k, false, true, results)
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-			return
-		}
-		s.degradedTotal.Add(1)
-		w.Header().Set("X-Simrank-Degraded", "true")
-		writeJSONBytes(w, body)
-		return
-	}
-	_, prebuilt := s.idx.ExactStats()
-	t1 := time.Now()
-	scores, err := s.idx.ExactSingleSource(r.Context(), q, *buf)
+	row, degraded, err := s.exactOrWalkRow(r.Context(), q, *buf)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	if prebuilt {
-		s.observeExact(time.Since(t1))
-	}
-	results, err := s.idx.TopKFromScores(r.Context(), scores, q, k, &query.TopKOptions{})
+	results, err := s.rank(r.Context(), row, q, k, false)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	body, err := s.topKBody(q, k, false, false, results)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	s.cache.Put(key, body)
-	writeJSONBytes(w, body)
-}
-
-// routerExact lazily holds the linearized solver behind the router's
-// ?engine=linearized queries. The router keeps the full graph for exact
-// reranking, so it can solve linearized queries locally — no scatter leg
-// involved. The solver is keyed by the graph pointer (every applied edit
-// batch replaces rt.g); the mutex serializes concurrent first builds, and
-// a built solver is immutable and shared.
-type routerExact struct {
-	mu      sync.Mutex
-	g       *graph.Graph
-	solver  *linsr.Solver
-	scratch *sync.Pool // of *linsr.Scratch for the cached solver
-}
-
-// exactSolver returns the linearized solver for the router's current
-// graph, building it when missing or stale. built reports that this call
-// performed the diagonal solve (so its latency is kept out of the
-// per-query cost model). Callers hold mu.RLock, which keeps rt.g stable.
-func (rt *Router) exactSolver(ctx context.Context) (sol *linsr.Solver, scratch *sync.Pool, built bool, err error) {
-	g := rt.g
-	rt.exact.mu.Lock()
-	defer rt.exact.mu.Unlock()
-	if rt.exact.solver != nil && rt.exact.g == g {
-		return rt.exact.solver, rt.exact.scratch, false, nil
-	}
-	sol, err = linsr.New(ctx, g, linsr.Options{C: rt.c, Tol: query.ExactTol})
-	if err != nil {
-		return nil, nil, false, err
-	}
-	rt.exact.solver = sol
-	rt.exact.scratch = &sync.Pool{New: func() any { return sol.NewScratch() }}
-	rt.exact.g = g
-	return sol, rt.exact.scratch, true, nil
-}
-
-// serveSingleSourceExact is the router's /v1/single_source?engine=linearized
-// path: a local solve over the router's graph. When the deadline budget
-// cannot afford it, the walk estimates are one scatter away — the same
-// fallback shape as everywhere else. Callers hold mu.RLock.
-func (rt *Router) serveSingleSourceExact(w http.ResponseWriter, r *http.Request, q int, sparse bool, minVal float64) {
-	cacheable := sparse
-	var key string
-	if cacheable {
-		key = rtLSSKey(rt.genTagLocked(), q, minVal)
-		if body, ok := rt.cache.Get(key); ok {
-			writeJSONBytes(w, body)
-			return
-		}
-	}
-	if rt.shouldDegradeExact(r.Context()) {
-		rows := [][]float64{make([]float64, rt.n)}
-		if _, err := rt.scatterScores(r.Context(), []int{q}, rows); err != nil {
-			rt.writeQueryError(w, err, http.StatusBadRequest)
-			return
-		}
-		body, err := rt.singleSourceBody(q, rows[0], sparse, minVal, true)
-		if err != nil {
-			rt.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-			return
-		}
-		rt.degradedTotal.Add(1)
-		w.Header().Set("X-Simrank-Degraded", "true")
-		writeJSONBytes(w, body)
-		return
-	}
-	sol, pool, built, err := rt.exactSolver(r.Context())
-	if err != nil {
-		rt.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	sc := pool.Get().(*linsr.Scratch)
-	defer pool.Put(sc)
-	t1 := time.Now()
-	row, err := sol.SingleSourceScratch(r.Context(), q, nil, sc)
-	if err != nil {
-		rt.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	if !built {
-		rt.observeExact(time.Since(t1))
-	}
-	body, err := rt.singleSourceBody(q, row, sparse, minVal, false)
-	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	if cacheable {
-		rt.cache.Put(key, body)
-	}
-	writeJSONBytes(w, body)
-}
-
-// serveTopKExact is the router's /v1/topk?engine=linearized path: a local
-// exact solve ranked through the same RankScores tail as the walk path
-// (without the rerank step exact scores make redundant). Callers hold
-// mu.RLock.
-func (rt *Router) serveTopKExact(w http.ResponseWriter, r *http.Request, q, k int) {
-	key := rtETopKKey(rt.genTagLocked(), q, k)
-	if body, ok := rt.cache.Get(key); ok {
-		writeJSONBytes(w, body)
-		return
-	}
-	kEff := k
-	if kEff > rt.n-1 {
-		kEff = rt.n - 1
-	}
-	if rt.shouldDegradeExact(r.Context()) {
-		rows := [][]float64{make([]float64, rt.n)}
-		if _, err := rt.scatterScores(r.Context(), []int{q}, rows); err != nil {
-			rt.writeQueryError(w, err, http.StatusBadRequest)
-			return
-		}
-		results, err := query.RankScores(r.Context(), rt.g, rt.c, rt.horizon, rows[0], q, kEff, &query.TopKOptions{})
-		if err != nil {
-			rt.writeQueryError(w, err, http.StatusBadRequest)
-			return
-		}
-		body, err := rt.topKBody(q, k, false, true, results)
-		if err != nil {
-			rt.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-			return
-		}
-		rt.degradedTotal.Add(1)
-		w.Header().Set("X-Simrank-Degraded", "true")
-		writeJSONBytes(w, body)
-		return
-	}
-	sol, pool, built, err := rt.exactSolver(r.Context())
-	if err != nil {
-		rt.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	sc := pool.Get().(*linsr.Scratch)
-	defer pool.Put(sc)
-	t1 := time.Now()
-	row, err := sol.SingleSourceScratch(r.Context(), q, nil, sc)
-	if err != nil {
-		rt.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	if !built {
-		rt.observeExact(time.Since(t1))
-	}
-	results, err := query.RankScores(r.Context(), rt.g, rt.c, rt.horizon, row, q, kEff, &query.TopKOptions{})
-	if err != nil {
-		rt.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	body, err := rt.topKBody(q, k, false, false, results)
-	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	rt.cache.Put(key, body)
-	writeJSONBytes(w, body)
+	body, err := s.topKBody(q, k, false, degraded, results)
+	s.writeBody(w, key, degraded, body, err)
 }

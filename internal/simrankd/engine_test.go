@@ -129,40 +129,41 @@ func TestLinearizedEndpointAccuracy(t *testing.T) {
 // distinct cache-key families, and an edit batch (generation bump) makes
 // the old exact entries unreachable and forces a re-solve.
 func TestLinearizedCacheIsolation(t *testing.T) {
-	_, idx := testIndex(t)
-	srv := newServer(idx, 64, 1)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	forEachBackend(t, func(t *testing.T, kind string) {
+		srv := smallBackend(t, kind, Config{CacheSize: 64, Workers: 1})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
 
-	const path = "/v1/single_source?q=9&min=0.001"
-	_, walk1 := get(t, ts.URL+path)
-	_, lin1 := get(t, ts.URL+path+"&engine=linearized")
-	if bytes.Equal(walk1, lin1) {
-		t.Fatal("walk and linearized bodies identical — cache keys must have collided")
-	}
-	// Both are now cached; re-reading must return each engine's own body.
-	_, walk2 := get(t, ts.URL+path)
-	_, lin2 := get(t, ts.URL+path+"&engine=linearized")
-	if !bytes.Equal(walk1, walk2) || !bytes.Equal(lin1, lin2) {
-		t.Fatal("cached re-read changed a body")
-	}
+		const path = "/v1/single_source?q=3&min=0.001"
+		_, walk1 := get(t, ts.URL+path)
+		_, lin1 := get(t, ts.URL+path+"&engine=linearized")
+		if bytes.Equal(walk1, lin1) {
+			t.Fatal("walk and linearized bodies identical — cache keys must have collided")
+		}
+		// Both are now cached; re-reading must return each engine's own body.
+		_, walk2 := get(t, ts.URL+path)
+		_, lin2 := get(t, ts.URL+path+"&engine=linearized")
+		if !bytes.Equal(walk1, walk2) || !bytes.Equal(lin1, lin2) {
+			t.Fatal("cached re-read changed a body")
+		}
 
-	if _, ok := idx.ExactStats(); !ok {
-		t.Fatal("exact solver should be built after a linearized query")
-	}
-	if code, body := postJSON(t, ts.URL+"/v1/edges", `{"edits":[{"op":"add","u":3,"v":140}]}`); code != http.StatusOK {
-		t.Fatalf("edges: status %d, body %s", code, body)
-	}
-	if _, ok := idx.ExactStats(); ok {
-		t.Fatal("exact solver must be stale after an effective edit batch")
-	}
-	code, lin3 := get(t, ts.URL+path+"&engine=linearized")
-	if code != http.StatusOK {
-		t.Fatalf("post-edit linearized: status %d, body %s", code, lin3)
-	}
-	if _, ok := idx.ExactStats(); !ok {
-		t.Fatal("exact solver should be rebuilt by the post-edit query")
-	}
+		if !exactBuilt(srv) {
+			t.Fatal("exact solver should be built after a linearized query")
+		}
+		if code, body := postJSON(t, ts.URL+"/v1/edges", `{"edits":[{"op":"add","u":3,"v":110}]}`); code != http.StatusOK {
+			t.Fatalf("edges: status %d, body %s", code, body)
+		}
+		if exactBuilt(srv) {
+			t.Fatal("exact solver must be stale after an effective edit batch")
+		}
+		code, lin3 := get(t, ts.URL+path+"&engine=linearized")
+		if code != http.StatusOK {
+			t.Fatalf("post-edit linearized: status %d, body %s", code, lin3)
+		}
+		if !exactBuilt(srv) {
+			t.Fatal("exact solver should be rebuilt by the post-edit query")
+		}
+	})
 }
 
 // TestLinearizedDegradesUnderDeadline: with the exact-solve cost model

@@ -2,13 +2,16 @@ package simrankd
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"oipsr/graph/gen"
 	"oipsr/simrank/query"
+	"oipsr/simrank/shard"
 )
 
 // TestMappedServesBitIdenticalResponses: a server over a demand-paged
@@ -143,5 +146,99 @@ func TestMappedServesBitIdenticalResponses(t *testing.T) {
 	}
 	if hz.ForestBytes != 0 {
 		t.Fatalf("healthz index_forest_bytes = %d on a mapped index, which keeps the sweep", hz.ForestBytes)
+	}
+}
+
+// TestVisitBytesReported: the inverted visit index appears on no endpoint
+// until something builds it — /healthz and /metrics report 0 — and after
+// the first edit batch both report its size, with index_bytes (the path
+// storage) unmoved. Serve mode over a dense and over a mapped index, shard
+// mode over a dense and over a mapped shard.
+func TestVisitBytesReported(t *testing.T) {
+	g := gen.WebGraph(90, 5, 3)
+	opt := query.Options{Walks: 20, Seed: 1, Workers: 1}
+	dir := t.TempDir()
+	built, err := query.BuildIndex(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.SaveFile(filepath.Join(dir, "walks.idx")); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := query.LoadFileMapped(filepath.Join(dir, "walks.idx"), query.MappedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if err := mapped.AttachGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	denseShard, err := shard.Build(g, opt, 30, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := shard.BuildAll(g, opt, dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mappedShard, err := shard.OpenShardMapped(dir, m, 1, query.MappedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mappedShard.Close()
+	if err := mappedShard.AttachGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	shardServer := func(sh *shard.Shard) http.Handler {
+		ss, err := NewShardServer(sh, Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
+
+	for name, h := range map[string]http.Handler{
+		"serve-dense":  NewServer(built, Config{Workers: 1}),
+		"serve-mapped": NewServer(mapped, Config{Workers: 1}),
+		"shard-dense":  shardServer(denseShard),
+		"shard-mapped": shardServer(mappedShard),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(h)
+			defer ts.Close()
+			read := func() (index, visit int64) {
+				var hz struct {
+					IndexBytes int64  `json:"index_bytes"`
+					VisitBytes *int64 `json:"index_visit_bytes"`
+				}
+				_, body := get(t, ts.URL+"/healthz")
+				if err := json.Unmarshal(body, &hz); err != nil || hz.VisitBytes == nil {
+					t.Fatalf("healthz without index_visit_bytes (%v): %s", err, body)
+				}
+				_, metrics := get(t, ts.URL+"/metrics")
+				if line := fmt.Sprintf("simrankd_index_visit_bytes %d\n", *hz.VisitBytes); !strings.Contains(string(metrics), line) {
+					t.Fatalf("metrics disagree with healthz, want %q:\n%s", line, metrics)
+				}
+				return hz.IndexBytes, *hz.VisitBytes
+			}
+			index0, visit0 := read()
+			if visit0 != 0 {
+				t.Fatalf("index_visit_bytes = %d before any edit, want 0", visit0)
+			}
+			if code, body := postJSON(t, ts.URL+"/v1/edges", `{"edits":[{"op":"add","u":2,"v":80},{"op":"add","u":70,"v":3}]}`); code != http.StatusOK {
+				t.Fatalf("edges: %d %s", code, body)
+			}
+			index1, visit1 := read()
+			// At least one posting per owned walk's start vertex, plus a
+			// slice header per vertex of the graph.
+			if visit1 < 24*90+8*20*30 {
+				t.Fatalf("index_visit_bytes = %d after an edit batch, want the visit index accounted", visit1)
+			}
+			// (A mapped index reports its file size there, and the batch
+			// legitimately rewrote the file.)
+			if name != "serve-mapped" && name != "shard-mapped" && index1 != index0 {
+				t.Fatalf("index_bytes moved %d -> %d: the visit index must be reported beside it, not in it", index0, index1)
+			}
+		})
 	}
 }

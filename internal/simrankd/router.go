@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -14,50 +16,49 @@ import (
 	"time"
 
 	"oipsr/graph"
-	"oipsr/internal/lru"
+	"oipsr/internal/linsr"
+	"oipsr/internal/walkindex"
 	"oipsr/simrank/query"
 	"oipsr/simrank/shard"
 )
 
-// Router is the stateless scatter/gather front of a shard fleet. It
-// serves the exact public /v1 surface of the single-node daemon —
-// single_source, topk, batch, join, edges — by scattering each query to
-// the shard backends over HTTP and merging their partials:
+// fleetSource is the row source of router mode: the stateless
+// scatter/gather front of a shard fleet. It fills the /v1 front end's
+// requests by scattering to the shard backends over HTTP and merging their
+// partials:
 //
 //   - dense score rows merge by concatenation (each shard owns a disjoint
 //     contiguous vertex range), so no float arithmetic happens in the
-//     merge and the assembled row is bit-identical to the single-node one;
-//   - top-k ranking and the optional exact rerank run once, at the
-//     router, over the merged row (the exact scorer's memoization is not
-//     bit-stable across visiting orders, so per-shard reranking would
-//     diverge);
+//     merge and the assembled row is bit-identical to the single-node one
+//     (ranking and the optional rerank then run once, in the front end,
+//     over the merged row);
 //   - joins scatter along the fingerprint axis (each backend enumerates
-//     candidates for one fp range), union at the router, and scatter pair
-//     scoring back to the owner of each pair's first vertex;
-//   - /v1/edges broadcasts to every backend — edits are idempotent at the
-//     graph layer, so retrying a partially-applied broadcast converges.
+//     candidates for one fp range), union here, and scatter pair scoring
+//     back to the owner of each pair's first vertex;
+//   - edits broadcast to every backend — they are idempotent at the graph
+//     layer, so retrying a partially-applied broadcast converges.
 //
-// The router holds the full graph (tiny next to the walk rows, which live
-// only on the shards) for reranking and for validating edits, and an LRU
-// response cache keyed by the per-shard generation vector: any shard
-// update changes the vector, so stale merges are unreachable, exactly the
-// single-node generation-key scheme lifted to a fleet.
+// It holds the full graph (tiny next to the walk rows, which live only on
+// the shards) for reranking, for validating edits and for the linearized
+// engine, and the per-shard generation vector whose rendering is the
+// front end's cache tag: any shard update changes the vector, so stale
+// merges are unreachable, exactly the single-node generation-key scheme
+// lifted to a fleet.
 //
-// Overload discipline is inherited wholesale from the embedded serving:
-// deadlines, admission control, shedding. On top of it, each scatter leg
-// runs under ShardTimeout; a backend that sheds, fails, or times out
-// mid-scatter costs its vertex range, not the request — the merged answer
-// reports zeros for the missing range, carries "degraded":true and the
-// X-Simrank-Degraded header, and is never cached.
-type Router struct {
-	serving
-
-	// mu guards g and gens: queries hold RLock for their whole
-	// scatter/merge (so an edits broadcast cannot interleave), /v1/edges
-	// holds Lock across its broadcast.
-	mu   sync.RWMutex
+// Each scatter leg runs under shardTimeout; a backend that sheds, fails,
+// or times out mid-scatter costs its vertex range, not the request — the
+// merged answer reports zeros for the missing range and degraded=true,
+// which the front end turns into the "degraded" field, the
+// X-Simrank-Degraded header, and a body that is never cached.
+type fleetSource struct {
+	// g, gens and tag change only under the front end's write lock
+	// (applyEdits); every query reads them under its read lock, so a
+	// broadcast cannot interleave with a scatter.
 	g    *graph.Graph
 	gens []uint64
+	// tag is gens rendered as the cache-key prefix ("0.0.2" for three
+	// shards), re-rendered when a broadcast moves a generation.
+	tag string
 
 	client       *http.Client
 	backends     []string
@@ -70,28 +71,13 @@ type Router struct {
 	horizon int
 	c       float64
 
-	cache *lru.Cache[string, []byte]
-	mux   *http.ServeMux
+	// exact holds the lazily-built linearized solver: the fleet source has
+	// the full graph, so exact rows are solved locally, not scattered.
+	exact fleetExact
 
-	// exact holds the lazily-built linearized solver behind the router's
-	// ?engine=linearized queries (see engine.go) — the router has the full
-	// graph, so exact rows are solved locally, not scattered.
-	exact routerExact
-
-	reqSingleSource atomic.Int64
-	reqTopK         atomic.Int64
-	reqBatch        atomic.Int64
-	reqJoin         atomic.Int64
-	reqEdges        atomic.Int64
-
-	batchItems      atomic.Int64
-	batchItemErrors atomic.Int64
-
-	// shardErrors counts failed scatter legs (shed, error, timeout) —
-	// each one degrades a merged answer.
-	shardErrors  atomic.Int64
-	updatesTotal atomic.Int64
-	updateMicros atomic.Int64
+	// shardErrors counts failed scatter legs (shed, error, timeout) — each
+	// one degrades a merged answer.
+	shardErrors atomic.Int64
 }
 
 // DefaultShardTimeout bounds one scatter leg when RouterConfig.ShardTimeout
@@ -100,7 +86,7 @@ type Router struct {
 // deadline.
 const DefaultShardTimeout = 5 * time.Second
 
-// RouterConfig configures a Router: the shared serving knobs plus the
+// RouterConfig configures NewRouter: the shared serving knobs plus the
 // per-backend scatter deadline.
 type RouterConfig struct {
 	Config
@@ -112,28 +98,23 @@ type RouterConfig struct {
 
 // NewRouter probes every backend's /healthz, validates that they form a
 // contiguous partition of one index (same n, walks, horizon, c, seed;
-// ranges covering [0, n)), and returns the scatter/gather handler. g must
-// be the same graph the shards were built on — the router reranks and
-// validates edits against it. Backends may be listed in any order.
-func NewRouter(g *graph.Graph, backends []string, cfg RouterConfig) (*Router, error) {
+// ranges covering [0, n)), and returns the /v1 front end over the fleet —
+// the same Server type, and so the same public surface byte for byte, as
+// NewServer's. g must be the same graph the shards were built on — the
+// router reranks and validates edits against it. Backends may be listed
+// in any order.
+func NewRouter(g *graph.Graph, backends []string, cfg RouterConfig) (*Server, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("simrankd: router needs at least one shard backend")
 	}
-	rt := &Router{
+	rt := &fleetSource{
 		g:            g,
 		client:       &http.Client{},
 		shardTimeout: cfg.ShardTimeout,
-		mux:          http.NewServeMux(),
 	}
 	if rt.shardTimeout <= 0 {
 		rt.shardTimeout = DefaultShardTimeout
 	}
-	rt.initServing(cfg.Config)
-	cacheSize := cfg.CacheSize
-	if cacheSize == 0 {
-		cacheSize = DefaultCacheSize
-	}
-	rt.cache = lru.New[string, []byte](cacheSize)
 
 	// Probe each backend, then sort by range so backends[i] owns ranges[i]
 	// in ascending vertex order.
@@ -198,35 +179,14 @@ func NewRouter(g *graph.Graph, backends []string, cfg RouterConfig) (*Router, er
 		return nil, err
 	}
 	rt.fpRanges = fpRanges
-
-	rt.mux.HandleFunc("/v1/single_source", rt.limited(rt.handleSingleSource))
-	rt.mux.HandleFunc("/v1/topk", rt.limited(rt.handleTopK))
-	rt.mux.HandleFunc("/v1/batch", rt.limited(rt.handleBatch))
-	rt.mux.HandleFunc("/v1/join", rt.limited(rt.handleJoin))
-	rt.mux.HandleFunc("/v1/edges", rt.limited(rt.handleEdges))
-	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
-	return rt, nil
+	rt.renderTag()
+	return newFrontEnd(rt, "router", cfg.Config), nil
 }
-
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.mux.ServeHTTP(w, r)
-}
-
-// shardHTTPError is a non-200 answer from a backend, preserving the
-// status so join-candidate 400s (deterministic client errors, e.g.
-// too-dense) can be propagated verbatim while 429/5xx degrade.
-type shardHTTPError struct {
-	status int
-	msg    string
-}
-
-func (e *shardHTTPError) Error() string { return e.msg }
 
 // postShard posts one JSON request to a backend and decodes the JSON
 // response, under a child deadline of shardTimeout (the request deadline
 // still applies — a leg never outlives its request).
-func (rt *Router) postShard(ctx context.Context, base, path string, reqBody, out any) error {
+func (rt *fleetSource) postShard(ctx context.Context, base, path string, reqBody, out any) error {
 	payload, err := json.Marshal(reqBody)
 	if err != nil {
 		return err
@@ -248,47 +208,40 @@ func (rt *Router) postShard(ctx context.Context, base, path string, reqBody, out
 		if derr := json.NewDecoder(resp.Body).Decode(&eresp); derr != nil || eresp.Error == "" {
 			eresp.Error = fmt.Sprintf("backend %s: status %d", base, resp.StatusCode)
 		}
-		return &shardHTTPError{status: resp.StatusCode, msg: eresp.Error}
+		return &statusError{status: resp.StatusCode, msg: eresp.Error}
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// genTagLocked renders the per-shard generation vector as the cache-key
-// prefix ("0.0.2" for three shards). Callers hold mu (either side).
-func (rt *Router) genTagLocked() string {
-	var b strings.Builder
+// renderTag re-renders the generation vector into tag.
+func (rt *fleetSource) renderTag() {
+	parts := make([]string, len(rt.gens))
 	for i, g := range rt.gens {
-		if i > 0 {
-			b.WriteByte('.')
-		}
-		fmt.Fprintf(&b, "%d", g)
+		parts[i] = strconv.FormatUint(g, 10)
 	}
-	return b.String()
+	rt.tag = strings.Join(parts, ".")
 }
 
-// Router cache keys mirror the single-node ones with the generation
-// vector in place of the single generation; the per-request parameter
-// canonicalization (threshold decimal form, etc.) is shared.
-func rtSSKey(tag string, q int, min float64) string {
-	return fmt.Sprintf("g%s:ss:%d:%s", tag, q, strconv.FormatFloat(min, 'g', -1, 64))
-}
+func (rt *fleetSource) dims() (int, float64, int) { return rt.n, rt.c, rt.horizon }
+func (rt *fleetSource) graph() *graph.Graph       { return rt.g }
+func (rt *fleetSource) genTag() string            { return rt.tag }
 
-func rtTopKKey(tag string, q, k int, rerank bool) string {
-	return fmt.Sprintf("g%s:topk:%d:%d:%t", tag, q, k, rerank)
-}
-
-func rtJoinKey(tag string, k int, threshold float64, maxCand int) string {
-	return fmt.Sprintf("g%s:join:%d:%s:%d", tag, k,
-		strconv.FormatFloat(threshold, 'g', -1, 64), maxCand)
-}
-
-// scatterScores scatters one batch of sources to every backend and merges
-// the partial rows into rows (caller-allocated, len(sources) × n, zeroed).
-// It reports degraded=true when any backend's partial is missing (failed,
-// shed, timed out) or was served at a generation other than the recorded
-// one — either way the merge is not the current single-node answer and
-// must not be cached. Callers hold mu.RLock.
-func (rt *Router) scatterScores(ctx context.Context, sources []int, rows [][]float64) (degraded bool, err error) {
+// rows scatters one batch of sources to every backend and merges the
+// partial rows. degraded reports that a backend's partial is missing
+// (failed, shed, timed out) or was served at a generation other than the
+// recorded one — either way the merge is not the current single-node
+// answer. A leg is validated whole — range, generation, row count, every
+// row's length — before any of it is copied, so a failed leg leaves
+// exactly zeros in its range of every row.
+func (rt *fleetSource) rows(ctx context.Context, sources []int, buf []float64) ([][]float64, bool, error) {
+	rows := make([][]float64, len(sources))
+	for i := range rows {
+		if i == 0 && buf != nil {
+			rows[i] = buf
+		} else {
+			rows[i] = make([]float64, rt.n)
+		}
+	}
 	var wg sync.WaitGroup
 	failed := make([]bool, len(rt.backends))
 	for i := range rt.backends {
@@ -297,20 +250,20 @@ func (rt *Router) scatterScores(ctx context.Context, sources []int, rows [][]flo
 			defer wg.Done()
 			want := rt.ranges[i]
 			var resp shardScoresResponse
-			if err := rt.postShard(ctx, rt.backends[i], "/shard/v1/scores", shardScoresRequest{Sources: sources}, &resp); err != nil {
-				failed[i] = true
-				return
+			err := rt.postShard(ctx, rt.backends[i], "/shard/v1/scores", shardScoresRequest{Sources: sources}, &resp)
+			ok := err == nil && resp.Lo == want.Lo && resp.Hi == want.Hi &&
+				len(resp.Rows) == len(sources) && resp.Generation == rt.gens[i]
+			for _, row := range resp.Rows {
+				ok = ok && len(row) == want.Hi-want.Lo
 			}
-			if resp.Lo != want.Lo || resp.Hi != want.Hi || len(resp.Rows) != len(sources) ||
-				resp.Generation != rt.gens[i] {
+			if !ok {
 				failed[i] = true
+				if buf != nil {
+					clear(buf[want.Lo:want.Hi]) // the pooled row arrives dirty
+				}
 				return
 			}
 			for si, row := range resp.Rows {
-				if len(row) != want.Hi-want.Lo {
-					failed[i] = true
-					return
-				}
 				copy(rows[si][want.Lo:want.Hi], row)
 			}
 		}(i)
@@ -319,217 +272,39 @@ func (rt *Router) scatterScores(ctx context.Context, sources []int, rows [][]flo
 	// A dead request deadline explains every leg failing; report the
 	// context (503) rather than a fully-zeroed "degraded" answer.
 	if err := ctx.Err(); err != nil {
-		return false, err
+		return nil, false, err
 	}
+	degraded := false
 	for _, f := range failed {
 		if f {
 			rt.shardErrors.Add(1)
 			degraded = true
 		}
 	}
-	return degraded, nil
+	return rows, degraded, nil
 }
 
-// handleSingleSource serves GET/POST /v1/single_source?q=17[&min=0.01] —
-// the same contract (and byte-identical bodies) as the single-node
-// daemon, assembled from per-shard partial rows.
-func (rt *Router) handleSingleSource(w http.ResponseWriter, r *http.Request) {
-	rt.reqSingleSource.Add(1)
-	if !rt.checkMethod(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	eng, err := engineParam(r)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rt.countEngine(eng)
-	q, err := intParam(r, "q", 0, true)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	minRaw := r.FormValue("min")
-	var minVal float64
-	if minRaw != "" {
-		minVal, err = strconv.ParseFloat(minRaw, 64)
-		if err != nil {
-			rt.writeError(w, http.StatusBadRequest, "parameter \"min\": %v", err)
-			return
-		}
-	}
-	if q < 0 || q >= rt.n {
-		rt.writeError(w, http.StatusBadRequest, "query: vertex %d out of range [0,%d)", q, rt.n)
-		return
-	}
-
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	if eng == engineLinearized {
-		rt.serveSingleSourceExact(w, r, q, minRaw != "", minVal)
-		return
-	}
-	cacheable := minRaw != ""
-	var key string
-	if cacheable {
-		key = rtSSKey(rt.genTagLocked(), q, minVal)
-		if body, ok := rt.cache.Get(key); ok {
-			writeJSONBytes(w, body)
-			return
-		}
-	}
-
-	rows := [][]float64{make([]float64, rt.n)}
-	degraded, err := rt.scatterScores(r.Context(), []int{q}, rows)
-	if err != nil {
-		rt.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	body, err := rt.singleSourceBody(q, rows[0], cacheable, minVal, degraded)
-	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	if degraded {
-		rt.degradedTotal.Add(1)
-		w.Header().Set("X-Simrank-Degraded", "true")
-	} else if cacheable {
-		rt.cache.Put(key, body)
-	}
-	writeJSONBytes(w, body)
-}
-
-// handleTopK serves GET/POST /v1/topk?q=17&k=10[&rerank=1]. The merged
-// dense row is ranked (and optionally exactly reranked against the
-// router's graph) in one place, so results are bit-identical to the
-// single-node daemon's. Degradation composes: a missing shard degrades
-// the estimates themselves (and disables rerank — exact scores over an
-// incomplete row would be wrong confidently); a rerank the deadline
-// cannot afford degrades to raw estimates exactly like the single node.
-func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
-	rt.reqTopK.Add(1)
-	if !rt.checkMethod(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	eng, err := engineParam(r)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rt.countEngine(eng)
-	q, err := intParam(r, "q", 0, true)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	k, err := intParam(r, "k", 10, false)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if k < 1 {
-		rt.writeError(w, http.StatusBadRequest, "query: top-k size %d < 1", k)
-		return
-	}
-	if q < 0 || q >= rt.n {
-		rt.writeError(w, http.StatusBadRequest, "query: vertex %d out of range [0,%d)", q, rt.n)
-		return
-	}
-	rerank := boolParam(r, "rerank")
-	if eng == engineLinearized && rerank {
-		rt.writeError(w, http.StatusBadRequest, "\"rerank\" is not valid with engine=linearized (exact scores need no rerank)")
-		return
-	}
-
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	if eng == engineLinearized {
-		rt.serveTopKExact(w, r, q, k)
-		return
-	}
-	key := rtTopKKey(rt.genTagLocked(), q, k, rerank)
-	if body, ok := rt.cache.Get(key); ok {
-		writeJSONBytes(w, body)
-		return
-	}
-
-	rows := [][]float64{make([]float64, rt.n)}
-	shardDegraded, err := rt.scatterScores(r.Context(), []int{q}, rows)
-	if err != nil {
-		rt.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-
-	useRerank := rerank && !shardDegraded
-	pool := query.RerankPool(rt.n, k, 0)
-	budgetDegraded := useRerank && rt.shouldDegrade(r.Context(), pool)
-	if budgetDegraded {
-		useRerank = false
-	}
-	degraded := shardDegraded || budgetDegraded
-	kEff := k
-	if kEff > rt.n-1 {
-		kEff = rt.n - 1
-	}
-	t1 := time.Now()
-	results, err := query.RankScores(r.Context(), rt.g, rt.c, rt.horizon, rows[0], q, kEff, &query.TopKOptions{Rerank: useRerank})
-	if err != nil {
-		rt.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	if useRerank {
-		rt.observeRerank(time.Since(t1), pool)
-	}
-
-	body, err := rt.topKBody(q, k, useRerank, degraded, results)
-	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	if degraded {
-		rt.degradedTotal.Add(1)
-		w.Header().Set("X-Simrank-Degraded", "true")
-	} else {
-		rt.cache.Put(key, body)
-	}
-	writeJSONBytes(w, body)
-}
-
-// handleEdges serves POST /v1/edges at the router: validate and apply the
-// batch to the router's own graph, then broadcast it to every backend.
-// Edits are idempotent at the graph layer, so when the broadcast reaches
-// only part of the fleet the client simply retries the same batch — the
-// shards that already applied it answer with no-op stats and an unchanged
-// generation, the rest catch up, and the fleet converges. Until then the
-// router's recorded generations disagree with the stale shards, which
-// marks every touched answer degraded and uncacheable (scatterScores'
-// generation echo check) rather than wrong.
-func (rt *Router) handleEdges(w http.ResponseWriter, r *http.Request) {
-	rt.reqEdges.Add(1)
-	if !rt.checkMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req edgesRequest
-	if !rt.decodeJSONBody(w, r, &req) {
-		return
-	}
-	edits, errMsg := parseEdits(req.Edits)
-	if errMsg != "" {
-		rt.writeError(w, http.StatusBadRequest, "%s", errMsg)
-		return
-	}
-
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	u0 := time.Now()
+// applyEdits validates and applies the batch to the fleet source's own
+// graph, then broadcasts it to every backend. Edits are idempotent at the
+// graph layer, so when the broadcast reaches only part of the fleet the
+// client simply retries the same batch — the shards that already applied
+// it answer with no-op stats and an unchanged generation, the rest catch
+// up, and the fleet converges. Until then the recorded generations
+// disagree with the stale shards, which marks every touched answer
+// degraded and uncacheable (the generation echo check in rows and
+// gatherJoin) rather than wrong.
+func (rt *fleetSource) applyEdits(ctx context.Context, edits []graph.Edit) (edgesResponse, error) {
 	// Apply locally first: this validates the batch once (an out-of-range
 	// edit is rejected here with the single-node error text, before any
-	// backend sees it) and keeps the router's graph — the rerank oracle —
-	// in lockstep with the fleet.
+	// backend sees it) and keeps this graph — the rerank oracle — in
+	// lockstep with the fleet.
 	g2, sum, err := rt.g.ApplyEdits(edits)
 	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return edgesResponse{}, err
+	}
+	req := edgesRequest{Edits: make([]edgeEdit, len(edits))}
+	for i, e := range edits {
+		req.Edits[i] = edgeEdit{Op: e.Op.String(), U: e.U, V: e.V}
 	}
 
 	// realChange mirrors the per-shard no-op rule: a batch that dirties no
@@ -542,7 +317,7 @@ func (rt *Router) handleEdges(w http.ResponseWriter, r *http.Request) {
 	)
 	for i, base := range rt.backends {
 		var resp edgesResponse
-		if err := rt.postShard(r.Context(), base, "/v1/edges", req, &resp); err != nil {
+		if err := rt.postShard(ctx, base, "/v1/edges", req, &resp); err != nil {
 			rt.shardErrors.Add(1)
 			failures = append(failures, fmt.Sprintf("%s: %v", base, err))
 			// Record the generation this shard WILL reach once the batch
@@ -563,35 +338,21 @@ func (rt *Router) handleEdges(w http.ResponseWriter, r *http.Request) {
 		rt.gens[i] = resp.Generation
 	}
 	rt.g = g2
-	if realChange {
-		// Every cached merge embeds the old generation vector; none can be
-		// served again.
-		rt.cache.Clear()
-	}
-	updateMicros := time.Since(u0).Microseconds()
-	rt.updatesTotal.Add(1)
-	rt.updateMicros.Add(updateMicros)
+	rt.renderTag()
 
 	if len(failures) > 0 {
-		rt.writeError(w, http.StatusBadGateway,
+		return edgesResponse{}, &statusError{status: http.StatusBadGateway, msg: fmt.Sprintf(
 			"edits applied to %d of %d shards (%s); retry the same batch to converge",
-			len(rt.backends)-len(failures), len(rt.backends), strings.Join(failures, "; "))
-		return
+			len(rt.backends)-len(failures), len(rt.backends), strings.Join(failures, "; "))}
 	}
-	body, err := rt.marshalBody(edgesResponse{
+	return edgesResponse{
 		Added:         sum.Added,
 		Removed:       sum.Removed,
 		DirtyVertices: len(sum.DirtyIn),
 		WalksRepaired: walksRepaired,
 		Generation:    firstResp.Generation,
 		Edges:         rt.g.NumEdges(),
-		UpdateMicros:  updateMicros,
-	})
-	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	writeJSONBytes(w, body)
+	}, nil
 }
 
 // routerHealthzResponse is the router-mode /healthz body.
@@ -606,52 +367,214 @@ type routerHealthzResponse struct {
 	UptimeSecs  float64  `json:"uptime_seconds"`
 }
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rt.mu.RLock()
-	gens := append([]uint64(nil), rt.gens...)
-	rt.mu.RUnlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(routerHealthzResponse{
+func (rt *fleetSource) healthz(uptimeSecs float64) any {
+	return routerHealthzResponse{
 		Status:      "ok",
 		Vertices:    rt.n,
 		Walks:       rt.walks,
 		Horizon:     rt.horizon,
 		C:           rt.c,
 		Shards:      len(rt.backends),
-		Generations: gens,
-		UptimeSecs:  time.Since(rt.started).Seconds(),
-	})
+		Generations: rt.gens,
+		UptimeSecs:  uptimeSecs,
+	}
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses := rt.cache.Stats()
-	rt.mu.RLock()
-	gens := append([]uint64(nil), rt.gens...)
-	rt.mu.RUnlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	buildInfoMetric(w, "router")
-	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"single_source\"} %d\n", rt.reqSingleSource.Load())
-	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"topk\"} %d\n", rt.reqTopK.Load())
-	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"edges\"} %d\n", rt.reqEdges.Load())
-	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"batch\"} %d\n", rt.reqBatch.Load())
-	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"join\"} %d\n", rt.reqJoin.Load())
-	fmt.Fprintf(w, "simrankd_batch_items_total %d\n", rt.batchItems.Load())
-	fmt.Fprintf(w, "simrankd_batch_item_errors_total %d\n", rt.batchItemErrors.Load())
-	fmt.Fprintf(w, "simrankd_request_errors_total %d\n", rt.reqErrors.Load())
-	fmt.Fprintf(w, "simrankd_requests_shed_total %d\n", rt.shedTotal.Load())
-	fmt.Fprintf(w, "simrankd_requests_degraded_total %d\n", rt.degradedTotal.Load())
-	rt.writeEngineMetrics(w)
-	rt.writeCostModelMetrics(w)
+func (rt *fleetSource) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_shard_errors_total %d\n", rt.shardErrors.Load())
-	fmt.Fprintf(w, "simrankd_inflight_requests %d\n", rt.inflight.Load())
-	fmt.Fprintf(w, "simrankd_queued_requests %d\n", rt.queued.Load())
-	fmt.Fprintf(w, "simrankd_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "simrankd_cache_misses_total %d\n", misses)
-	rt.latency.WriteProm(w, "simrankd_request_latency_seconds")
-	fmt.Fprintf(w, "simrankd_updates_total %d\n", rt.updatesTotal.Load())
-	fmt.Fprintf(w, "simrankd_update_latency_micros_total %d\n", rt.updateMicros.Load())
-	for i, g := range gens {
+	for i, g := range rt.gens {
 		fmt.Fprintf(w, "simrankd_shard_generation{shard=\"%d\"} %d\n", i, g)
 	}
-	fmt.Fprintf(w, "simrankd_index_vertices %d\n", rt.n)
+}
+
+// fleetExact lazily holds the linearized solver, keyed by the graph
+// pointer (every applied edit batch replaces rt.g); the mutex serializes
+// concurrent first builds, and a built solver is immutable and shared.
+type fleetExact struct {
+	mu      sync.Mutex
+	g       *graph.Graph
+	solver  *linsr.Solver
+	scratch *sync.Pool // of *linsr.Scratch for the cached solver
+}
+
+// exactRow solves row q over the fleet source's graph, building the solver
+// first when there is none for it yet (the call that pays for that reports
+// steady = false). The front end's read lock keeps rt.g stable.
+func (rt *fleetSource) exactRow(ctx context.Context, q int, dst []float64) ([]float64, bool, error) {
+	ex := &rt.exact
+	ex.mu.Lock()
+	steady := ex.solver != nil && ex.g == rt.g
+	if !steady {
+		sol, err := linsr.New(ctx, rt.g, linsr.Options{C: rt.c, Tol: query.ExactTol})
+		if err != nil {
+			ex.mu.Unlock()
+			return nil, false, err
+		}
+		ex.solver, ex.g = sol, rt.g
+		ex.scratch = &sync.Pool{New: func() any { return sol.NewScratch() }}
+	}
+	sol, pool := ex.solver, ex.scratch
+	ex.mu.Unlock()
+	sc := pool.Get().(*linsr.Scratch)
+	defer pool.Put(sc)
+	row, err := sol.SingleSourceScratch(ctx, q, dst, sc)
+	return row, steady, err
+}
+
+// join shards the join along the fingerprint axis: backend i enumerates
+// the co-located candidate pairs of fp range i, the union is taken here
+// (per-shard sets are subsets of the distinct union, so the candidate cap
+// keeps single-node semantics), pair scoring scatters to the owner of each
+// pair's first vertex, and the shared FinishJoin tail ranks the gathered
+// pairs — all merging is set union and sorting, no float arithmetic, so
+// healthy answers are the single node's.
+func (rt *fleetSource) join(ctx context.Context, k int, threshold float64, maxCand int) ([]query.JoinPair, bool, error) {
+	if err := walkindex.CheckJoinArgs(k, threshold, maxCand); err != nil {
+		return nil, false, err
+	}
+	pairs, degraded, err := rt.gatherJoin(ctx, threshold, maxCand)
+	if err != nil {
+		return nil, false, err
+	}
+	res := walkindex.FinishJoin(pairs, k, threshold)
+	out := make([]query.JoinPair, len(res))
+	for i, p := range res {
+		out[i] = query.JoinPair{A: p.A, B: p.B, Score: p.Score}
+	}
+	return out, degraded, nil
+}
+
+// gatherJoin runs the two scatter phases of a join: candidate enumeration
+// over the fingerprint ranges, then exact scoring at each pair's owner.
+// A backend 400 (too-dense, bad args) aborts with the backend's error; a
+// failed or stale leg drops its candidates or scores and degrades the
+// answer instead. Callers hold mu.RLock.
+func (rt *fleetSource) gatherJoin(ctx context.Context, threshold float64, maxCand int) ([]walkindex.JoinPair, bool, error) {
+	type candRes struct {
+		pairs [][2]int
+		stale bool
+		err   error
+	}
+	cands := make([]candRes, len(rt.backends))
+	var wg sync.WaitGroup
+	for i := range rt.backends {
+		if rt.fpRanges[i].Hi <= rt.fpRanges[i].Lo {
+			continue // more backends than fingerprints: empty fp range
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var resp shardJoinCandResponse
+			err := rt.postShard(ctx, rt.backends[i], "/shard/v1/join_candidates", shardJoinCandRequest{
+				Threshold:     threshold,
+				FpLo:          rt.fpRanges[i].Lo,
+				FpHi:          rt.fpRanges[i].Hi,
+				MaxCandidates: maxCand,
+			}, &resp)
+			if err != nil {
+				cands[i].err = err
+				return
+			}
+			cands[i].pairs = resp.Pairs
+			cands[i].stale = resp.Generation != rt.gens[i]
+		}(i)
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+
+	degraded := false
+	union := make(map[uint64]struct{})
+	for i := range cands {
+		c := &cands[i]
+		if c.err != nil {
+			var se *statusError
+			if errors.As(c.err, &se) && se.status == http.StatusBadRequest {
+				// Deterministic rejection: every leg would answer it the
+				// same way, so it is the request's answer, not a degradation.
+				return nil, false, c.err
+			}
+			rt.shardErrors.Add(1)
+			degraded = true
+			continue
+		}
+		if c.stale {
+			degraded = true
+		}
+		for _, p := range c.pairs {
+			union[uint64(p[0])<<32|uint64(p[1])] = struct{}{}
+		}
+	}
+	if len(union) > maxCand {
+		return nil, false, walkindex.TooDenseError(threshold, maxCand)
+	}
+
+	// Scatter scoring to the owner of each pair's first vertex.
+	byOwner := make([][][2]int, len(rt.backends))
+	for key := range union {
+		a, b := int(key>>32), int(key&0xFFFFFFFF)
+		o := rt.ownerOf(a)
+		byOwner[o] = append(byOwner[o], [2]int{a, b})
+	}
+	type scoreRes struct {
+		pairs []wireJoinPair
+		stale bool
+		err   error
+	}
+	scores := make([]scoreRes, len(rt.backends))
+	for i := range rt.backends {
+		if len(byOwner[i]) == 0 {
+			continue
+		}
+		// Deterministic request payloads (scores are order-independent,
+		// but tidy wire traffic is easier to debug and test).
+		sort.Slice(byOwner[i], func(x, y int) bool {
+			if byOwner[i][x][0] != byOwner[i][y][0] {
+				return byOwner[i][x][0] < byOwner[i][y][0]
+			}
+			return byOwner[i][x][1] < byOwner[i][y][1]
+		})
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var resp shardJoinScoreResponse
+			err := rt.postShard(ctx, rt.backends[i], "/shard/v1/join_score", shardJoinScoreRequest{Pairs: byOwner[i]}, &resp)
+			if err != nil {
+				scores[i].err = err
+				return
+			}
+			scores[i].pairs = resp.Pairs
+			scores[i].stale = resp.Generation != rt.gens[i]
+		}(i)
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+
+	var all []walkindex.JoinPair
+	for i := range scores {
+		s := &scores[i]
+		if len(byOwner[i]) == 0 {
+			continue
+		}
+		if s.err != nil {
+			rt.shardErrors.Add(1)
+			degraded = true
+			continue
+		}
+		if s.stale {
+			degraded = true
+		}
+		for _, p := range s.pairs {
+			all = append(all, walkindex.JoinPair{A: p.A, B: p.B, Score: p.Score})
+		}
+	}
+	return all, degraded, nil
+}
+
+// ownerOf returns the index of the backend owning vertex v's walk rows.
+func (rt *fleetSource) ownerOf(v int) int {
+	return sort.Search(len(rt.ranges), func(i int) bool { return rt.ranges[i].Hi > v })
 }

@@ -2,7 +2,6 @@ package simrankd
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -22,7 +21,7 @@ import (
 // /healthz and /metrics always pass through so NewRouter's probe and
 // scrapes keep working while the data plane is down.
 type flakyBackend struct {
-	mode atomic.Value // "" | "503" | "429" | "hang"
+	mode atomic.Value // "" | "503" | "429" | "hang" | "shortrow"
 	next http.Handler
 	stop chan struct{} // closed at test end so hung handlers release
 }
@@ -30,8 +29,12 @@ type flakyBackend struct {
 func (f *flakyBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	dataPlane := strings.HasPrefix(r.URL.Path, "/shard/") || r.URL.Path == "/v1/edges"
 	if mode, _ := f.mode.Load().(string); dataPlane && mode != "" {
+		if mode == "shortrow" && r.URL.Path == "/shard/v1/scores" {
+			f.serveShortRow(w, r)
+			return
+		}
 		switch mode {
-		case "503":
+		case "503", "shortrow":
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write([]byte(`{"error":"simrankd: injected outage"}` + "\n"))
@@ -51,15 +54,35 @@ func (f *flakyBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.next.ServeHTTP(w, r)
 }
 
+// serveShortRow answers a scores request with the backend's real rows, the
+// last one a value short: a leg whose earlier rows look fine and whose
+// defect only shows at the end.
+func (f *flakyBackend) serveShortRow(w http.ResponseWriter, r *http.Request) {
+	rec := httptest.NewRecorder()
+	f.next.ServeHTTP(rec, r)
+	var resp shardScoresResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Rows) == 0 {
+		http.Error(w, "shortrow: backend did not answer rows", http.StatusInternalServerError)
+		return
+	}
+	last := len(resp.Rows) - 1
+	resp.Rows[last] = resp.Rows[last][:len(resp.Rows[last])-1]
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(resp)
+}
+
 // routerFleet is a single-node server and an equivalent sharded
 // deployment (router + per-range backends) built over the same graph.
 type routerFleet struct {
 	single *httptest.Server
 	router *httptest.Server
-	rt     *Router
+	rt     *Server
 	flaky  []*flakyBackend
 	n      int
 }
+
+// fleet returns the row source under the router.
+func (fl *routerFleet) fleet() *fleetSource { return fl.rt.src.(*fleetSource) }
 
 func newRouterFleet(t *testing.T, nShards int, cfg Config, shardTimeout time.Duration) *routerFleet {
 	t.Helper()
@@ -199,6 +222,20 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 	if es.WalksRepaired != er.WalksRepaired {
 		t.Fatalf("walks repaired diverge: single=%d router=%d", es.WalksRepaired, er.WalksRepaired)
 	}
+	// What the router's /v1/edges body reported is also what its /metrics
+	// accumulates — the same three lines, same values, as the single node.
+	_, ms := get(t, fl.single.URL+"/metrics")
+	_, mr := get(t, fl.router.URL+"/metrics")
+	for _, line := range []string{
+		fmt.Sprintf("simrankd_update_edges_added_total %d\n", es.Added),
+		fmt.Sprintf("simrankd_update_edges_removed_total %d\n", es.Removed),
+		fmt.Sprintf("simrankd_update_walks_repaired_total %d\n", es.WalksRepaired),
+		"simrankd_updates_total 1\n",
+	} {
+		if !strings.Contains(string(ms), line) || !strings.Contains(string(mr), line) {
+			t.Errorf("after one batch both /metrics must carry %q", line)
+		}
+	}
 	checkIdentity(t, fl, "after-edits")
 
 	// A second round proves generations keep advancing in lockstep.
@@ -215,9 +252,11 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 // TestRouterPartialFailureDegrades: with one shard down the router must
 // keep answering 200, mark the response degraded (body field + header),
 // keep live ranges bit-correct, zero the missing range, and never cache
-// a degraded answer.
+// a degraded answer. "shortrow" is the leg that fails validation late: its
+// last row has the wrong length, and none of its earlier rows may have
+// reached the merge.
 func TestRouterPartialFailureDegrades(t *testing.T) {
-	for _, mode := range []string{"503", "429", "hang"} {
+	for _, mode := range []string{"503", "429", "hang", "shortrow"} {
 		t.Run(mode, func(t *testing.T) {
 			fl := newRouterFleet(t, 3, Config{Workers: 1}, 300*time.Millisecond)
 
@@ -241,7 +280,7 @@ func TestRouterPartialFailureDegrades(t *testing.T) {
 			if !deg.Degraded {
 				t.Fatalf("degraded flag missing: %s", body)
 			}
-			lo, hi := fl.rt.ranges[1].Lo, fl.rt.ranges[1].Hi
+			lo, hi := fl.fleet().ranges[1].Lo, fl.fleet().ranges[1].Hi
 			for v := range deg.Scores {
 				switch {
 				case v >= lo && v < hi:
@@ -251,6 +290,27 @@ func TestRouterPartialFailureDegrades(t *testing.T) {
 				default:
 					if deg.Scores[v] != full.Scores[v] {
 						t.Fatalf("vertex %d: degraded %v != full %v", v, deg.Scores[v], full.Scores[v])
+					}
+				}
+			}
+
+			// The zeros-for-the-missing-range contract holds for every row
+			// of a chunk, not only the one whose defect failed the leg.
+			code, body = postJSON(t, fl.router.URL+"/v1/batch", `{"mode":"single_source","sources":[9,10,11]}`)
+			if code != http.StatusOK {
+				t.Fatalf("degraded dense batch: %d %s", code, body)
+			}
+			for i, line := range ndjsonLines(t, body) {
+				var item singleSourceResponse
+				if err := json.Unmarshal(line, &item); err != nil {
+					t.Fatal(err)
+				}
+				if !item.Degraded {
+					t.Fatalf("batch line %d not marked degraded: %s", i, line)
+				}
+				for v := lo; v < hi; v++ {
+					if v != item.Query && item.Scores[v] != 0 {
+						t.Fatalf("batch line %d: vertex %d in dead range scored %v", i, v, item.Scores[v])
 					}
 				}
 			}
@@ -308,7 +368,7 @@ func TestRouterPartialFailureDegrades(t *testing.T) {
 			if !bytes.Equal(b, fullSparse) {
 				t.Fatalf("cache poisoned: recovered body %s != single-node %s", b, fullSparse)
 			}
-			if got := fl.rt.shardErrors.Load(); got == 0 {
+			if got := fl.fleet().shardErrors.Load(); got == 0 {
 				t.Fatal("shardErrors counter never incremented")
 			}
 		})
@@ -350,40 +410,6 @@ func TestRouterEdgesPartialBroadcastConverges(t *testing.T) {
 		t.Fatalf("retry: want 200, got %d %s", code, body)
 	}
 	checkIdentity(t, fl, "after-converge")
-}
-
-// TestRouterBatchStreamTerminalLine mirrors the single-node truncation
-// contract: a /v1/batch stream cut by context death ends with a
-// terminal NDJSON error line, not a silent truncation.
-func TestRouterBatchStreamTerminalLine(t *testing.T) {
-	fl := newRouterFleet(t, 2, Config{Workers: 1}, 0)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fl.rt.testHookBatchLine = func(i int) {
-		if i == 0 {
-			cancel()
-		}
-	}
-	defer func() { fl.rt.testHookBatchLine = nil }()
-
-	req := httptest.NewRequest(http.MethodPost, "/v1/batch",
-		strings.NewReader(`{"mode":"topk","sources":[1,2,3,4],"k":3}`))
-	req = req.WithContext(ctx)
-	rec := httptest.NewRecorder()
-	fl.rt.ServeHTTP(rec, req)
-
-	lines := ndjsonLines(t, rec.Body.Bytes())
-	if len(lines) < 2 {
-		t.Fatalf("want at least one result line plus a terminal line, got %d: %s", len(lines), rec.Body.Bytes())
-	}
-	var term batchTerminal
-	if err := json.Unmarshal(lines[len(lines)-1], &term); err != nil {
-		t.Fatalf("terminal line not parseable: %v (%s)", err, lines[len(lines)-1])
-	}
-	if !term.Truncated || term.Error == "" {
-		t.Fatalf("terminal line must mark truncation with an error: %+v", term)
-	}
 }
 
 // TestRouterRejectsInconsistentFleet: NewRouter must refuse a backend

@@ -19,9 +19,10 @@
 package simrankd
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -30,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"oipsr/graph"
 	"oipsr/internal/lru"
 	"oipsr/simrank/query"
 )
@@ -78,73 +80,155 @@ type Config struct {
 // is zero.
 const DefaultCacheSize = 1024
 
-// Server is the simrankd HTTP handler. Construct with NewServer.
+// Server is the simrankd /v1 front end: the public query surface —
+// single_source, topk, batch, join, edges — written once over a rowSource.
+// NewServer puts it over a walk index held in this process, NewRouter over
+// a fleet of shard backends; everything a client can observe except speed
+// is the same code either way, so a client cannot tell the two apart by
+// the bytes of a healthy response.
 //
-// Concurrency: queries hold mu.RLock for their whole execution (the index
-// is repaired in place, not swapped), /v1/edges holds mu.Lock while it
-// applies the batch. Reads stay fully concurrent with each other; the
-// limiter bounds how many of them execute at once.
+// Concurrency: see serving.mu. Responses are cached in an LRU keyed by the
+// source's generation tag, so an applied edit batch makes every earlier
+// body unreachable at once.
 type Server struct {
-	// serving carries the limiter, deadlines, degradation model, error
-	// encoding, and overload counters shared with ShardServer and Router.
+	// serving carries the lock, limiter, deadlines, degradation model,
+	// error encoding, /v1/edges and the shared counters (see serving.go).
 	serving
 
-	mu      sync.RWMutex
-	idx     *query.Index
+	src     rowSource
 	workers int
 	cache   *lru.Cache[string, []byte]
 	mux     *http.ServeMux
 
-	// scorePool recycles dense score rows (one []float64 of length N per
-	// in-flight sweep; the vertex count never changes — edge edits repair
-	// walks, they don't add vertices).
+	// n, c and horizon are the source's dims, which never change (edge
+	// edits repair walks, they don't add vertices).
+	n       int
+	c       float64
+	horizon int
+
+	// scorePool recycles dense score rows, one []float64 of length n per
+	// in-flight single-source sweep.
 	scorePool sync.Pool
 
 	// Per-endpoint request counters exported on /metrics.
 	reqSingleSource atomic.Int64
 	reqTopK         atomic.Int64
-	reqEdges        atomic.Int64
 	reqBatch        atomic.Int64
 	reqJoin         atomic.Int64
 
 	batchItems      atomic.Int64
 	batchItemErrors atomic.Int64
-
-	updatesTotal  atomic.Int64
-	updateMicros  atomic.Int64
-	edgesAdded    atomic.Int64
-	edgesRemoved  atomic.Int64
-	walksRepaired atomic.Int64
 }
 
 // NewServer returns a handler serving queries from idx under cfg.
 func NewServer(idx *query.Index, cfg Config) *Server {
+	return newFrontEnd(newLocalSource(idx, cfg.Workers), "serve", cfg)
+}
+
+// newFrontEnd wires the /v1 surface over src; mode labels the build-info
+// metric ("serve" or "router").
+func newFrontEnd(src rowSource, mode string, cfg Config) *Server {
 	cacheSize := cfg.CacheSize
 	if cacheSize == 0 {
 		cacheSize = DefaultCacheSize
 	}
 	s := &Server{
-		idx:     idx,
+		src:     src,
 		workers: cfg.Workers,
 		cache:   lru.New[string, []byte](cacheSize),
 		mux:     http.NewServeMux(),
 	}
 	s.initServing(cfg)
-	n := idx.N()
+	s.n, s.c, s.horizon = src.dims()
+	n := s.n
 	s.scorePool.New = func() any { b := make([]float64, n); return &b }
 
 	s.mux.HandleFunc("/v1/single_source", s.limited(s.handleSingleSource))
 	s.mux.HandleFunc("/v1/topk", s.limited(s.handleTopK))
 	s.mux.HandleFunc("/v1/batch", s.limited(s.handleBatch))
 	s.mux.HandleFunc("/v1/join", s.limited(s.handleJoin))
-	s.mux.HandleFunc("/v1/edges", s.limited(s.handleEdges))
+	s.mux.HandleFunc("/v1/edges", s.limited(s.handleEdges(s.applyEdits)))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/metrics", s.handleMetrics(mode, s.writeMetrics))
 	return s
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
+}
+
+// engineAndVertex parses what /v1/single_source and /v1/topk share — the
+// GET/POST method set, ?engine= (counted per engine) and the required ?q=
+// — answering the request itself (ok = false) when any of it is wrong.
+func (s *Server) engineAndVertex(w http.ResponseWriter, r *http.Request) (eng string, q int, ok bool) {
+	if !s.checkMethod(w, r, http.MethodGet, http.MethodPost) {
+		return "", 0, false
+	}
+	eng, err := engineParam(r)
+	if err == nil {
+		s.countEngine(eng)
+		q, err = intParam(r, "q", 0, true)
+	}
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return "", 0, false
+	}
+	return eng, q, true
+}
+
+// checkVertex answers 400 for a query vertex outside [0, n), in the words
+// the index itself uses.
+func (s *Server) checkVertex(w http.ResponseWriter, q int) bool {
+	if q < 0 || q >= s.n {
+		s.writeError(w, http.StatusBadRequest, "query: vertex %d out of range [0,%d)", q, s.n)
+		return false
+	}
+	return true
+}
+
+// cached answers the request from the response cache when key is present.
+func (s *Server) cached(w http.ResponseWriter, key string) bool {
+	body, ok := s.cache.Get(key)
+	if ok {
+		writeJSONBytes(w, body)
+	}
+	return ok
+}
+
+// writeBody finishes a request with an encoded body (err is the
+// encoder's). A degraded body is a stopgap — a rerank or solve the
+// deadline could not afford, a vertex range a fleet could not reach — not
+// the answer the client asked for: it is counted, marked with
+// X-Simrank-Degraded, and never cached, or it would keep being served
+// after the pressure is gone. Any other body enters the cache under key
+// ("" = not cacheable).
+func (s *Server) writeBody(w http.ResponseWriter, key string, degraded bool, body []byte, err error) {
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	if degraded {
+		s.degradedTotal.Add(1)
+		w.Header().Set("X-Simrank-Degraded", "true")
+	} else if key != "" {
+		s.cache.Put(key, body)
+	}
+	writeJSONBytes(w, body)
+}
+
+// walkRow sweeps q's walk-estimate row into buf (a scorePool row).
+func (s *Server) walkRow(ctx context.Context, q int, buf []float64) (row []float64, degraded bool, err error) {
+	rows, degraded, err := s.src.rows(ctx, []int{q}, buf)
+	if err != nil {
+		return nil, false, err
+	}
+	return rows[0], degraded, nil
+}
+
+// rank finishes a top-k query from a dense row: candidate selection, then
+// the optional exact rerank against the source's current graph.
+func (s *Server) rank(ctx context.Context, row []float64, q, k int, rerank bool) ([]query.Ranked, error) {
+	return query.RankScores(ctx, s.src.graph(), s.c, s.horizon, row, q, min(k, s.n-1), &query.TopKOptions{Rerank: rerank})
 }
 
 type singleSourceResponse struct {
@@ -155,9 +239,10 @@ type singleSourceResponse struct {
 	// Results holds only the entries with score >= min, sorted by
 	// decreasing score, when the min parameter was given.
 	Results []query.Ranked `json:"results,omitempty"`
-	// Degraded marks a router-merged response missing at least one
-	// shard's partial row (those targets report score 0). The single-node
-	// daemon never sets it, so its bodies are unchanged.
+	// Degraded marks walk estimates served in place of the exact row an
+	// engine=linearized request could not afford, or a row missing at
+	// least one shard's range (those targets report score 0). Absent
+	// (false) on normal responses.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -165,76 +250,81 @@ type singleSourceResponse struct {
 // /v1/single_source?q=17[&min=0.01][&engine=walk|linearized].
 func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 	s.reqSingleSource.Add(1)
-	if !s.checkMethod(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	eng, err := engineParam(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.countEngine(eng)
-	q, err := intParam(r, "q", 0, true)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	eng, q, ok := s.engineAndVertex(w, r)
+	if !ok {
 		return
 	}
 	// min is parsed before any cache key is formed, and the key uses its
 	// canonical decimal form: "0.01", "0.010", and "1e-2" are one entry.
 	minRaw := r.FormValue("min")
+	sparse := minRaw != ""
 	var minVal float64
-	if minRaw != "" {
-		minVal, err = strconv.ParseFloat(minRaw, 64)
-		if err != nil {
+	if sparse {
+		var err error
+		if minVal, err = strconv.ParseFloat(minRaw, 64); err != nil {
 			s.writeError(w, http.StatusBadRequest, "parameter \"min\": %v", err)
 			return
 		}
+	}
+	if !s.checkVertex(w, q) {
+		return
 	}
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if eng == engineLinearized {
-		s.serveSingleSourceExact(w, r, q, minRaw != "", minVal)
+		s.serveSingleSourceExact(w, r, q, sparse, minVal)
 		return
 	}
 	// Dense responses are O(n) bytes each; caching them would make cache
 	// memory scale with graph size times -cache entries, so only the
 	// thresholded (sparse) form is memoized.
-	cacheable := minRaw != ""
 	var key string
-	if cacheable {
-		key = ssCacheKey(s.idx.Generation(), q, minVal)
-		if body, ok := s.cache.Get(key); ok {
-			writeJSONBytes(w, body)
+	if sparse {
+		key = ssCacheKey(s.src.genTag(), q, minVal)
+		if s.cached(w, key) {
 			return
 		}
 	}
 
 	buf := s.scorePool.Get().(*[]float64)
 	defer s.scorePool.Put(buf)
-	scores, err := s.idx.SingleSourceInto(r.Context(), q, *buf)
+	row, degraded, err := s.walkRow(r.Context(), q, *buf)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	body, err := s.singleSourceBody(q, scores, cacheable, minVal, false)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	if cacheable {
-		s.cache.Put(key, body)
-	}
-	writeJSONBytes(w, body)
+	body, err := s.singleSourceBody(q, row, sparse, minVal, degraded)
+	s.writeBody(w, key, degraded, body, err)
 }
 
-// ssCacheKey is the response-cache key of a thresholded single-source
-// query: the index generation (so updates invalidate atomically), the
-// source, and the threshold in canonical decimal form — "0.01", "0.010"
-// and "1e-2" share one entry, whether they arrived as a query parameter on
-// /v1/single_source or as a JSON number on /v1/batch.
-func ssCacheKey(gen uint64, q int, min float64) string {
-	return fmt.Sprintf("g%d:ss:%d:%s", gen, q, strconv.FormatFloat(min, 'g', -1, 64))
+// The response-cache keys. Every family starts with the source's
+// generation tag, so an applied update invalidates atomically, and is
+// shared between the single endpoints and the per-item entries of
+// /v1/batch: a batch warms the cache for single queries and vice versa.
+// Thresholds enter in canonical decimal form — "0.01", "0.010" and "1e-2"
+// share one entry, whether they arrived as a query parameter or as a JSON
+// number. The linearized engine has its own families (lss, etopk), so walk
+// and exact bodies can never collide; etopk has no rerank component
+// because exact scores need none.
+func ssCacheKey(tag string, q int, min float64) string {
+	return fmt.Sprintf("g%s:ss:%d:%s", tag, q, strconv.FormatFloat(min, 'g', -1, 64))
+}
+
+func lssCacheKey(tag string, q int, min float64) string {
+	return fmt.Sprintf("g%s:lss:%d:%s", tag, q, strconv.FormatFloat(min, 'g', -1, 64))
+}
+
+func topKCacheKey(tag string, q, k int, rerank bool) string {
+	return fmt.Sprintf("g%s:topk:%d:%d:%t", tag, q, k, rerank)
+}
+
+func etopkCacheKey(tag string, q, k int) string {
+	return fmt.Sprintf("g%s:etopk:%d:%d", tag, q, k)
+}
+
+func joinCacheKey(tag string, k int, threshold float64, maxCand int) string {
+	return fmt.Sprintf("g%s:join:%d:%s:%d", tag, k, strconv.FormatFloat(threshold, 'g', -1, 64), maxCand)
 }
 
 // sparseAbove filters a dense score vector down to the entries (other than
@@ -260,31 +350,25 @@ type topKResponse struct {
 	Query    int  `json:"query"`
 	K        int  `json:"k"`
 	Reranked bool `json:"reranked"`
-	// Degraded marks a response that asked for rerank=1 but was served
-	// raw walk estimates because the remaining deadline budget could not
-	// afford the exact rerank. Scores are then bit-identical to the
-	// rerank=0 response. Absent (false) on normal responses, so their
-	// bodies are unchanged.
+	// Degraded marks a response that could not be what was asked for: raw
+	// walk estimates where the remaining deadline could not afford the
+	// exact rerank (or the exact solve), or a ranking over a row missing a
+	// shard's range. Without a missing range the scores are bit-identical
+	// to the rerank=0 response. Absent (false) on normal responses, so
+	// their bodies are unchanged.
 	Degraded bool           `json:"degraded,omitempty"`
 	Results  []query.Ranked `json:"results"`
 }
 
 // handleTopK serves GET/POST
-// /v1/topk?q=17&k=10[&rerank=1][&engine=walk|linearized].
+// /v1/topk?q=17&k=10[&rerank=1][&engine=walk|linearized]. The dense row is
+// ranked, and optionally exactly reranked, in one place whatever the
+// source: the exact scorer's memoization is not bit-stable across visiting
+// orders, so reranking per shard would diverge.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	s.reqTopK.Add(1)
-	if !s.checkMethod(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	eng, err := engineParam(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.countEngine(eng)
-	q, err := intParam(r, "q", 0, true)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	eng, q, ok := s.engineAndVertex(w, r)
+	if !ok {
 		return
 	}
 	k, err := intParam(r, "k", 10, false)
@@ -301,6 +385,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "\"rerank\" is not valid with engine=linearized (exact scores need no rerank)")
 		return
 	}
+	if !s.checkVertex(w, q) {
+		return
+	}
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -308,31 +395,34 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.serveTopKExact(w, r, q, k)
 		return
 	}
-	key := topKCacheKey(s.idx.Generation(), q, k, rerank)
-	if body, ok := s.cache.Get(key); ok {
-		writeJSONBytes(w, body)
+	key := topKCacheKey(s.src.genTag(), q, k, rerank)
+	if s.cached(w, key) {
 		return
 	}
 
 	buf := s.scorePool.Get().(*[]float64)
 	defer s.scorePool.Put(buf)
-	scores, err := s.idx.SingleSourceInto(r.Context(), q, *buf)
+	row, rowDegraded, err := s.walkRow(r.Context(), q, *buf)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
 
-	// Degrade before committing to the rerank, not after failing it: with
-	// the sweep done, the raw estimates are already in hand, so a request
-	// that cannot afford exact re-scoring still gets a useful answer.
-	useRerank := rerank
-	pool := s.idx.RerankPoolSize(k, 0)
-	degraded := rerank && s.shouldDegrade(r.Context(), pool)
-	if degraded {
+	// Degradation composes. A missing range degrades the estimates
+	// themselves and disables the rerank (exact scores over an incomplete
+	// row would be wrong confidently). A rerank the deadline cannot afford
+	// is decided before committing to it, not after failing it: with the
+	// sweep done, the raw estimates are already in hand, so the request
+	// still gets a useful answer.
+	useRerank := rerank && !rowDegraded
+	pool := query.RerankPool(s.n, k, 0)
+	budgetDegraded := useRerank && s.shouldDegrade(r.Context(), pool)
+	if budgetDegraded {
 		useRerank = false
 	}
+	degraded := rowDegraded || budgetDegraded
 	t1 := time.Now()
-	results, err := s.idx.TopKFromScores(r.Context(), scores, q, k, &query.TopKOptions{Rerank: useRerank})
+	results, err := s.rank(r.Context(), row, q, k, useRerank)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
@@ -340,188 +430,49 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if useRerank {
 		s.observeRerank(time.Since(t1), pool)
 	}
-
 	body, err := s.topKBody(q, k, useRerank, degraded, results)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	if degraded {
-		// Degraded bodies are a stopgap under pressure, not the answer the
-		// client asked for; caching one would keep serving it after the
-		// pressure is gone.
-		s.degradedTotal.Add(1)
-		w.Header().Set("X-Simrank-Degraded", "true")
-	} else {
-		s.cache.Put(key, body)
-	}
-	writeJSONBytes(w, body)
+	s.writeBody(w, key, degraded, body, err)
 }
 
-// topKCacheKey is the response-cache key of a top-k query, shared between
-// /v1/topk and the per-item entries of /v1/batch: a batch warms the cache
-// for single queries and vice versa, and the folded-in generation makes
-// pre-update entries unservable after an update.
-func topKCacheKey(gen uint64, q, k int, rerank bool) string {
-	return fmt.Sprintf("g%d:topk:%d:%d:%t", gen, q, k, rerank)
-}
-
-type edgeEdit struct {
-	Op string `json:"op"` // "add" | "remove"
-	U  int    `json:"u"`
-	V  int    `json:"v"`
-}
-
-type edgesRequest struct {
-	Edits []edgeEdit `json:"edits"`
-}
-
-type edgesResponse struct {
-	// Added/Removed count effective changes; no-op edits are accepted and
-	// simply don't contribute.
-	Added   int `json:"added"`
-	Removed int `json:"removed"`
-	// DirtyVertices and WalksRepaired describe the incremental repair.
-	DirtyVertices int    `json:"dirty_vertices"`
-	WalksRepaired int    `json:"walks_repaired"`
-	Generation    uint64 `json:"generation"`
-	Edges         int    `json:"edges"` // graph edge count after the batch
-	UpdateMicros  int64  `json:"update_micros"`
-}
-
-// handleEdges serves POST /v1/edges: a batch of edge adds/removes applied
-// to the live graph with an incremental, bit-identical index repair. The
-// repair itself is not cancellable (aborting a half-applied repair would
-// corrupt the index), so the request deadline gates only admission.
-func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
-	s.reqEdges.Add(1)
-	if !s.checkMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req edgesRequest
-	if !s.decodeJSONBody(w, r, &req) {
-		return
-	}
-	edits, errMsg := parseEdits(req.Edits)
-	if errMsg != "" {
-		s.writeError(w, http.StatusBadRequest, "%s", errMsg)
-		return
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u0 := time.Now()
-	gen0 := s.idx.Generation()
-	stats, err := s.idx.ApplyEdits(edits, s.workers)
-	if err != nil {
-		// Invalid edits are the client's fault; an index beyond the
-		// incremental-maintenance capacity is ours.
-		code := http.StatusBadRequest
-		if errors.Is(err, query.ErrTooLarge) {
-			code = http.StatusInternalServerError
-		}
-		s.writeError(w, code, "%v", err)
-		return
-	}
-	if stats.Generation != gen0 {
-		// The old generation's cached bodies can never be served again;
-		// drop them now instead of letting them squat in the LRU until
-		// capacity-evicted.
+// applyEdits is the front end's /v1/edges step under the write lock: the
+// source applies the batch, and if its generation tag moved the old
+// generation's cached bodies can never be served again — they are dropped
+// now instead of squatting in the LRU until capacity-evicted. A batch of
+// pure no-ops keeps the tag and the cache.
+func (s *Server) applyEdits(ctx context.Context, edits []graph.Edit) (edgesResponse, error) {
+	tag := s.src.genTag()
+	resp, err := s.src.applyEdits(ctx, edits)
+	if s.src.genTag() != tag {
 		s.cache.Clear()
 	}
-	updateMicros := time.Since(u0).Microseconds()
-	s.updatesTotal.Add(1)
-	s.updateMicros.Add(updateMicros)
-	s.edgesAdded.Add(int64(stats.EdgesAdded))
-	s.edgesRemoved.Add(int64(stats.EdgesRemoved))
-	s.walksRepaired.Add(int64(stats.WalksRepaired))
-
-	body, err := s.marshalBody(edgesResponse{
-		Added:         stats.EdgesAdded,
-		Removed:       stats.EdgesRemoved,
-		DirtyVertices: stats.DirtyVertices,
-		WalksRepaired: stats.WalksRepaired,
-		Generation:    stats.Generation,
-		Edges:         s.idx.Graph().NumEdges(),
-		UpdateMicros:  updateMicros,
-	})
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	writeJSONBytes(w, body)
-}
-
-type healthzResponse struct {
-	Status     string  `json:"status"`
-	Vertices   int     `json:"vertices"`
-	Walks      int     `json:"walks"`
-	Horizon    int     `json:"horizon"`
-	C          float64 `json:"c"`
-	IndexBytes int64   `json:"index_bytes"`
-	// ForestBytes is the coalescence order a dense index answers from,
-	// derived state on top of IndexBytes; 0 when mapped.
-	ForestBytes int64 `json:"index_forest_bytes"`
-	// Backend is the walk-storage backing: "dense" in memory, "mapped"
-	// (or "mapped-readat") when serving a demand-paged v2 index file.
-	Backend    string  `json:"backend"`
-	Generation uint64  `json:"generation"`
-	UptimeSecs float64 `json:"uptime_seconds"`
+	return resp, err
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(healthzResponse{
-		Status:      "ok",
-		Vertices:    s.idx.N(),
-		Walks:       s.idx.Walks(),
-		Horizon:     s.idx.Horizon(),
-		C:           s.idx.C(),
-		IndexBytes:  s.idx.Bytes(),
-		ForestBytes: s.idx.ForestBytes(),
-		Backend:     s.idx.Backend(),
-		Generation:  s.idx.Generation(),
-		UptimeSecs:  time.Since(s.started).Seconds(),
-	})
+	json.NewEncoder(w).Encode(s.src.healthz(time.Since(s.started).Seconds()))
 }
 
-// handleMetrics dumps the counters in the Prometheus text exposition
-// format (no client library dependency).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// writeMetrics emits the /v1 front end's lines of /metrics, then the row
+// source's own.
+func (s *Server) writeMetrics(w io.Writer) {
 	hits, misses := s.cache.Stats()
-	s.mu.RLock()
-	generation := s.idx.Generation()
-	vertices := s.idx.N()
-	indexBytes, forestBytes := s.idx.Bytes(), s.idx.ForestBytes()
-	s.mu.RUnlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	buildInfoMetric(w, "serve")
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"single_source\"} %d\n", s.reqSingleSource.Load())
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"topk\"} %d\n", s.reqTopK.Load())
-	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"edges\"} %d\n", s.reqEdges.Load())
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"batch\"} %d\n", s.reqBatch.Load())
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"join\"} %d\n", s.reqJoin.Load())
 	fmt.Fprintf(w, "simrankd_batch_items_total %d\n", s.batchItems.Load())
 	fmt.Fprintf(w, "simrankd_batch_item_errors_total %d\n", s.batchItemErrors.Load())
-	fmt.Fprintf(w, "simrankd_request_errors_total %d\n", s.reqErrors.Load())
-	fmt.Fprintf(w, "simrankd_requests_shed_total %d\n", s.shedTotal.Load())
 	fmt.Fprintf(w, "simrankd_requests_degraded_total %d\n", s.degradedTotal.Load())
-	s.writeEngineMetrics(w)
+	fmt.Fprintf(w, "simrankd_engine_requests_total{engine=\"walk\"} %d\n", s.engineWalkTotal.Load())
+	fmt.Fprintf(w, "simrankd_engine_requests_total{engine=\"linearized\"} %d\n", s.engineLinTotal.Load())
 	s.writeCostModelMetrics(w)
-	fmt.Fprintf(w, "simrankd_inflight_requests %d\n", s.inflight.Load())
-	fmt.Fprintf(w, "simrankd_queued_requests %d\n", s.queued.Load())
 	fmt.Fprintf(w, "simrankd_cache_hits_total %d\n", hits)
 	fmt.Fprintf(w, "simrankd_cache_misses_total %d\n", misses)
-	s.latency.WriteProm(w, "simrankd_request_latency_seconds")
-	fmt.Fprintf(w, "simrankd_index_generation %d\n", generation)
-	fmt.Fprintf(w, "simrankd_updates_total %d\n", s.updatesTotal.Load())
-	fmt.Fprintf(w, "simrankd_update_latency_micros_total %d\n", s.updateMicros.Load())
-	fmt.Fprintf(w, "simrankd_update_edges_added_total %d\n", s.edgesAdded.Load())
-	fmt.Fprintf(w, "simrankd_update_edges_removed_total %d\n", s.edgesRemoved.Load())
-	fmt.Fprintf(w, "simrankd_update_walks_repaired_total %d\n", s.walksRepaired.Load())
-	fmt.Fprintf(w, "simrankd_index_vertices %d\n", vertices)
-	fmt.Fprintf(w, "simrankd_index_bytes %d\n", indexBytes)
-	fmt.Fprintf(w, "simrankd_index_forest_bytes %d\n", forestBytes)
+	fmt.Fprintf(w, "simrankd_index_vertices %d\n", s.n)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.src.writeMetrics(w)
 }

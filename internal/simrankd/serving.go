@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -17,15 +18,20 @@ import (
 	"oipsr/simrank/query"
 )
 
-// serving is the machinery every simrankd mode shares: the single-node
-// daemon (Server), a shard backend (ShardServer), and the scatter/gather
-// router (Router) all embed it. It owns the concurrency limiter and
+// serving is the machinery every simrankd mode shares: the /v1 front end
+// (Server, over either row source) and a shard backend (ShardServer) both
+// embed it. It owns the query/update lock, the concurrency limiter and
 // request deadlines (limiter.go), the deadline-aware degradation cost
-// model (degrade.go), error/body encoding, and the overload counters —
-// so a request hitting a router sheds, queues, times out, and degrades by
-// exactly the rules a single-node daemon enforces, because it runs the
-// same code.
+// model (degrade.go), error/body encoding, the /v1/edges handler, and the
+// counters and /metrics lines common to every mode.
 type serving struct {
+	// mu serializes /v1/edges against queries: queries hold RLock for their
+	// whole execution (walk rows are repaired in place, not swapped; a
+	// fleet's broadcast must not interleave with a scatter), handleEdges
+	// holds Lock while the batch applies. Reads stay fully concurrent with
+	// each other; the limiter bounds how many execute at once.
+	mu sync.RWMutex
+
 	maxBatch       int
 	joinMaxCand    int
 	maxInflight    int
@@ -52,9 +58,10 @@ type serving struct {
 	exactNanos atomic.Uint64
 
 	// rerankSeconds is the wall time of every completed exact rerank (one
-	// top-k request, or one chunk of a batch) — the observations the
-	// per-candidate EWMA is folded from, kept as a distribution because the
-	// EWMA hides the hub-heavy tail that deadlines actually meet.
+	// top-k request, or one chunk of a batch; the ranking alone, never the
+	// sweep before it) — the observations the per-candidate EWMA is folded
+	// from, kept as a distribution because the EWMA hides the hub-heavy
+	// tail that deadlines actually meet.
 	rerankSeconds *histogram.Histogram
 
 	// Per-engine request counters for the endpoints that accept ?engine=
@@ -70,6 +77,14 @@ type serving struct {
 	degradedTotal atomic.Int64
 	reqErrors     atomic.Int64
 
+	// /v1/edges counters: requests, applied batches, and what they did.
+	reqEdges      atomic.Int64
+	updatesTotal  atomic.Int64
+	updateMicros  atomic.Int64
+	edgesAdded    atomic.Int64
+	edgesRemoved  atomic.Int64
+	walksRepaired atomic.Int64
+
 	started time.Time
 
 	// Test hooks. testHookInflight runs while the request holds an
@@ -81,8 +96,8 @@ type serving struct {
 }
 
 // initServing resolves the limiter and request-shaping defaults of cfg
-// and arms the semaphore. Every NewServer/NewShardServer/NewRouter calls
-// it exactly once before wiring routes.
+// and arms the semaphore. newFrontEnd and NewShardServer call it exactly
+// once before wiring routes.
 func (sv *serving) initServing(cfg Config) {
 	sv.maxBatch = cfg.MaxBatch
 	sv.joinMaxCand = cfg.JoinMaxCandidates
@@ -202,9 +217,7 @@ func boolParam(r *http.Request, name string) bool {
 
 // singleSourceBody marshals the /v1/single_source response body — also the
 // per-item line /v1/batch streams, so the two endpoints answer (and cache)
-// byte-identically. The single-node daemon never degrades a single-source
-// answer (there is no rerank to skip); the router does, when a shard's
-// partial row is missing from the merge.
+// byte-identically.
 func (sv *serving) singleSourceBody(q int, scores []float64, sparse bool, min float64, degraded bool) ([]byte, error) {
 	resp := singleSourceResponse{Query: q, N: len(scores), Degraded: degraded}
 	if sparse {
@@ -221,13 +234,39 @@ func (sv *serving) topKBody(q, k int, rerank, degraded bool, results []query.Ran
 	return sv.marshalBody(topKResponse{Query: q, K: k, Reranked: rerank, Degraded: degraded, Results: results})
 }
 
+// handleMetrics serves /metrics in every mode, in the Prometheus text
+// exposition format (no client library dependency): the lines all modes
+// share, then extra's. The page is rendered into a buffer first, so
+// whatever lock extra takes is never held across a slow scraper's reads.
+func (sv *serving) handleMetrics(mode string, extra func(io.Writer)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		buf := sv.encPool.Get().(*bytes.Buffer)
+		defer sv.encPool.Put(buf)
+		buf.Reset()
+		buildInfoMetric(buf, mode)
+		fmt.Fprintf(buf, "simrankd_requests_total{endpoint=\"edges\"} %d\n", sv.reqEdges.Load())
+		fmt.Fprintf(buf, "simrankd_request_errors_total %d\n", sv.reqErrors.Load())
+		fmt.Fprintf(buf, "simrankd_requests_shed_total %d\n", sv.shedTotal.Load())
+		fmt.Fprintf(buf, "simrankd_inflight_requests %d\n", sv.inflight.Load())
+		fmt.Fprintf(buf, "simrankd_queued_requests %d\n", sv.queued.Load())
+		sv.latency.WriteProm(buf, "simrankd_request_latency_seconds")
+		fmt.Fprintf(buf, "simrankd_updates_total %d\n", sv.updatesTotal.Load())
+		fmt.Fprintf(buf, "simrankd_update_latency_micros_total %d\n", sv.updateMicros.Load())
+		fmt.Fprintf(buf, "simrankd_update_edges_added_total %d\n", sv.edgesAdded.Load())
+		fmt.Fprintf(buf, "simrankd_update_edges_removed_total %d\n", sv.edgesRemoved.Load())
+		fmt.Fprintf(buf, "simrankd_update_walks_repaired_total %d\n", sv.walksRepaired.Load())
+		extra(buf)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		w.Write(buf.Bytes())
+	}
+}
+
 // streamNDJSON writes precomputed NDJSON lines, flushing each. A context
 // that dies mid-stream — the graceful-shutdown drain deadline cancelling
 // in-flight requests, the per-request deadline, a vanished client — ends
 // the stream with one terminal error line: the status is long since
 // written, so in-band is the only channel left, and clients must not
-// mistake a truncated stream for a complete one. Server and Router batch
-// endpoints share this loop, so their truncation semantics are identical.
+// mistake a truncated stream for a complete one.
 func (sv *serving) streamNDJSON(w http.ResponseWriter, r *http.Request, lines [][]byte) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)

@@ -1,28 +1,28 @@
 package simrankd
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"oipsr/graph"
-	"oipsr/simrank/query"
 	"oipsr/simrank/shard"
 )
 
 // ShardServer is the HTTP handler of one shard backend: it owns the walk
 // rows of a contiguous vertex range and answers the internal scatter
-// protocol the Router speaks — partial score rows for arbitrary sources,
-// join candidate enumeration over a fingerprint range, exact pair scoring
-// — plus the same /v1/edges, /healthz, and /metrics surface as the
-// single-node daemon. It inherits the full overload discipline (deadline
-// attachment, admission control, shedding) through the embedded serving.
+// protocol a router (fleetSource) speaks — partial score rows for
+// arbitrary sources, join candidate enumeration over a fingerprint range,
+// exact pair scoring — plus /v1/edges (the one handler every mode shares, see edges.go),
+// /healthz, and /metrics. It inherits the full overload discipline
+// (deadline attachment, admission control, shedding) through the embedded
+// serving.
 //
-// Internal endpoints (consumed by the Router, not public API):
+// Internal endpoints (consumed by a router, not public API):
 //
 //	POST /shard/v1/scores           partial rows for the owned range
 //	POST /shard/v1/join_candidates  co-located pairs of one fp range
@@ -34,9 +34,6 @@ import (
 type ShardServer struct {
 	serving
 
-	// mu serializes /v1/edges (write) against queries (read), exactly
-	// like the single-node daemon: the shard index is repaired in place.
-	mu      sync.RWMutex
 	sh      *shard.Shard
 	workers int
 	mux     *http.ServeMux
@@ -44,13 +41,6 @@ type ShardServer struct {
 	reqScores   atomic.Int64
 	reqJoinCand atomic.Int64
 	reqJoinPair atomic.Int64
-	reqEdges    atomic.Int64
-
-	updatesTotal  atomic.Int64
-	updateMicros  atomic.Int64
-	edgesAdded    atomic.Int64
-	edgesRemoved  atomic.Int64
-	walksRepaired atomic.Int64
 }
 
 // NewShardServer returns a handler serving the scatter protocol from sh,
@@ -69,9 +59,16 @@ func NewShardServer(sh *shard.Shard, cfg Config) (*ShardServer, error) {
 	s.mux.HandleFunc("/shard/v1/scores", s.limited(s.handleScores))
 	s.mux.HandleFunc("/shard/v1/join_candidates", s.limited(s.handleJoinCandidates))
 	s.mux.HandleFunc("/shard/v1/join_score", s.limited(s.handleJoinScore))
-	s.mux.HandleFunc("/v1/edges", s.limited(s.handleEdges))
+	// The same request and response shapes as serve mode, applied to the
+	// shard's graph and range-restricted index. A router broadcasts one
+	// batch to every shard; because edits are idempotent at the graph
+	// layer, re-broadcasting after a partial failure converges instead of
+	// corrupting.
+	s.mux.HandleFunc("/v1/edges", s.limited(s.handleEdges(func(_ context.Context, edits []graph.Edit) (edgesResponse, error) {
+		return applyLocalEdits(sh.ApplyEdits, sh.Graph, edits, cfg.Workers)
+	})))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/metrics", s.handleMetrics("shard", s.writeMetrics))
 	return s, nil
 }
 
@@ -234,79 +231,6 @@ func (s *ShardServer) handleJoinScore(w http.ResponseWriter, r *http.Request) {
 	writeJSONBytes(w, body)
 }
 
-// handleEdges serves POST /v1/edges on a shard: the same request and
-// response shapes as the single-node daemon, applied to the shard's graph
-// and range-restricted index. The router broadcasts one batch to every
-// shard; because edits are idempotent at the graph layer, re-broadcasting
-// after a partial failure converges instead of corrupting.
-func (s *ShardServer) handleEdges(w http.ResponseWriter, r *http.Request) {
-	s.reqEdges.Add(1)
-	if !s.checkMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req edgesRequest
-	if !s.decodeJSONBody(w, r, &req) {
-		return
-	}
-	edits, errMsg := parseEdits(req.Edits)
-	if errMsg != "" {
-		s.writeError(w, http.StatusBadRequest, "%s", errMsg)
-		return
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u0 := time.Now()
-	stats, err := s.sh.ApplyEdits(edits, s.workers)
-	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, query.ErrTooLarge) {
-			code = http.StatusInternalServerError
-		}
-		s.writeError(w, code, "%v", err)
-		return
-	}
-	updateMicros := time.Since(u0).Microseconds()
-	s.updatesTotal.Add(1)
-	s.updateMicros.Add(updateMicros)
-	s.edgesAdded.Add(int64(stats.EdgesAdded))
-	s.edgesRemoved.Add(int64(stats.EdgesRemoved))
-	s.walksRepaired.Add(int64(stats.WalksRepaired))
-
-	body, err := s.marshalBody(edgesResponse{
-		Added:         stats.EdgesAdded,
-		Removed:       stats.EdgesRemoved,
-		DirtyVertices: stats.DirtyVertices,
-		WalksRepaired: stats.WalksRepaired,
-		Generation:    stats.Generation,
-		Edges:         s.sh.Graph().NumEdges(),
-		UpdateMicros:  updateMicros,
-	})
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	writeJSONBytes(w, body)
-}
-
-// parseEdits translates wire edits to graph edits, returning a non-empty
-// message on the first invalid op. Server, ShardServer, and Router share
-// it so their /v1/edges reject identically.
-func parseEdits(wire []edgeEdit) ([]graph.Edit, string) {
-	edits := make([]graph.Edit, len(wire))
-	for i, e := range wire {
-		switch e.Op {
-		case "add":
-			edits[i] = graph.Edit{Op: graph.EditAdd, U: e.U, V: e.V}
-		case "remove":
-			edits[i] = graph.Edit{Op: graph.EditRemove, U: e.U, V: e.V}
-		default:
-			return nil, fmt.Sprintf("edit %d: unknown op %q (want \"add\" or \"remove\")", i, e.Op)
-		}
-	}
-	return edits, ""
-}
-
 // shardHealthzResponse is the shard-mode /healthz body; the router's
 // startup probe consumes it to learn each backend's range, parameters,
 // and generation.
@@ -323,6 +247,9 @@ type shardHealthzResponse struct {
 	// ForestBytes is the coalescence order a dense shard answers from,
 	// derived state on top of IndexBytes; 0 when mapped.
 	ForestBytes int64 `json:"index_forest_bytes"`
+	// VisitBytes is the inverted visit index edits repair the owned walks
+	// through; 0 until the first batch (or -prewarm-updates) builds it.
+	VisitBytes int64 `json:"index_visit_bytes"`
 	// Backend is the walk-storage backing: "dense" in memory, "mapped"
 	// (or "mapped-readat") when serving a demand-paged v2 shard file.
 	Backend    string  `json:"backend"`
@@ -345,37 +272,22 @@ func (s *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Seed:        s.sh.Seed(),
 		IndexBytes:  s.sh.Bytes(),
 		ForestBytes: s.sh.ForestBytes(),
+		VisitBytes:  s.sh.VisitBytes(),
 		Backend:     s.sh.Backend(),
 		Generation:  s.sh.Generation(),
 		UptimeSecs:  time.Since(s.started).Seconds(),
 	})
 }
 
-func (s *ShardServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	generation := s.sh.Generation()
-	lo, hi := s.sh.Lo(), s.sh.Hi()
-	indexBytes, forestBytes := s.sh.Bytes(), s.sh.ForestBytes()
-	s.mu.RUnlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	buildInfoMetric(w, "shard")
+// writeMetrics emits the shard server's own /metrics lines.
+func (s *ShardServer) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"shard_scores\"} %d\n", s.reqScores.Load())
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"shard_join_candidates\"} %d\n", s.reqJoinCand.Load())
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"shard_join_score\"} %d\n", s.reqJoinPair.Load())
-	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"edges\"} %d\n", s.reqEdges.Load())
-	fmt.Fprintf(w, "simrankd_request_errors_total %d\n", s.reqErrors.Load())
-	fmt.Fprintf(w, "simrankd_requests_shed_total %d\n", s.shedTotal.Load())
-	fmt.Fprintf(w, "simrankd_inflight_requests %d\n", s.inflight.Load())
-	fmt.Fprintf(w, "simrankd_queued_requests %d\n", s.queued.Load())
-	s.latency.WriteProm(w, "simrankd_request_latency_seconds")
-	fmt.Fprintf(w, "simrankd_index_generation %d\n", generation)
-	fmt.Fprintf(w, "simrankd_updates_total %d\n", s.updatesTotal.Load())
-	fmt.Fprintf(w, "simrankd_update_latency_micros_total %d\n", s.updateMicros.Load())
-	fmt.Fprintf(w, "simrankd_update_edges_added_total %d\n", s.edgesAdded.Load())
-	fmt.Fprintf(w, "simrankd_update_edges_removed_total %d\n", s.edgesRemoved.Load())
-	fmt.Fprintf(w, "simrankd_update_walks_repaired_total %d\n", s.walksRepaired.Load())
-	fmt.Fprintf(w, "simrankd_shard_lo %d\n", lo)
-	fmt.Fprintf(w, "simrankd_shard_hi %d\n", hi)
-	fmt.Fprintf(w, "simrankd_index_bytes %d\n", indexBytes)
-	fmt.Fprintf(w, "simrankd_index_forest_bytes %d\n", forestBytes)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	fmt.Fprintf(w, "simrankd_index_generation %d\n", s.sh.Generation())
+	fmt.Fprintf(w, "simrankd_shard_lo %d\n", s.sh.Lo())
+	fmt.Fprintf(w, "simrankd_shard_hi %d\n", s.sh.Hi())
+	writeIndexSizeMetrics(w, s.sh.Bytes(), s.sh.ForestBytes(), s.sh.VisitBytes())
 }

@@ -61,6 +61,18 @@ func (ix *Index) ForestBytes() int64 {
 	return int64(len(ix.forest.order))*4 + int64(len(ix.forest.meet))*2
 }
 
+// VisitBytes returns the resident size of the inverted visit index Update
+// finds affected walks through: 8 bytes per posting of capacity plus one
+// slice header per vertex of the graph. 0 until PrepareUpdate or the first
+// Update builds it. Reported beside Bytes, like ForestBytes.
+func (ix *Index) VisitBytes() int64 {
+	total := int64(len(ix.visits)) * 24
+	for _, list := range ix.visits {
+		total += int64(cap(list)) * 8
+	}
+	return total
+}
+
 // path returns the stored fingerprint-fp path of store-local walker v.
 func (ix *Index) path(v int32, fp int) []int32 {
 	return ix.store.Row(int(v))[fp*ix.k : (fp+1)*ix.k]

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -99,6 +100,11 @@ func (ix *Index) Bytes() int64 { return ix.wi.Bytes() }
 // answers queries on a dense index in output-sensitive time — 6 bytes per
 // stored walk, on top of Bytes; 0 for a mapped index, which has none.
 func (ix *Index) ForestBytes() int64 { return ix.wi.ForestBytes() }
+
+// VisitBytes returns the in-memory size of the inverted visit index that
+// Update and ApplyEdits repair walks through — on top of Bytes, and 0
+// until PrepareUpdates or the first applied batch builds it.
+func (ix *Index) VisitBytes() int64 { return ix.wi.VisitBytes() }
 
 // Graph returns the attached graph, or nil for a loaded index without
 // AttachGraph.
@@ -286,10 +292,15 @@ func (ix *Index) checkTopK(k int, opt *TopKOptions) (int, *TopKOptions, error) {
 		return 0, nil, err
 	}
 	if opt.Rerank && ix.g == nil {
-		return 0, nil, fmt.Errorf("query: rerank needs the source graph (AttachGraph after Load)")
+		return 0, nil, errRerankNoGraph
 	}
 	return k, opt, nil
 }
+
+// errRerankNoGraph refuses an exact rerank without the graph the scores
+// were computed against: checkTopK returns it before any sweep, RankScores
+// for callers that rank a row without an Index.
+var errRerankNoGraph = errors.New("query: rerank needs the source graph (AttachGraph after Load)")
 
 // validate rejects option values no rerank can honour. A negative or NaN
 // PruneEps would make "weight < PruneEps" never true and silently turn the
@@ -369,10 +380,10 @@ func (ix *Index) rankFromScores(ctx context.Context, scores []float64, q, k int,
 // reproduce the single-node scores.
 //
 // Callers validate q/k (k already clamped to at most n-1) and, when
-// opt.Rerank is set, pass the non-nil graph the scores were computed
-// against. The errors are an option value out of range (see TopKOptions),
-// a graph or horizon beyond what the exact scorer's memo keys hold, and
-// ctx cancellation.
+// opt.Rerank is set, pass the graph the scores were computed against. The
+// errors are an option value out of range (see TopKOptions), a rerank
+// without a graph, a graph or horizon beyond what the exact scorer's memo
+// keys hold, and ctx cancellation.
 func RankScores(ctx context.Context, g *graph.Graph, c float64, horizon int, scores []float64, q, k int, opt *TopKOptions) ([]Ranked, error) {
 	n := len(scores)
 	if opt == nil {
@@ -383,6 +394,9 @@ func RankScores(ctx context.Context, g *graph.Graph, c float64, horizon int, sco
 	}
 	pool := k
 	if opt.Rerank {
+		if g == nil {
+			return nil, errRerankNoGraph
+		}
 		pool = RerankPool(n, k, opt.Candidates)
 	}
 	cands := topByScore(scores, q, pool)

@@ -122,6 +122,11 @@ func (s *Shard) Bytes() int64 { return s.sx.Bytes() }
 // answers from, on top of Bytes; 0 for a mapped shard.
 func (s *Shard) ForestBytes() int64 { return s.sx.ForestBytes() }
 
+// VisitBytes returns the size of the inverted visit index ApplyEdits
+// repairs the owned walks through, on top of Bytes; 0 until PrepareUpdates
+// or the first applied batch builds it.
+func (s *Shard) VisitBytes() int64 { return s.sx.VisitBytes() }
+
 // Backend reports the walk storage backing this shard: "dense" for
 // in-memory shards, "mapped" (or "mapped-readat" without mmap) for
 // demand-paged ones opened via OpenShardMapped.
