@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"oipsr/internal/par"
+	"oipsr/internal/sparserow"
 	"oipsr/simrank/query"
 )
 
@@ -34,13 +35,14 @@ const maxRequestBody = 8 << 20
 // NDJSON response is buffered before streaming, so without this cap one
 // modest-looking request on a large graph could hold gigabytes of response.
 // 8M float64 scores is 64 MB of rows before encoding. The same figure
-// bounds the per-chunk MultiSource intermediate of every batch mode (see
-// batchChunk) — there the response stays small, so chunking suffices and
-// no request has to be refused.
+// bounds the per-chunk dense intermediate a mapped index sweeps for every
+// batch mode (see batchChunk) — there the response stays small, so chunking
+// suffices and no request has to be refused.
 const maxDenseBatchScores = 8 << 20
 
-// batchChunk returns how many sources one MultiSource call may carry so
-// its dense intermediate rows stay within maxDenseBatchScores.
+// batchChunk returns how many sources one rows call may carry so that even
+// swept dense (a mapped index) its intermediate rows stay within
+// maxDenseBatchScores.
 func batchChunk(n int) int {
 	chunk := maxDenseBatchScores / max(n, 1)
 	return max(chunk, 1)
@@ -57,6 +59,14 @@ type batchRequest struct {
 	// Min applies to single_source mode only: present means the sparse,
 	// thresholded response form (the only cacheable one).
 	Min *float64 `json:"min"`
+}
+
+// threshold returns Min and whether it was given.
+func (req *batchRequest) threshold() (min float64, sparse bool) {
+	if req.Min == nil {
+		return 0, false
+	}
+	return *req.Min, true
 }
 
 // batchItemError is the NDJSON line of a failed batch item.
@@ -177,11 +187,7 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 	defer s.mu.RUnlock()
 
 	tag := s.src.genTag()
-	sparse := req.Min != nil
-	var minVal float64
-	if sparse {
-		minVal = *req.Min
-	}
+	minVal, sparse := req.threshold()
 	// The key of an item's line, shared with the single endpoints; "" for
 	// the dense single_source form, which is O(n) bytes and stays out of
 	// the cache there too.
@@ -226,54 +232,23 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 		return lines, itemErrors, false, nil
 	}
 
-	// Misses are fetched in chunks: a chunk holds one dense float64 row per
-	// source, so an unchunked batch on a large graph would pin
-	// len(miss)*n*8 bytes at once. Each chunk's rows are released before
-	// the next starts; per-source results are unaffected (every row is
-	// independent of which batch it was computed in).
+	// Misses are fetched in chunks: where rows are swept dense below the
+	// seam (a mapped index) a chunk holds one float64 row of n per source,
+	// so an unchunked batch on a large graph would pin len(miss)*n*8 bytes
+	// at once. Each chunk's rows are released before the next starts;
+	// per-source results are unaffected (every row is independent of which
+	// batch it was computed in).
 	bodies := make([][]byte, len(miss))
 	chunk := batchChunk(s.n)
 	for lo := 0; lo < len(miss); lo += chunk {
 		hi := min(lo+chunk, len(miss))
-		rows, chunkDegraded, rerr := s.src.rows(ctx, miss[lo:hi], nil)
-		if rerr != nil {
-			return nil, 0, false, rerr
-		}
-		var results [][]query.Ranked
-		useRerank := false
-		if mode == "topk" {
-			// The degrade decision is per chunk, by the rules of /v1/topk:
-			// rows missing a range disable the rerank outright, and the
-			// budget check sees the whole chunk's candidate volume against
-			// the remaining deadline — so a batch that starts exact can
-			// finish degraded as the budget drains, each line honestly
-			// marked.
-			useRerank = req.Rerank && !chunkDegraded
-			pool := query.RerankPool(s.n, req.K, 0) * (hi - lo)
-			if useRerank && s.shouldDegrade(ctx, pool) {
-				useRerank, chunkDegraded = false, true
-			}
-			t1 := time.Now()
-			if results, err = s.rankRows(ctx, rows, miss[lo:hi], req.K, useRerank); err != nil {
-				return nil, 0, false, err
-			}
-			if useRerank {
-				s.observeRerank(time.Since(t1), pool)
-			}
+		chunkDegraded, err := s.chunkBodies(ctx, req, mode, miss[lo:hi], bodies[lo:hi])
+		if err != nil {
+			return nil, 0, false, err
 		}
 		for j, q := range miss[lo:hi] {
-			var body []byte
-			if mode == "topk" {
-				body, err = s.topKBody(q, req.K, useRerank, chunkDegraded, results[j])
-			} else {
-				body, err = s.singleSourceBody(q, rows[j], sparse, minVal, chunkDegraded)
-			}
-			if err != nil {
-				return nil, 0, false, err
-			}
-			bodies[lo+j] = body
 			if key := keyOf(q); key != "" && !chunkDegraded {
-				s.cache.Put(key, body)
+				s.cache.Put(key, bodies[lo+j])
 			}
 		}
 		degraded = degraded || chunkDegraded
@@ -286,10 +261,54 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 	return lines, itemErrors, degraded, nil
 }
 
+// chunkBodies fetches the rows of one chunk of missed sources and encodes
+// each source's response line into bodies. The rows go back to their pool
+// on return: a body holds copies, never row memory.
+func (s *Server) chunkBodies(ctx context.Context, req *batchRequest, mode string, sources []int, bodies [][]byte) (degraded bool, err error) {
+	rows, degraded, err := s.src.rows(ctx, sources)
+	if err != nil {
+		return false, err
+	}
+	defer sparserow.Release(rows...)
+	if mode != "topk" {
+		minVal, sparse := req.threshold()
+		for j, q := range sources {
+			if bodies[j], err = s.walkSingleSourceBody(q, rows[j], sparse, minVal, degraded); err != nil {
+				return false, err
+			}
+		}
+		return degraded, nil
+	}
+	// The degrade decision is per chunk, by the rules of /v1/topk: rows
+	// missing a range disable the rerank outright, and the budget check sees
+	// the whole chunk's candidate volume against the remaining deadline — so
+	// a batch that starts exact can finish degraded as the budget drains,
+	// each line honestly marked.
+	useRerank := req.Rerank && !degraded
+	pool := query.RerankPool(s.n, req.K, 0) * len(sources)
+	if useRerank && s.shouldDegrade(ctx, pool) {
+		useRerank, degraded = false, true
+	}
+	t1 := time.Now()
+	results, err := s.rankRows(ctx, rows, sources, req.K, useRerank)
+	if err != nil {
+		return false, err
+	}
+	if useRerank {
+		s.observeRerank(time.Since(t1), pool)
+	}
+	for j, q := range sources {
+		if bodies[j], err = s.topKBody(q, req.K, useRerank, degraded, results[j]); err != nil {
+			return false, err
+		}
+	}
+	return degraded, nil
+}
+
 // rankRows ranks one chunk's rows, in parallel across sources over the
 // configured workers: rows are independent and every rerank has its own
 // memo, so the results are bit-identical for every worker count.
-func (s *Server) rankRows(ctx context.Context, rows [][]float64, sources []int, k int, rerank bool) ([][]query.Ranked, error) {
+func (s *Server) rankRows(ctx context.Context, rows []*sparserow.Row, sources []int, k int, rerank bool) ([][]query.Ranked, error) {
 	out := make([][]query.Ranked, len(rows))
 	parts := par.ResolveMax(s.workers, len(rows))
 	errs := make([]error, parts)

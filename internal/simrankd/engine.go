@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"oipsr/internal/sparserow"
+	"oipsr/simrank/query"
 )
 
 // The engine seam: /v1/single_source and /v1/topk accept ?engine= to pick
@@ -78,8 +81,13 @@ func (s *Server) exactOrWalkRow(ctx context.Context, q int, buf []float64) (row 
 	if s.shouldDegradeExact(ctx) {
 		// A range missing from the estimates changes nothing here: the
 		// answer is marked degraded and kept out of the cache either way.
-		row, _, err = s.walkRow(ctx, q, buf)
-		return row, true, err
+		walk, _, err := s.walkRow(ctx, q)
+		if err != nil {
+			return nil, false, err
+		}
+		defer sparserow.Release(walk)
+		walk.Densify(buf)
+		return buf, true, nil
 	}
 	t1 := time.Now()
 	row, steady, err := s.src.exactRow(ctx, q, buf)
@@ -129,7 +137,7 @@ func (s *Server) serveTopKExact(w http.ResponseWriter, r *http.Request, q, k int
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	results, err := s.rank(r.Context(), row, q, k, false)
+	results, err := query.RankScores(r.Context(), nil, s.c, s.horizon, row, q, min(k, s.n-1), nil)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return

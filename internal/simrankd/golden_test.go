@@ -404,7 +404,8 @@ func metricNames(t *testing.T, h http.Handler) []string {
 // TestParentMetricNames: every series (name and label set; order free)
 // each mode exported at the parent is still exported — one writer for the
 // shared lines must not have dropped any — and router mode now also reports
-// the update effects its /v1/edges response always carried.
+// the update effects its /v1/edges response always carried, and both ends of
+// a score leg count what crosses it.
 func TestParentMetricNames(t *testing.T) {
 	g := gen.WebGraph(goldenN, 5, 101)
 	opt := query.Options{Walks: 20, Seed: 7, Workers: 1}
@@ -432,8 +433,9 @@ func TestParentMetricNames(t *testing.T) {
 		also []string
 	}{
 		{"serve", NewServer(idx, Config{Workers: 1}), []string{"simrankd_index_visit_bytes"}},
-		{"shard", ss, []string{"simrankd_index_visit_bytes"}},
-		{"router", rt, []string{"simrankd_update_edges_added_total", "simrankd_update_edges_removed_total", "simrankd_update_walks_repaired_total"}},
+		{"shard", ss, []string{"simrankd_index_visit_bytes", "simrankd_shard_scores_entries_total"}},
+		{"router", rt, []string{"simrankd_update_edges_added_total", "simrankd_update_edges_removed_total", "simrankd_update_walks_repaired_total",
+			"simrankd_shard_leg_bytes_total", "simrankd_shard_leg_rows_total"}},
 	} {
 		got := metricNames(t, mode.h)
 		file := "metrics-" + mode.name + ".txt"

@@ -17,6 +17,7 @@ import (
 
 	"oipsr/graph"
 	"oipsr/internal/linsr"
+	"oipsr/internal/sparserow"
 	"oipsr/internal/walkindex"
 	"oipsr/simrank/query"
 	"oipsr/simrank/shard"
@@ -27,11 +28,12 @@ import (
 // requests by scattering to the shard backends over HTTP and merging their
 // partials:
 //
-//   - dense score rows merge by concatenation (each shard owns a disjoint
-//     contiguous vertex range), so no float arithmetic happens in the
-//     merge and the assembled row is bit-identical to the single-node one
-//     (ranking and the optional rerank then run once, in the front end,
-//     over the merged row);
+//   - score rows merge by concatenation: each shard owns a disjoint
+//     contiguous vertex range and answers with the sorted non-zero entries
+//     of its range (legwire.go), so appending the legs' runs in range order
+//     is the single-node sparse row, bit for bit — no float arithmetic
+//     happens in the merge (ranking and the optional rerank then run once,
+//     in the front end, over the merged row);
 //   - joins scatter along the fingerprint axis (each backend enumerates
 //     candidates for one fp range), union here, and scatter pair scoring
 //     back to the owner of each pair's first vertex;
@@ -47,7 +49,7 @@ import (
 //
 // Each scatter leg runs under shardTimeout; a backend that sheds, fails,
 // or times out mid-scatter costs its vertex range, not the request — the
-// merged answer reports zeros for the missing range and degraded=true,
+// merged answer holds nothing for the missing range (zeros) and degraded=true,
 // which the front end turns into the "degraded" field, the
 // X-Simrank-Degraded header, and a body that is never cached.
 type fleetSource struct {
@@ -76,8 +78,11 @@ type fleetSource struct {
 	exact fleetExact
 
 	// shardErrors counts failed scatter legs (shed, error, timeout) — each
-	// one degrades a merged answer.
+	// one degrades a merged answer. legBytes and legRows count what the
+	// healthy score legs delivered: body bytes and rows.
 	shardErrors atomic.Int64
+	legBytes    atomic.Int64
+	legRows     atomic.Int64
 }
 
 // DefaultShardTimeout bounds one scatter leg when RouterConfig.ShardTimeout
@@ -107,9 +112,16 @@ func NewRouter(g *graph.Graph, backends []string, cfg RouterConfig) (*Server, er
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("simrankd: router needs at least one shard backend")
 	}
+	// Every admitted request scatters one leg to every backend at once, so
+	// a backend sees up to maxInflight concurrent legs; an idle pool any
+	// smaller (http.DefaultTransport keeps 2 per host) closes the surplus
+	// connections after each burst and dials them again for the next.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns = 0
+	transport.MaxIdleConnsPerHost = cfg.resolvedMaxInflight()
 	rt := &fleetSource{
 		g:            g,
-		client:       &http.Client{},
+		client:       &http.Client{Transport: transport},
 		shardTimeout: cfg.ShardTimeout,
 	}
 	if rt.shardTimeout <= 0 {
@@ -184,13 +196,23 @@ func NewRouter(g *graph.Graph, backends []string, cfg RouterConfig) (*Server, er
 }
 
 // postShard posts one JSON request to a backend and decodes the JSON
-// response, under a child deadline of shardTimeout (the request deadline
-// still applies — a leg never outlives its request).
+// response.
 func (rt *fleetSource) postShard(ctx context.Context, base, path string, reqBody, out any) error {
 	payload, err := json.Marshal(reqBody)
 	if err != nil {
 		return err
 	}
+	return rt.post(ctx, base, path, payload, func(body io.Reader) error {
+		return json.NewDecoder(body).Decode(out)
+	})
+}
+
+// post posts payload to a backend under a child deadline of shardTimeout
+// (the request deadline still applies — a leg never outlives its request)
+// and hands the body of a 200 to read. Whatever read leaves unread is
+// drained before the body is closed, on every path: a connection goes back
+// to the idle pool only once its response has been read to the end.
+func (rt *fleetSource) post(ctx context.Context, base, path string, payload []byte, read func(body io.Reader) error) error {
 	ctx, cancel := context.WithTimeout(ctx, rt.shardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(payload))
@@ -202,7 +224,10 @@ func (rt *fleetSource) postShard(ctx context.Context, base, path string, reqBody
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrainBytes))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
 		var eresp errorResponse
 		if derr := json.NewDecoder(resp.Body).Decode(&eresp); derr != nil || eresp.Error == "" {
@@ -210,8 +235,13 @@ func (rt *fleetSource) postShard(ctx context.Context, base, path string, reqBody
 		}
 		return &statusError{status: resp.StatusCode, msg: eresp.Error}
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return read(resp.Body)
 }
+
+// maxDrainBytes bounds what post reads past the point its caller stopped:
+// enough for any response this protocol leaves a tail of, small enough that
+// a backend streaming garbage costs its connection, not the leg's deadline.
+const maxDrainBytes = 256 << 10
 
 // renderTag re-renders the generation vector into tag.
 func (rt *fleetSource) renderTag() {
@@ -226,59 +256,96 @@ func (rt *fleetSource) dims() (int, float64, int) { return rt.n, rt.c, rt.horizo
 func (rt *fleetSource) graph() *graph.Graph       { return rt.g }
 func (rt *fleetSource) genTag() string            { return rt.tag }
 
-// rows scatters one batch of sources to every backend and merges the
-// partial rows. degraded reports that a backend's partial is missing
-// (failed, shed, timed out) or was served at a generation other than the
-// recorded one — either way the merge is not the current single-node
-// answer. A leg is validated whole — range, generation, row count, every
-// row's length — before any of it is copied, so a failed leg leaves
-// exactly zeros in its range of every row.
-func (rt *fleetSource) rows(ctx context.Context, sources []int, buf []float64) ([][]float64, bool, error) {
-	rows := make([][]float64, len(sources))
-	for i := range rows {
-		if i == 0 && buf != nil {
-			rows[i] = buf
-		} else {
-			rows[i] = make([]float64, rt.n)
+// legBuf is the working memory of one score leg: the raw body and its
+// decoded rows.
+type legBuf struct {
+	body bytes.Buffer
+	rows legRows
+}
+
+var legPool = sync.Pool{New: func() any { return new(legBuf) }}
+
+// scoresLeg fetches backend i's partial rows for a marshalled scores
+// request, nil if the leg failed. A leg is validated whole — the body read
+// through the cap of the largest well-formed answer, then format, range,
+// generation and row count — before any of it reaches the merge, so a
+// failed leg contributes nothing to any row.
+func (rt *fleetSource) scoresLeg(ctx context.Context, i int, payload []byte, sources int) *legBuf {
+	want := rt.ranges[i]
+	leg := legPool.Get().(*legBuf)
+	leg.body.Reset()
+	err := rt.post(ctx, rt.backends[i], "/shard/v1/scores", payload, func(body io.Reader) error {
+		limit := maxLegBytes(sources, want.Hi-want.Lo)
+		if _, err := leg.body.ReadFrom(io.LimitReader(body, limit+1)); err != nil {
+			return err
 		}
+		if int64(leg.body.Len()) > limit {
+			return fmt.Errorf("%w: longer than any answer to %d sources", errLegMalformed, sources)
+		}
+		lo, hi, gen, err := leg.rows.decode(leg.body.Bytes())
+		if err == nil && (lo != want.Lo || hi != want.Hi || gen != rt.gens[i] || len(leg.rows.ends) != sources) {
+			err = fmt.Errorf("%w: [%d,%d) generation %d with %d rows, want [%d,%d) generation %d with %d",
+				errLegMalformed, lo, hi, gen, len(leg.rows.ends), want.Lo, want.Hi, rt.gens[i], sources)
+		}
+		return err
+	})
+	if err != nil {
+		legPool.Put(leg)
+		return nil
 	}
+	return leg
+}
+
+// rows scatters one batch of sources to every backend and merges the
+// partial rows: each source's row is the legs' runs appended in range
+// order. degraded reports that a backend's partial is missing (failed,
+// shed, timed out, malformed) or was served at a generation other than the
+// recorded one — either way the merge is not the current single-node
+// answer, and the row simply has no entries in that backend's range.
+func (rt *fleetSource) rows(ctx context.Context, sources []int) ([]*sparserow.Row, bool, error) {
+	payload, err := json.Marshal(shardScoresRequest{Sources: sources})
+	if err != nil {
+		return nil, false, err
+	}
+	legs := make([]*legBuf, len(rt.backends))
 	var wg sync.WaitGroup
-	failed := make([]bool, len(rt.backends))
-	for i := range rt.backends {
+	for i := 1; i < len(rt.backends); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			want := rt.ranges[i]
-			var resp shardScoresResponse
-			err := rt.postShard(ctx, rt.backends[i], "/shard/v1/scores", shardScoresRequest{Sources: sources}, &resp)
-			ok := err == nil && resp.Lo == want.Lo && resp.Hi == want.Hi &&
-				len(resp.Rows) == len(sources) && resp.Generation == rt.gens[i]
-			for _, row := range resp.Rows {
-				ok = ok && len(row) == want.Hi-want.Lo
-			}
-			if !ok {
-				failed[i] = true
-				if buf != nil {
-					clear(buf[want.Lo:want.Hi]) // the pooled row arrives dirty
-				}
-				return
-			}
-			for si, row := range resp.Rows {
-				copy(rows[si][want.Lo:want.Hi], row)
-			}
+			legs[i] = rt.scoresLeg(ctx, i, payload, len(sources))
 		}(i)
 	}
+	legs[0] = rt.scoresLeg(ctx, 0, payload, len(sources)) // the caller's own goroutine takes a leg too
 	wg.Wait()
+	defer func() {
+		for _, leg := range legs {
+			if leg != nil {
+				legPool.Put(leg)
+			}
+		}
+	}()
 	// A dead request deadline explains every leg failing; report the
-	// context (503) rather than a fully-zeroed "degraded" answer.
+	// context (503) rather than an empty "degraded" answer.
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
+	rows := make([]*sparserow.Row, len(sources))
+	for s := range rows {
+		rows[s] = sparserow.Get()
+	}
 	degraded := false
-	for _, f := range failed {
-		if f {
+	for _, leg := range legs {
+		if leg == nil {
 			rt.shardErrors.Add(1)
 			degraded = true
+			continue
+		}
+		rt.legBytes.Add(int64(leg.body.Len()))
+		rt.legRows.Add(int64(len(sources)))
+		for s, row := range rows {
+			run := leg.rows.row(s)
+			row.Merge(&run)
 		}
 	}
 	return rows, degraded, nil
@@ -382,6 +449,8 @@ func (rt *fleetSource) healthz(uptimeSecs float64) any {
 
 func (rt *fleetSource) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_shard_errors_total %d\n", rt.shardErrors.Load())
+	fmt.Fprintf(w, "simrankd_shard_leg_bytes_total %d\n", rt.legBytes.Load())
+	fmt.Fprintf(w, "simrankd_shard_leg_rows_total %d\n", rt.legRows.Load())
 	for i, g := range rt.gens {
 		fmt.Fprintf(w, "simrankd_shard_generation{shard=\"%d\"} %d\n", i, g)
 	}

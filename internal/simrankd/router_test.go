@@ -2,16 +2,21 @@ package simrankd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"oipsr/graph/gen"
+	"oipsr/internal/sparserow"
 	"oipsr/simrank/query"
 	"oipsr/simrank/shard"
 )
@@ -21,7 +26,7 @@ import (
 // /healthz and /metrics always pass through so NewRouter's probe and
 // scrapes keep working while the data plane is down.
 type flakyBackend struct {
-	mode atomic.Value // "" | "503" | "429" | "hang" | "shortrow"
+	mode atomic.Value // "" | "503" | "429" | "hang" | "shortrow" | "bigcount" | "longbody"
 	next http.Handler
 	stop chan struct{} // closed at test end so hung handlers release
 }
@@ -29,12 +34,12 @@ type flakyBackend struct {
 func (f *flakyBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	dataPlane := strings.HasPrefix(r.URL.Path, "/shard/") || r.URL.Path == "/v1/edges"
 	if mode, _ := f.mode.Load().(string); dataPlane && mode != "" {
-		if mode == "shortrow" && r.URL.Path == "/shard/v1/scores" {
-			f.serveShortRow(w, r)
+		if forge := forgedCounts[mode]; forge != nil && r.URL.Path == "/shard/v1/scores" {
+			f.serveForgedCount(w, r, forge)
 			return
 		}
 		switch mode {
-		case "503", "shortrow":
+		case "503", "shortrow", "bigcount":
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write([]byte(`{"error":"simrankd: injected outage"}` + "\n"))
@@ -42,6 +47,10 @@ func (f *flakyBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusTooManyRequests)
 			w.Write([]byte(`{"error":"simrankd: injected overload"}` + "\n"))
+		case "longbody":
+			// A 200 far longer than any answer: the reader stops at its cap
+			// with most of the body unread.
+			w.Write(bytes.Repeat([]byte{'x'}, 64<<10))
 		case "hang":
 			select {
 			case <-r.Context().Done():
@@ -54,21 +63,46 @@ func (f *flakyBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.next.ServeHTTP(w, r)
 }
 
-// serveShortRow answers a scores request with the backend's real rows, the
-// last one a value short: a leg whose earlier rows look fine and whose
-// defect only shows at the end.
-func (f *flakyBackend) serveShortRow(w http.ResponseWriter, r *http.Request) {
+// forgedCounts are the modes that answer a scores request with the
+// backend's real leg, the count of its last row rewritten: a leg whose
+// header and earlier rows look fine and whose defect only shows at the end.
+// "shortrow" leaves the row one entry short of its count; "bigcount" claims
+// what no body could hold, the header field a parser must not size by.
+var forgedCounts = map[string]func(c uint64) uint64{
+	"shortrow": func(c uint64) uint64 { return c + 1 },
+	"bigcount": func(uint64) uint64 { return 1 << 40 },
+}
+
+func (f *flakyBackend) serveForgedCount(w http.ResponseWriter, r *http.Request, forge func(uint64) uint64) {
 	rec := httptest.NewRecorder()
 	f.next.ServeHTTP(rec, r)
-	var resp shardScoresResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Rows) == 0 {
-		http.Error(w, "shortrow: backend did not answer rows", http.StatusInternalServerError)
+	body, err := forgeLastCount(rec.Body.Bytes(), forge)
+	if err != nil {
+		http.Error(w, "forged count: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	last := len(resp.Rows) - 1
-	resp.Rows[last] = resp.Rows[last][:len(resp.Rows[last])-1]
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(body)
+}
+
+// forgeLastCount rewrites the entry count of the last row of a leg body.
+func forgeLastCount(body []byte, forge func(uint64) uint64) ([]byte, error) {
+	var leg legRows
+	lo, hi, gen, err := leg.decode(body)
+	if err != nil {
+		return nil, err
+	}
+	if len(leg.ends) == 0 {
+		return nil, errors.New("leg has no rows")
+	}
+	// The encoding is canonical, so the last row's bytes are what it encodes
+	// to alone, less the header (whose row count is one byte either way).
+	last := leg.row(len(leg.ends) - 1)
+	at := len(body) - (len(appendLeg(nil, lo, hi, gen, []*sparserow.Row{&last})) - len(appendLeg(nil, lo, hi, gen, nil)))
+	count := uint64(last.Len())
+	out := append([]byte(nil), body[:at]...)
+	out = binary.AppendUvarint(out, forge(count))
+	return append(out, body[at+len(binary.AppendUvarint(nil, count)):]...), nil
 }
 
 // routerFleet is a single-node server and an equivalent sharded
@@ -252,11 +286,11 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 // TestRouterPartialFailureDegrades: with one shard down the router must
 // keep answering 200, mark the response degraded (body field + header),
 // keep live ranges bit-correct, zero the missing range, and never cache
-// a degraded answer. "shortrow" is the leg that fails validation late: its
-// last row has the wrong length, and none of its earlier rows may have
-// reached the merge.
+// a degraded answer. "shortrow" and "bigcount" are the legs that fail
+// validation late: their last row's count is a lie, and none of their
+// earlier rows may have reached the merge.
 func TestRouterPartialFailureDegrades(t *testing.T) {
-	for _, mode := range []string{"503", "429", "hang", "shortrow"} {
+	for _, mode := range []string{"503", "429", "hang", "shortrow", "bigcount", "longbody"} {
 		t.Run(mode, func(t *testing.T) {
 			fl := newRouterFleet(t, 3, Config{Workers: 1}, 300*time.Millisecond)
 
@@ -434,5 +468,139 @@ func TestRouterRejectsInconsistentFleet(t *testing.T) {
 	defer ts.Close()
 	if _, err := NewRouter(g, []string{ts.URL}, RouterConfig{Config: Config{Workers: 1}}); err == nil {
 		t.Fatal("NewRouter accepted a fleet that does not cover [0, n)")
+	}
+}
+
+// TestFleetReusesShardConnections: every admitted request scatters one leg
+// per backend at once, so under c concurrent clients a backend serves c legs
+// at a time — and with http.DefaultTransport's two idle connections per host
+// all but two of those were closed after each burst and dialled again for
+// the next (325 new connections per 1000 legs under 8 clients, measured).
+// The fleet's own transport keeps maxInflight idle per backend and every leg
+// is read to its end before its connection is handed back — a refused or
+// malformed one too: a backend sees at most maxInflight connections ever,
+// and none once the pool is warm, whatever its legs answer.
+func TestFleetReusesShardConnections(t *testing.T) {
+	const clients, maxInflight = 8, 16
+	g := gen.WebGraph(120, 7, 101)
+	opt := query.Options{Walks: 40, Seed: 7, Workers: 1}
+	ranges, err := shard.Plan(g.NumVertices(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newConns := make([]atomic.Int64, len(ranges))
+	var urls []string
+	var flaky []*flakyBackend
+	for i, rg := range ranges {
+		sh, err := shard.Build(g, opt, rg.Lo, rg.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := NewShardServer(sh, Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb := &flakyBackend{next: ss}
+		fb.mode.Store("")
+		flaky = append(flaky, fb)
+		ts := httptest.NewUnstartedServer(fb)
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				newConns[i].Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	rt, err := NewRouter(g, urls, RouterConfig{Config: Config{Workers: 1, CacheSize: -1, MaxInflight: maxInflight}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := func() {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < 40; i++ {
+					rec := httptest.NewRecorder()
+					rt.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/v1/topk?q=%d&k=5", (c*40+i)%g.NumVertices()), nil))
+					if rec.Code != http.StatusOK {
+						t.Errorf("status %d: %s", rec.Code, rec.Body)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
+	burst()
+	warm := make([]int64, len(newConns))
+	for i := range newConns {
+		warm[i] = newConns[i].Load()
+		if warm[i] > maxInflight {
+			t.Errorf("backend %d: %d connections opened under %d clients, the idle pool holds %d", i, warm[i], clients, maxInflight)
+		}
+	}
+	for _, mode := range []string{"", "shortrow", "503", "longbody"} {
+		flaky[1].mode.Store(mode) // the answers degrade; the connections must not
+		burst()
+		for i := range newConns {
+			if now := newConns[i].Load(); now != warm[i] {
+				t.Errorf("backend %d: %d new connections once warm, legs in mode %q (%d -> %d), want 0", i, now-warm[i], mode, warm[i], now)
+			}
+		}
+	}
+}
+
+// TestScoreLegCounters: the router counts the bytes and rows it read from
+// healthy score legs, each shard the non-zero entries it sent — and for one
+// dense single_source the entries the shards sent are exactly the non-zero
+// scores the client received.
+func TestScoreLegCounters(t *testing.T) {
+	fl := newRouterFleet(t, 3, Config{Workers: 1, CacheSize: -1}, 0)
+	code, body := get(t, fl.router.URL+"/v1/single_source?q=9")
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	var resp singleSourceResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	nonzero := int64(0)
+	for _, s := range resp.Scores {
+		if s != 0 {
+			nonzero++
+		}
+	}
+	fleet := fl.fleet()
+	if rows, bytes := fleet.legRows.Load(), fleet.legBytes.Load(); rows != 3 || bytes < 3*int64(len(legMagic)+5) {
+		t.Fatalf("after one request over 3 shards: %d leg rows, %d leg bytes", rows, bytes)
+	}
+	_, metrics := get(t, fl.router.URL+"/metrics")
+	for _, line := range []string{
+		"simrankd_shard_leg_rows_total 3\n",
+		fmt.Sprintf("simrankd_shard_leg_bytes_total %d\n", fleet.legBytes.Load()),
+	} {
+		if !strings.Contains(string(metrics), line) {
+			t.Errorf("router /metrics lacks %q", line)
+		}
+	}
+	sent := int64(0)
+	for _, fb := range fl.flaky {
+		sent += fb.next.(*ShardServer).scoresEntries.Load()
+	}
+	if sent != nonzero {
+		t.Fatalf("shards sent %d entries, the answer has %d non-zero scores", sent, nonzero)
+	}
+
+	// A failed leg delivers nothing to count.
+	fl.flaky[1].mode.Store("503")
+	if code, body := get(t, fl.router.URL+"/v1/single_source?q=9"); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	if rows := fleet.legRows.Load(); rows != 5 {
+		t.Fatalf("after a request with one dead leg: %d leg rows, want 5", rows)
 	}
 }

@@ -33,6 +33,7 @@ import (
 
 	"oipsr/graph"
 	"oipsr/internal/lru"
+	"oipsr/internal/sparserow"
 	"oipsr/simrank/query"
 )
 
@@ -106,8 +107,9 @@ type Server struct {
 	c       float64
 	horizon int
 
-	// scorePool recycles dense score rows, one []float64 of length n per
-	// in-flight single-source sweep.
+	// scorePool recycles dense score rows of length n: what an exact
+	// (linearized) solve fills, and what a sparse walk row is written out
+	// into for the one body that is dense by definition.
 	scorePool sync.Pool
 
 	// Per-endpoint request counters exported on /metrics.
@@ -216,19 +218,19 @@ func (s *Server) writeBody(w http.ResponseWriter, key string, degraded bool, bod
 	writeJSONBytes(w, body)
 }
 
-// walkRow sweeps q's walk-estimate row into buf (a scorePool row).
-func (s *Server) walkRow(ctx context.Context, q int, buf []float64) (row []float64, degraded bool, err error) {
-	rows, degraded, err := s.src.rows(ctx, []int{q}, buf)
+// walkRow fetches q's walk-estimate row; the caller releases it.
+func (s *Server) walkRow(ctx context.Context, q int) (row *sparserow.Row, degraded bool, err error) {
+	rows, degraded, err := s.src.rows(ctx, []int{q})
 	if err != nil {
 		return nil, false, err
 	}
 	return rows[0], degraded, nil
 }
 
-// rank finishes a top-k query from a dense row: candidate selection, then
+// rank finishes a top-k query from a walk row: candidate selection, then
 // the optional exact rerank against the source's current graph.
-func (s *Server) rank(ctx context.Context, row []float64, q, k int, rerank bool) ([]query.Ranked, error) {
-	return query.RankScores(ctx, s.src.graph(), s.c, s.horizon, row, q, min(k, s.n-1), &query.TopKOptions{Rerank: rerank})
+func (s *Server) rank(ctx context.Context, row *sparserow.Row, q, k int, rerank bool) ([]query.Ranked, error) {
+	return query.RankSparse(ctx, s.src.graph(), s.c, s.horizon, s.n, row, q, min(k, s.n-1), &query.TopKOptions{Rerank: rerank})
 }
 
 type singleSourceResponse struct {
@@ -287,14 +289,13 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	buf := s.scorePool.Get().(*[]float64)
-	defer s.scorePool.Put(buf)
-	row, degraded, err := s.walkRow(r.Context(), q, *buf)
+	row, degraded, err := s.walkRow(r.Context(), q)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	body, err := s.singleSourceBody(q, row, sparse, minVal, degraded)
+	defer sparserow.Release(row)
+	body, err := s.walkSingleSourceBody(q, row, sparse, minVal, degraded)
 	s.writeBody(w, key, degraded, body, err)
 }
 
@@ -346,6 +347,20 @@ func sparseAbove(scores []float64, q int, min float64) []query.Ranked {
 	return out
 }
 
+// walkSingleSourceBody is singleSourceBody from a walk row, byte for byte.
+// The thresholded form is filtered from the row's entries; only the dense
+// form — n scores by definition — writes the row out, into a pooled buffer,
+// at encode time.
+func (s *Server) walkSingleSourceBody(q int, row *sparserow.Row, sparse bool, min float64, degraded bool) ([]byte, error) {
+	if sparse {
+		return s.marshalBody(singleSourceResponse{Query: q, N: s.n, Results: row.Above(min, q, s.n), Degraded: degraded})
+	}
+	buf := s.scorePool.Get().(*[]float64)
+	defer s.scorePool.Put(buf)
+	row.Densify(*buf)
+	return s.singleSourceBody(q, *buf, false, 0, degraded)
+}
+
 type topKResponse struct {
 	Query    int  `json:"query"`
 	K        int  `json:"k"`
@@ -361,7 +376,7 @@ type topKResponse struct {
 }
 
 // handleTopK serves GET/POST
-// /v1/topk?q=17&k=10[&rerank=1][&engine=walk|linearized]. The dense row is
+// /v1/topk?q=17&k=10[&rerank=1][&engine=walk|linearized]. The row is
 // ranked, and optionally exactly reranked, in one place whatever the
 // source: the exact scorer's memoization is not bit-stable across visiting
 // orders, so reranking per shard would diverge.
@@ -400,13 +415,12 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	buf := s.scorePool.Get().(*[]float64)
-	defer s.scorePool.Put(buf)
-	row, rowDegraded, err := s.walkRow(r.Context(), q, *buf)
+	row, rowDegraded, err := s.walkRow(r.Context(), q)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
+	defer sparserow.Release(row)
 
 	// Degradation composes. A missing range degrades the estimates
 	// themselves and disables the rerank (exact scores over an incomplete

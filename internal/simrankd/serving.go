@@ -95,13 +95,21 @@ type serving struct {
 	testHookBatchLine func(line int)
 }
 
+// resolvedMaxInflight is MaxInflight with its default applied.
+func (cfg Config) resolvedMaxInflight() int {
+	if cfg.MaxInflight <= 0 {
+		return DefaultMaxInflight()
+	}
+	return cfg.MaxInflight
+}
+
 // initServing resolves the limiter and request-shaping defaults of cfg
 // and arms the semaphore. newFrontEnd and NewShardServer call it exactly
 // once before wiring routes.
 func (sv *serving) initServing(cfg Config) {
 	sv.maxBatch = cfg.MaxBatch
 	sv.joinMaxCand = cfg.JoinMaxCandidates
-	sv.maxInflight = cfg.MaxInflight
+	sv.maxInflight = cfg.resolvedMaxInflight()
 	sv.queueDepth = cfg.QueueDepth
 	sv.requestTimeout = cfg.RequestTimeout
 	if sv.maxBatch <= 0 {
@@ -109,9 +117,6 @@ func (sv *serving) initServing(cfg Config) {
 	}
 	if sv.joinMaxCand <= 0 {
 		sv.joinMaxCand = query.DefaultMaxCandidates
-	}
-	if sv.maxInflight <= 0 {
-		sv.maxInflight = DefaultMaxInflight()
 	}
 	switch {
 	case sv.queueDepth == 0:
@@ -215,9 +220,9 @@ func boolParam(r *http.Request, name string) bool {
 	return false
 }
 
-// singleSourceBody marshals the /v1/single_source response body — also the
-// per-item line /v1/batch streams, so the two endpoints answer (and cache)
-// byte-identically.
+// singleSourceBody marshals the /v1/single_source response body from a
+// dense row — also the per-item line /v1/batch streams, so the two
+// endpoints answer (and cache) byte-identically.
 func (sv *serving) singleSourceBody(q int, scores []float64, sparse bool, min float64, degraded bool) ([]byte, error) {
 	resp := singleSourceResponse{Query: q, N: len(scores), Degraded: degraded}
 	if sparse {

@@ -1,21 +1,24 @@
 package simrankd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"oipsr/graph"
+	"oipsr/internal/sparserow"
 	"oipsr/simrank/shard"
 )
 
 // ShardServer is the HTTP handler of one shard backend: it owns the walk
 // rows of a contiguous vertex range and answers the internal scatter
-// protocol a router (fleetSource) speaks — partial score rows for
+// protocol a router (fleetSource) speaks — sparse partial score rows for
 // arbitrary sources, join candidate enumeration over a fingerprint range,
 // exact pair scoring — plus /v1/edges (the one handler every mode shares, see edges.go),
 // /healthz, and /metrics. It inherits the full overload discipline
@@ -41,6 +44,9 @@ type ShardServer struct {
 	reqScores   atomic.Int64
 	reqJoinCand atomic.Int64
 	reqJoinPair atomic.Int64
+
+	// scoresEntries counts the non-zero entries sent in score legs.
+	scoresEntries atomic.Int64
 }
 
 // NewShardServer returns a handler serving the scatter protocol from sh,
@@ -80,20 +86,11 @@ type shardScoresRequest struct {
 	Sources []int `json:"sources"`
 }
 
-type shardScoresResponse struct {
-	Lo         int    `json:"lo"`
-	Hi         int    `json:"hi"`
-	Generation uint64 `json:"generation"`
-	// Rows holds one partial row per source: Rows[i][v-Lo] is the
-	// estimate s(Sources[i], v) for every owned vertex v, bit-identical
-	// to that slice of the single-node dense row (float64 values survive
-	// the JSON round trip exactly — shortest-form encoding re-parses to
-	// the same bits).
-	Rows [][]float64 `json:"rows"`
-}
-
-// handleScores serves POST /shard/v1/scores: the shard's partial dense
-// rows for a batch of sources (owned or foreign).
+// handleScores serves POST /shard/v1/scores: the shard's partial rows for a
+// batch of sources (owned or foreign), each as the sorted non-zero entries
+// of the owned range — the run of the single-node sparse row that falls in
+// it, scores bit for bit. The request is JSON; the response is the binary
+// leg of legwire.go with Content-Length set.
 func (s *ShardServer) handleScores(w http.ResponseWriter, r *http.Request) {
 	s.reqScores.Add(1)
 	if !s.checkMethod(w, r, http.MethodPost) {
@@ -108,7 +105,7 @@ func (s *ShardServer) handleScores(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The same dense-intermediate bound the single-node batch enforces,
-	// against this shard's row width.
+	// against this shard's row width: a mapped shard still sweeps dense.
 	if int64(len(req.Sources))*int64(max(s.sh.Width(), 1)) > maxDenseBatchScores {
 		s.writeError(w, http.StatusBadRequest,
 			"%d sources on a %d-vertex shard exceed %d total scores; split the batch",
@@ -118,19 +115,23 @@ func (s *ShardServer) handleScores(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rows, err := s.sh.PartialScores(r.Context(), req.Sources, s.workers)
+	rows, err := s.sh.SparsePartialScores(r.Context(), req.Sources, s.workers)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	body, err := s.marshalBody(shardScoresResponse{
-		Lo: s.sh.Lo(), Hi: s.sh.Hi(), Generation: s.sh.Generation(), Rows: rows,
-	})
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
+	defer sparserow.Release(rows...)
+	buf := s.encPool.Get().(*bytes.Buffer)
+	defer s.encPool.Put(buf)
+	buf.Reset()
+	body := appendLeg(buf.AvailableBuffer(), s.sh.Lo(), s.sh.Hi(), s.sh.Generation(), rows)
+	buf.Write(body) // keeps the grown memory with the pooled buffer
+	for _, row := range rows {
+		s.scoresEntries.Add(int64(row.Len()))
 	}
-	writeJSONBytes(w, body)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 type shardJoinCandRequest struct {
@@ -284,6 +285,7 @@ func (s *ShardServer) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"shard_scores\"} %d\n", s.reqScores.Load())
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"shard_join_candidates\"} %d\n", s.reqJoinCand.Load())
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"shard_join_score\"} %d\n", s.reqJoinPair.Load())
+	fmt.Fprintf(w, "simrankd_shard_scores_entries_total %d\n", s.scoresEntries.Load())
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	fmt.Fprintf(w, "simrankd_index_generation %d\n", s.sh.Generation())

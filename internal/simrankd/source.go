@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"oipsr/graph"
+	"oipsr/internal/sparserow"
 	"oipsr/simrank/query"
 )
 
@@ -15,20 +16,21 @@ import (
 // that fronts a fleet of shards holding them. Parameter parsing, the
 // response cache and its keys, the degrade decisions, ranking, encoding,
 // streaming and counting sit above it, once; the shard wire protocol
-// (/shard/v1/*, JSON dense rows) sits below it, in fleetSource alone.
+// (/shard/v1/*, the binary score leg of legwire.go) sits below it, in
+// fleetSource alone.
 // There are exactly two implementations: localSource and fleetSource.
 //
 // The front end calls every method with serving.mu held — applyEdits under
 // the write lock, the rest under the read lock — and validates vertex ids
 // against dims first.
 type rowSource interface {
-	// rows returns the dense walk-estimate row of every source, in order.
-	// buf, when non-nil, is a caller-owned row of length n (dirty) that the
-	// first row may be written into — the front end's pooled buffer for a
-	// single-source miss. degraded reports that some vertex range is missing
+	// rows returns the walk-estimate row of every source, in order, as its
+	// non-zero entries — the source's own (q, 1) among them. The rows are
+	// pooled and the caller's to hand back (sparserow.Release) once nothing
+	// points into them. degraded reports that some vertex range is missing
 	// from the rows (it reads 0 there) or was served at a stale generation:
 	// the rows are then not the current answer and must not be cached.
-	rows(ctx context.Context, sources []int, buf []float64) (rows [][]float64, degraded bool, err error)
+	rows(ctx context.Context, sources []int) (rows []*sparserow.Row, degraded bool, err error)
 
 	// join returns the k best pairs scoring at least threshold, with the
 	// same degraded flag.
@@ -78,14 +80,8 @@ func newLocalSource(idx *query.Index, workers int) *localSource {
 	return &localSource{idx: idx, workers: workers, tag: strconv.FormatUint(idx.Generation(), 10)}
 }
 
-// rows answers one source from the caller's pooled buffer and a chunk by
-// one shared traversal; the two are bit-identical row for row.
-func (l *localSource) rows(ctx context.Context, sources []int, buf []float64) ([][]float64, bool, error) {
-	if len(sources) == 1 && buf != nil {
-		row, err := l.idx.SingleSourceInto(ctx, sources[0], buf)
-		return [][]float64{row}, false, err
-	}
-	rows, err := l.idx.MultiSource(ctx, sources, l.workers)
+func (l *localSource) rows(ctx context.Context, sources []int) ([]*sparserow.Row, bool, error) {
+	rows, err := l.idx.SparseRows(ctx, sources, l.workers)
 	return rows, false, err
 }
 

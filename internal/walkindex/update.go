@@ -100,7 +100,7 @@ func (ix *Index) PrepareUpdate(workers int) error {
 	if int64(ix.hi-ix.lo)*int64(ix.r) > maxWalks {
 		return fmt.Errorf("%w: width*R = %d*%d exceeds %d walks", ErrTooLarge, ix.hi-ix.lo, ix.r, maxWalks)
 	}
-	ix.visits = ix.buildVisits(workers)
+	ix.setVisits(ix.buildVisits(workers))
 	return nil
 }
 
@@ -322,7 +322,7 @@ func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) int {
 	}
 	for _, buf := range additions {
 		for _, rv := range buf {
-			ix.visits[rv.x] = append(ix.visits[rv.x], rv.p)
+			ix.addVisit(rv.x, rv.p)
 		}
 	}
 	if ix.forest != nil {

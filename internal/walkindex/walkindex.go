@@ -126,6 +126,9 @@ type Index struct {
 	// mapped index, which answers by sweeping the store. Derived state,
 	// excluded from Equal, Save and Bytes.
 	forest *forest
+
+	// visitBytes is the resident size of visits, kept as its lists grow.
+	visitBytes int64
 }
 
 // resolve normalizes Options in place: defaults filled, the horizon
@@ -318,7 +321,7 @@ func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]floa
 	}
 	if ix.forest != nil {
 		clear(dst)
-		if err := ix.forestRow(ctx, ix.store.Row(q), q, dst); err != nil {
+		if err := ix.denseForestRow(ctx, ix.store.Row(q), q, dst); err != nil {
 			return nil, err
 		}
 		return dst, nil

@@ -9,6 +9,7 @@ import (
 
 	"oipsr/graph"
 	"oipsr/internal/par"
+	"oipsr/internal/sparserow"
 )
 
 // The coalescence order: output-sensitive queries on a resident index.
@@ -64,13 +65,26 @@ func (ix *Index) ForestBytes() int64 {
 // VisitBytes returns the resident size of the inverted visit index Update
 // finds affected walks through: 8 bytes per posting of capacity plus one
 // slice header per vertex of the graph. 0 until PrepareUpdate or the first
-// Update builds it. Reported beside Bytes, like ForestBytes.
-func (ix *Index) VisitBytes() int64 {
-	total := int64(len(ix.visits)) * 24
-	for _, list := range ix.visits {
-		total += int64(cap(list)) * 8
+// Update builds it. Reported beside Bytes, like ForestBytes — a running
+// total kept by setVisits and addVisit, so a metrics scrape does not walk n
+// posting lists.
+func (ix *Index) VisitBytes() int64 { return ix.visitBytes }
+
+// setVisits installs a freshly built visit index and takes its size.
+func (ix *Index) setVisits(visits [][]visitPosting) {
+	ix.visits = visits
+	ix.visitBytes = int64(len(visits)) * 24
+	for _, list := range visits {
+		ix.visitBytes += int64(cap(list)) * 8
 	}
-	return total
+}
+
+// addVisit appends a posting to x's list, the one place a list can grow.
+func (ix *Index) addVisit(x int32, p visitPosting) {
+	list := ix.visits[x]
+	grown := append(list, p)
+	ix.visitBytes += int64(cap(grown)-cap(list)) * 8
+	ix.visits[x] = grown
 }
 
 // path returns the stored fingerprint-fp path of store-local walker v.
@@ -213,21 +227,38 @@ func (ix *Index) sortFingerprint(fp int, ord []int32, mt []uint16, s *leafLists)
 // served request allocates nothing for them in steady state.
 var touchedPool = sync.Pool{New: func() any { return new([]int32) }}
 
+// scratchPool recycles the rows SparseRows accumulates into: every cell of
+// a pooled row, up to its capacity, is zero. Working memory shared by every
+// index of the process (they are sliced to the width asked for), so not part
+// of any Index's Bytes.
+var scratchPool = &sync.Pool{New: func() any { return new([]float64) }}
+
+// getScratch returns a pooled all-zero row of at least width cells.
+func getScratch(width int) *[]float64 {
+	sp := scratchPool.Get().(*[]float64)
+	if cap(*sp) < width {
+		*sp = make([]float64, width)
+	}
+	return sp
+}
+
 // forestRow answers one source from the coalescence order: dst (one cell
 // per owned vertex, all zero on entry) receives s(source, v) for every
-// owned v. src is the source's walk block and self its store-local id,
-// which lies outside [0, width) for a foreign source. Per target the
-// first-meeting weights are added in fingerprint order and the sum is
-// scaled by 1/R once — the arithmetic of the sweep, so the row is
-// bit-identical to it. ctx is polled once per fingerprint.
-func (ix *Index) forestRow(ctx context.Context, src []int32, self int, dst []float64) error {
+// owned v, and the store-local ids of the cells written — every non-zero
+// cell of dst, in no particular order — are appended to touched and
+// returned, also beside an error. src is the source's walk block and self
+// its store-local id, which lies outside [0, width) for a foreign source; an
+// owned source's own cell is set to exactly 1. Per target the first-meeting
+// weights are added in fingerprint order and the sum is scaled by 1/R once —
+// the arithmetic of the sweep, so the row is bit-identical to it. ctx is
+// polled once per fingerprint.
+//
+// This is the only loop that walks the order. A dense caller passes its
+// cleared row and drops the list (denseForestRow); a sparse one passes
+// pooled scratch, gathers the listed cells and zeroes them again
+// (sparseForestRow).
+func (ix *Index) forestRow(ctx context.Context, src []int32, self int, dst []float64, touched []int32) ([]int32, error) {
 	f, width, k := ix.forest, len(dst), ix.k
-	tp := touchedPool.Get().(*[]int32)
-	touched := (*tp)[:0]
-	defer func() {
-		*tp = touched
-		touchedPool.Put(tp)
-	}()
 	credit := func(v int32, m uint16) {
 		if dst[v] == 0 {
 			if ix.pow[m-1] == 0 {
@@ -239,7 +270,7 @@ func (ix *Index) forestRow(ctx context.Context, src []int32, self int, dst []flo
 	}
 	for fp := 0; fp < ix.r; fp++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return touched, err
 		}
 		qp := src[fp*k : (fp+1)*k]
 		if qp[0] < 0 {
@@ -283,14 +314,64 @@ func (ix *Index) forestRow(ctx context.Context, src []int32, self int, dst []flo
 		dst[v] *= inv
 	}
 	if self >= 0 && self < width {
-		dst[self] = 1
+		dst[self] = 1 // never credited: the walk outwards starts past it
+		touched = append(touched, int32(self))
 	}
-	return nil
+	return touched, nil
+}
+
+// denseForestRow is forestRow for a caller that wants the dense row: dst
+// arrives cleared and the touched list goes back to its pool unread.
+func (ix *Index) denseForestRow(ctx context.Context, src []int32, self int, dst []float64) error {
+	tp := touchedPool.Get().(*[]int32)
+	touched, err := ix.forestRow(ctx, src, self, dst, (*tp)[:0])
+	*tp = touched
+	touchedPool.Put(tp)
+	return err
+}
+
+// sparseForestRow is forestRow for a caller that wants the answer as it is
+// born: the cells it touched in a pooled scratch row (one cell per owned
+// vertex, all zero when taken and again when put back, error or not) are
+// sorted, appended to row under their global vertex ids, and zeroed.
+func (ix *Index) sparseForestRow(ctx context.Context, src []int32, self int, row *sparserow.Row) error {
+	sp := getScratch(ix.Width())
+	defer scratchPool.Put(sp)
+	scratch := (*sp)[:ix.Width()]
+	tp := touchedPool.Get().(*[]int32)
+	touched, err := ix.forestRow(ctx, src, self, scratch, (*tp)[:0])
+	if err == nil {
+		slices.Sort(touched)
+		for _, v := range touched {
+			row.Append(int32(ix.lo)+v, scratch[v])
+		}
+	}
+	for _, v := range touched {
+		scratch[v] = 0
+	}
+	*tp = touched
+	touchedPool.Put(tp)
+	return err
 }
 
 // multiSourceForest is MultiSource on a resident index: one forestRow per
-// source into the zeroed rows of out, parallel over sources.
+// source into the zeroed rows of out, parallel over sources. Kept out of
+// line: it is small enough now to be inlined into MultiSource, which sits
+// ahead of v2.go in the text, and growing that moves decodeWalk (see the
+// note at the top of this file).
+//
+//go:noinline
 func (ix *Index) multiSourceForest(ctx context.Context, g *graph.Graph, sources []int, out [][]float64, workers int) error {
+	return ix.eachSource(ctx, g, sources, workers, func(si int, src []int32, self int) error {
+		return ix.denseForestRow(ctx, src, self, out[si])
+	})
+}
+
+// eachSource runs row(si, walk block, store-local id) for every source of a
+// batch, parallel over sources — the worker loop the dense and the sparse
+// batch share. A failed row (ctx) stops its worker; the caller discards
+// partial output.
+func (ix *Index) eachSource(ctx context.Context, g *graph.Graph, sources []int, workers int, row func(si int, src []int32, self int) error) error {
 	parts := par.ResolveMax(workers, len(sources))
 	par.Do(parts, func(w int) {
 		lo, hi := par.Range(len(sources), parts, w)
@@ -301,12 +382,59 @@ func (ix *Index) multiSourceForest(ctx context.Context, g *graph.Graph, sources 
 			if !ix.Owns(q) {
 				buf = src
 			}
-			if ix.forestRow(ctx, src, q-ix.lo, out[si]) != nil {
-				return // partial rows are discarded by the caller
+			if row(si, src, q-ix.lo) != nil {
+				return
 			}
 		}
 	})
 	return ctx.Err()
+}
+
+// SparseRows is MultiSource returning each row as its non-zero entries, keyed
+// by global vertex id: out[i] lists, ascending, every owned v with
+// s(sources[i], v) != 0 — an owned source's own (q, 1) included — and its
+// scores are the dense row's, bit for bit. On a resident index the entries
+// are gathered from the cells forestRow touched in a pooled scratch row, so
+// no width-sized vector is written or scanned per source; a mapped index has
+// no order, sweeps as the dense calls do and converts, an O(width) step
+// beside its sweep. The rows come from sparserow's pool and are the
+// caller's to release; on error none are returned.
+func (ix *Index) SparseRows(ctx context.Context, g *graph.Graph, sources []int, workers int) ([]*sparserow.Row, error) {
+	out := make([]*sparserow.Row, len(sources))
+	for i := range out {
+		out[i] = sparserow.Get()
+	}
+	var err error
+	switch {
+	case len(sources) == 0 || ix.Width() == 0:
+		err = ctx.Err()
+	case ix.forest != nil:
+		err = ix.eachSource(ctx, g, sources, workers, func(si int, src []int32, self int) error {
+			return ix.sparseForestRow(ctx, src, self, out[si])
+		})
+	case len(sources) == 1 && ix.lo == 0 && ix.hi == ix.n:
+		// One source of a full-range mapped index: the plain sweep, which a
+		// batch of one must not trade for the slot tables.
+		sp := getScratch(ix.n)
+		dense := (*sp)[:ix.n]
+		if _, err = ix.SingleSource(ctx, sources[0], dense); err == nil {
+			out[0].AppendDense(0, dense)
+		}
+		clear(dense)
+		scratchPool.Put(sp)
+	default:
+		var dense [][]float64
+		if dense, err = ix.MultiSource(ctx, g, sources, workers); err == nil {
+			for i, row := range dense {
+				out[i].AppendDense(int32(ix.lo), row)
+			}
+		}
+	}
+	if err != nil {
+		sparserow.Release(out...)
+		return nil, err
+	}
+	return out, nil
 }
 
 // patch moves the walkers whose paths Update just repaired to their new

@@ -13,6 +13,7 @@ import (
 	"oipsr/graph"
 	"oipsr/graph/gen"
 	"oipsr/graph/gio"
+	"oipsr/internal/sparserow"
 )
 
 // sweepOracle returns a view of ix that answers by sweeping the path
@@ -60,11 +61,31 @@ func requireCanonicalForest(t *testing.T, ix *Index) {
 	}
 }
 
+// requireSparseRows fails unless ix.SparseRows answers exactly the non-zero
+// cells of dense (MultiSource rows over ix's range), under global vertex
+// ids, ascending, scores compared with ==.
+func requireSparseRows(t *testing.T, ix *Index, g *graph.Graph, sources []int, workers int, dense [][]float64, what string) {
+	t.Helper()
+	rows, err := ix.SparseRows(context.Background(), g, sources, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sparserow.Release(rows...)
+	for i, row := range rows {
+		want := &sparserow.Row{}
+		want.AppendDense(int32(ix.lo), dense[i])
+		if !slices.Equal(row.IDs, want.IDs) || !slices.Equal(row.Scores, want.Scores) {
+			t.Fatalf("%s: SparseRows row %d (q=%d) = %v, the dense row's non-zeros are %v", what, i, sources[i], row, want)
+		}
+	}
+}
+
 // requireForestEqualsSweep is the "order ≡ sweep" gate on one graph:
 // SingleSource for every source, Pair, and MultiSource on the full range
 // and on every range of a 2- and a 3-way split (owned, foreign and
 // duplicate sources; workers 1, 2, 8), all compared with == against the
-// sweep over the same rows.
+// sweep over the same rows — and SparseRows, from the order and converted
+// from the sweep, against the non-zero cells of those rows.
 func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 	t.Helper()
 	n := g.NumVertices()
@@ -83,6 +104,9 @@ func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 		if got := ssRow(t, full, q); !slices.Equal(got, want[q]) {
 			t.Fatalf("SingleSource(%d): order %v != sweep %v", q, got, want[q])
 		}
+		// One source of a full range: the plain-sweep conversion on the oracle.
+		requireSparseRows(t, full, nil, []int{q}, 1, want[q:q+1], "full range, order")
+		requireSparseRows(t, oracle, nil, []int{q}, 1, want[q:q+1], "full range, sweep")
 		for v := 0; v < n; v++ {
 			if p := full.Pair(nil, q, v); p != want[q][v] {
 				t.Fatalf("Pair(%d,%d) = %g, sweep row has %g", q, v, p, want[q][v])
@@ -117,6 +141,9 @@ func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 						t.Fatalf("range [%d,%d) workers %d: MultiSource row %d (q=%d) differs from the sweep", r[0], r[1], workers, i, q)
 					}
 				}
+				what := fmt.Sprintf("range [%d,%d) workers %d", r[0], r[1], workers)
+				requireSparseRows(t, sx, g, sources, workers, rows, what+", order")
+				requireSparseRows(t, sweepOracle(sx), g, sources, workers, rows, what+", sweep")
 			}
 		}
 	}
@@ -342,6 +369,7 @@ func FuzzForest(f *testing.F) {
 					t.Fatalf("%s: range [%d,%d) row %d differs from the sweep", when, lo, hi, q)
 				}
 			}
+			requireSparseRows(t, part, g, sources, 2, rows, when)
 		}
 		full, err := buildFull(g, opt)
 		if err != nil {

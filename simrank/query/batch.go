@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"oipsr/internal/par"
+	"oipsr/internal/sparserow"
 )
 
 // Batched queries. Serving traffic rarely arrives one source at a time:
@@ -39,6 +40,20 @@ func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([
 		return nil, err
 	}
 	return ix.wi.MultiSource(ctx, nil, sources, workers)
+}
+
+// SparseRows is MultiSource returning each row as its non-zero entries —
+// entry (q, 1) included — bit for bit the non-zero cells of the dense row.
+// On an index held in memory the rows come straight from the walk index's
+// coalescence order and no n-sized vector is ever written, so a batch costs
+// the sum of its answers; a mapped index sweeps as MultiSource does and
+// converts. The rows are pooled: the caller hands them back with
+// sparserow.Release and keeps nothing that points into them.
+func (ix *Index) SparseRows(ctx context.Context, sources []int, workers int) ([]*sparserow.Row, error) {
+	if err := ix.checkSources(sources); err != nil {
+		return nil, err
+	}
+	return ix.wi.SparseRows(ctx, nil, sources, workers)
 }
 
 // TopKBatch answers TopK(q, k, opt) for every source q in sources,

@@ -13,6 +13,7 @@ import (
 	"oipsr/graph"
 	"oipsr/internal/atomicio"
 	"oipsr/internal/par"
+	"oipsr/internal/sparserow"
 	"oipsr/internal/walkindex"
 )
 
@@ -62,11 +63,9 @@ type Index struct {
 	exact exactState
 }
 
-// Ranked is one entry of a top-k result.
-type Ranked struct {
-	Vertex int     `json:"vertex"`
-	Score  float64 `json:"score"`
-}
+// Ranked is one entry of a top-k result: a Vertex and its Score, encoded
+// in JSON as {"vertex":…,"score":…}.
+type Ranked = sparserow.Entry
 
 // BuildIndex precomputes the walk index for g. The graph stays attached,
 // so TopK reranking works immediately.
@@ -385,7 +384,24 @@ func (ix *Index) rankFromScores(ctx context.Context, scores []float64, q, k int,
 // without a graph, a graph or horizon beyond what the exact scorer's memo
 // keys hold, and ctx cancellation.
 func RankScores(ctx context.Context, g *graph.Graph, c float64, horizon int, scores []float64, q, k int, opt *TopKOptions) ([]Ranked, error) {
-	n := len(scores)
+	return rankWith(ctx, g, c, horizon, len(scores), q, k, opt, func(pool int) []Ranked {
+		return topByScore(scores, q, pool)
+	})
+}
+
+// RankSparse is RankScores over a sparse row of an n-vertex graph: the same
+// candidates (a row with fewer entries than the pool is padded with
+// zero-score vertices in ascending id order, exactly what the dense
+// selection returns), the same rerank, the same result — without scanning n.
+func RankSparse(ctx context.Context, g *graph.Graph, c float64, horizon, n int, row *sparserow.Row, q, k int, opt *TopKOptions) ([]Ranked, error) {
+	return rankWith(ctx, g, c, horizon, n, q, k, opt, func(pool int) []Ranked {
+		return row.Top(pool, q, n)
+	})
+}
+
+// rankWith is the tail RankScores and RankSparse share: size the candidate
+// pool, let top select it from the row, and exactly re-score it when asked.
+func rankWith(ctx context.Context, g *graph.Graph, c float64, horizon, n, q, k int, opt *TopKOptions, top func(pool int) []Ranked) ([]Ranked, error) {
 	if opt == nil {
 		opt = &TopKOptions{}
 	}
@@ -399,7 +415,7 @@ func RankScores(ctx context.Context, g *graph.Graph, c float64, horizon int, sco
 		}
 		pool = RerankPool(n, k, opt.Candidates)
 	}
-	cands := topByScore(scores, q, pool)
+	cands := top(pool)
 
 	if opt.Rerank {
 		pruneEps := opt.PruneEps

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"oipsr/graph"
+	"oipsr/internal/sparserow"
 	"oipsr/internal/walkindex"
 	"oipsr/simrank/query"
 )
@@ -162,16 +163,37 @@ func (s *Shard) AttachGraph(g *graph.Graph) error {
 // target v, returning one partial row per source (row[v-Lo()] is s(q, v)).
 // Each row is the exact [Lo, Hi) sub-slice of the single-node dense row.
 func (s *Shard) PartialScores(ctx context.Context, sources []int, workers int) ([][]float64, error) {
+	if err := s.checkSources(sources); err != nil {
+		return nil, err
+	}
+	return s.sx.MultiSource(ctx, s.g, sources, workers)
+}
+
+// SparsePartialScores is PartialScores returning each partial row as its
+// non-zero entries, keyed by global vertex id: the run of the single-node
+// sparse row that falls in [Lo, Hi), so appending the runs of a covering set
+// of shards in range order reproduces it. The rows are pooled; the caller
+// hands them back with sparserow.Release.
+func (s *Shard) SparsePartialScores(ctx context.Context, sources []int, workers int) ([]*sparserow.Row, error) {
+	if err := s.checkSources(sources); err != nil {
+		return nil, err
+	}
+	return s.sx.SparseRows(ctx, s.g, sources, workers)
+}
+
+// checkSources is what both score accessors require: the graph foreign
+// sources are recomputed from, and every source a vertex of it.
+func (s *Shard) checkSources(sources []int) error {
 	if s.g == nil {
-		return nil, fmt.Errorf("shard: PartialScores needs the source graph (AttachGraph after load)")
+		return fmt.Errorf("shard: PartialScores needs the source graph (AttachGraph after load)")
 	}
 	n := s.sx.N()
 	for _, q := range sources {
 		if q < 0 || q >= n {
-			return nil, fmt.Errorf("shard: vertex %d out of range [0,%d)", q, n)
+			return fmt.Errorf("shard: vertex %d out of range [0,%d)", q, n)
 		}
 	}
-	return s.sx.MultiSource(ctx, s.g, sources, workers)
+	return nil
 }
 
 // JoinCandidates enumerates the co-located candidate pairs of fingerprint
