@@ -20,14 +20,10 @@
 //	exp4-ndcg         NDCG@p of OIP-DSR vs OIP-SR         (Fig. 6g)
 //	exp4-topk         top-30 query + inversions           (Fig. 6h)
 //	scaling           speedup vs worker-pool size         (parallel sweep)
-//	query             walk-index build/latency/precision  (simrankd serving)
-//	updates           incremental repair vs full rebuild  (simrankd /v1/edges)
 //	batch             shared-traversal batched queries    (simrankd /v1/batch + /v1/join)
 //	serve             closed-loop load vs admission control (simrankd overload)
 //	memory            tiled engine under a memory cap     (spill-to-disk)
-//	shard             sharded fleet + router vs single node (simrankd -mode router)
 //	engines           walk vs linearized engine accuracy/latency (?engine= seam)
-//	index             on-disk format v2 size + mmap serving latency (walkindex)
 //	ablate            design-choice ablations             (DESIGN.md)
 //
 // The -scale flag shrinks the workloads (absolute numbers change, shapes do
@@ -74,7 +70,7 @@ func main() {
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "\nrun \"bench all\" or pick experiments: datasets exp1-dblp exp1-web exp1-patent exp1-amortized exp1-density exp2-memory exp3-convergence exp3-bounds exp4-ndcg exp4-topk scaling query updates batch serve memory shard engines index ablate")
+		fmt.Fprintln(os.Stderr, "\nrun \"bench all\" or pick experiments: datasets exp1-dblp exp1-web exp1-patent exp1-amortized exp1-density exp2-memory exp3-convergence exp3-bounds exp4-ndcg exp4-topk scaling batch serve memory engines ablate")
 		os.Exit(2)
 	}
 
@@ -91,20 +87,16 @@ func main() {
 		"exp4-ndcg":        runExp4NDCG,
 		"exp4-topk":        runExp4TopK,
 		"scaling":          runScaling,
-		"query":            runQueryWorkload,
-		"updates":          runUpdatesWorkload,
 		"batch":            runBatchWorkload,
 		"serve":            runServeWorkload,
 		"memory":           runMemoryWorkload,
-		"shard":            runShardWorkload,
 		"engines":          runEnginesWorkload,
-		"index":            runIndexWorkload,
 		"ablate":           runAblations,
 	}
 	order := []string{
 		"datasets", "exp1-dblp", "exp1-web", "exp1-patent", "exp1-amortized",
 		"exp1-density", "exp2-memory", "exp3-convergence", "exp3-bounds",
-		"exp4-ndcg", "exp4-topk", "scaling", "query", "updates", "batch", "serve", "memory", "shard", "engines", "index", "ablate",
+		"exp4-ndcg", "exp4-topk", "scaling", "batch", "serve", "memory", "engines", "ablate",
 	}
 
 	if len(args) == 1 && args[0] == "all" {

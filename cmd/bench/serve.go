@@ -225,8 +225,8 @@ func serveLevel(ts *httptest.Server, concurrency int, d time.Duration) serveStat
 		durs = append(durs, st.durs...)
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	out.p50 = percentile(durs, 50)
-	out.p99 = percentile(durs, 99)
+	out.p50 = percentileMille(durs, 500)
+	out.p99 = percentileMille(durs, 990)
 	out.p999 = percentileMille(durs, 999)
 	if out.requests > 0 {
 		out.allocsPerReq = float64(ms1.Mallocs-ms0.Mallocs) / float64(out.requests)
@@ -265,7 +265,7 @@ func serveRequest(base string, w, i int) (string, string) {
 	}
 }
 
-// percentileMille is percentile with per-mille resolution, for p999.
+// percentileMille is the pm/1000 quantile of sorted durations.
 func percentileMille(sorted []time.Duration, pm int) time.Duration {
 	if len(sorted) == 0 {
 		return 0
@@ -275,4 +275,29 @@ func percentileMille(sorted []time.Duration, pm int) time.Duration {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
+}
+
+// queryVertices spreads count query vertices evenly over [0, n).
+func queryVertices(n, count int) []int {
+	if count > n {
+		count = n
+	}
+	qs := make([]int, count)
+	for i := range qs {
+		qs[i] = i * n / count
+	}
+	return qs
+}
+
+// latencies runs fn once per query vertex and returns the p50 and p99 of
+// the per-call wall times.
+func latencies(queries []int, fn func(q int)) (p50, p99 time.Duration) {
+	durs := make([]time.Duration, len(queries))
+	for i, q := range queries {
+		t0 := time.Now()
+		fn(q)
+		durs[i] = time.Since(t0)
+	}
+	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+	return percentileMille(durs, 500), percentileMille(durs, 990)
 }

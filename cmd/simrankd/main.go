@@ -248,7 +248,7 @@ func main() {
 	flag.StringVar(&o.indexPath, "index", "", "walk-index file: loaded when present, else built and saved here")
 	flag.BoolVar(&o.rebuild, "rebuild", false, "rebuild the index even if -index exists")
 	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: page the walk index from its file on demand (mmap-backed) instead of decoding it into memory")
-	flag.Int64Var(&o.buildBudget, "build-budget", 0, "serve/build-shards: stream the index build to disk in slices of at most this many bytes of walk state, bounding builder memory (0 = materialize in memory); output is byte-identical")
+	flag.Int64Var(&o.buildBudget, "build-budget", 0, "serve/build-shards: stream the index build to disk in slices of at most this many bytes of walk state, bounding builder memory (0 = unbounded: serve builds in memory, build-shards writes each shard as one slice); output is byte-identical")
 	flag.Float64Var(&o.c, "c", 0.6, "damping factor C")
 	flag.IntVar(&o.k, "k", 0, "walk horizon (0 = derive from -eps)")
 	flag.Float64Var(&o.eps, "eps", 1e-3, "truncation target when -k is 0")
@@ -305,12 +305,7 @@ func main() {
 	switch o.mode {
 	case "build-shards":
 		t0 := time.Now()
-		var m *shard.Manifest
-		if o.buildBudget > 0 {
-			m, err = shard.BuildAllStreaming(g, opt, o.shardDir, o.shards, o.buildBudget)
-		} else {
-			m, err = shard.BuildAll(g, opt, o.shardDir, o.shards)
-		}
+		m, err := shard.BuildAll(g, opt, o.shardDir, o.shards, o.buildBudget)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
 			os.Exit(1)
@@ -318,29 +313,6 @@ func main() {
 		log.Printf("shards: built %d format-v%d shards (n=%d walks=%d horizon=%d c=%g) into %s in %v",
 			len(m.Shards), m.Format, m.N, m.Walks, m.K, m.C, o.shardDir, time.Since(t0))
 		return
-
-	case "shard":
-		sh, err := openShard(g, &o, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
-			os.Exit(1)
-		}
-		log.Printf("shard: range [%d,%d) of n=%d walks=%d horizon=%d c=%g (%d bytes, %s)",
-			sh.Lo(), sh.Hi(), sh.N(), sh.Walks(), sh.Horizon(), sh.C(), sh.Bytes(), sh.Backend())
-		if o.prewarm {
-			t0 := time.Now()
-			if err := sh.PrepareUpdates(o.workers); err != nil {
-				fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
-				os.Exit(1)
-			}
-			log.Printf("shard: update-tracking visit index built in %v", time.Since(t0))
-		}
-		ss, err := simrankd.NewShardServer(sh, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
-			os.Exit(1)
-		}
-		handler = ss
 
 	case "router":
 		rt, err := simrankd.NewRouter(g, splitBackends(o.backends), simrankd.RouterConfig{
@@ -353,14 +325,14 @@ func main() {
 		log.Printf("router: fronting %d shards", len(splitBackends(o.backends)))
 		handler = rt
 
-	default: // serve
+	default: // serve and shard: one index, over the full range or one range of a fleet
 		idx, err := openIndex(g, &o, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
 			os.Exit(1)
 		}
-		log.Printf("index: n=%d walks=%d horizon=%d c=%g (%d bytes, %s)",
-			idx.N(), idx.Walks(), idx.Horizon(), idx.C(), idx.Bytes(), idx.Backend())
+		log.Printf("index: range [%d,%d) of n=%d walks=%d horizon=%d c=%g (%d bytes, %s)",
+			idx.Lo(), idx.Hi(), idx.N(), idx.Walks(), idx.Horizon(), idx.C(), idx.Bytes(), idx.Backend())
 		if o.prewarm {
 			t0 := time.Now()
 			if err := idx.PrepareUpdates(o.workers); err != nil {
@@ -379,7 +351,12 @@ func main() {
 			log.Printf("index: linearized solver built in %v (%d sweeps, residual %.3g)",
 				time.Since(t0), st.SolveIters, st.Residual)
 		}
-		handler = simrankd.NewServer(idx, cfg)
+		if o.mode == "serve" {
+			handler = simrankd.NewServer(idx, cfg)
+		} else if handler, err = simrankd.NewShardServer(&shard.Shard{Index: idx}, cfg); err != nil {
+			fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	if err := run(handler, o.addr, o.drain); err != nil {
@@ -436,53 +413,16 @@ func run(handler http.Handler, addr string, drain time.Duration) error {
 	return nil
 }
 
-// openShard produces the shard this process serves: from a built shard
-// directory when -shard-dir is given (checksums verified against the
-// manifest), otherwise built in memory from the planned partition.
-func openShard(g *graph.Graph, o *options, opt query.Options) (*shard.Shard, error) {
-	if o.shardDir != "" {
-		m, err := shard.LoadManifest(o.shardDir)
-		if err != nil {
-			return nil, err
-		}
-		if o.shardOrdinal >= len(m.Shards) {
-			return nil, fmt.Errorf("-shard-ordinal %d out of range: manifest %s has %d shards",
-				o.shardOrdinal, o.shardDir, len(m.Shards))
-		}
-		var sh *shard.Shard
-		if o.indexMmap {
-			sh, err = shard.OpenShardMapped(o.shardDir, m, o.shardOrdinal, query.MappedOptions{})
-		} else {
-			sh, err = shard.OpenShard(o.shardDir, m, o.shardOrdinal)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := sh.AttachGraph(g); err != nil {
-			return nil, fmt.Errorf("shard %d of %s does not match the graph: %w", o.shardOrdinal, o.shardDir, err)
-		}
-		log.Printf("shard: loaded %s ordinal %d", o.shardDir, o.shardOrdinal)
-		return sh, nil
-	}
-	ranges, err := shard.Plan(g.NumVertices(), o.shards)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	sh, err := shard.Build(g, opt, ranges[o.shardOrdinal].Lo, ranges[o.shardOrdinal].Hi)
-	if err != nil {
-		return nil, err
-	}
-	log.Printf("shard: built in %v", time.Since(t0))
-	return sh, nil
-}
-
-// openIndex loads the walk index from path when possible, building (and,
-// with a path, persisting) it otherwise. With -index-mmap a freshly built
-// index is saved first and then reopened mapped, so serving always pages
-// from the sealed file. A loaded index gets the graph re-attached so
-// reranked top-k queries work.
+// openIndex produces the index this process serves, graph attached: the
+// full range in serve mode, range -shard-ordinal of the fleet in shard
+// mode. It is loaded from where the flags keep it — the -index file, or
+// that entry of the -shard-dir manifest — and otherwise built: streamed to
+// -index under -build-budget, else in memory and saved to -index if given.
+// -index-mmap always serves from the sealed file, a fresh build included.
+// A loaded index that disagrees with the index-shaping flags is served as
+// it is, with a warning.
 func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, error) {
+	r := shard.Range{Lo: 0, Hi: g.NumVertices()}
 	path := o.indexPath
 	load := func() (*query.Index, error) {
 		if o.indexMmap {
@@ -490,21 +430,50 @@ func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, err
 		}
 		return query.LoadFile(path)
 	}
-	if path != "" && !o.rebuild {
+	sealed := false // a shard directory is built by build-shards, only read here
+	switch {
+	case o.mode == "shard" && o.shardDir != "":
+		m, err := shard.LoadManifest(o.shardDir)
+		if err != nil {
+			return nil, err
+		}
+		path, sealed = fmt.Sprintf("%s shard %d", o.shardDir, o.shardOrdinal), true
+		load = func() (*query.Index, error) {
+			sh, err := shard.OpenShard(o.shardDir, m, o.shardOrdinal, o.indexMmap)
+			if err != nil {
+				return nil, err
+			}
+			return sh.Index, nil
+		}
+	case o.mode == "shard":
+		ranges, err := shard.Plan(g.NumVertices(), o.shards)
+		if err != nil {
+			return nil, err
+		}
+		r, path = ranges[o.shardOrdinal], ""
+	}
+	// open loads the file at path and attaches the graph; how is for the log.
+	open := func(how string) (*query.Index, error) {
 		idx, err := load()
+		if err != nil {
+			return nil, err
+		}
+		if err := idx.AttachGraph(g); err != nil {
+			return nil, fmt.Errorf("index %s does not match the graph: %w", path, err)
+		}
+		log.Printf("index: %s %s (%s)", how, path, idx.Backend())
+		return idx, nil
+	}
+
+	if path != "" && (sealed || !o.rebuild) {
+		idx, err := open("loaded")
 		switch {
 		case err == nil:
-			if err := idx.AttachGraph(g); err != nil {
-				return nil, fmt.Errorf("index %s does not match the graph: %w", path, err)
-			}
-			log.Printf("index: loaded %s (%s)", path, idx.Backend())
 			if warn := paramMismatch(idx, opt); warn != "" {
-				log.Printf("index: WARNING: loaded index disagrees with flags (%s); index-shaping flags are ignored for a loaded index — pass -rebuild to apply them", warn)
+				log.Printf("index: WARNING: loaded index disagrees with flags (%s); index-shaping flags are ignored for a loaded index — pass -rebuild (or re-run build-shards) to apply them", warn)
 			}
 			return idx, nil
-		case errors.Is(err, os.ErrNotExist):
-			// fall through to build
-		default:
+		case sealed || !errors.Is(err, os.ErrNotExist):
 			return nil, fmt.Errorf("loading index %s: %w", path, err)
 		}
 	}
@@ -519,39 +488,23 @@ func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, err
 		}
 		log.Printf("index: stream-built %s in %v (%d slices of %d vertices, %d bytes)",
 			path, time.Since(t0), st.Slices, st.SliceVertices, st.Bytes)
-		idx, err := load()
-		if err != nil {
-			return nil, fmt.Errorf("opening stream-built index %s: %w", path, err)
-		}
-		if err := idx.AttachGraph(g); err != nil {
-			return nil, fmt.Errorf("index %s does not match the graph: %w", path, err)
-		}
-		log.Printf("index: opened %s (%s)", path, idx.Backend())
-		return idx, nil
+		return open("opened")
 	}
-	idx, err := query.BuildIndex(g, opt)
+	sh, err := shard.Build(g, opt, r.Lo, r.Hi)
 	if err != nil {
 		return nil, err
 	}
 	log.Printf("index: built in %v", time.Since(t0))
 	if path != "" {
-		if err := idx.SaveFile(path); err != nil {
+		if err := sh.SaveFile(path); err != nil {
 			return nil, fmt.Errorf("saving index %s: %w", path, err)
 		}
 		log.Printf("index: saved %s (format v%d)", path, query.FormatVersion)
 		if o.indexMmap {
-			mapped, err := load()
-			if err != nil {
-				return nil, fmt.Errorf("reopening index %s mapped: %w", path, err)
-			}
-			if err := mapped.AttachGraph(g); err != nil {
-				return nil, fmt.Errorf("index %s does not match the graph: %w", path, err)
-			}
-			log.Printf("index: reopened %s (%s)", path, mapped.Backend())
-			return mapped, nil
+			return open("reopened")
 		}
 	}
-	return idx, nil
+	return sh.Index, nil
 }
 
 // paramMismatch describes how a loaded index's parameters diverge from

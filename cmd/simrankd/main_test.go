@@ -1,10 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"log"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"oipsr/graph/gen"
+	"oipsr/simrank/query"
+	"oipsr/simrank/shard"
 )
 
 // goodOptions is a valid baseline; each failure case perturbs one field.
@@ -137,6 +145,76 @@ func TestSplitBackends(t *testing.T) {
 	for _, tc := range cases {
 		if got := splitBackends(tc.in); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("splitBackends(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestOpenIndexWarnsOnMismatchedFlags: an index loaded from disk is served
+// with the parameters it was built with, whatever -walks / -c / -k / -seed
+// say, and every way of loading one says so — the -index file and the
+// -shard-dir manifest entry, decoded and mapped — while flags that agree,
+// and a fresh build, warn about nothing.
+func TestOpenIndexWarnsOnMismatchedFlags(t *testing.T) {
+	g := gen.WebGraph(80, 5, 3)
+	built := query.Options{Walks: 12, Seed: 3, Workers: 1}
+	dir := t.TempDir()
+	indexPath := filepath.Join(dir, "web.idx")
+	if _, err := query.BuildFileStreaming(g, built, indexPath, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shard.BuildAll(g, built, dir, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*options)
+		lo   int
+	}{
+		{"serve_index", func(o *options) { o.indexPath = indexPath }, 0},
+		{"serve_index_mmap", func(o *options) { o.indexPath = indexPath; o.indexMmap = true }, 0},
+		{"shard_dir", func(o *options) { o.mode = "shard"; o.shardDir = dir; o.shardOrdinal = 1 }, 40},
+		{"shard_dir_mmap", func(o *options) { o.mode = "shard"; o.shardDir = dir; o.shardOrdinal = 1; o.indexMmap = true }, 40},
+		{"shard_in_memory", func(o *options) { o.mode = "shard"; o.shards = 2; o.shardOrdinal = 1 }, 40},
+	} {
+		for _, flags := range []struct {
+			name string
+			opt  query.Options
+			want []string // what the warning must name; nil = no warning
+		}{
+			{"agree", built, nil},
+			{"disagree", query.Options{Walks: 30, C: 0.8, K: 5, Seed: 9, Workers: 1},
+				[]string{"WARNING", "walks 12 vs -walks 30", "c 0.6 vs -c 0.8", "vs -k 5", "seed 3 vs -seed 9"}},
+		} {
+			t.Run(tc.name+"/"+flags.name, func(t *testing.T) {
+				o := goodOptions()
+				tc.mut(&o)
+				if err := validate(&o); err != nil {
+					t.Fatal(err)
+				}
+				var logged bytes.Buffer
+				log.SetOutput(&logged)
+				defer log.SetOutput(os.Stderr)
+				idx, err := openIndex(g, &o, flags.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer idx.Close()
+				if idx.Lo() != tc.lo || idx.Graph() != g {
+					t.Fatalf("opened [%d,%d), graph attached = %v; want lo = %d with the graph", idx.Lo(), idx.Hi(), idx.Graph() == g, tc.lo)
+				}
+				want := flags.want
+				if tc.name == "shard_in_memory" {
+					want = nil // built from the flags, so it cannot disagree with them
+				}
+				if want == nil && strings.Contains(logged.String(), "WARNING") {
+					t.Fatalf("unexpected warning:\n%s", logged.String())
+				}
+				for _, w := range want {
+					if !strings.Contains(logged.String(), w) {
+						t.Errorf("log does not mention %q:\n%s", w, logged.String())
+					}
+				}
+			})
 		}
 	}
 }

@@ -120,11 +120,10 @@ func (sv *serving) handleEdges(apply func(context.Context, []graph.Edit) (edgesR
 }
 
 // applyLocalEdits applies a batch in place to the walk rows this process
-// holds: apply is query.Index.ApplyEdits in serve mode and
-// shard.Shard.ApplyEdits in shard mode (one shape, the same incremental
-// repair over a full or a partial range), graphOf the matching Graph.
-func applyLocalEdits(apply func([]graph.Edit, int) (query.UpdateStats, error), graphOf func() *graph.Graph, edits []graph.Edit, workers int) (edgesResponse, error) {
-	stats, err := apply(edits, workers)
+// holds — the full range in serve mode, one range of a fleet in shard mode:
+// the same incremental repair either way.
+func applyLocalEdits(idx *query.Index, edits []graph.Edit, workers int) (edgesResponse, error) {
+	stats, err := idx.ApplyEdits(edits, workers)
 	if err != nil {
 		return edgesResponse{}, err
 	}
@@ -134,6 +133,6 @@ func applyLocalEdits(apply func([]graph.Edit, int) (query.UpdateStats, error), g
 		DirtyVertices: stats.DirtyVertices,
 		WalksRepaired: stats.WalksRepaired,
 		Generation:    stats.Generation,
-		Edges:         graphOf().NumEdges(),
+		Edges:         idx.Graph().NumEdges(),
 	}, nil
 }

@@ -177,11 +177,11 @@ func TestVisitBytesReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := shard.BuildAll(g, opt, dir, 2)
+	m, err := shard.BuildAll(g, opt, dir, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mappedShard, err := shard.OpenShardMapped(dir, m, 1, query.MappedOptions{})
+	mappedShard, err := shard.OpenShard(dir, m, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}

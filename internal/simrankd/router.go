@@ -137,21 +137,7 @@ func NewRouter(g *graph.Graph, backends []string, cfg RouterConfig) (*Server, er
 	probes := make([]probed, 0, len(backends))
 	for _, base := range backends {
 		base = strings.TrimRight(base, "/")
-		ctx, cancel := context.WithTimeout(context.Background(), rt.shardTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("simrankd: probing %s: %w", base, err)
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("simrankd: probing %s: %w", base, err)
-		}
-		var h shardHealthzResponse
-		err = json.NewDecoder(resp.Body).Decode(&h)
-		resp.Body.Close()
-		cancel()
+		h, err := rt.probe(base)
 		if err != nil {
 			return nil, fmt.Errorf("simrankd: probing %s: %w", base, err)
 		}
@@ -195,6 +181,27 @@ func NewRouter(g *graph.Graph, backends []string, cfg RouterConfig) (*Server, er
 	return newFrontEnd(rt, "router", cfg.Config), nil
 }
 
+// probe fetches a backend's /healthz. One that is up but unwell answers
+// {"error":…}, which would decode into a zero range: it is refused by its
+// status instead.
+func (rt *fleetSource) probe(base string) (h shardHealthzResponse, err error) {
+	ctx, cancel := context.WithTimeout(context.Background(), rt.shardTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
+	if err != nil {
+		return h, err
+	}
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return h, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return h, fmt.Errorf("/healthz answered %d: %w", resp.StatusCode, backendError(base, resp))
+	}
+	return h, json.NewDecoder(io.LimitReader(resp.Body, maxDrainBytes)).Decode(&h)
+}
+
 // postShard posts one JSON request to a backend and decodes the JSON
 // response.
 func (rt *fleetSource) postShard(ctx context.Context, base, path string, reqBody, out any) error {
@@ -229,13 +236,19 @@ func (rt *fleetSource) post(ctx context.Context, base, path string, payload []by
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		var eresp errorResponse
-		if derr := json.NewDecoder(resp.Body).Decode(&eresp); derr != nil || eresp.Error == "" {
-			eresp.Error = fmt.Sprintf("backend %s: status %d", base, resp.StatusCode)
-		}
-		return &statusError{status: resp.StatusCode, msg: eresp.Error}
+		return backendError(base, resp)
 	}
 	return read(resp.Body)
+}
+
+// backendError is a backend's non-200 as a statusError: its {"error":…}
+// text when it sent one, its status otherwise.
+func backendError(base string, resp *http.Response) error {
+	var eresp errorResponse
+	if derr := json.NewDecoder(io.LimitReader(resp.Body, maxDrainBytes)).Decode(&eresp); derr != nil || eresp.Error == "" {
+		eresp.Error = fmt.Sprintf("backend %s: status %d", base, resp.StatusCode)
+	}
+	return &statusError{status: resp.StatusCode, msg: eresp.Error}
 }
 
 // maxDrainBytes bounds what post reads past the point its caller stopped:
@@ -505,12 +518,7 @@ func (rt *fleetSource) join(ctx context.Context, k int, threshold float64, maxCa
 	if err != nil {
 		return nil, false, err
 	}
-	res := walkindex.FinishJoin(pairs, k, threshold)
-	out := make([]query.JoinPair, len(res))
-	for i, p := range res {
-		out[i] = query.JoinPair{A: p.A, B: p.B, Score: p.Score}
-	}
-	return out, degraded, nil
+	return walkindex.FinishJoin(pairs, k, threshold), degraded, nil
 }
 
 // gatherJoin runs the two scatter phases of a join: candidate enumeration
@@ -518,7 +526,7 @@ func (rt *fleetSource) join(ctx context.Context, k int, threshold float64, maxCa
 // A backend 400 (too-dense, bad args) aborts with the backend's error; a
 // failed or stale leg drops its candidates or scores and degrades the
 // answer instead. Callers hold mu.RLock.
-func (rt *fleetSource) gatherJoin(ctx context.Context, threshold float64, maxCand int) ([]walkindex.JoinPair, bool, error) {
+func (rt *fleetSource) gatherJoin(ctx context.Context, threshold float64, maxCand int) ([]query.JoinPair, bool, error) {
 	type candRes struct {
 		pairs [][2]int
 		stale bool
@@ -587,7 +595,7 @@ func (rt *fleetSource) gatherJoin(ctx context.Context, threshold float64, maxCan
 		byOwner[o] = append(byOwner[o], [2]int{a, b})
 	}
 	type scoreRes struct {
-		pairs []wireJoinPair
+		pairs []query.JoinPair
 		stale bool
 		err   error
 	}
@@ -622,7 +630,7 @@ func (rt *fleetSource) gatherJoin(ctx context.Context, threshold float64, maxCan
 		return nil, false, err
 	}
 
-	var all []walkindex.JoinPair
+	all := make([]query.JoinPair, 0, len(union)) // never nil: an empty join encodes as []
 	for i := range scores {
 		s := &scores[i]
 		if len(byOwner[i]) == 0 {
@@ -636,9 +644,7 @@ func (rt *fleetSource) gatherJoin(ctx context.Context, threshold float64, maxCan
 		if s.stale {
 			degraded = true
 		}
-		for _, p := range s.pairs {
-			all = append(all, walkindex.JoinPair{A: p.A, B: p.B, Score: p.Score})
-		}
+		all = append(all, s.pairs...)
 	}
 	return all, degraded, nil
 }

@@ -23,23 +23,24 @@ import (
 
 // flakyBackend fronts one shard backend and can be switched into a
 // failure mode for the shard data plane (/shard/* and /v1/edges).
-// /healthz and /metrics always pass through so NewRouter's probe and
-// scrapes keep working while the data plane is down.
+// /healthz and /metrics pass through so NewRouter's probe and scrapes keep
+// working while the data plane is down — except in mode "dead", which
+// answers 503 on everything.
 type flakyBackend struct {
-	mode atomic.Value // "" | "503" | "429" | "hang" | "shortrow" | "bigcount" | "longbody"
+	mode atomic.Value // "" | "503" | "dead" | "429" | "hang" | "shortrow" | "bigcount" | "longbody"
 	next http.Handler
 	stop chan struct{} // closed at test end so hung handlers release
 }
 
 func (f *flakyBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	dataPlane := strings.HasPrefix(r.URL.Path, "/shard/") || r.URL.Path == "/v1/edges"
-	if mode, _ := f.mode.Load().(string); dataPlane && mode != "" {
+	if mode, _ := f.mode.Load().(string); (dataPlane || mode == "dead") && mode != "" {
 		if forge := forgedCounts[mode]; forge != nil && r.URL.Path == "/shard/v1/scores" {
 			f.serveForgedCount(w, r, forge)
 			return
 		}
 		switch mode {
-		case "503", "shortrow", "bigcount":
+		case "503", "dead", "shortrow", "bigcount":
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write([]byte(`{"error":"simrankd: injected outage"}` + "\n"))
@@ -468,6 +469,48 @@ func TestRouterRejectsInconsistentFleet(t *testing.T) {
 	defer ts.Close()
 	if _, err := NewRouter(g, []string{ts.URL}, RouterConfig{Config: Config{Workers: 1}}); err == nil {
 		t.Fatal("NewRouter accepted a fleet that does not cover [0, n)")
+	}
+}
+
+// TestRouterProbeNamesBackendStatus: a backend that answers its /healthz
+// probe with an error is refused for that — by URL, status and the
+// backend's own words — not for the zero range its error body decodes to.
+func TestRouterProbeNamesBackendStatus(t *testing.T) {
+	g := gen.WebGraph(60, 5, 11)
+	opt := query.Options{Walks: 64, Seed: 3, Workers: 1}
+	ranges, err := shard.Plan(g.NumVertices(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dead := range ranges {
+		var urls []string
+		for i, rg := range ranges {
+			sh, err := shard.Build(g, opt, rg.Lo, rg.Hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, err := NewShardServer(sh, Config{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb := &flakyBackend{next: ss}
+			fb.mode.Store("")
+			if i == dead {
+				fb.mode.Store("dead")
+			}
+			ts := httptest.NewServer(fb)
+			defer ts.Close()
+			urls = append(urls, ts.URL)
+		}
+		_, err := NewRouter(g, urls, RouterConfig{Config: Config{Workers: 1}})
+		if err == nil {
+			t.Fatalf("backend %d dead: NewRouter accepted the fleet", dead)
+		}
+		for _, want := range []string{urls[dead], "503", "injected outage"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("backend %d dead: error %q does not mention %q", dead, err, want)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"oipsr/graph"
 	"oipsr/internal/sparserow"
+	"oipsr/simrank/query"
 	"oipsr/simrank/shard"
 )
 
@@ -37,7 +38,7 @@ import (
 type ShardServer struct {
 	serving
 
-	sh      *shard.Shard
+	idx     *query.Index // owns [Lo, Hi)
 	workers int
 	mux     *http.ServeMux
 
@@ -49,15 +50,15 @@ type ShardServer struct {
 	scoresEntries atomic.Int64
 }
 
-// NewShardServer returns a handler serving the scatter protocol from sh,
-// which must have its source graph attached (foreign sources are
+// NewShardServer returns a handler serving the scatter protocol from sh's
+// index, which must have its source graph attached (foreign sources are
 // recomputed from it).
 func NewShardServer(sh *shard.Shard, cfg Config) (*ShardServer, error) {
 	if sh.Graph() == nil {
 		return nil, fmt.Errorf("simrankd: shard server needs the source graph (AttachGraph after load)")
 	}
 	s := &ShardServer{
-		sh:      sh,
+		idx:     sh.Index,
 		workers: cfg.Workers,
 		mux:     http.NewServeMux(),
 	}
@@ -71,7 +72,7 @@ func NewShardServer(sh *shard.Shard, cfg Config) (*ShardServer, error) {
 	// layer, re-broadcasting after a partial failure converges instead of
 	// corrupting.
 	s.mux.HandleFunc("/v1/edges", s.limited(s.handleEdges(func(_ context.Context, edits []graph.Edit) (edgesResponse, error) {
-		return applyLocalEdits(sh.ApplyEdits, sh.Graph, edits, cfg.Workers)
+		return applyLocalEdits(s.idx, edits, cfg.Workers)
 	})))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics("shard", s.writeMetrics))
@@ -106,16 +107,16 @@ func (s *ShardServer) handleScores(w http.ResponseWriter, r *http.Request) {
 	}
 	// The same dense-intermediate bound the single-node batch enforces,
 	// against this shard's row width: a mapped shard still sweeps dense.
-	if int64(len(req.Sources))*int64(max(s.sh.Width(), 1)) > maxDenseBatchScores {
+	if width := s.idx.Hi() - s.idx.Lo(); int64(len(req.Sources))*int64(max(width, 1)) > maxDenseBatchScores {
 		s.writeError(w, http.StatusBadRequest,
 			"%d sources on a %d-vertex shard exceed %d total scores; split the batch",
-			len(req.Sources), s.sh.Width(), maxDenseBatchScores)
+			len(req.Sources), width, maxDenseBatchScores)
 		return
 	}
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rows, err := s.sh.SparsePartialScores(r.Context(), req.Sources, s.workers)
+	rows, err := s.idx.SparseRows(r.Context(), req.Sources, s.workers)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
@@ -124,7 +125,7 @@ func (s *ShardServer) handleScores(w http.ResponseWriter, r *http.Request) {
 	buf := s.encPool.Get().(*bytes.Buffer)
 	defer s.encPool.Put(buf)
 	buf.Reset()
-	body := appendLeg(buf.AvailableBuffer(), s.sh.Lo(), s.sh.Hi(), s.sh.Generation(), rows)
+	body := appendLeg(buf.AvailableBuffer(), s.idx.Lo(), s.idx.Hi(), s.idx.Generation(), rows)
 	buf.Write(body) // keeps the grown memory with the pooled buffer
 	for _, row := range rows {
 		s.scoresEntries.Add(int64(row.Len()))
@@ -162,7 +163,7 @@ func (s *ShardServer) handleJoinCandidates(w http.ResponseWriter, r *http.Reques
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys, err := s.sh.JoinCandidates(r.Context(), req.Threshold, req.FpLo, req.FpHi, req.MaxCandidates, s.workers)
+	keys, err := s.idx.JoinCandidates(r.Context(), req.Threshold, req.FpLo, req.FpHi, req.MaxCandidates, s.workers)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
@@ -171,7 +172,7 @@ func (s *ShardServer) handleJoinCandidates(w http.ResponseWriter, r *http.Reques
 	for i, key := range keys {
 		pairs[i] = [2]int{int(key >> 32), int(key & 0xFFFFFFFF)}
 	}
-	body, err := s.marshalBody(shardJoinCandResponse{Generation: s.sh.Generation(), Pairs: pairs})
+	body, err := s.marshalBody(shardJoinCandResponse{Generation: s.idx.Generation(), Pairs: pairs})
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
@@ -183,15 +184,9 @@ type shardJoinScoreRequest struct {
 	Pairs [][2]int `json:"pairs"`
 }
 
-type wireJoinPair struct {
-	A     int     `json:"a"`
-	B     int     `json:"b"`
-	Score float64 `json:"score"`
-}
-
 type shardJoinScoreResponse struct {
-	Generation uint64         `json:"generation"`
-	Pairs      []wireJoinPair `json:"pairs"`
+	Generation uint64           `json:"generation"`
+	Pairs      []query.JoinPair `json:"pairs"`
 }
 
 // handleJoinScore serves POST /shard/v1/join_score: exact index estimates
@@ -215,16 +210,12 @@ func (s *ShardServer) handleJoinScore(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	scored, err := s.sh.ScorePairs(r.Context(), keys, s.workers)
+	pairs, err := s.idx.ScorePairs(r.Context(), keys, s.workers)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	pairs := make([]wireJoinPair, len(scored))
-	for i, p := range scored {
-		pairs[i] = wireJoinPair{A: p.A, B: p.B, Score: p.Score}
-	}
-	body, err := s.marshalBody(shardJoinScoreResponse{Generation: s.sh.Generation(), Pairs: pairs})
+	body, err := s.marshalBody(shardJoinScoreResponse{Generation: s.idx.Generation(), Pairs: pairs})
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
@@ -264,18 +255,18 @@ func (s *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(shardHealthzResponse{
 		Status:      "ok",
-		Vertices:    s.sh.N(),
-		Lo:          s.sh.Lo(),
-		Hi:          s.sh.Hi(),
-		Walks:       s.sh.Walks(),
-		Horizon:     s.sh.Horizon(),
-		C:           s.sh.C(),
-		Seed:        s.sh.Seed(),
-		IndexBytes:  s.sh.Bytes(),
-		ForestBytes: s.sh.ForestBytes(),
-		VisitBytes:  s.sh.VisitBytes(),
-		Backend:     s.sh.Backend(),
-		Generation:  s.sh.Generation(),
+		Vertices:    s.idx.N(),
+		Lo:          s.idx.Lo(),
+		Hi:          s.idx.Hi(),
+		Walks:       s.idx.Walks(),
+		Horizon:     s.idx.Horizon(),
+		C:           s.idx.C(),
+		Seed:        s.idx.Seed(),
+		IndexBytes:  s.idx.Bytes(),
+		ForestBytes: s.idx.ForestBytes(),
+		VisitBytes:  s.idx.VisitBytes(),
+		Backend:     s.idx.Backend(),
+		Generation:  s.idx.Generation(),
 		UptimeSecs:  time.Since(s.started).Seconds(),
 	})
 }
@@ -288,8 +279,8 @@ func (s *ShardServer) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_shard_scores_entries_total %d\n", s.scoresEntries.Load())
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	fmt.Fprintf(w, "simrankd_index_generation %d\n", s.sh.Generation())
-	fmt.Fprintf(w, "simrankd_shard_lo %d\n", s.sh.Lo())
-	fmt.Fprintf(w, "simrankd_shard_hi %d\n", s.sh.Hi())
-	writeIndexSizeMetrics(w, s.sh.Bytes(), s.sh.ForestBytes(), s.sh.VisitBytes())
+	fmt.Fprintf(w, "simrankd_index_generation %d\n", s.idx.Generation())
+	fmt.Fprintf(w, "simrankd_shard_lo %d\n", s.idx.Lo())
+	fmt.Fprintf(w, "simrankd_shard_hi %d\n", s.idx.Hi())
+	writeIndexSizeMetrics(w, s.idx)
 }

@@ -91,7 +91,7 @@ func (l *localSource) join(ctx context.Context, k int, threshold float64, maxCan
 }
 
 func (l *localSource) applyEdits(_ context.Context, edits []graph.Edit) (edgesResponse, error) {
-	resp, err := applyLocalEdits(l.idx.ApplyEdits, l.idx.Graph, edits, l.workers)
+	resp, err := applyLocalEdits(l.idx, edits, l.workers)
 	if err == nil {
 		l.tag = strconv.FormatUint(resp.Generation, 10)
 	}
@@ -147,14 +147,14 @@ func (l *localSource) healthz(uptimeSecs float64) any {
 
 func (l *localSource) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_index_generation %d\n", l.idx.Generation())
-	writeIndexSizeMetrics(w, l.idx.Bytes(), l.idx.ForestBytes(), l.idx.VisitBytes())
+	writeIndexSizeMetrics(w, l.idx)
 }
 
 // writeIndexSizeMetrics emits the three resident-size gauges of a process
 // that holds walk rows (serve and shard mode): the path storage and the two
 // derived structures on top of it.
-func writeIndexSizeMetrics(w io.Writer, index, forest, visit int64) {
-	fmt.Fprintf(w, "simrankd_index_bytes %d\n", index)
-	fmt.Fprintf(w, "simrankd_index_forest_bytes %d\n", forest)
-	fmt.Fprintf(w, "simrankd_index_visit_bytes %d\n", visit)
+func writeIndexSizeMetrics(w io.Writer, idx *query.Index) {
+	fmt.Fprintf(w, "simrankd_index_bytes %d\n", idx.Bytes())
+	fmt.Fprintf(w, "simrankd_index_forest_bytes %d\n", idx.ForestBytes())
+	fmt.Fprintf(w, "simrankd_index_visit_bytes %d\n", idx.VisitBytes())
 }

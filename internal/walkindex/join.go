@@ -46,10 +46,12 @@ import (
 // and FinishJoin on the merged scored pairs reproduces Join bitwise. Join
 // itself is that pipeline over the one fingerprint range [0, R).
 
-// JoinPair is one result pair of a similarity join, canonical A < B.
+// JoinPair is one result pair of a similarity join, canonical A < B. The
+// JSON tags are the /v1/join and /shard/v1/join_score wire form.
 type JoinPair struct {
-	A, B  int
-	Score float64
+	A     int     `json:"a"`
+	B     int     `json:"b"`
+	Score float64 `json:"score"`
 }
 
 // ErrTooDense reports a join whose candidate set outgrew the caller's cap:

@@ -40,7 +40,7 @@ import (
 
 // StreamStats reports what a streaming build wrote, with the resolved
 // build parameters (defaults filled, K derived from Eps) so callers can
-// record what was actually built — shard.BuildAllStreaming builds its
+// record what was actually built — shard.BuildAll builds its
 // manifest entries from them.
 type StreamStats struct {
 	// Rows is the number of start vertices written, hi-lo.

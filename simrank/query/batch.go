@@ -17,8 +17,12 @@ import (
 // corresponding independent SingleSource/TopK call, for every worker
 // count. cmd/simrankd exposes this path as POST /v1/batch.
 
-// checkSources validates every vertex id of a batch.
-func (ix *Index) checkSources(sources []int) error {
+// checkSources is what every batch call requires: the graph a partial
+// range recomputes foreign sources from, and every source a vertex of it.
+func (ix *Index) checkSources(what string, sources []int) error {
+	if err := ix.needGraph(what); err != nil {
+		return err
+	}
 	n := ix.wi.N()
 	for i, q := range sources {
 		if q < 0 || q >= n {
@@ -35,11 +39,13 @@ func (ix *Index) checkSources(sources []int) error {
 // means all CPUs), but the whole batch costs a single traversal of the
 // walk index instead of one per source. Duplicate sources are allowed.
 // Cancelling ctx abandons the sweep and returns the context's error.
+// On a partial range each row is the owned slice of the full one —
+// row[v-Lo()] is s(q, v) — for sources anywhere in the graph.
 func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([][]float64, error) {
-	if err := ix.checkSources(sources); err != nil {
+	if err := ix.checkSources("MultiSource", sources); err != nil {
 		return nil, err
 	}
-	return ix.wi.MultiSource(ctx, nil, sources, workers)
+	return ix.wi.MultiSource(ctx, ix.g, sources, workers)
 }
 
 // SparseRows is MultiSource returning each row as its non-zero entries —
@@ -47,13 +53,15 @@ func (ix *Index) MultiSource(ctx context.Context, sources []int, workers int) ([
 // On an index held in memory the rows come straight from the walk index's
 // coalescence order and no n-sized vector is ever written, so a batch costs
 // the sum of its answers; a mapped index sweeps as MultiSource does and
-// converts. The rows are pooled: the caller hands them back with
-// sparserow.Release and keeps nothing that points into them.
+// converts. On a partial range each row is the run of the full sparse row
+// that falls in [Lo, Hi), keyed by global vertex id. The rows are pooled:
+// the caller hands them back with sparserow.Release and keeps nothing that
+// points into them.
 func (ix *Index) SparseRows(ctx context.Context, sources []int, workers int) ([]*sparserow.Row, error) {
-	if err := ix.checkSources(sources); err != nil {
+	if err := ix.checkSources("SparseRows", sources); err != nil {
 		return nil, err
 	}
-	return ix.wi.SparseRows(ctx, nil, sources, workers)
+	return ix.wi.SparseRows(ctx, ix.g, sources, workers)
 }
 
 // TopKBatch answers TopK(q, k, opt) for every source q in sources,
@@ -64,7 +72,7 @@ func (ix *Index) SparseRows(ctx context.Context, sources []int, workers int) ([]
 // worker count. Cancelling ctx abandons the batch — mid-sweep or
 // mid-rerank — and returns the context's error.
 func (ix *Index) TopKBatch(ctx context.Context, sources []int, k int, opt *TopKOptions, workers int) ([][]Ranked, error) {
-	if err := ix.checkSources(sources); err != nil {
+	if err := ix.checkSources("TopKBatch", sources); err != nil {
 		return nil, err
 	}
 	k, opt, err := ix.checkTopK(k, opt)
@@ -72,7 +80,7 @@ func (ix *Index) TopKBatch(ctx context.Context, sources []int, k int, opt *TopKO
 		return nil, err
 	}
 
-	rows, err := ix.wi.MultiSource(ctx, nil, sources, workers)
+	rows, err := ix.wi.MultiSource(ctx, ix.g, sources, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -48,34 +48,6 @@ func TestTopKBatchBitIdenticalToTopK(t *testing.T) {
 	}
 }
 
-// TestMultiSourceBitIdenticalToSingleSource at the public layer: rows of a
-// batch equal independent SingleSource calls bitwise.
-func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
-	g := gen.WebGraph(120, 6, 3)
-	ix, err := BuildIndex(g, Options{Walks: 50, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := []int{3, 60, 119}
-	for _, workers := range []int{1, 3} {
-		rows, err := ix.MultiSource(context.Background(), sources, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range sources {
-			want, err := ix.SingleSource(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range want {
-				if rows[i][v] != want[v] {
-					t.Fatalf("workers=%d q=%d v=%d: %g vs %g", workers, q, v, rows[i][v], want[v])
-				}
-			}
-		}
-	}
-}
-
 // TestBatchValidation: a bad source is rejected with its batch position
 // named; bad k and rerank-without-graph fail the whole call.
 func TestBatchValidation(t *testing.T) {
@@ -108,8 +80,8 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestJoinPublicAPI: the query-layer Join applies defaults, converts pairs,
-// and surfaces ErrTooDense.
+// TestJoinPublicAPI: the query-layer Join applies defaults and surfaces
+// ErrTooDense.
 func TestJoinPublicAPI(t *testing.T) {
 	g := gen.CoauthorGraph(100, 4, 9)
 	ix, err := BuildIndex(g, Options{Walks: 60, Seed: 4})

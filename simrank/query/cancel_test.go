@@ -9,40 +9,53 @@ import (
 )
 
 // TestCancelledContextAbortsQueries: a cancelled context aborts every
-// public query path with the context's error.
+// public query path with the context's error — the row and join-half
+// queries on every range, the rest on the full one.
 func TestCancelledContextAbortsQueries(t *testing.T) {
 	g := gen.WebGraph(200, 6, 31)
-	ix, err := BuildIndex(g, Options{Walks: 40, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-
-	if _, err := ix.SingleSource(cancelled, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("SingleSource: err = %v, want context.Canceled", err)
-	}
-	if _, err := ix.TopK(cancelled, 1, 5, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("TopK: err = %v, want context.Canceled", err)
-	}
-	if _, err := ix.TopK(cancelled, 1, 5, &TopKOptions{Rerank: true}); !errors.Is(err, context.Canceled) {
-		t.Errorf("TopK(rerank): err = %v, want context.Canceled", err)
-	}
-	if _, err := ix.MultiSource(cancelled, []int{0, 1}, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("MultiSource: err = %v, want context.Canceled", err)
-	}
-	if _, err := ix.TopKBatch(cancelled, []int{0, 1, 2}, 5, nil, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("TopKBatch: err = %v, want context.Canceled", err)
-	}
-	if _, err := ix.Join(cancelled, 10, 0.05, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("Join: err = %v, want context.Canceled", err)
-	}
-
-	// Validation errors still win over cancellation checks that would
-	// follow them — a bad request is a bad request even under a dead ctx.
-	if _, err := ix.SingleSource(cancelled, -1); errors.Is(err, context.Canceled) {
-		t.Errorf("SingleSource(-1): got context error, want validation error")
-	}
+	forEachRange(t, g.NumVertices(), func(t *testing.T, lo, hi int) {
+		ix := buildRange(t, g, Options{Walks: 40, Seed: 3}, lo, hi, true)
+		if _, err := ix.MultiSource(cancelled, []int{0, 1}, 2); !errors.Is(err, context.Canceled) {
+			t.Errorf("MultiSource: err = %v, want context.Canceled", err)
+		}
+		if _, err := ix.SparseRows(cancelled, []int{0, 199}, 2); !errors.Is(err, context.Canceled) {
+			t.Errorf("SparseRows: err = %v, want context.Canceled", err)
+		}
+		if _, err := ix.JoinCandidates(cancelled, 0.05, 0, 40, DefaultMaxCandidates, 2); !errors.Is(err, context.Canceled) {
+			t.Errorf("JoinCandidates: err = %v, want context.Canceled", err)
+		}
+		if _, err := ix.ScorePairs(cancelled, []uint64{1<<32 | 2, 3<<32 | 150}, 2); !errors.Is(err, context.Canceled) {
+			t.Errorf("ScorePairs: err = %v, want context.Canceled", err)
+		}
+		// Validation errors still win over cancellation checks that would
+		// follow them — a bad request is a bad request even under a dead ctx.
+		if _, err := ix.MultiSource(cancelled, []int{-1}, 1); err == nil || errors.Is(err, context.Canceled) {
+			t.Errorf("MultiSource(-1): err = %v, want a validation error", err)
+		}
+		if hi-lo < 200 {
+			return
+		}
+		if _, err := ix.SingleSource(cancelled, 1); !errors.Is(err, context.Canceled) {
+			t.Errorf("SingleSource: err = %v, want context.Canceled", err)
+		}
+		if _, err := ix.TopK(cancelled, 1, 5, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("TopK: err = %v, want context.Canceled", err)
+		}
+		if _, err := ix.TopK(cancelled, 1, 5, &TopKOptions{Rerank: true}); !errors.Is(err, context.Canceled) {
+			t.Errorf("TopK(rerank): err = %v, want context.Canceled", err)
+		}
+		if _, err := ix.TopKBatch(cancelled, []int{0, 1, 2}, 5, nil, 2); !errors.Is(err, context.Canceled) {
+			t.Errorf("TopKBatch: err = %v, want context.Canceled", err)
+		}
+		if _, err := ix.Join(cancelled, 10, 0.05, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("Join: err = %v, want context.Canceled", err)
+		}
+		if _, err := ix.SingleSource(cancelled, -1); errors.Is(err, context.Canceled) {
+			t.Errorf("SingleSource(-1): got context error, want validation error")
+		}
+	})
 }
 
 // TestRerankCancellationMidPool: cancelling between rerank candidates

@@ -71,6 +71,19 @@
 // index and must be serialized against queries — cmd/simrankd does this
 // with an RWMutex and exposes the whole path as POST /v1/edges.
 //
+// # One handle, any vertex range
+//
+// An Index is the handle over the walks of one contiguous vertex range
+// [Lo, Hi). BuildIndex and the loaders produce [0, n), the single-node
+// index everything above describes. Package oipsr/simrank/shard splits the
+// rows — not the graph — into ranges and hands each back as the same Index:
+// walks are pure hashes, so a range recomputes any walk it does not store
+// from the attached graph. MultiSource and SparseRows return the owned
+// slice of each row for arbitrary sources; Pair, JoinCandidates, ScorePairs
+// and ApplyEdits behave as on the full range; what needs all n rows in one
+// place (SingleSource, TopK, TopKBatch, Join, the exact engine, Save) is
+// refused with one error, and composed from a fleet by simrankd's router.
+//
 // Use the batch engines for all-pairs analytics, convergence studies, or
 // exact scores; use this package when queries arrive one vertex at a
 // time and latency or memory rules out n^2 work — the simrankd server

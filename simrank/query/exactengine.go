@@ -80,6 +80,9 @@ func (ix *Index) ExactStats() (linsr.Stats, bool) {
 // run under the server's read lock, so gen and g are stable here; the
 // mutex only serializes concurrent first builds.
 func (ix *Index) exactSolver(ctx context.Context, workers int) (*linsr.Solver, *sync.Pool, error) {
+	if err := ix.needFull("the exact engine"); err != nil {
+		return nil, nil, err
+	}
 	if ix.g == nil {
 		return nil, nil, fmt.Errorf("query: exact queries need the source graph (AttachGraph after Load)")
 	}

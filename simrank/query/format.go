@@ -35,7 +35,7 @@ func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes in
 	var st *walkindex.StreamStats
 	err := atomicio.WriteFileAt(path, func(f *os.File) error {
 		var err error
-		st, err = walkindex.BuildStreaming(g, walkindex.Options(opt), 0, g.NumVertices(), walkindex.IndexFile, f, budgetBytes)
+		st, err = walkindex.BuildStreaming(g, opt, 0, g.NumVertices(), walkindex.IndexFile, f, budgetBytes)
 		return err
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func LoadFileMapped(path string, opts MappedOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{wi: wi}, nil
+	return NewIndex(wi, nil), nil
 }
 
 // Backend reports the walk storage backing this index: "dense" for

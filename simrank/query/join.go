@@ -7,12 +7,9 @@ import (
 	"oipsr/internal/walkindex"
 )
 
-// JoinPair is one result pair of a similarity join, canonical A < B.
-type JoinPair struct {
-	A     int     `json:"a"`
-	B     int     `json:"b"`
-	Score float64 `json:"score"`
-}
+// JoinPair is one result pair of a similarity join, canonical A < B,
+// encoded in JSON as {"a":…,"b":…,"score":…}.
+type JoinPair = walkindex.JoinPair
 
 // ErrTooDense is returned by Join when the threshold admits more candidate
 // pairs than JoinOptions.MaxCandidates — the guard that keeps an
@@ -62,13 +59,35 @@ func (ix *Index) Join(ctx context.Context, k int, threshold float64, opt *JoinOp
 	if maxCand < 1 {
 		return nil, fmt.Errorf("query: join candidate cap %d < 1", maxCand)
 	}
-	pairs, err := ix.wi.Join(ctx, nil, k, threshold, maxCand, opt.Workers)
-	if err != nil {
+	if err := ix.needFull("Join"); err != nil {
 		return nil, err
 	}
-	out := make([]JoinPair, len(pairs))
-	for i, p := range pairs {
-		out[i] = JoinPair{A: p.A, B: p.B, Score: p.Score}
+	return ix.wi.Join(ctx, ix.g, k, threshold, maxCand, opt.Workers)
+}
+
+// JoinCandidates is the first half of Join, for a fleet, which partitions
+// the join along the fingerprint axis: the co-located vertex pairs of
+// fingerprints [fpLo, fpHi) within threshold's prune depth as canonical
+// a<b keys (a<<32|b) in ascending order, capped at maxCandidates
+// (ErrTooDense). The union over a partition of [0, Walks()) is the
+// candidate set Join enumerates.
+func (ix *Index) JoinCandidates(ctx context.Context, threshold float64, fpLo, fpHi, maxCandidates, workers int) ([]uint64, error) {
+	if err := ix.needGraph("JoinCandidates"); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return ix.wi.JoinCandidates(ctx, ix.g, threshold, fpLo, fpHi, maxCandidates, workers)
+}
+
+// ScorePairs is the second half: the estimate of every candidate key,
+// bit-identical to Pair and to the SingleSource entries on any range.
+func (ix *Index) ScorePairs(ctx context.Context, keys []uint64, workers int) ([]JoinPair, error) {
+	if err := ix.needGraph("ScorePairs"); err != nil {
+		return nil, err
+	}
+	for _, key := range keys {
+		if err := ix.checkPair(int(key>>32), int(key&0xFFFFFFFF)); err != nil {
+			return nil, err
+		}
+	}
+	return ix.wi.ScorePairs(ctx, ix.g, keys, workers)
 }

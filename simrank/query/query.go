@@ -18,41 +18,27 @@ import (
 )
 
 // Options configure BuildIndex. The zero value means C = 0.6, horizon from
-// eps = 1e-3, 100 walks per vertex, seed 0, all CPUs. The fields mirror
-// walkindex.Options one for one, so callers convert with
-// walkindex.Options(opt) — a conversion that stops compiling the moment
-// the two drift apart.
-type Options struct {
-	// C is the damping factor in (0,1); 0 means 0.6.
-	C float64
-	// K is the walk horizon; 0 derives the smallest K with C^(K+1) <= Eps,
-	// matching the iterative engines' truncation.
-	K int
-	// Eps is the truncation target used when K == 0; 0 means 1e-3.
-	Eps float64
-	// Walks is the number of walk fingerprints R stored per vertex; 0
-	// means 100. Estimate error scales as 1/sqrt(R); index size as R.
-	Walks int
-	// Seed makes the index deterministic and reproducible.
-	Seed int64
-	// Workers sets the build worker-pool size: 1 means serial, anything
-	// below 1 means runtime.GOMAXPROCS(0). The index is bit-identical for
-	// every worker count.
-	Workers int
-}
+// eps = 1e-3, 100 walks per vertex, seed 0, all CPUs; the fields are
+// documented on walkindex.Options, which this is.
+type Options = walkindex.Options
 
-// Index answers single-source and top-k SimRank queries. It is safe for
-// concurrent queries; Update and ApplyEdits are the only mutating
-// operations and must be serialized against queries by the caller (the
-// simrankd server holds an RWMutex: queries under the read lock, updates
-// under the write lock).
+// Index is the one handle over a walk index: the stored walks of a vertex
+// range [Lo, Hi), the graph they were walked on, and the generation of the
+// edits applied since. BuildIndex and the loaders produce the full range
+// [0, n), which answers everything below; oipsr/simrank/shard produces the
+// partial ranges of a fleet (NewIndex), which answer what is about their
+// own rows — see the package comment — and refuse what needs all n with
+// one error.
+//
+// It is safe for concurrent queries; Update and ApplyEdits are the only
+// mutating operations and must be serialized against queries by the caller
+// (the simrankd servers hold an RWMutex: queries under the read lock,
+// updates under the write lock).
 type Index struct {
-	// wi is always a full-range walk index: BuildIndex builds [0, n), and
-	// the loaders only open index files, whose range is [0, n) by
-	// construction (a shard file is ErrBadMagic).
 	wi *walkindex.Index
-	// g is the graph the index was built from; needed for exact reranking
-	// and for ApplyEdits. Nil after Load until AttachGraph.
+	// g is the graph the index was built from: what exact reranking and
+	// ApplyEdits work on, and what a partial range recomputes foreign walks
+	// from. Nil after a load until AttachGraph.
 	g *graph.Graph
 	// gen counts applied updates; cache layers fold it into their keys so
 	// pre-update responses can never be served post-update.
@@ -70,15 +56,48 @@ type Ranked = sparserow.Entry
 // BuildIndex precomputes the walk index for g. The graph stays attached,
 // so TopK reranking works immediately.
 func BuildIndex(g *graph.Graph, opt Options) (*Index, error) {
-	wi, err := walkindex.Build(g, walkindex.Options(opt), 0, g.NumVertices())
+	wi, err := walkindex.Build(g, opt, 0, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
-	return &Index{wi: wi, g: g}, nil
+	return NewIndex(wi, g), nil
 }
 
-// N returns the number of indexed vertices.
+// NewIndex is the ranged constructor: the handle over a walk index of any
+// vertex range. g is the graph wi was built on, or nil until AttachGraph.
+func NewIndex(wi *walkindex.Index, g *graph.Graph) *Index {
+	return &Index{wi: wi, g: g}
+}
+
+// N returns the vertex count of the graph the index was built on.
 func (ix *Index) N() int { return ix.wi.N() }
+
+// Lo and Hi bound the vertices whose walks the index stores — [0, N())
+// unless it is one range of a fleet — and Owns reports whether v is one.
+func (ix *Index) Lo() int         { return ix.wi.Lo() }
+func (ix *Index) Hi() int         { return ix.wi.Hi() }
+func (ix *Index) Owns(v int) bool { return ix.wi.Owns(v) }
+
+// full reports whether the index stores every vertex's walks.
+func (ix *Index) full() bool { return ix.wi.Lo() == 0 && ix.wi.Hi() == ix.wi.N() }
+
+// needFull is the one refusal of a call that needs all n rows on an index
+// that stores fewer.
+func (ix *Index) needFull(what string) error {
+	if ix.full() {
+		return nil
+	}
+	return fmt.Errorf("query: %s needs a full-range index, this one owns [%d,%d) of [0,%d)", what, ix.wi.Lo(), ix.wi.Hi(), ix.wi.N())
+}
+
+// needGraph refuses a call that may have to recompute foreign walks — any
+// call on a partial range — with no graph to recompute them from.
+func (ix *Index) needGraph(what string) error {
+	if ix.g == nil && !ix.full() {
+		return fmt.Errorf("query: %s on a partial range needs the source graph (AttachGraph after Load)", what)
+	}
+	return nil
+}
 
 // C returns the damping factor the index was built with.
 func (ix *Index) C() float64 { return ix.wi.C() }
@@ -92,12 +111,14 @@ func (ix *Index) Walks() int { return ix.wi.Walks() }
 // Seed returns the build seed.
 func (ix *Index) Seed() int64 { return ix.wi.Seed() }
 
-// Bytes returns the in-memory size of the walk storage.
+// Bytes returns the size of the walk storage: resident memory for a dense
+// index, the compressed backing file for a mapped one.
 func (ix *Index) Bytes() int64 { return ix.wi.Bytes() }
 
 // ForestBytes returns the in-memory size of the coalescence order that
 // answers queries on a dense index in output-sensitive time — 6 bytes per
-// stored walk, on top of Bytes; 0 for a mapped index, which has none.
+// stored walk (6·R per owned vertex), on top of Bytes; 0 for a mapped
+// index, which has none.
 func (ix *Index) ForestBytes() int64 { return ix.wi.ForestBytes() }
 
 // VisitBytes returns the in-memory size of the inverted visit index that
@@ -142,10 +163,11 @@ type UpdateStats struct {
 // Update repairs the index in place after the graph changed into g2, where
 // dirty lists every vertex whose in-neighbor list differs (see
 // graph.EditSummary.DirtyIn). The repaired index is bit-identical to a
-// fresh BuildIndex on g2 with the same options; only the suffixes of walks
-// through dirty vertices are recomputed, in parallel across workers (1 =
-// serial, <1 = all CPUs). g2 replaces the attached graph and the
-// generation is bumped. Update must not run concurrently with queries.
+// fresh build of the same range on g2 with the same options; only the
+// suffixes of walks through dirty vertices are recomputed, in parallel
+// across workers (1 = serial, <1 = all CPUs). g2 replaces the attached
+// graph and the generation is bumped. Update must not run concurrently
+// with queries.
 func (ix *Index) Update(g2 *graph.Graph, dirty []int, workers int) (walksRepaired int, err error) {
 	changed, err := ix.wi.Update(g2, dirty, workers)
 	if err != nil {
@@ -159,7 +181,9 @@ func (ix *Index) Update(g2 *graph.Graph, dirty []int, workers int) (walksRepaire
 // ApplyEdits applies a batch of edge edits to the attached graph and
 // repairs the index incrementally (see Update for the guarantees). It
 // requires an attached graph — call AttachGraph first on a loaded index.
-// On error the index and graph are unchanged.
+// On error the index and graph are unchanged. Every range of a fleet must
+// receive the same batches; edits are idempotent at the graph layer, so
+// re-sending one after a partial broadcast converges rather than corrupts.
 func (ix *Index) ApplyEdits(edits []graph.Edit, workers int) (UpdateStats, error) {
 	if ix.g == nil {
 		return UpdateStats{}, fmt.Errorf("query: ApplyEdits needs the source graph (AttachGraph after Load)")
@@ -195,9 +219,10 @@ func (ix *Index) PrepareUpdates(workers int) error {
 }
 
 // AttachGraph re-attaches the source graph to a loaded index, enabling
-// exact reranking. The graph must have the same vertex count the index was
-// built from (a different graph silently poisons rerank scores, so at
-// least the cheap invariant is enforced).
+// exact reranking and edits — and, on a partial range, every query. The
+// graph must have the same vertex count the index was built from (a
+// different graph silently poisons scores, so at least the cheap
+// invariant is enforced).
 func (ix *Index) AttachGraph(g *graph.Graph) error {
 	if g.NumVertices() != ix.wi.N() {
 		return fmt.Errorf("query: graph has %d vertices, index was built on %d", g.NumVertices(), ix.wi.N())
@@ -220,6 +245,9 @@ func (ix *Index) SingleSource(ctx context.Context, q int) ([]float64, error) {
 // across requests to keep the hot path allocation-free; the returned
 // slice is dst. On cancellation dst's contents are unspecified.
 func (ix *Index) SingleSourceInto(ctx context.Context, q int, dst []float64) ([]float64, error) {
+	if err := ix.needFull("SingleSource"); err != nil {
+		return nil, err
+	}
 	if q < 0 || q >= ix.wi.N() {
 		return nil, fmt.Errorf("query: vertex %d out of range [0,%d)", q, ix.wi.N())
 	}
@@ -229,13 +257,23 @@ func (ix *Index) SingleSourceInto(ctx context.Context, q int, dst []float64) ([]
 	return ix.wi.SingleSource(ctx, q, dst)
 }
 
-// Pair estimates the single score s(a, b).
+// Pair estimates the single score s(a, b) of any two vertices, owned or not.
 func (ix *Index) Pair(a, b int) (float64, error) {
-	n := ix.wi.N()
-	if a < 0 || a >= n || b < 0 || b >= n {
-		return 0, fmt.Errorf("query: pair (%d,%d) out of range [0,%d)", a, b, n)
+	if err := ix.needGraph("Pair"); err != nil {
+		return 0, err
 	}
-	return ix.wi.Pair(nil, a, b), nil
+	if err := ix.checkPair(a, b); err != nil {
+		return 0, err
+	}
+	return ix.wi.Pair(ix.g, a, b), nil
+}
+
+// checkPair validates the two vertex ids of a pair.
+func (ix *Index) checkPair(a, b int) error {
+	if n := ix.wi.N(); a < 0 || a >= n || b < 0 || b >= n {
+		return fmt.Errorf("query: pair (%d,%d) out of range [0,%d)", a, b, n)
+	}
+	return nil
 }
 
 // TopKOptions tune a TopK call. The zero value (or a nil pointer) means:
@@ -277,9 +315,13 @@ func (ix *Index) TopK(ctx context.Context, q, k int, opt *TopKOptions) ([]Ranked
 }
 
 // checkTopK is the argument validation TopK, TopKFromScores and TopKBatch
-// share: k at least 1 and clamped to n-1, nil options defaulted, option
-// values in range, and a graph attached when a rerank is asked for.
+// share: a full range, k at least 1 and clamped to n-1, nil options
+// defaulted, option values in range, and a graph attached when a rerank is
+// asked for.
 func (ix *Index) checkTopK(k int, opt *TopKOptions) (int, *TopKOptions, error) {
+	if err := ix.needFull("TopK"); err != nil {
+		return 0, nil, err
+	}
 	if k < 1 {
 		return 0, nil, fmt.Errorf("query: top-k size %d < 1", k)
 	}
@@ -487,8 +529,14 @@ func topByScore(scores []float64, skip, m int) []Ranked {
 // Save writes the index (not the graph) to w in the versioned binary
 // walk-index format; see oipsr/internal/walkindex for the layout. It
 // validates the index against the load-side guards first and refuses
-// (walkindex.ErrFormatLimits) to write an unloadable file.
-func (ix *Index) Save(w io.Writer) error { return ix.wi.Save(w, walkindex.IndexFile) }
+// (walkindex.ErrFormatLimits) to write an unloadable file. An index file
+// holds the full range; shard files are shard.BuildAll's.
+func (ix *Index) Save(w io.Writer) error {
+	if err := ix.needFull("Save"); err != nil {
+		return err
+	}
+	return ix.wi.Save(w, walkindex.IndexFile)
+}
 
 // Load reads an index written by Save, SaveFile or BuildFileStreaming,
 // decoding it into memory. The result answers SingleSource, Pair, and
@@ -500,7 +548,7 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{wi: wi}, nil
+	return NewIndex(wi, nil), nil
 }
 
 // SaveFile writes the index to path durably and atomically: the payload is

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -74,52 +74,17 @@ type Manifest struct {
 	Shards []FileInfo `json:"shards"`
 }
 
-// BuildAll plans a `shards`-way partition of g, builds every shard index,
+// BuildAll plans a `shards`-way partition of g, builds every shard file,
 // and publishes them to dir (created if missing) with a sealed manifest.
-// Every file lands via write-temp/fsync/rename, the manifest last, so a
-// reader that finds a manifest finds every file it names, complete. The
-// shard rows are collectively bit-identical to query.BuildIndex(g, opt).
-func BuildAll(g *graph.Graph, opt query.Options, dir string, shards int) (*Manifest, error) {
-	return buildAll(g, dir, shards, func(path string, r Range) (*walkindex.StreamStats, error) {
-		s, err := Build(g, opt, r.Lo, r.Hi)
-		if err != nil {
-			return nil, err
-		}
-		tw := &trailerCRCWriter{crc: crc32.NewIEEE()}
-		cw := &countingWriter{w: tw}
-		err = atomicio.WriteFile(path, func(w io.Writer) error {
-			return s.sx.Save(io.MultiWriter(w, cw), walkindex.ShardFile)
-		})
-		// The resolved parameters (defaults filled, K derived from Eps)
-		// come from the built shard, so the manifest records what was
-		// actually built, not the possibly-zero request.
-		return &walkindex.StreamStats{K: s.Horizon(), Walks: s.Walks(), C: s.C(), Seed: s.Seed(),
-			Bytes: cw.n, CRC32: tw.crc.Sum32()}, err
-	})
-}
-
-// BuildAllStreaming is BuildAll through the out-of-core streaming
-// builder: each shard's walks are generated in budget-sized vertex
-// slices and encoded straight to its file, so peak builder memory is
-// bounded by budgetBytes, not by the widest shard. Files are
-// byte-identical to BuildAll's — same manifest, same checksums — so
-// readers cannot tell which builder produced a directory.
-func BuildAllStreaming(g *graph.Graph, opt query.Options, dir string, shards int, budgetBytes int64) (*Manifest, error) {
-	return buildAll(g, dir, shards, func(path string, r Range) (st *walkindex.StreamStats, err error) {
-		err = atomicio.WriteFileAt(path, func(f *os.File) error {
-			st, err = walkindex.BuildStreaming(g, walkindex.Options(opt), r.Lo, r.Hi, walkindex.ShardFile, f, budgetBytes)
-			return err
-		})
-		return st, err
-	})
-}
-
-// buildAll is the directory half both builders share: plan, publish one
-// file per range through writeShard, seal the manifest last. writeShard
-// reports the resolved build parameters, the file's size and its trailer
-// CRC — the CRC over the file minus its own trailer, which is exactly the
-// manifest's checksum convention.
-func buildAll(g *graph.Graph, dir string, shards int, writeShard func(path string, r Range) (*walkindex.StreamStats, error)) (*Manifest, error) {
+// Every shard is streamed: its walks are generated in vertex slices of at
+// most budgetBytes of walk state and encoded straight to its file, so peak
+// builder memory is bounded by the budget, not by the widest shard; a
+// budget of 0 or less means one slice per shard. The files are the same
+// bytes for every budget. Every file lands via write-temp/fsync/rename,
+// the manifest last, so a reader that finds a manifest finds every file it
+// names, complete. The shard rows are collectively bit-identical to
+// query.BuildIndex(g, opt).
+func BuildAll(g *graph.Graph, opt query.Options, dir string, shards int, budgetBytes int64) (*Manifest, error) {
 	plan, err := Plan(g.NumVertices(), shards)
 	if err != nil {
 		return nil, err
@@ -127,10 +92,21 @@ func buildAll(g *graph.Graph, dir string, shards int, writeShard func(path strin
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	if budgetBytes <= 0 {
+		budgetBytes = math.MaxInt64
+	}
 	m := &Manifest{Version: ManifestVersion, N: g.NumVertices(), Format: query.FormatVersion}
 	for i, r := range plan {
 		name := fmt.Sprintf("shard-%04d.srwk", i)
-		st, err := writeShard(filepath.Join(dir, name), r)
+		// st carries the resolved parameters (defaults filled, K derived from
+		// Eps) — the manifest records what was built, not the possibly-zero
+		// request — and the trailer CRC, which is the manifest's convention.
+		var st *walkindex.StreamStats
+		err := atomicio.WriteFileAt(filepath.Join(dir, name), func(f *os.File) error {
+			var err error
+			st, err = walkindex.BuildStreaming(g, opt, r.Lo, r.Hi, walkindex.ShardFile, f, budgetBytes)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -148,48 +124,6 @@ func buildAll(g *graph.Graph, dir string, shards int, writeShard func(path strin
 		return nil, err
 	}
 	return m, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// trailerCRCWriter hashes everything written to it EXCEPT the last four
-// bytes, by lagging a 4-byte tail behind the hash — the streaming way to
-// compute "CRC of the file minus its trailer" without buffering the file.
-type trailerCRCWriter struct {
-	crc  hash.Hash32
-	tail [4]byte
-	have int
-}
-
-func (tw *trailerCRCWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	if tw.have+n <= 4 {
-		copy(tw.tail[tw.have:], p)
-		tw.have += n
-		return n, nil
-	}
-	// Flush all but the final 4 bytes of (tail ++ p) into the hash.
-	excess := tw.have + n - 4
-	if excess >= tw.have {
-		tw.crc.Write(tw.tail[:tw.have])
-		tw.crc.Write(p[:excess-tw.have])
-		copy(tw.tail[:], p[len(p)-4:])
-	} else {
-		tw.crc.Write(tw.tail[:excess])
-		copy(tw.tail[:], tw.tail[excess:tw.have])
-		copy(tw.tail[tw.have-excess:], p)
-	}
-	tw.have = 4
-	return n, nil
 }
 
 // WriteManifest seals and atomically publishes m as dir/ManifestName.
@@ -255,93 +189,51 @@ func LoadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// OpenShard loads shard i of a manifest from dir, verifying the file
-// against the manifest's checksum and the loaded parameters against the
-// manifest's before trusting it. The returned shard has no graph attached;
-// call AttachGraph before serving.
-func OpenShard(dir string, m *Manifest, i int) (*Shard, error) {
-	if i < 0 || i >= len(m.Shards) {
-		return nil, fmt.Errorf("shard: shard ordinal %d outside [0,%d)", i, len(m.Shards))
-	}
-	fi := m.Shards[i]
-	// Whole-file read: the CRC must cover exactly the file's bytes, and the
-	// shard is about to occupy memory of the same order anyway.
-	data, err := os.ReadFile(filepath.Join(dir, fi.File))
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < 4 {
-		return nil, fmt.Errorf("%w: %s is %d bytes", ErrShardChecksum, fi.File, len(data))
-	}
-	if got := fmt.Sprintf("%08x", crc32.ChecksumIEEE(data[:len(data)-4])); got != fi.CRC32 {
-		return nil, fmt.Errorf("%w: %s has crc %s, manifest says %s", ErrShardChecksum, fi.File, got, fi.CRC32)
-	}
-	sx, err := walkindex.Load(bytes.NewReader(data), walkindex.ShardFile)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkShardManifest(sx, m, fi); err != nil {
-		return nil, err
-	}
-	return &Shard{sx: sx}, nil
-}
-
-// OpenShardMapped is OpenShard paging the shard file on demand instead of
-// decoding it into memory (see query.LoadFileMapped). The manifest
-// checksum is verified with a streaming read, so the open never
-// materializes the dense payload.
-func OpenShardMapped(dir string, m *Manifest, i int, opts query.MappedOptions) (*Shard, error) {
+// OpenShard loads shard i of a manifest from dir — decoded into memory,
+// or with mapped paging the shard file on demand (see query.LoadFileMapped)
+// — verifying the file against the manifest's checksum, by a streaming read
+// that never holds more than a buffer of it, and the loaded parameters
+// against the manifest's before trusting it. The returned shard has no
+// graph attached; call AttachGraph before serving.
+func OpenShard(dir string, m *Manifest, i int, mapped bool) (*Shard, error) {
 	if i < 0 || i >= len(m.Shards) {
 		return nil, fmt.Errorf("shard: shard ordinal %d outside [0,%d)", i, len(m.Shards))
 	}
 	fi := m.Shards[i]
 	path := filepath.Join(dir, fi.File)
-	if err := verifyFileCRC(path, fi); err != nil {
-		return nil, err
-	}
-	sx, err := walkindex.LoadMapped(path, walkindex.ShardFile, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkShardManifest(sx, m, fi); err != nil {
-		sx.Close()
-		return nil, err
-	}
-	return &Shard{sx: sx}, nil
-}
-
-// verifyFileCRC streams the file through the manifest's trailer-excluded
-// CRC check without holding more than one buffer of it.
-func verifyFileCRC(path string, fi FileInfo) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if st.Size() < 4 {
-		return fmt.Errorf("%w: %s is %d bytes", ErrShardChecksum, fi.File, st.Size())
+		return nil, fmt.Errorf("%w: %s is %d bytes", ErrShardChecksum, fi.File, st.Size())
 	}
 	crc := crc32.NewIEEE()
 	if _, err := io.Copy(crc, io.LimitReader(f, st.Size()-4)); err != nil {
-		return err
+		return nil, err
 	}
 	if got := fmt.Sprintf("%08x", crc.Sum32()); got != fi.CRC32 {
-		return fmt.Errorf("%w: %s has crc %s, manifest says %s", ErrShardChecksum, fi.File, got, fi.CRC32)
+		return nil, fmt.Errorf("%w: %s has crc %s, manifest says %s", ErrShardChecksum, fi.File, got, fi.CRC32)
 	}
-	return nil
-}
-
-// checkShardManifest validates a loaded shard's parameters against its
-// manifest entry before trusting it.
-func checkShardManifest(sx *walkindex.Index, m *Manifest, fi FileInfo) error {
-	if sx.N() != m.N || sx.Lo() != fi.Lo || sx.Hi() != fi.Hi ||
-		sx.C() != m.C || sx.Horizon() != m.K || sx.Walks() != m.Walks || sx.Seed() != m.Seed {
-		return fmt.Errorf("shard: %s does not match its manifest entry (n=%d [%d,%d) c=%v k=%d r=%d seed=%d)",
-			fi.File, sx.N(), sx.Lo(), sx.Hi(), sx.C(), sx.Horizon(), sx.Walks(), sx.Seed())
+	var wi *walkindex.Index
+	if mapped {
+		wi, err = walkindex.LoadMapped(path, walkindex.ShardFile, walkindex.MappedOptions{})
+	} else if _, err = f.Seek(0, io.SeekStart); err == nil {
+		wi, err = walkindex.Load(f, walkindex.ShardFile)
 	}
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	if wi.N() != m.N || wi.Lo() != fi.Lo || wi.Hi() != fi.Hi ||
+		wi.C() != m.C || wi.Horizon() != m.K || wi.Walks() != m.Walks || wi.Seed() != m.Seed {
+		wi.Close()
+		return nil, fmt.Errorf("shard: %s does not match its manifest entry (n=%d [%d,%d) c=%v k=%d r=%d seed=%d)",
+			fi.File, wi.N(), wi.Lo(), wi.Hi(), wi.C(), wi.Horizon(), wi.Walks(), wi.Seed())
+	}
+	return &Shard{query.NewIndex(wi, nil)}, nil
 }

@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,7 +60,7 @@ func TestBuildAllRoundTrip(t *testing.T) {
 	g := gen.WebGraph(57, 6, 2)
 	opt := query.Options{Walks: 18, Seed: 7, Workers: 1}
 	dir := t.TempDir()
-	m, err := BuildAll(g, opt, dir, 3)
+	m, err := BuildAll(g, opt, dir, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestBuildAllRoundTrip(t *testing.T) {
 
 	var got [][]float64
 	for i := range loaded.Shards {
-		s, err := OpenShard(dir, loaded, i)
+		s, err := OpenShard(dir, loaded, i, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +123,7 @@ func TestBuildAllRoundTrip(t *testing.T) {
 func TestManifestCorruptionDetection(t *testing.T) {
 	g := gen.WebGraph(30, 4, 5)
 	dir := t.TempDir()
-	m, err := BuildAll(g, query.Options{Walks: 8, Seed: 1}, dir, 2)
+	m, err := BuildAll(g, query.Options{Walks: 8, Seed: 1}, dir, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestManifestCorruptionDetection(t *testing.T) {
 	if err := os.WriteFile(spath, sbad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShard(dir, m, 1); !errors.Is(err, ErrShardChecksum) {
+	if _, err := OpenShard(dir, m, 1, false); !errors.Is(err, ErrShardChecksum) {
 		t.Fatalf("tampered shard file: got %v, want ErrShardChecksum", err)
 	}
 
@@ -173,7 +175,7 @@ func TestManifestCorruptionDetection(t *testing.T) {
 	if err := os.WriteFile(spath, d0, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShard(dir, m, 1); !errors.Is(err, ErrShardChecksum) {
+	if _, err := OpenShard(dir, m, 1, false); !errors.Is(err, ErrShardChecksum) {
 		t.Fatalf("swapped shard files: got %v, want ErrShardChecksum", err)
 	}
 
@@ -272,7 +274,7 @@ func TestOpenShardMappedParity(t *testing.T) {
 	g := gen.WebGraph(57, 6, 2)
 	opt := query.Options{Walks: 18, Seed: 7, Workers: 1}
 	dir := t.TempDir()
-	m, err := BuildAll(g, opt, dir, 3)
+	m, err := BuildAll(g, opt, dir, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +287,11 @@ func TestOpenShardMappedParity(t *testing.T) {
 	edits := []graph.Edit{{Op: graph.EditAdd, U: 1, V: 56}, {Op: graph.EditRemove, U: 1, V: 56}, {Op: graph.EditAdd, U: 3, V: 40}}
 	rewritten := -1 // ordinal of a mapped shard whose file the edits rewrote
 	for i := range m.Shards {
-		dense, err := OpenShard(dir, m, i)
+		dense, err := OpenShard(dir, m, i, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := OpenShardMapped(dir, m, i, query.MappedOptions{CacheBlocks: 1})
+		mapped, err := OpenShard(dir, m, i, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +341,7 @@ func TestOpenShardMappedParity(t *testing.T) {
 	if rewritten < 0 {
 		t.Fatal("edit batch repaired no walks in any shard; pick a more invasive batch")
 	}
-	if _, err := OpenShard(dir, m, rewritten); !errors.Is(err, ErrShardChecksum) {
+	if _, err := OpenShard(dir, m, rewritten, false); !errors.Is(err, ErrShardChecksum) {
 		t.Fatalf("edited shard file: got %v, want ErrShardChecksum", err)
 	}
 
@@ -355,7 +357,7 @@ func TestOpenShardMappedParity(t *testing.T) {
 	if err := os.WriteFile(spath, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShardMapped(dir, m, other, query.MappedOptions{}); !errors.Is(err, ErrShardChecksum) {
+	if _, err := OpenShard(dir, m, other, true); !errors.Is(err, ErrShardChecksum) {
 		t.Fatalf("tampered shard: got %v, want ErrShardChecksum", err)
 	}
 
@@ -363,9 +365,9 @@ func TestOpenShardMappedParity(t *testing.T) {
 	// manifest vouches for the bytes: a full index file named by a one-shard
 	// manifest is ErrBadMagic through both shard openings, and a shard file
 	// — full range [0, n) and all — is ErrBadMagic through the query
-	// loaders, so a ranged index can never become a query.Index.
+	// loaders: a file says which of the two it is, whatever range it holds.
 	onedir := t.TempDir()
-	m1, err := BuildAll(g, opt, onedir, 1)
+	m1, err := BuildAll(g, opt, onedir, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +391,97 @@ func TestOpenShardMappedParity(t *testing.T) {
 	}
 	m1.Shards[0].Bytes = int64(len(idata))
 	m1.Shards[0].CRC32 = fmt.Sprintf("%08x", crc32.ChecksumIEEE(idata[:len(idata)-4]))
-	if _, err := OpenShard(onedir, m1, 0); !errors.Is(err, walkindex.ErrBadMagic) {
+	if _, err := OpenShard(onedir, m1, 0, false); !errors.Is(err, walkindex.ErrBadMagic) {
 		t.Fatalf("OpenShard(index file): got %v, want ErrBadMagic", err)
 	}
-	if _, err := OpenShardMapped(onedir, m1, 0, query.MappedOptions{}); !errors.Is(err, walkindex.ErrBadMagic) {
-		t.Fatalf("OpenShardMapped(index file): got %v, want ErrBadMagic", err)
+	if _, err := OpenShard(onedir, m1, 0, true); !errors.Is(err, walkindex.ErrBadMagic) {
+		t.Fatalf("OpenShard(index file, mapped): got %v, want ErrBadMagic", err)
+	}
+}
+
+// TestFullRangeBuildIsBuildIndex: the shard over [0, n) is the single-node
+// index — Equal, and answering every method of the one handle identically,
+// the full-range-only ones included.
+func TestFullRangeBuildIsBuildIndex(t *testing.T) {
+	g := gen.CoauthorGraph(100, 4, 9)
+	opt := query.Options{Walks: 40, Seed: 4, Workers: 1}
+	want, err := query.BuildIndex(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := Build(g, opt, 0, g.NumVertices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sh.Index
+	if !got.Equal(want) || !want.Equal(got) {
+		t.Fatal("Build(g, opt, 0, n) is not Equal to BuildIndex(g, opt)")
+	}
+	ctx := context.Background()
+	sources := []int{0, 17, 17, 99}
+	rerank := &query.TopKOptions{Rerank: true}
+	// same runs one call on both handles and demands equal results.
+	same := func(name string, call func(ix *query.Index) (any, error)) {
+		t.Helper()
+		g, gerr := call(got)
+		w, werr := call(want)
+		if gerr != nil || werr != nil {
+			t.Fatalf("%s: %v / %v", name, gerr, werr)
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: ranged handle %v, BuildIndex %v", name, g, w)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		same("accessors", func(ix *query.Index) (any, error) {
+			return []any{ix.N(), ix.Lo(), ix.Hi(), ix.Owns(99), ix.C(), ix.Horizon(), ix.Walks(), ix.Seed(), ix.Bytes(),
+				ix.ForestBytes(), ix.VisitBytes(), ix.Backend(), ix.Generation(), ix.Graph().NumEdges(), ix.RerankPoolSize(10, 0)}, nil
+		})
+		same("SingleSource", func(ix *query.Index) (any, error) { return ix.SingleSource(ctx, 17) })
+		same("SingleSourceInto", func(ix *query.Index) (any, error) { return ix.SingleSourceInto(ctx, 42, make([]float64, 100)) })
+		same("Pair", func(ix *query.Index) (any, error) { return ix.Pair(3, 77) })
+		same("TopK", func(ix *query.Index) (any, error) { return ix.TopK(ctx, 17, 8, nil) })
+		same("TopK rerank", func(ix *query.Index) (any, error) { return ix.TopK(ctx, 17, 8, rerank) })
+		same("TopKFromScores", func(ix *query.Index) (any, error) {
+			row, err := ix.SingleSource(ctx, 5)
+			if err != nil {
+				return nil, err
+			}
+			return ix.TopKFromScores(ctx, row, 5, 6, rerank)
+		})
+		same("TopKBatch", func(ix *query.Index) (any, error) { return ix.TopKBatch(ctx, sources, 5, rerank, 2) })
+		same("MultiSource", func(ix *query.Index) (any, error) { return ix.MultiSource(ctx, sources, 2) })
+		same("PartialScores", func(ix *query.Index) (any, error) { return (&Shard{ix}).PartialScores(ctx, sources, 1) })
+		same("SparseRows", func(ix *query.Index) (any, error) {
+			rows, err := ix.SparseRows(ctx, sources, 2)
+			var flat []any
+			for _, r := range rows {
+				flat = append(flat, append([]int32(nil), r.IDs...), append([]float64(nil), r.Scores...))
+			}
+			return flat, err
+		})
+		same("Join", func(ix *query.Index) (any, error) { return ix.Join(ctx, 10, 0.1, &query.JoinOptions{Workers: 2}) })
+		same("JoinCandidates", func(ix *query.Index) (any, error) {
+			return ix.JoinCandidates(ctx, 0.1, 5, 30, query.DefaultMaxCandidates, 2)
+		})
+		same("ScorePairs", func(ix *query.Index) (any, error) { return ix.ScorePairs(ctx, []uint64{3<<32 | 77, 17<<32 | 18}, 1) })
+		same("ExactSingleSource", func(ix *query.Index) (any, error) { return ix.ExactSingleSource(ctx, 17, nil) })
+		same("ExactStats", func(ix *query.Index) (any, error) {
+			st, ok := ix.ExactStats()
+			return []any{st.SolveIters, st.Residual, ok}, nil // the rest is a wall time
+		})
+		same("Save", func(ix *query.Index) (any, error) {
+			var buf bytes.Buffer
+			err := ix.Save(&buf)
+			return buf.Bytes(), err
+		})
+		same("PrepareUpdates", func(ix *query.Index) (any, error) { return nil, ix.PrepareUpdates(1) })
+		same("ApplyEdits", func(ix *query.Index) (any, error) {
+			return ix.ApplyEdits([]graph.Edit{{Op: graph.EditAdd, U: 1, V: 99}, {Op: graph.EditRemove, U: 2, V: 0}}, 1)
+		})
+		if !got.Equal(want) {
+			t.Fatalf("round %d: the two handles diverged after the same edits", round)
+		}
 	}
 }
 
