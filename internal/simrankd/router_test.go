@@ -522,7 +522,7 @@ func TestRouterProbeNamesBackendStatus(t *testing.T) {
 // The fleet's own transport keeps maxInflight idle per backend and every leg
 // is read to its end before its connection is handed back — a refused or
 // malformed one too: a backend sees at most maxInflight connections ever,
-// and none once the pool is warm, whatever its legs answer.
+// whatever its legs answer.
 func TestFleetReusesShardConnections(t *testing.T) {
 	const clients, maxInflight = 8, 16
 	g := gen.WebGraph(120, 7, 101)
@@ -589,9 +589,14 @@ func TestFleetReusesShardConnections(t *testing.T) {
 	for _, mode := range []string{"", "shortrow", "503", "longbody"} {
 		flaky[1].mode.Store(mode) // the answers degrade; the connections must not
 		burst()
+		// Bounded, not "none since the first burst": that burst may peak at
+		// seven legs in flight and a later one at eight, and a leg issued
+		// before the previous connection is back in the pool dials too (seen
+		// under GOMAXPROCS=8 on a loaded machine). Connections dropped after
+		// a bad leg would be a hundred new ones per burst.
 		for i := range newConns {
-			if now := newConns[i].Load(); now != warm[i] {
-				t.Errorf("backend %d: %d new connections once warm, legs in mode %q (%d -> %d), want 0", i, now-warm[i], mode, warm[i], now)
+			if now := newConns[i].Load(); now > maxInflight {
+				t.Errorf("backend %d: %d connections opened by the time legs are in mode %q (%d after the first burst), the idle pool holds %d", i, now, mode, warm[i], maxInflight)
 			}
 		}
 	}

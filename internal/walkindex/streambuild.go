@@ -211,14 +211,15 @@ func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io
 
 // streamSliceVertices resolves the byte budget to a generation slice width
 // in vertices: as many rows of 4*stride bytes as fit, at least one, at
-// most rows.
+// most rows — for an empty range too, so an unbounded budget never sizes the
+// slice buffer.
 func streamSliceVertices(budget int64, stride, rows int) int {
 	s := budget / (4 * int64(stride))
 	if s < 1 {
 		s = 1
 	}
-	if rows > 0 && s > int64(rows) {
-		s = int64(rows)
+	if most := int64(max(rows, 1)); s > most {
+		s = most
 	}
 	return int(s)
 }

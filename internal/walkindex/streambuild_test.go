@@ -3,6 +3,7 @@ package walkindex
 import (
 	"bytes"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -29,10 +30,11 @@ func (m *memWriterAt) WriteAt(p []byte, off int64) (int, error) {
 // streamBudgets returns the budget set every streaming test sweeps: one
 // byte (every slice degrades to a single vertex), budgets straddling one
 // row and one posting block, a budget that never divides the block size
-// evenly, and one larger than any test index (a single slice).
+// evenly, one larger than any test index (a single slice), and the
+// unbounded budget shard.BuildAll passes for "one slice per shard".
 func streamBudgets(stride int) []int64 {
 	row := 4 * int64(stride)
-	return []int64{1, row - 1, row, 3*row + 7, (v2BlockVertices - 1) * row, v2BlockVertices * row, 100*row + 13, 1 << 30}
+	return []int64{1, row - 1, row, 3*row + 7, (v2BlockVertices - 1) * row, v2BlockVertices * row, 100*row + 13, 1 << 30, math.MaxInt64}
 }
 
 // TestBuildStreamingByteIdentical is the tentpole property: for random
@@ -232,17 +234,15 @@ func TestStreamSliceVertices(t *testing.T) {
 		{400, 100, 500, 1},       // exactly one row
 		{4000, 100, 500, 10},     // ten rows
 		{1 << 40, 100, 500, 500}, // capped at rows
-		{1 << 40, 100, 0, 0},     // rows == 0: any positive width is fine
+		{1 << 40, 100, 0, 1},     // an empty range still gets one (unused) row
+		// An unbounded budget on an empty range must not size the slice
+		// buffer from the budget (shard.BuildAll with more shards than
+		// vertices).
+		{math.MaxInt64, 100, 0, 1},
+		{math.MaxInt64, 100, 500, 500},
 	}
 	for _, c := range cases {
-		got := streamSliceVertices(c.budget, c.stride, c.rows)
-		if c.rows == 0 {
-			if got < 1 {
-				t.Errorf("streamSliceVertices(%d, %d, %d) = %d, want >= 1", c.budget, c.stride, c.rows, got)
-			}
-			continue
-		}
-		if got != c.want {
+		if got := streamSliceVertices(c.budget, c.stride, c.rows); got != c.want {
 			t.Errorf("streamSliceVertices(%d, %d, %d) = %d, want %d", c.budget, c.stride, c.rows, got, c.want)
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 
 	"oipsr/graph"
-	"oipsr/internal/par"
 	"oipsr/internal/walkindex"
 	"oipsr/simrank/query"
 )
@@ -52,8 +51,16 @@ func Plan(n, shards int) ([]Range, error) {
 	}
 	out := make([]Range, shards)
 	for i := range out {
-		// The first n%shards ranges get one extra vertex.
-		out[i].Lo, out[i].Hi = par.Range(n, shards, i)
+		// Balanced contiguous split: the first n%shards ranges get one
+		// extra vertex (par.Range's arithmetic, inlined to keep the planned
+		// layout a documented contract rather than an implementation echo).
+		width, extra := n/shards, n%shards
+		lo := i*width + min(i, extra)
+		hi := lo + width
+		if i < extra {
+			hi++
+		}
+		out[i] = Range{Lo: lo, Hi: hi}
 	}
 	return out, nil
 }

@@ -55,64 +55,77 @@ func TestPlanPartition(t *testing.T) {
 
 // TestBuildAllRoundTrip: BuildAll publishes a loadable directory whose
 // shards, opened through the manifest, answer partial queries that
-// concatenate into the single-node dense rows bitwise.
+// concatenate into the single-node dense rows bitwise — on the default
+// (unbounded) budget and a bounded one, and with more shards than vertices,
+// where Plan leaves empty trailing ranges that are still files to build,
+// open and query.
 func TestBuildAllRoundTrip(t *testing.T) {
 	g := gen.WebGraph(57, 6, 2)
 	opt := query.Options{Walks: 18, Seed: 7, Workers: 1}
-	dir := t.TempDir()
-	m, err := BuildAll(g, opt, dir, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Shards) != 3 || m.N != 57 || m.Walks != 18 || m.Seed != 7 {
-		t.Fatalf("manifest: %+v", m)
-	}
-	if m.C != 0.6 || m.K < 1 {
-		t.Fatalf("manifest did not record resolved defaults: c=%v k=%d", m.C, m.K)
-	}
-
-	loaded, err := LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	full, err := query.BuildIndex(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sources := []int{0, 31, 56}
 	ctx := context.Background()
+	for _, c := range []struct {
+		shards int
+		budget int64
+	}{{3, 0}, {59, 0}, {59, 4096}} {
+		dir := t.TempDir()
+		m, err := BuildAll(g, opt, dir, c.shards, c.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Shards) != c.shards || m.N != 57 || m.Walks != 18 || m.Seed != 7 {
+			t.Fatalf("manifest: %+v", m)
+		}
+		if m.C != 0.6 || m.K < 1 {
+			t.Fatalf("manifest did not record resolved defaults: c=%v k=%d", m.C, m.K)
+		}
+		if last := m.Shards[c.shards-1]; (c.shards > m.N) != (last.Lo == last.Hi) {
+			t.Fatalf("%d shards: last range [%d,%d)", c.shards, last.Lo, last.Hi)
+		}
 
-	var got [][]float64
-	for i := range loaded.Shards {
-		s, err := OpenShard(dir, loaded, i, false)
+		loaded, err := LoadManifest(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.PartialScores(ctx, sources, 1); err == nil {
-			t.Fatal("PartialScores without a graph: expected error")
+		got := make([][]float64, len(sources))
+		for i := range loaded.Shards {
+			s, err := OpenShard(dir, loaded, i, i%2 == 1)
+			if err != nil {
+				t.Fatalf("%d shards, shard %d: %v", c.shards, i, err)
+			}
+			if _, err := s.PartialScores(ctx, sources, 1); err == nil {
+				t.Fatal("PartialScores without a graph: expected error")
+			}
+			if err := s.AttachGraph(g); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := s.PartialScores(ctx, sources, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si := range rows {
+				got[si] = append(got[si], rows[si]...)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := s.AttachGraph(g); err != nil {
-			t.Fatal(err)
-		}
-		rows, err := s.PartialScores(ctx, sources, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got == nil {
-			got = make([][]float64, len(sources))
-		}
-		for si := range rows {
-			got[si] = append(got[si], rows[si]...)
-		}
-	}
-	for si, q := range sources {
-		want, err := full.SingleSource(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range want {
-			if got[si][v] != want[v] {
-				t.Fatalf("source %d target %d: sharded %v != full %v", q, v, got[si][v], want[v])
+		for si, q := range sources {
+			want, err := full.SingleSource(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got[si]) != len(want) {
+				t.Fatalf("%d shards: source %d: %d targets, want %d", c.shards, q, len(got[si]), len(want))
+			}
+			for v := range want {
+				if got[si][v] != want[v] {
+					t.Fatalf("%d shards: source %d target %d: sharded %v != full %v", c.shards, q, v, got[si][v], want[v])
+				}
 			}
 		}
 	}
