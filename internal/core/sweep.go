@@ -11,6 +11,21 @@
 // scalar accumulator per tree node — to produce the full row s_{k+1}(u, .)
 // via outer partial sums (Proposition 4 / Eqs. 10-11).
 //
+// # One kernel, one program
+//
+// Every update of the inner partial-sum vector — a from-scratch build, a
+// chain step's difference, on dense or tiled matrices — goes through one
+// kernel, accumulate, which folds up to four prev rows into a single pass
+// over the vector: p[y] = p[y] + a[y] + b[y] + c[y] + d[y]. Go evaluates
+// that sum left to right and never reassociates floating-point
+// arithmetic, so each element receives exactly the additions, in exactly
+// the order, of adding the rows one pass at a time (adds in list order,
+// then subs) — grouping only cuts the loads and stores of p. The tiled
+// sweep stages up to four rows out of tiles and calls the same kernel.
+// Procedure OP runs as a flat program over the plan: tree steps in
+// preorder (parent step, vertex) and their int32 id ranges in the plan's
+// TreeDiffs CSR, with no per-vertex slices to chase.
+//
 // # Concurrency model
 //
 // The chains of the plan are mutually independent: every chain rebuilds its
@@ -60,14 +75,15 @@ type SweepStats struct {
 
 // sweepWorker is the per-worker mutable state of a sweep: the O(n) scratch
 // buffers and the operation counters. Workers never share these. rowBuf and
-// rowTmp are allocated lazily on the first tiled sweep: rowBuf receives the
-// emitted row before its canonical segment is stored, rowTmp stages rows of
-// prev assembled from tiles.
+// stage are allocated lazily on the first tiled sweep: rowBuf receives the
+// emitted row before its canonical segment is stored, stage holds the rows
+// of prev assembled from tiles for one call of accumulate.
 type sweepWorker struct {
-	partial []float64 // Partial_{I(u)}(y) for the current chain position
-	vals    []float64 // per-tree-step outer partial sums (procedure OP)
-	rowBuf  []float64 // tiled sweeps: emit target row
-	rowTmp  []float64 // tiled sweeps: staged prev row
+	partial []float64             // Partial_{I(u)}(y) for the current chain position
+	vals    []float64             // per-tree-step outer partial sums (procedure OP)
+	rows    [kernelRows][]float64 // the prev rows handed to accumulate
+	rowBuf  []float64             // tiled sweeps: emit target row
+	stage   [kernelRows][]float64 // tiled sweeps: staged prev rows
 	stats   SweepStats
 }
 
@@ -184,13 +200,16 @@ func (sw *Sweeper) Stats() SweepStats {
 
 // AuxBytes reports the auxiliary memory held by the sweeper's O(n) buffers
 // (the "intermediate memory" of Proposition 5; score matrices excluded).
-// Parallel sweepers hold one partial/vals pair per worker, plus two row
-// buffers per worker once a tiled sweep has run.
+// Parallel sweepers hold one partial/vals pair per worker, plus 1 +
+// kernelRows row buffers per worker once a tiled sweep has run.
 func (sw *Sweeper) AuxBytes() int64 {
 	var b int64
 	for w := range sw.ws {
-		b += int64(len(sw.ws[w].partial))*8 + int64(len(sw.ws[w].vals))*8 +
-			int64(len(sw.ws[w].rowBuf))*8 + int64(len(sw.ws[w].rowTmp))*8
+		st := &sw.ws[w]
+		b += int64(len(st.partial)+len(st.vals)+len(st.rowBuf)) * 8
+		for _, r := range st.stage {
+			b += int64(len(r)) * 8
+		}
 	}
 	return b + int64(len(sw.invDeg))*8
 }
@@ -222,21 +241,15 @@ func (sw *Sweeper) Sweep(prev, next *simmat.Matrix, damp float64, pinDiag bool) 
 			}
 		}
 
-		// Walk this worker's chains: from scratch at chain starts (lines 5-6
-		// of Algorithm 1), otherwise by the consecutive symmetric difference
-		// (Eq. 9; lines 10-11). Chains never branch, so no undo is needed,
-		// and chains never read each other's state, so workers need no
-		// locks.
+		// Walk this worker's chains. Chains never branch, so no undo is
+		// needed, and chains never read each other's state, so workers need
+		// no locks.
 		st := &sw.ws[w]
+		load := func(x int, _ []float64) ([]float64, error) { return prev.Row(x), nil }
 		for _, ch := range sw.sched[w] {
 			for i := ch.Start; i < ch.End; i++ {
-				step := sw.plan.ChainSteps[i]
-				u := step.Vertex
-				if step.Parent < 0 {
-					sw.buildScratch(st, prev, u)
-				} else {
-					sw.applyDiff(st, prev, sw.plan.Add[u], sw.plan.Sub[u])
-				}
+				u := sw.plan.ChainSteps[i].Vertex
+				sw.inner(st, i, load) // a dense row load cannot fail
 				sw.emitRow(st, next.Row(u), u, damp)
 			}
 		}
@@ -272,7 +285,9 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, damp float64, pinDiag bo
 		st := &sw.ws[w]
 		if st.rowBuf == nil {
 			st.rowBuf = make([]float64, n)
-			st.rowTmp = make([]float64, n)
+			for j := range st.stage {
+				st.stage[j] = make([]float64, n)
+			}
 		}
 		// The emit stage writes the same cell set for every row (the tree
 		// steps, or the non-empty-set columns without outer sharing), so
@@ -302,17 +317,11 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, damp float64, pinDiag bo
 			}
 		}
 
+		load := func(x int, dst []float64) ([]float64, error) { return dst, prev.RowInto(x, dst) }
 		for _, ch := range sw.sched[w] {
 			for i := ch.Start; i < ch.End; i++ {
-				step := sw.plan.ChainSteps[i]
-				u := step.Vertex
-				var err error
-				if step.Parent < 0 {
-					err = sw.buildScratchTiled(st, prev, u)
-				} else {
-					err = sw.applyDiffTiled(st, prev, sw.plan.Add[u], sw.plan.Sub[u])
-				}
-				if err != nil {
+				u := sw.plan.ChainSteps[i].Vertex
+				if err := sw.inner(st, i, load); err != nil {
 					errs[w] = err
 					return
 				}
@@ -338,88 +347,128 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, damp float64, pinDiag bo
 	return nil
 }
 
-// buildScratch fills st.partial with the sum of prev rows over I(root).
-func (sw *Sweeper) buildScratch(st *sweepWorker, prev *simmat.Matrix, root int) {
-	in := sw.g.In(root)
-	copy(st.partial, prev.Row(in[0]))
-	for _, x := range in[1:] {
-		rx := prev.Row(x)
-		for y, v := range rx {
-			st.partial[y] += v
-		}
-	}
-	st.stats.InnerAdds += int64(len(in)-1) * int64(len(st.partial))
-}
+// kernelRows is how many prev rows accumulate folds into one pass over the
+// partial vector, and how many rows a tiled sweep stages at a time.
+const kernelRows = 4
 
-// applyDiff updates st.partial by adding the prev rows in add and
-// subtracting those in sub.
-func (sw *Sweeper) applyDiff(st *sweepWorker, prev *simmat.Matrix, add, sub []int) {
-	for _, x := range add {
-		rx := prev.Row(x)
-		for y, v := range rx {
-			st.partial[y] += v
-		}
-	}
-	for _, x := range sub {
-		rx := prev.Row(x)
-		for y, v := range rx {
-			st.partial[y] -= v
-		}
-	}
-	st.stats.InnerAdds += int64(len(add)+len(sub)) * int64(len(st.partial))
-}
+// rowLoader returns row x of prev: a view of the dense matrix, or the row
+// assembled from tiles into dst (a kernelRows-sized staging buffer of the
+// worker, or the partial vector itself).
+type rowLoader func(x int, dst []float64) ([]float64, error)
 
-// buildScratchTiled is buildScratch with prev rows staged out of tiles:
-// the per-element accumulation order over I(root) is unchanged, so partial
-// is bit-identical to the dense build.
-func (sw *Sweeper) buildScratchTiled(st *sweepWorker, prev *simmat.Tiled, root int) error {
-	in := sw.g.In(root)
-	if err := prev.RowInto(in[0], st.partial); err != nil {
+// inner brings st.partial to Partial_{I(u)} for chain step i: from scratch
+// over I(u) at chain starts (lines 5-6 of Algorithm 1), otherwise by the
+// step's symmetric difference from the previous set (Eq. 9; lines 10-11).
+func (sw *Sweeper) inner(st *sweepWorker, i int, load rowLoader) error {
+	add, sub := sw.plan.ChainDiffs.At(i)
+	if sw.plan.ChainSteps[i].Parent < 0 {
+		r, err := load(int(add[0]), st.partial)
+		if err != nil {
+			return err
+		}
+		copy(st.partial, r) // a tiled load already wrote it there
+		add = add[1:]
+	}
+	if err := accumulateIDs(st, load, add, false); err != nil {
 		return err
 	}
-	for _, x := range in[1:] {
-		if err := prev.RowInto(x, st.rowTmp); err != nil {
-			return err
-		}
-		for y, v := range st.rowTmp {
-			st.partial[y] += v
-		}
-	}
-	st.stats.InnerAdds += int64(len(in)-1) * int64(len(st.partial))
-	return nil
-}
-
-// applyDiffTiled is applyDiff with prev rows staged out of tiles.
-func (sw *Sweeper) applyDiffTiled(st *sweepWorker, prev *simmat.Tiled, add, sub []int) error {
-	for _, x := range add {
-		if err := prev.RowInto(x, st.rowTmp); err != nil {
-			return err
-		}
-		for y, v := range st.rowTmp {
-			st.partial[y] += v
-		}
-	}
-	for _, x := range sub {
-		if err := prev.RowInto(x, st.rowTmp); err != nil {
-			return err
-		}
-		for y, v := range st.rowTmp {
-			st.partial[y] -= v
-		}
+	if err := accumulateIDs(st, load, sub, true); err != nil {
+		return err
 	}
 	st.stats.InnerAdds += int64(len(add)+len(sub)) * int64(len(st.partial))
 	return nil
+}
+
+// accumulateIDs adds (or, with sub, subtracts) the prev rows named by ids
+// to st.partial, kernelRows rows per call of accumulate.
+func accumulateIDs(st *sweepWorker, load rowLoader, ids []int32, sub bool) error {
+	for len(ids) > 0 {
+		k := min(len(ids), kernelRows)
+		for j, x := range ids[:k] {
+			r, err := load(int(x), st.stage[j])
+			if err != nil {
+				return err
+			}
+			st.rows[j] = r
+		}
+		accumulate(st.partial, st.rows[:k], sub)
+		ids = ids[k:]
+	}
+	return nil
+}
+
+// accumulate adds rows to p, or subtracts them when sub is set, one pass
+// over p per group of up to four rows:
+//
+//	p[y] = p[y] + a[y] + b[y] + c[y] + d[y]
+//
+// Go evaluates the sum left to right and never reassociates it, so every
+// element sees exactly the additions of adding the rows one at a time, in
+// the same order — the result is bit-identical to the row-at-a-time loop
+// for every group size, while p is loaded and stored once per group. Every
+// row must be at least len(p) long; the rows are only read.
+func accumulate(p []float64, rows [][]float64, sub bool) {
+	for ; len(rows) >= 4; rows = rows[4:] {
+		a, b, c, d := rows[0][:len(p)], rows[1][:len(p)], rows[2][:len(p)], rows[3][:len(p)]
+		if sub {
+			for y := range p {
+				p[y] = p[y] - a[y] - b[y] - c[y] - d[y]
+			}
+		} else {
+			for y := range p {
+				p[y] = p[y] + a[y] + b[y] + c[y] + d[y]
+			}
+		}
+	}
+	switch len(rows) {
+	case 3:
+		a, b, c := rows[0][:len(p)], rows[1][:len(p)], rows[2][:len(p)]
+		if sub {
+			for y := range p {
+				p[y] = p[y] - a[y] - b[y] - c[y]
+			}
+		} else {
+			for y := range p {
+				p[y] = p[y] + a[y] + b[y] + c[y]
+			}
+		}
+	case 2:
+		a, b := rows[0][:len(p)], rows[1][:len(p)]
+		if sub {
+			for y := range p {
+				p[y] = p[y] - a[y] - b[y]
+			}
+		} else {
+			for y := range p {
+				p[y] = p[y] + a[y] + b[y]
+			}
+		}
+	case 1:
+		a := rows[0][:len(p)]
+		if sub {
+			for y := range p {
+				p[y] -= a[y]
+			}
+		} else {
+			for y := range p {
+				p[y] += a[y]
+			}
+		}
+	}
 }
 
 // emitRow computes next(u, w) for all w from the current partial vector
 // into row — the dense matrix row, or a tiled sweep's staging buffer.
-// With outer sharing it is procedure OP over the flattened tree steps:
-// outer partial sums are scalars, the parent's value sits in st.vals, and
-// branching costs nothing, so the per-row additions equal the MST weight.
-// Without outer sharing it is the psum-SR per-target summation.
+// With outer sharing it is procedure OP over the plan's tree program: one
+// pass over the tree steps in preorder, each starting from 0 (a tree root,
+// line 2 of procedure OP) or from its parent step's value (Proposition 4;
+// line 8) and applying the step's id range of TreeDiffs, so the per-row
+// additions equal the MST weight. Without outer sharing it is the psum-SR
+// per-target summation.
 func (sw *Sweeper) emitRow(st *sweepWorker, row []float64, u int, damp float64) {
-	g, plan := sw.g, sw.plan
+	g := sw.g
 	scaleU := damp * sw.invDeg[u]
+	partial, inv := st.partial, sw.invDeg
 
 	if sw.disableOuter {
 		outerAdds := int64(0)
@@ -430,39 +479,31 @@ func (sw *Sweeper) emitRow(st *sweepWorker, row []float64, u int, damp float64) 
 			}
 			sum := 0.0
 			for _, j := range in {
-				sum += st.partial[j]
+				sum += partial[j]
 			}
 			outerAdds += int64(len(in) - 1)
-			row[w] = scaleU * sw.invDeg[w] * sum
+			row[w] = scaleU * inv[w] * sum
 		}
 		st.stats.OuterAdds += outerAdds
 		return
 	}
 
-	outerAdds := int64(0)
-	for i, step := range plan.TreeSteps {
-		z := step.Vertex
+	steps, d := sw.plan.TreeSteps, &sw.plan.TreeDiffs
+	ids, off, split := d.IDs, d.Off[:len(steps)+1], d.Split[:len(steps)]
+	vals := st.vals[:len(steps)]
+	for i, s := range steps {
 		var val float64
-		if step.Parent < 0 {
-			// From scratch (line 2 of procedure OP).
-			for _, y := range g.In(z) {
-				val += st.partial[y]
-			}
-			outerAdds += int64(len(g.In(z)) - 1)
-		} else {
-			// Derive OuterPartial_{I(z)} from the parent's value
-			// (Proposition 4; line 8 of procedure OP).
-			val = st.vals[step.Parent]
-			for _, y := range plan.TreeAdd[z] {
-				val += st.partial[y]
-			}
-			for _, y := range plan.TreeSub[z] {
-				val -= st.partial[y]
-			}
-			outerAdds += int64(len(plan.TreeAdd[z]) + len(plan.TreeSub[z]))
+		if s.Parent >= 0 {
+			val = vals[s.Parent]
 		}
-		st.vals[i] = val
-		row[z] = scaleU * sw.invDeg[z] * val
+		for _, y := range ids[off[i]:split[i]] {
+			val += partial[y]
+		}
+		for _, y := range ids[split[i]:off[i+1]] {
+			val -= partial[y]
+		}
+		vals[i] = val
+		row[s.Vertex] = scaleU * inv[s.Vertex] * val
 	}
-	st.stats.OuterAdds += outerAdds
+	st.stats.OuterAdds += int64(sw.plan.TreeWeight) // the tree steps' diffs sum to it
 }

@@ -149,16 +149,16 @@ func TestFig3aPlan(t *testing.T) {
 		}
 	}
 	// I(c) = I(a) + {d}: Add {3}, Sub {}.
-	if !reflect.DeepEqual(p.Add[c], []int{3}) || len(p.Sub[c]) != 0 {
-		t.Errorf("c: add=%v sub=%v, want add=[3] sub=[]", p.Add[c], p.Sub[c])
+	if add, sub := chainDiff(p, c); !reflect.DeepEqual(add, []int32{3}) || len(sub) != 0 {
+		t.Errorf("c: add=%v sub=%v, want add=[3] sub=[]", add, sub)
 	}
 	// I(b) = I(e) + {e, i}: Add {4, 8}, Sub {}.
-	if !reflect.DeepEqual(p.Add[b], []int{4, 8}) || len(p.Sub[b]) != 0 {
-		t.Errorf("b: add=%v sub=%v, want add=[4 8] sub=[]", p.Add[b], p.Sub[b])
+	if add, sub := chainDiff(p, b); !reflect.DeepEqual(add, []int32{4, 8}) || len(sub) != 0 {
+		t.Errorf("b: add=%v sub=%v, want add=[4 8] sub=[]", add, sub)
 	}
 	// I(d) = I(b) - {g} + {a}: Add {0}, Sub {6}.
-	if !reflect.DeepEqual(p.Add[d], []int{0}) || !reflect.DeepEqual(p.Sub[d], []int{6}) {
-		t.Errorf("d: add=%v sub=%v, want add=[0] sub=[6]", p.Add[d], p.Sub[d])
+	if add, sub := chainDiff(p, d); !reflect.DeepEqual(add, []int32{0}) || !reflect.DeepEqual(sub, []int32{6}) {
+		t.Errorf("d: add=%v sub=%v, want add=[0] sub=[6]", add, sub)
 	}
 	if p.Additions != 8 {
 		t.Errorf("plan additions = %d, want 8 (Fig. 2c MST weight)", p.Additions)
@@ -340,6 +340,36 @@ func TestIdenticalInSetsShareForFree(t *testing.T) {
 	}
 }
 
+// chainDiff returns the chain view's add and sub lists of vertex v.
+func chainDiff(p *Plan, v int) (add, sub []int32) {
+	for i, s := range p.ChainSteps {
+		if s.Vertex == v {
+			return p.ChainDiffs.At(i)
+		}
+	}
+	return nil, nil
+}
+
+// TestFig2PlanBytes pins Plan.Bytes on the paper's example: it counts the
+// plan's arrays exactly, ids and offsets at 4 bytes.
+func TestFig2PlanBytes(t *testing.T) {
+	p := mustPlan(t, paperGraph(t), Options{})
+	if len(p.Roots) != 3 || len(p.Chains) != 3 || len(p.ChainSteps) != 6 || len(p.TreeSteps) != 6 {
+		t.Fatalf("roots %d chains %d steps %d/%d, want 3 3 6/6", len(p.Roots), len(p.Chains), len(p.ChainSteps), len(p.TreeSteps))
+	}
+	const (
+		vertexArrays = (3 + 9 + 9) * 8 // Roots, Parent, TreeParent
+		steps        = (6 + 6) * 16    // ChainSteps, TreeSteps
+		chains       = 3 * 24
+		// Each view: one id per unit of its cost (Additions = TreeWeight =
+		// 8) plus one per from-scratch root (3), then Off (7) and Split (6).
+		diffs = 2 * (8 + 3 + 7 + 6) * 4
+	)
+	if got, want := p.Bytes(), int64(vertexArrays+steps+chains+diffs); got != want {
+		t.Errorf("Bytes() = %d, want %d", got, want)
+	}
+}
+
 func TestPairCapStillValid(t *testing.T) {
 	g := paperGraph(t)
 	p, err := BuildPlan(g, Options{PairCap: 1})
@@ -459,11 +489,12 @@ func TestChainCostMatchesAdditions(t *testing.T) {
 	g := paperGraph(t)
 	p := mustPlan(t, g, Options{})
 	total := 0
-	for _, s := range p.ChainSteps {
+	for i, s := range p.ChainSteps {
 		if s.Parent < 0 {
 			total += ScratchCost(g.In(s.Vertex))
 		} else {
-			total += len(p.Add[s.Vertex]) + len(p.Sub[s.Vertex])
+			add, sub := p.ChainDiffs.At(i)
+			total += len(add) + len(sub)
 		}
 	}
 	if total != p.Additions {
@@ -471,11 +502,12 @@ func TestChainCostMatchesAdditions(t *testing.T) {
 	}
 	// And the tree steps reproduce TreeWeight.
 	total = 0
-	for _, s := range p.TreeSteps {
+	for i, s := range p.TreeSteps {
 		if s.Parent < 0 {
 			total += ScratchCost(g.In(s.Vertex))
 		} else {
-			total += len(p.TreeAdd[s.Vertex]) + len(p.TreeSub[s.Vertex])
+			add, sub := p.TreeDiffs.At(i)
+			total += len(add) + len(sub)
 		}
 	}
 	if total != p.TreeWeight {

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"oipsr/graph"
 	"oipsr/internal/mst"
@@ -33,23 +34,22 @@ type Options struct {
 // sums over the non-empty in-neighbor sets and how to derive each from an
 // earlier one,
 //
-//	Partial_{I(v)} = Partial_{I(p)} + sum_{x in Add[v]} s(x,.) - sum_{x in Sub[v]} s(x,.)
+//	Partial_{I(v)} = Partial_{I(p)} + sum_{x in add} s(x,.) - sum_{x in sub} s(x,.)
 //
-// per Proposition 3 (Eq. 9), with Add[v] = I(v)\I(p) and Sub[v] = I(p)\I(v).
+// per Proposition 3 (Eq. 9), with add = I(v)\I(p) and sub = I(p)\I(v).
 //
 // The plan carries two views of the same MST:
 //
-//   - The chain view (Roots/Parent/Children/Add/Sub): each subtree
+//   - The chain view (Roots/Parent/ChainSteps/ChainDiffs): each subtree
 //     linearized into its DFS preorder — the paper's Fig. 2d path
 //     decomposition — used for the inner partial-sum vectors, where a
 //     branching tree would pay every symmetric difference twice (apply and
 //     undo on backtrack) while a direct preorder transition never costs
 //     more (triangle inequality) and usually costs less.
-//   - The tree view (TreeRoots/TreeParent/TreeChildren/TreeAdd/TreeSub):
-//     the arborescence itself, used for the outer partial sums of
-//     procedure OP, where the value at every node is a scalar that can be
-//     kept on a stack, so branching costs nothing and the raw MST weight
-//     is the exact work.
+//   - The tree view (TreeParent/TreeSteps/TreeDiffs): the arborescence
+//     itself, used for the outer partial sums of procedure OP, where the
+//     value at every node is a scalar that can be kept on a stack, so
+//     branching costs nothing and the raw MST weight is the exact work.
 type Plan struct {
 	// Roots lists vertices whose partial sums start from scratch, in
 	// processing order (chain view).
@@ -57,18 +57,9 @@ type Plan struct {
 	// Parent[v] is the chain predecessor of v, or -1 for roots and for
 	// vertices with empty in-neighbor sets (which have no partial sums).
 	Parent []int
-	// Children[v] lists chain successors (at most one) in processing order.
-	Children [][]int
-	// Add[v] and Sub[v] are the per-edge set differences described above.
-	// For roots, Add[v] = I(v) and Sub[v] = nil.
-	Add, Sub [][]int
-
-	// Tree view: the arborescence before linearization, used by the outer
-	// partial-sums stage. Same semantics as the chain fields.
-	TreeRoots        []int
-	TreeParent       []int
-	TreeChildren     [][]int
-	TreeAdd, TreeSub [][]int
+	// TreeParent[v] is v's parent in the arborescence, or -1 for tree
+	// roots and empty sets.
+	TreeParent []int
 
 	// ChainSteps and TreeSteps are the two views flattened into execution
 	// order, so the per-iteration engines run tight loops with no stack
@@ -76,6 +67,11 @@ type Plan struct {
 	// ChainSteps it is always the preceding entry or -1.
 	ChainSteps []Step
 	TreeSteps  []Step
+
+	// ChainDiffs and TreeDiffs hold each step's difference lists, indexed
+	// like ChainSteps and TreeSteps. A from-scratch step's list is its
+	// whole in-neighbor set I(v), all of it added.
+	ChainDiffs, TreeDiffs Diffs
 
 	// Chains partitions ChainSteps into its maximal sequential runs: each
 	// chain starts at a from-scratch root (Parent < 0) and extends through
@@ -108,18 +104,53 @@ type Plan struct {
 	AvgDiff float64
 }
 
-// Bytes estimates the memory held by the plan: the Add/Sub difference lists
-// plus per-vertex bookkeeping. Part of the "intermediate memory" OIP-SR
-// spends beyond psum-SR (the paper measures this in Fig. 6d).
-func (p *Plan) Bytes() int64 {
-	var b int64
-	for v := range p.Add {
-		b += int64(len(p.Add[v])+len(p.Sub[v])) * 8
-		b += int64(len(p.TreeAdd[v])+len(p.TreeSub[v])) * 8
+// Diffs is one view's difference lists in CSR form: step i adds the rows
+// IDs[Off[i]:Split[i]] and subtracts the rows IDs[Split[i]:Off[i+1]]. Off
+// has one entry more than there are steps.
+type Diffs struct {
+	IDs   []int32
+	Off   []int32
+	Split []int32
+}
+
+func newDiffs(steps int) Diffs {
+	return Diffs{Off: append(make([]int32, 0, steps+1), 0), Split: make([]int32, 0, steps)}
+}
+
+// At returns step i's add and sub lists as views into IDs.
+func (d *Diffs) At(i int) (add, sub []int32) {
+	return d.IDs[d.Off[i]:d.Split[i]], d.IDs[d.Split[i]:d.Off[i+1]]
+}
+
+// push appends the next step's lists. Kept out of line: its six call
+// sites are plan construction, none of them hot, and inlined there it
+// added 3 KB of text that links ahead of the walk index's posting-block
+// decoder, moving that decoder's alignment (see the note at the top of
+// internal/walkindex/walkorder.go).
+//
+//go:noinline
+func (d *Diffs) push(add, sub []int) {
+	for _, x := range add {
+		d.IDs = append(d.IDs, int32(x))
 	}
-	b += int64(len(p.Parent)) * 8 * 6 // chain+tree parents, child headers, cursors
-	b += int64(len(p.Roots)+len(p.TreeRoots)) * 8
-	b += int64(len(p.Chains)) * 24
+	d.Split = append(d.Split, int32(len(d.IDs)))
+	for _, x := range sub {
+		d.IDs = append(d.IDs, int32(x))
+	}
+	d.Off = append(d.Off, int32(len(d.IDs)))
+}
+
+// Bytes reports the memory held by the plan: every array it keeps, counted
+// at its length and element size (ids, offsets and split points 4 bytes
+// each). Part of the "intermediate memory" OIP-SR spends beyond psum-SR
+// (the paper measures this in Fig. 6d).
+func (p *Plan) Bytes() int64 {
+	b := int64(len(p.Roots)+len(p.Parent)+len(p.TreeParent)) * 8
+	b += int64(len(p.ChainSteps)+len(p.TreeSteps)) * int64(unsafe.Sizeof(Step{}))
+	b += int64(len(p.Chains)) * int64(unsafe.Sizeof(Chain{}))
+	for _, d := range []*Diffs{&p.ChainDiffs, &p.TreeDiffs} {
+		b += int64(len(d.IDs)+len(d.Off)+len(d.Split)) * 4
+	}
 	return b
 }
 
@@ -134,8 +165,8 @@ func (p *Plan) ShareRatio() float64 {
 
 // PartitionOf reports the partition P(I(v)) induced by the plan in the form
 // of Fig. 3a: the reused block I(v) ∩ I(parent) (empty for roots) and the
-// residual block I(v) \ I(parent) (= I(v) for roots). The Sub list needed to
-// undo parent-only elements is Sub[v].
+// residual block I(v) \ I(parent) (= I(v) for roots). The sub list needed
+// to undo parent-only elements is the step's ChainDiffs entry.
 func (p *Plan) PartitionOf(g *graph.Graph, v int) (shared, residual []int) {
 	if p.Parent[v] < 0 {
 		return nil, append([]int(nil), g.In(v)...)
@@ -145,8 +176,8 @@ func (p *Plan) PartitionOf(g *graph.Graph, v int) (shared, residual []int) {
 
 // Step is one entry of a flattened plan traversal: compute the partial sums
 // of Vertex either from scratch (Parent < 0) or from the partial sums of
-// the step at index Parent, applying the Add/Sub (chain) or TreeAdd/TreeSub
-// (tree) difference lists of Vertex.
+// the step at index Parent, applying the step's ChainDiffs or TreeDiffs
+// lists.
 type Step struct {
 	Vertex int
 	Parent int32
@@ -169,8 +200,8 @@ func (c Chain) Len() int { return c.End - c.Start }
 
 // buildChains derives the Chains index from ChainSteps. A new chain begins
 // at every from-scratch step; the inner cost of a step is |I(v)|-1 vector
-// ops at roots and |Add[v]|+|Sub[v]| on derived steps, each worth n scalar
-// additions.
+// ops at roots and its add plus sub lists on derived steps, each worth n
+// scalar additions.
 func (p *Plan) buildChains(g *graph.Graph) {
 	n := int64(g.NumVertices())
 	emit := int64(p.TreeWeight + p.NumSets) // per-row procedure-OP estimate
@@ -183,10 +214,9 @@ func (p *Plan) buildChains(g *graph.Graph) {
 			if j > i && s.Parent < 0 {
 				break
 			}
+			inner += int64(p.ChainDiffs.Off[j+1] - p.ChainDiffs.Off[j])
 			if s.Parent < 0 {
-				inner += int64(ScratchCost(g.In(s.Vertex)))
-			} else {
-				inner += int64(len(p.Add[s.Vertex]) + len(p.Sub[s.Vertex]))
+				inner-- // the first row is copied, not added
 			}
 		}
 		p.Chains = append(p.Chains, Chain{Start: i, End: j, Cost: inner*n + int64(j-i)*emit})
@@ -202,28 +232,23 @@ func (p *Plan) buildChains(g *graph.Graph) {
 // no-sharing mode.
 func TrivialPlan(g *graph.Graph) *Plan {
 	n := g.NumVertices()
-	p := &Plan{
-		Parent:       make([]int, n),
-		Children:     make([][]int, n),
-		Add:          make([][]int, n),
-		Sub:          make([][]int, n),
-		TreeParent:   make([]int, n),
-		TreeChildren: make([][]int, n),
-		TreeAdd:      make([][]int, n),
-		TreeSub:      make([][]int, n),
-	}
+	p := &Plan{Parent: make([]int, n), TreeParent: make([]int, n)}
 	for v := 0; v < n; v++ {
 		p.Parent[v] = -1
 		p.TreeParent[v] = -1
 		if g.InDegree(v) > 0 {
+			p.NumSets++
+		}
+	}
+	p.ChainDiffs, p.TreeDiffs = newDiffs(p.NumSets), newDiffs(p.NumSets)
+	for v := 0; v < n; v++ {
+		if in := g.In(v); len(in) > 0 {
 			p.Roots = append(p.Roots, v)
-			p.TreeRoots = append(p.TreeRoots, v)
-			p.Add[v] = g.In(v)
-			p.TreeAdd[v] = g.In(v)
 			p.ChainSteps = append(p.ChainSteps, Step{Vertex: v, Parent: -1})
 			p.TreeSteps = append(p.TreeSteps, Step{Vertex: v, Parent: -1})
-			p.NumSets++
-			p.ScratchAdditions += ScratchCost(g.In(v))
+			p.ChainDiffs.push(in, nil)
+			p.TreeDiffs.push(in, nil)
+			p.ScratchAdditions += ScratchCost(in)
 		}
 	}
 	p.Additions = p.ScratchAdditions
@@ -341,16 +366,12 @@ func BuildPlan(g *graph.Graph, opt Options) (*Plan, error) {
 func linearize(g *graph.Graph, verts []int, arb *mst.Arborescence) *Plan {
 	n := g.NumVertices()
 	p := &Plan{
-		Parent:       make([]int, n),
-		Children:     make([][]int, n),
-		Add:          make([][]int, n),
-		Sub:          make([][]int, n),
-		TreeParent:   make([]int, n),
-		TreeChildren: make([][]int, n),
-		TreeAdd:      make([][]int, n),
-		TreeSub:      make([][]int, n),
-		NumSets:      len(verts),
-		TreeWeight:   int(arb.Total),
+		Parent:     make([]int, n),
+		TreeParent: make([]int, n),
+		ChainDiffs: newDiffs(len(verts)),
+		TreeDiffs:  newDiffs(len(verts)),
+		NumSets:    len(verts),
+		TreeWeight: int(arb.Total),
 	}
 	for v := range p.Parent {
 		p.Parent[v] = -1
@@ -361,21 +382,8 @@ func linearize(g *graph.Graph, verts []int, arb *mst.Arborescence) *Plan {
 	}
 
 	kids := arb.Children()
-	// Tree view: transcribe the arborescence with its edge diffs.
-	for i, v := range verts {
-		pn := arb.Parent[i+1]
-		if pn == 0 {
-			p.TreeRoots = append(p.TreeRoots, v)
-			p.TreeAdd[v] = g.In(v)
-			continue
-		}
-		pv := verts[pn-1]
-		p.TreeParent[v] = pv
-		p.TreeChildren[pv] = append(p.TreeChildren[pv], v)
-		p.TreeAdd[v] = SortedDiff(g.In(v), g.In(pv))
-		p.TreeSub[v] = SortedDiff(g.In(pv), g.In(v))
-	}
-	// Flatten the tree into preorder steps with parent step indices.
+	// Tree view: flatten the arborescence into preorder steps with parent
+	// step indices and the edge diffs.
 	{
 		stepOf := make([]int32, len(verts)+1)
 		var stack []int
@@ -388,6 +396,11 @@ func linearize(g *graph.Graph, verts []int, arb *mst.Arborescence) *Plan {
 				parent := int32(-1)
 				if pn := arb.Parent[node]; pn != 0 {
 					parent = stepOf[pn]
+					pv := verts[pn-1]
+					p.TreeParent[v] = pv
+					p.TreeDiffs.push(SortedDiff(g.In(v), g.In(pv)), SortedDiff(g.In(pv), g.In(v)))
+				} else {
+					p.TreeDiffs.push(g.In(v), nil)
 				}
 				stepOf[node] = int32(len(p.TreeSteps))
 				p.TreeSteps = append(p.TreeSteps, Step{Vertex: v, Parent: parent})
@@ -400,7 +413,7 @@ func linearize(g *graph.Graph, verts []int, arb *mst.Arborescence) *Plan {
 	sumDiff := 0
 	startFresh := func(v int) {
 		p.Roots = append(p.Roots, v)
-		p.Add[v] = g.In(v)
+		p.ChainDiffs.push(g.In(v), nil)
 		p.Additions += ScratchCost(g.In(v))
 		p.ChainSteps = append(p.ChainSteps, Step{Vertex: v, Parent: -1})
 	}
@@ -420,9 +433,7 @@ func linearize(g *graph.Graph, verts []int, arb *mst.Arborescence) *Plan {
 				sub := SortedDiff(g.In(prev), g.In(v))
 				if cost := len(add) + len(sub); cost < ScratchCost(g.In(v)) {
 					p.Parent[v] = prev
-					p.Children[prev] = append(p.Children[prev], v)
-					p.Add[v] = add
-					p.Sub[v] = sub
+					p.ChainDiffs.push(add, sub)
 					p.Additions += cost
 					p.SharedEdges++
 					sumDiff += cost
