@@ -1,11 +1,12 @@
 // Package-level benchmarks: one testing.B benchmark per table/figure of the
-// paper's evaluation plus the design-choice ablations of DESIGN.md. The
+// paper's evaluation (Section V) plus ablations of the OIP-SR design
+// choices ARCHITECTURE.md describes under "The paper's machinery". The
 // cmd/bench harness prints the same data as formatted tables; these benches
 // integrate with `go test -bench` for regression tracking.
 //
 // Workload sizes are kept small enough for -bench=. to finish in minutes on
 // a laptop; the shapes (who wins, how ratios move with density/accuracy)
-// are what matters, per EXPERIMENTS.md.
+// are what matters, as in the paper's Section V.
 package main
 
 import (
@@ -251,7 +252,7 @@ func BenchmarkSweepTiled(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md) ---
+// --- Ablations: outer sharing, candidate generation, the MST, psum's threshold ---
 
 func BenchmarkAblationOuterSharing(b *testing.B) {
 	g := web()

@@ -19,15 +19,16 @@ var (
 	refRE  = regexp.MustCompile(`(?m)^\[[^\]\n]+\]:\s+(\S+)`)
 )
 
-// Problem describes one broken link.
+// Problem describes one broken link or broken prose rule.
 type Problem struct {
 	File   string
 	Line   int
+	What   string // "broken link", or the prose rule broken
 	Target string
 }
 
 func (p Problem) String() string {
-	return fmt.Sprintf("%s:%d: broken link %q", p.File, p.Line, p.Target)
+	return fmt.Sprintf("%s:%d: %s %q", p.File, p.Line, p.What, p.Target)
 }
 
 // CheckFile parses path as markdown and returns one Problem per relative
@@ -60,7 +61,7 @@ func CheckFile(path string) ([]Problem, error) {
 		for _, target := range targets {
 			if t := relTarget(target); t != "" {
 				if _, err := os.Stat(filepath.Join(dir, t)); err != nil {
-					problems = append(problems, Problem{File: path, Line: i + 1, Target: target})
+					problems = append(problems, Problem{File: path, Line: i + 1, What: "broken link", Target: target})
 				}
 			}
 		}

@@ -3,9 +3,10 @@
 // Spearman rho, top-k extraction and inversion counting used to compare the
 // relative order of OIP-DSR scores against conventional SimRank.
 //
-// The paper's ground truth came from ten human evaluators; this reproduction
-// substitutes the ranking induced by a converged conventional SimRank run
-// (see DESIGN.md), graded into relevance levels with GradeByRank.
+// The paper's ground truth (Section V, Exp-4) came from ten human
+// evaluators; this reproduction substitutes the ranking induced by a
+// converged conventional SimRank run, graded into relevance levels with
+// GradeByRank (ARCHITECTURE.md, "The paper's machinery", internal/eval).
 package eval
 
 import (

@@ -266,7 +266,8 @@ func BuildPlan(g *graph.Graph, opt Options) (*Plan, error) {
 	// Tree nodes: 0 is the virtual ? root; nodes 1..k are the vertices with
 	// non-empty in-neighbor sets, ranked by (in-degree, id) so that all
 	// candidate edges point from lower to higher rank and the cost graph is
-	// a DAG (ties in in-degree are broken by id; see DESIGN.md).
+	// a DAG (ties in in-degree are broken by id; ARCHITECTURE.md, "The
+	// paper's machinery": greedy selection on DAG-ordered cost graphs).
 	var verts []int
 	for v := 0; v < n; v++ {
 		if g.InDegree(v) > 0 {

@@ -15,6 +15,7 @@ import (
 	"oipsr/graph"
 	"oipsr/graph/gen"
 	"oipsr/internal/eval"
+	"oipsr/internal/walkindex"
 	"oipsr/simrank"
 	"oipsr/simrank/query"
 	"oipsr/simrank/shard"
@@ -193,8 +194,31 @@ func TestErrorResponses(t *testing.T) {
 	}
 }
 
+// raggedBytes is what a resident index's Bytes must be, counted from its
+// walks: 8 bytes of offset per vertex and, per vertex with a live walk, a
+// header of ⌈R/2⌉ words of uint16 end offsets plus 4 bytes per live
+// position (R·K < 2¹⁶, so a vertex is one group).
+func raggedBytes(t *testing.T, g *graph.Graph, idx *query.Index) int64 {
+	t.Helper()
+	wi, err := walkindex.Build(g, walkindex.Options{C: idx.C(), K: idx.Horizon(), Walks: idx.Walks(), Seed: idx.Seed()}, 0, idx.N())
+	if err != nil || idx.Walks()*idx.Horizon() >= 1<<16 {
+		t.Fatalf("%v (R·K = %d)", err, idx.Walks()*idx.Horizon())
+	}
+	b := 8 * int64(idx.N())
+	for v := 0; v < idx.N(); v++ {
+		live := 0
+		for fp := 0; fp < idx.Walks(); fp++ {
+			live += len(wi.Walk(g, v, fp))
+		}
+		if live > 0 {
+			b += 4 * int64((idx.Walks()+1)/2+live)
+		}
+	}
+	return b
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
-	_, idx := testIndex(t)
+	g, idx := testIndex(t)
 	ts := httptest.NewServer(newServer(idx, 64, 1))
 	defer ts.Close()
 
@@ -210,10 +234,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("healthz = %+v", h)
 	}
 	// The coalescence order is accounted beside the path storage, not in
-	// it: 6 bytes per stored walk on a dense index.
+	// it: 6 bytes per stored walk on a dense index. The path storage is the
+	// ragged layout counted from the walks (the same build, walked again).
 	forest := int64(6 * idx.N() * idx.Walks())
-	if h.ForestBytes != forest || h.IndexBytes != int64(4*idx.N()*idx.Walks()*idx.Horizon()) {
-		t.Fatalf("healthz index_bytes = %d, index_forest_bytes = %d, want 4·n·R·K and 6·n·R = %d", h.IndexBytes, h.ForestBytes, forest)
+	index := raggedBytes(t, g, idx)
+	if h.ForestBytes != forest || h.IndexBytes != index {
+		t.Fatalf("healthz index_bytes = %d, index_forest_bytes = %d, want %d and 6·n·R = %d", h.IndexBytes, h.ForestBytes, index, forest)
 	}
 
 	// Same query twice: the second hit must come from the LRU.
@@ -231,6 +257,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"simrankd_cache_misses_total 1",
 		"simrankd_index_vertices 150",
 		fmt.Sprintf("simrankd_index_forest_bytes %d\n", forest),
+		fmt.Sprintf("simrankd_index_bytes %d\n", index),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)

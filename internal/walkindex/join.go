@@ -210,7 +210,9 @@ func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold f
 			for v := 0; v < ix.n; v++ {
 				row := pos[v*depth : (v+1)*depth]
 				if ix.Owns(v) {
-					copy(row, ix.store.Row(v - ix.lo)[fp*ix.k:(fp+1)*ix.k])
+					for t := copy(row, ix.store.row(v-ix.lo).walk(fp)); t < depth; t++ {
+						row[t] = -1 // dead past the walk's end
+					}
 				} else {
 					walkFrom(g, hseed, fp, 0, v, row)
 				}
@@ -301,10 +303,10 @@ func (ix *Index) ScorePairs(ctx context.Context, g *graph.Graph, keys []uint64, 
 		// Foreign rows memoize per worker: candidate keys are sorted, so
 		// repeated a-sides hit the cache run-length style, and heavily
 		// co-located b-sides (hub vertices) hit it across keys.
-		cache := make(map[int][]int32)
-		rowFor := func(v int) []int32 {
+		cache := make(map[int]walkRow)
+		rowFor := func(v int) walkRow {
 			if ix.Owns(v) {
-				return ix.store.Row(v - ix.lo)
+				return ix.store.row(v - ix.lo)
 			}
 			if row, ok := cache[v]; ok {
 				return row
@@ -318,7 +320,7 @@ func (ix *Index) ScorePairs(ctx context.Context, g *graph.Graph, keys []uint64, 
 				return // partial scores are discarded below
 			}
 			a, b := int(keys[i]>>32), int(keys[i]&0xFFFFFFFF)
-			pairs[i] = JoinPair{A: a, B: b, Score: pairFromRows(rowFor(a), rowFor(b), ix.pow, ix.k, ix.r)}
+			pairs[i] = JoinPair{A: a, B: b, Score: pairFromRows(rowFor(a), rowFor(b), ix.pow, ix.r)}
 		}
 	})
 	if err := ctx.Err(); err != nil {

@@ -224,20 +224,30 @@ func (ms *mappedStore) block(b int) []int32 {
 	return blk
 }
 
-func (ms *mappedStore) Row(v int) []int32 {
+// row returns v's slice of its decoded block: every walk's k entries,
+// -1 tail included.
+func (ms *mappedStore) row(v int) walkRow {
 	b := v / ms.blockB
 	if ms.pfDepth > 0 && ms.det.observe(int64(b)) {
 		ms.scheduleWindow(b)
 	}
 	blk := ms.block(b)
 	off := (v - b*ms.blockB) * ms.stride
-	return blk[off : off+ms.stride]
+	return walkRow{data: blk[off : off+ms.stride], k: ms.k}
 }
 
-// MutableRow promotes v's block into the overlay (copy-on-write) and
+// rewrite repairs the walks in place, in v's row of the overlay.
+func (ms *mappedStore) rewrite(v int, fps []int, fix func(j int, path []int32)) {
+	row := ms.mutableRow(v)
+	for j, fp := range fps {
+		fix(j, row[fp*ms.k:(fp+1)*ms.k])
+	}
+}
+
+// mutableRow promotes v's block into the overlay (copy-on-write) and
 // returns the writable row. The overlay copy also replaces the block's
 // cache slot, so readers converge on the repaired data immediately.
-func (ms *mappedStore) MutableRow(v int) []int32 {
+func (ms *mappedStore) mutableRow(v int) []int32 {
 	b := v / ms.blockB
 	ms.mu.Lock()
 	blk, ok := ms.overlay[b]

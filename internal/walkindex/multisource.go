@@ -76,9 +76,9 @@ func (ix *Index) MultiSource(ctx context.Context, g *graph.Graph, sources []int,
 		return out, nil
 	}
 
-	// Materialize every source's walk block once — owned blocks are the
-	// stored rows, foreign blocks are recomputed.
-	srcRows := make([][]int32, len(sources))
+	// Materialize every source's walks once — owned rows are the stored
+	// ones, foreign rows are recomputed.
+	srcRows := make([]walkRow, len(sources))
 	tableCheck := par.NewCancelChecker(ctx, 4) // each source is O(R·K) work
 	for si, q := range sources {
 		if err := tableCheck.Stop(); err != nil {
@@ -96,7 +96,7 @@ func (ix *Index) MultiSource(ctx context.Context, g *graph.Graph, sources []int,
 	off := make([]int, nslots+1)
 	for _, row := range srcRows {
 		for fp := 0; fp < ix.r; fp++ {
-			for t, p := range row[fp*ix.k : (fp+1)*ix.k] {
+			for t, p := range row.walk(fp) {
 				if p < 0 {
 					break
 				}
@@ -112,7 +112,7 @@ func (ix *Index) MultiSource(ctx context.Context, g *graph.Graph, sources []int,
 	copy(cur, off[:nslots])
 	for si, row := range srcRows {
 		for fp := 0; fp < ix.r; fp++ {
-			for t, p := range row[fp*ix.k : (fp+1)*ix.k] {
+			for t, p := range row.walk(fp) {
 				if p < 0 {
 					break
 				}
@@ -150,11 +150,10 @@ func (ix *Index) MultiSource(ctx context.Context, g *graph.Graph, sources []int,
 			for i := range acc {
 				acc[i] = 0
 			}
-			blk := ix.store.Row(v)
+			blk := ix.store.row(v)
 			for fp := 0; fp < ix.r; fp++ {
 				epoch++
-				row := blk[fp*ix.k : (fp+1)*ix.k]
-				for t, pv := range row {
+				for t, pv := range blk.walk(fp) {
 					if pv < 0 {
 						break // a dead target never meets anyone
 					}

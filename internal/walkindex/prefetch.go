@@ -17,7 +17,7 @@ import "sync/atomic"
 // front through PathStore.Prefetch, which seeds the first window and
 // primes a detector slot so every subsequent block access rolls the window
 // forward. Everything else goes through sequential-scan detection on the
-// Row path: a handful of atomic stream slots (one per concurrently
+// row path: a handful of atomic stream slots (one per concurrently
 // sweeping reader, replaced round-robin) each remember the next block an
 // ascending scan would touch, and a confirmed continuation schedules the
 // blocks behind it — the kernel-readahead idea applied to decoded blocks.
@@ -55,7 +55,7 @@ type streamDetector struct {
 
 // observe records an access to block b and reports whether it continues a
 // tracked ascending stream (the signal to schedule readahead). Repeated
-// accesses within one block — 64 Row calls land in the same posting block
+// accesses within one block — 64 row calls land in the same posting block
 // — match the already-advanced slot and are not counted again, so they
 // neither re-schedule nor thrash the slots.
 func (d *streamDetector) observe(b int64) bool {

@@ -239,16 +239,43 @@ func (ix *Index) Save(w io.Writer, kind FileKind) error {
 	if err != nil {
 		return err
 	}
-	blocks, err := encodeV2Blocks(ix.store.Row, ix.hi-ix.lo, ix.k, ix.r)
+	// The codec reads r*k blocks with -1 tails. Each row is padded into one
+	// of two buffers: appendV2Block still holds the previous row while it
+	// reads the next.
+	var pad [2][]int32
+	rowOf := func(v int) []int32 {
+		pad[v%2] = ix.denseRow(v, pad[v%2])
+		return pad[v%2]
+	}
+	blocks, err := encodeV2Blocks(rowOf, ix.hi-ix.lo, ix.k, ix.r)
 	if err != nil {
 		return err
 	}
 	return writeV2(w, h.preamble(v2BlockVertices, len(blocks)), blocks, kind.String())
 }
 
+// denseRow writes store-local vertex v's walks into dst as an r*k block,
+// -1 from each walk's death onward, and returns it (dst is reallocated
+// when short).
+func (ix *Index) denseRow(v int, dst []int32) []int32 {
+	if cap(dst) < ix.r*ix.k {
+		dst = make([]int32, ix.r*ix.k)
+	}
+	dst = dst[:ix.r*ix.k]
+	row := ix.store.row(v)
+	for fp := 0; fp < ix.r; fp++ {
+		w := dst[fp*ix.k : (fp+1)*ix.k]
+		for t := copy(w, row.walk(fp)); t < ix.k; t++ {
+			w[t] = -1
+		}
+	}
+	return dst
+}
+
 // Load reads a file of the given kind written by Save or BuildStreaming
-// and decodes it into a dense in-memory index (use LoadMapped to page it on
-// demand instead). It rejects files with a wrong magic, an unsupported
+// and decodes it into a resident index: each block is decoded into one
+// reused buffer and its live prefixes are kept (use LoadMapped to page the
+// file on demand instead). It rejects files with a wrong magic, an unsupported
 // format version, a truncated payload, a checksum mismatch, or trailing
 // data after the trailer, in the documented load order above.
 func Load(r io.Reader, kind FileKind) (*Index, error) {
@@ -256,7 +283,7 @@ func Load(r io.Reader, kind FileKind) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := f.hdr.newIndex(newDenseStore(f.paths, int(f.hdr.r*f.hdr.k)))
+	ix := f.hdr.newIndex(joinStores(int(f.hdr.r), int(f.hdr.k), []*raggedStore{f.rows}))
 	ix.forest = buildForest(ix, 0)
 	return ix, nil
 }
@@ -284,19 +311,19 @@ func LoadMapped(path string, kind FileKind, opts MappedOptions) (*Index, error) 
 }
 
 // validFile is what readFile vouches for: the header, the block geometry,
-// and — when asked to keep them — the decoded paths.
+// and — when asked to keep them — the decoded walks.
 type validFile struct {
 	hdr    fileHeader
 	blockB int64
-	dir    []int64 // numBlocks+1 payload byte offsets
-	paths  []int32 // every row, vertex-major; nil unless kept
+	dir    []int64      // numBlocks+1 payload byte offsets
+	rows   *raggedStore // every row's live prefixes; nil unless kept
 }
 
-// readFile is the one reader: it runs load steps 1–5 over r. With
-// keepPaths the decoded blocks accumulate into one dense slice (growing
-// with the bytes actually read); without, every block decodes into one
-// reused buffer, so validating a file to map costs a single block of
-// memory, not the dense index.
+// readFile is the one reader: it runs load steps 1–5 over r. Every block
+// decodes into one reused buffer, so validating a file costs a single
+// block of decoded memory; with keepPaths the live prefixes of each block
+// are appended to a ragged store as they come, which grows with the bytes
+// actually read and never holds the dense index.
 func readFile(r io.Reader, kind FileKind, keepPaths bool) (*validFile, error) {
 	// The CRC must cover exactly the bytes logically consumed (a tee under
 	// bufio would also hash read-ahead, including the trailing checksum),
@@ -317,7 +344,7 @@ func readFile(r io.Reader, kind FileKind, keepPaths bool) (*validFile, error) {
 
 	f := &validFile{hdr: hdr, blockB: blockB, dir: dir}
 	if keepPaths {
-		f.paths = make([]int32, 0, min(rows*fps*k, 1<<16))
+		f.rows = newRaggedStore(int(fps), int(k))
 	}
 	var blockBuf []byte
 	var scratch []int32
@@ -336,19 +363,18 @@ func readFile(r io.Reader, kind FileKind, keepPaths bool) (*validFile, error) {
 			return nil, err
 		}
 		need := int(width * fps * k)
-		var dst []int32
-		if keepPaths {
-			start := len(f.paths)
-			f.paths = slices.Grow(f.paths, need)[:start+need]
-			dst = f.paths[start:]
-		} else {
-			if cap(scratch) < need {
-				scratch = make([]int32, need)
-			}
-			dst = scratch[:need]
+		if cap(scratch) < need {
+			scratch = make([]int32, need)
 		}
+		dst := scratch[:need]
 		if err := decodeV2Block(buf, dst, int(width), int(k), int(fps)); err != nil {
 			return nil, fmt.Errorf("walkindex: %s block %d: %w", what, b, err)
+		}
+		if keepPaths {
+			stride := int(fps * k)
+			for v := 0; v < need; v += stride {
+				f.rows.appendVertex(dst[v : v+stride])
+			}
 		}
 		// Step 5 runs here, block by block, but an out-of-range entry is
 		// held back until the checksum and trailing-data probe have run.

@@ -56,7 +56,7 @@ func v1Bytes(t testing.TB, ix *Index, kind FileKind) []byte {
 	data := pre[:len(pre)-8] // v1 has no block size/count
 	binary.LittleEndian.PutUint32(data[8:], 1)
 	for v := 0; v < ix.Width(); v++ {
-		for _, e := range ix.store.Row(v) {
+		for _, e := range ix.denseRow(v, nil) {
 			data = binary.LittleEndian.AppendUint32(data, uint32(e))
 		}
 	}
@@ -287,10 +287,10 @@ func TestLoadRejectsOutOfRangePath(t *testing.T) {
 		// to carry it past two more blocks and the trailer.
 		paths := make([]int32, 0, ix.Width()*ix.r*ix.k)
 		for v := 0; v < ix.Width(); v++ {
-			paths = append(paths, ix.store.Row(v)...)
+			paths = append(paths, ix.denseRow(v, nil)...)
 		}
 		paths[2*ix.k] = 1_000_000
-		bad := newIndex(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed, newDenseStore(paths, ix.r*ix.k))
+		bad := newIndex(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed, newDenseStore(paths, ix.r, ix.k))
 		data := saveBytes(t, bad, o.kind)
 
 		_, err := o.open(t, data)

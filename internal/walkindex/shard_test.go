@@ -41,7 +41,7 @@ func TestBuildShardEqualsFullSlice(t *testing.T) {
 				t.Fatal(err)
 			}
 			for v := r[0]; v < r[1]; v++ {
-				if !slices.Equal(sx.store.Row(v-r[0]), full.store.Row(v)) {
+				if !slices.Equal(sx.denseRow(v-r[0], nil), full.denseRow(v, nil)) {
 					t.Fatalf("parts=%d shard [%d,%d): row %d differs from the full index", parts, r[0], r[1], v)
 				}
 			}

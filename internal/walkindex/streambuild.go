@@ -13,13 +13,13 @@ import (
 
 // Out-of-core streaming builds.
 //
-// Build materializes the full dense path payload (n*R*K int32s) before
-// anything reaches disk, which caps the graphs it can index at available
-// memory — exactly the limit the compressed on-disk format was built to
-// escape. BuildStreaming removes it: walks are generated in vertex-range
-// slices sized to a caller-supplied byte budget and encoded straight to
-// format-v2 posting blocks, so peak memory is bounded by the budget, never
-// by n. The output is byte-identical to Save on a materialized Build of
+// Build holds every walk of its range in memory (the ragged live
+// prefixes) before anything reaches disk, which caps the graphs it can
+// index at available memory — exactly the limit the compressed on-disk
+// format was built to escape. BuildStreaming removes it: walks are
+// generated in vertex-range slices sized to a caller-supplied byte budget
+// and encoded straight to format-v2 posting blocks, so peak memory is
+// bounded by the budget, never by n. The output is byte-identical to Save on a materialized Build of
 // the same range — same header, same directory, same block bytes, same CRC
 // trailer — because both sides share the walk hash (edgeChoice is a pure
 // function of (seed, fingerprint, step, vertex), so any vertex range is
@@ -140,10 +140,7 @@ func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io
 		par.Do(workers, func(wk int) {
 			wlo, whi := par.Range(width, workers, wk)
 			for v := wlo; v < whi; v++ {
-				base := v * stride
-				for fp := 0; fp < r; fp++ {
-					walkFrom(g, hseed, fp, 0, lo+slo+v, sliceBuf[base+fp*k:base+(fp+1)*k])
-				}
+				walkBlock(g, hseed, lo+slo+v, k, sliceBuf[v*stride:(v+1)*stride])
 			}
 		})
 

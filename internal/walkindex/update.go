@@ -39,9 +39,10 @@ var ErrTooLarge = errors.New("walkindex: index too large for incremental updates
 // graph), so a sharded deployment repairs each range's walks with exactly
 // the code the single-node daemon runs — the union of per-range repairs is
 // the single-node repair. Reads and writes route through the PathStore
-// seam: on a mapped store the repair mutates decoded overlay blocks, and
-// Update flushes the dirty blocks back to the index file afterwards
-// (mapped.go).
+// seam: the resident store rewrites a repaired group in place or in its
+// tail arena (walkstore.go); a mapped store mutates decoded overlay
+// blocks, and Update flushes the dirty blocks back to the index file
+// afterwards (mapped.go).
 
 // visitPosting says a walk's path occupies some vertex, first at the given
 // time. Walk ids are store-local — (v-lo)*R + fp — bounded by maxWalks.
@@ -78,7 +79,7 @@ func lookupVisit(list []visitPair, x int32) (uint16, bool) {
 }
 
 // flushStore persists pending repairs when the backend keeps one (a mapped
-// store's dirty-block overlay); dense stores have nothing to flush. On
+// store's dirty-block overlay); resident stores have nothing to flush. On
 // error the in-memory index already holds the repair — queries stay
 // consistent, and a later successful Update persists both batches — but
 // the backing file does not.
@@ -154,14 +155,6 @@ func (ix *Index) buildVisits(workers int) [][]visitPosting {
 // pathRow returns the stored path of a store-local walk id, read-only.
 func (ix *Index) pathRow(walk int32) []int32 {
 	return ix.path(walk/int32(ix.r), int(walk)%ix.r)
-}
-
-// mutablePathRow returns the stored path of a store-local walk id for
-// in-place repair (routed through MutableRow so a mapped store marks the
-// containing block dirty).
-func (ix *Index) mutablePathRow(walk int32) []int32 {
-	off := (int(walk) % ix.r) * ix.k
-	return ix.store.MutableRow(int(walk) / ix.r)[off : off+ix.k]
 }
 
 // firstVisitsPath appends (vertex, first occupancy time) pairs for the walk
@@ -256,57 +249,58 @@ func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) int {
 	}
 	sort.Slice(walks, func(i, j int) bool { return walks[i] < walks[j] })
 
-	// Phase 1 (parallel over affected walks, disjoint path rows): recompute
-	// each walk's suffix on the new graph and collect posting diffs.
+	// Phase 1 (serial, one store rewrite per vertex: walks are ascending, so
+	// a vertex's walks are adjacent): replay each walk's suffix on the new
+	// graph in place and collect posting diffs.
 	hseed := splitmix64(uint64(ix.seed))
-	parts := par.ResolveMax(workers, len(walks))
-	removals := make([][]rawVisit, parts) // stale postings (time ignored)
-	additions := make([][]rawVisit, parts)
-	par.Do(parts, func(w int) {
-		lo, hi := par.Range(len(walks), parts, w)
-		oldFV := make([]visitPair, 0, ix.k+1)
-		newFV := make([]visitPair, 0, ix.k+1)
-		for _, walk := range walks[lo:hi] {
-			v, fp := ix.lo+int(walk)/ix.r, int(walk)%ix.r
-			row := ix.mutablePathRow(walk)
-			oldFV = firstVisitsPath(int32(v), row, oldFV[:0])
+	var removals, additions []rawVisit // removals: stale postings (time ignored)
+	oldFV := make([]visitPair, 0, ix.k+1)
+	newFV := make([]visitPair, 0, ix.k+1)
+	fps := make([]int, 0, ix.r)
+	for i, j := 0, 0; i < len(walks); i = j {
+		v := int(walks[i]) / ix.r
+		fps = fps[:0]
+		for j = i; j < len(walks) && int(walks[j])/ix.r == v; j++ {
+			fps = append(fps, int(walks[j])%ix.r)
+		}
+		start := int32(ix.lo + v)
+		ix.store.rewrite(v, fps, func(f int, row []int32) {
+			walk := walks[i+f]
+			oldFV = firstVisitsPath(start, row, oldFV[:0])
 
 			// Replay from the first dirty occupancy; the prefix is valid
 			// for the new graph because it never stands on a dirty vertex.
-			tau := int(firstDirty[walk])
-			p := v
+			tau, p := int(firstDirty[walk]), int(start)
 			if tau > 0 {
 				p = int(row[tau-1])
 			}
-			walkFrom(g, hseed, fp, tau, p, row)
+			walkFrom(g, hseed, fps[f], tau, p, row)
 
-			newFV = firstVisitsPath(int32(v), row, newFV[:0])
+			newFV = firstVisitsPath(start, row, newFV[:0])
 			// The visit lists are short (≤ K+1), so the O(K²) nested
 			// membership scans stay cheaper than building maps.
 			for _, o := range oldFV {
 				nt, ok := lookupVisit(newFV, o.x)
 				if !ok || nt != o.time {
-					removals[w] = append(removals[w], rawVisit{x: o.x, p: visitPosting{walk: walk}})
+					removals = append(removals, rawVisit{x: o.x, p: visitPosting{walk: walk}})
 				}
 			}
 			for _, nv := range newFV {
 				ot, ok := lookupVisit(oldFV, nv.x)
 				if !ok || ot != nv.time {
-					additions[w] = append(additions[w], rawVisit{x: nv.x, p: visitPosting{walk: walk, time: nv.time}})
+					additions = append(additions, rawVisit{x: nv.x, p: visitPosting{walk: walk, time: nv.time}})
 				}
 			}
-		}
-	})
+		})
+	}
 
-	// Phase 2 (serial): patch the posting lists, removals before additions
-	// so a changed first-visit time replaces its stale posting. Stale walks
-	// are grouped per vertex and sorted once, so the filter pass does a
-	// binary search per posting instead of map lookups.
+	// Phase 2: patch the posting lists, removals before additions so a
+	// changed first-visit time replaces its stale posting. Stale walks are
+	// grouped per vertex and sorted once, so the filter pass does a binary
+	// search per posting instead of map lookups.
 	rmByVertex := map[int32][]int32{}
-	for _, buf := range removals {
-		for _, rv := range buf {
-			rmByVertex[rv.x] = append(rmByVertex[rv.x], rv.p.walk)
-		}
+	for _, rv := range removals {
+		rmByVertex[rv.x] = append(rmByVertex[rv.x], rv.p.walk)
 	}
 	for x, stale := range rmByVertex {
 		sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
@@ -320,10 +314,8 @@ func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) int {
 		}
 		ix.visits[x] = keep
 	}
-	for _, buf := range additions {
-		for _, rv := range buf {
-			ix.addVisit(rv.x, rv.p)
-		}
+	for _, rv := range additions {
+		ix.addVisit(rv.x, rv.p)
 	}
 	if ix.forest != nil {
 		ix.forest.patch(ix, walks, workers)

@@ -99,7 +99,7 @@ func TestUpdateResurrectsDeadWalks(t *testing.T) {
 	}
 	// All of vertex 0's walks are dead from the first step.
 	for fp := 0; fp < 20; fp++ {
-		if ix.store.Row(0)[fp*6] != -1 {
+		if ix.denseRow(0, nil)[fp*6] != -1 {
 			t.Fatalf("walk (0,%d) alive on a source vertex", fp)
 		}
 	}
@@ -123,7 +123,7 @@ func TestUpdateResurrectsDeadWalks(t *testing.T) {
 	}
 	// On the 0->1->2->0 cycle no walk can die anymore.
 	for v := 0; v < ix.n; v++ {
-		for i, p := range ix.store.Row(v) {
+		for i, p := range ix.denseRow(v, nil) {
 			if p == -1 {
 				t.Fatalf("path entry %d of vertex %d still dead after the cycle closed", i, v)
 			}

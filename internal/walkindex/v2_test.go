@@ -43,14 +43,15 @@ func TestV2ReencodeByteIdentical(t *testing.T) {
 }
 
 // TestV2Compresses: on the bench-style graphs the compressed file must be
-// at most half the dense in-memory payload (the format's acceptance bar).
+// at most half the dense r·k-per-vertex payload (the format's acceptance
+// bar; the resident ragged store is smaller than both).
 func TestV2Compresses(t *testing.T) {
 	g := gen.WebGraph(1000, 8, 21)
 	ix, err := buildFull(g, Options{Walks: 50, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, dense := len(saveBytes(t, ix, IndexFile)), ix.Bytes()
+	file, dense := len(saveBytes(t, ix, IndexFile)), 4*ix.Width()*ix.r*ix.k
 	if ratio := float64(file) / float64(dense); ratio > 0.5 {
 		t.Errorf("file/dense size ratio %.3f, want <= 0.5 (%d vs %d bytes)", ratio, file, dense)
 	}

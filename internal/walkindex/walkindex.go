@@ -34,13 +34,16 @@
 //     sequence, not at random, so it keeps the sweep; the sweep is also the
 //     oracle the order is tested against, score for score with ==.
 //
-// Storage is laid out vertex-major — entry (r*K + t) of vertex v's walk
-// block is the position of v's fingerprint-r walker after step t+1, or -1
-// once the walk has died at an in-degree-0 vertex — so the per-vertex
-// query scan is one contiguous range. The blocks live behind the PathStore
-// seam (store.go): a dense in-memory slice for fresh builds and decoded
-// loads, or an mmap-backed pager over the compressed file (mapped.go). See
-// serialize.go for the on-disk format.
+// A walk is its positions after steps 1, 2, … up to its death at an
+// in-degree-0 vertex or the horizon. The walks live behind the PathStore
+// seam (store.go), read one walk at a time through row(v).walk(fp), where
+// an entry past the end of the slice counts as -1. Fresh builds, decoded
+// loads and every shard range keep them resident in the ragged store
+// (walkstore.go): the live prefixes only, vertex-major. The mapped store
+// (mapped.go) pages the compressed file and decodes it into dense blocks,
+// where entry (r*K + t) of vertex v's block is the position of v's
+// fingerprint-r walker after step t+1, or -1 once dead. See serialize.go
+// for the on-disk format.
 //
 // An Index owns the walks of one contiguous vertex range [lo, hi) of an
 // n-vertex graph — exactly the rows a full build stores for those start
@@ -103,11 +106,10 @@ type Index struct {
 	c      float64 // damping factor
 	seed   int64
 
-	// store backs the owned walk blocks: Row(v-lo) holds vertex v's r*k
-	// entries, where entry fp*k+t is the position of v's fingerprint-fp
-	// walker after step t+1, or -1 if the walk died at or before that
-	// step. See store.go for the seam and its dense/mapped
-	// implementations.
+	// store backs the owned walks: store.row(v-lo).walk(fp) is the
+	// positions of vertex v's fingerprint-fp walker after steps 1, 2, …,
+	// dead past its end. See store.go for the seam and its resident and
+	// mapped implementations.
 	store PathStore
 
 	// pow[t] = c^(t+1), the first-meeting weight of path index t.
@@ -182,21 +184,23 @@ func Build(g *graph.Graph, opt Options, lo, hi int) (*Index, error) {
 		return nil, fmt.Errorf("walkindex: vertex range [%d,%d) outside [0,%d)", lo, hi, n)
 	}
 
+	// Each worker walks its vertices into one reused r*k block and keeps
+	// the live prefixes; the parts are joined in vertex order.
 	width := hi - lo
-	paths := make([]int32, width*opt.Walks*opt.K)
-	ix := newIndex(n, lo, hi, opt.K, opt.Walks, opt.C, opt.Seed, newDenseStore(paths, opt.Walks*opt.K))
-
 	hseed := splitmix64(uint64(opt.Seed))
 	workers := par.ResolveMax(opt.Workers, width)
+	parts := make([]*raggedStore, workers)
 	par.Do(workers, func(w int) {
 		wlo, whi := par.Range(width, workers, w)
+		part := newRaggedStore(opt.Walks, opt.K)
+		block := make([]int32, opt.Walks*opt.K)
 		for v := wlo; v < whi; v++ {
-			base := v * ix.r * ix.k
-			for fp := 0; fp < ix.r; fp++ {
-				walkFrom(g, hseed, fp, 0, lo+v, paths[base+fp*ix.k:base+(fp+1)*ix.k])
-			}
+			walkBlock(g, hseed, lo+v, opt.K, block)
+			part.appendVertex(block)
 		}
+		parts[w] = part
 	})
+	ix := newIndex(n, lo, hi, opt.K, opt.Walks, opt.C, opt.Seed, joinStores(opt.Walks, opt.K, parts))
 	ix.forest = buildForest(ix, opt.Workers)
 	return ix, nil
 }
@@ -233,6 +237,15 @@ func walkFrom(g *graph.Graph, hseed uint64, fp, tau, p int, path []int32) {
 		}
 		p = in[edgeChoice(hseed, fp, t, p, len(in))]
 		path[t] = int32(p)
+	}
+}
+
+// walkBlock fills block with every walk of vertex v, k entries per
+// fingerprint, -1 after each death: the dense form Build and the streaming
+// build generate into, and the recomputed row of a foreign vertex.
+func walkBlock(g *graph.Graph, hseed uint64, v, k int, block []int32) {
+	for fp := 0; fp*k < len(block); fp++ {
+		walkFrom(g, hseed, fp, 0, v, block[fp*k:(fp+1)*k])
 	}
 }
 
@@ -283,9 +296,9 @@ func (ix *Index) C() float64 { return ix.c }
 // Seed returns the seed the index was built with.
 func (ix *Index) Seed() int64 { return ix.seed }
 
-// Bytes returns the resident in-memory size of the path storage: the full
-// payload for a dense index, the decoded-block cache footprint for a
-// mapped one.
+// Bytes returns the size of the path storage: the ragged layout of a
+// resident index (offsets, walk headers, live positions and any dead
+// arena words not yet compacted), the backing file of a mapped one.
 func (ix *Index) Bytes() int64 { return ix.store.Bytes() }
 
 // Backend names the storage backend ("dense" or "mapped").
@@ -321,12 +334,12 @@ func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]floa
 	}
 	if ix.forest != nil {
 		clear(dst)
-		if err := ix.denseForestRow(ctx, ix.store.Row(q), q, dst); err != nil {
+		if err := ix.denseForestRow(ctx, ix.store.row(q), q, dst); err != nil {
 			return nil, err
 		}
 		return dst, nil
 	}
-	qp := ix.store.Row(q)
+	qp := ix.store.row(q)
 	inv := 1 / float64(ix.r)
 	check := par.NewCancelChecker(ctx, cancelCheckTargets)
 	for v := 0; v < ix.n; v++ {
@@ -336,19 +349,11 @@ func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]floa
 		if v == q {
 			continue
 		}
-		vp := ix.store.Row(v)
+		vp := ix.store.row(v)
 		var s float64
 		for fp := 0; fp < ix.r; fp++ {
-			off := fp * ix.k
-			for t := 0; t < ix.k; t++ {
-				pq, pv := qp[off+t], vp[off+t]
-				if pq < 0 || pv < 0 {
-					break // a dead walker never meets anyone
-				}
-				if pq == pv {
-					s += ix.pow[t] // first meeting only: C^(t+1)
-					break
-				}
+			if t := meetStep(qp.walk(fp), vp.walk(fp)); t >= 0 {
+				s += ix.pow[t] // first meeting only: C^(t+1)
 			}
 		}
 		dst[v] = s * inv
@@ -357,23 +362,45 @@ func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]floa
 	return dst, nil
 }
 
-// sourceRow returns the full walk block of any vertex q: the stored row
-// when the index owns q, otherwise a recomputation from g into buf (nil
-// allocates the r*k entries). The recomputed block equals the owning
-// range's stored row bitwise — walkFrom is the code path Build stored it
-// through.
-func (ix *Index) sourceRow(g *graph.Graph, q int, buf []int32) []int32 {
-	if ix.Owns(q) {
-		return ix.store.Row(q - ix.lo)
+// meetStep returns the first step index t at which two walks of one
+// fingerprint stand on the same live position, or -1 if they never do: a
+// dead walker never meets anyone.
+func meetStep(a, b []int32) int {
+	for t := range min(len(a), len(b)) {
+		pa, pb := a[t], b[t]
+		if pa < 0 || pb < 0 {
+			return -1
+		}
+		if pa == pb {
+			return t
+		}
 	}
-	if buf == nil {
+	return -1
+}
+
+// sourceRow returns the walks of any vertex q: the stored row when the
+// index owns q, otherwise a recomputation from g into buf (reallocated
+// when it holds fewer than r*k entries; the returned row's data is the
+// buffer to reuse). The recomputed walks equal the owning range's stored
+// ones bitwise — walkFrom is the code path Build stored them through.
+func (ix *Index) sourceRow(g *graph.Graph, q int, buf []int32) walkRow {
+	if ix.Owns(q) {
+		return ix.store.row(q - ix.lo)
+	}
+	if cap(buf) < ix.r*ix.k {
 		buf = make([]int32, ix.r*ix.k)
 	}
-	hseed := splitmix64(uint64(ix.seed))
-	for fp := 0; fp < ix.r; fp++ {
-		walkFrom(g, hseed, fp, 0, q, buf[fp*ix.k:(fp+1)*ix.k])
-	}
-	return buf
+	buf = buf[:ix.r*ix.k]
+	walkBlock(g, splitmix64(uint64(ix.seed)), q, ix.k, buf)
+	return walkRow{data: buf, k: ix.k}
+}
+
+// Walk returns the live prefix of vertex v's fingerprint-fp walk, the
+// positions after steps 1, 2, … up to its death or the horizon: stored
+// when v is owned, recomputed from g otherwise (see Index for when g may
+// be nil). The slice is read-only and valid until the next Update.
+func (ix *Index) Walk(g *graph.Graph, v, fp int) []int32 {
+	return livePrefix(ix.sourceRow(g, v, nil).walk(fp))
 }
 
 // Pair estimates the single score s(a, b); neither vertex needs to be
@@ -386,41 +413,36 @@ func (ix *Index) Pair(g *graph.Graph, a, b int) float64 {
 	if a == b {
 		return 1
 	}
-	return pairFromRows(ix.sourceRow(g, a, nil), ix.sourceRow(g, b, nil), ix.pow, ix.k, ix.r)
+	return pairFromRows(ix.sourceRow(g, a, nil), ix.sourceRow(g, b, nil), ix.pow, ix.r)
 }
 
-// pairFromRows runs the first-meeting accumulation over two walk blocks
-// (r*k entries each, walk-major). Pair and ScorePairs both go through it,
-// so a pair scored from recomputed rows is the stored-row estimate bit for
-// bit.
-func pairFromRows(ap, bp []int32, pow []float64, k, r int) float64 {
+// pairFromRows runs the first-meeting accumulation over two vertices'
+// walks. Pair and ScorePairs both go through it, so a pair scored from
+// recomputed rows is the stored-row estimate bit for bit.
+func pairFromRows(a, b walkRow, pow []float64, r int) float64 {
 	var s float64
 	for fp := 0; fp < r; fp++ {
-		off := fp * k
-		for t := 0; t < k; t++ {
-			pa, pb := ap[off+t], bp[off+t]
-			if pa < 0 || pb < 0 {
-				break
-			}
-			if pa == pb {
-				s += pow[t]
-				break
-			}
+		if t := meetStep(a.walk(fp), b.walk(fp)); t >= 0 {
+			s += pow[t]
 		}
 	}
 	return s * (1 / float64(r))
 }
 
 // Equal reports whether two indexes hold identical parameters, ranges and
-// paths (and therefore answer every query bit-identically).
+// walks (and therefore answer every query bit-identically), whatever
+// stores back them.
 func (ix *Index) Equal(other *Index) bool {
 	if ix.n != other.n || ix.lo != other.lo || ix.hi != other.hi ||
 		ix.k != other.k || ix.r != other.r || ix.c != other.c || ix.seed != other.seed {
 		return false
 	}
 	for v := 0; v < ix.Width(); v++ {
-		if !slices.Equal(ix.store.Row(v), other.store.Row(v)) {
-			return false
+		a, b := ix.store.row(v), other.store.row(v)
+		for fp := 0; fp < ix.r; fp++ {
+			if !slices.Equal(livePrefix(a.walk(fp)), livePrefix(b.walk(fp))) {
+				return false
+			}
 		}
 	}
 	return true

@@ -185,8 +185,8 @@ func TestCoalescence(t *testing.T) {
 	for a := 0; a < n; a += 11 {
 		for b := a + 1; b < n; b += 13 {
 			for fp := 0; fp < r; fp++ {
-				ap := ix.store.Row(a)[fp*k : (fp+1)*k]
-				bp := ix.store.Row(b)[fp*k : (fp+1)*k]
+				ap := ix.denseRow(a, nil)[fp*k : (fp+1)*k]
+				bp := ix.denseRow(b, nil)[fp*k : (fp+1)*k]
 				met := false
 				for t2 := 0; t2 < k; t2++ {
 					if ap[t2] < 0 || bp[t2] < 0 {

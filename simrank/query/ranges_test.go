@@ -233,17 +233,76 @@ func TestPartialRangeRefusals(t *testing.T) {
 	}
 }
 
-// TestRangeSizeAccounting: Bytes, ForestBytes and VisitBytes count the
-// owned rows — 4·R·K and 6·R a vertex, and the visit index only once
-// PrepareUpdates (or a first batch) has built it.
+// walkLens lists the live length of every owned walk, vertex-major.
+func walkLens(ix *Index) []int {
+	var lens []int
+	for v := ix.Lo(); v < ix.Hi(); v++ {
+		for fp := 0; fp < ix.Walks(); fp++ {
+			lens = append(lens, len(ix.wi.Walk(nil, v, fp)))
+		}
+	}
+	return lens
+}
+
+// modelWords is the resident store's data size in 4-byte words, counted
+// from the walks' live lengths: per vertex with a live walk, a header of
+// ⌈R/2⌉ words packing R uint16 end offsets, then its live positions. R·K
+// stays below 2¹⁶ in these tests, so a vertex is one group.
+func modelWords(r int, lens []int) []int {
+	words := make([]int, len(lens)/r)
+	for v := range words {
+		live := 0
+		for _, l := range lens[v*r : (v+1)*r] {
+			live += l
+		}
+		if live > 0 {
+			words[v] = (r+1)/2 + live
+		}
+	}
+	return words
+}
+
+// modelBytes is Bytes of a resident store whose vertices hold words data
+// words each, dead arena words included: 8 bytes of offset per vertex, 4
+// per word.
+func modelBytes(words []int, dead int) int64 {
+	b := 8*int64(len(words)) + 4*int64(dead)
+	for _, w := range words {
+		b += 4 * int64(w)
+	}
+	return b
+}
+
+// TestRangeSizeAccounting: Bytes is the ragged layout counted from the
+// walks — exactly, on every range; a shard set's Bytes add up to the full
+// index's, because offsets and segments are per vertex and a range adds
+// no term of its own; and after a batch that lengthens walks, Bytes also
+// counts the arena's dead words. ForestBytes is 6·R a vertex; VisitBytes
+// appears once PrepareUpdates (or a first batch) has built the visit index.
 func TestRangeSizeAccounting(t *testing.T) {
 	g := gen.CitationGraph(90, 4, 3)
-	forEachRange(t, g.NumVertices(), func(t *testing.T, lo, hi int) {
-		ix := buildRange(t, g, Options{Walks: 16, Seed: 2}, lo, hi, true)
-		width := int64(hi - lo)
-		if want := 4 * width * int64(ix.Walks()*ix.Horizon()); ix.Bytes() != want {
-			t.Errorf("Bytes = %d, want %d", ix.Bytes(), want)
+	opt := Options{Walks: 16, Seed: 2}
+	n := g.NumVertices()
+	full := buildRange(t, g, opt, 0, n, false)
+	var parts int64
+	for i := 0; i < 3; i++ {
+		lo, hi := par.Range(n, 3, i)
+		parts += buildRange(t, g, opt, lo, hi, false).Bytes()
+	}
+	if parts != full.Bytes() {
+		t.Errorf("a 3-way shard set holds %d bytes, the full index %d", parts, full.Bytes())
+	}
+	forEachRange(t, n, func(t *testing.T, lo, hi int) {
+		ix := buildRange(t, g, opt, lo, hi, true)
+		if ix.Walks()*ix.Horizon() >= 1<<16 {
+			t.Fatal("the model assumes one group per vertex")
 		}
+		lens := walkLens(ix)
+		words := modelWords(ix.Walks(), lens)
+		if want := modelBytes(words, 0); ix.Bytes() != want {
+			t.Errorf("Bytes = %d, the walks say %d", ix.Bytes(), want)
+		}
+		width := int64(hi - lo)
 		if want := 6 * width * int64(ix.Walks()); ix.ForestBytes() != want {
 			t.Errorf("ForestBytes = %d, want %d", ix.ForestBytes(), want)
 		}
@@ -255,6 +314,35 @@ func TestRangeSizeAccounting(t *testing.T) {
 		}
 		if ix.VisitBytes() <= 0 {
 			t.Errorf("VisitBytes = %d after PrepareUpdates", ix.VisitBytes())
+		}
+
+		// Give the vertex where the first short owned walk dies an
+		// in-edge: the walks that died there live on, and every vertex
+		// whose lengths changed leaves its old segment dead in the arena.
+		short := slices.IndexFunc(lens, func(l int) bool { return l < ix.Horizon() })
+		v, fp := lo+short/ix.Walks(), short%ix.Walks()
+		x := v
+		if w := ix.wi.Walk(nil, v, fp); len(w) > 0 {
+			x = int(w[len(w)-1])
+		}
+		if _, err := ix.ApplyEdits([]graph.Edit{{Op: graph.EditAdd, U: (x + 1) % n, V: x}}, 2); err != nil {
+			t.Fatal(err)
+		}
+		after := walkLens(ix)
+		if slices.Equal(after, lens) {
+			t.Fatal("the edit lengthened no walk")
+		}
+		newWords, dead := modelWords(ix.Walks(), after), 0
+		for u, w := range words {
+			if !slices.Equal(lens[u*ix.Walks():(u+1)*ix.Walks()], after[u*ix.Walks():(u+1)*ix.Walks()]) {
+				dead += w
+			}
+		}
+		if dead == 0 || 2*dead > int(modelBytes(newWords, dead)-8*width)/4 {
+			t.Fatalf("%d dead words: the edit must move a live segment, and not so many that the arena compacts", dead)
+		}
+		if want := modelBytes(newWords, dead); ix.Bytes() != want {
+			t.Errorf("Bytes = %d after the batch, the walks and the arena say %d", ix.Bytes(), want)
 		}
 		if ix.Backend() != "dense" || ix.Close() != nil {
 			t.Errorf("Backend = %q", ix.Backend())
