@@ -11,8 +11,9 @@ import (
 )
 
 // runMemoryWorkload demonstrates the memory-bounded tiled sweep engine:
-// an OIP-SR run at an n whose dense backend needs two n^2 float64 matrices
-// that provably exceed a hard cap, completed by the tiled backend under
+// an OIP-SR run at an n whose dense backend needs two m^2 float64 matrices
+// (m = vertices with a non-empty in-set, the rows OIP-SR stores) that
+// provably exceed a hard cap, completed by the tiled backend under
 // that cap with LRU eviction and spill-to-disk. The run is verified
 // bit-identical against the dense backend (which this workload, unlike a
 // genuinely RAM-starved deployment, can still afford), and a block-size
@@ -22,7 +23,13 @@ func runMemoryWorkload(cfg config) {
 
 	n := 1024 / cfg.scale
 	g := gen.WebGraph(n, webDeg, cfg.seed)
-	denseBytes := 2 * sq(int64(g.NumVertices())) * 8
+	m := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.InDegree(v) > 0 {
+			m++
+		}
+	}
+	denseBytes := 2 * sq(int64(m)) * 8
 	// A cap the dense backend provably exceeds: ~3/8 of its two-matrix
 	// state (the tiled upper triangle alone is ~1/2 + tile slack).
 	capBytes := denseBytes * 3 / 8
@@ -30,8 +37,8 @@ func runMemoryWorkload(cfg config) {
 	must(err)
 	defer os.RemoveAll(spill)
 
-	fmt.Printf("n = %d: dense backend needs %s for 2 score matrices; cap = %s\n",
-		g.NumVertices(), kb(denseBytes), kb(capBytes))
+	fmt.Printf("n = %d, m = %d: dense backend needs %s for 2 score matrices; cap = %s\n",
+		g.NumVertices(), m, kb(denseBytes), kb(capBytes))
 
 	t0 := time.Now()
 	dense, dst, err := simrank.Compute(g, simrank.Options{Algorithm: simrank.OIPSR, C: 0.6, K: 8})
@@ -47,10 +54,10 @@ func runMemoryWorkload(cfg config) {
 	}
 	fmt.Printf("%-8s | %12s %12s %8s %8s | %10s | %s\n",
 		"block", "peak resident", "spilled", "spills", "loads", "time", "vs dense")
-	for _, block := range []int{64, 128, 256} {
+	for _, block := range []int{32, 64, 128} {
 		// Each worker pins a tile while streaming a row, so the cap must
 		// hold a few tiles per worker to make progress.
-		if block > g.NumVertices() || int64(block*block*8)*int64(workers+2) > capBytes {
+		if block > m || int64(block*block*8)*int64(workers+2) > capBytes {
 			fmt.Printf("%-8d | (tile too large for this cap, skipped)\n", block)
 			continue
 		}

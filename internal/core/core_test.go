@@ -30,6 +30,17 @@ func paperGraph(t testing.TB) *graph.Graph {
 	})
 }
 
+// maxDiff is simmat.MaxDiffSource for tests: the engines return expanded
+// blocks, the oracles dense matrices.
+func maxDiff(t testing.TB, a, b simmat.Source) float64 {
+	t.Helper()
+	d, err := simmat.MaxDiffSource(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func randomGraph(rng *rand.Rand, n, maxM int) *graph.Graph {
 	b := graph.NewBuilder(n, 0)
 	b.EnsureVertices(n)
@@ -59,7 +70,7 @@ func TestMatchesNaiveOracle(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if d := simmat.MaxDiff(got, want); d > 1e-9 {
+		if d := maxDiff(t, got, want); d > 1e-9 {
 			t.Logf("seed %d: max diff vs naive %g", seed, d)
 			return false
 		}
@@ -85,7 +96,7 @@ func TestMatchesPsum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := simmat.MaxDiff(ps, oip); d > 1e-9 {
+	if d := maxDiff(t, ps, oip); d > 1e-9 {
 		t.Errorf("max diff vs psum = %g", d)
 	}
 }
@@ -138,7 +149,7 @@ func TestAblationsProduceSameScores(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if d := simmat.MaxDiff(base, got); d > 1e-9 {
+		if d := maxDiff(t, base, got); d > 1e-9 {
 			t.Errorf("%s: max diff %g from baseline", name, d)
 		}
 	}
@@ -190,7 +201,7 @@ func TestWorstCaseDisjointSetsDegradesToPsum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := simmat.MaxDiff(s, want); d > 1e-12 {
+	if d := maxDiff(t, s, want); d > 1e-12 {
 		t.Errorf("scores differ by %g", d)
 	}
 	if stOIP.InnerAdds != stPsum.InnerAdds {
@@ -237,7 +248,11 @@ func TestInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(25)
 		g := randomGraph(rng, n, 4*n)
-		s, _, err := Compute(g, Options{C: 0.7, K: 4})
+		e, _, err := Compute(g, Options{C: 0.7, K: 4})
+		if err != nil {
+			return false
+		}
+		s, err := e.Dense()
 		if err != nil {
 			return false
 		}

@@ -20,11 +20,12 @@ import (
 	"oipsr/internal/simmat"
 )
 
-// recordParent rewrites testdata/parent/sweeps.txt instead of comparing
-// against it. The file holds the results of commit f881ea1, the last one
-// with the row-at-a-time sweep loops, and is only ever recorded by checking
-// that commit out, dropping this file into internal/core/ and running
-// `go test ./internal/core -run TestParentSweepGoldens -record-parent`
+// recordParent rewrites the files under testdata/parent/ instead of
+// comparing against them. sweeps.txt holds the results of commit f881ea1,
+// the last one with the row-at-a-time sweep loops; sweeps-block.txt those
+// of commit b8abb9e, the last one that swept all n^2 cells. Each is only
+// ever recorded by checking its commit out, dropping this file into
+// internal/core/ and running its test with -record-parent
 // (testdata/parent/README.md). The file uses nothing but the engines'
 // exported Compute/ComputeTiled entry points, so it compiles on both sides.
 var recordParent = flag.Bool("record-parent", false, "rewrite testdata/parent/ (run only at the parent commit; see testdata/parent/README.md)")
@@ -89,21 +90,7 @@ var goldenAlgos = []struct {
 		return runOIP(t, g, core.Options{C: 0.6, K: goldenK, Workers: workers, DisableOuter: true}, block)
 	}},
 	{"oip-dsr", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
-		opt := dsr.Options{C: 0.6, K: goldenK, Workers: workers}
-		if block > 0 {
-			opt.Tile = simmat.TileOptions{BlockSize: block}
-			m, st, err := dsr.ComputeTiled(g, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { m.Close() })
-			return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
-		}
-		m, st, err := dsr.Compute(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
+		return runDSR(t, g, dsr.Options{C: 0.6, K: goldenK, Workers: workers}, block)
 	}},
 	{"p-rank", false, func(t *testing.T, g *graph.Graph, workers, _ int) goldenRun {
 		m, st, err := prank.Compute(g, prank.Options{K: goldenK, Workers: workers})
@@ -125,6 +112,23 @@ func runOIP(t *testing.T, g *graph.Graph, opt core.Options, block int) goldenRun
 		return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
 	}
 	m, st, err := core.Compute(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
+}
+
+func runDSR(t *testing.T, g *graph.Graph, opt dsr.Options, block int) goldenRun {
+	if block > 0 {
+		opt.Tile = simmat.TileOptions{BlockSize: block}
+		m, st, err := dsr.ComputeTiled(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
+	}
+	m, st, err := dsr.Compute(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +173,110 @@ func TestParentSweepGoldens(t *testing.T) {
 			}
 		}
 	}
-	got := out.String()
-	path := filepath.Join("testdata", "parent", "sweeps.txt")
+	checkGolden(t, "sweeps.txt", out.String())
+}
+
+// blockGraphs are the graphs of the block goldens, chosen for the vertices
+// whose in-set is empty: a hand-built graph whose in-sets hold such
+// vertices (two of them with identical in-sets made only of them), an
+// edgeless graph, a graph with a vertex whose only in-edge is a self-loop,
+// and a citation graph, where most vertices have a non-empty in-set.
+func blockGraphs() []struct {
+	name string
+	g    *graph.Graph
+} {
+	hand := graph.MustFromEdges(14, [][2]int{
+		{0, 3}, {1, 3}, // I(3) = I(4) = {0, 1}, both with empty in-sets
+		{0, 4}, {1, 4},
+		{0, 5}, {1, 5}, {3, 5},
+		{2, 6}, {3, 6}, {4, 6}, {5, 6},
+		{7, 7}, // I(7) = {7}
+		{7, 8}, {2, 8},
+		{6, 9}, {8, 9}, {0, 9},
+		{9, 10}, {10, 10}, {1, 10},
+		{2, 11},
+		{2, 12}, {11, 12},
+		// 0, 1, 2 and 13 have empty in-sets; 13 has no edge at all
+	})
+	loop := graph.MustFromEdges(5, [][2]int{
+		{1, 1}, // 1's only in-edge is its self-loop
+		{1, 2}, {0, 2},
+		{2, 3}, {1, 3},
+	})
+	return []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"hand14", hand},
+		{"edgeless7", graph.MustFromEdges(7, nil)},
+		{"selfloop5", loop},
+		{"citation400", gen.CitationGraph(400, 8, 3)},
+	}
+}
+
+// blockAlgos are the runs of the block goldens: OIP-SR after one sweep,
+// after six, and stopped by StopDiff, its outer-sharing ablation, OIP-DSR
+// after one sweep and after six (T_0 = I and the later T_k differ on the
+// vertices with empty in-sets), and P-Rank, which has no tiled backend.
+var blockAlgos = []struct {
+	name  string
+	tiled bool
+	run   func(t *testing.T, g *graph.Graph, workers, block int) goldenRun
+}{
+	{"oip-sr-k1", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+		return runOIP(t, g, core.Options{C: 0.6, K: 1, Workers: workers}, block)
+	}},
+	{"oip-sr-k6", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+		return runOIP(t, g, core.Options{C: 0.6, K: goldenK, Workers: workers}, block)
+	}},
+	{"oip-sr-stopdiff", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+		return runOIP(t, g, core.Options{C: 0.8, K: 40, StopDiff: 1e-3, Workers: workers}, block)
+	}},
+	{"oip-sr-disable-outer", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+		return runOIP(t, g, core.Options{C: 0.6, K: goldenK, Workers: workers, DisableOuter: true}, block)
+	}},
+	{"oip-dsr-k1", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+		return runDSR(t, g, dsr.Options{C: 0.6, K: 1, Workers: workers}, block)
+	}},
+	{"oip-dsr-k6", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+		return runDSR(t, g, dsr.Options{C: 0.6, K: goldenK, Workers: workers}, block)
+	}},
+	{"p-rank", false, func(t *testing.T, g *graph.Graph, workers, _ int) goldenRun {
+		m, st, err := prank.Compute(g, prank.Options{K: goldenK, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
+	}},
+}
+
+// TestParentSweepGoldensBlock: the block goldens, recorded at the parent
+// of the sweep over the vertices with a non-empty in-set, when the sweep
+// still stored and swept all n^2 cells. Dense at one and three workers,
+// tiled at block 64 and at block 7 (smaller than the number of vertices
+// with a non-empty in-set on every graph that has more than seven).
+func TestParentSweepGoldensBlock(t *testing.T) {
+	var out strings.Builder
+	for _, gc := range blockGraphs() {
+		for _, a := range blockAlgos {
+			modes := []goldenMode{{"dense-w1", 1, 0}, {"dense-w3", 3, 0}}
+			if a.tiled {
+				modes = append(modes, goldenMode{"tiled-b64", 2, 64}, goldenMode{"tiled-b7", 3, 7})
+			}
+			for _, m := range modes {
+				r := a.run(t, gc.g, m.workers, m.block)
+				fmt.Fprintf(&out, "%s %s %s %s\n", gc.name, a.name, m.name, r.line(t))
+			}
+		}
+	}
+	checkGolden(t, "sweeps-block.txt", out.String())
+}
+
+// checkGolden compares got line by line with testdata/parent/name, or
+// writes it there under -record-parent.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "parent", name)
 	if *recordParent {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)

@@ -78,7 +78,7 @@ type Stats struct {
 	InnerAdds  int64 // scalar additions on inner partial sums
 	OuterAdds  int64 // scalar additions on outer partial sums
 	AuxBytes   int64 // auxiliary memory: plan + sweep buffers (the paper's "intermediate memory")
-	StateBytes int64 // n^2 state the engine holds (two score matrices)
+	StateBytes int64 // m^2 state the engine holds (two m x m score blocks, m = vertices with a non-empty in-set)
 
 	NumSets          int     // non-empty in-neighbor sets
 	PlanAdditions    int     // per-sweep vector ops with sharing (MST weight)
@@ -92,7 +92,10 @@ type Stats struct {
 }
 
 // Compute runs OIP-SR (Algorithm 1) on g and returns s_K plus statistics.
-func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
+// The scores come as the m x m block over the vertices with a non-empty
+// in-set, expanded with diagonal 1 (see the package comment): every cell
+// reads bit for bit what the full n x n iteration computes.
+func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, nil, err
 	}
@@ -110,14 +113,13 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
 	st.ShareRatio = plan.ShareRatio()
 	st.AvgDiff = plan.AvgDiff
 
-	n := g.NumVertices()
-	prev := simmat.NewIdentity(n)
-	next := simmat.New(n)
-	sw := NewParallelSweeper(g, plan, opt.DisableOuter, opt.Workers)
+	sw := NewParallelSweeper(g, plan, false, opt.DisableOuter, opt.Workers)
+	prev := simmat.NewIdentity(sw.Kept())
+	next := simmat.New(sw.Kept())
 
 	t1 := time.Now()
 	for iter := 0; iter < opt.K; iter++ {
-		sw.Sweep(prev, next, opt.C, true)
+		sw.Sweep(prev, next, 1, opt.C, true)
 		st.Iterations++
 		if opt.StopDiff > 0 {
 			st.FinalDiff = simmat.MaxDiffWorkers(prev, next, sw.Workers())
@@ -134,16 +136,16 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
 	st.InnerAdds, st.OuterAdds = sws.InnerAdds, sws.OuterAdds
 	st.AuxBytes = sw.AuxBytes() + plan.Bytes()
 	st.StateBytes = prev.Bytes() + next.Bytes()
-	return prev, st, nil
+	return simmat.Expand(sw.Slots(), prev, 1), st, nil
 }
 
 // ComputeTiled runs OIP-SR against the tiled score-matrix backend selected
-// by opt.Tile: both iterates live in one TileStore, so opt.Tile's
-// MaxMemoryBytes bounds the whole n^2 state, with evicted tiles spilled to
+// by opt.Tile: both m x m iterates live in one TileStore, so opt.Tile's
+// MaxMemoryBytes bounds the whole m^2 state, with evicted tiles spilled to
 // disk. Scores are bit-identical to Compute for every block size and worker
 // count. The caller owns the result: Close it to release the store and its
 // spill files.
-func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Tiled, *Stats, error) {
+func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, nil, err
 	}
@@ -166,22 +168,21 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Tiled, *Stats, error) {
 	st.ShareRatio = plan.ShareRatio()
 	st.AvgDiff = plan.AvgDiff
 
-	n := g.NumVertices()
-	prev, err := store.NewIdentity(n)
+	sw := NewParallelSweeper(g, plan, false, opt.DisableOuter, opt.Workers)
+	prev, err := store.NewIdentity(sw.Kept())
 	if err != nil {
 		store.Close()
 		return nil, nil, err
 	}
-	next, err := store.NewTiled(n)
+	next, err := store.NewTiled(sw.Kept())
 	if err != nil {
 		store.Close()
 		return nil, nil, err
 	}
-	sw := NewParallelSweeper(g, plan, opt.DisableOuter, opt.Workers)
 
 	t1 := time.Now()
 	for iter := 0; iter < opt.K; iter++ {
-		if err := sw.SweepTiled(prev, next, opt.C, true); err != nil {
+		if err := sw.SweepTiled(prev, next, 1, opt.C, true); err != nil {
 			store.Close()
 			return nil, nil, err
 		}
@@ -207,5 +208,5 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Tiled, *Stats, error) {
 	st.StateBytes = prev.Bytes() + next.Bytes()
 	next.Release()
 	st.Tile = store.Metrics()
-	return prev, st, nil
+	return simmat.Expand(sw.Slots(), prev, 1), st, nil
 }

@@ -33,16 +33,16 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		n := g.NumVertices()
 		for _, workers := range []int{2, 4, 7} {
-			serial := NewSweeper(g, plan, false)
-			pool := NewParallelSweeper(g, plan, false, workers)
+			serial := NewSweeper(g, plan, false, false)
+			pool := NewParallelSweeper(g, plan, false, false, workers)
+			m := serial.Kept()
 
-			sa, sb := simmat.NewIdentity(n), simmat.New(n)
-			pa, pb := simmat.NewIdentity(n), simmat.New(n)
+			sa, sb := simmat.NewIdentity(m), simmat.New(m)
+			pa, pb := simmat.NewIdentity(m), simmat.New(m)
 			for k := 0; k < 4; k++ {
-				serial.Sweep(sa, sb, 0.6, true)
-				pool.Sweep(pa, pb, 0.6, true)
+				serial.Sweep(sa, sb, 1, 0.6, true)
+				pool.Sweep(pa, pb, 1, 0.6, true)
 				sa, sb = sb, sa
 				pa, pb = pb, pa
 			}
@@ -78,7 +78,7 @@ func TestParallelComputeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if d := simmat.MaxDiff(want, got); d != 0 {
+			if d := maxDiff(t, want, got); d != 0 {
 				t.Errorf("%s %+v: scores differ by %g, want bit-identical", name, opt, d)
 			}
 			if wst.InnerAdds != gst.InnerAdds || wst.OuterAdds != gst.OuterAdds {
@@ -142,11 +142,11 @@ func TestParallelSweeperCapsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewParallelSweeper(g, plan, false, 1000)
+	sw := NewParallelSweeper(g, plan, false, false, 1000)
 	if sw.Workers() > len(plan.Chains) {
 		t.Errorf("pool size %d exceeds chain count %d", sw.Workers(), len(plan.Chains))
 	}
-	if NewParallelSweeper(g, plan, false, -1).Workers() < 1 {
+	if NewParallelSweeper(g, plan, false, false, -1).Workers() < 1 {
 		t.Error("negative worker request resolved below 1")
 	}
 }
@@ -159,14 +159,13 @@ func BenchmarkSweepOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := g.NumVertices()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(map[int]string{1: "workers=1", 2: "workers=2", 4: "workers=4", 8: "workers=8"}[workers], func(b *testing.B) {
-			sw := NewParallelSweeper(g, plan, false, workers)
-			prev, next := simmat.NewIdentity(n), simmat.New(n)
+			sw := NewParallelSweeper(g, plan, false, false, workers)
+			prev, next := simmat.NewIdentity(sw.Kept()), simmat.New(sw.Kept())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sw.Sweep(prev, next, 0.6, true)
+				sw.Sweep(prev, next, 1, 0.6, true)
 				prev, next = next, prev
 			}
 		})

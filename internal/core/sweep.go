@@ -13,10 +13,11 @@
 //
 // # One kernel, one program
 //
-// Every update of the inner partial-sum vector — a from-scratch build, a
-// chain step's difference, on dense or tiled matrices — goes through one
-// kernel, accumulate, which folds up to four prev rows into a single pass
-// over the vector: p[y] = p[y] + a[y] + b[y] + c[y] + d[y]. Go evaluates
+// Every update of the inner partial-sum vector's block columns — a
+// from-scratch build, a chain step's difference, on dense or tiled
+// matrices — goes through one kernel, accumulate, which folds up to four
+// prev rows into a single pass over the vector:
+// p[y] = p[y] + a[y] + b[y] + c[y] + d[y]. Go evaluates
 // that sum left to right and never reassociates floating-point
 // arithmetic, so each element receives exactly the additions, in exactly
 // the order, of adding the rows one pass at a time (adds in list order,
@@ -24,7 +25,8 @@
 // sweep stages up to four rows out of tiles and calls the same kernel.
 // Procedure OP runs as a flat program over the plan: tree steps in
 // preorder (parent step, vertex) and their int32 id ranges in the plan's
-// TreeDiffs CSR, with no per-vertex slices to chase.
+// TreeDiffs CSR, mapped once to partial-vector slots, with no per-vertex
+// slices to chase.
 //
 // # Concurrency model
 //
@@ -44,16 +46,53 @@
 // bit-identical for every worker count, including the serial workers == 1
 // path, and InnerAdds/OuterAdds are identical as well.
 //
+// # The block: only vertices with a non-empty in-set own rows
+//
+// A vertex v with an empty in-set I(v) has nothing to average: every sweep
+// writes its row and column as zero, and OIP-SR's pinned diagonal then sets
+// (v,v) = 1. The first iterate, s_0 = T_0 = I, has the same shape. So in
+// every iterate the row and column of such a vertex are exactly d·δ_v, for
+// one value d fixed by the engine and the step: d = 1 for every OIP-SR
+// iterate and for OIP-DSR's T_0, d = 0 for its T_k, k >= 1. The sweeper
+// therefore stores and sweeps only the m x m block of the vertices with a
+// non-empty in-set, and the engines return it with d as a
+// simmat.Expanded. On sweep-web's graph that is 499 of 1500 vertices.
+//
+// The rows outside the block still feed the inner partial sums: a vertex x
+// outside the block that lies in I(u) adds the row d·δ_x, which is +0 in
+// every block column and d in column x. The partial vector is therefore m
+// block columns plus one indicator slot for each vertex outside the block
+// that some in-set holds, and such an x updates its indicator by ±d
+// instead of adding a row; procedure OP reads the indicator like any other
+// column. Dropping the +0 terms from the block columns is bitwise neutral:
+// x + (+0) = x for every x but -0, x - (+0) = x for every x, and no value
+// here is ever -0. Under round-to-nearest a sum or difference is -0 only
+// if an operand already is, the iterates start from +0 and +1, and the
+// scales applied to them (damping, 1/|I|, the OIP-DSR coefficients) are
+// positive, with magnitudes nowhere near underflow. An indicator holds d
+// or 0, so its ±d updates are exact. The counters keep the paper's unit,
+// one vector operation = n scalar additions, whatever the block holds.
+//
+// P-Rank's blended iterate has real rows at vertices with an empty in-set,
+// so its sweepers keep every vertex (the all-rows sweeper of
+// NewParallelSweeper): the same code, with an identity slot map, no
+// indicators, and a zero-row pass over the kept vertices whose in-set is
+// empty.
+//
 // # Canonical symmetry and the tiled backend
 //
 // Every sweep ends with a mirror pass that copies the upper triangle of
 // next onto the lower one (simmat.MirrorUpper): the value computed while
 // emitting row min(a,b) is the canonical score of the pair. The pass is
-// pure copies, so determinism is unaffected. SweepTiled runs the identical
-// per-row arithmetic against the tiled backend — rows of prev are assembled
-// from tiles, emitted rows land in an O(n) buffer, and only the canonical
-// upper segment is stored — which is why tiled output is bit-identical to
-// the dense path for every block size and worker count.
+// pure copies, so determinism is unaffected. The slot map numbers the block
+// in increasing vertex order, so the block row of min(a,b) is the smaller
+// of the two block rows and the rule picks the same row it would in the
+// full matrix; the pairs outside the block are d·δ on both sides.
+// SweepTiled runs the identical per-row arithmetic against the tiled
+// backend — rows of prev are assembled from tiles, emitted rows land in an
+// O(m) buffer, and only the canonical upper segment is stored — which is
+// why tiled output is bit-identical to the dense path for every block size
+// and worker count.
 package core
 
 import (
@@ -79,7 +118,7 @@ type SweepStats struct {
 // emitted row before its canonical segment is stored, stage holds the rows
 // of prev assembled from tiles for one call of accumulate.
 type sweepWorker struct {
-	partial []float64             // Partial_{I(u)}(y) for the current chain position
+	partial []float64             // Partial_{I(u)} by slot: m block columns, then the indicators
 	vals    []float64             // per-tree-step outer partial sums (procedure OP)
 	rows    [kernelRows][]float64 // the prev rows handed to accumulate
 	rowBuf  []float64             // tiled sweeps: emit target row
@@ -92,16 +131,26 @@ type sweepWorker struct {
 //	next(a,b) = damp / (|I(a)| |I(b)|) * sum_{i in I(a), j in I(b)} prev(i,j)
 //
 // using inner+outer partial-sums sharing, optionally across a worker pool
-// (see the package comment for the concurrency model). It owns the per-worker
-// O(n) scratch buffers, so one Sweeper can be reused across iterations and
-// algorithms: OIP-SR calls it with damp = C and pinned diagonal, the
-// differential engine (OIP-DSR) with damp = 1 and a free diagonal for its
-// T_k recurrence.
+// (see the package comment for the concurrency model). Its iterates are
+// m x m blocks over the vertices that own a row (see the package comment
+// on the block). It owns the per-worker O(n) scratch buffers, so one
+// Sweeper can be reused across iterations and algorithms: OIP-SR calls it
+// with damp = C and pinned diagonal, the differential engine (OIP-DSR) with
+// damp = 1 and a free diagonal for its T_k recurrence.
 type Sweeper struct {
 	g    *graph.Graph
 	plan *partition.Plan
+	n, m int
 
-	invDeg []float64 // 1/|I(v)|, 0 for empty sets (avoids n^2 divisions)
+	// slot maps a vertex to its place in the partial vector: [0, m) for a
+	// vertex of the block, which is also its row and column of the
+	// iterates; [m, m+e) for the indicator of a vertex outside the block
+	// that some in-set holds; -1 for the rest.
+	slot      []int32
+	emptyRows []int32         // block rows of vertices with an empty in-set (all-rows sweepers only)
+	tree      partition.Diffs // plan.TreeDiffs with the ids mapped to slots
+	treeRow   []int32         // block row of each tree step's vertex
+	invDeg    []float64       // 1/|I(v)| by block row, 0 for empty sets
 
 	workers int
 	ws      []sweepWorker
@@ -111,23 +160,36 @@ type Sweeper struct {
 }
 
 // NewSweeper builds a serial (single-worker) Sweeper for g with the given
-// plan. If disableOuter is true, procedure OP is replaced by the psum-SR
-// one-by-one outer summation (the ablation of Section III-B: inner sharing
-// only).
-func NewSweeper(g *graph.Graph, plan *partition.Plan, disableOuter bool) *Sweeper {
-	return NewParallelSweeper(g, plan, disableOuter, 1)
+// plan. allRows keeps every vertex in the block, for iterates with real
+// rows at vertices whose in-set is empty (P-Rank); otherwise the block
+// holds the vertices with a non-empty in-set. If disableOuter is true,
+// procedure OP is replaced by the psum-SR one-by-one outer summation (the
+// ablation of Section III-B: inner sharing only).
+func NewSweeper(g *graph.Graph, plan *partition.Plan, allRows, disableOuter bool) *Sweeper {
+	return NewParallelSweeper(g, plan, allRows, disableOuter, 1)
 }
 
 // NewParallelSweeper builds a Sweeper running each sweep on a pool of the
 // given size. workers < 1 means runtime.GOMAXPROCS(0). The pool is capped at
 // the number of plan chains — extra workers would have nothing to run.
-func NewParallelSweeper(g *graph.Graph, plan *partition.Plan, disableOuter bool, workers int) *Sweeper {
+func NewParallelSweeper(g *graph.Graph, plan *partition.Plan, allRows, disableOuter bool, workers int) *Sweeper {
 	n := g.NumVertices()
-	inv := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if d := g.InDegree(v); d > 0 {
-			inv[v] = 1 / float64(d)
+	slot, m, e := newSlots(g, allRows)
+	inv := make([]float64, m)
+	var emptyRows []int32
+	for v, s := range slot {
+		if s < 0 || int(s) >= m {
+			continue
 		}
+		if d := g.InDegree(v); d > 0 {
+			inv[s] = 1 / float64(d)
+		} else {
+			emptyRows = append(emptyRows, s)
+		}
+	}
+	treeRow := make([]int32, len(plan.TreeSteps))
+	for i, st := range plan.TreeSteps {
+		treeRow[i] = slot[st.Vertex]
 	}
 	workers = par.Resolve(workers)
 	if c := len(plan.Chains); workers > c && c > 0 {
@@ -139,6 +201,12 @@ func NewParallelSweeper(g *graph.Graph, plan *partition.Plan, disableOuter bool,
 	sw := &Sweeper{
 		g:            g,
 		plan:         plan,
+		n:            n,
+		m:            m,
+		slot:         slot,
+		emptyRows:    emptyRows,
+		tree:         remap(plan.TreeDiffs, slot),
+		treeRow:      treeRow,
 		invDeg:       inv,
 		workers:      workers,
 		ws:           make([]sweepWorker, workers),
@@ -146,10 +214,43 @@ func NewParallelSweeper(g *graph.Graph, plan *partition.Plan, disableOuter bool,
 		disableOuter: disableOuter,
 	}
 	for w := range sw.ws {
-		sw.ws[w].partial = make([]float64, n)
+		sw.ws[w].partial = make([]float64, m+e)
 		sw.ws[w].vals = make([]float64, len(plan.TreeSteps))
 	}
 	return sw
+}
+
+// newSlots numbers the block in increasing vertex order — every vertex
+// with allRows, else the vertices with a non-empty in-set — then gives an
+// indicator slot, in the same order, to each vertex outside the block that
+// lies in some in-set (has an out-edge). It returns the map, the block
+// size m and the indicator count e.
+func newSlots(g *graph.Graph, allRows bool) (slot []int32, m, e int) {
+	slot = make([]int32, g.NumVertices())
+	for v := range slot {
+		if allRows || g.InDegree(v) > 0 {
+			slot[v] = int32(m)
+			m++
+		} else {
+			slot[v] = -1
+		}
+	}
+	for v, s := range slot {
+		if s < 0 && g.OutDegree(v) > 0 {
+			slot[v] = int32(m + e)
+			e++
+		}
+	}
+	return slot, m, e
+}
+
+// remap returns d with its vertex ids replaced by their slots.
+func remap(d partition.Diffs, slot []int32) partition.Diffs {
+	ids := make([]int32, len(d.IDs))
+	for i, x := range d.IDs {
+		ids[i] = slot[x]
+	}
+	return partition.Diffs{IDs: ids, Off: d.Off, Split: d.Split}
 }
 
 // schedule partitions chains across workers by longest-processing-time-first
@@ -186,6 +287,16 @@ func schedule(chains []partition.Chain, workers int) [][]partition.Chain {
 // Workers reports the effective pool size.
 func (sw *Sweeper) Workers() int { return sw.workers }
 
+// Kept reports m, the dimension of the sweeper's iterates: the number of
+// vertices with a row and a column in the block.
+func (sw *Sweeper) Kept() int { return sw.m }
+
+// Slots returns the vertex-to-slot map: slot[v] in [0, Kept()) is v's row
+// and column of the iterates, any other value puts v outside the block.
+// It is monotone over the block, the form simmat.Expand takes. The slice
+// is the sweeper's own and must not be modified.
+func (sw *Sweeper) Slots() []int32 { return sw.slot }
+
 // Stats returns the cumulative operation counts, merged across workers.
 // Counts are exact: each worker counts its own chains and the per-chain
 // counts do not depend on the assignment.
@@ -199,9 +310,10 @@ func (sw *Sweeper) Stats() SweepStats {
 }
 
 // AuxBytes reports the auxiliary memory held by the sweeper's O(n) buffers
-// (the "intermediate memory" of Proposition 5; score matrices excluded).
-// Parallel sweepers hold one partial/vals pair per worker, plus 1 +
-// kernelRows row buffers per worker once a tiled sweep has run.
+// (the "intermediate memory" of Proposition 5; score matrices excluded):
+// the slot map, the slot-mapped tree program, and per worker one
+// partial/vals pair, plus 1 + kernelRows row buffers once a tiled sweep
+// has run.
 func (sw *Sweeper) AuxBytes() int64 {
 	var b int64
 	for w := range sw.ws {
@@ -211,34 +323,33 @@ func (sw *Sweeper) AuxBytes() int64 {
 			b += int64(len(r)) * 8
 		}
 	}
+	b += int64(len(sw.slot)+len(sw.emptyRows)+len(sw.tree.IDs)+len(sw.treeRow)) * 4
 	return b + int64(len(sw.invDeg))*8
 }
 
-// Sweep applies the averaging operator from prev into next. Rows and
-// columns of vertices with empty in-neighbor sets become zero; if pinDiag
-// is set, every diagonal entry is then forced to 1 (the s(a,a)=1 rule of
-// the conventional model).
+// Sweep applies the averaging operator from prev into next, both m x m
+// blocks (m = Kept()). prevDiag is d of prev, the value on the diagonal of
+// every vertex outside the block (ignored by an all-rows sweeper, which
+// has none). The rows and columns of those vertices come out as zero,
+// and, if pinDiag is set, every diagonal entry is then forced to 1 (the
+// s(a,a)=1 rule of the conventional model): next's d is 1 with pinDiag
+// and 0 without.
 //
-// next must be all-zero, an identity matrix, or the output of a previous
-// Sweep over the same graph: the emit stage overwrites exactly the
-// (non-empty row, non-empty column) cells plus, below, the empty rows and
-// the diagonal, and relies on the remaining cells already being zero. This
-// avoids an n^2 clear per iteration; the engines' ping-pong buffers satisfy
-// the requirement by construction.
-func (sw *Sweeper) Sweep(prev, next *simmat.Matrix, damp float64, pinDiag bool) {
-	n := sw.g.NumVertices()
-
+// The emit stage overwrites every cell whose row and column both belong to
+// vertices with a non-empty in-set, which is the whole block unless the
+// sweeper keeps all rows. An all-rows sweeper zeroes the rows of the kept
+// vertices whose in-set is empty and relies on the rest of their columns
+// already being zero: its next must be all-zero, an identity matrix, or
+// the output of a previous Sweep over the same graph. This avoids an n^2
+// clear per iteration; P-Rank's buffers satisfy the requirement by
+// construction.
+func (sw *Sweeper) Sweep(prev, next *simmat.Matrix, prevDiag, damp float64, pinDiag bool) {
 	par.Do(sw.workers, func(w int) {
-		// Rows of empty in-neighbor sets are never written by emitRow but
+		// The rows of kept empty in-sets are never written by emitRow but
 		// may hold a stale diagonal 1 from an identity-initialized buffer.
-		lo, hi := par.Range(n, sw.workers, w)
-		for v := lo; v < hi; v++ {
-			if sw.invDeg[v] == 0 {
-				row := next.Row(v)
-				for i := range row {
-					row[i] = 0
-				}
-			}
+		lo, hi := par.Range(len(sw.emptyRows), sw.workers, w)
+		for _, r := range sw.emptyRows[lo:hi] {
+			clear(next.Row(int(r)))
 		}
 
 		// Walk this worker's chains. Chains never branch, so no undo is
@@ -248,16 +359,16 @@ func (sw *Sweeper) Sweep(prev, next *simmat.Matrix, damp float64, pinDiag bool) 
 		load := func(x int, _ []float64) ([]float64, error) { return prev.Row(x), nil }
 		for _, ch := range sw.sched[w] {
 			for i := ch.Start; i < ch.End; i++ {
-				u := sw.plan.ChainSteps[i].Vertex
-				sw.inner(st, i, load) // a dense row load cannot fail
-				sw.emitRow(st, next.Row(u), u, damp)
+				u := sw.slot[sw.plan.ChainSteps[i].Vertex]
+				sw.inner(st, i, prevDiag, load) // a dense row load cannot fail
+				sw.emitRow(st, next.Row(int(u)), u, damp)
 			}
 		}
 	})
 
 	if pinDiag {
 		par.Do(sw.workers, func(w int) {
-			lo, hi := par.Range(n, sw.workers, w)
+			lo, hi := par.Range(sw.m, sw.workers, w)
 			for v := lo; v < hi; v++ {
 				next.Set(v, v, 1)
 			}
@@ -272,44 +383,38 @@ func (sw *Sweeper) Sweep(prev, next *simmat.Matrix, damp float64, pinDiag bool) 
 
 // SweepTiled is Sweep against the tiled backend: identical chain schedule,
 // identical per-row arithmetic (rows of prev are staged from tiles, the
-// emitted row lands in an O(n) buffer), with only the canonical upper
+// emitted row lands in an O(m) buffer), with only the canonical upper
 // segment of each row stored. Output — and SweepStats — are bit-identical
 // to Sweep over dense matrices for every block size and worker count. prev
 // and next should come from the same computation's TileStore so one memory
 // budget governs both; unlike Sweep, the full upper row is rewritten every
 // time, so next needs no prior-state contract.
-func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, damp float64, pinDiag bool) error {
-	n := sw.g.NumVertices()
+func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, prevDiag, damp float64, pinDiag bool) error {
 	errs := make([]error, sw.workers)
 	par.Do(sw.workers, func(w int) {
 		st := &sw.ws[w]
 		if st.rowBuf == nil {
-			st.rowBuf = make([]float64, n)
+			st.rowBuf = make([]float64, sw.m)
 			for j := range st.stage {
-				st.stage[j] = make([]float64, n)
+				st.stage[j] = make([]float64, sw.m)
 			}
 		}
 		// The emit stage writes the same cell set for every row (the tree
 		// steps, or the non-empty-set columns without outer sharing), so
-		// zeroing once per sweep keeps never-emitted cells — empty
-		// in-neighbor-set columns — at their a-priori zero.
-		for i := range st.rowBuf {
-			st.rowBuf[i] = 0
-		}
+		// zeroing once per sweep keeps never-emitted cells — the columns
+		// of kept empty in-sets — at their a-priori zero.
+		clear(st.rowBuf)
 
-		// Rows of empty in-neighbor sets are all-zero except a pinned
+		// The rows of kept empty in-sets are all-zero except a pinned
 		// diagonal; rowBuf is all-zero here by construction.
-		lo, hi := par.Range(n, sw.workers, w)
-		for v := lo; v < hi; v++ {
-			if sw.invDeg[v] != 0 {
-				continue
-			}
+		lo, hi := par.Range(len(sw.emptyRows), sw.workers, w)
+		for _, r := range sw.emptyRows[lo:hi] {
 			if pinDiag {
-				st.rowBuf[v] = 1
+				st.rowBuf[r] = 1
 			}
-			err := next.SetRowUpper(v, st.rowBuf)
+			err := next.SetRowUpper(int(r), st.rowBuf)
 			if pinDiag {
-				st.rowBuf[v] = 0
+				st.rowBuf[r] = 0
 			}
 			if err != nil {
 				errs[w] = err
@@ -320,8 +425,8 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, damp float64, pinDiag bo
 		load := func(x int, dst []float64) ([]float64, error) { return dst, prev.RowInto(x, dst) }
 		for _, ch := range sw.sched[w] {
 			for i := ch.Start; i < ch.End; i++ {
-				u := sw.plan.ChainSteps[i].Vertex
-				if err := sw.inner(st, i, load); err != nil {
+				u := sw.slot[sw.plan.ChainSteps[i].Vertex]
+				if err := sw.inner(st, i, prevDiag, load); err != nil {
 					errs[w] = err
 					return
 				}
@@ -332,7 +437,7 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, damp float64, pinDiag bo
 					// emit overwrites rowBuf[u] regardless.
 					st.rowBuf[u] = 1
 				}
-				if err := next.SetRowUpper(u, st.rowBuf); err != nil {
+				if err := next.SetRowUpper(int(u), st.rowBuf); err != nil {
 					errs[w] = err
 					return
 				}
@@ -351,48 +456,81 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, damp float64, pinDiag bo
 // partial vector, and how many rows a tiled sweep stages at a time.
 const kernelRows = 4
 
-// rowLoader returns row x of prev: a view of the dense matrix, or the row
-// assembled from tiles into dst (a kernelRows-sized staging buffer of the
-// worker, or the partial vector itself).
+// rowLoader returns block row x of prev: a view of the dense matrix, or
+// the row assembled from tiles into dst (a kernelRows-sized staging buffer
+// of the worker, or the partial vector itself).
 type rowLoader func(x int, dst []float64) ([]float64, error)
 
 // inner brings st.partial to Partial_{I(u)} for chain step i: from scratch
 // over I(u) at chain starts (lines 5-6 of Algorithm 1), otherwise by the
 // step's symmetric difference from the previous set (Eq. 9; lines 10-11).
-func (sw *Sweeper) inner(st *sweepWorker, i int, load rowLoader) error {
+// d is prev's diagonal value outside the block, the ± step of an
+// indicator. A from-scratch build copies its first block row and clears
+// the indicators; one without a block row starts from zero, which adding
+// rows to leaves bit-identical to copying the first of them.
+func (sw *Sweeper) inner(st *sweepWorker, i int, d float64, load rowLoader) error {
 	add, sub := sw.plan.ChainDiffs.At(i)
+	ops := int64(len(add) + len(sub))
 	if sw.plan.ChainSteps[i].Parent < 0 {
-		r, err := load(int(add[0]), st.partial)
-		if err != nil {
-			return err
+		ops-- // the first row of the set is copied, not added
+		block := st.partial[:sw.m]
+		clear(st.partial[sw.m:])
+		j := 0
+		for j < len(add) && int(sw.slot[add[j]]) >= sw.m {
+			j++
 		}
-		copy(st.partial, r) // a tiled load already wrote it there
-		add = add[1:]
-	}
-	if err := accumulateIDs(st, load, add, false); err != nil {
-		return err
-	}
-	if err := accumulateIDs(st, load, sub, true); err != nil {
-		return err
-	}
-	st.stats.InnerAdds += int64(len(add)+len(sub)) * int64(len(st.partial))
-	return nil
-}
-
-// accumulateIDs adds (or, with sub, subtracts) the prev rows named by ids
-// to st.partial, kernelRows rows per call of accumulate.
-func accumulateIDs(st *sweepWorker, load rowLoader, ids []int32, sub bool) error {
-	for len(ids) > 0 {
-		k := min(len(ids), kernelRows)
-		for j, x := range ids[:k] {
-			r, err := load(int(x), st.stage[j])
+		if j == len(add) {
+			clear(block)
+		} else {
+			r, err := load(int(sw.slot[add[j]]), block)
 			if err != nil {
 				return err
 			}
-			st.rows[j] = r
+			copy(block, r) // a tiled load already wrote it there
 		}
-		accumulate(st.partial, st.rows[:k], sub)
-		ids = ids[k:]
+		if err := sw.accumulateIDs(st, load, add[:j], d, false); err != nil {
+			return err
+		}
+		add = add[min(j+1, len(add)):]
+	}
+	if err := sw.accumulateIDs(st, load, add, d, false); err != nil {
+		return err
+	}
+	if err := sw.accumulateIDs(st, load, sub, d, true); err != nil {
+		return err
+	}
+	st.stats.InnerAdds += ops * int64(sw.n)
+	return nil
+}
+
+// accumulateIDs adds (or, with sub, subtracts) the prev rows of the
+// vertices ids to st.partial: block rows kernelRows per call of
+// accumulate, and d to the indicator of each vertex outside the block.
+func (sw *Sweeper) accumulateIDs(st *sweepWorker, load rowLoader, ids []int32, d float64, sub bool) error {
+	p := st.partial[:sw.m]
+	k := 0
+	for _, v := range ids {
+		x := sw.slot[v]
+		if int(x) >= sw.m {
+			if sub {
+				st.partial[x] -= d
+			} else {
+				st.partial[x] += d
+			}
+			continue
+		}
+		r, err := load(int(x), st.stage[k])
+		if err != nil {
+			return err
+		}
+		st.rows[k] = r
+		if k++; k == kernelRows {
+			accumulate(p, st.rows[:k], sub)
+			k = 0
+		}
+	}
+	if k > 0 {
+		accumulate(p, st.rows[:k], sub)
 	}
 	return nil
 }
@@ -457,40 +595,41 @@ func accumulate(p []float64, rows [][]float64, sub bool) {
 	}
 }
 
-// emitRow computes next(u, w) for all w from the current partial vector
-// into row — the dense matrix row, or a tiled sweep's staging buffer.
-// With outer sharing it is procedure OP over the plan's tree program: one
-// pass over the tree steps in preorder, each starting from 0 (a tree root,
-// line 2 of procedure OP) or from its parent step's value (Proposition 4;
-// line 8) and applying the step's id range of TreeDiffs, so the per-row
-// additions equal the MST weight. Without outer sharing it is the psum-SR
-// per-target summation.
-func (sw *Sweeper) emitRow(st *sweepWorker, row []float64, u int, damp float64) {
-	g := sw.g
+// emitRow computes next(u, w) for every w of the block, u a block row,
+// from the current partial vector into row — the dense matrix row, or a
+// tiled sweep's staging buffer. With outer sharing it is procedure OP over
+// the plan's tree program: one pass over the tree steps in preorder, each
+// starting from 0 (a tree root, line 2 of procedure OP) or from its parent
+// step's value (Proposition 4; line 8) and applying the step's slot range
+// of the mapped TreeDiffs, so the per-row additions equal the MST weight.
+// Without outer sharing it is the psum-SR per-target summation.
+func (sw *Sweeper) emitRow(st *sweepWorker, row []float64, u int32, damp float64) {
 	scaleU := damp * sw.invDeg[u]
-	partial, inv := st.partial, sw.invDeg
+	partial, inv, slot := st.partial, sw.invDeg, sw.slot
 
 	if sw.disableOuter {
+		g := sw.g
 		outerAdds := int64(0)
-		for w := 0; w < g.NumVertices(); w++ {
-			in := g.In(w)
+		for v := 0; v < sw.n; v++ {
+			in := g.In(v)
 			if len(in) == 0 {
 				continue
 			}
 			sum := 0.0
 			for _, j := range in {
-				sum += partial[j]
+				sum += partial[slot[j]]
 			}
 			outerAdds += int64(len(in) - 1)
+			w := slot[v]
 			row[w] = scaleU * inv[w] * sum
 		}
 		st.stats.OuterAdds += outerAdds
 		return
 	}
 
-	steps, d := sw.plan.TreeSteps, &sw.plan.TreeDiffs
+	steps, d := sw.plan.TreeSteps, &sw.tree
 	ids, off, split := d.IDs, d.Off[:len(steps)+1], d.Split[:len(steps)]
-	vals := st.vals[:len(steps)]
+	vals, at := st.vals[:len(steps)], sw.treeRow[:len(steps)]
 	for i, s := range steps {
 		var val float64
 		if s.Parent >= 0 {
@@ -503,7 +642,8 @@ func (sw *Sweeper) emitRow(st *sweepWorker, row []float64, u int, damp float64) 
 			val -= partial[y]
 		}
 		vals[i] = val
-		row[s.Vertex] = scaleU * inv[s.Vertex] * val
+		w := at[i]
+		row[w] = scaleU * inv[w] * val
 	}
 	st.stats.OuterAdds += int64(sw.plan.TreeWeight) // the tree steps' diffs sum to it
 }

@@ -26,7 +26,9 @@ func sweepOracle(g *graph.Graph, prev *simmat.Matrix, damp float64) *simmat.Matr
 }
 
 // TestSweepMatchesConjugation: a single sweep equals Q S Q^T on arbitrary
-// (not just identity-derived) symmetric inputs.
+// (not just identity-derived) symmetric inputs — any n x n input for an
+// all-rows sweeper, and for the block sweeper any block with d·δ rows
+// outside it, d = 0 or 1.
 func TestSweepMatchesConjugation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -41,6 +43,8 @@ func TestSweepMatchesConjugation(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		damp := 0.3 + 0.6*rng.Float64()
+
 		prev := simmat.New(n)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
@@ -50,11 +54,31 @@ func TestSweepMatchesConjugation(t *testing.T) {
 			}
 		}
 		next := simmat.New(n) // all-zero satisfies the Sweep contract
-		sw := NewSweeper(g, plan, false)
-		damp := 0.3 + 0.6*rng.Float64()
-		sw.Sweep(prev, next, damp, false)
-		want := sweepOracle(g, prev, damp)
-		return simmat.MaxDiff(next, want) < 1e-10
+		NewSweeper(g, plan, true, false).Sweep(prev, next, 0, damp, false)
+		if simmat.MaxDiff(next, sweepOracle(g, prev, damp)) >= 1e-10 {
+			return false
+		}
+
+		sw := NewSweeper(g, plan, false, false)
+		d := float64(rng.Intn(2))
+		block, out := simmat.New(sw.Kept()), simmat.New(sw.Kept())
+		for i := 0; i < sw.Kept(); i++ {
+			for j := i; j < sw.Kept(); j++ {
+				v := rng.Float64()
+				block.Set(i, j, v)
+				block.Set(j, i, v)
+			}
+		}
+		full, err := simmat.Expand(sw.Slots(), block, d).Dense()
+		if err != nil {
+			return false
+		}
+		sw.Sweep(block, out, d, damp, false)
+		got, err := simmat.Expand(sw.Slots(), out, 0).Dense()
+		if err != nil {
+			return false
+		}
+		return simmat.MaxDiff(got, sweepOracle(g, full, damp)) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -62,8 +86,8 @@ func TestSweepMatchesConjugation(t *testing.T) {
 }
 
 // TestSweepBufferReuseInvariant: ping-pong reuse across many sweeps (the
-// engines' pattern, relying on the no-reset optimization) stays consistent
-// with fresh buffers every time.
+// engines' pattern; an all-rows sweeper relies on the no-reset
+// optimization) stays consistent with fresh buffers every time.
 func TestSweepBufferReuseInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 20, 60)
@@ -71,25 +95,36 @@ func TestSweepBufferReuseInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSweeper(g, plan, false)
+	for _, allRows := range []bool{false, true} {
+		sw := NewSweeper(g, plan, allRows, false)
+		m := sw.Kept()
 
-	// Ping-pong from identity, like DSR's T recurrence.
-	a, b := simmat.NewIdentity(20), simmat.New(20)
-	for k := 0; k < 6; k++ {
-		sw.Sweep(a, b, 1, false)
-		a, b = b, a
+		// Ping-pong from identity, like DSR's T recurrence.
+		a, b := simmat.NewIdentity(m), simmat.New(m)
+		for k := 0; k < 6; k++ {
+			sw.Sweep(a, b, tDiag(k), 1, false)
+			a, b = b, a
+		}
+		// Reference: fresh output buffer every sweep.
+		ref := simmat.NewIdentity(m)
+		for k := 0; k < 6; k++ {
+			out := simmat.New(m)
+			sw2 := NewSweeper(g, plan, allRows, false)
+			sw2.Sweep(ref, out, tDiag(k), 1, false)
+			ref = out
+		}
+		if d := simmat.MaxDiff(a, ref); d > 1e-12 {
+			t.Errorf("allRows=%v: buffer reuse diverged from fresh buffers by %g", allRows, d)
+		}
 	}
-	// Reference: fresh output buffer every sweep.
-	ref := simmat.NewIdentity(20)
-	for k := 0; k < 6; k++ {
-		out := simmat.New(20)
-		sw2 := NewSweeper(g, plan, false)
-		sw2.Sweep(ref, out, 1, false)
-		ref = out
+}
+
+// tDiag is OIP-DSR's diagonal outside the block: 1 for T_0 = I, 0 after.
+func tDiag(k int) float64 {
+	if k == 0 {
+		return 1
 	}
-	if d := simmat.MaxDiff(a, ref); d > 1e-12 {
-		t.Errorf("buffer reuse diverged from fresh buffers by %g", d)
-	}
+	return 0
 }
 
 // TestChainBreakStillCorrect: a graph engineered so the preorder jump
@@ -139,7 +174,7 @@ func TestChainBreakStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := simmat.MaxDiff(s, want); d > 1e-12 {
+	if d := maxDiff(t, s, want); d > 1e-12 {
 		t.Errorf("chain-broken plan diverged from oracle by %g", d)
 	}
 }
@@ -152,10 +187,12 @@ func TestDisableOuterSweepEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := simmat.NewIdentity(25)
-	a, b := simmat.New(25), simmat.New(25)
-	NewSweeper(g, plan, false).Sweep(prev, a, 0.6, true)
-	NewSweeper(g, plan, true).Sweep(prev, b, 0.6, true)
+	shared, ablated := NewSweeper(g, plan, false, false), NewSweeper(g, plan, false, true)
+	m := shared.Kept()
+	prev := simmat.NewIdentity(m)
+	a, b := simmat.New(m), simmat.New(m)
+	shared.Sweep(prev, a, 1, 0.6, true)
+	ablated.Sweep(prev, b, 1, 0.6, true)
 	if d := simmat.MaxDiff(a, b); d > 1e-12 {
 		t.Errorf("outer sharing changed sweep output by %g", d)
 	}
@@ -174,8 +211,8 @@ func TestAuxBytesScalesLinearly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSweeper(small, ps, false).AuxBytes()
-	bb := NewSweeper(big, pb, false).AuxBytes()
+	s := NewSweeper(small, ps, false, false).AuxBytes()
+	bb := NewSweeper(big, pb, false, false).AuxBytes()
 	if bb > 120*s {
 		t.Errorf("aux bytes grew superlinearly: %d -> %d for 100x vertices", s, bb)
 	}

@@ -2,25 +2,30 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"oipsr/graph"
 	"oipsr/internal/simmat"
 )
 
 // requireBitIdentical fails unless the tiled matrix equals the dense one in
 // every bit of every cell, both triangles included.
-func requireBitIdentical(t *testing.T, dense *simmat.Matrix, tiled *simmat.Tiled, ctx string) {
+func requireBitIdentical(t *testing.T, dense, tiled simmat.Source, ctx string) {
 	t.Helper()
 	n := dense.N()
-	buf := make([]float64, n)
+	want, got := make([]float64, n), make([]float64, n)
 	for i := 0; i < n; i++ {
-		if err := tiled.RowInto(i, buf); err != nil {
+		if err := dense.RowInto(i, want); err != nil {
+			t.Fatalf("%s: dense RowInto(%d): %v", ctx, i, err)
+		}
+		if err := tiled.RowInto(i, got); err != nil {
 			t.Fatalf("%s: RowInto(%d): %v", ctx, i, err)
 		}
 		for j := 0; j < n; j++ {
-			if buf[j] != dense.At(i, j) {
-				t.Fatalf("%s: cell (%d,%d): tiled %v != dense %v", ctx, i, j, buf[j], dense.At(i, j))
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: cell (%d,%d): tiled %v != dense %v", ctx, i, j, got[j], want[j])
 			}
 		}
 	}
@@ -68,7 +73,14 @@ func TestComputeTiledBitIdentical(t *testing.T) {
 func TestComputeTiledUnderBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 60
-	g := randomGraph(rng, n, 5*n)
+	// Every vertex gets an in-edge, so the block is all n rows.
+	b := graph.NewBuilder(n, 0)
+	b.EnsureVertices(n)
+	for v := 0; v < n; v++ {
+		b.AddEdge(rng.Intn(n), v)
+		b.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	g := b.MustBuild()
 	dense, _, err := Compute(g, Options{C: 0.6, K: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

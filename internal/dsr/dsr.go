@@ -95,7 +95,7 @@ type Stats struct {
 	InnerAdds  int64
 	OuterAdds  int64
 	AuxBytes   int64 // plan + sweep buffers (the paper's "intermediate memory")
-	StateBytes int64 // n^2 state: accumulator plus the two auxiliary T_k matrices
+	StateBytes int64 // m^2 state: accumulator plus the two auxiliary T_k blocks (m = vertices with a non-empty in-set)
 
 	NumSets          int
 	PlanAdditions    int
@@ -108,8 +108,11 @@ type Stats struct {
 }
 
 // Compute runs the differential SimRank iteration Eq. 15 and returns S^_K
-// with run statistics.
-func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
+// with run statistics. Only the vertices with a non-empty in-set own rows
+// of the iterates (see the core package comment): outside them T_0 has
+// diagonal 1, every later T_k is zero, and S^ keeps e^-C on the diagonal,
+// the value the result is expanded with.
+func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, nil, err
 	}
@@ -133,24 +136,24 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
 	st.ShareRatio = plan.ShareRatio()
 	st.AvgDiff = plan.AvgDiff
 
-	n := g.NumVertices()
 	expC := math.Exp(-opt.C)
+	sw := core.NewParallelSweeper(g, plan, false, opt.DisableSharing, opt.Workers)
+	workers := sw.Workers()
+	m := sw.Kept()
 
 	// S^_0 = e^-C I; T_0 = I.
-	acc := simmat.New(n)
-	for i := 0; i < n; i++ {
+	acc := simmat.New(m)
+	for i := 0; i < m; i++ {
 		acc.Set(i, i, expC)
 	}
-	tPrev := simmat.NewIdentity(n)
-	tNext := simmat.New(n)
-	sw := core.NewParallelSweeper(g, plan, opt.DisableSharing, opt.Workers)
-	workers := sw.Workers()
+	tPrev := simmat.NewIdentity(m)
+	tNext := simmat.New(m)
 
 	t1 := time.Now()
 	coeff := expC
 	for k := 0; k < opt.K; k++ {
 		// T_{k+1} = Q T_k Q^T via the shared sweep (damp=1, free diagonal).
-		sw.Sweep(tPrev, tNext, 1, false)
+		sw.Sweep(tPrev, tNext, tDiag(k), 1, false)
 		st.Iterations++
 		coeff *= opt.C / float64(k+1) // e^-C * C^(k+1)/(k+1)!
 		ad, td := acc.Data(), tNext.Data()
@@ -168,15 +171,24 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
 	st.InnerAdds, st.OuterAdds = sws.InnerAdds, sws.OuterAdds
 	st.AuxBytes = sw.AuxBytes() + plan.Bytes()
 	st.StateBytes = acc.Bytes() + tPrev.Bytes() + tNext.Bytes()
-	return acc, st, nil
+	return simmat.Expand(sw.Slots(), acc, expC), st, nil
+}
+
+// tDiag is T_k's diagonal value outside the block: 1 for T_0 = I, 0 for
+// every T_k a sweep with a free diagonal produced.
+func tDiag(k int) float64 {
+	if k == 0 {
+		return 1
+	}
+	return 0
 }
 
 // ComputeTiled runs the differential iteration against the tiled backend
 // selected by opt.Tile: the accumulator and both T_k ping-pong iterates
-// share one TileStore, so opt.Tile's MaxMemoryBytes bounds the whole 3n^2
+// share one TileStore, so opt.Tile's MaxMemoryBytes bounds the whole 3m^2
 // state. Scores are bit-identical to Compute for every block size and
 // worker count. The caller owns the result: Close it to release the store.
-func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Tiled, *Stats, error) {
+func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, nil, err
 	}
@@ -184,7 +196,7 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Tiled, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fail := func(err error) (*simmat.Tiled, *Stats, error) {
+	fail := func(err error) (*simmat.Expanded, *Stats, error) {
 		store.Close()
 		return nil, nil, err
 	}
@@ -207,28 +219,28 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Tiled, *Stats, error) {
 	st.ShareRatio = plan.ShareRatio()
 	st.AvgDiff = plan.AvgDiff
 
-	n := g.NumVertices()
 	expC := math.Exp(-opt.C)
-
-	acc, err := store.NewDiagonal(n, expC) // S^_0 = e^-C I
-	if err != nil {
-		return fail(err)
-	}
-	tPrev, err := store.NewIdentity(n) // T_0 = I
-	if err != nil {
-		return fail(err)
-	}
-	tNext, err := store.NewTiled(n)
-	if err != nil {
-		return fail(err)
-	}
-	sw := core.NewParallelSweeper(g, plan, opt.DisableSharing, opt.Workers)
+	sw := core.NewParallelSweeper(g, plan, false, opt.DisableSharing, opt.Workers)
 	workers := sw.Workers()
+	m := sw.Kept()
+
+	acc, err := store.NewDiagonal(m, expC) // S^_0 = e^-C I
+	if err != nil {
+		return fail(err)
+	}
+	tPrev, err := store.NewIdentity(m) // T_0 = I
+	if err != nil {
+		return fail(err)
+	}
+	tNext, err := store.NewTiled(m)
+	if err != nil {
+		return fail(err)
+	}
 
 	t1 := time.Now()
 	coeff := expC
 	for k := 0; k < opt.K; k++ {
-		if err := sw.SweepTiled(tPrev, tNext, 1, false); err != nil {
+		if err := sw.SweepTiled(tPrev, tNext, tDiag(k), 1, false); err != nil {
 			return fail(err)
 		}
 		st.Iterations++
@@ -246,5 +258,5 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Tiled, *Stats, error) {
 	tPrev.Release()
 	tNext.Release()
 	st.Tile = store.Metrics()
-	return acc, st, nil
+	return simmat.Expand(sw.Slots(), acc, expC), st, nil
 }

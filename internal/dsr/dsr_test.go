@@ -15,6 +15,17 @@ import (
 	"oipsr/internal/simmat"
 )
 
+// maxDiff is simmat.MaxDiffSource for tests: the engine returns expanded
+// blocks, the oracles dense matrices.
+func maxDiff(t testing.TB, a, b simmat.Source) float64 {
+	t.Helper()
+	d, err := simmat.MaxDiffSource(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func randomGraph(rng *rand.Rand, n, maxM int) *graph.Graph {
 	b := graph.NewBuilder(n, 0)
 	b.EnsureVertices(n)
@@ -43,7 +54,7 @@ func TestMatchesExponentialSeries(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if d := simmat.MaxDiff(got, want); d > 1e-10 {
+		if d := maxDiff(t, got, want); d > 1e-10 {
 			t.Logf("seed %d: max diff %g from exponential series", seed, d)
 			return false
 		}
@@ -66,7 +77,7 @@ func TestSharingDoesNotChangeScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := simmat.MaxDiff(a, b); d > 1e-10 {
+	if d := maxDiff(t, a, b); d > 1e-10 {
 		t.Errorf("sharing changed scores by %g", d)
 	}
 }
@@ -120,7 +131,7 @@ func TestErrorBoundProposition7(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d, bound := simmat.MaxDiff(s, ref), numeric.ExponentialTailBound(c, k); d > bound+1e-15 {
+		if d, bound := maxDiff(t, s, ref), numeric.ExponentialTailBound(c, k); d > bound+1e-15 {
 			t.Errorf("k=%d: error %g exceeds Proposition 7 bound %g", k, d, bound)
 		}
 	}
@@ -198,7 +209,11 @@ func TestInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(20)
 		g := randomGraph(rng, n, 4*n)
-		s, _, err := Compute(g, Options{C: 0.7, K: 5})
+		e, _, err := Compute(g, Options{C: 0.7, K: 5})
+		if err != nil {
+			return false
+		}
+		s, err := e.Dense()
 		if err != nil {
 			return false
 		}
@@ -232,9 +247,15 @@ func TestStateAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := int64(g.NumVertices())
-	if st.StateBytes != 3*n*n*8 {
-		t.Errorf("StateBytes = %d, want 3*n^2*8 = %d", st.StateBytes, 3*n*n*8)
+	// The state is three blocks over the vertices with a non-empty in-set.
+	var m int64
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.InDegree(v) > 0 {
+			m++
+		}
+	}
+	if st.StateBytes != 3*m*m*8 {
+		t.Errorf("StateBytes = %d, want 3*m^2*8 = %d", st.StateBytes, 3*m*m*8)
 	}
 	if st.AuxBytes <= 0 || st.AuxBytes >= st.StateBytes {
 		t.Errorf("AuxBytes = %d, want positive and far below state %d", st.AuxBytes, st.StateBytes)

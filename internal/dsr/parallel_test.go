@@ -5,7 +5,6 @@ import (
 
 	"oipsr/graph"
 	"oipsr/graph/gen"
-	"oipsr/internal/simmat"
 )
 
 // TestParallelBitIdentical: OIP-DSR with a worker pool matches the serial
@@ -26,7 +25,7 @@ func TestParallelBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := simmat.MaxDiff(want, got); d != 0 {
+			if d := maxDiff(t, want, got); d != 0 {
 				t.Errorf("%s disable=%v: scores differ by %g, want bit-identical", name, disable, d)
 			}
 			if wst.InnerAdds != gst.InnerAdds || wst.OuterAdds != gst.OuterAdds {

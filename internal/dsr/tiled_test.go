@@ -85,8 +85,12 @@ func TestComputeTiledBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := dense.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range got.Data() {
-		if got.Data()[i] != dense.Data()[i] {
+		if got.Data()[i] != want.Data()[i] {
 			t.Fatalf("cell %d drifted under budget", i)
 		}
 	}

@@ -134,8 +134,11 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
 	st.InShareRatio = planIn.ShareRatio()
 	st.OutShareRatio = planOut.ShareRatio()
 
-	swIn := core.NewParallelSweeper(g, planIn, opt.DisableSharing, opt.Workers)
-	swOut := core.NewParallelSweeper(tr, planOut, opt.DisableSharing, opt.Workers)
+	// The blended iterate has real rows at empty in-sets (out-links feed
+	// them), so both sweepers keep every vertex: none is outside the
+	// block, and the prevDiag argument of Sweep goes unused.
+	swIn := core.NewParallelSweeper(g, planIn, true, opt.DisableSharing, opt.Workers)
+	swOut := core.NewParallelSweeper(tr, planOut, true, opt.DisableSharing, opt.Workers)
 	workers := par.Resolve(opt.Workers)
 
 	prev := simmat.NewIdentity(n)
@@ -146,8 +149,8 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
 	t1 := time.Now()
 	for iter := 0; iter < opt.K; iter++ {
 		st.Iterations++
-		swIn.Sweep(prev, tmpIn, opt.CIn, false)
-		swOut.Sweep(prev, tmpOut, opt.COut, false)
+		swIn.Sweep(prev, tmpIn, 0, opt.CIn, false)
+		swOut.Sweep(prev, tmpOut, 0, opt.COut, false)
 		nd, id, od := next.Data(), tmpIn.Data(), tmpOut.Data()
 		l := opt.Lambda
 		// Element-wise blend, so splitting across workers is bit-identical.

@@ -12,6 +12,11 @@
 //     with a bounded-memory working set and optional spill-to-disk, for runs
 //     where two dense matrices do not fit in RAM.
 //
+// Expanded (expanded.go) reads either backend as an m x m block of a
+// larger n x n matrix whose other rows and columns are one value on the
+// diagonal and +0 elsewhere: the form of the OIP engines' results, whose
+// vertices with an empty in-set need no stored row.
+//
 // # Canonical symmetry
 //
 // SimRank is symmetric by definition, but the row-oriented engines compute

@@ -21,7 +21,9 @@ type Stats struct {
 
 	// AuxBytes is auxiliary memory beyond the score matrices — the
 	// "intermediate memory" of the paper's Fig. 6d. StateBytes is the
-	// n^2-sized state the engine holds while running.
+	// quadratic state the engine holds while running: n^2 cells a matrix,
+	// or m^2 for OIP-SR and OIP-DSR, whose matrices are blocks over the m
+	// vertices with a non-empty in-set.
 	AuxBytes   int64
 	StateBytes int64
 

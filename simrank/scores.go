@@ -1,6 +1,7 @@
 package simrank
 
 import (
+	"io"
 	"sort"
 
 	"oipsr/internal/simmat"
@@ -25,10 +26,13 @@ func (s *Scores) N() int { return s.src.N() }
 // Score returns s(a, b).
 func (s *Scores) Score(a, b int) float64 { return s.src.At(a, b) }
 
-// Row returns the similarity row s(a, *). For the dense backend the slice
-// aliases internal storage and must not be modified; the tiled backend
-// assembles a fresh slice from tiles (and panics if a spilled tile cannot
-// be read back — possible only with spill enabled on a failing disk).
+// Row returns the similarity row s(a, *). When the scores are a plain
+// dense matrix (psum-SR, naive, P-Rank, ...) the slice aliases internal
+// storage and must not be modified. Every other result assembles a fresh
+// slice: OIP-SR and OIP-DSR scores, which are stored as the block over the
+// vertices with a non-empty in-set, and the tiled backend, which reads
+// tiles (and panics if a spilled tile cannot be read back — possible only
+// with spill enabled on a failing disk).
 func (s *Scores) Row(a int) []float64 {
 	if m, ok := s.src.(*simmat.Matrix); ok {
 		return m.Row(a)
@@ -77,8 +81,8 @@ func (s *Scores) Bytes() int64 { return s.src.Bytes() }
 // and spill files). It is a no-op for the dense backend; calling it is
 // always safe and always correct once the scores are no longer needed.
 func (s *Scores) Close() error {
-	if t, ok := s.src.(*simmat.Tiled); ok {
-		return t.Close()
+	if c, ok := s.src.(io.Closer); ok {
+		return c.Close()
 	}
 	return nil
 }

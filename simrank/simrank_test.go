@@ -248,3 +248,49 @@ func mathAbs(x float64) float64 {
 	}
 	return x
 }
+
+// TestRowDoesNotAliasBlockScores: OIP-SR and OIP-DSR scores live in a block
+// over the vertices with a non-empty in-set, so Row hands out a fresh
+// slice — writing into it, on a row inside the block and on one outside
+// it, leaves Score unchanged — and Close releases their tiled form.
+func TestRowDoesNotAliasBlockScores(t *testing.T) {
+	g := testGraph()
+	inside, outside := -1, -1
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.InDegree(v) > 0 && inside < 0 {
+			inside = v
+		}
+		if g.InDegree(v) == 0 && outside < 0 {
+			outside = v
+		}
+	}
+	if inside < 0 || outside < 0 {
+		t.Fatalf("test graph lacks a vertex with (%d) or without (%d) in-edges", inside, outside)
+	}
+	for _, alg := range []Algorithm{OIPSR, OIPDSR} {
+		for _, block := range []int{0, 16} {
+			s, _, err := Compute(g, Options{Algorithm: alg, C: 0.6, K: 4, BlockSize: block})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range []int{inside, outside} {
+				want := make([]float64, s.N())
+				for b := range want {
+					want[b] = s.Score(a, b)
+				}
+				row := s.Row(a)
+				for b := range row {
+					row[b] = -1
+				}
+				for b, w := range want {
+					if got := s.Score(a, b); math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("%s block=%d: writing Row(%d) moved Score(%d,%d) from %v to %v", alg, block, a, a, b, w, got)
+					}
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Errorf("%s block=%d: Close: %v", alg, block, err)
+			}
+		}
+	}
+}
