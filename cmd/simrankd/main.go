@@ -19,10 +19,9 @@
 //	simrankd -gen web -n 5000 -d 11 -addr :8356
 //	simrankd -graph web.txt -index web.idx -walks 200 -addr :8356
 //
-// For graphs whose dense index exceeds RAM, -build-budget streams the
-// build to disk in bounded slices and -index-mmap serves the sealed file
-// by demand paging, so neither building nor serving ever materializes
-// the full walk payload:
+// -build-budget streams the build to disk in bounded slices, so the
+// builder never holds the whole index, and -index-mmap serves from the
+// sealed file's decoded rows and writes every edit batch back to it:
 //
 //	simrankd -graph big.txt -index big.idx -build-budget 268435456 -index-mmap
 //
@@ -171,7 +170,7 @@ func validate(o *options) error {
 		switch o.mode {
 		case "serve":
 			if o.indexPath == "" {
-				return errors.New("-index-mmap needs -index (a file to map)")
+				return errors.New("-index-mmap needs -index (a file to write back to)")
 			}
 		case "shard":
 			if o.shardDir == "" {
@@ -247,7 +246,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "generator / index seed")
 	flag.StringVar(&o.indexPath, "index", "", "walk-index file: loaded when present, else built and saved here")
 	flag.BoolVar(&o.rebuild, "rebuild", false, "rebuild the index even if -index exists")
-	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: page the walk index from its file on demand (mmap-backed) instead of decoding it into memory")
+	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: write every /v1/edges batch back to the index file (only the changed blocks are re-encoded), so a restart serves the edited index")
 	flag.Int64Var(&o.buildBudget, "build-budget", 0, "serve/build-shards: stream the index build to disk in slices of at most this many bytes of walk state, bounding builder memory (0 = unbounded: serve builds in memory, build-shards writes each shard as one slice); output is byte-identical")
 	flag.Float64Var(&o.c, "c", 0.6, "damping factor C")
 	flag.IntVar(&o.k, "k", 0, "walk horizon (0 = derive from -eps)")
@@ -418,7 +417,8 @@ func run(handler http.Handler, addr string, drain time.Duration) error {
 // mode. It is loaded from where the flags keep it — the -index file, or
 // that entry of the -shard-dir manifest — and otherwise built: streamed to
 // -index under -build-budget, else in memory and saved to -index if given.
-// -index-mmap always serves from the sealed file, a fresh build included.
+// -index-mmap always serves from the sealed file, a fresh build included,
+// and writes edit batches back to it.
 // A loaded index that disagrees with the index-shaping flags is served as
 // it is, with a warning.
 func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, error) {

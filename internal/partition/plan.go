@@ -122,13 +122,7 @@ func (d *Diffs) At(i int) (add, sub []int32) {
 	return d.IDs[d.Off[i]:d.Split[i]], d.IDs[d.Split[i]:d.Off[i+1]]
 }
 
-// push appends the next step's lists. Kept out of line: its six call
-// sites are plan construction, none of them hot, and inlined there it
-// added 3 KB of text that links ahead of the walk index's posting-block
-// decoder, moving that decoder's alignment (see the note at the top of
-// internal/walkindex/walkorder.go).
-//
-//go:noinline
+// push appends the next step's lists.
 func (d *Diffs) push(add, sub []int) {
 	for _, x := range add {
 		d.IDs = append(d.IDs, int32(x))

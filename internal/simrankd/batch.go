@@ -35,14 +35,13 @@ const maxRequestBody = 8 << 20
 // NDJSON response is buffered before streaming, so without this cap one
 // modest-looking request on a large graph could hold gigabytes of response.
 // 8M float64 scores is 64 MB of rows before encoding. The same figure
-// bounds the per-chunk dense intermediate a mapped index sweeps for every
-// batch mode (see batchChunk) — there the response stays small, so chunking
-// suffices and no request has to be refused.
+// bounds the per-chunk rows of every batch mode, each up to n scores (see
+// batchChunk) — there the response stays small, so chunking suffices and
+// no request has to be refused.
 const maxDenseBatchScores = 8 << 20
 
 // batchChunk returns how many sources one rows call may carry so that even
-// swept dense (a mapped index) its intermediate rows stay within
-// maxDenseBatchScores.
+// rows with a score for every vertex stay within maxDenseBatchScores.
 func batchChunk(n int) int {
 	chunk := maxDenseBatchScores / max(n, 1)
 	return max(chunk, 1)
@@ -232,10 +231,9 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 		return lines, itemErrors, false, nil
 	}
 
-	// Misses are fetched in chunks: where rows are swept dense below the
-	// seam (a mapped index) a chunk holds one float64 row of n per source,
-	// so an unchunked batch on a large graph would pin len(miss)*n*8 bytes
-	// at once. Each chunk's rows are released before the next starts;
+	// Misses are fetched in chunks: a row may hold a score for each of the
+	// n vertices, so an unchunked batch on a large graph could pin
+	// len(miss)*n*8 bytes at once. Each chunk's rows are released before the next starts;
 	// per-source results are unaffected (every row is independent of which
 	// batch it was computed in).
 	bodies := make([][]byte, len(miss))

@@ -91,11 +91,12 @@ func (sv *serving) handleEdges(apply func(context.Context, []graph.Edit) (edgesR
 		resp, err := apply(r.Context(), edits)
 		if err != nil {
 			// Invalid edits are the client's fault; an index beyond the
-			// incremental-maintenance capacity is ours; a statusError speaks
-			// for itself.
+			// incremental-maintenance capacity is ours, and so is an index
+			// file the applied batch could not be written back to; a
+			// statusError speaks for itself.
 			code := http.StatusBadRequest
 			var se *statusError
-			if errors.Is(err, query.ErrTooLarge) {
+			if errors.Is(err, query.ErrTooLarge) || errors.Is(err, query.ErrWriteBack) {
 				code = http.StatusInternalServerError
 			} else if errors.As(err, &se) {
 				code = se.status

@@ -208,8 +208,8 @@ var (
 	dropVisit = regexp.MustCompile(`"index_visit_bytes":\d+,`)
 	// index_bytes of a dense backend measured 4·n·R·K at the parent; it is
 	// the resident store's ragged layout now, a function of how many walks
-	// live how long. It is dropped from both sides before comparing; a
-	// mapped backend's index_bytes (the file size) stays pinned.
+	// live how long. It is dropped from both sides before comparing (for a
+	// shard opened mapped see maskMappedBacking).
 	dropDenseBytes = regexp.MustCompile(`"index_bytes":\d+,("index_forest_bytes":\d+,"backend":"dense")`)
 )
 
@@ -250,7 +250,6 @@ func transcribe(t *testing.T, out *bytes.Buffer, h http.Handler, sv *serving, ph
 		b = maskUptime.ReplaceAll(b, []byte(`"uptime_seconds":0`))
 		b = dropVisit.ReplaceAll(b, nil)
 		b = dropDenseBytes.ReplaceAll(b, []byte("$1"))
-		b = bytes.Replace(b, []byte(`"backend":"mapped-readat"`), []byte(`"backend":"mapped"`), 1)
 		out.Write(b)
 		if len(b) == 0 || b[len(b)-1] != '\n' {
 			out.WriteString("\n(no trailing newline)\n")

@@ -105,8 +105,8 @@ func (s *ShardServer) handleScores(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "batch of %d sources exceeds the %d limit", len(req.Sources), s.maxBatch)
 		return
 	}
-	// The same dense-intermediate bound the single-node batch enforces,
-	// against this shard's row width: a mapped shard still sweeps dense.
+	// The same row bound the single-node batch enforces, against this
+	// shard's row width: a row may hold a score for every owned vertex.
 	if width := s.idx.Hi() - s.idx.Lo(); int64(len(req.Sources))*int64(max(width, 1)) > maxDenseBatchScores {
 		s.writeError(w, http.StatusBadRequest,
 			"%d sources on a %d-vertex shard exceed %d total scores; split the batch",
@@ -236,14 +236,15 @@ type shardHealthzResponse struct {
 	C          float64 `json:"c"`
 	Seed       int64   `json:"seed"`
 	IndexBytes int64   `json:"index_bytes"`
-	// ForestBytes is the coalescence order a dense shard answers from,
-	// derived state on top of IndexBytes; 0 when mapped.
+	// ForestBytes is the coalescence order the shard answers from,
+	// derived state on top of IndexBytes.
 	ForestBytes int64 `json:"index_forest_bytes"`
 	// VisitBytes is the inverted visit index edits repair the owned walks
 	// through; 0 until the first batch (or -prewarm-updates) builds it.
 	VisitBytes int64 `json:"index_visit_bytes"`
-	// Backend is the walk-storage backing: "dense" in memory, "mapped"
-	// (or "mapped-readat") when serving a demand-paged v2 shard file.
+	// Backend is how the walk rows are kept: "dense" in memory only,
+	// "write-back" when edit batches are also written to the shard file
+	// (-index-mmap).
 	Backend    string  `json:"backend"`
 	Generation uint64  `json:"generation"`
 	UptimeSecs float64 `json:"uptime_seconds"`

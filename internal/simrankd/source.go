@@ -115,15 +115,16 @@ type healthzResponse struct {
 	Horizon    int     `json:"horizon"`
 	C          float64 `json:"c"`
 	IndexBytes int64   `json:"index_bytes"`
-	// ForestBytes is the coalescence order a dense index answers from,
-	// derived state on top of IndexBytes; 0 when mapped.
+	// ForestBytes is the coalescence order the index answers from,
+	// derived state on top of IndexBytes.
 	ForestBytes int64 `json:"index_forest_bytes"`
 	// VisitBytes is the inverted visit index edits repair walks through,
 	// also on top of IndexBytes; 0 until the first batch (or -prewarm-updates)
 	// builds it.
 	VisitBytes int64 `json:"index_visit_bytes"`
-	// Backend is the walk-storage backing: "dense" in memory, "mapped"
-	// (or "mapped-readat") when serving a demand-paged v2 index file.
+	// Backend is how the walk rows are kept: "dense" in memory only,
+	// "write-back" when edit batches are also written to the index file
+	// (-index-mmap).
 	Backend    string  `json:"backend"`
 	Generation uint64  `json:"generation"`
 	UptimeSecs float64 `json:"uptime_seconds"`

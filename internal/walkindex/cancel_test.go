@@ -10,20 +10,13 @@ import (
 )
 
 // TestQueriesHonorCancellation: a cancelled context aborts every query
-// path — the coalescence order of a resident index and the sweep a mapped
-// one keeps — with the context's error instead of completing.
+// path with the context's error instead of completing.
 func TestQueriesHonorCancellation(t *testing.T) {
 	g := gen.WebGraph(300, 6, 17)
-	built, err := buildFull(g, Options{Walks: 50, Seed: 11})
+	ix, err := buildFull(g, Options{Walks: 50, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ix := range []*Index{built, sweepOracle(built)} {
-		queriesHonorCancellation(t, ix)
-	}
-}
-
-func queriesHonorCancellation(t *testing.T, ix *Index) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -48,8 +41,8 @@ func queriesHonorCancellation(t *testing.T, ix *Index) {
 	}
 }
 
-// TestCancellationMidSweep: cancelling while a sweep is in flight makes it
-// return promptly with the context's error (the chunk-boundary polls).
+// TestCancellationMidSweep: cancelling while a batch is in flight makes it
+// return promptly with the context's error (the per-fingerprint polls).
 func TestCancellationMidSweep(t *testing.T) {
 	g := gen.WebGraph(400, 8, 23)
 	ix, err := buildFull(g, Options{Walks: 200, Seed: 13})

@@ -182,9 +182,8 @@ func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold f
 	// Parallel over fingerprints: enumerate co-located pairs into per-worker
 	// dedup sets. The slot scan is position-major — entry (v, fp, t) for
 	// every v — so each fingerprint's prefix positions (depth maxT+1) are
-	// materialized once, vertex-sequentially: owned rows stream out of the
-	// store (each backing block of a mapped store decodes once per
-	// fingerprint), foreign ones are recomputed as prefix walks,
+	// materialized once, vertex-sequentially: owned rows are read from the
+	// store, foreign ones are recomputed as prefix walks,
 	// bit-identical to the rows the owning range stores. That is
 	// O(n·(maxT+1)) per fingerprint — the same order as scanning the slots
 	// it feeds. Grouping a slot by position uses intrusive chains (head/next
@@ -206,7 +205,6 @@ func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold f
 			if overflow.Load() || check.Stop() != nil {
 				return
 			}
-			ix.store.Prefetch(0, ix.hi-ix.lo) // owned rows stream in vertex order
 			for v := 0; v < ix.n; v++ {
 				row := pos[v*depth : (v+1)*depth]
 				if ix.Owns(v) {
@@ -299,7 +297,7 @@ func (ix *Index) ScorePairs(ctx context.Context, g *graph.Graph, keys []uint64, 
 	parts := par.ResolveMax(workers, len(keys))
 	par.Do(parts, func(w int) {
 		lo, hi := par.Range(len(keys), parts, w)
-		check := par.NewCancelChecker(ctx, cancelCheckTargets)
+		check := par.NewCancelChecker(ctx, 64) // each pair is O(R·K) work
 		// Foreign rows memoize per worker: candidate keys are sorted, so
 		// repeated a-sides hit the cache run-length style, and heavily
 		// co-located b-sides (hub vertices) hit it across keys.

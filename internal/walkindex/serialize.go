@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"slices"
 )
 
@@ -50,8 +49,8 @@ import (
 // silent misread.
 //
 // Load order — one sequence, run by readFile for both file kinds, whether
-// the result is decoded into memory (Load) or paged from the file
-// (LoadMapped):
+// the index only reads its file (Load) or also writes it back
+// (LoadWriteBack):
 //
 //  1. header parse + plausibility guards: nothing payload-sized is
 //     allocated from unvalidated fields;
@@ -67,7 +66,8 @@ import (
 //     ignore;
 //  5. per-entry range validation of the decoded paths (checked while
 //     decoding, reported only after steps 3 and 4);
-//  6. index construction from validated fields only.
+//  6. index construction from validated fields only, the coalescence
+//     order included.
 
 // FormatVersion is the on-disk format revision this build reads and
 // writes.
@@ -225,11 +225,6 @@ func readHeader(br *bufio.Reader, crc hash.Hash32, kind FileKind) (fileHeader, e
 	return h, nil
 }
 
-// newIndex is load step 6: construction from validated fields only.
-func (h fileHeader) newIndex(store PathStore) *Index {
-	return newIndex(int(h.n), int(h.lo), int(h.hi), int(h.k), int(h.r), h.c, h.seed, store)
-}
-
 // Save writes the index to w as a file of the given kind. It validates the
 // index against the load-side guards first and returns an
 // ErrFormatLimits-wrapped error instead of writing an unloadable file. The
@@ -239,92 +234,61 @@ func (ix *Index) Save(w io.Writer, kind FileKind) error {
 	if err != nil {
 		return err
 	}
-	// The codec reads r*k blocks with -1 tails. Each row is padded into one
-	// of two buffers: appendV2Block still holds the previous row while it
-	// reads the next.
-	var pad [2][]int32
-	rowOf := func(v int) []int32 {
-		pad[v%2] = ix.denseRow(v, pad[v%2])
-		return pad[v%2]
-	}
-	blocks, err := encodeV2Blocks(rowOf, ix.hi-ix.lo, ix.k, ix.r)
-	if err != nil {
-		return err
-	}
-	return writeV2(w, h.preamble(v2BlockVertices, len(blocks)), blocks, kind.String())
-}
-
-// denseRow writes store-local vertex v's walks into dst as an r*k block,
-// -1 from each walk's death onward, and returns it (dst is reallocated
-// when short).
-func (ix *Index) denseRow(v int, dst []int32) []int32 {
-	if cap(dst) < ix.r*ix.k {
-		dst = make([]int32, ix.r*ix.k)
-	}
-	dst = dst[:ix.r*ix.k]
-	row := ix.store.row(v)
-	for fp := 0; fp < ix.r; fp++ {
-		w := dst[fp*ix.k : (fp+1)*ix.k]
-		for t := copy(w, row.walk(fp)); t < ix.k; t++ {
-			w[t] = -1
+	nb := int(v2NumBlocks(int64(ix.Width()), v2BlockVertices))
+	var payload []byte
+	lens := make([]int64, nb)
+	for b := range lens {
+		n := len(payload)
+		if payload, err = ix.store.appendBlock(payload, b, v2BlockVertices); err != nil {
+			return err
 		}
+		lens[b] = int64(len(payload) - n)
 	}
-	return dst
+	return writeV2(w, h.preamble(v2BlockVertices, nb), lens, func(b int, w io.Writer) error {
+		_, err := w.Write(payload[:lens[b]])
+		payload = payload[lens[b]:]
+		return err
+	}, kind.String())
 }
 
 // Load reads a file of the given kind written by Save or BuildStreaming
 // and decodes it into a resident index: each block is decoded into one
-// reused buffer and its live prefixes are kept (use LoadMapped to page the
-// file on demand instead). It rejects files with a wrong magic, an unsupported
-// format version, a truncated payload, a checksum mismatch, or trailing
-// data after the trailer, in the documented load order above.
+// reused buffer and its live prefixes are kept. It rejects files with a
+// wrong magic, an unsupported format version, a truncated payload, a
+// checksum mismatch, or trailing data after the trailer, in the documented
+// load order above. The index never writes; LoadWriteBack (writeback.go)
+// loads one that keeps its file in step with every Update.
 func Load(r io.Reader, kind FileKind) (*Index, error) {
-	f, err := readFile(r, kind, true)
+	f, err := readFile(r, kind)
 	if err != nil {
 		return nil, err
 	}
-	ix := f.hdr.newIndex(joinStores(int(f.hdr.r), int(f.hdr.k), []*raggedStore{f.rows}))
-	ix.forest = buildForest(ix, 0)
-	return ix, nil
+	return f.newIndex(), nil
 }
 
-// LoadMapped opens a file of the given kind for demand paging instead of
-// decoding it into memory. The whole file is validated up front — same
-// checks, same order as Load — but the decoded payload is discarded block
-// by block; only the ~16 B/block directory stays resident. Call Close when
-// done to release the mapping.
-func LoadMapped(path string, kind FileKind, opts MappedOptions) (*Index, error) {
-	src, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("walkindex: opening mapped %s: %w", kind, err)
-	}
-	defer src.Close()
-	f, err := readFile(src, kind, false)
-	if err != nil {
-		return nil, err
-	}
-	ms, err := newMappedStore(path, f, opts)
-	if err != nil {
-		return nil, err
-	}
-	return f.hdr.newIndex(ms), nil
-}
-
-// validFile is what readFile vouches for: the header, the block geometry,
-// and — when asked to keep them — the decoded walks.
+// validFile is what readFile vouches for: the header, the block geometry
+// and the decoded walks.
 type validFile struct {
 	hdr    fileHeader
 	blockB int64
 	dir    []int64      // numBlocks+1 payload byte offsets
-	rows   *raggedStore // every row's live prefixes; nil unless kept
+	rows   *raggedStore // every row's live prefixes
+}
+
+// newIndex is load step 6: the index over the decoded rows, with its
+// coalescence order.
+func (f *validFile) newIndex() *Index {
+	h := f.hdr
+	ix := newIndex(int(h.n), int(h.lo), int(h.hi), int(h.k), int(h.r), h.c, h.seed, joinStores(int(h.r), int(h.k), []*raggedStore{f.rows}))
+	ix.forest = buildForest(ix, 0)
+	return ix
 }
 
 // readFile is the one reader: it runs load steps 1–5 over r. Every block
-// decodes into one reused buffer, so validating a file costs a single
-// block of decoded memory; with keepPaths the live prefixes of each block
-// are appended to a ragged store as they come, which grows with the bytes
-// actually read and never holds the dense index.
-func readFile(r io.Reader, kind FileKind, keepPaths bool) (*validFile, error) {
+// decodes into one reused buffer and the live prefixes of each block are
+// appended to a ragged store as they come, so reading a file grows with
+// the bytes actually read and never holds the dense index.
+func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 	// The CRC must cover exactly the bytes logically consumed (a tee under
 	// bufio would also hash read-ahead, including the trailing checksum),
 	// so readFull feeds each chunk to the hash by hand.
@@ -342,10 +306,7 @@ func readFile(r io.Reader, kind FileKind, keepPaths bool) (*validFile, error) {
 		return nil, err
 	}
 
-	f := &validFile{hdr: hdr, blockB: blockB, dir: dir}
-	if keepPaths {
-		f.rows = newRaggedStore(int(fps), int(k))
-	}
+	f := &validFile{hdr: hdr, blockB: blockB, dir: dir, rows: newRaggedStore(int(fps), int(k))}
 	var blockBuf []byte
 	var scratch []int32
 	var rangeErr error
@@ -370,11 +331,9 @@ func readFile(r io.Reader, kind FileKind, keepPaths bool) (*validFile, error) {
 		if err := decodeV2Block(buf, dst, int(width), int(k), int(fps)); err != nil {
 			return nil, fmt.Errorf("walkindex: %s block %d: %w", what, b, err)
 		}
-		if keepPaths {
-			stride := int(fps * k)
-			for v := 0; v < need; v += stride {
-				f.rows.appendVertex(dst[v : v+stride])
-			}
+		stride := int(fps * k)
+		for v := 0; v < need; v += stride {
+			f.rows.appendVertex(dst[v : v+stride])
 		}
 		// Step 5 runs here, block by block, but an out-of-range entry is
 		// held back until the checksum and trailing-data probe have run.

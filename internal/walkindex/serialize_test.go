@@ -64,9 +64,10 @@ func v1Bytes(t testing.TB, ix *Index, kind FileKind) []byte {
 }
 
 // opening is one of the four ways bytes reach readFile: either file kind,
-// decoded into memory or validated for mapping. Every rejection test below
-// runs over all four, so the documented load order is asserted for each
-// opening by the same code instead of kept by convention.
+// read by Load from a stream or by LoadWriteBack from a path (the
+// "mapped" openings, after the flag that selects them). Every rejection
+// test below runs over all four, so the documented load order is asserted
+// for each opening by the same code instead of kept by convention.
 type opening struct {
 	name   string
 	kind   FileKind
@@ -97,7 +98,7 @@ func (o opening) open(t *testing.T, data []byte) (*Index, error) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := LoadMapped(path, o.kind, MappedOptions{})
+	ix, err := LoadWriteBack(path, o.kind)
 	if err == nil {
 		t.Cleanup(func() { ix.Close() })
 	}
@@ -290,7 +291,7 @@ func TestLoadRejectsOutOfRangePath(t *testing.T) {
 			paths = append(paths, ix.denseRow(v, nil)...)
 		}
 		paths[2*ix.k] = 1_000_000
-		bad := newIndex(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed, newDenseStore(paths, ix.r, ix.k))
+		bad := newIndex(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed, buildRagged(newDenseStore(paths, ix.r, ix.k)))
 		data := saveBytes(t, bad, o.kind)
 
 		_, err := o.open(t, data)

@@ -148,7 +148,7 @@ func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io
 			row := sliceBuf[(v-slo)*stride : (v-slo+1)*stride]
 			// The codec's predecessor row: none at a block boundary, the
 			// carried copy at a slice boundary, the in-slice neighbor
-			// otherwise — the same predecessor appendV2Block would see.
+			// otherwise — the same predecessor appendBlock sees.
 			var prev []int32
 			switch {
 			case v%v2BlockVertices == 0:
@@ -161,13 +161,9 @@ func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io
 			for fp := 0; fp < r; fp++ {
 				var p []int32
 				if prev != nil {
-					p = prev[fp*k : (fp+1)*k]
+					p = livePrefix(prev[fp*k : (fp+1)*k])
 				}
-				var err error
-				enc, err = appendWalk(enc, row[fp*k:(fp+1)*k], p)
-				if err != nil {
-					return nil, err
-				}
+				enc = appendWalk(enc, livePrefix(row[fp*k:(fp+1)*k]), p)
 			}
 			if (v+1)%v2BlockVertices == 0 || v+1 == rows {
 				if len(enc) > maxV2BlockBytes {

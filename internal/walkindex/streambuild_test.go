@@ -41,7 +41,7 @@ func streamBudgets(stride int) []int64 {
 // graphs, every budget (including ones forcing one-vertex slices), and
 // every worker count, BuildStreaming writes the exact bytes of Save on a
 // materialized Build — and the file round-trips
-// through both Load and LoadMapped to an Equal index.
+// through both Load and LoadWriteBack to an Equal index.
 func TestBuildStreamingByteIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"web":    gen.WebGraph(200, 6, 3),
@@ -77,8 +77,8 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 			}
 		}
 
-		// One round trip per graph: the streamed file loads dense and mapped
-		// to an index Equal to the materialized build.
+		// One round trip per graph: the streamed file loads, from a stream
+		// and for write-back, to an index Equal to the materialized build.
 		loaded, err := Load(bytes.NewReader(want.Bytes()), IndexFile)
 		if err != nil {
 			t.Fatalf("%s: loading streamed bytes: %v", name, err)
@@ -90,12 +90,12 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 		if err := os.WriteFile(path, want.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mx, err := LoadMapped(path, IndexFile, MappedOptions{})
+		mx, err := LoadWriteBack(path, IndexFile)
 		if err != nil {
-			t.Fatalf("%s: mapping streamed bytes: %v", name, err)
+			t.Fatalf("%s: opening streamed bytes for write-back: %v", name, err)
 		}
 		if !mx.Equal(dense) {
-			t.Fatalf("%s: mapped streamed index != dense build", name)
+			t.Fatalf("%s: write-back streamed index != dense build", name)
 		}
 		mx.Close()
 	}

@@ -38,11 +38,10 @@ var ErrTooLarge = errors.New("walkindex: index too large for incremental updates
 // visit index are global (an owned walk can occupy any vertex of the
 // graph), so a sharded deployment repairs each range's walks with exactly
 // the code the single-node daemon runs — the union of per-range repairs is
-// the single-node repair. Reads and writes route through the PathStore
-// seam: the resident store rewrites a repaired group in place or in its
-// tail arena (walkstore.go); a mapped store mutates decoded overlay
-// blocks, and Update flushes the dirty blocks back to the index file
-// afterwards (mapped.go).
+// the single-node repair. The resident store rewrites a repaired group in
+// place or in its tail arena (walkstore.go); an index opened with
+// LoadWriteBack then rewrites the posting blocks of the repaired vertices
+// in its file (writeback.go).
 
 // visitPosting says a walk's path occupies some vertex, first at the given
 // time. Walk ids are store-local — (v-lo)*R + fp — bounded by maxWalks.
@@ -76,18 +75,6 @@ func lookupVisit(list []visitPair, x int32) (uint16, bool) {
 		}
 	}
 	return 0, false
-}
-
-// flushStore persists pending repairs when the backend keeps one (a mapped
-// store's dirty-block overlay); resident stores have nothing to flush. On
-// error the in-memory index already holds the repair — queries stay
-// consistent, and a later successful Update persists both batches — but
-// the backing file does not.
-func flushStore(st PathStore) error {
-	if f, ok := st.(interface{ flush() error }); ok {
-		return f.flush()
-	}
-	return nil
 }
 
 // PrepareUpdate builds the inverted visit index eagerly (it is otherwise
@@ -198,10 +185,12 @@ func firstVisitsPath(start int32, path []int32, dst []visitPair) []visitPair {
 // fleet applying the same edits stays a consistent partition of the
 // single-node index. It returns the number of walks repaired.
 //
-// On a resident index Update also moves the repaired walkers to their new
-// ranks in the coalescence order (forest.patch) — one pass per touched
-// fingerprint, never a re-sort — and the patched order is the one that
-// fresh Build sorts, entry for entry.
+// Update also moves the repaired walkers to their new ranks in the
+// coalescence order (forest.patch) — one pass per touched fingerprint,
+// never a re-sort — and the patched order is the one that fresh Build
+// sorts, entry for entry. On an index opened with LoadWriteBack it then
+// writes the repaired blocks back to the file; if that fails, the error
+// wraps ErrWriteBack and the index in memory is repaired all the same.
 //
 // Update must not run concurrently with queries or other Updates; callers
 // serving live traffic serialize it behind a write lock (see cmd/simrankd).
@@ -217,15 +206,19 @@ func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
 	if err := ix.PrepareUpdate(workers); err != nil {
 		return 0, err
 	}
-	repaired := ix.repair(g, dirty, workers)
-	return repaired, flushStore(ix.store)
+	walks := ix.repair(g, dirty, workers)
+	if ix.file == nil {
+		return len(walks), nil
+	}
+	ix.file.markDirty(walks, ix.r)
+	return len(walks), ix.writeBack()
 }
 
 // repair recomputes the suffixes of stored walks that occupy a dirty
 // vertex before the horizon and patches the visit index and the
-// coalescence order, returning the number of walks repaired. The caller
-// validates dirty and has built ix.visits.
-func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) int {
+// coalescence order, returning the repaired store-local walk ids,
+// ascending. The caller validates dirty and has built ix.visits.
+func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) []int32 {
 	// A walk is affected iff it occupies some dirty vertex at a time from
 	// which a further move is made, i.e. before the horizon; repair starts
 	// at the earliest such occupancy.
@@ -241,7 +234,7 @@ func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) int {
 		}
 	}
 	if len(firstDirty) == 0 {
-		return 0
+		return nil
 	}
 	walks := make([]int32, 0, len(firstDirty))
 	for w := range firstDirty {
@@ -317,8 +310,6 @@ func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) int {
 	for _, rv := range additions {
 		ix.addVisit(rv.x, rv.p)
 	}
-	if ix.forest != nil {
-		ix.forest.patch(ix, walks, workers)
-	}
-	return len(walks)
+	ix.forest.patch(ix, walks, workers)
+	return walks
 }

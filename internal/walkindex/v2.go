@@ -14,8 +14,9 @@ import (
 //
 // The payload stores the walk blocks of v2BlockVertices consecutive start
 // vertices per posting block, each block independently decodable, with a
-// byte-offset directory so a mapped store can page single blocks on
-// demand (mapped.go). Within a block, each walk is encoded as:
+// byte-offset directory so a write-back index can re-encode the blocks an
+// edit batch touched and copy the others (writeback.go). Within a block,
+// each walk is encoded as:
 //
 //	uvarint hdr = m<<1 | shared
 //	uvarint first          — entry 0            (only when m > 0)
@@ -24,8 +25,8 @@ import (
 // followed by an implicit tail for entries [m, k):
 //
 //	shared == 0: the tail is dead (-1). m is the walk's live length —
-//	  walkFrom writes -1 from the first death onward, so the dead suffix
-//	  is always canonical and never needs storing.
+//	  a walk stays dead after its first death, so the dead suffix never
+//	  needs storing.
 //	shared == 1: the tail is copied from the SAME fingerprint's walk of
 //	  the PREVIOUS vertex in the block. Coupled walkers coalesce
 //	  permanently once co-located (the edge choice depends only on
@@ -39,10 +40,9 @@ import (
 // exactly, and load → save reproduces a file byte for byte.
 
 // v2BlockVertices is the number of start vertices per posting block. Small
-// enough that a mapped point query decodes little beyond the row it needs
-// (64 vertices × R×K×4 B ≈ 665 KB at R=200, K=13), large enough that
-// suffix sharing between consecutive vertices gets traction and the
-// directory stays tiny.
+// enough that an edit batch's write-back re-encodes little beyond the
+// vertices it repaired, large enough that suffix sharing between
+// consecutive vertices gets traction and the directory stays tiny.
 const v2BlockVertices = 64
 
 // maxV2BlockVertices bounds the header-declared block size at load time.
@@ -68,29 +68,21 @@ func v2NumBlocks(rows, blockB int64) int64 {
 	return (rows + blockB - 1) / blockB
 }
 
-// appendWalk appends one walk's v2 encoding to dst. prev is the same
-// fingerprint's walk of the previous vertex in the block (nil for the
-// block's first vertex).
-func appendWalk(dst []byte, path, prev []int32) ([]byte, error) {
-	k := len(path)
-	live := 0
-	for live < k && path[live] >= 0 {
-		live++
-	}
-	for t := live; t < k; t++ {
-		if path[t] != -1 {
-			return nil, fmt.Errorf("walkindex: cannot encode non-canonical walk (entry %d after death is %d)", t, path[t])
-		}
-	}
-	m, shared := live, false
-	if prev != nil {
-		s := k
+// appendWalk appends one walk's v2 encoding to dst. path is the walk's
+// live prefix and prev the live prefix of the same fingerprint's walk of
+// the previous vertex in the block (nil for the block's first vertex).
+// Both tails past the prefixes are dead, so a shared tail is possible only
+// between walks of equal live length: any other pair differs at the
+// longer one's last live step.
+func appendWalk(dst []byte, path, prev []int32) []byte {
+	m, shared := len(path), false
+	if len(prev) == m {
+		s := m
 		for s > 0 && path[s-1] == prev[s-1] {
 			s--
 		}
-		// Strictly fewer explicit entries than the dead-tail form; the
-		// shared prefix [0, s) is all live because s < live.
-		if s < live {
+		// Strictly fewer explicit entries than the dead-tail form.
+		if s < m {
 			m, shared = s, true
 		}
 	}
@@ -105,7 +97,7 @@ func appendWalk(dst []byte, path, prev []int32) ([]byte, error) {
 			dst = binary.AppendVarint(dst, int64(path[i])-int64(path[i-1]))
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // decodeWalk decodes one walk from buf into dst (len k), resolving a
@@ -159,24 +151,26 @@ func decodeWalk(buf []byte, dst, prev []int32) (int, error) {
 	return pos, nil
 }
 
-// appendV2Block appends the encoding of one posting block — store-local
-// vertices [vlo, vlo+width), all r walks each — to dst.
-func appendV2Block(dst []byte, rowOf func(v int) []int32, vlo, width, k, r int) ([]byte, error) {
-	var prevBlk []int32
-	for v := vlo; v < vlo+width; v++ {
-		blk := rowOf(v)
-		for fp := 0; fp < r; fp++ {
-			var prev []int32
-			if prevBlk != nil {
-				prev = prevBlk[fp*k : (fp+1)*k]
+// appendBlock appends to dst the encoding of posting block b of a file
+// with blockB start vertices per block: the stored vertices [b·blockB,
+// (b+1)·blockB) ∩ [0, Rows), all r walks each. Save and the write-back
+// (writeback.go) both encode through it.
+func (s *raggedStore) appendBlock(dst []byte, b, blockB int) ([]byte, error) {
+	vlo, start := b*blockB, len(dst)
+	cur, prev := make([][]int32, 0, s.r), make([][]int32, 0, s.r)
+	for v := vlo; v < min(vlo+blockB, s.Rows()); v++ {
+		cur = s.walks(v, cur[:0])
+		for fp, w := range cur {
+			var p []int32
+			if v > vlo {
+				p = prev[fp]
 			}
-			var err error
-			dst, err = appendWalk(dst, blk[fp*k:(fp+1)*k], prev)
-			if err != nil {
-				return nil, err
-			}
+			dst = appendWalk(dst, w, p)
 		}
-		prevBlk = blk
+		cur, prev = prev, cur
+	}
+	if n := len(dst) - start; n > maxV2BlockBytes {
+		return nil, fmt.Errorf("%w: encoded posting block of %d bytes exceeds %d", ErrFormatLimits, n, maxV2BlockBytes)
 	}
 	return dst, nil
 }
@@ -206,30 +200,11 @@ func decodeV2Block(buf []byte, dst []int32, width, k, r int) error {
 	return nil
 }
 
-// encodeV2Blocks encodes every posting block of a store with `rows` start
-// vertices.
-func encodeV2Blocks(rowOf func(v int) []int32, rows, k, r int) ([][]byte, error) {
-	nb := int(v2NumBlocks(int64(rows), v2BlockVertices))
-	blocks := make([][]byte, nb)
-	for b := 0; b < nb; b++ {
-		vlo := b * v2BlockVertices
-		width := min(v2BlockVertices, rows-vlo)
-		enc, err := appendV2Block(nil, rowOf, vlo, width, k, r)
-		if err != nil {
-			return nil, err
-		}
-		if len(enc) > maxV2BlockBytes {
-			return nil, fmt.Errorf("%w: encoded posting block of %d bytes exceeds %d", ErrFormatLimits, len(enc), maxV2BlockBytes)
-		}
-		blocks[b] = enc
-	}
-	return blocks, nil
-}
-
 // writeV2 writes a v2 file: pre (the format header including the block
 // size and count), the block directory derived from the block lengths, the
-// concatenated blocks, and the CRC trailer over everything before it.
-func writeV2(w io.Writer, pre []byte, blocks [][]byte, what string) error {
+// blocks — emit(b, w) writes block b's lens[b] bytes — and the CRC trailer
+// over everything before it.
+func writeV2(w io.Writer, pre []byte, lens []int64, emit func(b int, w io.Writer) error, what string) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
 	if _, err := bw.Write(pre); err != nil {
@@ -241,15 +216,15 @@ func writeV2(w io.Writer, pre []byte, blocks [][]byte, what string) error {
 	if _, err := bw.Write(tmp[:]); err != nil {
 		return fmt.Errorf("walkindex: writing %s directory: %w", what, err)
 	}
-	for _, blk := range blocks {
-		off += uint64(len(blk))
+	for _, n := range lens {
+		off += uint64(n)
 		binary.LittleEndian.PutUint64(tmp[:], off)
 		if _, err := bw.Write(tmp[:]); err != nil {
 			return fmt.Errorf("walkindex: writing %s directory: %w", what, err)
 		}
 	}
-	for _, blk := range blocks {
-		if _, err := bw.Write(blk); err != nil {
+	for b := range lens {
+		if err := emit(b, bw); err != nil {
 			return fmt.Errorf("walkindex: writing %s blocks: %w", what, err)
 		}
 	}

@@ -19,31 +19,20 @@
 // and every fingerprint, the first step t at which q's and v's walkers
 // stand on the same vertex: it contributes C^t, and the average over
 // fingerprints estimates s(q, v) truncated at horizon K. No Theta(n^2)
-// state is ever materialized, and there are two ways to find the meetings;
-// which one runs is a property of the storage backend, not an option:
-//
-//   - An index whose rows are resident (Build, Load, every shard range)
-//     keeps a per-fingerprint coalescence order (walkorder.go): the walkers
-//     sorted so that everyone who ever meets q is a contiguous
-//     neighbourhood of q. A query is R key searches plus a walk over those
-//     neighbourhoods — cost proportional to the number of non-zero scores,
-//     6*R bytes per vertex on top of the paths.
-//   - A mapped index (LoadMapped) sweeps the path store: O(R*K) per vertex
-//     with sequential access into one contiguous walk block, O(n*R*K) per
-//     query independent of the graph. Its block codec serves rows in
-//     sequence, not at random, so it keeps the sweep; the sweep is also the
-//     oracle the order is tested against, score for score with ==.
+// state is ever materialized. Every index keeps a per-fingerprint
+// coalescence order (walkorder.go): the walkers sorted so that everyone
+// who ever meets q is a contiguous neighbourhood of q. A query is R key
+// searches plus a walk over those neighbourhoods — cost proportional to
+// the number of non-zero scores, 6*R bytes per vertex on top of the paths.
 //
 // A walk is its positions after steps 1, 2, … up to its death at an
-// in-degree-0 vertex or the horizon. The walks live behind the PathStore
-// seam (store.go), read one walk at a time through row(v).walk(fp), where
-// an entry past the end of the slice counts as -1. Fresh builds, decoded
-// loads and every shard range keep them resident in the ragged store
-// (walkstore.go): the live prefixes only, vertex-major. The mapped store
-// (mapped.go) pages the compressed file and decodes it into dense blocks,
-// where entry (r*K + t) of vertex v's block is the position of v's
-// fingerprint-r walker after step t+1, or -1 once dead. See serialize.go
-// for the on-disk format.
+// in-degree-0 vertex or the horizon. The walks are resident in the ragged
+// store (walkstore.go), read one walk at a time through row(v).walk(fp):
+// the live prefixes only, vertex-major, where an entry past the end of the
+// slice counts as -1. See serialize.go for the on-disk format, which Save
+// writes and Load decodes into that store; an index opened with
+// LoadWriteBack also keeps its file in step with every Update
+// (writeback.go).
 //
 // An Index owns the walks of one contiguous vertex range [lo, hi) of an
 // n-vertex graph — exactly the rows a full build stores for those start
@@ -106,11 +95,10 @@ type Index struct {
 	c      float64 // damping factor
 	seed   int64
 
-	// store backs the owned walks: store.row(v-lo).walk(fp) is the
+	// store holds the owned walks: store.row(v-lo).walk(fp) is the
 	// positions of vertex v's fingerprint-fp walker after steps 1, 2, …,
-	// dead past its end. See store.go for the seam and its resident and
-	// mapped implementations.
-	store PathStore
+	// dead past its end (walkstore.go).
+	store *raggedStore
 
 	// pow[t] = c^(t+1), the first-meeting weight of path index t.
 	pow []float64
@@ -124,13 +112,16 @@ type Index struct {
 
 	// forest is the per-fingerprint coalescence order that answers
 	// SingleSource and MultiSource in time proportional to the answer (see
-	// walkorder.go). Build and Load construct it, Update patches it; nil on a
-	// mapped index, which answers by sweeping the store. Derived state,
-	// excluded from Equal, Save and Bytes.
+	// walkorder.go). Build and Load construct it, Update patches it.
+	// Derived state, excluded from Equal, Save and Bytes.
 	forest *forest
 
 	// visitBytes is the resident size of visits, kept as its lists grow.
 	visitBytes int64
+
+	// file is the index file Update writes repairs back to; nil unless
+	// the index was opened with LoadWriteBack (writeback.go).
+	file *backing
 }
 
 // resolve normalizes Options in place: defaults filled, the horizon
@@ -207,8 +198,8 @@ func Build(g *graph.Graph, opt Options, lo, hi int) (*Index, error) {
 
 // newIndex assembles an index over store from validated parameters;
 // pow[t] = c^(t+1) is derived here so every construction path (build,
-// decoded load, mapped load) weighs meetings identically.
-func newIndex(n, lo, hi, k, r int, c float64, seed int64, store PathStore) *Index {
+// load) weighs meetings identically.
+func newIndex(n, lo, hi, k, r int, c float64, seed int64, store *raggedStore) *Index {
 	ix := &Index{n: n, lo: lo, hi: hi, k: k, r: r, c: c, seed: seed, store: store}
 	ix.pow = make([]float64, k)
 	w := 1.0
@@ -296,35 +287,39 @@ func (ix *Index) C() float64 { return ix.c }
 // Seed returns the seed the index was built with.
 func (ix *Index) Seed() int64 { return ix.seed }
 
-// Bytes returns the size of the path storage: the ragged layout of a
-// resident index (offsets, walk headers, live positions and any dead
-// arena words not yet compacted), the backing file of a mapped one.
+// Bytes returns the size of the path storage: the ragged layout of the
+// resident rows (offsets, walk headers, live positions and any dead arena
+// words not yet compacted).
 func (ix *Index) Bytes() int64 { return ix.store.Bytes() }
 
-// Backend names the storage backend ("dense" or "mapped").
-func (ix *Index) Backend() string { return ix.store.Kind() }
+// Backend names how the rows are kept: "dense" when resident only,
+// "write-back" when Update also rewrites the index file they were loaded
+// from.
+func (ix *Index) Backend() string {
+	if ix.file != nil {
+		return "write-back"
+	}
+	return "dense"
+}
 
-// Close releases the storage backend (the file handle and mapping of a
-// mapped index). The index must not be queried afterwards. Closing a dense
-// index is a no-op, so callers can defer it unconditionally.
-func (ix *Index) Close() error { return ix.store.Close() }
-
-// cancelCheckTargets is how many target vertices a sweep processes
-// between context-cancellation polls: each target costs O(R·K) work, so
-// polling every 64 keeps the overhead unmeasurable while an abandoned
-// request stops burning CPU within a few hundred microseconds.
-const cancelCheckTargets = 64
+// Close releases the file handle of a write-back index. The index must not
+// be queried afterwards. Closing any other index is a no-op, so callers can
+// defer it unconditionally.
+func (ix *Index) Close() error {
+	if ix.file == nil {
+		return nil
+	}
+	return ix.file.f.Close()
+}
 
 // SingleSource estimates s(q, v) for every v and writes the result into
 // dst, which must have length N() (pass nil to allocate). It returns dst.
 // The estimate for q itself is exactly 1. It is the dedicated one-source
 // query of a full-range index (a ranged index answers through
-// MultiSource): from the coalescence order when the rows are resident, by
-// the sweep below on a mapped index — bit-identical, each score receiving
-// the same addends in the same order. Cancelling ctx abandons the query at
-// the next poll (every fingerprint of the order, every 64 targets of the
-// sweep) and returns the context's error; the contents of dst are then
-// unspecified. An uncancelled ctx never changes the result.
+// MultiSource), answered from the coalescence order. Cancelling ctx
+// abandons the query at the next poll (every fingerprint) and returns the
+// context's error; the contents of dst are then unspecified. An
+// uncancelled ctx never changes the result.
 func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]float64, error) {
 	if ix.lo != 0 || ix.hi != ix.n {
 		return nil, fmt.Errorf("walkindex: SingleSource needs a full-range index, this one owns [%d,%d) of [0,%d)", ix.lo, ix.hi, ix.n)
@@ -332,33 +327,10 @@ func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]floa
 	if dst == nil {
 		dst = make([]float64, ix.n)
 	}
-	if ix.forest != nil {
-		clear(dst)
-		if err := ix.denseForestRow(ctx, ix.store.row(q), q, dst); err != nil {
-			return nil, err
-		}
-		return dst, nil
+	clear(dst)
+	if err := ix.denseForestRow(ctx, ix.store.row(q), q, dst); err != nil {
+		return nil, err
 	}
-	qp := ix.store.row(q)
-	inv := 1 / float64(ix.r)
-	check := par.NewCancelChecker(ctx, cancelCheckTargets)
-	for v := 0; v < ix.n; v++ {
-		if err := check.Stop(); err != nil {
-			return nil, err
-		}
-		if v == q {
-			continue
-		}
-		vp := ix.store.row(v)
-		var s float64
-		for fp := 0; fp < ix.r; fp++ {
-			if t := meetStep(qp.walk(fp), vp.walk(fp)); t >= 0 {
-				s += ix.pow[t] // first meeting only: C^(t+1)
-			}
-		}
-		dst[v] = s * inv
-	}
-	dst[q] = 1
 	return dst, nil
 }
 
@@ -430,8 +402,7 @@ func pairFromRows(a, b walkRow, pow []float64, r int) float64 {
 }
 
 // Equal reports whether two indexes hold identical parameters, ranges and
-// walks (and therefore answer every query bit-identically), whatever
-// stores back them.
+// walks (and therefore answer every query bit-identically).
 func (ix *Index) Equal(other *Index) bool {
 	if ix.n != other.n || ix.lo != other.lo || ix.hi != other.hi ||
 		ix.k != other.k || ix.r != other.r || ix.c != other.c || ix.seed != other.seed {
@@ -440,7 +411,7 @@ func (ix *Index) Equal(other *Index) bool {
 	for v := 0; v < ix.Width(); v++ {
 		a, b := ix.store.row(v), other.store.row(v)
 		for fp := 0; fp < ix.r; fp++ {
-			if !slices.Equal(livePrefix(a.walk(fp)), livePrefix(b.walk(fp))) {
+			if !slices.Equal(a.walk(fp), b.walk(fp)) {
 				return false
 			}
 		}

@@ -12,7 +12,7 @@ import (
 	"oipsr/internal/sparserow"
 )
 
-// The coalescence order: output-sensitive queries on a resident index.
+// The coalescence order: output-sensitive queries.
 //
 // Within one fingerprint, walkers that stand on the same vertex at the same
 // step take the same edge from then on, so two walkers that share a live
@@ -33,15 +33,7 @@ import (
 // neighbours still meet, touching only walkers that score — the cost is
 // proportional to the answer, not to n·R·K. It is derived state like the
 // visit index: excluded from Equal, Save and Bytes, rebuilt by Build and
-// Load, patched by Update. Only an index whose rows are resident has one; a
-// mapped index keeps the sweep, whose block codec cannot serve the random
-// rows the key search and the patch read.
-//
-// (This file sorts after v2.go on purpose. The mapped path is three
-// quarters posting-block decode, whose speed moves 8% with the address the
-// linker gives decodeWalk; text is laid out in file order, so code added
-// ahead of v2.go moves it. Measured: as forest.go, mapped-edits reads +8%
-// with no source change on their path; here, none.)
+// Load, patched by Update.
 type forest struct {
 	// order[fp*width+i] is the store-local walker at rank i of fingerprint
 	// fp's key order.
@@ -52,13 +44,9 @@ type forest struct {
 	meet []uint16
 }
 
-// ForestBytes returns the resident size of the coalescence order, 0 for an
-// index that has none (mapped). It is reported beside Bytes, which keeps
-// meaning the path storage alone.
+// ForestBytes returns the resident size of the coalescence order. It is
+// reported beside Bytes, which keeps meaning the path storage alone.
 func (ix *Index) ForestBytes() int64 {
-	if ix.forest == nil {
-		return 0
-	}
 	return int64(len(ix.forest.order))*4 + int64(len(ix.forest.meet))*2
 }
 
@@ -88,14 +76,7 @@ func (ix *Index) addVisit(x int32, p visitPosting) {
 }
 
 // path returns the stored fingerprint-fp walk of store-local walker v.
-// The order's key search calls it R·log(width) times per query, so the
-// resident store is read through its concrete type: the same walk, but
-// inlined, which makes a forest query a quarter faster than the interface
-// call does.
 func (ix *Index) path(v int32, fp int) []int32 {
-	if s, ok := ix.store.(*raggedStore); ok {
-		return s.row(int(v)).walk(fp)
-	}
 	return ix.store.row(int(v)).walk(fp)
 }
 
@@ -139,7 +120,7 @@ func mergeMeet(a, b uint16) uint16 {
 	return max(a, b)
 }
 
-// buildForest sorts every fingerprint of a resident index, in parallel
+// buildForest sorts every fingerprint of an index, in parallel
 // over fingerprints (the Build worker convention).
 func buildForest(ix *Index, workers int) *forest {
 	width := ix.Width()
@@ -369,19 +350,6 @@ func (ix *Index) sparseForestRow(ctx context.Context, src walkRow, self int, row
 	return err
 }
 
-// multiSourceForest is MultiSource on a resident index: one forestRow per
-// source into the zeroed rows of out, parallel over sources. Kept out of
-// line: it is small enough now to be inlined into MultiSource, which sits
-// ahead of v2.go in the text, and growing that moves decodeWalk (see the
-// note at the top of this file).
-//
-//go:noinline
-func (ix *Index) multiSourceForest(ctx context.Context, g *graph.Graph, sources []int, out [][]float64, workers int) error {
-	return ix.eachSource(ctx, g, sources, workers, func(si int, src walkRow, self int) error {
-		return ix.denseForestRow(ctx, src, self, out[si])
-	})
-}
-
 // eachSource runs row(si, walks, store-local id) for every source of a
 // batch, parallel over sources — the worker loop the dense and the sparse
 // batch share. A failed row (ctx) stops its worker; the caller discards
@@ -409,42 +377,20 @@ func (ix *Index) eachSource(ctx context.Context, g *graph.Graph, sources []int, 
 // SparseRows is MultiSource returning each row as its non-zero entries, keyed
 // by global vertex id: out[i] lists, ascending, every owned v with
 // s(sources[i], v) != 0 — an owned source's own (q, 1) included — and its
-// scores are the dense row's, bit for bit. On a resident index the entries
-// are gathered from the cells forestRow touched in a pooled scratch row, so
-// no width-sized vector is written or scanned per source; a mapped index has
-// no order, sweeps as the dense calls do and converts, an O(width) step
-// beside its sweep. The rows come from sparserow's pool and are the
-// caller's to release; on error none are returned.
+// scores are the dense row's, bit for bit. The entries are gathered from
+// the cells forestRow touched in a pooled scratch row, so no width-sized
+// vector is written or scanned per source. The rows come from sparserow's
+// pool and are the caller's to release; on error none are returned.
 func (ix *Index) SparseRows(ctx context.Context, g *graph.Graph, sources []int, workers int) ([]*sparserow.Row, error) {
 	out := make([]*sparserow.Row, len(sources))
 	for i := range out {
 		out[i] = sparserow.Get()
 	}
-	var err error
-	switch {
-	case len(sources) == 0 || ix.Width() == 0:
-		err = ctx.Err()
-	case ix.forest != nil:
+	err := ctx.Err()
+	if len(sources) > 0 && ix.Width() > 0 {
 		err = ix.eachSource(ctx, g, sources, workers, func(si int, src walkRow, self int) error {
 			return ix.sparseForestRow(ctx, src, self, out[si])
 		})
-	case len(sources) == 1 && ix.lo == 0 && ix.hi == ix.n:
-		// One source of a full-range mapped index: the plain sweep, which a
-		// batch of one must not trade for the slot tables.
-		sp := getScratch(ix.n)
-		dense := (*sp)[:ix.n]
-		if _, err = ix.SingleSource(ctx, sources[0], dense); err == nil {
-			out[0].AppendDense(0, dense)
-		}
-		clear(dense)
-		scratchPool.Put(sp)
-	default:
-		var dense [][]float64
-		if dense, err = ix.MultiSource(ctx, g, sources, workers); err == nil {
-			for i, row := range dense {
-				out[i].AppendDense(int32(ix.lo), row)
-			}
-		}
 	}
 	if err != nil {
 		sparserow.Release(out...)

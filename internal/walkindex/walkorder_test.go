@@ -16,14 +16,39 @@ import (
 	"oipsr/internal/sparserow"
 )
 
-// sweepOracle returns a view of ix that answers by sweeping the path
-// store — the pre-forest algorithm, still the mapped path — so every test
-// here can compare the coalescence order against it with ==.
-func sweepOracle(ix *Index) *Index {
-	o := *ix
-	o.forest = nil
-	return &o
+// sweepRows is the model of the coalescence order: the sweep that answered
+// before it, every source against every owned target's stored row. Per
+// target the first-meeting weights C^(t+1) are added in fingerprint order
+// and the sum is scaled by 1/R; an owned source's own cell is exactly 1.
+// Foreign sources are recomputed from g. Tests compare the order against
+// it with ==.
+func sweepRows(ix *Index, g *graph.Graph, sources []int) [][]float64 {
+	inv := 1 / float64(ix.r)
+	out := make([][]float64, len(sources))
+	for i, q := range sources {
+		src := ix.sourceRow(g, q, nil)
+		row := make([]float64, ix.Width())
+		for v := range row {
+			if ix.lo+v == q {
+				row[v] = 1
+				continue
+			}
+			target := ix.store.row(v)
+			var s float64
+			for fp := 0; fp < ix.r; fp++ {
+				if t := meetStep(src.walk(fp), target.walk(fp)); t >= 0 {
+					s += ix.pow[t]
+				}
+			}
+			row[v] = s * inv
+		}
+		out[i] = row
+	}
+	return out
 }
+
+// sweepRow is sweepRows for one source of a full-range index.
+func sweepRow(ix *Index, q int) []float64 { return sweepRows(ix, nil, []int{q})[0] }
 
 // requireSameForest fails unless got's order and meeting steps are, entry
 // for entry, the ones a from-scratch build (want) sorted.
@@ -93,20 +118,17 @@ func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.forest == nil || full.ForestBytes() != int64(6*n*full.r) {
-		t.Fatalf("dense build: forest %v, %d bytes, want 6·n·R = %d", full.forest != nil, full.ForestBytes(), 6*n*full.r)
+	if full.ForestBytes() != int64(6*n*full.r) {
+		t.Fatalf("build: forest of %d bytes, want 6·n·R = %d", full.ForestBytes(), 6*n*full.r)
 	}
 	requireCanonicalForest(t, full)
-	oracle := sweepOracle(full)
 	want := make([][]float64, n)
 	for q := 0; q < n; q++ {
-		want[q] = ssRow(t, oracle, q)
+		want[q] = sweepRow(full, q)
 		if got := ssRow(t, full, q); !slices.Equal(got, want[q]) {
 			t.Fatalf("SingleSource(%d): order %v != sweep %v", q, got, want[q])
 		}
-		// One source of a full range: the plain-sweep conversion on the oracle.
 		requireSparseRows(t, full, nil, []int{q}, 1, want[q:q+1], "full range, order")
-		requireSparseRows(t, oracle, nil, []int{q}, 1, want[q:q+1], "full range, sweep")
 		for v := 0; v < n; v++ {
 			if p := full.Pair(nil, q, v); p != want[q][v] {
 				t.Fatalf("Pair(%d,%d) = %g, sweep row has %g", q, v, p, want[q][v])
@@ -132,18 +154,14 @@ func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				swept, err := sweepOracle(sx).MultiSource(context.Background(), g, sources, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
+				swept := sweepRows(sx, g, sources)
 				for i, q := range sources {
 					if !slices.Equal(rows[i], swept[i]) || !slices.Equal(rows[i], want[q][r[0]:r[1]]) {
 						t.Fatalf("range [%d,%d) workers %d: MultiSource row %d (q=%d) differs from the sweep", r[0], r[1], workers, i, q)
 					}
 				}
 				what := fmt.Sprintf("range [%d,%d) workers %d", r[0], r[1], workers)
-				requireSparseRows(t, sx, g, sources, workers, rows, what+", order")
-				requireSparseRows(t, sweepOracle(sx), g, sources, workers, rows, what+", sweep")
+				requireSparseRows(t, sx, g, sources, workers, rows, what)
 			}
 		}
 	}
@@ -260,9 +278,8 @@ func TestForestAfterLoadAndUpdate(t *testing.T) {
 			t.Fatal(err)
 		}
 		g = next
-		oracle := sweepOracle(loaded)
 		for q := 0; q < g.NumVertices(); q++ {
-			if !slices.Equal(ssRow(t, loaded, q), ssRow(t, oracle, q)) {
+			if !slices.Equal(ssRow(t, loaded, q), sweepRow(loaded, q)) {
 				t.Fatalf("batch %d: SingleSource(%d) from the patched order differs from the sweep", batch, q)
 			}
 		}
@@ -348,11 +365,10 @@ func FuzzForest(f *testing.F) {
 		n := g.NumVertices()
 		lo, hi := n/3, n-n/4
 		check := func(g *graph.Graph, full, part *Index, when string) {
-			oracle := sweepOracle(full)
 			sources := make([]int, n)
 			for q := range sources {
 				sources[q] = q
-				if !slices.Equal(ssRow(t, full, q), ssRow(t, oracle, q)) {
+				if !slices.Equal(ssRow(t, full, q), sweepRow(full, q)) {
 					t.Fatalf("%s: SingleSource(%d) differs from the sweep", when, q)
 				}
 			}
@@ -360,10 +376,7 @@ func FuzzForest(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			swept, err := sweepOracle(part).MultiSource(context.Background(), g, sources, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			swept := sweepRows(part, g, sources)
 			for q := range rows {
 				if !slices.Equal(rows[q], swept[q]) {
 					t.Fatalf("%s: range [%d,%d) row %d differs from the sweep", when, lo, hi, q)

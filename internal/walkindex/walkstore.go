@@ -25,8 +25,9 @@ import "slices"
 // layout.
 //
 // Readers see a walk through row(v).walk(fp): a live prefix, where an entry
-// past the end of the slice counts as -1. The mapped store's decoded dense
-// blocks hand out k entries with their -1 tail, which is the same contract.
+// past the end of the slice counts as -1. A foreign vertex's walks,
+// recomputed into a dense block, hand out k entries with their -1 tail,
+// which is the same contract.
 //
 // Repair cannot lengthen a walk in place. rewrite hands each repaired walk
 // out padded to k entries, then overwrites a group whose walks keep their
@@ -39,8 +40,8 @@ import "slices"
 // maxGroupEnd is the largest end offset a header entry holds.
 const maxGroupEnd = 1<<16 - 1
 
-// raggedStore is the resident PathStore: Build, Load and every shard range
-// keep their walks in one.
+// raggedStore holds an index's walks: Build, Load and every shard range
+// keep them in one.
 type raggedStore struct {
 	r, k   int
 	group  int     // walks per group
@@ -58,9 +59,9 @@ func newRaggedStore(r, k int) *raggedStore {
 }
 
 // walkRow is one vertex's R walks as every reader sees them: a dense block
-// of r·k entries with -1 tails (a mapped store's decoded row, or a foreign
-// vertex recomputed by walkFrom) when seg is nil, otherwise the vertex's
-// group offsets into a ragged store's data.
+// of r·k entries with -1 tails (a foreign vertex recomputed by walkFrom)
+// when seg is nil, otherwise the vertex's group offsets into a ragged
+// store's data.
 type walkRow struct {
 	data  []int32
 	seg   []int64
@@ -116,6 +117,27 @@ func entry(w []int32, t int) int32 {
 
 func (s *raggedStore) row(v int) walkRow {
 	return walkRow{data: s.data, seg: s.seg[v*s.groups : (v+1)*s.groups], group: s.group}
+}
+
+// walks appends vertex v's r walks to dst in fingerprint order, each as
+// row(v).walk(fp) returns it, reading every group header once.
+func (s *raggedStore) walks(v int, dst [][]int32) [][]int32 {
+	for g, at := range s.seg[v*s.groups : (v+1)*s.groups] {
+		lo, hi := s.span(g)
+		if at < 0 {
+			for range hi - lo {
+				dst = append(dst, nil)
+			}
+			continue
+		}
+		body, start := int(at)+(s.group+1)/2, 0
+		for i := range hi - lo {
+			end := groupEnd(s.data, int(at), i)
+			dst = append(dst, s.data[body+start:body+end:body+end])
+			start = end
+		}
+	}
+	return dst
 }
 
 // span returns the fingerprints [lo, hi) of group g.
@@ -259,13 +281,8 @@ func joinStores(r, k int, parts []*raggedStore) *raggedStore {
 	return s
 }
 
-func (s *raggedStore) Prefetch(lo, hi int) {} // nothing to page
-func (s *raggedStore) Rows() int           { return len(s.seg) / s.groups }
-func (s *raggedStore) Close() error        { return nil }
-
-// Kind keeps the resident backend's name from before the ragged layout:
-// logs, /healthz and the recorded answers say "dense".
-func (s *raggedStore) Kind() string { return "dense" }
+// Rows returns the number of stored start vertices.
+func (s *raggedStore) Rows() int { return len(s.seg) / s.groups }
 
 // Bytes is the layout: 8 bytes per (vertex, group) offset and 4 per word
 // of data — headers, live positions, and the arena's dead words.

@@ -111,14 +111,13 @@ func (ix *Index) Walks() int { return ix.wi.Walks() }
 // Seed returns the build seed.
 func (ix *Index) Seed() int64 { return ix.wi.Seed() }
 
-// Bytes returns the size of the walk storage: resident memory for a dense
-// index, the compressed backing file for a mapped one.
+// Bytes returns the resident size of the walk storage: the live walk
+// prefixes, their offsets and any dead arena words an edit batch left.
 func (ix *Index) Bytes() int64 { return ix.wi.Bytes() }
 
 // ForestBytes returns the in-memory size of the coalescence order that
-// answers queries on a dense index in output-sensitive time — 6 bytes per
-// stored walk (6·R per owned vertex), on top of Bytes; 0 for a mapped
-// index, which has none.
+// answers queries in output-sensitive time — 6 bytes per stored walk (6·R
+// per owned vertex), on top of Bytes.
 func (ix *Index) ForestBytes() int64 { return ix.wi.ForestBytes() }
 
 // VisitBytes returns the in-memory size of the inverted visit index that
@@ -167,21 +166,24 @@ type UpdateStats struct {
 // suffixes of walks through dirty vertices are recomputed, in parallel
 // across workers (1 = serial, <1 = all CPUs). g2 replaces the attached
 // graph and the generation is bumped. Update must not run concurrently
-// with queries.
+// with queries. An error wrapping ErrWriteBack means the batch is applied
+// but not yet in the index file (see LoadFileMapped).
 func (ix *Index) Update(g2 *graph.Graph, dirty []int, workers int) (walksRepaired int, err error) {
 	changed, err := ix.wi.Update(g2, dirty, workers)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrWriteBack) {
 		return 0, err
 	}
 	ix.g = g2
 	ix.gen.Add(1)
-	return changed, nil
+	return changed, err
 }
 
 // ApplyEdits applies a batch of edge edits to the attached graph and
 // repairs the index incrementally (see Update for the guarantees). It
 // requires an attached graph — call AttachGraph first on a loaded index.
-// On error the index and graph are unchanged. Every range of a fleet must
+// On error the index and graph are unchanged, except for an error wrapping
+// ErrWriteBack: the batch is then applied, stats describe it, and only
+// the index file lags (see LoadFileMapped). Every range of a fleet must
 // receive the same batches; edits are idempotent at the graph layer, so
 // re-sending one after a partial broadcast converges rather than corrupts.
 func (ix *Index) ApplyEdits(edits []graph.Edit, workers int) (UpdateStats, error) {
@@ -198,7 +200,7 @@ func (ix *Index) ApplyEdits(edits []graph.Edit, workers int) (UpdateStats, error
 		return UpdateStats{Generation: ix.gen.Load()}, nil
 	}
 	changed, err := ix.Update(g2, sum.DirtyIn, workers)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrWriteBack) {
 		return UpdateStats{}, err
 	}
 	return UpdateStats{
@@ -207,7 +209,7 @@ func (ix *Index) ApplyEdits(edits []graph.Edit, workers int) (UpdateStats, error
 		DirtyVertices: len(sum.DirtyIn),
 		WalksRepaired: changed,
 		Generation:    ix.gen.Load(),
-	}, nil
+	}, err
 }
 
 // PrepareUpdates eagerly builds the inverted visit index that Update

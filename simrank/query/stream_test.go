@@ -1,18 +1,23 @@
 package query
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"oipsr/graph"
 	"oipsr/graph/gen"
 )
 
 // TestBuildFileStreamingByteIdentical is the query-layer equivalence
 // gate: streaming the build to disk under any budget must publish
 // exactly the bytes SaveFile writes for the materialized index, and the
-// sealed file must serve (mapped) bit-identically.
+// sealed file must serve (mapped, that is write-back) bit-identically.
 func TestBuildFileStreamingByteIdentical(t *testing.T) {
 	g := gen.CitationGraph(240, 5, 3)
 	opt := Options{Walks: 30, Seed: 11}
@@ -82,4 +87,103 @@ func TestBuildFileStreamingRejectsBadBudget(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("aborted build left a file behind (stat err %v)", err)
 	}
+}
+
+// mappedEdits draws a seeded batch of edge adds and removes on g.
+func mappedEdits(rng *rand.Rand, g *graph.Graph, size int) []graph.Edit {
+	var edits []graph.Edit
+	for len(edits) < size {
+		v := rng.Intn(g.NumVertices())
+		if in := g.In(v); len(in) > 0 && rng.Intn(2) == 0 {
+			edits = append(edits, graph.Edit{Op: graph.EditRemove, U: in[rng.Intn(len(in))], V: v})
+		} else {
+			edits = append(edits, graph.Edit{Op: graph.EditAdd, U: rng.Intn(g.NumVertices()), V: v})
+		}
+	}
+	return edits
+}
+
+// requireSavedAs fails unless the file at path is, byte for byte, what
+// SaveFile writes for a fresh build of g.
+func requireSavedAs(t *testing.T, path string, g *graph.Graph, opt Options, what string) {
+	t.Helper()
+	fresh, err := BuildIndex(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join(t.TempDir(), "fresh.srwk")
+	if err := fresh.SaveFile(want); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("%s: the index file differs from SaveFile of a fresh build", what)
+	}
+}
+
+// TestLoadFileMappedWritesBack drives a seeded edit stream through an
+// index from LoadFileMapped: after every batch its file is SaveFile of a
+// fresh build on the edited graph, byte for byte. A batch whose write-back
+// fails (its directory is gone) is applied all the same — graph, walks,
+// generation — reports ErrWriteBack, and is persisted by the next batch.
+func TestLoadFileMappedWritesBack(t *testing.T) {
+	g := gen.CitationGraph(260, 4, 9)
+	opt := Options{Walks: 14, Seed: 3}
+	built, err := BuildIndex(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "walks.srwk")
+	if err := built.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	mx, err := LoadFileMapped(path, MappedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Close()
+	if err := mx.AttachGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for batch := 0; batch < 5; batch++ {
+		if _, err := mx.ApplyEdits(mappedEdits(rng, mx.Graph(), 1+batch), 2); err != nil {
+			t.Fatal(err)
+		}
+		requireSavedAs(t, path, mx.Graph(), opt, fmt.Sprintf("batch %d", batch))
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	gen0 := mx.Generation()
+	st, err := mx.ApplyEdits(mappedEdits(rng, mx.Graph(), 4), 2)
+	if !errors.Is(err, ErrWriteBack) || st.WalksRepaired == 0 || st.Generation != gen0+1 || mx.Generation() != gen0+1 {
+		t.Fatalf("batch into a removed directory: stats %+v, generation %d, err %v; want ErrWriteBack with the batch applied", st, mx.Generation(), err)
+	}
+	fresh, err := BuildIndex(mx.Graph(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mx.Equal(fresh) {
+		t.Fatal("after a failed write-back the index is not the edited graph's")
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mx.ApplyEdits(mappedEdits(rng, mx.Graph(), 2), 2); err != nil {
+		t.Fatal(err)
+	}
+	requireSavedAs(t, path, mx.Graph(), opt, "after the recovery batch")
 }

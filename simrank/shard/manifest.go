@@ -189,9 +189,9 @@ func LoadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// OpenShard loads shard i of a manifest from dir — decoded into memory,
-// or with mapped paging the shard file on demand (see query.LoadFileMapped)
-// — verifying the file against the manifest's checksum, by a streaming read
+// OpenShard loads shard i of a manifest from dir into memory — with
+// mapped, as an index that writes every edit batch back to the shard file
+// (see query.LoadFileMapped) — verifying the file against the manifest's checksum, by a streaming read
 // that never holds more than a buffer of it, and the loaded parameters
 // against the manifest's before trusting it. The returned shard has no
 // graph attached; call AttachGraph before serving.
@@ -222,7 +222,7 @@ func OpenShard(dir string, m *Manifest, i int, mapped bool) (*Shard, error) {
 	}
 	var wi *walkindex.Index
 	if mapped {
-		wi, err = walkindex.LoadMapped(path, walkindex.ShardFile, walkindex.MappedOptions{})
+		wi, err = walkindex.LoadWriteBack(path, walkindex.ShardFile)
 	} else if _, err = f.Seek(0, io.SeekStart); err == nil {
 		wi, err = walkindex.Load(f, walkindex.ShardFile)
 	}

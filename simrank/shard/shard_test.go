@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -279,9 +280,9 @@ func TestShardApplyEditsParity(t *testing.T) {
 	}
 }
 
-// TestOpenShardMappedParity: shards opened demand-paged through the
-// manifest answer bit-identically to densely opened ones, survive edits
-// (flushed back through the sealed file), and refuse what they must:
+// TestOpenShardMappedParity: shards opened mapped (write-back) through the
+// manifest answer bit-identically to read-only ones, survive edits
+// (written back through the sealed file), and refuse what they must:
 // tampered files, and index files standing in for shard files.
 func TestOpenShardMappedParity(t *testing.T) {
 	g := gen.WebGraph(57, 6, 2)
@@ -308,8 +309,8 @@ func TestOpenShardMappedParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b := mapped.Backend(); b != "mapped" && b != "mapped-readat" {
-			t.Fatalf("shard %d backend = %q", i, b)
+		if dense.Backend() != "dense" || mapped.Backend() != "write-back" {
+			t.Fatalf("shard %d backends = %q, %q", i, dense.Backend(), mapped.Backend())
 		}
 		for _, s := range []*Shard{dense, mapped} {
 			if err := s.AttachGraph(g); err != nil {
@@ -358,7 +359,7 @@ func TestOpenShardMappedParity(t *testing.T) {
 		t.Fatalf("edited shard file: got %v, want ErrShardChecksum", err)
 	}
 
-	// Tampered shard files are refused before mapping.
+	// Tampered shard files are refused before loading.
 	other := (rewritten + 1) % len(m.Shards)
 	spath := filepath.Join(dir, m.Shards[other].File)
 	sdata, err := os.ReadFile(spath)
@@ -511,5 +512,64 @@ func TestShardValidation(t *testing.T) {
 	}
 	if _, err := s.ScorePairs(ctx, []uint64{uint64(3)<<32 | 25}, 1); err == nil {
 		t.Error("out-of-range pair: expected error")
+	}
+}
+
+// TestOpenShardMappedWritesBack drives a seeded edit stream through every
+// shard of a directory opened with OpenShard(…, true): after every batch
+// each shard file is, byte for byte, the file BuildAll writes for the
+// edited graph.
+func TestOpenShardMappedWritesBack(t *testing.T) {
+	g := gen.CitationGraph(200, 4, 3)
+	opt := query.Options{Walks: 12, Seed: 5, Workers: 1}
+	dir := t.TempDir()
+	m, err := BuildAll(g, opt, dir, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]*Shard, len(m.Shards))
+	for i := range shards {
+		if shards[i], err = OpenShard(dir, m, i, true); err != nil {
+			t.Fatal(err)
+		}
+		defer shards[i].Close()
+		if err := shards[i].AttachGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for batch := 0; batch < 5; batch++ {
+		var edits []graph.Edit
+		for len(edits) < 4 {
+			v := rng.Intn(g.NumVertices())
+			if in := g.In(v); len(in) > 0 && rng.Intn(2) == 0 {
+				edits = append(edits, graph.Edit{Op: graph.EditRemove, U: in[rng.Intn(len(in))], V: v})
+			} else {
+				edits = append(edits, graph.Edit{Op: graph.EditAdd, U: rng.Intn(g.NumVertices()), V: v})
+			}
+		}
+		for _, sh := range shards {
+			if _, err := sh.ApplyEdits(edits, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g = shards[0].Graph()
+		fresh := t.TempDir()
+		if _, err := BuildAll(g, opt, fresh, len(shards), 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, fi := range m.Shards {
+			got, err := os.ReadFile(filepath.Join(dir, fi.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join(fresh, fi.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("batch %d: %s differs from a fresh BuildAll's", batch, fi.File)
+			}
+		}
 	}
 }
