@@ -175,21 +175,17 @@ func TestMappedUpdatePersists(t *testing.T) {
 	}
 }
 
-// TestShardMappedByteIdentical: a shard range opened for write-back answers
-// MultiSource and JoinCandidates like the built range, and after an edit
-// batch its file is a fresh shard build's, byte for byte.
-func TestShardMappedByteIdentical(t *testing.T) {
+// TestPrefetchShardEquivalence covers the ranged sweeps: MultiSource and
+// JoinCandidates on a shard range opened for write-back must match the
+// built range exactly.
+func TestPrefetchShardEquivalence(t *testing.T) {
 	g := gen.CitationGraph(420, 4, 19)
 	opt := Options{Walks: 16, Seed: 5}
 	sx, err := Build(g, opt, 60, 350)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := saveFile(t, sx, ShardFile)
-	wb := openWriteBack(t, path, ShardFile)
-	if !sx.Equal(wb) {
-		t.Fatal("write-back shard != built shard")
-	}
+	wb := openWriteBack(t, saveFile(t, sx, ShardFile), ShardFile)
 
 	ctx := context.Background()
 	sources := []int{0, 60, 200, 349, 419}
@@ -217,6 +213,23 @@ func TestShardMappedByteIdentical(t *testing.T) {
 	if !slices.Equal(gotCand, wantCand) {
 		t.Fatalf("JoinCandidates: %d keys, built %d", len(gotCand), len(wantCand))
 	}
+}
+
+// TestShardMappedByteIdentical: a shard range opened for write-back equals
+// the built range, and after an edit batch its file is a fresh shard
+// build's, byte for byte, and reopens as that build.
+func TestShardMappedByteIdentical(t *testing.T) {
+	g := gen.WebGraph(400, 5, 17)
+	opt := Options{Walks: 20, Seed: 6}
+	sx, err := Build(g, opt, 100, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := saveFile(t, sx, ShardFile)
+	wb := openWriteBack(t, path, ShardFile)
+	if !sx.Equal(wb) {
+		t.Fatal("write-back shard != built shard")
+	}
 
 	next, sum, err := g.ApplyEdits(editBatch(rand.New(rand.NewSource(2)), g, 4))
 	if err != nil {
@@ -225,7 +238,7 @@ func TestShardMappedByteIdentical(t *testing.T) {
 	if repaired, err := wb.Update(next, sum.DirtyIn, 2); err != nil || repaired == 0 {
 		t.Fatalf("Update: %d walks repaired, err %v", repaired, err)
 	}
-	fresh, err := Build(next, opt, 60, 350)
+	fresh, err := Build(next, opt, 100, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +246,53 @@ func TestShardMappedByteIdentical(t *testing.T) {
 		t.Fatal("write-back shard Update != fresh shard build")
 	}
 	requireFile(t, path, saveBytes(t, fresh, ShardFile), "shard after a batch")
+	if reopened := openWriteBack(t, path, ShardFile); !reopened.Equal(fresh) {
+		t.Fatal("reopened shard file != fresh shard build")
+	}
 }
 
-// TestMappedConcurrentReaders is the race gate: readers query a
-// write-back index while a writer applies edit batches, each of which
-// rewrites the file. The reader/writer lock mirrors how simrankd
-// serializes edits against queries. Run under -race in CI.
+// TestMappedConcurrentReaders drives parallel queries through one
+// write-back index; under -race this checks that reads share nothing
+// mutable.
 func TestMappedConcurrentReaders(t *testing.T) {
+	g := gen.WebGraph(300, 5, 23)
+	built, err := buildFull(g, Options{Walks: 12, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb := openWriteBack(t, saveFile(t, built, IndexFile), IndexFile)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for q := w; q < 300; q += 8 {
+				want, err := built.SingleSource(ctx, q, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := wb.SingleSource(ctx, q, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("SingleSource(%d) differs", q)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestPrefetchConcurrentReadersAndEdits is the race gate for edits:
+// readers query a write-back index while a writer applies edit batches,
+// each of which rewrites the file. The reader/writer lock mirrors how
+// simrankd serializes edits against queries. Run under -race in CI.
+func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
 	g := gen.WebGraph(400, 5, 31)
 	opt := Options{Walks: 12, Seed: 8}
 	built, err := buildFull(g, opt)
