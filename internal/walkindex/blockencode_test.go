@@ -108,11 +108,32 @@ func requireBlocksMatchModel(t testing.TB, rows []int32, r, k, blockB int, what 
 			t.Fatalf("%s: block %d encodes to %x, the padded model to %x", what, b, got, want)
 		}
 		dec := make([]int32, width*r*k)
-		if err := decodeV2Block(got, dec, width, k, r); err != nil {
+		vlen, err := decodeV2Block(got, dec, width, k, r, nil)
+		if err != nil {
 			t.Fatalf("%s: block %d does not decode: %v", what, b, err)
 		}
 		if !slices.Equal(dec, rows[vlo*r*k:(vlo+width)*r*k]) {
 			t.Fatalf("%s: block %d decodes to other walks", what, b)
+		}
+		// The recorded lengths tile the block, and each is the bytes
+		// appendVertexWalks writes for its vertex: the write-back's splice
+		// points.
+		if len(vlen) != width {
+			t.Fatalf("%s: block %d records %d vertex lengths for %d vertices", what, b, len(vlen), width)
+		}
+		off := 0
+		var prev [][]int32
+		for i, n := range vlen {
+			cur := s.walks(vlo+i, nil)
+			one := appendVertexWalks(nil, cur, prev)
+			if end := off + int(n); end > len(got) || !bytes.Equal(one, got[off:end]) {
+				t.Fatalf("%s: block %d vertex %d: recorded length %d at offset %d, appendVertexWalks writes %d bytes %x", what, b, i, n, off, len(one), one)
+			}
+			off += int(n)
+			prev = cur
+		}
+		if off != len(got) {
+			t.Fatalf("%s: block %d: vertex lengths sum to %d, the block is %d bytes", what, b, off, len(got))
 		}
 	}
 }

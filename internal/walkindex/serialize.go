@@ -272,6 +272,7 @@ type validFile struct {
 	hdr    fileHeader
 	blockB int64
 	dir    []int64      // numBlocks+1 payload byte offsets
+	vlen   []uint32     // per stored vertex: its encoded length in bytes
 	rows   *raggedStore // every row's live prefixes
 }
 
@@ -328,7 +329,7 @@ func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 			scratch = make([]int32, need)
 		}
 		dst := scratch[:need]
-		if err := decodeV2Block(buf, dst, int(width), int(k), int(fps)); err != nil {
+		if f.vlen, err = decodeV2Block(buf, dst, int(width), int(k), int(fps), f.vlen); err != nil {
 			return nil, fmt.Errorf("walkindex: %s block %d: %w", what, b, err)
 		}
 		stride := int(fps * k)

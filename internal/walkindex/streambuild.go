@@ -124,6 +124,7 @@ func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io
 	sliceBuf := make([]int32, sliceW*stride)
 	prevRow := make([]int32, stride) // last row of the previous slice
 	var enc []byte                   // current posting block's encoding
+	var curW, prevW [][]int32        // live prefixes of the row and of its predecessor
 	payloadLen := int64(0)
 	blocks, slices := 0, 0
 
@@ -150,6 +151,7 @@ func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io
 			// carried copy at a slice boundary, the in-slice neighbor
 			// otherwise — the same predecessor appendBlock sees.
 			var prev []int32
+			var p [][]int32
 			switch {
 			case v%v2BlockVertices == 0:
 				prev = nil
@@ -158,16 +160,15 @@ func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io
 			default:
 				prev = sliceBuf[(v-slo-1)*stride : (v-slo)*stride]
 			}
-			for fp := 0; fp < r; fp++ {
-				var p []int32
-				if prev != nil {
-					p = livePrefix(prev[fp*k : (fp+1)*k])
-				}
-				enc = appendWalk(enc, livePrefix(row[fp*k:(fp+1)*k]), p)
+			if prev != nil {
+				prevW = liveWalks(prevW[:0], prev, k)
+				p = prevW
 			}
+			curW = liveWalks(curW[:0], row, k)
+			enc = appendVertexWalks(enc, curW, p)
 			if (v+1)%v2BlockVertices == 0 || v+1 == rows {
-				if len(enc) > maxV2BlockBytes {
-					return nil, fmt.Errorf("%w: encoded posting block of %d bytes exceeds %d", ErrFormatLimits, len(enc), maxV2BlockBytes)
+				if err := checkBlockLen(len(enc)); err != nil {
+					return nil, err
 				}
 				if _, err := pw.Write(enc); err != nil {
 					return nil, fmt.Errorf("walkindex: writing %s blocks: %w", what, err)
@@ -200,6 +201,14 @@ func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io
 		Bytes: payloadOff + payloadLen + 4, CRC32: fileCRC,
 		SliceVertices: sliceW, Slices: slices, Blocks: blocks,
 	}, nil
+}
+
+// liveWalks appends the live prefix of each k-entry walk of row to dst.
+func liveWalks(dst [][]int32, row []int32, k int) [][]int32 {
+	for w := 0; w+k <= len(row); w += k {
+		dst = append(dst, livePrefix(row[w:w+k]))
+	}
+	return dst
 }
 
 // streamSliceVertices resolves the byte budget to a generation slice width

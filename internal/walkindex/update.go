@@ -40,8 +40,9 @@ var ErrTooLarge = errors.New("walkindex: index too large for incremental updates
 // the code the single-node daemon runs — the union of per-range repairs is
 // the single-node repair. The resident store rewrites a repaired group in
 // place or in its tail arena (walkstore.go); an index opened with
-// LoadWriteBack then rewrites the posting blocks of the repaired vertices
-// in its file (writeback.go).
+// LoadWriteBack then re-encodes the repaired vertices, and their
+// successors in the same posting block, into its file and copies every
+// other vertex's bytes (writeback.go).
 
 // visitPosting says a walk's path occupies some vertex, first at the given
 // time. Walk ids are store-local — (v-lo)*R + fp — bounded by maxWalks.
@@ -189,7 +190,8 @@ func firstVisitsPath(start int32, path []int32, dst []visitPair) []visitPair {
 // coalescence order (forest.patch) — one pass per touched fingerprint,
 // never a re-sort — and the patched order is the one that fresh Build
 // sorts, entry for entry. On an index opened with LoadWriteBack it then
-// writes the repaired blocks back to the file; if that fails, the error
+// writes the repaired vertices back to the file, re-encoding those whose
+// bytes can have changed and copying the rest; if that fails, the error
 // wraps ErrWriteBack and the index in memory is repaired all the same.
 //
 // Update must not run concurrently with queries or other Updates; callers

@@ -14,9 +14,8 @@ import (
 //
 // The payload stores the walk blocks of v2BlockVertices consecutive start
 // vertices per posting block, each block independently decodable, with a
-// byte-offset directory so a write-back index can re-encode the blocks an
-// edit batch touched and copy the others (writeback.go). Within a block,
-// each walk is encoded as:
+// byte-offset directory. Within a block, a vertex's r walks are encoded
+// one after another, each walk as:
 //
 //	uvarint hdr = m<<1 | shared
 //	uvarint first          — entry 0            (only when m > 0)
@@ -39,10 +38,12 @@ import (
 // encoding is canonical given the block layout: decode(encode(x)) == x
 // exactly, and load → save reproduces a file byte for byte.
 
-// v2BlockVertices is the number of start vertices per posting block. Small
-// enough that an edit batch's write-back re-encodes little beyond the
-// vertices it repaired, large enough that suffix sharing between
-// consecutive vertices gets traction and the directory stays tiny.
+// v2BlockVertices is the number of start vertices per posting block: large
+// enough that the directory stays tiny and a block's first vertex — the
+// one that cannot share tails — is rare. A write-back never re-encodes a
+// whole block for one repaired vertex, so the size does not set its cost:
+// it splices the repaired vertices and their successors between clean
+// runs copied from the old file (writeback.go).
 const v2BlockVertices = 64
 
 // maxV2BlockVertices bounds the header-declared block size at load time.
@@ -151,36 +152,53 @@ func decodeWalk(buf []byte, dst, prev []int32) (int, error) {
 	return pos, nil
 }
 
+// appendVertexWalks appends the encoding of one stored vertex to dst: its
+// r walks, each against the same fingerprint's walk in prev, the previous
+// vertex's walks (nil for a block's first vertex). A vertex's bytes
+// therefore depend on its own walks and its predecessor's only, which is
+// what lets a write-back re-encode the vertices an edit batch changed and
+// copy the rest (writeback.go).
+func appendVertexWalks(dst []byte, cur, prev [][]int32) []byte {
+	for fp, w := range cur {
+		var p []int32
+		if prev != nil {
+			p = prev[fp]
+		}
+		dst = appendWalk(dst, w, p)
+	}
+	return dst
+}
+
 // appendBlock appends to dst the encoding of posting block b of a file
 // with blockB start vertices per block: the stored vertices [b·blockB,
-// (b+1)·blockB) ∩ [0, Rows), all r walks each. Save and the write-back
-// (writeback.go) both encode through it.
+// (b+1)·blockB) ∩ [0, Rows), all r walks each.
 func (s *raggedStore) appendBlock(dst []byte, b, blockB int) ([]byte, error) {
 	vlo, start := b*blockB, len(dst)
-	cur, prev := make([][]int32, 0, s.r), make([][]int32, 0, s.r)
+	var cur, prev [][]int32
 	for v := vlo; v < min(vlo+blockB, s.Rows()); v++ {
 		cur = s.walks(v, cur[:0])
-		for fp, w := range cur {
-			var p []int32
-			if v > vlo {
-				p = prev[fp]
-			}
-			dst = appendWalk(dst, w, p)
-		}
+		dst = appendVertexWalks(dst, cur, prev)
 		cur, prev = prev, cur
 	}
-	if n := len(dst) - start; n > maxV2BlockBytes {
-		return nil, fmt.Errorf("%w: encoded posting block of %d bytes exceeds %d", ErrFormatLimits, n, maxV2BlockBytes)
+	return dst, checkBlockLen(len(dst) - start)
+}
+
+// checkBlockLen refuses an encoded posting block the loader would refuse.
+func checkBlockLen(n int) error {
+	if n > maxV2BlockBytes {
+		return fmt.Errorf("%w: encoded posting block of %d bytes exceeds %d", ErrFormatLimits, n, maxV2BlockBytes)
 	}
-	return dst, nil
+	return nil
 }
 
 // decodeV2Block decodes one posting block into dst (width*r*k entries,
-// vertex-major). The whole buffer must be consumed — trailing bytes inside
-// a block are a forgery, not padding.
-func decodeV2Block(buf []byte, dst []int32, width, k, r int) error {
+// vertex-major) and appends each vertex's encoded length to vlen. The
+// whole buffer must be consumed — trailing bytes inside a block are a
+// forgery, not padding.
+func decodeV2Block(buf []byte, dst []int32, width, k, r int, vlen []uint32) ([]uint32, error) {
 	pos := 0
 	for v := 0; v < width; v++ {
+		vstart := pos
 		for fp := 0; fp < r; fp++ {
 			cur := dst[(v*r+fp)*k : (v*r+fp+1)*k]
 			var prev []int32
@@ -189,15 +207,16 @@ func decodeV2Block(buf []byte, dst []int32, width, k, r int) error {
 			}
 			w, err := decodeWalk(buf[pos:], cur, prev)
 			if err != nil {
-				return err
+				return vlen, err
 			}
 			pos += w
 		}
+		vlen = append(vlen, uint32(pos-vstart))
 	}
 	if pos != len(buf) {
-		return fmt.Errorf("walkindex: %d trailing bytes inside posting block", len(buf)-pos)
+		return vlen, fmt.Errorf("walkindex: %d trailing bytes inside posting block", len(buf)-pos)
 	}
-	return nil
+	return vlen, nil
 }
 
 // writeV2 writes a v2 file: pre (the format header including the block
@@ -243,8 +262,9 @@ func writeV2(w io.Writer, pre []byte, lens []int64, emit func(b int, w io.Writer
 // of a posting block of width vertices. Every walk costs at least its one
 // header byte — so a header forging r or k over a short stream is refused
 // before the block's width*r*k decoded entries are allocated, which caps
-// the reader's allocation at 4k bytes per byte actually read — and at most
-// 2 header bytes plus 5 bytes per explicit entry.
+// the reader's allocation at 4k bytes per byte actually read, and the
+// 4-byte encoded length it records per vertex at 4/r — and at most 2
+// header bytes plus 5 bytes per explicit entry.
 func v2BlockLenPlausible(blen, width, k, r int64) bool {
 	return blen >= width*r && blen <= min(maxV2BlockBytes, width*r*(5*k+2))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -92,6 +93,57 @@ func requireFile(t *testing.T, path string, want []byte, what string) {
 	}
 }
 
+// hubN is the vertex count of hubGraph, and hubLo, hubHi its hubs.
+const hubN, hubLo, hubHi = 59, 40, 43
+
+// hubGraph returns a graph on hubN vertices whose edges all leave the hubs
+// [hubLo, hubHi): the hubs point at each other, and every other vertex
+// draws its in-set from them. A walk therefore visits a non-hub vertex
+// only as its start, so changing that vertex's in-set repairs its R walks
+// and nothing else, while walks through the hubs still coalesce and share
+// tails between neighbouring start vertices.
+func hubGraph(seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	var edges [][2]int
+	for v := 0; v < hubN; v++ {
+		for h := hubLo; h < hubHi; h++ {
+			if h != v && (v >= hubLo && v < hubHi || rng.Intn(2) == 0) {
+				edges = append(edges, [2]int{h, v})
+			}
+		}
+	}
+	return graph.MustFromEdges(hubN, edges)
+}
+
+// retarget changes the in-set of each target vertex of a hubGraph by one
+// hub, added when absent and removed when present.
+func retarget(rng *rand.Rand, g *graph.Graph, targets []int) []graph.Edit {
+	var edits []graph.Edit
+	for _, v := range targets {
+		e := graph.Edit{Op: graph.EditAdd, U: hubLo + rng.Intn(hubHi-hubLo), V: v}
+		if slices.Contains(g.In(v), e.U) {
+			e.Op = graph.EditRemove
+		}
+		edits = append(edits, e)
+	}
+	return edits
+}
+
+// updateTargets applies retarget's edits to g through ix, checks that
+// exactly the targets' walks were repaired, and returns the edited graph.
+func updateTargets(t *testing.T, rng *rand.Rand, ix *Index, g *graph.Graph, targets []int) (*graph.Graph, error) {
+	t.Helper()
+	next, sum, err := g.ApplyEdits(retarget(rng, g, targets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	repaired, err := ix.Update(next, sum.DirtyIn, 2)
+	if repaired != len(targets)*ix.Walks() {
+		t.Fatalf("targets %v: %d walks repaired, want %d", targets, repaired, len(targets)*ix.Walks())
+	}
+	return next, err
+}
+
 // TestMappedByteIdenticalQueries: an index opened for write-back answers
 // SingleSource, MultiSource, Pair and Join bit-identically to the build it
 // was saved from.
@@ -171,6 +223,60 @@ func TestMappedUpdatePersists(t *testing.T) {
 				t.Fatalf("block size %d, batch %d: write-back Update != fresh Build", blockB, batch)
 			}
 			requireFile(t, path, saveBlocked(t, fresh, IndexFile, blockB), "after a batch")
+		}
+	}
+}
+
+// TestWriteBackSpliceBoundaries repairs chosen vertices of a file at
+// block sizes 1, 3 and 13, as an index file and as a shard range: a
+// block's first vertex, its last, the last of the short final block,
+// adjacent vertices within a block and across a boundary. After every
+// batch the file is a fresh build's, byte for byte.
+func TestWriteBackSpliceBoundaries(t *testing.T) {
+	opt := Options{K: 6, Walks: 5, Seed: 3}
+	for _, kind := range []FileKind{IndexFile, ShardFile} {
+		lo, hi := 0, hubN
+		if kind == ShardFile {
+			lo, hi = 7, 53
+		}
+		rows := hi - lo
+		for _, blockB := range []int{1, 3, 13} {
+			g := hubGraph(int64(blockB))
+			built, err := Build(g, opt, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "splice.srwk")
+			if err := os.WriteFile(path, saveBlocked(t, built, kind, blockB), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wb := openWriteBack(t, path, kind)
+			rng := rand.New(rand.NewSource(int64(blockB)))
+			for _, local := range [][]int{
+				{0},                        // the first vertex of the first block
+				{blockB},                   // a block's first vertex
+				{2*blockB - 1},             // a block's last vertex
+				{rows - 1},                 // the last vertex of the short final block
+				{2*blockB - 1, 2 * blockB}, // adjacent, across a block boundary
+				{2 * blockB, 2*blockB + 1}, // adjacent, within a block when blockB > 1
+				{3, blockB, 2*blockB - 1, rows - 1},
+				{blockB},
+			} {
+				var targets []int
+				for _, v := range local {
+					targets = append(targets, lo+v)
+				}
+				slices.Sort(targets)
+				targets = slices.Compact(targets) // at block size 1, first and last coincide
+				if g, err = updateTargets(t, rng, wb, g, targets); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := Build(g, opt, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireFile(t, path, saveBlocked(t, fresh, kind, blockB), fmt.Sprintf("%s, block size %d, targets %v", kind, blockB, targets))
+			}
 		}
 	}
 }
@@ -384,10 +490,13 @@ func TestLoadMappedRejections(t *testing.T) {
 
 // TestWriteBackFailureKeepsOldFile injects a write that fails once: the
 // file stays as it was, byte for byte, while the index in memory is the
-// repaired one; the next successful batch writes both batches.
+// repaired one; the next successful batch writes both batches. The two
+// batches repair neighbouring vertices of one block, so the second splices
+// clean runs around the first's vertices: had the failed write committed
+// their new lengths, those runs would be read at the wrong offsets.
 func TestWriteBackFailureKeepsOldFile(t *testing.T) {
-	g := gen.CitationGraph(300, 4, 11)
-	opt := Options{Walks: 10, Seed: 6}
+	g := hubGraph(11)
+	opt := Options{K: 6, Walks: 10, Seed: 6}
 	built, err := buildFull(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -412,12 +521,9 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(9))
-	g1, sum, err := g.ApplyEdits(editBatch(rng, g, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repaired, err := wb.Update(g1, sum.DirtyIn, 2); repaired == 0 || !errors.Is(err, ErrWriteBack) || !errors.Is(err, injected) {
-		t.Fatalf("Update under a failing write: %d walks repaired, err = %v, want ErrWriteBack wrapping the injected error", repaired, err)
+	g1, err := updateTargets(t, rng, wb, g, []int{20})
+	if !errors.Is(err, ErrWriteBack) || !errors.Is(err, injected) {
+		t.Fatalf("Update under a failing write: err = %v, want ErrWriteBack wrapping the injected error", err)
 	}
 	requireFile(t, path, before, "after the failed write")
 	fresh1, err := buildFull(g1, opt)
@@ -432,11 +538,8 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	}
 
 	writeFile = real
-	g2, sum, err := g1.ApplyEdits(editBatch(rng, g1, 3))
+	g2, err := updateTargets(t, rng, wb, g1, []int{23})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wb.Update(g2, sum.DirtyIn, 2); err != nil {
 		t.Fatal(err)
 	}
 	fresh2, err := buildFull(g2, opt)
@@ -447,4 +550,116 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 		t.Fatal("write-back Update != fresh Build after the recovery batch")
 	}
 	requireFile(t, path, saveBytes(t, fresh2, IndexFile), "after the recovery batch")
+}
+
+// TestWriteBackShortReadIsError: a clean run that cannot be read back in
+// full from the old file — its handle closed, or holding fewer bytes than
+// the recorded lengths — fails the write-back before anything is
+// published. The file stays as it was and the index in memory repaired.
+func TestWriteBackShortReadIsError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, bk *backing)
+	}{
+		{"closed", func(t *testing.T, bk *backing) { bk.f.Close() }},
+		{"truncated", func(t *testing.T, bk *backing) {
+			old, err := os.ReadFile(bk.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			short := filepath.Join(t.TempDir(), "short.srwk")
+			if err := os.WriteFile(short, old[:len(bk.pre)+8*len(bk.dir)+int(bk.vlen[0])], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(short)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bk.f.Close()
+			bk.f = f
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := hubGraph(5)
+			opt := Options{K: 6, Walks: 4, Seed: 2}
+			built, err := buildFull(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := saveFile(t, built, IndexFile)
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb := openWriteBack(t, path, IndexFile)
+			tc.spoil(t, wb.file)
+			real := writeFile
+			t.Cleanup(func() { writeFile = real })
+			writeFile = func(string, func(io.Writer) error) error {
+				t.Error("a write-back whose clean run failed to read went on to write the file")
+				return nil
+			}
+
+			g1, err := updateTargets(t, rand.New(rand.NewSource(1)), wb, g, []int{30})
+			if !errors.Is(err, ErrWriteBack) {
+				t.Fatalf("Update over an unreadable old file: err = %v, want ErrWriteBack", err)
+			}
+			requireFile(t, path, before, "after the failed read")
+			fresh, err := buildFull(g1, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !wb.Equal(fresh) {
+				t.Fatal("after the failed read the index is not the repaired one")
+			}
+		})
+	}
+}
+
+// BenchmarkWriteBack times the write-back of 8-edit batches on the
+// mapped-edits shape — a citation graph of 15000 vertices, 100 walks a
+// vertex, a file under b.TempDir() — one batch per op: the repair and the
+// marking are untimed, the splice and the atomic rewrite timed. It reports
+// the vertices re-encoded per batch.
+func BenchmarkWriteBack(b *testing.B) {
+	g := gen.CitationGraph(15000, 4, 1)
+	opt := Options{Walks: 100, Seed: 1}
+	built, err := buildFull(g, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "index.srwk")
+	if err := os.WriteFile(path, saveBytes(b, built, IndexFile), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	ix, err := LoadWriteBack(path, IndexFile)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	if err := ix.PrepareUpdate(1); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	encoded := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		next, sum, err := g.ApplyEdits(editBatch(rng, g, 8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g = next
+		ix.file.markDirty(ix.repair(g, sum.DirtyIn, 1), ix.r)
+		for _, d := range ix.file.dirty {
+			if d {
+				encoded++
+			}
+		}
+		b.StartTimer()
+		if err := ix.writeBack(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(encoded)/float64(b.N), "vertices_encoded/op")
 }
