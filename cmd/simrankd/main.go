@@ -117,7 +117,6 @@ type options struct {
 	eps          float64
 	walks        int
 	workers      int
-	prewarm      bool
 	prewarmExact bool
 
 	cacheSize int
@@ -254,7 +253,6 @@ func main() {
 	flag.IntVar(&o.walks, "walks", 0, "walk fingerprints per vertex (0 = 100)")
 	flag.IntVar(&o.workers, "workers", 0, "index build/update worker pool (0 = all CPUs, 1 = serial)")
 	flag.IntVar(&o.cacheSize, "cache", 1024, "LRU query-cache entries (0 = disabled)")
-	flag.BoolVar(&o.prewarm, "prewarm-updates", false, "build the update-tracking visit index at startup instead of on the first POST /v1/edges")
 	flag.BoolVar(&o.prewarmExact, "prewarm-exact", false, "serve mode: run the linearized engine's diagonal solve at startup instead of on the first ?engine=linearized query")
 	flag.IntVar(&o.maxBatch, "max-batch", simrankd.DefaultMaxBatch, "max sources per /v1/batch request")
 	flag.IntVar(&o.joinCand, "join-max-candidates", query.DefaultMaxCandidates, "max candidate pairs a /v1/join may enumerate")
@@ -332,14 +330,6 @@ func main() {
 		}
 		log.Printf("index: range [%d,%d) of n=%d walks=%d horizon=%d c=%g (%d bytes, %s)",
 			idx.Lo(), idx.Hi(), idx.N(), idx.Walks(), idx.Horizon(), idx.C(), idx.Bytes(), idx.Backend())
-		if o.prewarm {
-			t0 := time.Now()
-			if err := idx.PrepareUpdates(o.workers); err != nil {
-				fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
-				os.Exit(1)
-			}
-			log.Printf("index: update-tracking visit index built in %v", time.Since(t0))
-		}
 		if o.prewarmExact {
 			t0 := time.Now()
 			if err := idx.PrepareExact(context.Background(), o.workers); err != nil {

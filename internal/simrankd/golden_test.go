@@ -203,9 +203,6 @@ var goldenRecoveredProbes = []goldenProbe{
 var (
 	maskMicros = regexp.MustCompile(`"update_micros":\d+`)
 	maskUptime = regexp.MustCompile(`"uptime_seconds":[0-9.e+-]+`)
-	// index_visit_bytes is the one /healthz field added after the parent;
-	// it is dropped before comparing so the rest of the body stays pinned.
-	dropVisit = regexp.MustCompile(`"index_visit_bytes":\d+,`)
 	// index_bytes of a dense backend measured 4·n·R·K at the parent; it is
 	// the resident store's ragged layout now, a function of how many walks
 	// live how long. It is dropped from both sides before comparing (for a
@@ -248,7 +245,6 @@ func transcribe(t *testing.T, out *bytes.Buffer, h http.Handler, sv *serving, ph
 		}
 		b = maskMicros.ReplaceAll(b, []byte(`"update_micros":0`))
 		b = maskUptime.ReplaceAll(b, []byte(`"uptime_seconds":0`))
-		b = dropVisit.ReplaceAll(b, nil)
 		b = dropDenseBytes.ReplaceAll(b, []byte("$1"))
 		out.Write(b)
 		if len(b) == 0 || b[len(b)-1] != '\n' {
@@ -454,8 +450,8 @@ func TestParentMetricNames(t *testing.T) {
 		h    http.Handler
 		also []string
 	}{
-		{"serve", NewServer(idx, Config{Workers: 1}), []string{"simrankd_index_visit_bytes"}},
-		{"shard", ss, []string{"simrankd_index_visit_bytes", "simrankd_shard_scores_entries_total"}},
+		{"serve", NewServer(idx, Config{Workers: 1}), nil},
+		{"shard", ss, []string{"simrankd_shard_scores_entries_total"}},
 		{"router", rt, []string{"simrankd_update_edges_added_total", "simrankd_update_edges_removed_total", "simrankd_update_walks_repaired_total",
 			"simrankd_shard_leg_bytes_total", "simrankd_shard_leg_rows_total"}},
 	} {

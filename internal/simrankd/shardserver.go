@@ -239,9 +239,6 @@ type shardHealthzResponse struct {
 	// ForestBytes is the coalescence order the shard answers from,
 	// derived state on top of IndexBytes.
 	ForestBytes int64 `json:"index_forest_bytes"`
-	// VisitBytes is the inverted visit index edits repair the owned walks
-	// through; 0 until the first batch (or -prewarm-updates) builds it.
-	VisitBytes int64 `json:"index_visit_bytes"`
 	// Backend is how the walk rows are kept: "dense" in memory only,
 	// "write-back" when edit batches are also written to the shard file
 	// (-index-mmap).
@@ -265,7 +262,6 @@ func (s *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Seed:        s.idx.Seed(),
 		IndexBytes:  s.idx.Bytes(),
 		ForestBytes: s.idx.ForestBytes(),
-		VisitBytes:  s.idx.VisitBytes(),
 		Backend:     s.idx.Backend(),
 		Generation:  s.idx.Generation(),
 		UptimeSecs:  time.Since(s.started).Seconds(),

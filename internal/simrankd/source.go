@@ -118,10 +118,6 @@ type healthzResponse struct {
 	// ForestBytes is the coalescence order the index answers from,
 	// derived state on top of IndexBytes.
 	ForestBytes int64 `json:"index_forest_bytes"`
-	// VisitBytes is the inverted visit index edits repair walks through,
-	// also on top of IndexBytes; 0 until the first batch (or -prewarm-updates)
-	// builds it.
-	VisitBytes int64 `json:"index_visit_bytes"`
 	// Backend is how the walk rows are kept: "dense" in memory only,
 	// "write-back" when edit batches are also written to the index file
 	// (-index-mmap).
@@ -139,7 +135,6 @@ func (l *localSource) healthz(uptimeSecs float64) any {
 		C:           l.idx.C(),
 		IndexBytes:  l.idx.Bytes(),
 		ForestBytes: l.idx.ForestBytes(),
-		VisitBytes:  l.idx.VisitBytes(),
 		Backend:     l.idx.Backend(),
 		Generation:  l.idx.Generation(),
 		UptimeSecs:  uptimeSecs,
@@ -151,11 +146,10 @@ func (l *localSource) writeMetrics(w io.Writer) {
 	writeIndexSizeMetrics(w, l.idx)
 }
 
-// writeIndexSizeMetrics emits the three resident-size gauges of a process
-// that holds walk rows (serve and shard mode): the path storage and the two
-// derived structures on top of it.
+// writeIndexSizeMetrics emits the two resident-size gauges of a process
+// that holds walk rows (serve and shard mode): the path storage and the
+// coalescence order derived on top of it.
 func writeIndexSizeMetrics(w io.Writer, idx *query.Index) {
 	fmt.Fprintf(w, "simrankd_index_bytes %d\n", idx.Bytes())
 	fmt.Fprintf(w, "simrankd_index_forest_bytes %d\n", idx.ForestBytes())
-	fmt.Fprintf(w, "simrankd_index_visit_bytes %d\n", idx.VisitBytes())
 }

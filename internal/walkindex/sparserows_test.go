@@ -97,44 +97,3 @@ func TestSparseRowsConcurrentReaders(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestVisitBytesRunningTotal: the size VisitBytes reports is kept where
-// lists are built and grown; after chains of repairs it must still be what
-// walking every list gives.
-func TestVisitBytesRunningTotal(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := gen.ErdosRenyi(80, 300, 6)
-	ix, err := buildFull(g, Options{Walks: 20, Seed: 8, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.VisitBytes() != 0 {
-		t.Fatalf("VisitBytes before any update = %d, want 0", ix.VisitBytes())
-	}
-	walked := func() int64 {
-		total := int64(len(ix.visits)) * 24
-		for _, list := range ix.visits {
-			total += int64(cap(list)) * 8
-		}
-		return total
-	}
-	if err := ix.PrepareUpdate(2); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := ix.VisitBytes(), walked(); got != want || got == 0 {
-		t.Fatalf("VisitBytes after PrepareUpdate = %d, walking the lists gives %d", got, want)
-	}
-	for batch := 0; batch < 10; batch++ {
-		g2, sum, err := g.ApplyEdits(randomEdits(rng, g, 6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ix.Update(g2, sum.DirtyIn, 2); err != nil {
-			t.Fatal(err)
-		}
-		g = g2
-		if got, want := ix.VisitBytes(), walked(); got != want {
-			t.Fatalf("batch %d: VisitBytes = %d, walking the lists gives %d", batch, got, want)
-		}
-	}
-}

@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"oipsr/graph"
-	"oipsr/internal/par"
 )
 
 // ErrTooLarge reports an index whose walk count exceeds what incremental
@@ -26,149 +25,86 @@ var ErrTooLarge = errors.New("walkindex: index too large for incremental updates
 // graph by construction (the untouched prefixes contain no dirty vertex, so
 // every hash argument along them is unchanged).
 //
-// Affected walks are found through an inverted visit index: for every
-// vertex x, a posting list of (walk, first time the walk occupies x).
-// Occupancy time 0 is the walk's start vertex; time t in [1, K] is the
-// stored position after step t. The visit index is built lazily on the
-// first Update (in parallel over vertices) and patched incrementally as
-// walks are repaired, so a long stream of small edit batches never rescans
-// the whole path store.
+// The same coupling finds the affected walks without any stored structure:
+// probe runs it backwards (ProbeSim's PROBE, made exact). Occupancy time 0
+// is a walk's start vertex; time t in [1, K] is its position after step t.
+// Per fingerprint, B_{K-1} is the dirty set D, and B_t is D plus every
+// non-dirty z whose coupled move at step t lands in B_{t+1} — found among
+// the out-neighbours of B_{t+1}. The owned starts in B_0 are exactly the
+// walks that stand on D before the horizon. The probe never expands
+// through a dirty vertex, so the edited graph is enough: every non-dirty
+// vertex has the same in-list in both graphs.
 //
-// The repair is range-agnostic: walk ids are store-local, positions and the
-// visit index are global (an owned walk can occupy any vertex of the
-// graph), so a sharded deployment repairs each range's walks with exactly
-// the code the single-node daemon runs — the union of per-range repairs is
-// the single-node repair. The resident store rewrites a repaired group in
+// The repair is range-agnostic: walk ids are store-local, positions are
+// global (an owned walk can occupy any vertex of the graph), so a sharded
+// deployment repairs each range's walks with exactly the code the
+// single-node daemon runs — the union of per-range repairs is the
+// single-node repair. The resident store rewrites a repaired group in
 // place or in its tail arena (walkstore.go); an index opened with
 // LoadWriteBack then re-encodes the repaired vertices, and their
 // successors in the same posting block, into its file and copies every
 // other vertex's bytes (writeback.go).
 
-// visitPosting says a walk's path occupies some vertex, first at the given
-// time. Walk ids are store-local — (v-lo)*R + fp — bounded by maxWalks.
-type visitPosting struct {
-	walk int32
-	time uint16
-}
-
-// maxWalks bounds width*R so walk ids fit in the posting's int32.
+// maxWalks bounds width*R so store-local walk ids — (v-lo)*R + fp — fit
+// in the int32 the repair passes them as.
 const maxWalks = math.MaxInt32
 
-// rawVisit is a posting tagged with its vertex, the per-worker scratch
-// format of buildVisits and the patch format of repair.
-type rawVisit struct {
-	x int32
-	p visitPosting
-}
-
-// visitPair is one (vertex, first occupancy time) entry of a single walk's
-// visit list — the walk-side view of a posting.
-type visitPair struct {
-	x    int32
-	time uint16
-}
-
-// lookupVisit returns the first-visit time of x in one walk's visit list.
-func lookupVisit(list []visitPair, x int32) (uint16, bool) {
-	for _, p := range list {
-		if p.x == x {
-			return p.time, true
-		}
-	}
-	return 0, false
-}
-
-// PrepareUpdate builds the inverted visit index eagerly (it is otherwise
-// built lazily by the first Update call). Workers follow the Build
-// convention: 1 means serial, below 1 means all CPUs. It returns an error
-// when the index is too large for incremental maintenance.
-func (ix *Index) PrepareUpdate(workers int) error {
-	if ix.visits != nil {
-		return nil
-	}
+// CheckUpdatable returns an error wrapping ErrTooLarge when the index owns
+// more walks than Update can address; Update makes the same check.
+func (ix *Index) CheckUpdatable() error {
 	if int64(ix.hi-ix.lo)*int64(ix.r) > maxWalks {
 		return fmt.Errorf("%w: width*R = %d*%d exceeds %d walks", ErrTooLarge, ix.hi-ix.lo, ix.r, maxWalks)
 	}
-	ix.setVisits(ix.buildVisits(workers))
 	return nil
 }
 
-// buildVisits scans every stored path once, in parallel over vertices, and
-// assembles per-vertex posting lists holding each walk's first occupancy.
-func (ix *Index) buildVisits(workers int) [][]visitPosting {
-	width := ix.hi - ix.lo
-	parts := par.ResolveMax(workers, width)
-	bufs := make([][]rawVisit, parts)
-	par.Do(parts, func(w int) {
-		lo, hi := par.Range(width, parts, w)
-		var buf []rawVisit
-		scratch := make([]visitPair, 0, ix.k+1)
-		for v := lo; v < hi; v++ { // store-local start vertex
-			for fp := 0; fp < ix.r; fp++ {
-				walk := int32(v*ix.r + fp)
-				scratch = firstVisitsPath(int32(ix.lo+v), ix.pathRow(walk), scratch[:0])
-				for _, p := range scratch {
-					buf = append(buf, rawVisit{x: p.x, p: visitPosting{walk: walk, time: p.time}})
+// probe returns the owned walks that stand on a dirty vertex before the
+// horizon, as store-local ids ascending, and the number of coupled moves it
+// hashed. isDirty marks the vertices of D, listed once each in d.
+func (ix *Index) probe(g *graph.Graph, d []int, isDirty []bool) (walks []int32, checks int) {
+	hseed := splitmix64(uint64(ix.seed))
+	var cur, next []int
+	for fp := 0; fp < ix.r; fp++ {
+		cur = append(cur[:0], d...) // B_{K-1}
+		for t := ix.k - 2; t >= 0; t-- {
+			next = append(next[:0], d...)
+			for _, y := range cur {
+				for _, z := range g.Out(y) {
+					if isDirty[z] {
+						continue
+					}
+					in := g.In(z)
+					checks++
+					if in[edgeChoice(hseed, fp, t, z, len(in))] == y {
+						next = append(next, z)
+					}
 				}
 			}
+			cur, next = next, cur
 		}
-		bufs[w] = buf
-	})
-
-	counts := make([]int, ix.n)
-	total := 0
-	for _, buf := range bufs {
-		for _, rv := range buf {
-			counts[rv.x]++
-		}
-		total += len(buf)
-	}
-	// One flat allocation sliced per vertex; later patches that grow a list
-	// reallocate just that vertex's slice.
-	flat := make([]visitPosting, total)
-	visits := make([][]visitPosting, ix.n)
-	off := 0
-	for x, c := range counts {
-		visits[x] = flat[off : off : off+c]
-		off += c
-	}
-	for _, buf := range bufs {
-		for _, rv := range buf {
-			visits[rv.x] = append(visits[rv.x], rv.p)
-		}
-	}
-	return visits
-}
-
-// pathRow returns the stored path of a store-local walk id, read-only.
-func (ix *Index) pathRow(walk int32) []int32 {
-	return ix.path(walk/int32(ix.r), int(walk)%ix.r)
-}
-
-// firstVisitsPath appends (vertex, first occupancy time) pairs for the walk
-// starting at `start` with stored path `path` to dst and returns it: time 0
-// at the start vertex, time t+1 at path entry t, stopping at death. Pairs
-// are appended in occupancy order, so times are strictly increasing. The
-// list is at most K+1 long and K is small, so the linear dedup scan beats a
-// map by a wide margin.
-func firstVisitsPath(start int32, path []int32, dst []visitPair) []visitPair {
-	dst = append(dst, visitPair{x: start, time: 0})
-	for t, p := range path {
-		if p < 0 {
-			break
-		}
-		seen := false
-		for _, d := range dst {
-			if d.x == p {
-				seen = true
-				break
+		for _, s := range cur {
+			if ix.Owns(s) {
+				walks = append(walks, int32((s-ix.lo)*ix.r+fp))
 			}
 		}
-		if !seen {
-			dst = append(dst, visitPair{x: p, time: uint16(t + 1)})
+	}
+	slices.Sort(walks)
+	return walks, checks
+}
+
+// firstDirty returns the first time before the horizon k at which the walk
+// from start with stored path stands on a dirty vertex, or -1: time 0 is
+// start, time t the live path entry t-1.
+func firstDirty(start int, path []int32, k int, isDirty []bool) int {
+	if isDirty[start] {
+		return 0
+	}
+	for t := 1; t < k && t <= len(path) && path[t-1] >= 0; t++ {
+		if isDirty[path[t-1]] {
+			return t
 		}
 	}
-	return dst
+	return -1
 }
 
 // Update repairs the index in place after the graph it was built on changed
@@ -205,7 +141,7 @@ func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
 			return 0, fmt.Errorf("walkindex: dirty vertex %d out of range [0,%d)", d, ix.n)
 		}
 	}
-	if err := ix.PrepareUpdate(workers); err != nil {
+	if err := ix.CheckUpdatable(); err != nil {
 		return 0, err
 	}
 	walks := ix.repair(g, dirty, workers)
@@ -216,41 +152,36 @@ func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
 	return len(walks), ix.writeBack()
 }
 
-// repair recomputes the suffixes of stored walks that occupy a dirty
-// vertex before the horizon and patches the visit index and the
-// coalescence order, returning the repaired store-local walk ids,
-// ascending. The caller validates dirty and has built ix.visits.
-func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) []int32 {
-	// A walk is affected iff it occupies some dirty vertex at a time from
-	// which a further move is made, i.e. before the horizon; repair starts
-	// at the earliest such occupancy.
-	firstDirty := make(map[int32]uint16)
-	for _, d := range dirty {
-		for _, p := range ix.visits[d] {
-			if int(p.time) >= ix.k {
-				continue // occupied only at the final position: no move follows
-			}
-			if cur, ok := firstDirty[p.walk]; !ok || p.time < cur {
-				firstDirty[p.walk] = p.time
-			}
+// dirtySet deduplicates dirty into a list and a membership mark over the
+// n vertices.
+func dirtySet(n int, dirty []int) ([]int, []bool) {
+	isDirty := make([]bool, n)
+	d := make([]int, 0, len(dirty))
+	for _, v := range dirty {
+		if !isDirty[v] {
+			isDirty[v] = true
+			d = append(d, v)
 		}
 	}
-	if len(firstDirty) == 0 {
+	return d, isDirty
+}
+
+// repair recomputes the suffixes of stored walks that occupy a dirty
+// vertex before the horizon and patches the coalescence order, returning
+// the repaired store-local walk ids, ascending. The caller validates
+// dirty.
+func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) []int32 {
+	d, isDirty := dirtySet(ix.n, dirty)
+	walks, _ := ix.probe(g, d, isDirty)
+	if len(walks) == 0 {
 		return nil
 	}
-	walks := make([]int32, 0, len(firstDirty))
-	for w := range firstDirty {
-		walks = append(walks, w)
-	}
-	sort.Slice(walks, func(i, j int) bool { return walks[i] < walks[j] })
 
-	// Phase 1 (serial, one store rewrite per vertex: walks are ascending, so
-	// a vertex's walks are adjacent): replay each walk's suffix on the new
-	// graph in place and collect posting diffs.
+	// One store rewrite per vertex (walks are ascending, so a vertex's
+	// walks are adjacent): replay each walk's suffix on the new graph in
+	// place, from its first dirty occupancy. The prefix is valid for the
+	// new graph because it never stands on a dirty vertex.
 	hseed := splitmix64(uint64(ix.seed))
-	var removals, additions []rawVisit // removals: stale postings (time ignored)
-	oldFV := make([]visitPair, 0, ix.k+1)
-	newFV := make([]visitPair, 0, ix.k+1)
 	fps := make([]int, 0, ix.r)
 	for i, j := 0, 0; i < len(walks); i = j {
 		v := int(walks[i]) / ix.r
@@ -258,59 +189,14 @@ func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) []int32 {
 		for j = i; j < len(walks) && int(walks[j])/ix.r == v; j++ {
 			fps = append(fps, int(walks[j])%ix.r)
 		}
-		start := int32(ix.lo + v)
+		start := ix.lo + v
 		ix.store.rewrite(v, fps, func(f int, row []int32) {
-			walk := walks[i+f]
-			oldFV = firstVisitsPath(start, row, oldFV[:0])
-
-			// Replay from the first dirty occupancy; the prefix is valid
-			// for the new graph because it never stands on a dirty vertex.
-			tau, p := int(firstDirty[walk]), int(start)
+			tau, p := firstDirty(start, row, ix.k, isDirty), start
 			if tau > 0 {
 				p = int(row[tau-1])
 			}
 			walkFrom(g, hseed, fps[f], tau, p, row)
-
-			newFV = firstVisitsPath(start, row, newFV[:0])
-			// The visit lists are short (≤ K+1), so the O(K²) nested
-			// membership scans stay cheaper than building maps.
-			for _, o := range oldFV {
-				nt, ok := lookupVisit(newFV, o.x)
-				if !ok || nt != o.time {
-					removals = append(removals, rawVisit{x: o.x, p: visitPosting{walk: walk}})
-				}
-			}
-			for _, nv := range newFV {
-				ot, ok := lookupVisit(oldFV, nv.x)
-				if !ok || ot != nv.time {
-					additions = append(additions, rawVisit{x: nv.x, p: visitPosting{walk: walk, time: nv.time}})
-				}
-			}
 		})
-	}
-
-	// Phase 2: patch the posting lists, removals before additions so a
-	// changed first-visit time replaces its stale posting. Stale walks are
-	// grouped per vertex and sorted once, so the filter pass does a binary
-	// search per posting instead of map lookups.
-	rmByVertex := map[int32][]int32{}
-	for _, rv := range removals {
-		rmByVertex[rv.x] = append(rmByVertex[rv.x], rv.p.walk)
-	}
-	for x, stale := range rmByVertex {
-		sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-		keep := ix.visits[x][:0]
-		for _, p := range ix.visits[x] {
-			i := sort.Search(len(stale), func(i int) bool { return stale[i] >= p.walk })
-			if i < len(stale) && stale[i] == p.walk {
-				continue
-			}
-			keep = append(keep, p)
-		}
-		ix.visits[x] = keep
-	}
-	for _, rv := range additions {
-		ix.addVisit(rv.x, rv.p)
 	}
 	ix.forest.patch(ix, walks, workers)
 	return walks

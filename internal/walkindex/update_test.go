@@ -45,10 +45,9 @@ func randomEdits(rng *rand.Rand, g *graph.Graph, count int) []graph.Edit {
 // TestUpdateBitIdenticalProperty is the acceptance property: for random
 // edit batches on random graphs, Update produces an index Equal() to a
 // fresh Build on the edited graph, for every worker count — including
-// across chains of successive batches, which also exercises the
-// incremental patching of the inverted visit index — and the patched
-// coalescence order is, entry for entry, the one that fresh Build sorted
-// ("patched ≡ rebuilt").
+// across chains of successive batches, where each batch probes walks an
+// earlier batch repaired — and the patched coalescence order is, entry
+// for entry, the one that fresh Build sorted ("patched ≡ rebuilt").
 func TestUpdateBitIdenticalProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 25; trial++ {
@@ -160,8 +159,8 @@ func TestUpdateNoopBatch(t *testing.T) {
 	}
 }
 
-// TestUpdateAfterLoad: the visit index is derived state, so Update must
-// work on a Load()ed index exactly as on the original.
+// TestUpdateAfterLoad: Update needs nothing but the stored walks and the
+// graph, so it must work on a Load()ed index exactly as on the original.
 func TestUpdateAfterLoad(t *testing.T) {
 	g := gen.CitationGraph(50, 4, 8)
 	opt := Options{Walks: 25, Seed: 13}

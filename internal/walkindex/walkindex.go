@@ -97,27 +97,19 @@ type Index struct {
 
 	// store holds the owned walks: store.row(v-lo).walk(fp) is the
 	// positions of vertex v's fingerprint-fp walker after steps 1, 2, …,
-	// dead past its end (walkstore.go).
+	// dead past its end (walkstore.go). It is the only walk state Update
+	// reads: the walks an edit affects are found by probing the coupling
+	// backwards on the edited graph (update.go).
 	store *raggedStore
 
 	// pow[t] = c^(t+1), the first-meeting weight of path index t.
 	pow []float64
-
-	// visits is the inverted visit index used for incremental updates:
-	// visits[x] lists every owned walk whose path occupies x, with the
-	// first occupancy time. Nil until PrepareUpdate / the first Update
-	// builds it (see update.go); derived state, excluded from Equal and
-	// Save.
-	visits [][]visitPosting
 
 	// forest is the per-fingerprint coalescence order that answers
 	// SingleSource and MultiSource in time proportional to the answer (see
 	// walkorder.go). Build and Load construct it, Update patches it.
 	// Derived state, excluded from Equal, Save and Bytes.
 	forest *forest
-
-	// visitBytes is the resident size of visits, kept as its lists grow.
-	visitBytes int64
 
 	// file is the index file Update writes repairs back to; nil unless
 	// the index was opened with LoadWriteBack (writeback.go).

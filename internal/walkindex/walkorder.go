@@ -31,9 +31,9 @@ import (
 // fingerprint: 6 bytes per stored walk. A query locates the source in each
 // fingerprint's order by binary search on the key and walks outwards while
 // neighbours still meet, touching only walkers that score — the cost is
-// proportional to the answer, not to n·R·K. It is derived state like the
-// visit index: excluded from Equal, Save and Bytes, rebuilt by Build and
-// Load, patched by Update.
+// proportional to the answer, not to n·R·K. It is derived state:
+// excluded from Equal, Save and Bytes, rebuilt by Build and Load, patched
+// by Update.
 type forest struct {
 	// order[fp*width+i] is the store-local walker at rank i of fingerprint
 	// fp's key order.
@@ -48,31 +48,6 @@ type forest struct {
 // reported beside Bytes, which keeps meaning the path storage alone.
 func (ix *Index) ForestBytes() int64 {
 	return int64(len(ix.forest.order))*4 + int64(len(ix.forest.meet))*2
-}
-
-// VisitBytes returns the resident size of the inverted visit index Update
-// finds affected walks through: 8 bytes per posting of capacity plus one
-// slice header per vertex of the graph. 0 until PrepareUpdate or the first
-// Update builds it. Reported beside Bytes, like ForestBytes — a running
-// total kept by setVisits and addVisit, so a metrics scrape does not walk n
-// posting lists.
-func (ix *Index) VisitBytes() int64 { return ix.visitBytes }
-
-// setVisits installs a freshly built visit index and takes its size.
-func (ix *Index) setVisits(visits [][]visitPosting) {
-	ix.visits = visits
-	ix.visitBytes = int64(len(visits)) * 24
-	for _, list := range visits {
-		ix.visitBytes += int64(cap(list)) * 8
-	}
-}
-
-// addVisit appends a posting to x's list, the one place a list can grow.
-func (ix *Index) addVisit(x int32, p visitPosting) {
-	list := ix.visits[x]
-	grown := append(list, p)
-	ix.visitBytes += int64(cap(grown)-cap(list)) * 8
-	ix.visits[x] = grown
 }
 
 // path returns the stored fingerprint-fp walk of store-local walker v.

@@ -637,9 +637,6 @@ func BenchmarkWriteBack(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ix.Close()
-	if err := ix.PrepareUpdate(1); err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
 	encoded := 0
 	b.ResetTimer()

@@ -62,11 +62,11 @@
 // adds/removes and repairs the index incrementally instead of rebuilding.
 // The hash-driven coupling makes the repair local — a walk's path can only
 // change from the first time it stands on a vertex whose in-neighbor list
-// changed — so only those suffixes are recomputed (tracked through an
-// inverted visit index built lazily on first use, or eagerly via
-// PrepareUpdates). The repaired index is bit-identical to a fresh
-// BuildIndex on the edited graph, so incremental serving never drifts
-// from a restart. Each update bumps Generation(); cache layers fold the
+// changed — so only those suffixes are recomputed. The affected walks are
+// found by running the coupling backwards from the changed vertices on the
+// edited graph, so no state beyond the walks is kept for updates. The
+// repaired index is bit-identical to a fresh BuildIndex on the edited
+// graph, so incremental serving never drifts from a restart. Each update bumps Generation(); cache layers fold the
 // generation into their keys to invalidate atomically. Updates mutate the
 // index and must be serialized against queries — cmd/simrankd does this
 // with an RWMutex and exposes the whole path as POST /v1/edges.

@@ -120,11 +120,6 @@ func (ix *Index) Bytes() int64 { return ix.wi.Bytes() }
 // per owned vertex), on top of Bytes.
 func (ix *Index) ForestBytes() int64 { return ix.wi.ForestBytes() }
 
-// VisitBytes returns the in-memory size of the inverted visit index that
-// Update and ApplyEdits repair walks through — on top of Bytes, and 0
-// until PrepareUpdates or the first applied batch builds it.
-func (ix *Index) VisitBytes() int64 { return ix.wi.VisitBytes() }
-
 // Graph returns the attached graph, or nil for a loaded index without
 // AttachGraph.
 func (ix *Index) Graph() *graph.Graph { return ix.g }
@@ -140,9 +135,9 @@ func (ix *Index) Generation() uint64 { return ix.gen.Load() }
 func (ix *Index) Equal(other *Index) bool { return ix.wi.Equal(other.wi) }
 
 // ErrTooLarge is returned by Update/ApplyEdits/PrepareUpdates when the
-// index has too many walks for incremental maintenance (n·R beyond the
-// 32-bit posting limit). It marks a capacity limit of this build, not a
-// bad request — servers map it to a 5xx.
+// index has too many walks for incremental maintenance (owned vertices
+// times R beyond the int32 walk ids a repair passes). It marks a capacity
+// limit of this build, not a bad request — servers map it to a 5xx.
 var ErrTooLarge = walkindex.ErrTooLarge
 
 // UpdateStats describes one applied edit batch.
@@ -212,12 +207,14 @@ func (ix *Index) ApplyEdits(edits []graph.Edit, workers int) (UpdateStats, error
 	}, err
 }
 
-// PrepareUpdates eagerly builds the inverted visit index that Update
-// otherwise builds lazily on first use, moving that one-time cost out of
-// the first edit batch's latency (the simrankd server calls this at
-// startup when updates are enabled).
+// PrepareUpdates prepares nothing: Update finds the walks an edit affects
+// from the graph alone, so there is no update state to build ahead of the
+// first batch. It returns the one check Update would fail first, an error
+// wrapping ErrTooLarge when the index has too many walks to repair;
+// workers is ignored. It is kept for callers written against the earlier
+// API, which built an index for updates here.
 func (ix *Index) PrepareUpdates(workers int) error {
-	return ix.wi.PrepareUpdate(workers)
+	return ix.wi.CheckUpdatable()
 }
 
 // AttachGraph re-attaches the source graph to a loaded index, enabling

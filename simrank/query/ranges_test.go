@@ -277,8 +277,8 @@ func modelBytes(words []int, dead int) int64 {
 // walks — exactly, on every range; a shard set's Bytes add up to the full
 // index's, because offsets and segments are per vertex and a range adds
 // no term of its own; and after a batch that lengthens walks, Bytes also
-// counts the arena's dead words. ForestBytes is 6·R a vertex; VisitBytes
-// appears once PrepareUpdates (or a first batch) has built the visit index.
+// counts the arena's dead words. ForestBytes is 6·R a vertex; the no-op
+// PrepareUpdates moves neither.
 func TestRangeSizeAccounting(t *testing.T) {
 	g := gen.CitationGraph(90, 4, 3)
 	opt := Options{Walks: 16, Seed: 2}
@@ -306,14 +306,12 @@ func TestRangeSizeAccounting(t *testing.T) {
 		if want := 6 * width * int64(ix.Walks()); ix.ForestBytes() != want {
 			t.Errorf("ForestBytes = %d, want %d", ix.ForestBytes(), want)
 		}
-		if ix.VisitBytes() != 0 {
-			t.Errorf("VisitBytes = %d before any update", ix.VisitBytes())
-		}
+		before := ix.Bytes() + ix.ForestBytes()
 		if err := ix.PrepareUpdates(2); err != nil {
 			t.Fatal(err)
 		}
-		if ix.VisitBytes() <= 0 {
-			t.Errorf("VisitBytes = %d after PrepareUpdates", ix.VisitBytes())
+		if after := ix.Bytes() + ix.ForestBytes(); after != before {
+			t.Errorf("PrepareUpdates moved the resident size from %d to %d bytes", before, after)
 		}
 
 		// Give the vertex where the first short owned walk dies an
