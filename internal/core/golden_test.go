@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,7 +24,9 @@ import (
 // recordParent rewrites the files under testdata/parent/ instead of
 // comparing against them. sweeps.txt holds the results of commit f881ea1,
 // the last one with the row-at-a-time sweep loops; sweeps-block.txt those
-// of commit b8abb9e, the last one that swept all n^2 cells. Each is only
+// of commit b8abb9e, the last one that swept all n^2 cells; sweeps-web.txt
+// those of commit fbedcec, the last one whose procedure OP emitted one row
+// per pass over the tree program. Each is only
 // ever recorded by checking its commit out, dropping this file into
 // internal/core/ and running its test with -record-parent
 // (testdata/parent/README.md). The file uses nothing but the engines'
@@ -270,6 +273,46 @@ func TestParentSweepGoldensBlock(t *testing.T) {
 		}
 	}
 	checkGolden(t, "sweeps-block.txt", out.String())
+}
+
+// relabelled returns g with vertex v renamed perm[v], perm the seed's
+// rand.Perm — the renumbering the sweep-web benchmark applies per seed.
+func relabelled(t *testing.T, g *graph.Graph, seed int64) *graph.Graph {
+	perm := rand.New(rand.NewSource(seed)).Perm(g.NumVertices())
+	var edges [][2]int
+	g.Edges(func(u, v int) bool {
+		edges = append(edges, [2]int{perm[u], perm[v]})
+		return true
+	})
+	h, err := graph.FromEdges(g.NumVertices(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestParentSweepGoldensWeb: the sweep-web benchmark's graph,
+// gen.WebGraph(1500, 11, 1) relabelled by seeds 1 and 2, through OIP-SR at
+// K = 13 and OIP-DSR at its default horizon, dense at one, two and three
+// workers and tiled at block 64. Recorded at the parent of the four-row
+// procedure OP, so every per-worker group size, tail groups included,
+// is pinned to the one-row emit on a graph with real tree sharing.
+func TestParentSweepGoldensWeb(t *testing.T) {
+	base := gen.WebGraph(1500, 11, 1)
+	modes := []goldenMode{{"dense-w1", 1, 0}, {"dense-w2", 2, 0}, {"dense-w3", 3, 0}, {"tiled-b64", 2, 64}}
+	var out strings.Builder
+	for _, seed := range []int64{1, 2} {
+		g := relabelled(t, base, seed)
+		for _, m := range modes {
+			r := runOIP(t, g, core.Options{C: 0.6, K: 13, Workers: m.workers}, m.block)
+			fmt.Fprintf(&out, "web1500-r%d oip-sr-k13 %s %s\n", seed, m.name, r.line(t))
+		}
+		for _, m := range modes {
+			r := runDSR(t, g, dsr.Options{C: 0.6, Workers: m.workers}, m.block)
+			fmt.Fprintf(&out, "web1500-r%d oip-dsr %s %s\n", seed, m.name, r.line(t))
+		}
+	}
+	checkGolden(t, "sweeps-web.txt", out.String())
 }
 
 // checkGolden compares got line by line with testdata/parent/name, or

@@ -201,7 +201,9 @@ func sameCells(want *simmat.Matrix, got simmat.Source) error {
 
 // TestBlockSweepMatchesModel: on the parallel workloads and the block
 // goldens' hand-built graph, every configuration matches the n x n model
-// bit for bit, at one and three workers.
+// bit for bit, at one, two and three workers: every per-worker tail group
+// size of the four-row emit occurs, and so does a worker with fewer than
+// four rows.
 func TestBlockSweepMatchesModel(t *testing.T) {
 	graphs := parallelWorkloads(t)
 	graphs["empty-members"] = graph.MustFromEdges(8, [][2]int{
@@ -213,7 +215,7 @@ func TestBlockSweepMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range modelRuns {
-			for _, workers := range []int{1, 3} {
+			for _, workers := range []int{1, 2, 3} {
 				if err := checkBlockSweep(g, plan, r, 4, workers); err != nil {
 					t.Errorf("%s workers=%d: %v", name, workers, err)
 				}
@@ -244,7 +246,7 @@ func decodeFuzzGraph(data []byte) (*graph.Graph, int) {
 
 // FuzzBlockSweep: on small random graphs — empty in-sets, self-loops,
 // isolated vertices, identical in-sets — the block sweep of OIP-SR, OIP-DSR
-// and the outer-sharing ablation, at one and three workers, equals the
+// and the outer-sharing ablation, at one, two and three workers, equals the
 // n x n model in every bit of every cell and in both add counters.
 func FuzzBlockSweep(f *testing.F) {
 	f.Add([]byte{13, 3, 0, 3, 1, 3, 0, 4, 1, 4, 7, 7, 7, 8, 2, 8, 6, 9, 8, 9, 0, 9})
@@ -257,7 +259,7 @@ func FuzzBlockSweep(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, r := range modelRuns {
-			for _, workers := range []int{1, 3} {
+			for _, workers := range []int{1, 2, 3} {
 				if err := checkBlockSweep(g, plan, r, k, workers); err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

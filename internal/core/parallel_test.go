@@ -151,9 +151,40 @@ func TestParallelSweeperCapsWorkers(t *testing.T) {
 	}
 }
 
+// sweepWebGraph is the sweep-web benchmark's graph for seed:
+// gen.WebGraph(1500, 11, 1) with vertex v renamed perm[v], perm the seed's
+// rand.Perm. golden_test.go keeps its own copy, relabelled, so that file
+// still compiles alone at the commit its goldens are recorded from.
+func sweepWebGraph(tb testing.TB, seed int64) *graph.Graph {
+	g := gen.WebGraph(1500, 11, 1)
+	perm := rand.New(rand.NewSource(seed)).Perm(g.NumVertices())
+	var edges [][2]int
+	g.Edges(func(u, v int) bool {
+		edges = append(edges, [2]int{perm[u], perm[v]})
+		return true
+	})
+	h, err := graph.FromEdges(g.NumVertices(), edges)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
 // BenchmarkSweepOnly measures the sweep phase alone (plan prebuilt) across
-// pool sizes, the purest view of chain-level scaling.
+// pool sizes, the purest view of chain-level scaling, and on sweep-web's
+// seed-1 graph at one worker, where procedure OP dominates: ns/outer_add
+// is the sweep's time per addition of procedure OP.
 func BenchmarkSweepOnly(b *testing.B) {
+	run := func(b *testing.B, g *graph.Graph, plan *partition.Plan, workers int) {
+		sw := NewParallelSweeper(g, plan, false, false, workers)
+		prev, next := simmat.NewIdentity(sw.Kept()), simmat.New(sw.Kept())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sw.Sweep(prev, next, 1, 0.6, true)
+			prev, next = next, prev
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sw.Stats().OuterAdds), "ns/outer_add")
+	}
 	g := gen.WebGraph(2000, 11, 1)
 	plan, err := partition.BuildPlan(g, partition.Options{})
 	if err != nil {
@@ -161,13 +192,15 @@ func BenchmarkSweepOnly(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(map[int]string{1: "workers=1", 2: "workers=2", 4: "workers=4", 8: "workers=8"}[workers], func(b *testing.B) {
-			sw := NewParallelSweeper(g, plan, false, false, workers)
-			prev, next := simmat.NewIdentity(sw.Kept()), simmat.New(sw.Kept())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sw.Sweep(prev, next, 1, 0.6, true)
-				prev, next = next, prev
-			}
+			run(b, g, plan, workers)
 		})
 	}
+	b.Run("sweep-web/workers=1", func(b *testing.B) {
+		g := sweepWebGraph(b, 1)
+		plan, err := partition.BuildPlan(g, partition.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, g, plan, 1)
+	})
 }

@@ -28,6 +28,22 @@
 // TreeDiffs CSR, mapped once to partial-vector slots, with no per-vertex
 // slices to chase.
 //
+// Every row runs that same program, and one row's tree path is a single
+// serial chain of additions, so its time is add latency. A worker
+// therefore takes its chain steps kernelRows at a time, each in its own
+// lane — a partial vector and a column of the per-step outer sums — and
+// one pass over the program advances all lanes and emits all their rows:
+// four independent add chains the CPU overlaps. A derived step's lane
+// starts as a copy of the lane of the step before it, and a copy is
+// exact. Each lane's value at a tree step receives exactly the one-row
+// additions, in the one-row order, and nothing crosses lanes, so every
+// row, and both add counters, are bit-identical to emitting one row per
+// pass. In a worker's last group the missing lanes alias lane 0's
+// partial vector and row: they recompute lane 0's values and write the
+// same bits into the same row, so no pad buffer is needed, and OuterAdds
+// counts only the real rows. The psum-SR ablation (DisableOuter) is not
+// procedure OP and emits its rows one at a time from the same lanes.
+//
 // # Concurrency model
 //
 // The chains of the plan are mutually independent: every chain rebuilds its
@@ -35,10 +51,10 @@
 // chain emits is disjoint from every other chain's. A Sweeper built with
 // workers > 1 therefore schedules whole chains across a fixed worker pool,
 // longest-estimated-cost-first for load balance. Each worker owns its own
-// partial/vals scratch buffers and its own SweepStats; workers read the
-// shared prev matrix and plan (both immutable during a sweep) and write
-// disjoint rows of next, so no locks are needed. Stats are merged after the
-// barrier, keeping operation counts exact.
+// lanes and its own SweepStats; workers read the shared prev matrix and
+// plan (both immutable during a sweep) and write disjoint rows of next, so
+// no locks are needed. Stats are merged after the barrier, keeping
+// operation counts exact.
 //
 // Determinism guarantee: the floating-point operations that produce any
 // given row — and their order — are fixed by the chain containing it, not
@@ -89,10 +105,10 @@
 // of the two block rows and the rule picks the same row it would in the
 // full matrix; the pairs outside the block are d·δ on both sides.
 // SweepTiled runs the identical per-row arithmetic against the tiled
-// backend — rows of prev are assembled from tiles, emitted rows land in an
-// O(m) buffer, and only the canonical upper segment is stored — which is
-// why tiled output is bit-identical to the dense path for every block size
-// and worker count.
+// backend — rows of prev are assembled from tiles, emitted rows land in
+// O(m) buffers, one per lane, and only the canonical upper segment of each
+// is stored — which is why tiled output is bit-identical to the dense path
+// for every block size and worker count.
 package core
 
 import (
@@ -113,17 +129,20 @@ type SweepStats struct {
 }
 
 // sweepWorker is the per-worker mutable state of a sweep: the O(n) scratch
-// buffers and the operation counters. Workers never share these. rowBuf and
-// stage are allocated lazily on the first tiled sweep: rowBuf receives the
-// emitted row before its canonical segment is stored, stage holds the rows
-// of prev assembled from tiles for one call of accumulate.
+// buffers and the operation counters. Workers never share these. A worker
+// sweeps its chain steps kernelRows at a time, one lane per step: lane j
+// holds the inner partial-sum vector of the group's j-th step and column j
+// of vals that step's outer partial sums. rowBuf and stage are allocated
+// lazily on the first tiled sweep: rowBuf[j] receives lane j's emitted row
+// before its canonical segment is stored, stage holds the rows of prev
+// assembled from tiles for one call of accumulate.
 type sweepWorker struct {
-	partial []float64             // Partial_{I(u)} by slot: m block columns, then the indicators
-	vals    []float64             // per-tree-step outer partial sums (procedure OP)
-	rows    [kernelRows][]float64 // the prev rows handed to accumulate
-	rowBuf  []float64             // tiled sweeps: emit target row
-	stage   [kernelRows][]float64 // tiled sweeps: staged prev rows
-	stats   SweepStats
+	lanes  [kernelRows][]float64 // Partial_{I(u)} by slot: m block columns, then the indicators
+	vals   [][kernelRows]float64 // per-tree-step outer partial sums of each lane (procedure OP)
+	rows   [kernelRows][]float64 // the prev rows handed to accumulate
+	rowBuf [kernelRows][]float64 // tiled sweeps: emit target rows
+	stage  [kernelRows][]float64 // tiled sweeps: staged prev rows
+	stats  SweepStats
 }
 
 // Sweeper applies the pairwise in-neighbor averaging operator
@@ -214,8 +233,10 @@ func NewParallelSweeper(g *graph.Graph, plan *partition.Plan, allRows, disableOu
 		disableOuter: disableOuter,
 	}
 	for w := range sw.ws {
-		sw.ws[w].partial = make([]float64, m+e)
-		sw.ws[w].vals = make([]float64, len(plan.TreeSteps))
+		for j := range sw.ws[w].lanes {
+			sw.ws[w].lanes[j] = make([]float64, m+e)
+		}
+		sw.ws[w].vals = make([][kernelRows]float64, len(plan.TreeSteps))
 	}
 	return sw
 }
@@ -311,16 +332,16 @@ func (sw *Sweeper) Stats() SweepStats {
 
 // AuxBytes reports the auxiliary memory held by the sweeper's O(n) buffers
 // (the "intermediate memory" of Proposition 5; score matrices excluded):
-// the slot map, the slot-mapped tree program, and per worker one
-// partial/vals pair, plus 1 + kernelRows row buffers once a tiled sweep
-// has run.
+// the slot map, the slot-mapped tree program, and per worker kernelRows
+// partial vectors and vals columns, plus 2·kernelRows row buffers once a
+// tiled sweep has run.
 func (sw *Sweeper) AuxBytes() int64 {
 	var b int64
 	for w := range sw.ws {
 		st := &sw.ws[w]
-		b += int64(len(st.partial)+len(st.vals)+len(st.rowBuf)) * 8
-		for _, r := range st.stage {
-			b += int64(len(r)) * 8
+		b += int64(len(st.vals)) * kernelRows * 8
+		for j := range kernelRows {
+			b += int64(len(st.lanes[j])+len(st.rowBuf[j])+len(st.stage[j])) * 8
 		}
 	}
 	b += int64(len(sw.slot)+len(sw.emptyRows)+len(sw.tree.IDs)+len(sw.treeRow)) * 4
@@ -352,18 +373,17 @@ func (sw *Sweeper) Sweep(prev, next *simmat.Matrix, prevDiag, damp float64, pinD
 			clear(next.Row(int(r)))
 		}
 
-		// Walk this worker's chains. Chains never branch, so no undo is
-		// needed, and chains never read each other's state, so workers need
-		// no locks.
 		st := &sw.ws[w]
 		load := func(x int, _ []float64) ([]float64, error) { return prev.Row(x), nil }
-		for _, ch := range sw.sched[w] {
-			for i := ch.Start; i < ch.End; i++ {
-				u := sw.slot[sw.plan.ChainSteps[i].Vertex]
-				sw.inner(st, i, prevDiag, load) // a dense row load cannot fail
-				sw.emitRow(st, next.Row(int(u)), u, damp)
+		var rows [kernelRows][]float64
+		// A dense row load cannot fail, so neither can the walk.
+		sw.walkChains(st, w, prevDiag, load, func(us []int32) error {
+			for j, u := range us {
+				rows[j] = next.Row(int(u))
 			}
-		}
+			sw.emit(st, rows[:len(us)], us, damp)
+			return nil
+		})
 	})
 
 	if pinDiag {
@@ -393,9 +413,9 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, prevDiag, damp float64, 
 	errs := make([]error, sw.workers)
 	par.Do(sw.workers, func(w int) {
 		st := &sw.ws[w]
-		if st.rowBuf == nil {
-			st.rowBuf = make([]float64, sw.m)
-			for j := range st.stage {
+		if st.rowBuf[0] == nil {
+			for j := range kernelRows {
+				st.rowBuf[j] = make([]float64, sw.m)
 				st.stage[j] = make([]float64, sw.m)
 			}
 		}
@@ -403,18 +423,21 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, prevDiag, damp float64, 
 		// steps, or the non-empty-set columns without outer sharing), so
 		// zeroing once per sweep keeps never-emitted cells — the columns
 		// of kept empty in-sets — at their a-priori zero.
-		clear(st.rowBuf)
+		for _, r := range st.rowBuf {
+			clear(r)
+		}
 
 		// The rows of kept empty in-sets are all-zero except a pinned
-		// diagonal; rowBuf is all-zero here by construction.
+		// diagonal; rowBuf[0] is all-zero here by construction.
+		buf := st.rowBuf[0]
 		lo, hi := par.Range(len(sw.emptyRows), sw.workers, w)
 		for _, r := range sw.emptyRows[lo:hi] {
 			if pinDiag {
-				st.rowBuf[r] = 1
+				buf[r] = 1
 			}
-			err := next.SetRowUpper(int(r), st.rowBuf)
+			err := next.SetRowUpper(int(r), buf)
 			if pinDiag {
-				st.rowBuf[r] = 0
+				buf[r] = 0
 			}
 			if err != nil {
 				errs[w] = err
@@ -423,26 +446,22 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, prevDiag, damp float64, 
 		}
 
 		load := func(x int, dst []float64) ([]float64, error) { return dst, prev.RowInto(x, dst) }
-		for _, ch := range sw.sched[w] {
-			for i := ch.Start; i < ch.End; i++ {
-				u := sw.slot[sw.plan.ChainSteps[i].Vertex]
-				if err := sw.inner(st, i, prevDiag, load); err != nil {
-					errs[w] = err
-					return
-				}
-				sw.emitRow(st, st.rowBuf, u, damp)
+		errs[w] = sw.walkChains(st, w, prevDiag, load, func(us []int32) error {
+			rows := st.rowBuf[:len(us)]
+			sw.emit(st, rows, us, damp)
+			for j, u := range us {
 				if pinDiag {
 					// The diagonal cell belongs to row u's canonical
 					// segment alone; u heads a non-empty set, so the next
-					// emit overwrites rowBuf[u] regardless.
-					st.rowBuf[u] = 1
+					// emit into this buffer overwrites it regardless.
+					rows[j][u] = 1
 				}
-				if err := next.SetRowUpper(int(u), st.rowBuf); err != nil {
-					errs[w] = err
-					return
+				if err := next.SetRowUpper(int(u), rows[j]); err != nil {
+					return err
 				}
 			}
-		}
+			return nil
+		})
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -452,8 +471,10 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, prevDiag, damp float64, 
 	return nil
 }
 
-// kernelRows is how many prev rows accumulate folds into one pass over the
-// partial vector, and how many rows a tiled sweep stages at a time.
+// kernelRows is how many prev rows accumulate folds into one pass over a
+// partial vector, how many rows a tiled sweep stages at a time, and how
+// many lanes procedure OP advances in one pass over the tree program.
+// accumulate and emit are written out for four.
 const kernelRows = 4
 
 // rowLoader returns block row x of prev: a view of the dense matrix, or
@@ -461,20 +482,56 @@ const kernelRows = 4
 // of the worker, or the partial vector itself).
 type rowLoader func(x int, dst []float64) ([]float64, error)
 
-// inner brings st.partial to Partial_{I(u)} for chain step i: from scratch
-// over I(u) at chain starts (lines 5-6 of Algorithm 1), otherwise by the
-// step's symmetric difference from the previous set (Eq. 9; lines 10-11).
-// d is prev's diagonal value outside the block, the ± step of an
+// walkChains runs worker w's chains kernelRows steps at a time. For each
+// step it brings the next lane to the step's inner partial-sum vector —
+// a derived step first copies the lane of the step before it, which is
+// exact — and after every full group, and after the tail, it hands the
+// group's block rows to emit. Chains never branch, so no undo is needed,
+// and chains never read each other's state, so workers need no locks.
+func (sw *Sweeper) walkChains(st *sweepWorker, w int, d float64, load rowLoader, emit func(us []int32) error) error {
+	var us [kernelRows]int32
+	k := 0
+	for _, ch := range sw.sched[w] {
+		for i := ch.Start; i < ch.End; i++ {
+			step := sw.plan.ChainSteps[i]
+			p := st.lanes[k]
+			if step.Parent >= 0 {
+				// The step before is the previous lane, or the last lane
+				// of the previous (full) group.
+				copy(p, st.lanes[(k+kernelRows-1)%kernelRows])
+			}
+			if err := sw.inner(st, p, i, d, load); err != nil {
+				return err
+			}
+			us[k] = sw.slot[step.Vertex]
+			if k++; k == kernelRows {
+				if err := emit(us[:]); err != nil {
+					return err
+				}
+				k = 0
+			}
+		}
+	}
+	if k > 0 {
+		return emit(us[:k])
+	}
+	return nil
+}
+
+// inner brings p to Partial_{I(u)} for chain step i: from scratch over
+// I(u) at chain starts (lines 5-6 of Algorithm 1), otherwise by the step's
+// symmetric difference from the previous set, which p holds (Eq. 9; lines
+// 10-11). d is prev's diagonal value outside the block, the ± step of an
 // indicator. A from-scratch build copies its first block row and clears
 // the indicators; one without a block row starts from zero, which adding
 // rows to leaves bit-identical to copying the first of them.
-func (sw *Sweeper) inner(st *sweepWorker, i int, d float64, load rowLoader) error {
+func (sw *Sweeper) inner(st *sweepWorker, p []float64, i int, d float64, load rowLoader) error {
 	add, sub := sw.plan.ChainDiffs.At(i)
 	ops := int64(len(add) + len(sub))
 	if sw.plan.ChainSteps[i].Parent < 0 {
 		ops-- // the first row of the set is copied, not added
-		block := st.partial[:sw.m]
-		clear(st.partial[sw.m:])
+		block := p[:sw.m]
+		clear(p[sw.m:])
 		j := 0
 		for j < len(add) && int(sw.slot[add[j]]) >= sw.m {
 			j++
@@ -488,15 +545,15 @@ func (sw *Sweeper) inner(st *sweepWorker, i int, d float64, load rowLoader) erro
 			}
 			copy(block, r) // a tiled load already wrote it there
 		}
-		if err := sw.accumulateIDs(st, load, add[:j], d, false); err != nil {
+		if err := sw.accumulateIDs(st, p, load, add[:j], d, false); err != nil {
 			return err
 		}
 		add = add[min(j+1, len(add)):]
 	}
-	if err := sw.accumulateIDs(st, load, add, d, false); err != nil {
+	if err := sw.accumulateIDs(st, p, load, add, d, false); err != nil {
 		return err
 	}
-	if err := sw.accumulateIDs(st, load, sub, d, true); err != nil {
+	if err := sw.accumulateIDs(st, p, load, sub, d, true); err != nil {
 		return err
 	}
 	st.stats.InnerAdds += ops * int64(sw.n)
@@ -504,18 +561,18 @@ func (sw *Sweeper) inner(st *sweepWorker, i int, d float64, load rowLoader) erro
 }
 
 // accumulateIDs adds (or, with sub, subtracts) the prev rows of the
-// vertices ids to st.partial: block rows kernelRows per call of
+// vertices ids to the partial vector p: block rows kernelRows per call of
 // accumulate, and d to the indicator of each vertex outside the block.
-func (sw *Sweeper) accumulateIDs(st *sweepWorker, load rowLoader, ids []int32, d float64, sub bool) error {
-	p := st.partial[:sw.m]
+func (sw *Sweeper) accumulateIDs(st *sweepWorker, p []float64, load rowLoader, ids []int32, d float64, sub bool) error {
+	block := p[:sw.m]
 	k := 0
 	for _, v := range ids {
 		x := sw.slot[v]
 		if int(x) >= sw.m {
 			if sub {
-				st.partial[x] -= d
+				p[x] -= d
 			} else {
-				st.partial[x] += d
+				p[x] += d
 			}
 			continue
 		}
@@ -525,12 +582,12 @@ func (sw *Sweeper) accumulateIDs(st *sweepWorker, load rowLoader, ids []int32, d
 		}
 		st.rows[k] = r
 		if k++; k == kernelRows {
-			accumulate(p, st.rows[:k], sub)
+			accumulate(block, st.rows[:k], sub)
 			k = 0
 		}
 	}
 	if k > 0 {
-		accumulate(p, st.rows[:k], sub)
+		accumulate(block, st.rows[:k], sub)
 	}
 	return nil
 }
@@ -595,55 +652,93 @@ func accumulate(p []float64, rows [][]float64, sub bool) {
 	}
 }
 
-// emitRow computes next(u, w) for every w of the block, u a block row,
-// from the current partial vector into row — the dense matrix row, or a
-// tiled sweep's staging buffer. With outer sharing it is procedure OP over
-// the plan's tree program: one pass over the tree steps in preorder, each
-// starting from 0 (a tree root, line 2 of procedure OP) or from its parent
-// step's value (Proposition 4; line 8) and applying the step's slot range
-// of the mapped TreeDiffs, so the per-row additions equal the MST weight.
-// Without outer sharing it is the psum-SR per-target summation.
-func (sw *Sweeper) emitRow(st *sweepWorker, row []float64, u int32, damp float64) {
-	scaleU := damp * sw.invDeg[u]
-	partial, inv, slot := st.partial, sw.invDeg, sw.slot
-
+// emit computes next(u, w) for every w of the block and every block row u
+// of us (at most kernelRows), from the group's lanes into rows — dense
+// matrix rows, or a tiled sweep's row buffers. With outer sharing it is
+// procedure OP over the plan's tree program, all lanes in one pass over
+// the tree steps in preorder: each step starts from 0 (a tree root, line 2
+// of procedure OP) or from its parent step's values (Proposition 4; line
+// 8) and applies the step's slot range of the mapped TreeDiffs to every
+// lane, so each row's additions equal the MST weight. Each lane is its
+// own add chain in the one-row order; four independent chains keep the
+// adder busy where one would wait on every add's latency. In a tail group
+// the missing lanes alias lane 0's partial vector and row: they compute
+// and write lane 0's bits again. Without outer sharing it is the psum-SR
+// per-target summation, one row at a time.
+func (sw *Sweeper) emit(st *sweepWorker, rows [][]float64, us []int32, damp float64) {
 	if sw.disableOuter {
-		g := sw.g
-		outerAdds := int64(0)
-		for v := 0; v < sw.n; v++ {
-			in := g.In(v)
-			if len(in) == 0 {
-				continue
-			}
-			sum := 0.0
-			for _, j := range in {
-				sum += partial[slot[j]]
-			}
-			outerAdds += int64(len(in) - 1)
-			w := slot[v]
-			row[w] = scaleU * inv[w] * sum
+		for j, u := range us {
+			sw.emitSum(st, st.lanes[j], rows[j], u, damp)
 		}
-		st.stats.OuterAdds += outerAdds
 		return
 	}
+	var lane [kernelRows][]float64
+	var row [kernelRows][]float64
+	var scale [kernelRows]float64
+	for j := range kernelRows {
+		k := j
+		if j >= len(us) {
+			k = 0
+		}
+		lane[j], row[j], scale[j] = st.lanes[k], rows[k], damp*sw.invDeg[us[k]]
+	}
+	// Equal lengths let one bounds check cover all four loads or stores.
+	p0 := lane[0]
+	p1, p2, p3 := lane[1][:len(p0)], lane[2][:len(p0)], lane[3][:len(p0)]
+	r0 := row[0]
+	r1, r2, r3 := row[1][:len(r0)], row[2][:len(r0)], row[3][:len(r0)]
+	s0, s1, s2, s3 := scale[0], scale[1], scale[2], scale[3]
 
-	steps, d := sw.plan.TreeSteps, &sw.tree
+	steps, d, inv := sw.plan.TreeSteps, &sw.tree, sw.invDeg
 	ids, off, split := d.IDs, d.Off[:len(steps)+1], d.Split[:len(steps)]
 	vals, at := st.vals[:len(steps)], sw.treeRow[:len(steps)]
 	for i, s := range steps {
-		var val float64
+		var v0, v1, v2, v3 float64
 		if s.Parent >= 0 {
-			val = vals[s.Parent]
+			pv := &vals[s.Parent]
+			v0, v1, v2, v3 = pv[0], pv[1], pv[2], pv[3]
 		}
 		for _, y := range ids[off[i]:split[i]] {
-			val += partial[y]
+			v0 += p0[y]
+			v1 += p1[y]
+			v2 += p2[y]
+			v3 += p3[y]
 		}
 		for _, y := range ids[split[i]:off[i+1]] {
-			val -= partial[y]
+			v0 -= p0[y]
+			v1 -= p1[y]
+			v2 -= p2[y]
+			v3 -= p3[y]
 		}
-		vals[i] = val
+		vals[i] = [kernelRows]float64{v0, v1, v2, v3}
 		w := at[i]
-		row[w] = scaleU * inv[w] * val
+		r0[w] = s0 * inv[w] * v0
+		r1[w] = s1 * inv[w] * v1
+		r2[w] = s2 * inv[w] * v2
+		r3[w] = s3 * inv[w] * v3
 	}
-	st.stats.OuterAdds += int64(sw.plan.TreeWeight) // the tree steps' diffs sum to it
+	// The tree steps' diffs sum to the MST weight, once per real row.
+	st.stats.OuterAdds += int64(len(us)) * int64(sw.plan.TreeWeight)
+}
+
+// emitSum is the ablation's emit for one row: next(u, w) as the psum-SR
+// per-target sum over I(w) of the partial vector p, with no outer sharing.
+func (sw *Sweeper) emitSum(st *sweepWorker, p, row []float64, u int32, damp float64) {
+	scaleU := damp * sw.invDeg[u]
+	g, inv, slot := sw.g, sw.invDeg, sw.slot
+	outerAdds := int64(0)
+	for v := 0; v < sw.n; v++ {
+		in := g.In(v)
+		if len(in) == 0 {
+			continue
+		}
+		sum := 0.0
+		for _, j := range in {
+			sum += p[slot[j]]
+		}
+		outerAdds += int64(len(in) - 1)
+		w := slot[v]
+		row[w] = scaleU * inv[w] * sum
+	}
+	st.stats.OuterAdds += outerAdds
 }

@@ -217,3 +217,53 @@ func TestAuxBytesScalesLinearly(t *testing.T) {
 		t.Errorf("aux bytes grew superlinearly: %d -> %d for 100x vertices", s, bb)
 	}
 }
+
+// TestAuxBytesClosedForm: AuxBytes is exactly the sweeper's buffers — the
+// slot map, the slot-mapped tree program and 1/|I| by block row, plus per
+// worker kernelRows partial vectors of m + e slots and kernelRows vals
+// columns of one value per tree step — and a tiled sweep adds per worker
+// kernelRows row buffers and kernelRows staging rows of m values each.
+func TestAuxBytesClosedForm(t *testing.T) {
+	g := sweepWebGraph(t, 1)
+	plan, err := partition.BuildPlan(g, partition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, steps := g.NumVertices(), len(plan.TreeSteps)
+	e := 0
+	for v := 0; v < n; v++ {
+		if g.InDegree(v) == 0 && g.OutDegree(v) > 0 {
+			e++
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		sw := NewParallelSweeper(g, plan, false, false, workers)
+		m := sw.Kept()
+		shared := int64(n+len(plan.TreeDiffs.IDs)+steps)*4 + int64(m)*8
+		want := shared + int64(workers*kernelRows*(m+e+steps))*8
+		if got := sw.AuxBytes(); got != want {
+			t.Errorf("workers=%d: AuxBytes %d, closed form %d", workers, got, want)
+		}
+
+		store, err := simmat.NewTileStore(simmat.TileOptions{BlockSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, err := store.NewIdentity(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := store.NewTiled(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.SweepTiled(prev, next, 1, 0.6, true); err != nil {
+			t.Fatal(err)
+		}
+		want += int64(workers*2*kernelRows*m) * 8
+		if got := sw.AuxBytes(); got != want {
+			t.Errorf("workers=%d after a tiled sweep: AuxBytes %d, closed form %d", workers, got, want)
+		}
+		store.Close()
+	}
+}
