@@ -252,7 +252,7 @@ func BenchmarkSweepTiled(b *testing.B) {
 	})
 }
 
-// --- Ablations: outer sharing, candidate generation, the MST, psum's threshold ---
+// --- Ablations: outer sharing, psum's threshold ---
 
 func BenchmarkAblationOuterSharing(b *testing.B) {
 	g := web()
@@ -261,29 +261,6 @@ func BenchmarkAblationOuterSharing(b *testing.B) {
 	})
 	b.Run("outer=off", func(b *testing.B) {
 		runAlgo(b, g, simrank.Options{C: 0.6, K: 10, DisableOuterSharing: true})
-	})
-}
-
-func BenchmarkAblationCandidates(b *testing.B) {
-	g := web()
-	b.Run("candidates=sparse", func(b *testing.B) {
-		runAlgo(b, g, simrank.Options{C: 0.6, K: 5})
-	})
-	b.Run("candidates=dense", func(b *testing.B) {
-		runAlgo(b, g, simrank.Options{C: 0.6, K: 5, DensePartition: true})
-	})
-	b.Run("candidates=capped8", func(b *testing.B) {
-		runAlgo(b, g, simrank.Options{C: 0.6, K: 5, PairCap: 8})
-	})
-}
-
-func BenchmarkAblationMST(b *testing.B) {
-	g := web()
-	b.Run("mst=greedy", func(b *testing.B) {
-		runAlgo(b, g, simrank.Options{C: 0.6, K: 5})
-	})
-	b.Run("mst=edmonds", func(b *testing.B) {
-		runAlgo(b, g, simrank.Options{C: 0.6, K: 5, UseEdmonds: true})
 	})
 }
 

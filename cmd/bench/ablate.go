@@ -7,9 +7,10 @@ import (
 	"oipsr/simrank"
 )
 
-// runAblations measures the design choices DESIGN.md flags: outer sharing,
-// candidate generation strategy, and MST backend. All variants compute
-// identical scores (property-tested in internal/core); only cost moves.
+// runAblations measures what partial-sums sharing saves: OIP-SR in full,
+// with outer sharing ablated, and psum-SR with no sharing at all. All
+// variants compute identical scores (property-tested in internal/core);
+// only cost moves.
 func runAblations(cfg config) {
 	header("Ablations: OIP-SR design choices on berkstan*", "DESIGN.md")
 	g := webGraph(cfg)
@@ -22,9 +23,6 @@ func runAblations(cfg config) {
 	}{
 		{"full OIP-SR", simrank.Options{Algorithm: simrank.OIPSR}},
 		{"inner sharing only", simrank.Options{Algorithm: simrank.OIPSR, DisableOuterSharing: true}},
-		{"dense O(n^2) candidates", simrank.Options{Algorithm: simrank.OIPSR, DensePartition: true}},
-		{"Edmonds MST backend", simrank.Options{Algorithm: simrank.OIPSR, UseEdmonds: true}},
-		{"pair cap 8", simrank.Options{Algorithm: simrank.OIPSR, PairCap: 8}},
 		{"psum-SR (no sharing)", simrank.Options{Algorithm: simrank.PsumSR}},
 	}
 	for _, v := range variants {

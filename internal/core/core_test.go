@@ -129,28 +129,50 @@ func TestFig4ThroughOIP(t *testing.T) {
 	}
 }
 
-// TestAblationsProduceSameScores: disabling outer sharing, using the dense
-// candidate table, or the Edmonds backend must never change the result,
-// only the cost.
+// TestAblationsProduceSameScores: disabling outer sharing must never change
+// the result, only the cost.
 func TestAblationsProduceSameScores(t *testing.T) {
 	g := gen.WebGraph(150, 9, 7)
 	base, _, err := Compute(g, Options{C: 0.6, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := map[string]Options{
-		"no-outer": {C: 0.6, K: 4, DisableOuter: true},
-		"dense":    {C: 0.6, K: 4, Partition: partition.Options{Dense: true}},
-		"edmonds":  {C: 0.6, K: 4, Partition: partition.Options{UseEdmonds: true}},
-		"paircap":  {C: 0.6, K: 4, Partition: partition.Options{PairCap: 4}},
+	got, _, err := Compute(g, Options{C: 0.6, K: 4, DisableOuter: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, opt := range variants {
-		got, _, err := Compute(g, opt)
+	if d := maxDiff(t, base, got); d > 1e-9 {
+		t.Errorf("no-outer: max diff %g from baseline", d)
+	}
+}
+
+// TestAblateOuterAddsClosedForm pins the outer-add counts the `ablate`
+// experiment of cmd/bench prints, on sweep-web's graph: every iteration
+// emits one row per vertex with a non-empty in-set, and a row costs
+// procedure OP the plan's tree weight, or with outer sharing ablated the
+// psum-SR per-target sums, ScratchAdditions.
+func TestAblateOuterAddsClosedForm(t *testing.T) {
+	g := sweepWebGraph(t, 1)
+	plan, err := partition.BuildPlan(g, partition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 10
+	rows := int64(k * plan.NumSets)
+	for _, c := range []struct {
+		name         string
+		disableOuter bool
+		perRow       int
+	}{
+		{"oip-sr", false, plan.TreeWeight},
+		{"disable-outer", true, plan.ScratchAdditions},
+	} {
+		_, st, err := Compute(g, Options{C: 0.6, K: k, DisableOuter: c.disableOuter, Workers: 2})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if d := maxDiff(t, base, got); d > 1e-9 {
-			t.Errorf("%s: max diff %g from baseline", name, d)
+		if want := rows * int64(c.perRow); st.OuterAdds != want {
+			t.Errorf("%s: OuterAdds %d, want K·m·%d = %d", c.name, st.OuterAdds, c.perRow, want)
 		}
 	}
 }

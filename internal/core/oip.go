@@ -28,9 +28,6 @@ type Options struct {
 	// "observed iterations" stopping rule of Exp-3.
 	StopDiff float64
 
-	// Partition forwards to DMST-Reduce (candidate strategy, MST backend).
-	Partition partition.Options
-
 	// DisableOuter ablates outer partial-sums sharing (Section III-B),
 	// leaving only inner sharing over the MST.
 	DisableOuter bool
@@ -102,7 +99,7 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	st := &Stats{}
 
 	t0 := time.Now()
-	plan, err := partition.BuildPlan(g, opt.Partition)
+	plan, err := partition.BuildPlan(g, partition.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -156,7 +153,7 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error)
 	st := &Stats{}
 
 	t0 := time.Now()
-	plan, err := partition.BuildPlan(g, opt.Partition)
+	plan, err := partition.BuildPlan(g, partition.Options{})
 	if err != nil {
 		store.Close()
 		return nil, nil, err

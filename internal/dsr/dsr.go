@@ -46,9 +46,6 @@ type Options struct {
 	// Eps is the desired accuracy used when K == 0; defaults to 1e-3.
 	Eps float64
 
-	// Partition forwards to DMST-Reduce.
-	Partition partition.Options
-
 	// DisableSharing computes T_{k+1} with plain psum-style partial sums
 	// instead of OIP sharing (the paper's "DSR without OIP" configuration,
 	// used to isolate the convergence-rate gain from the sharing gain).
@@ -124,7 +121,7 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 		plan = partition.TrivialPlan(g)
 	} else {
 		var err error
-		plan, err = partition.BuildPlan(g, opt.Partition)
+		plan, err = partition.BuildPlan(g, partition.Options{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -207,7 +204,7 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error)
 	if opt.DisableSharing {
 		plan = partition.TrivialPlan(g)
 	} else {
-		plan, err = partition.BuildPlan(g, opt.Partition)
+		plan, err = partition.BuildPlan(g, partition.Options{})
 		if err != nil {
 			return fail(err)
 		}

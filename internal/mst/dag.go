@@ -38,9 +38,8 @@ func GreedyAcyclic(n, root int, edges []Edge) (*Arborescence, error) {
 			continue
 		}
 		// Ties break toward the smallest parent id so the selection is
-		// deterministic regardless of edge enumeration order (the sparse
-		// and dense candidate generators of DMST-Reduce emit the same edge
-		// set in different orders and must produce the same tree).
+		// deterministic regardless of edge enumeration order: any
+		// enumeration of one edge set yields the same tree.
 		cur := a.Edge[e.To]
 		if cur == -1 || e.Weight < edges[cur].Weight ||
 			(e.Weight == edges[cur].Weight && e.From < edges[cur].From) {

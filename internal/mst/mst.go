@@ -5,10 +5,10 @@
 // digraph over in-neighbor sets and extracts a directed MST rooted at a
 // virtual node to obtain a topological order for partial-sums sharing. The
 // paper cites Gabow et al. [7]; this package implements the classic
-// Chu-Liu/Edmonds contraction algorithm (O(V*E), ample for the candidate
-// graphs produced here) plus a linear-time specialization for DAG inputs,
-// which is what the candidate construction emits when ties in the in-degree
-// order are broken consistently.
+// Chu-Liu/Edmonds contraction algorithm (O(V*E)) plus a linear-time
+// specialization for DAG inputs. partition.BuildPlan selects the same
+// arborescence in one counting pass without an edge list; this package is
+// the oracle its tests hold it to, over the paper's dense pair table.
 package mst
 
 import (

@@ -213,75 +213,6 @@ func TestPartitionOfReconstructs(t *testing.T) {
 	}
 }
 
-// TestSparseCandidatesLossless: the overlap-based candidate generation must
-// produce a plan exactly as cheap as the paper's dense O(n^2) table.
-func TestSparseCandidatesLossless(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(40)
-		b := graph.NewBuilder(n, 0)
-		b.EnsureVertices(n)
-		for i := 0; i < rng.Intn(5*n); i++ {
-			b.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		g := b.MustBuild()
-		sparse, err := BuildPlan(g, Options{})
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		dense, err := BuildPlan(g, Options{Dense: true})
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		if sparse.TreeWeight != dense.TreeWeight {
-			t.Logf("seed %d: sparse MST %d != dense MST %d", seed, sparse.TreeWeight, dense.TreeWeight)
-			return false
-		}
-		// With the deterministic greedy tie-break the trees are identical,
-		// so the linearized costs agree as well.
-		if sparse.Additions != dense.Additions {
-			t.Logf("seed %d: sparse %d != dense %d", seed, sparse.Additions, dense.Additions)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestEdmondsMatchesGreedy: both MST backends must reach the same total cost
-// on the DAG-shaped candidate graphs DMST-Reduce produces.
-func TestEdmondsMatchesGreedy(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		b := graph.NewBuilder(n, 0)
-		b.EnsureVertices(n)
-		for i := 0; i < rng.Intn(4*n); i++ {
-			b.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		g := b.MustBuild()
-		greedy, err := BuildPlan(g, Options{})
-		if err != nil {
-			return false
-		}
-		edm, err := BuildPlan(g, Options{UseEdmonds: true})
-		if err != nil {
-			return false
-		}
-		// Both are minimum arborescences of the same cost graph; the
-		// linearized Additions may differ when the backends break weight
-		// ties differently, but the tree weight may not.
-		return greedy.TreeWeight == edm.TreeWeight
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPlanNeverWorseThanScratch: sharing can only reduce additions, and the
 // plan on disjoint in-neighbor sets degrades gracefully to psum-SR cost
 // (the paper's worst-case claim in Proposition 5).
@@ -368,42 +299,6 @@ func TestFig2PlanBytes(t *testing.T) {
 	if got, want := p.Bytes(), int64(vertexArrays+steps+chains+diffs); got != want {
 		t.Errorf("Bytes() = %d, want %d", got, want)
 	}
-}
-
-func TestPairCapStillValid(t *testing.T) {
-	g := paperGraph(t)
-	p, err := BuildPlan(g, Options{PairCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Capped candidate generation may lose sharing but must stay a valid
-	// plan covering all non-empty sets.
-	if p.NumSets != 6 {
-		t.Errorf("NumSets = %d, want 6", p.NumSets)
-	}
-	if p.Additions > p.ScratchAdditions {
-		t.Errorf("capped plan additions %d exceed scratch %d", p.Additions, p.ScratchAdditions)
-	}
-	covered := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.InDegree(v) > 0 {
-			if p.Parent[v] >= 0 || contains(p.Roots, v) {
-				covered++
-			}
-		}
-	}
-	if covered != 6 {
-		t.Errorf("plan covers %d sets, want 6", covered)
-	}
-}
-
-func contains(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // TestStepViewsConsistent: the flattened ChainSteps/TreeSteps must cover

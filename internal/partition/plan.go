@@ -1,34 +1,15 @@
 package partition
 
 import (
-	"fmt"
 	"sort"
 	"unsafe"
 
 	"oipsr/graph"
-	"oipsr/internal/mst"
 )
 
-// Options configure plan construction.
-type Options struct {
-	// Dense builds the full O(n^2)-pair cost table exactly as the paper's
-	// DMST-Reduce pseudocode does. The default (false) enumerates only pairs
-	// of vertices whose in-neighbor sets overlap, which is lossless: a
-	// candidate edge can only beat the from-scratch root edge when the sets
-	// intersect (|A(+)B| < |B|-1 requires |A∩B| >= 1).
-	Dense bool
-
-	// PairCap bounds, per shared in-neighbor, how many co-out-neighbor pairs
-	// are generated (0 = unlimited). Capping turns candidate generation from
-	// Sum |O(y)|^2 into Sum |O(y)|*cap on hub-heavy graphs at the price of
-	// possibly missing some sharing opportunities.
-	PairCap int
-
-	// UseEdmonds forces the general Chu-Liu/Edmonds algorithm instead of the
-	// greedy DAG fast path. Both produce minimum-weight arborescences of the
-	// candidate graph; greedy exploits that the candidate graph is a DAG.
-	UseEdmonds bool
-}
+// Options configure plan construction. It has no fields: DMST-Reduce has
+// one path, and the type stays only so that callers keep their signature.
+type Options struct{}
 
 // Plan is the output of DMST-Reduce: the order in which to compute partial
 // sums over the non-empty in-neighbor sets and how to derive each from an
@@ -122,16 +103,39 @@ func (d *Diffs) At(i int) (add, sub []int32) {
 	return d.IDs[d.Off[i]:d.Split[i]], d.IDs[d.Split[i]:d.Off[i+1]]
 }
 
-// push appends the next step's lists.
-func (d *Diffs) push(add, sub []int) {
-	for _, x := range add {
-		d.IDs = append(d.IDs, int32(x))
-	}
+// push appends the next step's lists, add = in \ from and sub = from \ in,
+// merged straight into IDs, and returns their total length. A from-scratch
+// step passes from = nil: its list is all of in, all of it added.
+func (d *Diffs) push(in, from []int) int {
+	start := len(d.IDs)
+	d.IDs = appendDiff(d.IDs, in, from)
 	d.Split = append(d.Split, int32(len(d.IDs)))
-	for _, x := range sub {
-		d.IDs = append(d.IDs, int32(x))
-	}
+	d.IDs = appendDiff(d.IDs, from, in)
 	d.Off = append(d.Off, int32(len(d.IDs)))
+	return len(d.IDs) - start
+}
+
+// pop removes the last step's lists.
+func (d *Diffs) pop() {
+	last := len(d.Split) - 1
+	d.IDs = d.IDs[:d.Off[last]]
+	d.Off, d.Split = d.Off[:last+1], d.Split[:last]
+}
+
+// appendDiff appends a \ b, for strictly sorted a and b, to dst.
+func appendDiff(dst []int32, a, b []int) []int32 {
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j < len(b) && b[j] == x {
+			j++
+			continue
+		}
+		dst = append(dst, int32(x))
+	}
+	return dst
 }
 
 // Bytes reports the memory held by the plan: every array it keeps, counted
@@ -251,198 +255,173 @@ func TrivialPlan(g *graph.Graph) *Plan {
 	return p
 }
 
-// BuildPlan runs DMST-Reduce on g: it constructs the weighted cost graph
-// over non-empty in-neighbor sets, extracts a minimum spanning arborescence
-// rooted at the virtual empty set, and converts it into a Plan.
-func BuildPlan(g *graph.Graph, opt Options) (*Plan, error) {
+// BuildPlan runs DMST-Reduce on g: over the non-empty in-neighbor sets
+// plus a virtual empty root it takes the minimum spanning arborescence of
+// the cost graph whose edge a -> b weighs |I(a) (+) I(b)| (Eq. 7), with root
+// edges weighing ScratchCost, and converts it into a Plan. The error is
+// always nil.
+//
+// The sets are ranked by (in-degree, id) and every candidate edge points
+// from a lower rank to a higher one, so the cost graph is a DAG and the
+// arborescence is each set's cheapest in-edge, ties going to the lowest
+// rank (ARCHITECTURE.md, "The paper's machinery"). One counting pass finds
+// those edges with no pair table: b scatters |I(a) ∩ I(b)| over the
+// lower-ranked sets a that share an in-neighbor y with it — read off
+// lower[y], the sets of rank below b holding y, which fill up in rank
+// order — and |I(a) (+) I(b)| = |I(a)| + |I(b)| - 2|I(a) ∩ I(b)|. A set
+// that shares nothing with b weighs at least |I(b)|, more than its root
+// edge, so the pairs it never counts are never chosen.
+func BuildPlan(g *graph.Graph, _ Options) (*Plan, error) {
 	n := g.NumVertices()
-
-	// Tree nodes: 0 is the virtual ? root; nodes 1..k are the vertices with
-	// non-empty in-neighbor sets, ranked by (in-degree, id) so that all
-	// candidate edges point from lower to higher rank and the cost graph is
-	// a DAG (ties in in-degree are broken by id; ARCHITECTURE.md, "The
-	// paper's machinery": greedy selection on DAG-ordered cost graphs).
 	var verts []int
 	for v := 0; v < n; v++ {
 		if g.InDegree(v) > 0 {
 			verts = append(verts, v)
 		}
 	}
-	sort.Slice(verts, func(i, j int) bool {
-		di, dj := g.InDegree(verts[i]), g.InDegree(verts[j])
-		if di != dj {
-			return di < dj
-		}
-		return verts[i] < verts[j]
-	})
-	node := make([]int, n) // vertex -> tree node id (0 means absent)
-	for i, v := range verts {
-		node[v] = i + 1
+	// Rank by (in-degree, id): the sort is stable over increasing ids.
+	sort.SliceStable(verts, func(i, j int) bool { return g.InDegree(verts[i]) < g.InDegree(verts[j]) })
+	k := len(verts)
+	// lower[off[y]:end[y]] lists, in rank order, the sets ranked below the
+	// current one that hold y; every out-neighbor of y enters it once.
+	off, end := make([]int32, n+1), make([]int32, n)
+	for y := 0; y < n; y++ {
+		off[y+1] = off[y] + int32(g.OutDegree(y))
+		end[y] = off[y]
 	}
-	nNodes := len(verts) + 1
-
-	var edges []mst.Edge
-	// Root edges: compute each set from scratch.
-	for i, v := range verts {
-		edges = append(edges, mst.Edge{From: 0, To: i + 1, Weight: float64(ScratchCost(g.In(v)))})
-	}
-	// Candidate sharing edges.
-	addPair := func(a, b int) {
-		// Orient by rank; only strictly beneficial edges are added.
-		na, nb := node[a], node[b]
-		if na > nb {
-			na, nb = nb, na
-			a, b = b, a
+	lower := make([]int32, off[n])
+	cnt := make([]int32, k)
+	var touched []int32
+	parent := make([]int32, k)
+	weight := 0
+	for b, v := range verts {
+		in := g.In(v)
+		touched = touched[:0]
+		for _, y := range in {
+			for _, a := range lower[off[y]:end[y]] {
+				if cnt[a] == 0 {
+					touched = append(touched, a)
+				}
+				cnt[a]++
+			}
+			lower[end[y]] = int32(b)
+			end[y]++
 		}
-		ia, ib := g.In(a), g.In(b)
-		sd := SymmetricDiffSize(ia, ib)
-		if sd < len(ib)-1 {
-			edges = append(edges, mst.Edge{From: na, To: nb, Weight: float64(sd)})
-		}
-	}
-	if opt.Dense {
-		for i := 0; i < len(verts); i++ {
-			for j := i + 1; j < len(verts); j++ {
-				addPair(verts[i], verts[j])
+		best, from := ScratchCost(in), int32(-1)
+		for _, a := range touched {
+			w := g.InDegree(verts[a]) + len(in) - 2*int(cnt[a])
+			cnt[a] = 0
+			if w < best || (w == best && from >= 0 && a < from) {
+				best, from = w, a
 			}
 		}
-	} else {
-		type pair struct{ a, b int }
-		seen := make(map[pair]bool)
-		for y := 0; y < n; y++ {
-			outs := g.Out(y)
-			lim := len(outs)
-			for i := 0; i < len(outs); i++ {
-				jmax := lim
-				if opt.PairCap > 0 && i+1+opt.PairCap < jmax {
-					jmax = i + 1 + opt.PairCap
-				}
-				for j := i + 1; j < jmax; j++ {
-					a, b := outs[i], outs[j]
-					if node[a] > node[b] {
-						a, b = b, a
-					}
-					pr := pair{a, b}
-					if seen[pr] {
-						continue
-					}
-					seen[pr] = true
-					addPair(a, b)
-				}
-			}
-		}
+		parent[b] = from
+		weight += best
 	}
-
-	var arb *mst.Arborescence
-	var err error
-	if opt.UseEdmonds {
-		arb, err = mst.Edmonds(nNodes, 0, edges)
-	} else {
-		arb, err = mst.GreedyAcyclic(nNodes, 0, edges)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("partition: building DMST: %w", err)
-	}
-
-	return linearize(g, verts, arb), nil
+	return linearize(g, verts, parent, weight), nil
 }
 
-// linearize converts the arborescence over tree nodes (0 = the virtual ?,
-// i+1 = verts[i]) into the executable plan: each root subtree is flattened
-// into its DFS preorder and consecutive sets are connected by their direct
-// symmetric difference. This is exactly the paper's Fig. 2d path
-// decomposition, generalized to branching trees. By the triangle inequality
-// |A(+)C| <= |A(+)B| + |B(+)C| a direct preorder transition never costs
-// more than backtracking the tree (undoing and re-applying edge diffs), and
-// between similar siblings it costs much less. A transition that would cost
-// at least as much as recomputing from scratch breaks the chain instead
-// (the set becomes a new from-scratch root), so every chain edge is
-// strictly profitable.
-func linearize(g *graph.Graph, verts []int, arb *mst.Arborescence) *Plan {
-	n := g.NumVertices()
+// linearize converts the arborescence over verts (parent[i] is the index
+// in verts of verts[i]'s tree parent, -1 for the virtual empty root;
+// treeWeight its total weight) into the executable plan. Both views walk
+// each root subtree in DFS preorder, children in verts order. The tree view
+// keeps the arborescence's own edges. The chain view connects consecutive
+// sets of the preorder by their direct symmetric difference — the paper's
+// Fig. 2d path decomposition, generalized to branching trees. By the
+// triangle inequality |A(+)C| <= |A(+)B| + |B(+)C| a direct preorder
+// transition never costs more than backtracking the tree (undoing and
+// re-applying edge diffs), and between similar siblings it costs much
+// less. A transition that would cost at least as much as recomputing from
+// scratch breaks the chain instead (the set becomes a new from-scratch
+// root), so every chain edge is strictly profitable.
+func linearize(g *graph.Graph, verts []int, parent []int32, treeWeight int) *Plan {
+	n, k := g.NumVertices(), len(verts)
 	p := &Plan{
 		Parent:     make([]int, n),
 		TreeParent: make([]int, n),
-		ChainDiffs: newDiffs(len(verts)),
-		TreeDiffs:  newDiffs(len(verts)),
-		NumSets:    len(verts),
-		TreeWeight: int(arb.Total),
+		ChainSteps: make([]Step, 0, k),
+		TreeSteps:  make([]Step, 0, k),
+		ChainDiffs: newDiffs(k),
+		TreeDiffs:  newDiffs(k),
+		NumSets:    k,
+		TreeWeight: treeWeight,
 	}
 	for v := range p.Parent {
 		p.Parent[v] = -1
 		p.TreeParent[v] = -1
 	}
-	for _, v := range verts {
-		p.ScratchAdditions += ScratchCost(g.In(v))
+	// Child lists as first-child / next-sibling links, first[k] holding
+	// the virtual root's; linking in decreasing index order keeps each list
+	// increasing.
+	first, next := make([]int32, k+1), make([]int32, k)
+	for i := range first {
+		first[i] = -1
 	}
-
-	kids := arb.Children()
-	// Tree view: flatten the arborescence into preorder steps with parent
-	// step indices and the edge diffs.
-	{
-		stepOf := make([]int32, len(verts)+1)
-		var stack []int
-		for _, r := range kids[0] {
-			stack = append(stack, r)
-			for len(stack) > 0 {
-				node := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				v := verts[node-1]
-				parent := int32(-1)
-				if pn := arb.Parent[node]; pn != 0 {
-					parent = stepOf[pn]
-					pv := verts[pn-1]
-					p.TreeParent[v] = pv
-					p.TreeDiffs.push(SortedDiff(g.In(v), g.In(pv)), SortedDiff(g.In(pv), g.In(v)))
-				} else {
-					p.TreeDiffs.push(g.In(v), nil)
-				}
-				stepOf[node] = int32(len(p.TreeSteps))
-				p.TreeSteps = append(p.TreeSteps, Step{Vertex: v, Parent: parent})
-				for i := len(kids[node]) - 1; i >= 0; i-- {
-					stack = append(stack, kids[node][i])
-				}
-			}
+	inSum, roots := 0, 0
+	for i := k - 1; i >= 0; i-- {
+		pi := int(parent[i])
+		if pi < 0 {
+			pi = k
+			roots++
 		}
+		next[i], first[pi] = first[pi], int32(i)
+		inSum += g.InDegree(verts[i])
 	}
+	// A root's tree list is its whole in-set, |I(v)| = ScratchCost + 1
+	// ids; a chain step never holds more than its in-set.
+	p.TreeDiffs.IDs = make([]int32, 0, treeWeight+roots)
+	p.ChainDiffs.IDs = make([]int32, 0, inSum)
+	p.ScratchAdditions = inSum - k
+
+	stepOf := make([]int32, k)
+	stack := make([]int32, 0, k)
 	sumDiff := 0
-	startFresh := func(v int) {
-		p.Roots = append(p.Roots, v)
-		p.ChainDiffs.push(g.In(v), nil)
-		p.Additions += ScratchCost(g.In(v))
-		p.ChainSteps = append(p.ChainSteps, Step{Vertex: v, Parent: -1})
-	}
-	// Iterative DFS preorder over each subtree hanging off the virtual root.
-	var stack []int
-	for _, rootNode := range kids[0] {
+	for r := first[k]; r >= 0; r = next[r] {
 		prev := -1
-		stack = append(stack[:0], rootNode)
+		stack = append(stack[:0], r)
 		for len(stack) > 0 {
-			node := stack[len(stack)-1]
+			i := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			v := verts[node-1]
-			if prev < 0 {
-				startFresh(v)
+			v := verts[i]
+			in := g.In(v)
+
+			tp := int32(-1)
+			if pi := parent[i]; pi >= 0 {
+				tp = stepOf[pi]
+				p.TreeParent[v] = verts[pi]
+				p.TreeDiffs.push(in, g.In(verts[pi]))
 			} else {
-				add := SortedDiff(g.In(v), g.In(prev))
-				sub := SortedDiff(g.In(prev), g.In(v))
-				if cost := len(add) + len(sub); cost < ScratchCost(g.In(v)) {
+				p.TreeDiffs.push(in, nil)
+			}
+			stepOf[i] = int32(len(p.TreeSteps))
+			p.TreeSteps = append(p.TreeSteps, Step{Vertex: v, Parent: tp})
+
+			shared := false
+			if prev >= 0 {
+				if cost := p.ChainDiffs.push(in, g.In(prev)); cost < ScratchCost(in) {
+					shared = true
 					p.Parent[v] = prev
-					p.ChainDiffs.push(add, sub)
 					p.Additions += cost
 					p.SharedEdges++
 					sumDiff += cost
-					p.ChainSteps = append(p.ChainSteps, Step{
-						Vertex: v, Parent: int32(len(p.ChainSteps) - 1),
-					})
+					p.ChainSteps = append(p.ChainSteps, Step{Vertex: v, Parent: int32(len(p.ChainSteps) - 1)})
 				} else {
-					startFresh(v)
+					p.ChainDiffs.pop()
 				}
 			}
+			if !shared {
+				p.Roots = append(p.Roots, v)
+				p.ChainDiffs.push(in, nil)
+				p.Additions += ScratchCost(in)
+				p.ChainSteps = append(p.ChainSteps, Step{Vertex: v, Parent: -1})
+			}
 			prev = v
-			// Push children in reverse so preorder visits them in order.
-			for i := len(kids[node]) - 1; i >= 0; i-- {
-				stack = append(stack, kids[node][i])
+			// Preorder: i's subtree, then (below the root) its next sibling.
+			if i != r && next[i] >= 0 {
+				stack = append(stack, next[i])
+			}
+			if first[i] >= 0 {
+				stack = append(stack, first[i])
 			}
 		}
 	}

@@ -45,9 +45,6 @@ type Options struct {
 	// Eps is the accuracy target used when K == 0; defaults to 1e-3.
 	Eps float64
 
-	// Partition forwards to DMST-Reduce for both plans.
-	Partition partition.Options
-
 	// DisableSharing uses trivial (psum-style) plans for both directions.
 	DisableSharing bool
 
@@ -123,10 +120,10 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
 		planIn, planOut = partition.TrivialPlan(g), partition.TrivialPlan(tr)
 	} else {
 		var err error
-		if planIn, err = partition.BuildPlan(g, opt.Partition); err != nil {
+		if planIn, err = partition.BuildPlan(g, partition.Options{}); err != nil {
 			return nil, nil, err
 		}
-		if planOut, err = partition.BuildPlan(tr, opt.Partition); err != nil {
+		if planOut, err = partition.BuildPlan(tr, partition.Options{}); err != nil {
 			return nil, nil, err
 		}
 	}

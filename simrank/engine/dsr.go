@@ -18,11 +18,10 @@ func (dsrEngine) Caps() Caps { return Caps{AllPairs: true, Tiled: true} }
 
 func (dsrEngine) Compute(_ context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error) {
 	m, st, err := dsr.Compute(g, dsr.Options{
-		C:         p.C,
-		K:         p.K,
-		Eps:       p.Eps,
-		Partition: partitionOptions(p),
-		Workers:   p.Workers,
+		C:       p.C,
+		K:       p.K,
+		Eps:     p.Eps,
+		Workers: p.Workers,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -44,12 +43,11 @@ func (dsrEngine) Compute(_ context.Context, g *graph.Graph, p Params) (simmat.So
 
 func (dsrEngine) ComputeTiled(_ context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error) {
 	m, st, err := dsr.ComputeTiled(g, dsr.Options{
-		C:         p.C,
-		K:         p.K,
-		Eps:       p.Eps,
-		Partition: partitionOptions(p),
-		Workers:   p.Workers,
-		Tile:      p.Tile,
+		C:       p.C,
+		K:       p.K,
+		Eps:     p.Eps,
+		Workers: p.Workers,
+		Tile:    p.Tile,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -25,7 +25,6 @@ import (
 
 	"oipsr/graph"
 	"oipsr/internal/numeric"
-	"oipsr/internal/partition"
 	"oipsr/internal/simmat"
 )
 
@@ -102,9 +101,6 @@ type Params struct {
 	Walks     int
 
 	DisableOuterSharing bool
-	DensePartition      bool
-	UseEdmonds          bool
-	PairCap             int
 
 	Tile simmat.TileOptions
 }
@@ -188,15 +184,6 @@ func (b base) ComputeTiled(context.Context, *graph.Graph, Params) (simmat.Source
 
 func (b base) SingleSource(context.Context, *graph.Graph, Params, int) ([]float64, *Stats, error) {
 	return nil, nil, fmt.Errorf("simrank: algorithm %q does not answer single-source queries", b.name)
-}
-
-// partitionOptions maps the shared partition knobs.
-func partitionOptions(p Params) partition.Options {
-	return partition.Options{
-		Dense:      p.DensePartition,
-		PairCap:    p.PairCap,
-		UseEdmonds: p.UseEdmonds,
-	}
 }
 
 // geometricSchedule applies the shared defaulting rules (C = 0.6,

@@ -22,7 +22,6 @@ func (oipEngine) Compute(_ context.Context, g *graph.Graph, p Params) (simmat.So
 		K:            p.K,
 		Eps:          p.Eps,
 		StopDiff:     p.StopDiff,
-		Partition:    partitionOptions(p),
 		DisableOuter: p.DisableOuterSharing,
 		Workers:      p.Workers,
 	})
@@ -51,7 +50,6 @@ func (oipEngine) ComputeTiled(_ context.Context, g *graph.Graph, p Params) (simm
 		K:            p.K,
 		Eps:          p.Eps,
 		StopDiff:     p.StopDiff,
-		Partition:    partitionOptions(p),
 		DisableOuter: p.DisableOuterSharing,
 		Workers:      p.Workers,
 		Tile:         p.Tile,

@@ -18,13 +18,12 @@ func (prankEngine) Caps() Caps { return Caps{AllPairs: true} }
 
 func (prankEngine) Compute(_ context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error) {
 	m, st, err := prank.Compute(g, prank.Options{
-		CIn:       p.C,
-		COut:      p.COut,
-		Lambda:    p.Lambda,
-		K:         p.K,
-		Eps:       p.Eps,
-		Partition: partitionOptions(p),
-		Workers:   p.Workers,
+		CIn:     p.C,
+		COut:    p.COut,
+		Lambda:  p.Lambda,
+		K:       p.K,
+		Eps:     p.Eps,
+		Workers: p.Workers,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -39,6 +39,11 @@ const (
 
 // Options configure Compute. The zero value means: OIP-SR, C = 0.6,
 // accuracy eps = 1e-3 (the paper's defaults).
+//
+// The sharing plan of OIPSR, OIPDSR and PRank (the paper's DMST-Reduce)
+// takes no options: it is a function of the graph alone, one minimum
+// spanning arborescence over the in-neighbor sets with ties broken by
+// (in-degree, id) rank.
 type Options struct {
 	// Algorithm selects the engine; empty means OIPSR.
 	Algorithm Algorithm
@@ -91,18 +96,6 @@ type Options struct {
 	// DisableOuterSharing ablates outer partial-sums sharing (OIPSR only).
 	DisableOuterSharing bool
 
-	// DensePartition builds the paper's O(n^2) DMST cost table instead of
-	// the lossless overlap-based candidates (OIPSR / OIPDSR).
-	DensePartition bool
-
-	// UseEdmonds forces the general Chu-Liu/Edmonds MST backend instead of
-	// the greedy DAG fast path (OIPSR / OIPDSR).
-	UseEdmonds bool
-
-	// PairCap bounds candidate-pair generation per shared in-neighbor
-	// (OIPSR / OIPDSR); 0 means unlimited.
-	PairCap int
-
 	// BlockSize, when positive, selects the tiled score-matrix backend:
 	// the n x n state becomes a grid of BlockSize x BlockSize tiles with
 	// symmetric (upper-triangular) storage, a bounded working set, and
@@ -141,9 +134,6 @@ func (o Options) params() engine.Params {
 		COut:                o.COut,
 		Walks:               o.Walks,
 		DisableOuterSharing: o.DisableOuterSharing,
-		DensePartition:      o.DensePartition,
-		UseEdmonds:          o.UseEdmonds,
-		PairCap:             o.PairCap,
 		Tile: simmat.TileOptions{
 			BlockSize:      o.BlockSize,
 			MaxMemoryBytes: o.MaxMemoryBytes,
