@@ -263,6 +263,67 @@ func TestStopDiffConvergence(t *testing.T) {
 	}
 }
 
+// TestStopDiffMatchesFixedK: a run that StopDiff does not stop reports as
+// FinalDiff exactly simmat.MaxDiff of the K- and (K-1)-iterates of two
+// fixed-K runs, bit for bit, and returns the K-iterate — the copy of the
+// iterate it compares against is taken before the sweep overwrites it.
+// Dense at one and three workers, and tiled.
+func TestStopDiffMatchesFixedK(t *testing.T) {
+	g := gen.WebGraph(300, 11, 1)
+	m := int64(0)
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.InDegree(v) > 0 {
+			m++
+		}
+	}
+	for _, k := range []int{1, 2, 5} {
+		for _, workers := range []int{1, 3} {
+			fixed := func(k int) *simmat.Matrix {
+				if k == 0 { // Options.K = 0 means "derive K from Eps"
+					return simmat.NewIdentity(g.NumVertices())
+				}
+				e, _, err := Compute(g, Options{C: 0.8, K: k, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := e.Dense()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			want, before := fixed(k), fixed(k-1)
+			opt := Options{C: 0.8, K: k, StopDiff: math.SmallestNonzeroFloat64, Workers: workers}
+			e, st, err := Compute(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Iterations != k {
+				t.Fatalf("K=%d workers=%d: stopped after %d iterations", k, workers, st.Iterations)
+			}
+			if d := simmat.MaxDiff(want, before); math.Float64bits(st.FinalDiff) != math.Float64bits(d) {
+				t.Errorf("K=%d workers=%d: FinalDiff %v, MaxDiff of the fixed-K iterates %v", k, workers, st.FinalDiff, d)
+			}
+			if err := sameCells(want, e); err != nil {
+				t.Errorf("K=%d workers=%d: %v", k, workers, err)
+			}
+			if st.StateBytes != 3*m*m*8 {
+				t.Errorf("K=%d workers=%d: StateBytes %d, want three %d x %d blocks", k, workers, st.StateBytes, m, m)
+			}
+
+			opt.Tile = simmat.TileOptions{BlockSize: 16}
+			tiled, tst, err := ComputeTiled(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(tst.FinalDiff) != math.Float64bits(st.FinalDiff) {
+				t.Errorf("K=%d workers=%d: tiled FinalDiff %v, dense %v", k, workers, tst.FinalDiff, st.FinalDiff)
+			}
+			tiled.Close()
+		}
+	}
+}
+
 // TestInvariants: symmetry, range, pinned diagonal, zero rows for empty
 // in-sets — on random graphs through the full OIP path.
 func TestInvariants(t *testing.T) {

@@ -315,6 +315,30 @@ func TestParentSweepGoldensWeb(t *testing.T) {
 	checkGolden(t, "sweeps-web.txt", out.String())
 }
 
+// TestParentSweepGoldensWebAblate: sweep-web's graph, relabelled by seeds
+// 1 and 2, through OIP-SR's outer-sharing ablation at K = 13 and through
+// OIP-SR stopped by StopDiff, dense at one and three workers and tiled at
+// block 64. Recorded at the parent of procedure OP as row additions over
+// the transposed inner sums, the last commit that emitted every row from
+// its own partial vector.
+func TestParentSweepGoldensWebAblate(t *testing.T) {
+	base := gen.WebGraph(1500, 11, 1)
+	modes := []goldenMode{{"dense-w1", 1, 0}, {"dense-w3", 3, 0}, {"tiled-b64", 2, 64}}
+	var out strings.Builder
+	for _, seed := range []int64{1, 2} {
+		g := relabelled(t, base, seed)
+		for _, m := range modes {
+			r := runOIP(t, g, core.Options{C: 0.6, K: 13, Workers: m.workers, DisableOuter: true}, m.block)
+			fmt.Fprintf(&out, "web1500-r%d oip-sr-disable-outer-k13 %s %s\n", seed, m.name, r.line(t))
+		}
+		for _, m := range modes {
+			r := runOIP(t, g, core.Options{C: 0.8, K: 40, StopDiff: 1e-3, Workers: m.workers}, m.block)
+			fmt.Fprintf(&out, "web1500-r%d oip-sr-stopdiff %s %s\n", seed, m.name, r.line(t))
+		}
+	}
+	checkGolden(t, "sweeps-web-ablate.txt", out.String())
+}
+
 // checkGolden compares got line by line with testdata/parent/name, or
 // writes it there under -record-parent.
 func checkGolden(t *testing.T, name, got string) {

@@ -25,7 +25,8 @@ type Options struct {
 
 	// StopDiff, when positive, stops early once the max-norm difference
 	// between successive iterates drops to or below it. This is the
-	// "observed iterations" stopping rule of Exp-3.
+	// "observed iterations" stopping rule of Exp-3. Compute then holds a
+	// third m x m block, the copy of each iterate the sweep overwrites.
 	StopDiff float64
 
 	// DisableOuter ablates outer partial-sums sharing (Section III-B),
@@ -75,7 +76,7 @@ type Stats struct {
 	InnerAdds  int64 // scalar additions on inner partial sums
 	OuterAdds  int64 // scalar additions on outer partial sums
 	AuxBytes   int64 // auxiliary memory: plan + sweep buffers (the paper's "intermediate memory")
-	StateBytes int64 // m^2 state the engine holds (two m x m score blocks, m = vertices with a non-empty in-set)
+	StateBytes int64 // m^2 state the engine holds (two m x m score blocks, m = vertices with a non-empty in-set; three with StopDiff on the dense backend)
 
 	NumSets          int     // non-empty in-neighbor sets
 	PlanAdditions    int     // per-sweep vector ops with sharing (MST weight)
@@ -113,13 +114,22 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	sw := NewParallelSweeper(g, plan, false, opt.DisableOuter, opt.Workers)
 	prev := simmat.NewIdentity(sw.Kept())
 	next := simmat.New(sw.Kept())
+	// Sweep overwrites its input, so the stopping rule compares next with
+	// a copy of prev taken before the sweep.
+	var last *simmat.Matrix
+	if opt.StopDiff > 0 {
+		last = simmat.New(sw.Kept())
+	}
 
 	t1 := time.Now()
 	for iter := 0; iter < opt.K; iter++ {
+		if last != nil {
+			copy(last.Data(), prev.Data())
+		}
 		sw.Sweep(prev, next, 1, opt.C, true)
 		st.Iterations++
-		if opt.StopDiff > 0 {
-			st.FinalDiff = simmat.MaxDiffWorkers(prev, next, sw.Workers())
+		if last != nil {
+			st.FinalDiff = simmat.MaxDiffWorkers(last, next, sw.Workers())
 			prev, next = next, prev
 			if st.FinalDiff <= opt.StopDiff {
 				break
@@ -133,6 +143,9 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	st.InnerAdds, st.OuterAdds = sws.InnerAdds, sws.OuterAdds
 	st.AuxBytes = sw.AuxBytes() + plan.Bytes()
 	st.StateBytes = prev.Bytes() + next.Bytes()
+	if last != nil {
+		st.StateBytes += last.Bytes()
+	}
 	return simmat.Expand(sw.Slots(), prev, 1), st, nil
 }
 

@@ -2,65 +2,62 @@
 // (Algorithm 1): SimRank iteration with both inner and outer partial-sums
 // sharing driven by the minimum-spanning-tree plan of DMST-Reduce.
 //
-// One iteration ("sweep") walks the plan's chain steps — the paper's
-// Fig. 2d path decomposition. At each step the inner partial-sum vector
-// Partial_{I(u)}(.) is derived from the previous set's vector by applying
-// the symmetric difference of the two in-neighbor sets (Proposition 3 /
-// Eq. 9), or rebuilt from scratch at chain starts. For every set the sweep
-// then runs procedure OP — a pass over the plan's tree steps with one
-// scalar accumulator per tree node — to produce the full row s_{k+1}(u, .)
-// via outer partial sums (Proposition 4 / Eqs. 10-11).
+// One iteration ("sweep") is next = damp·D·A·(A·prev)ᵀ·D, with A the 0/1
+// in-set matrix and D = diag(1/|I(v)|), computed in two stages of row
+// additions over the plan's two views.
 //
-// # One kernel, one program
+// Stage 1, the inner sums, walks the plan's chain steps — the paper's
+// Fig. 2d path decomposition. At each step u the inner partial-sum vector
+// Partial_{I(u)}(.) = P(u, .), P = A·prev, is derived from the previous
+// set's vector by applying the symmetric difference of the two
+// in-neighbor sets (Proposition 3 / Eq. 9), or rebuilt from scratch at
+// chain starts, straight into row u of next. A transpose in place then
+// turns row y of next into P(., y).
 //
-// Every update of the inner partial-sum vector's block columns — a
-// from-scratch build, a chain step's difference, on dense or tiled
-// matrices — goes through one kernel, accumulate, which folds up to four
-// prev rows into a single pass over the vector:
-// p[y] = p[y] + a[y] + b[y] + c[y] + d[y]. Go evaluates
-// that sum left to right and never reassociates floating-point
-// arithmetic, so each element receives exactly the additions, in exactly
-// the order, of adding the rows one pass at a time (adds in list order,
-// then subs) — grouping only cuts the loads and stores of p. The tiled
-// sweep stages up to four rows out of tiles and calls the same kernel.
-// Procedure OP runs as a flat program over the plan: tree steps in
-// preorder (parent step, vertex) and their int32 id ranges in the plan's
-// TreeDiffs CSR, mapped once to partial-vector slots, with no per-vertex
-// slices to chase.
+// Stage 2 is procedure OP (Proposition 4 / Eqs. 10-11), run for all rows
+// at once: tree step w of the plan's tree program, in preorder, writes
+// V(w, .) into row w of prev, which stage 1 has finished reading. The row
+// starts from the parent step's row, or from 0 at a root, and adds
+// row y of Pᵀ for every id y of the step's add list, then subtracts those
+// of its sub list. V(w, u) is the outer partial sum row u's procedure OP
+// keeps at tree step w. A final pass scales it into the canonical value of
+// the pair: next(u, w) = next(w, u) = (damp/|I(u)|)/|I(w)|·V(w, u) for
+// u < w.
 //
-// Every row runs that same program, and one row's tree path is a single
-// serial chain of additions, so its time is add latency. A worker
-// therefore takes its chain steps kernelRows at a time, each in its own
-// lane — a partial vector and a column of the per-step outer sums — and
-// one pass over the program advances all lanes and emits all their rows:
-// four independent add chains the CPU overlaps. A derived step's lane
-// starts as a copy of the lane of the step before it, and a copy is
-// exact. Each lane's value at a tree step receives exactly the one-row
-// additions, in the one-row order, and nothing crosses lanes, so every
-// row, and both add counters, are bit-identical to emitting one row per
-// pass. In a worker's last group the missing lanes alias lane 0's
-// partial vector and row: they recompute lane 0's values and write the
-// same bits into the same row, so no pad buffer is needed, and OuterAdds
-// counts only the real rows. The psum-SR ablation (DisableOuter) is not
-// procedure OP and emits its rows one at a time from the same lanes.
+// # One kernel, one order of additions
+//
+// Every row update of both stages goes through one kernel, accumulate,
+// which folds up to four rows into a single pass over the target row:
+// p[y] = p[y] + a[y] + b[y] + c[y] + d[y]. Go evaluates that sum left to
+// right and never reassociates floating-point arithmetic, so each element
+// receives exactly the additions, in exactly the order, of adding the rows
+// one pass at a time (adds in list order, then subs) — grouping only cuts
+// the loads and stores of p. So every cell V(w, u) receives the additions
+// row u's own procedure OP would make at step w, in its order, and no
+// cell's value depends on which worker computes it or how the columns are
+// split: the sweep is bit-identical to emitting one row per pass.
+//
+// The psum-SR ablation (DisableOuter) is not procedure OP: its per-target
+// sums run stage 2 over partition.TrivialPlan's tree, where every set is a
+// root carrying its whole in-set, in the in-set's order.
 //
 // # Concurrency model
 //
 // The chains of the plan are mutually independent: every chain rebuilds its
 // inner partial-sum vector from scratch at its root, and the set of rows a
-// chain emits is disjoint from every other chain's. A Sweeper built with
-// workers > 1 therefore schedules whole chains across a fixed worker pool,
-// longest-estimated-cost-first for load balance. Each worker owns its own
-// lanes and its own SweepStats; workers read the shared prev matrix and
-// plan (both immutable during a sweep) and write disjoint rows of next, so
-// no locks are needed. Stats are merged after the barrier, keeping
-// operation counts exact.
+// chain writes is disjoint from every other chain's. Stage 1 therefore
+// schedules whole chains across a fixed worker pool,
+// longest-estimated-cost-first for load balance. Stage 2 splits the m
+// columns: each worker runs the whole tree program over its column range.
+// The transpose splits tiles, the final pass rows. Workers read shared,
+// immutable state and write disjoint cells, so no locks are needed; each
+// worker keeps its own SweepStats, merged after the barrier.
 //
 // Determinism guarantee: the floating-point operations that produce any
-// given row — and their order — are fixed by the chain containing it, not
-// by which worker runs the chain or when. Sweep output is therefore
-// bit-identical for every worker count, including the serial workers == 1
-// path, and InnerAdds/OuterAdds are identical as well.
+// given cell — and their order — are fixed by the plan, not by which
+// worker runs them or when. Sweep output is therefore bit-identical for
+// every worker count, including the serial workers == 1 path, and
+// InnerAdds/OuterAdds are identical as well.
 //
 // # The block: only vertices with a non-empty in-set own rows
 //
@@ -74,41 +71,53 @@
 // non-empty in-set, and the engines return it with d as a
 // simmat.Expanded. On sweep-web's graph that is 499 of 1500 vertices.
 //
-// The rows outside the block still feed the inner partial sums: a vertex x
-// outside the block that lies in I(u) adds the row d·δ_x, which is +0 in
-// every block column and d in column x. The partial vector is therefore m
-// block columns plus one indicator slot for each vertex outside the block
-// that some in-set holds, and such an x updates its indicator by ±d
-// instead of adding a row; procedure OP reads the indicator like any other
-// column. Dropping the +0 terms from the block columns is bitwise neutral:
-// x + (+0) = x for every x but -0, x - (+0) = x for every x, and no value
-// here is ever -0. Under round-to-nearest a sum or difference is -0 only
-// if an operand already is, the iterates start from +0 and +1, and the
-// scales applied to them (damping, 1/|I|, the OIP-DSR coefficients) are
-// positive, with magnitudes nowhere near underflow. An indicator holds d
-// or 0, so its ±d updates are exact. The counters keep the paper's unit,
-// one vector operation = n scalar additions, whatever the block holds.
+// The rows outside the block still feed the sums: a vertex x outside the
+// block that lies in I(u) adds the row d·δ_x, which is +0 in every block
+// column and d in column x. Stage 1 drops it — it only reaches column x,
+// which is not stored — and stage 2 adds d to V(w, u) for every u with
+// x in I(u), the out-neighbours of x, where row u's procedure OP would
+// have read d from x's column of P; at every other u it would have read
+// +0. Dropping the +0 terms is bitwise neutral: x + (+0) = x for every x
+// but -0, x - (+0) = x for every x, and no value here is ever -0. Under
+// round-to-nearest a sum or difference is -0 only if an operand already
+// is, the iterates start from +0 and +1, and the scales applied to them
+// (damping, 1/|I|, the OIP-DSR coefficients) are positive, with
+// magnitudes nowhere near underflow. With d = 0 (OIP-DSR's T_k, k >= 1)
+// stage 2 skips such x entirely. The counters keep the paper's unit, one
+// vector operation = n scalar additions, whatever the block holds.
 //
 // P-Rank's blended iterate has real rows at vertices with an empty in-set,
 // so its sweepers keep every vertex (the all-rows sweeper of
 // NewParallelSweeper): the same code, with an identity slot map, no
-// indicators, and a zero-row pass over the kept vertices whose in-set is
-// empty.
+// vertex outside the block, and a zero row in both stages for the kept
+// vertices whose in-set is empty.
 //
 // # Canonical symmetry and the tiled backend
 //
-// Every sweep ends with a mirror pass that copies the upper triangle of
-// next onto the lower one (simmat.MirrorUpper): the value computed while
-// emitting row min(a,b) is the canonical score of the pair. The pass is
-// pure copies, so determinism is unaffected. The slot map numbers the block
-// in increasing vertex order, so the block row of min(a,b) is the smaller
-// of the two block rows and the rule picks the same row it would in the
-// full matrix; the pairs outside the block are d·δ on both sides.
-// SweepTiled runs the identical per-row arithmetic against the tiled
-// backend — rows of prev are assembled from tiles, emitted rows land in
-// O(m) buffers, one per lane, and only the canonical upper segment of each
-// is stored — which is why tiled output is bit-identical to the dense path
-// for every block size and worker count.
+// The value row min(a,b)'s procedure OP computes is the canonical score of
+// the pair: the final pass writes it to (b,a) and copies it to (a,b) for
+// a < b. The slot map numbers the block in increasing vertex order, so the
+// block row of min(a,b) is the smaller of the two block rows and the rule
+// picks the same row it would in the full matrix; the pairs outside the
+// block are d·δ on both sides.
+//
+// The tiled backend bounds memory and cannot hold an m x m Pᵀ, so
+// SweepTiled keeps the per-row kernel: a worker takes its chain steps
+// kernelRows at a time, each in its own lane — a partial vector of the m
+// block columns plus one indicator slot for each vertex outside the block
+// that some in-set holds, and a column of the per-step outer sums — and
+// one pass over the slot-mapped tree program advances all lanes and emits
+// all their rows: four independent add chains the CPU overlaps. A derived
+// step's lane starts as a copy of the lane before it, and a copy is exact.
+// In a worker's last group the missing lanes alias lane 0's partial vector
+// and row: they recompute lane 0's values and write the same bits into the
+// same row. An indicator holds d or 0 — its ±d updates are exact — which
+// is the value stage 2 adds or skips. Each lane's value at a tree step
+// receives exactly the one-row additions in the one-row order, so tiled
+// output is bit-identical to the dense sweep for every block size and
+// worker count. Rows of prev are assembled from tiles, emitted rows land
+// in O(m) buffers, one per lane, and only the canonical upper segment of
+// each is stored.
 package core
 
 import (
@@ -128,20 +137,20 @@ type SweepStats struct {
 	OuterAdds int64 // deriving outer partial sums in procedure OP
 }
 
-// sweepWorker is the per-worker mutable state of a sweep: the O(n) scratch
-// buffers and the operation counters. Workers never share these. A worker
-// sweeps its chain steps kernelRows at a time, one lane per step: lane j
-// holds the inner partial-sum vector of the group's j-th step and column j
-// of vals that step's outer partial sums. rowBuf and stage are allocated
-// lazily on the first tiled sweep: rowBuf[j] receives lane j's emitted row
-// before its canonical segment is stored, stage holds the rows of prev
+// sweepWorker is the per-worker mutable state of a sweep: the operation
+// counters, the rows handed to accumulate, and the tiled kernel's O(n)
+// buffers, allocated on the first tiled sweep. A tiled sweep takes its
+// chain steps kernelRows at a time, one lane per step: lane j holds the
+// inner partial-sum vector of the group's j-th step and column j of vals
+// that step's outer partial sums; rowBuf[j] receives lane j's emitted row
+// before its canonical segment is stored, and stage holds the rows of prev
 // assembled from tiles for one call of accumulate.
 type sweepWorker struct {
-	lanes  [kernelRows][]float64 // Partial_{I(u)} by slot: m block columns, then the indicators
-	vals   [][kernelRows]float64 // per-tree-step outer partial sums of each lane (procedure OP)
-	rows   [kernelRows][]float64 // the prev rows handed to accumulate
-	rowBuf [kernelRows][]float64 // tiled sweeps: emit target rows
-	stage  [kernelRows][]float64 // tiled sweeps: staged prev rows
+	rows   [kernelRows][]float64 // the rows handed to accumulate
+	lanes  [kernelRows][]float64 // tiled: Partial_{I(u)} by slot, m block columns, then the indicators
+	vals   [][kernelRows]float64 // tiled: per-tree-step outer partial sums of each lane
+	rowBuf [kernelRows][]float64 // tiled: emit target rows
+	stage  [kernelRows][]float64 // tiled: staged prev rows
 	stats  SweepStats
 }
 
@@ -152,10 +161,10 @@ type sweepWorker struct {
 // using inner+outer partial-sums sharing, optionally across a worker pool
 // (see the package comment for the concurrency model). Its iterates are
 // m x m blocks over the vertices that own a row (see the package comment
-// on the block). It owns the per-worker O(n) scratch buffers, so one
-// Sweeper can be reused across iterations and algorithms: OIP-SR calls it
-// with damp = C and pinned diagonal, the differential engine (OIP-DSR) with
-// damp = 1 and a free diagonal for its T_k recurrence.
+// on the block). It owns its O(n) scratch, so one Sweeper can be reused
+// across iterations and algorithms: OIP-SR calls it with damp = C and
+// pinned diagonal, the differential engine (OIP-DSR) with damp = 1 and a
+// free diagonal for its T_k recurrence.
 type Sweeper struct {
 	g    *graph.Graph
 	plan *partition.Plan
@@ -164,18 +173,27 @@ type Sweeper struct {
 	// slot maps a vertex to its place in the partial vector: [0, m) for a
 	// vertex of the block, which is also its row and column of the
 	// iterates; [m, m+e) for the indicator of a vertex outside the block
-	// that some in-set holds; -1 for the rest.
+	// that some in-set holds (a tiled lane's slot); -1 for the rest.
 	slot      []int32
-	emptyRows []int32         // block rows of vertices with an empty in-set (all-rows sweepers only)
-	tree      partition.Diffs // plan.TreeDiffs with the ids mapped to slots
-	treeRow   []int32         // block row of each tree step's vertex
-	invDeg    []float64       // 1/|I(v)| by block row, 0 for empty sets
+	e         int       // indicator slots
+	emptyRows []int32   // block rows of vertices with an empty in-set (all-rows sweepers only)
+	invDeg    []float64 // 1/|I(v)| by block row, 0 for empty sets
+
+	// outer is the plan whose tree program procedure OP runs: plan, or
+	// with disableOuter a trivial plan, whose every set is a root holding
+	// its whole in-set in the in-set's order — plan itself when its tree
+	// steps already are all roots (the engines' no-sharing modes pass a
+	// TrivialPlan).
+	outer *partition.Plan
+
+	// The tiled kernel's slot-mapped copy of outer's tree program, built
+	// on the first tiled sweep.
+	tree    partition.Diffs // outer.TreeDiffs with the ids mapped to slots
+	treeRow []int32         // block row of each tree step's vertex
 
 	workers int
 	ws      []sweepWorker
 	sched   [][]partition.Chain // chains assigned to each worker (LPT)
-
-	disableOuter bool
 }
 
 // NewSweeper builds a serial (single-worker) Sweeper for g with the given
@@ -206,10 +224,6 @@ func NewParallelSweeper(g *graph.Graph, plan *partition.Plan, allRows, disableOu
 			emptyRows = append(emptyRows, s)
 		}
 	}
-	treeRow := make([]int32, len(plan.TreeSteps))
-	for i, st := range plan.TreeSteps {
-		treeRow[i] = slot[st.Vertex]
-	}
 	workers = par.Resolve(workers)
 	if c := len(plan.Chains); workers > c && c > 0 {
 		workers = c
@@ -217,28 +231,36 @@ func NewParallelSweeper(g *graph.Graph, plan *partition.Plan, allRows, disableOu
 	if workers < 1 {
 		workers = 1
 	}
-	sw := &Sweeper{
-		g:            g,
-		plan:         plan,
-		n:            n,
-		m:            m,
-		slot:         slot,
-		emptyRows:    emptyRows,
-		tree:         remap(plan.TreeDiffs, slot),
-		treeRow:      treeRow,
-		invDeg:       inv,
-		workers:      workers,
-		ws:           make([]sweepWorker, workers),
-		sched:        schedule(plan.Chains, workers),
-		disableOuter: disableOuter,
+	outer := plan
+	if disableOuter && !allRoots(plan) {
+		outer = partition.TrivialPlan(g)
 	}
-	for w := range sw.ws {
-		for j := range sw.ws[w].lanes {
-			sw.ws[w].lanes[j] = make([]float64, m+e)
+	return &Sweeper{
+		g:         g,
+		plan:      plan,
+		n:         n,
+		m:         m,
+		slot:      slot,
+		e:         e,
+		emptyRows: emptyRows,
+		invDeg:    inv,
+		outer:     outer,
+		workers:   workers,
+		ws:        make([]sweepWorker, workers),
+		sched:     schedule(plan.Chains, workers),
+	}
+}
+
+// allRoots reports whether every tree step of p is a root. A root's add
+// list is its whole in-set in the in-set's order, so such a tree program
+// is the psum-SR per-target summation.
+func allRoots(p *partition.Plan) bool {
+	for _, s := range p.TreeSteps {
+		if s.Parent >= 0 {
+			return false
 		}
-		sw.ws[w].vals = make([][kernelRows]float64, len(plan.TreeSteps))
 	}
-	return sw
+	return true
 }
 
 // newSlots numbers the block in increasing vertex order — every vertex
@@ -319,8 +341,8 @@ func (sw *Sweeper) Kept() int { return sw.m }
 func (sw *Sweeper) Slots() []int32 { return sw.slot }
 
 // Stats returns the cumulative operation counts, merged across workers.
-// Counts are exact: each worker counts its own chains and the per-chain
-// counts do not depend on the assignment.
+// Counts are exact: inner adds are counted per chain and outer adds per
+// emitted row, neither of which depends on the assignment.
 func (sw *Sweeper) Stats() SweepStats {
 	var st SweepStats
 	for w := range sw.ws {
@@ -331,10 +353,11 @@ func (sw *Sweeper) Stats() SweepStats {
 }
 
 // AuxBytes reports the auxiliary memory held by the sweeper's O(n) buffers
-// (the "intermediate memory" of Proposition 5; score matrices excluded):
-// the slot map, the slot-mapped tree program, and per worker kernelRows
-// partial vectors and vals columns, plus 2·kernelRows row buffers once a
-// tiled sweep has run.
+// (the "intermediate memory" of Proposition 5; score matrices and the
+// plan excluded): the slot map and 1/|I| by block row, the trivial plan a
+// sweeper without outer sharing builds for itself, and once a tiled sweep
+// has run the slot-mapped tree program and per worker kernelRows partial
+// vectors, vals columns, row buffers and staging rows.
 func (sw *Sweeper) AuxBytes() int64 {
 	var b int64
 	for w := range sw.ws {
@@ -343,6 +366,9 @@ func (sw *Sweeper) AuxBytes() int64 {
 		for j := range kernelRows {
 			b += int64(len(st.lanes[j])+len(st.rowBuf[j])+len(st.stage[j])) * 8
 		}
+	}
+	if sw.outer != sw.plan {
+		b += sw.outer.Bytes()
 	}
 	b += int64(len(sw.slot)+len(sw.emptyRows)+len(sw.tree.IDs)+len(sw.treeRow)) * 4
 	return b + int64(len(sw.invDeg))*8
@@ -356,69 +382,164 @@ func (sw *Sweeper) AuxBytes() int64 {
 // s(a,a)=1 rule of the conventional model): next's d is 1 with pinDiag
 // and 0 without.
 //
-// The emit stage overwrites every cell whose row and column both belong to
-// vertices with a non-empty in-set, which is the whole block unless the
-// sweeper keeps all rows. An all-rows sweeper zeroes the rows of the kept
-// vertices whose in-set is empty and relies on the rest of their columns
-// already being zero: its next must be all-zero, an identity matrix, or
-// the output of a previous Sweep over the same graph. This avoids an n^2
-// clear per iteration; P-Rank's buffers satisfy the requirement by
-// construction.
+// Sweep overwrites prev: stage 2 keeps its outer partial sums there (see
+// the package comment). A caller that needs the input after the sweep
+// copies it first. Every cell of next is written, whatever it held.
 func (sw *Sweeper) Sweep(prev, next *simmat.Matrix, prevDiag, damp float64, pinDiag bool) {
+	// Stage 1: row u of next becomes P(u, .).
 	par.Do(sw.workers, func(w int) {
-		// The rows of kept empty in-sets are never written by emitRow but
-		// may hold a stale diagonal 1 from an identity-initialized buffer.
 		lo, hi := par.Range(len(sw.emptyRows), sw.workers, w)
 		for _, r := range sw.emptyRows[lo:hi] {
 			clear(next.Row(int(r)))
 		}
-
 		st := &sw.ws[w]
 		load := func(x int, _ []float64) ([]float64, error) { return prev.Row(x), nil }
-		var rows [kernelRows][]float64
-		// A dense row load cannot fail, so neither can the walk.
-		sw.walkChains(st, w, prevDiag, load, func(us []int32) error {
-			for j, u := range us {
-				rows[j] = next.Row(int(u))
+		steps := sw.plan.ChainSteps
+		for _, ch := range sw.sched[w] {
+			for i := ch.Start; i < ch.End; i++ {
+				p := next.Row(int(sw.slot[steps[i].Vertex]))
+				if steps[i].Parent >= 0 {
+					copy(p, next.Row(int(sw.slot[steps[i-1].Vertex])))
+				}
+				// A dense row stores no indicators, and a dense row
+				// load cannot fail, so neither can inner.
+				_ = sw.inner(st, p, nil, i, prevDiag, load)
 			}
-			sw.emit(st, rows[:len(us)], us, damp)
-			return nil
-		})
+		}
 	})
 
-	if pinDiag {
-		par.Do(sw.workers, func(w int) {
-			lo, hi := par.Range(sw.m, sw.workers, w)
-			for v := lo; v < hi; v++ {
-				next.Set(v, v, 1)
-			}
-		})
-	}
+	// Row y of next becomes P(., y).
+	next.Transpose(sw.workers)
 
-	// Canonicalize: the row-min(a,b) value becomes the score of both (a,b)
-	// and (b,a) (see the package comment). Copies only, so determinism and
-	// operation counts are untouched.
-	next.MirrorUpper(sw.workers)
+	// Stage 2: row w of prev becomes V(w, .).
+	par.Do(sw.workers, func(w int) {
+		lo, hi := par.Range(sw.m, sw.workers, w)
+		sw.outerSums(&sw.ws[w], prev, next, prevDiag, lo, hi)
+	})
+	// Each emitted row, one per chain step, costs procedure OP the tree weight.
+	sw.ws[0].stats.OuterAdds += int64(len(sw.plan.ChainSteps)) * int64(sw.outer.TreeWeight)
+
+	sw.finish(prev, next, damp, pinDiag)
 }
 
-// SweepTiled is Sweep against the tiled backend: identical chain schedule,
-// identical per-row arithmetic (rows of prev are staged from tiles, the
+// outerSums runs the tree program over columns [lo, hi): row w of v, the
+// tree step of vertex w, becomes V(w, .) from its parent step's row or
+// from 0 at a root, plus the rows of pt, P transposed, of the step's add
+// list, then minus those of its sub list. The rows of the kept vertices
+// whose in-set is empty, which have no tree step, become 0. d is prev's
+// diagonal outside the block.
+func (sw *Sweeper) outerSums(st *sweepWorker, v, pt *simmat.Matrix, d float64, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	for _, r := range sw.emptyRows {
+		clear(v.Row(int(r))[lo:hi])
+	}
+	steps, slot := sw.outer.TreeSteps, sw.slot
+	for i, s := range steps {
+		row := v.Row(int(slot[s.Vertex]))[lo:hi]
+		if s.Parent >= 0 {
+			copy(row, v.Row(int(slot[steps[s.Parent].Vertex]))[lo:hi])
+		} else {
+			clear(row)
+		}
+		add, sub := sw.outer.TreeDiffs.At(i)
+		sw.addColumns(st, row, pt, add, d, lo, false)
+		sw.addColumns(st, row, pt, sub, d, lo, true)
+	}
+}
+
+// addColumns adds (or, with sub, subtracts) to row, columns [lo,
+// lo+len(row)) of one V row, the terms of the vertices ids in list order:
+// the row of pt for a block vertex, kernelRows per call of accumulate, and
+// d at the columns of the out-neighbours of a vertex outside the block.
+// Such a term meets the block rows in the same cells, so the rows before
+// it are added first; with d = 0 it adds +0 and is skipped.
+func (sw *Sweeper) addColumns(st *sweepWorker, row []float64, pt *simmat.Matrix, ids []int32, d float64, lo int, sub bool) {
+	k := 0
+	for _, x := range ids {
+		if y := int(sw.slot[x]); y < sw.m {
+			st.rows[k] = pt.Row(y)[lo:]
+			if k++; k == kernelRows {
+				accumulate(row, st.rows[:k], sub)
+				k = 0
+			}
+			continue
+		}
+		if d == 0 {
+			continue
+		}
+		if k > 0 {
+			accumulate(row, st.rows[:k], sub)
+			k = 0
+		}
+		for _, u := range sw.g.Out(int(x)) {
+			c := int(sw.slot[u]) - lo
+			if c < 0 || c >= len(row) {
+				continue
+			}
+			if sub {
+				row[c] -= d
+			} else {
+				row[c] += d
+			}
+		}
+	}
+	if k > 0 {
+		accumulate(row, st.rows[:k], sub)
+	}
+}
+
+// finish writes next from the outer sums v in two passes. The first
+// writes the lower triangle, row by row: next(w, u) = (damp/|I(u)|)/|I(w)|
+// ·V(w, u) for u < w, the value row u's procedure OP scales at tree step
+// w, multiplied in the same order; the diagonal is 1 with pinDiag, else
+// the same formula at u = w. The second copies the lower triangle onto
+// the upper one, reading each column down and writing each row along:
+// strided reads, not strided writes, which on a 2-vCPU Xeon makes the two
+// passes 1.6x (m = 499) to 2.5x (m = 1500) faster than writing each value
+// to both cells at once. Worker k takes rows k, k+workers, ... of a pass,
+// so every cell has one writer.
+func (sw *Sweeper) finish(v, next *simmat.Matrix, damp float64, pinDiag bool) {
+	m, inv, nd, vd := sw.m, sw.invDeg, next.Data(), v.Data()
+	workers := min(sw.workers, max(m, 1))
+	par.Do(workers, func(k int) {
+		for w := k; w < m; w += workers {
+			vr, nr, iu, iw := vd[w*m:w*m+w], nd[w*m:w*m+w], inv[:w], inv[w]
+			for u := range vr {
+				nr[u] = damp * iu[u] * iw * vr[u]
+			}
+			if pinDiag {
+				nd[w*m+w] = 1
+			} else {
+				nd[w*m+w] = damp * inv[w] * iw * vd[w*m+w]
+			}
+		}
+	})
+	par.Do(workers, func(k int) {
+		for u := k; u < m; u += workers {
+			row := nd[u*m+u+1 : u*m+m]
+			for j := range row {
+				row[j] = nd[(u+1+j)*m+u]
+			}
+		}
+	})
+}
+
+// SweepTiled is Sweep against the tiled backend, with the per-row kernel
+// of the package comment: identical chain schedule, and per cell the
+// additions of Sweep in its order (rows of prev are staged from tiles, the
 // emitted row lands in an O(m) buffer), with only the canonical upper
 // segment of each row stored. Output — and SweepStats — are bit-identical
 // to Sweep over dense matrices for every block size and worker count. prev
 // and next should come from the same computation's TileStore so one memory
-// budget governs both; unlike Sweep, the full upper row is rewritten every
-// time, so next needs no prior-state contract.
+// budget governs both. prev is only read, and the full upper row of next
+// is rewritten every time.
 func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, prevDiag, damp float64, pinDiag bool) error {
+	sw.allocTiled()
 	errs := make([]error, sw.workers)
 	par.Do(sw.workers, func(w int) {
 		st := &sw.ws[w]
-		if st.rowBuf[0] == nil {
-			for j := range kernelRows {
-				st.rowBuf[j] = make([]float64, sw.m)
-				st.stage[j] = make([]float64, sw.m)
-			}
-		}
 		// The emit stage writes the same cell set for every row (the tree
 		// steps, or the non-empty-set columns without outer sharing), so
 		// zeroing once per sweep keeps never-emitted cells — the columns
@@ -471,10 +592,33 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, prevDiag, damp float64, 
 	return nil
 }
 
-// kernelRows is how many prev rows accumulate folds into one pass over a
-// partial vector, how many rows a tiled sweep stages at a time, and how
-// many lanes procedure OP advances in one pass over the tree program.
-// accumulate and emit are written out for four.
+// allocTiled allocates the tiled kernel's buffers on the first tiled
+// sweep: the slot-mapped tree program, and per worker kernelRows lanes of
+// m + e slots, vals, row buffers and staging rows.
+func (sw *Sweeper) allocTiled() {
+	if sw.ws[0].lanes[0] != nil {
+		return
+	}
+	sw.tree = remap(sw.outer.TreeDiffs, sw.slot)
+	sw.treeRow = make([]int32, len(sw.outer.TreeSteps))
+	for i, s := range sw.outer.TreeSteps {
+		sw.treeRow[i] = sw.slot[s.Vertex]
+	}
+	for w := range sw.ws {
+		st := &sw.ws[w]
+		for j := range kernelRows {
+			st.lanes[j] = make([]float64, sw.m+sw.e)
+			st.rowBuf[j] = make([]float64, sw.m)
+			st.stage[j] = make([]float64, sw.m)
+		}
+		st.vals = make([][kernelRows]float64, len(sw.outer.TreeSteps))
+	}
+}
+
+// kernelRows is how many rows accumulate folds into one pass over its
+// target row, how many rows a tiled sweep stages at a time, and how many
+// lanes the tiled procedure OP advances in one pass over the tree
+// program. accumulate and emit are written out for four.
 const kernelRows = 4
 
 // rowLoader returns block row x of prev: a view of the dense matrix, or
@@ -482,12 +626,13 @@ const kernelRows = 4
 // of the worker, or the partial vector itself).
 type rowLoader func(x int, dst []float64) ([]float64, error)
 
-// walkChains runs worker w's chains kernelRows steps at a time. For each
-// step it brings the next lane to the step's inner partial-sum vector —
-// a derived step first copies the lane of the step before it, which is
-// exact — and after every full group, and after the tail, it hands the
-// group's block rows to emit. Chains never branch, so no undo is needed,
-// and chains never read each other's state, so workers need no locks.
+// walkChains runs worker w's chains kernelRows steps at a time for the
+// tiled kernel. For each step it brings the next lane to the step's inner
+// partial-sum vector — a derived step first copies the lane of the step
+// before it, which is exact — and after every full group, and after the
+// tail, it hands the group's block rows to emit. Chains never branch, so
+// no undo is needed, and chains never read each other's state, so workers
+// need no locks.
 func (sw *Sweeper) walkChains(st *sweepWorker, w int, d float64, load rowLoader, emit func(us []int32) error) error {
 	var us [kernelRows]int32
 	k := 0
@@ -500,7 +645,7 @@ func (sw *Sweeper) walkChains(st *sweepWorker, w int, d float64, load rowLoader,
 				// of the previous (full) group.
 				copy(p, st.lanes[(k+kernelRows-1)%kernelRows])
 			}
-			if err := sw.inner(st, p, i, d, load); err != nil {
+			if err := sw.inner(st, p[:sw.m], p[sw.m:], i, d, load); err != nil {
 				return err
 			}
 			us[k] = sw.slot[step.Vertex]
@@ -518,20 +663,22 @@ func (sw *Sweeper) walkChains(st *sweepWorker, w int, d float64, load rowLoader,
 	return nil
 }
 
-// inner brings p to Partial_{I(u)} for chain step i: from scratch over
-// I(u) at chain starts (lines 5-6 of Algorithm 1), otherwise by the step's
-// symmetric difference from the previous set, which p holds (Eq. 9; lines
-// 10-11). d is prev's diagonal value outside the block, the ± step of an
-// indicator. A from-scratch build copies its first block row and clears
-// the indicators; one without a block row starts from zero, which adding
-// rows to leaves bit-identical to copying the first of them.
-func (sw *Sweeper) inner(st *sweepWorker, p []float64, i int, d float64, load rowLoader) error {
+// inner brings the partial vector to Partial_{I(u)} for chain step i:
+// from scratch over I(u) at chain starts (lines 5-6 of Algorithm 1),
+// otherwise by the step's symmetric difference from the previous set,
+// which it holds (Eq. 9; lines 10-11). block is its m block columns, a row
+// of next or the front of a tiled lane; ind is the lane's indicators, nil
+// for a row of next, which stores none. d is prev's diagonal value outside
+// the block, the ± step of an indicator. A from-scratch build copies its
+// first block row and clears the indicators; one without a block row
+// starts from zero, which adding rows to leaves bit-identical to copying
+// the first of them.
+func (sw *Sweeper) inner(st *sweepWorker, block, ind []float64, i int, d float64, load rowLoader) error {
 	add, sub := sw.plan.ChainDiffs.At(i)
 	ops := int64(len(add) + len(sub))
 	if sw.plan.ChainSteps[i].Parent < 0 {
 		ops-- // the first row of the set is copied, not added
-		block := p[:sw.m]
-		clear(p[sw.m:])
+		clear(ind)
 		j := 0
 		for j < len(add) && int(sw.slot[add[j]]) >= sw.m {
 			j++
@@ -545,15 +692,15 @@ func (sw *Sweeper) inner(st *sweepWorker, p []float64, i int, d float64, load ro
 			}
 			copy(block, r) // a tiled load already wrote it there
 		}
-		if err := sw.accumulateIDs(st, p, load, add[:j], d, false); err != nil {
+		if err := sw.accumulateIDs(st, block, ind, load, add[:j], d, false); err != nil {
 			return err
 		}
 		add = add[min(j+1, len(add)):]
 	}
-	if err := sw.accumulateIDs(st, p, load, add, d, false); err != nil {
+	if err := sw.accumulateIDs(st, block, ind, load, add, d, false); err != nil {
 		return err
 	}
-	if err := sw.accumulateIDs(st, p, load, sub, d, true); err != nil {
+	if err := sw.accumulateIDs(st, block, ind, load, sub, d, true); err != nil {
 		return err
 	}
 	st.stats.InnerAdds += ops * int64(sw.n)
@@ -561,22 +708,24 @@ func (sw *Sweeper) inner(st *sweepWorker, p []float64, i int, d float64, load ro
 }
 
 // accumulateIDs adds (or, with sub, subtracts) the prev rows of the
-// vertices ids to the partial vector p: block rows kernelRows per call of
-// accumulate, and d to the indicator of each vertex outside the block.
-func (sw *Sweeper) accumulateIDs(st *sweepWorker, p []float64, load rowLoader, ids []int32, d float64, sub bool) error {
-	block := p[:sw.m]
+// vertices ids to a partial vector: block rows to block, kernelRows per
+// call of accumulate, and d to the indicator in ind of each vertex outside
+// the block — unless ind is nil, the caller's choice for a row of next.
+func (sw *Sweeper) accumulateIDs(st *sweepWorker, block, ind []float64, load rowLoader, ids []int32, d float64, sub bool) error {
 	k := 0
 	for _, v := range ids {
-		x := sw.slot[v]
-		if int(x) >= sw.m {
-			if sub {
-				p[x] -= d
-			} else {
-				p[x] += d
+		x := int(sw.slot[v])
+		if x >= sw.m {
+			if ind != nil {
+				if sub {
+					ind[x-sw.m] -= d
+				} else {
+					ind[x-sw.m] += d
+				}
 			}
 			continue
 		}
-		r, err := load(int(x), st.stage[k])
+		r, err := load(x, st.stage[k])
 		if err != nil {
 			return err
 		}
@@ -652,26 +801,20 @@ func accumulate(p []float64, rows [][]float64, sub bool) {
 	}
 }
 
-// emit computes next(u, w) for every w of the block and every block row u
-// of us (at most kernelRows), from the group's lanes into rows — dense
-// matrix rows, or a tiled sweep's row buffers. With outer sharing it is
-// procedure OP over the plan's tree program, all lanes in one pass over
-// the tree steps in preorder: each step starts from 0 (a tree root, line 2
-// of procedure OP) or from its parent step's values (Proposition 4; line
-// 8) and applies the step's slot range of the mapped TreeDiffs to every
-// lane, so each row's additions equal the MST weight. Each lane is its
-// own add chain in the one-row order; four independent chains keep the
-// adder busy where one would wait on every add's latency. In a tail group
-// the missing lanes alias lane 0's partial vector and row: they compute
-// and write lane 0's bits again. Without outer sharing it is the psum-SR
-// per-target summation, one row at a time.
+// emit is the tiled kernel's emit: it computes next(u, w) for every w of
+// the block and every block row u of us (at most kernelRows), from the
+// group's lanes into the worker's row buffers. It is procedure OP over the
+// slot-mapped tree program, all lanes in one pass over the tree steps in
+// preorder: each step starts from 0 (a tree root, line 2 of procedure OP)
+// or from its parent step's values (Proposition 4; line 8) and applies the
+// step's slot range to every lane, so each row's additions equal the tree
+// weight. Each lane is its own add chain in the one-row order; four
+// independent chains keep the adder busy where one would wait on every
+// add's latency. In a tail group the missing lanes alias lane 0's partial
+// vector and row: they compute and write lane 0's bits again. Without
+// outer sharing the tree is all roots, and each step is the psum-SR
+// per-target sum over the whole in-set.
 func (sw *Sweeper) emit(st *sweepWorker, rows [][]float64, us []int32, damp float64) {
-	if sw.disableOuter {
-		for j, u := range us {
-			sw.emitSum(st, st.lanes[j], rows[j], u, damp)
-		}
-		return
-	}
 	var lane [kernelRows][]float64
 	var row [kernelRows][]float64
 	var scale [kernelRows]float64
@@ -689,7 +832,7 @@ func (sw *Sweeper) emit(st *sweepWorker, rows [][]float64, us []int32, damp floa
 	r1, r2, r3 := row[1][:len(r0)], row[2][:len(r0)], row[3][:len(r0)]
 	s0, s1, s2, s3 := scale[0], scale[1], scale[2], scale[3]
 
-	steps, d, inv := sw.plan.TreeSteps, &sw.tree, sw.invDeg
+	steps, d, inv := sw.outer.TreeSteps, &sw.tree, sw.invDeg
 	ids, off, split := d.IDs, d.Off[:len(steps)+1], d.Split[:len(steps)]
 	vals, at := st.vals[:len(steps)], sw.treeRow[:len(steps)]
 	for i, s := range steps {
@@ -717,28 +860,6 @@ func (sw *Sweeper) emit(st *sweepWorker, rows [][]float64, us []int32, damp floa
 		r2[w] = s2 * inv[w] * v2
 		r3[w] = s3 * inv[w] * v3
 	}
-	// The tree steps' diffs sum to the MST weight, once per real row.
-	st.stats.OuterAdds += int64(len(us)) * int64(sw.plan.TreeWeight)
-}
-
-// emitSum is the ablation's emit for one row: next(u, w) as the psum-SR
-// per-target sum over I(w) of the partial vector p, with no outer sharing.
-func (sw *Sweeper) emitSum(st *sweepWorker, p, row []float64, u int32, damp float64) {
-	scaleU := damp * sw.invDeg[u]
-	g, inv, slot := sw.g, sw.invDeg, sw.slot
-	outerAdds := int64(0)
-	for v := 0; v < sw.n; v++ {
-		in := g.In(v)
-		if len(in) == 0 {
-			continue
-		}
-		sum := 0.0
-		for _, j := range in {
-			sum += p[slot[j]]
-		}
-		outerAdds += int64(len(in) - 1)
-		w := slot[v]
-		row[w] = scaleU * inv[w] * sum
-	}
-	st.stats.OuterAdds += outerAdds
+	// The tree steps' diffs sum to the tree weight, once per real row.
+	st.stats.OuterAdds += int64(len(us)) * int64(sw.outer.TreeWeight)
 }

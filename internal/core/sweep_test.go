@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -53,9 +55,11 @@ func TestSweepMatchesConjugation(t *testing.T) {
 				prev.Set(j, i, v)
 			}
 		}
-		next := simmat.New(n) // all-zero satisfies the Sweep contract
+		// The oracle comes first: Sweep overwrites prev.
+		want := sweepOracle(g, prev, damp)
+		next := simmat.New(n)
 		NewSweeper(g, plan, true, false).Sweep(prev, next, 0, damp, false)
-		if simmat.MaxDiff(next, sweepOracle(g, prev, damp)) >= 1e-10 {
+		if simmat.MaxDiff(next, want) >= 1e-10 {
 			return false
 		}
 
@@ -73,12 +77,13 @@ func TestSweepMatchesConjugation(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		want = sweepOracle(g, full, damp)
 		sw.Sweep(block, out, d, damp, false)
 		got, err := simmat.Expand(sw.Slots(), out, 0).Dense()
 		if err != nil {
 			return false
 		}
-		return simmat.MaxDiff(got, sweepOracle(g, full, damp)) < 1e-10
+		return simmat.MaxDiff(got, want) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -86,8 +91,7 @@ func TestSweepMatchesConjugation(t *testing.T) {
 }
 
 // TestSweepBufferReuseInvariant: ping-pong reuse across many sweeps (the
-// engines' pattern; an all-rows sweeper relies on the no-reset
-// optimization) stays consistent with fresh buffers every time.
+// engines' pattern) stays consistent with fresh buffers every time.
 func TestSweepBufferReuseInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 20, 60)
@@ -179,23 +183,101 @@ func TestChainBreakStillCorrect(t *testing.T) {
 	}
 }
 
-// TestDisableOuterSweepEquivalence at the sweep level (not just end-to-end).
+// TestDisableOuterSweepEquivalence at the sweep level (not just
+// end-to-end): on a graph with shared in-sets and in-neighbours outside
+// the block, the sweep with outer sharing and its ablation, each from its
+// own copy of a random symmetric block, agree for d = 0 and d = 1.
 func TestDisableOuterSweepEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	g := randomGraph(rng, 25, 100)
+	g := sharedSetsGraph(rng, 60)
 	plan, err := partition.BuildPlan(g, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared, ablated := NewSweeper(g, plan, false, false), NewSweeper(g, plan, false, true)
 	m := shared.Kept()
-	prev := simmat.NewIdentity(m)
-	a, b := simmat.New(m), simmat.New(m)
-	shared.Sweep(prev, a, 1, 0.6, true)
-	ablated.Sweep(prev, b, 1, 0.6, true)
-	if d := simmat.MaxDiff(a, b); d > 1e-12 {
-		t.Errorf("outer sharing changed sweep output by %g", d)
+	if m < 20 || plan.SharedEdges == 0 {
+		t.Fatalf("m = %d, %d shared edges: the graph does not exercise sharing", m, plan.SharedEdges)
 	}
+	for _, d := range []float64{0, 1} {
+		prev := randomSymmetric(rng, m)
+		a, b := simmat.New(m), simmat.New(m)
+		shared.Sweep(prev.Copy(), a, d, 0.6, true)
+		ablated.Sweep(prev, b, d, 0.6, true)
+		if diff := simmat.MaxDiff(a, b); diff > 1e-12 {
+			t.Errorf("d=%v: outer sharing changed sweep output by %g", d, diff)
+		}
+	}
+}
+
+// TestSweepIgnoresNextContents: the sweep writes every cell of next, so a
+// NaN-filled next gives the same bits as a zero one, for the block and the
+// all-rows sweeper, with and without outer sharing, at one and three
+// workers.
+func TestSweepIgnoresNextContents(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	g := sharedSetsGraph(rng, 40)
+	plan, err := partition.BuildPlan(g, partition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, allRows := range []bool{false, true} {
+		for _, disableOuter := range []bool{false, true} {
+			for _, workers := range []int{1, 3} {
+				sw := NewParallelSweeper(g, plan, allRows, disableOuter, workers)
+				prev := randomSymmetric(rng, sw.Kept())
+				zero, nan := simmat.New(sw.Kept()), simmat.New(sw.Kept())
+				nan.Fill(math.NaN())
+				sw.Sweep(prev.Copy(), zero, 1, 0.6, false)
+				sw.Sweep(prev, nan, 1, 0.6, false)
+				if err := sameCells(zero, nan); err != nil {
+					t.Errorf("allRows=%v disableOuter=%v workers=%d: %v", allRows, disableOuter, workers, err)
+				}
+			}
+		}
+	}
+}
+
+// sharedSetsGraph returns a graph on n vertices whose in-sets overlap: a
+// third of the vertices have no in-edge and feed the rest, and every other
+// vertex copies most of the in-set of an earlier one, so the plan shares
+// sums and the in-sets hold vertices outside the block.
+func sharedSetsGraph(rng *rand.Rand, n int) *graph.Graph {
+	b := graph.NewBuilder(n, 0)
+	b.EnsureVertices(n)
+	sources := n / 3
+	var sets [][]int
+	for v := sources; v < n; v++ {
+		var in []int
+		if len(sets) > 0 && rng.Intn(3) > 0 {
+			for _, x := range sets[rng.Intn(len(sets))] {
+				if rng.Intn(5) > 0 {
+					in = append(in, x)
+				}
+			}
+		}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			in = append(in, rng.Intn(n))
+		}
+		for _, x := range in {
+			b.AddEdge(x, v)
+		}
+		sets = append(sets, in)
+	}
+	return b.MustBuild()
+}
+
+// randomSymmetric returns an m x m symmetric matrix of values in [0, 1).
+func randomSymmetric(rng *rand.Rand, m int) *simmat.Matrix {
+	s := simmat.New(m)
+	for i := 0; i < m; i++ {
+		for j := i; j < m; j++ {
+			v := rng.Float64()
+			s.Set(i, j, v)
+			s.Set(j, i, v)
+		}
+	}
+	return s
 }
 
 // TestAuxBytesScalesLinearly: the sweeper's buffers are O(n), the claim of
@@ -218,11 +300,13 @@ func TestAuxBytesScalesLinearly(t *testing.T) {
 	}
 }
 
-// TestAuxBytesClosedForm: AuxBytes is exactly the sweeper's buffers — the
-// slot map, the slot-mapped tree program and 1/|I| by block row, plus per
-// worker kernelRows partial vectors of m + e slots and kernelRows vals
-// columns of one value per tree step — and a tiled sweep adds per worker
-// kernelRows row buffers and kernelRows staging rows of m values each.
+// TestAuxBytesClosedForm: AuxBytes is exactly the sweeper's buffers — on
+// the dense backend the slot map and 1/|I| by block row; a tiled sweep
+// adds the slot-mapped tree program and, per worker, kernelRows partial
+// vectors of m + e slots, kernelRows vals columns of one value per tree
+// step, and kernelRows row buffers and staging rows of m values each. On
+// sweep-web's graph OIP-SR's state and auxiliary memory come to the
+// figure the benchmark reports as index_bytes_per_vertex.
 func TestAuxBytesClosedForm(t *testing.T) {
 	g := sweepWebGraph(t, 1)
 	plan, err := partition.BuildPlan(g, partition.Options{})
@@ -239,8 +323,7 @@ func TestAuxBytesClosedForm(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		sw := NewParallelSweeper(g, plan, false, false, workers)
 		m := sw.Kept()
-		shared := int64(n+len(plan.TreeDiffs.IDs)+steps)*4 + int64(m)*8
-		want := shared + int64(workers*kernelRows*(m+e+steps))*8
+		want := int64(n)*4 + int64(m)*8
 		if got := sw.AuxBytes(); got != want {
 			t.Errorf("workers=%d: AuxBytes %d, closed form %d", workers, got, want)
 		}
@@ -260,10 +343,36 @@ func TestAuxBytesClosedForm(t *testing.T) {
 		if err := sw.SweepTiled(prev, next, 1, 0.6, true); err != nil {
 			t.Fatal(err)
 		}
-		want += int64(workers*2*kernelRows*m) * 8
+		want += int64(len(plan.TreeDiffs.IDs)+steps) * 4
+		want += int64(workers*kernelRows*(m+e+steps+2*m)) * 8
 		if got := sw.AuxBytes(); got != want {
 			t.Errorf("workers=%d after a tiled sweep: AuxBytes %d, closed form %d", workers, got, want)
 		}
 		store.Close()
+	}
+
+	// Without outer sharing the sweeper holds a trivial plan of its own,
+	// unless the plan it is given already is one.
+	trivial := partition.TrivialPlan(g)
+	for _, p := range []*partition.Plan{plan, trivial} {
+		sw := NewSweeper(g, p, false, true)
+		want := int64(n)*4 + int64(sw.Kept())*8
+		if p != trivial {
+			want += trivial.Bytes()
+		}
+		if got := sw.AuxBytes(); got != want {
+			t.Errorf("disableOuter, trivial plan given %v: AuxBytes %d, closed form %d", p == trivial, got, want)
+		}
+	}
+
+	// The plan's chains, and so its bytes, differ slightly between seeds.
+	for seed, want := range map[int64]string{1: "2736.52", 2: "2736.49"} {
+		_, st, err := Compute(sweepWebGraph(t, seed), Options{C: 0.6, K: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%.2f", float64(st.StateBytes+st.AuxBytes)/float64(n)); got != want {
+			t.Errorf("seed %d: %s B per vertex, want %s", seed, got, want)
+		}
 	}
 }

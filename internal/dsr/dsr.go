@@ -150,6 +150,8 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	coeff := expC
 	for k := 0; k < opt.K; k++ {
 		// T_{k+1} = Q T_k Q^T via the shared sweep (damp=1, free diagonal).
+		// The sweep overwrites T_k, which nothing reads again: the swap
+		// below makes its buffer the next sweep's output.
 		sw.Sweep(tPrev, tNext, tDiag(k), 1, false)
 		st.Iterations++
 		coeff *= opt.C / float64(k+1) // e^-C * C^(k+1)/(k+1)!

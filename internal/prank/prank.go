@@ -146,8 +146,11 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
 	t1 := time.Now()
 	for iter := 0; iter < opt.K; iter++ {
 		st.Iterations++
+		// A sweep overwrites its input: the out-link sweep reads a copy
+		// of prev in next, which the blend below overwrites.
+		copy(next.Data(), prev.Data())
 		swIn.Sweep(prev, tmpIn, 0, opt.CIn, false)
-		swOut.Sweep(prev, tmpOut, 0, opt.COut, false)
+		swOut.Sweep(next, tmpOut, 0, opt.COut, false)
 		nd, id, od := next.Data(), tmpIn.Data(), tmpOut.Data()
 		l := opt.Lambda
 		// Element-wise blend, so splitting across workers is bit-identical.

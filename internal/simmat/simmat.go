@@ -23,10 +23,14 @@
 // s(a,b) and s(b,a) with differently-associated floating-point sums, so the
 // two roundings can differ in the last bits. To give both backends one
 // well-defined answer, every sweep engine canonicalizes each iterate: the
-// value computed while emitting row min(a,b) is authoritative, and the lower
-// triangle mirrors it (MirrorUpper for the dense backend; the tiled backend
-// stores only the canonical triangle). This is what makes tiled output
-// bit-identical to dense output for every block size and worker count.
+// value computed while emitting row min(a,b) is authoritative. The OIP
+// engines' dense sweep computes that value once, in its final pass, into
+// the lower cell and copies it onto the upper one; psum-SR and the naive engine emit rows and then
+// mirror the upper triangle onto the lower one (MirrorUpper); the tiled
+// backend stores only the canonical triangle. This is what makes tiled
+// output bit-identical to dense output for every block size and worker
+// count. Transpose turns the OIP dense sweep's inner sums into rows for
+// its procedure OP.
 package simmat
 
 import (
@@ -112,6 +116,35 @@ func (m *Matrix) MirrorUpper(workers int) {
 			row := m.data[i*n : i*n+i]
 			for j := range row {
 				row[j] = m.data[j*n+i]
+			}
+		}
+	})
+}
+
+// transposeTile is the side of the square tiles Transpose swaps: two
+// 32 x 32 tiles of float64 are 16 KiB, so a swap stays in L1.
+const transposeTile = 32
+
+// Transpose transposes the matrix in place. It swaps each tile above the
+// diagonal with its mirror tile below it, and transposes the diagonal
+// tiles within themselves; worker w takes the tile rows w, w+workers, ...
+// (workers < 1 means runtime.GOMAXPROCS(0)). Every cell is moved, never
+// computed, so the result does not depend on the split.
+func (m *Matrix) Transpose(workers int) {
+	n, b := m.n, transposeTile
+	tiles := (n + b - 1) / b
+	workers = par.ResolveMax(workers, tiles)
+	par.Do(workers, func(w int) {
+		for ti := w; ti < tiles; ti += workers {
+			i0, i1 := ti*b, min(ti*b+b, n)
+			for j0 := i0; j0 < n; j0 += b {
+				j1 := min(j0+b, n)
+				for i := i0; i < i1; i++ {
+					row := m.data[i*n : (i+1)*n]
+					for j := max(j0, i+1); j < j1; j++ {
+						row[j], m.data[j*n+i] = m.data[j*n+i], row[j]
+					}
+				}
 			}
 		}
 	})

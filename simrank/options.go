@@ -69,7 +69,9 @@ type Options struct {
 
 	// StopDiff, when positive, stops geometric engines early once the
 	// max-norm difference of successive iterates falls to or below it
-	// (OIP-SR only; ignored elsewhere).
+	// (OIP-SR only; ignored elsewhere). OIP-SR then holds one more m x m
+	// block of 8-byte scores (m = vertices with a non-empty in-set): the
+	// copy of each iterate that the sweep overwrites.
 	StopDiff float64
 
 	// Threshold enables psum-SR threshold sieving (PsumSR only).
