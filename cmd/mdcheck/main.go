@@ -2,7 +2,9 @@
 // every relative link in the given markdown files points at a file or
 // directory that actually exists, so documentation cannot silently rot as
 // the tree moves underneath it. CI runs it over README.md, ARCHITECTURE.md,
-// TESTING.md, CHANGES.md and docs/ in the docs hygiene job.
+// TESTING.md, CHANGES.md, docs/API.md, ROADMAP.md,
+// .claude/skills/verify/SKILL.md and benchmark/README.md in the docs
+// hygiene job.
 //
 //	mdcheck README.md ARCHITECTURE.md CHANGES.md docs/API.md
 //

@@ -30,7 +30,8 @@ import (
 // Options configure a P-Rank computation.
 type Options struct {
 	// CIn and COut are the in-link and out-link damping factors in (0,1).
-	// Zero means 0.6 (the SimRank default; Zhao et al. use 0.8).
+	// A zero CIn means 0.6 (the SimRank default; Zhao et al. use 0.8); a
+	// zero COut means CIn.
 	CIn, COut float64
 
 	// Lambda in [0,1] weights the in-link term; 1-Lambda weights the
@@ -59,7 +60,7 @@ func (o *Options) normalize() error {
 		o.CIn = 0.6
 	}
 	if o.COut == 0 {
-		o.COut = 0.6
+		o.COut = o.CIn
 	}
 	if !(o.CIn > 0 && o.CIn < 1) || !(o.COut > 0 && o.COut < 1) {
 		return fmt.Errorf("prank: damping factors (%v, %v) outside (0,1)", o.CIn, o.COut)

@@ -25,9 +25,9 @@ func Compute(g *graph.Graph, opt Options) (*Scores, *Stats, error) {
 }
 
 // ComputeContext is Compute with a context. Engines that advertise
-// cancellation (today only Linearized, at solve-step boundaries) return
-// ctx.Err() when the context ends mid-computation; the classic sweep
-// engines run to completion regardless.
+// cancellation (Linearized, at solve-step boundaries; MonteCarlo, once per
+// fingerprint of every row) return ctx.Err() when the context ends
+// mid-computation; the classic sweep engines run to completion regardless.
 func ComputeContext(ctx context.Context, g *graph.Graph, opt Options) (*Scores, *Stats, error) {
 	alg := opt.Algorithm
 	if alg == "" {

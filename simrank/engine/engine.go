@@ -25,6 +25,7 @@ import (
 
 	"oipsr/graph"
 	"oipsr/internal/numeric"
+	"oipsr/internal/par"
 	"oipsr/internal/simmat"
 )
 
@@ -52,7 +53,8 @@ const (
 	PRank Algorithm = "p-rank"
 	// MonteCarlo is the Fogaras-Racz sampling estimator: s(a,b) is
 	// estimated from the first meeting time of coupled reverse random
-	// walks. Probabilistic; Theta(n^2) time independent of K.
+	// walks. Probabilistic; every row is a walk index's single-source
+	// answer.
 	MonteCarlo Algorithm = "monte-carlo"
 	// Linearized is Maehara et al.'s linearization: SimRank as the solution
 	// of S = C·Q·S·Qᵀ + D for a diagonal correction D, answering exact
@@ -109,8 +111,9 @@ type Params struct {
 //
 // Compute and ComputeTiled materialize all-pairs scores; SingleSource
 // answers one row. Backends ignore ctx unless they advertise cancellation
-// (today only Linearized checks it, at solve-step boundaries); entry points
-// outside the engine's Caps return an error.
+// (Linearized checks it at solve-step boundaries, MonteCarlo once per
+// fingerprint of every row); entry points outside the engine's Caps return
+// an error.
 type Engine interface {
 	Name() Algorithm
 	Caps() Caps
@@ -212,4 +215,34 @@ func geometricSchedule(p Params) (c float64, k int, err error) {
 		k = numeric.IterationsConventional(c, eps)
 	}
 	return c, k, nil
+}
+
+// rowFunc writes row q of the scores into dst, which has length n.
+type rowFunc func(q int, dst []float64) error
+
+// fillRows materializes all-pairs scores one single-source row at a time,
+// for the engines whose Compute is their row answer repeated. Rows are
+// split across the worker pool; newRow runs once per worker, so a row
+// function may own scratch. A failing row stops its worker, and the error
+// of the lowest-numbered failing worker is returned.
+func fillRows(n, workers int, newRow func() rowFunc) (*simmat.Matrix, error) {
+	m := simmat.New(n)
+	workers = par.ResolveMax(workers, n)
+	errs := make([]error, workers)
+	par.Do(workers, func(w int) {
+		row := newRow()
+		lo, hi := par.Range(n, workers, w)
+		for q := lo; q < hi; q++ {
+			if err := row(q, m.Row(q)); err != nil {
+				errs[w] = err
+				return
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
 }

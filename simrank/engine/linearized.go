@@ -6,7 +6,6 @@ import (
 
 	"oipsr/graph"
 	"oipsr/internal/linsr"
-	"oipsr/internal/par"
 	"oipsr/internal/simmat"
 )
 
@@ -36,23 +35,15 @@ func (linearizedEngine) Compute(ctx context.Context, g *graph.Graph, p Params) (
 	}
 	t0 := time.Now()
 	n := g.NumVertices()
-	m := simmat.New(n)
-	workers := par.ResolveMax(p.Workers, n)
-	errs := make([]error, workers)
-	par.Do(workers, func(w int) {
+	m, err := fillRows(n, p.Workers, func() rowFunc {
 		sc := sol.NewScratch()
-		lo, hi := par.Range(n, workers, w)
-		for q := lo; q < hi; q++ {
-			if _, err := sol.SingleSourceScratch(ctx, q, m.Row(q), sc); err != nil {
-				errs[w] = err
-				return
-			}
+		return func(q int, dst []float64) error {
+			_, err := sol.SingleSourceScratch(ctx, q, dst, sc)
+			return err
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
 	}
 	return m, linearizedStats(sol, n, time.Since(t0), simmat.StateBytes(n, 1)), nil
 }

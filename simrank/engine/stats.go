@@ -5,12 +5,15 @@ import "time"
 // Stats reports what a computation did. Fields not applicable to the chosen
 // engine are zero. The simrank package aliases this type as simrank.Stats.
 type Stats struct {
-	Algorithm  Algorithm
+	Algorithm Algorithm
+	// Iterations is the engine's iteration count; for MonteCarlo, the
+	// fingerprint count R.
 	Iterations int
 
 	// PlanTime covers preprocessing (DMST-Reduce for the OIP engines, the
 	// truncated SVD for MtxSR, the diagonal-correction solve for
-	// Linearized); ComputeTime covers the iteration phase.
+	// Linearized, the walk-index build for MonteCarlo); ComputeTime covers
+	// the iteration phase, or the rows.
 	PlanTime    time.Duration
 	ComputeTime time.Duration
 
@@ -20,7 +23,8 @@ type Stats struct {
 	OuterAdds int64
 
 	// AuxBytes is auxiliary memory beyond the score matrices — the
-	// "intermediate memory" of the paper's Fig. 6d. StateBytes is the
+	// "intermediate memory" of the paper's Fig. 6d; for MonteCarlo, the
+	// walk index's rows plus its coalescence order. StateBytes is the
 	// quadratic state the engine holds while running: n^2 cells a matrix,
 	// or m^2 for OIP-SR and OIP-DSR, whose matrices are blocks over the m
 	// vertices with a non-empty in-set.

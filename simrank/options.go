@@ -28,8 +28,10 @@ const (
 	// PRank is Penetrating Rank (Zhao et al.): SimRank generalized to use
 	// both in- and out-links, with OIP sharing applied in both directions.
 	PRank = engine.PRank
-	// MonteCarlo is the Fogaras-Racz sampling estimator. Probabilistic;
-	// Theta(n^2) time independent of K.
+	// MonteCarlo is the Fogaras-Racz sampling estimator, answered as every
+	// row of a walk index (package simrank/query): probabilistic, each row
+	// bit-identical to query.Index.SingleSource under the same C, K, Eps,
+	// Walks and Seed.
 	MonteCarlo = engine.MonteCarlo
 	// Linearized is Maehara et al.'s linearization: a diagonal-correction
 	// solve turns SimRank into a linear system, answering exact
@@ -91,8 +93,8 @@ type Options struct {
 	// COut is P-Rank's out-link damping factor (PRank only); 0 means C.
 	COut float64
 
-	// Walks is the number of sampled walk pairs per vertex pair
-	// (MonteCarlo only); 0 means 100.
+	// Walks is the number of coupled-walk fingerprints R (MonteCarlo
+	// only); 0 means 100, and at most 65535.
 	Walks int
 
 	// DisableOuterSharing ablates outer partial-sums sharing (OIPSR only).

@@ -13,11 +13,15 @@
 // by scanning only the query vertex's share of it.
 //
 // The index here stores R coupled reverse random walks of horizon K per
-// vertex (the Fogaras-Racz first-meeting estimator, the same coupling as
-// the batch monte-carlo engine). Index size is 4*n*R*K bytes — linear in
-// n, independent of edge density — and a single-source query costs
-// O(n*R*K) sequential int32 comparisons, typically well under a
-// millisecond for graphs that fit in memory. Builds are deterministic:
+// vertex (the Fogaras-Racz first-meeting estimator; the batch monte-carlo
+// engine is this index's SingleSource on every vertex). It keeps each
+// walk's live prefix only, plus a per-fingerprint coalescence order of
+// 6*R bytes a vertex: on serve-zipf's graph (R = 100) about 243 B of
+// walks and 600 B of order per vertex — linear in n, independent of edge
+// density. A single-source query binary-searches the source in each
+// fingerprint's order and walks outwards while neighbours still meet, so
+// its cost is proportional to the answer, not to n*R*K. Builds are
+// deterministic:
 // edge choices are pure hashes of (seed, fingerprint, step, vertex), so
 // the same graph, options, and seed produce a bit-identical index at any
 // worker count, and a saved index reloads into bit-identical query

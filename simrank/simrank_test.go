@@ -214,6 +214,23 @@ func TestPRankLambdaOneMatchesSimRank(t *testing.T) {
 	}
 }
 
+// TestPRankCOutDefaultsToC: an unset COut is the documented "0 means C",
+// bit for bit, not a fixed 0.6.
+func TestPRankCOutDefaultsToC(t *testing.T) {
+	g := gen.WebGraph(60, 5, 3)
+	unset, _, err := Compute(g, Options{Algorithm: PRank, C: 0.8, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, _, err := Compute(g, Options{Algorithm: PRank, C: 0.8, COut: 0.8, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := unset.MaxDiff(same); d != 0 {
+		t.Errorf("P-Rank with COut unset differs from COut = C by %g", d)
+	}
+}
+
 // TestMonteCarloApproximatesOIP: the sampling estimator lands near the
 // iterative scores on the shared test workload.
 func TestMonteCarloApproximatesOIP(t *testing.T) {
