@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"oipsr/graph"
@@ -136,6 +137,36 @@ func TestDBLPSnapshotSeries(t *testing.T) {
 		prev = g.NumVertices()
 		if err := g.Validate(); err != nil {
 			t.Errorf("snapshot %d: %v", i, err)
+		}
+	}
+}
+
+// TestFig5DatasetStats pins the dataset table (the paper's Fig. 5) of the
+// six substitutes the evaluation runs on, at seed 1: BERKSTAN, PATENT and
+// the four DBLP snapshots D02–D11. The values were recorded from the
+// generators before this test existed; overlap is pinned to the table's
+// two decimals.
+func TestFig5DatasetStats(t *testing.T) {
+	for _, c := range []struct {
+		name                      string
+		g                         *graph.Graph
+		vertices, edges, maxInDeg int
+		overlap                   float64
+	}{
+		{"berkstan", WebGraph(2000, 11, 1), 2000, 19139, 550, 0.90},
+		{"patent", CitationGraph(2600, 4, 1), 2600, 10390, 128, 0.75},
+		{"dblp-d02", DBLPSnapshot(0, 4, 1), 1495, 4488, 19, 0.76},
+		{"dblp-d05", DBLPSnapshot(1, 4, 1), 2335, 4672, 16, 0.71},
+		{"dblp-d08", DBLPSnapshot(2, 4, 1), 3434, 10312, 23, 0.77},
+		{"dblp-d11", DBLPSnapshot(3, 4, 1), 4842, 14532, 21, 0.77},
+	} {
+		s := graph.ComputeStats(c.g)
+		if s.Vertices != c.vertices || s.Edges != c.edges || s.MaxInDeg != c.maxInDeg {
+			t.Errorf("%s: n=%d m=%d max-in=%d, want %d/%d/%d",
+				c.name, s.Vertices, s.Edges, s.MaxInDeg, c.vertices, c.edges, c.maxInDeg)
+		}
+		if math.Abs(s.OverlapRatio-c.overlap) > 0.005 {
+			t.Errorf("%s: overlap %.4f, want %.2f", c.name, s.OverlapRatio, c.overlap)
 		}
 	}
 }

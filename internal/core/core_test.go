@@ -146,8 +146,8 @@ func TestAblationsProduceSameScores(t *testing.T) {
 	}
 }
 
-// TestAblateOuterAddsClosedForm pins the outer-add counts the `ablate`
-// experiment of cmd/bench prints, on sweep-web's graph: every iteration
+// TestAblateOuterAddsClosedForm pins the outer-add counts behind the root
+// BenchmarkAblationOuterSharing, on sweep-web's graph: every iteration
 // emits one row per vertex with a non-empty in-set, and a row costs
 // procedure OP the plan's tree weight, or with outer sharing ablated the
 // psum-SR per-target sums, ScratchAdditions.

@@ -113,6 +113,60 @@ func TestSheddingUnderSaturation(t *testing.T) {
 	})
 }
 
+// TestIdleServerNeverShedsOrDegrades: a server that sees one request at
+// a time never reaches its limits, so it answers all of the serving mix —
+// single-source, top-k with and without rerank, a 32-source batch — with a
+// plain 200: nothing shed, nothing degraded under the request deadline.
+func TestIdleServerNeverShedsOrDegrades(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, kind string) {
+		const n = 300
+		srv := newBackend(t, kind, gen.WebGraph(n, 8, 1), query.Options{Walks: 100, Seed: 1},
+			Config{CacheSize: -1, MaxInflight: 2, QueueDepth: 2, RequestTimeout: 2 * time.Second})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+
+		var batch strings.Builder
+		batch.WriteString(`{"mode":"topk","k":10,"sources":[`)
+		for j := 0; j < 32; j++ {
+			if j > 0 {
+				batch.WriteByte(',')
+			}
+			fmt.Fprint(&batch, j*9%n)
+		}
+		batch.WriteString("]}")
+		for q := 0; q < n; q += 37 {
+			for _, req := range []struct{ path, body string }{
+				{fmt.Sprintf("/v1/single_source?q=%d", q), ""},
+				{fmt.Sprintf("/v1/topk?q=%d&k=10", q), ""},
+				{fmt.Sprintf("/v1/topk?q=%d&k=10&rerank=1", q), ""},
+				{"/v1/batch", batch.String()},
+			} {
+				var resp *http.Response
+				var err error
+				if req.body == "" {
+					resp, err = http.Get(ts.URL + req.path)
+				} else {
+					resp, err = http.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: status %d (body %s)", req.path, resp.StatusCode, body)
+				}
+				if got := resp.Header.Get("X-Simrank-Degraded"); got != "" {
+					t.Fatalf("%s: X-Simrank-Degraded = %q on an idle server", req.path, got)
+				}
+			}
+		}
+		if shed, degraded := srv.shedTotal.Load(), srv.degradedTotal.Load(); shed != 0 || degraded != 0 {
+			t.Errorf("idle server: shed %d, degraded %d, want 0 and 0", shed, degraded)
+		}
+	})
+}
+
 // TestQueuedRequestDeadline: a request whose deadline expires while still
 // waiting for an execution slot gets a 503, not an eternity in the queue.
 func TestQueuedRequestDeadline(t *testing.T) {

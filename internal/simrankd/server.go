@@ -1,8 +1,8 @@
 // Package simrankd implements the simrankd HTTP server: the /v1 query
 // endpoints over a persistent walk index (see oipsr/simrank/query), the
 // health probe, and Prometheus-style /metrics. cmd/simrankd wires it to
-// flags and a listener; cmd/bench drives it in-process for closed-loop
-// load benchmarks — the package exists so both share one server.
+// flags and a listener; the contract benchmark (benchmark/) drives it
+// in-process under load — the package exists so both share one server.
 //
 // The server is built to stay predictable under overload:
 //

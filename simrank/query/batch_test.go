@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"oipsr/graph"
 	"oipsr/graph/gen"
 )
 
@@ -119,5 +120,36 @@ func TestJoinPublicAPI(t *testing.T) {
 	}
 	if _, err := ix.Join(context.Background(), 10, 0, &JoinOptions{MaxCandidates: -1}); err == nil {
 		t.Fatal("Join with negative cap succeeded")
+	}
+}
+
+// BenchmarkJoin times the top-k similarity join behind /v1/join (k = 50,
+// θ = 0.1) over R = 200 walks on a web graph and a citation graph, and
+// reports the pairs it returns.
+func BenchmarkJoin(b *testing.B) {
+	for _, wl := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"web", gen.WebGraph(2000, 11, 1)},
+		{"citation", gen.CitationGraph(2600, 4, 1)},
+	} {
+		b.Run(wl.name, func(b *testing.B) {
+			ix, err := BuildIndex(wl.g, Options{Walks: 200, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pairs, err := ix.Join(context.Background(), 50, 0.1, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(len(pairs)), "pairs")
+				}
+			}
+		})
 	}
 }

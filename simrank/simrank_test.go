@@ -2,6 +2,7 @@ package simrank
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"oipsr/graph"
@@ -150,6 +151,78 @@ func TestDSRPreservesTopK(t *testing.T) {
 	}
 	if ov := TopKOverlap(a, b); ov < 0.8 {
 		t.Errorf("top-10 overlap = %g, want >= 0.8", ov)
+	}
+}
+
+// TestFig6cShareRatioRisesWithDensity: Fig. 6c's sharing claim on its
+// benchmark's graphs (BenchmarkExp1Density) — the share of inner sums
+// OIP-SR reuses grows with the average degree d. The paper reports
+// 0.68–0.83 on its datasets; the values below were recorded from the
+// planner before this test existed.
+func TestFig6cShareRatioRisesWithDensity(t *testing.T) {
+	prev := 0.0
+	for _, c := range []struct {
+		d     int
+		share float64
+	}{
+		{10, 0.48242146869149161},
+		{30, 0.73871297242083767},
+		{50, 0.79283919597989949},
+	} {
+		_, st, err := Compute(gen.WebGraph(700, c.d, 7), Options{Algorithm: OIPSR, C: 0.6, Eps: 1e-3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(st.ShareRatio-c.share) > 1e-12 {
+			t.Errorf("d=%d: share ratio %.17g, recorded %.17g", c.d, st.ShareRatio, c.share)
+		}
+		if st.ShareRatio <= prev {
+			t.Errorf("d=%d: share ratio %g does not rise above %g", c.d, st.ShareRatio, prev)
+		}
+		prev = st.ShareRatio
+	}
+}
+
+// TestFig6gDSRRanksLikeSR: Fig. 6g's ordering claim — mean NDCG@{10,30,50}
+// of OIP-DSR's ranking, graded against converged OIP-SR (grades 3/2/1 for
+// its top 10/30/50), over the three highest in-degree vertices of a
+// co-authorship graph, each query excluded from its own ranking. The
+// paper's human judges gave OIP-DSR 0.96/0.92/0.83; against converged
+// OIP-SR the means were 0.975/0.977/0.990 when this test was written.
+func TestFig6gDSRRanksLikeSR(t *testing.T) {
+	g := gen.CoauthorGraph(600, 3, 1)
+	sr, _, err := Compute(g, Options{Algorithm: OIPSR, C: 0.8, Eps: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, _, err := Compute(g, Options{Algorithm: OIPDSR, C: 0.8, Eps: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]int, g.NumVertices())
+	for v := range queries {
+		queries[v] = v
+	}
+	sort.SliceStable(queries, func(i, j int) bool { return g.InDegree(queries[i]) > g.InDegree(queries[j]) })
+	queries = queries[:3]
+	ranking := func(s *Scores, q int) []int {
+		out := make([]int, 0, g.NumVertices()-1)
+		for _, r := range s.TopK(q, g.NumVertices()) {
+			if r.Vertex != q {
+				out = append(out, r.Vertex)
+			}
+		}
+		return out
+	}
+	for _, p := range []int{10, 30, 50} {
+		sum := 0.0
+		for _, q := range queries {
+			rel := GradeByRank(g.NumVertices(), ranking(sr, q), []int{10, 30, 50})
+			sum += NDCG(rel, ranking(ds, q), p)
+		}
+		if mean := sum / float64(len(queries)); mean < 0.95 {
+			t.Errorf("NDCG@%d = %.3f over queries %v, want >= 0.95", p, mean, queries)
+		}
 	}
 }
 

@@ -19,16 +19,18 @@ func tiledTestGraph(n int, seed int64) *graph.Graph {
 
 // TestComputeTiledBackend: the public dispatch produces bit-identical
 // scores for every supported engine, reports tile accounting under a
-// spilling budget, and rejects engines without tiled support.
+// spilling budget that its peak never exceeds, and rejects engines without
+// tiled support.
 func TestComputeTiledBackend(t *testing.T) {
 	g := tiledTestGraph(30, 5)
+	const budget = 8 * 8 * 8 * 8 // eight 8×8 tiles
 	for _, alg := range []Algorithm{OIPSR, OIPDSR, PsumSR, Naive} {
 		dense, _, err := Compute(g, Options{Algorithm: alg, K: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tiled, st, err := Compute(g, Options{Algorithm: alg, K: 4, Workers: 2,
-			BlockSize: 8, MaxMemoryBytes: 8 * 8 * 8 * 8, SpillDir: t.TempDir()})
+			BlockSize: 8, MaxMemoryBytes: budget, SpillDir: t.TempDir()})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -41,6 +43,9 @@ func TestComputeTiledBackend(t *testing.T) {
 		}
 		if st.TileSpills == 0 || st.TilePeakBytes == 0 {
 			t.Errorf("%s: tile accounting missing: peak %d, spills %d", alg, st.TilePeakBytes, st.TileSpills)
+		}
+		if st.TilePeakBytes > budget {
+			t.Errorf("%s: peak resident %d exceeds the cap %d", alg, st.TilePeakBytes, budget)
 		}
 		// TopK must agree across backends too.
 		dk, tk := dense.TopK(0, 5), tiled.TopK(0, 5)
