@@ -29,14 +29,12 @@ func main() {
 		genType   = flag.String("gen", "", "generate instead of load: web | citation | coauthor | er | rmat")
 		n         = flag.Int("n", 1000, "generator: vertices")
 		d         = flag.Int("d", 8, "generator: average degree")
-		seed      = flag.Int64("seed", 1, "generator / SVD seed")
+		seed      = flag.Int64("seed", 1, "seed of the generator, mtx-sr's SVD and monte-carlo's walks")
 		algo      = flag.String("algo", "oip-sr", "algorithm: "+engine.NameList(" | ")+" (or \"help\" to list)")
 		c         = flag.Float64("c", 0.6, "damping factor C")
 		k         = flag.Int("k", 0, "iterations (0 = derive from -eps)")
 		eps       = flag.Float64("eps", 1e-3, "desired accuracy")
 		rank      = flag.Int("rank", 0, "mtx-sr SVD rank (0 = sqrt(n))")
-		lambda    = flag.Float64("lambda", 0, "p-rank in-link weight (0 = 0.5)")
-		cout      = flag.Float64("cout", 0, "p-rank out-link damping (0 = same as -c)")
 		walks     = flag.Int("walks", 0, "monte-carlo fingerprints (0 = 100)")
 		workers   = flag.Int("workers", 0, "iteration worker pool size (0 = all CPUs, 1 = serial)")
 		block     = flag.Int("block", 0, "tiled backend block size B (0 = dense; oip-sr, oip-dsr, psum-sr, naive)")
@@ -57,6 +55,14 @@ func main() {
 	}
 	if !simrank.Algorithm(*algo).Valid() {
 		fmt.Fprintf(os.Stderr, "simrank: unknown algorithm %q (registered: %s)\n", *algo, engine.NameList(", "))
+		os.Exit(2)
+	}
+	if *query < -1 {
+		fmt.Fprintf(os.Stderr, "simrank: -query %d: want a vertex or -1\n", *query)
+		os.Exit(2)
+	}
+	if *top < 1 {
+		fmt.Fprintf(os.Stderr, "simrank: -top %d: want at least 1\n", *top)
 		os.Exit(2)
 	}
 
@@ -91,8 +97,6 @@ func main() {
 		K:              *k,
 		Eps:            *eps,
 		Rank:           *rank,
-		Lambda:         *lambda,
-		COut:           *cout,
 		Walks:          *walks,
 		Seed:           *seed,
 		Workers:        *workers,

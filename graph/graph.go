@@ -99,21 +99,6 @@ func (g *Graph) Edges(fn func(u, v int) bool) {
 	}
 }
 
-// Transpose returns a new graph with every edge reversed. The in- and
-// out-CSR arrays are swapped; the operation copies the underlying storage so
-// the result is independent of the receiver.
-func (g *Graph) Transpose() *Graph {
-	t := &Graph{
-		n:        g.n,
-		m:        g.m,
-		inStart:  append([]int(nil), g.outStart...),
-		inList:   append([]int(nil), g.outList...),
-		outStart: append([]int(nil), g.inStart...),
-		outList:  append([]int(nil), g.inList...),
-	}
-	return t
-}
-
 // Validate checks internal CSR invariants: monotone offset arrays, neighbor
 // ids in range, sorted and duplicate-free adjacency lists, and matching edge
 // counts between the two CSR directions. It returns nil for a well-formed

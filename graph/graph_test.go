@@ -136,30 +136,6 @@ func TestEnsureVerticesIsolated(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	g := paperGraph(t)
-	tr := g.Transpose()
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("transpose invalid: %v", err)
-	}
-	g.Edges(func(u, v int) bool {
-		if !tr.HasEdge(v, u) {
-			t.Errorf("edge (%d,%d) missing in transpose as (%d,%d)", u, v, v, u)
-		}
-		return true
-	})
-	if tr.NumEdges() != g.NumEdges() {
-		t.Errorf("transpose edge count %d != %d", tr.NumEdges(), g.NumEdges())
-	}
-	// Transposing twice yields the original adjacency.
-	trtr := tr.Transpose()
-	for v := 0; v < g.NumVertices(); v++ {
-		if !reflect.DeepEqual(trtr.In(v), g.In(v)) && !(len(trtr.In(v)) == 0 && len(g.In(v)) == 0) {
-			t.Errorf("double transpose In(%d) = %v, want %v", v, trtr.In(v), g.In(v))
-		}
-	}
-}
-
 func TestEdgesIterationOrderAndEarlyStop(t *testing.T) {
 	g := MustFromEdges(3, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 0}})
 	var got [][2]int

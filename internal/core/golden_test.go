@@ -17,7 +17,6 @@ import (
 	"oipsr/graph/gen"
 	"oipsr/internal/core"
 	"oipsr/internal/dsr"
-	"oipsr/internal/prank"
 	"oipsr/internal/simmat"
 )
 
@@ -79,28 +78,23 @@ type goldenMode struct {
 	workers, block int
 }
 
-// goldenAlgos runs each engine in one backend configuration: workers for
-// the pool size, block > 0 for the tiled backend (P-Rank has none).
-var goldenAlgos = []struct {
-	name  string
-	tiled bool
-	run   func(t *testing.T, g *graph.Graph, workers, block int) goldenRun
-}{
-	{"oip-sr", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+// goldenAlgo is one engine run in one backend configuration: workers for
+// the pool size, block > 0 for the tiled backend.
+type goldenAlgo struct {
+	name string
+	run  func(t *testing.T, g *graph.Graph, workers, block int) goldenRun
+}
+
+// goldenAlgos are the runs of the sweep goldens.
+var goldenAlgos = []goldenAlgo{
+	{"oip-sr", func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
 		return runOIP(t, g, core.Options{C: 0.6, K: goldenK, Workers: workers}, block)
 	}},
-	{"oip-sr-disable-outer", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+	{"oip-sr-disable-outer", func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
 		return runOIP(t, g, core.Options{C: 0.6, K: goldenK, Workers: workers, DisableOuter: true}, block)
 	}},
-	{"oip-dsr", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+	{"oip-dsr", func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
 		return runDSR(t, g, dsr.Options{C: 0.6, K: goldenK, Workers: workers}, block)
-	}},
-	{"p-rank", false, func(t *testing.T, g *graph.Graph, workers, _ int) goldenRun {
-		m, st, err := prank.Compute(g, prank.Options{K: goldenK, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
 	}},
 }
 
@@ -166,11 +160,7 @@ func TestParentSweepGoldens(t *testing.T) {
 	var out strings.Builder
 	for _, gc := range goldenGraphs() {
 		for _, a := range goldenAlgos {
-			modes := []goldenMode{{"dense-w1", 1, 0}, {"dense-w3", 3, 0}}
-			if a.tiled {
-				modes = append(modes, goldenMode{"tiled-b64", 2, 64})
-			}
-			for _, m := range modes {
+			for _, m := range []goldenMode{{"dense-w1", 1, 0}, {"dense-w3", 3, 0}, {"tiled-b64", 2, 64}} {
 				r := a.run(t, gc.g, m.workers, m.block)
 				fmt.Fprintf(&out, "%s %s %s %s\n", gc.name, a.name, m.name, r.line(t))
 			}
@@ -220,36 +210,25 @@ func blockGraphs() []struct {
 // blockAlgos are the runs of the block goldens: OIP-SR after one sweep,
 // after six, and stopped by StopDiff, its outer-sharing ablation, OIP-DSR
 // after one sweep and after six (T_0 = I and the later T_k differ on the
-// vertices with empty in-sets), and P-Rank, which has no tiled backend.
-var blockAlgos = []struct {
-	name  string
-	tiled bool
-	run   func(t *testing.T, g *graph.Graph, workers, block int) goldenRun
-}{
-	{"oip-sr-k1", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+// vertices with empty in-sets).
+var blockAlgos = []goldenAlgo{
+	{"oip-sr-k1", func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
 		return runOIP(t, g, core.Options{C: 0.6, K: 1, Workers: workers}, block)
 	}},
-	{"oip-sr-k6", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+	{"oip-sr-k6", func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
 		return runOIP(t, g, core.Options{C: 0.6, K: goldenK, Workers: workers}, block)
 	}},
-	{"oip-sr-stopdiff", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+	{"oip-sr-stopdiff", func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
 		return runOIP(t, g, core.Options{C: 0.8, K: 40, StopDiff: 1e-3, Workers: workers}, block)
 	}},
-	{"oip-sr-disable-outer", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+	{"oip-sr-disable-outer", func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
 		return runOIP(t, g, core.Options{C: 0.6, K: goldenK, Workers: workers, DisableOuter: true}, block)
 	}},
-	{"oip-dsr-k1", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+	{"oip-dsr-k1", func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
 		return runDSR(t, g, dsr.Options{C: 0.6, K: 1, Workers: workers}, block)
 	}},
-	{"oip-dsr-k6", true, func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
+	{"oip-dsr-k6", func(t *testing.T, g *graph.Graph, workers, block int) goldenRun {
 		return runDSR(t, g, dsr.Options{C: 0.6, K: goldenK, Workers: workers}, block)
-	}},
-	{"p-rank", false, func(t *testing.T, g *graph.Graph, workers, _ int) goldenRun {
-		m, st, err := prank.Compute(g, prank.Options{K: goldenK, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
 	}},
 }
 
@@ -259,14 +238,11 @@ var blockAlgos = []struct {
 // tiled at block 64 and at block 7 (smaller than the number of vertices
 // with a non-empty in-set on every graph that has more than seven).
 func TestParentSweepGoldensBlock(t *testing.T) {
+	blockModes := []goldenMode{{"dense-w1", 1, 0}, {"dense-w3", 3, 0}, {"tiled-b64", 2, 64}, {"tiled-b7", 3, 7}}
 	var out strings.Builder
 	for _, gc := range blockGraphs() {
 		for _, a := range blockAlgos {
-			modes := []goldenMode{{"dense-w1", 1, 0}, {"dense-w3", 3, 0}}
-			if a.tiled {
-				modes = append(modes, goldenMode{"tiled-b64", 2, 64}, goldenMode{"tiled-b7", 3, 7})
-			}
-			for _, m := range modes {
+			for _, m := range blockModes {
 				r := a.run(t, gc.g, m.workers, m.block)
 				fmt.Fprintf(&out, "%s %s %s %s\n", gc.name, a.name, m.name, r.line(t))
 			}

@@ -134,7 +134,7 @@ func checkBlockSweep(g *graph.Graph, plan *partition.Plan, r modelRun, k, worker
 	const c = 0.6
 	n := g.NumVertices()
 	ms := newModelSweeper(g, plan, r.disableOuter)
-	sw := NewParallelSweeper(g, plan, false, r.disableOuter, workers)
+	sw := NewParallelSweeper(g, plan, r.disableOuter, workers)
 	m := sw.Kept()
 
 	mPrev, mNext := simmat.NewIdentity(n), simmat.New(n)

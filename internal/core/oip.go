@@ -111,7 +111,7 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	st.ShareRatio = plan.ShareRatio()
 	st.AvgDiff = plan.AvgDiff
 
-	sw := NewParallelSweeper(g, plan, false, opt.DisableOuter, opt.Workers)
+	sw := NewParallelSweeper(g, plan, opt.DisableOuter, opt.Workers)
 	prev := simmat.NewIdentity(sw.Kept())
 	next := simmat.New(sw.Kept())
 	// Sweep overwrites its input, so the stopping rule compares next with
@@ -178,7 +178,7 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error)
 	st.ShareRatio = plan.ShareRatio()
 	st.AvgDiff = plan.AvgDiff
 
-	sw := NewParallelSweeper(g, plan, false, opt.DisableOuter, opt.Workers)
+	sw := NewParallelSweeper(g, plan, opt.DisableOuter, opt.Workers)
 	prev, err := store.NewIdentity(sw.Kept())
 	if err != nil {
 		store.Close()

@@ -34,8 +34,8 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, workers := range []int{2, 4, 7} {
-			serial := NewSweeper(g, plan, false, false)
-			pool := NewParallelSweeper(g, plan, false, false, workers)
+			serial := NewSweeper(g, plan, false)
+			pool := NewParallelSweeper(g, plan, false, workers)
 			m := serial.Kept()
 
 			sa, sb := simmat.NewIdentity(m), simmat.New(m)
@@ -142,11 +142,11 @@ func TestParallelSweeperCapsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewParallelSweeper(g, plan, false, false, 1000)
+	sw := NewParallelSweeper(g, plan, false, 1000)
 	if sw.Workers() > len(plan.Chains) {
 		t.Errorf("pool size %d exceeds chain count %d", sw.Workers(), len(plan.Chains))
 	}
-	if NewParallelSweeper(g, plan, false, false, -1).Workers() < 1 {
+	if NewParallelSweeper(g, plan, false, -1).Workers() < 1 {
 		t.Error("negative worker request resolved below 1")
 	}
 }
@@ -176,7 +176,7 @@ func sweepWebGraph(tb testing.TB, seed int64) *graph.Graph {
 // is the sweep's time per addition of procedure OP.
 func BenchmarkSweepOnly(b *testing.B) {
 	run := func(b *testing.B, g *graph.Graph, plan *partition.Plan, workers int) {
-		sw := NewParallelSweeper(g, plan, false, false, workers)
+		sw := NewParallelSweeper(g, plan, false, workers)
 		prev, next := simmat.NewIdentity(sw.Kept()), simmat.New(sw.Kept())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -86,12 +86,6 @@
 // stage 2 skips such x entirely. The counters keep the paper's unit, one
 // vector operation = n scalar additions, whatever the block holds.
 //
-// P-Rank's blended iterate has real rows at vertices with an empty in-set,
-// so its sweepers keep every vertex (the all-rows sweeper of
-// NewParallelSweeper): the same code, with an identity slot map, no
-// vertex outside the block, and a zero row in both stages for the kept
-// vertices whose in-set is empty.
-//
 // # Canonical symmetry and the tiled backend
 //
 // The value row min(a,b)'s procedure OP computes is the canonical score of
@@ -174,10 +168,9 @@ type Sweeper struct {
 	// vertex of the block, which is also its row and column of the
 	// iterates; [m, m+e) for the indicator of a vertex outside the block
 	// that some in-set holds (a tiled lane's slot); -1 for the rest.
-	slot      []int32
-	e         int       // indicator slots
-	emptyRows []int32   // block rows of vertices with an empty in-set (all-rows sweepers only)
-	invDeg    []float64 // 1/|I(v)| by block row, 0 for empty sets
+	slot   []int32
+	e      int       // indicator slots
+	invDeg []float64 // 1/|I(v)| by block row
 
 	// outer is the plan whose tree program procedure OP runs: plan, or
 	// with disableOuter a trivial plan, whose every set is a root holding
@@ -197,31 +190,23 @@ type Sweeper struct {
 }
 
 // NewSweeper builds a serial (single-worker) Sweeper for g with the given
-// plan. allRows keeps every vertex in the block, for iterates with real
-// rows at vertices whose in-set is empty (P-Rank); otherwise the block
-// holds the vertices with a non-empty in-set. If disableOuter is true,
-// procedure OP is replaced by the psum-SR one-by-one outer summation (the
-// ablation of Section III-B: inner sharing only).
-func NewSweeper(g *graph.Graph, plan *partition.Plan, allRows, disableOuter bool) *Sweeper {
-	return NewParallelSweeper(g, plan, allRows, disableOuter, 1)
+// plan. If disableOuter is true, procedure OP is replaced by the psum-SR
+// one-by-one outer summation (the ablation of Section III-B: inner sharing
+// only).
+func NewSweeper(g *graph.Graph, plan *partition.Plan, disableOuter bool) *Sweeper {
+	return NewParallelSweeper(g, plan, disableOuter, 1)
 }
 
 // NewParallelSweeper builds a Sweeper running each sweep on a pool of the
 // given size. workers < 1 means runtime.GOMAXPROCS(0). The pool is capped at
 // the number of plan chains — extra workers would have nothing to run.
-func NewParallelSweeper(g *graph.Graph, plan *partition.Plan, allRows, disableOuter bool, workers int) *Sweeper {
+func NewParallelSweeper(g *graph.Graph, plan *partition.Plan, disableOuter bool, workers int) *Sweeper {
 	n := g.NumVertices()
-	slot, m, e := newSlots(g, allRows)
+	slot, m, e := newSlots(g)
 	inv := make([]float64, m)
-	var emptyRows []int32
 	for v, s := range slot {
-		if s < 0 || int(s) >= m {
-			continue
-		}
-		if d := g.InDegree(v); d > 0 {
-			inv[s] = 1 / float64(d)
-		} else {
-			emptyRows = append(emptyRows, s)
+		if s >= 0 && int(s) < m {
+			inv[s] = 1 / float64(g.InDegree(v))
 		}
 	}
 	workers = par.Resolve(workers)
@@ -236,18 +221,17 @@ func NewParallelSweeper(g *graph.Graph, plan *partition.Plan, allRows, disableOu
 		outer = partition.TrivialPlan(g)
 	}
 	return &Sweeper{
-		g:         g,
-		plan:      plan,
-		n:         n,
-		m:         m,
-		slot:      slot,
-		e:         e,
-		emptyRows: emptyRows,
-		invDeg:    inv,
-		outer:     outer,
-		workers:   workers,
-		ws:        make([]sweepWorker, workers),
-		sched:     schedule(plan.Chains, workers),
+		g:       g,
+		plan:    plan,
+		n:       n,
+		m:       m,
+		slot:    slot,
+		e:       e,
+		invDeg:  inv,
+		outer:   outer,
+		workers: workers,
+		ws:      make([]sweepWorker, workers),
+		sched:   schedule(plan.Chains, workers),
 	}
 }
 
@@ -263,15 +247,15 @@ func allRoots(p *partition.Plan) bool {
 	return true
 }
 
-// newSlots numbers the block in increasing vertex order — every vertex
-// with allRows, else the vertices with a non-empty in-set — then gives an
-// indicator slot, in the same order, to each vertex outside the block that
-// lies in some in-set (has an out-edge). It returns the map, the block
-// size m and the indicator count e.
-func newSlots(g *graph.Graph, allRows bool) (slot []int32, m, e int) {
+// newSlots numbers the block — the vertices with a non-empty in-set — in
+// increasing vertex order, then gives an indicator slot, in the same
+// order, to each vertex outside the block that lies in some in-set (has an
+// out-edge). It returns the map, the block size m and the indicator count
+// e.
+func newSlots(g *graph.Graph) (slot []int32, m, e int) {
 	slot = make([]int32, g.NumVertices())
 	for v := range slot {
-		if allRows || g.InDegree(v) > 0 {
+		if g.InDegree(v) > 0 {
 			slot[v] = int32(m)
 			m++
 		} else {
@@ -370,17 +354,16 @@ func (sw *Sweeper) AuxBytes() int64 {
 	if sw.outer != sw.plan {
 		b += sw.outer.Bytes()
 	}
-	b += int64(len(sw.slot)+len(sw.emptyRows)+len(sw.tree.IDs)+len(sw.treeRow)) * 4
+	b += int64(len(sw.slot)+len(sw.tree.IDs)+len(sw.treeRow)) * 4
 	return b + int64(len(sw.invDeg))*8
 }
 
 // Sweep applies the averaging operator from prev into next, both m x m
 // blocks (m = Kept()). prevDiag is d of prev, the value on the diagonal of
-// every vertex outside the block (ignored by an all-rows sweeper, which
-// has none). The rows and columns of those vertices come out as zero,
-// and, if pinDiag is set, every diagonal entry is then forced to 1 (the
-// s(a,a)=1 rule of the conventional model): next's d is 1 with pinDiag
-// and 0 without.
+// every vertex outside the block. The rows and columns of those vertices
+// come out as zero, and, if pinDiag is set, every diagonal entry is then
+// forced to 1 (the s(a,a)=1 rule of the conventional model): next's d is 1
+// with pinDiag and 0 without.
 //
 // Sweep overwrites prev: stage 2 keeps its outer partial sums there (see
 // the package comment). A caller that needs the input after the sweep
@@ -388,10 +371,6 @@ func (sw *Sweeper) AuxBytes() int64 {
 func (sw *Sweeper) Sweep(prev, next *simmat.Matrix, prevDiag, damp float64, pinDiag bool) {
 	// Stage 1: row u of next becomes P(u, .).
 	par.Do(sw.workers, func(w int) {
-		lo, hi := par.Range(len(sw.emptyRows), sw.workers, w)
-		for _, r := range sw.emptyRows[lo:hi] {
-			clear(next.Row(int(r)))
-		}
 		st := &sw.ws[w]
 		load := func(x int, _ []float64) ([]float64, error) { return prev.Row(x), nil }
 		steps := sw.plan.ChainSteps
@@ -425,15 +404,11 @@ func (sw *Sweeper) Sweep(prev, next *simmat.Matrix, prevDiag, damp float64, pinD
 // outerSums runs the tree program over columns [lo, hi): row w of v, the
 // tree step of vertex w, becomes V(w, .) from its parent step's row or
 // from 0 at a root, plus the rows of pt, P transposed, of the step's add
-// list, then minus those of its sub list. The rows of the kept vertices
-// whose in-set is empty, which have no tree step, become 0. d is prev's
-// diagonal outside the block.
+// list, then minus those of its sub list. d is prev's diagonal outside
+// the block.
 func (sw *Sweeper) outerSums(st *sweepWorker, v, pt *simmat.Matrix, d float64, lo, hi int) {
 	if lo == hi {
 		return
-	}
-	for _, r := range sw.emptyRows {
-		clear(v.Row(int(r))[lo:hi])
 	}
 	steps, slot := sw.outer.TreeSteps, sw.slot
 	for i, s := range steps {
@@ -540,32 +515,6 @@ func (sw *Sweeper) SweepTiled(prev, next *simmat.Tiled, prevDiag, damp float64, 
 	errs := make([]error, sw.workers)
 	par.Do(sw.workers, func(w int) {
 		st := &sw.ws[w]
-		// The emit stage writes the same cell set for every row (the tree
-		// steps, or the non-empty-set columns without outer sharing), so
-		// zeroing once per sweep keeps never-emitted cells — the columns
-		// of kept empty in-sets — at their a-priori zero.
-		for _, r := range st.rowBuf {
-			clear(r)
-		}
-
-		// The rows of kept empty in-sets are all-zero except a pinned
-		// diagonal; rowBuf[0] is all-zero here by construction.
-		buf := st.rowBuf[0]
-		lo, hi := par.Range(len(sw.emptyRows), sw.workers, w)
-		for _, r := range sw.emptyRows[lo:hi] {
-			if pinDiag {
-				buf[r] = 1
-			}
-			err := next.SetRowUpper(int(r), buf)
-			if pinDiag {
-				buf[r] = 0
-			}
-			if err != nil {
-				errs[w] = err
-				return
-			}
-		}
-
 		load := func(x int, dst []float64) ([]float64, error) { return dst, prev.RowInto(x, dst) }
 		errs[w] = sw.walkChains(st, w, prevDiag, load, func(us []int32) error {
 			rows := st.rowBuf[:len(us)]

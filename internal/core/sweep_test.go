@@ -28,8 +28,7 @@ func sweepOracle(g *graph.Graph, prev *simmat.Matrix, damp float64) *simmat.Matr
 }
 
 // TestSweepMatchesConjugation: a single sweep equals Q S Q^T on arbitrary
-// (not just identity-derived) symmetric inputs — any n x n input for an
-// all-rows sweeper, and for the block sweeper any block with d·δ rows
+// (not just identity-derived) symmetric inputs: any block with d·δ rows
 // outside it, d = 0 or 1.
 func TestSweepMatchesConjugation(t *testing.T) {
 	f := func(seed int64) bool {
@@ -47,23 +46,7 @@ func TestSweepMatchesConjugation(t *testing.T) {
 		}
 		damp := 0.3 + 0.6*rng.Float64()
 
-		prev := simmat.New(n)
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				v := rng.Float64()
-				prev.Set(i, j, v)
-				prev.Set(j, i, v)
-			}
-		}
-		// The oracle comes first: Sweep overwrites prev.
-		want := sweepOracle(g, prev, damp)
-		next := simmat.New(n)
-		NewSweeper(g, plan, true, false).Sweep(prev, next, 0, damp, false)
-		if simmat.MaxDiff(next, want) >= 1e-10 {
-			return false
-		}
-
-		sw := NewSweeper(g, plan, false, false)
+		sw := NewSweeper(g, plan, false)
 		d := float64(rng.Intn(2))
 		block, out := simmat.New(sw.Kept()), simmat.New(sw.Kept())
 		for i := 0; i < sw.Kept(); i++ {
@@ -77,7 +60,7 @@ func TestSweepMatchesConjugation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want = sweepOracle(g, full, damp)
+		want := sweepOracle(g, full, damp)
 		sw.Sweep(block, out, d, damp, false)
 		got, err := simmat.Expand(sw.Slots(), out, 0).Dense()
 		if err != nil {
@@ -99,27 +82,25 @@ func TestSweepBufferReuseInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, allRows := range []bool{false, true} {
-		sw := NewSweeper(g, plan, allRows, false)
-		m := sw.Kept()
+	sw := NewSweeper(g, plan, false)
+	m := sw.Kept()
 
-		// Ping-pong from identity, like DSR's T recurrence.
-		a, b := simmat.NewIdentity(m), simmat.New(m)
-		for k := 0; k < 6; k++ {
-			sw.Sweep(a, b, tDiag(k), 1, false)
-			a, b = b, a
-		}
-		// Reference: fresh output buffer every sweep.
-		ref := simmat.NewIdentity(m)
-		for k := 0; k < 6; k++ {
-			out := simmat.New(m)
-			sw2 := NewSweeper(g, plan, allRows, false)
-			sw2.Sweep(ref, out, tDiag(k), 1, false)
-			ref = out
-		}
-		if d := simmat.MaxDiff(a, ref); d > 1e-12 {
-			t.Errorf("allRows=%v: buffer reuse diverged from fresh buffers by %g", allRows, d)
-		}
+	// Ping-pong from identity, like DSR's T recurrence.
+	a, b := simmat.NewIdentity(m), simmat.New(m)
+	for k := 0; k < 6; k++ {
+		sw.Sweep(a, b, tDiag(k), 1, false)
+		a, b = b, a
+	}
+	// Reference: fresh output buffer every sweep.
+	ref := simmat.NewIdentity(m)
+	for k := 0; k < 6; k++ {
+		out := simmat.New(m)
+		sw2 := NewSweeper(g, plan, false)
+		sw2.Sweep(ref, out, tDiag(k), 1, false)
+		ref = out
+	}
+	if d := simmat.MaxDiff(a, ref); d > 1e-12 {
+		t.Errorf("buffer reuse diverged from fresh buffers by %g", d)
 	}
 }
 
@@ -194,7 +175,7 @@ func TestDisableOuterSweepEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, ablated := NewSweeper(g, plan, false, false), NewSweeper(g, plan, false, true)
+	shared, ablated := NewSweeper(g, plan, false), NewSweeper(g, plan, true)
 	m := shared.Kept()
 	if m < 20 || plan.SharedEdges == 0 {
 		t.Fatalf("m = %d, %d shared edges: the graph does not exercise sharing", m, plan.SharedEdges)
@@ -211,9 +192,8 @@ func TestDisableOuterSweepEquivalence(t *testing.T) {
 }
 
 // TestSweepIgnoresNextContents: the sweep writes every cell of next, so a
-// NaN-filled next gives the same bits as a zero one, for the block and the
-// all-rows sweeper, with and without outer sharing, at one and three
-// workers.
+// NaN-filled next gives the same bits as a zero one, with and without
+// outer sharing, at one and three workers.
 func TestSweepIgnoresNextContents(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := sharedSetsGraph(rng, 40)
@@ -221,18 +201,16 @@ func TestSweepIgnoresNextContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, allRows := range []bool{false, true} {
-		for _, disableOuter := range []bool{false, true} {
-			for _, workers := range []int{1, 3} {
-				sw := NewParallelSweeper(g, plan, allRows, disableOuter, workers)
-				prev := randomSymmetric(rng, sw.Kept())
-				zero, nan := simmat.New(sw.Kept()), simmat.New(sw.Kept())
-				nan.Fill(math.NaN())
-				sw.Sweep(prev.Copy(), zero, 1, 0.6, false)
-				sw.Sweep(prev, nan, 1, 0.6, false)
-				if err := sameCells(zero, nan); err != nil {
-					t.Errorf("allRows=%v disableOuter=%v workers=%d: %v", allRows, disableOuter, workers, err)
-				}
+	for _, disableOuter := range []bool{false, true} {
+		for _, workers := range []int{1, 3} {
+			sw := NewParallelSweeper(g, plan, disableOuter, workers)
+			prev := randomSymmetric(rng, sw.Kept())
+			zero, nan := simmat.New(sw.Kept()), simmat.New(sw.Kept())
+			nan.Fill(math.NaN())
+			sw.Sweep(prev.Copy(), zero, 1, 0.6, false)
+			sw.Sweep(prev, nan, 1, 0.6, false)
+			if err := sameCells(zero, nan); err != nil {
+				t.Errorf("disableOuter=%v workers=%d: %v", disableOuter, workers, err)
 			}
 		}
 	}
@@ -293,8 +271,8 @@ func TestAuxBytesScalesLinearly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSweeper(small, ps, false, false).AuxBytes()
-	bb := NewSweeper(big, pb, false, false).AuxBytes()
+	s := NewSweeper(small, ps, false).AuxBytes()
+	bb := NewSweeper(big, pb, false).AuxBytes()
 	if bb > 120*s {
 		t.Errorf("aux bytes grew superlinearly: %d -> %d for 100x vertices", s, bb)
 	}
@@ -321,7 +299,7 @@ func TestAuxBytesClosedForm(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 3} {
-		sw := NewParallelSweeper(g, plan, false, false, workers)
+		sw := NewParallelSweeper(g, plan, false, workers)
 		m := sw.Kept()
 		want := int64(n)*4 + int64(m)*8
 		if got := sw.AuxBytes(); got != want {
@@ -355,7 +333,7 @@ func TestAuxBytesClosedForm(t *testing.T) {
 	// unless the plan it is given already is one.
 	trivial := partition.TrivialPlan(g)
 	for _, p := range []*partition.Plan{plan, trivial} {
-		sw := NewSweeper(g, p, false, true)
+		sw := NewSweeper(g, p, true)
 		want := int64(n)*4 + int64(sw.Kept())*8
 		if p != trivial {
 			want += trivial.Bytes()

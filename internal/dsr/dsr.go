@@ -134,7 +134,7 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	st.AvgDiff = plan.AvgDiff
 
 	expC := math.Exp(-opt.C)
-	sw := core.NewParallelSweeper(g, plan, false, opt.DisableSharing, opt.Workers)
+	sw := core.NewParallelSweeper(g, plan, opt.DisableSharing, opt.Workers)
 	workers := sw.Workers()
 	m := sw.Kept()
 
@@ -219,7 +219,7 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error)
 	st.AvgDiff = plan.AvgDiff
 
 	expC := math.Exp(-opt.C)
-	sw := core.NewParallelSweeper(g, plan, false, opt.DisableSharing, opt.Workers)
+	sw := core.NewParallelSweeper(g, plan, opt.DisableSharing, opt.Workers)
 	workers := sw.Workers()
 	m := sw.Kept()
 

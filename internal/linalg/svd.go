@@ -27,7 +27,7 @@ type SVDResult struct {
 	Sigma []float64 // r singular values, decreasing
 }
 
-// TruncatedSVD computes the top-rank singular triplets of op via subspace
+// TruncatedSVD computes the leading rank singular triplets of op via subspace
 // iteration on A A^T with Rayleigh-Ritz extraction:
 //
 //	repeat: X <- orth(A (A^T X)); T = X^T A A^T X; rotate X by eigvecs(T)

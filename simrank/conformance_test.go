@@ -23,7 +23,7 @@ import (
 //
 //   - <name>.golden holds the exact conventional-model scores (the naive
 //     Jeh-Widom oracle at confC, confK); every conventional engine — naive,
-//     psum-sr, oip-sr, and p-rank at lambda=1 — times every backend (dense,
+//     psum-sr and oip-sr — times every backend (dense,
 //     tiled at several block sizes, tiled under a spilling memory budget)
 //     must match within 1e-12. Monte Carlo matches within statistical
 //     tolerance.
@@ -173,17 +173,15 @@ func TestConformanceCorpus(t *testing.T) {
 	type engineCase struct {
 		name   string
 		opts   Options
-		tiled  bool // participates in the tiled-backend sweep
 		golden string
 		tol    float64
 	}
 	engines := []engineCase{
-		{name: "naive", opts: Options{Algorithm: Naive, C: confC, K: confK}, tiled: true, golden: ".golden", tol: confTol},
-		{name: "psum-sr", opts: Options{Algorithm: PsumSR, C: confC, K: confK}, tiled: true, golden: ".golden", tol: confTol},
-		{name: "oip-sr", opts: Options{Algorithm: OIPSR, C: confC, K: confK}, tiled: true, golden: ".golden", tol: confTol},
-		{name: "oip-sr/inner-only", opts: Options{Algorithm: OIPSR, C: confC, K: confK, DisableOuterSharing: true}, tiled: true, golden: ".golden", tol: confTol},
-		{name: "p-rank/lambda=1", opts: Options{Algorithm: PRank, C: confC, K: confK, Lambda: 1}, golden: ".golden", tol: confTol},
-		{name: "oip-dsr", opts: Options{Algorithm: OIPDSR, C: confC, K: confK}, tiled: true, golden: ".dsr.golden", tol: confTol},
+		{name: "naive", opts: Options{Algorithm: Naive, C: confC, K: confK}, golden: ".golden", tol: confTol},
+		{name: "psum-sr", opts: Options{Algorithm: PsumSR, C: confC, K: confK}, golden: ".golden", tol: confTol},
+		{name: "oip-sr", opts: Options{Algorithm: OIPSR, C: confC, K: confK}, golden: ".golden", tol: confTol},
+		{name: "oip-sr/inner-only", opts: Options{Algorithm: OIPSR, C: confC, K: confK, DisableOuterSharing: true}, golden: ".golden", tol: confTol},
+		{name: "oip-dsr", opts: Options{Algorithm: OIPDSR, C: confC, K: confK}, golden: ".dsr.golden", tol: confTol},
 	}
 
 	for _, name := range conformanceFixtures {
@@ -240,11 +238,7 @@ func TestConformanceCorpus(t *testing.T) {
 				if ec.golden == ".dsr.golden" {
 					golden = diff
 				}
-				backends := conformanceBackends
-				if !ec.tiled {
-					backends = conformanceBackends[:1]
-				}
-				for _, be := range backends {
+				for _, be := range conformanceBackends {
 					for _, workers := range []int{1, 3} {
 						opts := ec.opts
 						opts.Workers = workers

@@ -15,7 +15,7 @@ import (
 // aux-B is the engine's Stats.AuxBytes.
 func BenchmarkEngines(b *testing.B) {
 	g := gen.WebGraph(1500, 11, 1)
-	for _, alg := range []engine.Algorithm{engine.MonteCarlo, engine.PRank} {
+	for _, alg := range []engine.Algorithm{engine.MonteCarlo} {
 		e, ok := engine.Get(alg)
 		if !ok {
 			b.Fatalf("%s is not registered", alg)

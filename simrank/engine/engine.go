@@ -3,8 +3,8 @@
 // An Engine is one SimRank backend: it declares its capabilities (all-pairs,
 // tiled all-pairs, single-source, single-pair) and exposes uniform
 // Compute/ComputeTiled/SingleSource entry points over a normalized Params
-// struct. The seven classic backends (oip-sr, oip-dsr, psum-sr, naive,
-// mtx-sr, p-rank, monte-carlo) self-register from this package's init
+// struct. The six classic backends (oip-sr, oip-dsr, psum-sr, naive,
+// mtx-sr, monte-carlo) self-register from this package's init
 // functions; the linearized engine (internal/linsr) registers alongside
 // them. simrank.Compute is a thin dispatch over this registry, and registry
 // membership is the single source of truth for Algorithm.Valid and the
@@ -47,10 +47,6 @@ const (
 	Naive Algorithm = "naive"
 	// MtxSR is Li et al.'s SVD-based low-rank approximation.
 	MtxSR Algorithm = "mtx-sr"
-	// PRank is Penetrating Rank (Zhao et al.): SimRank generalized to use
-	// both in- and out-links, with OIP sharing applied in both directions —
-	// the extension the paper's Related Work describes.
-	PRank Algorithm = "p-rank"
 	// MonteCarlo is the Fogaras-Racz sampling estimator: s(a,b) is
 	// estimated from the first meeting time of coupled reverse random
 	// walks. Probabilistic; every row is a walk index's single-source
@@ -98,8 +94,6 @@ type Params struct {
 	Threshold float64
 	Rank      int
 	Seed      int64
-	Lambda    float64
-	COut      float64
 	Walks     int
 
 	DisableOuterSharing bool

@@ -25,9 +25,6 @@ const (
 	Naive = engine.Naive
 	// MtxSR is Li et al.'s SVD-based low-rank approximation.
 	MtxSR = engine.MtxSR
-	// PRank is Penetrating Rank (Zhao et al.): SimRank generalized to use
-	// both in- and out-links, with OIP sharing applied in both directions.
-	PRank = engine.PRank
 	// MonteCarlo is the Fogaras-Racz sampling estimator, answered as every
 	// row of a walk index (package simrank/query): probabilistic, each row
 	// bit-identical to query.Index.SingleSource under the same C, K, Eps,
@@ -42,7 +39,7 @@ const (
 // Options configure Compute. The zero value means: OIP-SR, C = 0.6,
 // accuracy eps = 1e-3 (the paper's defaults).
 //
-// The sharing plan of OIPSR, OIPDSR and PRank (the paper's DMST-Reduce)
+// The sharing plan of OIPSR and OIPDSR (the paper's DMST-Reduce)
 // takes no options: it is a function of the graph alone, one minimum
 // spanning arborescence over the in-neighbor sets with ties broken by
 // (in-degree, id) rank.
@@ -86,13 +83,6 @@ type Options struct {
 	// walks).
 	Seed int64
 
-	// Lambda weights P-Rank's in-link term against its out-link term
-	// (PRank only); 0 means the balanced 0.5, 1 recovers SimRank.
-	Lambda float64
-
-	// COut is P-Rank's out-link damping factor (PRank only); 0 means C.
-	COut float64
-
 	// Walks is the number of coupled-walk fingerprints R (MonteCarlo
 	// only); 0 means 100, and at most 65535.
 	Walks int
@@ -134,8 +124,6 @@ func (o Options) params() engine.Params {
 		Threshold:           o.Threshold,
 		Rank:                o.Rank,
 		Seed:                o.Seed,
-		Lambda:              o.Lambda,
-		COut:                o.COut,
 		Walks:               o.Walks,
 		DisableOuterSharing: o.DisableOuterSharing,
 		Tile: simmat.TileOptions{

@@ -5,20 +5,20 @@ import (
 
 	"oipsr/graph"
 	"oipsr/graph/gen"
+	"oipsr/simrank/engine"
 )
 
 // TestWorkersBitIdentical is the public-API determinism contract: for every
-// engine that honors Options.Workers, a pooled run returns exactly the
-// scores — and exactly the operation counts — of the serial run.
+// registered engine, a pooled run returns exactly the scores — and exactly
+// the operation counts — of the serial run.
 func TestWorkersBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"web":      gen.WebGraph(120, 8, 3),
 		"citation": gen.CitationGraph(130, 4, 5),
 		"coauthor": gen.CoauthorGraph(90, 3, 2),
 	}
-	algos := []Algorithm{OIPSR, OIPDSR, PsumSR, Naive, PRank, MonteCarlo}
 	for name, g := range graphs {
-		for _, alg := range algos {
+		for _, alg := range engine.Names() {
 			opt := Options{Algorithm: alg, C: 0.6, K: 5, Seed: 11, Walks: 20}
 			opt.Workers = 1
 			want, wst, err := Compute(g, opt)

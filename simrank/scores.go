@@ -27,7 +27,7 @@ func (s *Scores) N() int { return s.src.N() }
 func (s *Scores) Score(a, b int) float64 { return s.src.At(a, b) }
 
 // Row returns the similarity row s(a, *). When the scores are a plain
-// dense matrix (psum-SR, naive, P-Rank, ...) the slice aliases internal
+// dense matrix (psum-SR, naive, mtx-SR, ...) the slice aliases internal
 // storage and must not be modified. Every other result assembles a fresh
 // slice: OIP-SR and OIP-DSR scores, which are stored as the block over the
 // vertices with a non-empty in-set, and the tiled backend, which reads
@@ -45,8 +45,12 @@ func (s *Scores) Row(a int) []float64 {
 }
 
 // TopK returns the k vertices most similar to query, excluding the query
-// itself, in decreasing score order with ties broken by vertex id.
+// itself, in decreasing score order with ties broken by vertex id. It
+// returns an empty slice for k <= 0.
 func (s *Scores) TopK(query, k int) []Ranked {
+	if k <= 0 {
+		return []Ranked{}
+	}
 	row := s.Row(query)
 	idx := rankDesc(row, query)
 	if k > len(idx) {

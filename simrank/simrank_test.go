@@ -17,7 +17,7 @@ func testGraph() *graph.Graph {
 // produces a sane score matrix.
 func TestAllAlgorithmsRun(t *testing.T) {
 	g := testGraph()
-	for _, alg := range []Algorithm{OIPSR, OIPDSR, PsumSR, Naive, MtxSR, PRank, MonteCarlo} {
+	for _, alg := range []Algorithm{OIPSR, OIPDSR, PsumSR, Naive, MtxSR, MonteCarlo} {
 		s, st, err := Compute(g, Options{Algorithm: alg, C: 0.6, K: 4, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
@@ -94,6 +94,20 @@ func TestTopKOrderingAndExclusion(t *testing.T) {
 	}
 	if top[2].Vertex != 0 || top[2].Score != 0 {
 		t.Errorf("last = %+v, want vertex 0 with score 0", top[2])
+	}
+}
+
+// TestTopKNonPositiveKIsEmpty: a k of zero or below asks for nothing and
+// gets nothing, not a panic.
+func TestTopKNonPositiveKIsEmpty(t *testing.T) {
+	s, _, err := Compute(testGraph(), Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, -1} {
+		if top := s.TopK(3, k); len(top) != 0 {
+			t.Errorf("TopK(3, %d) = %+v, want empty", k, top)
+		}
 	}
 }
 
@@ -267,40 +281,6 @@ func TestStatsFieldsByAlgorithm(t *testing.T) {
 	}
 	if st.SievedPairs == 0 {
 		t.Error("PsumSR sieving stats missing")
-	}
-}
-
-// TestPRankLambdaOneMatchesSimRank: the facade's P-Rank with lambda = 1 is
-// exactly SimRank.
-func TestPRankLambdaOneMatchesSimRank(t *testing.T) {
-	g := testGraph()
-	sr, _, err := Compute(g, Options{Algorithm: OIPSR, C: 0.6, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, _, err := Compute(g, Options{Algorithm: PRank, C: 0.6, COut: 0.6, Lambda: 1, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := pr.MaxDiff(sr); d > 1e-9 {
-		t.Errorf("P-Rank(lambda=1) differs from SimRank by %g", d)
-	}
-}
-
-// TestPRankCOutDefaultsToC: an unset COut is the documented "0 means C",
-// bit for bit, not a fixed 0.6.
-func TestPRankCOutDefaultsToC(t *testing.T) {
-	g := gen.WebGraph(60, 5, 3)
-	unset, _, err := Compute(g, Options{Algorithm: PRank, C: 0.8, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, _, err := Compute(g, Options{Algorithm: PRank, C: 0.8, COut: 0.8, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := unset.MaxDiff(same); d != 0 {
-		t.Errorf("P-Rank with COut unset differs from COut = C by %g", d)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oipsr/graph"
+	"oipsr/simrank/engine"
 )
 
 func tiledTestGraph(n int, seed int64) *graph.Graph {
@@ -20,11 +21,17 @@ func tiledTestGraph(n int, seed int64) *graph.Graph {
 // TestComputeTiledBackend: the public dispatch produces bit-identical
 // scores for every supported engine, reports tile accounting under a
 // spilling budget that its peak never exceeds, and rejects engines without
-// tiled support.
+// tiled support. The registry's Caps().Tiled splits the two sets.
 func TestComputeTiledBackend(t *testing.T) {
 	g := tiledTestGraph(30, 5)
 	const budget = 8 * 8 * 8 * 8 // eight 8×8 tiles
-	for _, alg := range []Algorithm{OIPSR, OIPDSR, PsumSR, Naive} {
+	for _, alg := range engine.Names() {
+		if e, _ := engine.Get(alg); !e.Caps().Tiled {
+			if _, _, err := Compute(g, Options{Algorithm: alg, BlockSize: 8}); err == nil {
+				t.Errorf("%s: tiled backend accepted but unsupported", alg)
+			}
+			continue
+		}
 		dense, _, err := Compute(g, Options{Algorithm: alg, K: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -59,11 +66,6 @@ func TestComputeTiledBackend(t *testing.T) {
 		}
 		if err := dense.Close(); err != nil {
 			t.Errorf("%s: dense Close: %v", alg, err)
-		}
-	}
-	for _, alg := range []Algorithm{MtxSR, PRank, MonteCarlo} {
-		if _, _, err := Compute(g, Options{Algorithm: alg, BlockSize: 8}); err == nil {
-			t.Errorf("%s: tiled backend accepted but unsupported", alg)
 		}
 	}
 }
