@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"oipsr/graph"
 	"oipsr/graph/gen"
@@ -37,9 +38,9 @@ func main() {
 		rank      = flag.Int("rank", 0, "mtx-sr SVD rank (0 = sqrt(n))")
 		walks     = flag.Int("walks", 0, "monte-carlo fingerprints (0 = 100)")
 		workers   = flag.Int("workers", 0, "iteration worker pool size (0 = all CPUs, 1 = serial)")
-		block     = flag.Int("block", 0, "tiled backend block size B (0 = dense; oip-sr, oip-dsr, psum-sr, naive)")
-		maxMem    = flag.Int64("max-mem", 0, "tiled backend: cap resident score-matrix bytes, spilling tiles to disk (0 = unbounded)")
-		spillDir  = flag.String("spill-dir", "", "tiled backend: directory for spilled tiles (default: fresh temp dir)")
+		block     = flag.Int("block", 0, "tiled backend block size B (0 = dense; oip-sr and oip-dsr only)")
+		maxMem    = flag.Int64("max-mem", 0, "tiled backend (needs -block): cap resident score-matrix bytes, spilling tiles to disk (0 = unbounded)")
+		spillDir  = flag.String("spill-dir", "", "tiled backend (needs -block): directory for spilled tiles (default: fresh temp dir)")
 		query     = flag.Int("query", -1, "query vertex for a top-k search (-1 = none)")
 		top       = flag.Int("top", 10, "top-k size")
 		pair      = flag.String("pair", "", "print a single score, format \"a,b\"")
@@ -65,11 +66,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simrank: -top %d: want at least 1\n", *top)
 		os.Exit(2)
 	}
+	opts := simrank.Options{
+		Algorithm:      simrank.Algorithm(*algo),
+		C:              *c,
+		K:              *k,
+		Eps:            *eps,
+		Rank:           *rank,
+		Walks:          *walks,
+		Seed:           *seed,
+		Workers:        *workers,
+		BlockSize:      *block,
+		MaxMemoryBytes: *maxMem,
+		SpillDir:       *spillDir,
+	}
+	// The tiled flags (-block, -max-mem, -spill-dir) are checked against
+	// the engine here, before the graph is built.
+	if err := opts.Validate(); err != nil {
+		fail(2, err)
+	}
 
 	g, err := loadGraph(*graphPath, *genType, *n, *d, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simrank: %v\n", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	fmt.Fprintf(os.Stderr, "graph: %s\n", graph.ComputeStats(g))
 
@@ -91,22 +109,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	scores, st, err := simrank.Compute(g, simrank.Options{
-		Algorithm:      simrank.Algorithm(*algo),
-		C:              *c,
-		K:              *k,
-		Eps:            *eps,
-		Rank:           *rank,
-		Walks:          *walks,
-		Seed:           *seed,
-		Workers:        *workers,
-		BlockSize:      *block,
-		MaxMemoryBytes: *maxMem,
-		SpillDir:       *spillDir,
-	})
+	scores, st, err := simrank.Compute(g, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simrank: %v\n", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	defer scores.Close()
 
@@ -143,6 +148,13 @@ func main() {
 			fmt.Printf("%3d. vertex %-8d score %.6f\n", i+1, r.Vertex, r.Score)
 		}
 	}
+}
+
+// fail prints err as one stderr line under the command's prefix, which the
+// simrank library's errors already carry, and exits with code.
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "simrank:", strings.TrimPrefix(err.Error(), "simrank: "))
+	os.Exit(code)
 }
 
 func loadGraph(path, genType string, n, d int, seed int64) (*graph.Graph, error) {

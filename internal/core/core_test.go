@@ -312,7 +312,7 @@ func TestStopDiffMatchesFixedK(t *testing.T) {
 			}
 
 			opt.Tile = simmat.TileOptions{BlockSize: 16}
-			tiled, tst, err := ComputeTiled(g, opt)
+			tiled, tst, err := Compute(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

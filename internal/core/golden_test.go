@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -29,7 +30,12 @@ import (
 // ever recorded by checking its commit out, dropping this file into
 // internal/core/ and running its test with -record-parent
 // (testdata/parent/README.md). The file uses nothing but the engines'
-// exported Compute/ComputeTiled entry points, so it compiles on both sides.
+// exported Compute, with Options.Tile set for the tiled runs, so it
+// compiles on both sides. At the recording commits Compute ignored Tile (a
+// separate ComputeTiled ran the tiled backend), so a re-recording there
+// takes the tiled lines from the dense path. That yields the same bytes: in
+// all four files every tiled line equals its dense twin (151 records, no
+// graph x engine group disagrees).
 var recordParent = flag.Bool("record-parent", false, "rewrite testdata/parent/ (run only at the parent commit; see testdata/parent/README.md)")
 
 // goldenGraphs are the graphs every golden case runs on: two web graphs
@@ -99,37 +105,32 @@ var goldenAlgos = []goldenAlgo{
 }
 
 func runOIP(t *testing.T, g *graph.Graph, opt core.Options, block int) goldenRun {
-	if block > 0 {
-		opt.Tile = simmat.TileOptions{BlockSize: block}
-		m, st, err := core.ComputeTiled(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { m.Close() })
-		return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
-	}
+	opt.Tile = simmat.TileOptions{BlockSize: block}
 	m, st, err := core.Compute(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtEnd(t, m)
 	return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
 }
 
 func runDSR(t *testing.T, g *graph.Graph, opt dsr.Options, block int) goldenRun {
-	if block > 0 {
-		opt.Tile = simmat.TileOptions{BlockSize: block}
-		m, st, err := dsr.ComputeTiled(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { m.Close() })
-		return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
-	}
+	opt.Tile = simmat.TileOptions{BlockSize: block}
 	m, st, err := dsr.Compute(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeAtEnd(t, m)
 	return goldenRun{m.RowInto, m.N(), st.InnerAdds, st.OuterAdds, st.Iterations}
+}
+
+// closeAtEnd closes a result that holds tiles when the test ends. It takes
+// any because the first two recording commits' Compute returned a
+// *simmat.Matrix, which has no Close.
+func closeAtEnd(t *testing.T, m any) {
+	if c, ok := m.(io.Closer); ok {
+		t.Cleanup(func() { c.Close() })
+	}
 }
 
 // line renders a run as "sha256 inner outer iterations", the hash taken

@@ -38,8 +38,7 @@ type Options struct {
 	// bit-identical for every value (see the package comment).
 	Workers int
 
-	// Tile selects the tiled score-matrix backend when Tile.BlockSize > 0
-	// (ComputeTiled only; Compute ignores it).
+	// Tile selects the tiled score-matrix backend when Tile.BlockSize > 0.
 	Tile simmat.TileOptions
 }
 
@@ -68,6 +67,7 @@ func (o *Options) normalize() error {
 // Stats describes the work a computation performed, split into the two
 // phases of Fig. 6b ("Build MST" vs "Share Sums") plus the operation counts
 // and sharing metrics that substantiate the d' < d claim of Proposition 5.
+// OIP-DSR (internal/dsr) reports the same Stats.
 type Stats struct {
 	Iterations int           // iterations actually executed
 	PlanTime   time.Duration // DMST-Reduce (build MST) phase
@@ -76,42 +76,83 @@ type Stats struct {
 	InnerAdds  int64 // scalar additions on inner partial sums
 	OuterAdds  int64 // scalar additions on outer partial sums
 	AuxBytes   int64 // auxiliary memory: plan + sweep buffers (the paper's "intermediate memory")
-	StateBytes int64 // m^2 state the engine holds (two m x m score blocks, m = vertices with a non-empty in-set; three with StopDiff on the dense backend)
+	StateBytes int64 // m^2 state the engine holds, m = vertices with a non-empty in-set: two m x m blocks for OIP-SR (three with StopDiff on the dense backend), three for OIP-DSR
 
 	NumSets          int     // non-empty in-neighbor sets
 	PlanAdditions    int     // per-sweep vector ops with sharing (MST weight)
 	ScratchAdditions int     // per-sweep vector ops without sharing (psum-SR)
 	ShareRatio       float64 // fraction of additions avoided
 	AvgDiff          float64 // d_(+): mean symmetric-difference size on shared edges
-	FinalDiff        float64 // max-norm difference of the last two iterates (0 if K=0)
+	FinalDiff        float64 // max-norm difference of the last two iterates (OIP-SR with StopDiff only)
 
-	// Tile reports the tile store's accounting (ComputeTiled only).
+	// Tile reports the tile store's accounting (tiled backend only).
 	Tile simmat.TileMetrics
+}
+
+// Run is the frame both OIP engines share. It builds the sharing plan —
+// DMST-Reduce, or partition.TrivialPlan when trivial — and a sweeper over
+// it, hands the sweeper to iterate, records the plan and sweep phases in
+// the returned Stats, and expands iterate's m x m result with diag on the
+// diagonal of every vertex outside the block. iterate releases whatever it
+// allocated when it fails.
+func Run(g *graph.Graph, trivial, disableOuter bool, workers int, diag float64,
+	iterate func(sw *Sweeper, st *Stats) (simmat.Source, error)) (*simmat.Expanded, *Stats, error) {
+	t0 := time.Now()
+	var plan *partition.Plan
+	if trivial {
+		plan = partition.TrivialPlan(g)
+	} else {
+		var err error
+		if plan, err = partition.BuildPlan(g, partition.Options{}); err != nil {
+			return nil, nil, err
+		}
+	}
+	st := &Stats{
+		PlanTime:         time.Since(t0),
+		NumSets:          plan.NumSets,
+		PlanAdditions:    plan.Additions,
+		ScratchAdditions: plan.ScratchAdditions,
+		ShareRatio:       plan.ShareRatio(),
+		AvgDiff:          plan.AvgDiff,
+	}
+
+	sw := NewParallelSweeper(g, plan, disableOuter, workers)
+	t1 := time.Now()
+	block, err := iterate(sw, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.SweepTime = time.Since(t1)
+	sws := sw.Stats()
+	st.InnerAdds, st.OuterAdds = sws.InnerAdds, sws.OuterAdds
+	st.AuxBytes = sw.AuxBytes() + plan.Bytes()
+	return simmat.Expand(sw.Slots(), block, diag), st, nil
 }
 
 // Compute runs OIP-SR (Algorithm 1) on g and returns s_K plus statistics.
 // The scores come as the m x m block over the vertices with a non-empty
 // in-set, expanded with diagonal 1 (see the package comment): every cell
 // reads bit for bit what the full n x n iteration computes.
+//
+// With opt.Tile.BlockSize > 0 both iterates live in one TileStore, so
+// opt.Tile's MaxMemoryBytes bounds the whole m^2 state, with evicted tiles
+// spilled to disk. Scores are bit-identical to the dense backend for every
+// block size and worker count. The caller owns a tiled result: Close it to
+// release the store and its spill files.
 func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, nil, err
 	}
-	st := &Stats{}
+	return Run(g, false, opt.DisableOuter, opt.Workers, 1, func(sw *Sweeper, st *Stats) (simmat.Source, error) {
+		if opt.Tile.Enabled() {
+			return iterateTiled(sw, opt, st)
+		}
+		return iterateDense(sw, opt, st), nil
+	})
+}
 
-	t0 := time.Now()
-	plan, err := partition.BuildPlan(g, partition.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	st.PlanTime = time.Since(t0)
-	st.NumSets = plan.NumSets
-	st.PlanAdditions = plan.Additions
-	st.ScratchAdditions = plan.ScratchAdditions
-	st.ShareRatio = plan.ShareRatio()
-	st.AvgDiff = plan.AvgDiff
-
-	sw := NewParallelSweeper(g, plan, opt.DisableOuter, opt.Workers)
+// iterateDense runs the K sweeps on dense m x m iterates.
+func iterateDense(sw *Sweeper, opt Options, st *Stats) *simmat.Matrix {
 	prev := simmat.NewIdentity(sw.Kept())
 	next := simmat.New(sw.Kept())
 	// Sweep overwrites its input, so the stopping rule compares next with
@@ -120,8 +161,6 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	if opt.StopDiff > 0 {
 		last = simmat.New(sw.Kept())
 	}
-
-	t1 := time.Now()
 	for iter := 0; iter < opt.K; iter++ {
 		if last != nil {
 			copy(last.Data(), prev.Data())
@@ -138,70 +177,40 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 		}
 		prev, next = next, prev
 	}
-	st.SweepTime = time.Since(t1)
-	sws := sw.Stats()
-	st.InnerAdds, st.OuterAdds = sws.InnerAdds, sws.OuterAdds
-	st.AuxBytes = sw.AuxBytes() + plan.Bytes()
 	st.StateBytes = prev.Bytes() + next.Bytes()
 	if last != nil {
 		st.StateBytes += last.Bytes()
 	}
-	return simmat.Expand(sw.Slots(), prev, 1), st, nil
+	return prev
 }
 
-// ComputeTiled runs OIP-SR against the tiled score-matrix backend selected
-// by opt.Tile: both m x m iterates live in one TileStore, so opt.Tile's
-// MaxMemoryBytes bounds the whole m^2 state, with evicted tiles spilled to
-// disk. Scores are bit-identical to Compute for every block size and worker
-// count. The caller owns the result: Close it to release the store and its
-// spill files.
-func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
-	if err := opt.normalize(); err != nil {
-		return nil, nil, err
-	}
+// iterateTiled runs the K sweeps on tiled iterates drawn from one
+// TileStore, which the result keeps.
+func iterateTiled(sw *Sweeper, opt Options, st *Stats) (*simmat.Tiled, error) {
 	store, err := simmat.NewTileStore(opt.Tile)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	st := &Stats{}
-
-	t0 := time.Now()
-	plan, err := partition.BuildPlan(g, partition.Options{})
-	if err != nil {
+	fail := func(err error) (*simmat.Tiled, error) {
 		store.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	st.PlanTime = time.Since(t0)
-	st.NumSets = plan.NumSets
-	st.PlanAdditions = plan.Additions
-	st.ScratchAdditions = plan.ScratchAdditions
-	st.ShareRatio = plan.ShareRatio()
-	st.AvgDiff = plan.AvgDiff
-
-	sw := NewParallelSweeper(g, plan, opt.DisableOuter, opt.Workers)
 	prev, err := store.NewIdentity(sw.Kept())
 	if err != nil {
-		store.Close()
-		return nil, nil, err
+		return fail(err)
 	}
 	next, err := store.NewTiled(sw.Kept())
 	if err != nil {
-		store.Close()
-		return nil, nil, err
+		return fail(err)
 	}
-
-	t1 := time.Now()
 	for iter := 0; iter < opt.K; iter++ {
 		if err := sw.SweepTiled(prev, next, 1, opt.C, true); err != nil {
-			store.Close()
-			return nil, nil, err
+			return fail(err)
 		}
 		st.Iterations++
 		if opt.StopDiff > 0 {
-			st.FinalDiff, err = simmat.MaxDiffTiled(prev, next)
-			if err != nil {
-				store.Close()
-				return nil, nil, err
+			if st.FinalDiff, err = simmat.MaxDiffTiled(prev, next); err != nil {
+				return fail(err)
 			}
 			prev, next = next, prev
 			if st.FinalDiff <= opt.StopDiff {
@@ -211,12 +220,8 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error)
 		}
 		prev, next = next, prev
 	}
-	st.SweepTime = time.Since(t1)
-	sws := sw.Stats()
-	st.InnerAdds, st.OuterAdds = sws.InnerAdds, sws.OuterAdds
-	st.AuxBytes = sw.AuxBytes() + plan.Bytes()
 	st.StateBytes = prev.Bytes() + next.Bytes()
 	next.Release()
 	st.Tile = store.Metrics()
-	return simmat.Expand(sw.Slots(), prev, 1), st, nil
+	return prev, nil
 }

@@ -32,9 +32,9 @@ func requireBitIdentical(t *testing.T, dense, tiled simmat.Source, ctx string) {
 }
 
 // TestComputeTiledBitIdentical: the acceptance criterion of the tiled
-// engine — for every block size (incl. B=1, ragged borders, B>=n) and every
-// worker count, ComputeTiled equals Compute bit for bit, and the operation
-// counts match exactly.
+// backend — for every block size (incl. B=1, ragged borders, B>=n) and
+// every worker count, Compute with Options.Tile set equals the dense
+// Compute bit for bit, and the operation counts match exactly.
 func TestComputeTiledBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{17, 40} {
@@ -50,7 +50,7 @@ func TestComputeTiledBitIdentical(t *testing.T) {
 					opt := base
 					opt.Workers = workers
 					opt.Tile = simmat.TileOptions{BlockSize: block}
-					tiled, tst, err := ComputeTiled(g, opt)
+					tiled, tst, err := Compute(g, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -89,7 +89,7 @@ func TestComputeTiledUnderBudget(t *testing.T) {
 	tileBytes := int64(block * block * 8)
 	budget := 6 * tileBytes // far below the ~2 * n(n+B)/2 * 8 working set
 	for _, workers := range []int{1, 3} {
-		tiled, st, err := ComputeTiled(g, Options{C: 0.6, K: 4, Workers: workers,
+		tiled, st, err := Compute(g, Options{C: 0.6, K: 4, Workers: workers,
 			Tile: simmat.TileOptions{BlockSize: block, MaxMemoryBytes: budget, SpillDir: t.TempDir()}})
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestComputeTiledStopDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt.Tile = simmat.TileOptions{BlockSize: 7}
-	tiled, tst, err := ComputeTiled(g, opt)
+	tiled, tst, err := Compute(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,11 @@ package dsr
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"oipsr/graph"
 	"oipsr/internal/core"
 	"oipsr/internal/numeric"
 	"oipsr/internal/par"
-	"oipsr/internal/partition"
 	"oipsr/internal/simmat"
 )
 
@@ -56,8 +54,7 @@ type Options struct {
 	// bit-identical for every value (see the core package comment).
 	Workers int
 
-	// Tile selects the tiled score-matrix backend when Tile.BlockSize > 0
-	// (ComputeTiled only; Compute ignores it).
+	// Tile selects the tiled score-matrix backend when Tile.BlockSize > 0.
 	Tile simmat.TileOptions
 }
 
@@ -83,58 +80,33 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// Stats mirrors core.Stats for the differential engine.
-type Stats struct {
-	Iterations int
-	PlanTime   time.Duration
-	SweepTime  time.Duration
-
-	InnerAdds  int64
-	OuterAdds  int64
-	AuxBytes   int64 // plan + sweep buffers (the paper's "intermediate memory")
-	StateBytes int64 // m^2 state: accumulator plus the two auxiliary T_k blocks (m = vertices with a non-empty in-set)
-
-	NumSets          int
-	PlanAdditions    int
-	ScratchAdditions int
-	ShareRatio       float64
-	AvgDiff          float64
-
-	// Tile reports the tile store's accounting (ComputeTiled only).
-	Tile simmat.TileMetrics
-}
-
 // Compute runs the differential SimRank iteration Eq. 15 and returns S^_K
 // with run statistics. Only the vertices with a non-empty in-set own rows
 // of the iterates (see the core package comment): outside them T_0 has
 // diagonal 1, every later T_k is zero, and S^ keeps e^-C on the diagonal,
 // the value the result is expanded with.
-func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
+//
+// With opt.Tile.BlockSize > 0 the accumulator and both T_k iterates live
+// in one TileStore, so opt.Tile's MaxMemoryBytes bounds the whole 3m^2
+// state. Scores are bit-identical to the dense backend for every block
+// size and worker count. The caller owns a tiled result: Close it to
+// release the store.
+func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *core.Stats, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, nil, err
 	}
-	st := &Stats{}
-
-	t0 := time.Now()
-	var plan *partition.Plan
-	if opt.DisableSharing {
-		plan = partition.TrivialPlan(g)
-	} else {
-		var err error
-		plan, err = partition.BuildPlan(g, partition.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	st.PlanTime = time.Since(t0)
-	st.NumSets = plan.NumSets
-	st.PlanAdditions = plan.Additions
-	st.ScratchAdditions = plan.ScratchAdditions
-	st.ShareRatio = plan.ShareRatio()
-	st.AvgDiff = plan.AvgDiff
-
 	expC := math.Exp(-opt.C)
-	sw := core.NewParallelSweeper(g, plan, opt.DisableSharing, opt.Workers)
+	return core.Run(g, opt.DisableSharing, opt.DisableSharing, opt.Workers, expC, func(sw *core.Sweeper, st *core.Stats) (simmat.Source, error) {
+		if opt.Tile.Enabled() {
+			return iterateTiled(sw, opt, expC, st)
+		}
+		return iterateDense(sw, opt, expC, st), nil
+	})
+}
+
+// iterateDense runs the K steps of Eq. 15 on dense m x m blocks and
+// returns the accumulator.
+func iterateDense(sw *core.Sweeper, opt Options, expC float64, st *core.Stats) *simmat.Matrix {
 	workers := sw.Workers()
 	m := sw.Kept()
 
@@ -146,7 +118,6 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 	tPrev := simmat.NewIdentity(m)
 	tNext := simmat.New(m)
 
-	t1 := time.Now()
 	coeff := expC
 	for k := 0; k < opt.K; k++ {
 		// T_{k+1} = Q T_k Q^T via the shared sweep (damp=1, free diagonal).
@@ -165,64 +136,22 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
 		})
 		tPrev, tNext = tNext, tPrev
 	}
-	st.SweepTime = time.Since(t1)
-	sws := sw.Stats()
-	st.InnerAdds, st.OuterAdds = sws.InnerAdds, sws.OuterAdds
-	st.AuxBytes = sw.AuxBytes() + plan.Bytes()
 	st.StateBytes = acc.Bytes() + tPrev.Bytes() + tNext.Bytes()
-	return simmat.Expand(sw.Slots(), acc, expC), st, nil
+	return acc
 }
 
-// tDiag is T_k's diagonal value outside the block: 1 for T_0 = I, 0 for
-// every T_k a sweep with a free diagonal produced.
-func tDiag(k int) float64 {
-	if k == 0 {
-		return 1
-	}
-	return 0
-}
-
-// ComputeTiled runs the differential iteration against the tiled backend
-// selected by opt.Tile: the accumulator and both T_k ping-pong iterates
-// share one TileStore, so opt.Tile's MaxMemoryBytes bounds the whole 3m^2
-// state. Scores are bit-identical to Compute for every block size and
-// worker count. The caller owns the result: Close it to release the store.
-func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error) {
-	if err := opt.normalize(); err != nil {
-		return nil, nil, err
-	}
+// iterateTiled runs the K steps of Eq. 15 on tiled blocks drawn from one
+// TileStore and returns the accumulator, which keeps the store.
+func iterateTiled(sw *core.Sweeper, opt Options, expC float64, st *core.Stats) (*simmat.Tiled, error) {
 	store, err := simmat.NewTileStore(opt.Tile)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	fail := func(err error) (*simmat.Expanded, *Stats, error) {
+	fail := func(err error) (*simmat.Tiled, error) {
 		store.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	st := &Stats{}
-
-	t0 := time.Now()
-	var plan *partition.Plan
-	if opt.DisableSharing {
-		plan = partition.TrivialPlan(g)
-	} else {
-		plan, err = partition.BuildPlan(g, partition.Options{})
-		if err != nil {
-			return fail(err)
-		}
-	}
-	st.PlanTime = time.Since(t0)
-	st.NumSets = plan.NumSets
-	st.PlanAdditions = plan.Additions
-	st.ScratchAdditions = plan.ScratchAdditions
-	st.ShareRatio = plan.ShareRatio()
-	st.AvgDiff = plan.AvgDiff
-
-	expC := math.Exp(-opt.C)
-	sw := core.NewParallelSweeper(g, plan, opt.DisableSharing, opt.Workers)
-	workers := sw.Workers()
 	m := sw.Kept()
-
 	acc, err := store.NewDiagonal(m, expC) // S^_0 = e^-C I
 	if err != nil {
 		return fail(err)
@@ -236,7 +165,6 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error)
 		return fail(err)
 	}
 
-	t1 := time.Now()
 	coeff := expC
 	for k := 0; k < opt.K; k++ {
 		if err := sw.SweepTiled(tPrev, tNext, tDiag(k), 1, false); err != nil {
@@ -244,18 +172,23 @@ func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Expanded, *Stats, error)
 		}
 		st.Iterations++
 		coeff *= opt.C / float64(k+1) // e^-C * C^(k+1)/(k+1)!
-		if err := acc.AddScaled(tNext, coeff, workers); err != nil {
+		if err := acc.AddScaled(tNext, coeff, sw.Workers()); err != nil {
 			return fail(err)
 		}
 		tPrev, tNext = tNext, tPrev
 	}
-	st.SweepTime = time.Since(t1)
-	sws := sw.Stats()
-	st.InnerAdds, st.OuterAdds = sws.InnerAdds, sws.OuterAdds
-	st.AuxBytes = sw.AuxBytes() + plan.Bytes()
 	st.StateBytes = acc.Bytes() + tPrev.Bytes() + tNext.Bytes()
 	tPrev.Release()
 	tNext.Release()
 	st.Tile = store.Metrics()
-	return simmat.Expand(sw.Slots(), acc, expC), st, nil
+	return acc, nil
+}
+
+// tDiag is T_k's diagonal value outside the block: 1 for T_0 = I, 0 for
+// every T_k a sweep with a free diagonal produced.
+func tDiag(k int) float64 {
+	if k == 0 {
+		return 1
+	}
+	return 0
 }

@@ -32,7 +32,7 @@ func TestComputeTiledBitIdentical(t *testing.T) {
 			opt := base
 			opt.Workers = workers
 			opt.Tile = simmat.TileOptions{BlockSize: block}
-			tiled, tst, err := ComputeTiled(g, opt)
+			tiled, tst, err := Compute(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestComputeTiledBudget(t *testing.T) {
 	}
 	const block = 8
 	budget := int64(8 * block * block * 8)
-	tiled, st, err := ComputeTiled(g, Options{C: 0.6, K: 4,
+	tiled, st, err := Compute(g, Options{C: 0.6, K: 4,
 		Tile: simmat.TileOptions{BlockSize: block, MaxMemoryBytes: budget, SpillDir: t.TempDir()}})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,9 @@
 // semantic ground truth: psum-SR and OIP-SR are pure computational
 // reorganizations of the very same iteration and must produce identical
 // scores. This package is therefore the oracle every optimized engine is
-// cross-validated against.
+// cross-validated against. It runs on the dense backend only: the OIP
+// engines' tiled runs are held to its scores through the conformance
+// goldens of package simrank.
 package naive
 
 import (
@@ -57,63 +59,6 @@ func ComputeWorkers(g *graph.Graph, c float64, k, workers int) (*simmat.Matrix, 
 	return prev, nil
 }
 
-// ComputeTiledWorkers is ComputeWorkers against the tiled score-matrix
-// backend: the same Eq. 2 arithmetic with rows of the previous iterate
-// staged out of tiles, bit-identical to the dense oracle for every block
-// size and worker count. It exists so the conformance suite can pin the
-// tiled storage layer against ground truth; the in-neighbor rows of each
-// output row are staged densely, so peak auxiliary memory is
-// O(workers * maxInDegree * n). The caller owns the result: Close it to
-// release the tile store.
-func ComputeTiledWorkers(g *graph.Graph, c float64, k, workers int, tile simmat.TileOptions) (*simmat.Tiled, error) {
-	if !(c > 0 && c < 1) {
-		return nil, fmt.Errorf("naive: damping factor %v outside (0,1)", c)
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("naive: negative iteration count %d", k)
-	}
-	store, err := simmat.NewTileStore(tile)
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	workers = par.ResolveMax(workers, n)
-	prev, err := store.NewIdentity(n)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	if k == 0 {
-		return prev, nil
-	}
-	next, err := store.NewTiled(n)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	rowBufs := make([][]float64, workers)
-	inRows := make([][][]float64, workers)
-	for w := 0; w < workers; w++ {
-		rowBufs[w] = make([]float64, n)
-	}
-	errs := make([]error, workers)
-	for iter := 0; iter < k; iter++ {
-		par.Do(workers, func(w int) {
-			lo, hi := par.Range(n, workers, w)
-			errs[w] = stepTiled(g, c, prev, next, lo, hi, rowBufs[w], &inRows[w])
-		})
-		for _, err := range errs {
-			if err != nil {
-				store.Close()
-				return nil, err
-			}
-		}
-		prev, next = next, prev
-	}
-	next.Release()
-	return prev, nil
-}
-
 // step computes rows [lo, hi) of one iteration of Eq. 2 from prev into next.
 func step(g *graph.Graph, c float64, prev, next *simmat.Matrix, lo, hi int) {
 	n := g.NumVertices()
@@ -139,45 +84,4 @@ func step(g *graph.Graph, c float64, prev, next *simmat.Matrix, lo, hi int) {
 			}
 		}
 	}
-}
-
-// stepTiled computes rows [lo, hi) of one Eq. 2 iteration against tiled
-// storage: the prev rows of I(a) are staged into *inRows (grown on demand),
-// the row is computed into rowBuf with exactly step's arithmetic, and its
-// canonical upper segment is stored.
-func stepTiled(g *graph.Graph, c float64, prev, next *simmat.Tiled, lo, hi int, rowBuf []float64, inRows *[][]float64) error {
-	n := g.NumVertices()
-	for a := lo; a < hi; a++ {
-		ia := g.In(a)
-		for len(*inRows) < len(ia) {
-			*inRows = append(*inRows, make([]float64, n))
-		}
-		for idx, i := range ia {
-			if err := prev.RowInto(i, (*inRows)[idx]); err != nil {
-				return err
-			}
-		}
-		for b := 0; b < n; b++ {
-			switch {
-			case a == b:
-				rowBuf[b] = 1
-			case len(ia) == 0 || g.InDegree(b) == 0:
-				rowBuf[b] = 0
-			default:
-				ib := g.In(b)
-				sum := 0.0
-				for idx := range ia {
-					rowPrev := (*inRows)[idx]
-					for _, j := range ib {
-						sum += rowPrev[j]
-					}
-				}
-				rowBuf[b] = c / (float64(len(ia)) * float64(len(ib))) * sum
-			}
-		}
-		if err := next.SetRowUpper(a, rowBuf); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -19,9 +19,10 @@
 //
 // Each iterate is canonicalized after the row barrier (the row-min(a,b)
 // value is the score of both orderings; see the simmat package comment),
-// which is what lets ComputeTiled — the same arithmetic against the
-// upper-triangular tiled backend — produce bit-identical scores under a
-// bounded memory budget.
+// the rule every engine shares, so psum-SR matches the naive oracle and the
+// OIP engines cell for cell. psum-SR runs on the dense backend only: it is
+// a baseline and an oracle, and the tiled backend belongs to the OIP
+// engines.
 package psum
 
 import (
@@ -45,10 +46,6 @@ type Options struct {
 	// Workers sets the row worker-pool size: 1 means serial, anything below
 	// 1 means runtime.GOMAXPROCS(0).
 	Workers int
-
-	// Tile selects the tiled score-matrix backend when Tile.BlockSize > 0
-	// (ComputeTiled only; Compute ignores it).
-	Tile simmat.TileOptions
 }
 
 // Stats reports the work an invocation performed, in the units the paper
@@ -61,9 +58,6 @@ type Stats struct {
 	OuterAdds   int64 // scalar additions summing partials over I(b)
 	SievedPairs int64 // scores clamped to zero by the threshold
 	AuxBytes    int64 // partial-sum buffers (one per worker)
-
-	// Tile reports the tile store's accounting (ComputeTiled only).
-	Tile simmat.TileMetrics
 }
 
 // Compute runs psum-SR and returns s_K together with run statistics.
@@ -146,8 +140,7 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
 }
 
 // consumeRow consumes the memorized partial sums for every second argument
-// b (Eq. 5), writing the full row into row. Shared verbatim by the dense
-// and tiled paths so their per-cell arithmetic cannot drift.
+// b (Eq. 5), writing the full row into row.
 func consumeRow(g *graph.Graph, a int, c, threshold float64, invDeg, partial, row []float64, wst *Stats) {
 	n := g.NumVertices()
 	scaleA := c * invDeg[a]
@@ -175,120 +168,4 @@ func consumeRow(g *graph.Graph, a int, c, threshold float64, invDeg, partial, ro
 		}
 		row[b] = v
 	}
-}
-
-// ComputeTiled runs psum-SR against the tiled score-matrix backend
-// selected by opt.Tile: both iterates share one TileStore, so
-// opt.Tile.MaxMemoryBytes bounds the whole n^2 state with spill-to-disk
-// for evicted tiles. Scores and counts are bit-identical to Compute for
-// every block size and worker count. The caller owns the result: Close it
-// to release the store and its spill files.
-func ComputeTiled(g *graph.Graph, opt Options) (*simmat.Tiled, *Stats, error) {
-	if !(opt.C > 0 && opt.C < 1) {
-		return nil, nil, fmt.Errorf("psum: damping factor %v outside (0,1)", opt.C)
-	}
-	if opt.K < 0 {
-		return nil, nil, fmt.Errorf("psum: negative iteration count %d", opt.K)
-	}
-	store, err := simmat.NewTileStore(opt.Tile)
-	if err != nil {
-		return nil, nil, err
-	}
-	fail := func(err error) (*simmat.Tiled, *Stats, error) {
-		store.Close()
-		return nil, nil, err
-	}
-	n := g.NumVertices()
-	workers := par.ResolveMax(opt.Workers, n)
-	st := &Stats{AuxBytes: int64(workers) * int64(n) * 3 * 8}
-	prev, err := store.NewIdentity(n)
-	if err != nil {
-		return fail(err)
-	}
-	if opt.K == 0 {
-		st.Tile = store.Metrics()
-		return prev, st, nil
-	}
-	next, err := store.NewTiled(n)
-	if err != nil {
-		return fail(err)
-	}
-	// Per-worker scratch: the partial-sum vector, a staging buffer for rows
-	// of prev, and the emit target row.
-	partials := make([][]float64, workers)
-	rowTmps := make([][]float64, workers)
-	rowBufs := make([][]float64, workers)
-	for w := 0; w < workers; w++ {
-		partials[w] = make([]float64, n)
-		rowTmps[w] = make([]float64, n)
-		rowBufs[w] = make([]float64, n)
-	}
-	invDeg := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if d := g.InDegree(v); d > 0 {
-			invDeg[v] = 1 / float64(d)
-		}
-	}
-
-	stats := make([]Stats, workers)
-	errs := make([]error, workers)
-	for iter := 0; iter < opt.K; iter++ {
-		st.Iterations++
-		par.Do(workers, func(w int) {
-			lo, hi := par.Range(n, workers, w)
-			partial, rowTmp, rowBuf := partials[w], rowTmps[w], rowBufs[w]
-			var wst Stats
-			for a := lo; a < hi; a++ {
-				ia := g.In(a)
-				if len(ia) == 0 {
-					// Essential-pair skipping: the same all-zero row with a
-					// unit diagonal the dense path writes.
-					for b := range rowBuf {
-						rowBuf[b] = 0
-					}
-					rowBuf[a] = 1
-					if errs[w] = next.SetRowUpper(a, rowBuf); errs[w] != nil {
-						return
-					}
-					continue
-				}
-				// Memorize Partial_{I(a)}(y) (Eq. 4) from tile-assembled
-				// rows; the per-element accumulation order is unchanged.
-				if errs[w] = prev.RowInto(ia[0], partial); errs[w] != nil {
-					return
-				}
-				for _, x := range ia[1:] {
-					if errs[w] = prev.RowInto(x, rowTmp); errs[w] != nil {
-						return
-					}
-					for y := range partial {
-						partial[y] += rowTmp[y]
-					}
-				}
-				wst.InnerAdds += int64(len(ia)-1) * int64(n)
-
-				consumeRow(g, a, opt.C, opt.Threshold, invDeg, partial, rowBuf, &wst)
-				if errs[w] = next.SetRowUpper(a, rowBuf); errs[w] != nil {
-					return
-				}
-			}
-			stats[w].InnerAdds += wst.InnerAdds
-			stats[w].OuterAdds += wst.OuterAdds
-			stats[w].SievedPairs += wst.SievedPairs
-		})
-		for _, err := range errs {
-			if err != nil {
-				return fail(err)
-			}
-		}
-		prev, next = next, prev
-	}
-	for w := range stats {
-		st.InnerAdds += stats[w].InnerAdds
-		st.OuterAdds += stats[w].OuterAdds
-		st.SievedPairs += stats[w].SievedPairs
-	}
-	next.Release()
-	st.Tile = store.Metrics()
-	return prev, st, nil
 }

@@ -9,8 +9,8 @@
 //     and next iterate). Rows are the natural unit of work — s_k(a, *) — so
 //     the matrix exposes zero-copy row access.
 //   - Tiled (tiled.go) stores the upper triangle as a grid of B x B tiles
-//     with a bounded-memory working set and optional spill-to-disk, for runs
-//     where two dense matrices do not fit in RAM.
+//     with a bounded-memory working set and optional spill-to-disk, for
+//     OIP-SR and OIP-DSR runs whose dense iterates do not fit in RAM.
 //
 // Expanded (expanded.go) reads either backend as an m x m block of a
 // larger n x n matrix whose other rows and columns are one value on the
@@ -21,16 +21,17 @@
 //
 // SimRank is symmetric by definition, but the row-oriented engines compute
 // s(a,b) and s(b,a) with differently-associated floating-point sums, so the
-// two roundings can differ in the last bits. To give both backends one
-// well-defined answer, every sweep engine canonicalizes each iterate: the
-// value computed while emitting row min(a,b) is authoritative. The OIP
-// engines' dense sweep computes that value once, in its final pass, into
-// the lower cell and copies it onto the upper one; psum-SR and the naive engine emit rows and then
-// mirror the upper triangle onto the lower one (MirrorUpper); the tiled
-// backend stores only the canonical triangle. This is what makes tiled
-// output bit-identical to dense output for every block size and worker
-// count. Transpose turns the OIP dense sweep's inner sums into rows for
-// its procedure OP.
+// two roundings can differ in the last bits. To give every engine and both
+// backends one well-defined answer, every sweep engine canonicalizes each
+// iterate: the value computed while emitting row min(a,b) is
+// authoritative. The OIP engines' dense sweep computes that value once, in
+// its final pass, into the lower cell and copies it onto the upper one;
+// their tiled sweep stores only the canonical triangle, which is what makes
+// tiled output bit-identical to dense output for every block size and
+// worker count. psum-SR and the naive engine, dense only, emit rows and
+// then mirror the upper triangle onto the lower one (MirrorUpper), so they
+// match the OIP engines cell for cell. Transpose turns the OIP dense
+// sweep's inner sums into rows for its procedure OP.
 package simmat
 
 import (

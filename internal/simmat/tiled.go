@@ -212,9 +212,6 @@ func (s *TileStore) NewDiagonal(n int, v float64) (*Tiled, error) {
 // N returns the dimension.
 func (t *Tiled) N() int { return t.n }
 
-// BlockSize returns the tile edge B.
-func (t *Tiled) BlockSize() int { return t.b }
-
 // Bytes reports the logical canonical storage: the upper triangle incl.
 // diagonal tiles, whether resident, spilled, or still zero.
 func (t *Tiled) Bytes() int64 {
@@ -332,19 +329,6 @@ func (t *Tiled) SetRowUpper(u int, row []float64) error {
 	return nil
 }
 
-// Dense assembles the full logical matrix into a dense Matrix. Intended for
-// tests and small results only — it allocates the n^2 storage the tiled
-// backend exists to avoid.
-func (t *Tiled) Dense() (*Matrix, error) {
-	m := New(t.n)
-	for i := 0; i < t.n; i++ {
-		if err := t.RowInto(i, m.Row(i)); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
 // Release frees this matrix: resident tiles are dropped and its spill files
 // deleted. The store stays usable for its other matrices.
 func (t *Tiled) Release() {
@@ -356,9 +340,6 @@ func (t *Tiled) Release() {
 // Close closes the whole underlying store (see TileStore.Close). Call it on
 // the final result matrix when done.
 func (t *Tiled) Close() error { return t.store.Close() }
-
-// Store returns the owning TileStore (for metrics).
-func (t *Tiled) Store() *TileStore { return t.store }
 
 // AddScaled adds coeff * src into t elementwise (t += coeff * src), the
 // accumulation step of the differential engine. Both must share dimension

@@ -14,6 +14,7 @@ import (
 	"oipsr/graph/gio"
 	"oipsr/internal/matrixform"
 	"oipsr/internal/simmat"
+	"oipsr/simrank/engine"
 )
 
 // The golden conformance corpus: small, hand-written graphs covering the
@@ -23,13 +24,13 @@ import (
 //
 //   - <name>.golden holds the exact conventional-model scores (the naive
 //     Jeh-Widom oracle at confC, confK); every conventional engine — naive,
-//     psum-sr and oip-sr — times every backend (dense,
-//     tiled at several block sizes, tiled under a spilling memory budget)
-//     must match within 1e-12. Monte Carlo matches within statistical
-//     tolerance.
+//     psum-sr and oip-sr — must match within 1e-12 on the dense backend,
+//     and so must every engine whose Caps().Tiled is set on every tiled
+//     backend (several block sizes, and a spilling memory budget). Monte
+//     Carlo matches within statistical tolerance.
 //   - <name>.dsr.golden holds the differential-model scores (pinned from
 //     the serial dense OIP-DSR engine, cross-checked here against the
-//     independent matrixform.ExponentialSum oracle); OIP-DSR times every
+//     independent matrixform.ExponentialSum oracle); OIP-DSR on every
 //     backend must match within 1e-12.
 //   - mtx-SR approximates the matrix-form model, so it is checked against
 //     matrixform.GeometricSum at full rank instead of the golden file.
@@ -53,10 +54,11 @@ var conformanceFixtures = []string{
 	"selfloop", "disconnected", "star", "dag", "cycle", "overlap",
 }
 
-// conformanceBackends enumerates the storage backends every supported
-// engine is exercised against: dense, tiled at block sizes bracketing the
-// fixture dimensions (1 = extreme, 5 = ragged tiles, 64 >= n = one tile),
-// and a tiled run under a memory budget small enough to force spills.
+// conformanceBackends enumerates the storage backends the engines are
+// exercised against: dense, tiled at block sizes bracketing the fixture
+// dimensions (1 = extreme, 5 = ragged tiles, 64 >= n = one tile), and a
+// tiled run under a memory budget small enough to force spills. The tiled
+// ones run only for engines whose Caps().Tiled is set.
 type confBackend struct {
 	name   string
 	block  int
@@ -167,8 +169,8 @@ func backendOptions(b confBackend, t *testing.T) (blockSize int, budget int64, d
 	return b.block, 0, ""
 }
 
-// TestConformanceCorpus pins every engine, over every backend, to the
-// committed ground truth on every fixture.
+// TestConformanceCorpus pins every engine, over every backend it supports,
+// to the committed ground truth on every fixture.
 func TestConformanceCorpus(t *testing.T) {
 	type engineCase struct {
 		name   string
@@ -238,7 +240,11 @@ func TestConformanceCorpus(t *testing.T) {
 				if ec.golden == ".dsr.golden" {
 					golden = diff
 				}
+				e, _ := engine.Get(ec.opts.Algorithm)
 				for _, be := range conformanceBackends {
+					if be.block > 0 && !e.Caps().Tiled {
+						continue
+					}
 					for _, workers := range []int{1, 3} {
 						opts := ec.opts
 						opts.Workers = workers

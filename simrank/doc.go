@@ -14,7 +14,8 @@
 //
 // where C in (0,1) is a damping factor and I(v) the in-neighbor set of v.
 //
-// This package implements five engines behind one interface:
+// This package implements seven engines behind one interface, the
+// simrank/engine registry:
 //
 //   - OIPSR (default): the paper's primary contribution. Partial sums over
 //     in-neighbor sets are shared across sets via a minimum-spanning-tree
@@ -33,6 +34,10 @@
 //   - Naive: the original Jeh-Widom O(K d^2 n^2) iteration, the semantic
 //     ground truth.
 //   - MtxSR: Li et al.'s SVD low-rank approximation (matrix-form baseline).
+//   - MonteCarlo: the Fogaras-Racz coupled-walk estimator, each row a walk
+//     index's single-source answer (package simrank/query).
+//   - Linearized: Maehara et al.'s linearization, exact single-source and
+//     single-pair answers with no n^2 state.
 //
 // # Quick start
 //
@@ -42,17 +47,18 @@
 //	fmt.Println(scores.Score(1, 2), stats.Iterations)
 //
 // Build graphs with the graph package (or graph/gio loaders and graph/gen
-// generators). All engines return dense all-pairs scores, so memory is
-// Theta(n^2) * 8 bytes per matrix; budget accordingly (n = 10,000 needs
-// ~1.6 GB for the two iteration buffers).
+// generators). By default every engine returns dense all-pairs scores, so
+// memory is Theta(n^2) * 8 bytes per matrix; budget accordingly (n = 10,000
+// needs ~1.6 GB for the two iteration buffers).
 //
 // # Memory-bounded runs
 //
 // When two dense matrices do not fit, Options.BlockSize > 0 selects the
-// tiled backend (OIPSR, OIPDSR, PsumSR, Naive): the score matrix becomes a
-// grid of B x B tiles with symmetric upper-triangular storage, a working
-// set bounded by Options.MaxMemoryBytes, and spill-to-disk for evicted
-// tiles under Options.SpillDir. Scores are bit-identical to the dense
+// tiled backend of the paper's engines, OIPSR and OIPDSR (the baselines
+// stay dense): the score matrix becomes a grid of B x B tiles with
+// symmetric upper-triangular storage, a working set bounded by
+// Options.MaxMemoryBytes, and spill-to-disk for evicted tiles under
+// Options.SpillDir. Scores are bit-identical to the dense
 // backend for every block size and worker count; call Scores.Close on
 // tiled results to release resident tiles and spill files. See the README
 // section "Memory-bounded runs" for guidance on picking B.

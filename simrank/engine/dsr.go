@@ -22,51 +22,10 @@ func (dsrEngine) Compute(_ context.Context, g *graph.Graph, p Params) (simmat.So
 		K:       p.K,
 		Eps:     p.Eps,
 		Workers: p.Workers,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, &Stats{
-		Algorithm:   OIPDSR,
-		Iterations:  st.Iterations,
-		PlanTime:    st.PlanTime,
-		ComputeTime: st.SweepTime,
-		InnerAdds:   st.InnerAdds,
-		OuterAdds:   st.OuterAdds,
-		AuxBytes:    st.AuxBytes,
-		StateBytes:  st.StateBytes,
-		ShareRatio:  st.ShareRatio,
-		AvgDiff:     st.AvgDiff,
-		NumSets:     st.NumSets,
-	}, nil
-}
-
-func (dsrEngine) ComputeTiled(_ context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error) {
-	m, st, err := dsr.ComputeTiled(g, dsr.Options{
-		C:       p.C,
-		K:       p.K,
-		Eps:     p.Eps,
-		Workers: p.Workers,
 		Tile:    p.Tile,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return m, &Stats{
-		Algorithm:        OIPDSR,
-		Iterations:       st.Iterations,
-		PlanTime:         st.PlanTime,
-		ComputeTime:      st.SweepTime,
-		InnerAdds:        st.InnerAdds,
-		OuterAdds:        st.OuterAdds,
-		AuxBytes:         st.AuxBytes,
-		StateBytes:       st.StateBytes,
-		ShareRatio:       st.ShareRatio,
-		AvgDiff:          st.AvgDiff,
-		NumSets:          st.NumSets,
-		TilePeakBytes:    st.Tile.HighWaterBytes,
-		TileSpills:       st.Tile.Spills,
-		TileLoads:        st.Tile.Loads,
-		TileSpilledBytes: st.Tile.SpilledBytes,
-	}, nil
+	return m, oipStats(OIPDSR, st), nil
 }

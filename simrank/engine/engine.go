@@ -2,9 +2,11 @@
 //
 // An Engine is one SimRank backend: it declares its capabilities (all-pairs,
 // tiled all-pairs, single-source, single-pair) and exposes uniform
-// Compute/ComputeTiled/SingleSource entry points over a normalized Params
-// struct. The six classic backends (oip-sr, oip-dsr, psum-sr, naive,
-// mtx-sr, monte-carlo) self-register from this package's init
+// Compute/SingleSource entry points over a normalized Params struct. The
+// tiled score-matrix backend is a storage choice inside Compute, taken when
+// Params.Tile is enabled, and only the paper's two engines (oip-sr,
+// oip-dsr) offer it. The six classic backends (oip-sr, oip-dsr, psum-sr,
+// naive, mtx-sr, monte-carlo) self-register from this package's init
 // functions; the linearized engine (internal/linsr) registers alongside
 // them. simrank.Compute is a thin dispatch over this registry, and registry
 // membership is the single source of truth for Algorithm.Valid and the
@@ -68,8 +70,10 @@ func (a Algorithm) Valid() bool {
 type Caps struct {
 	// AllPairs: Compute materializes the full score matrix.
 	AllPairs bool
-	// Tiled: ComputeTiled runs against the tiled score-matrix backend
-	// (bounded resident memory, spill-to-disk).
+	// Tiled: Compute honours Params.Tile, running against the tiled
+	// score-matrix backend (bounded resident memory, spill-to-disk). An
+	// engine without it ignores Params.Tile; simrank.Compute rejects the
+	// request before dispatching.
 	Tiled bool
 	// SingleSource: SingleSource answers one row without n² state.
 	SingleSource bool
@@ -103,8 +107,9 @@ type Params struct {
 
 // Engine is one SimRank backend behind the registry seam.
 //
-// Compute and ComputeTiled materialize all-pairs scores; SingleSource
-// answers one row. Backends ignore ctx unless they advertise cancellation
+// Compute materializes all-pairs scores, on the tiled backend when
+// Params.Tile is enabled and Caps().Tiled is set; SingleSource answers one
+// row. Backends ignore ctx unless they advertise cancellation
 // (Linearized checks it at solve-step boundaries, MonteCarlo once per
 // fingerprint of every row); entry points outside the engine's Caps return
 // an error.
@@ -112,7 +117,6 @@ type Engine interface {
 	Name() Algorithm
 	Caps() Caps
 	Compute(ctx context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error)
-	ComputeTiled(ctx context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error)
 	SingleSource(ctx context.Context, g *graph.Graph, p Params, q int) ([]float64, *Stats, error)
 }
 
@@ -173,10 +177,6 @@ func (b base) Name() Algorithm { return b.name }
 
 func (b base) Compute(context.Context, *graph.Graph, Params) (simmat.Source, *Stats, error) {
 	return nil, nil, fmt.Errorf("simrank: algorithm %q does not materialize all-pairs scores", b.name)
-}
-
-func (b base) ComputeTiled(context.Context, *graph.Graph, Params) (simmat.Source, *Stats, error) {
-	return nil, nil, fmt.Errorf("simrank: the tiled backend (BlockSize > 0) does not support algorithm %q", b.name)
 }
 
 func (b base) SingleSource(context.Context, *graph.Graph, Params, int) ([]float64, *Stats, error) {

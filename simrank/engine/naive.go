@@ -14,7 +14,7 @@ func init() { Register(naiveEngine{base{Naive}}) }
 // naiveEngine is the original Jeh-Widom iteration, the conformance oracle.
 type naiveEngine struct{ base }
 
-func (naiveEngine) Caps() Caps { return Caps{AllPairs: true, Tiled: true} }
+func (naiveEngine) Caps() Caps { return Caps{AllPairs: true} }
 
 func (naiveEngine) Compute(_ context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error) {
 	c, k, err := geometricSchedule(p)
@@ -31,28 +31,5 @@ func (naiveEngine) Compute(_ context.Context, g *graph.Graph, p Params) (simmat.
 		Iterations:  k,
 		ComputeTime: time.Since(t0),
 		StateBytes:  simmat.StateBytes(g.NumVertices(), 2),
-	}, nil
-}
-
-func (naiveEngine) ComputeTiled(_ context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error) {
-	c, k, err := geometricSchedule(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	t0 := time.Now()
-	m, err := naive.ComputeTiledWorkers(g, c, k, p.Workers, p.Tile)
-	if err != nil {
-		return nil, nil, err
-	}
-	met := m.Store().Metrics()
-	return m, &Stats{
-		Algorithm:        Naive,
-		Iterations:       k,
-		ComputeTime:      time.Since(t0),
-		StateBytes:       m.Bytes() * 2,
-		TilePeakBytes:    met.HighWaterBytes,
-		TileSpills:       met.Spills,
-		TileLoads:        met.Loads,
-		TileSpilledBytes: met.SpilledBytes,
 	}, nil
 }

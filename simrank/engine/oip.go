@@ -24,41 +24,18 @@ func (oipEngine) Compute(_ context.Context, g *graph.Graph, p Params) (simmat.So
 		StopDiff:     p.StopDiff,
 		DisableOuter: p.DisableOuterSharing,
 		Workers:      p.Workers,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, &Stats{
-		Algorithm:   OIPSR,
-		Iterations:  st.Iterations,
-		PlanTime:    st.PlanTime,
-		ComputeTime: st.SweepTime,
-		InnerAdds:   st.InnerAdds,
-		OuterAdds:   st.OuterAdds,
-		AuxBytes:    st.AuxBytes,
-		StateBytes:  st.StateBytes,
-		ShareRatio:  st.ShareRatio,
-		AvgDiff:     st.AvgDiff,
-		NumSets:     st.NumSets,
-		FinalDiff:   st.FinalDiff,
-	}, nil
-}
-
-func (oipEngine) ComputeTiled(_ context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error) {
-	m, st, err := core.ComputeTiled(g, core.Options{
-		C:            p.C,
-		K:            p.K,
-		Eps:          p.Eps,
-		StopDiff:     p.StopDiff,
-		DisableOuter: p.DisableOuterSharing,
-		Workers:      p.Workers,
 		Tile:         p.Tile,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return m, &Stats{
-		Algorithm:        OIPSR,
+	return m, oipStats(OIPSR, st), nil
+}
+
+// oipStats maps the Stats of an OIP engine, OIP-SR or OIP-DSR.
+func oipStats(alg Algorithm, st *core.Stats) *Stats {
+	return &Stats{
+		Algorithm:        alg,
 		Iterations:       st.Iterations,
 		PlanTime:         st.PlanTime,
 		ComputeTime:      st.SweepTime,
@@ -74,5 +51,5 @@ func (oipEngine) ComputeTiled(_ context.Context, g *graph.Graph, p Params) (simm
 		TileSpills:       st.Tile.Spills,
 		TileLoads:        st.Tile.Loads,
 		TileSpilledBytes: st.Tile.SpilledBytes,
-	}, nil
+	}
 }

@@ -14,7 +14,7 @@ func init() { Register(psumEngine{base{PsumSR}}) }
 // psumEngine is Lizorkin et al.'s partial sums memoization baseline.
 type psumEngine struct{ base }
 
-func (psumEngine) Caps() Caps { return Caps{AllPairs: true, Tiled: true} }
+func (psumEngine) Caps() Caps { return Caps{AllPairs: true} }
 
 func (psumEngine) Compute(_ context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error) {
 	c, k, err := geometricSchedule(p)
@@ -35,34 +35,5 @@ func (psumEngine) Compute(_ context.Context, g *graph.Graph, p Params) (simmat.S
 		AuxBytes:    st.AuxBytes,
 		StateBytes:  simmat.StateBytes(g.NumVertices(), 2),
 		SievedPairs: st.SievedPairs,
-	}, nil
-}
-
-func (psumEngine) ComputeTiled(_ context.Context, g *graph.Graph, p Params) (simmat.Source, *Stats, error) {
-	c, k, err := geometricSchedule(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	t0 := time.Now()
-	m, st, err := psum.ComputeTiled(g, psum.Options{
-		C: c, K: k, Threshold: p.Threshold, Workers: p.Workers,
-		Tile: p.Tile,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, &Stats{
-		Algorithm:        PsumSR,
-		Iterations:       st.Iterations,
-		ComputeTime:      time.Since(t0),
-		InnerAdds:        st.InnerAdds,
-		OuterAdds:        st.OuterAdds,
-		AuxBytes:         st.AuxBytes,
-		StateBytes:       m.Bytes() * 2,
-		SievedPairs:      st.SievedPairs,
-		TilePeakBytes:    st.Tile.HighWaterBytes,
-		TileSpills:       st.Tile.Spills,
-		TileLoads:        st.Tile.Loads,
-		TileSpilledBytes: st.Tile.SpilledBytes,
 	}, nil
 }

@@ -94,21 +94,22 @@ type Options struct {
 	// the n x n state becomes a grid of BlockSize x BlockSize tiles with
 	// symmetric (upper-triangular) storage, a bounded working set, and
 	// spill-to-disk for evicted tiles. Supported by the engines whose
-	// Caps().Tiled is set (OIPSR, OIPDSR, PsumSR, Naive); scores are
-	// bit-identical to the dense backend for every block size and worker
-	// count. Results computed this way hold tile resources — call
-	// Scores.Close when done.
+	// Caps().Tiled is set (OIPSR, OIPDSR), which hold only the m x m block
+	// of the vertices with a non-empty in-set; Compute rejects it for the
+	// others, and rejects a negative BlockSize. Scores are bit-identical to
+	// the dense backend for every block size and worker count. Results
+	// computed this way hold tile resources — call Scores.Close when done.
 	BlockSize int
 
 	// MaxMemoryBytes caps the resident tile bytes of the whole computation
 	// (all score matrices together) when the tiled backend is selected;
 	// least-recently-used tiles are evicted to SpillDir when the cap is
-	// hit. 0 means unbounded. Ignored unless BlockSize > 0.
+	// hit. 0 means unbounded. Compute rejects it unless BlockSize > 0.
 	MaxMemoryBytes int64
 
 	// SpillDir is where evicted tiles are written (a fresh temporary
-	// directory when empty, removed on Scores.Close). Ignored unless
-	// BlockSize > 0.
+	// directory when empty, removed on Scores.Close). Compute rejects it
+	// unless BlockSize > 0.
 	SpillDir string
 }
 

@@ -2,6 +2,7 @@ package simrank
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"oipsr/graph"
@@ -21,14 +22,15 @@ func tiledTestGraph(n int, seed int64) *graph.Graph {
 // TestComputeTiledBackend: the public dispatch produces bit-identical
 // scores for every supported engine, reports tile accounting under a
 // spilling budget that its peak never exceeds, and rejects engines without
-// tiled support. The registry's Caps().Tiled splits the two sets.
+// tiled support with the "does not support" error. The registry's
+// Caps().Tiled splits the two sets.
 func TestComputeTiledBackend(t *testing.T) {
 	g := tiledTestGraph(30, 5)
 	const budget = 8 * 8 * 8 * 8 // eight 8×8 tiles
 	for _, alg := range engine.Names() {
 		if e, _ := engine.Get(alg); !e.Caps().Tiled {
-			if _, _, err := Compute(g, Options{Algorithm: alg, BlockSize: 8}); err == nil {
-				t.Errorf("%s: tiled backend accepted but unsupported", alg)
+			if _, _, err := Compute(g, Options{Algorithm: alg, BlockSize: 8}); err == nil || !strings.Contains(err.Error(), "does not support") {
+				t.Errorf("%s: tiled backend unsupported, Compute error %v", alg, err)
 			}
 			continue
 		}
@@ -67,5 +69,36 @@ func TestComputeTiledBackend(t *testing.T) {
 		if err := dense.Close(); err != nil {
 			t.Errorf("%s: dense Close: %v", alg, err)
 		}
+	}
+}
+
+// TestComputeRejectsIdleTiledKnobs: a negative BlockSize, or a memory cap
+// or spill directory without the tiled backend, is an error — not a dense
+// run that leaves the knob unused. Validate reports the same error without
+// a graph.
+func TestComputeRejectsIdleTiledKnobs(t *testing.T) {
+	g := tiledTestGraph(12, 3)
+	for _, opt := range []Options{
+		{BlockSize: -5},
+		{MaxMemoryBytes: 1000},
+		{SpillDir: t.TempDir()},
+		{Algorithm: OIPDSR, BlockSize: -1, MaxMemoryBytes: 1000},
+	} {
+		verr := opt.Validate()
+		if verr == nil {
+			t.Errorf("%+v: Validate accepted", opt)
+		}
+		s, _, err := Compute(g, opt)
+		if err == nil {
+			s.Close()
+			t.Errorf("%+v: Compute accepted", opt)
+			continue
+		}
+		if verr != nil && err.Error() != verr.Error() {
+			t.Errorf("%+v: Compute error %q, Validate error %q", opt, err, verr)
+		}
+	}
+	if err := (Options{BlockSize: 4, MaxMemoryBytes: 1 << 20}).Validate(); err != nil {
+		t.Errorf("tiled OIP-SR under a cap: %v", err)
 	}
 }
