@@ -7,8 +7,8 @@
 //
 // Graphs come either from an edge-list file (-graph) or from a built-in
 // generator (-gen, see cmd/gengraph for the types). The -algo values are
-// the engine registry's names (oipsr/simrank/engine) — oip-sr is the
-// default; run with -algo help to list what this build registers.
+// simrank.Algorithms() — oip-sr is the default; run with -algo help to
+// list them.
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"oipsr/graph/gen"
 	"oipsr/graph/gio"
 	"oipsr/simrank"
-	"oipsr/simrank/engine"
 )
 
 func main() {
@@ -31,7 +30,7 @@ func main() {
 		n         = flag.Int("n", 1000, "generator: vertices")
 		d         = flag.Int("d", 8, "generator: average degree")
 		seed      = flag.Int64("seed", 1, "seed of the generator, mtx-sr's SVD and monte-carlo's walks")
-		algo      = flag.String("algo", "oip-sr", "algorithm: "+engine.NameList(" | ")+" (or \"help\" to list)")
+		algo      = flag.String("algo", "oip-sr", "algorithm: "+algorithmList(" | ")+" (or \"help\" to list)")
 		c         = flag.Float64("c", 0.6, "damping factor C")
 		k         = flag.Int("k", 0, "iterations (0 = derive from -eps)")
 		eps       = flag.Float64("eps", 1e-3, "desired accuracy")
@@ -48,14 +47,14 @@ func main() {
 	)
 	flag.Parse()
 
-	// -algo help (and any unregistered name) answers from the registry, the
-	// single source of truth for what this build can compute.
+	// -algo help (and any unknown name) answers from simrank.Algorithms,
+	// the single source of truth for what this build can compute.
 	if *algo == "help" {
-		fmt.Printf("registered algorithms: %s\n", engine.NameList(", "))
+		fmt.Printf("registered algorithms: %s\n", algorithmList(", "))
 		return
 	}
 	if !simrank.Algorithm(*algo).Valid() {
-		fmt.Fprintf(os.Stderr, "simrank: unknown algorithm %q (registered: %s)\n", *algo, engine.NameList(", "))
+		fmt.Fprintf(os.Stderr, "simrank: unknown algorithm %q (registered: %s)\n", *algo, algorithmList(", "))
 		os.Exit(2)
 	}
 	if *query < -1 {
@@ -148,6 +147,16 @@ func main() {
 			fmt.Printf("%3d. vertex %-8d score %.6f\n", i+1, r.Vertex, r.Score)
 		}
 	}
+}
+
+// algorithmList joins the engine names, sorted, by sep.
+func algorithmList(sep string) string {
+	algs := simrank.Algorithms()
+	names := make([]string, len(algs))
+	for i, a := range algs {
+		names[i] = string(a)
+	}
+	return strings.Join(names, sep)
 }
 
 // fail prints err as one stderr line under the command's prefix, which the

@@ -246,7 +246,7 @@ func main() {
 	flag.StringVar(&o.indexPath, "index", "", "walk-index file: loaded when present, else built and saved here")
 	flag.BoolVar(&o.rebuild, "rebuild", false, "rebuild the index even if -index exists")
 	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: write every /v1/edges batch back to the index file (only the changed blocks are re-encoded), so a restart serves the edited index")
-	flag.Int64Var(&o.buildBudget, "build-budget", 0, "serve/build-shards: stream the index build to disk in slices of at most this many bytes of walk state, bounding builder memory (0 = unbounded: serve builds in memory, build-shards writes each shard as one slice); output is byte-identical")
+	flag.Int64Var(&o.buildBudget, "build-budget", 0, "serve/build-shards: stream the index build to disk in slices of at most this many bytes of walk state, bounding builder memory (0: serve builds in memory, build-shards streams in slices of 64 MiB); output is byte-identical")
 	flag.Float64Var(&o.c, "c", 0.6, "damping factor C")
 	flag.IntVar(&o.k, "k", 0, "walk horizon (0 = derive from -eps)")
 	flag.Float64Var(&o.eps, "eps", 1e-3, "truncation target when -k is 0")

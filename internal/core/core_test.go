@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -339,7 +340,9 @@ func TestInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if s.CheckSymmetric(1e-10) != nil || s.CheckRange(0, 1, 1e-10) != nil {
+		st := s.Copy()
+		st.Transpose(1)
+		if simmat.MaxDiff(s, st) > 1e-10 || slices.ContainsFunc(s.Data(), func(x float64) bool { return x < -1e-10 || x > 1+1e-10 }) {
 			return false
 		}
 		for v := 0; v < n; v++ {

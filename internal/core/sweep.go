@@ -189,14 +189,6 @@ type Sweeper struct {
 	sched   [][]partition.Chain // chains assigned to each worker (LPT)
 }
 
-// NewSweeper builds a serial (single-worker) Sweeper for g with the given
-// plan. If disableOuter is true, procedure OP is replaced by the psum-SR
-// one-by-one outer summation (the ablation of Section III-B: inner sharing
-// only).
-func NewSweeper(g *graph.Graph, plan *partition.Plan, disableOuter bool) *Sweeper {
-	return NewParallelSweeper(g, plan, disableOuter, 1)
-}
-
 // NewParallelSweeper builds a Sweeper running each sweep on a pool of the
 // given size. workers < 1 means runtime.GOMAXPROCS(0). The pool is capped at
 // the number of plan chains — extra workers would have nothing to run.

@@ -354,3 +354,11 @@ func TestAuxBytesClosedForm(t *testing.T) {
 		}
 	}
 }
+
+// NewSweeper builds a serial (single-worker) Sweeper for g with the given
+// plan. If disableOuter is true, procedure OP is replaced by the psum-SR
+// one-by-one outer summation (the ablation of Section III-B: inner sharing
+// only).
+func NewSweeper(g *graph.Graph, plan *partition.Plan, disableOuter bool) *Sweeper {
+	return NewParallelSweeper(g, plan, disableOuter, 1)
+}

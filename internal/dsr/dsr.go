@@ -128,10 +128,13 @@ func iterateDense(sw *core.Sweeper, opt Options, expC float64, st *core.Stats) *
 		coeff *= opt.C / float64(k+1) // e^-C * C^(k+1)/(k+1)!
 		ad, td := acc.Data(), tNext.Data()
 		// Element-wise, so splitting across workers is bit-identical.
+		// float64(coeff*td[i]) is the Go spec's explicit rounding: it
+		// forbids fusing the product into a multiply-add, so arm64 rounds
+		// as amd64 does and the recorded score bits hold on both.
 		par.Do(workers, func(w int) {
 			lo, hi := par.Range(len(ad), workers, w)
 			for i := lo; i < hi; i++ {
-				ad[i] += coeff * td[i]
+				ad[i] += float64(coeff * td[i])
 			}
 		})
 		tPrev, tNext = tNext, tPrev

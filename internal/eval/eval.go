@@ -137,7 +137,7 @@ func fractionalRanks(x []float64) []float64 {
 		for j < n && x[idx[j]] == x[idx[i]] {
 			j++
 		}
-		mean := float64(i+j-1)/2 + 1
+		mean := float64(float64(i+j-1)/2) + 1 // no multiply-add: see pearson
 		for k := i; k < j; k++ {
 			ranks[idx[k]] = mean
 		}
@@ -159,11 +159,13 @@ func pearson(a, b []float64) float64 {
 	ma /= n
 	mb /= n
 	var cov, va, vb float64
+	// float64(x*y) is the Go spec's explicit rounding: it forbids fusing
+	// the product into a multiply-add, so arm64 rounds as amd64 does.
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
+		cov += float64(da * db)
+		va += float64(da * da)
+		vb += float64(db * db)
 	}
 	if va == 0 || vb == 0 {
 		return 1

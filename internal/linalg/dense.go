@@ -91,8 +91,9 @@ func MulWorkers(a, b *Dense, workers int) *Dense {
 					continue
 				}
 				brow := b.Row(k)
+				// float64(...) forbids a multiply-add (see jacobi.go).
 				for j, bv := range brow {
-					crow[j] += av * bv
+					crow[j] += float64(av * bv)
 				}
 			}
 		}

@@ -21,10 +21,12 @@ func SymEig(a *Dense) (w []float64, v *Dense) {
 
 	const maxSweeps = 60
 	for sweep := 0; sweep < maxSweeps; sweep++ {
+		// float64(x*y) is the Go spec's explicit rounding: it forbids fusing
+		// the product into a multiply-add, so arm64 rounds as amd64 does.
 		off := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += m.At(i, j) * m.At(i, j)
+				off += float64(m.At(i, j) * m.At(i, j))
 			}
 		}
 		if off < 1e-28*float64(n*n) {
@@ -38,25 +40,25 @@ func SymEig(a *Dense) (w []float64, v *Dense) {
 				}
 				app, aqq := m.At(p, p), m.At(q, q)
 				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				// Apply the rotation to rows/cols p and q of m.
 				for k := 0; k < n; k++ {
 					akp, akq := m.At(k, p), m.At(k, q)
-					m.Set(k, p, c*akp-s*akq)
-					m.Set(k, q, s*akp+c*akq)
+					m.Set(k, p, float64(c*akp)-float64(s*akq))
+					m.Set(k, q, float64(s*akp)+float64(c*akq))
 				}
 				for k := 0; k < n; k++ {
 					apk, aqk := m.At(p, k), m.At(q, k)
-					m.Set(p, k, c*apk-s*aqk)
-					m.Set(q, k, s*apk+c*aqk)
+					m.Set(p, k, float64(c*apk)-float64(s*aqk))
+					m.Set(q, k, float64(s*apk)+float64(c*aqk))
 				}
 				// Accumulate eigenvectors.
 				for k := 0; k < n; k++ {
 					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(s*vkq))
+					v.Set(k, q, float64(s*vkp)+float64(c*vkq))
 				}
 			}
 		}

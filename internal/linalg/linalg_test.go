@@ -230,3 +230,27 @@ func TestTruncatedSVDBadRank(t *testing.T) {
 		t.Error("want error for rank > n")
 	}
 }
+
+// TruncatedSVD is TruncatedSVDWorkers on one worker.
+func TruncatedSVD(op Operator, rank, iters int, seed int64) (*SVDResult, error) {
+	return TruncatedSVDWorkers(op, rank, iters, seed, 1)
+}
+
+// DenseOperator adapts a Dense matrix to the Operator interface, to
+// validate TruncatedSVD against explicit matrices.
+type DenseOperator struct{ M *Dense }
+
+// Dims implements Operator.
+func (d DenseOperator) Dims() (int, int) { return d.M.Rows(), d.M.Cols() }
+
+// Apply implements Operator.
+func (d DenseOperator) Apply(x, dst *Dense) {
+	res := Mul(d.M, x)
+	copy(dst.data, res.data)
+}
+
+// ApplyT implements Operator.
+func (d DenseOperator) ApplyT(x, dst *Dense) {
+	res := Mul(d.M.T(), x)
+	copy(dst.data, res.data)
+}

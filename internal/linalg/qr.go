@@ -19,11 +19,12 @@ func ThinQR(a *Dense) (q, r *Dense) {
 	// vs[j] stores the j-th Householder vector (length m, zero above j).
 	vs := make([][]float64, k)
 
+	// float64(...) forbids a multiply-add (see jacobi.go).
 	for j := 0; j < k; j++ {
 		// Build the Householder vector annihilating work[j+1:, j].
 		norm := 0.0
 		for i := j; i < m; i++ {
-			norm += work.At(i, j) * work.At(i, j)
+			norm += float64(work.At(i, j) * work.At(i, j))
 		}
 		norm = math.Sqrt(norm)
 		v := make([]float64, m)
@@ -42,7 +43,7 @@ func ThinQR(a *Dense) (q, r *Dense) {
 		}
 		vnorm2 := 0.0
 		for i := j; i < m; i++ {
-			vnorm2 += v[i] * v[i]
+			vnorm2 += float64(v[i] * v[i])
 		}
 		if vnorm2 == 0 {
 			vs[j] = v
@@ -52,11 +53,11 @@ func ThinQR(a *Dense) (q, r *Dense) {
 		for c := j; c < k; c++ {
 			dot := 0.0
 			for i := j; i < m; i++ {
-				dot += v[i] * work.At(i, c)
+				dot += float64(v[i] * work.At(i, c))
 			}
 			f := 2 * dot / vnorm2
 			for i := j; i < m; i++ {
-				work.Set(i, c, work.At(i, c)-f*v[i])
+				work.Set(i, c, work.At(i, c)-float64(f*v[i]))
 			}
 		}
 		vs[j] = v
@@ -79,7 +80,7 @@ func ThinQR(a *Dense) (q, r *Dense) {
 		v := vs[j]
 		vnorm2 := 0.0
 		for i := j; i < m; i++ {
-			vnorm2 += v[i] * v[i]
+			vnorm2 += float64(v[i] * v[i])
 		}
 		if vnorm2 == 0 {
 			continue
@@ -87,11 +88,11 @@ func ThinQR(a *Dense) (q, r *Dense) {
 		for c := 0; c < k; c++ {
 			dot := 0.0
 			for i := j; i < m; i++ {
-				dot += v[i] * q.At(i, c)
+				dot += float64(v[i] * q.At(i, c))
 			}
 			f := 2 * dot / vnorm2
 			for i := j; i < m; i++ {
-				q.Set(i, c, q.At(i, c)-f*v[i])
+				q.Set(i, c, q.At(i, c)-float64(f*v[i]))
 			}
 		}
 	}

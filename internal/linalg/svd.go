@@ -27,22 +27,17 @@ type SVDResult struct {
 	Sigma []float64 // r singular values, decreasing
 }
 
-// TruncatedSVD computes the leading rank singular triplets of op via subspace
-// iteration on A A^T with Rayleigh-Ritz extraction:
+// TruncatedSVDWorkers computes the leading rank singular triplets of op
+// via subspace iteration on A A^T with Rayleigh-Ritz extraction:
 //
 //	repeat: X <- orth(A (A^T X)); T = X^T A A^T X; rotate X by eigvecs(T)
 //
 // iters rounds of power iteration (8 is plenty for the damped SimRank
 // series, whose accuracy is dominated by the rank cutoff rather than the
-// subspace angle), seeded deterministically.
-func TruncatedSVD(op Operator, rank, iters int, seed int64) (*SVDResult, error) {
-	return TruncatedSVDWorkers(op, rank, iters, seed, 1)
-}
-
-// TruncatedSVDWorkers is TruncatedSVD with the dense products computed by a
-// worker pool (par.Resolve semantics). The operator applies run on whatever
-// parallelism op itself implements; results are bit-identical for every
-// worker count.
+// subspace angle), seeded deterministically. The dense products are
+// computed by a worker pool (par.Resolve semantics). The operator applies
+// run on whatever parallelism op itself implements; results are
+// bit-identical for every worker count.
 func TruncatedSVDWorkers(op Operator, rank, iters int, seed int64, workers int) (*SVDResult, error) {
 	rows, cols := op.Dims()
 	if rank <= 0 || rank > rows || rank > cols {
@@ -96,23 +91,4 @@ func TruncatedSVDWorkers(op Operator, rank, iters int, seed int64, workers int) 
 		}
 	}
 	return &SVDResult{U: u, V: v, Sigma: sigma}, nil
-}
-
-// DenseOperator adapts a Dense matrix to the Operator interface (used by
-// tests to validate TruncatedSVD against explicit matrices).
-type DenseOperator struct{ M *Dense }
-
-// Dims implements Operator.
-func (d DenseOperator) Dims() (int, int) { return d.M.Rows(), d.M.Cols() }
-
-// Apply implements Operator.
-func (d DenseOperator) Apply(x, dst *Dense) {
-	res := Mul(d.M, x)
-	copy(dst.data, res.data)
-}
-
-// ApplyT implements Operator.
-func (d DenseOperator) ApplyT(x, dst *Dense) {
-	res := Mul(d.M.T(), x)
-	copy(dst.data, res.data)
 }

@@ -194,8 +194,10 @@ func New(ctx context.Context, g *graph.Graph, opt Options) (*Solver, error) {
 		} else {
 			best = resid
 		}
+		// float64(...) is the Go spec's explicit rounding: it forbids a
+		// multiply-add here and below, so arm64 rounds as amd64 does.
 		for a := 0; a < n; a++ {
-			s.d[a] += step * (1 - r[a])
+			s.d[a] += float64(step * (1 - r[a]))
 		}
 	}
 	if resid > opt.Tol {
@@ -260,9 +262,9 @@ func (s *Solver) diagAt(a int, sc *diagScratch) float64 {
 		term := 0.0
 		for _, j := range ay {
 			v := y[j]
-			term += s.d[j] * v * v
+			term += float64(s.d[j] * v * v)
 		}
-		total += pw * term
+		total += float64(pw * term)
 		for _, i := range ax {
 			x[i] = 0
 		}
@@ -340,7 +342,7 @@ func (s *Solver) SingleSourceScratch(ctx context.Context, q int, dst []float64, 
 		applyQ(s.g, z, sc.tmp)
 		xt := sc.xs[t]
 		for j := range z {
-			z[j] = s.d[j]*xt[j] + s.c*sc.tmp[j]
+			z[j] = float64(s.d[j]*xt[j]) + float64(s.c*sc.tmp[j])
 		}
 	}
 	return dst, nil
@@ -373,9 +375,9 @@ func (s *Solver) Pair(ctx context.Context, a, b int) (float64, error) {
 		applyQT(s.g, xb, yb)
 		term := 0.0
 		for v := 0; v < n; v++ {
-			term += s.d[v] * ya[v] * yb[v]
+			term += float64(s.d[v] * ya[v] * yb[v])
 		}
-		total += pw * term
+		total += float64(pw * term)
 		xa, ya = ya, xa
 		xb, yb = yb, xb
 	}

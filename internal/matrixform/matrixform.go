@@ -142,8 +142,9 @@ func seriesSum(g *graph.Graph, k int, coeff func(int) float64) *simmat.Matrix {
 	for i := 0; ; i++ {
 		ci := coeff(i)
 		ad, td := acc.Data(), term.Data()
+		// float64(...) forbids a multiply-add, as in internal/dsr.
 		for j := range ad {
-			ad[j] += ci * td[j]
+			ad[j] += float64(ci * td[j])
 		}
 		if i == k {
 			break

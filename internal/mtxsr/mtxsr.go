@@ -121,8 +121,10 @@ func (q qOperator) ApplyT(x, dst *linalg.Dense) {
 			for _, i := range q.g.Out(j) {
 				inv := 1 / float64(q.g.InDegree(i))
 				xrow := x.Row(i)
+				// float64(...) forbids a multiply-add, so arm64
+				// rounds as amd64 does.
 				for c := 0; c < k; c++ {
-					drow[c] += inv * xrow[c]
+					drow[c] += float64(inv * xrow[c])
 				}
 			}
 		}
@@ -213,7 +215,7 @@ func Compute(g *graph.Graph, opt Options) (*simmat.Matrix, *Stats, error) {
 				ujRow := svd.U.Row(j)
 				dot := 0.0
 				for k := 0; k < r; k++ {
-					dot += umRow[k] * ujRow[k]
+					dot += float64(umRow[k] * ujRow[k]) // no multiply-add
 				}
 				orow[j] = cf * dot
 			}

@@ -3,11 +3,13 @@ package naive
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"oipsr/graph"
 	"oipsr/internal/numeric"
+	"oipsr/internal/simmat"
 )
 
 // paperGraph is the Fig. 1a network; ids a=0 b=1 c=2 d=3 e=4 f=5 g=6 h=7 i=8.
@@ -160,7 +162,9 @@ func TestPropertyInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if prev.CheckSymmetric(1e-12) != nil || prev.CheckRange(0, 1, 1e-12) != nil {
+		pt := prev.Copy()
+		pt.Transpose(1)
+		if simmat.MaxDiff(prev, pt) > 1e-12 || slices.ContainsFunc(prev.Data(), func(x float64) bool { return x < -1e-12 || x > 1+1e-12 }) {
 			return false
 		}
 		for i := 0; i < n; i++ {

@@ -30,14 +30,16 @@ func LambertW0(x float64) float64 {
 		return math.Inf(1)
 	}
 
+	// Each float64(...) is the Go spec's explicit rounding: it forbids
+	// fusing that product into a multiply-add, so arm64 rounds as amd64.
 	var w float64
 	switch {
 	case x < -0.3578794: // near the branch point: series in sqrt(2(ex+1))
-		p := math.Sqrt(2 * (math.E*x + 1))
-		w = -1 + p - p*p/3 + 11.0/72.0*p*p*p
+		p := math.Sqrt(2 * (float64(math.E*x) + 1))
+		w = -1 + p - float64(p*p)/3 + float64(11.0/72.0*p*p*p)
 	case x < math.E:
 		// Moderate arguments: a rational seed then Halley handles it.
-		w = x / (1 + x) * (1 + math.Log1p(x)/2)
+		w = x / (1 + x) * (1 + float64(math.Log1p(x)/2))
 		if x > 0.5 {
 			w = math.Log1p(x) * (1 - math.Log(1+math.Log1p(x))/(2+math.Log1p(x)))
 		}
@@ -50,9 +52,9 @@ func LambertW0(x float64) float64 {
 
 	for i := 0; i < 40; i++ {
 		ew := math.Exp(w)
-		f := w*ew - x
+		f := float64(w*ew) - x
 		// Halley's method: quadratic correction of Newton.
-		denom := ew*(w+1) - (w+2)*f/(2*w+2)
+		denom := float64(ew*(w+1)) - (w+2)*f/(2*w+2)
 		dw := f / denom
 		w -= dw
 		if math.Abs(dw) <= 1e-15*(1+math.Abs(w)) {

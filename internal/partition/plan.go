@@ -161,17 +161,6 @@ func (p *Plan) ShareRatio() float64 {
 	return 1 - float64(p.Additions)/float64(p.ScratchAdditions)
 }
 
-// PartitionOf reports the partition P(I(v)) induced by the plan in the form
-// of Fig. 3a: the reused block I(v) ∩ I(parent) (empty for roots) and the
-// residual block I(v) \ I(parent) (= I(v) for roots). The sub list needed
-// to undo parent-only elements is the step's ChainDiffs entry.
-func (p *Plan) PartitionOf(g *graph.Graph, v int) (shared, residual []int) {
-	if p.Parent[v] < 0 {
-		return nil, append([]int(nil), g.In(v)...)
-	}
-	return SortedIntersect(g.In(v), g.In(p.Parent[v])), SortedDiff(g.In(v), g.In(p.Parent[v]))
-}
-
 // Step is one entry of a flattened plan traversal: compute the partial sums
 // of Vertex either from scratch (Parent < 0) or from the partial sums of
 // the step at index Parent, applying the step's ChainDiffs or TreeDiffs

@@ -8,66 +8,6 @@
 // the graph package hands out in-neighbor lists in.
 package partition
 
-// SortedIntersect returns the intersection of two strictly sorted slices as
-// a new sorted slice.
-func SortedIntersect(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// SortedDiff returns a \ b for strictly sorted slices as a new sorted slice.
-func SortedDiff(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) {
-		switch {
-		case j >= len(b) || a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// SymmetricDiffSize returns |a (+) b| = |a\b| + |b\a| for strictly sorted
-// slices without materializing the difference.
-func SymmetricDiffSize(a, b []int) int {
-	n := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			n++
-			i++
-		case a[i] > b[j]:
-			n++
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return n + (len(a) - i) + (len(b) - j)
-}
-
 // IntersectSize returns |a ∩ b| for strictly sorted slices.
 func IntersectSize(a, b []int) int {
 	n := 0
@@ -85,19 +25,6 @@ func IntersectSize(a, b []int) int {
 		}
 	}
 	return n
-}
-
-// TransitionCost computes TC_{A->B} of Eq. 7: the number of additions needed
-// to obtain Partial_B given Partial_A, i.e. min(|A (+) B|, |B|-1). It is
-// meaningful for |A| <= |B| (the only direction DMST-Reduce uses); the
-// formula itself is total.
-func TransitionCost(a, b []int) int {
-	sd := SymmetricDiffSize(a, b)
-	scratch := len(b) - 1
-	if scratch < sd {
-		return scratch
-	}
-	return sd
 }
 
 // ScratchCost returns the additions needed to compute Partial_B from

@@ -250,27 +250,3 @@ func MaxDiffSource(a, b Source) (float64, error) {
 	}
 	return d, nil
 }
-
-// CheckSymmetric returns an error if |m[i,j] - m[j,i]| > tol anywhere.
-// SimRank is symmetric by definition; engines must preserve this.
-func (m *Matrix) CheckSymmetric(tol float64) error {
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return fmt.Errorf("simmat: asymmetry at (%d,%d): %g vs %g", i, j, m.At(i, j), m.At(j, i))
-			}
-		}
-	}
-	return nil
-}
-
-// CheckRange returns an error if any entry falls outside [lo-tol, hi+tol].
-// Conventional SimRank scores lie in [0, 1].
-func (m *Matrix) CheckRange(lo, hi, tol float64) error {
-	for i, v := range m.data {
-		if v < lo-tol || v > hi+tol {
-			return fmt.Errorf("simmat: entry (%d,%d) = %g outside [%g,%g]", i/m.n, i%m.n, v, lo, hi)
-		}
-	}
-	return nil
-}

@@ -1,9 +1,6 @@
 package simmat
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestBasicOps(t *testing.T) {
 	m := New(3)
@@ -73,36 +70,4 @@ func TestMaxDiff(t *testing.T) {
 		}
 	}()
 	MaxDiff(a, New(3))
-}
-
-func TestCheckSymmetric(t *testing.T) {
-	m := New(3)
-	m.Set(0, 1, 0.5)
-	m.Set(1, 0, 0.5)
-	if err := m.CheckSymmetric(0); err != nil {
-		t.Errorf("symmetric matrix rejected: %v", err)
-	}
-	m.Set(2, 1, 0.1)
-	if err := m.CheckSymmetric(1e-12); err == nil {
-		t.Error("asymmetric matrix accepted")
-	}
-	if err := m.CheckSymmetric(0.2); err != nil {
-		t.Error("tolerance not honored")
-	}
-}
-
-func TestCheckRange(t *testing.T) {
-	m := New(2)
-	m.Set(0, 1, 0.999)
-	if err := m.CheckRange(0, 1, 0); err != nil {
-		t.Errorf("in-range matrix rejected: %v", err)
-	}
-	m.Set(1, 0, 1.5)
-	if err := m.CheckRange(0, 1, 1e-9); err == nil {
-		t.Error("out-of-range matrix accepted")
-	}
-	m.Set(1, 0, math.Nextafter(1, 2))
-	if err := m.CheckRange(0, 1, 1e-9); err != nil {
-		t.Errorf("tolerance not honored: %v", err)
-	}
 }

@@ -383,8 +383,10 @@ func (t *Tiled) AddScaled(src *Tiled, coeff float64, workers int) error {
 				errs[w] = err
 				return
 			}
+			// float64(...) forbids fusing into a multiply-add, as in
+			// the dense accumulation of internal/dsr.
 			for k := range dd {
-				dd[k] += coeff * scratch[k]
+				dd[k] += float64(coeff * scratch[k])
 			}
 			t.store.unpin(ed, true)
 		}

@@ -46,7 +46,11 @@ func TestWalkBodyMatchesDenseBody(t *testing.T) {
 			}
 		}
 		row := sparserow.Get()
-		row.AppendDense(0, dense)
+		for v, s := range dense {
+			if s != 0 {
+				row.Append(int32(v), s)
+			}
+		}
 		for _, degraded := range []bool{false, true} {
 			want, err := s.singleSourceBody(q, dense, false, 0, degraded)
 			if err != nil {

@@ -65,16 +65,6 @@ func (r *Row) Append(id int32, score float64) {
 	r.Scores = append(r.Scores, score)
 }
 
-// AppendDense adds the non-zero cells of dense, cell i as vertex base+i;
-// base must exceed every id already stored.
-func (r *Row) AppendDense(base int32, dense []float64) {
-	for i, s := range dense {
-		if s != 0 {
-			r.Append(base+int32(i), s)
-		}
-	}
-}
-
 // Merge folds o into r, which becomes the union of the two; o is left
 // untouched. The two must share no id and no memory. Runs that arrive in
 // range order — every id of o above every id of r, as when the legs of a

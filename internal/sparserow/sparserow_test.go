@@ -135,22 +135,8 @@ func checkOps(t *testing.T, ma, mb model, n, m, skip int, minScore float64) {
 	a.Merge(empty)
 	requireUnchanged(t, "a.Merge(empty)", a, aOrig)
 
-	// Append-run: a row rebuilt entry by entry, and from the dense vector.
-	dense := ma.dense(n)
-	re := Get()
-	re.AppendDense(0, dense)
-	nonzero := model{}
-	for id, s := range ma {
-		if s != 0 {
-			nonzero[id] = s
-		}
-	}
-	if !same(re, rowOf(nonzero)) {
-		t.Fatalf("AppendDense = %v, want %v", re, rowOf(nonzero))
-	}
-	Release(re)
-
 	// Densify into a dirty buffer.
+	dense := ma.dense(n)
 	buf := make([]float64, n)
 	for i := range buf {
 		buf[i] = math.NaN()

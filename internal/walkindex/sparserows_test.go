@@ -85,8 +85,7 @@ func TestSparseRowsConcurrentReaders(t *testing.T) {
 					return
 				}
 				for j, q := range sources {
-					ref := &sparserow.Row{}
-					ref.AppendDense(0, want[q])
+					ref := sparseOf(0, want[q])
 					if !slices.Equal(rows[j].IDs, ref.IDs) || !slices.Equal(rows[j].Scores, ref.Scores) {
 						t.Errorf("source %d: concurrent SparseRows differs from SingleSource", q)
 					}
@@ -96,4 +95,16 @@ func TestSparseRowsConcurrentReaders(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// sparseOf is the sparse row a dense one stands for, cell i as vertex
+// base+i.
+func sparseOf(base int32, dense []float64) *sparserow.Row {
+	row := &sparserow.Row{}
+	for i, s := range dense {
+		if s != 0 {
+			row.Append(base+int32(i), s)
+		}
+	}
+	return row
 }

@@ -97,8 +97,7 @@ func requireSparseRows(t *testing.T, ix *Index, g *graph.Graph, sources []int, w
 	}
 	defer sparserow.Release(rows...)
 	for i, row := range rows {
-		want := &sparserow.Row{}
-		want.AppendDense(int32(ix.lo), dense[i])
+		want := sparseOf(int32(ix.lo), dense[i])
 		if !slices.Equal(row.IDs, want.IDs) || !slices.Equal(row.Scores, want.Scores) {
 			t.Fatalf("%s: SparseRows row %d (q=%d) = %v, the dense row's non-zeros are %v", what, i, sources[i], row, want)
 		}

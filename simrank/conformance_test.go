@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +15,6 @@ import (
 	"oipsr/graph/gio"
 	"oipsr/internal/matrixform"
 	"oipsr/internal/simmat"
-	"oipsr/simrank/engine"
 )
 
 // The golden conformance corpus: small, hand-written graphs covering the
@@ -58,7 +58,7 @@ var conformanceFixtures = []string{
 // exercised against: dense, tiled at block sizes bracketing the fixture
 // dimensions (1 = extreme, 5 = ragged tiles, 64 >= n = one tile), and a
 // tiled run under a memory budget small enough to force spills. The tiled
-// ones run only for engines whose Caps().Tiled is set.
+// ones run only for the engines whose table entry is tiled.
 type confBackend struct {
 	name   string
 	block  int
@@ -178,7 +178,7 @@ func TestConformanceCorpus(t *testing.T) {
 		golden string
 		tol    float64
 	}
-	engines := []engineCase{
+	cases := []engineCase{
 		{name: "naive", opts: Options{Algorithm: Naive, C: confC, K: confK}, golden: ".golden", tol: confTol},
 		{name: "psum-sr", opts: Options{Algorithm: PsumSR, C: confC, K: confK}, golden: ".golden", tol: confTol},
 		{name: "oip-sr", opts: Options{Algorithm: OIPSR, C: confC, K: confK}, golden: ".golden", tol: confTol},
@@ -228,21 +228,22 @@ func TestConformanceCorpus(t *testing.T) {
 			}
 			// And the conventional golden against one matrix-form sweep
 			// sanity invariant: symmetric, in [0, 1], unit diagonal.
-			if err := conv.CheckSymmetric(0); err != nil {
-				t.Errorf("conventional golden not symmetric: %v", err)
+			convT := conv.Copy()
+			convT.Transpose(1)
+			if d := simmat.MaxDiff(conv, convT); d != 0 {
+				t.Errorf("conventional golden not symmetric: asymmetry %g", d)
 			}
-			if err := conv.CheckRange(0, 1, 0); err != nil {
-				t.Errorf("conventional golden out of range: %v", err)
+			if lo, hi := slices.Min(conv.Data()), slices.Max(conv.Data()); lo < 0 || hi > 1 {
+				t.Errorf("conventional golden out of range: entries in [%g,%g]", lo, hi)
 			}
 
-			for _, ec := range engines {
+			for _, ec := range cases {
 				golden := conv
 				if ec.golden == ".dsr.golden" {
 					golden = diff
 				}
-				e, _ := engine.Get(ec.opts.Algorithm)
 				for _, be := range conformanceBackends {
-					if be.block > 0 && !e.Caps().Tiled {
+					if be.block > 0 && !engines[ec.opts.Algorithm].tiled {
 						continue
 					}
 					for _, workers := range []int{1, 3} {

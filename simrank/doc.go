@@ -14,8 +14,8 @@
 //
 // where C in (0,1) is a damping factor and I(v) the in-neighbor set of v.
 //
-// This package implements seven engines behind one interface, the
-// simrank/engine registry:
+// This package implements seven engines, each named by an Algorithm
+// (Algorithms lists them) and run by Compute:
 //
 //   - OIPSR (default): the paper's primary contribution. Partial sums over
 //     in-neighbor sets are shared across sets via a minimum-spanning-tree

@@ -41,15 +41,3 @@ func EstimateIterations(c, eps float64) (IterationEstimate, error) {
 	est.Log, est.LogValid = numeric.IterationsDifferentialLog(c, eps)
 	return est, nil
 }
-
-// GeometricErrorBound returns the conventional-model error bound after k
-// iterations, C^(k+1).
-func GeometricErrorBound(c float64, k int) float64 {
-	return numeric.GeometricTailBound(c, k)
-}
-
-// DifferentialErrorBound returns the differential-model error bound after k
-// iterations, C^(k+1)/(k+1)! (Proposition 7).
-func DifferentialErrorBound(c float64, k int) float64 {
-	return numeric.ExponentialTailBound(c, k)
-}

@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"oipsr/simrank/engine"
+	"oipsr/internal/linsr"
 )
 
 // TestConformanceLinearized runs the linearized engine over the golden
@@ -61,12 +61,12 @@ func TestLinearizedSingleSourceMatchesAllPairs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, ok := engine.Get(Linearized)
-			if !ok {
-				t.Fatal("linearized engine not registered")
+			sol, err := linsr.New(context.Background(), g, linsr.Options{C: opt.C, Tol: opt.Eps})
+			if err != nil {
+				t.Fatal(err)
 			}
 			for q := 0; q < g.NumVertices(); q++ {
-				row, _, err := e.SingleSource(context.Background(), g, opt.params(), q)
+				row, err := sol.SingleSource(context.Background(), q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,40 +1,52 @@
 package simrank
 
 import (
-	"oipsr/internal/simmat"
-	"oipsr/simrank/engine"
+	"maps"
+	"slices"
+	"time"
 )
 
-// Algorithm selects the SimRank engine. It aliases engine.Algorithm: the
-// simrank/engine registry is the single source of truth for which names
-// exist, and Algorithm.Valid reports registry membership.
-type Algorithm = engine.Algorithm
+// Algorithm selects the SimRank engine. The package's engine table is the
+// single source of truth for which names exist: Valid reports membership,
+// and Algorithms lists them.
+type Algorithm string
 
-// The built-in engines, re-exported from the registry package. See the
-// package documentation for the trade-offs.
+// The built-in engines. See the package documentation for the
+// trade-offs.
 const (
 	// OIPSR is the paper's partial-sums-sharing algorithm (Algorithm 1),
 	// the default.
-	OIPSR = engine.OIPSR
+	OIPSR Algorithm = "oip-sr"
 	// OIPDSR is the differential (exponential-convergence) SimRank with
 	// OIP sharing.
-	OIPDSR = engine.OIPDSR
+	OIPDSR Algorithm = "oip-dsr"
 	// PsumSR is Lizorkin et al.'s partial sums memoization baseline.
-	PsumSR = engine.PsumSR
+	PsumSR Algorithm = "psum-sr"
 	// Naive is the original Jeh-Widom iteration.
-	Naive = engine.Naive
+	Naive Algorithm = "naive"
 	// MtxSR is Li et al.'s SVD-based low-rank approximation.
-	MtxSR = engine.MtxSR
+	MtxSR Algorithm = "mtx-sr"
 	// MonteCarlo is the Fogaras-Racz sampling estimator, answered as every
 	// row of a walk index (package simrank/query): probabilistic, each row
 	// bit-identical to query.Index.SingleSource under the same C, K, Eps,
 	// Walks and Seed.
-	MonteCarlo = engine.MonteCarlo
+	MonteCarlo Algorithm = "monte-carlo"
 	// Linearized is Maehara et al.'s linearization: a diagonal-correction
 	// solve turns SimRank into a linear system, answering exact
 	// single-source and single-pair queries with no n^2 state.
-	Linearized = engine.Linearized
+	Linearized Algorithm = "linearized"
 )
+
+// Valid reports whether a names one of the engines.
+func (a Algorithm) Valid() bool {
+	_, ok := engines[a]
+	return ok
+}
+
+// Algorithms returns the engine names, sorted.
+func Algorithms() []Algorithm {
+	return slices.Sorted(maps.Keys(engines))
+}
 
 // Options configure Compute. The zero value means: OIP-SR, C = 0.6,
 // accuracy eps = 1e-3 (the paper's defaults).
@@ -93,8 +105,8 @@ type Options struct {
 	// BlockSize, when positive, selects the tiled score-matrix backend:
 	// the n x n state becomes a grid of BlockSize x BlockSize tiles with
 	// symmetric (upper-triangular) storage, a bounded working set, and
-	// spill-to-disk for evicted tiles. Supported by the engines whose
-	// Caps().Tiled is set (OIPSR, OIPDSR), which hold only the m x m block
+	// spill-to-disk for evicted tiles. Supported by OIPSR and OIPDSR,
+	// which hold only the m x m block
 	// of the vertices with a non-empty in-set; Compute rejects it for the
 	// others, and rejects a negative BlockSize. Scores are bit-identical to
 	// the dense backend for every block size and worker count. Results
@@ -113,28 +125,62 @@ type Options struct {
 	SpillDir string
 }
 
-// params flattens the Options into the normalized engine.Params handed to
-// registry engines (the tiled knobs fold into Tile).
-func (o Options) params() engine.Params {
-	return engine.Params{
-		C:                   o.C,
-		K:                   o.K,
-		Eps:                 o.Eps,
-		Workers:             o.Workers,
-		StopDiff:            o.StopDiff,
-		Threshold:           o.Threshold,
-		Rank:                o.Rank,
-		Seed:                o.Seed,
-		Walks:               o.Walks,
-		DisableOuterSharing: o.DisableOuterSharing,
-		Tile: simmat.TileOptions{
-			BlockSize:      o.BlockSize,
-			MaxMemoryBytes: o.MaxMemoryBytes,
-			SpillDir:       o.SpillDir,
-		},
-	}
-}
+// Stats reports what a computation did. Fields not applicable to the chosen
+// engine are zero.
+type Stats struct {
+	Algorithm Algorithm
+	// Iterations is the engine's iteration count; for MonteCarlo, the
+	// fingerprint count R.
+	Iterations int
 
-// Stats reports what a computation did. It aliases engine.Stats; fields not
-// applicable to the chosen engine are zero.
-type Stats = engine.Stats
+	// PlanTime covers preprocessing (DMST-Reduce for the OIP engines, the
+	// truncated SVD for MtxSR, the diagonal-correction solve for
+	// Linearized, the walk-index build for MonteCarlo); ComputeTime covers
+	// the iteration phase, or the rows.
+	PlanTime    time.Duration
+	ComputeTime time.Duration
+
+	// InnerAdds and OuterAdds count scalar additions on inner/outer partial
+	// sums (the paper's cost unit). Zero for Naive and MtxSR.
+	InnerAdds int64
+	OuterAdds int64
+
+	// AuxBytes is auxiliary memory beyond the score matrices — the
+	// "intermediate memory" of the paper's Fig. 6d; for MonteCarlo, the
+	// walk index's rows plus its coalescence order. StateBytes is the
+	// quadratic state the engine holds while running: n^2 cells a matrix,
+	// or m^2 for OIP-SR and OIP-DSR, whose matrices are blocks over the m
+	// vertices with a non-empty in-set.
+	AuxBytes   int64
+	StateBytes int64
+
+	// Sharing metrics (OIP engines): fraction of partial-sum additions
+	// avoided, the mean symmetric-difference size d_(+) over shared MST
+	// edges, and the number of non-empty in-neighbor sets.
+	ShareRatio float64
+	AvgDiff    float64
+	NumSets    int
+
+	// FinalDiff is the last successive-iterate max-norm difference when
+	// StopDiff was used.
+	FinalDiff float64
+
+	// Rank is the SVD rank used (MtxSR).
+	Rank int
+
+	// Residual is the final solve residual of the linear-system engines:
+	// the diagonal-correction max-norm residual for Linearized.
+	Residual float64
+
+	// SievedPairs counts threshold-sieved scores (PsumSR).
+	SievedPairs int64
+
+	// Tiled-backend accounting (zero unless Options.BlockSize > 0):
+	// TilePeakBytes is the peak resident tile memory, TileSpills counts
+	// dirty tiles evicted to disk, TileLoads counts tiles paged back in,
+	// and TileSpilledBytes is the exact cumulative spill traffic.
+	TilePeakBytes    int64
+	TileSpills       int64
+	TileLoads        int64
+	TileSpilledBytes int64
+}

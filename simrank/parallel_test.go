@@ -5,11 +5,10 @@ import (
 
 	"oipsr/graph"
 	"oipsr/graph/gen"
-	"oipsr/simrank/engine"
 )
 
 // TestWorkersBitIdentical is the public-API determinism contract: for every
-// registered engine, a pooled run returns exactly the scores — and exactly
+// engine, a pooled run returns exactly the scores — and exactly
 // the operation counts — of the serial run.
 func TestWorkersBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -18,7 +17,7 @@ func TestWorkersBitIdentical(t *testing.T) {
 		"coauthor": gen.CoauthorGraph(90, 3, 2),
 	}
 	for name, g := range graphs {
-		for _, alg := range engine.Names() {
+		for _, alg := range Algorithms() {
 			opt := Options{Algorithm: alg, C: 0.6, K: 5, Seed: 11, Walks: 20}
 			opt.Workers = 1
 			want, wst, err := Compute(g, opt)

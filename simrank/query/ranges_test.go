@@ -80,8 +80,7 @@ func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
 				if !slices.Equal(rows[i], want[i][lo:hi]) {
 					t.Fatalf("workers=%d q=%d: MultiSource row is not the [%d,%d) slice of the full row", workers, q, lo, hi)
 				}
-				run := &sparserow.Row{}
-				run.AppendDense(int32(lo), want[i][lo:hi])
+				run := sparseOf(int32(lo), want[i][lo:hi])
 				if !slices.Equal(sparse[i].IDs, run.IDs) || !slices.Equal(sparse[i].Scores, run.Scores) {
 					t.Fatalf("workers=%d q=%d: SparseRows %v, want the run %v of the full row", workers, q, sparse[i], run)
 				}

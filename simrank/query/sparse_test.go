@@ -10,10 +10,15 @@ import (
 	"oipsr/internal/sparserow"
 )
 
-// sparseOf is the sparse row a dense one stands for.
-func sparseOf(dense []float64) *sparserow.Row {
+// sparseOf is the sparse row a dense one stands for, cell i as vertex
+// base+i.
+func sparseOf(base int32, dense []float64) *sparserow.Row {
 	row := &sparserow.Row{}
-	row.AppendDense(0, dense)
+	for i, s := range dense {
+		if s != 0 {
+			row.Append(base+int32(i), s)
+		}
+	}
 	return row
 }
 
@@ -28,9 +33,9 @@ func TestSparseSelectionMatchesTopByScore(t *testing.T) {
 	scores := []float64{0.5, 0.25, 0.25, 0.01, 1e-9}
 	check := func(dense []float64, q, m int) {
 		t.Helper()
-		got, want := sparseOf(dense).Top(m, q, len(dense)), topByScore(dense, q, m)
+		got, want := sparseOf(0, dense).Top(m, q, len(dense)), topByScore(dense, q, m)
 		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d q=%d m=%d row %v:\nsparse %v\n dense %v", len(dense), q, m, sparseOf(dense), got, want)
+			t.Fatalf("n=%d q=%d m=%d row %v:\nsparse %v\n dense %v", len(dense), q, m, sparseOf(0, dense), got, want)
 		}
 	}
 	for trial := 0; trial < 4000; trial++ {
@@ -87,8 +92,8 @@ func TestRankSparseMatchesRankScores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(rows[q].IDs, sparseOf(dense).IDs) || !slices.Equal(rows[q].Scores, sparseOf(dense).Scores) {
-			t.Fatalf("q=%d: SparseRows %v, non-zeros of SingleSource %v", q, rows[q], sparseOf(dense))
+		if !slices.Equal(rows[q].IDs, sparseOf(0, dense).IDs) || !slices.Equal(rows[q].Scores, sparseOf(0, dense).Scores) {
+			t.Fatalf("q=%d: SparseRows %v, non-zeros of SingleSource %v", q, rows[q], sparseOf(0, dense))
 		}
 		if rows[q].Len()-1 < RerankPool(n, 10, 0) {
 			padded++

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"oipsr/graph"
@@ -169,5 +170,31 @@ func TestBuildAllStreamingServes(t *testing.T) {
 				t.Fatalf("source %d target %d: streamed shard %v != full %v", q, v, got[si][v], want[v])
 			}
 		}
+	}
+}
+
+// TestBuildAllDefaultBudgetBoundsMemory: without a budget BuildAll still
+// streams, in slices of defaultBuildBudget, so on a shard whose single
+// slice of walk state would exceed that default the build allocates less
+// than the slice. The files do not depend on the budget
+// (TestBuildAllStreamingIdenticalDirectory).
+func TestBuildAllDefaultBudgetBoundsMemory(t *testing.T) {
+	// Every walk of an edgeless graph dies at its first step, so the build
+	// is cheap while its slice buffer of n*R*K int32s is not.
+	const n, walks, k = 400, 2000, 50
+	slice := uint64(n * walks * k * 4) // 160 MB, 2.4 times the default
+	if slice <= defaultBuildBudget {
+		t.Fatalf("slice %d B does not exceed the default budget %d B", slice, defaultBuildBudget)
+	}
+	g := graph.MustFromEdges(n, nil)
+	opt := query.Options{Walks: walks, K: k, Seed: 1, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := BuildAll(g, opt, t.TempDir(), 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= slice {
+		t.Errorf("BuildAll without a budget allocated %d B, at least the single slice of %d B", got, slice)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"oipsr/graph"
 	"oipsr/graph/gen"
+	"oipsr/internal/numeric"
 )
 
 func testGraph() *graph.Graph {
@@ -127,11 +128,13 @@ func TestEstimateIterationsFig6f(t *testing.T) {
 	}
 }
 
+// TestErrorBoundsExported: the tail bounds behind EstimateIterations, the
+// conventional C^(k+1) and the differential C^(k+1)/(k+1)! (Proposition 7).
 func TestErrorBoundsExported(t *testing.T) {
-	if got := GeometricErrorBound(0.8, 1); math.Abs(got-0.64) > 1e-15 {
+	if got := numeric.GeometricTailBound(0.8, 1); math.Abs(got-0.64) > 1e-15 {
 		t.Errorf("geometric bound = %g, want C^2 = 0.64", got)
 	}
-	if got := DifferentialErrorBound(0.8, 1); math.Abs(got-0.32) > 1e-15 {
+	if got := numeric.ExponentialTailBound(0.8, 1); math.Abs(got-0.32) > 1e-15 {
 		t.Errorf("differential bound = %g, want C^2/2 = 0.32", got)
 	}
 }

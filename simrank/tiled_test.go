@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"oipsr/graph"
-	"oipsr/simrank/engine"
 )
 
 func tiledTestGraph(n int, seed int64) *graph.Graph {
@@ -22,13 +21,13 @@ func tiledTestGraph(n int, seed int64) *graph.Graph {
 // TestComputeTiledBackend: the public dispatch produces bit-identical
 // scores for every supported engine, reports tile accounting under a
 // spilling budget that its peak never exceeds, and rejects engines without
-// tiled support with the "does not support" error. The registry's
-// Caps().Tiled splits the two sets.
+// tiled support with the "does not support" error. The engine table's
+// tiled flag splits the two sets.
 func TestComputeTiledBackend(t *testing.T) {
 	g := tiledTestGraph(30, 5)
 	const budget = 8 * 8 * 8 * 8 // eight 8×8 tiles
-	for _, alg := range engine.Names() {
-		if e, _ := engine.Get(alg); !e.Caps().Tiled {
+	for _, alg := range Algorithms() {
+		if !engines[alg].tiled {
 			if _, _, err := Compute(g, Options{Algorithm: alg, BlockSize: 8}); err == nil || !strings.Contains(err.Error(), "does not support") {
 				t.Errorf("%s: tiled backend unsupported, Compute error %v", alg, err)
 			}
