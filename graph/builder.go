@@ -7,13 +7,11 @@ import (
 
 // Builder accumulates directed edges and produces an immutable Graph.
 //
-// Duplicate edges are coalesced. Self-loops are kept by default because the
-// SimRank recurrence is well defined for them; call DropSelfLoops to discard
-// them at build time. The zero value is ready to use.
+// Duplicate edges are coalesced. Self-loops are kept, because the SimRank
+// recurrence is well defined for them. The zero value is ready to use.
 type Builder struct {
-	n             int
-	src, dst      []int
-	dropSelfLoops bool
+	n        int
+	src, dst []int
 }
 
 // NewBuilder returns a builder pre-sized for a graph with n vertices and
@@ -26,19 +24,10 @@ func NewBuilder(n, m int) *Builder {
 	}
 }
 
-// DropSelfLoops configures the builder to silently discard edges u->u.
-func (b *Builder) DropSelfLoops() *Builder {
-	b.dropSelfLoops = true
-	return b
-}
-
 // AddEdge records the directed edge u->v. Vertex ids may exceed the initial
 // size hint; the final graph spans [0, max id]. Negative ids are rejected at
 // Build time.
 func (b *Builder) AddEdge(u, v int) {
-	if b.dropSelfLoops && u == v {
-		return
-	}
 	if u >= b.n {
 		b.n = u + 1
 	}

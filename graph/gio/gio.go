@@ -1,6 +1,5 @@
 // Package gio reads and writes graphs in the plain edge-list format used by
-// SNAP-style datasets (the paper loads BERKSTAN and PATENT from such files)
-// and in a compact gob-encoded binary format for fast reloads.
+// SNAP-style datasets (the paper loads BERKSTAN and PATENT from such files).
 //
 // Edge-list format: one "src dst" pair of decimal vertex ids per line,
 // whitespace separated. Lines starting with '#' or '%' are comments. Blank
@@ -10,7 +9,6 @@ package gio
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -114,50 +112,4 @@ func LoadEdgeListFile(path string) (*graph.Graph, error) {
 	}
 	defer f.Close()
 	return ReadEdgeList(bufio.NewReader(f))
-}
-
-// SaveEdgeListFile writes g to an edge-list file, creating or truncating it.
-func SaveEdgeListFile(path string, g *graph.Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteEdgeList(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// binaryGraph is the gob wire representation: the edge list plus vertex
-// count, which is compact and rebuilds through the validating Builder.
-type binaryGraph struct {
-	N     int
-	Edges [][2]int
-}
-
-// WriteBinary encodes g in the gob binary format.
-func WriteBinary(w io.Writer, g *graph.Graph) error {
-	bg := binaryGraph{N: g.NumVertices(), Edges: make([][2]int, 0, g.NumEdges())}
-	g.Edges(func(u, v int) bool {
-		bg.Edges = append(bg.Edges, [2]int{u, v})
-		return true
-	})
-	return gob.NewEncoder(w).Encode(&bg)
-}
-
-// ReadBinary decodes a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*graph.Graph, error) {
-	var bg binaryGraph
-	if err := gob.NewDecoder(r).Decode(&bg); err != nil {
-		return nil, fmt.Errorf("gio: decoding binary graph: %w", err)
-	}
-	g, err := graph.FromEdges(bg.N, bg.Edges)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

@@ -3,6 +3,7 @@ package gio
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -114,45 +115,15 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(30)
-		b := graph.NewBuilder(n, 0)
-		b.EnsureVertices(n)
-		for i := 0; i < rng.Intn(3*n); i++ {
-			b.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		g := b.MustBuild()
-
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			t.Log(err)
-			return false
-		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		return sameGraph(g, g2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReadBinaryGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a gob stream")); err == nil {
-		t.Fatal("want error decoding garbage, got nil")
-	}
-}
-
 func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.txt")
 	g := graph.MustFromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	if err := SaveEdgeListFile(path, g); err != nil {
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := LoadEdgeListFile(path)

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Stats summarizes the structural properties of a graph that drive SimRank
 // cost: size, density, degree spread, and in-neighborhood overlap. The
@@ -67,22 +64,4 @@ func ComputeStats(g *Graph) Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("n=%d m=%d d=%.1f maxIn=%d maxOut=%d emptyIn=%d overlap=%.2f",
 		s.Vertices, s.Edges, s.AvgDegree, s.MaxInDeg, s.MaxOutDeg, s.EmptyInSets, s.OverlapRatio)
-}
-
-// InDegreeHistogram returns the sorted distinct in-degrees and their counts.
-// Used by generator tests to check distribution shapes (power-law vs flat).
-func InDegreeHistogram(g *Graph) (degrees, counts []int) {
-	hist := make(map[int]int)
-	for v := 0; v < g.NumVertices(); v++ {
-		hist[g.InDegree(v)]++
-	}
-	for d := range hist {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int, len(degrees))
-	for i, d := range degrees {
-		counts[i] = hist[d]
-	}
-	return degrees, counts
 }

@@ -59,7 +59,7 @@ func TestMatchesNaiveOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(18)
 		g := randomGraph(rng, n, 5*n)
-		c := 0.3 + 0.6*rng.Float64()
+		c := 0.3 + float64(0.6*rng.Float64())
 		k := 1 + rng.Intn(5)
 
 		want, err := naive.Compute(g, c, k)

@@ -160,10 +160,10 @@ func checkBlockSweep(g *graph.Graph, plan *partition.Plan, r modelRun, k, worker
 		if r.dsr {
 			coeff *= c / float64(step+1)
 			for i, v := range mNext.Data() {
-				mAcc.Data()[i] += coeff * v
+				mAcc.Data()[i] += float64(coeff * v)
 			}
 			for i, v := range bNext.Data() {
-				bAcc.Data()[i] += coeff * v
+				bAcc.Data()[i] += float64(coeff * v)
 			}
 			if err := sameCells(mAcc, simmat.Expand(sw.Slots(), bAcc, expC)); err != nil {
 				return fmt.Errorf("%s accumulator after sweep %d: %w", r.name, step+1, err)

@@ -44,7 +44,7 @@ func TestSweepMatchesConjugation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		damp := 0.3 + 0.6*rng.Float64()
+		damp := 0.3 + float64(0.6*rng.Float64())
 
 		sw := NewSweeper(g, plan, false)
 		d := float64(rng.Intn(2))

@@ -44,7 +44,7 @@ func TestMatchesExponentialSeries(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(15)
 		g := randomGraph(rng, n, 4*n)
-		c := 0.3 + 0.6*rng.Float64()
+		c := 0.3 + float64(0.6*rng.Float64())
 		k := 1 + rng.Intn(7) // K=0 means "derive from Eps" in Options
 		want, err := matrixform.ExponentialSum(g, c, k)
 		if err != nil {

@@ -147,7 +147,7 @@ func TestMetricsAgreeOnNoisyPerturbation(t *testing.T) {
 		b := make([]float64, n)
 		for i := range a {
 			a[i] = float64(i) // well-separated scores
-			b[i] = a[i] + rng.Float64()*0.2
+			b[i] = a[i] + float64(rng.Float64()*0.2)
 		}
 		return KendallTau(a, b) > 0.9 && SpearmanRho(a, b) > 0.9
 	}

@@ -64,14 +64,14 @@ func TestKendallTauProperties(t *testing.T) {
 		// Distinct values for the exact +/-1 identities.
 		distinct := make([]float64, n)
 		for i := range distinct {
-			distinct[i] = float64(i) + rng.Float64()*0.5
+			distinct[i] = float64(i) + float64(rng.Float64()*0.5)
 		}
 		rng.Shuffle(n, func(i, j int) { distinct[i], distinct[j] = distinct[j], distinct[i] })
 		mono := make([]float64, n)
 		anti := make([]float64, n)
 		for i, v := range distinct {
-			mono[i] = 3*v + 7 // strictly increasing transform
-			anti[i] = -v      // order-reversing transform
+			mono[i] = float64(3*v) + 7 // strictly increasing transform
+			anti[i] = -v               // order-reversing transform
 		}
 		if got := KendallTau(distinct, distinct); got != 1 {
 			t.Fatalf("trial %d: tau(x,x) = %v, want 1", trial, got)

@@ -45,7 +45,7 @@ func matmul(a, b [][]float64) [][]float64 {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				c[i][j] += a[i][k] * b[k][j]
+				c[i][j] += float64(a[i][k] * b[k][j])
 			}
 		}
 	}
@@ -123,7 +123,7 @@ func TestFixedPointEqualsGeometricSum(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(10)
 		g := randomGraph(rng, n, rng.Intn(3*n))
-		c := 0.3 + 0.6*rng.Float64()
+		c := 0.3 + float64(0.6*rng.Float64())
 		k := rng.Intn(6)
 		fp, err := FixedPoint(g, c, k)
 		if err != nil {
@@ -154,7 +154,7 @@ func TestExponentialSumSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := c * math.Exp(-c)
+	want := float64(c * math.Exp(-c))
 	if got := s.At(1, 2); math.Abs(got-want) > 1e-12 {
 		t.Errorf("s^(1,2) = %g, want C*e^-C = %g", got, want)
 	}

@@ -153,7 +153,7 @@ func TestPropertyInvariants(t *testing.T) {
 			b.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
 		g := b.MustBuild()
-		c := 0.3 + 0.6*rng.Float64()
+		c := 0.3 + float64(0.6*rng.Float64())
 		prev, err := Compute(g, c, 3)
 		if err != nil {
 			return false

@@ -45,12 +45,12 @@ func TestLambertW0Inverse(t *testing.T) {
 		if math.IsNaN(x) {
 			return true
 		}
-		x -= 1 / math.E * math.Mod(math.Abs(raw), 1.0)
+		x -= float64(1 / math.E * math.Mod(math.Abs(raw), 1.0))
 		if x < -1/math.E {
 			x = -1 / math.E
 		}
 		w := LambertW0(x)
-		back := w * math.Exp(w)
+		back := float64(w * math.Exp(w))
 		return math.Abs(back-x) <= 1e-10*(1+math.Abs(x))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -26,7 +26,7 @@ func TestMatchesNaive(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(15)
 		g := randomGraph(rng, n, 4*n)
-		c := 0.3 + 0.6*rng.Float64()
+		c := 0.3 + float64(0.6*rng.Float64())
 		k := 1 + rng.Intn(5)
 		want, err := naive.Compute(g, c, k)
 		if err != nil {

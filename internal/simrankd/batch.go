@@ -271,7 +271,7 @@ func (s *Server) chunkBodies(ctx context.Context, req *batchRequest, mode string
 	if mode != "topk" {
 		minVal, sparse := req.threshold()
 		for j, q := range sources {
-			if bodies[j], err = s.walkSingleSourceBody(q, rows[j], sparse, minVal, degraded); err != nil {
+			if bodies[j], err = s.singleSourceBody(q, rows[j], sparse, minVal, degraded); err != nil {
 				return false, err
 			}
 		}

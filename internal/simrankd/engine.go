@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"oipsr/internal/sparserow"
-	"oipsr/simrank/query"
 )
 
 // The engine seam: /v1/single_source and /v1/topk accept ?engine= to pick
@@ -74,29 +73,35 @@ func (sv *serving) requireWalkEngine(w http.ResponseWriter, r *http.Request) boo
 }
 
 // exactOrWalkRow is the row behind an engine=linearized request: row q of
-// the converged SimRank matrix from the source's linearized solver, or —
-// when the remaining deadline cannot afford the solve — the walk estimates,
-// marked degraded. Callers hold mu.RLock and pass a scorePool row.
-func (s *Server) exactOrWalkRow(ctx context.Context, q int, buf []float64) (row []float64, degraded bool, err error) {
+// the converged SimRank matrix from the source's linearized solver, which
+// enters here as a row of its entries other than +0 — or, when the
+// remaining deadline cannot afford the solve, the walk estimates, marked
+// degraded. The caller releases the row. Callers hold mu.RLock.
+func (s *Server) exactOrWalkRow(ctx context.Context, q int) (row *sparserow.Row, degraded bool, err error) {
 	if s.shouldDegradeExact(ctx) {
 		// A range missing from the estimates changes nothing here: the
 		// answer is marked degraded and kept out of the cache either way.
-		walk, _, err := s.walkRow(ctx, q)
+		row, _, err := s.walkRow(ctx, q)
 		if err != nil {
 			return nil, false, err
 		}
-		defer sparserow.Release(walk)
-		walk.Densify(buf)
-		return buf, true, nil
+		return row, true, nil
 	}
+	buf := s.scorePool.Get().(*[]float64)
+	defer s.scorePool.Put(buf)
 	t1 := time.Now()
-	row, steady, err := s.src.exactRow(ctx, q, buf)
-	if err == nil && steady {
+	dense, steady, err := s.src.exactRow(ctx, q, *buf)
+	if err != nil {
+		return nil, false, err
+	}
+	if steady {
 		// A call that also paid the one-time diagonal solve stays out of
 		// the per-query cost model.
 		s.observeExact(time.Since(t1))
 	}
-	return row, false, err
+	row = sparserow.Get()
+	row.Sparsify(dense)
+	return row, false, nil
 }
 
 // serveSingleSourceExact answers /v1/single_source?engine=linearized.
@@ -111,13 +116,12 @@ func (s *Server) serveSingleSourceExact(w http.ResponseWriter, r *http.Request, 
 			return
 		}
 	}
-	buf := s.scorePool.Get().(*[]float64)
-	defer s.scorePool.Put(buf)
-	row, degraded, err := s.exactOrWalkRow(r.Context(), q, *buf)
+	row, degraded, err := s.exactOrWalkRow(r.Context(), q)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
+	defer sparserow.Release(row)
 	body, err := s.singleSourceBody(q, row, sparse, minVal, degraded)
 	s.writeBody(w, key, degraded, body, err)
 }
@@ -130,14 +134,13 @@ func (s *Server) serveTopKExact(w http.ResponseWriter, r *http.Request, q, k int
 	if s.cached(w, key) {
 		return
 	}
-	buf := s.scorePool.Get().(*[]float64)
-	defer s.scorePool.Put(buf)
-	row, degraded, err := s.exactOrWalkRow(r.Context(), q, *buf)
+	row, degraded, err := s.exactOrWalkRow(r.Context(), q)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	results, err := query.RankScores(r.Context(), nil, s.c, s.horizon, row, q, min(k, s.n-1), nil)
+	defer sparserow.Release(row)
+	results, err := s.rank(r.Context(), row, q, k, false)
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return

@@ -84,9 +84,8 @@ func exactBuilt(s *Server) bool {
 		_, ok := src.idx.ExactStats()
 		return ok
 	case *fleetSource:
-		src.exact.mu.Lock()
-		defer src.exact.mu.Unlock()
-		return src.exact.solver != nil && src.exact.g == src.g
+		_, ok := src.exact.Stats(0, src.g)
+		return ok
 	}
 	return false
 }

@@ -75,7 +75,7 @@ type fleetSource struct {
 
 	// exact holds the lazily-built linearized solver: the fleet source has
 	// the full graph, so exact rows are solved locally, not scattered.
-	exact fleetExact
+	exact linsr.Lazy
 
 	// shardErrors counts failed scatter legs (shed, error, timeout) — each
 	// one degrades a merged answer. legBytes and legRows count what the
@@ -469,38 +469,13 @@ func (rt *fleetSource) writeMetrics(w io.Writer) {
 	}
 }
 
-// fleetExact lazily holds the linearized solver, keyed by the graph
-// pointer (every applied edit batch replaces rt.g); the mutex serializes
-// concurrent first builds, and a built solver is immutable and shared.
-type fleetExact struct {
-	mu      sync.Mutex
-	g       *graph.Graph
-	solver  *linsr.Solver
-	scratch *sync.Pool // of *linsr.Scratch for the cached solver
-}
-
 // exactRow solves row q over the fleet source's graph, building the solver
-// first when there is none for it yet (the call that pays for that reports
-// steady = false). The front end's read lock keeps rt.g stable.
+// first when there is none for it yet (the call that waits for that build
+// reports steady = false). The solver is keyed by the graph pointer alone:
+// every applied edit batch replaces rt.g, and the front end's read lock
+// keeps it stable.
 func (rt *fleetSource) exactRow(ctx context.Context, q int, dst []float64) ([]float64, bool, error) {
-	ex := &rt.exact
-	ex.mu.Lock()
-	steady := ex.solver != nil && ex.g == rt.g
-	if !steady {
-		sol, err := linsr.New(ctx, rt.g, linsr.Options{C: rt.c, Tol: query.ExactTol})
-		if err != nil {
-			ex.mu.Unlock()
-			return nil, false, err
-		}
-		ex.solver, ex.g = sol, rt.g
-		ex.scratch = &sync.Pool{New: func() any { return sol.NewScratch() }}
-	}
-	sol, pool := ex.solver, ex.scratch
-	ex.mu.Unlock()
-	sc := pool.Get().(*linsr.Scratch)
-	defer pool.Put(sc)
-	row, err := sol.SingleSourceScratch(ctx, q, dst, sc)
-	return row, steady, err
+	return rt.exact.SingleSource(ctx, 0, rt.g, linsr.Options{C: rt.c, Tol: query.ExactTol}, q, dst)
 }
 
 // join shards the join along the fingerprint axis: backend i enumerates

@@ -25,7 +25,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -108,8 +107,8 @@ type Server struct {
 	horizon int
 
 	// scorePool recycles dense score rows of length n: what an exact
-	// (linearized) solve fills, and what a sparse walk row is written out
-	// into for the one body that is dense by definition.
+	// (linearized) solve fills, and what a row is written out into for the
+	// one body that is dense by definition.
 	scorePool sync.Pool
 
 	// Per-endpoint request counters exported on /metrics.
@@ -295,7 +294,7 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sparserow.Release(row)
-	body, err := s.walkSingleSourceBody(q, row, sparse, minVal, degraded)
+	body, err := s.singleSourceBody(q, row, sparse, minVal, degraded)
 	s.writeBody(w, key, degraded, body, err)
 }
 
@@ -328,37 +327,22 @@ func joinCacheKey(tag string, k int, threshold float64, maxCand int) string {
 	return fmt.Sprintf("g%s:join:%d:%s:%d", tag, k, strconv.FormatFloat(threshold, 'g', -1, 64), maxCand)
 }
 
-// sparseAbove filters a dense score vector down to the entries (other than
-// the query itself) with score >= min, sorted by decreasing score with
-// ties broken by vertex id.
-func sparseAbove(scores []float64, q int, min float64) []query.Ranked {
-	out := []query.Ranked{}
-	for v, sc := range scores {
-		if v != q && sc >= min {
-			out = append(out, query.Ranked{Vertex: v, Score: sc})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Vertex < out[j].Vertex
-	})
-	return out
-}
-
-// walkSingleSourceBody is singleSourceBody from a walk row, byte for byte.
-// The thresholded form is filtered from the row's entries; only the dense
-// form — n scores by definition — writes the row out, into a pooled buffer,
-// at encode time.
-func (s *Server) walkSingleSourceBody(q int, row *sparserow.Row, sparse bool, min float64, degraded bool) ([]byte, error) {
+// singleSourceBody marshals the /v1/single_source response body from q's
+// row, walk or exact — also the per-item line /v1/batch streams, so the two
+// endpoints answer (and cache) byte-identically. The thresholded form is
+// filtered from the row's entries; only the dense form — n scores by
+// definition — writes the row out, into a pooled buffer, at encode time.
+func (s *Server) singleSourceBody(q int, row *sparserow.Row, sparse bool, min float64, degraded bool) ([]byte, error) {
+	resp := singleSourceResponse{Query: q, N: s.n, Degraded: degraded}
 	if sparse {
-		return s.marshalBody(singleSourceResponse{Query: q, N: s.n, Results: row.Above(min, q, s.n), Degraded: degraded})
+		resp.Results = row.Above(min, q, s.n)
+	} else {
+		buf := s.scorePool.Get().(*[]float64)
+		defer s.scorePool.Put(buf)
+		row.Densify(*buf, 0)
+		resp.Scores = *buf
 	}
-	buf := s.scorePool.Get().(*[]float64)
-	defer s.scorePool.Put(buf)
-	row.Densify(*buf)
-	return s.singleSourceBody(q, *buf, false, 0, degraded)
+	return s.marshalBody(resp)
 }
 
 type topKResponse struct {

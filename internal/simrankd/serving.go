@@ -220,19 +220,6 @@ func boolParam(r *http.Request, name string) bool {
 	return false
 }
 
-// singleSourceBody marshals the /v1/single_source response body from a
-// dense row — also the per-item line /v1/batch streams, so the two
-// endpoints answer (and cache) byte-identically.
-func (sv *serving) singleSourceBody(q int, scores []float64, sparse bool, min float64, degraded bool) ([]byte, error) {
-	resp := singleSourceResponse{Query: q, N: len(scores), Degraded: degraded}
-	if sparse {
-		resp.Results = sparseAbove(scores, q, min)
-	} else {
-		resp.Scores = scores
-	}
-	return sv.marshalBody(resp)
-}
-
 // topKBody marshals the /v1/topk response body — also the per-item line
 // /v1/batch streams, so the two endpoints answer byte-identically.
 func (sv *serving) topKBody(q, k int, rerank, degraded bool, results []query.Ranked) ([]byte, error) {

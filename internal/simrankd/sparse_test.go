@@ -7,24 +7,59 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"oipsr/internal/sparserow"
+	"oipsr/simrank/query"
 )
+
+// denseBody is the model of singleSourceBody: the response encoded from
+// the dense row, thresholded by sparseAbove.
+func denseBody(s *Server, q int, scores []float64, sparse bool, min float64, degraded bool) ([]byte, error) {
+	resp := singleSourceResponse{Query: q, N: len(scores), Degraded: degraded}
+	if sparse {
+		resp.Results = sparseAbove(scores, q, min)
+	} else {
+		resp.Scores = scores
+	}
+	return s.marshalBody(resp)
+}
+
+// sparseAbove is the dense threshold filter: the entries of a dense score
+// vector (other than the query itself) with score >= min, sorted by
+// decreasing score with ties broken by vertex id.
+func sparseAbove(scores []float64, q int, min float64) []query.Ranked {
+	out := []query.Ranked{}
+	for v, sc := range scores {
+		if v != q && sc >= min {
+			out = append(out, query.Ranked{Vertex: v, Score: sc})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Vertex < out[j].Vertex
+	})
+	return out
+}
 
 // TestWalkBodyMatchesDenseBody pins the front end's threshold filter — and
 // the one body that is written out dense — against the dense encoder, byte
-// for byte, over seeded random rows. min <= 0 is the trap: it admits every
-// absent vertex at score 0, so the sparse body is n-1 results long; NaN
-// admits nothing; q is present, absent (its owner's leg failed), or the only
-// non-zero; a missing shard range is an interval without entries.
+// for byte, over seeded random rows, walk-shaped and exact-shaped (negative
+// scores and a -0 among them, entered through Sparsify as an exact solve
+// is). min <= 0 is the trap: it admits every absent vertex at score 0, so
+// the sparse body is n-1 results long; NaN admits nothing; q is present,
+// absent (its owner's leg failed), or the only non-zero; a missing shard
+// range is an interval without entries.
 func TestWalkBodyMatchesDenseBody(t *testing.T) {
 	s := benchServer(t)
 	n := s.n
 	rng := rand.New(rand.NewSource(26))
-	scores := []float64{0.5, 0.25, 0.25, 0.01, 1e-300}
+	scores := []float64{0.5, 0.25, 0.25, 0.01, 1e-300, -1e-17, math.Copysign(0, -1)}
 	mins := []float64{math.NaN(), -1, 0, math.Copysign(0, -1), 1e-300, 0.01, 0.25, 1}
 	for trial := 0; trial < 300; trial++ {
 		dense := make([]float64, n)
@@ -46,26 +81,22 @@ func TestWalkBodyMatchesDenseBody(t *testing.T) {
 			}
 		}
 		row := sparserow.Get()
-		for v, s := range dense {
-			if s != 0 {
-				row.Append(int32(v), s)
-			}
-		}
+		row.Sparsify(dense)
 		for _, degraded := range []bool{false, true} {
-			want, err := s.singleSourceBody(q, dense, false, 0, degraded)
+			want, err := denseBody(s, q, dense, false, 0, degraded)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.walkSingleSourceBody(q, row, false, 0, degraded)
+			got, err := s.singleSourceBody(q, row, false, 0, degraded)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("dense body (err %v):\n got %s\nwant %s", err, got, want)
 			}
 			for _, m := range mins {
-				want, err := s.singleSourceBody(q, dense, true, m, degraded)
+				want, err := denseBody(s, q, dense, true, m, degraded)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := s.walkSingleSourceBody(q, row, true, m, degraded)
+				got, err := s.singleSourceBody(q, row, true, m, degraded)
 				if err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("min=%v q=%d (err %v):\n got %s\nwant %s", m, q, err, got, want)
 				}

@@ -9,7 +9,8 @@
 // the index costs n. Every operation is the twin of one on the dense
 // n-vector the row stands for (absent ids score 0), and is tested against
 // it: Top is top-m selection over that vector, Above its threshold filter,
-// Densify writes it out.
+// Densify writes it out and Sparsify reads it in. A dense vector exists only
+// at the edge of the public API, for the callers that ask for one.
 //
 // Rows are pooled (Get / Release). Whatever outlives a Release — a cached or
 // streamed response body, a ranking — must hold copies, never the row's
@@ -17,6 +18,7 @@
 package sparserow
 
 import (
+	"math"
 	"sort"
 	"sync"
 )
@@ -91,13 +93,26 @@ func (r *Row) Merge(o *Row) {
 	}
 }
 
-// Densify writes the row out as the dense vector it stands for: dst is
-// cleared and every stored entry scattered into it. Every id must be below
-// len(dst).
-func (r *Row) Densify(dst []float64) {
+// Densify writes the row out as the dense vector it stands for, cell i
+// holding vertex lo+i: dst is cleared and every stored entry scattered into
+// it. Every id must lie in [lo, lo+len(dst)).
+func (r *Row) Densify(dst []float64, lo int) {
 	clear(dst)
 	for i, id := range r.IDs {
-		dst[id] = r.Scores[i]
+		dst[int(id)-lo] = r.Scores[i]
+	}
+}
+
+// Sparsify is Densify's inverse: r is reset to the cells of dense other
+// than +0, cell v as vertex v. A -0 is kept, so Densify gives dense back
+// bit for bit. It is how a row that was born dense — a caller's, an exact
+// solve's — enters the code that ranks and filters rows.
+func (r *Row) Sparsify(dense []float64) {
+	r.Reset()
+	for v, s := range dense {
+		if math.Float64bits(s) != 0 {
+			r.Append(int32(v), s)
+		}
 	}
 }
 

@@ -141,13 +141,37 @@ func checkOps(t *testing.T, ma, mb model, n, m, skip int, minScore float64) {
 	for i := range buf {
 		buf[i] = math.NaN()
 	}
-	a.Densify(buf)
+	a.Densify(buf, 0)
 	for v := range buf {
 		if math.Float64bits(buf[v]) != math.Float64bits(dense[v]) {
 			t.Fatalf("Densify[%d] = %v, model %v", v, buf[v], dense[v])
 		}
 	}
 	requireUnchanged(t, "Densify", a, aOrig)
+	// Densify of a run that starts at lo, into a window that starts there.
+	if a.Len() > 0 {
+		lo := int(a.IDs[0])
+		win := buf[:n-lo]
+		a.Densify(win, lo)
+		for i := range win {
+			if math.Float64bits(win[i]) != math.Float64bits(dense[lo+i]) {
+				t.Fatalf("Densify(lo %d)[%d] = %v, model %v", lo, i, win[i], dense[lo+i])
+			}
+		}
+	}
+	// Sparsify reads the dense vector back in: the model's entries, bar
+	// explicit +0s, into a row with stale entries behind its length.
+	back := rowOf(model{0: 2, 1: 3})
+	back.Sparsify(dense)
+	nonzero := model{}
+	for id, s := range ma {
+		if math.Float64bits(s) != 0 {
+			nonzero[id] = s
+		}
+	}
+	if !same(back, rowOf(nonzero)) {
+		t.Fatalf("Sparsify(%v) = %v, model %v", dense, back, rowOf(nonzero))
+	}
 
 	// Filter and selection.
 	if got, want := a.Above(minScore, skip, n), modelAbove(ma, minScore, skip, n); !slices.Equal(got, want) {
@@ -214,10 +238,11 @@ func TestRowOpsAgainstModel(t *testing.T) {
 
 // TestTopExplicitOddScores: entries a well-formed walk row never holds —
 // explicit zeros, negatives, infinities — rank exactly as they do in the dense
-// vector, because a leg decoded off the wire may carry any bits.
+// vector, because a leg decoded off the wire may carry any bits; and a dense
+// vector of them (a -0 among them) comes back from Sparsify bit for bit.
 func TestTopExplicitOddScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	odd := []float64{0, -1, -0.5, 0.5, math.Inf(1), math.Inf(-1)}
+	odd := []float64{0, math.Copysign(0, -1), -1, -0.5, 0.5, math.Inf(1), math.Inf(-1)}
 	for trial := 0; trial < 2000; trial++ {
 		n := 1 + rng.Intn(24)
 		ma := model{}
@@ -227,6 +252,14 @@ func TestTopExplicitOddScores(t *testing.T) {
 			}
 		}
 		a := rowOf(ma)
+		dense := ma.dense(n)
+		back := &Row{}
+		back.Sparsify(dense)
+		round := make([]float64, n)
+		back.Densify(round, 0)
+		if !slices.EqualFunc(round, dense, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("Densify(Sparsify(%v)) = %v", dense, round)
+		}
 		m, skip := rng.Intn(n+2), rng.Intn(n+1)
 		if got, want := a.Top(m, skip, n), modelTop(ma, m, skip, n); !slices.Equal(got, want) {
 			t.Fatalf("Top(%d, skip %d, n %d) over %v = %v, model %v", m, skip, n, a, got, want)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"oipsr/graph/gen"
+	"oipsr/internal/sparserow"
 )
 
 // TestQueriesHonorCancellation: a cancelled context aborts every query
@@ -20,12 +21,11 @@ func TestQueriesHonorCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := ix.SingleSource(cancelled, 5, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("SingleSource on cancelled ctx: err = %v, want context.Canceled", err)
-	}
 	for _, workers := range []int{1, 3} {
-		if _, err := ix.MultiSource(cancelled, nil, []int{1, 2, 3}, workers); !errors.Is(err, context.Canceled) {
-			t.Errorf("MultiSource(workers=%d) on cancelled ctx: err = %v, want context.Canceled", workers, err)
+		for _, sources := range [][]int{{5}, {1, 2, 3}} {
+			if _, err := ix.SparseRows(cancelled, nil, sources, workers); !errors.Is(err, context.Canceled) {
+				t.Errorf("SparseRows(%v, workers=%d) on cancelled ctx: err = %v, want context.Canceled", sources, workers, err)
+			}
 		}
 		if _, err := ix.Join(cancelled, nil, 10, 0.05, 1<<20, workers); !errors.Is(err, context.Canceled) {
 			t.Errorf("Join(workers=%d) on cancelled ctx: err = %v, want context.Canceled", workers, err)
@@ -36,8 +36,8 @@ func TestQueriesHonorCancellation(t *testing.T) {
 	// map to their timeout status.
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if _, err := ix.SingleSource(expired, 0, nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("SingleSource on expired deadline: err = %v, want context.DeadlineExceeded", err)
+	if _, err := ix.SparseRows(expired, nil, []int{0}, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("SparseRows on expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
@@ -53,10 +53,12 @@ func TestCancellationMidSweep(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for {
-			if _, err := ix.MultiSource(ctx, nil, []int{0, 50, 100, 150}, 2); err != nil {
+			rows, err := ix.SparseRows(ctx, nil, []int{0, 50, 100, 150}, 2)
+			if err != nil {
 				done <- err
 				return
 			}
+			sparserow.Release(rows...)
 		}
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -87,8 +89,9 @@ func (c *countingCtx) Err() error {
 }
 
 // TestForestPollsEveryFingerprint: the order path has no per-target chunk
-// to poll at, so it polls the context once per fingerprint — a cancelled
-// request stops within one fingerprint's walk, wherever the cancel lands.
+// to poll at, so forestRow polls the context once per fingerprint — a
+// cancelled request stops within one fingerprint's walk, wherever the
+// cancel lands, and leaves the row it was filling untouched.
 func TestForestPollsEveryFingerprint(t *testing.T) {
 	g := gen.WebGraph(300, 6, 17)
 	const walks = 50
@@ -96,18 +99,20 @@ func TestForestPollsEveryFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := &sparserow.Row{}
 	ctx := &countingCtx{Context: context.Background(), cancelAt: walks + 1}
-	if _, err := ix.SingleSource(ctx, 5, nil); err != nil || ctx.polls != walks {
-		t.Fatalf("uncancelled SingleSource: err %v after %d polls, want nil after %d", err, ctx.polls, walks)
+	if err := ix.forestRow(ctx, ix.store.row(5), 5, row); err != nil || ctx.polls != walks || row.Len() == 0 {
+		t.Fatalf("uncancelled forestRow: err %v after %d polls and %d entries, want nil after %d", err, ctx.polls, row.Len(), walks)
 	}
 	for _, at := range []int{1, walks / 2, walks} {
+		row.Reset()
 		ctx := &countingCtx{Context: context.Background(), cancelAt: at}
-		if _, err := ix.SingleSource(ctx, 5, nil); !errors.Is(err, context.Canceled) || ctx.polls != at {
-			t.Fatalf("cancel at poll %d: err %v after %d polls", at, err, ctx.polls)
+		if err := ix.forestRow(ctx, ix.store.row(5), 5, row); !errors.Is(err, context.Canceled) || ctx.polls != at || row.Len() != 0 {
+			t.Fatalf("cancel at poll %d: err %v after %d polls, %d entries appended", at, err, ctx.polls, row.Len())
 		}
 		ctx = &countingCtx{Context: context.Background(), cancelAt: at}
-		if rows, err := ix.MultiSource(ctx, nil, []int{1, 2, 3}, 1); !errors.Is(err, context.Canceled) || rows != nil {
-			t.Fatalf("MultiSource cancel at poll %d: rows %v, err %v", at, rows != nil, err)
+		if rows, err := ix.SparseRows(ctx, nil, []int{1, 2, 3}, 1); !errors.Is(err, context.Canceled) || rows != nil {
+			t.Fatalf("SparseRows cancel at poll %d: rows %v, err %v", at, rows != nil, err)
 		}
 	}
 }

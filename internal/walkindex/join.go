@@ -14,7 +14,7 @@ import (
 // All-pairs top-k similarity join.
 //
 // Join answers "which pairs of vertices are most similar?" without an
-// n-source MultiSource sweep, let alone the Theta(n^2) state of the batch
+// n-source SparseRows sweep, let alone the Theta(n^2) state of the batch
 // engines. It exploits the same structure the batched path does — walkers
 // standing on the same vertex at the same (fingerprint, step) — but
 // inverted: instead of looking sources up per target, it groups ALL
@@ -31,7 +31,7 @@ import (
 // candidate generation touches R*(T_theta+1) slots instead of R*K — and,
 // more importantly, it enumerates only co-located pairs, whose count on
 // real graphs is far below n^2/2 at useful thresholds. Candidates are then
-// re-scored exactly (the same arithmetic as SingleSource/Pair) and the
+// re-scored exactly (the same arithmetic as SparseRows/Pair) and the
 // top-k above the threshold survive.
 //
 // The join partitions along the FINGERPRINT axis, not the vertex axis: a
@@ -130,7 +130,7 @@ func FinishJoin(pairs []JoinPair, k int, threshold float64) []JoinPair {
 
 // Join returns the top-k vertex pairs (a < b) with estimated SimRank score
 // at least threshold, in decreasing score order with ties broken by (a, b).
-// Scores are the same estimates SingleSource produces, bit-identically,
+// Scores are the same estimates SparseRows produces, bit-identically,
 // and the result is exhaustive: every pair the full n x n estimate matrix
 // ranks in its top-k above the threshold appears (threshold 0 means every
 // pair with a positive estimate). maxCandidates caps the enumerated
@@ -284,7 +284,7 @@ func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold f
 }
 
 // ScorePairs computes the exact estimate of every candidate key (canonical
-// a<<32|b) via the same arithmetic as SingleSource and Pair, so scores —
+// a<<32|b) via the same arithmetic as SparseRows and Pair, so scores —
 // and therefore the threshold filter and the final order — match the full
 // estimate matrix bitwise. Rows of unowned vertices are recomputed from g
 // and memoized per worker. Cancelling ctx abandons the scoring and returns

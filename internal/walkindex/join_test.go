@@ -12,7 +12,7 @@ import (
 )
 
 // bruteJoin computes the join result the slow way: every pair's estimate
-// from the full SingleSource matrix, filtered and ordered exactly as Join
+// from the sweep model's full matrix, filtered and ordered exactly as Join
 // promises. Join must reproduce it bit for bit — this is the completeness
 // proof of the contribution-weight prune.
 func bruteJoin(t *testing.T, ix *Index, k int, threshold float64) []JoinPair {
@@ -20,7 +20,7 @@ func bruteJoin(t *testing.T, ix *Index, k int, threshold float64) []JoinPair {
 	n := ix.N()
 	var pairs []JoinPair
 	for a := 0; a < n; a++ {
-		row := ssRow(t, ix, a)
+		row := sweepRow(ix, a)
 		for b := a + 1; b < n; b++ {
 			if row[b] >= threshold && row[b] > 0 {
 				pairs = append(pairs, JoinPair{A: a, B: b, Score: row[b]})

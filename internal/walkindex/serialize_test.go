@@ -149,7 +149,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			a, b := ssRow(t, ix, 3), ssRow(t, got, 3)
 			for v := range a {
 				if a[v] != b[v] {
-					t.Fatalf("SingleSource(3)[%d]: %g != %g after round-trip", v, a[v], b[v])
+					t.Fatalf("row of 3, cell %d: %g != %g after round-trip", v, a[v], b[v])
 				}
 			}
 		}
@@ -376,24 +376,20 @@ func TestParentWrittenFilesLoad(t *testing.T) {
 			}
 
 			// The shard's three sources: one foreign below, two owned.
-			rows, err := ix.MultiSource(ctx, g, []int{3, 77, 20}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, row := range rows {
+			for i, row := range msRows(t, ix, g, []int{3, 77, 20}, 2) {
 				wantRow := want.Partial[i]
 				if o.kind == IndexFile { // the shard rows are the [10,120) slice of the full ones
 					row = row[10:120]
 				}
 				if !slices.Equal(row, wantRow) {
-					t.Fatalf("MultiSource row %d differs from the parent's", i)
+					t.Fatalf("row %d differs from the parent's MultiSource", i)
 				}
 			}
 			wantPairs := want.ShardPairs
 			if o.kind == IndexFile {
 				wantPairs = want.JoinPairs
 				if !slices.Equal(ssRow(t, ix, 3), want.SingleSource) {
-					t.Fatal("SingleSource(3) differs from the parent's")
+					t.Fatal("row of 3 differs from the parent's SingleSource(3)")
 				}
 			}
 			for i, p := range want.Join {

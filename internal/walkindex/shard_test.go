@@ -11,6 +11,7 @@ import (
 
 	"oipsr/graph/gen"
 	"oipsr/internal/par"
+	"oipsr/internal/sparserow"
 )
 
 // shardRanges partitions [0, n) into `parts` contiguous ranges with the
@@ -65,10 +66,10 @@ func TestBuildShardValidation(t *testing.T) {
 	}
 }
 
-// TestRangedMultiSourceMatchesFull: concatenating the MultiSource rows of
-// a covering set of ranges reproduces the full-range MultiSource (and
-// therefore SingleSource) bitwise — for owned sources, foreign sources,
-// duplicates, and every worker count.
+// TestRangedMultiSourceMatchesFull: concatenating the SparseRows rows of a
+// covering set of ranges reproduces the full-range rows bitwise, with no
+// merge arithmetic — for owned sources, foreign sources, duplicates, and
+// every worker count.
 func TestRangedMultiSourceMatchesFull(t *testing.T) {
 	g := gen.CitationGraph(61, 5, 7)
 	opt := Options{Walks: 25, Seed: 3, Workers: 2}
@@ -78,36 +79,37 @@ func TestRangedMultiSourceMatchesFull(t *testing.T) {
 	}
 	n := g.NumVertices()
 	sources := []int{0, 17, 60, 17, 33} // ends, interior, duplicate
-	want, err := full.MultiSource(context.Background(), nil, sources, 1)
+	want, err := full.SparseRows(context.Background(), nil, sources, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sparserow.Release(want...)
 
 	for _, parts := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 3} {
-			got := make([][]float64, len(sources))
+			got := make([]*sparserow.Row, len(sources))
 			for i := range got {
-				got[i] = make([]float64, 0, n)
+				got[i] = &sparserow.Row{}
 			}
 			for _, r := range shardRanges(n, parts) {
 				sx, err := Build(g, opt, r[0], r[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows, err := sx.MultiSource(context.Background(), g, sources, workers)
+				rows, err := sx.SparseRows(context.Background(), g, sources, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range got {
-					got[i] = append(got[i], rows[i]...)
+				for i, row := range rows {
+					got[i].IDs = append(got[i].IDs, row.IDs...)
+					got[i].Scores = append(got[i].Scores, row.Scores...)
 				}
+				sparserow.Release(rows...)
 			}
 			for si := range want {
-				for v := 0; v < n; v++ {
-					if got[si][v] != want[si][v] {
-						t.Fatalf("parts=%d workers=%d: source %d target %d: shard %v != full %v",
-							parts, workers, sources[si], v, got[si][v], want[si][v])
-					}
+				if !slices.Equal(got[si].IDs, want[si].IDs) || !slices.Equal(got[si].Scores, want[si].Scores) {
+					t.Fatalf("parts=%d workers=%d: source %d: shards %v != full %v",
+						parts, workers, sources[si], got[si], want[si])
 				}
 			}
 		}

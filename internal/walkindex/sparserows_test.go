@@ -8,9 +8,82 @@ import (
 	"sync"
 	"testing"
 
+	"oipsr/graph"
 	"oipsr/graph/gen"
 	"oipsr/internal/sparserow"
 )
+
+// TestMultiSourceBitIdenticalToSingleSource: every row of a batched
+// SparseRows query equals the same source asked alone (a batch of one)
+// and the sweep model, bitwise, for every batch shape and worker count —
+// the acceptance criterion of the shared traversal.
+func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
+	g := gen.WebGraph(150, 6, 13)
+	ix, err := buildFull(g, Options{Walks: 60, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, 0, 15)
+	for q := 0; q < 150; q += 10 {
+		all = append(all, q)
+	}
+	batches := [][]int{
+		{5},                // a batch of one
+		{3, 3},             // duplicate sources
+		{0, 7, 33, 149, 7}, // mixed, with a repeat
+		all,                // a wide batch
+	}
+	for _, sources := range batches {
+		swept := sweepRows(ix, nil, sources)
+		for _, workers := range []int{1, 2, 3, 7} {
+			rows := msRows(t, ix, nil, sources, workers)
+			if len(rows) != len(sources) {
+				t.Fatalf("SparseRows(%v) returned %d rows", sources, len(rows))
+			}
+			for i, q := range sources {
+				if !slices.Equal(rows[i], ssRow(t, ix, q)) || !slices.Equal(rows[i], swept[i]) {
+					t.Fatalf("workers=%d sources=%v: row %d (q=%d) differs from the source alone or from the sweep", workers, sources, i, q)
+				}
+			}
+			requireSparseRows(t, ix, nil, sources, workers, swept, "batch")
+		}
+	}
+}
+
+// TestMultiSourceDeadAndIsolated: sources whose walks die immediately (and
+// fully isolated vertices) answer as the sweep does — score 1 for the
+// source itself and nothing else, so a row of one entry.
+func TestMultiSourceDeadAndIsolated(t *testing.T) {
+	g := graph.MustFromEdges(4, [][2]int{{0, 1}}) // 2 and 3 isolated, 0 a source
+	ix, err := buildFull(g, Options{Walks: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []int{0, 2, 3}
+	requireSparseRows(t, ix, nil, sources, 2, sweepRows(ix, nil, sources), "dead and isolated")
+	rows, err := ix.SparseRows(context.Background(), nil, sources, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sparserow.Release(rows...)
+	for i, q := range sources {
+		if rows[i].Len() != 1 || rows[i].IDs[0] != int32(q) || rows[i].Scores[0] != 1 {
+			t.Fatalf("q=%d: row %v, want only (q, 1)", q, rows[i])
+		}
+	}
+}
+
+// TestMultiSourceEmptyBatch: an empty batch is a clean no-op.
+func TestMultiSourceEmptyBatch(t *testing.T) {
+	g := gen.WebGraph(20, 4, 1)
+	ix, err := buildFull(g, Options{Walks: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := msRows(t, ix, nil, nil, 3); len(rows) != 0 {
+		t.Fatalf("SparseRows(nil) returned %d rows, want 0", len(rows))
+	}
+}
 
 // TestSparseRowsCancelLeavesScratchClean: SparseRows accumulates into a
 // pooled row that must be all zero whenever it sits in the pool. A query
@@ -30,7 +103,7 @@ func TestSparseRowsCancelLeavesScratchClean(t *testing.T) {
 	scratchPool = &sync.Pool{New: func() any { return &scratch }}
 	hub := 0 // the source with the most non-zero scores: the most to clean up
 	for q, best := 0, 0; q < ix.n; q++ {
-		if nz := ix.n - count(ssRow(t, ix, q), 0); nz > best {
+		if nz := ix.n - count(sweepRow(ix, q), 0); nz > best {
 			hub, best = q, nz
 		}
 	}
@@ -43,7 +116,7 @@ func TestSparseRowsCancelLeavesScratchClean(t *testing.T) {
 			t.Fatalf("cancel at poll %d left %d dirty cells in the pooled scratch", at, dirty)
 		}
 		for _, q := range []int{hub, 5, ix.n - 1} {
-			requireSparseRows(t, ix, nil, []int{q}, 1, [][]float64{ssRow(t, ix, q)}, "after a cancelled query")
+			requireSparseRows(t, ix, nil, []int{q}, 1, [][]float64{sweepRow(ix, q)}, "after a cancelled query")
 		}
 	}
 }
@@ -69,7 +142,7 @@ func TestSparseRowsConcurrentReaders(t *testing.T) {
 	}
 	want := make([][]float64, ix.n)
 	for q := range want {
-		want[q] = ssRow(t, ix, q)
+		want[q] = sweepRow(ix, q)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -87,7 +160,7 @@ func TestSparseRowsConcurrentReaders(t *testing.T) {
 				for j, q := range sources {
 					ref := sparseOf(0, want[q])
 					if !slices.Equal(rows[j].IDs, ref.IDs) || !slices.Equal(rows[j].Scores, ref.Scores) {
-						t.Errorf("source %d: concurrent SparseRows differs from SingleSource", q)
+						t.Errorf("source %d: concurrent SparseRows differs from the sweep", q)
 					}
 				}
 				sparserow.Release(rows...)

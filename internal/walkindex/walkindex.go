@@ -50,7 +50,6 @@
 package walkindex
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -106,7 +105,7 @@ type Index struct {
 	pow []float64
 
 	// forest is the per-fingerprint coalescence order that answers
-	// SingleSource and MultiSource in time proportional to the answer (see
+	// SparseRows in time proportional to the answer (see
 	// walkorder.go). Build and Load construct it, Update patches it.
 	// Derived state, excluded from Equal, Save and Bytes.
 	forest *forest
@@ -304,28 +303,6 @@ func (ix *Index) Close() error {
 	return ix.file.f.Close()
 }
 
-// SingleSource estimates s(q, v) for every v and writes the result into
-// dst, which must have length N() (pass nil to allocate). It returns dst.
-// The estimate for q itself is exactly 1. It is the dedicated one-source
-// query of a full-range index (a ranged index answers through
-// MultiSource), answered from the coalescence order. Cancelling ctx
-// abandons the query at the next poll (every fingerprint) and returns the
-// context's error; the contents of dst are then unspecified. An
-// uncancelled ctx never changes the result.
-func (ix *Index) SingleSource(ctx context.Context, q int, dst []float64) ([]float64, error) {
-	if ix.lo != 0 || ix.hi != ix.n {
-		return nil, fmt.Errorf("walkindex: SingleSource needs a full-range index, this one owns [%d,%d) of [0,%d)", ix.lo, ix.hi, ix.n)
-	}
-	if dst == nil {
-		dst = make([]float64, ix.n)
-	}
-	clear(dst)
-	if err := ix.denseForestRow(ctx, ix.store.row(q), q, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // meetStep returns the first step index t at which two walks of one
 // fingerprint stand on the same live position, or -1 if they never do: a
 // dead walker never meets anyone.
@@ -368,11 +345,11 @@ func (ix *Index) Walk(g *graph.Graph, v, fp int) []int32 {
 }
 
 // Pair estimates the single score s(a, b); neither vertex needs to be
-// owned. It runs the same accumulation as SingleSource — first-meeting
+// owned. It runs the same accumulation as forestRow — first-meeting
 // weights in fingerprint order, scaled by the same precomputed 1/R — so
-// Pair(a, b) is bit-identical to SingleSource(a, nil)[b] (and, by symmetry
-// of the meeting computation, to SingleSource(b, nil)[a] and to the
-// MultiSource and Join estimates), on every range.
+// Pair(a, b) is bit-identical to b's entry of a's SparseRows row (and, by
+// symmetry of the meeting computation, to a's entry of b's row and to the
+// Join estimates), on every range.
 func (ix *Index) Pair(g *graph.Graph, a, b int) float64 {
 	if a == b {
 		return 1

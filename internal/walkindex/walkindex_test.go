@@ -9,6 +9,7 @@ import (
 	"oipsr/graph"
 	"oipsr/graph/gen"
 	"oipsr/internal/naive"
+	"oipsr/internal/sparserow"
 )
 
 // buildFull builds the single-node index: the range [0, n).
@@ -16,24 +17,37 @@ func buildFull(g *graph.Graph, opt Options) (*Index, error) {
 	return Build(g, opt, 0, g.NumVertices())
 }
 
-// ssRow is the test shorthand for an uncancellable SingleSource row.
-func ssRow(t *testing.T, ix *Index, q int) []float64 {
-	t.Helper()
-	row, err := ix.SingleSource(context.Background(), q, nil)
+// denseRows is SparseRows written out over the index's range, row[v-lo]
+// being s(q, v): the form the tests compare two indexes' answers, and
+// answers recorded as dense rows, in.
+func denseRows(ctx context.Context, ix *Index, g *graph.Graph, sources []int, workers int) ([][]float64, error) {
+	rows, err := ix.SparseRows(ctx, g, sources, workers)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return row
+	defer sparserow.Release(rows...)
+	out := make([][]float64, len(rows))
+	for i, row := range rows {
+		out[i] = make([]float64, ix.Width())
+		row.Densify(out[i], ix.lo)
+	}
+	return out, nil
 }
 
-// msRows is the test shorthand for an uncancellable MultiSource call.
-func msRows(t *testing.T, ix *Index, sources []int, workers int) [][]float64 {
+// msRows is the test shorthand for an uncancellable denseRows call.
+func msRows(t *testing.T, ix *Index, g *graph.Graph, sources []int, workers int) [][]float64 {
 	t.Helper()
-	rows, err := ix.MultiSource(context.Background(), nil, sources, workers)
+	rows, err := denseRows(context.Background(), ix, g, sources, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rows
+}
+
+// ssRow is msRows for one source of a full-range index.
+func ssRow(t *testing.T, ix *Index, q int) []float64 {
+	t.Helper()
+	return msRows(t, ix, nil, []int{q}, 1)[0]
 }
 
 // TestSiblingsExact: from 0->1, 0->2 both walkers step to vertex 0 with
@@ -50,7 +64,7 @@ func TestSiblingsExact(t *testing.T) {
 	}
 	row := ssRow(t, ix, 1)
 	if math.Abs(row[2]-0.8) > 1e-12 || row[1] != 1 {
-		t.Errorf("SingleSource(1) = %v, want s(1,1)=1, s(1,2)=0.8", row)
+		t.Errorf("row of 1 = %v, want s(1,1)=1, s(1,2)=0.8", row)
 	}
 }
 
@@ -81,7 +95,7 @@ func TestDeadWalkersContributeZero(t *testing.T) {
 	}
 }
 
-// TestApproximatesExact: SingleSource estimates converge to the iterative
+// TestApproximatesExact: single-source estimates converge to the iterative
 // scores. The coupled-walk estimator carries a small coalescence bias, so
 // the tolerance is statistical, not machine precision.
 func TestApproximatesExact(t *testing.T) {
@@ -102,11 +116,8 @@ func TestApproximatesExact(t *testing.T) {
 	}
 	var sum float64
 	var cnt int
-	row := make([]float64, 25)
 	for q := 0; q < 25; q++ {
-		if _, err := ix.SingleSource(context.Background(), q, row); err != nil {
-			t.Fatal(err)
-		}
+		row := ssRow(t, ix, q)
 		for v := 0; v < 25; v++ {
 			if v == q {
 				continue
@@ -131,7 +142,7 @@ func TestSymmetry(t *testing.T) {
 		row := ssRow(t, ix, a)
 		for b := 0; b < 60; b += 3 {
 			if got, want := ix.Pair(nil, b, a), row[b]; got != want {
-				t.Fatalf("Pair(%d,%d) = %g, SingleSource row = %g", b, a, got, want)
+				t.Fatalf("Pair(%d,%d) = %g, row of %d = %g", b, a, got, a, want)
 			}
 		}
 	}

@@ -198,7 +198,7 @@ var touchedPool = sync.Pool{New: func() any { return new([]int32) }}
 // in steady state.
 var blockPool = sync.Pool{New: func() any { return new([]int32) }}
 
-// scratchPool recycles the rows SparseRows accumulates into: every cell of
+// scratchPool recycles the rows forestRow accumulates into: every cell of
 // a pooled row, up to its capacity, is zero. Working memory shared by every
 // index of the process (they are sliced to the width asked for), so not part
 // of any Index's Bytes.
@@ -213,35 +213,46 @@ func getScratch(width int) *[]float64 {
 	return sp
 }
 
-// forestRow answers one source from the coalescence order: dst (one cell
-// per owned vertex, all zero on entry) receives s(source, v) for every
-// owned v, and the store-local ids of the cells written — every non-zero
-// cell of dst, in no particular order — are appended to touched and
-// returned, also beside an error. src is the source's walks and self
-// its store-local id, which lies outside [0, width) for a foreign source; an
-// owned source's own cell is set to exactly 1. Per target the first-meeting
-// weights are added in fingerprint order and the sum is scaled by 1/R once —
-// the arithmetic of the sweep, so the row is bit-identical to it. ctx is
-// polled once per fingerprint.
+// forestRow answers one source from the coalescence order, appending to
+// row, ascending and under global vertex ids, every owned v with
+// s(source, v) != 0. src is the source's walks and self its store-local id,
+// which lies outside [0, width) for a foreign source; an owned source's own
+// entry is exactly 1. Per target the first-meeting weights are added in
+// fingerprint order and the sum is scaled by 1/R once — the arithmetic of
+// the sweep, so the row is bit-identical to it. ctx is polled once per
+// fingerprint; on error nothing is appended.
 //
-// This is the only loop that walks the order. A dense caller passes its
-// cleared row and drops the list (denseForestRow); a sparse one passes
-// pooled scratch, gathers the listed cells and zeroes them again
-// (sparseForestRow).
-func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, dst []float64, touched []int32) ([]int32, error) {
-	f, width := ix.forest, len(dst)
+// This is the only loop that walks the order, and the row is the only form
+// its answer takes. The sums build up in a pooled scratch row (one cell per
+// owned vertex, all zero when taken and again when put back, error or not)
+// beside the list of cells touched, which are gathered in id order — so no
+// width-sized vector is written or scanned per source.
+func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *sparserow.Row) error {
+	f, width := ix.forest, ix.Width()
+	sp := getScratch(width)
+	defer scratchPool.Put(sp)
+	acc := (*sp)[:width]
+	tp := touchedPool.Get().(*[]int32)
+	touched := (*tp)[:0]
+	defer func() {
+		for _, v := range touched {
+			acc[v] = 0
+		}
+		*tp = touched
+		touchedPool.Put(tp)
+	}()
 	credit := func(v int32, m uint16) {
-		if dst[v] == 0 {
+		if acc[v] == 0 {
 			if ix.pow[m-1] == 0 {
 				return // underflowed weight: adds nothing, must not list v twice
 			}
 			touched = append(touched, v)
 		}
-		dst[v] += ix.pow[m-1]
+		acc[v] += ix.pow[m-1]
 	}
 	for fp := 0; fp < ix.r; fp++ {
 		if err := ctx.Err(); err != nil {
-			return touched, err
+			return err
 		}
 		qp := src.walk(fp)
 		if entry(qp, 0) < 0 {
@@ -280,55 +291,24 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, dst []flo
 			rm = mergeMeet(rm, mt[r]) // the last rank's 0 ends the walk
 		}
 	}
+	if self >= 0 && self < width {
+		touched = append(touched, int32(self)) // never credited: the walk outwards starts past it
+	}
+	slices.Sort(touched)
 	inv := 1 / float64(ix.r)
 	for _, v := range touched {
-		dst[v] *= inv
-	}
-	if self >= 0 && self < width {
-		dst[self] = 1 // never credited: the walk outwards starts past it
-		touched = append(touched, int32(self))
-	}
-	return touched, nil
-}
-
-// denseForestRow is forestRow for a caller that wants the dense row: dst
-// arrives cleared and the touched list goes back to its pool unread.
-func (ix *Index) denseForestRow(ctx context.Context, src walkRow, self int, dst []float64) error {
-	tp := touchedPool.Get().(*[]int32)
-	touched, err := ix.forestRow(ctx, src, self, dst, (*tp)[:0])
-	*tp = touched
-	touchedPool.Put(tp)
-	return err
-}
-
-// sparseForestRow is forestRow for a caller that wants the answer as it is
-// born: the cells it touched in a pooled scratch row (one cell per owned
-// vertex, all zero when taken and again when put back, error or not) are
-// sorted, appended to row under their global vertex ids, and zeroed.
-func (ix *Index) sparseForestRow(ctx context.Context, src walkRow, self int, row *sparserow.Row) error {
-	sp := getScratch(ix.Width())
-	defer scratchPool.Put(sp)
-	scratch := (*sp)[:ix.Width()]
-	tp := touchedPool.Get().(*[]int32)
-	touched, err := ix.forestRow(ctx, src, self, scratch, (*tp)[:0])
-	if err == nil {
-		slices.Sort(touched)
-		for _, v := range touched {
-			row.Append(int32(ix.lo)+v, scratch[v])
+		s := acc[v] * inv
+		if int(v) == self {
+			s = 1
 		}
+		row.Append(int32(ix.lo)+v, s)
 	}
-	for _, v := range touched {
-		scratch[v] = 0
-	}
-	*tp = touched
-	touchedPool.Put(tp)
-	return err
+	return nil
 }
 
 // eachSource runs row(si, walks, store-local id) for every source of a
-// batch, parallel over sources — the worker loop the dense and the sparse
-// batch share. A failed row (ctx) stops its worker; the caller discards
-// partial output.
+// batch, parallel over sources. A failed row (ctx) stops its worker; the
+// caller discards partial output.
 func (ix *Index) eachSource(ctx context.Context, g *graph.Graph, sources []int, workers int, row func(si int, src walkRow, self int) error) error {
 	parts := par.ResolveMax(workers, len(sources))
 	par.Do(parts, func(w int) {
@@ -349,13 +329,25 @@ func (ix *Index) eachSource(ctx context.Context, g *graph.Graph, sources []int, 
 	return ctx.Err()
 }
 
-// SparseRows is MultiSource returning each row as its non-zero entries, keyed
-// by global vertex id: out[i] lists, ascending, every owned v with
-// s(sources[i], v) != 0 — an owned source's own (q, 1) included — and its
-// scores are the dense row's, bit for bit. The entries are gathered from
-// the cells forestRow touched in a pooled scratch row, so no width-sized
-// vector is written or scanned per source. The rows come from sparserow's
-// pool and are the caller's to release; on error none are returned.
+// SparseRows estimates s(q, v) for every source q in sources and every
+// OWNED target v in [lo, hi), returning one row per source of its non-zero
+// entries, keyed by global vertex id: out[i] lists, ascending, every owned v
+// with s(sources[i], v) != 0 — an owned source's own (q, 1) included. Each
+// source is answered by forestRow, in parallel over sources (1 = serial, <1
+// = all CPUs), and every row is the same for every worker count: per
+// (source, target) pair the same first-meeting weights are accumulated in
+// the same fingerprint order and scaled by the same 1/R, so not even the
+// floating-point rounding differs. On a narrower range a row is the run of
+// the full-range row that falls in [lo, hi), and concatenating the rows of a
+// covering set of ranges reproduces the single-node row without any merge
+// arithmetic. Sources outside [lo, hi) are recomputed from g (see Index for
+// when g may be nil); they must be valid vertex ids of the full graph (the
+// serving layer validates), and duplicates are allowed.
+//
+// The rows come from sparserow's pool and are the caller's to release.
+// Cancelling ctx abandons the query at the next poll (every worker polls
+// between fingerprints) and returns the context's error with no rows; an
+// uncancelled ctx never changes the result.
 func (ix *Index) SparseRows(ctx context.Context, g *graph.Graph, sources []int, workers int) ([]*sparserow.Row, error) {
 	out := make([]*sparserow.Row, len(sources))
 	for i := range out {
@@ -364,7 +356,7 @@ func (ix *Index) SparseRows(ctx context.Context, g *graph.Graph, sources []int, 
 	err := ctx.Err()
 	if len(sources) > 0 && ix.Width() > 0 {
 		err = ix.eachSource(ctx, g, sources, workers, func(si int, src walkRow, self int) error {
-			return ix.sparseForestRow(ctx, src, self, out[si])
+			return ix.forestRow(ctx, src, self, out[si])
 		})
 	}
 	if err != nil {

@@ -87,8 +87,8 @@ func requireCanonicalForest(t *testing.T, ix *Index) {
 }
 
 // requireSparseRows fails unless ix.SparseRows answers exactly the non-zero
-// cells of dense (MultiSource rows over ix's range), under global vertex
-// ids, ascending, scores compared with ==.
+// cells of dense (model rows over ix's range, sweepRows'), under global
+// vertex ids, ascending, scores compared with ==.
 func requireSparseRows(t *testing.T, ix *Index, g *graph.Graph, sources []int, workers int, dense [][]float64, what string) {
 	t.Helper()
 	rows, err := ix.SparseRows(context.Background(), g, sources, workers)
@@ -105,11 +105,11 @@ func requireSparseRows(t *testing.T, ix *Index, g *graph.Graph, sources []int, w
 }
 
 // requireForestEqualsSweep is the "order ≡ sweep" gate on one graph:
-// SingleSource for every source, Pair, and MultiSource on the full range
-// and on every range of a 2- and a 3-way split (owned, foreign and
-// duplicate sources; workers 1, 2, 8), all compared with == against the
-// sweep over the same rows — and SparseRows, from the order and converted
-// from the sweep, against the non-zero cells of those rows.
+// SparseRows for every source alone and Pair on the full range, and
+// SparseRows batches on every range of a 2- and a 3-way split (owned,
+// foreign and duplicate sources; workers 1, 2, 8), against the non-zero
+// cells of the sweep over the same rows, scores compared with ==; a
+// range's sweep is also the slice of the full range's.
 func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 	t.Helper()
 	n := g.NumVertices()
@@ -124,20 +124,12 @@ func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 	want := make([][]float64, n)
 	for q := 0; q < n; q++ {
 		want[q] = sweepRow(full, q)
-		if got := ssRow(t, full, q); !slices.Equal(got, want[q]) {
-			t.Fatalf("SingleSource(%d): order %v != sweep %v", q, got, want[q])
-		}
 		requireSparseRows(t, full, nil, []int{q}, 1, want[q:q+1], "full range, order")
 		for v := 0; v < n; v++ {
 			if p := full.Pair(nil, q, v); p != want[q][v] {
 				t.Fatalf("Pair(%d,%d) = %g, sweep row has %g", q, v, p, want[q][v])
 			}
 		}
-	}
-	// A reused buffer holding stale scores must be overwritten, not added to.
-	stale := slices.Repeat([]float64{0.5}, n)
-	if got, err := full.SingleSource(context.Background(), n/2, stale); err != nil || !slices.Equal(got, want[n/2]) {
-		t.Fatalf("SingleSource into a dirty buffer: %v, err %v", got, err)
 	}
 
 	sources := []int{0, n - 1, n / 2, n / 3, 0, n / 2} // both edges, duplicates
@@ -148,19 +140,15 @@ func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 				t.Fatal(err)
 			}
 			requireCanonicalForest(t, sx)
+			swept := sweepRows(sx, g, sources)
+			for i, q := range sources {
+				if !slices.Equal(swept[i], want[q][r[0]:r[1]]) {
+					t.Fatalf("range [%d,%d): the sweep of q=%d is not the slice of the full range's", r[0], r[1], q)
+				}
+			}
 			for _, workers := range []int{1, 2, 8} {
-				rows, err := sx.MultiSource(context.Background(), g, sources, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				swept := sweepRows(sx, g, sources)
-				for i, q := range sources {
-					if !slices.Equal(rows[i], swept[i]) || !slices.Equal(rows[i], want[q][r[0]:r[1]]) {
-						t.Fatalf("range [%d,%d) workers %d: MultiSource row %d (q=%d) differs from the sweep", r[0], r[1], workers, i, q)
-					}
-				}
 				what := fmt.Sprintf("range [%d,%d) workers %d", r[0], r[1], workers)
-				requireSparseRows(t, sx, g, sources, workers, rows, what)
+				requireSparseRows(t, sx, g, sources, workers, swept, what)
 			}
 		}
 	}
@@ -278,15 +266,13 @@ func TestForestAfterLoadAndUpdate(t *testing.T) {
 		}
 		g = next
 		for q := 0; q < g.NumVertices(); q++ {
-			if !slices.Equal(ssRow(t, loaded, q), sweepRow(loaded, q)) {
-				t.Fatalf("batch %d: SingleSource(%d) from the patched order differs from the sweep", batch, q)
-			}
+			requireSparseRows(t, loaded, nil, []int{q}, 1, [][]float64{sweepRow(loaded, q)}, fmt.Sprintf("batch %d, the patched order", batch))
 		}
 	}
 }
 
 // TestForestConcurrentReaders: queries share the order read-only and the
-// touched-list pool; many at once must each get the serial answer (run
+// touched-list pool; many at once must each get the sweep's answer (run
 // under -race).
 func TestForestConcurrentReaders(t *testing.T) {
 	g := gen.WebGraph(200, 6, 5)
@@ -296,23 +282,22 @@ func TestForestConcurrentReaders(t *testing.T) {
 	}
 	want := make([][]float64, g.NumVertices())
 	for q := range want {
-		want[q] = ssRow(t, ix, q)
+		want[q] = sweepRow(ix, q)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			dst := make([]float64, len(want))
 			for q := w; q < len(want); q += 8 {
-				got, err := ix.SingleSource(context.Background(), q, dst)
-				if err != nil || !slices.Equal(got, want[q]) {
-					t.Errorf("concurrent SingleSource(%d) differs (err %v)", q, err)
+				one, err := denseRows(context.Background(), ix, nil, []int{q}, 1)
+				if err != nil || !slices.Equal(one[0], want[q]) {
+					t.Errorf("concurrent row of %d differs (err %v)", q, err)
 					return
 				}
-				rows, err := ix.MultiSource(context.Background(), nil, []int{q, (q + 1) % len(want)}, 2)
+				rows, err := denseRows(context.Background(), ix, nil, []int{q, (q + 1) % len(want)}, 2)
 				if err != nil || !slices.Equal(rows[0], want[q]) || !slices.Equal(rows[1], want[(q+1)%len(want)]) {
-					t.Errorf("concurrent MultiSource(%d) differs (err %v)", q, err)
+					t.Errorf("concurrent batch of %d differs (err %v)", q, err)
 					return
 				}
 			}
@@ -367,21 +352,9 @@ func FuzzForest(f *testing.F) {
 			sources := make([]int, n)
 			for q := range sources {
 				sources[q] = q
-				if !slices.Equal(ssRow(t, full, q), sweepRow(full, q)) {
-					t.Fatalf("%s: SingleSource(%d) differs from the sweep", when, q)
-				}
+				requireSparseRows(t, full, nil, []int{q}, 1, [][]float64{sweepRow(full, q)}, when+", full range")
 			}
-			rows, err := part.MultiSource(context.Background(), g, sources, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			swept := sweepRows(part, g, sources)
-			for q := range rows {
-				if !slices.Equal(rows[q], swept[q]) {
-					t.Fatalf("%s: range [%d,%d) row %d differs from the sweep", when, lo, hi, q)
-				}
-			}
-			requireSparseRows(t, part, g, sources, 2, rows, when)
+			requireSparseRows(t, part, g, sources, 2, sweepRows(part, g, sources), fmt.Sprintf("%s, range [%d,%d)", when, lo, hi))
 		}
 		full, err := buildFull(g, opt)
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 
 	"oipsr/graph"
 	"oipsr/graph/gen"
+	"oipsr/internal/sparserow"
 )
 
 // saveFile writes ix as a file of the given kind to a temp file and
@@ -145,8 +146,8 @@ func updateTargets(t *testing.T, rng *rand.Rand, ix *Index, g *graph.Graph, targ
 }
 
 // TestMappedByteIdenticalQueries: an index opened for write-back answers
-// SingleSource, MultiSource, Pair and Join bit-identically to the build it
-// was saved from.
+// SparseRows (one source and batches), Pair and Join bit-identically to the
+// build it was saved from.
 func TestMappedByteIdenticalQueries(t *testing.T) {
 	g := gen.WebGraph(500, 6, 13)
 	built, err := buildFull(g, Options{Walks: 30, Seed: 9})
@@ -162,16 +163,16 @@ func TestMappedByteIdenticalQueries(t *testing.T) {
 	sources := []int{0, 7, 99, 250, 499}
 	for _, q := range sources {
 		if !slices.Equal(ssRow(t, wb, q), ssRow(t, built, q)) {
-			t.Fatalf("SingleSource(%d) differs", q)
+			t.Fatalf("row of %d differs", q)
 		}
 		if got, want := wb.Pair(nil, q, (q+13)%500), built.Pair(nil, q, (q+13)%500); got != want {
 			t.Fatalf("Pair(%d) = %v, built %v", q, got, want)
 		}
 	}
-	want := msRows(t, built, sources, 3)
-	for i, row := range msRows(t, wb, sources, 3) {
+	want := msRows(t, built, nil, sources, 3)
+	for i, row := range msRows(t, wb, nil, sources, 3) {
 		if !slices.Equal(row, want[i]) {
-			t.Fatalf("MultiSource row %d differs", i)
+			t.Fatalf("batch row %d differs", i)
 		}
 	}
 	wj, err := built.Join(ctx, nil, 25, 0.05, 200000, 2)
@@ -281,7 +282,7 @@ func TestWriteBackSpliceBoundaries(t *testing.T) {
 	}
 }
 
-// TestPrefetchShardEquivalence covers the ranged sweeps: MultiSource and
+// TestPrefetchShardEquivalence covers the ranged sweeps: SparseRows and
 // JoinCandidates on a shard range opened for write-back must match the
 // built range exactly.
 func TestPrefetchShardEquivalence(t *testing.T) {
@@ -295,17 +296,10 @@ func TestPrefetchShardEquivalence(t *testing.T) {
 
 	ctx := context.Background()
 	sources := []int{0, 60, 200, 349, 419}
-	want, err := sx.MultiSource(ctx, g, sources, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := wb.MultiSource(ctx, g, sources, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !slices.Equal(got[i], want[i]) {
-			t.Fatalf("MultiSource row %d differs", i)
+	want := msRows(t, sx, g, sources, 3)
+	for i, row := range msRows(t, wb, g, sources, 3) {
+		if !slices.Equal(row, want[i]) {
+			t.Fatalf("row %d differs", i)
 		}
 	}
 	wantCand, err := sx.JoinCandidates(ctx, g, 0.05, 0, sx.Walks(), 200000, 2)
@@ -374,18 +368,18 @@ func TestMappedConcurrentReaders(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for q := w; q < 300; q += 8 {
-				want, err := built.SingleSource(ctx, q, nil)
+				want, err := denseRows(ctx, built, nil, []int{q}, 1)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got, err := wb.SingleSource(ctx, q, nil)
+				got, err := denseRows(ctx, wb, nil, []int{q}, 1)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !slices.Equal(got, want) {
-					t.Errorf("SingleSource(%d) differs", q)
+				if !slices.Equal(got[0], want[0]) {
+					t.Errorf("row of %d differs", q)
 					return
 				}
 			}
@@ -423,11 +417,12 @@ func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
 				default:
 				}
 				mu.RLock()
-				if _, err := wb.SingleSource(ctx, (w*97+i*13)%400, nil); err != nil {
-					t.Error(err)
-				}
-				if _, err := wb.MultiSource(ctx, nil, []int{w, (w + 100) % 400}, 2); err != nil {
-					t.Error(err)
+				for _, sources := range [][]int{{(w*97 + i*13) % 400}, {w, (w + 100) % 400}} {
+					if rows, err := wb.SparseRows(ctx, nil, sources, 2); err != nil {
+						t.Error(err)
+					} else {
+						sparserow.Release(rows...)
+					}
 				}
 				mu.RUnlock()
 			}

@@ -15,6 +15,7 @@ import (
 	"oipsr/internal/par"
 	"oipsr/internal/psum"
 	"oipsr/internal/simmat"
+	"oipsr/internal/sparserow"
 	"oipsr/internal/walkindex"
 )
 
@@ -181,9 +182,9 @@ func computeMtxSR(_ context.Context, g *graph.Graph, o Options) (simmat.Source, 
 
 // computeMonteCarlo is the Fogaras-Racz first-meeting-time estimator,
 // answered by the serving walk index: one full-range index build, then
-// every row is that index's single-source answer. A row is therefore
-// bit-identical to query.Index.SingleSource under the same options, and the
-// matrix is exactly symmetric. Walks and K are capped at 65535 (the walk
+// every row is that index's sparse row of the source, written out. A row
+// is therefore bit-identical to query.Index.SingleSource under the same
+// options, and the matrix is exactly symmetric. Walks and K are capped at 65535 (the walk
 // hash's 16-bit fields); ctx is polled once per fingerprint of every row.
 func computeMonteCarlo(ctx context.Context, g *graph.Graph, o Options) (simmat.Source, *Stats, error) {
 	t0 := time.Now()
@@ -201,9 +202,16 @@ func computeMonteCarlo(ctx context.Context, g *graph.Graph, o Options) (simmat.S
 	}
 	t1 := time.Now()
 	m, err := fillRows(n, o.Workers, func() rowFunc {
+		source := make([]int, 1)
 		return func(q int, dst []float64) error {
-			_, err := ix.SingleSource(ctx, q, dst)
-			return err
+			source[0] = q
+			rows, err := ix.SparseRows(ctx, nil, source, 1)
+			if err != nil {
+				return err
+			}
+			rows[0].Densify(dst, 0)
+			sparserow.Release(rows...)
+			return nil
 		}
 	})
 	if err != nil {

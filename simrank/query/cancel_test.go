@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oipsr/graph/gen"
+	"oipsr/internal/sparserow"
 )
 
 // TestCancelledContextAbortsQueries: a cancelled context aborts every
@@ -90,13 +91,14 @@ func TestRerankCancellationMidPool(t *testing.T) {
 func TestRerankCancellationMidCandidate(t *testing.T) {
 	g := gen.WebGraph(6000, 11, 1)
 	const q, hub = 23, 33
-	scores := make([]float64, g.NumVertices())
-	scores[hub] = 1
+	n := g.NumVertices()
+	row := &sparserow.Row{}
+	row.Append(hub, 1)
 	opt := &TopKOptions{Rerank: true, Candidates: 1}
 
 	const budget = 1 << 30
 	live := &cancelAfterN{Context: context.Background(), n: budget}
-	if _, err := RankScores(live, g, 0.6, 13, scores, q, 1, opt); err != nil {
+	if _, err := RankSparse(live, g, 0.6, 13, n, row, q, 1, opt); err != nil {
 		t.Fatal(err)
 	}
 	if polls := budget - live.n; polls < 4 {
@@ -104,8 +106,8 @@ func TestRerankCancellationMidCandidate(t *testing.T) {
 	}
 
 	dying := &cancelAfterN{Context: context.Background(), n: 2}
-	if _, err := RankScores(dying, g, 0.6, 13, scores, q, 1, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RankScores with a context dying mid-candidate: err = %v, want context.Canceled", err)
+	if _, err := RankSparse(dying, g, 0.6, 13, n, row, q, 1, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RankSparse with a context dying mid-candidate: err = %v, want context.Canceled", err)
 	}
 	if dying.n != -1 {
 		t.Fatalf("the context was polled %d more times after it reported cancellation", -1-dying.n)

@@ -45,13 +45,13 @@
 //
 // # Batched queries and similarity joins
 //
-// Serving traffic rarely asks one question at a time. MultiSource and
-// TopKBatch answer a whole batch of sources through one shared traversal
-// of the index — the batch's walker positions are tabulated once per
-// (fingerprint, step) and a single sweep of the path store credits every
-// source at once — so cost per source shrinks as the batch grows, while
+// Serving traffic rarely asks one question at a time. SparseRows answers a
+// whole batch of sources, in parallel over sources, each at the cost of its
+// own answer; MultiSource and TopKBatch are its dense and ranked forms, and
 // every row and ranking stays bit-identical to the corresponding
-// independent SingleSource/TopK call, for every worker count. Join runs
+// independent SingleSource/TopK call, for every worker count. Every answer
+// is a sparse row (the source's non-zero scores) until the last step: the
+// rankings rank it, and the dense calls write it out. Join runs
 // the all-pairs top-k similarity join ("which pairs anywhere score at
 // least theta?"): only pairs whose walkers co-locate within the depth the
 // threshold allows are enumerated (a pair first co-locating at step t

@@ -14,6 +14,7 @@ import (
 	"oipsr/graph/gen"
 	"oipsr/graph/gio"
 	"oipsr/internal/par"
+	"oipsr/internal/sparserow"
 )
 
 // The gate of this file: exactScorer ≡ referenceScorer, bit for bit — every
@@ -90,8 +91,9 @@ func requireSameScores(t testing.TB, ex *exactScorer, q int, cands []int, what s
 	requireSameMemo(t, ex, ref, fmt.Sprintf("%s q=%d", what, q))
 }
 
-// referenceRank is RankScores with the rerank done by the reference: the
-// same pool, the same candidate order, the same final sort.
+// referenceRank is rankScores, RankSparse's dense model, with the rerank
+// done by the reference: the same pool, the same candidate order, the same
+// final sort.
 func referenceRank(g *graph.Graph, c float64, horizon int, scores []float64, q, k int, opt TopKOptions) []Ranked {
 	cands := topByScore(scores, q, RerankPool(len(scores), k, opt.Candidates))
 	if opt.PruneEps == 0 {
@@ -196,7 +198,7 @@ func TestScorerEqualsReference(t *testing.T) {
 }
 
 // TestRerankEqualsReferenceRandom: the public path — TopK with Rerank, all
-// through the pool — against RankScores' logic run on the reference, on
+// through the pool — against rankScores' logic run on the reference, on
 // random graphs of every generator with self-loops added and in-degree-0
 // vertices present, over the satellite's pool sizes and thresholds.
 func TestRerankEqualsReferenceRandom(t *testing.T) {
@@ -341,8 +343,10 @@ func TestPruneEpsValidation(t *testing.T) {
 			return err
 		},
 		"TopKBatch": func(opt *TopKOptions) error { _, err := ix.TopKBatch(ctx, []int{3, 4}, 5, opt, 2); return err },
-		"RankScores": func(opt *TopKOptions) error {
-			_, err := RankScores(ctx, g, ix.C(), ix.Horizon(), scores, 3, 5, opt)
+		"RankSparse": func(opt *TopKOptions) error {
+			row := &sparserow.Row{}
+			row.Sparsify(scores)
+			_, err := RankSparse(ctx, g, ix.C(), ix.Horizon(), ix.N(), row, 3, 5, opt)
 			return err
 		},
 	}

@@ -2,9 +2,12 @@ package query
 
 import (
 	"context"
+	"errors"
 	"math"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"oipsr/graph"
 	"oipsr/graph/gen"
@@ -127,5 +130,85 @@ func TestExactSolverInvalidatedByEdits(t *testing.T) {
 	}
 	if _, ok := ix.ExactStats(); !ok {
 		t.Fatal("no-op batch invalidated the solver")
+	}
+}
+
+// heldContext is a live context whose first Err call blocks until release
+// is closed, after closing entered: handed to PrepareExact it holds the
+// diagonal solve at its first cancellation poll, as a slow solve would.
+type heldContext struct {
+	context.Context
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (c *heldContext) Err() error {
+	c.once.Do(func() {
+		close(c.entered)
+		<-c.release
+	})
+	return c.Context.Err()
+}
+
+// TestExactWaiterKeepsItsDeadline: while one call runs the lazy diagonal
+// solve, an ExactSingleSource whose deadline is 20 ms away returns
+// context.DeadlineExceeded within about that deadline instead of queueing
+// behind the whole solve, and ExactStats answers at once (no solver yet).
+// When the held solve finishes, the next call is served from it.
+func TestExactWaiterKeepsItsDeadline(t *testing.T) {
+	ix, err := BuildIndex(gen.WebGraph(60, 5, 9), Options{Walks: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &heldContext{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{})}
+	built := make(chan error, 1)
+	go func() { built <- ix.PrepareExact(held, 1) }()
+	<-held.entered
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(held.release)
+			if err := <-built; err != nil {
+				t.Errorf("held solve: %v", err)
+			}
+		}
+	}
+	defer release()
+
+	const deadline, slack = 20 * time.Millisecond, 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	t0 := time.Now()
+	done := make(chan error, 1)
+	go func() { _, err := ix.ExactSingleSource(ctx, 4, nil); done <- err }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("ExactSingleSource behind a running solve: err = %v, want context.DeadlineExceeded", err)
+		} else if el := time.Since(t0); el > deadline+slack/2 {
+			t.Errorf("ExactSingleSource returned %v after its %v deadline", el, deadline)
+		}
+	case <-time.After(slack):
+		t.Errorf("ExactSingleSource with a %v deadline still waits for the running solve after %v", deadline, slack)
+	}
+
+	stats := make(chan bool, 1)
+	go func() { _, ok := ix.ExactStats(); stats <- ok }()
+	select {
+	case ok := <-stats:
+		if ok {
+			t.Error("ExactStats reports a solver while the first solve is still running")
+		}
+	case <-time.After(slack):
+		t.Error("ExactStats is waiting for the running solve")
+	}
+
+	release()
+	if _, ok := ix.ExactStats(); !ok {
+		t.Fatal("the held solve finished but ExactStats reports no solver")
+	}
+	if _, err := ix.ExactSingleSource(context.Background(), 4, nil); err != nil {
+		t.Fatal(err)
 	}
 }

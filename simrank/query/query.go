@@ -12,6 +12,7 @@ import (
 
 	"oipsr/graph"
 	"oipsr/internal/atomicio"
+	"oipsr/internal/linsr"
 	"oipsr/internal/par"
 	"oipsr/internal/sparserow"
 	"oipsr/internal/walkindex"
@@ -46,7 +47,7 @@ type Index struct {
 	// exact lazily holds the linearized-SimRank solver behind
 	// ExactSingleSource, keyed by (generation, graph) so edits invalidate
 	// it; see exactengine.go.
-	exact exactState
+	exact linsr.Lazy
 }
 
 // Ranked is one entry of a top-k result: a Vertex and its Score, encoded
@@ -231,10 +232,10 @@ func (ix *Index) AttachGraph(g *graph.Graph) error {
 }
 
 // SingleSource estimates s(q, v) for every vertex v and returns the dense
-// score vector; entry q is exactly 1. Cancelling ctx (a client gone, a
-// server deadline) abandons the sweep at the next chunk boundary and
-// returns the context's error; an uncancelled ctx never changes the
-// scores.
+// score vector; entry q is exactly 1. It is q's sparse row (SparseRows)
+// written out. Cancelling ctx (a client gone, a server deadline) abandons
+// the query at the next fingerprint and returns the context's error; an
+// uncancelled ctx never changes the scores.
 func (ix *Index) SingleSource(ctx context.Context, q int) ([]float64, error) {
 	return ix.SingleSourceInto(ctx, q, nil)
 }
@@ -253,7 +254,26 @@ func (ix *Index) SingleSourceInto(ctx context.Context, q int, dst []float64) ([]
 	if dst != nil && len(dst) != ix.wi.N() {
 		return nil, fmt.Errorf("query: buffer length %d, want %d", len(dst), ix.wi.N())
 	}
-	return ix.wi.SingleSource(ctx, q, dst)
+	row, err := ix.row(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	defer sparserow.Release(row)
+	if dst == nil {
+		dst = make([]float64, ix.wi.N())
+	}
+	row.Densify(dst, 0)
+	return dst, nil
+}
+
+// row returns q's walk-estimate row over the owned range; the caller
+// releases it.
+func (ix *Index) row(ctx context.Context, q int) (*sparserow.Row, error) {
+	rows, err := ix.wi.SparseRows(ctx, ix.g, []int{q}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
 }
 
 // Pair estimates the single score s(a, b) of any two vertices, owned or not.
@@ -306,11 +326,12 @@ func (ix *Index) TopK(ctx context.Context, q, k int, opt *TopKOptions) ([]Ranked
 	if err != nil {
 		return nil, err
 	}
-	scores, err := ix.wi.SingleSource(ctx, q, nil)
+	row, err := ix.row(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	return ix.rankFromScores(ctx, scores, q, k, opt)
+	defer sparserow.Release(row)
+	return ix.rank(ctx, row, q, k, opt)
 }
 
 // checkTopK is the argument validation TopK, TopKFromScores and TopKBatch
@@ -338,7 +359,7 @@ func (ix *Index) checkTopK(k int, opt *TopKOptions) (int, *TopKOptions, error) {
 }
 
 // errRerankNoGraph refuses an exact rerank without the graph the scores
-// were computed against: checkTopK returns it before any sweep, RankScores
+// were computed against: checkTopK returns it before any sweep, RankSparse
 // for callers that rank a row without an Index.
 var errRerankNoGraph = errors.New("query: rerank needs the source graph (AttachGraph after Load)")
 
@@ -356,9 +377,10 @@ func (opt *TopKOptions) validate() error {
 // score row (as returned by SingleSource/SingleSourceInto for the same q):
 // candidate selection, then the optional exact rerank. TopK(ctx, q, k, opt)
 // and SingleSourceInto + TopKFromScores produce bit-identical results —
-// the split exists for servers that obtain the row via a pooled buffer and
-// must decide between exact and estimate-only ranking per request (e.g.
-// degrading under a deadline) without recomputing the sweep.
+// the split exists for callers that hold the row already and decide
+// between exact and estimate-only ranking afterwards, without recomputing
+// it. The row enters as its entries other than +0 (sparserow's Sparsify)
+// and is ranked as every other row is.
 func (ix *Index) TopKFromScores(ctx context.Context, scores []float64, q, k int, opt *TopKOptions) ([]Ranked, error) {
 	n := ix.wi.N()
 	if len(scores) != n {
@@ -371,20 +393,17 @@ func (ix *Index) TopKFromScores(ctx context.Context, scores []float64, q, k int,
 	if err != nil {
 		return nil, err
 	}
-	return ix.rankFromScores(ctx, scores, q, k, opt)
+	row := sparserow.Get()
+	defer sparserow.Release(row)
+	row.Sparsify(scores)
+	return ix.rank(ctx, row, q, k, opt)
 }
 
-// RerankPoolSize reports how many candidates a TopK rerank with this k and
-// TopKOptions.Candidates would re-score — the exact pool the rerank uses,
-// exported so servers can estimate rerank cost (deadline-aware degradation
-// multiplies it by a measured per-candidate cost).
-func (ix *Index) RerankPoolSize(k, candidates int) int {
-	return RerankPool(ix.wi.N(), k, candidates)
-}
-
-// RerankPool is RerankPoolSize as a free function over the vertex count,
-// for callers (the scatter/gather router) that size rerank work without
-// holding an Index.
+// RerankPool reports how many candidates a top-k rerank on an n-vertex
+// graph with this k and TopKOptions.Candidates re-scores — the exact pool
+// the rerank uses, exported so servers can estimate rerank cost
+// (deadline-aware degradation multiplies it by a measured per-candidate
+// cost).
 func RerankPool(n, k, candidates int) int {
 	if k > n-1 {
 		k = n - 1
@@ -399,130 +418,86 @@ func RerankPool(n, k, candidates int) int {
 	return max(pool, 0)
 }
 
-// rankFromScores turns one dense score row into the final top-k result:
-// candidate selection by estimated score, then the optional exact rerank.
-// TopK and TopKBatch both end here — sharing the code is what makes the
-// batched path bit-identical to independent calls by construction. Callers
-// validate q/k/opt with checkTopK; what is left to fail is ctx, which the
-// rerank polls between candidates and inside them (see exact.go).
-func (ix *Index) rankFromScores(ctx context.Context, scores []float64, q, k int, opt *TopKOptions) ([]Ranked, error) {
-	return RankScores(ctx, ix.g, ix.wi.C(), ix.wi.Horizon(), scores, q, k, opt)
+// rank finishes one top-k query from q's row: candidate selection, then the
+// optional exact rerank. TopK, TopKBatch and TopKFromScores all end here —
+// sharing the code is what makes the batched path bit-identical to
+// independent calls by construction. Callers validate q/k/opt with
+// checkTopK; what is left to fail is ctx, which the rerank polls between
+// candidates and inside them (see exact.go).
+func (ix *Index) rank(ctx context.Context, row *sparserow.Row, q, k int, opt *TopKOptions) ([]Ranked, error) {
+	return RankSparse(ctx, ix.g, ix.wi.C(), ix.wi.Horizon(), ix.wi.N(), row, q, k, opt)
 }
 
-// RankScores finishes a top-k query from a dense score row without an
-// Index: candidate selection by estimated score, then the optional exact
-// rerank against g with damping factor c and horizon K. It is the exact
-// code path TopK ends in, exported for the scatter/gather router, which
-// assembles the dense row from per-shard partials and must rank it — and
-// rerank the globally merged candidate pool in ONE place, because the
-// exact scorer's memoization is accuracy-preserving but not bit-stable
+// RankSparse finishes a top-k query from the score row of q on an n-vertex
+// graph, without an Index: candidate selection by estimated score, then
+// the optional exact rerank against g with damping factor c and horizon K.
+// Every top-k answer ends here — the library's and simrankd's over either
+// row source. The router assembles the row from per-shard runs and must
+// rank it, and rerank the globally merged candidate pool, in ONE place:
+// the exact scorer's memoization is accuracy-preserving but not bit-stable
 // across visiting orders, so reranking per shard and merging would not
 // reproduce the single-node scores.
 //
+// The candidates are the top of the dense vector the row stands for,
+// selected without scanning n: a row with fewer entries than the pool is
+// padded with zero-score vertices in ascending id order (sparserow's Top).
 // Callers validate q/k (k already clamped to at most n-1) and, when
 // opt.Rerank is set, pass the graph the scores were computed against. The
 // errors are an option value out of range (see TopKOptions), a rerank
 // without a graph, a graph or horizon beyond what the exact scorer's memo
 // keys hold, and ctx cancellation.
-func RankScores(ctx context.Context, g *graph.Graph, c float64, horizon int, scores []float64, q, k int, opt *TopKOptions) ([]Ranked, error) {
-	return rankWith(ctx, g, c, horizon, len(scores), q, k, opt, func(pool int) []Ranked {
-		return topByScore(scores, q, pool)
-	})
-}
-
-// RankSparse is RankScores over a sparse row of an n-vertex graph: the same
-// candidates (a row with fewer entries than the pool is padded with
-// zero-score vertices in ascending id order, exactly what the dense
-// selection returns), the same rerank, the same result — without scanning n.
 func RankSparse(ctx context.Context, g *graph.Graph, c float64, horizon, n int, row *sparserow.Row, q, k int, opt *TopKOptions) ([]Ranked, error) {
-	return rankWith(ctx, g, c, horizon, n, q, k, opt, func(pool int) []Ranked {
-		return row.Top(pool, q, n)
-	})
-}
-
-// rankWith is the tail RankScores and RankSparse share: size the candidate
-// pool, let top select it from the row, and exactly re-score it when asked.
-func rankWith(ctx context.Context, g *graph.Graph, c float64, horizon, n, q, k int, opt *TopKOptions, top func(pool int) []Ranked) ([]Ranked, error) {
 	if opt == nil {
 		opt = &TopKOptions{}
 	}
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	pool := k
-	if opt.Rerank {
-		if g == nil {
-			return nil, errRerankNoGraph
-		}
-		pool = RerankPool(n, k, opt.Candidates)
+	if !opt.Rerank {
+		return row.Top(k, q, n), nil
 	}
-	cands := top(pool)
-
-	if opt.Rerank {
-		pruneEps := opt.PruneEps
-		if pruneEps == 0 {
-			pruneEps = 1e-5
-		}
-		// One memo per call, never shared between calls: its weight-bounded
-		// reuse is accuracy-preserving but not bit-stable across visiting
-		// orders, so a memo that outlived the call would make a score depend
-		// on what was asked before it. What is pooled is the table's memory,
-		// not its contents.
-		ex, err := newExactScorer(ctx, g, c, horizon, pruneEps)
-		if err != nil {
-			return nil, err
-		}
-		defer ex.release()
-		check := par.NewCancelChecker(ctx, 1)
-		for i := range cands {
-			if err := check.Stop(); err != nil {
-				return nil, err
-			}
-			if cands[i].Score, err = ex.pair(q, cands[i].Vertex); err != nil {
-				return nil, err
-			}
-		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			if cands[i].Score != cands[j].Score {
-				return cands[i].Score > cands[j].Score
-			}
-			return cands[i].Vertex < cands[j].Vertex
-		})
+	if g == nil {
+		return nil, errRerankNoGraph
 	}
-	if k > len(cands) {
-		k = len(cands)
+	cands := row.Top(RerankPool(n, k, opt.Candidates), q, n)
+	if err := rerank(ctx, g, c, horizon, q, cands, opt.PruneEps); err != nil {
+		return nil, err
 	}
-	return cands[:k], nil
+	return cands[:min(k, len(cands))], nil
 }
 
-// topByScore selects the top-m vertices by score, excluding skip, in
-// decreasing score order with ties broken by vertex id. It keeps a small
-// sorted tail instead of sorting all n entries: O(n log m).
-func topByScore(scores []float64, skip, m int) []Ranked {
-	out := make([]Ranked, 0, max(m, 0))
-	if m <= 0 {
-		return out
+// rerank re-scores every candidate exactly against q and re-sorts them by
+// (score desc, vertex asc); pruneEps 0 means 1e-5.
+func rerank(ctx context.Context, g *graph.Graph, c float64, horizon, q int, cands []Ranked, pruneEps float64) error {
+	if pruneEps == 0 {
+		pruneEps = 1e-5
 	}
-	for v, s := range scores {
-		if v == skip {
-			continue
-		}
-		if len(out) == m {
-			last := out[m-1]
-			if s < last.Score || (s == last.Score && v > last.Vertex) {
-				continue
-			}
-			out = out[:m-1]
-		}
-		// Insert keeping (score desc, id asc) order.
-		i := sort.Search(len(out), func(i int) bool {
-			return out[i].Score < s || (out[i].Score == s && out[i].Vertex > v)
-		})
-		out = append(out, Ranked{})
-		copy(out[i+1:], out[i:])
-		out[i] = Ranked{Vertex: v, Score: s}
+	// One memo per call, never shared between calls: its weight-bounded
+	// reuse is accuracy-preserving but not bit-stable across visiting
+	// orders, so a memo that outlived the call would make a score depend on
+	// what was asked before it. What is pooled is the table's memory, not
+	// its contents.
+	ex, err := newExactScorer(ctx, g, c, horizon, pruneEps)
+	if err != nil {
+		return err
 	}
-	return out
+	defer ex.release()
+	check := par.NewCancelChecker(ctx, 1)
+	for i := range cands {
+		if err := check.Stop(); err != nil {
+			return err
+		}
+		if cands[i].Score, err = ex.pair(q, cands[i].Vertex); err != nil {
+			return err
+		}
+	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		if cands[i].Score != cands[j].Score {
+			return cands[i].Score > cands[j].Score
+		}
+		return cands[i].Vertex < cands[j].Vertex
+	})
+	return nil
 }
 
 // Save writes the index (not the graph) to w in the versioned binary

@@ -43,10 +43,12 @@ func buildRange(t *testing.T, g *graph.Graph, opt Options, lo, hi int, attach bo
 	return NewIndex(wi, g)
 }
 
-// TestMultiSourceBitIdenticalToSingleSource: MultiSource and SparseRows on
-// any range — owned sources, foreign ones, duplicates — return the [Lo, Hi)
-// slice of the independent SingleSource row, bit for bit, for every worker
-// count; and Pair and ScorePairs score any pair as the single node does.
+// TestMultiSourceBitIdenticalToSingleSource: SingleSource (also into a
+// buffer holding stale scores) is the row Pair scores cell by cell, and
+// MultiSource and SparseRows on any range — owned sources, foreign ones,
+// duplicates — return the [Lo, Hi) slice of it, bit for bit, for every
+// worker count; and Pair and ScorePairs score any pair as the single node
+// does.
 func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
 	g := gen.WebGraph(120, 6, 3)
 	opt := Options{Walks: 50, Seed: 2}
@@ -57,9 +59,19 @@ func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
 	ctx := context.Background()
 	sources := []int{3, 60, 3, 119, 41, 80}
 	want := make([][]float64, len(sources))
+	stale := slices.Repeat([]float64{0.5}, g.NumVertices())
 	for i, q := range sources {
-		if want[i], err = full.SingleSource(ctx, q); err != nil {
+		want[i] = pairRow(t, full, q)
+		got, err := full.SingleSource(ctx, q)
+		if err != nil {
 			t.Fatal(err)
+		}
+		into, err := full.SingleSourceInto(ctx, q, stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want[i]) || !slices.Equal(into, want[i]) {
+			t.Fatalf("q=%d: SingleSource or SingleSourceInto differs from the Pair row", q)
 		}
 	}
 	forEachRange(t, g.NumVertices(), func(t *testing.T, lo, hi int) {

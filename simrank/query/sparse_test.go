@@ -4,11 +4,80 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
+	"oipsr/graph"
 	"oipsr/graph/gen"
 	"oipsr/internal/sparserow"
 )
+
+// topByScore is the dense model of candidate selection: the top-m vertices
+// of a dense score vector, excluding skip, in decreasing score order with
+// ties broken by vertex id, through a small sorted tail (O(n log m)).
+func topByScore(scores []float64, skip, m int) []Ranked {
+	out := make([]Ranked, 0, max(m, 0))
+	if m <= 0 {
+		return out
+	}
+	for v, s := range scores {
+		if v == skip {
+			continue
+		}
+		if len(out) == m {
+			last := out[m-1]
+			if s < last.Score || (s == last.Score && v > last.Vertex) {
+				continue
+			}
+			out = out[:m-1]
+		}
+		// Insert keeping (score desc, id asc) order.
+		i := sort.Search(len(out), func(i int) bool {
+			return out[i].Score < s || (out[i].Score == s && out[i].Vertex > v)
+		})
+		out = append(out, Ranked{})
+		copy(out[i+1:], out[i:])
+		out[i] = Ranked{Vertex: v, Score: s}
+	}
+	return out
+}
+
+// pairRow is the dense row of q that Pair, the independent model of every
+// row (one pair's first-meeting accumulation), scores cell by cell.
+func pairRow(t *testing.T, ix *Index, q int) []float64 {
+	t.Helper()
+	row := make([]float64, ix.N())
+	for v := range row {
+		var err error
+		if row[v], err = ix.Pair(q, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return row
+}
+
+// rankScores is RankSparse's dense model: the same option checks and pool,
+// the candidates selected from the dense vector by topByScore, the same
+// rerank.
+func rankScores(ctx context.Context, g *graph.Graph, c float64, horizon int, scores []float64, q, k int, opt *TopKOptions) ([]Ranked, error) {
+	if opt == nil {
+		opt = &TopKOptions{}
+	}
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	if !opt.Rerank {
+		return topByScore(scores, q, k), nil
+	}
+	if g == nil {
+		return nil, errRerankNoGraph
+	}
+	cands := topByScore(scores, q, RerankPool(len(scores), k, opt.Candidates))
+	if err := rerank(ctx, g, c, horizon, q, cands, opt.PruneEps); err != nil {
+		return nil, err
+	}
+	return cands[:min(k, len(cands))], nil
+}
 
 // sparseOf is the sparse row a dense one stands for, cell i as vertex
 // base+i.
@@ -68,7 +137,8 @@ func TestSparseSelectionMatchesTopByScore(t *testing.T) {
 
 // TestRankSparseMatchesRankScores: the whole ranking tail — selection, pool
 // sizing, the exact rerank of a pool that is mostly padding — over real walk
-// rows, sparse against dense, with == on every score.
+// rows, RankSparse against its dense model (rankScores over the row Pair
+// scores cell by cell), with == on every score.
 func TestRankSparseMatchesRankScores(t *testing.T) {
 	g := gen.WebGraph(150, 4, 9)
 	ix, err := BuildIndex(g, Options{Walks: 30, Seed: 5, Workers: 1})
@@ -88,12 +158,9 @@ func TestRankSparseMatchesRankScores(t *testing.T) {
 	defer sparserow.Release(rows...)
 	padded := 0
 	for q := 0; q < n; q++ {
-		dense, err := ix.SingleSource(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dense := pairRow(t, ix, q)
 		if !slices.Equal(rows[q].IDs, sparseOf(0, dense).IDs) || !slices.Equal(rows[q].Scores, sparseOf(0, dense).Scores) {
-			t.Fatalf("q=%d: SparseRows %v, non-zeros of SingleSource %v", q, rows[q], sparseOf(0, dense))
+			t.Fatalf("q=%d: SparseRows %v, non-zeros of the Pair row %v", q, rows[q], sparseOf(0, dense))
 		}
 		if rows[q].Len()-1 < RerankPool(n, 10, 0) {
 			padded++
@@ -104,7 +171,7 @@ func TestRankSparseMatchesRankScores(t *testing.T) {
 					continue // the rerank is the slow part; a tenth of the sources
 				}
 				opt := &TopKOptions{Rerank: rerank}
-				want, err := RankScores(ctx, g, ix.C(), ix.Horizon(), dense, q, k, opt)
+				want, err := rankScores(ctx, g, ix.C(), ix.Horizon(), dense, q, k, opt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -166,5 +167,30 @@ func TestRerankImprovesOrNotWorse(t *testing.T) {
 	if sumRerank < sumRaw-1e-9 {
 		t.Errorf("rerank lowered mean precision: raw %.3f, reranked %.3f",
 			sumRaw/float64(len(queries)), sumRerank/float64(len(queries)))
+	}
+}
+
+// BenchmarkTopK times the library's estimate-only TopK on a web graph
+// (average degree 11, 100 walks) at n = 6000 and n = 10⁵, the source
+// stepping by 7919 each op. It builds the 10⁵ index first, so it is skipped under -short.
+func BenchmarkTopK(b *testing.B) {
+	if testing.Short() {
+		b.Skip("builds a 10^5-vertex walk index")
+	}
+	ctx := context.Background()
+	for _, n := range []int{6000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ix, err := BuildIndex(gen.WebGraph(n, 11, 1), Options{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.TopK(ctx, (i*7919)%n, 10, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

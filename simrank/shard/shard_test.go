@@ -449,7 +449,7 @@ func TestFullRangeBuildIsBuildIndex(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		same("accessors", func(ix *query.Index) (any, error) {
 			return []any{ix.N(), ix.Lo(), ix.Hi(), ix.Owns(99), ix.C(), ix.Horizon(), ix.Walks(), ix.Seed(), ix.Bytes(),
-				ix.ForestBytes(), ix.Backend(), ix.Generation(), ix.Graph().NumEdges(), ix.RerankPoolSize(10, 0)}, nil
+				ix.ForestBytes(), ix.Backend(), ix.Generation(), ix.Graph().NumEdges()}, nil
 		})
 		same("SingleSource", func(ix *query.Index) (any, error) { return ix.SingleSource(ctx, 17) })
 		same("SingleSourceInto", func(ix *query.Index) (any, error) { return ix.SingleSourceInto(ctx, 42, make([]float64, 100)) })
