@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -19,25 +18,27 @@ import (
 // NDJSON line per source; POST /v1/join serves the all-pairs top-k
 // similarity join.
 //
-// Batch lines are byte-identical to the corresponding single-endpoint
-// responses and share their cache entries (same generation-aware keys), so
-// a batch warms the cache for /v1/topk and /v1/single_source and vice
-// versa. Items fail independently: an out-of-range source yields an error
-// line in its position while the rest of the batch is answered normally.
+// Batch lines are made by answer, as the single endpoints' bodies are (a
+// single query is a batch of one), so they are byte-identical and share
+// cache entries (ask.key): a batch warms the cache for /v1/topk and
+// /v1/single_source and vice versa. Items fail independently: an
+// out-of-range source yields an error line in its position while the rest
+// of the batch is answered normally.
 
 // maxRequestBody bounds every JSON request body (/v1/batch, /v1/join,
 // /v1/edges): ~8 MB is thousands of sources or tens of thousands of edits,
 // far beyond a sane online request.
 const maxRequestBody = 8 << 20
 
-// maxDenseBatchScores bounds the total score values a dense (no "min")
-// single_source batch may produce: dense rows are O(n) each and the whole
-// NDJSON response is buffered before streaming, so without this cap one
-// modest-looking request on a large graph could hold gigabytes of response.
-// 8M float64 scores is 64 MB of rows before encoding. The same figure
-// bounds the per-chunk rows of every batch mode, each up to n scores (see
-// batchChunk) — there the response stays small, so chunking suffices and
-// no request has to be refused.
+// maxDenseBatchScores bounds the total scores a whole-row single_source
+// batch may produce — dense (no "min"), or a "min" <= 0, which admits every
+// vertex: such rows are O(n) each and the whole NDJSON response is buffered
+// before streaming, so without this cap one modest-looking request on a
+// large graph could hold gigabytes of response. 8M float64 scores is 64 MB
+// of rows before encoding. The same figure bounds the per-chunk rows of
+// every batch mode, each up to n scores (see batchChunk) — there the
+// response stays small, so chunking suffices and no request has to be
+// refused.
 const maxDenseBatchScores = 8 << 20
 
 // batchChunk returns how many sources one rows call may carry so that even
@@ -56,16 +57,8 @@ type batchRequest struct {
 	K      int  `json:"k"`
 	Rerank bool `json:"rerank"`
 	// Min applies to single_source mode only: present means the sparse,
-	// thresholded response form (the only cacheable one).
+	// thresholded response form (cacheable when Min > 0).
 	Min *float64 `json:"min"`
-}
-
-// threshold returns Min and whether it was given.
-func (req *batchRequest) threshold() (min float64, sparse bool) {
-	if req.Min == nil {
-		return 0, false
-	}
-	return *req.Min, true
 }
 
 // batchItemError is the NDJSON line of a failed batch item.
@@ -147,17 +140,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "batch of %d sources exceeds the %d limit", len(req.Sources), s.maxBatch)
 		return
 	}
-	if mode == "single_source" && req.Min == nil && int64(len(req.Sources))*int64(s.n) > maxDenseBatchScores {
-		s.writeError(w, http.StatusBadRequest,
-			"dense batch of %d sources on %d vertices exceeds %d total scores; pass \"min\" or split the batch",
-			len(req.Sources), s.n, maxDenseBatchScores)
+	a := ask{topk: mode == "topk", k: req.K, rerank: req.Rerank}
+	if req.Min != nil {
+		a.sparse, a.min = true, *req.Min
+	}
+	if a.wholeRow() && int64(len(req.Sources))*int64(s.n) > maxDenseBatchScores {
+		hint := `pass "min"`
+		if a.sparse {
+			hint = `raise "min" above 0` // a min <= 0 admits every vertex
+		}
+		s.writeError(w, http.StatusBadRequest, "dense batch of %d sources on %d vertices exceeds %d total scores; %s or split the batch",
+			len(req.Sources), s.n, maxDenseBatchScores, hint)
 		return
 	}
 	s.batchItems.Add(int64(len(req.Sources)))
 
 	// Compute every line under the read lock, then release it before
 	// streaming: a slow client must not block /v1/edges.
-	lines, itemErrors, degraded, err := s.computeBatchLines(r.Context(), &req, mode)
+	lines, itemErrors, degraded, err := s.computeBatchLines(r.Context(), a, req.Sources)
 	if err != nil {
 		// The error sources are the context (deadline, drain), a rerank
 		// without a graph, and encoding; writeQueryError maps the first, 500
@@ -174,41 +174,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.streamNDJSON(w, r, lines)
 }
 
-// computeBatchLines resolves a validated batch request into one response
-// line per source: per-item validation, cache lookups, one shared-traversal
-// (or one scatter) per chunk for the misses, and cache fills. It holds the
-// read lock for the whole computation so every line reflects one
-// generation. degraded reports that at least one chunk was not what was
-// asked for: raw estimates because the remaining deadline could not afford
-// its exact rerank, or rows missing a vertex range.
-func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode string) (lines [][]byte, itemErrors int64, degraded bool, err error) {
+// computeBatchLines resolves a validated batch into one response line per
+// source. What is batch-specific happens here — per-item range errors,
+// deduplication, cache lookups and fills, chunking — and every chunk of
+// misses is answered by answer, as a single query is. It holds the read
+// lock for the whole computation so every line reflects one generation.
+// degraded reports that at least one chunk was not what was asked for.
+func (s *Server) computeBatchLines(ctx context.Context, a ask, sources []int) (lines [][]byte, itemErrors int64, degraded bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
 	tag := s.src.genTag()
-	minVal, sparse := req.threshold()
-	// The key of an item's line, shared with the single endpoints; "" for
-	// the dense single_source form, which is O(n) bytes and stays out of
-	// the cache there too.
-	keyOf := func(q int) string {
-		switch {
-		case mode == "topk":
-			return topKCacheKey(tag, q, req.K, req.Rerank)
-		case sparse:
-			return ssCacheKey(tag, q, minVal)
-		}
-		return ""
-	}
-
-	lines = make([][]byte, len(req.Sources))
+	lines = make([][]byte, len(sources))
 	// Misses are deduplicated per source id: the per-item parameters are
 	// shared batch-wide, so duplicate sources are computed (and cached)
 	// once and their lines reused.
 	missSlot := make(map[int]int)
 	var miss []int
-	for i, q := range req.Sources {
-		if q < 0 || q >= s.n {
-			line, merr := s.marshalBody(batchItemError{Source: q, Error: fmt.Sprintf("query: vertex %d out of range [0,%d)", q, s.n)})
+	for i, q := range sources {
+		if rerr := s.outOfRange(q); rerr != nil {
+			line, merr := s.marshalBody(batchItemError{Source: q, Error: rerr.Error()})
 			if merr != nil {
 				return nil, 0, false, merr
 			}
@@ -216,7 +201,7 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 			itemErrors++
 			continue
 		}
-		if key := keyOf(q); key != "" {
+		if key := a.key(tag, q); key != "" {
 			if body, ok := s.cache.Get(key); ok {
 				lines[i] = body
 				continue
@@ -231,27 +216,27 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 		return lines, itemErrors, false, nil
 	}
 
-	// Misses are fetched in chunks: a row may hold a score for each of the
+	// Misses are answered in chunks: a row may hold a score for each of the
 	// n vertices, so an unchunked batch on a large graph could pin
-	// len(miss)*n*8 bytes at once. Each chunk's rows are released before the next starts;
-	// per-source results are unaffected (every row is independent of which
-	// batch it was computed in).
+	// len(miss)*n*8 bytes at once. Each chunk's rows are released before
+	// the next starts; per-source results are unaffected (every row is
+	// independent of which batch it was computed in).
 	bodies := make([][]byte, len(miss))
 	chunk := batchChunk(s.n)
 	for lo := 0; lo < len(miss); lo += chunk {
 		hi := min(lo+chunk, len(miss))
-		chunkDegraded, err := s.chunkBodies(ctx, req, mode, miss[lo:hi], bodies[lo:hi])
+		chunkDegraded, err := s.answer(ctx, a, miss[lo:hi], bodies[lo:hi])
 		if err != nil {
 			return nil, 0, false, err
 		}
 		for j, q := range miss[lo:hi] {
-			if key := keyOf(q); key != "" && !chunkDegraded {
+			if key := a.key(tag, q); key != "" && !chunkDegraded {
 				s.cache.Put(key, bodies[lo+j])
 			}
 		}
 		degraded = degraded || chunkDegraded
 	}
-	for i, q := range req.Sources {
+	for i, q := range sources {
 		if lines[i] == nil {
 			lines[i] = bodies[missSlot[q]]
 		}
@@ -259,69 +244,32 @@ func (s *Server) computeBatchLines(ctx context.Context, req *batchRequest, mode 
 	return lines, itemErrors, degraded, nil
 }
 
-// chunkBodies fetches the rows of one chunk of missed sources and encodes
-// each source's response line into bodies. The rows go back to their pool
-// on return: a body holds copies, never row memory.
-func (s *Server) chunkBodies(ctx context.Context, req *batchRequest, mode string, sources []int, bodies [][]byte) (degraded bool, err error) {
-	rows, degraded, err := s.src.rows(ctx, sources)
-	if err != nil {
-		return false, err
-	}
-	defer sparserow.Release(rows...)
-	if mode != "topk" {
-		minVal, sparse := req.threshold()
-		for j, q := range sources {
-			if bodies[j], err = s.singleSourceBody(q, rows[j], sparse, minVal, degraded); err != nil {
-				return false, err
-			}
-		}
-		return degraded, nil
-	}
-	// The degrade decision is per chunk, by the rules of /v1/topk: rows
-	// missing a range disable the rerank outright, and the budget check sees
-	// the whole chunk's candidate volume against the remaining deadline — so
-	// a batch that starts exact can finish degraded as the budget drains,
-	// each line honestly marked.
-	useRerank := req.Rerank && !degraded
-	pool := query.RerankPool(s.n, req.K, 0) * len(sources)
-	if useRerank && s.shouldDegrade(ctx, pool) {
-		useRerank, degraded = false, true
-	}
-	t1 := time.Now()
-	results, err := s.rankRows(ctx, rows, sources, req.K, useRerank)
-	if err != nil {
-		return false, err
-	}
-	if useRerank {
-		s.observeRerank(time.Since(t1), pool)
-	}
-	for j, q := range sources {
-		if bodies[j], err = s.topKBody(q, req.K, useRerank, degraded, results[j]); err != nil {
-			return false, err
-		}
-	}
-	return degraded, nil
-}
-
-// rankRows ranks one chunk's rows, in parallel across sources over the
-// configured workers: rows are independent and every rerank has its own
-// memo, so the results are bit-identical for every worker count.
-func (s *Server) rankRows(ctx context.Context, rows []*sparserow.Row, sources []int, k int, rerank bool) ([][]query.Ranked, error) {
-	out := make([][]query.Ranked, len(rows))
+// rankRows ranks one chunk's rows — candidate selection, then the optional
+// exact rerank against the source's current graph — in parallel across
+// sources over the configured workers: rows are independent and every
+// rerank has its own memo, so the results are bit-identical for every
+// worker count. took is each source's own ranking time, what the rerank
+// cost model learns from.
+func (s *Server) rankRows(ctx context.Context, rows []*sparserow.Row, sources []int, k int, rerank bool) (out [][]query.Ranked, took []time.Duration, err error) {
+	g, opt := s.src.graph(), &query.TopKOptions{Rerank: rerank}
+	out = make([][]query.Ranked, len(rows))
+	took = make([]time.Duration, len(rows))
 	parts := par.ResolveMax(s.workers, len(rows))
 	errs := make([]error, parts)
 	par.Do(parts, func(w int) {
 		lo, hi := par.Range(len(rows), parts, w)
 		for i := lo; i < hi && errs[w] == nil; i++ {
-			out[i], errs[w] = s.rank(ctx, rows[i], sources[i], k, rerank)
+			t0 := time.Now()
+			out[i], errs[w] = query.RankSparse(ctx, g, s.c, s.horizon, s.n, rows[i], sources[i], min(k, s.n-1), opt)
+			took[i] = since(t0)
 		}
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	return out, took, nil
 }
 
 type joinRequest struct {
@@ -364,7 +312,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	key := joinCacheKey(s.src.genTag(), req.K, req.Threshold, maxCand)
+	key := cacheKey(s.src.genTag(), "join", req.K, req.Threshold, maxCand)
 	if s.cached(w, key) {
 		return
 	}
@@ -377,6 +325,10 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, err := s.marshalBody(joinResponse{K: req.K, Threshold: req.Threshold, Pairs: pairs, Degraded: degraded})
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
 	// The LRU is entry-count bounded, so only modest bodies may enter it —
 	// the same reasoning that keeps dense single-source rows out. A join
 	// with a large k can legitimately return megabytes; serve it, don't
@@ -384,7 +336,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if len(body) > maxCachedJoinBody {
 		key = ""
 	}
-	s.writeBody(w, key, degraded, body, err)
+	s.writeBody(w, key, degraded, body)
 }
 
 // maxCachedJoinBody bounds the join response bodies admitted to the LRU

@@ -5,11 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
+	"oipsr/graph/gen"
 	"oipsr/simrank/query"
 )
 
@@ -248,6 +252,120 @@ func TestBatchRequestValidation(t *testing.T) {
 		!strings.Contains(string(body), "dense batch") {
 		t.Errorf("oversize dense batch: status %d, body %s", code, body)
 	}
+}
+
+// TestZeroMinIsAWholeRow: a threshold min <= 0 admits every vertex, so its
+// body is O(n) like the dense row's. It stays out of the response cache on
+// both endpoints, and a batch of such rows counts against the whole-row
+// score cap, refused with a hint that does not ask for the "min" the
+// request already passed.
+func TestZeroMinIsAWholeRow(t *testing.T) {
+	_, idx := testIndex(t)
+	n := idx.N()
+	srv := newServer(idx, 64, 1)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for round := 0; round < 2; round++ {
+		for _, path := range []string{"/v1/single_source?q=31&min=0", "/v1/single_source?q=31&min=-1"} {
+			if code, body := get(t, ts.URL+path); code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", path, code, body)
+			}
+		}
+		if code, body := postJSON(t, ts.URL+"/v1/batch", `{"mode":"single_source","sources":[31,32],"min":0}`); code != http.StatusOK {
+			t.Fatalf("min 0 batch: status %d: %s", code, body)
+		}
+	}
+	if _, body := get(t, ts.URL+"/metrics"); !strings.Contains(string(body), "simrankd_cache_hits_total 0\n") {
+		t.Errorf("repeated whole-row requests hit the cache:\n%s", body)
+	}
+
+	srv.maxBatch = maxDenseBatchScores // lift the source-count limit
+	var big strings.Builder
+	big.WriteString(`{"mode":"single_source","min":0,"sources":[0`)
+	for i := 0; i < maxDenseBatchScores/n; i++ {
+		big.WriteString(",0")
+	}
+	big.WriteString(`]}`)
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(big.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Read no more than an error body: a batch that slipped past the cap
+	// streams n results per source.
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `raise \"min\" above 0`) ||
+		strings.Contains(string(body), `pass \"min\"`) {
+		t.Errorf("min 0 batch of %d sources on %d vertices: status %d, body %.200s", maxDenseBatchScores/n+1, n, resp.StatusCode, body)
+	}
+}
+
+// FuzzSingleMatchesBatch: a single query is a batch of one. For any q (in
+// range or not), mode, k, rerank and threshold, a 200 from /v1/topk or
+// /v1/single_source is byte for byte the line /v1/batch streams for that
+// source, and a refusal of one is a refusal of the other: a failed batch
+// request, or the source's item error line carrying the same text. The
+// server is the goldens' (gen.WebGraph(60, 5, 101), 200 walks, seed 7)
+// with the cache off, so both sides compute.
+func FuzzSingleMatchesBatch(f *testing.F) {
+	idx, err := query.BuildIndex(gen.WebGraph(goldenN, 5, 101), query.Options{Walks: 200, Seed: 7, Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(idx, Config{CacheSize: -1, Workers: 1})
+	serve := func(method, target, body string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, q int, topk bool, k int, rerank, hasMin bool, min float64) {
+		if math.IsNaN(min) || math.IsInf(min, 0) {
+			return // JSON cannot carry them
+		}
+		path := fmt.Sprintf("/v1/single_source?q=%d", q)
+		req := map[string]any{"mode": "single_source", "sources": []int{q}}
+		switch {
+		case topk:
+			// An absent k is 10 on both endpoints; the batch spells it 0.
+			path = fmt.Sprintf("/v1/topk?q=%d&rerank=%t", q, rerank)
+			if k != 0 {
+				path += fmt.Sprintf("&k=%d", k)
+			}
+			req = map[string]any{"mode": "topk", "sources": []int{q}, "k": k, "rerank": rerank}
+		case hasMin:
+			path += "&min=" + strconv.FormatFloat(min, 'g', -1, 64)
+			req["min"] = min
+		}
+		reqBody, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, single := serve("GET", path, "")
+		bcode, batch := serve("POST", "/v1/batch", string(reqBody))
+		if bcode != http.StatusOK {
+			if code == http.StatusOK {
+				t.Fatalf("GET %s answered 200, batch %s refused with %d: %s", path, reqBody, bcode, batch)
+			}
+			return
+		}
+		lines := ndjsonLines(t, batch)
+		if len(lines) != 1 {
+			t.Fatalf("batch %s: %d lines", reqBody, len(lines))
+		}
+		if code == http.StatusOK {
+			if !bytes.Equal(append(lines[0], '\n'), single) {
+				t.Fatalf("GET %s:\n%s\nbatch %s line:\n%s", path, single, reqBody, lines[0])
+			}
+			return
+		}
+		var item batchItemError
+		var refusal errorResponse
+		if err := json.Unmarshal(lines[0], &item); err != nil || item.Error == "" ||
+			json.Unmarshal(single, &refusal) != nil || refusal.Error != item.Error {
+			t.Fatalf("GET %s refused with %d: %s\nbatch %s line: %s", path, code, single, reqBody, lines[0])
+		}
+	})
 }
 
 // TestBatchChunk: the per-chunk source count keeps chunk*n within the

@@ -19,10 +19,15 @@ import (
 // are bit-identical to what rerank=0 would have returned.
 //
 // The cost model is an EWMA of measured per-candidate rerank nanoseconds,
-// updated after every exact rerank this process serves (single top-k and
-// batch chunks both feed it). Before the first completed rerank there is
-// no estimate and nothing degrades — the first request simply tries, and
-// either completes (seeding the model) or times out into a clean 503.
+// updated after every answer that reranked (see answer in server.go: a
+// single top-k is a batch of one, so both feed it through one call). Its
+// unit is one source's own rerank time per candidate: a batch chunk sums
+// its sources' times over its summed pool, so ranking them in parallel
+// does not make reranks look cheaper than they are to a single request,
+// and the decision multiplies the estimate back out by the sequential sum
+// of the pools. Before the first completed rerank there is no estimate and
+// nothing degrades — the first request simply tries, and either completes
+// (seeding the model) or times out into a clean 503.
 //
 // ?engine=linearized requests degrade by the same rules through a second
 // EWMA cell: when the remaining deadline cannot afford an exact
@@ -41,6 +46,11 @@ const rerankSafety = 2
 // one anomalous request, fast enough to track a cache gone cold within a
 // dozen requests.
 const rerankEWMAWeight = 8
+
+// since measures what the cost model learns from: each source's rerank
+// and each steady-state exact solve. A variable, so that tests can swap in
+// a deterministic clock.
+var since = time.Since
 
 // ewmaObserve folds one observation (nanoseconds) into cell: the first
 // observation seeds the estimate outright, later ones move it by
@@ -74,14 +84,20 @@ func ewmaObserve(cell *atomic.Uint64, obs int64) {
 	}
 }
 
-// observeRerank folds one completed exact rerank of `candidates` pool
-// entries into the per-candidate cost EWMA.
-func (sv *serving) observeRerank(elapsed time.Duration, candidates int) {
+// observeRerank folds one answer's completed exact reranks into the cost
+// model: each source's own time (took) into the rerank histogram, and
+// their sum over the answer's `candidates` pool entries into the
+// per-candidate EWMA.
+func (sv *serving) observeRerank(took []time.Duration, candidates int) {
 	if candidates <= 0 {
 		return
 	}
-	sv.rerankSeconds.Observe(elapsed)
-	ewmaObserve(&sv.rerankNanosPerCand, elapsed.Nanoseconds()/int64(candidates))
+	var sum time.Duration
+	for _, d := range took {
+		sv.rerankSeconds.Observe(d)
+		sum += d
+	}
+	ewmaObserve(&sv.rerankNanosPerCand, sum.Nanoseconds()/int64(candidates))
 }
 
 // observeExact folds one completed exact (linearized) single-source solve
@@ -116,12 +132,12 @@ func (sv *serving) shouldDegrade(ctx context.Context, candidates int) bool {
 	return time.Until(deadline) < need
 }
 
-// shouldDegradeExact reports whether an exact (linearized) single-source
-// solve no longer fits the request's remaining deadline budget. As with
-// shouldDegrade, no deadline or no cost estimate yet means never degrade —
-// the first exact query simply tries, and either completes (seeding the
-// model) or times out into a clean 503.
-func (sv *serving) shouldDegradeExact(ctx context.Context) bool {
+// shouldDegradeExact reports whether `solves` exact (linearized)
+// single-source solves no longer fit the request's remaining deadline
+// budget. As with shouldDegrade, no deadline or no cost estimate yet means
+// never degrade — the first exact query simply tries, and either completes
+// (seeding the model) or times out into a clean 503.
+func (sv *serving) shouldDegradeExact(ctx context.Context, solves int) bool {
 	deadline, ok := ctx.Deadline()
 	if !ok {
 		return false
@@ -130,6 +146,6 @@ func (sv *serving) shouldDegradeExact(ctx context.Context) bool {
 	if per == 0 {
 		return false
 	}
-	need := time.Duration(per) * rerankSafety
+	need := time.Duration(per*uint64(solves)) * rerankSafety
 	return time.Until(deadline) < need
 }

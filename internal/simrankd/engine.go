@@ -20,7 +20,7 @@ import (
 //     to query.ExactTol, deterministic, and independent of the index seed.
 //
 // The engine choice is folded into the response-cache key (distinct "lss"/
-// "etopk" key families, see server.go), an unknown value is a 400 before
+// "etopk" key families, see ask.key), an unknown value is a 400 before
 // any work happens, and a linearized request whose remaining deadline
 // cannot afford the exact solve degrades to the walk estimates by the same
 // cost-model rules as rerank starvation (see degrade.go). /v1/batch and
@@ -72,79 +72,36 @@ func (sv *serving) requireWalkEngine(w http.ResponseWriter, r *http.Request) boo
 	return true
 }
 
-// exactOrWalkRow is the row behind an engine=linearized request: row q of
-// the converged SimRank matrix from the source's linearized solver, which
-// enters here as a row of its entries other than +0 — or, when the
-// remaining deadline cannot afford the solve, the walk estimates, marked
-// degraded. The caller releases the row. Callers hold mu.RLock.
-func (s *Server) exactOrWalkRow(ctx context.Context, q int) (row *sparserow.Row, degraded bool, err error) {
-	if s.shouldDegradeExact(ctx) {
-		// A range missing from the estimates changes nothing here: the
-		// answer is marked degraded and kept out of the cache either way.
-		row, _, err := s.walkRow(ctx, q)
-		if err != nil {
-			return nil, false, err
-		}
-		return row, true, nil
+// exactRows is the fetch behind engine=linearized: row q of the converged
+// SimRank matrix for every source, from the source's linearized solver,
+// each entering here as a row of its entries other than +0 — or, when the
+// remaining deadline cannot afford the solves, the walk estimates, marked
+// degraded. A range missing from those estimates changes nothing: the
+// answer is marked degraded and kept out of the cache either way. The
+// caller releases the rows and holds mu.RLock.
+func (s *Server) exactRows(ctx context.Context, sources []int) (rows []*sparserow.Row, degraded bool, err error) {
+	if s.shouldDegradeExact(ctx, len(sources)) {
+		rows, _, err := s.src.rows(ctx, sources)
+		return rows, err == nil, err
 	}
 	buf := s.scorePool.Get().(*[]float64)
 	defer s.scorePool.Put(buf)
-	t1 := time.Now()
-	dense, steady, err := s.src.exactRow(ctx, q, *buf)
-	if err != nil {
-		return nil, false, err
-	}
-	if steady {
-		// A call that also paid the one-time diagonal solve stays out of
-		// the per-query cost model.
-		s.observeExact(time.Since(t1))
-	}
-	row = sparserow.Get()
-	row.Sparsify(dense)
-	return row, false, nil
-}
-
-// serveSingleSourceExact answers /v1/single_source?engine=linearized.
-// Callers hold mu.RLock.
-func (s *Server) serveSingleSourceExact(w http.ResponseWriter, r *http.Request, q int, sparse bool, minVal float64) {
-	// The same caching policy as the walk path: dense rows are O(n) bytes
-	// and stay out of the LRU, only the thresholded form is memoized.
-	var key string
-	if sparse {
-		key = lssCacheKey(s.src.genTag(), q, minVal)
-		if s.cached(w, key) {
-			return
+	rows = make([]*sparserow.Row, 0, len(sources))
+	for _, q := range sources {
+		t1 := time.Now()
+		dense, steady, err := s.src.exactRow(ctx, q, *buf)
+		if err != nil {
+			sparserow.Release(rows...)
+			return nil, false, err
 		}
+		if steady {
+			// A call that also paid the one-time diagonal solve stays out of
+			// the per-query cost model.
+			s.observeExact(since(t1))
+		}
+		row := sparserow.Get()
+		row.Sparsify(dense)
+		rows = append(rows, row)
 	}
-	row, degraded, err := s.exactOrWalkRow(r.Context(), q)
-	if err != nil {
-		s.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	defer sparserow.Release(row)
-	body, err := s.singleSourceBody(q, row, sparse, minVal, degraded)
-	s.writeBody(w, key, degraded, body, err)
-}
-
-// serveTopKExact answers /v1/topk?engine=linearized: the exact row ranked
-// without any rerank step (the scores are already exact). Callers hold
-// mu.RLock.
-func (s *Server) serveTopKExact(w http.ResponseWriter, r *http.Request, q, k int) {
-	key := etopkCacheKey(s.src.genTag(), q, k)
-	if s.cached(w, key) {
-		return
-	}
-	row, degraded, err := s.exactOrWalkRow(r.Context(), q)
-	if err != nil {
-		s.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	defer sparserow.Release(row)
-	results, err := s.rank(r.Context(), row, q, k, false)
-	if err != nil {
-		s.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	body, err := s.topKBody(q, k, false, degraded, results)
-	s.writeBody(w, key, degraded, body, err)
+	return rows, false, nil
 }

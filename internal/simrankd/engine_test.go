@@ -327,3 +327,40 @@ func TestCostModelMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestRerankCostModelOneUnit: the rerank cost cell holds one source's
+// rerank time per candidate however the reranks ran. Under a clock that
+// reads every rerank as 1 ms, a batch of W sources reranked in parallel on
+// W workers must leave the cell where W single reranks of the same
+// sources leave it, and give the histogram one observation per source. A
+// rule that divided the batch's wall time by all of its candidates would
+// read W times too low, and a rerank=1 the deadline cannot afford would be
+// attempted instead of degraded.
+func TestRerankCostModelOneUnit(t *testing.T) {
+	const workers = 4
+	sources := []int{3, 17, 40, 77}
+	defer func(clock func(time.Time) time.Duration) { since = clock }(since)
+	since = func(time.Time) time.Duration { return time.Millisecond }
+	forEachBackend(t, func(t *testing.T, kind string) {
+		srv := smallBackend(t, kind, Config{CacheSize: -1, Workers: workers})
+		serve := func(method, target, body string) {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"reranked":true`) {
+				t.Fatalf("%s %s %s: status %d, body %s", method, target, body, rec.Code, rec.Body)
+			}
+		}
+		for _, q := range sources {
+			serve("GET", fmt.Sprintf("/v1/topk?q=%d&k=5&rerank=1", q), "")
+		}
+		single, singles := srv.rerankNanosPerCand.Load(), srv.rerankSeconds.Count()
+		srv.rerankNanosPerCand.Store(0)
+		serve("POST", "/v1/batch", `{"mode":"topk","sources":[3,17,40,77],"k":5,"rerank":true}`)
+		if batch := srv.rerankNanosPerCand.Load(); single == 0 || batch != single {
+			t.Errorf("rerank cell after %d single reranks = %d ns/candidate, after a batch of them on %d workers = %d", len(sources), single, workers, batch)
+		}
+		if got := srv.rerankSeconds.Count() - singles; singles != uint64(len(sources)) || got != singles {
+			t.Errorf("rerank histogram: %d observations from %d single reranks, %d from the batch", singles, len(sources), got)
+		}
+	})
+}

@@ -21,6 +21,7 @@ package simrankd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -158,37 +159,22 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// engineAndVertex parses what /v1/single_source and /v1/topk share — the
-// GET/POST method set, ?engine= (counted per engine) and the required ?q=
-// — answering the request itself (ok = false) when any of it is wrong.
-func (s *Server) engineAndVertex(w http.ResponseWriter, r *http.Request) (eng string, q int, ok bool) {
-	if !s.checkMethod(w, r, http.MethodGet, http.MethodPost) {
-		return "", 0, false
+// outOfRange is the error of a query vertex outside [0, n), in the words
+// the index itself uses: a 400 from the single endpoints, an item error
+// line in a batch.
+func (s *Server) outOfRange(q int) error {
+	if q < 0 || q >= s.n {
+		return fmt.Errorf("query: vertex %d out of range [0,%d)", q, s.n)
 	}
-	eng, err := engineParam(r)
-	if err == nil {
-		s.countEngine(eng)
-		q, err = intParam(r, "q", 0, true)
-	}
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return "", 0, false
-	}
-	return eng, q, true
+	return nil
 }
 
-// checkVertex answers 400 for a query vertex outside [0, n), in the words
-// the index itself uses.
-func (s *Server) checkVertex(w http.ResponseWriter, q int) bool {
-	if q < 0 || q >= s.n {
-		s.writeError(w, http.StatusBadRequest, "query: vertex %d out of range [0,%d)", q, s.n)
+// cached answers the request from the response cache when key is present
+// ("" = not cacheable, never looked up).
+func (s *Server) cached(w http.ResponseWriter, key string) bool {
+	if key == "" {
 		return false
 	}
-	return true
-}
-
-// cached answers the request from the response cache when key is present.
-func (s *Server) cached(w http.ResponseWriter, key string) bool {
 	body, ok := s.cache.Get(key)
 	if ok {
 		writeJSONBytes(w, body)
@@ -196,18 +182,13 @@ func (s *Server) cached(w http.ResponseWriter, key string) bool {
 	return ok
 }
 
-// writeBody finishes a request with an encoded body (err is the
-// encoder's). A degraded body is a stopgap — a rerank or solve the
-// deadline could not afford, a vertex range a fleet could not reach — not
-// the answer the client asked for: it is counted, marked with
-// X-Simrank-Degraded, and never cached, or it would keep being served
-// after the pressure is gone. Any other body enters the cache under key
-// ("" = not cacheable).
-func (s *Server) writeBody(w http.ResponseWriter, key string, degraded bool, body []byte, err error) {
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
+// writeBody finishes a request with an encoded body. A degraded body is a
+// stopgap — a rerank or solve the deadline could not afford, a vertex range
+// a fleet could not reach — not the answer the client asked for: it is
+// counted, marked with X-Simrank-Degraded, and never cached, or it would
+// keep being served after the pressure is gone. Any other body enters the
+// cache under key ("" = not cacheable).
+func (s *Server) writeBody(w http.ResponseWriter, key string, degraded bool, body []byte) {
 	if degraded {
 		s.degradedTotal.Add(1)
 		w.Header().Set("X-Simrank-Degraded", "true")
@@ -215,21 +196,6 @@ func (s *Server) writeBody(w http.ResponseWriter, key string, degraded bool, bod
 		s.cache.Put(key, body)
 	}
 	writeJSONBytes(w, body)
-}
-
-// walkRow fetches q's walk-estimate row; the caller releases it.
-func (s *Server) walkRow(ctx context.Context, q int) (row *sparserow.Row, degraded bool, err error) {
-	rows, degraded, err := s.src.rows(ctx, []int{q})
-	if err != nil {
-		return nil, false, err
-	}
-	return rows[0], degraded, nil
-}
-
-// rank finishes a top-k query from a walk row: candidate selection, then
-// the optional exact rerank against the source's current graph.
-func (s *Server) rank(ctx context.Context, row *sparserow.Row, q, k int, rerank bool) ([]query.Ranked, error) {
-	return query.RankSparse(ctx, s.src.graph(), s.c, s.horizon, s.n, row, q, min(k, s.n-1), &query.TopKOptions{Rerank: rerank})
 }
 
 type singleSourceResponse struct {
@@ -251,80 +217,17 @@ type singleSourceResponse struct {
 // /v1/single_source?q=17[&min=0.01][&engine=walk|linearized].
 func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 	s.reqSingleSource.Add(1)
-	eng, q, ok := s.engineAndVertex(w, r)
-	if !ok {
-		return
-	}
-	// min is parsed before any cache key is formed, and the key uses its
-	// canonical decimal form: "0.01", "0.010", and "1e-2" are one entry.
-	minRaw := r.FormValue("min")
-	sparse := minRaw != ""
-	var minVal float64
-	if sparse {
-		var err error
-		if minVal, err = strconv.ParseFloat(minRaw, 64); err != nil {
-			s.writeError(w, http.StatusBadRequest, "parameter \"min\": %v", err)
-			return
+	s.serveOne(w, r, func(a *ask) (err error) {
+		// min is parsed before any cache key is formed, and the key uses
+		// its canonical decimal form.
+		if minRaw := r.FormValue("min"); minRaw != "" {
+			if a.min, err = strconv.ParseFloat(minRaw, 64); err != nil {
+				return fmt.Errorf("parameter \"min\": %v", err)
+			}
+			a.sparse = true
 		}
-	}
-	if !s.checkVertex(w, q) {
-		return
-	}
-
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if eng == engineLinearized {
-		s.serveSingleSourceExact(w, r, q, sparse, minVal)
-		return
-	}
-	// Dense responses are O(n) bytes each; caching them would make cache
-	// memory scale with graph size times -cache entries, so only the
-	// thresholded (sparse) form is memoized.
-	var key string
-	if sparse {
-		key = ssCacheKey(s.src.genTag(), q, minVal)
-		if s.cached(w, key) {
-			return
-		}
-	}
-
-	row, degraded, err := s.walkRow(r.Context(), q)
-	if err != nil {
-		s.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	defer sparserow.Release(row)
-	body, err := s.singleSourceBody(q, row, sparse, minVal, degraded)
-	s.writeBody(w, key, degraded, body, err)
-}
-
-// The response-cache keys. Every family starts with the source's
-// generation tag, so an applied update invalidates atomically, and is
-// shared between the single endpoints and the per-item entries of
-// /v1/batch: a batch warms the cache for single queries and vice versa.
-// Thresholds enter in canonical decimal form — "0.01", "0.010" and "1e-2"
-// share one entry, whether they arrived as a query parameter or as a JSON
-// number. The linearized engine has its own families (lss, etopk), so walk
-// and exact bodies can never collide; etopk has no rerank component
-// because exact scores need none.
-func ssCacheKey(tag string, q int, min float64) string {
-	return fmt.Sprintf("g%s:ss:%d:%s", tag, q, strconv.FormatFloat(min, 'g', -1, 64))
-}
-
-func lssCacheKey(tag string, q int, min float64) string {
-	return fmt.Sprintf("g%s:lss:%d:%s", tag, q, strconv.FormatFloat(min, 'g', -1, 64))
-}
-
-func topKCacheKey(tag string, q, k int, rerank bool) string {
-	return fmt.Sprintf("g%s:topk:%d:%d:%t", tag, q, k, rerank)
-}
-
-func etopkCacheKey(tag string, q, k int) string {
-	return fmt.Sprintf("g%s:etopk:%d:%d", tag, q, k)
-}
-
-func joinCacheKey(tag string, k int, threshold float64, maxCand int) string {
-	return fmt.Sprintf("g%s:join:%d:%s:%d", tag, k, strconv.FormatFloat(threshold, 'g', -1, 64), maxCand)
+		return nil
+	})
 }
 
 // singleSourceBody marshals the /v1/single_source response body from q's
@@ -366,70 +269,183 @@ type topKResponse struct {
 // orders, so reranking per shard would diverge.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	s.reqTopK.Add(1)
-	eng, q, ok := s.engineAndVertex(w, r)
-	if !ok {
+	s.serveOne(w, r, func(a *ask) (err error) {
+		a.topk = true
+		if a.k, err = intParam(r, "k", 10, false); err != nil {
+			return err
+		}
+		if a.k < 1 {
+			return fmt.Errorf("query: top-k size %d < 1", a.k)
+		}
+		if a.rerank = boolParam(r, "rerank"); a.rerank && a.exact {
+			return errors.New("\"rerank\" is not valid with engine=linearized (exact scores need no rerank)")
+		}
+		return nil
+	})
+}
+
+// ask is what one source's answer depends on besides the source: the
+// parameters of a /v1/single_source or /v1/topk request, and of every line
+// of a /v1/batch, which shares them batch-wide. A single query is a batch
+// of one: both parse into an ask, and answer makes every body from one.
+type ask struct {
+	// topk selects the /v1/topk answer (k results, optionally reranked);
+	// otherwise it is the /v1/single_source row, whole or thresholded.
+	topk   bool
+	k      int
+	rerank bool
+	// sparse reports that a threshold min was given: the body lists the
+	// entries scoring at least min instead of all n scores.
+	sparse bool
+	min    float64
+	// exact selects engine=linearized (single endpoints only).
+	exact bool
+}
+
+// wholeRow reports a single_source answer of O(n) bytes: the dense row, or
+// a threshold min <= 0, which admits every vertex at score 0 or more.
+func (a ask) wholeRow() bool { return !a.topk && (!a.sparse || a.min <= 0) }
+
+// key is the response-cache key of q's answer under a, "" for a whole row:
+// caching O(n) bodies would make cache memory scale with graph size times
+// the entry count. The key is shared between the single endpoints and the
+// lines of /v1/batch, so a batch warms the cache for single queries and
+// vice versa. The linearized engine has its own families (lss, etopk), so
+// walk and exact bodies never collide; etopk has no rerank component
+// because exact scores need none.
+func (a ask) key(tag string, q int) string {
+	switch {
+	case a.topk && a.exact:
+		return cacheKey(tag, "etopk", q, a.k)
+	case a.topk:
+		return cacheKey(tag, "topk", q, a.k, a.rerank)
+	case a.wholeRow():
+		return ""
+	case a.exact:
+		return cacheKey(tag, "lss", q, a.min)
+	}
+	return cacheKey(tag, "ss", q, a.min)
+}
+
+// cacheKey forms every response-cache key: "g", the source's generation
+// tag (so an applied update invalidates atomically), the family, then the
+// family's parameters, ':'-separated. A float64 enters in its shortest
+// decimal form, so "0.01", "0.010" and "1e-2" share one entry, whether
+// they arrived as a query parameter or as a JSON number.
+func cacheKey(tag, family string, params ...any) string {
+	b := make([]byte, 0, 48)
+	b = append(append(append(append(b, 'g'), tag...), ':'), family...)
+	for _, p := range params {
+		b = append(b, ':')
+		switch p := p.(type) {
+		case int:
+			b = strconv.AppendInt(b, int64(p), 10)
+		case bool:
+			b = strconv.AppendBool(b, p)
+		case float64:
+			b = strconv.AppendFloat(b, p, 'g', -1, 64)
+		}
+	}
+	return string(b)
+}
+
+// answer makes the body of every source under a into bodies — the one
+// place a /v1 answer is made, for a single query and for each chunk of a
+// batch. It fetches the rows (the walk estimates, or exactRows for
+// engine=linearized), ranks them when a asks for a top-k, and encodes.
+// degraded reports bodies that are not what was asked for: they are
+// counted, marked and never cached. The caller holds mu.RLock and has
+// checked every source against n.
+func (s *Server) answer(ctx context.Context, a ask, sources []int, bodies [][]byte) (degraded bool, err error) {
+	fetch := s.src.rows
+	if a.exact {
+		fetch = s.exactRows
+	}
+	rows, degraded, err := fetch(ctx, sources)
+	if err != nil {
+		return false, err
+	}
+	// A body holds copies, never row memory.
+	defer sparserow.Release(rows...)
+	if !a.topk {
+		for j, q := range sources {
+			if bodies[j], err = s.singleSourceBody(q, rows[j], a.sparse, a.min, degraded); err != nil {
+				return false, err
+			}
+		}
+		return degraded, nil
+	}
+
+	// Degradation composes. A missing range degrades the estimates
+	// themselves and disables the rerank (exact scores over an incomplete
+	// row would be wrong confidently). A rerank the deadline cannot afford
+	// is decided before committing to it, not after failing it: the raw
+	// estimates are already in hand, so the request still gets a useful
+	// answer. The decision sees every source's pool, summed as if reranked
+	// one after another whatever the workers, so a batch that starts exact
+	// can finish degraded as the budget drains, each line honestly marked.
+	rerank := a.rerank && !degraded
+	pool := query.RerankPool(s.n, a.k, 0) * len(sources)
+	if rerank && s.shouldDegrade(ctx, pool) {
+		rerank, degraded = false, true
+	}
+	results, took, err := s.rankRows(ctx, rows, sources, a.k, rerank)
+	if err != nil {
+		return false, err
+	}
+	if rerank {
+		s.observeRerank(took, pool)
+	}
+	for j, q := range sources {
+		resp := topKResponse{Query: q, K: a.k, Reranked: rerank, Degraded: degraded, Results: results[j]}
+		if bodies[j], err = s.marshalBody(resp); err != nil {
+			return false, err
+		}
+	}
+	return degraded, nil
+}
+
+// serveOne answers /v1/single_source or /v1/topk. It parses what the two
+// share — the GET/POST method set, ?engine= (counted per engine) and the
+// required ?q= — then the endpoint's own parameters (parse fills them into
+// an ask whose engine is set), and answers the source as a batch of one:
+// cache lookup, answer, writeBody.
+func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, parse func(a *ask) error) {
+	if !s.checkMethod(w, r, http.MethodGet, http.MethodPost) {
 		return
 	}
-	k, err := intParam(r, "k", 10, false)
+	var a ask
+	var q int
+	eng, err := engineParam(r)
+	if err == nil {
+		s.countEngine(eng)
+		a.exact = eng == engineLinearized
+		q, err = intParam(r, "q", 0, true)
+	}
+	if err == nil {
+		err = parse(&a)
+	}
+	if err == nil {
+		err = s.outOfRange(q)
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if k < 1 {
-		s.writeError(w, http.StatusBadRequest, "query: top-k size %d < 1", k)
-		return
-	}
-	rerank := boolParam(r, "rerank")
-	if eng == engineLinearized && rerank {
-		s.writeError(w, http.StatusBadRequest, "\"rerank\" is not valid with engine=linearized (exact scores need no rerank)")
-		return
-	}
-	if !s.checkVertex(w, q) {
 		return
 	}
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if eng == engineLinearized {
-		s.serveTopKExact(w, r, q, k)
-		return
-	}
-	key := topKCacheKey(s.src.genTag(), q, k, rerank)
+	key := a.key(s.src.genTag(), q)
 	if s.cached(w, key) {
 		return
 	}
-
-	row, rowDegraded, err := s.walkRow(r.Context(), q)
+	var body [1][]byte
+	degraded, err := s.answer(r.Context(), a, []int{q}, body[:])
 	if err != nil {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	defer sparserow.Release(row)
-
-	// Degradation composes. A missing range degrades the estimates
-	// themselves and disables the rerank (exact scores over an incomplete
-	// row would be wrong confidently). A rerank the deadline cannot afford
-	// is decided before committing to it, not after failing it: with the
-	// sweep done, the raw estimates are already in hand, so the request
-	// still gets a useful answer.
-	useRerank := rerank && !rowDegraded
-	pool := query.RerankPool(s.n, k, 0)
-	budgetDegraded := useRerank && s.shouldDegrade(r.Context(), pool)
-	if budgetDegraded {
-		useRerank = false
-	}
-	degraded := rowDegraded || budgetDegraded
-	t1 := time.Now()
-	results, err := s.rank(r.Context(), row, q, k, useRerank)
-	if err != nil {
-		s.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	if useRerank {
-		s.observeRerank(time.Since(t1), pool)
-	}
-	body, err := s.topKBody(q, k, useRerank, degraded, results)
-	s.writeBody(w, key, degraded, body, err)
+	s.writeBody(w, key, degraded, body[0])
 }
 
 // applyEdits is the front end's /v1/edges step under the write lock: the

@@ -57,11 +57,11 @@ type serving struct {
 	// ?engine=linearized requests (see degrade.go).
 	exactNanos atomic.Uint64
 
-	// rerankSeconds is the wall time of every completed exact rerank (one
-	// top-k request, or one chunk of a batch; the ranking alone, never the
-	// sweep before it) — the observations the per-candidate EWMA is folded
-	// from, kept as a distribution because the EWMA hides the hub-heavy
-	// tail that deadlines actually meet.
+	// rerankSeconds is the time of every completed exact rerank of one
+	// source (a top-k request, or each source of a batch; the ranking
+	// alone, never the sweep before it) — the observations the
+	// per-candidate EWMA is folded from, kept as a distribution because the
+	// EWMA hides the hub-heavy tail that deadlines actually meet.
 	rerankSeconds *histogram.Histogram
 
 	// Per-engine request counters for the endpoints that accept ?engine=
@@ -218,12 +218,6 @@ func boolParam(r *http.Request, name string) bool {
 		return true
 	}
 	return false
-}
-
-// topKBody marshals the /v1/topk response body — also the per-item line
-// /v1/batch streams, so the two endpoints answer byte-identically.
-func (sv *serving) topKBody(q, k int, rerank, degraded bool, results []query.Ranked) ([]byte, error) {
-	return sv.marshalBody(topKResponse{Query: q, K: k, Reranked: rerank, Degraded: degraded, Results: results})
 }
 
 // handleMetrics serves /metrics in every mode, in the Prometheus text

@@ -252,3 +252,56 @@ func TestWalkIndexPrefixIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkIndexConvergesToOIPSRKIterate: the walk index's estimate of
+// s(q, v) is the mean of R independent coupled-walk scores c^τ — τ ≤ K the
+// first step the two walkers meet, 0 if they never do within the index's
+// horizon K — each in [0, c], and their expectation is exactly the K-step
+// SimRank that the paper's OIP-SR sweep computes in K iterations. So on
+// sweep-web's graph (499 non-empty in-sets), against OIP-SR at the index's
+// own horizon, the largest error over P = 60 sources × every other target
+// stays inside Hoeffding's bound with a union bound over the pairs,
+// c·√(ln(2P/δ)/2R) at δ = 1e-6, with no truncation term, at every R; and it
+// shrinks like 1/√R: sixteen times the walks at least halve it.
+func TestWalkIndexConvergesToOIPSRKIterate(t *testing.T) {
+	const c, eps, delta = 0.6, 1e-3, 1e-6
+	g := gen.WebGraph(1500, 11, 1)
+	n := g.NumVertices()
+	sources := make([]int, 60)
+	for i := range sources {
+		sources[i] = i * n / len(sources)
+	}
+	pairs := float64(len(sources) * (n - 1))
+	ctx := context.Background()
+	var ref *Scores
+	worst := map[int]float64{}
+	for _, r := range []int{25, 100, 400, 1600} {
+		ix, err := query.BuildIndex(g, query.Options{C: c, Eps: eps, Walks: r, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			if ref, _, err = Compute(g, Options{Algorithm: OIPSR, C: c, K: ix.Horizon()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range sources {
+			est, err := ix.SingleSource(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, e := range est {
+				if v != q {
+					worst[r] = max(worst[r], math.Abs(e-ref.Score(q, v)))
+				}
+			}
+		}
+		if bound := c * math.Sqrt(math.Log(2*pairs/delta)/(2*float64(r))); worst[r] > bound {
+			t.Errorf("R = %d: max |estimate - OIP-SR K-iterate| = %.4g over %.0f pairs, Hoeffding bound %.4g", r, worst[r], pairs, bound)
+		}
+	}
+	if worst[1600] > worst[100]/2 {
+		t.Errorf("max error %.4g at R = 1600 is more than half the %.4g at R = 100", worst[1600], worst[100])
+	}
+	t.Logf("max error by R: %v", worst)
+}
