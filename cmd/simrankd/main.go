@@ -19,11 +19,11 @@
 //	simrankd -gen web -n 5000 -d 11 -addr :8356
 //	simrankd -graph web.txt -index web.idx -walks 200 -addr :8356
 //
-// -build-budget streams the build to disk in bounded slices, so the
-// builder never holds the whole index, and -index-mmap serves from the
-// sealed file's decoded rows and writes every edit batch back to it:
+// -index-mmap writes every edit batch back to the -index file, so a
+// restart serves the edited index; a fresh build under it is streamed
+// straight into the file and opened once:
 //
-//	simrankd -graph big.txt -index big.idx -build-budget 268435456 -index-mmap
+//	simrankd -graph big.txt -index big.idx -index-mmap
 //
 // A sharded deployment of the same graph:
 //
@@ -111,7 +111,6 @@ type options struct {
 	indexPath    string
 	rebuild      bool
 	indexMmap    bool
-	buildBudget  int64
 	c            float64
 	k            int
 	eps          float64
@@ -179,20 +178,6 @@ func validate(o *options) error {
 			return fmt.Errorf("-index-mmap only applies to -mode serve or shard (got %q: the router holds no index, build-shards only writes files)", o.mode)
 		}
 	}
-	if o.buildBudget < 0 {
-		return fmt.Errorf("-build-budget must not be negative (got %d)", o.buildBudget)
-	}
-	if o.buildBudget > 0 {
-		switch o.mode {
-		case "serve":
-			if o.indexPath == "" {
-				return errors.New("-build-budget needs -index (the streaming builder writes straight to a file)")
-			}
-		case "build-shards":
-		default:
-			return fmt.Errorf("-build-budget only applies to -mode serve or build-shards (got %q: shard and router modes never build index files)", o.mode)
-		}
-	}
 	switch o.mode {
 	case "build-shards":
 		if o.shards < 1 {
@@ -246,7 +231,6 @@ func main() {
 	flag.StringVar(&o.indexPath, "index", "", "walk-index file: loaded when present, else built and saved here")
 	flag.BoolVar(&o.rebuild, "rebuild", false, "rebuild the index even if -index exists")
 	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: write every /v1/edges batch back to the index file (only the changed blocks are re-encoded), so a restart serves the edited index")
-	flag.Int64Var(&o.buildBudget, "build-budget", 0, "serve/build-shards: stream the index build to disk in slices of at most this many bytes of walk state, bounding builder memory (0: serve builds in memory, build-shards streams in slices of 64 MiB); output is byte-identical")
 	flag.Float64Var(&o.c, "c", 0.6, "damping factor C")
 	flag.IntVar(&o.k, "k", 0, "walk horizon (0 = derive from -eps)")
 	flag.Float64Var(&o.eps, "eps", 1e-3, "truncation target when -k is 0")
@@ -302,7 +286,7 @@ func main() {
 	switch o.mode {
 	case "build-shards":
 		t0 := time.Now()
-		m, err := shard.BuildAll(g, opt, o.shardDir, o.shards, o.buildBudget)
+		m, err := shard.BuildAll(g, opt, o.shardDir, o.shards)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
 			os.Exit(1)
@@ -405,10 +389,10 @@ func run(handler http.Handler, addr string, drain time.Duration) error {
 // openIndex produces the index this process serves, graph attached: the
 // full range in serve mode, range -shard-ordinal of the fleet in shard
 // mode. It is loaded from where the flags keep it — the -index file, or
-// that entry of the -shard-dir manifest — and otherwise built: streamed to
-// -index under -build-budget, else in memory and saved to -index if given.
-// -index-mmap always serves from the sealed file, a fresh build included,
-// and writes edit batches back to it.
+// that entry of the -shard-dir manifest — and otherwise built. Under
+// -index-mmap the build is streamed into the -index file, which is then
+// opened once and written back to after every edit batch; any other index
+// is built in memory and saved to -index if given.
 // A loaded index that disagrees with the index-shaping flags is served as
 // it is, with a warning.
 func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, error) {
@@ -468,11 +452,10 @@ func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, err
 		}
 	}
 	t0 := time.Now()
-	if o.buildBudget > 0 {
-		// Out-of-core build: walks stream to the file in budget-sized
-		// slices, then the sealed file is opened for serving — the dense
-		// index never exists in memory.
-		st, err := query.BuildFileStreaming(g, opt, path, o.buildBudget)
+	if o.indexMmap {
+		// The index is served from the file it writes back to: stream the
+		// build into it and open it once.
+		st, err := query.BuildFileStreaming(g, opt, path, query.StreamSliceBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -490,9 +473,6 @@ func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, err
 			return nil, fmt.Errorf("saving index %s: %w", path, err)
 		}
 		log.Printf("index: saved %s (format v%d)", path, query.FormatVersion)
-		if o.indexMmap {
-			return open("reopened")
-		}
 	}
 	return sh.Index, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"oipsr/graph"
 	"oipsr/graph/gen"
 	"oipsr/simrank/query"
 	"oipsr/simrank/shard"
@@ -65,18 +66,6 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 			o.shards = 2
 			o.indexMmap = true
 		}, "-shard-dir"},
-		{"neg_build_budget", func(o *options) { o.buildBudget = -1 }, "-build-budget"},
-		{"budget_no_index", func(o *options) { o.buildBudget = 1 << 20 }, "-index"},
-		{"budget_shard_mode", func(o *options) {
-			o.mode = "shard"
-			o.shards = 2
-			o.buildBudget = 1 << 20
-		}, "-build-budget"},
-		{"budget_router_mode", func(o *options) {
-			o.mode = "router"
-			o.backends = "http://a:1"
-			o.buildBudget = 1 << 20
-		}, "-build-budget"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,18 +96,6 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 		{"router", func(o *options) { o.mode = "router"; o.backends = "http://a:1, http://b:2" }},
 		{"serve_mmap", func(o *options) { o.indexMmap = true; o.indexPath = "walks.idx" }},
 		{"shard_mmap", func(o *options) { o.mode = "shard"; o.shardDir = "s/"; o.indexMmap = true }},
-		{"serve_budget", func(o *options) { o.buildBudget = 256 << 20; o.indexPath = "walks.idx" }},
-		{"serve_budget_mmap", func(o *options) {
-			o.buildBudget = 1 << 20
-			o.indexPath = "walks.idx"
-			o.indexMmap = true
-		}},
-		{"build_shards_budget", func(o *options) {
-			o.mode = "build-shards"
-			o.shards = 4
-			o.shardDir = "s/"
-			o.buildBudget = 64 << 20
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,7 +139,7 @@ func TestOpenIndexWarnsOnMismatchedFlags(t *testing.T) {
 	if _, err := query.BuildFileStreaming(g, built, indexPath, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.BuildAll(g, built, dir, 2, 0); err != nil {
+	if _, err := shard.BuildAll(g, built, dir, 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -216,5 +193,86 @@ func TestOpenIndexWarnsOnMismatchedFlags(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOpenIndexFreshBuild runs openIndex's two fresh builds on a missing
+// -index file: in memory and saved without -index-mmap, streamed into the
+// file and opened once with it. Each publishes exactly SaveFile's bytes
+// for query.BuildIndex and serves an index Equal to it; the streamed one
+// writes back, so an edit batch turns its file into SaveFile of the
+// edited index.
+func TestOpenIndexFreshBuild(t *testing.T) {
+	g := gen.WebGraph(150, 5, 4)
+	opt := query.Options{Walks: 12, Seed: 3, Workers: 2}
+	want, err := query.BuildIndex(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// saved is what SaveFile publishes for ix.
+	saved := func(ix *query.Index) []byte {
+		path := filepath.Join(t.TempDir(), "saved.idx")
+		if err := ix.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, tc := range []struct {
+		name    string
+		mmap    bool
+		backend string
+		how     string // the log's word for the opening
+	}{
+		{"built_and_saved", false, "dense", "index: saved"},
+		{"streamed_and_opened", true, "write-back", "index: opened"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := goodOptions()
+			o.indexPath = filepath.Join(t.TempDir(), "fresh.idx")
+			o.indexMmap = tc.mmap
+			if err := validate(&o); err != nil {
+				t.Fatal(err)
+			}
+			var logged bytes.Buffer
+			log.SetOutput(&logged)
+			defer log.SetOutput(os.Stderr)
+			idx, err := openIndex(g, &o, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			if !strings.Contains(logged.String(), tc.how) {
+				t.Errorf("log does not say %q:\n%s", tc.how, logged.String())
+			}
+			if !idx.Equal(want) || idx.Graph() != g {
+				t.Fatalf("served index Equal = %v, graph attached = %v", idx.Equal(want), idx.Graph() == g)
+			}
+			if got := idx.Backend(); got != tc.backend {
+				t.Fatalf("backend %q, want %q", got, tc.backend)
+			}
+			file, err := os.ReadFile(o.indexPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(file, saved(want)) {
+				t.Fatal("the published file is not SaveFile's for query.BuildIndex")
+			}
+			if !tc.mmap {
+				return
+			}
+			if _, err := idx.ApplyEdits([]graph.Edit{{Op: graph.EditAdd, U: 17, V: 42}, {Op: graph.EditAdd, U: 3, V: 99}}, 1); err != nil {
+				t.Fatal(err)
+			}
+			if file, err = os.ReadFile(o.indexPath); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(file, saved(want)) || !bytes.Equal(file, saved(idx)) {
+				t.Fatal("after an edit batch the file is not SaveFile of the edited index")
+			}
+		})
 	}
 }

@@ -20,9 +20,9 @@ func WriteFile(path string, write func(io.Writer) error) error {
 }
 
 // WriteFileAt is WriteFile for producers that need random access while
-// emitting the payload — the streaming index builders patch directory
-// entries behind the write frontier via WriteAt. write receives the temp
-// *os.File; the same abort/fsync/rename discipline applies.
+// emitting the payload — the walk-index file writer writes its header and
+// directory at offset 0 after the payload, via WriteAt. write receives the
+// temp *os.File; the same abort/fsync/rename discipline applies.
 func WriteFileAt(path string, write func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")

@@ -175,7 +175,7 @@ func TestVisitBytesReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := shard.BuildAll(g, opt, dir, 2, 0)
+	m, err := shard.BuildAll(g, opt, dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

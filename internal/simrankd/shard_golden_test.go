@@ -20,14 +20,14 @@ const goldenShardOrdinal = 1
 // goldenOpenShard builds a 3-shard directory of g and opens its middle
 // shard from the manifest, read-only or writing edits back to its file
 // (demand-paged at d366a63), no graph attached. The
-// two shard calls are the only lines of this file that do not compile at
-// d366a63, where they read shard.BuildAll(g, opt, dir, 3) and, when mapped,
+// OpenShard call is the only line of this file that does not compile at
+// d366a63, where it reads, when mapped,
 // shard.OpenShardMapped(dir, m, goldenShardOrdinal, query.MappedOptions{})
 // — see testdata/parent/README.md.
 func goldenOpenShard(t *testing.T, g *graph.Graph, opt query.Options, mapped bool) *shard.Shard {
 	t.Helper()
 	dir := t.TempDir()
-	m, err := shard.BuildAll(g, opt, dir, 3, 0)
+	m, err := shard.BuildAll(g, opt, dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

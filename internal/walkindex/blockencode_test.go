@@ -100,10 +100,7 @@ func requireBlocksMatchModel(t testing.TB, rows []int32, r, k, blockB int, what 
 	for b := 0; b < int(v2NumBlocks(int64(n), int64(blockB))); b++ {
 		vlo := b * blockB
 		width := min(blockB, n-vlo)
-		got, err := s.appendBlock(nil, b, blockB)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := s.appendBlock(nil, b, blockB)
 		if want := paddedAppendBlock(t, rows, vlo, width, k, r); !bytes.Equal(got, want) {
 			t.Fatalf("%s: block %d encodes to %x, the padded model to %x", what, b, got, want)
 		}

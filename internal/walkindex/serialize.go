@@ -229,26 +229,35 @@ func readHeader(br *bufio.Reader, crc hash.Hash32, kind FileKind) (fileHeader, e
 // index against the load-side guards first and returns an
 // ErrFormatLimits-wrapped error instead of writing an unloadable file. The
 // encoding is canonical: load → save reproduces the file byte for byte.
+// The file is laid out in memory first; SaveAt writes it through an
+// io.WriterAt without holding it.
 func (ix *Index) Save(w io.Writer, kind FileKind) error {
+	var f memFile
+	if err := ix.SaveAt(&f, kind); err != nil {
+		return err
+	}
+	_, err := w.Write(f)
+	return err
+}
+
+// SaveAt writes the index through w as a file of the given kind, the bytes
+// Save writes: the resident rows' blocks, encoded by appendBlock, framed
+// by the one file writer.
+func (ix *Index) SaveAt(w io.WriterAt, kind FileKind) error {
 	h, err := writableHeader(kind, ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed)
 	if err != nil {
 		return err
 	}
-	nb := int(v2NumBlocks(int64(ix.Width()), v2BlockVertices))
-	var payload []byte
-	lens := make([]int64, nb)
-	for b := range lens {
-		n := len(payload)
-		if payload, err = ix.store.appendBlock(payload, b, v2BlockVertices); err != nil {
+	fw := newFileWriter(w, h, v2BlockVertices)
+	var enc []byte
+	for b := range fw.blocks {
+		enc = ix.store.appendBlock(enc[:0], b, v2BlockVertices)
+		if err := fw.add(enc); err != nil {
 			return err
 		}
-		lens[b] = int64(len(payload) - n)
 	}
-	return writeV2(w, h.preamble(v2BlockVertices, nb), lens, func(b int, w io.Writer) error {
-		_, err := w.Write(payload[:lens[b]])
-		payload = payload[lens[b]:]
-		return err
-	}, kind.String())
+	_, _, err = fw.finish()
+	return err
 }
 
 // Load reads a file of the given kind written by Save or BuildStreaming

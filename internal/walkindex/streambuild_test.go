@@ -13,32 +13,18 @@ import (
 	"oipsr/graph/gen"
 )
 
-// memWriterAt is an in-memory io.WriterAt growing to cover every write,
-// the harness behind the byte-identity assertions.
-type memWriterAt struct{ buf []byte }
-
-func (m *memWriterAt) WriteAt(p []byte, off int64) (int, error) {
-	if end := int(off) + len(p); end > len(m.buf) {
-		grown := make([]byte, end)
-		copy(grown, m.buf)
-		m.buf = grown
-	}
-	copy(m.buf[off:], p)
-	return len(p), nil
-}
-
 // streamBudgets returns the budget set every streaming test sweeps: one
-// byte (every slice degrades to a single vertex), budgets straddling one
-// row and one posting block, a budget that never divides the block size
-// evenly, one larger than any test index (a single slice), and the
-// unbounded budget shard.BuildAll passes for "one slice per shard".
+// byte and every budget below one posting block's rows (one-block slices),
+// budgets at one block and just past it, slices of two and three blocks,
+// one larger than any test index (a single slice), and the unbounded one.
 func streamBudgets(stride int) []int64 {
 	row := 4 * int64(stride)
-	return []int64{1, row - 1, row, 3*row + 7, (v2BlockVertices - 1) * row, v2BlockVertices * row, 100*row + 13, 1 << 30, math.MaxInt64}
+	block := v2BlockVertices * row
+	return []int64{1, row - 1, row, 3*row + 7, block - row, block, 100*row + 13, 2*block + 7, 3 * block, 1 << 30, math.MaxInt64}
 }
 
 // TestBuildStreamingByteIdentical is the tentpole property: for random
-// graphs, every budget (including ones forcing one-vertex slices), and
+// graphs, every budget (including ones forcing one-block slices), and
 // every worker count, BuildStreaming writes the exact bytes of Save on a
 // materialized Build — and the file round-trips
 // through both Load and LoadWriteBack to an Equal index.
@@ -59,17 +45,17 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 		want := bytes.NewBuffer(saveBytes(t, dense, IndexFile))
 		for _, budget := range streamBudgets(opt.Walks * opt.K) {
 			for _, workers := range []int{1, 3} {
-				w := &memWriterAt{}
-				st, err := BuildStreaming(g, Options{Walks: 9, K: 7, Seed: 11, Workers: workers}, 0, g.NumVertices(), IndexFile, w, budget)
+				var w memFile
+				st, err := BuildStreaming(g, Options{Walks: 9, K: 7, Seed: 11, Workers: workers}, 0, g.NumVertices(), IndexFile, &w, budget)
 				if err != nil {
 					t.Fatalf("%s budget=%d workers=%d: %v", name, budget, workers, err)
 				}
-				if !bytes.Equal(w.buf, want.Bytes()) {
+				if !bytes.Equal(w, want.Bytes()) {
 					t.Fatalf("%s budget=%d workers=%d: streamed %d bytes differ from materialized %d",
-						name, budget, workers, len(w.buf), want.Len())
+						name, budget, workers, len(w), want.Len())
 				}
-				if st.Bytes != int64(len(w.buf)) {
-					t.Fatalf("%s budget=%d: stats report %d bytes, wrote %d", name, budget, st.Bytes, len(w.buf))
+				if st.Bytes != int64(len(w)) {
+					t.Fatalf("%s budget=%d: stats report %d bytes, wrote %d", name, budget, st.Bytes, len(w))
 				}
 				if st.Rows != g.NumVertices() || st.K != 7 || st.Walks != 9 {
 					t.Fatalf("%s: stats %+v disagree with resolved options", name, st)
@@ -116,12 +102,12 @@ func TestBuildShardStreamingByteIdentical(t *testing.T) {
 		}
 		want := bytes.NewBuffer(saveBytes(t, sx, ShardFile))
 		for _, budget := range streamBudgets(opt.Walks * opt.K) {
-			w := &memWriterAt{}
-			st, err := BuildStreaming(g, Options{Walks: 8, K: 6, Seed: 17, Workers: 2}, lo, hi, ShardFile, w, budget)
+			var w memFile
+			st, err := BuildStreaming(g, Options{Walks: 8, K: 6, Seed: 17, Workers: 2}, lo, hi, ShardFile, &w, budget)
 			if err != nil {
 				t.Fatalf("[%d,%d) budget=%d: %v", lo, hi, budget, err)
 			}
-			if !bytes.Equal(w.buf, want.Bytes()) {
+			if !bytes.Equal(w, want.Bytes()) {
 				t.Fatalf("[%d,%d) budget=%d: streamed shard bytes differ", lo, hi, budget)
 			}
 			if st.Rows != hi-lo {
@@ -156,12 +142,12 @@ func TestBuildStreamingRandomized(t *testing.T) {
 		}
 		want := bytes.NewBuffer(saveBytes(t, dense, IndexFile))
 		budget := 1 + rng.Int63n(int64(4*n*dense.Walks()*dense.Horizon())+64)
-		w := &memWriterAt{}
+		var w memFile
 		stream := Options{Walks: opt.Walks, K: opt.K, Seed: opt.Seed, Workers: 1 + rng.Intn(4)}
-		if _, err := BuildStreaming(g, stream, 0, n, IndexFile, w, budget); err != nil {
+		if _, err := BuildStreaming(g, stream, 0, n, IndexFile, &w, budget); err != nil {
 			t.Fatalf("trial %d (n=%d budget=%d): %v", trial, n, budget, err)
 		}
-		if !bytes.Equal(w.buf, want.Bytes()) {
+		if !bytes.Equal(w, want.Bytes()) {
 			t.Fatalf("trial %d (n=%d budget=%d): streamed bytes differ", trial, n, budget)
 		}
 	}
@@ -172,24 +158,24 @@ func TestBuildStreamingRandomized(t *testing.T) {
 func TestBuildStreamingErrors(t *testing.T) {
 	g := gen.WebGraph(20, 4, 1)
 	for _, budget := range []int64{0, -7} {
-		w := &memWriterAt{}
-		if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 0, 20, IndexFile, w, budget); err == nil {
+		var w memFile
+		if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 0, 20, IndexFile, &w, budget); err == nil {
 			t.Errorf("BuildStreaming accepted budget %d", budget)
 		}
-		if len(w.buf) != 0 {
-			t.Errorf("BuildStreaming wrote %d bytes despite budget error", len(w.buf))
+		if len(w) != 0 {
+			t.Errorf("BuildStreaming wrote %d bytes despite budget error", len(w))
 		}
 	}
-	if _, err := BuildStreaming(g, Options{C: 2}, 0, 20, IndexFile, &memWriterAt{}, 1<<20); err == nil {
+	if _, err := BuildStreaming(g, Options{C: 2}, 0, 20, IndexFile, &memFile{}, 1<<20); err == nil {
 		t.Error("BuildStreaming accepted damping factor 2")
 	}
-	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 30, ShardFile, &memWriterAt{}, 1<<20); err == nil {
+	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 30, ShardFile, &memFile{}, 1<<20); err == nil {
 		t.Error("BuildStreaming accepted out-of-range shard")
 	}
-	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 10, IndexFile, &memWriterAt{}, 1<<20); err == nil {
+	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 10, IndexFile, &memFile{}, 1<<20); err == nil {
 		t.Error("BuildStreaming wrote a narrower range as a full index file")
 	}
-	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 10, ShardFile, &memWriterAt{}, 0); err == nil {
+	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 10, ShardFile, &memFile{}, 0); err == nil {
 		t.Error("BuildStreaming accepted zero budget")
 	}
 }
@@ -221,25 +207,27 @@ func TestCRC32Combine(t *testing.T) {
 	}
 }
 
-// TestStreamSliceVertices pins the budget-to-slice-width resolution.
+// TestStreamSliceVertices pins the budget-to-slice-width resolution: whole
+// posting blocks, at least one, no more than the range has.
 func TestStreamSliceVertices(t *testing.T) {
+	const block = 4 * 100 * v2BlockVertices // one block's rows at stride 100
 	cases := []struct {
 		budget int64
 		stride int
 		rows   int
 		want   int
 	}{
-		{1, 100, 500, 1},         // sub-row budget degrades to one vertex
-		{399, 100, 500, 1},       // just below one row
-		{400, 100, 500, 1},       // exactly one row
-		{4000, 100, 500, 10},     // ten rows
-		{1 << 40, 100, 500, 500}, // capped at rows
-		{1 << 40, 100, 0, 1},     // an empty range still gets one (unused) row
-		// An unbounded budget on an empty range must not size the slice
-		// buffer from the budget (shard.BuildAll with more shards than
-		// vertices).
-		{math.MaxInt64, 100, 0, 1},
-		{math.MaxInt64, 100, 500, 500},
+		{1, 100, 500, 64},              // sub-row budget: one block
+		{400, 100, 500, 64},            // one row: one block
+		{block - 1, 100, 500, 64},      // just below one block
+		{block, 100, 500, 64},          // exactly one block
+		{2*block - 1, 100, 500, 64},    // rounded down to whole blocks
+		{3*block + 7, 100, 500, 192},   // three blocks
+		{1 << 40, 100, 500, 512},       // capped at the range's 8 blocks
+		{1 << 40, 100, 64, 64},         // a range of exactly one block
+		{1 << 40, 100, 0, 64},          // an empty range still gets one block
+		{math.MaxInt64, 100, 0, 64},    // the unbounded budget too
+		{math.MaxInt64, 100, 500, 512}, // ... and on a non-empty range
 	}
 	for _, c := range cases {
 		if got := streamSliceVertices(c.budget, c.stride, c.rows); got != c.want {

@@ -7,14 +7,15 @@ import (
 	"oipsr/graph"
 )
 
-// FuzzStreamSliceBoundary fuzzes the streaming encoder's slice-boundary
-// path: the budget decides where vertex-range slices cut across 64-vertex
-// posting blocks, and wherever the cut lands — mid-block, at a block
-// edge, one vertex per slice — the emitted file must stay byte-identical
-// to the materialized Save writer, for both full indexes and shard
-// ranges. The seed corpus under testdata/fuzz pins the known
-// hard geometries (budget 1, cuts at 63/64/65, shard ranges straddling a
-// block).
+// FuzzStreamSliceBoundary fuzzes streamed = Save across budgets, ranges
+// and worker counts: the budget decides how many whole posting blocks a
+// slice holds, the seed how many workers split each slice, and whatever
+// they come to — one block per slice, a slice past the range's end, a
+// shard range that starts or ends mid-block — the streamed file must stay
+// byte-identical to the materialized Save writer's, for both full indexes
+// and shard ranges. The seed corpus under testdata/fuzz pins the known
+// hard geometries (budget 1, widths of 63/64/65 vertices, shard ranges
+// straddling a block).
 func FuzzStreamSliceBoundary(f *testing.F) {
 	// n8, deg, walks, k, budget, seed, lo8, hi8
 	f.Add(uint8(65), uint8(3), uint8(4), uint8(3), int64(1), int64(7), uint8(10), uint8(200))
@@ -24,7 +25,7 @@ func FuzzStreamSliceBoundary(f *testing.F) {
 	f.Add(uint8(64), uint8(4), uint8(3), uint8(2), int64(1<<20), int64(99), uint8(0), uint8(64))
 	f.Fuzz(func(t *testing.T, n8, deg, walks, k uint8, budget, seed int64, lo8, hi8 uint8) {
 		n := int(n8)%200 + 1
-		opt := Options{Walks: int(walks)%12 + 1, K: int(k) % 10, Seed: seed}
+		opt := Options{Walks: int(walks)%12 + 1, K: int(k) % 10, Seed: seed, Workers: int(uint64(seed)%4) + 1}
 		if budget < 1 {
 			budget = 1 - budget // negative/zero budgets are a rejection test, not this one
 		}
@@ -46,13 +47,13 @@ func FuzzStreamSliceBoundary(f *testing.F) {
 			t.Skip() // invalid option combination; rejection is tested elsewhere
 		}
 		want := saveBytes(t, ix, IndexFile)
-		var got memWriterAt
+		var got memFile
 		st, err := BuildStreaming(g, opt, 0, n, IndexFile, &got, budget)
 		if err != nil {
 			t.Fatalf("BuildStreaming(n=%d, budget=%d): %v", n, budget, err)
 		}
-		if !bytes.Equal(got.buf, want) {
-			t.Fatalf("streamed index differs from materialized v2 (n=%d budget=%d slice=%d)", n, budget, st.SliceVertices)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("streamed index differs from materialized v2 (n=%d budget=%d slice=%d workers=%d)", n, budget, st.SliceVertices, opt.Workers)
 		}
 
 		// Shard range derived from the same bytes: lo anywhere, hi at or past
@@ -64,11 +65,11 @@ func FuzzStreamSliceBoundary(f *testing.F) {
 			t.Fatal(err)
 		}
 		wantS := saveBytes(t, sx, ShardFile)
-		var gotS memWriterAt
+		var gotS memFile
 		if _, err := BuildStreaming(g, opt, lo, hi, ShardFile, &gotS, budget); err != nil {
 			t.Fatalf("BuildStreaming([%d,%d), budget=%d): %v", lo, hi, budget, err)
 		}
-		if !bytes.Equal(gotS.buf, wantS) {
+		if !bytes.Equal(gotS, wantS) {
 			t.Fatalf("streamed shard [%d,%d) differs from materialized v2 (budget=%d)", lo, hi, budget)
 		}
 	})

@@ -171,24 +171,16 @@ func appendVertexWalks(dst []byte, cur, prev [][]int32) []byte {
 
 // appendBlock appends to dst the encoding of posting block b of a file
 // with blockB start vertices per block: the stored vertices [b·blockB,
-// (b+1)·blockB) ∩ [0, Rows), all r walks each.
-func (s *raggedStore) appendBlock(dst []byte, b, blockB int) ([]byte, error) {
-	vlo, start := b*blockB, len(dst)
+// (b+1)·blockB) ∩ [0, Rows), all r walks each. It is the one whole-block
+// encoder: Save and BuildStreaming both frame its output.
+func (s *raggedStore) appendBlock(dst []byte, b, blockB int) []byte {
 	var cur, prev [][]int32
-	for v := vlo; v < min(vlo+blockB, s.Rows()); v++ {
+	for v := b * blockB; v < min((b+1)*blockB, s.Rows()); v++ {
 		cur = s.walks(v, cur[:0])
 		dst = appendVertexWalks(dst, cur, prev)
 		cur, prev = prev, cur
 	}
-	return dst, checkBlockLen(len(dst) - start)
-}
-
-// checkBlockLen refuses an encoded posting block the loader would refuse.
-func checkBlockLen(n int) error {
-	if n > maxV2BlockBytes {
-		return fmt.Errorf("%w: encoded posting block of %d bytes exceeds %d", ErrFormatLimits, n, maxV2BlockBytes)
-	}
-	return nil
+	return dst
 }
 
 // decodeV2Block decodes one posting block into dst (width*r*k entries,
@@ -219,43 +211,136 @@ func decodeV2Block(buf []byte, dst []int32, width, k, r int, vlen []uint32) ([]u
 	return vlen, nil
 }
 
-// writeV2 writes a v2 file: pre (the format header including the block
-// size and count), the block directory derived from the block lengths, the
-// blocks — emit(b, w) writes block b's lens[b] bytes — and the CRC trailer
-// over everything before it.
-func writeV2(w io.Writer, pre []byte, lens []int64, emit func(b int, w io.Writer) error, what string) error {
+// fileWriter is the one writer of the file layout, whoever supplies the
+// posting blocks: Save encodes them from the resident rows, BuildStreaming
+// from each slice it generates, and the write-back splices and copies
+// them. The payload goes out in order through w as blocks are added; the
+// directory stays in memory, 8 B a block, until finish writes the header
+// and the directory once at offset 0 and the trailer after the payload.
+// The trailer is the CRC of head ‖ payload, joined from the two sums by
+// crc32Combine, so nothing written is read back.
+type fileWriter struct {
+	w      io.WriterAt
+	what   string
+	blocks int           // the block count the header declares
+	head   []byte        // the preamble, then the directory so far
+	crc    hash.Hash32   // of the payload so far
+	pw     *bufio.Writer // the payload, at its offset in w
+	size   int64         // payload bytes added
+}
+
+// newFileWriter starts a file with header h and blockB start vertices per
+// posting block; add must then be called once for each of its blocks.
+func newFileWriter(w io.WriterAt, h fileHeader, blockB int) *fileWriter {
+	nb := int(v2NumBlocks(h.rows(), int64(blockB)))
+	head := binary.LittleEndian.AppendUint64(h.preamble(blockB, nb), 0)
 	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
-	if _, err := bw.Write(pre); err != nil {
-		return fmt.Errorf("walkindex: writing %s header: %w", what, err)
+	payload := io.NewOffsetWriter(w, int64(len(head))+8*int64(nb))
+	return &fileWriter{w: w, what: h.kind.String(), blocks: nb, head: head, crc: crc,
+		pw: bufio.NewWriterSize(io.MultiWriter(payload, crc), 1<<16)}
+}
+
+// add writes the next posting block. A block longer than the loader
+// accepts is refused with ErrFormatLimits.
+func (fw *fileWriter) add(block []byte) error {
+	if len(block) > maxV2BlockBytes {
+		return fmt.Errorf("%w: encoded posting block of %d bytes exceeds %d", ErrFormatLimits, len(block), maxV2BlockBytes)
 	}
-	var tmp [8]byte
-	off := uint64(0)
-	binary.LittleEndian.PutUint64(tmp[:], 0)
-	if _, err := bw.Write(tmp[:]); err != nil {
-		return fmt.Errorf("walkindex: writing %s directory: %w", what, err)
+	if _, err := fw.pw.Write(block); err != nil {
+		return fmt.Errorf("walkindex: writing %s blocks: %w", fw.what, err)
 	}
-	for _, n := range lens {
-		off += uint64(n)
-		binary.LittleEndian.PutUint64(tmp[:], off)
-		if _, err := bw.Write(tmp[:]); err != nil {
-			return fmt.Errorf("walkindex: writing %s directory: %w", what, err)
-		}
-	}
-	for b := range lens {
-		if err := emit(b, bw); err != nil {
-			return fmt.Errorf("walkindex: writing %s blocks: %w", what, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("walkindex: writing %s blocks: %w", what, err)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("walkindex: writing %s checksum: %w", what, err)
-	}
+	fw.size += int64(len(block))
+	fw.head = binary.LittleEndian.AppendUint64(fw.head, uint64(fw.size))
 	return nil
+}
+
+// finish writes the header, the directory and the trailer, and returns
+// the file's size and its trailer checksum.
+func (fw *fileWriter) finish() (size int64, sum uint32, err error) {
+	if err := fw.pw.Flush(); err != nil {
+		return 0, 0, fmt.Errorf("walkindex: writing %s blocks: %w", fw.what, err)
+	}
+	if _, err := fw.w.WriteAt(fw.head, 0); err != nil {
+		return 0, 0, fmt.Errorf("walkindex: writing %s header: %w", fw.what, err)
+	}
+	size = int64(len(fw.head)) + fw.size
+	sum = crc32Combine(crc32.ChecksumIEEE(fw.head), fw.crc.Sum32(), fw.size)
+	if _, err := fw.w.WriteAt(binary.LittleEndian.AppendUint32(nil, sum), size); err != nil {
+		return 0, 0, fmt.Errorf("walkindex: writing %s checksum: %w", fw.what, err)
+	}
+	return size + 4, sum, nil
+}
+
+// crc32Combine returns the CRC-32 (IEEE) of the concatenation a‖b given
+// crcA = CRC(a), crcB = CRC(b), and len(b) — without re-reading any bytes.
+// CRC-32 is linear over GF(2): appending lenB zero bytes to a multiplies
+// its CRC by x^(8*lenB) in the quotient ring, an operator applied here as
+// a 32×32 bit matrix raised to the 8*lenB-th power by repeated squaring
+// (the zlib crc32_combine construction), and XORing crcB then accounts for
+// b's actual bytes.
+func crc32Combine(crcA, crcB uint32, lenB int64) uint32 {
+	if lenB <= 0 {
+		return crcA
+	}
+	var even, odd [32]uint32
+	// odd = the one-zero-BIT operator: the CRC register shifts right one,
+	// feeding back the reflected polynomial.
+	odd[0] = crc32.IEEE
+	for i := 1; i < 32; i++ {
+		odd[i] = 1 << (i - 1)
+	}
+	gf2MatrixSquare(&even, &odd) // even = 2 zero bits
+	gf2MatrixSquare(&odd, &even) // odd  = 4 zero bits
+	crc := crcA
+	for {
+		gf2MatrixSquare(&even, &odd) // 8, 32, ... zero bits
+		if lenB&1 != 0 {
+			crc = gf2MatrixTimes(&even, crc)
+		}
+		lenB >>= 1
+		if lenB == 0 {
+			break
+		}
+		gf2MatrixSquare(&odd, &even) // 16, 64, ... zero bits
+		if lenB&1 != 0 {
+			crc = gf2MatrixTimes(&odd, crc)
+		}
+		lenB >>= 1
+		if lenB == 0 {
+			break
+		}
+	}
+	return crc ^ crcB
+}
+
+// gf2MatrixTimes multiplies the GF(2) bit matrix mat by the bit vector vec.
+func gf2MatrixTimes(mat *[32]uint32, vec uint32) uint32 {
+	var sum uint32
+	for i := 0; vec != 0; i, vec = i+1, vec>>1 {
+		if vec&1 != 0 {
+			sum ^= mat[i]
+		}
+	}
+	return sum
+}
+
+// gf2MatrixSquare sets dst = src², composing the zero-bit operator with
+// itself.
+func gf2MatrixSquare(dst, src *[32]uint32) {
+	for i := range src {
+		dst[i] = gf2MatrixTimes(src, src[i])
+	}
+}
+
+// memFile is an in-memory io.WriterAt: Save lays its file out there and
+// then writes it to an io.Writer.
+type memFile []byte
+
+func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if end := off + int64(len(p)); end > int64(len(*m)) {
+		*m = append(*m, make([]byte, end-int64(len(*m)))...)
+	}
+	return copy((*m)[off:], p), nil
 }
 
 // v2BlockLenPlausible reports whether blen can be the encoded byte length

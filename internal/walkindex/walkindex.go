@@ -166,25 +166,32 @@ func Build(g *graph.Graph, opt Options, lo, hi int) (*Index, error) {
 		return nil, fmt.Errorf("walkindex: vertex range [%d,%d) outside [0,%d)", lo, hi, n)
 	}
 
-	// Each worker walks its vertices into one reused r*k block and keeps
-	// the live prefixes; the parts are joined in vertex order.
-	width := hi - lo
+	ix := newIndex(n, lo, hi, opt.K, opt.Walks, opt.C, opt.Seed, joinStores(opt.Walks, opt.K, walkParts(g, opt, lo, hi)))
+	ix.forest = buildForest(ix, opt.Workers)
+	return ix, nil
+}
+
+// walkParts generates the walks of start vertices [lo, hi) of g, one
+// ragged store per worker, in order: worker w walks a run of whole posting
+// blocks counted from lo into one reused r*k block and keeps the live
+// prefixes. Build joins the parts; BuildStreaming encodes each part's
+// blocks as they are, one slice of the range at a time.
+func walkParts(g *graph.Graph, opt Options, lo, hi int) []*raggedStore {
+	blocks := int(v2NumBlocks(int64(hi-lo), v2BlockVertices))
 	hseed := splitmix64(uint64(opt.Seed))
-	workers := par.ResolveMax(opt.Workers, width)
+	workers := par.ResolveMax(opt.Workers, blocks)
 	parts := make([]*raggedStore, workers)
 	par.Do(workers, func(w int) {
-		wlo, whi := par.Range(width, workers, w)
+		blo, bhi := par.Range(blocks, workers, w)
 		part := newRaggedStore(opt.Walks, opt.K)
 		block := make([]int32, opt.Walks*opt.K)
-		for v := wlo; v < whi; v++ {
-			walkBlock(g, hseed, lo+v, opt.K, block)
+		for v := lo + blo*v2BlockVertices; v < min(lo+bhi*v2BlockVertices, hi); v++ {
+			walkBlock(g, hseed, v, opt.K, block)
 			part.appendVertex(block)
 		}
 		parts[w] = part
 	})
-	ix := newIndex(n, lo, hi, opt.K, opt.Walks, opt.C, opt.Seed, joinStores(opt.Walks, opt.K, parts))
-	ix.forest = buildForest(ix, opt.Workers)
-	return ix, nil
+	return parts
 }
 
 // newIndex assembles an index over store from validated parameters;
@@ -223,8 +230,8 @@ func walkFrom(g *graph.Graph, hseed uint64, fp, tau, p int, path []int32) {
 }
 
 // walkBlock fills block with every walk of vertex v, k entries per
-// fingerprint, -1 after each death: the dense form Build and the streaming
-// build generate into, and the recomputed row of a foreign vertex.
+// fingerprint, -1 after each death: the dense form walkParts generates
+// into, and the recomputed row of a foreign vertex.
 func walkBlock(g *graph.Graph, hseed uint64, v, k int, block []int32) {
 	for fp := 0; fp*k < len(block); fp++ {
 		walkFrom(g, hseed, fp, 0, v, block[fp*k:(fp+1)*k])

@@ -3,7 +3,6 @@ package walkindex
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 
@@ -13,26 +12,28 @@ import (
 // Write-back: the index file as a durable copy of resident rows.
 //
 // LoadWriteBack decodes a file into the resident store like Load, and
-// keeps what the file looks like: its path and kind, its leading bytes,
+// keeps what the file looks like: its path, its header and block size,
 // its block directory, each stored vertex's encoded length, and an open
 // handle on the bytes it was read from. In the codec a vertex's bytes
 // depend only on its own walks and on its predecessor's in the same block
 // (appendVertexWalks), so after each Update the vertices of the repaired
 // walks and their successors within a block are marked dirty, and the
-// file is rewritten with every clean block copied verbatim from the old
-// file and every dirty block spliced: dirty vertices re-encoded from the
-// resident rows, the runs of clean vertices between them copied from the
-// old file at offsets summed from the recorded lengths. atomicio publishes
-// the result (temp file, fsync, rename, directory fsync). The encoding is
-// canonical, so the file is byte for byte the one Save writes for the
-// repaired index, at the cost of the vertices an edit batch changed rather
-// than of their blocks.
+// file is rewritten through the one file writer (fileWriter), block by
+// block: every clean block copied verbatim from the old file and every
+// dirty block spliced — dirty vertices re-encoded from the resident rows,
+// the runs of clean vertices between them copied from the old file at
+// offsets summed from the recorded lengths. atomicio publishes the result
+// (temp file, fsync, rename, directory fsync). The encoding is canonical,
+// so the file is byte for byte the one Save writes for the repaired
+// index, at the cost of the vertices an edit batch changed rather than of
+// their blocks.
 //
-// A failed write leaves the old file as it was and the in-memory index
-// repaired: the directory, the recorded lengths and the dirty flags
-// change only once a new file is published and reopened, so they keep
-// describing the old file, and the next successful write-back persists
-// every batch since the last one. Queries never read the file.
+// A failed write — clean bytes the old file no longer holds in full
+// included — publishes nothing: the old file stays as it was and the
+// in-memory index repaired. The directory, the recorded lengths and the
+// dirty flags change only once a new file is published and reopened, so
+// they keep describing the old file, and the next successful write-back
+// persists every batch since the last one. Queries never read the file.
 
 // ErrWriteBack marks an Update whose repair succeeded — the index in
 // memory answers for the edited graph — but whose write-back to the index
@@ -41,19 +42,19 @@ var ErrWriteBack = errors.New("walkindex: writing back the index file")
 
 // writeFile publishes a file atomically. It is a variable so tests can
 // inject a failing write.
-var writeFile = atomicio.WriteFile
+var writeFile = atomicio.WriteFileAt
 
 // backing is the index file a write-back index keeps in step.
 type backing struct {
 	path    string
-	kind    FileKind
-	f       *os.File // the file as last read or written
-	pre     []byte   // header + block geometry, rewritten verbatim
+	f       *os.File   // the file as last read or written
+	hdr     fileHeader // rewritten verbatim
 	blockB  int
+	payload int64           // offset of the payload within f
 	dir     []int64         // numBlocks+1 payload byte offsets within f
 	vlen    []uint32        // per stored vertex: its encoded length within f
 	dirty   []bool          // per stored vertex: re-encode at the next write-back
-	enc     []byte          // the dirty blocks' encodings, reused across write-backs
+	enc     []byte          // the block being spliced, reused across blocks
 	spliced []splicedVertex // the re-encoded vertices' new lengths, reused
 }
 
@@ -78,10 +79,11 @@ func LoadWriteBack(path string, kind FileKind) (*Index, error) {
 		return nil, err
 	}
 	ix := f.newIndex()
+	blockB, nb := int(f.blockB), len(f.dir)-1
 	ix.file = &backing{
-		path: path, kind: kind, f: src,
-		pre: f.hdr.preamble(int(f.blockB), len(f.dir)-1), blockB: int(f.blockB),
-		dir: f.dir, vlen: f.vlen, dirty: make([]bool, len(f.vlen)),
+		path: path, f: src, hdr: f.hdr, blockB: blockB,
+		payload: int64(len(f.hdr.preamble(blockB, nb))) + 8*int64(nb+1),
+		dir:     f.dir, vlen: f.vlen, dirty: make([]bool, len(f.vlen)),
 	}
 	return ix, nil
 }
@@ -99,42 +101,33 @@ func (bk *backing) markDirty(walks []int32, r int) {
 	}
 }
 
-// writeBack rewrites the backing file from the resident rows: clean blocks
-// copied from the old file, dirty ones spliced (spliceBlock). On success
-// the new file becomes the source of clean bytes and nothing is dirty.
+// writeBack rewrites the backing file from the resident rows, block by
+// block through the file writer: each block spliced (spliceBlock), which
+// copies a clean one whole from the old file. On success the new file
+// becomes the source of clean bytes and nothing is dirty.
 func (ix *Index) writeBack() error {
 	bk := ix.file
 	if !slices.Contains(bk.dirty, true) {
 		return nil
 	}
-	nb := len(bk.dir) - 1
-	payload := int64(len(bk.pre)) + 8*int64(nb+1)
-	lens, spliceB := make([]int64, nb), make([]bool, nb)
-	bk.enc, bk.spliced = bk.enc[:0], bk.spliced[:0]
+	dir := make([]int64, 1, len(bk.dir))
+	bk.spliced = bk.spliced[:0]
 	cur, prev := make([][]int32, 0, ix.r), make([][]int32, 0, ix.r)
-	for b := range lens {
-		lens[b] = bk.dir[b+1] - bk.dir[b]
-		vlo, vhi := b*bk.blockB, min((b+1)*bk.blockB, len(bk.dirty))
-		if spliceB[b] = slices.Contains(bk.dirty[vlo:vhi], true); !spliceB[b] {
-			continue
-		}
-		n := len(bk.enc)
-		if err := ix.spliceBlock(vlo, vhi, payload+bk.dir[b], cur, prev); err != nil {
-			return fmt.Errorf("%w: %w", ErrWriteBack, err)
-		}
-		lens[b] = int64(len(bk.enc) - n)
-	}
-	err := writeFile(bk.path, func(w io.Writer) error {
-		rest := bk.enc
-		return writeV2(w, bk.pre, lens, func(b int, w io.Writer) error {
-			if spliceB[b] {
-				_, err := w.Write(rest[:lens[b]])
-				rest = rest[lens[b]:]
+	err := writeFile(bk.path, func(f *os.File) error {
+		fw := newFileWriter(f, bk.hdr, bk.blockB)
+		for b := range fw.blocks {
+			vlo, vhi := b*bk.blockB, min((b+1)*bk.blockB, len(bk.dirty))
+			var err error
+			if bk.enc, err = ix.spliceBlock(bk.enc[:0], vlo, vhi, bk.payload+bk.dir[b], cur, prev); err != nil {
 				return err
 			}
-			_, err := io.Copy(w, io.NewSectionReader(bk.f, payload+bk.dir[b], lens[b]))
-			return err
-		}, bk.kind.String())
+			if err := fw.add(bk.enc); err != nil {
+				return err
+			}
+			dir = append(dir, dir[b]+int64(len(bk.enc)))
+		}
+		_, _, err := fw.finish()
+		return err
 	})
 	if err != nil {
 		return fmt.Errorf("%w %s: %w", ErrWriteBack, bk.path, err)
@@ -148,10 +141,7 @@ func (ix *Index) writeBack() error {
 		return fmt.Errorf("%w: reopening %s: %w", ErrWriteBack, bk.path, err)
 	}
 	bk.f.Close()
-	bk.f = nf
-	for b, n := range lens {
-		bk.dir[b+1] = bk.dir[b] + n
-	}
+	bk.f, bk.dir = nf, dir
 	for _, sv := range bk.spliced {
 		bk.vlen[sv.v] = sv.len
 	}
@@ -159,15 +149,15 @@ func (ix *Index) writeBack() error {
 	return nil
 }
 
-// spliceBlock appends to bk.enc the posting block of the stored vertices
-// [vlo, vhi), which starts at byte off of the old file: each
-// dirty vertex re-encoded from the resident rows, its new length noted in
-// bk.spliced, and each run of clean vertices between them read from the
-// old file. A run that cannot be read in full is an error, never a short
-// block. cur and prev are scratch for r walk views each.
-func (ix *Index) spliceBlock(vlo, vhi int, off int64, cur, prev [][]int32) error {
+// spliceBlock appends to dst the posting block of the stored vertices
+// [vlo, vhi), which starts at byte off of the old file: each dirty vertex
+// re-encoded from the resident rows, its new length noted in bk.spliced,
+// and each run of clean vertices between them read from the old file — a
+// clean block is one such run. A run that cannot be read in full is an
+// error, never a short block. cur and prev are scratch for r walk views
+// each.
+func (ix *Index) spliceBlock(dst []byte, vlo, vhi int, off int64, cur, prev [][]int32) ([]byte, error) {
 	bk := ix.file
-	start := len(bk.enc)
 	have := -1 // the vertex whose walks prev holds
 	for v := vlo; v < vhi; {
 		if !bk.dirty[v] {
@@ -175,10 +165,10 @@ func (ix *Index) spliceBlock(vlo, vhi int, off int64, cur, prev [][]int32) error
 			for ; v < vhi && !bk.dirty[v]; v++ {
 				run += int(bk.vlen[v])
 			}
-			n := len(bk.enc)
-			bk.enc = slices.Grow(bk.enc, run)[:n+run]
-			if got, err := bk.f.ReadAt(bk.enc[n:], off); got < run {
-				return fmt.Errorf("reading %d clean bytes at offset %d of %s: %w", run, off, bk.path, err)
+			n := len(dst)
+			dst = slices.Grow(dst, run)[:n+run]
+			if got, err := bk.f.ReadAt(dst[n:], off); got < run {
+				return dst, fmt.Errorf("reading %d clean bytes at offset %d of %s: %w", run, off, bk.path, err)
 			}
 			off += int64(run)
 			continue
@@ -191,12 +181,12 @@ func (ix *Index) spliceBlock(vlo, vhi int, off int64, cur, prev [][]int32) error
 			p = prev
 		}
 		cur = ix.store.walks(v, cur[:0])
-		n := len(bk.enc)
-		bk.enc = appendVertexWalks(bk.enc, cur, p)
-		bk.spliced = append(bk.spliced, splicedVertex{v: v, len: uint32(len(bk.enc) - n)})
+		n := len(dst)
+		dst = appendVertexWalks(dst, cur, p)
+		bk.spliced = append(bk.spliced, splicedVertex{v: v, len: uint32(len(dst) - n)})
 		off += int64(bk.vlen[v])
 		cur, prev, have = prev, cur, v
 		v++
 	}
-	return checkBlockLen(len(bk.enc) - start)
+	return dst, nil
 }

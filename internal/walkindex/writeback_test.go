@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -49,22 +48,17 @@ func saveBlocked(t *testing.T, ix *Index, kind FileKind, blockB int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb := int(v2NumBlocks(int64(ix.Width()), int64(blockB)))
-	blocks, lens := make([][]byte, nb), make([]int64, nb)
-	for b := range blocks {
-		if blocks[b], err = ix.store.appendBlock(nil, b, blockB); err != nil {
+	var f memFile
+	fw := newFileWriter(&f, h, blockB)
+	for b := range fw.blocks {
+		if err := fw.add(ix.store.appendBlock(nil, b, blockB)); err != nil {
 			t.Fatal(err)
 		}
-		lens[b] = int64(len(blocks[b]))
 	}
-	var buf bytes.Buffer
-	if err := writeV2(&buf, h.preamble(blockB, nb), lens, func(b int, w io.Writer) error {
-		_, err := w.Write(blocks[b])
-		return err
-	}, kind.String()); err != nil {
+	if _, _, err := fw.finish(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return f
 }
 
 // editBatch draws a seeded batch of adds and removes on g.
@@ -506,9 +500,9 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	injected := errors.New("injected write failure")
 	real := writeFile
 	t.Cleanup(func() { writeFile = real })
-	writeFile = func(path string, write func(io.Writer) error) error {
-		return real(path, func(w io.Writer) error {
-			if err := write(w); err != nil {
+	writeFile = func(path string, write func(*os.File) error) error {
+		return real(path, func(f *os.File) error {
+			if err := write(f); err != nil {
 				return err
 			}
 			return injected // the temp file is complete, but never published
@@ -547,32 +541,41 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	requireFile(t, path, saveBytes(t, fresh2, IndexFile), "after the recovery batch")
 }
 
-// TestWriteBackShortReadIsError: a clean run that cannot be read back in
+// TestWriteBackShortReadIsError: clean bytes that cannot be read back in
 // full from the old file — its handle closed, or holding fewer bytes than
-// the recorded lengths — fails the write-back before anything is
-// published. The file stays as it was and the index in memory repaired.
+// the recorded lengths, inside a spliced block or in a clean block of its
+// own — fail the write-back before anything is published. The file stays
+// as it was, no temp file is left, and the index in memory is repaired.
 func TestWriteBackShortReadIsError(t *testing.T) {
+	// cut swaps the handle for one on a copy of the file that ends at
+	// payload byte at.
+	cut := func(t *testing.T, bk *backing, at int64) {
+		old, err := os.ReadFile(bk.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		short := filepath.Join(t.TempDir(), "short.srwk")
+		if err := os.WriteFile(short, old[:bk.payload+at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bk.f.Close()
+		bk.f = f
+	}
 	for _, tc := range []struct {
-		name  string
-		spoil func(t *testing.T, bk *backing)
+		name   string
+		blockB int // the saved file's block size
+		target int // the vertex whose in-set the batch changes
+		spoil  func(t *testing.T, bk *backing)
 	}{
-		{"closed", func(t *testing.T, bk *backing) { bk.f.Close() }},
-		{"truncated", func(t *testing.T, bk *backing) {
-			old, err := os.ReadFile(bk.path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			short := filepath.Join(t.TempDir(), "short.srwk")
-			if err := os.WriteFile(short, old[:len(bk.pre)+8*len(bk.dir)+int(bk.vlen[0])], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			f, err := os.Open(short)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bk.f.Close()
-			bk.f = f
-		}},
+		{"closed", v2BlockVertices, 30, func(t *testing.T, bk *backing) { bk.f.Close() }},
+		{"truncated", v2BlockVertices, 30, func(t *testing.T, bk *backing) { cut(t, bk, int64(bk.vlen[0])) }},
+		// Vertex 3's block splices intact bytes; block 5, clean, is cut
+		// in the middle.
+		{"short clean block", 8, 3, func(t *testing.T, bk *backing) { cut(t, bk, (bk.dir[5]+bk.dir[6])/2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := hubGraph(5)
@@ -581,25 +584,31 @@ func TestWriteBackShortReadIsError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := saveFile(t, built, IndexFile)
-			before, err := os.ReadFile(path)
-			if err != nil {
+			path := filepath.Join(t.TempDir(), "index.srwk")
+			before := saveBlocked(t, built, IndexFile, tc.blockB)
+			if err := os.WriteFile(path, before, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			wb := openWriteBack(t, path, IndexFile)
 			tc.spoil(t, wb.file)
 			real := writeFile
 			t.Cleanup(func() { writeFile = real })
-			writeFile = func(string, func(io.Writer) error) error {
-				t.Error("a write-back whose clean run failed to read went on to write the file")
-				return nil
+			writeFile = func(path string, write func(*os.File) error) error {
+				err := real(path, write)
+				if err == nil {
+					t.Error("a write-back whose clean bytes failed to read published the file")
+				}
+				return err
 			}
 
-			g1, err := updateTargets(t, rand.New(rand.NewSource(1)), wb, g, []int{30})
+			g1, err := updateTargets(t, rand.New(rand.NewSource(1)), wb, g, []int{tc.target})
 			if !errors.Is(err, ErrWriteBack) {
 				t.Fatalf("Update over an unreadable old file: err = %v, want ErrWriteBack", err)
 			}
 			requireFile(t, path, before, "after the failed read")
+			if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+				t.Fatalf("the failed write-back left %d files behind (err %v)", len(entries), err)
+			}
 			fresh, err := buildFull(g1, opt)
 			if err != nil {
 				t.Fatal(err)

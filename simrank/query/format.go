@@ -9,10 +9,10 @@ import (
 )
 
 // Streaming builds and write-back loading, re-exported from
-// oipsr/internal/walkindex. There is one on-disk format: Save, SaveFile
-// and BuildFileStreaming write it, Load, LoadFile and LoadFileMapped read
-// it, and an index from LoadFileMapped writes it back after every edit
-// batch.
+// oipsr/internal/walkindex. There is one on-disk format and one writer of
+// it: Save, SaveFile and BuildFileStreaming write it, Load, LoadFile and
+// LoadFileMapped read it, and an index from LoadFileMapped writes it back
+// after every edit batch, all through the same file writer.
 
 // FormatVersion is the on-disk format revision this build reads and
 // writes.
@@ -34,12 +34,17 @@ var ErrWriteBack = walkindex.ErrWriteBack
 // walkindex.StreamStats.
 type BuildStreamStats = walkindex.StreamStats
 
+// StreamSliceBytes is the slice budget of the streamed builds this
+// repository runs, shard.BuildAll's and simrankd's: 64 MiB of walks, where
+// a whole index at R = 100 and K = 13 takes up to 5200 B a vertex.
+const StreamSliceBytes = 64 << 20
+
 // BuildFileStreaming builds an index file for g directly on disk, never
-// materializing the index in memory: walks are generated in vertex-range
-// slices sized to budgetBytes and encoded straight into the file, so peak
-// builder memory is bounded by the budget, not by n. The file is
-// byte-identical to BuildIndex + SaveFile and is published atomically
-// (temp, fsync, rename).
+// materializing the index in memory: walks are generated in slices of
+// whole posting blocks sized to budgetBytes and encoded straight into the
+// file, so peak builder memory is bounded by the budget plus 8 B a block,
+// not by n. The file is byte-identical to BuildIndex + SaveFile and is
+// published atomically (temp, fsync, rename).
 func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes int64) (*BuildStreamStats, error) {
 	var st *walkindex.StreamStats
 	err := atomicio.WriteFileAt(path, func(f *os.File) error {

@@ -525,13 +525,16 @@ func Load(r io.Reader) (*Index, error) {
 	return NewIndex(wi, nil), nil
 }
 
-// SaveFile writes the index to path durably and atomically: the payload is
-// written to a sibling temp file, fsynced, renamed over path, and the
-// directory is fsynced so the rename itself survives a crash. A crash at
-// any point leaves either the old file or the complete new one — never a
-// truncated or empty index.
+// SaveFile writes the index to path durably and atomically: the file
+// Save writes goes straight to a sibling temp file, never whole in memory,
+// which is fsynced, renamed over path, and the directory is fsynced so the
+// rename itself survives a crash. A crash at any point leaves either the
+// old file or the complete new one — never a truncated or empty index.
 func (ix *Index) SaveFile(path string) error {
-	return atomicio.WriteFile(path, ix.Save)
+	if err := ix.needFull("Save"); err != nil {
+		return err
+	}
+	return atomicio.WriteFileAt(path, func(f *os.File) error { return ix.wi.SaveAt(f, walkindex.IndexFile) })
 }
 
 // LoadFile reads an index from path.

@@ -73,31 +73,21 @@ type Manifest struct {
 	Shards []FileInfo `json:"shards"`
 }
 
-// defaultBuildBudget is BuildAll's slice budget when it is given none:
-// 64 MiB of walk state, where one slice of a whole shard is 5200 B a
-// vertex at R = 100 and K = 13.
-const defaultBuildBudget = 64 << 20
-
 // BuildAll plans a `shards`-way partition of g, builds every shard file,
 // and publishes them to dir (created if missing) with a sealed manifest.
-// Every shard is streamed: its walks are generated in vertex slices of at
-// most budgetBytes of walk state and encoded straight to its file, so peak
-// builder memory is bounded by the budget, not by the widest shard; a
-// budget of 0 or less means 64 MiB. The files are the same bytes for
-// every budget. Every file lands via write-temp/fsync/rename,
-// the manifest last, so a reader that finds a manifest finds every file it
-// names, complete. The shard rows are collectively bit-identical to
-// query.BuildIndex(g, opt).
-func BuildAll(g *graph.Graph, opt query.Options, dir string, shards int, budgetBytes int64) (*Manifest, error) {
+// Every shard is streamed: its walks are generated in slices of
+// query.StreamSliceBytes of walks and encoded straight to its file, so
+// peak builder memory is bounded by the slice, not by the widest shard.
+// Every file lands via write-temp/fsync/rename, the manifest last, so a
+// reader that finds a manifest finds every file it names, complete. The
+// shard rows are collectively bit-identical to query.BuildIndex(g, opt).
+func BuildAll(g *graph.Graph, opt query.Options, dir string, shards int) (*Manifest, error) {
 	plan, err := Plan(g.NumVertices(), shards)
 	if err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
-	}
-	if budgetBytes <= 0 {
-		budgetBytes = defaultBuildBudget
 	}
 	m := &Manifest{Version: ManifestVersion, N: g.NumVertices(), Format: query.FormatVersion}
 	for i, r := range plan {
@@ -108,7 +98,7 @@ func BuildAll(g *graph.Graph, opt query.Options, dir string, shards int, budgetB
 		var st *walkindex.StreamStats
 		err := atomicio.WriteFileAt(filepath.Join(dir, name), func(f *os.File) error {
 			var err error
-			st, err = walkindex.BuildStreaming(g, opt, r.Lo, r.Hi, walkindex.ShardFile, f, budgetBytes)
+			st, err = walkindex.BuildStreaming(g, opt, r.Lo, r.Hi, walkindex.ShardFile, f, query.StreamSliceBytes)
 			return err
 		})
 		if err != nil {

@@ -56,10 +56,9 @@ func TestPlanPartition(t *testing.T) {
 
 // TestBuildAllRoundTrip: BuildAll publishes a loadable directory whose
 // shards, opened through the manifest, answer partial queries that
-// concatenate into the single-node dense rows bitwise — on the default
-// (unbounded) budget and a bounded one, and with more shards than vertices,
-// where Plan leaves empty trailing ranges that are still files to build,
-// open and query.
+// concatenate into the single-node dense rows bitwise — also with more
+// shards than vertices, where Plan leaves empty trailing ranges that are
+// still files to build, open and query.
 func TestBuildAllRoundTrip(t *testing.T) {
 	g := gen.WebGraph(57, 6, 2)
 	opt := query.Options{Walks: 18, Seed: 7, Workers: 1}
@@ -69,12 +68,9 @@ func TestBuildAllRoundTrip(t *testing.T) {
 	}
 	sources := []int{0, 31, 56}
 	ctx := context.Background()
-	for _, c := range []struct {
-		shards int
-		budget int64
-	}{{3, 0}, {59, 0}, {59, 4096}} {
+	for _, c := range []struct{ shards int }{{3}, {59}} {
 		dir := t.TempDir()
-		m, err := BuildAll(g, opt, dir, c.shards, c.budget)
+		m, err := BuildAll(g, opt, dir, c.shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +133,7 @@ func TestBuildAllRoundTrip(t *testing.T) {
 func TestManifestCorruptionDetection(t *testing.T) {
 	g := gen.WebGraph(30, 4, 5)
 	dir := t.TempDir()
-	m, err := BuildAll(g, query.Options{Walks: 8, Seed: 1}, dir, 2, 0)
+	m, err := BuildAll(g, query.Options{Walks: 8, Seed: 1}, dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +284,7 @@ func TestOpenShardMappedParity(t *testing.T) {
 	g := gen.WebGraph(57, 6, 2)
 	opt := query.Options{Walks: 18, Seed: 7, Workers: 1}
 	dir := t.TempDir()
-	m, err := BuildAll(g, opt, dir, 3, 0)
+	m, err := BuildAll(g, opt, dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +377,7 @@ func TestOpenShardMappedParity(t *testing.T) {
 	// — full range [0, n) and all — is ErrBadMagic through the query
 	// loaders: a file says which of the two it is, whatever range it holds.
 	onedir := t.TempDir()
-	m1, err := BuildAll(g, opt, onedir, 1, 0)
+	m1, err := BuildAll(g, opt, onedir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +519,7 @@ func TestOpenShardMappedWritesBack(t *testing.T) {
 	g := gen.CitationGraph(200, 4, 3)
 	opt := query.Options{Walks: 12, Seed: 5, Workers: 1}
 	dir := t.TempDir()
-	m, err := BuildAll(g, opt, dir, 3, 0)
+	m, err := BuildAll(g, opt, dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +551,7 @@ func TestOpenShardMappedWritesBack(t *testing.T) {
 		}
 		g = shards[0].Graph()
 		fresh := t.TempDir()
-		if _, err := BuildAll(g, opt, fresh, len(shards), 0); err != nil {
+		if _, err := BuildAll(g, opt, fresh, len(shards)); err != nil {
 			t.Fatal(err)
 		}
 		for _, fi := range m.Shards {

@@ -24,9 +24,10 @@ var recordParent = flag.Bool("record-parent", false, "rewrite testdata/parent/ (
 
 // buildGoldenDir is the one call of this file that does not compile at
 // d366a63, where it reads BuildAll(g, opt, dir, 3) for budget 0 and
-// BuildAllStreaming(g, opt, dir, 3, budget) otherwise.
+// BuildAllStreaming(g, opt, dir, 3, budget) otherwise. BuildAll has no
+// budget now: every section is built the one way it is left.
 func buildGoldenDir(g *graph.Graph, opt query.Options, dir string, budget int64) (*Manifest, error) {
-	return BuildAll(g, opt, dir, 3, budget)
+	return BuildAll(g, opt, dir, 3)
 }
 
 // describeDir renders a shard directory as the manifest's bytes followed by
@@ -50,12 +51,12 @@ func describeDir(t *testing.T, dir string, m *Manifest) string {
 	return out.String()
 }
 
-// TestBuildAllStreamingIdenticalDirectory: whatever the budget, BuildAll
-// publishes the directory the parent's two builders did — same manifest
-// bytes (params, checksums, sizes), same shard files — for budgets from
-// unbounded down to one vertex of walk state per slice. Before the two
-// builders became one this compared them with each other; what is left to
-// compare the one with is what they wrote.
+// TestBuildAllStreamingIdenticalDirectory: BuildAll publishes the
+// directory the parent's two builders did at every budget they were given
+// — same manifest bytes (params, checksums, sizes), same shard files. Before
+// the two builders became one this compared them with each other, and
+// before BuildAll lost its budget the one builder at each budget; what is
+// left to compare the one directory with is what they all wrote.
 func TestBuildAllStreamingIdenticalDirectory(t *testing.T) {
 	g := gen.WebGraph(157, 6, 2)
 	opt := query.Options{Walks: 18, Seed: 7, Workers: 1}
@@ -96,35 +97,27 @@ func TestBuildAllStreamingIdenticalDirectory(t *testing.T) {
 		name, body, _ := bytes.Cut(sec, []byte("\n"))
 		want[string(name)] = string(body)
 	}
-	for _, tc := range []struct {
-		budget  int64
-		section string
-	}{
-		{0, "BuildAll"},
-		{-1, "BuildAll"},
-		{1, "BuildAllStreaming budget 1"},
-		{1000, "BuildAllStreaming budget 1000"},
-		{1 << 28, "BuildAll"},
-	} {
-		dir := t.TempDir()
-		m, err := buildGoldenDir(g, opt, dir, tc.budget)
-		if err != nil {
-			t.Fatalf("budget %d: %v", tc.budget, err)
-		}
-		if got := describeDir(t, dir, m); got != want[tc.section] {
-			t.Errorf("budget %d: directory differs from the parent's %q\ngot:\n%s\nparent:\n%s", tc.budget, tc.section, got, want[tc.section])
+	dir := t.TempDir()
+	m, err := buildGoldenDir(g, opt, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := describeDir(t, dir, m)
+	for _, r := range recorded {
+		if got != want[r.section] {
+			t.Errorf("directory differs from the parent's %q\ngot:\n%s\nparent:\n%s", r.section, got, want[r.section])
 		}
 	}
 }
 
-// TestBuildAllStreamingServes: a shard directory streamed under a small
-// budget loads through the ordinary manifest path (checksums verified) and
-// serves partials matching the full index, mapped.
+// TestBuildAllStreamingServes: a streamed shard directory loads through
+// the ordinary manifest path (checksums verified) and serves partials
+// matching the full index, mapped.
 func TestBuildAllStreamingServes(t *testing.T) {
 	g := gen.CitationGraph(90, 5, 4)
 	opt := query.Options{Walks: 14, Seed: 3, Workers: 1}
 	dir := t.TempDir()
-	if _, err := BuildAll(g, opt, dir, 2, 512); err != nil {
+	if _, err := BuildAll(g, opt, dir, 2); err != nil {
 		t.Fatal(err)
 	}
 	m, err := LoadManifest(dir)
@@ -173,28 +166,28 @@ func TestBuildAllStreamingServes(t *testing.T) {
 	}
 }
 
-// TestBuildAllDefaultBudgetBoundsMemory: without a budget BuildAll still
-// streams, in slices of defaultBuildBudget, so on a shard whose single
-// slice of walk state would exceed that default the build allocates less
-// than the slice. The files do not depend on the budget
-// (TestBuildAllStreamingIdenticalDirectory).
+// TestBuildAllDefaultBudgetBoundsMemory: BuildAll streams in slices of
+// query.StreamSliceBytes, so on a shard whose walks would take more than
+// that as one dense slice the build allocates less than that slice. The
+// files do not depend on the slicing (TestBuildAllStreamingIdenticalDirectory,
+// and walkindex's streamed = Save suites at every budget).
 func TestBuildAllDefaultBudgetBoundsMemory(t *testing.T) {
 	// Every walk of an edgeless graph dies at its first step, so the build
 	// is cheap while its slice buffer of n*R*K int32s is not.
 	const n, walks, k = 400, 2000, 50
-	slice := uint64(n * walks * k * 4) // 160 MB, 2.4 times the default
-	if slice <= defaultBuildBudget {
-		t.Fatalf("slice %d B does not exceed the default budget %d B", slice, defaultBuildBudget)
+	slice := uint64(n * walks * k * 4) // 160 MB, 2.4 times the slice budget
+	if slice <= query.StreamSliceBytes {
+		t.Fatalf("slice %d B does not exceed the slice budget %d B", slice, query.StreamSliceBytes)
 	}
 	g := graph.MustFromEdges(n, nil)
 	opt := query.Options{Walks: walks, K: k, Seed: 1, Workers: 1}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := BuildAll(g, opt, t.TempDir(), 1, 0); err != nil {
+	if _, err := BuildAll(g, opt, t.TempDir(), 1); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= slice {
-		t.Errorf("BuildAll without a budget allocated %d B, at least the single slice of %d B", got, slice)
+		t.Errorf("BuildAll allocated %d B, at least the single slice of %d B", got, slice)
 	}
 }
