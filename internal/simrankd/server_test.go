@@ -234,12 +234,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("healthz = %+v", h)
 	}
 	// The coalescence order is accounted beside the path storage, not in
-	// it: 6 bytes per stored walk on a dense index. The path storage is the
+	// it: 10 bytes per stored walk on a dense index. The path storage is the
 	// ragged layout counted from the walks (the same build, walked again).
-	forest := int64(6 * idx.N() * idx.Walks())
+	forest := int64(10 * idx.N() * idx.Walks())
 	index := raggedBytes(t, g, idx)
 	if h.ForestBytes != forest || h.IndexBytes != index {
-		t.Fatalf("healthz index_bytes = %d, index_forest_bytes = %d, want %d and 6·n·R = %d", h.IndexBytes, h.ForestBytes, index, forest)
+		t.Fatalf("healthz index_bytes = %d, index_forest_bytes = %d, want %d and 10·n·R = %d", h.IndexBytes, h.ForestBytes, index, forest)
 	}
 
 	// Same query twice: the second hit must come from the LRU.
@@ -278,7 +278,7 @@ func TestShardHealthzAndMetricsForestBytes(t *testing.T) {
 	}
 	ts := httptest.NewServer(ss)
 	defer ts.Close()
-	want := int64(6 * 40 * 20)
+	want := int64(10 * 40 * 20)
 	var h shardHealthzResponse
 	_, body := get(t, ts.URL+"/healthz")
 	if err := json.Unmarshal(body, &h); err != nil {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"oipsr/graph"
 	"oipsr/graph/gen"
 	"oipsr/internal/par"
 	"oipsr/internal/sparserow"
@@ -68,49 +69,71 @@ func TestBuildShardValidation(t *testing.T) {
 
 // TestRangedMultiSourceMatchesFull: concatenating the SparseRows rows of a
 // covering set of ranges reproduces the full-range rows bitwise, with no
-// merge arithmetic — for owned sources, foreign sources, duplicates, and
-// every worker count.
+// merge arithmetic — for owned sources (placed by their ranks), foreign
+// sources (placed by a key search) and duplicates in one batch, at every
+// worker count, when built and after edit batches patched every index's
+// order.
 func TestRangedMultiSourceMatchesFull(t *testing.T) {
-	g := gen.CitationGraph(61, 5, 7)
-	opt := Options{Walks: 25, Seed: 3, Workers: 2}
-	full, err := buildFull(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumVertices()
-	sources := []int{0, 17, 60, 17, 33} // ends, interior, duplicate
-	want, err := full.SparseRows(context.Background(), nil, sources, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sparserow.Release(want...)
-
-	for _, parts := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 3} {
-			got := make([]*sparserow.Row, len(sources))
-			for i := range got {
-				got[i] = &sparserow.Row{}
+	for _, g0 := range []*graph.Graph{gen.CitationGraph(61, 5, 7), gen.CoauthorGraph(61, 4, 6)} {
+		opt := Options{Walks: 25, Seed: 3, Workers: 2}
+		n := g0.NumVertices()
+		sources := []int{0, 17, 60, 17, 33} // ends, interior, duplicate
+		for _, parts := range []int{1, 2, 4} {
+			g := g0
+			full, err := buildFull(g, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
+			var shards []*Index
 			for _, r := range shardRanges(n, parts) {
 				sx, err := Build(g, opt, r[0], r[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows, err := sx.SparseRows(context.Background(), g, sources, workers)
+				shards = append(shards, sx)
+			}
+			rng := rand.New(rand.NewSource(int64(parts)))
+			for batch := 0; batch <= 2; batch++ {
+				if batch > 0 {
+					next, sum, err := g.ApplyEdits(randomEdits(rng, g, 6))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, ix := range append([]*Index{full}, shards...) {
+						if _, err := ix.Update(next, sum.DirtyIn, 2); err != nil {
+							t.Fatal(err)
+						}
+					}
+					g = next
+				}
+				want, err := full.SparseRows(context.Background(), nil, sources, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, row := range rows {
-					got[i].IDs = append(got[i].IDs, row.IDs...)
-					got[i].Scores = append(got[i].Scores, row.Scores...)
+				for _, workers := range []int{1, 3} {
+					got := make([]*sparserow.Row, len(sources))
+					for i := range got {
+						got[i] = &sparserow.Row{}
+					}
+					for _, sx := range shards {
+						rows, err := sx.SparseRows(context.Background(), g, sources, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, row := range rows {
+							got[i].IDs = append(got[i].IDs, row.IDs...)
+							got[i].Scores = append(got[i].Scores, row.Scores...)
+						}
+						sparserow.Release(rows...)
+					}
+					for si := range want {
+						if !slices.Equal(got[si].IDs, want[si].IDs) || !slices.Equal(got[si].Scores, want[si].Scores) {
+							t.Fatalf("parts=%d batch %d workers=%d: source %d: shards %v != full %v",
+								parts, batch, workers, sources[si], got[si], want[si])
+						}
+					}
 				}
-				sparserow.Release(rows...)
-			}
-			for si := range want {
-				if !slices.Equal(got[si].IDs, want[si].IDs) || !slices.Equal(got[si].Scores, want[si].Scores) {
-					t.Fatalf("parts=%d workers=%d: source %d: shards %v != full %v",
-						parts, workers, sources[si], got[si], want[si])
-				}
+				sparserow.Release(want...)
 			}
 		}
 	}

@@ -181,3 +181,45 @@ func sparseOf(base int32, dense []float64) *sparserow.Row {
 	}
 	return row
 }
+
+// BenchmarkSparseRows times one source's row with one worker, per graph
+// family at the contract's scales — web d=11 n=6000 (serve-zipf's shape),
+// citation d=4 n=15000 (mapped-edits') and coauthor d=8 n=15000 — over the
+// sources with an in-set only (a source without one answers at once),
+// visited in a fixed shuffled order. 100 walks a vertex. It reports
+// µs/source.
+func BenchmarkSparseRows(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    func() *graph.Graph
+	}{
+		{"web-d11-n6000", func() *graph.Graph { return gen.WebGraph(6000, 11, 1) }},
+		{"citation-d4-n15000", func() *graph.Graph { return gen.CitationGraph(15000, 4, 1) }},
+		{"coauthor-d8-n15000", func() *graph.Graph { return gen.CoauthorGraph(15000, 8, 1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.g()
+			ix, err := buildFull(g, Options{Walks: 100, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sources []int
+			for v := 0; v < g.NumVertices(); v++ {
+				if len(g.In(v)) > 0 {
+					sources = append(sources, v)
+				}
+			}
+			rand.New(rand.NewSource(1)).Shuffle(len(sources), func(i, j int) { sources[i], sources[j] = sources[j], sources[i] })
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := ix.SparseRows(ctx, nil, sources[i%len(sources):i%len(sources)+1], 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sparserow.Release(rows...)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/source")
+		})
+	}
+}

@@ -21,9 +21,11 @@
 // fingerprints estimates s(q, v) truncated at horizon K. No Theta(n^2)
 // state is ever materialized. Every index keeps a per-fingerprint
 // coalescence order (walkorder.go): the walkers sorted so that everyone
-// who ever meets q is a contiguous neighbourhood of q. A query is R key
-// searches plus a walk over those neighbourhoods — cost proportional to
-// the number of non-zero scores, 6*R bytes per vertex on top of the paths.
+// who ever meets q is a contiguous neighbourhood of q, and beside it its
+// inverse, each walker's rank. A query looks an owned source up by its R
+// ranks (a foreign one by R key searches) and walks over those
+// neighbourhoods — cost proportional to the number of non-zero scores,
+// 10*R bytes per vertex on top of the paths.
 //
 // A walk is its positions after steps 1, 2, … up to its death at an
 // in-degree-0 vertex or the horizon. The walks are resident in the ragged

@@ -27,13 +27,15 @@ import (
 // walkers is the largest such value between them, or never if any pair of
 // neighbours between them never meets.
 //
-// forest stores that order and the neighbour meeting steps for every
-// fingerprint: 6 bytes per stored walk. A query locates the source in each
-// fingerprint's order by binary search on the key and walks outwards while
-// neighbours still meet, touching only walkers that score — the cost is
-// proportional to the answer, not to n·R·K. It is derived state:
-// excluded from Equal, Save and Bytes, rebuilt by Build and Load, patched
-// by Update.
+// forest stores that order, the neighbour meeting steps and the order's
+// inverse for every fingerprint: 10 bytes per stored walk. A query finds an
+// owned source's place in each fingerprint's order by its rank — no key is
+// compared — and a foreign source's by binary search on the key, then walks
+// outwards while neighbours still meet, touching only walkers that score:
+// the cost is proportional to the answer, not to n·R·K. It is derived
+// state: excluded from Equal, Save and Bytes, rebuilt by Build and Load,
+// patched by Update, which also finds each moved walker's old slot by its
+// rank instead of scanning the order.
 type forest struct {
 	// order[fp*width+i] is the store-local walker at rank i of fingerprint
 	// fp's key order.
@@ -42,12 +44,17 @@ type forest struct {
 	// ranks i and i+1 share a live position, 0 if they never do (and for
 	// the last rank).
 	meet []uint16
+	// rank[fp*width+v] is store-local walker v's index in fingerprint fp's
+	// order: order[fp*width+rank[fp*width+v]] == v.
+	rank []int32
 }
 
-// ForestBytes returns the resident size of the coalescence order. It is
-// reported beside Bytes, which keeps meaning the path storage alone.
+// ForestBytes returns the resident size of the coalescence order — order,
+// meeting steps and ranks, 10 bytes per stored walk. It is reported beside
+// Bytes, which keeps meaning the path storage alone.
 func (ix *Index) ForestBytes() int64 {
-	return int64(len(ix.forest.order))*4 + int64(len(ix.forest.meet))*2
+	f := ix.forest
+	return int64(len(f.order))*4 + int64(len(f.meet))*2 + int64(len(f.rank))*4
 }
 
 // path returns the stored fingerprint-fp walk of store-local walker v.
@@ -95,11 +102,17 @@ func mergeMeet(a, b uint16) uint16 {
 	return max(a, b)
 }
 
+// fingerprint returns fingerprint fp's order, meeting steps and ranks.
+func (f *forest) fingerprint(fp, width int) (ord []int32, mt []uint16, rk []int32) {
+	lo, hi := fp*width, (fp+1)*width
+	return f.order[lo:hi], f.meet[lo:hi], f.rank[lo:hi]
+}
+
 // buildForest sorts every fingerprint of an index, in parallel
 // over fingerprints (the Build worker convention).
 func buildForest(ix *Index, workers int) *forest {
 	width := ix.Width()
-	f := &forest{order: make([]int32, ix.r*width), meet: make([]uint16, ix.r*width)}
+	f := &forest{order: make([]int32, ix.r*width), meet: make([]uint16, ix.r*width), rank: make([]int32, ix.r*width)}
 	if width == 0 {
 		return f
 	}
@@ -108,7 +121,8 @@ func buildForest(ix *Index, workers int) *forest {
 		lo, hi := par.Range(ix.r, parts, w)
 		s := newLeafLists(ix.n, width)
 		for fp := lo; fp < hi; fp++ {
-			ix.sortFingerprint(fp, f.order[fp*width:(fp+1)*width], f.meet[fp*width:(fp+1)*width], s)
+			ord, mt, rk := f.fingerprint(fp, width)
+			ix.sortFingerprint(fp, ord, mt, rk, s)
 		}
 	})
 	return f
@@ -133,14 +147,15 @@ func newLeafLists(n, width int) *leafLists {
 	return s
 }
 
-// sortFingerprint fills ord and mt for one fingerprint by walking up the
+// sortFingerprint fills ord, mt and rk for one fingerprint by walking up the
 // forest: the key order of the walkers standing on y after step t+1 is the
 // concatenation, by ascending x, of the orders of the positions x that
 // step onto y, so each step appends whole lists in O(1) — work
 // proportional to the distinct (step, position) pairs, not to K·width.
 // Two lists joined under a live y first meet there: the step is recorded
-// on the seam and never changes again.
-func (ix *Index) sortFingerprint(fp int, ord []int32, mt []uint16, s *leafLists) {
+// on the seam and never changes again. Each walker's rank is written as it
+// is emitted.
+func (ix *Index) sortFingerprint(fp int, ord []int32, mt []uint16, rk []int32, s *leafLists) {
 	clear(s.gap)
 	into := 0
 	join := func(y, first, last int32, step int) { // append list first..last to position y-1
@@ -180,7 +195,7 @@ func (ix *Index) sortFingerprint(fp int, ord []int32, mt []uint16, s *leafLists)
 	i := 0
 	each(into, func(y int32) {
 		for v := s.head[into][y]; ; v = s.next[v] {
-			ord[i], mt[i] = v, s.gap[v]
+			ord[i], mt[i], rk[v] = v, s.gap[v], int32(i)
 			i++
 			if v == s.tail[into][y] {
 				break
@@ -220,7 +235,8 @@ func getScratch(width int) *[]float64 {
 // entry is exactly 1. Per target the first-meeting weights are added in
 // fingerprint order and the sum is scaled by 1/R once — the arithmetic of
 // the sweep, so the row is bit-identical to it. ctx is polled once per
-// fingerprint; on error nothing is appended.
+// fingerprint; on error nothing is appended. An owned source is placed in
+// each fingerprint's order by its rank, a foreign one by a key search.
 //
 // This is the only loop that walks the order, and the row is the only form
 // its answer takes. The sums build up in a pooled scratch row (one cell per
@@ -250,6 +266,7 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 		}
 		acc[v] += ix.pow[m-1]
 	}
+	owned := self >= 0 && self < width
 	for fp := 0; fp < ix.r; fp++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -258,20 +275,23 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 		if entry(qp, 0) < 0 {
 			continue // dead before the first step: meets nobody
 		}
-		ord, mt := f.order[fp*width:(fp+1)*width], f.meet[fp*width:(fp+1)*width]
+		ord, mt, rk := f.fingerprint(fp, width)
 		// Walkers at ranks l and below precede the source, r and above
 		// follow it; lm and rm are its meeting steps with those two.
-		r := sort.Search(width, func(i int) bool { return !keyLess(ix.path(ord[i], fp), int(ord[i]), qp, self) })
-		l := r - 1
+		var l, r int
 		var lm, rm uint16
-		if r < width && int(ord[r]) == self {
-			// A stored source: its neighbours' steps are already known.
-			rm = mt[r]
-			r++
+		if owned {
+			// A stored source: its rank places it, and its neighbours'
+			// steps are already known.
+			at := int(rk[self])
+			l, r = at-1, at+1
+			rm = mt[at]
 			if l >= 0 {
 				lm = mt[l]
 			}
 		} else {
+			r = sort.Search(width, func(i int) bool { return !keyLess(ix.path(ord[i], fp), int(ord[i]), qp, self) })
+			l = r - 1
 			if l >= 0 {
 				lm = firstMeet(qp, ix.path(ord[l], fp))
 			}
@@ -291,7 +311,7 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 			rm = mergeMeet(rm, mt[r]) // the last rank's 0 ends the walk
 		}
 	}
-	if self >= 0 && self < width {
+	if owned {
 		touched = append(touched, int32(self)) // never credited: the walk outwards starts past it
 	}
 	slices.Sort(touched)
@@ -368,12 +388,16 @@ func (ix *Index) SparseRows(ctx context.Context, g *graph.Graph, sources []int, 
 
 // patch moves the walkers whose paths Update just repaired to their new
 // ranks. walks are the repaired store-local walk ids, ascending. Per
-// touched fingerprint the moved walkers are taken out — the segments
-// between them close up and the meeting steps across each hole merge — and
-// each is re-inserted where a key search over the unmoved walkers (whose
-// keys did not change) puts it, with fresh meeting steps for its two new
-// neighbours. The key order is total, so the patched structure is the one
-// a rebuild produces, entry for entry.
+// touched fingerprint the moved walkers' old slots are their ranks, so no
+// slot is searched for; each moved walker's new place is where a key search
+// over the kept walkers (whose keys did not change) puts it. The holes
+// equal the insertions in number, so every slot outside the span from the
+// first changed slot to the last one keeps its walker, and nothing outside
+// it is touched. Within it the kept walkers move in runs that share a
+// shift, each walker once, and are re-ranked where they land; the meeting
+// steps across each run of holes merge, and every inserted walker gets
+// fresh meeting steps with its neighbours. The key order is total, so the
+// patched structure is the one a rebuild produces, entry for entry.
 func (f *forest) patch(ix *Index, walks []int32, workers int) {
 	width := ix.Width()
 	byFP := make([][]int32, ix.r) // moved walkers per fingerprint
@@ -388,71 +412,125 @@ func (f *forest) patch(ix *Index, walks []int32, workers int) {
 	parts := par.ResolveMax(workers, len(fps))
 	par.Do(parts, func(w int) {
 		lo, hi := par.Range(len(fps), parts, w)
-		moved := make([]bool, width)
 		var holes []int
 		var ins []insertion
+		var seams []seam
+		var runs []run
 		for _, fp := range fps[lo:hi] {
-			ord, mt := f.order[fp*width:(fp+1)*width], f.meet[fp*width:(fp+1)*width]
+			ord, mt, rk := f.fingerprint(fp, width)
 			mv := byFP[fp]
+			path := func(v int32) []int32 { return ix.path(v, fp) }
 
-			// Take the moved walkers out, found by their marks: their paths
-			// have already changed, so their old keys are gone.
-			for _, v := range mv {
-				moved[v] = true
-			}
+			// The moved walkers' old slots. Their paths have already
+			// changed, so their old keys are gone; their ranks are not. A
+			// rank of -1 marks a moved walker until it is placed again.
 			holes = holes[:0]
-			for i, v := range ord {
-				if moved[v] {
-					holes = append(holes, i)
-					moved[v] = false
-				}
+			for _, v := range mv {
+				holes = append(holes, int(rk[v]))
+				rk[v] = -1
 			}
-			kept := holes[0]
-			for h, hole := range holes {
-				if kept > 0 {
-					mt[kept-1] = mergeMeet(mt[kept-1], mt[hole])
-				}
-				end := width
-				if h+1 < len(holes) {
-					end = holes[h+1]
-				}
-				copy(mt[kept:], mt[hole+1:end])
-				kept += copy(ord[kept:], ord[hole+1:end])
-			}
+			slices.Sort(holes)
+			m := len(holes)
 
 			// Each moved walker goes back in after the kept walkers its key
-			// search counts before it; those sharing a gap sort by key.
+			// search counts before it; those sharing a gap sort by key. The
+			// search runs over the slots, a hole deferring to the first kept
+			// walker after it, and the kept walkers before the slot it finds
+			// are that slot less the holes before it.
 			ins = ins[:0]
 			for _, v := range mv {
-				key := ix.path(v, fp)
-				ins = append(ins, insertion{v, sort.Search(kept, func(i int) bool {
-					return !keyLess(ix.path(ord[i], fp), int(ord[i]), key, int(v))
-				})})
+				key := path(v)
+				i := sort.Search(width, func(i int) bool {
+					for ; i < width && rk[ord[i]] < 0; i++ {
+					}
+					return i == width || !keyLess(path(ord[i]), int(ord[i]), key, int(v))
+				})
+				ins = append(ins, insertion{v, i - sort.SearchInts(holes, i)})
 			}
 			slices.SortFunc(ins, func(a, b insertion) int {
 				if a.rank != b.rank {
 					return a.rank - b.rank
 				}
-				if keyLess(ix.path(a.v, fp), int(a.v), ix.path(b.v, fp), int(b.v)) {
+				if keyLess(path(a.v), int(a.v), path(b.v), int(b.v)) {
 					return -1
 				}
 				return 1
 			})
 
-			// Open the gaps from the back: the kept walkers between two
-			// insertion points shift right together.
-			for j, end := len(ins)-1, kept; j >= 0; j-- {
-				r := ins[j].rank
-				copy(mt[r+j+1:], mt[r:end])
-				copy(ord[r+j+1:], ord[r:end])
-				ord[r+j] = ins[j].v
-				end = r
+			// The changed span [a, b): insertion j lands on slot rank+j.
+			// Before a and from b on, a slot holds as many holes before it
+			// as insertions, so its walker stays.
+			a := min(holes[0], ins[0].rank)
+			b := max(holes[m-1]+1, ins[m-1].rank+m)
+
+			// Before anything moves: the kept walker before each run of
+			// holes will meet the kept walker after the run at the largest
+			// step across it, or never.
+			seams = seams[:0]
+			for h := 0; h < m; {
+				first := h
+				for h++; h < m && holes[h] == holes[h-1]+1; h++ {
+				}
+				if at := holes[first]; at > 0 {
+					step := mt[at-1]
+					for _, hole := range holes[first:h] {
+						step = mergeMeet(step, mt[hole])
+					}
+					seams = append(seams, seam{at - 1 - first, step})
+				}
+			}
+
+			// The span's kept walkers, in runs that share a shift: kept
+			// walker k (k-th once the holes close) moves from slot k plus
+			// the holes before it to slot k plus the insertions before it,
+			// and a run ends where either count changes.
+			runs = runs[:0]
+			for k, h, j := a, 0, 0; k < b-m; {
+				for ; h < m && holes[h]-h <= k; h++ {
+				}
+				for ; j < m && ins[j].rank <= k; j++ {
+				}
+				end := b - m
+				if h < m {
+					end = min(end, holes[h]-h)
+				}
+				if j < m {
+					end = min(end, ins[j].rank)
+				}
+				runs = append(runs, run{from: k + h, to: k + j, n: end - k})
+				k = end
+			}
+			// Each walker moves once: runs shifting right go from the back,
+			// runs shifting left from the front, so no run overwrites one
+			// still to move. A moved run is re-ranked while it is hot.
+			move := func(r run) {
+				copy(mt[r.to:r.to+r.n], mt[r.from:r.from+r.n])
+				copy(ord[r.to:r.to+r.n], ord[r.from:r.from+r.n])
+				for i := r.to; i < r.to+r.n; i++ {
+					rk[ord[i]] = int32(i)
+				}
+			}
+			for i := len(runs) - 1; i >= 0; i-- {
+				if runs[i].to > runs[i].from {
+					move(runs[i])
+				}
+			}
+			for _, r := range runs {
+				if r.to < r.from {
+					move(r)
+				}
+			}
+			for _, sm := range seams {
+				mt[sm.k+sort.Search(m, func(j int) bool { return ins[j].rank > sm.k })] = sm.step
+			}
+			for j, in := range ins {
+				ord[in.rank+j], rk[in.v] = in.v, int32(in.rank+j)
 			}
 			for j, in := range ins {
 				for i := max(in.rank+j-1, 0); i <= in.rank+j; i++ { // the walker before in.v, and in.v
 					mt[i] = 0
 					if i+1 < width {
-						mt[i] = firstMeet(ix.path(ord[i], fp), ix.path(ord[i+1], fp))
+						mt[i] = firstMeet(path(ord[i]), path(ord[i+1]))
 					}
 				}
 			}
@@ -465,3 +543,14 @@ type insertion struct {
 	v    int32
 	rank int
 }
+
+// seam is the meeting step a patch gives kept walker k (k-th once the holes
+// close) with the kept walker after it.
+type seam struct {
+	k    int
+	step uint16
+}
+
+// run is n kept walkers that a patch moves together from slot from to
+// slot to.
+type run struct{ from, to, n int }

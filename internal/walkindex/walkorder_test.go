@@ -50,8 +50,8 @@ func sweepRows(ix *Index, g *graph.Graph, sources []int) [][]float64 {
 // sweepRow is sweepRows for one source of a full-range index.
 func sweepRow(ix *Index, q int) []float64 { return sweepRows(ix, nil, []int{q})[0] }
 
-// requireSameForest fails unless got's order and meeting steps are, entry
-// for entry, the ones a from-scratch build (want) sorted.
+// requireSameForest fails unless got's order, meeting steps and ranks are,
+// entry for entry, the ones a from-scratch build (want) sorted.
 func requireSameForest(t *testing.T, got, want *Index, what string) {
 	t.Helper()
 	if !slices.Equal(got.forest.order, want.forest.order) {
@@ -60,17 +60,24 @@ func requireSameForest(t *testing.T, got, want *Index, what string) {
 	if !slices.Equal(got.forest.meet, want.forest.meet) {
 		t.Fatalf("%s: patched meeting steps differ from a rebuild", what)
 	}
+	if !slices.Equal(got.forest.rank, want.forest.rank) {
+		t.Fatalf("%s: patched ranks differ from a rebuild", what)
+	}
 }
 
 // requireCanonicalForest checks the structure against its definition, with
 // no reference to how it was built: every fingerprint's order is strictly
-// ascending by key and every meeting step is the neighbours' first meeting.
+// ascending by key, every meeting step is the neighbours' first meeting, and
+// the ranks are the order's inverse.
 func requireCanonicalForest(t *testing.T, ix *Index) {
 	t.Helper()
 	width := ix.Width()
 	for fp := 0; fp < ix.r; fp++ {
-		ord, mt := ix.forest.order[fp*width:(fp+1)*width], ix.forest.meet[fp*width:(fp+1)*width]
+		ord, mt, rk := ix.forest.fingerprint(fp, width)
 		for i, v := range ord {
+			if int(rk[v]) != i {
+				t.Fatalf("fingerprint %d: walker %d at rank %d, its rank entry says %d", fp, v, i, rk[v])
+			}
 			var want uint16
 			if i+1 < width {
 				next := ord[i+1]
@@ -117,8 +124,8 @@ func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.ForestBytes() != int64(6*n*full.r) {
-		t.Fatalf("build: forest of %d bytes, want 6·n·R = %d", full.ForestBytes(), 6*n*full.r)
+	if full.ForestBytes() != int64(10*n*full.r) {
+		t.Fatalf("build: forest of %d bytes, want 10·n·R = %d", full.ForestBytes(), 10*n*full.r)
 	}
 	requireCanonicalForest(t, full)
 	want := make([][]float64, n)

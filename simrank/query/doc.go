@@ -15,12 +15,12 @@
 // The index here stores R coupled reverse random walks of horizon K per
 // vertex (the Fogaras-Racz first-meeting estimator; the batch monte-carlo
 // engine is this index's SingleSource on every vertex). It keeps each
-// walk's live prefix only, plus a per-fingerprint coalescence order of
-// 6*R bytes a vertex: on serve-zipf's graph (R = 100) about 243 B of
-// walks and 600 B of order per vertex — linear in n, independent of edge
-// density. A single-source query binary-searches the source in each
-// fingerprint's order and walks outwards while neighbours still meet, so
-// its cost is proportional to the answer, not to n*R*K. Builds are
+// walk's live prefix only, plus a per-fingerprint coalescence order and its
+// inverse, 10*R bytes a vertex: on serve-zipf's graph (R = 100) about 243 B
+// of walks and 1000 B of order per vertex — linear in n, independent of
+// edge density. A single-source query finds the source in each
+// fingerprint's order by its rank and walks outwards while neighbours
+// still meet, so its cost is proportional to the answer, not to n*R*K. Builds are
 // deterministic:
 // edge choices are pure hashes of (seed, fingerprint, step, vertex), so
 // the same graph, options, and seed produce a bit-identical index at any

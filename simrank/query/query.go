@@ -117,8 +117,9 @@ func (ix *Index) Seed() int64 { return ix.wi.Seed() }
 func (ix *Index) Bytes() int64 { return ix.wi.Bytes() }
 
 // ForestBytes returns the in-memory size of the coalescence order that
-// answers queries in output-sensitive time — 6 bytes per stored walk (6·R
-// per owned vertex), on top of Bytes.
+// answers queries in output-sensitive time — the order, its meeting steps
+// and its inverse, 10 bytes per stored walk (10·R per owned vertex), on top
+// of Bytes.
 func (ix *Index) ForestBytes() int64 { return ix.wi.ForestBytes() }
 
 // Graph returns the attached graph, or nil for a loaded index without

@@ -288,7 +288,7 @@ func modelBytes(words []int, dead int) int64 {
 // walks — exactly, on every range; a shard set's Bytes add up to the full
 // index's, because offsets and segments are per vertex and a range adds
 // no term of its own; and after a batch that lengthens walks, Bytes also
-// counts the arena's dead words. ForestBytes is 6·R a vertex; the no-op
+// counts the arena's dead words. ForestBytes is 10·R a vertex; the no-op
 // PrepareUpdates moves neither.
 func TestRangeSizeAccounting(t *testing.T) {
 	g := gen.CitationGraph(90, 4, 3)
@@ -314,7 +314,7 @@ func TestRangeSizeAccounting(t *testing.T) {
 			t.Errorf("Bytes = %d, the walks say %d", ix.Bytes(), want)
 		}
 		width := int64(hi - lo)
-		if want := 6 * width * int64(ix.Walks()); ix.ForestBytes() != want {
+		if want := 10 * width * int64(ix.Walks()); ix.ForestBytes() != want {
 			t.Errorf("ForestBytes = %d, want %d", ix.ForestBytes(), want)
 		}
 		before := ix.Bytes() + ix.ForestBytes()
