@@ -230,7 +230,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "generator / index seed")
 	flag.StringVar(&o.indexPath, "index", "", "walk-index file: loaded when present, else built and saved here")
 	flag.BoolVar(&o.rebuild, "rebuild", false, "rebuild the index even if -index exists")
-	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: write every /v1/edges batch back to the index file (only the changed blocks are re-encoded), so a restart serves the edited index")
+	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: write every /v1/edges batch back to the index file (only the changed blocks are re-encoded), so a restart on the edited graph serves the edited index; the graph before the edits is refused")
 	flag.Float64Var(&o.c, "c", 0.6, "damping factor C")
 	flag.IntVar(&o.k, "k", 0, "walk horizon (0 = derive from -eps)")
 	flag.Float64Var(&o.eps, "eps", 1e-3, "truncation target when -k is 0")
@@ -433,7 +433,8 @@ func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, err
 			return nil, err
 		}
 		if err := idx.AttachGraph(g); err != nil {
-			return nil, fmt.Errorf("index %s does not match the graph: %w", path, err)
+			idx.Close()
+			return nil, fmt.Errorf("index %s does not match the graph (after edits were written back, start on the edited graph, or -rebuild): %w", path, err)
 		}
 		log.Printf("index: %s %s (%s)", how, path, idx.Backend())
 		return idx, nil

@@ -196,6 +196,103 @@ func TestOpenIndexWarnsOnMismatchedFlags(t *testing.T) {
 	}
 }
 
+// TestOpenIndexRefusesOtherGraph: the order of a loaded index is sorted
+// from the graph the flags give, so an -index file whose walks that graph
+// does not reproduce — vertex 0's in-edges moved to vertex 1 — fails
+// start-up, decoded or written back, instead of serving an order that
+// disagrees with the rows.
+func TestOpenIndexRefusesOtherGraph(t *testing.T) {
+	g := gen.WebGraph(80, 5, 3)
+	opt := query.Options{Walks: 12, Seed: 3, Workers: 1}
+	indexPath := filepath.Join(t.TempDir(), "web.idx")
+	if _, err := query.BuildFileStreaming(g, opt, indexPath, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.In(0)) == 0 {
+		t.Fatal("vertex 0 has no in-edges to move")
+	}
+	var edits []graph.Edit
+	for _, u := range g.In(0) {
+		edits = append(edits, graph.Edit{Op: graph.EditRemove, U: u, V: 0}, graph.Edit{Op: graph.EditAdd, U: u, V: 1})
+	}
+	moved, _, err := g.ApplyEdits(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		o := goodOptions()
+		o.indexPath, o.indexMmap = indexPath, mmap
+		if err := validate(&o); err != nil {
+			t.Fatal(err)
+		}
+		if idx, err := openIndex(moved, &o, opt); err == nil || !strings.Contains(err.Error(), "does not match the graph") {
+			if err == nil {
+				idx.Close()
+			}
+			t.Fatalf("-index-mmap=%v on a graph with vertex 0's in-edges moved: err = %v, want a refusal", mmap, err)
+		}
+		idx, err := openIndex(g, &o, opt)
+		if err != nil {
+			t.Fatalf("-index-mmap=%v on the index's own graph: %v", mmap, err)
+		}
+		idx.Close()
+	}
+}
+
+// TestOpenIndexRestartAfterEdits: an -index-mmap file holds the edited
+// walks once a batch is written back, so a restart on the graph the flags
+// gave before the batch fails start-up — even when the batch moved the
+// walks of a single vertex, one that opens no posting block — and a
+// restart on the edited graph serves the edited index.
+func TestOpenIndexRestartAfterEdits(t *testing.T) {
+	g := gen.ErdosRenyi(200, 600, 5)
+	opt := query.Options{Walks: 12, Seed: 3, Workers: 1}
+	o := goodOptions()
+	o.indexPath, o.indexMmap = filepath.Join(t.TempDir(), "er.idx"), true
+	if err := validate(&o); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := openIndex(g, &o, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sink (no walk but its own stands on it) that opens no 64-vertex
+	// posting block loses an in-edge.
+	edit := graph.Edit{V: -1}
+	for v := g.NumVertices() - 1; v > 0 && edit.V < 0; v-- {
+		if v%64 != 0 && g.OutDegree(v) == 0 && g.InDegree(v) > 0 {
+			edit = graph.Edit{Op: graph.EditRemove, U: g.In(v)[0], V: v}
+		}
+	}
+	if edit.V < 0 {
+		t.Fatal("no sink with an in-edge opens no posting block")
+	}
+	if st, err := idx.ApplyEdits([]graph.Edit{edit}, 1); err != nil || st.WalksRepaired == 0 {
+		t.Fatalf("edit batch: stats %+v, err %v; want walks repaired", st, err)
+	}
+	edited := idx.Graph()
+	idx.Close()
+
+	if idx, err := openIndex(g, &o, opt); err == nil || !strings.Contains(err.Error(), "does not match the graph") {
+		if err == nil {
+			idx.Close()
+		}
+		t.Fatalf("restart on the graph before the batch: err = %v, want a refusal", err)
+	}
+	idx, err = openIndex(edited, &o, opt)
+	if err != nil {
+		t.Fatalf("restart on the edited graph: %v", err)
+	}
+	defer idx.Close()
+	fresh, err := query.BuildIndex(edited, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !idx.Equal(fresh) {
+		t.Fatal("restart on the edited graph: not the index a fresh build on it gives")
+	}
+}
+
 // TestOpenIndexFreshBuild runs openIndex's two fresh builds on a missing
 // -index file: in memory and saved without -index-mmap, streamed into the
 // file and opened once with it. Each publishes exactly SaveFile's bytes

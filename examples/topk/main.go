@@ -71,7 +71,8 @@ func main() {
 	}
 
 	// The daemon's startup path: persist the index, reload it, re-attach
-	// the graph for reranking. Loaded indexes answer bit-identically.
+	// the graph, from which the order is sorted and against which reranks
+	// run. Loaded indexes answer bit-identically.
 	path := filepath.Join(os.TempDir(), "topk-example.idx")
 	if err := idx.SaveFile(path); err != nil {
 		log.Fatal(err)

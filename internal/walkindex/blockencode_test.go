@@ -104,13 +104,26 @@ func requireBlocksMatchModel(t testing.TB, rows []int32, r, k, blockB int, what 
 		if want := paddedAppendBlock(t, rows, vlo, width, k, r); !bytes.Equal(got, want) {
 			t.Fatalf("%s: block %d encodes to %x, the padded model to %x", what, b, got, want)
 		}
-		dec := make([]int32, width*r*k)
-		vlen, err := decodeV2Block(got, dec, width, k, r, nil)
+		dec, lives := make([]int32, width*r*k), make([]int, width*r)
+		top, vlen, err := decodeV2Block(got, dec, lives, width, k, r, nil)
 		if err != nil {
 			t.Fatalf("%s: block %d does not decode: %v", what, b, err)
 		}
 		if !slices.Equal(dec, rows[vlo*r*k:(vlo+width)*r*k]) {
 			t.Fatalf("%s: block %d decodes to other walks", what, b)
+		}
+		// The decoder's live lengths are the walks' own, and its largest
+		// entry is theirs.
+		wantTop := int32(-1)
+		for w, live := range lives {
+			walk := dec[w*k : (w+1)*k]
+			if want := len(livePrefix(walk)); live != want {
+				t.Fatalf("%s: block %d walk %d: decoded live length %d, the walk lives %d steps", what, b, w, live, want)
+			}
+			wantTop = max(wantTop, slices.Max(walk))
+		}
+		if top != wantTop {
+			t.Fatalf("%s: block %d: decoder's largest entry %d, the walks' %d", what, b, top, wantTop)
 		}
 		// The recorded lengths tile the block, and each is the bytes
 		// appendVertexWalks writes for its vertex: the write-back's splice

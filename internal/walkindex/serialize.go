@@ -64,10 +64,12 @@ import (
 //  4. trailing-data probe: Save writes exactly one index per stream, so
 //     any byte after the checksum is ErrTrailingData, not slack to
 //     ignore;
-//  5. per-entry range validation of the decoded paths (checked while
-//     decoding, reported only after steps 3 and 4);
-//  6. index construction from validated fields only, the coalescence
-//     order included.
+//  5. range validation of the decoded paths (checked while decoding, on
+//     the explicit entries — the dead ones are -1 by construction —
+//     reported only after steps 3 and 4);
+//  6. index construction from validated fields only. The coalescence
+//     order is not part of it: it is sorted from the graph when the
+//     graph is attached (AttachGraph).
 
 // FormatVersion is the on-disk format revision this build reads and
 // writes.
@@ -266,7 +268,8 @@ func (ix *Index) SaveAt(w io.WriterAt, kind FileKind) error {
 // wrong magic, an unsupported format version, a truncated payload, a
 // checksum mismatch, or trailing data after the trailer, in the documented
 // load order above. The index never writes; LoadWriteBack (writeback.go)
-// loads one that keeps its file in step with every Update.
+// loads one that keeps its file in step with every Update. Either answers
+// and repairs once AttachGraph has given it its graph.
 func Load(r io.Reader, kind FileKind) (*Index, error) {
 	f, err := readFile(r, kind)
 	if err != nil {
@@ -285,19 +288,18 @@ type validFile struct {
 	rows   *raggedStore // every row's live prefixes
 }
 
-// newIndex is load step 6: the index over the decoded rows, with its
-// coalescence order.
+// newIndex is load step 6: the index over the decoded rows, its
+// coalescence order left to AttachGraph.
 func (f *validFile) newIndex() *Index {
 	h := f.hdr
-	ix := newIndex(int(h.n), int(h.lo), int(h.hi), int(h.k), int(h.r), h.c, h.seed, joinStores(int(h.r), int(h.k), []*raggedStore{f.rows}))
-	ix.forest = buildForest(ix, 0)
-	return ix
+	return newIndex(int(h.n), int(h.lo), int(h.hi), int(h.k), int(h.r), h.c, h.seed, joinStores(int(h.r), int(h.k), []*raggedStore{f.rows}))
 }
 
 // readFile is the one reader: it runs load steps 1–5 over r. Every block
-// decodes into one reused buffer and the live prefixes of each block are
-// appended to a ragged store as they come, so reading a file grows with
-// the bytes actually read and never holds the dense index.
+// decodes into one reused buffer and the live prefixes of each block, whose
+// lengths the decoder returns, are appended to a ragged store as they
+// come, so reading a file grows with the bytes actually read and never
+// holds the dense index.
 func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 	// The CRC must cover exactly the bytes logically consumed (a tee under
 	// bufio would also hash read-ahead, including the trailing checksum),
@@ -319,6 +321,7 @@ func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 	f := &validFile{hdr: hdr, blockB: blockB, dir: dir, rows: newRaggedStore(int(fps), int(k))}
 	var blockBuf []byte
 	var scratch []int32
+	var lives []int
 	var rangeErr error
 	for b := int64(0); b < int64(len(dir))-1; b++ {
 		width := min(blockB, rows-b*blockB)
@@ -333,22 +336,22 @@ func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 		if err := readFull(br, crc, buf, what+" block"); err != nil {
 			return nil, err
 		}
-		need := int(width * fps * k)
-		if cap(scratch) < need {
-			scratch = make([]int32, need)
+		walks := int(width * fps)
+		if cap(lives) < walks {
+			scratch, lives = make([]int32, walks*int(k)), make([]int, walks)
 		}
-		dst := scratch[:need]
-		if f.vlen, err = decodeV2Block(buf, dst, int(width), int(k), int(fps), f.vlen); err != nil {
+		top, vlen, err := decodeV2Block(buf, scratch, lives, int(width), int(k), int(fps), f.vlen)
+		if err != nil {
 			return nil, fmt.Errorf("walkindex: %s block %d: %w", what, b, err)
 		}
-		stride := int(fps * k)
-		for v := 0; v < need; v += stride {
-			f.rows.appendVertex(dst[v : v+stride])
+		f.vlen = vlen
+		for v, stride := 0, int(fps*k); v < int(width); v++ {
+			f.rows.appendVertex(scratch[v*stride:(v+1)*stride], lives[v*int(fps):])
 		}
 		// Step 5 runs here, block by block, but an out-of-range entry is
 		// held back until the checksum and trailing-data probe have run.
-		if rangeErr == nil {
-			rangeErr = validateEntries(dst, hdr.n, what, b*blockB*fps*k)
+		if rangeErr == nil && int64(top) >= hdr.n {
+			rangeErr = fmt.Errorf("walkindex: %s block %d: path entry out of range: %d, n = %d", what, b, top, hdr.n)
 		}
 	}
 	if err := checkTrailer(br, crc, what+" checksum"); err != nil {
@@ -376,18 +379,6 @@ func checkTrailer(br *bufio.Reader, crc hash.Hash32, section string) error {
 		return fmt.Errorf("%w (byte after checksum)", ErrTrailingData)
 	} else if err != io.EOF {
 		return fmt.Errorf("walkindex: probing for trailing data: %w", err)
-	}
-	return nil
-}
-
-// validateEntries range-checks decoded path entries against the vertex
-// count of the full graph (entries are positions in [0, n), or -1 once
-// dead); base is the payload index of paths[0], for the error text.
-func validateEntries(paths []int32, n int64, what string, base int64) error {
-	for i, p := range paths {
-		if p < -1 || int64(p) >= n {
-			return fmt.Errorf("walkindex: %s path entry %d out of range: %d", what, base+int64(i), p)
-		}
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"testing"
 
+	"oipsr/graph"
 	"oipsr/graph/gen"
 )
 
@@ -109,7 +110,7 @@ func (o opening) open(t *testing.T, data []byte) (*Index, error) {
 // file of the opening's kind (three posting blocks, the last one partial)
 // and the index it was saved from.
 func forEachOpening(t *testing.T, fn func(t *testing.T, o opening, ix *Index, valid []byte)) {
-	g := gen.WebGraph(150, 5, 7)
+	g := openingGraph()
 	opt := Options{C: 0.7, K: 9, Walks: 12, Seed: 42}
 	full, err := buildFull(g, opt)
 	if err != nil {
@@ -129,6 +130,9 @@ func forEachOpening(t *testing.T, fn func(t *testing.T, o opening, ix *Index, va
 	}
 }
 
+// openingGraph is the graph forEachOpening's indexes are built on.
+func openingGraph() *graph.Graph { return gen.WebGraph(150, 5, 7) }
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	forEachOpening(t, func(t *testing.T, o opening, ix *Index, valid []byte) {
 		got, err := o.open(t, valid)
@@ -146,6 +150,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		if o.kind == IndexFile {
 			// Bit-identical query results, not just equal storage.
+			attach(t, got, openingGraph())
 			a, b := ssRow(t, ix, 3), ssRow(t, got, 3)
 			for v := range a {
 				if a[v] != b[v] {
@@ -374,6 +379,7 @@ func TestParentWrittenFilesLoad(t *testing.T) {
 			if !bytes.Equal(saveBytes(t, ix, o.kind), data) {
 				t.Fatal("parent-written file does not re-save byte-identically")
 			}
+			attach(t, ix, g)
 
 			// The shard's three sources: one foreign below, two owned.
 			for i, row := range msRows(t, ix, g, []int{3, 77, 20}, 2) {

@@ -189,14 +189,7 @@ func sparseOf(base int32, dense []float64) *sparserow.Row {
 // visited in a fixed shuffled order. 100 walks a vertex. It reports
 // µs/source.
 func BenchmarkSparseRows(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		g    func() *graph.Graph
-	}{
-		{"web-d11-n6000", func() *graph.Graph { return gen.WebGraph(6000, 11, 1) }},
-		{"citation-d4-n15000", func() *graph.Graph { return gen.CitationGraph(15000, 4, 1) }},
-		{"coauthor-d8-n15000", func() *graph.Graph { return gen.CoauthorGraph(15000, 8, 1) }},
-	} {
+	for _, c := range benchFamilies {
 		b.Run(c.name, func(b *testing.B) {
 			g := c.g()
 			ix, err := buildFull(g, Options{Walks: 100, Seed: 1})

@@ -130,8 +130,10 @@ func firstDirty(start int, path []int32, k int, isDirty []bool) int {
 // bytes can have changed and copying the rest; if that fails, the error
 // wraps ErrWriteBack and the index in memory is repaired all the same.
 //
-// Update must not run concurrently with queries or other Updates; callers
-// serving live traffic serialize it behind a write lock (see cmd/simrankd).
+// A loaded index repairs once AttachGraph has sorted its order, and
+// refuses before. Update must not run concurrently with queries or other
+// Updates; callers serving live traffic serialize it behind a write lock
+// (see cmd/simrankd).
 func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
 	if g.NumVertices() != ix.n {
 		return 0, fmt.Errorf("walkindex: updated graph has %d vertices, index was built on %d", g.NumVertices(), ix.n)
@@ -143,6 +145,9 @@ func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
 	}
 	if err := ix.CheckUpdatable(); err != nil {
 		return 0, err
+	}
+	if ix.forest == nil {
+		return 0, errNoGraph
 	}
 	walks := ix.repair(g, dirty, workers)
 	if ix.file == nil {

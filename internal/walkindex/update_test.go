@@ -2,6 +2,7 @@ package walkindex
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -19,6 +20,15 @@ func saveLoadRoundTrip(t *testing.T, ix *Index) *Index {
 		t.Fatal(err)
 	}
 	return loaded
+}
+
+// attach gives a loaded index its graph, as every loaded index needs before
+// it answers or repairs.
+func attach(t testing.TB, ix *Index, g *graph.Graph) {
+	t.Helper()
+	if err := ix.AttachGraph(g, 0); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // randomEdits draws a mixed add/remove batch against g: removals of
@@ -159,8 +169,9 @@ func TestUpdateNoopBatch(t *testing.T) {
 	}
 }
 
-// TestUpdateAfterLoad: Update needs nothing but the stored walks and the
-// graph, so it must work on a Load()ed index exactly as on the original.
+// TestUpdateAfterLoad: Update needs nothing but the stored walks, the
+// graph and the order AttachGraph sorts from it, so it must work on a
+// Load()ed index exactly as on the original.
 func TestUpdateAfterLoad(t *testing.T) {
 	g := gen.CitationGraph(50, 4, 8)
 	opt := Options{Walks: 25, Seed: 13}
@@ -177,6 +188,11 @@ func TestUpdateAfterLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Before its graph is attached a loaded index has no order to patch.
+	if _, err := loaded.Update(g2, sum.DirtyIn, 2); !errors.Is(err, errNoGraph) {
+		t.Fatalf("Update before AttachGraph: err = %v, want errNoGraph", err)
+	}
+	attach(t, loaded, g)
 	if _, err := loaded.Update(g2, sum.DirtyIn, 2); err != nil {
 		t.Fatal(err)
 	}

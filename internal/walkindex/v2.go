@@ -101,55 +101,61 @@ func appendWalk(dst []byte, path, prev []int32) []byte {
 	return dst
 }
 
-// decodeWalk decodes one walk from buf into dst (len k), resolving a
-// shared tail against prev, and returns the bytes consumed. Checks are
-// structural (well-formed varints, m <= k, entries fit int32); the
-// semantic [0, n) range check is reported only after the checksum (see the
-// load order in serialize.go).
-func decodeWalk(buf []byte, dst, prev []int32) (int, error) {
+// decodeWalk decodes one walk from buf into dst (len k, -1 after its
+// death), resolving a shared tail against prev, whose live length is
+// prevLive. It returns the bytes consumed, the walk's live length — its m
+// explicit entries, or max(m, prevLive) with a shared tail — and the
+// largest explicit entry, -1 when there is none. Checks are structural
+// (well-formed varints, m <= k, entries fit int32, so an explicit entry is
+// never negative); the semantic [0, n) range check of the largest entry is
+// reported only after the checksum (see the load order in serialize.go).
+func decodeWalk(buf []byte, dst, prev []int32, prevLive int) (used, live int, top int32, err error) {
 	k := len(dst)
 	hdr, w := binary.Uvarint(buf)
 	if w <= 0 {
-		return 0, fmt.Errorf("walkindex: malformed walk header varint")
+		return 0, 0, 0, fmt.Errorf("walkindex: malformed walk header varint")
 	}
 	pos := w
 	shared := hdr&1 == 1
 	m := int(hdr >> 1)
 	if hdr>>1 > uint64(k) {
-		return 0, fmt.Errorf("walkindex: walk declares %d explicit entries, horizon is %d", hdr>>1, k)
+		return 0, 0, 0, fmt.Errorf("walkindex: walk declares %d explicit entries, horizon is %d", hdr>>1, k)
 	}
 	if shared && prev == nil {
-		return 0, fmt.Errorf("walkindex: first walk of a block cannot share a tail")
+		return 0, 0, 0, fmt.Errorf("walkindex: first walk of a block cannot share a tail")
 	}
+	top = -1
 	if m > 0 {
 		first, w := binary.Uvarint(buf[pos:])
 		if w <= 0 || first > math.MaxInt32 {
-			return 0, fmt.Errorf("walkindex: malformed walk first-entry varint")
+			return 0, 0, 0, fmt.Errorf("walkindex: malformed walk first-entry varint")
 		}
 		pos += w
 		cur := int64(first)
 		dst[0] = int32(cur)
+		top = int32(cur)
 		for i := 1; i < m; i++ {
 			d, w := binary.Varint(buf[pos:])
 			if w <= 0 {
-				return 0, fmt.Errorf("walkindex: malformed walk delta varint")
+				return 0, 0, 0, fmt.Errorf("walkindex: malformed walk delta varint")
 			}
 			pos += w
 			cur += d
 			if cur < 0 || cur > math.MaxInt32 {
-				return 0, fmt.Errorf("walkindex: walk delta accumulates out of int32 range")
+				return 0, 0, 0, fmt.Errorf("walkindex: walk delta accumulates out of int32 range")
 			}
 			dst[i] = int32(cur)
+			top = max(top, int32(cur))
 		}
 	}
 	if shared {
 		copy(dst[m:], prev[m:])
-	} else {
-		for i := m; i < k; i++ {
-			dst[i] = -1
-		}
+		return pos, max(m, prevLive), top, nil
 	}
-	return pos, nil
+	for i := m; i < k; i++ {
+		dst[i] = -1
+	}
+	return pos, m, top, nil
 }
 
 // appendVertexWalks appends the encoding of one stored vertex to dst: its
@@ -183,32 +189,37 @@ func (s *raggedStore) appendBlock(dst []byte, b, blockB int) []byte {
 	return dst
 }
 
-// decodeV2Block decodes one posting block into dst (width*r*k entries,
-// vertex-major) and appends each vertex's encoded length to vlen. The
-// whole buffer must be consumed — trailing bytes inside a block are a
-// forgery, not padding.
-func decodeV2Block(buf []byte, dst []int32, width, k, r int, vlen []uint32) ([]uint32, error) {
-	pos := 0
+// decodeV2Block decodes one posting block into dst (its first width*r*k
+// entries, vertex-major, -1 after each death) and lives (its first width*r
+// entries, each walk's live length), appends each vertex's encoded length
+// to vlen, and returns the block's largest explicit entry, -1 when there
+// is none: a shared tail repeats entries of the previous vertex, so that
+// one number range-checks the block. The whole buffer must be consumed —
+// trailing bytes inside a block are a forgery, not padding.
+func decodeV2Block(buf []byte, dst []int32, lives []int, width, k, r int, vlen []uint32) (int32, []uint32, error) {
+	pos, top := 0, int32(-1)
 	for v := 0; v < width; v++ {
 		vstart := pos
 		for fp := 0; fp < r; fp++ {
-			cur := dst[(v*r+fp)*k : (v*r+fp+1)*k]
+			w := v*r + fp
 			var prev []int32
+			prevLive := 0
 			if v > 0 {
-				prev = dst[((v-1)*r+fp)*k : ((v-1)*r+fp+1)*k]
+				prev, prevLive = dst[(w-r)*k:(w-r+1)*k], lives[w-r]
 			}
-			w, err := decodeWalk(buf[pos:], cur, prev)
+			used, live, wtop, err := decodeWalk(buf[pos:], dst[w*k:(w+1)*k], prev, prevLive)
 			if err != nil {
-				return vlen, err
+				return top, vlen, err
 			}
-			pos += w
+			pos += used
+			lives[w], top = live, max(top, wtop)
 		}
 		vlen = append(vlen, uint32(pos-vstart))
 	}
 	if pos != len(buf) {
-		return vlen, fmt.Errorf("walkindex: %d trailing bytes inside posting block", len(buf)-pos)
+		return top, vlen, fmt.Errorf("walkindex: %d trailing bytes inside posting block", len(buf)-pos)
 	}
-	return vlen, nil
+	return top, vlen, nil
 }
 
 // fileWriter is the one writer of the file layout, whoever supplies the
@@ -347,9 +358,10 @@ func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
 // of a posting block of width vertices. Every walk costs at least its one
 // header byte — so a header forging r or k over a short stream is refused
 // before the block's width*r*k decoded entries are allocated, which caps
-// the reader's allocation at 4k bytes per byte actually read, and the
-// 4-byte encoded length it records per vertex at 4/r — and at most 2
-// header bytes plus 5 bytes per explicit entry.
+// the reader's allocation at 4k bytes per byte actually read, the 8-byte
+// live length it keeps per walk at 8, and the 4-byte encoded length it
+// records per vertex at 4/r — and at most 2 header bytes plus 5 bytes per
+// explicit entry.
 func v2BlockLenPlausible(blen, width, k, r int64) bool {
 	return blen >= width*r && blen <= min(maxV2BlockBytes, width*r*(5*k+2))
 }

@@ -34,7 +34,9 @@
 // slice counts as -1. See serialize.go for the on-disk format, which Save
 // writes and Load decodes into that store; an index opened with
 // LoadWriteBack also keeps its file in step with every Update
-// (writeback.go).
+// (writeback.go). The coalescence order is sorted from the graph, not from
+// the walks, so a loaded index answers and repairs once AttachGraph has
+// given it the graph its walks were taken on.
 //
 // An Index owns the walks of one contiguous vertex range [lo, hi) of an
 // n-vertex graph — exactly the rows a full build stores for those start
@@ -52,6 +54,7 @@
 package walkindex
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -84,10 +87,10 @@ type Options struct {
 // safe for concurrent queries. Update (see update.go) is the one mutating
 // operation; callers must serialize it against queries and other Updates.
 //
-// Methods that take a graph use it only to recompute the walks of vertices
-// outside [lo, hi); it must be the graph the index was built on (or
-// repaired to via Update), and may be nil when every vertex the call
-// touches is owned — always, for a full-range index.
+// Methods that take a graph, AttachGraph and Update aside, use it only to
+// recompute the walks of vertices outside [lo, hi); it must be the graph
+// the index was built on (or repaired to via Update), and may be nil when
+// every vertex the call touches is owned — always, for a full-range index.
 type Index struct {
 	n      int     // vertices in the full graph
 	lo, hi int     // owned vertex range [lo, hi)
@@ -108,8 +111,9 @@ type Index struct {
 
 	// forest is the per-fingerprint coalescence order that answers
 	// SparseRows in time proportional to the answer (see
-	// walkorder.go). Build and Load construct it, Update patches it.
-	// Derived state, excluded from Equal, Save and Bytes.
+	// walkorder.go). Build and AttachGraph sort it from the graph, Update
+	// patches it; nil on a loaded index until AttachGraph. Derived state,
+	// excluded from Equal, Save and Bytes.
 	forest *forest
 
 	// file is the index file Update writes repairs back to; nil unless
@@ -169,15 +173,16 @@ func Build(g *graph.Graph, opt Options, lo, hi int) (*Index, error) {
 	}
 
 	ix := newIndex(n, lo, hi, opt.K, opt.Walks, opt.C, opt.Seed, joinStores(opt.Walks, opt.K, walkParts(g, opt, lo, hi)))
-	ix.forest = buildForest(ix, opt.Workers)
+	ix.forest = buildForest(ix, g, opt.Workers)
 	return ix, nil
 }
 
 // walkParts generates the walks of start vertices [lo, hi) of g, one
 // ragged store per worker, in order: worker w walks a run of whole posting
 // blocks counted from lo into one reused r*k block and keeps the live
-// prefixes. Build joins the parts; BuildStreaming encodes each part's
-// blocks as they are, one slice of the range at a time.
+// prefixes, whose lengths walkFrom returns. Build joins the parts;
+// BuildStreaming encodes each part's blocks as they are, one slice of the
+// range at a time.
 func walkParts(g *graph.Graph, opt Options, lo, hi int) []*raggedStore {
 	blocks := int(v2NumBlocks(int64(hi-lo), v2BlockVertices))
 	hseed := splitmix64(uint64(opt.Seed))
@@ -186,14 +191,87 @@ func walkParts(g *graph.Graph, opt Options, lo, hi int) []*raggedStore {
 	par.Do(workers, func(w int) {
 		blo, bhi := par.Range(blocks, workers, w)
 		part := newRaggedStore(opt.Walks, opt.K)
-		block := make([]int32, opt.Walks*opt.K)
+		block, lives := make([]int32, opt.Walks*opt.K), make([]int, opt.Walks)
 		for v := lo + blo*v2BlockVertices; v < min(lo+bhi*v2BlockVertices, hi); v++ {
-			walkBlock(g, hseed, v, opt.K, block)
-			part.appendVertex(block)
+			for fp := range lives {
+				lives[fp] = walkFrom(g, hseed, fp, 0, v, block[fp*opt.K:(fp+1)*opt.K])
+			}
+			part.appendVertex(block, lives)
 		}
 		parts[w] = part
 	})
 	return parts
+}
+
+// ErrGraphMismatch reports a graph on which the stored walks would not be
+// taken: AttachGraph refuses it rather than sort an order, and later
+// repair walks, that disagree with the stored rows.
+var ErrGraphMismatch = errors.New("walkindex: the index does not match the graph")
+
+// errNoGraph refuses a query or a repair on a loaded index whose order does
+// not exist yet.
+var errNoGraph = errors.New("walkindex: a loaded index needs its graph attached (AttachGraph) before it answers or repairs")
+
+// AttachGraph gives a loaded index g, the graph its walks were taken on,
+// and with it the coalescence order, sorted from g by workers goroutines (1
+// = serial, <1 = all CPUs). An index that has its order — from Build, or
+// attached before — keeps it. Either way g is checked first: every stored
+// walk must be the walk g gives its start vertex, so a stale or wrong graph
+// with the same vertex count — the graph before an edit batch that was
+// written back, say — is refused with an error wrapping ErrGraphMismatch.
+func (ix *Index) AttachGraph(g *graph.Graph, workers int) error {
+	if err := ix.checkGraph(g, workers); err != nil {
+		return err
+	}
+	if ix.forest == nil {
+		ix.forest = buildForest(ix, g, workers)
+	}
+	return nil
+}
+
+// checkGraph is AttachGraph's check of g against every stored walk, split
+// over workers goroutines by owned vertex.
+func (ix *Index) checkGraph(g *graph.Graph, workers int) error {
+	if g.NumVertices() != ix.n {
+		return fmt.Errorf("%w: it has %d vertices, the index %d", ErrGraphMismatch, g.NumVertices(), ix.n)
+	}
+	hseed := splitmix64(uint64(ix.seed))
+	workers = par.ResolveMax(workers, ix.Width())
+	bad := make([]int, workers)
+	par.Do(workers, func(w int) {
+		lo, hi := par.Range(ix.Width(), workers, w)
+		bad[w] = -1
+		for v := lo; v < hi && bad[w] < 0; v++ {
+			row := ix.store.row(v)
+			for fp := 0; fp < ix.r; fp++ {
+				if !walkedOn(g, hseed, fp, ix.lo+v, ix.k, row.walk(fp)) {
+					bad[w] = v
+					break
+				}
+			}
+		}
+	})
+	for _, v := range bad {
+		if v >= 0 {
+			return fmt.Errorf("%w: vertex %d walks differently on it", ErrGraphMismatch, ix.lo+v)
+		}
+	}
+	return nil
+}
+
+// walkedOn reports whether walk, a live prefix, is the walk of fingerprint
+// fp from start vertex p on g over horizon k: each entry the coupled move
+// from the one before, and the walk as long as g lets it live. The moves
+// are taken from the stored entries, so no step waits on the one before.
+func walkedOn(g *graph.Graph, hseed uint64, fp, p, k int, walk []int32) bool {
+	for t, q := range walk {
+		in := g.In(p)
+		if len(in) == 0 || in[edgeChoice(hseed, fp, t, p, len(in))] != int(q) {
+			return false
+		}
+		p = int(q)
+	}
+	return len(walk) == k || len(g.In(p)) == 0
 }
 
 // newIndex assembles an index over store from validated parameters;
@@ -212,23 +290,25 @@ func newIndex(n, lo, hi, k, r int, c float64, seed int64, store *raggedStore) *I
 
 // walkFrom fills path[tau:] with the coupled reverse walk of fingerprint fp
 // standing on vertex p before step tau (tau 0 with p = start vertex is a
-// whole walk; Update's suffix repair passes the first dirty occupancy). A
-// prefix slice (len(path) < K) yields exactly the first len(path) entries
+// whole walk; Update's suffix repair passes the first dirty occupancy), and
+// returns the walk's live length: the step at which it died, or len(path).
+// A prefix slice (len(path) < K) yields exactly the first len(path) entries
 // of the full walk, because each step depends only on the previous
 // position — a ranged index exploits this to recompute foreign walks on
 // demand, bit-identically to what the owning range has stored.
-func walkFrom(g *graph.Graph, hseed uint64, fp, tau, p int, path []int32) {
+func walkFrom(g *graph.Graph, hseed uint64, fp, tau, p int, path []int32) int {
 	for t := tau; t < len(path); t++ {
 		in := g.In(p)
 		if len(in) == 0 {
-			for ; t < len(path); t++ {
-				path[t] = -1
+			for i := t; i < len(path); i++ {
+				path[i] = -1
 			}
-			return
+			return t
 		}
 		p = in[edgeChoice(hseed, fp, t, p, len(in))]
 		path[t] = int32(p)
 	}
+	return len(path)
 }
 
 // walkBlock fills block with every walk of vertex v, k entries per

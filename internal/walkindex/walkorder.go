@@ -33,9 +33,11 @@ import (
 // compared — and a foreign source's by binary search on the key, then walks
 // outwards while neighbours still meet, touching only walkers that score:
 // the cost is proportional to the answer, not to n·R·K. It is derived
-// state: excluded from Equal, Save and Bytes, rebuilt by Build and Load,
-// patched by Update, which also finds each moved walker's old slot by its
-// rank instead of scanning the order.
+// state: excluded from Equal, Save and Bytes, sorted from the graph by
+// Build and by AttachGraph after a load (the walks are a pure function of
+// the graph, so no stored walk is read), patched by Update, which also
+// finds each moved walker's old slot by its rank instead of scanning the
+// order.
 type forest struct {
 	// order[fp*width+i] is the store-local walker at rank i of fingerprint
 	// fp's key order.
@@ -50,10 +52,14 @@ type forest struct {
 }
 
 // ForestBytes returns the resident size of the coalescence order — order,
-// meeting steps and ranks, 10 bytes per stored walk. It is reported beside
-// Bytes, which keeps meaning the path storage alone.
+// meeting steps and ranks, 10 bytes per stored walk, 0 before a loaded
+// index has its graph. It is reported beside Bytes, which keeps meaning the
+// path storage alone.
 func (ix *Index) ForestBytes() int64 {
 	f := ix.forest
+	if f == nil {
+		return 0
+	}
 	return int64(len(f.order))*4 + int64(len(f.meet))*2 + int64(len(f.rank))*4
 }
 
@@ -108,21 +114,23 @@ func (f *forest) fingerprint(fp, width int) (ord []int32, mt []uint16, rk []int3
 	return f.order[lo:hi], f.meet[lo:hi], f.rank[lo:hi]
 }
 
-// buildForest sorts every fingerprint of an index, in parallel
-// over fingerprints (the Build worker convention).
-func buildForest(ix *Index, workers int) *forest {
+// buildForest sorts every fingerprint of an index from g, the graph its
+// walks were taken on, in parallel over fingerprints (the Build worker
+// convention).
+func buildForest(ix *Index, g *graph.Graph, workers int) *forest {
 	width := ix.Width()
 	f := &forest{order: make([]int32, ix.r*width), meet: make([]uint16, ix.r*width), rank: make([]int32, ix.r*width)}
 	if width == 0 {
 		return f
 	}
+	hseed := splitmix64(uint64(ix.seed))
 	parts := par.ResolveMax(workers, ix.r)
 	par.Do(parts, func(w int) {
 		lo, hi := par.Range(ix.r, parts, w)
 		s := newLeafLists(ix.n, width)
 		for fp := lo; fp < hi; fp++ {
 			ord, mt, rk := f.fingerprint(fp, width)
-			ix.sortFingerprint(fp, ord, mt, rk, s)
+			ix.sortFingerprint(g, hseed, fp, ord, mt, rk, s)
 		}
 	})
 	return f
@@ -152,10 +160,21 @@ func newLeafLists(n, width int) *leafLists {
 // concatenation, by ascending x, of the orders of the positions x that
 // step onto y, so each step appends whole lists in O(1) — work
 // proportional to the distinct (step, position) pairs, not to K·width.
-// Two lists joined under a live y first meet there: the step is recorded
-// on the seam and never changes again. Each walker's rank is written as it
-// is emitted.
-func (ix *Index) sortFingerprint(fp int, ord []int32, mt []uint16, rk []int32, s *leafLists) {
+// Where a list moves is the coupled move every walker on x takes, hashed
+// from the graph as walkFrom does, so no stored walk is read. Two lists
+// joined under a live y first meet there: the step is recorded on the seam
+// and never changes again. Each walker's rank is written as it is emitted.
+func (ix *Index) sortFingerprint(g *graph.Graph, hseed uint64, fp int, ord []int32, mt []uint16, rk []int32, s *leafLists) {
+	move := func(x int32, t int) int32 { // where a walker on x stands after step t+1; -1 once dead
+		if x < 0 {
+			return -1
+		}
+		in := g.In(int(x))
+		if len(in) == 0 {
+			return -1
+		}
+		return int32(in[edgeChoice(hseed, fp, t, int(x), len(in))])
+	}
 	clear(s.gap)
 	into := 0
 	join := func(y, first, last int32, step int) { // append list first..last to position y-1
@@ -180,16 +199,15 @@ func (ix *Index) sortFingerprint(fp int, ord []int32, mt []uint16, rk []int32, s
 	}
 
 	clear(s.held[into])
-	for v := int32(0); int(v) < len(ord); v++ { // before step 1 every walker stands alone
-		join(entry(ix.path(v, fp), 0)+1, v, v, 1)
+	for v := int32(0); int(v) < len(ord); v++ { // before step 1 every walker stands alone on its start
+		join(move(int32(ix.lo)+v, 0)+1, v, v, 1)
 	}
 	for t := 1; t < ix.k; t++ {
 		from := into
 		into = 1 - into
 		clear(s.held[into])
-		each(from, func(x int32) {
-			first := s.head[from][x]
-			join(entry(ix.path(first, fp), t)+1, first, s.tail[from][x], t+1)
+		each(from, func(y int32) {
+			join(move(y-1, t)+1, s.head[from][y], s.tail[from][y], t+1)
 		})
 	}
 	i := 0
@@ -367,8 +385,12 @@ func (ix *Index) eachSource(ctx context.Context, g *graph.Graph, sources []int, 
 // The rows come from sparserow's pool and are the caller's to release.
 // Cancelling ctx abandons the query at the next poll (every worker polls
 // between fingerprints) and returns the context's error with no rows; an
-// uncancelled ctx never changes the result.
+// uncancelled ctx never changes the result. A loaded index answers once
+// AttachGraph has sorted its order, and refuses before.
 func (ix *Index) SparseRows(ctx context.Context, g *graph.Graph, sources []int, workers int) ([]*sparserow.Row, error) {
+	if ix.forest == nil {
+		return nil, errNoGraph
+	}
 	out := make([]*sparserow.Row, len(sources))
 	for i := range out {
 		out[i] = sparserow.Get()

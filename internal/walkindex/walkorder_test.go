@@ -1,7 +1,9 @@
 package walkindex
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -250,8 +252,9 @@ func TestForestEqualsSweepRandom(t *testing.T) {
 	}
 }
 
-// TestForestAfterLoadAndUpdate: the order Load rebuilds is the one Build
-// sorted, and the order Update patched still answers like the sweep.
+// TestForestAfterLoadAndUpdate: the order AttachGraph sorts for a loaded
+// index is the one Build sorted, and the order Update patched still
+// answers like the sweep.
 func TestForestAfterLoadAndUpdate(t *testing.T) {
 	g := gen.CitationGraph(80, 4, 8)
 	opt := Options{Walks: 25, Seed: 13}
@@ -260,6 +263,7 @@ func TestForestAfterLoadAndUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded := saveLoadRoundTrip(t, ix)
+	attach(t, loaded, g)
 	requireSameForest(t, loaded, ix, "Load")
 
 	rng := rand.New(rand.NewSource(4))
@@ -336,10 +340,28 @@ func forestFuzzGraph(data []byte) (*graph.Graph, Options, []graph.Edit) {
 	return graph.MustFromEdges(n, edges), opt, edits
 }
 
+// reload saves ix as the file kind of its range, loads it back and attaches
+// g, the graph its walks were taken on.
+func reload(t testing.TB, ix *Index, g *graph.Graph) *Index {
+	t.Helper()
+	kind := ShardFile
+	if ix.lo == 0 && ix.hi == ix.n {
+		kind = IndexFile
+	}
+	loaded, err := Load(bytes.NewReader(saveBytes(t, ix, kind)), kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attach(t, loaded, g)
+	return loaded
+}
+
 // FuzzForest: on any small graph the coalescence order answers every
 // source exactly like the sweep, on the full range and on an interior
-// range, before and after an edit batch, and the patched order is the
-// rebuilt one.
+// range, before and after an edit batch; the order Save → Load →
+// AttachGraph sorts is the built one, and the patched order — of the
+// built index and of the loaded one — and the order of the patched index
+// saved and reloaded are the rebuilt one.
 func FuzzForest(f *testing.F) {
 	f.Add([]byte{6, 3, 2, 1, 0, 1, 1, 2, 2, 0, 3, 1, 4, 2, 5, 4})                    // the FuzzLoad seed graph
 	f.Add([]byte{1, 0, 0, 0})                                                        // n=1, no edges
@@ -372,24 +394,100 @@ func FuzzForest(f *testing.F) {
 			t.Fatal(err)
 		}
 		check(g, full, part, "built")
+		loaded := []*Index{reload(t, full, g), reload(t, part, g)}
+		for i, ix := range []*Index{full, part} {
+			requireSameForest(t, loaded[i], ix, fmt.Sprintf("range [%d,%d), loaded", ix.lo, ix.hi))
+		}
 
 		g2, sum, err := g.ApplyEdits(edits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ix := range []*Index{full, part} {
-			if _, err := ix.Update(g2, sum.DirtyIn, 2); err != nil {
-				t.Fatal(err)
-			}
+		for i, ix := range []*Index{full, part} {
 			fresh, err := Build(g2, opt, ix.lo, ix.hi)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ix.Equal(fresh) {
-				t.Fatal("repaired index differs from a rebuild")
+			for _, jx := range []*Index{ix, loaded[i]} {
+				if _, err := jx.Update(g2, sum.DirtyIn, 2); err != nil {
+					t.Fatal(err)
+				}
+				if !jx.Equal(fresh) {
+					t.Fatal("repaired index differs from a rebuild")
+				}
 			}
-			requireSameForest(t, ix, fresh, fmt.Sprintf("range [%d,%d)", ix.lo, ix.hi))
+			what := fmt.Sprintf("range [%d,%d)", ix.lo, ix.hi)
+			requireSameForest(t, ix, fresh, what)
+			requireSameForest(t, loaded[i], fresh, what+", loaded then patched")
+			requireSameForest(t, reload(t, ix, g2), fresh, what+", patched then reloaded")
 		}
 		check(g2, full, part, "patched")
 	})
+}
+
+// TestAttachGraphRefusesOtherGraph: the order of a loaded index comes from
+// the graph attached to it, so a graph with the index's vertex count on
+// which one stored walk goes elsewhere — an in-edge removed from a sink
+// that opens no posting block, which moves that sink's walks only — is
+// refused, and the index keeps refusing queries and repairs until its own
+// graph is attached.
+func TestAttachGraphRefusesOtherGraph(t *testing.T) {
+	g := gen.ErdosRenyi(300, 900, 3)
+	opt := Options{Walks: 20, Seed: 5}
+	ctx := context.Background()
+	for _, r := range [][2]int{{0, 300}, {70, 250}} {
+		ix, err := Build(g, opt, r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := ShardFile
+		if r[0] == 0 {
+			kind = IndexFile
+		}
+		loaded, err := Load(bytes.NewReader(saveBytes(t, ix, kind)), kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loaded.SparseRows(ctx, g, []int{r[0]}, 1); !errors.Is(err, errNoGraph) {
+			t.Fatalf("[%d,%d): SparseRows before AttachGraph: err = %v, want errNoGraph", r[0], r[1], err)
+		}
+		if _, err := loaded.Update(g, []int{r[0]}, 1); !errors.Is(err, errNoGraph) {
+			t.Fatalf("[%d,%d): Update before AttachGraph: err = %v, want errNoGraph", r[0], r[1], err)
+		}
+		if err := loaded.AttachGraph(gen.ErdosRenyi(301, 900, 3), 1); !errors.Is(err, ErrGraphMismatch) {
+			t.Fatalf("[%d,%d): a graph of another size: err = %v, want ErrGraphMismatch", r[0], r[1], err)
+		}
+
+		// A vertex v that opens no posting block and has no out-edges, so
+		// that no other vertex's walk ever stands on it: removing the edge
+		// u -> v its first live walk leaves over changes v's walks and no
+		// one else's.
+		v, u := -1, -1
+		for b := ix.Width() - 1; b >= 0 && v < 0; b-- {
+			if b%v2BlockVertices == 0 || g.OutDegree(r[0]+b) > 0 {
+				continue
+			}
+			for fp := 0; fp < ix.r; fp++ {
+				if w := ix.Walk(nil, r[0]+b, fp); len(w) > 0 {
+					v, u = r[0]+b, int(w[0])
+					break
+				}
+			}
+		}
+		if v < 0 {
+			t.Fatalf("[%d,%d): no owned sink with a live walk opens no block", r[0], r[1])
+		}
+		cut, _, err := g.ApplyEdits([]graph.Edit{{Op: graph.EditRemove, U: u, V: v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.AttachGraph(cut, 1); !errors.Is(err, ErrGraphMismatch) {
+			t.Fatalf("[%d,%d): edge %d->%d removed: err = %v, want ErrGraphMismatch", r[0], r[1], u, v, err)
+		}
+		if _, err := loaded.SparseRows(ctx, g, []int{r[0]}, 1); !errors.Is(err, errNoGraph) {
+			t.Fatalf("[%d,%d): SparseRows after a refused graph: err = %v, want errNoGraph", r[0], r[1], err)
+		}
+		attach(t, loaded, g)
+		requireSameForest(t, loaded, ix, "attached after a refusal")
+	}
 }

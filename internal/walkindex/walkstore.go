@@ -145,13 +145,13 @@ func (s *raggedStore) span(g int) (lo, hi int) {
 	return g * s.group, min((g+1)*s.group, s.r)
 }
 
-// appendGroup writes the walks lo..hi-1 that walkOf returns (live
-// prefixes, or k entries with a -1 tail) as one segment at the tail of
-// data and returns its offset, or -1 without writing when all are dead.
+// appendGroup writes the walks lo..hi-1 that walkOf returns, each its live
+// prefix exactly, as one segment at the tail of data and returns its
+// offset, or -1 without writing when all are dead.
 func (s *raggedStore) appendGroup(lo, hi int, walkOf func(fp int) []int32) int64 {
 	live := 0
 	for fp := lo; fp < hi; fp++ {
-		live += len(livePrefix(walkOf(fp)))
+		live += len(walkOf(fp))
 	}
 	if live == 0 {
 		return -1
@@ -161,7 +161,7 @@ func (s *raggedStore) appendGroup(lo, hi int, walkOf func(fp int) []int32) int64
 	clear(s.data[at:])
 	end := 0
 	for fp := lo; fp < hi; fp++ {
-		w := livePrefix(walkOf(fp))
+		w := walkOf(fp)
 		s.data = append(s.data, w...)
 		end += len(w)
 		i := fp - lo
@@ -170,12 +170,14 @@ func (s *raggedStore) appendGroup(lo, hi int, walkOf func(fp int) []int32) int64
 	return int64(at)
 }
 
-// appendVertex appends the next vertex's walks, given as an r·k block with
-// -1 after each death (walkFrom's and the codec's form).
-func (s *raggedStore) appendVertex(block []int32) {
+// appendVertex appends the next vertex's walks, given as an r·k block
+// (walkFrom's and the codec's form) and the live length of each walk, which
+// whoever produced the walks knows: only that many entries of a walk are
+// read.
+func (s *raggedStore) appendVertex(block []int32, lives []int) {
 	for g := 0; g < s.groups; g++ {
 		lo, hi := s.span(g)
-		s.seg = append(s.seg, s.appendGroup(lo, hi, func(fp int) []int32 { return block[fp*s.k : (fp+1)*s.k] }))
+		s.seg = append(s.seg, s.appendGroup(lo, hi, func(fp int) []int32 { return block[fp*s.k : fp*s.k+lives[fp]] }))
 	}
 }
 
@@ -215,13 +217,13 @@ func (s *raggedStore) setWalks(v int, fps []int, paths []int32) {
 		old := s.row(v)
 		walkOf := func(fp int) []int32 {
 			if j, ok := slices.BinarySearch(mine, fp); ok {
-				return fresh[j*s.k : (j+1)*s.k]
+				return livePrefix(fresh[j*s.k : (j+1)*s.k])
 			}
 			return old.walk(fp)
 		}
 		inPlace := true
 		for _, fp := range mine {
-			inPlace = inPlace && len(livePrefix(walkOf(fp))) == len(old.walk(fp))
+			inPlace = inPlace && len(walkOf(fp)) == len(old.walk(fp))
 		}
 		gi := v*s.groups + g
 		switch at := int(s.seg[gi]); {

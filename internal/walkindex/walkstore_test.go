@@ -32,6 +32,16 @@ func (s *denseStore) rewrite(v int, fps []int, fix func(j int, path []int32)) {
 }
 func (s *denseStore) Rows() int { return len(s.paths) / (s.r * s.k) }
 
+// lives returns the live length of each of vertex v's walks, what a
+// producer of walks hands appendVertex.
+func (s *denseStore) lives(v int) []int {
+	out := make([]int, s.r)
+	for fp := range out {
+		out[fp] = len(livePrefix(s.row(v).walk(fp)))
+	}
+	return out
+}
+
 // raggedModelBytes is Bytes of a ragged store holding the model's walks,
 // counted from the walks alone: 8 bytes per (vertex, group) offset, and
 // per group with a live walk ⌈G/2⌉ header words plus its live entries.
@@ -124,7 +134,7 @@ func runStoreModel(t *testing.T, next func(int) int, r, k, rows, repairs int) {
 		part := newRaggedStore(r, k)
 		for end := min(rows, v+1+next(4)); v < end; v++ {
 			block := slices.Clone(m.block(v))
-			part.appendVertex(block)
+			part.appendVertex(block, m.lives(v))
 			if !slices.Equal(block, m.block(v)) {
 				t.Fatalf("appendVertex(%d) changed its block", v)
 			}
@@ -212,7 +222,7 @@ func runStoreModel(t *testing.T, next func(int) int, r, k, rows, repairs int) {
 func buildRagged(m *denseStore) *raggedStore {
 	s := newRaggedStore(m.r, m.k)
 	for v := 0; v < m.Rows(); v++ {
-		s.appendVertex(m.block(v))
+		s.appendVertex(m.block(v), m.lives(v))
 	}
 	return s
 }

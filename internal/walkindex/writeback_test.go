@@ -28,14 +28,16 @@ func saveFile(t *testing.T, ix *Index, kind FileKind) string {
 	return path
 }
 
-// openWriteBack opens path for write-back and closes it with the test.
-func openWriteBack(t *testing.T, path string, kind FileKind) *Index {
+// openWriteBack opens path for write-back, attaches g and closes the index
+// with the test.
+func openWriteBack(t *testing.T, path string, kind FileKind, g *graph.Graph) *Index {
 	t.Helper()
 	ix, err := LoadWriteBack(path, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
+	attach(t, ix, g)
 	return ix
 }
 
@@ -148,7 +150,7 @@ func TestMappedByteIdenticalQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := openWriteBack(t, saveFile(t, built, IndexFile), IndexFile)
+	wb := openWriteBack(t, saveFile(t, built, IndexFile), IndexFile, g)
 	if !built.Equal(wb) {
 		t.Fatal("write-back index != built index")
 	}
@@ -198,7 +200,7 @@ func TestMappedUpdatePersists(t *testing.T) {
 		if err := os.WriteFile(path, saveBlocked(t, built, IndexFile, blockB), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wb := openWriteBack(t, path, IndexFile)
+		wb := openWriteBack(t, path, IndexFile, g0)
 		rng := rand.New(rand.NewSource(int64(blockB)))
 		g := g0
 		for batch := 0; batch < 6; batch++ {
@@ -245,7 +247,7 @@ func TestWriteBackSpliceBoundaries(t *testing.T) {
 			if err := os.WriteFile(path, saveBlocked(t, built, kind, blockB), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			wb := openWriteBack(t, path, kind)
+			wb := openWriteBack(t, path, kind, g)
 			rng := rand.New(rand.NewSource(int64(blockB)))
 			for _, local := range [][]int{
 				{0},                        // the first vertex of the first block
@@ -286,7 +288,7 @@ func TestPrefetchShardEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := openWriteBack(t, saveFile(t, sx, ShardFile), ShardFile)
+	wb := openWriteBack(t, saveFile(t, sx, ShardFile), ShardFile, g)
 
 	ctx := context.Background()
 	sources := []int{0, 60, 200, 349, 419}
@@ -320,7 +322,7 @@ func TestShardMappedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := saveFile(t, sx, ShardFile)
-	wb := openWriteBack(t, path, ShardFile)
+	wb := openWriteBack(t, path, ShardFile, g)
 	if !sx.Equal(wb) {
 		t.Fatal("write-back shard != built shard")
 	}
@@ -340,7 +342,7 @@ func TestShardMappedByteIdentical(t *testing.T) {
 		t.Fatal("write-back shard Update != fresh shard build")
 	}
 	requireFile(t, path, saveBytes(t, fresh, ShardFile), "shard after a batch")
-	if reopened := openWriteBack(t, path, ShardFile); !reopened.Equal(fresh) {
+	if reopened := openWriteBack(t, path, ShardFile, next); !reopened.Equal(fresh) {
 		t.Fatal("reopened shard file != fresh shard build")
 	}
 }
@@ -354,7 +356,7 @@ func TestMappedConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := openWriteBack(t, saveFile(t, built, IndexFile), IndexFile)
+	wb := openWriteBack(t, saveFile(t, built, IndexFile), IndexFile, g)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -394,7 +396,7 @@ func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := saveFile(t, built, IndexFile)
-	wb := openWriteBack(t, path, IndexFile)
+	wb := openWriteBack(t, path, IndexFile, g)
 
 	var mu sync.RWMutex
 	stop := make(chan struct{})
@@ -495,7 +497,7 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := openWriteBack(t, path, IndexFile)
+	wb := openWriteBack(t, path, IndexFile, g)
 
 	injected := errors.New("injected write failure")
 	real := writeFile
@@ -589,7 +591,7 @@ func TestWriteBackShortReadIsError(t *testing.T) {
 			if err := os.WriteFile(path, before, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			wb := openWriteBack(t, path, IndexFile)
+			wb := openWriteBack(t, path, IndexFile, g)
 			tc.spoil(t, wb.file)
 			real := writeFile
 			t.Cleanup(func() { writeFile = real })
@@ -641,6 +643,7 @@ func BenchmarkWriteBack(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ix.Close()
+	attach(b, ix, g)
 	rng := rand.New(rand.NewSource(1))
 	encoded := 0
 	b.ResetTimer()

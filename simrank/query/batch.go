@@ -17,8 +17,9 @@ import (
 // SingleSource/TopK call, for every worker count. cmd/simrankd exposes
 // this path as POST /v1/batch.
 
-// checkSources is what every batch call requires: the graph a partial
-// range recomputes foreign sources from, and every source a vertex of it.
+// checkSources is what every batch call requires: the graph the order is
+// sorted from and a partial range recomputes foreign sources from, and
+// every source a vertex of it.
 func (ix *Index) checkSources(what string, sources []int) error {
 	if err := ix.needGraph(what); err != nil {
 		return err

@@ -25,7 +25,10 @@
 // edge choices are pure hashes of (seed, fingerprint, step, vertex), so
 // the same graph, options, and seed produce a bit-identical index at any
 // worker count, and a saved index reloads into bit-identical query
-// results.
+// results. The same hashes make the coalescence order a function of the
+// graph: it is sorted from the graph, never from the stored walks, so an
+// index file holds the walks only and a loaded index answers once
+// AttachGraph has given it its graph.
 //
 // # Accuracy trade-off
 //

@@ -64,14 +64,15 @@ func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes in
 // the posting blocks of the repaired vertices are re-encoded and the file
 // is republished atomically (temp, fsync, rename), clean blocks copied
 // verbatim. The file then equals SaveFile of the repaired index, byte for
-// byte. Queries never read the file. Call Close when done to release the
-// file handle.
+// byte. Queries never read the file. Like LoadFile's, the index answers
+// and takes edits once AttachGraph has given it its graph. Call Close when
+// done to release the file handle.
 func LoadFileMapped(path string, _ MappedOptions) (*Index, error) {
 	wi, err := walkindex.LoadWriteBack(path, walkindex.IndexFile)
 	if err != nil {
 		return nil, err
 	}
-	return NewIndex(wi, nil), nil
+	return NewIndex(wi, nil)
 }
 
 // Backend reports how the walk rows are kept: "dense" when in memory only,

@@ -10,8 +10,9 @@ import (
 
 // FuzzLoad: the public index loader must return an error — never panic —
 // on arbitrary bytes, and anything it accepts must re-save to the same
-// bytes and serve queries without panicking. The format-1 seeds are files
-// of the retired dense format: they must be rejected cleanly.
+// bytes, refuse score rows until a graph is attached, and serve them
+// without panicking once the seed graph is accepted. The format-1 seeds
+// are files of the retired dense format: they must be rejected cleanly.
 func FuzzLoad(f *testing.F) {
 	g := graph.MustFromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 1}, {4, 2}, {5, 4}})
 	ix, err := BuildIndex(g, Options{C: 0.6, K: 4, Walks: 3, Seed: 1})
@@ -47,8 +48,15 @@ func FuzzLoad(f *testing.F) {
 		if !bytes.Equal(again.Bytes(), data) {
 			t.Fatal("accepted index did not re-save byte-identically")
 		}
-		// A loaded index must answer estimate-only queries for every
+		// Before a graph a loaded index has no order and refuses; after
+		// one it accepts it must answer estimate-only queries for every
 		// vertex without panicking, even on adversarial payload values.
+		if _, err := got.SingleSource(context.Background(), 0); err == nil && got.N() > 0 {
+			t.Fatal("SingleSource answered before a graph was attached")
+		}
+		if got.AttachGraph(g) != nil {
+			return
+		}
 		for v := 0; v < got.N(); v++ {
 			if _, err := got.SingleSource(context.Background(), v); err != nil {
 				t.Fatalf("SingleSource(%d) on accepted index: %v", v, err)

@@ -72,7 +72,7 @@ func (ix *Index) Join(ctx context.Context, k int, threshold float64, opt *JoinOp
 // (ErrTooDense). The union over a partition of [0, Walks()) is the
 // candidate set Join enumerates.
 func (ix *Index) JoinCandidates(ctx context.Context, threshold float64, fpLo, fpHi, maxCandidates, workers int) ([]uint64, error) {
-	if err := ix.needGraph("JoinCandidates"); err != nil {
+	if err := ix.needRecompute("JoinCandidates"); err != nil {
 		return nil, err
 	}
 	return ix.wi.JoinCandidates(ctx, ix.g, threshold, fpLo, fpHi, maxCandidates, workers)
@@ -81,7 +81,7 @@ func (ix *Index) JoinCandidates(ctx context.Context, threshold float64, fpLo, fp
 // ScorePairs is the second half: the estimate of every candidate key,
 // bit-identical to Pair and to the SingleSource entries on any range.
 func (ix *Index) ScorePairs(ctx context.Context, keys []uint64, workers int) ([]JoinPair, error) {
-	if err := ix.needGraph("ScorePairs"); err != nil {
+	if err := ix.needRecompute("ScorePairs"); err != nil {
 		return nil, err
 	}
 	for _, key := range keys {

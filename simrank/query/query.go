@@ -38,8 +38,9 @@ type Options = walkindex.Options
 type Index struct {
 	wi *walkindex.Index
 	// g is the graph the index was built from: what exact reranking and
-	// ApplyEdits work on, and what a partial range recomputes foreign walks
-	// from. Nil after a load until AttachGraph.
+	// ApplyEdits work on, what a partial range recomputes foreign walks
+	// from, and what a loaded index sorts its coalescence order from. Nil
+	// after a load until AttachGraph.
 	g *graph.Graph
 	// gen counts applied updates; cache layers fold it into their keys so
 	// pre-update responses can never be served post-update.
@@ -61,13 +62,22 @@ func BuildIndex(g *graph.Graph, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewIndex(wi, g), nil
+	return &Index{wi: wi, g: g}, nil
 }
 
 // NewIndex is the ranged constructor: the handle over a walk index of any
-// vertex range. g is the graph wi was built on, or nil until AttachGraph.
-func NewIndex(wi *walkindex.Index, g *graph.Graph) *Index {
-	return &Index{wi: wi, g: g}
+// vertex range. g is the graph wi's walks were taken on, attached here as
+// AttachGraph attaches it — checked, and the coalescence order sorted from
+// it if wi has none yet — or nil until AttachGraph.
+func NewIndex(wi *walkindex.Index, g *graph.Graph) (*Index, error) {
+	ix := &Index{wi: wi}
+	if g == nil {
+		return ix, nil
+	}
+	if err := ix.AttachGraph(g); err != nil {
+		return nil, err
+	}
+	return ix, nil
 }
 
 // N returns the vertex count of the graph the index was built on.
@@ -91,9 +101,21 @@ func (ix *Index) needFull(what string) error {
 	return fmt.Errorf("query: %s needs a full-range index, this one owns [%d,%d) of [0,%d)", what, ix.wi.Lo(), ix.wi.Hi(), ix.wi.N())
 }
 
-// needGraph refuses a call that may have to recompute foreign walks — any
-// call on a partial range — with no graph to recompute them from.
+// needGraph refuses a call that reads the coalescence order — every score
+// row — or repairs it, on a loaded index that has no graph yet: the order
+// is sorted from the graph when AttachGraph gives it one. A handle has its
+// graph only from BuildIndex, NewIndex or AttachGraph, each of which leaves
+// the order in place, so ix.g is the one gate.
 func (ix *Index) needGraph(what string) error {
+	if ix.g == nil {
+		return fmt.Errorf("query: %s needs the source graph (AttachGraph after Load)", what)
+	}
+	return nil
+}
+
+// needRecompute refuses a call that may have to recompute foreign walks —
+// any call on a partial range — with no graph to recompute them from.
+func (ix *Index) needRecompute(what string) error {
 	if ix.g == nil && !ix.full() {
 		return fmt.Errorf("query: %s on a partial range needs the source graph (AttachGraph after Load)", what)
 	}
@@ -142,6 +164,10 @@ func (ix *Index) Equal(other *Index) bool { return ix.wi.Equal(other.wi) }
 // limit of this build, not a bad request — servers map it to a 5xx.
 var ErrTooLarge = walkindex.ErrTooLarge
 
+// ErrGraphMismatch is returned by AttachGraph for a graph the index's walks
+// were not taken on.
+var ErrGraphMismatch = walkindex.ErrGraphMismatch
+
 // UpdateStats describes one applied edit batch.
 type UpdateStats struct {
 	// EdgesAdded and EdgesRemoved count the effective edge changes (no-op
@@ -162,10 +188,14 @@ type UpdateStats struct {
 // fresh build of the same range on g2 with the same options; only the
 // suffixes of walks through dirty vertices are recomputed, in parallel
 // across workers (1 = serial, <1 = all CPUs). g2 replaces the attached
-// graph and the generation is bumped. Update must not run concurrently
-// with queries. An error wrapping ErrWriteBack means the batch is applied
-// but not yet in the index file (see LoadFileMapped).
+// graph and the generation is bumped. A loaded index needs its graph
+// attached first (AttachGraph). Update must not run concurrently with
+// queries. An error wrapping ErrWriteBack means the batch is applied but
+// not yet in the index file (see LoadFileMapped).
 func (ix *Index) Update(g2 *graph.Graph, dirty []int, workers int) (walksRepaired int, err error) {
+	if err := ix.needGraph("Update"); err != nil {
+		return 0, err
+	}
 	changed, err := ix.wi.Update(g2, dirty, workers)
 	if err != nil && !errors.Is(err, ErrWriteBack) {
 		return 0, err
@@ -184,8 +214,8 @@ func (ix *Index) Update(g2 *graph.Graph, dirty []int, workers int) (walksRepaire
 // receive the same batches; edits are idempotent at the graph layer, so
 // re-sending one after a partial broadcast converges rather than corrupts.
 func (ix *Index) ApplyEdits(edits []graph.Edit, workers int) (UpdateStats, error) {
-	if ix.g == nil {
-		return UpdateStats{}, fmt.Errorf("query: ApplyEdits needs the source graph (AttachGraph after Load)")
+	if err := ix.needGraph("ApplyEdits"); err != nil {
+		return UpdateStats{}, err
 	}
 	g2, sum, err := ix.g.ApplyEdits(edits)
 	if err != nil {
@@ -220,13 +250,17 @@ func (ix *Index) PrepareUpdates(workers int) error {
 }
 
 // AttachGraph re-attaches the source graph to a loaded index, enabling
-// exact reranking and edits — and, on a partial range, every query. The
-// graph must have the same vertex count the index was built from (a
-// different graph silently poisons scores, so at least the cheap
-// invariant is enforced).
+// score rows — SingleSource, TopK and every batch — exact reranking and
+// edits: the coalescence order that answers them is sorted from g here, on
+// all CPUs. g must be the graph the index's walks were taken on (or
+// repaired to). A graph with another vertex count is refused, and so is
+// one on which any stored walk would be taken otherwise — the graph before
+// an edit batch written back to a LoadFileMapped file, for one — since the
+// order sorted from it would silently disagree with the rows: the error
+// wraps ErrGraphMismatch.
 func (ix *Index) AttachGraph(g *graph.Graph) error {
-	if g.NumVertices() != ix.wi.N() {
-		return fmt.Errorf("query: graph has %d vertices, index was built on %d", g.NumVertices(), ix.wi.N())
+	if err := ix.wi.AttachGraph(g, 0); err != nil {
+		return err
 	}
 	ix.g = g
 	return nil
@@ -247,6 +281,9 @@ func (ix *Index) SingleSource(ctx context.Context, q int) ([]float64, error) {
 // slice is dst. On cancellation dst's contents are unspecified.
 func (ix *Index) SingleSourceInto(ctx context.Context, q int, dst []float64) ([]float64, error) {
 	if err := ix.needFull("SingleSource"); err != nil {
+		return nil, err
+	}
+	if err := ix.needGraph("SingleSource"); err != nil {
 		return nil, err
 	}
 	if q < 0 || q >= ix.wi.N() {
@@ -279,7 +316,7 @@ func (ix *Index) row(ctx context.Context, q int) (*sparserow.Row, error) {
 
 // Pair estimates the single score s(a, b) of any two vertices, owned or not.
 func (ix *Index) Pair(a, b int) (float64, error) {
-	if err := ix.needGraph("Pair"); err != nil {
+	if err := ix.needRecompute("Pair"); err != nil {
 		return 0, err
 	}
 	if err := ix.checkPair(a, b); err != nil {
@@ -325,6 +362,9 @@ func (ix *Index) TopK(ctx context.Context, q, k int, opt *TopKOptions) ([]Ranked
 	}
 	k, opt, err := ix.checkTopK(k, opt)
 	if err != nil {
+		return nil, err
+	}
+	if err := ix.needGraph("TopK"); err != nil {
 		return nil, err
 	}
 	row, err := ix.row(ctx, q)
@@ -514,16 +554,17 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // Load reads an index written by Save, SaveFile or BuildFileStreaming,
-// decoding it into memory. The result answers SingleSource, Pair, and
-// estimate-only TopK immediately; call AttachGraph to enable reranking.
-// Load rejects truncated files, corrupted payloads (CRC), trailing data,
-// shard files, and format-version mismatches.
+// decoding it into memory. The result answers Pair and the joins at once;
+// SingleSource, TopK, the batches, reranks and edits need AttachGraph
+// first, which sorts the coalescence order from the graph. Load rejects
+// truncated files, corrupted payloads (CRC), trailing data, shard files,
+// and format-version mismatches.
 func Load(r io.Reader) (*Index, error) {
 	wi, err := walkindex.Load(r, walkindex.IndexFile)
 	if err != nil {
 		return nil, err
 	}
-	return NewIndex(wi, nil), nil
+	return NewIndex(wi, nil)
 }
 
 // SaveFile writes the index to path durably and atomically: the file

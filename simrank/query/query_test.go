@@ -11,8 +11,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"oipsr/graph"
 	"oipsr/graph/gen"
 	"oipsr/internal/walkindex"
 )
@@ -35,6 +37,37 @@ func TestSaveLoadBitIdenticalQueries(t *testing.T) {
 	}
 	loaded, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
+		t.Fatal(err)
+	}
+	// A loaded index has no coalescence order before its graph: every
+	// score row and repair is refused, none dereferences the order.
+	ctx := context.Background()
+	_, errSS := loaded.SingleSource(ctx, 0)
+	_, errTopK := loaded.TopK(ctx, 0, 3, nil)
+	_, errRows := loaded.SparseRows(ctx, []int{0}, 1)
+	_, errMulti := loaded.MultiSource(ctx, []int{0}, 1)
+	_, errBatch := loaded.TopKBatch(ctx, []int{0}, 3, nil, 1)
+	_, errUpdate := loaded.Update(ix.Graph(), []int{0}, 1)
+	_, errEdits := loaded.ApplyEdits([]graph.Edit{{Op: graph.EditAdd, U: 0, V: 1}}, 1)
+	for name, err := range map[string]error{"SingleSource": errSS, "TopK": errTopK, "SparseRows": errRows, "MultiSource": errMulti, "TopKBatch": errBatch, "Update": errUpdate, "ApplyEdits": errEdits} {
+		if err == nil || !strings.Contains(err.Error(), name+" needs the source graph (AttachGraph after Load)") {
+			t.Errorf("%s on a loaded index without its graph: err = %v, want the needGraph refusal", name, err)
+		}
+	}
+	// Vertex 0 starts the first posting block: with its in-edges gone its
+	// walks die at once, which the stored ones do not.
+	var cut []graph.Edit
+	for _, u := range ix.Graph().In(0) {
+		cut = append(cut, graph.Edit{Op: graph.EditRemove, U: u, V: 0})
+	}
+	other, _, err := ix.Graph().ApplyEdits(cut)
+	if err != nil || len(cut) == 0 {
+		t.Fatalf("cutting vertex 0's %d in-edges: %v", len(cut), err)
+	}
+	if err := loaded.AttachGraph(other); !errors.Is(err, ErrGraphMismatch) {
+		t.Fatalf("AttachGraph of a graph without vertex 0's in-edges: err = %v, want ErrGraphMismatch", err)
+	}
+	if err := loaded.AttachGraph(ix.Graph()); err != nil {
 		t.Fatal(err)
 	}
 	for q := 0; q < ix.N(); q += 9 {
@@ -77,6 +110,9 @@ func TestSaveFileLoadFile(t *testing.T) {
 	}
 	loaded, err := LoadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.AttachGraph(ix.Graph()); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := ix.SingleSource(context.Background(), 7)

@@ -38,9 +38,13 @@ func buildRange(t *testing.T, g *graph.Graph, opt Options, lo, hi int, attach bo
 		t.Fatal(err)
 	}
 	if !attach {
-		return NewIndex(wi, nil)
+		g = nil
 	}
-	return NewIndex(wi, g)
+	ix, err := NewIndex(wi, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }
 
 // TestMultiSourceBitIdenticalToSingleSource: SingleSource (also into a
@@ -165,8 +169,9 @@ func TestRangeJoinHalvesComposeToJoin(t *testing.T) {
 }
 
 // TestRangeValidation: what every range refuses, in the same words — a
-// source or pair that is no vertex, and, on a partial range only, any row
-// query without the graph foreign walks are recomputed from.
+// source or pair that is no vertex, any score row without the graph the
+// coalescence order is sorted from, and, on a partial range only, a pair
+// or join without the graph foreign walks are recomputed from.
 func TestRangeValidation(t *testing.T) {
 	g := gen.WebGraph(30, 4, 1)
 	opt := Options{Walks: 20, Seed: 1}
@@ -195,10 +200,20 @@ func TestRangeValidation(t *testing.T) {
 		_, errScore := bare.ScorePairs(ctx, []uint64{1<<32 | 2}, 1)
 		_, errPair := bare.Pair(1, 2)
 		for name, err := range map[string]error{"MultiSource": errRows, "SparseRows": errSparse, "JoinCandidates": errCand, "ScorePairs": errScore, "Pair": errPair} {
-			if full := lo == 0 && hi == 30; full && err != nil {
-				t.Errorf("%s on a full range without a graph: %v, want an answer (nothing is foreign)", name, err)
-			} else if !full && (err == nil || !strings.Contains(err.Error(), "needs the source graph")) {
-				t.Errorf("%s on a partial range without a graph: %v, want a refusal", name, err)
+			rows := name == "MultiSource" || name == "SparseRows"
+			switch full := lo == 0 && hi == 30; {
+			case full && rows:
+				if err == nil || !strings.Contains(err.Error(), name+" needs the source graph (AttachGraph after Load)") {
+					t.Errorf("%s on a full range without a graph: %v, want the refusal of a row without its order", name, err)
+				}
+			case full:
+				if err != nil {
+					t.Errorf("%s on a full range without a graph: %v, want an answer (nothing is foreign)", name, err)
+				}
+			default:
+				if err == nil || !strings.Contains(err.Error(), "needs the source graph") {
+					t.Errorf("%s on a partial range without a graph: %v, want a refusal", name, err)
+				}
 			}
 		}
 		if err := bare.AttachGraph(gen.WebGraph(31, 4, 1)); err == nil {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"oipsr/graph"
@@ -53,6 +54,9 @@ func TestBuildFileStreamingByteIdentical(t *testing.T) {
 		}
 		mx, err := LoadFileMapped(gotPath, MappedOptions{})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mx.AttachGraph(g); err != nil {
 			t.Fatal(err)
 		}
 		for q := 0; q < 240; q += 57 {
@@ -101,6 +105,86 @@ func mappedEdits(rng *rand.Rand, g *graph.Graph, size int) []graph.Edit {
 		}
 	}
 	return edits
+}
+
+// sinkEdit removes an in-edge of a vertex no other vertex's walk stands on
+// (it has no out-edges) and that opens no 64-vertex posting block: an edit
+// that moves the walks of that one vertex only.
+func sinkEdit(t *testing.T, g *graph.Graph) graph.Edit {
+	t.Helper()
+	for v := g.NumVertices() - 1; v > 0; v-- {
+		if v%64 != 0 && g.OutDegree(v) == 0 && g.InDegree(v) > 0 {
+			return graph.Edit{Op: graph.EditRemove, U: g.In(v)[0], V: v}
+		}
+	}
+	t.Fatal("no sink with an in-edge opens no posting block")
+	return graph.Edit{}
+}
+
+// TestLoadFileMappedRestartNeedsEditedGraph: a write-back file holds the
+// walks of the edited graph, so reopening it after an edit batch with the
+// graph it was built on is refused with ErrGraphMismatch — every stored
+// walk is checked, so an edit that moves one vertex's walks is enough —
+// and reopening it with the edited graph serves the index a fresh build on
+// that graph gives.
+func TestLoadFileMappedRestartNeedsEditedGraph(t *testing.T) {
+	g := gen.ErdosRenyi(260, 780, 9)
+	opt := Options{Walks: 14, Seed: 3}
+	path := filepath.Join(t.TempDir(), "walks.srwk")
+	if _, err := BuildFileStreaming(g, opt, path, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	mx, err := LoadFileMapped(path, MappedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mx.AttachGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	st, err := mx.ApplyEdits([]graph.Edit{sinkEdit(t, g)}, 2)
+	if err != nil || st.WalksRepaired == 0 {
+		t.Fatalf("edit batch: stats %+v, err %v; want walks repaired", st, err)
+	}
+	edited := mx.Graph()
+	if err := mx.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := LoadFileMapped(path, MappedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if err := reopened.AttachGraph(g); !errors.Is(err, ErrGraphMismatch) {
+		t.Fatalf("reopened on the graph before the batch: err = %v, want ErrGraphMismatch", err)
+	}
+	if _, err := reopened.TopK(context.Background(), 0, 5, nil); err == nil {
+		t.Fatal("TopK after a refused graph answered, want the needGraph refusal")
+	}
+	if err := reopened.AttachGraph(edited); err != nil {
+		t.Fatalf("reopened on the edited graph: %v", err)
+	}
+	fresh, err := BuildIndex(edited, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reopened.Equal(fresh) {
+		t.Fatal("reopened on the edited graph: not the index a fresh build on it gives")
+	}
+	ctx := context.Background()
+	for _, q := range []int{0, 131, 259} {
+		got, err := reopened.SingleSource(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.SingleSource(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("source %d: reopened row differs from a fresh build's", q)
+		}
+	}
 }
 
 // requireSavedAs fails unless the file at path is, byte for byte, what

@@ -229,5 +229,10 @@ func OpenShard(dir string, m *Manifest, i int, mapped bool) (*Shard, error) {
 		return nil, fmt.Errorf("shard: %s does not match its manifest entry (n=%d [%d,%d) c=%v k=%d r=%d seed=%d)",
 			fi.File, wi.N(), wi.Lo(), wi.Hi(), wi.C(), wi.Horizon(), wi.Walks(), wi.Seed())
 	}
-	return &Shard{query.NewIndex(wi, nil)}, nil
+	ix, err := query.NewIndex(wi, nil)
+	if err != nil {
+		wi.Close()
+		return nil, err
+	}
+	return &Shard{ix}, nil
 }

@@ -78,7 +78,11 @@ func Build(g *graph.Graph, opt query.Options, lo, hi int) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Shard{query.NewIndex(wi, g)}, nil
+	ix, err := query.NewIndex(wi, g)
+	if err != nil {
+		return nil, err
+	}
+	return &Shard{ix}, nil
 }
 
 // PartialScores is MultiSource: one partial row per source, row[v-Lo()]
