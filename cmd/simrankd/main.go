@@ -19,8 +19,9 @@
 //	simrankd -gen web -n 5000 -d 11 -addr :8356
 //	simrankd -graph web.txt -index web.idx -walks 200 -addr :8356
 //
-// -index-mmap writes every edit batch back to the -index file, so a
-// restart serves the edited index; a fresh build under it is streamed
+// -index-mmap makes every edit batch durable in an edit log beside the
+// -index file (rewritten into the file at checkpoints and at shutdown), so
+// a restart serves the edited index; a fresh build under it is streamed
 // straight into the file and opened once:
 //
 //	simrankd -graph big.txt -index big.idx -index-mmap
@@ -230,7 +231,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "generator / index seed")
 	flag.StringVar(&o.indexPath, "index", "", "walk-index file: loaded when present, else built and saved here")
 	flag.BoolVar(&o.rebuild, "rebuild", false, "rebuild the index even if -index exists")
-	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: write every /v1/edges batch back to the index file (only the changed blocks are re-encoded), so a restart on the edited graph serves the edited index; the graph before the edits is refused")
+	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: make every /v1/edges batch durable in an edit log beside the index file, rewritten into the file at checkpoints (only the changed vertices are re-encoded), so a restart on the edited graph serves the edited index; the graph before the edits is refused")
 	flag.Float64Var(&o.c, "c", 0.6, "damping factor C")
 	flag.IntVar(&o.k, "k", 0, "walk horizon (0 = derive from -eps)")
 	flag.Float64Var(&o.eps, "eps", 1e-3, "truncation target when -k is 0")
@@ -283,6 +284,7 @@ func main() {
 	}
 
 	var handler http.Handler
+	var served *query.Index // closed after the drain: a write-back index checkpoints its edit log
 	switch o.mode {
 	case "build-shards":
 		t0 := time.Now()
@@ -312,6 +314,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
 			os.Exit(1)
 		}
+		served = idx
 		log.Printf("index: range [%d,%d) of n=%d walks=%d horizon=%d c=%g (%d bytes, %s)",
 			idx.Lo(), idx.Hi(), idx.N(), idx.Walks(), idx.Horizon(), idx.C(), idx.Bytes(), idx.Backend())
 		if o.prewarmExact {
@@ -335,6 +338,12 @@ func main() {
 	if err := run(handler, o.addr, o.drain); err != nil {
 		fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
 		os.Exit(1)
+	}
+	if served != nil {
+		if err := served.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "simrankd: closing the index: %v\n", err)
+			os.Exit(1)
+		}
 	}
 }
 
@@ -391,7 +400,8 @@ func run(handler http.Handler, addr string, drain time.Duration) error {
 // mode. It is loaded from where the flags keep it — the -index file, or
 // that entry of the -shard-dir manifest — and otherwise built. Under
 // -index-mmap the build is streamed into the -index file, which is then
-// opened once and written back to after every edit batch; any other index
+// opened once and keeps every edit batch durable (an edit log beside it,
+// checkpointed into it); any other index
 // is built in memory and saved to -index if given.
 // A loaded index that disagrees with the index-shaping flags is served as
 // it is, with a warning.
@@ -454,7 +464,7 @@ func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, err
 	}
 	t0 := time.Now()
 	if o.indexMmap {
-		// The index is served from the file it writes back to: stream the
+		// The index is served from the file its edits go to: stream the
 		// build into it and open it once.
 		st, err := query.BuildFileStreaming(g, opt, path, query.StreamSliceBytes)
 		if err != nil {

@@ -297,8 +297,8 @@ func TestOpenIndexRestartAfterEdits(t *testing.T) {
 // -index file: in memory and saved without -index-mmap, streamed into the
 // file and opened once with it. Each publishes exactly SaveFile's bytes
 // for query.BuildIndex and serves an index Equal to it; the streamed one
-// writes back, so an edit batch turns its file into SaveFile of the
-// edited index.
+// writes back: after an edit batch the file and its edit log reload to the
+// edited index, and after Close the file is SaveFile of it.
 func TestOpenIndexFreshBuild(t *testing.T) {
 	g := gen.WebGraph(150, 5, 4)
 	opt := query.Options{Walks: 12, Seed: 3, Workers: 2}
@@ -364,11 +364,22 @@ func TestOpenIndexFreshBuild(t *testing.T) {
 			if _, err := idx.ApplyEdits([]graph.Edit{{Op: graph.EditAdd, U: 17, V: 42}, {Op: graph.EditAdd, U: 3, V: 99}}, 1); err != nil {
 				t.Fatal(err)
 			}
+			reloaded, err := query.LoadFile(o.indexPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reloaded.Equal(want) || !reloaded.Equal(idx) {
+				t.Fatal("after an edit batch the file and its edit log do not reload to the edited index")
+			}
+			edited := saved(idx)
+			if err := idx.Close(); err != nil {
+				t.Fatal(err)
+			}
 			if file, err = os.ReadFile(o.indexPath); err != nil {
 				t.Fatal(err)
 			}
-			if bytes.Equal(file, saved(want)) || !bytes.Equal(file, saved(idx)) {
-				t.Fatal("after an edit batch the file is not SaveFile of the edited index")
+			if !bytes.Equal(file, edited) {
+				t.Fatal("after an edit batch and Close the file is not SaveFile of the edited index")
 			}
 		})
 	}

@@ -46,6 +46,12 @@ func WriteFileAt(path string, write func(*os.File) error) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
+	return SyncDir(dir)
+}
+
+// SyncDir fsyncs directory dir, making the creations, renames and removals
+// of names in it durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

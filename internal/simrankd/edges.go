@@ -92,7 +92,7 @@ func (sv *serving) handleEdges(apply func(context.Context, []graph.Edit) (edgesR
 		if err != nil {
 			// Invalid edits are the client's fault; an index beyond the
 			// incremental-maintenance capacity is ours, and so is an index
-			// file the applied batch could not be written back to; a
+			// file the applied batch could not be made durable beside; a
 			// statusError speaks for itself.
 			code := http.StatusBadRequest
 			var se *statusError

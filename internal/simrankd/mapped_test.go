@@ -111,8 +111,8 @@ func TestMappedServesBitIdenticalResponses(t *testing.T) {
 	}
 	compare("post-edit")
 
-	// The edit batch was written back to the file: a fresh load of it must
-	// agree with the live mapped server.
+	// The edit batch is durable beside the file: a fresh load of the file
+	// and its edit log must agree with the live mapped server.
 	reloaded, err := query.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -49,8 +49,9 @@ import (
 // silent misread.
 //
 // Load order — one sequence, run by readFile for both file kinds, whether
-// the index only reads its file (Load) or also writes it back
-// (LoadWriteBack):
+// the index only reads its file (Load, LoadFile) or also writes it back
+// (LoadWriteBack); the path-based openers then replay the file's edit log
+// (editlog.go):
 //
 //  1. header parse + plausibility guards: nothing payload-sized is
 //     allocated from unvalidated fields;
@@ -286,13 +287,16 @@ type validFile struct {
 	dir    []int64      // numBlocks+1 payload byte offsets
 	vlen   []uint32     // per stored vertex: its encoded length in bytes
 	rows   *raggedStore // every row's live prefixes
+	size   int64        // the file's bytes, trailer included
+	crc    uint32       // the trailer checksum
 }
 
-// newIndex is load step 6: the index over the decoded rows, its
-// coalescence order left to AttachGraph.
+// newIndex is load step 6: the index over the decoded rows — the store
+// they were decoded into, not a copy — its coalescence order left to
+// AttachGraph.
 func (f *validFile) newIndex() *Index {
 	h := f.hdr
-	return newIndex(int(h.n), int(h.lo), int(h.hi), int(h.k), int(h.r), h.c, h.seed, joinStores(int(h.r), int(h.k), []*raggedStore{f.rows}))
+	return newIndex(int(h.n), int(h.lo), int(h.hi), int(h.k), int(h.r), h.c, h.seed, f.rows)
 }
 
 // readFile is the one reader: it runs load steps 1–5 over r. Every block
@@ -354,33 +358,35 @@ func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 			rangeErr = fmt.Errorf("walkindex: %s block %d: path entry out of range: %d, n = %d", what, b, top, hdr.n)
 		}
 	}
-	if err := checkTrailer(br, crc, what+" checksum"); err != nil {
+	if f.crc, err = checkTrailer(br, crc, what+" checksum"); err != nil {
 		return nil, err
 	}
 	if rangeErr != nil {
 		return nil, rangeErr
 	}
+	f.size = int64(len(hdr.preamble(int(blockB), len(dir)-1))) + 8*int64(len(dir)) + dir[len(dir)-1] + 4
 	return f, nil
 }
 
 // checkTrailer verifies the stored CRC against everything read so far,
 // then probes one byte past it: Save writes exactly one index per stream,
-// so any trailing byte is ErrTrailingData, not slack to ignore.
-func checkTrailer(br *bufio.Reader, crc hash.Hash32, section string) error {
+// so any trailing byte is ErrTrailingData, not slack to ignore. It returns
+// the checksum.
+func checkTrailer(br *bufio.Reader, crc hash.Hash32, section string) (uint32, error) {
 	want := crc.Sum32()
 	var sum [4]byte
 	if err := readFull(br, nil, sum[:], section); err != nil {
-		return err
+		return 0, err
 	}
 	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
-		return fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, got, want)
+		return 0, fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, got, want)
 	}
 	if _, err := br.ReadByte(); err == nil {
-		return fmt.Errorf("%w (byte after checksum)", ErrTrailingData)
+		return 0, fmt.Errorf("%w (byte after checksum)", ErrTrailingData)
 	} else if err != io.EOF {
-		return fmt.Errorf("walkindex: probing for trailing data: %w", err)
+		return 0, fmt.Errorf("walkindex: probing for trailing data: %w", err)
 	}
-	return nil
+	return want, nil
 }
 
 // readFull is io.ReadFull with a section-labelled truncation error; the

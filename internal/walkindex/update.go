@@ -41,9 +41,10 @@ var ErrTooLarge = errors.New("walkindex: index too large for incremental updates
 // single-node daemon runs — the union of per-range repairs is the
 // single-node repair. The resident store rewrites a repaired group in
 // place or in its tail arena (walkstore.go); an index opened with
-// LoadWriteBack then re-encodes the repaired vertices, and their
-// successors in the same posting block, into its file and copies every
-// other vertex's bytes (writeback.go).
+// LoadWriteBack then appends the repaired walks to its edit log, and at a
+// checkpoint re-encodes the vertices they changed, and their successors
+// in the same posting block, into its file and copies every other
+// vertex's bytes (editlog.go, writeback.go).
 
 // maxWalks bounds width*R so store-local walk ids — (v-lo)*R + fp — fit
 // in the int32 the repair passes them as.
@@ -126,9 +127,10 @@ func firstDirty(start int, path []int32, k int, isDirty []bool) int {
 // coalescence order (forest.patch) — one pass per touched fingerprint,
 // never a re-sort — and the patched order is the one that fresh Build
 // sorts, entry for entry. On an index opened with LoadWriteBack it then
-// writes the repaired vertices back to the file, re-encoding those whose
-// bytes can have changed and copying the rest; if that fails, the error
-// wraps ErrWriteBack and the index in memory is repaired all the same.
+// makes the batch durable: one record of the repaired walks appended to
+// the file's edit log and fsynced, or a checkpoint that rewrites the file
+// (editlog.go); if that fails, the error wraps ErrWriteBack and the index
+// in memory is repaired all the same.
 //
 // A loaded index repairs once AttachGraph has sorted its order, and
 // refuses before. Update must not run concurrently with queries or other
@@ -153,8 +155,7 @@ func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
 	if ix.file == nil {
 		return len(walks), nil
 	}
-	ix.file.markDirty(walks, ix.r)
-	return len(walks), ix.writeBack()
+	return len(walks), ix.persist(walks)
 }
 
 // dirtySet deduplicates dirty into a list and a membership mark over the

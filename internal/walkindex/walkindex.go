@@ -33,8 +33,9 @@
 // the live prefixes only, vertex-major, where an entry past the end of the
 // slice counts as -1. See serialize.go for the on-disk format, which Save
 // writes and Load decodes into that store; an index opened with
-// LoadWriteBack also keeps its file in step with every Update
-// (writeback.go). The coalescence order is sorted from the graph, not from
+// LoadWriteBack also makes every Update durable, in an edit log beside
+// its file that a path-based open replays (editlog.go) and in the file
+// itself at each checkpoint (writeback.go). The coalescence order is sorted from the graph, not from
 // the walks, so a loaded index answers and repairs once AttachGraph has
 // given it the graph its walks were taken on.
 //
@@ -116,8 +117,9 @@ type Index struct {
 	// excluded from Equal, Save and Bytes.
 	forest *forest
 
-	// file is the index file Update writes repairs back to; nil unless
-	// the index was opened with LoadWriteBack (writeback.go).
+	// file is the index file Update makes repairs durable beside — its
+	// edit log, and the file itself at checkpoints; nil unless the index
+	// was opened with LoadWriteBack (writeback.go, editlog.go).
 	file *backing
 }
 
@@ -218,7 +220,7 @@ var errNoGraph = errors.New("walkindex: a loaded index needs its graph attached 
 // attached before — keeps it. Either way g is checked first: every stored
 // walk must be the walk g gives its start vertex, so a stale or wrong graph
 // with the same vertex count — the graph before an edit batch that was
-// written back, say — is refused with an error wrapping ErrGraphMismatch.
+// made durable, say — is refused with an error wrapping ErrGraphMismatch.
 func (ix *Index) AttachGraph(g *graph.Graph, workers int) error {
 	if err := ix.checkGraph(g, workers); err != nil {
 		return err
@@ -373,8 +375,8 @@ func (ix *Index) Seed() int64 { return ix.seed }
 func (ix *Index) Bytes() int64 { return ix.store.Bytes() }
 
 // Backend names how the rows are kept: "dense" when resident only,
-// "write-back" when Update also rewrites the index file they were loaded
-// from.
+// "write-back" when Update also makes its batches durable beside the
+// index file they were loaded from.
 func (ix *Index) Backend() string {
 	if ix.file != nil {
 		return "write-back"
@@ -382,14 +384,20 @@ func (ix *Index) Backend() string {
 	return "dense"
 }
 
-// Close releases the file handle of a write-back index. The index must not
-// be queried afterwards. Closing any other index is a no-op, so callers can
-// defer it unconditionally.
+// Close checkpoints a write-back index whose file lags its rows — the
+// file is then Save's for them and the edit log is gone — and releases
+// the file handle. The index must not be queried afterwards. Closing any
+// other index is a no-op, so callers can defer it unconditionally.
 func (ix *Index) Close() error {
-	if ix.file == nil {
+	bk := ix.file
+	if bk == nil {
 		return nil
 	}
-	return ix.file.f.Close()
+	var err error
+	if bk.logBroken || slices.Contains(bk.dirty, true) {
+		err = ix.checkpoint()
+	}
+	return errors.Join(err, bk.f.Close())
 }
 
 // meetStep returns the first step index t at which two walks of one

@@ -261,7 +261,7 @@ func (s *raggedStore) compact() {
 
 // joinStores concatenates stores over consecutive vertex ranges (none
 // with dead words) into one with exactly sized arrays — Build's per-worker
-// parts, or Load's one.
+// parts.
 func joinStores(r, k int, parts []*raggedStore) *raggedStore {
 	s := newRaggedStore(r, k)
 	nseg, ndata := 0, 0

@@ -11,33 +11,38 @@ import (
 
 // Write-back: the index file as a durable copy of resident rows.
 //
-// LoadWriteBack decodes a file into the resident store like Load, and
-// keeps what the file looks like: its path, its header and block size,
-// its block directory, each stored vertex's encoded length, and an open
-// handle on the bytes it was read from. In the codec a vertex's bytes
-// depend only on its own walks and on its predecessor's in the same block
-// (appendVertexWalks), so after each Update the vertices of the repaired
-// walks and their successors within a block are marked dirty, and the
-// file is rewritten through the one file writer (fileWriter), block by
-// block: every clean block copied verbatim from the old file and every
-// dirty block spliced — dirty vertices re-encoded from the resident rows,
-// the runs of clean vertices between them copied from the old file at
-// offsets summed from the recorded lengths. atomicio publishes the result
-// (temp file, fsync, rename, directory fsync). The encoding is canonical,
-// so the file is byte for byte the one Save writes for the repaired
-// index, at the cost of the vertices an edit batch changed rather than of
-// their blocks.
+// LoadWriteBack decodes a file into the resident store like Load, replays
+// its edit log (editlog.go), and keeps what the file looks like: its path,
+// size and trailer checksum, its header and block size, its block
+// directory, each stored vertex's encoded length, and an open handle on
+// the bytes it was read from. Each Update appends its repaired walks to
+// the log; the file itself is rewritten only at a checkpoint. In the codec
+// a vertex's bytes depend only on its own walks and on its predecessor's
+// in the same block (appendVertexWalks), so every repaired or replayed
+// walk marks its vertex and that vertex's successor within a block dirty,
+// and a checkpoint rewrites the file through the one file writer
+// (fileWriter), block by block: every clean block copied verbatim from the
+// old file and every dirty block spliced — dirty vertices re-encoded from
+// the resident rows, the runs of clean vertices between them copied from
+// the old file at offsets summed from the recorded lengths. atomicio
+// publishes the result (temp file, fsync, rename, directory fsync). The
+// encoding is canonical, so the file is byte for byte the one Save writes
+// for the repaired index, at the cost of the vertices the batches since
+// the last checkpoint changed rather than of their blocks.
 //
 // A failed write — clean bytes the old file no longer holds in full
-// included — publishes nothing: the old file stays as it was and the
-// in-memory index repaired. The directory, the recorded lengths and the
-// dirty flags change only once a new file is published and reopened, so
-// they keep describing the old file, and the next successful write-back
-// persists every batch since the last one. Queries never read the file.
+// included — publishes nothing: the old file and its log stay as they
+// were and the in-memory index repaired. The directory, the recorded
+// lengths and the dirty flags change only once a new file is published
+// and reopened, so they keep describing the old file, and the next
+// successful checkpoint persists every batch since the last one. Queries
+// never read the file.
 
 // ErrWriteBack marks an Update whose repair succeeded — the index in
-// memory answers for the edited graph — but whose write-back to the index
-// file failed, leaving the file at the last successful write-back.
+// memory answers for the edited graph — but whose durable step failed:
+// the append to the edit log, or a checkpoint. The file and its log hold
+// the batches made durable before it; the next batch checkpoints, and so
+// persists every batch since.
 var ErrWriteBack = errors.New("walkindex: writing back the index file")
 
 // writeFile publishes a file atomically. It is a variable so tests can
@@ -48,14 +53,23 @@ var writeFile = atomicio.WriteFileAt
 type backing struct {
 	path    string
 	f       *os.File   // the file as last read or written
+	size    int64      // f's size in bytes
+	crc     uint32     // f's trailer checksum
 	hdr     fileHeader // rewritten verbatim
 	blockB  int
 	payload int64           // offset of the payload within f
 	dir     []int64         // numBlocks+1 payload byte offsets within f
 	vlen    []uint32        // per stored vertex: its encoded length within f
-	dirty   []bool          // per stored vertex: re-encode at the next write-back
+	dirty   []bool          // per stored vertex: re-encode at the next checkpoint
 	enc     []byte          // the block being spliced, reused across blocks
 	spliced []splicedVertex // the re-encoded vertices' new lengths, reused
+
+	// logBytes is the length of f's edit log, header included, 0 when f
+	// has none; logBroken marks a log that missed a batch or ends in a
+	// torn or bad record, which only a checkpoint may follow.
+	logBytes  int64
+	logBroken bool
+	rec, body []byte // the record being appended and its payload, reused
 }
 
 // splicedVertex is a re-encoded vertex and its new encoded length, held
@@ -66,8 +80,10 @@ type splicedVertex struct {
 }
 
 // LoadWriteBack reads the file of the given kind at path into a resident
-// index, exactly as Load does, that writes its repairs back to the file
-// after every Update. Call Close to release the file handle.
+// index, exactly as LoadFile does — its edit log replayed — that makes
+// every Update durable: the batch is appended to the log, and the file
+// rewritten at each checkpoint (editlog.go). Call Close to checkpoint and
+// release the file handle.
 func LoadWriteBack(path string, kind FileKind) (*Index, error) {
 	src, err := os.Open(path)
 	if err != nil {
@@ -79,11 +95,39 @@ func LoadWriteBack(path string, kind FileKind) (*Index, error) {
 		return nil, err
 	}
 	ix := f.newIndex()
+	walks, valid, total, err := ix.replayLog(path, f.size, f.crc)
+	if err != nil {
+		src.Close()
+		return nil, err
+	}
 	blockB, nb := int(f.blockB), len(f.dir)-1
 	ix.file = &backing{
-		path: path, f: src, hdr: f.hdr, blockB: blockB,
+		path: path, f: src, size: f.size, crc: f.crc, hdr: f.hdr, blockB: blockB,
 		payload: int64(len(f.hdr.preamble(blockB, nb))) + 8*int64(nb+1),
 		dir:     f.dir, vlen: f.vlen, dirty: make([]bool, len(f.vlen)),
+	}
+	ix.file.logBytes, ix.file.logBroken = valid, valid < total
+	ix.file.markDirty(walks, ix.r)
+	return ix, nil
+}
+
+// LoadFile reads the file of the given kind at path into a resident index
+// as Load does, then replays the edit log beside it, if one names the
+// file, onto the decoded rows: the index is the one the last durable
+// Update of a write-back index left. It never writes.
+func LoadFile(path string, kind FileKind) (*Index, error) {
+	src, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	f, err := readFile(src, kind)
+	if err != nil {
+		return nil, err
+	}
+	ix := f.newIndex()
+	if _, _, _, err := ix.replayLog(path, f.size, f.crc); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }
@@ -104,7 +148,8 @@ func (bk *backing) markDirty(walks []int32, r int) {
 // writeBack rewrites the backing file from the resident rows, block by
 // block through the file writer: each block spliced (spliceBlock), which
 // copies a clean one whole from the old file. On success the new file
-// becomes the source of clean bytes and nothing is dirty.
+// becomes the source of clean bytes and nothing is dirty. It is the
+// checkpoint's first half (editlog.go).
 func (ix *Index) writeBack() error {
 	bk := ix.file
 	if !slices.Contains(bk.dirty, true) {
@@ -113,6 +158,8 @@ func (ix *Index) writeBack() error {
 	dir := make([]int64, 1, len(bk.dir))
 	bk.spliced = bk.spliced[:0]
 	cur, prev := make([][]int32, 0, ix.r), make([][]int32, 0, ix.r)
+	var size int64
+	var sum uint32
 	err := writeFile(bk.path, func(f *os.File) error {
 		fw := newFileWriter(f, bk.hdr, bk.blockB)
 		for b := range fw.blocks {
@@ -126,7 +173,8 @@ func (ix *Index) writeBack() error {
 			}
 			dir = append(dir, dir[b]+int64(len(bk.enc)))
 		}
-		_, _, err := fw.finish()
+		var err error
+		size, sum, err = fw.finish()
 		return err
 	})
 	if err != nil {
@@ -141,7 +189,7 @@ func (ix *Index) writeBack() error {
 		return fmt.Errorf("%w: reopening %s: %w", ErrWriteBack, bk.path, err)
 	}
 	bk.f.Close()
-	bk.f, bk.dir = nf, dir
+	bk.f, bk.size, bk.crc, bk.dir = nf, size, sum, dir
 	for _, sv := range bk.spliced {
 		bk.vlen[sv.v] = sv.len
 	}

@@ -90,6 +90,23 @@ func requireFile(t *testing.T, path string, want []byte, what string) {
 	}
 }
 
+// requireDurable fails unless the file at path and its edit log reload
+// (LoadFile) to fresh, and, when no log is pending beside it — a
+// checkpoint has just run — unless the file is want, byte for byte.
+func requireDurable(t *testing.T, path string, kind FileKind, fresh *Index, want []byte, what string) {
+	t.Helper()
+	reloaded, err := LoadFile(path, kind)
+	if err != nil {
+		t.Fatalf("%s: reload: %v", what, err)
+	}
+	if !reloaded.Equal(fresh) {
+		t.Fatalf("%s: the file and its log reload to another index than a fresh build", what)
+	}
+	if _, err := os.Stat(logPath(path)); os.IsNotExist(err) {
+		requireFile(t, path, want, what+", after a checkpoint")
+	}
+}
+
 // hubN is the vertex count of hubGraph, and hubLo, hubHi its hubs.
 const hubN, hubLo, hubHi = 59, 40, 43
 
@@ -187,7 +204,9 @@ func TestMappedByteIdenticalQueries(t *testing.T) {
 // TestMappedUpdatePersists drives a seeded edit stream through a
 // write-back index, over files of the default block size and of an odd
 // one: after every batch the index equals a fresh build on the edited
-// graph, and the file is that build's file, byte for byte.
+// graph, the file and its edit log reload to that build, and the file is
+// that build's file, byte for byte, after every checkpoint — the log
+// reaching its share of the file — and after Close.
 func TestMappedUpdatePersists(t *testing.T) {
 	g0 := gen.CitationGraph(300, 4, 5)
 	opt := Options{Walks: 15, Seed: 4}
@@ -219,7 +238,18 @@ func TestMappedUpdatePersists(t *testing.T) {
 			if !wb.Equal(fresh) {
 				t.Fatalf("block size %d, batch %d: write-back Update != fresh Build", blockB, batch)
 			}
-			requireFile(t, path, saveBlocked(t, fresh, IndexFile, blockB), "after a batch")
+			requireDurable(t, path, IndexFile, fresh, saveBlocked(t, fresh, IndexFile, blockB), fmt.Sprintf("block size %d, batch %d", blockB, batch))
+		}
+		if err := wb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := buildFull(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireFile(t, path, saveBlocked(t, fresh, IndexFile, blockB), "after Close")
+		if _, err := os.Stat(logPath(path)); !os.IsNotExist(err) {
+			t.Fatalf("block size %d: Close left the edit log (stat err %v)", blockB, err)
 		}
 	}
 }
@@ -228,7 +258,9 @@ func TestMappedUpdatePersists(t *testing.T) {
 // block sizes 1, 3 and 13, as an index file and as a shard range: a
 // block's first vertex, its last, the last of the short final block,
 // adjacent vertices within a block and across a boundary. After every
-// batch the file is a fresh build's, byte for byte.
+// batch the file and its edit log reload to a fresh build, and after a
+// checkpoint following every batch the file is that build's, byte for
+// byte.
 func TestWriteBackSpliceBoundaries(t *testing.T) {
 	opt := Options{K: 6, Walks: 5, Seed: 3}
 	for _, kind := range []FileKind{IndexFile, ShardFile} {
@@ -272,7 +304,13 @@ func TestWriteBackSpliceBoundaries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireFile(t, path, saveBlocked(t, fresh, kind, blockB), fmt.Sprintf("%s, block size %d, targets %v", kind, blockB, targets))
+				what := fmt.Sprintf("%s, block size %d, targets %v", kind, blockB, targets)
+				want := saveBlocked(t, fresh, kind, blockB)
+				requireDurable(t, path, kind, fresh, want, what)
+				if err := wb.checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				requireFile(t, path, want, what)
 			}
 		}
 	}
@@ -312,8 +350,9 @@ func TestPrefetchShardEquivalence(t *testing.T) {
 }
 
 // TestShardMappedByteIdentical: a shard range opened for write-back equals
-// the built range, and after an edit batch its file is a fresh shard
-// build's, byte for byte, and reopens as that build.
+// the built range; after an edit batch its file and edit log reload to a
+// fresh shard build, after Close its file is that build's, byte for byte,
+// and it reopens as that build.
 func TestShardMappedByteIdentical(t *testing.T) {
 	g := gen.WebGraph(400, 5, 17)
 	opt := Options{Walks: 20, Seed: 6}
@@ -341,7 +380,12 @@ func TestShardMappedByteIdentical(t *testing.T) {
 	if !wb.Equal(fresh) {
 		t.Fatal("write-back shard Update != fresh shard build")
 	}
-	requireFile(t, path, saveBytes(t, fresh, ShardFile), "shard after a batch")
+	want := saveBytes(t, fresh, ShardFile)
+	requireDurable(t, path, ShardFile, fresh, want, "shard after a batch")
+	if err := wb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireFile(t, path, want, "shard after Close")
 	if reopened := openWriteBack(t, path, ShardFile, next); !reopened.Equal(fresh) {
 		t.Fatal("reopened shard file != fresh shard build")
 	}
@@ -386,8 +430,9 @@ func TestMappedConcurrentReaders(t *testing.T) {
 
 // TestPrefetchConcurrentReadersAndEdits is the race gate for edits:
 // readers query a write-back index while a writer applies edit batches,
-// each of which rewrites the file. The reader/writer lock mirrors how
-// simrankd serializes edits against queries. Run under -race in CI.
+// each of which appends to the edit log or checkpoints the file. The
+// reader/writer lock mirrors how simrankd serializes edits against
+// queries. Run under -race in CI.
 func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
 	g := gen.WebGraph(400, 5, 31)
 	opt := Options{Walks: 12, Seed: 8}
@@ -450,7 +495,12 @@ func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
 	if !wb.Equal(fresh) {
 		t.Fatal("write-back index diverged from a fresh build after concurrent edits")
 	}
-	requireFile(t, path, saveBytes(t, fresh, IndexFile), "after concurrent edits")
+	want := saveBytes(t, fresh, IndexFile)
+	requireDurable(t, path, IndexFile, fresh, want, "after concurrent edits")
+	if err := wb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireFile(t, path, want, "after concurrent edits and Close")
 }
 
 // TestLoadMappedRejections: what only the write-back opening can get
@@ -479,12 +529,14 @@ func TestLoadMappedRejections(t *testing.T) {
 	}
 }
 
-// TestWriteBackFailureKeepsOldFile injects a write that fails once: the
-// file stays as it was, byte for byte, while the index in memory is the
-// repaired one; the next successful batch writes both batches. The two
-// batches repair neighbouring vertices of one block, so the second splices
-// clean runs around the first's vertices: had the failed write committed
-// their new lengths, those runs would be read at the wrong offsets.
+// TestWriteBackFailureKeepsOldFile injects a checkpoint write that fails:
+// the file stays as it was, byte for byte, its edit log still replays to
+// the repaired index, and the index in memory is the repaired one; the
+// next batch checkpoints instead of appending, and writes both batches.
+// The two batches repair neighbouring vertices of one block, so the
+// second splices clean runs around the first's vertices: had the failed
+// write committed their new lengths, those runs would be read at the
+// wrong offsets.
 func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	g := hubGraph(11)
 	opt := Options{K: 6, Walks: 10, Seed: 6}
@@ -499,6 +551,16 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	}
 	wb := openWriteBack(t, path, IndexFile, g)
 
+	rng := rand.New(rand.NewSource(9))
+	g1, err := updateTargets(t, rng, wb, g, []int{20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh1, err := buildFull(g1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	injected := errors.New("injected write failure")
 	real := writeFile
 	t.Cleanup(func() { writeFile = real })
@@ -510,22 +572,16 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 			return injected // the temp file is complete, but never published
 		})
 	}
-
-	rng := rand.New(rand.NewSource(9))
-	g1, err := updateTargets(t, rng, wb, g, []int{20})
-	if !errors.Is(err, ErrWriteBack) || !errors.Is(err, injected) {
-		t.Fatalf("Update under a failing write: err = %v, want ErrWriteBack wrapping the injected error", err)
+	if err := wb.checkpoint(); !errors.Is(err, ErrWriteBack) || !errors.Is(err, injected) {
+		t.Fatalf("checkpoint under a failing write: err = %v, want ErrWriteBack wrapping the injected error", err)
 	}
 	requireFile(t, path, before, "after the failed write")
-	fresh1, err := buildFull(g1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireDurable(t, path, IndexFile, fresh1, nil, "after the failed write")
 	if !wb.Equal(fresh1) {
 		t.Fatal("after the failed write the index is not the repaired one")
 	}
-	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
-		t.Fatalf("the failed write left %d files behind (err %v)", len(entries), err)
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 2 {
+		t.Fatalf("the failed write left %d files beside the file and its log (err %v)", len(entries)-2, err)
 	}
 
 	writeFile = real
@@ -541,13 +597,17 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 		t.Fatal("write-back Update != fresh Build after the recovery batch")
 	}
 	requireFile(t, path, saveBytes(t, fresh2, IndexFile), "after the recovery batch")
+	if _, err := os.Stat(logPath(path)); !os.IsNotExist(err) {
+		t.Fatalf("the recovery batch did not checkpoint: its log remains (stat err %v)", err)
+	}
 }
 
 // TestWriteBackShortReadIsError: clean bytes that cannot be read back in
 // full from the old file — its handle closed, or holding fewer bytes than
 // the recorded lengths, inside a spliced block or in a clean block of its
-// own — fail the write-back before anything is published. The file stays
-// as it was, no temp file is left, and the index in memory is repaired.
+// own — fail the checkpoint before anything is published. The file and
+// its edit log stay as they were, no temp file is left, and the index in
+// memory is repaired.
 func TestWriteBackShortReadIsError(t *testing.T) {
 	// cut swaps the handle for one on a copy of the file that ends at
 	// payload byte at.
@@ -604,12 +664,15 @@ func TestWriteBackShortReadIsError(t *testing.T) {
 			}
 
 			g1, err := updateTargets(t, rand.New(rand.NewSource(1)), wb, g, []int{tc.target})
-			if !errors.Is(err, ErrWriteBack) {
-				t.Fatalf("Update over an unreadable old file: err = %v, want ErrWriteBack", err)
+			if err != nil {
+				t.Fatalf("Update appends to the log, never reading the old file: %v", err)
+			}
+			if err := wb.checkpoint(); !errors.Is(err, ErrWriteBack) {
+				t.Fatalf("checkpoint over an unreadable old file: err = %v, want ErrWriteBack", err)
 			}
 			requireFile(t, path, before, "after the failed read")
-			if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
-				t.Fatalf("the failed write-back left %d files behind (err %v)", len(entries), err)
+			if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 2 {
+				t.Fatalf("the failed checkpoint left %d files beside the file and its log (err %v)", len(entries)-2, err)
 			}
 			fresh, err := buildFull(g1, opt)
 			if err != nil {
@@ -618,19 +681,17 @@ func TestWriteBackShortReadIsError(t *testing.T) {
 			if !wb.Equal(fresh) {
 				t.Fatal("after the failed read the index is not the repaired one")
 			}
+			requireDurable(t, path, IndexFile, fresh, nil, "after the failed read")
 		})
 	}
 }
 
-// BenchmarkWriteBack times the write-back of 8-edit batches on the
-// mapped-edits shape — a citation graph of 15000 vertices, 100 walks a
-// vertex, a file under b.TempDir() — one batch per op: the repair and the
-// marking are untimed, the splice and the atomic rewrite timed. It reports
-// the vertices re-encoded per batch.
-func BenchmarkWriteBack(b *testing.B) {
+// openBenchWriteBack opens the mapped-edits shape for write-back — a
+// citation graph of 15000 vertices, 100 walks a vertex, a file under
+// b.TempDir() — and returns it with its graph.
+func openBenchWriteBack(b *testing.B) (*Index, *graph.Graph) {
 	g := gen.CitationGraph(15000, 4, 1)
-	opt := Options{Walks: 100, Seed: 1}
-	built, err := buildFull(g, opt)
+	built, err := buildFull(g, Options{Walks: 100, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -642,28 +703,83 @@ func BenchmarkWriteBack(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ix.Close()
+	b.Cleanup(func() { ix.Close() })
 	attach(b, ix, g)
+	return ix, g
+}
+
+// benchRepair applies a seeded 8-edit batch to g through the repair
+// alone and returns the edited graph and the repaired walks.
+func benchRepair(b *testing.B, rng *rand.Rand, ix *Index, g *graph.Graph) (*graph.Graph, []int32) {
+	next, sum, err := g.ApplyEdits(editBatch(rng, g, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return next, ix.repair(next, sum.DirtyIn, 1)
+}
+
+// BenchmarkWriteBack times the durable step of 8-edit batches on the
+// mapped-edits shape, one batch per op: the repair untimed, then what
+// Update does after it timed — the batch's record appended to the edit
+// log and fsynced or, once the log has reached its share of the file, a
+// checkpoint. It reports the log bytes appended and the checkpoints run
+// per batch.
+func BenchmarkWriteBack(b *testing.B) {
+	ix, g := openBenchWriteBack(b)
 	rng := rand.New(rand.NewSource(1))
-	encoded := 0
+	var logBytes int64
+	checkpoints := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		next, sum, err := g.ApplyEdits(editBatch(rng, g, 8))
-		if err != nil {
+		var walks []int32
+		g, walks = benchRepair(b, rng, ix, g)
+		before := ix.file.logBytes
+		b.StartTimer()
+		if err := ix.persist(walks); err != nil {
 			b.Fatal(err)
 		}
-		g = next
-		ix.file.markDirty(ix.repair(g, sum.DirtyIn, 1), ix.r)
+		if ix.file.logBytes == 0 {
+			checkpoints++
+		} else {
+			logBytes += ix.file.logBytes - before
+		}
+	}
+	b.ReportMetric(float64(logBytes)/float64(b.N), "log_bytes/op")
+	b.ReportMetric(float64(checkpoints)/float64(b.N), "checkpoints/op")
+}
+
+// BenchmarkCheckpoint times a checkpoint on its own, over a log that has
+// just reached its share of the file, as Update runs it: each op appends
+// untimed 8-edit batches until the log holds 1/logShare of the file, then
+// rewrites the file and removes the log, timed. It reports the batches
+// and the vertices re-encoded per checkpoint.
+func BenchmarkCheckpoint(b *testing.B) {
+	ix, g := openBenchWriteBack(b)
+	rng := rand.New(rand.NewSource(1))
+	batches, encoded := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for ix.file.logBytes < ix.file.size/logShare {
+			var walks []int32
+			g, walks = benchRepair(b, rng, ix, g)
+			ix.file.markDirty(walks, ix.r)
+			if err := ix.appendLog(walks); err != nil {
+				b.Fatal(err)
+			}
+			batches++
+		}
 		for _, d := range ix.file.dirty {
 			if d {
 				encoded++
 			}
 		}
 		b.StartTimer()
-		if err := ix.writeBack(); err != nil {
+		if err := ix.checkpoint(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(batches)/float64(b.N), "batches/op")
 	b.ReportMetric(float64(encoded)/float64(b.N), "vertices_encoded/op")
 }

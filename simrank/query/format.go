@@ -4,15 +4,16 @@ import (
 	"os"
 
 	"oipsr/graph"
-	"oipsr/internal/atomicio"
 	"oipsr/internal/walkindex"
 )
 
 // Streaming builds and write-back loading, re-exported from
 // oipsr/internal/walkindex. There is one on-disk format and one writer of
 // it: Save, SaveFile and BuildFileStreaming write it, Load, LoadFile and
-// LoadFileMapped read it, and an index from LoadFileMapped writes it back
-// after every edit batch, all through the same file writer.
+// LoadFileMapped read it, and an index from LoadFileMapped rewrites it at
+// each checkpoint, all through the same file writer. Between checkpoints
+// its edit batches go to an edit log beside the file (path + ".log"),
+// which LoadFile and LoadFileMapped replay.
 
 // FormatVersion is the on-disk format revision this build reads and
 // writes.
@@ -25,9 +26,9 @@ type MappedOptions struct{}
 
 // ErrWriteBack marks an Update or ApplyEdits on an index from
 // LoadFileMapped whose batch was applied in memory — graph, walks and
-// generation — but not written back to the index file. The file keeps the
-// last batch that was written; the next successful write-back persists
-// every batch since.
+// generation — but not made durable: the append to the edit log, or the
+// checkpoint, failed. The file and its log keep the batches made durable
+// before; the next batch checkpoints, which persists every batch since.
 var ErrWriteBack = walkindex.ErrWriteBack
 
 // BuildStreamStats reports what a streaming build wrote; see
@@ -44,10 +45,11 @@ const StreamSliceBytes = 64 << 20
 // whole posting blocks sized to budgetBytes and encoded straight into the
 // file, so peak builder memory is bounded by the budget plus 8 B a block,
 // not by n. The file is byte-identical to BuildIndex + SaveFile and is
-// published atomically (temp, fsync, rename).
+// published atomically (temp, fsync, rename), after any edit log of the
+// file it replaces is removed.
 func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes int64) (*BuildStreamStats, error) {
 	var st *walkindex.StreamStats
-	err := atomicio.WriteFileAt(path, func(f *os.File) error {
+	err := walkindex.PublishFile(path, func(f *os.File) error {
 		var err error
 		st, err = walkindex.BuildStreaming(g, opt, 0, g.NumVertices(), walkindex.IndexFile, f, budgetBytes)
 		return err
@@ -58,15 +60,22 @@ func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes in
 	return st, nil
 }
 
-// LoadFileMapped opens an index file whose edits are written back: the
-// file is read and validated exactly as LoadFile reads it, and answers are
-// bit-identical to LoadFile's, but after every Update or ApplyEdits batch
-// the posting blocks of the repaired vertices are re-encoded and the file
-// is republished atomically (temp, fsync, rename), clean blocks copied
-// verbatim. The file then equals SaveFile of the repaired index, byte for
-// byte. Queries never read the file. Like LoadFile's, the index answers
-// and takes edits once AttachGraph has given it its graph. Call Close when
-// done to release the file handle.
+// LoadFileMapped opens an index file whose edits are made durable: the
+// file is read and validated, and its edit log replayed, exactly as
+// LoadFile does, and answers are bit-identical to LoadFile's. After every
+// Update or ApplyEdits batch the repaired walks are appended to the edit
+// log beside the file (path + ".log") and fsynced — the batch's cost, not
+// the file's. A crash at any point leaves the file and a log whose whole
+// records LoadFile replays: every batch that returned without an error,
+// at most the batch in flight lost, never a part of one. The file is
+// rewritten at a checkpoint: once the log reaches 1/8 of the file, on
+// the batch after a failed append, and on Close. A checkpoint re-encodes
+// the vertices the batches changed, copies every other block verbatim,
+// publishes the file atomically (temp, fsync, rename) and then removes
+// the log, so after it the file equals SaveFile of the repaired index,
+// byte for byte. Queries never read the file. Like LoadFile's, the index
+// answers and takes edits once AttachGraph has given it its graph. Call
+// Close when done, to checkpoint and release the file handle.
 func LoadFileMapped(path string, _ MappedOptions) (*Index, error) {
 	wi, err := walkindex.LoadWriteBack(path, walkindex.IndexFile)
 	if err != nil {
@@ -77,9 +86,11 @@ func LoadFileMapped(path string, _ MappedOptions) (*Index, error) {
 
 // Backend reports how the walk rows are kept: "dense" when in memory only,
 // "write-back" for an index from LoadFileMapped or OpenShard(…, true),
-// whose edit batches are also written to its file.
+// whose edit batches are also made durable beside its file.
 func (ix *Index) Backend() string { return ix.wi.Backend() }
 
-// Close releases the file handle of a write-back index; closing any other
-// index does nothing. The index must not be used afterwards.
+// Close checkpoints a write-back index whose file lags its edits, so the
+// file is SaveFile's for it and its edit log is gone, and releases the
+// file handle; closing any other index does nothing. The index must not be
+// used afterwards.
 func (ix *Index) Close() error { return ix.wi.Close() }

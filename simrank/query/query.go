@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"oipsr/graph"
-	"oipsr/internal/atomicio"
 	"oipsr/internal/linsr"
 	"oipsr/internal/par"
 	"oipsr/internal/sparserow"
@@ -255,7 +254,7 @@ func (ix *Index) PrepareUpdates(workers int) error {
 // all CPUs. g must be the graph the index's walks were taken on (or
 // repaired to). A graph with another vertex count is refused, and so is
 // one on which any stored walk would be taken otherwise — the graph before
-// an edit batch written back to a LoadFileMapped file, for one — since the
+// an edit batch made durable beside a LoadFileMapped file, for one — since the
 // order sorted from it would silently disagree with the rows: the error
 // wraps ErrGraphMismatch.
 func (ix *Index) AttachGraph(g *graph.Graph) error {
@@ -572,19 +571,22 @@ func Load(r io.Reader) (*Index, error) {
 // which is fsynced, renamed over path, and the directory is fsynced so the
 // rename itself survives a crash. A crash at any point leaves either the
 // old file or the complete new one — never a truncated or empty index.
+// An edit log beside the old file (see LoadFileMapped) is removed before
+// the new file is published.
 func (ix *Index) SaveFile(path string) error {
 	if err := ix.needFull("Save"); err != nil {
 		return err
 	}
-	return atomicio.WriteFileAt(path, func(f *os.File) error { return ix.wi.SaveAt(f, walkindex.IndexFile) })
+	return walkindex.PublishFile(path, func(f *os.File) error { return ix.wi.SaveAt(f, walkindex.IndexFile) })
 }
 
-// LoadFile reads an index from path.
+// LoadFile reads an index from path as Load does, then replays the edit
+// log an index from LoadFileMapped keeps beside the file, if one names
+// it: the result is the index as of that index's last durable batch.
 func LoadFile(path string) (*Index, error) {
-	f, err := os.Open(path)
+	wi, err := walkindex.LoadFile(path, walkindex.IndexFile)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	return NewIndex(wi, nil)
 }

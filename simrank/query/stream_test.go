@@ -212,11 +212,38 @@ func requireSavedAs(t *testing.T, path string, g *graph.Graph, opt Options, what
 	}
 }
 
+// requireReloadsAs fails unless LoadFile of path — the file and its edit
+// log — is a fresh build on g.
+func requireReloadsAs(t *testing.T, path string, g *graph.Graph, opt Options, what string) {
+	t.Helper()
+	fresh, err := BuildIndex(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if !got.Equal(fresh) {
+		t.Fatalf("%s: the index file and its edit log reload to another index than a fresh build", what)
+	}
+}
+
+// requireNoLog fails unless no edit log is left beside path.
+func requireNoLog(t *testing.T, path, what string) {
+	t.Helper()
+	if _, err := os.Stat(path + ".log"); !os.IsNotExist(err) {
+		t.Fatalf("%s: an edit log is left beside the file (stat err %v)", what, err)
+	}
+}
+
 // TestLoadFileMappedWritesBack drives a seeded edit stream through an
-// index from LoadFileMapped: after every batch its file is SaveFile of a
-// fresh build on the edited graph, byte for byte. A batch whose write-back
-// fails (its directory is gone) is applied all the same — graph, walks,
-// generation — reports ErrWriteBack, and is persisted by the next batch.
+// index from LoadFileMapped: after every batch LoadFile of its file and
+// edit log is a fresh build on the edited graph, and after Close the file
+// is SaveFile of that build, byte for byte, with no log left. A batch
+// whose append fails (its directory is gone) is applied all the same —
+// graph, walks, generation — reports ErrWriteBack, and the next batch
+// checkpoints, which persists it.
 func TestLoadFileMappedWritesBack(t *testing.T) {
 	g := gen.CitationGraph(260, 4, 9)
 	opt := Options{Walks: 14, Seed: 3}
@@ -245,7 +272,7 @@ func TestLoadFileMappedWritesBack(t *testing.T) {
 		if _, err := mx.ApplyEdits(mappedEdits(rng, mx.Graph(), 1+batch), 2); err != nil {
 			t.Fatal(err)
 		}
-		requireSavedAs(t, path, mx.Graph(), opt, fmt.Sprintf("batch %d", batch))
+		requireReloadsAs(t, path, mx.Graph(), opt, fmt.Sprintf("batch %d", batch))
 	}
 
 	if err := os.RemoveAll(dir); err != nil {
@@ -270,4 +297,87 @@ func TestLoadFileMappedWritesBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSavedAs(t, path, mx.Graph(), opt, "after the recovery batch")
+	requireNoLog(t, path, "after the recovery batch")
+
+	if _, err := mx.ApplyEdits(mappedEdits(rng, mx.Graph(), 3), 2); err != nil {
+		t.Fatal(err)
+	}
+	requireReloadsAs(t, path, mx.Graph(), opt, "a batch after the recovery")
+	if err := mx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireSavedAs(t, path, mx.Graph(), opt, "after Close")
+	requireNoLog(t, path, "after Close")
+}
+
+// TestRebuildDropsEditLog: an edit log left beside a file — by a crash,
+// here by restoring it after Close — must not replay onto a file that
+// SaveFile or BuildFileStreaming publishes at the same path, even when the
+// new file has the very bytes the log names.
+func TestRebuildDropsEditLog(t *testing.T) {
+	g := gen.ErdosRenyi(200, 700, 4)
+	opt := Options{Walks: 10, Seed: 8}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "walks.srwk")
+	if _, err := BuildFileStreaming(g, opt, path, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	base, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mx, err := LoadFileMapped(path, MappedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mx.AttachGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := mx.ApplyEdits([]graph.Edit{sinkEdit(t, g)}, 2); err != nil || st.WalksRepaired == 0 {
+		t.Fatalf("edit batch: stats %+v, err %v; want walks repaired", st, err)
+	}
+	edited := mx.Graph()
+	log, err := os.ReadFile(path + ".log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	crashed := func() { // the file and log as a crash before Close leaves them
+		t.Helper()
+		if err := os.WriteFile(path, base, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+".log", log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		requireReloadsAs(t, path, edited, opt, "the file and its pending log")
+	}
+	fresh, err := BuildIndex(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, publish := range []struct {
+		name string
+		run  func() error
+	}{
+		{"BuildFileStreaming", func() error { _, err := BuildFileStreaming(g, opt, path, 1<<20); return err }},
+		{"SaveFile", func() error { return fresh.SaveFile(path) }},
+	} {
+		crashed()
+		if err := publish.run(); err != nil {
+			t.Fatal(err)
+		}
+		requireNoLog(t, path, publish.name)
+		requireSavedAs(t, path, g, opt, publish.name)
+		reopened, err := LoadFileMapped(path, MappedOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reopened.AttachGraph(g); err != nil {
+			t.Fatalf("%s over a stale log: the graph it was built on is refused: %v", publish.name, err)
+		}
+		reopened.Close()
+	}
 }

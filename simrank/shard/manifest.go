@@ -28,8 +28,9 @@ import (
 // corruption-detection stance as the binary index formats, kept
 // line-oriented so operators can still read and diff it. Both the manifest
 // and every shard file are published with the fsync-then-rename idiom
-// (oipsr/internal/atomicio), so a crashed build never leaves a torn
-// directory, only a missing one.
+// (oipsr/internal/atomicio; a shard file through walkindex.PublishFile,
+// which also removes the edit log of the file it replaces), so a crashed
+// build never leaves a torn directory, only a missing one.
 
 // ManifestVersion is the current manifest format revision.
 const ManifestVersion = 1
@@ -96,7 +97,7 @@ func BuildAll(g *graph.Graph, opt query.Options, dir string, shards int) (*Manif
 		// Eps) — the manifest records what was built, not the possibly-zero
 		// request — and the trailer CRC, which is the manifest's convention.
 		var st *walkindex.StreamStats
-		err := atomicio.WriteFileAt(filepath.Join(dir, name), func(f *os.File) error {
+		err := walkindex.PublishFile(filepath.Join(dir, name), func(f *os.File) error {
 			var err error
 			st, err = walkindex.BuildStreaming(g, opt, r.Lo, r.Hi, walkindex.ShardFile, f, query.StreamSliceBytes)
 			return err
@@ -184,11 +185,14 @@ func LoadManifest(dir string) (*Manifest, error) {
 }
 
 // OpenShard loads shard i of a manifest from dir into memory — with
-// mapped, as an index that writes every edit batch back to the shard file
-// (see query.LoadFileMapped) — verifying the file against the manifest's checksum, by a streaming read
-// that never holds more than a buffer of it, and the loaded parameters
-// against the manifest's before trusting it. The returned shard has no
-// graph attached; call AttachGraph before serving.
+// mapped, as an index that makes every edit batch durable beside the
+// shard file (see query.LoadFileMapped) — verifying the file against the
+// manifest's checksum, by a streaming read that never holds more than a
+// buffer of it, and the loaded parameters against the manifest's before
+// trusting it. A shard file with edits in its edit log is an edited
+// shard, no longer the manifest's, and is refused with ErrShardChecksum
+// like one whose edits a checkpoint wrote into it. The returned shard has
+// no graph attached; call AttachGraph before serving.
 func OpenShard(dir string, m *Manifest, i int, mapped bool) (*Shard, error) {
 	if i < 0 || i >= len(m.Shards) {
 		return nil, fmt.Errorf("shard: shard ordinal %d outside [0,%d)", i, len(m.Shards))
@@ -213,6 +217,11 @@ func OpenShard(dir string, m *Manifest, i int, mapped bool) (*Shard, error) {
 	}
 	if got := fmt.Sprintf("%08x", crc.Sum32()); got != fi.CRC32 {
 		return nil, fmt.Errorf("%w: %s has crc %s, manifest says %s", ErrShardChecksum, fi.File, got, fi.CRC32)
+	}
+	if pending, err := walkindex.LogPending(path, st.Size(), crc.Sum32()); err != nil {
+		return nil, err
+	} else if pending {
+		return nil, fmt.Errorf("%w: %s has edits in its edit log", ErrShardChecksum, fi.File)
 	}
 	var wi *walkindex.Index
 	if mapped {

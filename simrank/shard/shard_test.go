@@ -513,6 +513,8 @@ func TestShardValidation(t *testing.T) {
 
 // TestOpenShardMappedWritesBack drives a seeded edit stream through every
 // shard of a directory opened with OpenShard(…, true): after every batch
+// each shard equals a fresh build of its range on the edited graph, and
+// OpenShard refuses it while its edit log holds the batches; after Close
 // each shard file is, byte for byte, the file BuildAll writes for the
 // edited graph.
 func TestOpenShardMappedWritesBack(t *testing.T) {
@@ -544,28 +546,108 @@ func TestOpenShardMappedWritesBack(t *testing.T) {
 				edits = append(edits, graph.Edit{Op: graph.EditAdd, U: rng.Intn(g.NumVertices()), V: v})
 			}
 		}
-		for _, sh := range shards {
-			if _, err := sh.ApplyEdits(edits, 2); err != nil {
+		for i, sh := range shards {
+			st, err := sh.ApplyEdits(edits, 2)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if _, err := OpenShard(dir, m, i, false); st.WalksRepaired > 0 && !errors.Is(err, ErrShardChecksum) {
+				t.Fatalf("batch %d: shard %d with edits pending: OpenShard err = %v, want ErrShardChecksum", batch, i, err)
 			}
 		}
 		g = shards[0].Graph()
-		fresh := t.TempDir()
-		if _, err := BuildAll(g, opt, fresh, len(shards)); err != nil {
+		for i, fi := range m.Shards {
+			fresh, err := Build(g, opt, fi.Lo, fi.Hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !shards[i].Equal(fresh.Index) {
+				t.Fatalf("batch %d: shard %d differs from a fresh build of its range", batch, i)
+			}
+		}
+	}
+	fresh := t.TempDir()
+	if _, err := BuildAll(g, opt, fresh, len(shards)); err != nil {
+		t.Fatal(err)
+	}
+	for i, fi := range m.Shards {
+		if err := shards[i].Close(); err != nil {
 			t.Fatal(err)
 		}
-		for _, fi := range m.Shards {
-			got, err := os.ReadFile(filepath.Join(dir, fi.File))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join(fresh, fi.File))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("batch %d: %s differs from a fresh BuildAll's", batch, fi.File)
-			}
+		got, err := os.ReadFile(filepath.Join(dir, fi.File))
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, err := os.ReadFile(filepath.Join(fresh, fi.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("after Close: %s differs from a fresh BuildAll's", fi.File)
+		}
+		if _, err := os.Stat(filepath.Join(dir, fi.File+".log")); !os.IsNotExist(err) {
+			t.Fatalf("after Close: %s keeps an edit log (stat err %v)", fi.File, err)
+		}
+	}
+}
+
+// TestBuildAllDropsEditLogs: an edit log left beside a shard file — by a
+// crash, here by restoring it after Close — makes OpenShard refuse the
+// shard, and BuildAll into the same directory removes it, so the rebuilt
+// shard, whose bytes are the very ones the log names, opens and takes the
+// graph it was built on.
+func TestBuildAllDropsEditLogs(t *testing.T) {
+	g := gen.CitationGraph(150, 4, 11)
+	opt := query.Options{Walks: 10, Seed: 2, Workers: 1}
+	dir := t.TempDir()
+	m, err := BuildAll(g, opt, dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, m.Shards[1].File)
+	base, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := OpenShard(dir, m, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.AttachGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	edits := []graph.Edit{{Op: graph.EditAdd, U: 3, V: 120}, {Op: graph.EditAdd, U: 7, V: 149}, {Op: graph.EditAdd, U: 90, V: 100}}
+	if st, err := sh.ApplyEdits(edits, 1); err != nil || st.WalksRepaired == 0 {
+		t.Fatalf("edit batch: stats %+v, err %v; want walks repaired", st, err)
+	}
+	log, err := os.ReadFile(path + ".log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".log", log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenShard(dir, m, 1, true); !errors.Is(err, ErrShardChecksum) {
+		t.Fatalf("shard with a pending edit log: err = %v, want ErrShardChecksum", err)
+	}
+	if m, err = BuildAll(g, opt, dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".log"); !os.IsNotExist(err) {
+		t.Fatalf("BuildAll left the edit log (stat err %v)", err)
+	}
+	reopened, err := OpenShard(dir, m, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if err := reopened.AttachGraph(g); err != nil {
+		t.Fatalf("rebuilt shard over a stale log: %v", err)
 	}
 }
