@@ -11,7 +11,8 @@ import (
 
 // benchFamilies are the graph families the walk-index benchmarks time, at
 // the contract's scales: web d=11 n=6000 (serve-zipf's shape), citation
-// d=4 n=15000 (mapped-edits') and coauthor d=8 n=15000.
+// d=4 n=15000 (mapped-edits'), coauthor d=8 n=15000 and R-MAT with
+// GTGraph's parameters, n=16384 and 8 edges a vertex.
 var benchFamilies = []struct {
 	name string
 	g    func() *graph.Graph
@@ -19,6 +20,7 @@ var benchFamilies = []struct {
 	{"web-d11-n6000", func() *graph.Graph { return gen.WebGraph(6000, 11, 1) }},
 	{"citation-d4-n15000", func() *graph.Graph { return gen.CitationGraph(15000, 4, 1) }},
 	{"coauthor-d8-n15000", func() *graph.Graph { return gen.CoauthorGraph(15000, 8, 1) }},
+	{"rmat-d8-n16384", func() *graph.Graph { return gen.RMAT(16384, 8*16384, gen.DefaultRMAT, 1) }},
 }
 
 // benchBuildOptions are the parameters of the build and open benchmarks:
@@ -49,7 +51,7 @@ func BenchmarkBuild(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				ix := newIndex(n, 0, n, opt.K, opt.Walks, opt.C, opt.Seed, joinStores(opt.Walks, opt.K, walkParts(g, opt, 0, n)))
+				ix := newIndex(n, 0, n, opt.K, opt.Walks, opt.C, opt.Seed, walkStore(g, opt, 0, n))
 				t1 := time.Now()
 				ix.forest = buildForest(ix, g, opt.Workers)
 				walk, sort = walk+t1.Sub(t0), sort+time.Since(t1)

@@ -319,27 +319,28 @@ func writeLog(path string, b []byte, create bool) error {
 
 // persist is Update's durable step on a write-back index: the repaired
 // walks' vertices are marked dirty, then the batch is appended to the log,
-// or the file checkpointed when the log has reached its share of the file
-// or is broken.
-func (ix *Index) persist(walks []int32) error {
+// or the file checkpointed on workers goroutines when the log has reached
+// its share of the file or is broken.
+func (ix *Index) persist(walks []int32, workers int) error {
 	if len(walks) == 0 {
 		return nil
 	}
 	bk := ix.file
 	bk.markDirty(walks, ix.r)
 	if bk.logBroken || bk.logBytes >= bk.size/logShare {
-		return ix.checkpoint()
+		return ix.checkpoint(workers)
 	}
 	return ix.appendLog(walks)
 }
 
-// checkpoint publishes the file for the current rows (writeBack) and then
-// removes the log, which the new file makes redundant. A failed
+// checkpoint publishes the file for the current rows (writeBack, its
+// blocks spliced on workers goroutines: 1 = serial, <1 = all CPUs) and
+// then removes the log, which the new file makes redundant. A failed
 // checkpoint leaves the old file and its log, and marks the log broken:
 // the batch that asked for the checkpoint is in neither.
-func (ix *Index) checkpoint() error {
+func (ix *Index) checkpoint(workers int) error {
 	bk := ix.file
-	if err := ix.writeBack(); err != nil {
+	if err := ix.writeBack(workers); err != nil {
 		bk.logBroken = true
 		return err
 	}

@@ -137,7 +137,7 @@ func TestEditLogCrashBeforeRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wb.checkpoint(); err != nil {
+	if err := wb.checkpoint(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(logPath(path), log, 0o644); err != nil { // the removal never happened

@@ -14,13 +14,14 @@ import (
 	"oipsr/graph/gen"
 )
 
-// recordParent rewrites testdata/parent/forest.txt instead of comparing
-// against it. The file holds the coalescence order of commit a4d673c, the
-// last one that sorted it by reading the stored walks, and is only ever
-// recorded by checking that commit out, dropping this file into it and
-// running `go test ./internal/walkindex -run TestParentForestGoldens
-// -record-parent` (testdata/parent/README.md).
-var recordParent = flag.Bool("record-parent", false, "rewrite testdata/parent/forest.txt (run only at the parent commit; see testdata/parent/README.md)")
+// recordParent rewrites the testdata/parent golden of the test run instead
+// of comparing against it. forest.txt holds the coalescence order of
+// commit a4d673c, the last one that sorted it by reading the stored walks,
+// and is only ever recorded by checking that commit out, dropping this
+// file into it and running `go test ./internal/walkindex -run
+// TestParentForestGoldens -record-parent`; load-errors.txt is recorded
+// the same way at c025cb9 (testdata/parent/README.md).
+var recordParent = flag.Bool("record-parent", false, "rewrite the testdata/parent golden of the test run (run only at its parent commit; see testdata/parent/README.md)")
 
 // forestGoldenCases are the indexes the order goldens cover: a web graph
 // (most walks dead at once), a citation graph (long coalesced tails) and a

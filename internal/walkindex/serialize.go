@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -59,7 +60,11 @@ import (
 //     read, so a forged header on a short stream fails with a truncation
 //     error after a proportional allocation (a payload whose corruption
 //     is structurally undecodable fails here, before the trailer is
-//     reachable);
+//     reachable). The blocks are read in bounded windows and each
+//     window's blocks decode in parallel, but the error is the first
+//     failing block's in file order — an implausible length, a
+//     truncation or an undecodable block, as reading them one by one
+//     would meet them;
 //  3. checksum verification — a corrupt file reports ErrChecksum even
 //     when its decoded entries would also fail validation;
 //  4. trailing-data probe: Save writes exactly one index per stream, so
@@ -264,11 +269,11 @@ func (ix *Index) SaveAt(w io.WriterAt, kind FileKind) error {
 }
 
 // Load reads a file of the given kind written by Save or BuildStreaming
-// and decodes it into a resident index: each block is decoded into one
-// reused buffer and its live prefixes are kept. It rejects files with a
-// wrong magic, an unsupported format version, a truncated payload, a
-// checksum mismatch, or trailing data after the trailer, in the documented
-// load order above. The index never writes; LoadWriteBack (writeback.go)
+// and decodes it into a resident index: the blocks decode on all CPUs,
+// each into its own chunk of live prefixes. It rejects files with a wrong
+// magic, an unsupported format version, a truncated payload, a checksum
+// mismatch, or trailing data after the trailer, in the documented load
+// order above. The index never writes; LoadWriteBack (writeback.go)
 // loads one that keeps its file in step with every Update. Either answers
 // and repairs once AttachGraph has given it its graph.
 func Load(r io.Reader, kind FileKind) (*Index, error) {
@@ -299,11 +304,21 @@ func (f *validFile) newIndex() *Index {
 	return newIndex(int(h.n), int(h.lo), int(h.hi), int(h.k), int(h.r), h.c, h.seed, f.rows)
 }
 
-// readFile is the one reader: it runs load steps 1–5 over r. Every block
-// decodes into one reused buffer and the live prefixes of each block, whose
-// lengths the decoder returns, are appended to a ragged store as they
-// come, so reading a file grows with the bytes actually read and never
-// holds the dense index.
+// decodeWindow is how many payload bytes readFile reads before it decodes
+// them: a window of whole posting blocks, at least one, decoded in
+// parallel while the rest of the file waits unread. It is a variable so
+// tests can cut a file into windows of any size.
+var decodeWindow = 4 << 20
+
+// readFile is the one reader: it runs load steps 1–5 over r. The blocks
+// are read in windows of decodeWindow bytes and each window's blocks are
+// decoded on all CPUs, every block into its worker's reused buffer and
+// from there into its own exactly sized chunks of the ragged store, so
+// reading a file grows with the bytes actually read and never holds the
+// dense index. The errors are the ones a block-by-block reader reports:
+// the first failing block in file order, with an implausible length, a
+// truncation, an undecodable block and an out-of-range entry in the load
+// order's precedence.
 func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 	// The CRC must cover exactly the bytes logically consumed (a tee under
 	// bufio would also hash read-ahead, including the trailing checksum),
@@ -316,47 +331,76 @@ func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, k, fps := hdr.rows(), hdr.k, hdr.r
+	rows, k, fps := hdr.rows(), int(hdr.k), int(hdr.r)
 	blockB, dir, err := readV2Dir(br, crc, rows, what)
 	if err != nil {
 		return nil, err
 	}
 
-	f := &validFile{hdr: hdr, blockB: blockB, dir: dir, rows: newRaggedStore(int(fps), int(k))}
-	var blockBuf []byte
-	var scratch []int32
-	var lives []int
+	// A chunk is the largest power of two of vertices that tiles the
+	// file's blocks: a whole block for every file this package writes.
+	s := newRaggedStore(fps, k, bits.TrailingZeros64(uint64(blockB)), 0)
+	f := &validFile{hdr: hdr, blockB: blockB, dir: dir, rows: s}
+	nb, bw := len(dir)-1, int(blockB)
+	var window []byte
 	var rangeErr error
-	for b := int64(0); b < int64(len(dir))-1; b++ {
-		width := min(blockB, rows-b*blockB)
-		blen := dir[b+1] - dir[b]
-		if !v2BlockLenPlausible(blen, width, k, fps) {
-			return nil, fmt.Errorf("walkindex: implausible %s block length %d", what, blen)
+	for b0 := 0; b0 < nb; {
+		// Read whole blocks into the window. A block that cannot be read
+		// ends it, and its error waits for the blocks before it to decode:
+		// one of them may fail first.
+		window = window[:0]
+		b1, readErr := b0, error(nil)
+		for ; b1 < nb && (b1 == b0 || len(window) < decodeWindow); b1++ {
+			width, blen := int64(min(bw, int(rows)-b1*bw)), dir[b1+1]-dir[b1]
+			if !v2BlockLenPlausible(blen, width, int64(k), int64(fps)) {
+				readErr = fmt.Errorf("walkindex: implausible %s block length %d", what, blen)
+				break
+			}
+			at := len(window)
+			window = slices.Grow(window, int(blen))[:at+int(blen)]
+			if readErr = readFull(br, crc, window[at:], what+" block"); readErr != nil {
+				break
+			}
 		}
-		if int64(cap(blockBuf)) < blen {
-			blockBuf = make([]byte, blen)
+		vhi := min(b1*bw, int(rows))
+		s.grow(vhi)
+		f.vlen = slices.Grow(f.vlen, vhi-len(f.vlen))[:vhi]
+		tops, errs := make([]int32, b1-b0), make([]error, b1-b0)
+		eachBlock(0, b1-b0, func() func(i int) {
+			var dense []int32
+			var lives []int
+			return func(i int) {
+				b := b0 + i
+				vlo := b * bw
+				width := min(bw, int(rows)-vlo)
+				if len(lives) < width*fps {
+					dense, lives = make([]int32, width*fps*k), make([]int, width*fps)
+				}
+				buf := window[dir[b]-dir[b0] : dir[b+1]-dir[b0]]
+				if tops[i], errs[i] = decodeV2Block(buf, dense, lives, f.vlen[vlo:vlo+width], width, k, fps); errs[i] != nil {
+					return
+				}
+				for c := vlo >> s.shift; c<<s.shift < vlo+width; c++ {
+					at := (c<<s.shift - vlo) * fps
+					s.fillChunk(c, dense[at*k:], lives[at:])
+				}
+			}
+		})
+		for i, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("walkindex: %s block %d: %w", what, b0+i, err)
+			}
+			// Step 5 runs here, block by block, but an out-of-range entry
+			// is held back until the checksum and trailing-data probe have
+			// run.
+			if rangeErr == nil && int64(tops[i]) >= hdr.n {
+				rangeErr = fmt.Errorf("walkindex: %s block %d: path entry out of range: %d, n = %d", what, b0+i, tops[i], hdr.n)
+			}
 		}
-		buf := blockBuf[:blen]
-		if err := readFull(br, crc, buf, what+" block"); err != nil {
-			return nil, err
+		if readErr != nil {
+			return nil, readErr
 		}
-		walks := int(width * fps)
-		if cap(lives) < walks {
-			scratch, lives = make([]int32, walks*int(k)), make([]int, walks)
-		}
-		top, vlen, err := decodeV2Block(buf, scratch, lives, int(width), int(k), int(fps), f.vlen)
-		if err != nil {
-			return nil, fmt.Errorf("walkindex: %s block %d: %w", what, b, err)
-		}
-		f.vlen = vlen
-		for v, stride := 0, int(fps*k); v < int(width); v++ {
-			f.rows.appendVertex(scratch[v*stride:(v+1)*stride], lives[v*int(fps):])
-		}
-		// Step 5 runs here, block by block, but an out-of-range entry is
-		// held back until the checksum and trailing-data probe have run.
-		if rangeErr == nil && int64(top) >= hdr.n {
-			rangeErr = fmt.Errorf("walkindex: %s block %d: path entry out of range: %d, n = %d", what, b, top, hdr.n)
-		}
+		b0 = b1
 	}
 	if f.crc, err = checkTrailer(br, crc, what+" checksum"); err != nil {
 		return nil, err

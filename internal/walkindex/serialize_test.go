@@ -296,7 +296,7 @@ func TestLoadRejectsOutOfRangePath(t *testing.T) {
 			paths = append(paths, ix.denseRow(v, nil)...)
 		}
 		paths[2*ix.k] = 1_000_000
-		bad := newIndex(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed, buildRagged(newDenseStore(paths, ix.r, ix.k)))
+		bad := newIndex(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed, buildRagged(newDenseStore(paths, ix.r, ix.k), v2BlockShift))
 		data := saveBytes(t, bad, o.kind)
 
 		_, err := o.open(t, data)

@@ -40,7 +40,7 @@ var ErrTooLarge = errors.New("walkindex: index too large for incremental updates
 // deployment repairs each range's walks with exactly the code the
 // single-node daemon runs — the union of per-range repairs is the
 // single-node repair. The resident store rewrites a repaired group in
-// place or in its tail arena (walkstore.go); an index opened with
+// place or at the tail of its chunk (walkstore.go); an index opened with
 // LoadWriteBack then appends the repaired walks to its edit log, and at a
 // checkpoint re-encodes the vertices they changed, and their successors
 // in the same posting block, into its file and copies every other
@@ -129,7 +129,7 @@ func firstDirty(start int, path []int32, k int, isDirty []bool) int {
 // sorts, entry for entry. On an index opened with LoadWriteBack it then
 // makes the batch durable: one record of the repaired walks appended to
 // the file's edit log and fsynced, or a checkpoint that rewrites the file
-// (editlog.go); if that fails, the error wraps ErrWriteBack and the index
+// on workers goroutines (editlog.go); if that fails, the error wraps ErrWriteBack and the index
 // in memory is repaired all the same.
 //
 // A loaded index repairs once AttachGraph has sorted its order, and
@@ -155,7 +155,7 @@ func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
 	if ix.file == nil {
 		return len(walks), nil
 	}
-	return len(walks), ix.persist(walks)
+	return len(walks), ix.persist(walks, workers)
 }
 
 // dirtySet deduplicates dirty into a list and a membership mark over the

@@ -43,8 +43,12 @@ import (
 // one that cannot share tails — is rare. A write-back never re-encodes a
 // whole block for one repaired vertex, so the size does not set its cost:
 // it splices the repaired vertices and their successors between clean
-// runs copied from the old file (writeback.go).
-const v2BlockVertices = 64
+// runs copied from the old file (writeback.go). A block is also the
+// resident store's chunk (walkstore.go).
+const v2BlockVertices = 1 << v2BlockShift
+
+// v2BlockShift is log2 of v2BlockVertices.
+const v2BlockShift = 6
 
 // maxV2BlockVertices bounds the header-declared block size at load time.
 const maxV2BlockVertices = 1 << 16
@@ -191,12 +195,12 @@ func (s *raggedStore) appendBlock(dst []byte, b, blockB int) []byte {
 
 // decodeV2Block decodes one posting block into dst (its first width*r*k
 // entries, vertex-major, -1 after each death) and lives (its first width*r
-// entries, each walk's live length), appends each vertex's encoded length
-// to vlen, and returns the block's largest explicit entry, -1 when there
-// is none: a shared tail repeats entries of the previous vertex, so that
-// one number range-checks the block. The whole buffer must be consumed —
-// trailing bytes inside a block are a forgery, not padding.
-func decodeV2Block(buf []byte, dst []int32, lives []int, width, k, r int, vlen []uint32) (int32, []uint32, error) {
+// entries, each walk's live length), writes each vertex's encoded length
+// to vlen (width entries), and returns the block's largest explicit entry,
+// -1 when there is none: a shared tail repeats entries of the previous
+// vertex, so that one number range-checks the block. The whole buffer must
+// be consumed — trailing bytes inside a block are a forgery, not padding.
+func decodeV2Block(buf []byte, dst []int32, lives []int, vlen []uint32, width, k, r int) (int32, error) {
 	pos, top := 0, int32(-1)
 	for v := 0; v < width; v++ {
 		vstart := pos
@@ -209,17 +213,17 @@ func decodeV2Block(buf []byte, dst []int32, lives []int, width, k, r int, vlen [
 			}
 			used, live, wtop, err := decodeWalk(buf[pos:], dst[w*k:(w+1)*k], prev, prevLive)
 			if err != nil {
-				return top, vlen, err
+				return top, err
 			}
 			pos += used
 			lives[w], top = live, max(top, wtop)
 		}
-		vlen = append(vlen, uint32(pos-vstart))
+		vlen[v] = uint32(pos - vstart)
 	}
 	if pos != len(buf) {
-		return top, vlen, fmt.Errorf("walkindex: %d trailing bytes inside posting block", len(buf)-pos)
+		return top, fmt.Errorf("walkindex: %d trailing bytes inside posting block", len(buf)-pos)
 	}
-	return top, vlen, nil
+	return top, nil
 }
 
 // fileWriter is the one writer of the file layout, whoever supplies the
@@ -358,9 +362,11 @@ func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
 // of a posting block of width vertices. Every walk costs at least its one
 // header byte — so a header forging r or k over a short stream is refused
 // before the block's width*r*k decoded entries are allocated, which caps
-// the reader's allocation at 4k bytes per byte actually read, the 8-byte
-// live length it keeps per walk at 8, and the 4-byte encoded length it
-// records per vertex at 4/r — and at most 2 header bytes plus 5 bytes per
+// the reader's allocation at 4k bytes per byte actually read (each
+// decoding worker's buffer is sized for a block it has read), the 8-byte
+// live length it keeps per walk at 8, the 4-byte encoded length it
+// records per vertex at 4/r and the 32 bytes a store chunk of at least
+// one vertex takes at 32/r — and at most 2 header bytes plus 5 bytes per
 // explicit entry.
 func v2BlockLenPlausible(blen, width, k, r int64) bool {
 	return blen >= width*r && blen <= min(maxV2BlockBytes, width*r*(5*k+2))

@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"oipsr/graph"
 	"oipsr/internal/par"
@@ -174,35 +175,55 @@ func Build(g *graph.Graph, opt Options, lo, hi int) (*Index, error) {
 		return nil, fmt.Errorf("walkindex: vertex range [%d,%d) outside [0,%d)", lo, hi, n)
 	}
 
-	ix := newIndex(n, lo, hi, opt.K, opt.Walks, opt.C, opt.Seed, joinStores(opt.Walks, opt.K, walkParts(g, opt, lo, hi)))
+	ix := newIndex(n, lo, hi, opt.K, opt.Walks, opt.C, opt.Seed, walkStore(g, opt, lo, hi))
 	ix.forest = buildForest(ix, g, opt.Workers)
 	return ix, nil
 }
 
-// walkParts generates the walks of start vertices [lo, hi) of g, one
-// ragged store per worker, in order: worker w walks a run of whole posting
-// blocks counted from lo into one reused r*k block and keeps the live
-// prefixes, whose lengths walkFrom returns. Build joins the parts;
-// BuildStreaming encodes each part's blocks as they are, one slice of the
-// range at a time.
-func walkParts(g *graph.Graph, opt Options, lo, hi int) []*raggedStore {
-	blocks := int(v2NumBlocks(int64(hi-lo), v2BlockVertices))
+// walkStore generates the walks of start vertices [lo, hi) of g into a
+// ragged store, one chunk per posting block counted from lo, the blocks
+// spread over opt.Workers goroutines (eachBlock): a worker walks each
+// vertex of a block into one reused r*k block, appends the live prefixes,
+// whose lengths walkFrom returns, to one reused scratch, and copies the
+// block's scratch out as its chunk. Build keeps the store; BuildStreaming
+// encodes its blocks, one slice of the range at a time.
+func walkStore(g *graph.Graph, opt Options, lo, hi int) *raggedStore {
+	s := newRaggedStore(opt.Walks, opt.K, v2BlockShift, hi-lo)
 	hseed := splitmix64(uint64(opt.Seed))
-	workers := par.ResolveMax(opt.Workers, blocks)
-	parts := make([]*raggedStore, workers)
-	par.Do(workers, func(w int) {
-		blo, bhi := par.Range(blocks, workers, w)
-		part := newRaggedStore(opt.Walks, opt.K)
+	eachBlock(opt.Workers, len(s.chunks), func() func(c int) {
 		block, lives := make([]int32, opt.Walks*opt.K), make([]int, opt.Walks)
-		for v := lo + blo*v2BlockVertices; v < min(lo+bhi*v2BlockVertices, hi); v++ {
-			for fp := range lives {
-				lives[fp] = walkFrom(g, hseed, fp, 0, v, block[fp*opt.K:(fp+1)*opt.K])
+		var data []int32
+		return func(c int) {
+			data = data[:0]
+			vlo, vhi := s.chunkSpan(c)
+			for v := vlo; v < vhi; v++ {
+				for fp := range lives {
+					lives[fp] = walkFrom(g, hseed, fp, 0, lo+v, block[fp*opt.K:(fp+1)*opt.K])
+				}
+				data = s.appendVertex(data, v, block, lives)
 			}
-			part.appendVertex(block, lives)
+			s.setChunk(c, data)
 		}
-		parts[w] = part
 	})
-	return parts
+	return s
+}
+
+// eachBlock runs do(b) for every b in [0, blocks) on up to workers
+// goroutines (1 = serial, <1 = all CPUs). Each goroutine gets its own do
+// from newWorker, which holds that goroutine's scratch, and takes the
+// next block whenever it finishes one, so blocks of uneven cost balance.
+// Build, the reader and the checkpoint share it: blocks are their unit.
+func eachBlock(workers, blocks int, newWorker func() func(b int)) {
+	if blocks == 0 {
+		return
+	}
+	var next atomic.Int64
+	par.Do(par.ResolveMax(workers, blocks), func(int) {
+		do := newWorker()
+		for b := int(next.Add(1) - 1); b < blocks; b = int(next.Add(1) - 1) {
+			do(b)
+		}
+	})
 }
 
 // ErrGraphMismatch reports a graph on which the stored walks would not be
@@ -314,7 +335,7 @@ func walkFrom(g *graph.Graph, hseed uint64, fp, tau, p int, path []int32) int {
 }
 
 // walkBlock fills block with every walk of vertex v, k entries per
-// fingerprint, -1 after each death: the dense form walkParts generates
+// fingerprint, -1 after each death: the dense form walkStore generates
 // into, and the recomputed row of a foreign vertex.
 func walkBlock(g *graph.Graph, hseed uint64, v, k int, block []int32) {
 	for fp := 0; fp*k < len(block); fp++ {
@@ -385,8 +406,8 @@ func (ix *Index) Backend() string {
 }
 
 // Close checkpoints a write-back index whose file lags its rows — the
-// file is then Save's for them and the edit log is gone — and releases
-// the file handle. The index must not be queried afterwards. Closing any
+// file is then Save's for them and the edit log is gone, its blocks
+// spliced on all CPUs — and releases the file handle. The index must not be queried afterwards. Closing any
 // other index is a no-op, so callers can defer it unconditionally.
 func (ix *Index) Close() error {
 	bk := ix.file
@@ -395,7 +416,7 @@ func (ix *Index) Close() error {
 	}
 	var err error
 	if bk.logBroken || slices.Contains(bk.dirty, true) {
-		err = ix.checkpoint()
+		err = ix.checkpoint(0)
 	}
 	return errors.Join(err, bk.f.Close())
 }

@@ -2,6 +2,7 @@ package walkindex
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"slices"
 	"testing"
@@ -33,7 +34,7 @@ func (s *denseStore) rewrite(v int, fps []int, fix func(j int, path []int32)) {
 func (s *denseStore) Rows() int { return len(s.paths) / (s.r * s.k) }
 
 // lives returns the live length of each of vertex v's walks, what a
-// producer of walks hands appendVertex.
+// producer of walks hands appendVertex and fillChunk.
 func (s *denseStore) lives(v int) []int {
 	out := make([]int, s.r)
 	for fp := range out {
@@ -95,9 +96,10 @@ func modelWalks(next func(int) int, r, k int, block []int32) {
 	}
 }
 
-// requireModel checks every accessor of s against the dense model, and
-// that no walk view can be appended into its neighbour.
-func requireModel(t *testing.T, s *raggedStore, m *denseStore, dead int, when string) {
+// requireModel checks every accessor of s against the dense model, each
+// chunk's dead words against dead, and that no walk view can be appended
+// into its neighbour.
+func requireModel(t *testing.T, s *raggedStore, m *denseStore, dead []int, when string) {
 	t.Helper()
 	if s.Rows() != m.Rows() {
 		t.Fatalf("%s: Rows %d; the model has %d rows", when, s.Rows(), m.Rows())
@@ -111,54 +113,77 @@ func requireModel(t *testing.T, s *raggedStore, m *denseStore, dead int, when st
 			}
 		}
 	}
-	if s.dead != dead {
-		t.Fatalf("%s: %d dead words, the model says %d", when, s.dead, dead)
+	if !slices.Equal(s.dead, dead) {
+		t.Fatalf("%s: dead words per chunk %v, the model says %v", when, s.dead, dead)
 	}
-	if want := raggedModelBytes(m, s.group) + 4*int64(dead); s.Bytes() != want {
+	total := 0
+	for _, d := range dead {
+		total += d
+	}
+	if want := raggedModelBytes(m, s.group) + 4*int64(total); s.Bytes() != want {
 		t.Fatalf("%s: Bytes = %d, the model says %d", when, s.Bytes(), want)
 	}
 }
 
-// runStoreModel drives one ragged store and its dense model through the
-// same construction and repairs. next(n) is the randomness, in [0, n).
-func runStoreModel(t *testing.T, next func(int) int, r, k, rows, repairs int) {
+// requireSameLayout fails unless chunk c of s holds, word for word, what
+// chunk c of want holds, with the same offsets.
+func requireSameLayout(t *testing.T, s, want *raggedStore, c int, when string) {
+	t.Helper()
+	lo, hi := s.chunkSpan(c)
+	if !slices.Equal(s.chunks[c], want.chunks[c]) || !slices.Equal(s.seg[lo*s.groups:hi*s.groups], want.seg[lo*s.groups:hi*s.groups]) {
+		t.Fatalf("%s: chunk %d differs from a fresh build of its walks", when, c)
+	}
+}
+
+// runStoreModel drives one ragged store, in chunks of 1<<shift vertices,
+// and its dense model through the same construction and repairs, and
+// returns how many chunks the repairs compacted. next(n) is the
+// randomness, in [0, n).
+func runStoreModel(t *testing.T, next func(int) int, r, k, shift, rows, repairs int) (compactions int) {
 	m := newDenseStore(make([]int32, rows*r*k), r, k)
 	for v := 0; v < rows; v++ {
 		modelWalks(next, r, k, m.block(v))
 	}
 
-	// Build in random parts, joined as Build joins its workers' parts; the
-	// blocks and parts must come out of it unchanged.
-	var parts []*raggedStore
-	for v := 0; v < rows; {
-		part := newRaggedStore(r, k)
-		for end := min(rows, v+1+next(4)); v < end; v++ {
-			block := slices.Clone(m.block(v))
-			part.appendVertex(block, m.lives(v))
-			if !slices.Equal(block, m.block(v)) {
-				t.Fatalf("appendVertex(%d) changed its block", v)
-			}
+	// Build's path and the reader's must lay the walks out alike, each
+	// chunk exactly sized, and leave the blocks they read as they were.
+	s := buildRagged(m, shift)
+	read := newRaggedStore(r, k, shift, rows)
+	for c := range read.chunks {
+		lo, hi := read.chunkSpan(c)
+		block := slices.Clone(m.paths[lo*r*k : hi*r*k])
+		var lives []int
+		for v := lo; v < hi; v++ {
+			lives = append(lives, m.lives(v)...)
 		}
-		parts = append(parts, part)
-	}
-	clones := make([]raggedStore, len(parts))
-	for i, p := range parts {
-		clones[i] = raggedStore{seg: slices.Clone(p.seg), data: slices.Clone(p.data)}
-	}
-	s := joinStores(r, k, parts)
-	for i, p := range parts {
-		if !slices.Equal(p.seg, clones[i].seg) || !slices.Equal(p.data, clones[i].data) {
-			t.Fatalf("joinStores changed part %d", i)
+		read.fillChunk(c, block, lives)
+		if !slices.Equal(block, m.paths[lo*r*k:hi*r*k]) {
+			t.Fatalf("fillChunk(%d) changed its block", c)
 		}
 	}
-	if len(s.data) != cap(s.data) || len(s.seg) != cap(s.seg) {
-		t.Fatal("joinStores left slack in its arrays")
+	for c := range s.chunks {
+		requireSameLayout(t, read, s, c, "read")
+		if len(s.chunks[c]) != cap(s.chunks[c]) || len(read.chunks[c]) != cap(read.chunks[c]) {
+			t.Fatalf("chunk %d has slack: len %d, cap %d built, %d read", c, len(s.chunks[c]), cap(s.chunks[c]), cap(read.chunks[c]))
+		}
 	}
-	requireModel(t, s, m, 0, "built")
+	dead := make([]int, len(s.chunks))
+	requireModel(t, s, m, dead, "built")
+	built := buildRagged(m, shift) // chunks rebuilt after each repair
 
-	dead, fresh := 0, true // fresh: laid out as a build of the same walks
+	fresh := make([]bool, len(s.chunks)) // laid out as a build of the same walks
+	for c := range fresh {
+		fresh[c] = true
+	}
 	for op := 0; op < repairs && rows > 0; op++ {
+		// Half the repairs land near the end, in the last chunk, which is
+		// partial unless rows is a multiple of the chunk: enough of them
+		// that its arena fills and compacts.
 		v := next(rows)
+		if next(2) == 0 {
+			v = rows - 1 - next(min(rows, 6))
+		}
+		c := v >> shift
 		var fps []int
 		for fp := 0; fp < r; fp++ {
 			if next(r) < 2 {
@@ -176,8 +201,8 @@ func runStoreModel(t *testing.T, next func(int) int, r, k, rows, repairs int) {
 		}
 
 		// The model's arena: a touched group whose live lengths change is
-		// written afresh and its old segment dies; past half the words,
-		// compaction drops them all.
+		// written afresh at its chunk's tail and its old segment dies; past
+		// half the chunk's words, compaction drops them all.
 		for g := 0; g < s.groups; g++ {
 			lo, hi := s.span(g)
 			moved := false
@@ -187,8 +212,8 @@ func runStoreModel(t *testing.T, next func(int) int, r, k, rows, repairs int) {
 				}
 			}
 			if moved {
-				dead += modelSegWords(m, v, g, s.group)
-				fresh = false
+				dead[c] += modelSegWords(m, v, g, s.group)
+				fresh[c] = false
 			}
 		}
 		fpsIn, pathsIn := slices.Clone(fps), slices.Clone(paths)
@@ -202,29 +227,54 @@ func runStoreModel(t *testing.T, next func(int) int, r, k, rows, repairs int) {
 		if !slices.Equal(fps, fpsIn) || !slices.Equal(paths, pathsIn) {
 			t.Fatalf("repair %d changed its inputs", op)
 		}
-		words := int(raggedModelBytes(m, s.group)-8*int64(len(s.seg)))/4 + dead
-		if 2*dead > words {
-			dead, fresh = 0, true
-		}
-		requireModel(t, s, m, dead, "repaired")
-		if fresh {
-			// Compacted, or repaired in place only: the layout is the one
-			// a fresh build has, word for word.
-			built := joinStores(r, k, []*raggedStore{buildRagged(m)})
-			if !slices.Equal(s.seg, built.seg) || !slices.Equal(s.data, built.data) {
-				t.Fatalf("repair %d: the store differs from a fresh build of its walks", op)
+		words := dead[c]
+		lo, hi := s.chunkSpan(c)
+		for u := lo; u < hi; u++ {
+			for g := 0; g < s.groups; g++ {
+				words += modelSegWords(m, u, g, s.group)
 			}
 		}
+		if 2*dead[c] > words {
+			dead[c], fresh[c] = 0, true
+			compactions++
+		}
+		requireModel(t, s, m, dead, "repaired")
+		// A chunk compacted, or repaired in place only, has the layout a
+		// fresh build has, word for word; no other chunk changed.
+		if fresh[c] {
+			buildChunk(built, m, c, nil)
+			requireSameLayout(t, s, built, c, "repaired")
+		}
 	}
+	return compactions
 }
 
-// buildRagged appends every row of the model to a new ragged store.
-func buildRagged(m *denseStore) *raggedStore {
-	s := newRaggedStore(m.r, m.k)
-	for v := 0; v < m.Rows(); v++ {
-		s.appendVertex(m.block(v), m.lives(v))
+// buildRagged stores every row of the model in a new ragged store with
+// chunks of 1<<shift vertices, as Build does.
+func buildRagged(m *denseStore, shift int) *raggedStore {
+	s := newRaggedStore(m.r, m.k, shift, m.Rows())
+	var data []int32
+	for c := range s.chunks {
+		data = buildChunk(s, m, c, data)
 	}
 	return s
+}
+
+// buildChunk stores chunk c of s from the model as Build does — its
+// vertices appended to scratch, which it returns for reuse, then copied
+// out — and checks that appendVertex leaves its blocks as they were.
+func buildChunk(s *raggedStore, m *denseStore, c int, scratch []int32) []int32 {
+	scratch = scratch[:0]
+	lo, hi := s.chunkSpan(c)
+	for v := lo; v < hi; v++ {
+		block := slices.Clone(m.block(v))
+		scratch = s.appendVertex(scratch, v, block, m.lives(v))
+		if !slices.Equal(block, m.block(v)) {
+			panic("appendVertex changed its block")
+		}
+	}
+	s.setChunk(c, scratch)
+	return scratch
 }
 
 // storeShapes are the (R, K) corners: one walk, a horizon of one, the
@@ -232,46 +282,68 @@ func buildRagged(m *denseStore) *raggedStore {
 var storeShapes = [][2]int{{1, 1}, {1, 6}, {7, 1}, {5, 13}, {100, 13}, {40, 2000}, {3, 40000}}
 
 // TestRaggedStoreModel: the ragged store against the dense layout, over
-// seeded random walks and repairs, for every shape.
+// seeded random walks and repairs, for every shape. Seeds 1–2 store a
+// dozen rows or fewer; seeds 3–4 store three posting blocks, the last one
+// partial, in Build's chunks; seeds 5–6 store them in the smaller chunks
+// a file of another block size loads into.
 func TestRaggedStoreModel(t *testing.T) {
+	compactions := 0
 	for _, shape := range storeShapes {
 		r, k := shape[0], shape[1]
-		for seed := int64(1); seed <= 4; seed++ {
+		for seed := int64(1); seed <= 6; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			rows := 1 + rng.Intn(12)
-			if r*k > 1<<16 {
-				rows = 1 + rng.Intn(3)
+			rows, shift, repairs := 1+rng.Intn(12), v2BlockShift, 200
+			if seed >= 3 {
+				rows = 2*v2BlockVertices + 1 + rng.Intn(v2BlockVertices-1)
 			}
-			runStoreModel(t, rng.Intn, r, k, rows, 40)
+			if seed >= 5 {
+				shift = int(seed) - 5 + 2*rng.Intn(2)
+			}
+			if r*k > 1<<16 {
+				rows, repairs = 1+rng.Intn(3), 40
+			}
+			n := runStoreModel(t, rng.Intn, r, k, shift, rows, repairs)
+			if seed >= 3 {
+				compactions += n
+			}
 		}
 	}
-	if s := newRaggedStore(40, 2000); s.group != 32 || s.groups != 2 {
+	if compactions == 0 {
+		t.Fatal("no repair compacted a chunk of a store of several blocks")
+	}
+	if s := newRaggedStore(40, 2000, v2BlockShift, 0); s.group != 32 || s.groups != 2 {
 		t.Fatalf("R=40, K=2000: %d groups of %d walks, want 2 of 32", s.groups, s.group)
 	}
 }
 
 // FuzzRaggedStore: the same model check with the fuzzer choosing the
-// shape, the walks and the repairs.
+// shape, the chunk size, up to 200 rows, the walks and the repairs; once
+// its bytes run out, a generator seeded by them goes on.
 func FuzzRaggedStore(f *testing.F) {
-	f.Add([]byte{0, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{5, 7, 1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0, 1, 0, 1})
+	f.Add([]byte{0, 3, 6, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{4, 0, 6, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{5, 7, 2, 1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0, 1, 0, 1})
+	f.Add([]byte{3, 160, 6, 9, 8, 7, 6, 5, 4, 3, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 || len(data) > 512 {
+		if len(data) < 3 || len(data) > 512 {
 			t.Skip()
 		}
 		shape := storeShapes[int(data[0])%len(storeShapes)]
-		rows := 1 + int(data[1])%8
-		data = data[2:]
+		rows, shift := 1+int(data[1])%200, int(data[2])%(v2BlockShift+1)
+		if shape[0]*shape[1] > 1<<16 {
+			rows = 1 + rows%3
+		}
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		data = data[3:]
 		next := func(n int) int {
 			if len(data) == 0 {
-				return 0
+				return rng.Intn(n)
 			}
 			b := int(data[0])
 			data = data[1:]
 			return b % n
 		}
-		runStoreModel(t, next, shape[0], shape[1], rows, 24)
+		runStoreModel(t, next, shape[0], shape[1], shift, rows, 24)
 	})
 }
 
@@ -295,11 +367,15 @@ func TestRaggedIndexMatchesDenseModel(t *testing.T) {
 				t.Fatalf("%s: row %d differs from the dense model", when, v)
 			}
 		}
-		if want := raggedModelBytes(m, ix.store.group) + 4*int64(ix.store.dead); ix.Bytes() != want {
+		dead := 0
+		for _, d := range ix.store.dead {
+			dead += d
+		}
+		if want := raggedModelBytes(m, ix.store.group) + 4*int64(dead); ix.Bytes() != want {
 			t.Fatalf("%s: Bytes = %d, the model's count is %d", when, ix.Bytes(), want)
 		}
 		requireBlocksMatchModel(t, m.paths, ix.r, ix.k, v2BlockVertices, when)
-		fresh := buildRagged(m)
+		fresh := buildRagged(m, v2BlockShift)
 		var want bytes.Buffer
 		if err := newIndex(ix.n, 0, ix.n, ix.k, ix.r, ix.c, ix.seed, fresh).Save(&want, IndexFile); err != nil {
 			t.Fatal(err)

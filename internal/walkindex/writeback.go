@@ -61,7 +61,6 @@ type backing struct {
 	dir     []int64         // numBlocks+1 payload byte offsets within f
 	vlen    []uint32        // per stored vertex: its encoded length within f
 	dirty   []bool          // per stored vertex: re-encode at the next checkpoint
-	enc     []byte          // the block being spliced, reused across blocks
 	spliced []splicedVertex // the re-encoded vertices' new lengths, reused
 
 	// logBytes is the length of f's edit log, header included, 0 when f
@@ -78,6 +77,19 @@ type splicedVertex struct {
 	v   int
 	len uint32
 }
+
+// splicedBlock is one block of a checkpoint's window: its encoding, the
+// vertices re-encoded in it, and the error that stopped it.
+type splicedBlock struct {
+	enc     []byte
+	spliced []splicedVertex
+	err     error
+}
+
+// spliceWindow is how many bytes of the old file's blocks a checkpoint
+// splices before it writes them: a window of whole blocks, at least one,
+// spliced in parallel.
+const spliceWindow = 4 << 20
 
 // LoadWriteBack reads the file of the given kind at path into a resident
 // index, exactly as LoadFile does — its edit log replayed — that makes
@@ -145,33 +157,51 @@ func (bk *backing) markDirty(walks []int32, r int) {
 	}
 }
 
-// writeBack rewrites the backing file from the resident rows, block by
-// block through the file writer: each block spliced (spliceBlock), which
-// copies a clean one whole from the old file. On success the new file
-// becomes the source of clean bytes and nothing is dirty. It is the
-// checkpoint's first half (editlog.go).
-func (ix *Index) writeBack() error {
+// writeBack rewrites the backing file from the resident rows through the
+// file writer: windows of blocks spliced (spliceBlock, which copies a clean
+// one whole from the old file) on workers goroutines (1 = serial, <1 = all
+// CPUs) and handed to the writer in order. On success the new file becomes
+// the source of clean bytes and nothing is dirty. It is the checkpoint's
+// first half (editlog.go).
+func (ix *Index) writeBack(workers int) error {
 	bk := ix.file
 	if !slices.Contains(bk.dirty, true) {
 		return nil
 	}
 	dir := make([]int64, 1, len(bk.dir))
 	bk.spliced = bk.spliced[:0]
-	cur, prev := make([][]int32, 0, ix.r), make([][]int32, 0, ix.r)
+	var window []splicedBlock // the window's blocks, reused across windows
 	var size int64
 	var sum uint32
 	err := writeFile(bk.path, func(f *os.File) error {
 		fw := newFileWriter(f, bk.hdr, bk.blockB)
-		for b := range fw.blocks {
-			vlo, vhi := b*bk.blockB, min((b+1)*bk.blockB, len(bk.dirty))
-			var err error
-			if bk.enc, err = ix.spliceBlock(bk.enc[:0], vlo, vhi, bk.payload+bk.dir[b], cur, prev); err != nil {
-				return err
+		for b0 := 0; b0 < fw.blocks; {
+			b1 := b0 + 1
+			for b1 < fw.blocks && bk.dir[b1+1]-bk.dir[b0] <= spliceWindow {
+				b1++
 			}
-			if err := fw.add(bk.enc); err != nil {
-				return err
+			for len(window) < b1-b0 {
+				window = append(window, splicedBlock{})
 			}
-			dir = append(dir, dir[b]+int64(len(bk.enc)))
+			eachBlock(workers, b1-b0, func() func(i int) {
+				cur, prev := make([][]int32, 0, ix.r), make([][]int32, 0, ix.r)
+				return func(i int) {
+					b, sb := b0+i, &window[i]
+					vlo, vhi := b*bk.blockB, min((b+1)*bk.blockB, len(bk.dirty))
+					sb.enc, sb.spliced, sb.err = ix.spliceBlock(sb.enc[:0], sb.spliced[:0], vlo, vhi, bk.payload+bk.dir[b], cur, prev)
+				}
+			})
+			for i, sb := range window[:b1-b0] {
+				if sb.err != nil {
+					return sb.err
+				}
+				if err := fw.add(sb.enc); err != nil {
+					return err
+				}
+				dir = append(dir, dir[b0+i]+int64(len(sb.enc)))
+				bk.spliced = append(bk.spliced, sb.spliced...)
+			}
+			b0 = b1
 		}
 		var err error
 		size, sum, err = fw.finish()
@@ -199,12 +229,13 @@ func (ix *Index) writeBack() error {
 
 // spliceBlock appends to dst the posting block of the stored vertices
 // [vlo, vhi), which starts at byte off of the old file: each dirty vertex
-// re-encoded from the resident rows, its new length noted in bk.spliced,
+// re-encoded from the resident rows, its new length appended to spliced,
 // and each run of clean vertices between them read from the old file — a
 // clean block is one such run. A run that cannot be read in full is an
 // error, never a short block. cur and prev are scratch for r walk views
-// each.
-func (ix *Index) spliceBlock(dst []byte, vlo, vhi int, off int64, cur, prev [][]int32) ([]byte, error) {
+// each. It only reads the index and the old file, so blocks splice in
+// parallel.
+func (ix *Index) spliceBlock(dst []byte, spliced []splicedVertex, vlo, vhi int, off int64, cur, prev [][]int32) ([]byte, []splicedVertex, error) {
 	bk := ix.file
 	have := -1 // the vertex whose walks prev holds
 	for v := vlo; v < vhi; {
@@ -216,7 +247,7 @@ func (ix *Index) spliceBlock(dst []byte, vlo, vhi int, off int64, cur, prev [][]
 			n := len(dst)
 			dst = slices.Grow(dst, run)[:n+run]
 			if got, err := bk.f.ReadAt(dst[n:], off); got < run {
-				return dst, fmt.Errorf("reading %d clean bytes at offset %d of %s: %w", run, off, bk.path, err)
+				return dst, spliced, fmt.Errorf("reading %d clean bytes at offset %d of %s: %w", run, off, bk.path, err)
 			}
 			off += int64(run)
 			continue
@@ -231,10 +262,10 @@ func (ix *Index) spliceBlock(dst []byte, vlo, vhi int, off int64, cur, prev [][]
 		cur = ix.store.walks(v, cur[:0])
 		n := len(dst)
 		dst = appendVertexWalks(dst, cur, p)
-		bk.spliced = append(bk.spliced, splicedVertex{v: v, len: uint32(len(dst) - n)})
+		spliced = append(spliced, splicedVertex{v: v, len: uint32(len(dst) - n)})
 		off += int64(bk.vlen[v])
 		cur, prev, have = prev, cur, v
 		v++
 	}
-	return dst, nil
+	return dst, spliced, nil
 }

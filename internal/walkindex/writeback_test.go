@@ -307,7 +307,7 @@ func TestWriteBackSpliceBoundaries(t *testing.T) {
 				what := fmt.Sprintf("%s, block size %d, targets %v", kind, blockB, targets)
 				want := saveBlocked(t, fresh, kind, blockB)
 				requireDurable(t, path, kind, fresh, want, what)
-				if err := wb.checkpoint(); err != nil {
+				if err := wb.checkpoint(0); err != nil {
 					t.Fatal(err)
 				}
 				requireFile(t, path, want, what)
@@ -572,7 +572,7 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 			return injected // the temp file is complete, but never published
 		})
 	}
-	if err := wb.checkpoint(); !errors.Is(err, ErrWriteBack) || !errors.Is(err, injected) {
+	if err := wb.checkpoint(0); !errors.Is(err, ErrWriteBack) || !errors.Is(err, injected) {
 		t.Fatalf("checkpoint under a failing write: err = %v, want ErrWriteBack wrapping the injected error", err)
 	}
 	requireFile(t, path, before, "after the failed write")
@@ -667,7 +667,7 @@ func TestWriteBackShortReadIsError(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Update appends to the log, never reading the old file: %v", err)
 			}
-			if err := wb.checkpoint(); !errors.Is(err, ErrWriteBack) {
+			if err := wb.checkpoint(0); !errors.Is(err, ErrWriteBack) {
 				t.Fatalf("checkpoint over an unreadable old file: err = %v, want ErrWriteBack", err)
 			}
 			requireFile(t, path, before, "after the failed read")
@@ -736,7 +736,7 @@ func BenchmarkWriteBack(b *testing.B) {
 		g, walks = benchRepair(b, rng, ix, g)
 		before := ix.file.logBytes
 		b.StartTimer()
-		if err := ix.persist(walks); err != nil {
+		if err := ix.persist(walks, 0); err != nil {
 			b.Fatal(err)
 		}
 		if ix.file.logBytes == 0 {
@@ -776,7 +776,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			}
 		}
 		b.StartTimer()
-		if err := ix.checkpoint(); err != nil {
+		if err := ix.checkpoint(0); err != nil {
 			b.Fatal(err)
 		}
 	}

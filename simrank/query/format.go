@@ -68,7 +68,7 @@ func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes in
 // the file's. A crash at any point leaves the file and a log whose whole
 // records LoadFile replays: every batch that returned without an error,
 // at most the batch in flight lost, never a part of one. The file is
-// rewritten at a checkpoint: once the log reaches 1/8 of the file, on
+// rewritten at a checkpoint: once the log reaches a quarter of the file, on
 // the batch after a failed append, and on Close. A checkpoint re-encodes
 // the vertices the batches changed, copies every other block verbatim,
 // publishes the file atomically (temp, fsync, rename) and then removes
