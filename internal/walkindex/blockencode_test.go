@@ -104,8 +104,8 @@ func requireBlocksMatchModel(t testing.TB, rows []int32, r, k, blockB int, what 
 		if want := paddedAppendBlock(t, rows, vlo, width, k, r); !bytes.Equal(got, want) {
 			t.Fatalf("%s: block %d encodes to %x, the padded model to %x", what, b, got, want)
 		}
-		dec, lives, vlen := make([]int32, width*r*k), make([]int, width*r), make([]uint32, width)
-		top, err := decodeV2Block(got, dec, lives, vlen, width, k, r)
+		dec, lives := make([]int32, width*r*k), make([]int, width*r)
+		top, err := decodeV2Block(got, dec, lives, width, k, r)
 		if err != nil {
 			t.Fatalf("%s: block %d does not decode: %v", what, b, err)
 		}
@@ -124,23 +124,6 @@ func requireBlocksMatchModel(t testing.TB, rows []int32, r, k, blockB int, what 
 		}
 		if top != wantTop {
 			t.Fatalf("%s: block %d: decoder's largest entry %d, the walks' %d", what, b, top, wantTop)
-		}
-		// The recorded lengths tile the block, and each is the bytes
-		// appendVertexWalks writes for its vertex: the write-back's splice
-		// points.
-		off := 0
-		var prev [][]int32
-		for i, n := range vlen {
-			cur := s.walks(vlo+i, nil)
-			one := appendVertexWalks(nil, cur, prev)
-			if end := off + int(n); end > len(got) || !bytes.Equal(one, got[off:end]) {
-				t.Fatalf("%s: block %d vertex %d: recorded length %d at offset %d, appendVertexWalks writes %d bytes %x", what, b, i, n, off, len(one), one)
-			}
-			off += int(n)
-			prev = cur
-		}
-		if off != len(got) {
-			t.Fatalf("%s: block %d: vertex lengths sum to %d, the block is %d bytes", what, b, off, len(got))
 		}
 	}
 }

@@ -47,8 +47,8 @@ import (
 // walks whatever the log says; beyond it, what replay allocates follows
 // the walks the log actually holds.
 //
-// The splice of writeback.go is the checkpoint: it publishes the file
-// for the current rows and then removes the log. Update checkpoints
+// The checkpoint (writeback.go) publishes the file Save writes for the
+// current rows and then removes the log. Update checkpoints
 // instead of appending once the log has reached 1/logShare of the file,
 // and on the batch after a failed append or checkpoint — a log that missed
 // a batch, or ends in a torn record, is never appended to again; Close
@@ -60,11 +60,10 @@ import (
 // happens to have its base's bytes.
 
 // logShare sets the checkpoint threshold: Update rewrites the file once
-// the log holds 1/logShare of the file's bytes. Past an eighth most
-// vertices are dirty, so a checkpoint costs about a whole Save whatever
-// the share; on the mapped-edits shape (n = 15000, R = 100) a quarter
-// spreads its ~55 ms over ~75 batches of ~18 KB, ~0.8 ms a batch on top
-// of the ~0.9 ms append, where an eighth spread it over ~36.
+// the log holds 1/logShare of the file's bytes. A checkpoint costs a whole
+// Save whatever the share; on the mapped-edits shape (n = 15000, R = 100)
+// a quarter spreads its ~55 ms over ~75 batches of ~18 KB, ~0.8 ms a
+// batch on top of the ~0.9 ms append, where an eighth spread it over ~36.
 const logShare = 4
 
 const logVersion = 1
@@ -214,11 +213,10 @@ func (ix *Index) scanRecord(payload []byte, path []int32, fn func(id int, path [
 }
 
 // replay applies the records of a log body onto the rows in order and
-// returns the store-local ids of the walks it rewrote and the bytes of
-// body its valid records take. It stops at the first record that is
-// torn, fails its CRC or does not decode, and applies no part of that
-// one.
-func (ix *Index) replay(body []byte) (walks []int32, valid int) {
+// returns the bytes of body its valid records take. It stops at the first
+// record that is torn, fails its CRC or does not decode, and applies no
+// part of that one.
+func (ix *Index) replay(body []byte) (valid int) {
 	path := make([]int32, ix.k)
 	fps, paths := make([]int, 0, ix.r), make([]int32, 0, ix.r*ix.k)
 	for valid < len(body) {
@@ -239,26 +237,24 @@ func (ix *Index) replay(body []byte) (walks []int32, valid int) {
 				v = id / ix.r
 			}
 			fps, paths = append(fps, id%ix.r), append(paths, p...)
-			walks = append(walks, int32(id))
 		})
 		flush()
 		valid += used
 	}
-	return walks, valid
+	return valid
 }
 
 // replayLog replays the log beside path onto the rows when it names the
-// file of the given size and checksum, and returns the walks it rewrote,
-// the log's length, and how much of it is its header and whole records —
-// less than its length when it ends in a torn or bad record, 0 when no
-// log names the file.
-func (ix *Index) replayLog(path string, size int64, crc uint32) (walks []int32, valid, total int64, err error) {
+// file of the given size and checksum, and returns the log's length and
+// how much of it is its header and whole records — less than its length
+// when it ends in a torn or bad record, 0 when no log names the file.
+func (ix *Index) replayLog(path string, size int64, crc uint32) (valid, total int64, err error) {
 	body, ok, err := readLog(path, size, crc)
 	if !ok || err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
-	walks, n := ix.replay(body)
-	return walks, logHeaderLen + int64(n), logHeaderLen + int64(len(body)), nil
+	n := ix.replay(body)
+	return logHeaderLen + int64(n), logHeaderLen + int64(len(body)), nil
 }
 
 // logWrite writes b to the open log file. It is a variable so tests can
@@ -317,16 +313,15 @@ func writeLog(path string, b []byte, create bool) error {
 	return nil
 }
 
-// persist is Update's durable step on a write-back index: the repaired
-// walks' vertices are marked dirty, then the batch is appended to the log,
-// or the file checkpointed on workers goroutines when the log has reached
-// its share of the file or is broken.
+// persist is Update's durable step on a write-back index: the batch's
+// repaired walks are appended to the log, or the file checkpointed on
+// workers goroutines when the log has reached its share of the file or is
+// broken.
 func (ix *Index) persist(walks []int32, workers int) error {
 	if len(walks) == 0 {
 		return nil
 	}
 	bk := ix.file
-	bk.markDirty(walks, ix.r)
 	if bk.logBroken || bk.logBytes >= bk.size/logShare {
 		return ix.checkpoint(workers)
 	}
@@ -334,7 +329,7 @@ func (ix *Index) persist(walks []int32, workers int) error {
 }
 
 // checkpoint publishes the file for the current rows (writeBack, its
-// blocks spliced on workers goroutines: 1 = serial, <1 = all CPUs) and
+// blocks encoded on workers goroutines: 1 = serial, <1 = all CPUs) and
 // then removes the log, which the new file makes redundant. A failed
 // checkpoint leaves the old file and its log, and marks the log broken:
 // the batch that asked for the checkpoint is in neither.

@@ -52,7 +52,7 @@ import (
 // Load order — one sequence, run by readFile for both file kinds, whether
 // the index only reads its file (Load, LoadFile) or also writes it back
 // (LoadWriteBack); the path-based openers then replay the file's edit log
-// (editlog.go):
+// (editlog.go) and never read the file again:
 //
 //  1. header parse + plausibility guards: nothing payload-sized is
 //     allocated from unvalidated fields;
@@ -249,23 +249,27 @@ func (ix *Index) Save(w io.Writer, kind FileKind) error {
 }
 
 // SaveAt writes the index through w as a file of the given kind, the bytes
-// Save writes: the resident rows' blocks, encoded by appendBlock, framed
-// by the one file writer.
+// Save writes: the resident rows' blocks, encoded on all CPUs, framed by
+// the one file writer.
 func (ix *Index) SaveAt(w io.WriterAt, kind FileKind) error {
+	_, _, err := ix.saveBlocks(w, kind, v2BlockVertices, 0)
+	return err
+}
+
+// saveBlocks writes the index through w as a file of the given kind with
+// blockB start vertices per posting block, the blocks encoded on workers
+// goroutines (1 = serial, <1 = all CPUs), and returns the file's size and
+// trailer checksum. SaveAt and the write-back's checkpoint share it.
+func (ix *Index) saveBlocks(w io.WriterAt, kind FileKind, blockB, workers int) (int64, uint32, error) {
 	h, err := writableHeader(kind, ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	fw := newFileWriter(w, h, v2BlockVertices)
-	var enc []byte
-	for b := range fw.blocks {
-		enc = ix.store.appendBlock(enc[:0], b, v2BlockVertices)
-		if err := fw.add(enc); err != nil {
-			return err
-		}
+	fw := newFileWriter(w, h, blockB)
+	if err := fw.addStore(ix.store, workers); err != nil {
+		return 0, 0, err
 	}
-	_, _, err = fw.finish()
-	return err
+	return fw.finish()
 }
 
 // Load reads a file of the given kind written by Save or BuildStreaming
@@ -284,13 +288,11 @@ func Load(r io.Reader, kind FileKind) (*Index, error) {
 	return f.newIndex(), nil
 }
 
-// validFile is what readFile vouches for: the header, the block geometry
-// and the decoded walks.
+// validFile is what readFile vouches for: the header, the block size and
+// the decoded walks.
 type validFile struct {
 	hdr    fileHeader
 	blockB int64
-	dir    []int64      // numBlocks+1 payload byte offsets
-	vlen   []uint32     // per stored vertex: its encoded length in bytes
 	rows   *raggedStore // every row's live prefixes
 	size   int64        // the file's bytes, trailer included
 	crc    uint32       // the trailer checksum
@@ -305,9 +307,10 @@ func (f *validFile) newIndex() *Index {
 }
 
 // decodeWindow is how many payload bytes readFile reads before it decodes
-// them: a window of whole posting blocks, at least one, decoded in
-// parallel while the rest of the file waits unread. It is a variable so
-// tests can cut a file into windows of any size.
+// them, and about how many the file writer encodes before it writes them
+// (fileWriter.addStore): a window of whole posting blocks, at least one,
+// coded in parallel while the rest of the file waits. It is a variable so
+// tests can cut a file into windows of any size, in either direction.
 var decodeWindow = 4 << 20
 
 // readFile is the one reader: it runs load steps 1–5 over r. The blocks
@@ -340,7 +343,7 @@ func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 	// A chunk is the largest power of two of vertices that tiles the
 	// file's blocks: a whole block for every file this package writes.
 	s := newRaggedStore(fps, k, bits.TrailingZeros64(uint64(blockB)), 0)
-	f := &validFile{hdr: hdr, blockB: blockB, dir: dir, rows: s}
+	f := &validFile{hdr: hdr, blockB: blockB, rows: s}
 	nb, bw := len(dir)-1, int(blockB)
 	var window []byte
 	var rangeErr error
@@ -364,7 +367,6 @@ func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 		}
 		vhi := min(b1*bw, int(rows))
 		s.grow(vhi)
-		f.vlen = slices.Grow(f.vlen, vhi-len(f.vlen))[:vhi]
 		tops, errs := make([]int32, b1-b0), make([]error, b1-b0)
 		eachBlock(0, b1-b0, func() func(i int) {
 			var dense []int32
@@ -377,7 +379,7 @@ func readFile(r io.Reader, kind FileKind) (*validFile, error) {
 					dense, lives = make([]int32, width*fps*k), make([]int, width*fps)
 				}
 				buf := window[dir[b]-dir[b0] : dir[b+1]-dir[b0]]
-				if tops[i], errs[i] = decodeV2Block(buf, dense, lives, f.vlen[vlo:vlo+width], width, k, fps); errs[i] != nil {
+				if tops[i], errs[i] = decodeV2Block(buf, dense, lives, width, k, fps); errs[i] != nil {
 					return
 				}
 				for c := vlo >> s.shift; c<<s.shift < vlo+width; c++ {

@@ -14,15 +14,15 @@ import (
 // index at available memory. BuildStreaming removes that cap: it cuts the
 // range into slices of whole posting blocks sized to a caller-supplied
 // byte budget, generates each slice with Build's own loop (walkStore), and
-// hands its blocks, encoded by appendBlock, to the one file writer
-// (fileWriter). Peak memory is one slice's live prefixes, in one exactly
-// sized chunk a block, plus per worker one vertex's dense walks and one
-// block's scratch, and the writer's 8 B of directory a block — never the
-// whole range. A slice never cuts a block, so no state crosses from one
-// slice to the next, and the file is Save's on a materialized Build of
-// the same range, byte for byte: the walk hash makes any vertex range
-// computable independently, and the block encoder and the writer are
-// Save's own.
+// hands it to the one file writer (fileWriter.addStore), which encodes its
+// blocks on the build's workers. Peak memory is one slice's live prefixes,
+// in one exactly sized chunk a block, plus per worker one vertex's dense
+// walks and one block's scratch, the writer's window of encoded blocks,
+// and its 8 B of directory a block — never the whole range. A slice never
+// cuts a block, so no state crosses from one slice to the next, and the
+// file is Save's on a materialized Build of the same range, byte for
+// byte: the walk hash makes any vertex range computable independently,
+// and the block encoder and the writer are Save's own.
 
 // StreamStats reports what a streaming build wrote, with the resolved
 // build parameters (defaults filled, K derived from Eps) so callers can
@@ -73,15 +73,11 @@ func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io
 	st := &StreamStats{Rows: rows, K: opt.K, Walks: opt.Walks, C: opt.C, Seed: opt.Seed,
 		SliceVertices: streamSliceVertices(budget, opt.Walks*opt.K, rows)}
 	fw := newFileWriter(w, hdr, v2BlockVertices)
-	var enc []byte
 	for slo := 0; slo < rows; slo += st.SliceVertices {
 		st.Slices++
 		slice := walkStore(g, opt, lo+slo, lo+min(slo+st.SliceVertices, rows))
-		for b := range slice.chunks {
-			enc = slice.appendBlock(enc[:0], b, v2BlockVertices)
-			if err := fw.add(enc); err != nil {
-				return nil, err
-			}
+		if err := fw.addStore(slice, opt.Workers); err != nil {
+			return nil, err
 		}
 	}
 	if st.Bytes, st.CRC32, err = fw.finish(); err != nil {

@@ -42,9 +42,8 @@ var ErrTooLarge = errors.New("walkindex: index too large for incremental updates
 // single-node repair. The resident store rewrites a repaired group in
 // place or at the tail of its chunk (walkstore.go); an index opened with
 // LoadWriteBack then appends the repaired walks to its edit log, and at a
-// checkpoint re-encodes the vertices they changed, and their successors
-// in the same posting block, into its file and copies every other
-// vertex's bytes (editlog.go, writeback.go).
+// checkpoint rewrites its file from the resident rows (editlog.go,
+// writeback.go).
 
 // maxWalks bounds width*R so store-local walk ids — (v-lo)*R + fp — fit
 // in the int32 the repair passes them as.

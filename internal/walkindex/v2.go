@@ -40,11 +40,9 @@ import (
 
 // v2BlockVertices is the number of start vertices per posting block: large
 // enough that the directory stays tiny and a block's first vertex — the
-// one that cannot share tails — is rare. A write-back never re-encodes a
-// whole block for one repaired vertex, so the size does not set its cost:
-// it splices the repaired vertices and their successors between clean
-// runs copied from the old file (writeback.go). A block is also the
-// resident store's chunk (walkstore.go).
+// one that cannot share tails — is rare. A block is also the resident
+// store's chunk (walkstore.go) and the unit the encoder spreads over its
+// workers (fileWriter.addStore).
 const v2BlockVertices = 1 << v2BlockShift
 
 // v2BlockShift is log2 of v2BlockVertices.
@@ -162,32 +160,22 @@ func decodeWalk(buf []byte, dst, prev []int32, prevLive int) (used, live int, to
 	return pos, m, top, nil
 }
 
-// appendVertexWalks appends the encoding of one stored vertex to dst: its
-// r walks, each against the same fingerprint's walk in prev, the previous
-// vertex's walks (nil for a block's first vertex). A vertex's bytes
-// therefore depend on its own walks and its predecessor's only, which is
-// what lets a write-back re-encode the vertices an edit batch changed and
-// copy the rest (writeback.go).
-func appendVertexWalks(dst []byte, cur, prev [][]int32) []byte {
-	for fp, w := range cur {
-		var p []int32
-		if prev != nil {
-			p = prev[fp]
-		}
-		dst = appendWalk(dst, w, p)
-	}
-	return dst
-}
-
 // appendBlock appends to dst the encoding of posting block b of a file
 // with blockB start vertices per block: the stored vertices [b·blockB,
-// (b+1)·blockB) ∩ [0, Rows), all r walks each. It is the one whole-block
-// encoder: Save and BuildStreaming both frame its output.
+// (b+1)·blockB) ∩ [0, Rows), all r walks each, every walk against the same
+// fingerprint's walk of the vertex before it in the block. It is the one
+// block encoder: every file is framed from its output (fileWriter).
 func (s *raggedStore) appendBlock(dst []byte, b, blockB int) []byte {
 	var cur, prev [][]int32
 	for v := b * blockB; v < min((b+1)*blockB, s.Rows()); v++ {
 		cur = s.walks(v, cur[:0])
-		dst = appendVertexWalks(dst, cur, prev)
+		for fp, w := range cur {
+			var p []int32
+			if prev != nil {
+				p = prev[fp]
+			}
+			dst = appendWalk(dst, w, p)
+		}
 		cur, prev = prev, cur
 	}
 	return dst
@@ -195,15 +183,14 @@ func (s *raggedStore) appendBlock(dst []byte, b, blockB int) []byte {
 
 // decodeV2Block decodes one posting block into dst (its first width*r*k
 // entries, vertex-major, -1 after each death) and lives (its first width*r
-// entries, each walk's live length), writes each vertex's encoded length
-// to vlen (width entries), and returns the block's largest explicit entry,
-// -1 when there is none: a shared tail repeats entries of the previous
-// vertex, so that one number range-checks the block. The whole buffer must
-// be consumed — trailing bytes inside a block are a forgery, not padding.
-func decodeV2Block(buf []byte, dst []int32, lives []int, vlen []uint32, width, k, r int) (int32, error) {
+// entries, each walk's live length), and returns the block's largest
+// explicit entry, -1 when there is none: a shared tail repeats entries of
+// the previous vertex, so that one number range-checks the block. The
+// whole buffer must be consumed — trailing bytes inside a block are a
+// forgery, not padding.
+func decodeV2Block(buf []byte, dst []int32, lives []int, width, k, r int) (int32, error) {
 	pos, top := 0, int32(-1)
 	for v := 0; v < width; v++ {
-		vstart := pos
 		for fp := 0; fp < r; fp++ {
 			w := v*r + fp
 			var prev []int32
@@ -218,7 +205,6 @@ func decodeV2Block(buf []byte, dst []int32, lives []int, vlen []uint32, width, k
 			pos += used
 			lives[w], top = live, max(top, wtop)
 		}
-		vlen[v] = uint32(pos - vstart)
 	}
 	if pos != len(buf) {
 		return top, fmt.Errorf("walkindex: %d trailing bytes inside posting block", len(buf)-pos)
@@ -226,10 +212,10 @@ func decodeV2Block(buf []byte, dst []int32, lives []int, vlen []uint32, width, k
 	return top, nil
 }
 
-// fileWriter is the one writer of the file layout, whoever supplies the
-// posting blocks: Save encodes them from the resident rows, BuildStreaming
-// from each slice it generates, and the write-back splices and copies
-// them. The payload goes out in order through w as blocks are added; the
+// fileWriter is the one writer of the file layout: Save, BuildStreaming
+// and the write-back's checkpoint hand it the resident rows, one store at
+// a time (addStore), and it encodes their posting blocks and frames them.
+// The payload goes out in order through w as blocks are added; the
 // directory stays in memory, 8 B a block, until finish writes the header
 // and the directory once at offset 0 and the trailer after the payload.
 // The trailer is the CRC of head ‖ payload, joined from the two sums by
@@ -237,7 +223,8 @@ func decodeV2Block(buf []byte, dst []int32, lives []int, vlen []uint32, width, k
 type fileWriter struct {
 	w      io.WriterAt
 	what   string
-	blocks int           // the block count the header declares
+	blockB int           // start vertices per posting block
+	added  int           // blocks added so far
 	head   []byte        // the preamble, then the directory so far
 	crc    hash.Hash32   // of the payload so far
 	pw     *bufio.Writer // the payload, at its offset in w
@@ -245,14 +232,46 @@ type fileWriter struct {
 }
 
 // newFileWriter starts a file with header h and blockB start vertices per
-// posting block; add must then be called once for each of its blocks.
+// posting block; its blocks must then be added in order, each once.
 func newFileWriter(w io.WriterAt, h fileHeader, blockB int) *fileWriter {
 	nb := int(v2NumBlocks(h.rows(), int64(blockB)))
 	head := binary.LittleEndian.AppendUint64(h.preamble(blockB, nb), 0)
 	crc := crc32.NewIEEE()
 	payload := io.NewOffsetWriter(w, int64(len(head))+8*int64(nb))
-	return &fileWriter{w: w, what: h.kind.String(), blocks: nb, head: head, crc: crc,
+	return &fileWriter{w: w, what: h.kind.String(), blockB: blockB, head: head, crc: crc,
 		pw: bufio.NewWriterSize(io.MultiWriter(payload, crc), 1<<16)}
+}
+
+// addStore adds the posting blocks of s — the file's next s.Rows() stored
+// vertices, from a block boundary on — encoded by appendBlock on workers
+// goroutines (1 = serial, <1 = all CPUs). It encodes a window of whole
+// blocks at a time, at least one, of about decodeWindow bytes at the mean
+// length of the blocks added so far (the first window is one block), and
+// adds the window's blocks in order, so the encoded file is never held
+// whole and the bytes are the same for every worker count and window.
+func (fw *fileWriter) addStore(s *raggedStore, workers int) error {
+	nb := int(v2NumBlocks(int64(s.Rows()), int64(fw.blockB)))
+	var window [][]byte // the window's encoded blocks, reused
+	for b0 := 0; b0 < nb; {
+		n := 1
+		if fw.added > 0 {
+			n = max(1, int(int64(decodeWindow)*int64(fw.added)/fw.size))
+		}
+		b1 := min(nb, b0+n)
+		for len(window) < b1-b0 {
+			window = append(window, nil)
+		}
+		eachBlock(workers, b1-b0, func() func(i int) {
+			return func(i int) { window[i] = s.appendBlock(window[i][:0], b0+i, fw.blockB) }
+		})
+		for _, enc := range window[:b1-b0] {
+			if err := fw.add(enc); err != nil {
+				return err
+			}
+		}
+		b0 = b1
+	}
+	return nil
 }
 
 // add writes the next posting block. A block longer than the loader
@@ -265,6 +284,7 @@ func (fw *fileWriter) add(block []byte) error {
 		return fmt.Errorf("walkindex: writing %s blocks: %w", fw.what, err)
 	}
 	fw.size += int64(len(block))
+	fw.added++
 	fw.head = binary.LittleEndian.AppendUint64(fw.head, uint64(fw.size))
 	return nil
 }
@@ -364,10 +384,9 @@ func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
 // before the block's width*r*k decoded entries are allocated, which caps
 // the reader's allocation at 4k bytes per byte actually read (each
 // decoding worker's buffer is sized for a block it has read), the 8-byte
-// live length it keeps per walk at 8, the 4-byte encoded length it
-// records per vertex at 4/r and the 32 bytes a store chunk of at least
-// one vertex takes at 32/r — and at most 2 header bytes plus 5 bytes per
-// explicit entry.
+// live length it keeps per walk at 8 and the 32 bytes a store chunk of at
+// least one vertex takes at 32/r — and at most 2 header bytes plus 5 bytes
+// per explicit entry.
 func v2BlockLenPlausible(blen, width, k, r int64) bool {
 	return blen >= width*r && blen <= min(maxV2BlockBytes, width*r*(5*k+2))
 }

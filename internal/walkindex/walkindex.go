@@ -212,7 +212,7 @@ func walkStore(g *graph.Graph, opt Options, lo, hi int) *raggedStore {
 // goroutines (1 = serial, <1 = all CPUs). Each goroutine gets its own do
 // from newWorker, which holds that goroutine's scratch, and takes the
 // next block whenever it finishes one, so blocks of uneven cost balance.
-// Build, the reader and the checkpoint share it: blocks are their unit.
+// Build, the reader and the file writer share it: blocks are their unit.
 func eachBlock(workers, blocks int, newWorker func() func(b int)) {
 	if blocks == 0 {
 		return
@@ -405,20 +405,16 @@ func (ix *Index) Backend() string {
 	return "dense"
 }
 
-// Close checkpoints a write-back index whose file lags its rows — the
-// file is then Save's for them and the edit log is gone, its blocks
-// spliced on all CPUs — and releases the file handle. The index must not be queried afterwards. Closing any
-// other index is a no-op, so callers can defer it unconditionally.
+// Close checkpoints a write-back index that has an edit log beside its
+// file, or whose log is broken — the file is then Save's for its rows,
+// its blocks encoded on all CPUs, and the log is gone. The index holds no file open, and must
+// not be queried afterwards. Closing any other index is a no-op, so
+// callers can defer it unconditionally.
 func (ix *Index) Close() error {
-	bk := ix.file
-	if bk == nil {
-		return nil
+	if bk := ix.file; bk != nil && (bk.logBytes > 0 || bk.logBroken) {
+		return ix.checkpoint(0)
 	}
-	var err error
-	if bk.logBroken || slices.Contains(bk.dirty, true) {
-		err = ix.checkpoint(0)
-	}
-	return errors.Join(err, bk.f.Close())
+	return nil
 }
 
 // meetStep returns the first step index t at which two walks of one

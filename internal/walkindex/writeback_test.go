@@ -42,8 +42,9 @@ func openWriteBack(t *testing.T, path string, kind FileKind, g *graph.Graph) *In
 }
 
 // saveBlocked is Save at a block size of blockB vertices instead of
-// v2BlockVertices: files of other writers are valid with any block size,
-// and a write-back must keep the one it found.
+// v2BlockVertices — files of other writers are valid with any block size,
+// and a write-back must keep the one it found — written by a serial loop
+// of single blocks, the reference the windowed encoder is held to.
 func saveBlocked(t *testing.T, ix *Index, kind FileKind, blockB int) []byte {
 	t.Helper()
 	h, err := writableHeader(kind, ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed)
@@ -52,7 +53,7 @@ func saveBlocked(t *testing.T, ix *Index, kind FileKind, blockB int) []byte {
 	}
 	var f memFile
 	fw := newFileWriter(&f, h, blockB)
-	for b := range fw.blocks {
+	for b := range int(v2NumBlocks(h.rows(), int64(blockB))) {
 		if err := fw.add(ix.store.appendBlock(nil, b, blockB)); err != nil {
 			t.Fatal(err)
 		}
@@ -316,10 +317,10 @@ func TestWriteBackSpliceBoundaries(t *testing.T) {
 	}
 }
 
-// TestPrefetchShardEquivalence covers the ranged sweeps: SparseRows and
+// TestWriteBackShardEquivalence covers the ranged sweeps: SparseRows and
 // JoinCandidates on a shard range opened for write-back must match the
 // built range exactly.
-func TestPrefetchShardEquivalence(t *testing.T) {
+func TestWriteBackShardEquivalence(t *testing.T) {
 	g := gen.CitationGraph(420, 4, 19)
 	opt := Options{Walks: 16, Seed: 5}
 	sx, err := Build(g, opt, 60, 350)
@@ -428,12 +429,12 @@ func TestMappedConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPrefetchConcurrentReadersAndEdits is the race gate for edits:
+// TestWriteBackConcurrentReadersAndEdits is the race gate for edits:
 // readers query a write-back index while a writer applies edit batches,
 // each of which appends to the edit log or checkpoints the file. The
 // reader/writer lock mirrors how simrankd serializes edits against
 // queries. Run under -race in CI.
-func TestPrefetchConcurrentReadersAndEdits(t *testing.T) {
+func TestWriteBackConcurrentReadersAndEdits(t *testing.T) {
 	g := gen.WebGraph(400, 5, 31)
 	opt := Options{Walks: 12, Seed: 8}
 	built, err := buildFull(g, opt)
@@ -533,10 +534,6 @@ func TestLoadMappedRejections(t *testing.T) {
 // the file stays as it was, byte for byte, its edit log still replays to
 // the repaired index, and the index in memory is the repaired one; the
 // next batch checkpoints instead of appending, and writes both batches.
-// The two batches repair neighbouring vertices of one block, so the
-// second splices clean runs around the first's vertices: had the failed
-// write committed their new lengths, those runs would be read at the
-// wrong offsets.
 func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	g := hubGraph(11)
 	opt := Options{K: 6, Walks: 10, Seed: 6}
@@ -602,44 +599,35 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	}
 }
 
-// TestWriteBackShortReadIsError: clean bytes that cannot be read back in
-// full from the old file — its handle closed, or holding fewer bytes than
-// the recorded lengths, inside a spliced block or in a clean block of its
-// own — fail the checkpoint before anything is published. The file and
-// its edit log stay as they were, no temp file is left, and the index in
-// memory is repaired.
-func TestWriteBackShortReadIsError(t *testing.T) {
-	// cut swaps the handle for one on a copy of the file that ends at
-	// payload byte at.
-	cut := func(t *testing.T, bk *backing, at int64) {
-		old, err := os.ReadFile(bk.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		short := filepath.Join(t.TempDir(), "short.srwk")
-		if err := os.WriteFile(short, old[:bk.payload+at], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(short)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bk.f.Close()
-		bk.f = f
-	}
+// TestWriteBackNeverReadsOldFile: nothing reads the index file after it
+// is opened. With the file truncated, overwritten in place or unlinked
+// under a live write-back index, a batch, an explicit checkpoint and then
+// — the file spoiled again and one more batch made — Close all succeed,
+// and the checkpoint and Close each leave Save's bytes for the repaired
+// rows, at the loaded file's block size, with no edit log.
+func TestWriteBackNeverReadsOldFile(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		blockB int // the saved file's block size
-		target int // the vertex whose in-set the batch changes
-		spoil  func(t *testing.T, bk *backing)
+		name  string
+		spoil func(path string) error
 	}{
-		{"closed", v2BlockVertices, 30, func(t *testing.T, bk *backing) { bk.f.Close() }},
-		{"truncated", v2BlockVertices, 30, func(t *testing.T, bk *backing) { cut(t, bk, int64(bk.vlen[0])) }},
-		// Vertex 3's block splices intact bytes; block 5, clean, is cut
-		// in the middle.
-		{"short clean block", 8, 3, func(t *testing.T, bk *backing) { cut(t, bk, (bk.dir[5]+bk.dir[6])/2) }},
+		{"truncated", func(path string) error {
+			st, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			return os.Truncate(path, st.Size()/2)
+		}},
+		{"overwritten", func(path string) error {
+			old, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(path, bytes.Repeat([]byte{0xa5}, len(old)), 0o644)
+		}},
+		{"unlinked", os.Remove},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			const blockB = 8
 			g := hubGraph(5)
 			opt := Options{K: 6, Walks: 4, Seed: 2}
 			built, err := buildFull(g, opt)
@@ -647,42 +635,102 @@ func TestWriteBackShortReadIsError(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), "index.srwk")
-			before := saveBlocked(t, built, IndexFile, tc.blockB)
-			if err := os.WriteFile(path, before, 0o644); err != nil {
+			if err := os.WriteFile(path, saveBlocked(t, built, IndexFile, blockB), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			wb := openWriteBack(t, path, IndexFile, g)
-			tc.spoil(t, wb.file)
-			real := writeFile
-			t.Cleanup(func() { writeFile = real })
-			writeFile = func(path string, write func(*os.File) error) error {
-				err := real(path, write)
-				if err == nil {
-					t.Error("a write-back whose clean bytes failed to read published the file")
+			rng := rand.New(rand.NewSource(1))
+			for step, target := range []int{3, 30} {
+				if err := tc.spoil(path); err != nil {
+					t.Fatal(err)
 				}
-				return err
+				if g, err = updateTargets(t, rng, wb, g, []int{target}); err != nil {
+					t.Fatalf("step %d: Update: %v", step, err)
+				}
+				what := "the checkpoint"
+				if step == 0 {
+					err = wb.checkpoint(0)
+				} else {
+					what, err = "Close", wb.Close()
+				}
+				if err != nil {
+					t.Fatalf("%s over a spoiled file: %v", what, err)
+				}
+				fresh, err := buildFull(g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireFile(t, path, saveBlocked(t, fresh, IndexFile, blockB), what)
+				if _, err := os.Stat(logPath(path)); !os.IsNotExist(err) {
+					t.Fatalf("%s left the edit log (stat err %v)", what, err)
+				}
 			}
+		})
+	}
+}
 
-			g1, err := updateTargets(t, rand.New(rand.NewSource(1)), wb, g, []int{tc.target})
-			if err != nil {
-				t.Fatalf("Update appends to the log, never reading the old file: %v", err)
-			}
-			if err := wb.checkpoint(0); !errors.Is(err, ErrWriteBack) {
-				t.Fatalf("checkpoint over an unreadable old file: err = %v, want ErrWriteBack", err)
-			}
-			requireFile(t, path, before, "after the failed read")
-			if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 2 {
-				t.Fatalf("the failed checkpoint left %d files beside the file and its log (err %v)", len(entries)-2, err)
-			}
-			fresh, err := buildFull(g1, opt)
+// TestCheckpointSaveStreamSameBytes: the one block encoder writes the
+// same bytes at every worker count and window. At 1, 2 and 8 workers, with
+// windows of one block, a few KB and 4 MiB, Save's encoder, a streamed
+// build in slices of one block and of the whole range, and a checkpoint of
+// a file of 13-vertex blocks each write the file a serial loop of single
+// blocks (saveBlocked) writes.
+func TestCheckpointSaveStreamSameBytes(t *testing.T) {
+	defer func(window int) { decodeWindow = window }(decodeWindow)
+	g := gen.CitationGraph(700, 4, 3)
+	opt := Options{Walks: 8, Seed: 7}
+	const blockB = 13
+	built, err := buildFull(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.srwk")
+	if err := os.WriteFile(path, saveBlocked(t, built, IndexFile, blockB), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wb := openWriteBack(t, path, IndexFile, g)
+	rng := rand.New(rand.NewSource(5))
+	for _, window := range []int{1, 3000, 4 << 20} {
+		decodeWindow = window
+		for _, workers := range []int{1, 2, 8} {
+			what := fmt.Sprintf("window %d B, %d workers", window, workers)
+			next, sum, err := g.ApplyEdits(editBatch(rng, g, 3))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !wb.Equal(fresh) {
-				t.Fatal("after the failed read the index is not the repaired one")
+			if _, err := wb.Update(next, sum.DirtyIn, workers); err != nil {
+				t.Fatal(err)
 			}
-			requireDurable(t, path, IndexFile, fresh, nil, "after the failed read")
-		})
+			g = next
+			if err := wb.checkpoint(workers); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := buildFull(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireFile(t, path, saveBlocked(t, fresh, IndexFile, blockB), what+", checkpoint")
+
+			want := saveBlocked(t, fresh, IndexFile, v2BlockVertices)
+			var saved memFile
+			if _, _, err := fresh.saveBlocks(&saved, IndexFile, v2BlockVertices, workers); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saved, want) {
+				t.Fatalf("%s: Save's encoder writes %d bytes, single blocks %d", what, len(saved), len(want))
+			}
+			for _, budget := range []int64{1, 1 << 30} {
+				var streamed memFile
+				o := opt
+				o.Workers = workers
+				if _, err := BuildStreaming(g, o, 0, g.NumVertices(), IndexFile, &streamed, budget); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(streamed, want) {
+					t.Fatalf("%s: a streamed build under a %d B budget writes %d bytes, single blocks %d", what, budget, len(streamed), len(want))
+				}
+			}
+		}
 	}
 }
 
@@ -749,37 +797,39 @@ func BenchmarkWriteBack(b *testing.B) {
 	b.ReportMetric(float64(checkpoints)/float64(b.N), "checkpoints/op")
 }
 
-// BenchmarkCheckpoint times a checkpoint on its own, over a log that has
-// just reached its share of the file, as Update runs it: each op appends
-// untimed 8-edit batches until the log holds 1/logShare of the file, then
-// rewrites the file and removes the log, timed. It reports the batches
-// and the vertices re-encoded per checkpoint.
+// BenchmarkCheckpoint times a checkpoint on its own, as Update or Close
+// runs it, on the mapped-edits shape: "share" over a log that has just
+// reached its share of the file — each op first appends untimed 8-edit
+// batches until the log holds 1/logShare of it — and "one-batch" over a
+// log of a single batch, what Close costs after a short session. Either
+// rewrites the whole file and removes the log. It reports the batches per
+// checkpoint.
 func BenchmarkCheckpoint(b *testing.B) {
-	ix, g := openBenchWriteBack(b)
-	rng := rand.New(rand.NewSource(1))
-	batches, encoded := 0, 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for ix.file.logBytes < ix.file.size/logShare {
-			var walks []int32
-			g, walks = benchRepair(b, rng, ix, g)
-			ix.file.markDirty(walks, ix.r)
-			if err := ix.appendLog(walks); err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		batches int // batches per checkpoint; 0 = until the log's share
+	}{{"share", 0}, {"one-batch", 1}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ix, g := openBenchWriteBack(b)
+			rng := rand.New(rand.NewSource(1))
+			batches := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for n := 0; n < tc.batches || tc.batches == 0 && ix.file.logBytes < ix.file.size/logShare; n++ {
+					var walks []int32
+					g, walks = benchRepair(b, rng, ix, g)
+					if err := ix.appendLog(walks); err != nil {
+						b.Fatal(err)
+					}
+					batches++
+				}
+				b.StartTimer()
+				if err := ix.checkpoint(0); err != nil {
+					b.Fatal(err)
+				}
 			}
-			batches++
-		}
-		for _, d := range ix.file.dirty {
-			if d {
-				encoded++
-			}
-		}
-		b.StartTimer()
-		if err := ix.checkpoint(0); err != nil {
-			b.Fatal(err)
-		}
+			b.ReportMetric(float64(batches)/float64(b.N), "batches/op")
+		})
 	}
-	b.ReportMetric(float64(batches)/float64(b.N), "batches/op")
-	b.ReportMetric(float64(encoded)/float64(b.N), "vertices_encoded/op")
 }

@@ -69,13 +69,14 @@ func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes in
 // records LoadFile replays: every batch that returned without an error,
 // at most the batch in flight lost, never a part of one. The file is
 // rewritten at a checkpoint: once the log reaches a quarter of the file, on
-// the batch after a failed append, and on Close. A checkpoint re-encodes
-// the vertices the batches changed, copies every other block verbatim,
-// publishes the file atomically (temp, fsync, rename) and then removes
-// the log, so after it the file equals SaveFile of the repaired index,
-// byte for byte. Queries never read the file. Like LoadFile's, the index
-// answers and takes edits once AttachGraph has given it its graph. Call
-// Close when done, to checkpoint and release the file handle.
+// the batch after a failed append, and on Close. A checkpoint encodes
+// every block of the repaired index, publishes the file atomically (temp,
+// fsync, rename) and then removes the log, so after it the file equals
+// SaveFile of the repaired index, byte for byte. Neither queries nor
+// checkpoints read the file after it is opened, and no handle on it is
+// held. Like LoadFile's, the index answers and takes edits once
+// AttachGraph has given it its graph. Call Close when done, to checkpoint
+// what the log holds.
 func LoadFileMapped(path string, _ MappedOptions) (*Index, error) {
 	wi, err := walkindex.LoadWriteBack(path, walkindex.IndexFile)
 	if err != nil {
@@ -89,8 +90,8 @@ func LoadFileMapped(path string, _ MappedOptions) (*Index, error) {
 // whose edit batches are also made durable beside its file.
 func (ix *Index) Backend() string { return ix.wi.Backend() }
 
-// Close checkpoints a write-back index whose file lags its edits, so the
-// file is SaveFile's for it and its edit log is gone, and releases the
-// file handle; closing any other index does nothing. The index must not be
-// used afterwards.
+// Close checkpoints a write-back index that has an edit log beside its
+// file, or whose log is broken, so the file is SaveFile's for it and its
+// edit log is gone; closing any other index does nothing. The index must
+// not be used afterwards.
 func (ix *Index) Close() error { return ix.wi.Close() }
