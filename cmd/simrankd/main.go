@@ -231,7 +231,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "generator / index seed")
 	flag.StringVar(&o.indexPath, "index", "", "walk-index file: loaded when present, else built and saved here")
 	flag.BoolVar(&o.rebuild, "rebuild", false, "rebuild the index even if -index exists")
-	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: make every /v1/edges batch durable in an edit log beside the index file, rewritten into the file at checkpoints (only the changed vertices are re-encoded), so a restart on the edited graph serves the edited index; the graph before the edits is refused")
+	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: make every /v1/edges batch durable in an edit log beside the index file, rewritten into the file at checkpoints (each a whole re-save of the index), so a restart on the edited graph serves the edited index; the graph before the edits is refused")
 	flag.Float64Var(&o.c, "c", 0.6, "damping factor C")
 	flag.IntVar(&o.k, "k", 0, "walk horizon (0 = derive from -eps)")
 	flag.Float64Var(&o.eps, "eps", 1e-3, "truncation target when -k is 0")

@@ -8,25 +8,6 @@
 // the graph package hands out in-neighbor lists in.
 package partition
 
-// IntersectSize returns |a ∩ b| for strictly sorted slices.
-func IntersectSize(a, b []int) int {
-	n := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
 // ScratchCost returns the additions needed to compute Partial_B from
 // nothing: |B| - 1, or 0 for empty or singleton sets. This is the weight of
 // the root edge in the DMST-Reduce cost graph.

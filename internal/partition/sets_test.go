@@ -45,6 +45,25 @@ func SortedDiff(a, b []int) []int {
 	return out
 }
 
+// IntersectSize returns |a ∩ b| for strictly sorted slices.
+func IntersectSize(a, b []int) int {
+	n := 0
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
 // SymmetricDiffSize returns |a (+) b| = |a\b| + |b\a| for strictly sorted
 // slices without materializing the difference.
 func SymmetricDiffSize(a, b []int) int {

@@ -123,14 +123,16 @@ func TestServeSingleSourceAllocSteadyState(t *testing.T) {
 }
 
 // rerankSources are hub-heavy sources of benchIndex's graph: their default
-// rerank pools expand through the highest in-degree vertices, so each
-// leaves a memo of 80 000 to 380 000 entries — the requests that are the
-// tail of serve-zipf.
+// rerank pools expand through the highest in-degree vertices — the
+// requests that are the tail of serve-zipf.
 var rerankSources = []int{70, 238, 84, 14, 791, 0, 105, 693, 413, 133, 735, 378, 147, 329, 140, 2212}
 
 // BenchmarkRerank measures the exact rerank of one default pool (k=10, 40
 // candidates) from an already-swept row, rotating over rerankSources:
-// what ?rerank=1 adds to a top-k miss.
+// what ?rerank=1 adds to a top-k miss. It reports the scorer's work per
+// pool from query.RerankWorkTotal — interior nodes expanded, frontier
+// children counted, memo entries stored — exact when b.N is a multiple of
+// len(rerankSources), as with -benchtime 64x.
 func BenchmarkRerank(b *testing.B) {
 	idx := benchIndex(b)
 	ctx := context.Background()
@@ -143,6 +145,7 @@ func BenchmarkRerank(b *testing.B) {
 	}
 	opt := &query.TopKOptions{Rerank: true}
 	b.ReportAllocs()
+	before := query.RerankWorkTotal()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(rerankSources)
@@ -150,6 +153,11 @@ func BenchmarkRerank(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	after, n := query.RerankWorkTotal(), float64(b.N)
+	b.ReportMetric(float64(after.Interior-before.Interior)/n, "interior/op")
+	b.ReportMetric(float64(after.Frontier-before.Frontier)/n, "frontier/op")
+	b.ReportMetric(float64(after.MemoEntries-before.MemoEntries)/n, "memo_entries/op")
 }
 
 // TestServeRerankAllocSteadyState pins the allocations of a warm

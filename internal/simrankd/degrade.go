@@ -6,6 +6,8 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	"oipsr/simrank/query"
 )
 
 // Deadline-aware degradation. An exact rerank multiplies a top-k request's
@@ -108,12 +110,16 @@ func (sv *serving) observeExact(elapsed time.Duration) {
 }
 
 // writeCostModelMetrics emits the live values the degrade decisions are
-// made from — the two EWMA cells, 0 until their first observation — and the
-// rerank time distribution.
+// made from — the two EWMA cells, 0 until their first observation — the
+// rerank time distribution, and the process's rerank work counts beside it.
 func (sv *serving) writeCostModelMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_rerank_nanos_per_candidate %d\n", sv.rerankNanosPerCand.Load())
 	fmt.Fprintf(w, "simrankd_exact_solve_nanos %d\n", sv.exactNanos.Load())
 	sv.rerankSeconds.WriteProm(w, "simrankd_rerank_seconds")
+	work := query.RerankWorkTotal()
+	fmt.Fprintf(w, "simrankd_rerank_interior_total %d\n", work.Interior)
+	fmt.Fprintf(w, "simrankd_rerank_frontier_total %d\n", work.Frontier)
+	fmt.Fprintf(w, "simrankd_rerank_memo_entries_total %d\n", work.MemoEntries)
 }
 
 // shouldDegrade reports whether an exact rerank of `candidates` pool

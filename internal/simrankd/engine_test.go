@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -304,9 +305,12 @@ func TestCostModelMetrics(t *testing.T) {
 			}
 		}
 
+		work := metricValues(t, body, rerankWorkNames)
+
 		// A plain top-k observes nothing; a reranked one seeds the rerank
-		// cell; the second linearized solve (the first pays the one-time
-		// diagonal and is skipped) seeds the exact cell.
+		// cell and adds to the process's rerank work; the second
+		// linearized solve (the first pays the one-time diagonal and is
+		// skipped) seeds the exact cell.
 		get(t, base+"/v1/topk?q=11&k=5")
 		if code, body := get(t, base+"/v1/topk?q=11&k=5&rerank=1"); code != http.StatusOK {
 			t.Fatalf("%s rerank: %d %s", name, code, body)
@@ -325,7 +329,32 @@ func TestCostModelMetrics(t *testing.T) {
 				t.Errorf("%s after one rerank: metrics missing %q", name, want)
 			}
 		}
+		for i, after := range metricValues(t, body, rerankWorkNames) {
+			if after <= work[i] {
+				t.Errorf("%s after one rerank: %s = %d, %d before", name, rerankWorkNames[i], after, work[i])
+			}
+		}
 	}
+}
+
+// metricValues reads the integer value of each named series from a
+// /metrics body.
+func metricValues(t *testing.T, body []byte, names []string) []int64 {
+	t.Helper()
+	out := make([]int64, len(names))
+	for i, name := range names {
+		j := bytes.Index(body, []byte("\n"+name+" "))
+		if j < 0 {
+			t.Fatalf("metrics missing %s", name)
+		}
+		line := body[j+len(name)+2:]
+		v, err := strconv.ParseInt(string(line[:bytes.IndexByte(line, '\n')]), 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[i] = v
+	}
+	return out
 }
 
 // TestRerankCostModelOneUnit: the rerank cost cell holds one source's

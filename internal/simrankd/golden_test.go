@@ -487,11 +487,16 @@ func metricNames(t *testing.T, h http.Handler) []string {
 	return names
 }
 
+// rerankWorkNames are the exact rerank's work counters, new in serve and
+// router mode since the parent.
+var rerankWorkNames = []string{"simrankd_rerank_interior_total", "simrankd_rerank_frontier_total", "simrankd_rerank_memo_entries_total"}
+
 // TestParentMetricNames: every series (name and label set; order free)
 // each mode exported at the parent is still exported — one writer for the
 // shared lines must not have dropped any — and router mode now also reports
-// the update effects its /v1/edges response always carried, and both ends of
-// a score leg count what crosses it.
+// the update effects its /v1/edges response always carried, both ends of
+// a score leg count what crosses it, and serve and router mode count the
+// exact rerank's work.
 func TestParentMetricNames(t *testing.T) {
 	g := gen.WebGraph(goldenN, 5, 101)
 	opt := query.Options{Walks: 20, Seed: 7, Workers: 1}
@@ -518,10 +523,10 @@ func TestParentMetricNames(t *testing.T) {
 		h    http.Handler
 		also []string
 	}{
-		{"serve", NewServer(idx, Config{Workers: 1}), nil},
+		{"serve", NewServer(idx, Config{Workers: 1}), rerankWorkNames},
 		{"shard", ss, []string{"simrankd_shard_scores_entries_total"}},
-		{"router", rt, []string{"simrankd_update_edges_added_total", "simrankd_update_edges_removed_total", "simrankd_update_walks_repaired_total",
-			"simrankd_shard_leg_bytes_total", "simrankd_shard_leg_rows_total"}},
+		{"router", rt, append([]string{"simrankd_update_edges_added_total", "simrankd_update_edges_removed_total", "simrankd_update_walks_repaired_total",
+			"simrankd_shard_leg_bytes_total", "simrankd_shard_leg_rows_total"}, rerankWorkNames...)},
 	} {
 		got := metricNames(t, mode.h)
 		file := "metrics-" + mode.name + ".txt"

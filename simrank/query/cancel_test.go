@@ -3,9 +3,11 @@ package query
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"oipsr/graph/gen"
+	"oipsr/internal/par"
 	"oipsr/internal/sparserow"
 )
 
@@ -142,4 +144,37 @@ func (c *cancelAfterN) Err() error {
 		return context.Canceled
 	}
 	return nil
+}
+
+// TestScorerAfterCancel: a call abandoned anywhere — mid-row, with the
+// stamps holding a row's in-list and the memo half filled — leaves nothing
+// that the next call on the same table sees. The checker polls on every
+// memo store and frontier child, and the context dies at a later poll each
+// round, so the cuts fall all through the candidate's recursion; after
+// each, the table scores a source against every vertex like a fresh
+// reference, bit for bit.
+func TestScorerAfterCancel(t *testing.T) {
+	g := gen.WebGraph(150, 8, 101)
+	all := make([]int, g.NumVertices())
+	for v := range all {
+		all[v] = v
+	}
+	const q, cand, k, eps = 2, 0, 13, 1e-7
+	memo := &memoTable{slots: make([]memoEntry, 2)}
+	ex := scorerOn(memo, g, 0.6, k, eps)
+	if _, err := ex.pair(q, cand); err != nil {
+		t.Fatal(err)
+	}
+	polls := int(ex.interior + ex.frontier) // a store per interior node, the root among them, and each frontier child
+	if ex.frontier < 1000 {
+		t.Fatalf("(%d,%d) counted %d frontier children: the test lost its point", q, cand, ex.frontier)
+	}
+	for cut := 0; cut < polls; cut += 1 + cut/8 { // the context dies at poll cut+1
+		ex := scorerOn(memo, g, 0.6, k, eps)
+		ex.cancel = *par.NewCancelChecker(&cancelAfterN{Context: context.Background(), n: cut}, 1)
+		if _, err := ex.pair(q, cand); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cut at poll %d of %d: err = %v, want context.Canceled", cut+1, polls, err)
+		}
+		requireSameScores(t, scorerOn(memo, g, 0.6, k, eps), q, all, fmt.Sprintf("after a cut at poll %d of %d", cut+1, polls))
+	}
 }

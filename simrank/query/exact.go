@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"oipsr/graph"
 	"oipsr/internal/par"
-	"oipsr/internal/partition"
 )
 
 // exactScorer computes exact truncated SimRank scores for individual pairs
@@ -58,14 +59,24 @@ import (
 //     weight, so it is answered from the two degrees and never enters the
 //     memo. On web graphs most vertices a deep expansion meets have no
 //     in-neighbors: 87% of the entries the map version stored on the
-//     serve-zipf graph were such zeros.
-//   - A node whose children would all be cut off — rem == 1, or the
-//     children's weight w*scale already below pruneEps — is the frontier of
-//     the expansion and its widest level. Each child is then 1 for x == y
-//     and 0 otherwise, so the double loop adds |I(a) ∩ I(b)| ones: an
-//     integer far below 2^53, hence exact in float64 in any order. One
-//     merge of the two in-lists (strictly increasing: graph.Validate)
-//     counts it in |I(a)|+|I(b)| steps instead of |I(a)|·|I(b)| calls.
+//     serve-zipf graph were such zeros. So an interior node lists the
+//     vertices of I(b) that have in-neighbors once, as its columns, and a
+//     row x without them adds only its (x, x) child, if x is in I(b).
+//   - A child (x, y) whose own children would all be cut off — rem == 1,
+//     or its weight w·C/(|I(x)||I(y)|) already below pruneEps — is the
+//     frontier of the expansion and its widest level. Each grandchild is
+//     then 1 for x' == y' and 0 otherwise, so the child is
+//     C/(|I(x)||I(y)|)·|I(x) ∩ I(y)|: an integer count far below 2^53,
+//     exact in float64 in any order, times the child's scale. The parent's
+//     double loop resolves such a child inline, without a call: a row x
+//     stamps I(x) once into the table's vertex-indexed stamp array, and
+//     each child of the row counts the stamped vertices of I(y): |I(y)|
+//     steps a child, against |I(x)|+|I(y)| for a merge of the two. Frontier
+//     values are not stored: at any weight the memo would reuse one for,
+//     the child is still a frontier and recomputes the same bits. Only
+//     interior nodes and root pairs are stored, and a frontier child still
+//     probes the memo first, since an interior entry of the same pair at
+//     a heavier weight wins exactly as it did when it was a call.
 //     Interior nodes skip the call for x == y the same way.
 type exactScorer struct {
 	g        *graph.Graph
@@ -74,22 +85,44 @@ type exactScorer struct {
 	pruneEps float64
 	memo     *memoTable
 
-	// cancel is polled once per memo store, i.e. it consults the context
-	// every memoCancelEvery stores; err latches what it found, and every
-	// frame of the recursion returns as soon as it sees it.
+	// cancel is polled once per memo store and once per frontier child,
+	// i.e. it consults the context every memoCancelEvery of them; err
+	// latches what it found, and every frame of the recursion returns as
+	// soon as it sees it.
 	cancel par.CancelChecker
 	err    error
+
+	// interior and frontier count the nodes expanded and the frontier
+	// children counted; release adds them to rerankWork.
+	interior, frontier uint64
 }
 
 // memoTable is the memo of one rerank call: open addressing, linear
 // probing, a power-of-two number of slots of which at most half are in
 // use. A slot whose epoch is not the table's current one is free — which
 // covers the zero value, epoch 0 never being current.
+//
+// It also holds the frontier's stamp array: stamps[v] == mark when v is in
+// the in-list of the row being counted. The mark only grows, across calls
+// too, so a new row makes every older stamp stale — an abandoned call's
+// included — and the array is cleared only when the mark wraps.
 type memoTable struct {
 	slots []memoEntry
 	shift uint   // 64 - log2(len(slots)): a home slot is the hash's top bits
 	live  int    // entries written in the current epoch
 	epoch uint32 // stamp of the current call
+
+	stamps []uint32 // one per vertex, at least n long
+	mark   uint32   // stamp of the current row
+
+	cols []column // the live columns of the nodes being expanded, a stack
+}
+
+// column is a vertex y of an interior node's I(b) that has in-neighbors,
+// and I(y).
+type column struct {
+	v  int
+	in []int
 }
 
 type memoEntry struct {
@@ -106,15 +139,38 @@ const (
 	memoInitSlots = 1 << 10
 	// memoMaxPooled bounds the table the pool may keep: 8 MiB, room for
 	// 131 072 entries. The largest memo on the serve-zipf graph (n=6000,
-	// default pool of 40) is 48 000 entries; a request past the bound grows
-	// its table, uses it, and leaves it to the collector.
+	// default pool of 40) is 4 788 entries, frontier pairs not stored; a
+	// request past the bound grows its table, uses it, and leaves it to
+	// the collector.
 	memoMaxPooled = 1 << 18
-	// memoCancelEvery is the number of memo stores between context polls:
-	// about a millisecond of recursion among the serve-zipf graph's hubs.
+	// memoCancelEvery is the number of memo stores and frontier children
+	// between context polls: about a quarter of a millisecond of recursion
+	// among the serve-zipf graph's hubs.
 	memoCancelEvery = 1 << 12
 )
 
 var memoPool = sync.Pool{New: func() any { return new(memoTable) }}
+
+// RerankWork counts what exact reranks did: the interior nodes of the
+// recursion they expanded, the frontier children they resolved by counting
+// an in-list overlap, and the memo entries they left. Only the interior
+// nodes and root pairs are stored, so MemoEntries is what the memo had to
+// hold and Frontier the pairs that need no entry.
+type RerankWork struct {
+	Interior, Frontier, MemoEntries uint64
+}
+
+var rerankWork struct{ interior, frontier, entries atomic.Uint64 }
+
+// RerankWorkTotal returns the work of every exact rerank this process has
+// finished or abandoned, over all indexes: a counter that only grows.
+func RerankWorkTotal() RerankWork {
+	return RerankWork{
+		Interior:    rerankWork.interior.Load(),
+		Frontier:    rerankWork.frontier.Load(),
+		MemoEntries: rerankWork.entries.Load(),
+	}
+}
 
 // newExactScorer sets up the scorer of one rerank call over an empty memo
 // from the pool. The scorer is returned by value, to live on its caller's
@@ -125,7 +181,7 @@ func newExactScorer(ctx context.Context, g *graph.Graph, c float64, k int, prune
 		return exactScorer{}, fmt.Errorf("query: exact rerank keys its memo on 32-bit vertex ids and 16-bit horizons (the walk index's own limits); got n = %d, K = %d", g.NumVertices(), k)
 	}
 	memo := memoPool.Get().(*memoTable)
-	memo.reset()
+	memo.reset(g.NumVertices())
 	return exactScorer{
 		g: g, c: c, k: k, pruneEps: pruneEps,
 		memo:   memo,
@@ -133,28 +189,61 @@ func newExactScorer(ctx context.Context, g *graph.Graph, c float64, k int, prune
 	}, nil
 }
 
-// release returns the memo to the pool, unless it grew past memoMaxPooled.
+// release counts the call's work into rerankWork and returns the memo to
+// the pool, unless its slots grew past memoMaxPooled.
 func (e *exactScorer) release() {
+	rerankWork.interior.Add(e.interior)
+	rerankWork.frontier.Add(e.frontier)
+	rerankWork.entries.Add(uint64(e.memo.live))
 	if len(e.memo.slots) > memoMaxPooled {
 		e.memo.slots = nil
 	}
+	clear(e.memo.cols[:cap(e.memo.cols)]) // a pooled table must not keep a graph alive
 	memoPool.Put(e.memo)
 	e.memo = nil
 }
 
-// reset empties the table in O(1): moving to the next epoch leaves every
-// stored entry with a stale stamp, which reads as a free slot. Only when
-// the stamp wraps is the table actually cleared.
-func (m *memoTable) reset() {
+// reset empties the table in O(1) and readies its stamps for n vertices:
+// moving to the next epoch leaves every stored entry with a stale stamp,
+// which reads as a free slot. Only when the stamp wraps is the table
+// actually cleared.
+func (m *memoTable) reset(n int) {
 	if m.slots == nil {
 		m.slots = make([]memoEntry, memoInitSlots)
 	}
+	if len(m.stamps) < n {
+		m.stamps = make([]uint32, n)
+	}
 	m.shift = uint(64 - bits.TrailingZeros(uint(len(m.slots))))
 	m.live = 0
+	m.cols = m.cols[:0]
 	if m.epoch++; m.epoch == 0 {
 		clear(m.slots)
 		m.epoch = 1
 	}
+}
+
+// stamp makes in the current row: a fresh mark, set on each of its
+// vertices.
+func (m *memoTable) stamp(in []int) {
+	if m.mark++; m.mark == 0 {
+		clear(m.stamps)
+		m.mark = 1
+	}
+	for _, v := range in {
+		m.stamps[v] = m.mark
+	}
+}
+
+// overlap returns how many vertices of in the current row's in-list holds.
+func (m *memoTable) overlap(in []int) int {
+	n := 0
+	for _, v := range in {
+		if m.stamps[v] == m.mark {
+			n++
+		}
+	}
+	return n
 }
 
 // home is the slot a probe for (key, rem) starts at: the top bits of a
@@ -213,6 +302,14 @@ func (m *memoTable) grow() {
 	}
 }
 
+// pairKey is the memo key of the unordered pair {a, b}.
+func pairKey(a, b int) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
 // pair returns s_k(a, b), the value iteration k of the batch engines
 // assigns, up to the pruning threshold. The error is the context's, once
 // it is cancelled.
@@ -227,12 +324,13 @@ func (e *exactScorer) pair(a, b int) (float64, error) {
 	return s, e.err
 }
 
-// score is s_rem(a, b) for a != b, rem >= 1 and w >= pruneEps; the callers
-// resolve the other cases — 1, 0 and 0 — without a call. After a
-// cancellation (e.err set) its result is meaningless.
+// score is s_rem(a, b) for a != b, rem >= 1 and w >= pruneEps, stored in
+// the memo; the callers resolve the other cases — 1, 0 and 0 — without a
+// call, and expand resolves frontier children too. After a cancellation
+// (e.err set) its result is meaningless.
 func (e *exactScorer) score(a, b int, rem uint32, w float64) float64 {
 	if a > b {
-		a, b = b, a
+		a, b = b, a // the canonical order fixes the order of the additions
 	}
 	ia, ib := e.g.In(a), e.g.In(b)
 	if len(ia) == 0 || len(ib) == 0 {
@@ -246,23 +344,79 @@ func (e *exactScorer) score(a, b int, rem uint32, w float64) float64 {
 	cw := w * scale
 	var sum float64
 	if rem == 1 || cw < e.pruneEps {
-		sum = float64(partition.IntersectSize(ia, ib))
-	} else {
-		for _, x := range ia {
-			for _, y := range ib {
-				if x == y {
-					sum++
-					continue
-				}
-				sum += e.score(x, y, rem-1, cw)
-				if e.err != nil {
-					return 0
-				}
-			}
-		}
+		// A root pair on the frontier: expand answers every other one.
+		e.memo.stamp(ia)
+		sum = float64(e.memo.overlap(ib))
+	} else if sum = e.expand(ia, ib, rem-1, cw); e.err != nil {
+		return 0
 	}
 	s := scale * sum
 	e.memo.store(key, rem, s, w)
 	e.err = e.cancel.Stop()
 	return s
+}
+
+// expand is an interior node's double loop: the sum of s_rem(x, y) over x
+// in ia and y in ib, each child entered at weight w, added in the order of
+// the reference recursion.
+func (e *exactScorer) expand(ia, ib []int, rem uint32, w float64) float64 {
+	e.interior++
+	m := e.memo
+	base := len(m.cols)
+	for _, y := range ib {
+		if iy := e.g.In(y); len(iy) > 0 {
+			m.cols = append(m.cols, column{y, iy})
+		}
+	}
+	cols := m.cols[base:] // nested calls append after it, never over it
+	var sum float64
+	for _, x := range ia {
+		ix := e.g.In(x)
+		if len(ix) == 0 {
+			// Every child of the row is 0 but (x, x), if x is in ib.
+			if _, found := slices.BinarySearch(ib, x); found {
+				sum++
+			}
+			continue
+		}
+		stamped := false // whether the stamps hold ix
+		for _, col := range cols {
+			y, iy := col.v, col.in
+			if x == y {
+				sum++
+				continue
+			}
+			scale := e.c / float64(len(ix)*len(iy))
+			if rem > 1 && w*scale >= e.pruneEps {
+				sum += e.score(x, y, rem, w)
+				if e.err != nil {
+					return 0
+				}
+				stamped = false // the child's rows stamped over this one
+				continue
+			}
+			// Only interior nodes and root pairs are stored, so below a
+			// root nothing is at rem 1; above it an interior entry of
+			// (x, y) can exist, computed at a heavier weight, and wins.
+			if rem > 1 {
+				if i, ok := m.find(pairKey(x, y), rem); ok && w <= m.slots[i].weight {
+					sum += m.slots[i].score
+					continue
+				}
+			}
+			if !stamped {
+				m.stamp(ix)
+				stamped = true
+			}
+			// The conversion rounds the product, so no fused multiply-add
+			// can skip a rounding the reference made.
+			sum += float64(scale * float64(m.overlap(iy)))
+			e.frontier++
+			if e.err = e.cancel.Stop(); e.err != nil {
+				return 0
+			}
+		}
+	}
+	m.cols = m.cols[:base]
+	return sum
 }

@@ -5,10 +5,11 @@ import (
 )
 
 // referenceScorer is the exact scorer as it stood before the memo became an
-// open-addressed table and the frontier a merge count: the same recursion,
+// open-addressed table and the frontier a count: the same recursion,
 // visiting order and reuse rule, run through a Go map with a call per leaf
 // pair. It is kept verbatim as the oracle — exactScorer must reproduce its
-// scores bit for bit and its memo entry for entry (exact_test.go).
+// scores bit for bit and its memo entry for entry, less the entries it
+// never stores (exact_test.go).
 type referenceScorer struct {
 	g        *graph.Graph
 	c        float64

@@ -20,7 +20,8 @@ import (
 // The gate of this file: exactScorer ≡ referenceScorer, bit for bit — every
 // pair score compared with math.Float64bits, and after each source the
 // table holding the reference's map (same keys, scores, weights) less the
-// zeros of pairs with an empty in-list.
+// zeros of pairs with an empty in-list and the frontier entries below the
+// root, which the table scorer recomputes instead of storing.
 
 // testScorer takes a pooled scorer under a live context and gives it back
 // when the test ends.
@@ -36,15 +37,25 @@ func testScorer(t testing.TB, g *graph.Graph, c float64, k int, pruneEps float64
 
 // requireSameMemo: the table's live entries are the reference's map, less
 // the pairs with an empty in-list — those score 0 at any weight and the
-// table scorer answers them from the degrees, without an entry.
+// table scorer answers them from the degrees, without an entry — and less
+// the frontier entries of non-root pairs: those whose rem is 1 or whose
+// children's weight, w·C/(|I(a)||I(b)|), fell below pruneEps. Root pairs
+// (rem == K) are kept, frontier or not.
 func requireSameMemo(t testing.TB, ex *exactScorer, ref *referenceScorer, what string) {
 	t.Helper()
 	stored := 0
 	for key, want := range ref.memo {
 		i, ok := ex.memo.find(uint64(key.a)<<32|uint64(key.b), uint32(key.rem))
-		if ex.g.InDegree(key.a) == 0 || ex.g.InDegree(key.b) == 0 {
+		da, db := ex.g.InDegree(key.a), ex.g.InDegree(key.b)
+		if da == 0 || db == 0 {
 			if ok || want.score != 0 {
 				t.Fatalf("%s: dead pair (%d,%d) rem %d: in the table %v, reference score %v", what, key.a, key.b, key.rem, ok, want.score)
+			}
+			continue
+		}
+		if key.rem < ex.k && (key.rem == 1 || want.weight*(ex.c/float64(da*db)) < ex.pruneEps) {
+			if ok {
+				t.Fatalf("%s: frontier pair (%d,%d) rem %d weight %v is in the table", what, key.a, key.b, key.rem, want.weight)
 			}
 			continue
 		}
@@ -58,7 +69,7 @@ func requireSameMemo(t testing.TB, ex *exactScorer, ref *referenceScorer, what s
 		}
 	}
 	if ex.memo.live != stored {
-		t.Fatalf("%s: memo holds %d entries, the reference %d with in-neighbors on both sides", what, ex.memo.live, stored)
+		t.Fatalf("%s: memo holds %d entries, the reference %d interior or root ones with in-neighbors on both sides", what, ex.memo.live, stored)
 	}
 }
 
@@ -66,7 +77,7 @@ func requireSameMemo(t testing.TB, ex *exactScorer, ref *referenceScorer, what s
 // one: emptied, not replaced, so what earlier calls left in it is what the
 // next call must not see.
 func scorerOn(memo *memoTable, g *graph.Graph, c float64, k int, pruneEps float64) *exactScorer {
-	memo.reset()
+	memo.reset(g.NumVertices())
 	return &exactScorer{
 		g: g, c: c, k: k, pruneEps: pruneEps,
 		memo:   memo,
@@ -291,11 +302,12 @@ func TestScorerReuse(t *testing.T) {
 	}
 }
 
-// TestScorerStaleEntries drives the two places where entries of an earlier
+// TestScorerStaleEntries drives the three places where state of an earlier
 // call could leak into a later one, with calls that ask for the same pairs
 // under another damping factor, so that any survivor is a wrong answer: a
-// table that grows while it still holds stale entries, and the epoch stamp
-// wrapping around onto the value those entries carry.
+// table that grows while it still holds stale entries, the epoch stamp
+// wrapping around onto the value those entries carry, and the row mark
+// wrapping onto the marks stamped by earlier rows.
 func TestScorerStaleEntries(t *testing.T) {
 	g := gen.WebGraph(90, 6, 5)
 	all := make([]int, g.NumVertices())
@@ -303,9 +315,14 @@ func TestScorerStaleEntries(t *testing.T) {
 		all[v] = v
 	}
 	memo := &memoTable{slots: make([]memoEntry, 2)}
-	for k, c := range []float64{0: 0.6, 1: 0.8, 2: 0.5, 3: 0.7} {
-		before := len(memo.slots)
-		ex := scorerOn(memo, g, c, k, 1e-15) // unpruned: every horizon adds a level of entries
+	// Unpruned, every horizon adds a level of interior entries; the level
+	// below it is the frontier, which is not stored, so K steps by two.
+	for _, call := range []struct {
+		k int
+		c float64
+	}{{0, 0.6}, {1, 0.8}, {3, 0.5}, {5, 0.7}} {
+		k, before := call.k, len(memo.slots)
+		ex := scorerOn(memo, g, call.c, k, 1e-15)
 		requireSameScores(t, ex, 3, all, fmt.Sprintf("growing call, K=%d", k))
 		if k > 0 && len(memo.slots) == before {
 			t.Fatalf("the call with K=%d did not grow the table: the test lost its point", k)
@@ -320,6 +337,19 @@ func TestScorerStaleEntries(t *testing.T) {
 		t.Fatalf("epoch after the wrap = %d, want 1", memo.epoch)
 	}
 	requireSameScores(t, ex, 3, all, "after the wrap")
+
+	// The row mark wraps in the middle of a call, onto the marks rows of
+	// earlier calls left in the stamp array: every vertex carries one of
+	// the first few marks the wrap hands out again.
+	memo.mark = math.MaxUint32 - 3
+	for v := range memo.stamps {
+		memo.stamps[v] = uint32(1 + v%8)
+	}
+	ex = scorerOn(memo, g, 0.7, 13, 1e-7)
+	requireSameScores(t, ex, 3, all, "after the row mark wrapped")
+	if memo.mark >= math.MaxUint32-3 {
+		t.Fatalf("row mark = %d: it never wrapped", memo.mark)
+	}
 }
 
 // TestPruneEpsValidation: a negative or NaN PruneEps would disable pruning
@@ -390,7 +420,8 @@ func scorerFuzzGraph(data []byte) (g *graph.Graph, k int, pruneEps float64, q in
 // FuzzExactScorer: on any small graph, horizon and threshold, the table
 // scorer and the reference agree on every pair with the source, bit for
 // bit, and on the memo left behind — with the table forced to grow from
-// two slots.
+// two slots. A second source is then scored on the same table, so its
+// calls start from the first one's epoch and stamps.
 func FuzzExactScorer(f *testing.F) {
 	f.Add([]byte{6, 4, 2, 0, 0, 1, 1, 2, 2, 0, 3, 1, 4, 2, 5, 4})                                // the FuzzLoad seed graph
 	f.Add([]byte{1, 3, 0, 0, 0, 0})                                                              // n=1 self-loop
@@ -408,7 +439,9 @@ func FuzzExactScorer(f *testing.F) {
 		for v := range all {
 			all[v] = v
 		}
-		ex := scorerOn(&memoTable{slots: make([]memoEntry, 2)}, g, 0.6, k, pruneEps)
-		requireSameScores(t, ex, q, all, "fuzz")
+		memo := &memoTable{slots: make([]memoEntry, 2)}
+		for _, src := range []int{q, (q + 1) % len(all)} {
+			requireSameScores(t, scorerOn(memo, g, 0.6, k, pruneEps), src, all, "fuzz")
+		}
 	})
 }
