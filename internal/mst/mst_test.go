@@ -1,4 +1,4 @@
-package partition
+package mst
 
 import (
 	"errors"

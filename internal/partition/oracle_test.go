@@ -9,15 +9,16 @@ import (
 
 	"oipsr/graph"
 	"oipsr/graph/gen"
+	"oipsr/internal/mst"
 )
 
 // oraclePlan is DMST-Reduce as the paper's pseudocode states it: the dense
 // table of every pair of non-empty in-sets, each weighed by a sorted merge,
 // an edge a -> b (a ranked below b by (in-degree, id)) kept when it beats
-// b's root edge, and the arborescence taken by GreedyAcyclic. It
+// b's root edge, and the arborescence taken by mst.GreedyAcyclic. It
 // returns the plan linearize makes of that tree and the table, so that
-// Edmonds can weigh the same cost graph.
-func oraclePlan(t testing.TB, g *graph.Graph) (*Plan, []Edge) {
+// mst.Edmonds can weigh the same cost graph.
+func oraclePlan(t testing.TB, g *graph.Graph) (*Plan, []mst.Edge) {
 	t.Helper()
 	var verts []int
 	for v := 0; v < g.NumVertices(); v++ {
@@ -33,18 +34,18 @@ func oraclePlan(t testing.TB, g *graph.Graph) (*Plan, []Edge) {
 		return verts[i] < verts[j]
 	})
 	// Node 0 is the virtual empty root, node i+1 is verts[i].
-	var edges []Edge
+	var edges []mst.Edge
 	for i, v := range verts {
-		edges = append(edges, Edge{From: 0, To: i + 1, Weight: float64(ScratchCost(g.In(v)))})
+		edges = append(edges, mst.Edge{From: 0, To: i + 1, Weight: float64(ScratchCost(g.In(v)))})
 	}
 	for j, b := range verts {
 		for i, a := range verts[:j] {
 			if sd := SymmetricDiffSize(g.In(a), g.In(b)); sd < g.InDegree(b)-1 {
-				edges = append(edges, Edge{From: i + 1, To: j + 1, Weight: float64(sd)})
+				edges = append(edges, mst.Edge{From: i + 1, To: j + 1, Weight: float64(sd)})
 			}
 		}
 	}
-	arb, err := GreedyAcyclic(len(verts)+1, 0, edges)
+	arb, err := mst.GreedyAcyclic(len(verts)+1, 0, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func checkLossless(t testing.TB, name string, g *graph.Graph) bool {
 }
 
 // checkEdmondsOptimum reports whether BuildPlan's TreeWeight on g is the
-// minimum Edmonds finds on the dense table.
+// minimum mst.Edmonds finds on the dense table.
 func checkEdmondsOptimum(t testing.TB, name string, g *graph.Graph) bool {
 	t.Helper()
 	got, err := BuildPlan(g, Options{})
@@ -83,7 +84,7 @@ func checkEdmondsOptimum(t testing.TB, name string, g *graph.Graph) bool {
 		return false
 	}
 	want, edges := oraclePlan(t, g)
-	edm, err := Edmonds(want.NumSets+1, 0, edges)
+	edm, err := mst.Edmonds(want.NumSets+1, 0, edges)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
