@@ -282,9 +282,6 @@ type joinResponse struct {
 	K         int              `json:"k"`
 	Threshold float64          `json:"threshold"`
 	Pairs     []query.JoinPair `json:"pairs"`
-	// Degraded marks a fleet-merged join missing at least one backend's
-	// candidates or scores. A local index never sets it.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // handleJoin serves POST /v1/join: the top-k similarity join over all
@@ -316,7 +313,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if s.cached(w, key) {
 		return
 	}
-	pairs, degraded, err := s.src.join(r.Context(), req.K, req.Threshold, maxCand)
+	pairs, err := s.src.join(r.Context(), req.K, req.Threshold, maxCand)
 	if err != nil {
 		// A too-dense join is the client's to fix (raise the threshold or
 		// lower k); so are out-of-range parameters. Context errors map to
@@ -324,7 +321,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, err, http.StatusBadRequest)
 		return
 	}
-	body, err := s.marshalBody(joinResponse{K: req.K, Threshold: req.Threshold, Pairs: pairs, Degraded: degraded})
+	body, err := s.marshalBody(joinResponse{K: req.K, Threshold: req.Threshold, Pairs: pairs})
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
@@ -336,7 +333,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if len(body) > maxCachedJoinBody {
 		key = ""
 	}
-	s.writeBody(w, key, degraded, body)
+	s.writeBody(w, key, false, body)
 }
 
 // maxCachedJoinBody bounds the join response bodies admitted to the LRU

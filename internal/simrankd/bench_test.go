@@ -277,6 +277,16 @@ func BenchmarkRouterTopKMiss(b *testing.B) { benchRouter(b, topKMiss) }
 // router: router-zipf's second op.
 func BenchmarkRouterBatch16(b *testing.B) { benchRouter(b, batch16) }
 
+// join50 is the top-50 all-pairs join at threshold 0.1.
+func join50(int) *http.Request {
+	return newRequest(http.MethodPost, "/v1/join", strings.NewReader(`{"k":50,"threshold":0.1}`))
+}
+
+// BenchmarkRouterJoin measures one /v1/join through the router with its
+// response cache off: candidate enumeration and pair scoring over the
+// serve-zipf graph, then ranking and encoding.
+func BenchmarkRouterJoin(b *testing.B) { benchRouter(b, join50) }
+
 // allocBytesPerRun is testing.AllocsPerRun for bytes.
 func allocBytesPerRun(runs int, f func()) float64 {
 	var before, after runtime.MemStats

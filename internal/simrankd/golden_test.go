@@ -184,7 +184,8 @@ var goldenEdits = []goldenProbe{
 
 // goldenDownProbes run while the middle backend of a fleet answers 503 on
 // its data plane (flakyBackend, router_test.go): the merged answers must carry zeros for its range and
-// the degraded marks, and nothing of them may be cached.
+// the degraded marks, and nothing of them may be cached. The join, which
+// no backend serves, must not degrade (joinNeverDegrades).
 var goldenDownProbes = []goldenProbe{
 	{name: "down_ss_dense", method: "GET", path: "/v1/single_source?q=9"},
 	{name: "down_ss_sparse", method: "GET", path: "/v1/single_source?q=9&min=0.001"},
@@ -337,12 +338,12 @@ var nographRefusals = func() map[string]string {
 
 // replaceRecords rewrites the parent's transcript into what this code must
 // answer: the status, headers and body of each record named in records
-// replaced whole.
+// replaced whole, in every phase that has it.
 func replaceRecords(t *testing.T, want []byte, records map[string]string) []byte {
 	t.Helper()
 	lines := strings.Split(string(want), "\n")
 	var out []string
-	replaced := 0
+	replaced := make(map[string]bool)
 	for i := 0; i < len(lines); i++ {
 		out = append(out, lines[i])
 		if !strings.HasPrefix(lines[i], "== ") {
@@ -357,12 +358,41 @@ func replaceRecords(t *testing.T, want []byte, records map[string]string) []byte
 			i++
 		}
 		out = append(out, strings.Split(text, "\n")...)
-		replaced++
+		replaced[name[strings.IndexByte(name, '/')+1:]] = true
 	}
-	if replaced != len(records) {
-		t.Fatalf("replaced %d records, %d are named", replaced, len(records))
+	if len(replaced) != len(records) {
+		t.Fatalf("replaced %d records, %d are named", len(replaced), len(records))
 	}
 	return []byte(strings.Join(out, "\n"))
+}
+
+// recordText is the status, headers and body of the record phase/name in a
+// transcript, as replaceRecords takes them.
+func recordText(t *testing.T, want []byte, record string) string {
+	t.Helper()
+	lines := strings.Split(string(want), "\n")
+	for i := range lines {
+		if !strings.HasPrefix(lines[i], "== "+record+":") {
+			continue
+		}
+		end := i + 1
+		for end < len(lines) && !strings.HasPrefix(lines[end], "== ") && lines[end] != "" {
+			end++
+		}
+		return strings.Join(lines[i+1:end], "\n")
+	}
+	t.Fatalf("the transcript has no record %s", record)
+	return ""
+}
+
+// joinNeverDegrades amends a fleet transcript with a down phase: the router
+// runs the join over its own graph, so with the middle backend down its
+// join is the recovered one — complete, with no degraded mark and no
+// X-Simrank-Degraded header — where the parent scattered the join and
+// marked the answer that lost a backend.
+func joinNeverDegrades(t *testing.T, want []byte) []byte {
+	t.Helper()
+	return replaceRecords(t, want, map[string]string{"down_join": recordText(t, want, "recovered/recovered_join")})
 }
 
 // TestParentGoldens replays the request matrix the two-stack parent was
@@ -381,13 +411,15 @@ func TestParentGoldens(t *testing.T) {
 		transcribe(t, &out, h, sv, "before", goldenQueries())
 		transcribe(t, &out, h, sv, "edit", goldenEdits)
 		transcribe(t, &out, h, sv, "after", goldenQueries())
+		var amend func(t *testing.T, want []byte) []byte
 		if down != nil {
 			down.mode.Store("503")
 			transcribe(t, &out, h, sv, "down", goldenDownProbes)
 			down.mode.Store("")
 			transcribe(t, &out, h, sv, "recovered", goldenRecoveredProbes)
+			amend = joinNeverDegrades
 		}
-		checkGolden(t, name, out.Bytes())
+		checkGoldenAgainst(t, name, out.Bytes(), amend)
 	}
 
 	t.Run("serve", func(t *testing.T) {
@@ -496,7 +528,9 @@ var rerankWorkNames = []string{"simrankd_rerank_interior_total", "simrankd_reran
 // shared lines must not have dropped any — and router mode now also reports
 // the update effects its /v1/edges response always carried, both ends of
 // a score leg count what crosses it, and serve and router mode count the
-// exact rerank's work.
+// exact rerank's work. The one series a mode no longer exports is the
+// request count of each of a shard's two join endpoints, which are gone:
+// the router runs the join itself.
 func TestParentMetricNames(t *testing.T) {
 	g := gen.WebGraph(goldenN, 5, 101)
 	opt := query.Options{Walks: 20, Seed: 7, Workers: 1}
@@ -519,14 +553,15 @@ func TestParentMetricNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name string
-		h    http.Handler
-		also []string
+		name       string
+		h          http.Handler
+		also, gone []string
 	}{
-		{"serve", NewServer(idx, Config{Workers: 1}), rerankWorkNames},
-		{"shard", ss, []string{"simrankd_shard_scores_entries_total"}},
+		{"serve", NewServer(idx, Config{Workers: 1}), rerankWorkNames, nil},
+		{"shard", ss, []string{"simrankd_shard_scores_entries_total"},
+			[]string{`simrankd_requests_total{endpoint="shard_join_candidates"}`, `simrankd_requests_total{endpoint="shard_join_score"}`}},
 		{"router", rt, append([]string{"simrankd_update_edges_added_total", "simrankd_update_edges_removed_total", "simrankd_update_walks_repaired_total",
-			"simrankd_shard_leg_bytes_total", "simrankd_shard_leg_rows_total"}, rerankWorkNames...)},
+			"simrankd_shard_leg_bytes_total", "simrankd_shard_leg_rows_total"}, rerankWorkNames...), nil},
 	} {
 		got := metricNames(t, mode.h)
 		file := "metrics-" + mode.name + ".txt"
@@ -540,6 +575,15 @@ func TestParentMetricNames(t *testing.T) {
 		}
 		have := make(map[string]bool, len(got))
 		for _, name := range got {
+			have[name] = true
+		}
+		for _, name := range mode.gone {
+			if !strings.Contains(string(want), name+"\n") {
+				t.Errorf("%s: the parent did not export %s", mode.name, name)
+			}
+			if have[name] {
+				t.Errorf("%s /metrics still exports %s", mode.name, name)
+			}
 			have[name] = true
 		}
 		for _, name := range append(strings.Split(strings.TrimSpace(string(want)), "\n"), mode.also...) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,24 +33,26 @@ import (
 //     is the single-node sparse row, bit for bit — no float arithmetic
 //     happens in the merge (ranking and the optional rerank then run once,
 //     in the front end, over the merged row);
-//   - joins scatter along the fingerprint axis (each backend enumerates
-//     candidates for one fp range), union here, and scatter pair scoring
-//     back to the owner of each pair's first vertex;
+//   - a join is not scattered: every walk prefix is a hash over the graph,
+//     so the router runs the single node's walkindex Join on a zero-width
+//     index over its own graph, which recomputes each walk it needs —
+//     the single-node answer, bit for bit, whatever state the shards are in;
 //   - edits broadcast to every backend — they are idempotent at the graph
 //     layer, so retrying a partially-applied broadcast converges.
 //
 // It holds the full graph (tiny next to the walk rows, which live only on
-// the shards) for reranking, for validating edits and for the linearized
-// engine, and the per-shard generation vector whose rendering is the
-// front end's cache tag: any shard update changes the vector, so stale
-// merges are unreachable, exactly the single-node generation-key scheme
-// lifted to a fleet.
+// the shards) for reranking, for validating edits, for the join and for
+// the linearized engine, and the per-shard generation vector whose
+// rendering is the front end's cache tag: any shard update changes the
+// vector, so stale merges are unreachable, exactly the single-node
+// generation-key scheme lifted to a fleet.
 //
-// Each scatter leg runs under shardTimeout; a backend that sheds, fails,
+// Each score leg runs under shardTimeout; a backend that sheds, fails,
 // or times out mid-scatter costs its vertex range, not the request — the
-// merged answer holds nothing for the missing range (zeros) and degraded=true,
+// merged row holds nothing for the missing range (zeros) and degraded=true,
 // which the front end turns into the "degraded" field, the
-// X-Simrank-Degraded header, and a body that is never cached.
+// X-Simrank-Degraded header, and a body that is never cached. A join never
+// degrades.
 type fleetSource struct {
 	// g, gens and tag change only under the front end's write lock
 	// (applyEdits); every query reads them under its read lock, so a
@@ -65,13 +66,14 @@ type fleetSource struct {
 	client       *http.Client
 	backends     []string
 	ranges       []shard.Range
-	fpRanges     []shard.Range
 	shardTimeout time.Duration
+	workers      int
 
 	n       int
 	walks   int
 	horizon int
 	c       float64
+	seed    int64
 
 	// exact holds the lazily-built linearized solver: the fleet source has
 	// the full graph, so exact rows are solved locally, not scattered.
@@ -123,6 +125,7 @@ func NewRouter(g *graph.Graph, backends []string, cfg RouterConfig) (*Server, er
 		g:            g,
 		client:       &http.Client{Transport: transport},
 		shardTimeout: cfg.ShardTimeout,
+		workers:      cfg.Workers,
 	}
 	if rt.shardTimeout <= 0 {
 		rt.shardTimeout = DefaultShardTimeout
@@ -172,11 +175,7 @@ func NewRouter(g *graph.Graph, backends []string, cfg RouterConfig) (*Server, er
 	rt.walks = first.Walks
 	rt.horizon = first.Horizon
 	rt.c = first.C
-	fpRanges, err := shard.Plan(rt.walks, len(rt.backends))
-	if err != nil {
-		return nil, err
-	}
-	rt.fpRanges = fpRanges
+	rt.seed = first.Seed
 	rt.renderTag()
 	return newFrontEnd(rt, "router", cfg.Config), nil
 }
@@ -371,8 +370,8 @@ func (rt *fleetSource) rows(ctx context.Context, sources []int) ([]*sparserow.Ro
 // it answer with no-op stats and an unchanged generation, the rest catch
 // up, and the fleet converges. Until then the recorded generations
 // disagree with the stale shards, which marks every touched answer
-// degraded and uncacheable (the generation echo check in rows and
-// gatherJoin) rather than wrong.
+// degraded and uncacheable (the generation echo check in rows) rather
+// than wrong.
 func (rt *fleetSource) applyEdits(ctx context.Context, edits []graph.Edit) (edgesResponse, error) {
 	// Apply locally first: this validates the batch once (an out-of-range
 	// edit is rejected here with the single-node error text, before any
@@ -478,153 +477,13 @@ func (rt *fleetSource) exactRow(ctx context.Context, q int, dst []float64) ([]fl
 	return rt.exact.SingleSource(ctx, 0, rt.g, linsr.Options{C: rt.c, Tol: query.ExactTol}, q, dst)
 }
 
-// join shards the join along the fingerprint axis: backend i enumerates
-// the co-located candidate pairs of fp range i, the union is taken here
-// (per-shard sets are subsets of the distinct union, so the candidate cap
-// keeps single-node semantics), pair scoring scatters to the owner of each
-// pair's first vertex, and the shared FinishJoin tail ranks the gathered
-// pairs — all merging is set union and sorting, no float arithmetic, so
-// healthy answers are the single node's.
-func (rt *fleetSource) join(ctx context.Context, k int, threshold float64, maxCand int) ([]query.JoinPair, bool, error) {
-	if err := walkindex.CheckJoinArgs(k, threshold, maxCand); err != nil {
-		return nil, false, err
-	}
-	pairs, degraded, err := rt.gatherJoin(ctx, threshold, maxCand)
+// join runs the single node's Join on a zero-width index over the fleet
+// source's graph: the walk of every vertex it touches is recomputed from
+// that graph, bit-identical to the row its shard stores.
+func (rt *fleetSource) join(ctx context.Context, k int, threshold float64, maxCand int) ([]query.JoinPair, error) {
+	ix, err := walkindex.Build(rt.g, walkindex.Options{C: rt.c, K: rt.horizon, Walks: rt.walks, Seed: rt.seed}, 0, 0)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return walkindex.FinishJoin(pairs, k, threshold), degraded, nil
-}
-
-// gatherJoin runs the two scatter phases of a join: candidate enumeration
-// over the fingerprint ranges, then exact scoring at each pair's owner.
-// A backend 400 (too-dense, bad args) aborts with the backend's error; a
-// failed or stale leg drops its candidates or scores and degrades the
-// answer instead. Callers hold mu.RLock.
-func (rt *fleetSource) gatherJoin(ctx context.Context, threshold float64, maxCand int) ([]query.JoinPair, bool, error) {
-	type candRes struct {
-		pairs [][2]int
-		stale bool
-		err   error
-	}
-	cands := make([]candRes, len(rt.backends))
-	var wg sync.WaitGroup
-	for i := range rt.backends {
-		if rt.fpRanges[i].Hi <= rt.fpRanges[i].Lo {
-			continue // more backends than fingerprints: empty fp range
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var resp shardJoinCandResponse
-			err := rt.postShard(ctx, rt.backends[i], "/shard/v1/join_candidates", shardJoinCandRequest{
-				Threshold:     threshold,
-				FpLo:          rt.fpRanges[i].Lo,
-				FpHi:          rt.fpRanges[i].Hi,
-				MaxCandidates: maxCand,
-			}, &resp)
-			if err != nil {
-				cands[i].err = err
-				return
-			}
-			cands[i].pairs = resp.Pairs
-			cands[i].stale = resp.Generation != rt.gens[i]
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-
-	degraded := false
-	union := make(map[uint64]struct{})
-	for i := range cands {
-		c := &cands[i]
-		if c.err != nil {
-			var se *statusError
-			if errors.As(c.err, &se) && se.status == http.StatusBadRequest {
-				// Deterministic rejection: every leg would answer it the
-				// same way, so it is the request's answer, not a degradation.
-				return nil, false, c.err
-			}
-			rt.shardErrors.Add(1)
-			degraded = true
-			continue
-		}
-		if c.stale {
-			degraded = true
-		}
-		for _, p := range c.pairs {
-			union[uint64(p[0])<<32|uint64(p[1])] = struct{}{}
-		}
-	}
-	if len(union) > maxCand {
-		return nil, false, walkindex.TooDenseError(threshold, maxCand)
-	}
-
-	// Scatter scoring to the owner of each pair's first vertex.
-	byOwner := make([][][2]int, len(rt.backends))
-	for key := range union {
-		a, b := int(key>>32), int(key&0xFFFFFFFF)
-		o := rt.ownerOf(a)
-		byOwner[o] = append(byOwner[o], [2]int{a, b})
-	}
-	type scoreRes struct {
-		pairs []query.JoinPair
-		stale bool
-		err   error
-	}
-	scores := make([]scoreRes, len(rt.backends))
-	for i := range rt.backends {
-		if len(byOwner[i]) == 0 {
-			continue
-		}
-		// Deterministic request payloads (scores are order-independent,
-		// but tidy wire traffic is easier to debug and test).
-		sort.Slice(byOwner[i], func(x, y int) bool {
-			if byOwner[i][x][0] != byOwner[i][y][0] {
-				return byOwner[i][x][0] < byOwner[i][y][0]
-			}
-			return byOwner[i][x][1] < byOwner[i][y][1]
-		})
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var resp shardJoinScoreResponse
-			err := rt.postShard(ctx, rt.backends[i], "/shard/v1/join_score", shardJoinScoreRequest{Pairs: byOwner[i]}, &resp)
-			if err != nil {
-				scores[i].err = err
-				return
-			}
-			scores[i].pairs = resp.Pairs
-			scores[i].stale = resp.Generation != rt.gens[i]
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-
-	all := make([]query.JoinPair, 0, len(union)) // never nil: an empty join encodes as []
-	for i := range scores {
-		s := &scores[i]
-		if len(byOwner[i]) == 0 {
-			continue
-		}
-		if s.err != nil {
-			rt.shardErrors.Add(1)
-			degraded = true
-			continue
-		}
-		if s.stale {
-			degraded = true
-		}
-		all = append(all, s.pairs...)
-	}
-	return all, degraded, nil
-}
-
-// ownerOf returns the index of the backend owning vertex v's walk rows.
-func (rt *fleetSource) ownerOf(v int) int {
-	return sort.Search(len(rt.ranges), func(i int) bool { return rt.ranges[i].Hi > v })
+	return ix.Join(ctx, rt.g, k, threshold, maxCand, rt.workers)
 }

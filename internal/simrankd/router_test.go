@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"oipsr/graph"
 	"oipsr/graph/gen"
 	"oipsr/internal/sparserow"
 	"oipsr/simrank/query"
@@ -121,7 +123,12 @@ func (fl *routerFleet) fleet() *fleetSource { return fl.rt.src.(*fleetSource) }
 
 func newRouterFleet(t *testing.T, nShards int, cfg Config, shardTimeout time.Duration) *routerFleet {
 	t.Helper()
-	g := gen.WebGraph(120, 7, 101)
+	return newRouterFleetOn(t, gen.WebGraph(120, 7, 101), nShards, cfg, shardTimeout)
+}
+
+// newRouterFleetOn is newRouterFleet over the graph g.
+func newRouterFleetOn(t *testing.T, g *graph.Graph, nShards int, cfg Config, shardTimeout time.Duration) *routerFleet {
+	t.Helper()
 	opt := query.Options{Walks: 400, Seed: 7, Workers: 1}
 	idx, err := query.BuildIndex(g, opt)
 	if err != nil {
@@ -193,6 +200,8 @@ func identityProbes(n int) []probe {
 		{"topk_oob", "GET", fmt.Sprintf("/v1/topk?q=%d&k=4", n), ""},
 		{"join", "POST", "/v1/join", `{"k":5,"threshold":0.15}`},
 		{"join_tight_cap", "POST", "/v1/join", `{"k":3,"threshold":0.1,"max_candidates":2}`},
+		// Every pair with a positive estimate, not only the top few.
+		{"join_all", "POST", "/v1/join", `{"k":100000,"threshold":0}`},
 		{"join_bad_threshold", "POST", "/v1/join", `{"k":5,"threshold":1.5}`},
 		{"join_bad_k", "POST", "/v1/join", `{"k":0,"threshold":0.2}`},
 		{"batch_topk", "POST", "/v1/batch", fmt.Sprintf(`{"mode":"topk","sources":[3,77,%d,%d],"k":6}`, n-1, n+50)},
@@ -284,12 +293,33 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 	checkIdentity(t, fl, "after-edits-2")
 }
 
+// TestRouterJoinWalksToTheHorizon: on the web graphs of the other router
+// tests every walk dies within five steps, so nothing there depends on the
+// horizon the router's join walks to. On a co-authorship graph, whose
+// edges run both ways, walks live to K: every pair with a positive
+// estimate, last-step meetings included, must be the single node's, at 1
+// and 3 shards.
+func TestRouterJoinWalksToTheHorizon(t *testing.T) {
+	g := gen.CoauthorGraph(120, 4, 7)
+	for _, shards := range []int{1, 3} {
+		fl := newRouterFleetOn(t, g, shards, Config{Workers: 2}, 0)
+		for _, body := range []string{`{"k":100000,"threshold":0}`, `{"k":30,"threshold":0.05}`} {
+			cs, bs := postJSON(t, fl.single.URL+"/v1/join", body)
+			cr, br := postJSON(t, fl.router.URL+"/v1/join", body)
+			if cs != http.StatusOK || cr != cs || !bytes.Equal(bs, br) {
+				t.Fatalf("%d shards, join %s: router %d %.300s\nsingle %d %.300s", shards, body, cr, br, cs, bs)
+			}
+		}
+	}
+}
+
 // TestRouterPartialFailureDegrades: with one shard down the router must
 // keep answering 200, mark the response degraded (body field + header),
 // keep live ranges bit-correct, zero the missing range, and never cache
 // a degraded answer. "shortrow" and "bigcount" are the legs that fail
 // validation late: their last row's count is a lie, and none of their
-// earlier rows may have reached the merge.
+// earlier rows may have reached the merge. A join asks no shard anything,
+// so it is the single node's answer, complete and not marked.
 func TestRouterPartialFailureDegrades(t *testing.T) {
 	for _, mode := range []string{"503", "429", "hang", "shortrow", "bigcount", "longbody"} {
 		t.Run(mode, func(t *testing.T) {
@@ -366,7 +396,7 @@ func TestRouterPartialFailureDegrades(t *testing.T) {
 			if c, b := get(t, fl.router.URL+"/v1/single_source?q=9&min=0.001"); c != http.StatusOK {
 				t.Fatalf("degraded sparse: %d %s", c, b)
 			}
-			// top-k and join degrade rather than fail too.
+			// top-k degrades rather than fails too.
 			if c, b := get(t, fl.router.URL+"/v1/topk?q=4&k=5&rerank=1"); c != http.StatusOK {
 				t.Fatalf("degraded topk: %d %s", c, b)
 			} else {
@@ -381,10 +411,22 @@ func TestRouterPartialFailureDegrades(t *testing.T) {
 					t.Fatalf("degraded topk must not claim rerank: %s", b)
 				}
 			}
-			if c, b := postJSON(t, fl.router.URL+"/v1/join", `{"k":4,"threshold":0.15}`); c != http.StatusOK {
-				t.Fatalf("degraded join: %d %s", c, b)
-			} else if !strings.Contains(string(b), `"degraded":true`) {
-				t.Fatalf("join not marked degraded: %s", b)
+			join := `{"k":4,"threshold":0.15}`
+			_, fullJoin := postJSON(t, fl.single.URL+"/v1/join", join)
+			resp, err = http.Post(fl.router.URL+"/v1/join", "application/json", strings.NewReader(join))
+			if err != nil {
+				t.Fatal(err)
+			}
+			joinBody, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(joinBody, fullJoin) {
+				t.Fatalf("join with a shard down: %d %s, want the single node's %s", resp.StatusCode, joinBody, fullJoin)
+			}
+			if resp.Header.Get("X-Simrank-Degraded") != "" {
+				t.Fatal("join with a shard down carries X-Simrank-Degraded")
 			}
 			// Batch lines carry the degraded marker as well.
 			if c, b := postJSON(t, fl.router.URL+"/v1/batch",

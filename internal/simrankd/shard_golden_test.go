@@ -72,7 +72,8 @@ func shardReads() []goldenProbe {
 		p("scores_unknown_field", "POST", "/shard/v1/scores", `{"sources":[1],"bogus":1}`),
 		p("scores_bad_timeout", "POST", "/shard/v1/scores?timeout_ms=abc", `{"sources":[1]}`),
 		p("scores_method", "GET", "/shard/v1/scores", ""),
-		// join candidates over fingerprint ranges.
+		// join candidates over fingerprint ranges, at the parent; a 404
+		// now (shardJoinGone).
 		p("cand_all", "POST", "/shard/v1/join_candidates", `{"threshold":0.15,"fp_lo":0,"fp_hi":200,"max_candidates":100000}`),
 		p("cand_middle", "POST", "/shard/v1/join_candidates", `{"threshold":0.15,"fp_lo":67,"fp_hi":134,"max_candidates":100000}`),
 		p("cand_empty_range", "POST", "/shard/v1/join_candidates", `{"threshold":0.15,"fp_lo":50,"fp_hi":50,"max_candidates":100000}`),
@@ -84,7 +85,7 @@ func shardReads() []goldenProbe {
 		p("cand_no_cap", "POST", "/shard/v1/join_candidates", `{"threshold":0.15,"fp_lo":0,"fp_hi":200}`),
 		p("cand_bad_json", "POST", "/shard/v1/join_candidates", `{"threshold":`),
 		p("cand_method", "GET", "/shard/v1/join_candidates", ""),
-		// pair scoring: owned, foreign and mixed pairs.
+		// pair scoring: owned, foreign and mixed pairs; a 404 now too.
 		p("score_pairs", "POST", "/shard/v1/join_score", `{"pairs":[[22,24],[21,39],[1,22],[13,27],[16,43],[0,59],[15,30],[4,5]]}`),
 		p("score_empty", "POST", "/shard/v1/join_score", `{"pairs":[]}`),
 		p("score_oob", "POST", "/shard/v1/join_score", fmt.Sprintf(`{"pairs":[[3,%d]]}`, n)),
@@ -111,8 +112,20 @@ var shardErrorTexts = map[string]string{
 	"scores_oob":        `{"error":"query: source 60 (batch item 0) out of range [0,60)"}`,
 	"scores_oob_second": `{"error":"query: source 100 (batch item 1) out of range [0,60)"}`,
 	"scores_neg":        `{"error":"query: source -1 (batch item 0) out of range [0,60)"}`,
-	"score_oob":         `{"error":"query: pair (3,60) out of range [0,60)"}`,
-	"score_oob_first":   `{"error":"query: pair (67,4) out of range [0,60)"}`,
+}
+
+// shardJoinGone amends every record of a probe on one of the parent's two
+// join endpoints, /shard/v1/join_candidates and /shard/v1/join_score, to
+// the mux's 404: the router runs the join over its own graph, and a shard
+// serves no join.
+func shardJoinGone() map[string]string {
+	gone := make(map[string]string)
+	for _, p := range shardReads() {
+		if strings.HasPrefix(p.path, "/shard/v1/join_") {
+			gone[p.name] = "-- 404 Content-Type=\"text/plain; charset=utf-8\"\n404 page not found"
+		}
+	}
+	return gone
 }
 
 // applyShardErrorTexts rewrites the parent's transcript into what this code
@@ -140,11 +153,12 @@ func applyShardErrorTexts(t *testing.T, want []byte) []byte {
 
 // TestParentShardGoldens replays, against a ShardServer directly, what the
 // router goldens only see through a merge: /healthz, the three
-// /shard/v1/* endpoints and /v1/edges on the middle range of the 3-way
-// split, before and after the golden edit batch, over a shard built in
-// memory and over one opened demand-paged from a shard directory. The
-// answers are d366a63's — the last commit where shard.Shard implemented
-// them itself — byte for byte, shardErrorTexts excepted.
+// /shard/v1/* endpoints of the parent and /v1/edges on the middle range of
+// the 3-way split, before and after the golden edit batch, over a shard
+// built in memory and over one opened demand-paged from a shard directory.
+// The answers are d366a63's — the last commit where shard.Shard
+// implemented them itself — byte for byte, shardErrorTexts and
+// shardJoinGone excepted.
 func TestParentShardGoldens(t *testing.T) {
 	g := gen.WebGraph(goldenN, 5, 101)
 	opt := query.Options{Walks: 200, Seed: 7, Workers: 1}
@@ -182,7 +196,7 @@ func TestParentShardGoldens(t *testing.T) {
 	fmt.Fprintf(&out, "== nograph/new_shard_server\n-- %v\n", err)
 
 	checkGoldenAgainst(t, "shard.txt", maskMappedBacking(out.Bytes()), func(t *testing.T, want []byte) []byte {
-		return maskMappedBacking(applyShardErrorTexts(t, want))
+		return maskMappedBacking(replaceRecords(t, applyShardErrorTexts(t, want), shardJoinGone()))
 	})
 }
 

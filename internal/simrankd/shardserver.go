@@ -20,17 +20,15 @@ import (
 // ShardServer is the HTTP handler of one shard backend: it owns the walk
 // rows of a contiguous vertex range and answers the internal scatter
 // protocol a router (fleetSource) speaks — sparse partial score rows for
-// arbitrary sources, join candidate enumeration over a fingerprint range,
-// exact pair scoring — plus /v1/edges (the one handler every mode shares, see edges.go),
-// /healthz, and /metrics. It inherits the full overload discipline
-// (deadline attachment, admission control, shedding) through the embedded
-// serving.
+// arbitrary sources — plus /v1/edges (the one handler every mode shares,
+// see edges.go), /healthz, and /metrics. A join never reaches a shard: the
+// router runs it over its own graph. It inherits the full overload
+// discipline (deadline attachment, admission control, shedding) through
+// the embedded serving.
 //
-// Internal endpoints (consumed by a router, not public API):
+// Internal endpoint (consumed by a router, not public API):
 //
-//	POST /shard/v1/scores           partial rows for the owned range
-//	POST /shard/v1/join_candidates  co-located pairs of one fp range
-//	POST /shard/v1/join_score       exact scores for candidate pairs
+//	POST /shard/v1/scores  partial rows for the owned range
 //
 // Every response echoes the shard's update generation, so the router can
 // detect a backend that was updated behind its back and refuse to cache
@@ -42,9 +40,7 @@ type ShardServer struct {
 	workers int
 	mux     *http.ServeMux
 
-	reqScores   atomic.Int64
-	reqJoinCand atomic.Int64
-	reqJoinPair atomic.Int64
+	reqScores atomic.Int64
 
 	// scoresEntries counts the non-zero entries sent in score legs.
 	scoresEntries atomic.Int64
@@ -64,8 +60,6 @@ func NewShardServer(sh *shard.Shard, cfg Config) (*ShardServer, error) {
 	}
 	s.initServing(cfg)
 	s.mux.HandleFunc("/shard/v1/scores", s.limited(s.handleScores))
-	s.mux.HandleFunc("/shard/v1/join_candidates", s.limited(s.handleJoinCandidates))
-	s.mux.HandleFunc("/shard/v1/join_score", s.limited(s.handleJoinScore))
 	// The same request and response shapes as serve mode, applied to the
 	// shard's graph and range-restricted index. A router broadcasts one
 	// batch to every shard; because edits are idempotent at the graph
@@ -135,94 +129,6 @@ func (s *ShardServer) handleScores(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-type shardJoinCandRequest struct {
-	Threshold     float64 `json:"threshold"`
-	FpLo          int     `json:"fp_lo"`
-	FpHi          int     `json:"fp_hi"`
-	MaxCandidates int     `json:"max_candidates"`
-}
-
-type shardJoinCandResponse struct {
-	Generation uint64 `json:"generation"`
-	// Pairs are the candidate (a, b) vertex pairs, a < b, sorted — kept
-	// as integer pairs on the wire because the packed a<<32|b key can
-	// exceed exact float64 range in a JSON number.
-	Pairs [][2]int `json:"pairs"`
-}
-
-// handleJoinCandidates serves POST /shard/v1/join_candidates: the
-// co-located candidate pairs of one fingerprint range at a threshold.
-func (s *ShardServer) handleJoinCandidates(w http.ResponseWriter, r *http.Request) {
-	s.reqJoinCand.Add(1)
-	if !s.checkMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req shardJoinCandRequest
-	if !s.decodeJSONBody(w, r, &req) {
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys, err := s.idx.JoinCandidates(r.Context(), req.Threshold, req.FpLo, req.FpHi, req.MaxCandidates, s.workers)
-	if err != nil {
-		s.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	pairs := make([][2]int, len(keys))
-	for i, key := range keys {
-		pairs[i] = [2]int{int(key >> 32), int(key & 0xFFFFFFFF)}
-	}
-	body, err := s.marshalBody(shardJoinCandResponse{Generation: s.idx.Generation(), Pairs: pairs})
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	writeJSONBytes(w, body)
-}
-
-type shardJoinScoreRequest struct {
-	Pairs [][2]int `json:"pairs"`
-}
-
-type shardJoinScoreResponse struct {
-	Generation uint64           `json:"generation"`
-	Pairs      []query.JoinPair `json:"pairs"`
-}
-
-// handleJoinScore serves POST /shard/v1/join_score: exact index estimates
-// for candidate pairs, bit-identical to single-node pair scores.
-func (s *ShardServer) handleJoinScore(w http.ResponseWriter, r *http.Request) {
-	s.reqJoinPair.Add(1)
-	if !s.checkMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req shardJoinScoreRequest
-	if !s.decodeJSONBody(w, r, &req) {
-		return
-	}
-	keys := make([]uint64, len(req.Pairs))
-	for i, p := range req.Pairs {
-		if p[0] < 0 || p[1] < 0 {
-			s.writeError(w, http.StatusBadRequest, "pair %d: negative vertex", i)
-			return
-		}
-		keys[i] = uint64(p[0])<<32 | uint64(p[1])
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	pairs, err := s.idx.ScorePairs(r.Context(), keys, s.workers)
-	if err != nil {
-		s.writeQueryError(w, err, http.StatusBadRequest)
-		return
-	}
-	body, err := s.marshalBody(shardJoinScoreResponse{Generation: s.idx.Generation(), Pairs: pairs})
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	writeJSONBytes(w, body)
-}
-
 // shardHealthzResponse is the shard-mode /healthz body; the router's
 // startup probe consumes it to learn each backend's range, parameters,
 // and generation.
@@ -271,8 +177,6 @@ func (s *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // writeMetrics emits the shard server's own /metrics lines.
 func (s *ShardServer) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"shard_scores\"} %d\n", s.reqScores.Load())
-	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"shard_join_candidates\"} %d\n", s.reqJoinCand.Load())
-	fmt.Fprintf(w, "simrankd_requests_total{endpoint=\"shard_join_score\"} %d\n", s.reqJoinPair.Load())
 	fmt.Fprintf(w, "simrankd_shard_scores_entries_total %d\n", s.scoresEntries.Load())
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -32,9 +32,8 @@ type rowSource interface {
 	// the rows are then not the current answer and must not be cached.
 	rows(ctx context.Context, sources []int) (rows []*sparserow.Row, degraded bool, err error)
 
-	// join returns the k best pairs scoring at least threshold, with the
-	// same degraded flag.
-	join(ctx context.Context, k int, threshold float64, maxCand int) (pairs []query.JoinPair, degraded bool, err error)
+	// join returns the k best pairs scoring at least threshold.
+	join(ctx context.Context, k int, threshold float64, maxCand int) ([]query.JoinPair, error)
 
 	// applyEdits applies one batch and reports what it did (all of the
 	// /v1/edges response but the timing). A *statusError picks its own
@@ -85,9 +84,8 @@ func (l *localSource) rows(ctx context.Context, sources []int) ([]*sparserow.Row
 	return rows, false, err
 }
 
-func (l *localSource) join(ctx context.Context, k int, threshold float64, maxCand int) ([]query.JoinPair, bool, error) {
-	pairs, err := l.idx.Join(ctx, k, threshold, &query.JoinOptions{MaxCandidates: maxCand, Workers: l.workers})
-	return pairs, false, err
+func (l *localSource) join(ctx context.Context, k int, threshold float64, maxCand int) ([]query.JoinPair, error) {
+	return l.idx.Join(ctx, k, threshold, &query.JoinOptions{MaxCandidates: maxCand, Workers: l.workers})
 }
 
 func (l *localSource) applyEdits(_ context.Context, edits []graph.Edit) (edgesResponse, error) {

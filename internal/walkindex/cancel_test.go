@@ -18,6 +18,10 @@ func TestQueriesHonorCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	empty, err := Build(g, Options{Walks: 50, Seed: 11}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -29,6 +33,10 @@ func TestQueriesHonorCancellation(t *testing.T) {
 		}
 		if _, err := ix.Join(cancelled, nil, 10, 0.05, 1<<20, workers); !errors.Is(err, context.Canceled) {
 			t.Errorf("Join(workers=%d) on cancelled ctx: err = %v, want context.Canceled", workers, err)
+		}
+		// The router's join: a zero-width index recomputing every walk.
+		if _, err := empty.Join(cancelled, g, 10, 0.05, 1<<20, workers); !errors.Is(err, context.Canceled) {
+			t.Errorf("Join on a zero-width index (workers=%d) on cancelled ctx: err = %v, want context.Canceled", workers, err)
 		}
 	}
 

@@ -34,20 +34,14 @@ import (
 // re-scored exactly (the same arithmetic as SparseRows/Pair) and the
 // top-k above the threshold survive.
 //
-// The join partitions along the FINGERPRINT axis, not the vertex axis: a
-// candidate pair is any two vertices co-located at some (fingerprint,
-// step) slot within the prune depth, and one fingerprint's slots need the
-// positions of ALL n vertices — which every range can produce, because
-// walk prefixes are pure hash recomputations (walkFrom) regardless of who
-// stores them. Each member of a fleet therefore enumerates a disjoint
-// fingerprint range (JoinCandidates), the router unions the candidate sets
-// (each a subset of the distinct-pair union, so the cap trips exactly when
-// the single-node merge would), pair scoring scatters back (ScorePairs),
-// and FinishJoin on the merged scored pairs reproduces Join bitwise. Join
-// itself is that pipeline over the one fingerprint range [0, R).
+// Every walk prefix is a hash recomputation over the graph (walkFrom),
+// whoever stores it, so an index of any vertex range — the empty one
+// included — enumerates the same candidates and scores them to the same
+// bits as the full one: a router joins on a zero-width index over its own
+// graph.
 
 // JoinPair is one result pair of a similarity join, canonical A < B. The
-// JSON tags are the /v1/join and /shard/v1/join_score wire form.
+// JSON tags are the /v1/join wire form.
 type JoinPair struct {
 	A     int     `json:"a"`
 	B     int     `json:"b"`
@@ -64,26 +58,9 @@ var ErrTooDense = errors.New("walkindex: join candidate set exceeds the cap")
 // floating-point summation rounds its exact estimate to just above it.
 const genSlack = 1 - 1e-9
 
-// CheckJoinArgs validates the shared join arguments. Join performs the
-// same checks; the router validates before scattering so a bad request is
-// rejected once, with the same error text a single-node daemon produces.
-func CheckJoinArgs(k int, threshold float64, maxCandidates int) error {
-	if k < 1 {
-		return fmt.Errorf("walkindex: join top-k size %d < 1", k)
-	}
-	if threshold < 0 || threshold > 1 {
-		return fmt.Errorf("walkindex: join threshold %v outside [0,1]", threshold)
-	}
-	if maxCandidates < 1 {
-		return fmt.Errorf("walkindex: join candidate cap %d < 1", maxCandidates)
-	}
-	return nil
-}
-
-// TooDenseError builds the ErrTooDense-wrapped overflow error every join
-// layer reports — per-worker caps, the single-node merge, and the router's
-// cross-shard merge all fail with byte-identical text.
-func TooDenseError(threshold float64, maxCandidates int) error {
+// tooDense is the ErrTooDense-wrapped overflow error, the same text for a
+// worker's cap and for the merge's.
+func tooDense(threshold float64, maxCandidates int) error {
 	return fmt.Errorf("%w: threshold %v admits more than %d co-located pairs", ErrTooDense, threshold, maxCandidates)
 }
 
@@ -101,12 +78,36 @@ func joinDepth(pow []float64, threshold float64) int {
 	return maxT
 }
 
-// FinishJoin applies the join tail to exactly-scored candidate pairs:
-// filter to positive scores at or above the threshold, order by decreasing
-// score with ties broken by (a, b), truncate to k. It mutates pairs and
-// returns a slice of it. Join and the router's cross-shard merge share it,
-// so a merged result ranks and truncates exactly as a single node would.
-func FinishJoin(pairs []JoinPair, k int, threshold float64) []JoinPair {
+// Join returns the top-k vertex pairs (a < b) with estimated SimRank score
+// at least threshold, in decreasing score order with ties broken by (a, b).
+// Scores are the same estimates SparseRows produces, bit-identically,
+// and the result is exhaustive: every pair the full n x n estimate matrix
+// ranks in its top-k above the threshold appears (threshold 0 means every
+// pair with a positive estimate). maxCandidates caps the enumerated
+// co-located pair set — ErrTooDense reports overflow before memory does.
+// The result is bit-identical for every worker count. Cancelling ctx
+// abandons the join at the next chunk boundary (workers poll between
+// slots during enumeration and between candidates during re-scoring) and
+// returns the context's error.
+func (ix *Index) Join(ctx context.Context, g *graph.Graph, k int, threshold float64, maxCandidates, workers int) ([]JoinPair, error) {
+	switch {
+	case k < 1:
+		return nil, fmt.Errorf("walkindex: join top-k size %d < 1", k)
+	case threshold < 0 || threshold > 1:
+		return nil, fmt.Errorf("walkindex: join threshold %v outside [0,1]", threshold)
+	case maxCandidates < 1:
+		return nil, fmt.Errorf("walkindex: join candidate cap %d < 1", maxCandidates)
+	}
+	keys, err := ix.joinCandidates(ctx, g, threshold, maxCandidates, workers)
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := ix.scorePairs(ctx, g, keys, workers)
+	if err != nil {
+		return nil, err
+	}
+	// Keep the positive scores at or above the threshold, order them by
+	// decreasing score with ties broken by (a, b), truncate to k.
 	kept := pairs[:0]
 	for _, p := range pairs {
 		if p.Score >= threshold && p.Score > 0 {
@@ -122,60 +123,20 @@ func FinishJoin(pairs []JoinPair, k int, threshold float64) []JoinPair {
 		}
 		return kept[i].B < kept[j].B
 	})
-	if k > len(kept) {
-		k = len(kept)
-	}
-	return kept[:k:k]
+	k = min(k, len(kept))
+	return kept[:k:k], nil
 }
 
-// Join returns the top-k vertex pairs (a < b) with estimated SimRank score
-// at least threshold, in decreasing score order with ties broken by (a, b).
-// Scores are the same estimates SparseRows produces, bit-identically,
-// and the result is exhaustive: every pair the full n x n estimate matrix
-// ranks in its top-k above the threshold appears (threshold 0 means every
-// pair with a positive estimate). maxCandidates caps the enumerated
-// co-located pair set — ErrTooDense reports overflow before memory does.
-// The result is bit-identical for every worker count. Cancelling ctx
-// abandons the join at the next chunk boundary (workers poll between
-// slots during enumeration and between candidates during re-scoring) and
-// returns the context's error.
-func (ix *Index) Join(ctx context.Context, g *graph.Graph, k int, threshold float64, maxCandidates, workers int) ([]JoinPair, error) {
-	if err := CheckJoinArgs(k, threshold, maxCandidates); err != nil {
-		return nil, err
-	}
-	keys, err := ix.JoinCandidates(ctx, g, threshold, 0, ix.r, maxCandidates, workers)
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := ix.ScorePairs(ctx, g, keys, workers)
-	if err != nil {
-		return nil, err
-	}
-	return FinishJoin(pairs, k, threshold), nil
-}
-
-// JoinCandidates enumerates the co-located vertex pairs of fingerprints
-// [fpLo, fpHi) within the threshold's prune depth, returning canonical
-// a<b keys (a<<32|b) in ascending order. The union of the key sets over a
-// partition of [0, R) is exactly the candidate set Join enumerates.
-// maxCandidates caps this call's set — every per-range set is a subset of
-// the full distinct-pair union, so an overflow here implies the
-// single-node join overflows too (the converse is caught by the caller's
-// merge, which must re-apply the cap as the union grows).
-//
-// g supplies the walk prefixes of vertices the index does not store (see
-// Index for when it may be nil).
-func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold float64, fpLo, fpHi, maxCandidates, workers int) ([]uint64, error) {
-	if fpLo < 0 || fpHi < fpLo || fpHi > ix.r {
-		return nil, fmt.Errorf("walkindex: fingerprint range [%d,%d) outside [0,%d)", fpLo, fpHi, ix.r)
-	}
-	if maxCandidates < 1 {
-		return nil, fmt.Errorf("walkindex: join candidate cap %d < 1", maxCandidates)
-	}
+// joinCandidates enumerates the co-located vertex pairs of every
+// fingerprint within the threshold's prune depth, returning canonical a<b
+// keys (a<<32|b) in ascending order, or ErrTooDense once they outnumber
+// maxCandidates. g supplies the walk prefixes of vertices the index does
+// not store (see Index for when it may be nil).
+func (ix *Index) joinCandidates(ctx context.Context, g *graph.Graph, threshold float64, maxCandidates, workers int) ([]uint64, error) {
 	// Depth prune: slots past maxT cannot introduce a pair reaching the
 	// threshold.
 	maxT := joinDepth(ix.pow, threshold)
-	if maxT < 0 || ix.n < 2 || fpLo == fpHi {
+	if maxT < 0 || ix.n < 2 {
 		return []uint64{}, ctx.Err()
 	}
 
@@ -191,17 +152,17 @@ func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold f
 	// churn.
 	hseed := splitmix64(uint64(ix.seed))
 	depth := maxT + 1
-	parts := par.ResolveMax(workers, fpHi-fpLo)
+	parts := par.ResolveMax(workers, ix.r)
 	sets := make([]map[uint64]struct{}, parts)
 	var overflow atomic.Bool
 	par.Do(parts, func(w int) {
-		wlo, whi := par.Range(fpHi-fpLo, parts, w)
+		fpLo, fpHi := par.Range(ix.r, parts, w)
 		check := par.NewCancelChecker(ctx, 1) // each slot is O(n) work
 		set := make(map[uint64]struct{})
 		pos := make([]int32, ix.n*depth) // pos[v*depth+t]
 		head := make([]int32, ix.n)
 		next := make([]int32, ix.n)
-		for fp := fpLo + wlo; fp < fpLo+whi; fp++ {
+		for fp := fpLo; fp < fpHi; fp++ {
 			if overflow.Load() || check.Stop() != nil {
 				return
 			}
@@ -261,7 +222,7 @@ func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold f
 		return nil, err
 	}
 	if overflow.Load() {
-		return nil, TooDenseError(threshold, maxCandidates)
+		return nil, tooDense(threshold, maxCandidates)
 	}
 	// Merge with the cap enforced as the union grows: per-worker sets each
 	// respect the cap, but their union must too — and must fail before it
@@ -271,7 +232,7 @@ func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold f
 		for key := range set {
 			merged[key] = struct{}{}
 			if len(merged) > maxCandidates {
-				return nil, TooDenseError(threshold, maxCandidates)
+				return nil, tooDense(threshold, maxCandidates)
 			}
 		}
 	}
@@ -283,13 +244,13 @@ func (ix *Index) JoinCandidates(ctx context.Context, g *graph.Graph, threshold f
 	return keys, nil
 }
 
-// ScorePairs computes the exact estimate of every candidate key (canonical
+// scorePairs computes the exact estimate of every candidate key (canonical
 // a<<32|b) via the same arithmetic as SparseRows and Pair, so scores —
 // and therefore the threshold filter and the final order — match the full
 // estimate matrix bitwise. Rows of unowned vertices are recomputed from g
 // and memoized per worker. Cancelling ctx abandons the scoring and returns
 // the context's error.
-func (ix *Index) ScorePairs(ctx context.Context, g *graph.Graph, keys []uint64, workers int) ([]JoinPair, error) {
+func (ix *Index) scorePairs(ctx context.Context, g *graph.Graph, keys []uint64, workers int) ([]JoinPair, error) {
 	pairs := make([]JoinPair, len(keys))
 	if len(keys) == 0 {
 		return pairs, ctx.Err()

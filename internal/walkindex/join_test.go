@@ -3,7 +3,9 @@ package walkindex
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -154,4 +156,65 @@ func TestJoinValidation(t *testing.T) {
 			t.Errorf("Join(%d, %g, cap %d) succeeded, want error", bad.k, bad.th, bad.cap_)
 		}
 	}
+}
+
+// FuzzJoinRange: Join on an index of any vertex range [lo, hi) — the empty
+// one included — equals the full range's Join bit for bit, or both fail
+// with the same ErrTooDense text; so does the candidate set it scores. A range recomputes from the graph every
+// walk it does not store, so a zero-width index over the graph joins
+// exactly like the single node: the property the router's join rests on.
+func FuzzJoinRange(f *testing.F) {
+	f.Add(uint8(40), uint16(160), uint8(30), int64(1), uint8(0), uint8(0), uint8(10), uint8(25), uint16(5000))  // zero width
+	f.Add(uint8(40), uint16(160), uint8(30), int64(1), uint8(13), uint8(27), uint8(5), uint8(59), uint16(5000)) // middle range
+	f.Add(uint8(40), uint16(160), uint8(30), int64(2), uint8(0), uint8(41), uint8(0), uint8(59), uint16(5000))  // full range, θ = 0
+	f.Add(uint8(30), uint16(200), uint8(12), int64(3), uint8(30), uint8(30), uint8(0), uint8(10), uint16(3))    // too dense
+	f.Add(uint8(1), uint16(0), uint8(1), int64(4), uint8(0), uint8(1), uint8(0), uint8(1), uint16(1))           // one vertex
+	f.Add(uint8(25), uint16(70), uint8(8), int64(5), uint8(24), uint8(3), uint8(100), uint8(4), uint16(100))    // θ = 1, reversed range
+	f.Fuzz(func(t *testing.T, n uint8, edges uint16, walks uint8, seed int64, lo, hi, theta, k uint8, maxCand uint16) {
+		nv := 1 + int(n)%60
+		rng := rand.New(rand.NewSource(seed))
+		b := graph.NewBuilder(nv, 0)
+		b.EnsureVertices(nv)
+		for i := 0; i < int(edges)%(5*nv+1); i++ {
+			b.AddEdge(rng.Intn(nv), rng.Intn(nv))
+		}
+		g := b.MustBuild()
+		opt := Options{Walks: 1 + int(walks)%40, Seed: seed}
+		l, h := int(lo)%(nv+1), int(hi)%(nv+1)
+		if l > h {
+			l, h = h, l
+		}
+		threshold, topK, capN := float64(theta%101)/100, 1+int(k)%60, 1+int(maxCand)%3000
+
+		full, err := buildFull(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := Build(g, opt, l, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		wantKeys, wantErr := full.joinCandidates(ctx, nil, threshold, capN, 2)
+		gotKeys, gotErr := part.joinCandidates(ctx, g, threshold, capN, 1)
+		if !slices.Equal(gotKeys, wantKeys) || (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("[%d,%d) of %d: %d candidates (%v), the full range's %d (%v)", l, h, nv, len(gotKeys), gotErr, len(wantKeys), wantErr)
+		}
+		want, wantErr := full.Join(ctx, nil, topK, threshold, capN, 2)
+		got, gotErr := part.Join(ctx, g, topK, threshold, capN, 1+int(seed&3))
+		switch {
+		case wantErr != nil || gotErr != nil:
+			if !errors.Is(wantErr, ErrTooDense) || gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("[%d,%d) of %d: error %v, the full range's %v", l, h, nv, gotErr, wantErr)
+			}
+		case len(got) != len(want):
+			t.Fatalf("[%d,%d) of %d: %d pairs, the full range's %d", l, h, nv, len(got), len(want))
+		default:
+			for i := range want {
+				if got[i] != want[i] || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("[%d,%d) of %d: pair %d is %+v, the full range's %+v", l, h, nv, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }

@@ -252,9 +252,10 @@ func TestShardSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedJoinMatchesFull: partitioning the fingerprint space across
-// shards, unioning the candidate sets, scoring with owner-of-a scatter,
-// and running the shared FinishJoin tail reproduces Index.Join bitwise.
+// TestShardedJoinMatchesFull: every shard of a partition, and a zero-width
+// index, joins exactly as the full index does — the same candidate set and
+// the same pairs bit for bit — because a range recomputes from the graph
+// every walk prefix it does not store. The router's join rests on this.
 func TestShardedJoinMatchesFull(t *testing.T) {
 	g := gen.CitationGraph(45, 4, 13)
 	opt := Options{Walks: 24, Seed: 21, Workers: 1}
@@ -271,54 +272,34 @@ func TestShardedJoinMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantKeys, err := full.joinCandidates(ctx, nil, threshold, maxCand, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, parts := range []int{1, 3} {
-			shards := make([]*Index, 0, parts)
-			for _, r := range shardRanges(n, parts) {
+			for _, r := range append(shardRanges(n, parts), [2]int{0, 0}) {
 				sx, err := Build(g, opt, r[0], r[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				shards = append(shards, sx)
-			}
-			// Scatter: shard i enumerates fingerprint range i of a partition
-			// of [0, R); gather: union with the cap re-applied.
-			merged := make(map[uint64]struct{})
-			for i, sx := range shards {
-				fpLo, fpHi := par.Range(opt.Walks, parts, i)
-				keys, err := sx.JoinCandidates(ctx, g, threshold, fpLo, fpHi, maxCand, 2)
+				keys, err := sx.joinCandidates(ctx, g, threshold, maxCand, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, key := range keys {
-					merged[key] = struct{}{}
+				if !slices.Equal(keys, wantKeys) {
+					t.Fatalf("threshold=%v shard [%d,%d): %d candidates != full's %d", threshold, r[0], r[1], len(keys), len(wantKeys))
 				}
-			}
-			// Scatter scoring by owner of the pair's a side.
-			var pairs []JoinPair
-			perShard := make([][]uint64, len(shards))
-			for key := range merged {
-				a := int(key >> 32)
-				for i, sx := range shards {
-					if sx.Owns(a) {
-						perShard[i] = append(perShard[i], key)
-						break
+				got, err := sx.Join(ctx, g, 25, threshold, maxCand, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("threshold=%v shard [%d,%d): %d pairs != full's %d", threshold, r[0], r[1], len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("threshold=%v shard [%d,%d): pair %d: %+v != %+v", threshold, r[0], r[1], i, got[i], want[i])
 					}
-				}
-			}
-			for i, sx := range shards {
-				scored, err := sx.ScorePairs(ctx, g, perShard[i], 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pairs = append(pairs, scored...)
-			}
-			got := FinishJoin(pairs, 25, threshold)
-			if len(got) != len(want) {
-				t.Fatalf("threshold=%v parts=%d: %d pairs != full's %d", threshold, parts, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("threshold=%v parts=%d: pair %d: %+v != %+v", threshold, parts, i, got[i], want[i])
 				}
 			}
 		}
@@ -326,30 +307,28 @@ func TestShardedJoinMatchesFull(t *testing.T) {
 }
 
 // TestShardJoinCandidatesTooDense: a shard's candidate cap fails with the
-// same ErrTooDense the single-node join reports.
+// same ErrTooDense, word for word, the single-node join reports.
 func TestShardJoinCandidatesTooDense(t *testing.T) {
 	g := gen.WebGraph(50, 6, 2)
 	opt := Options{Walks: 16, Seed: 1}
+	full, err := buildFull(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sx, err := Build(g, opt, 0, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sx.JoinCandidates(context.Background(), g, 0, 0, 16, 3, 2)
-	if !errors.Is(err, ErrTooDense) {
-		t.Fatalf("got %v, want ErrTooDense", err)
+	ctx := context.Background()
+	_, want := full.Join(ctx, nil, 10, 0, 3, 2)
+	if !errors.Is(want, ErrTooDense) {
+		t.Fatalf("full index: got %v, want ErrTooDense", want)
 	}
-}
-
-// TestShardJoinCandidatesValidation rejects bad fingerprint ranges.
-func TestShardJoinCandidatesValidation(t *testing.T) {
-	g := gen.WebGraph(20, 4, 1)
-	sx, err := Build(g, Options{Walks: 8}, 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range [][2]int{{-1, 4}, {5, 4}, {0, 9}} {
-		if _, err := sx.JoinCandidates(context.Background(), g, 0.1, r[0], r[1], 100, 1); err == nil {
-			t.Errorf("fp range [%d,%d): expected error", r[0], r[1])
+	_, errCand := sx.joinCandidates(ctx, g, 0, 3, 2)
+	_, errJoin := sx.Join(ctx, g, 10, 0, 3, 2)
+	for name, err := range map[string]error{"joinCandidates": errCand, "Join": errJoin} {
+		if !errors.Is(err, ErrTooDense) || err.Error() != want.Error() {
+			t.Fatalf("shard %s: got %v, want %v", name, err, want)
 		}
 	}
 }

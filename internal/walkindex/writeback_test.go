@@ -318,7 +318,7 @@ func TestWriteBackSpliceBoundaries(t *testing.T) {
 }
 
 // TestWriteBackShardEquivalence covers the ranged sweeps: SparseRows and
-// JoinCandidates on a shard range opened for write-back must match the
+// the join's candidate enumeration on a shard range opened for write-back must match the
 // built range exactly.
 func TestWriteBackShardEquivalence(t *testing.T) {
 	g := gen.CitationGraph(420, 4, 19)
@@ -337,16 +337,16 @@ func TestWriteBackShardEquivalence(t *testing.T) {
 			t.Fatalf("row %d differs", i)
 		}
 	}
-	wantCand, err := sx.JoinCandidates(ctx, g, 0.05, 0, sx.Walks(), 200000, 2)
+	wantCand, err := sx.joinCandidates(ctx, g, 0.05, 200000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCand, err := wb.JoinCandidates(ctx, g, 0.05, 0, wb.Walks(), 200000, 2)
+	gotCand, err := wb.joinCandidates(ctx, g, 0.05, 200000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(gotCand, wantCand) {
-		t.Fatalf("JoinCandidates: %d keys, built %d", len(gotCand), len(wantCand))
+		t.Fatalf("joinCandidates: %d keys, built %d", len(gotCand), len(wantCand))
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // TestCancelledContextAbortsQueries: a cancelled context aborts every
-// public query path with the context's error — the row and join-half
-// queries on every range, the rest on the full one.
+// public query path with the context's error — the row queries on every
+// range, the rest on the full one.
 func TestCancelledContextAbortsQueries(t *testing.T) {
 	g := gen.WebGraph(200, 6, 31)
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -25,12 +25,6 @@ func TestCancelledContextAbortsQueries(t *testing.T) {
 		}
 		if _, err := ix.SparseRows(cancelled, []int{0, 199}, 2); !errors.Is(err, context.Canceled) {
 			t.Errorf("SparseRows: err = %v, want context.Canceled", err)
-		}
-		if _, err := ix.JoinCandidates(cancelled, 0.05, 0, 40, DefaultMaxCandidates, 2); !errors.Is(err, context.Canceled) {
-			t.Errorf("JoinCandidates: err = %v, want context.Canceled", err)
-		}
-		if _, err := ix.ScorePairs(cancelled, []uint64{1<<32 | 2, 3<<32 | 150}, 2); !errors.Is(err, context.Canceled) {
-			t.Errorf("ScorePairs: err = %v, want context.Canceled", err)
 		}
 		// Validation errors still win over cancellation checks that would
 		// follow them — a bad request is a bad request even under a dead ctx.

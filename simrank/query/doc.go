@@ -86,10 +86,11 @@
 // rows — not the graph — into ranges and hands each back as the same Index:
 // walks are pure hashes, so a range recomputes any walk it does not store
 // from the attached graph. MultiSource and SparseRows return the owned
-// slice of each row for arbitrary sources; Pair, JoinCandidates, ScorePairs
-// and ApplyEdits behave as on the full range; what needs all n rows in one
-// place (SingleSource, TopK, TopKBatch, Join, the exact engine, Save) is
-// refused with one error, and composed from a fleet by simrankd's router.
+// slice of each row for arbitrary sources; Pair and ApplyEdits behave as
+// on the full range; what needs all n rows in one place (SingleSource,
+// TopK, TopKBatch, Join, the exact engine, Save) is refused with one
+// error. simrankd's router composes score rows from a fleet and runs the
+// join itself, over its own copy of the graph.
 //
 // Use the batch engines for all-pairs analytics, convergence studies, or
 // exact scores; use this package when queries arrive one vertex at a

@@ -64,30 +64,3 @@ func (ix *Index) Join(ctx context.Context, k int, threshold float64, opt *JoinOp
 	}
 	return ix.wi.Join(ctx, ix.g, k, threshold, maxCand, opt.Workers)
 }
-
-// JoinCandidates is the first half of Join, for a fleet, which partitions
-// the join along the fingerprint axis: the co-located vertex pairs of
-// fingerprints [fpLo, fpHi) within threshold's prune depth as canonical
-// a<b keys (a<<32|b) in ascending order, capped at maxCandidates
-// (ErrTooDense). The union over a partition of [0, Walks()) is the
-// candidate set Join enumerates.
-func (ix *Index) JoinCandidates(ctx context.Context, threshold float64, fpLo, fpHi, maxCandidates, workers int) ([]uint64, error) {
-	if err := ix.needRecompute("JoinCandidates"); err != nil {
-		return nil, err
-	}
-	return ix.wi.JoinCandidates(ctx, ix.g, threshold, fpLo, fpHi, maxCandidates, workers)
-}
-
-// ScorePairs is the second half: the estimate of every candidate key,
-// bit-identical to Pair and to the SingleSource entries on any range.
-func (ix *Index) ScorePairs(ctx context.Context, keys []uint64, workers int) ([]JoinPair, error) {
-	if err := ix.needRecompute("ScorePairs"); err != nil {
-		return nil, err
-	}
-	for _, key := range keys {
-		if err := ix.checkPair(int(key>>32), int(key&0xFFFFFFFF)); err != nil {
-			return nil, err
-		}
-	}
-	return ix.wi.ScorePairs(ctx, ix.g, keys, workers)
-}

@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -51,8 +52,7 @@ func buildRange(t *testing.T, g *graph.Graph, opt Options, lo, hi int, attach bo
 // buffer holding stale scores) is the row Pair scores cell by cell, and
 // MultiSource and SparseRows on any range — owned sources, foreign ones,
 // duplicates — return the [Lo, Hi) slice of it, bit for bit, for every
-// worker count; and Pair and ScorePairs score any pair as the single node
-// does.
+// worker count; and Pair scores any pair as the single node does.
 func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
 	g := gen.WebGraph(120, 6, 3)
 	opt := Options{Walks: 50, Seed: 2}
@@ -103,28 +103,25 @@ func TestMultiSourceBitIdenticalToSingleSource(t *testing.T) {
 			}
 			sparserow.Release(sparse...)
 		}
-		keys := []uint64{3<<32 | 60, 41<<32 | 80, 0<<32 | 119, 60<<32 | 61}
-		pairs, err := ix.ScorePairs(ctx, keys, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, key := range keys {
-			a, b := int(key>>32), int(key&0xFFFFFFFF)
-			wantScore, _ := full.Pair(a, b)
-			got, err := ix.Pair(a, b)
+		for _, p := range [][2]int{{3, 60}, {41, 80}, {0, 119}, {60, 61}} {
+			wantScore, _ := full.Pair(p[0], p[1])
+			got, err := ix.Pair(p[0], p[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != wantScore || pairs[i] != (JoinPair{A: a, B: b, Score: wantScore}) {
-				t.Fatalf("pair (%d,%d): Pair %v, ScorePairs %+v, single node %v", a, b, got, pairs[i], wantScore)
+			if got != wantScore {
+				t.Fatalf("pair %v: Pair %v, single node %v", p, got, wantScore)
 			}
 		}
 	})
 }
 
-// TestRangeJoinHalvesComposeToJoin: the candidates every range enumerates
-// for a fingerprint range are the single node's, and scoring the union on
-// any range and finishing it is Join.
+// TestRangeJoinHalvesComposeToJoin: the walk index under every range's
+// handle, given the handle's graph, answers the single node's Join bit for
+// bit — candidate enumeration and scoring, the two halves, run on any range
+// because foreign walk prefixes are recomputed from the graph — and fails
+// with the same ErrTooDense text. (query.Index.Join itself stays a
+// full-range call; TestPartialRangeRefusals checks the refusal.)
 func TestRangeJoinHalvesComposeToJoin(t *testing.T) {
 	g := gen.CoauthorGraph(100, 4, 9)
 	opt := Options{Walks: 60, Seed: 4}
@@ -134,36 +131,26 @@ func TestRangeJoinHalvesComposeToJoin(t *testing.T) {
 	}
 	ctx := context.Background()
 	want, err := full.Join(ctx, 10, 0.1, nil)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("single node: %d pairs, %v", len(want), err)
+	}
+	_, wantDense := full.Join(ctx, 10, 0, &JoinOptions{MaxCandidates: 5})
+	if !errors.Is(wantDense, ErrTooDense) {
+		t.Fatalf("cap 5: %v, want ErrTooDense", wantDense)
 	}
 	forEachRange(t, g.NumVertices(), func(t *testing.T, lo, hi int) {
 		ix := buildRange(t, g, opt, lo, hi, true)
-		var keys []uint64
-		for _, fp := range [][2]int{{0, 20}, {20, 21}, {21, 60}} {
-			part, err := ix.JoinCandidates(ctx, 0.1, fp[0], fp[1], DefaultMaxCandidates, 2)
+		for _, workers := range []int{1, 3} {
+			got, err := ix.wi.Join(ctx, ix.g, 10, 0.1, DefaultMaxCandidates, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := full.JoinCandidates(ctx, 0.1, fp[0], fp[1], DefaultMaxCandidates, 1)
-			if err != nil {
-				t.Fatal(err)
+			if !slices.Equal(got, want) {
+				t.Fatalf("workers=%d: range join %v\nsingle node: %v", workers, got, want)
 			}
-			if !slices.Equal(part, ref) {
-				t.Fatalf("fingerprints [%d,%d): candidates differ from the single node's", fp[0], fp[1])
-			}
-			keys = append(keys, part...)
 		}
-		slices.Sort(keys)
-		pairs, err := ix.ScorePairs(ctx, slices.Compact(keys), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := walkindex.FinishJoin(pairs, 10, 0.1); !slices.Equal(got, want) {
-			t.Fatalf("halves composed: %v\nJoin: %v", got, want)
-		}
-		if _, err := ix.JoinCandidates(ctx, 0.1, 0, 61, DefaultMaxCandidates, 1); err == nil {
-			t.Fatal("fingerprint range past Walks(): expected error")
+		if _, err := ix.wi.Join(ctx, ix.g, 10, 0, 5, 2); err == nil || err.Error() != wantDense.Error() {
+			t.Fatalf("cap 5: %v, want %v", err, wantDense)
 		}
 	})
 }
@@ -184,22 +171,17 @@ func TestRangeValidation(t *testing.T) {
 		if _, err := ix.SparseRows(ctx, []int{-1}, 1); err == nil || !strings.Contains(err.Error(), "batch item 0") {
 			t.Fatalf("SparseRows with a negative source: %v", err)
 		}
-		for _, key := range []uint64{3<<32 | 30, 31<<32 | 4} {
-			if _, err := ix.ScorePairs(ctx, []uint64{1<<32 | 2, key}, 1); err == nil || !strings.Contains(err.Error(), "out of range [0,30)") {
-				t.Fatalf("ScorePairs(%d,%d): %v, want an out-of-range error", key>>32, key&0xFFFFFFFF, err)
+		for _, p := range [][2]int{{0, 30}, {31, 4}} {
+			if _, err := ix.Pair(p[0], p[1]); err == nil || !strings.Contains(err.Error(), "out of range [0,30)") {
+				t.Fatalf("Pair%v: %v, want an out-of-range error", p, err)
 			}
-		}
-		if _, err := ix.Pair(0, 30); err == nil {
-			t.Fatal("Pair with a bad vertex: expected error")
 		}
 
 		bare := buildRange(t, g, opt, lo, hi, false)
 		_, errRows := bare.MultiSource(ctx, []int{lo}, 1)
 		_, errSparse := bare.SparseRows(ctx, []int{lo}, 1)
-		_, errCand := bare.JoinCandidates(ctx, 0.2, 0, 20, 1000, 1)
-		_, errScore := bare.ScorePairs(ctx, []uint64{1<<32 | 2}, 1)
 		_, errPair := bare.Pair(1, 2)
-		for name, err := range map[string]error{"MultiSource": errRows, "SparseRows": errSparse, "JoinCandidates": errCand, "ScorePairs": errScore, "Pair": errPair} {
+		for name, err := range map[string]error{"MultiSource": errRows, "SparseRows": errSparse, "Pair": errPair} {
 			rows := name == "MultiSource" || name == "SparseRows"
 			switch full := lo == 0 && hi == 30; {
 			case full && rows:

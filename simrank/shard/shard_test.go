@@ -471,10 +471,6 @@ func TestFullRangeBuildIsBuildIndex(t *testing.T) {
 			return flat, err
 		})
 		same("Join", func(ix *query.Index) (any, error) { return ix.Join(ctx, 10, 0.1, &query.JoinOptions{Workers: 2}) })
-		same("JoinCandidates", func(ix *query.Index) (any, error) {
-			return ix.JoinCandidates(ctx, 0.1, 5, 30, query.DefaultMaxCandidates, 2)
-		})
-		same("ScorePairs", func(ix *query.Index) (any, error) { return ix.ScorePairs(ctx, []uint64{3<<32 | 77, 17<<32 | 18}, 1) })
 		same("ExactSingleSource", func(ix *query.Index) (any, error) { return ix.ExactSingleSource(ctx, 17, nil) })
 		same("ExactStats", func(ix *query.Index) (any, error) {
 			st, ok := ix.ExactStats()
@@ -506,7 +502,7 @@ func TestShardValidation(t *testing.T) {
 	if _, err := s.PartialScores(ctx, []int{20}, 1); err == nil {
 		t.Error("out-of-range source: expected error")
 	}
-	if _, err := s.ScorePairs(ctx, []uint64{uint64(3)<<32 | 25}, 1); err == nil {
+	if _, err := s.Pair(3, 25); err == nil {
 		t.Error("out-of-range pair: expected error")
 	}
 }
