@@ -210,24 +210,29 @@ var (
 	// live how long. It is dropped from both sides before comparing (for a
 	// shard opened mapped see maskMappedBacking).
 	dropDenseBytes = regexp.MustCompile(`"index_bytes":\d+,("index_forest_bytes":\d+,"backend":"dense")`)
-	// denseForest is a dense backend's coalescence-order size, which
-	// withRankBytes amends.
-	denseForest = regexp.MustCompile(`"index_forest_bytes":(\d+),"backend":"dense"`)
+	// denseForest is a dense backend's coalescence-order size and the
+	// record's walks a vertex, which withRankBytes amends.
+	denseForest = regexp.MustCompile(`"walks":(\d+),([^{}]*)"index_forest_bytes":(\d+),"backend":"dense"`)
 )
 
-// withRankBytes rewrites every recorded dense index_forest_bytes to what
+// withRankBytes rewrites every recorded dense index_forest_bytes X to what
 // today's index reports. The parents' order took 6 bytes per stored walk
-// (the order and its meeting steps); it now also keeps its inverse, one
-// int32 per stored walk, so the figure is recorded + 4·(recorded/6),
-// exactly.
+// (the order and its meeting steps), so X = 6·w·R over w owned vertices
+// and R walks a vertex. It now also keeps its inverse, 4 bytes per stored
+// walk, and leaves one empty slot of 6 bytes after every 20 walkers of a
+// fingerprint, so the figure is 6·(w + ⌊w/20⌋)·R + 4·w·R, exactly, with R
+// the record's "walks".
 func withRankBytes(t *testing.T, want []byte) []byte {
 	t.Helper()
 	return denseForest.ReplaceAllFunc(want, func(m []byte) []byte {
-		x, err := strconv.ParseInt(string(denseForest.FindSubmatch(m)[1]), 10, 64)
-		if err != nil || x%6 != 0 {
+		sub := denseForest.FindSubmatch(m)
+		r, err1 := strconv.ParseInt(string(sub[1]), 10, 64)
+		x, err2 := strconv.ParseInt(string(sub[3]), 10, 64)
+		if err1 != nil || err2 != nil || r <= 0 || x%(6*r) != 0 {
 			t.Fatalf("recorded %s is not 6 bytes per stored walk", m)
 		}
-		return fmt.Appendf(nil, `"index_forest_bytes":%d,"backend":"dense"`, x+4*(x/6))
+		w := x / (6 * r)
+		return fmt.Appendf(nil, `"walks":%d,%s"index_forest_bytes":%d,"backend":"dense"`, r, sub[2], 6*(w+w/20)*r+4*w*r)
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -309,6 +310,50 @@ func TestRouterJoinWalksToTheHorizon(t *testing.T) {
 			if cs != http.StatusOK || cr != cs || !bytes.Equal(bs, br) {
 				t.Fatalf("%d shards, join %s: router %d %.300s\nsingle %d %.300s", shards, body, cr, br, cs, bs)
 			}
+		}
+	}
+}
+
+// TestRouterRerankReachesTheHorizon: a Y of two in-chains that meet on
+// one root exactly K steps up — the walks from the two tips, a and b, are
+// the only ones that ever stand on one vertex together, and first at step
+// K — so s(a, b) is C^K, in the walk estimate and in the exact recursion
+// cut at K alike, and a horizon one short scores the pair 0. A reranked
+// top-k of a through a two-shard router must list b at C^K, the single
+// node's answer byte for byte.
+func TestRouterRerankReachesTheHorizon(t *testing.T) {
+	const horizon, c = 13, 0.6 // the index default at C = 0.6
+	n := 2*horizon + 1
+	a, b, root := 0, n-1, horizon
+	var edges [][2]int
+	for i := 1; i < horizon; i++ { // a's in-chain a+1, …, a+K-1, b's b-1, …
+		edges = append(edges, [2]int{a + i, a + i - 1}, [2]int{b - i, b - i + 1})
+	}
+	edges = append(edges, [2]int{root, a + horizon - 1}, [2]int{root, b - horizon + 1})
+	fl := newRouterFleetOn(t, graph.MustFromEdges(n, edges), 2, Config{Workers: 1}, 0)
+	if got := fl.fleet().horizon; got != horizon {
+		t.Fatalf("the fleet walks to %d steps, the graph is built for %d", got, horizon)
+	}
+	url := fmt.Sprintf("/v1/topk?q=%d&k=5&rerank=1", a)
+	cs, bs := get(t, fl.single.URL+url)
+	cr, br := get(t, fl.router.URL+url)
+	if cs != http.StatusOK || cr != cs || !bytes.Equal(bs, br) {
+		t.Fatalf("reranked top-k: router %d %s\nsingle %d %s", cr, br, cs, bs)
+	}
+	var resp topKResponse
+	if err := json.Unmarshal(br, &resp); err != nil {
+		t.Fatal(err)
+	}
+	want := 1.0
+	for range horizon {
+		want *= c
+	}
+	if !resp.Reranked || len(resp.Results) == 0 || resp.Results[0].Vertex != b || math.Abs(resp.Results[0].Score-want) > 1e-15 {
+		t.Fatalf("reranked top-k of the tip %d: %s, want %d first at C^K = %g", a, br, b, want)
+	}
+	for _, r := range resp.Results[1:] {
+		if r.Score != 0 {
+			t.Fatalf("reranked top-k of the tip %d: %s, want every vertex but %d at 0", a, br, b)
 		}
 	}
 }

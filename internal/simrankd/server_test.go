@@ -234,12 +234,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("healthz = %+v", h)
 	}
 	// The coalescence order is accounted beside the path storage, not in
-	// it: 10 bytes per stored walk on a dense index. The path storage is the
+	// it: 6 bytes a slot (n walkers and one empty slot after every 20) and
+	// 4 per stored walk, a fingerprint at a time. The path storage is the
 	// ragged layout counted from the walks (the same build, walked again).
-	forest := int64(10 * idx.N() * idx.Walks())
+	forest := forestBytes(idx.N(), idx.Walks())
 	index := raggedBytes(t, g, idx)
 	if h.ForestBytes != forest || h.IndexBytes != index {
-		t.Fatalf("healthz index_bytes = %d, index_forest_bytes = %d, want %d and 10·n·R = %d", h.IndexBytes, h.ForestBytes, index, forest)
+		t.Fatalf("healthz index_bytes = %d, index_forest_bytes = %d, want %d and 6·(n + n/20)·R + 4·n·R = %d", h.IndexBytes, h.ForestBytes, index, forest)
 	}
 
 	// Same query twice: the second hit must come from the LRU.
@@ -265,6 +266,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// forestBytes is the size of the coalescence order over width owned
+// vertices and walks walks a vertex: per fingerprint width walkers in
+// width + width/20 slots of 6 bytes, and a 4-byte rank per walker.
+func forestBytes(width, walks int) int64 {
+	return int64(6*(width+width/20)*walks + 4*width*walks)
+}
+
 // TestShardHealthzAndMetricsForestBytes: a shard server accounts its
 // range's coalescence order the way the single node does.
 func TestShardHealthzAndMetricsForestBytes(t *testing.T) {
@@ -278,7 +286,7 @@ func TestShardHealthzAndMetricsForestBytes(t *testing.T) {
 	}
 	ts := httptest.NewServer(ss)
 	defer ts.Close()
-	want := int64(10 * 40 * 20)
+	want := forestBytes(40, 20)
 	var h shardHealthzResponse
 	_, body := get(t, ts.URL+"/healthz")
 	if err := json.Unmarshal(body, &h); err != nil {

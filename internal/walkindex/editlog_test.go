@@ -298,7 +298,8 @@ func FuzzEditLog(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if err := wb.appendLog(wb.repair(next, sum.DirtyIn, 1)); err != nil {
+		walks, _ := wb.repair(next, sum.DirtyIn, 1)
+		if err := wb.appendLog(walks); err != nil {
 			f.Fatal(err)
 		}
 		cur = next

@@ -50,12 +50,13 @@ func forestGoldenRanges(n int) [][2]int {
 }
 
 // forestDigest writes one line per fingerprint of ix: the first 8 bytes of
-// the SHA-256 of its order, meeting steps and ranks, little-endian.
+// the SHA-256 of its live order, meeting steps and ranks (liveForest: the
+// order without its empty slots, as the parent laid it out),
+// little-endian.
 func forestDigest(w *bufio.Writer, name string, ix *Index) {
-	width := ix.Width()
 	var buf []byte
 	for fp := 0; fp < ix.r; fp++ {
-		ord, mt, rk := ix.forest.fingerprint(fp, width)
+		ord, mt, rk := liveForest(ix, fp)
 		buf = buf[:0]
 		for _, v := range ord {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
@@ -73,7 +74,8 @@ func forestDigest(w *bufio.Writer, name string, ix *Index) {
 
 // TestParentForestGoldens: Build, and Save → Load → AttachGraph, sort from
 // the graph, fingerprint for fingerprint, the order, meeting steps and
-// ranks the parent sorted from the stored walks.
+// ranks the parent sorted from the stored walks, read through the live
+// view, with the gapped layout sound.
 func TestParentForestGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds nine indexes of up to 15000 vertices")
@@ -86,6 +88,7 @@ func TestParentForestGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireGappedLayout(t, ix, c.name)
 			forestDigest(bw, c.name, ix)
 			forestDigest(lw, c.name, reload(t, ix, c.g))
 		}

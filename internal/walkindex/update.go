@@ -122,14 +122,15 @@ func firstDirty(start int, path []int32, k int, isDirty []bool) int {
 // fleet applying the same edits stays a consistent partition of the
 // single-node index. It returns the number of walks repaired.
 //
-// Update also moves the repaired walkers to their new ranks in the
-// coalescence order (forest.patch) — one pass per touched fingerprint,
-// never a re-sort — and the patched order is the one that fresh Build
-// sorts, entry for entry. On an index opened with LoadWriteBack it then
-// makes the batch durable: one record of the repaired walks appended to
-// the file's edit log and fsynced, or a checkpoint that rewrites the file
-// on workers goroutines (editlog.go); if that fails, the error wraps ErrWriteBack and the index
-// in memory is repaired all the same.
+// Update also moves the repaired walkers to their new slots in the
+// coalescence order (forest.patch) — a key search and a local shift per
+// walker, never a re-sort — and the patched order's live slots are the
+// order that fresh Build sorts, entry for entry. On an index opened with
+// LoadWriteBack it then makes the batch durable: one record of the
+// repaired walks appended to the file's edit log and fsynced, or a
+// checkpoint that rewrites the file on workers goroutines (editlog.go); if
+// that fails, the error wraps ErrWriteBack and the index in memory is
+// repaired all the same.
 //
 // A loaded index repairs once AttachGraph has sorted its order, and
 // refuses before. Update must not run concurrently with queries or other
@@ -150,7 +151,7 @@ func (ix *Index) Update(g *graph.Graph, dirty []int, workers int) (int, error) {
 	if ix.forest == nil {
 		return 0, errNoGraph
 	}
-	walks := ix.repair(g, dirty, workers)
+	walks, _ := ix.repair(g, dirty, workers)
 	if ix.file == nil {
 		return len(walks), nil
 	}
@@ -173,13 +174,13 @@ func dirtySet(n int, dirty []int) ([]int, []bool) {
 
 // repair recomputes the suffixes of stored walks that occupy a dirty
 // vertex before the horizon and patches the coalescence order, returning
-// the repaired store-local walk ids, ascending. The caller validates
-// dirty.
-func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) []int32 {
+// the repaired store-local walk ids, ascending, and what the patch
+// rewrote. The caller validates dirty.
+func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) ([]int32, patchStats) {
 	d, isDirty := dirtySet(ix.n, dirty)
 	walks, _ := ix.probe(g, d, isDirty)
 	if len(walks) == 0 {
-		return nil
+		return nil, patchStats{}
 	}
 
 	// One store rewrite per vertex (walks are ascending, so a vertex's
@@ -203,6 +204,5 @@ func (ix *Index) repair(g *graph.Graph, dirty []int, workers int) []int32 {
 			walkFrom(g, hseed, fps[f], tau, p, row)
 		})
 	}
-	ix.forest.patch(ix, walks, workers)
-	return walks
+	return walks, ix.forest.patch(ix, walks, workers)
 }

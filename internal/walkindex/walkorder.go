@@ -2,6 +2,7 @@ package walkindex
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -28,33 +29,56 @@ import (
 // neighbours between them never meets.
 //
 // forest stores that order, the neighbour meeting steps and the order's
-// inverse for every fingerprint: 10 bytes per stored walk. A query finds an
-// owned source's place in each fingerprint's order by its rank — no key is
-// compared — and a foreign source's by binary search on the key, then walks
-// outwards while neighbours still meet, touching only walkers that score:
-// the cost is proportional to the answer, not to n·R·K. It is derived
-// state: excluded from Equal, Save and Bytes, sorted from the graph by
-// Build and by AttachGraph after a load (the walks are a pure function of
-// the graph, so no stored walk is read), patched by Update, which also
-// finds each moved walker's old slot by its rank instead of scanning the
-// order.
+// inverse for every fingerprint, laid out with slack: the order leaves one
+// empty slot after every gapEvery walkers, so a fingerprint of width
+// walkers takes width + width/gapEvery slots. An empty slot holds order -1
+// and meeting step 1, mergeMeet's neutral element, and a walker's meeting
+// step is the one with the next walker in key order, empty slots between
+// them or not — so the live slots, read in order, are exactly what a
+// layout without slack would store. Six bytes a slot and four a walker:
+// 10.3 bytes per stored walk. A query finds an owned source's place in
+// each fingerprint's order by its rank — its slot, no key is compared — and
+// a foreign source's by binary search on the key, stepping past empty
+// slots, then walks outwards while neighbours still meet, touching only
+// walkers that score: the cost is proportional to the answer, not to
+// n·R·K. It is derived state: excluded from Equal, Save and Bytes, sorted
+// from the graph by Build and by AttachGraph after a load (the walks are a
+// pure function of the graph, so no stored walk is read), patched by
+// Update, which empties each moved walker's old slot, found by its rank,
+// and puts the walker into an empty slot of its new gap, or shifts the
+// walkers up to the nearest empty slot by one, or — where the
+// neighbourhood has run dry — re-spreads the smallest window around the
+// gap that has slack to spare: an edit batch writes the ranks of the
+// walkers near each insertion, not of the whole fingerprint.
 type forest struct {
-	// order[fp*width+i] is the store-local walker at rank i of fingerprint
-	// fp's key order.
+	// order[fp*slots+i] is the store-local walker in slot i of fingerprint
+	// fp's key order, -1 if the slot is empty.
 	order []int32
-	// meet[fp*width+i] is the first step (1-based) at which the walkers at
-	// ranks i and i+1 share a live position, 0 if they never do (and for
-	// the last rank).
+	// meet[fp*slots+i] is the first step (1-based) at which the walker in
+	// slot i and the next walker in key order share a live position, 0 if
+	// they never do (and for the last walker); 1 in an empty slot.
 	meet []uint16
-	// rank[fp*width+v] is store-local walker v's index in fingerprint fp's
-	// order: order[fp*width+rank[fp*width+v]] == v.
+	// rank[fp*width+v] is store-local walker v's slot in fingerprint fp's
+	// order: order[fp*slots+rank[fp*width+v]] == v.
 	rank []int32
+	// width is the walkers of a fingerprint, slots its orderSlots(width).
+	width, slots int
 }
 
-// ForestBytes returns the resident size of the coalescence order — order,
-// meeting steps and ranks, 10 bytes per stored walk, 0 before a loaded
-// index has its graph. It is reported beside Bytes, which keeps meaning the
-// path storage alone.
+// gapEvery is the order's slack: one empty slot follows every gapEvery
+// walkers of a sorted fingerprint, and a patch keeps their number. Their
+// six bytes come to 2.9% of the order's size.
+const gapEvery = 20
+
+// orderSlots returns the slots of one fingerprint's order over width
+// walkers.
+func orderSlots(width int) int { return width + width/gapEvery }
+
+// ForestBytes returns the resident size of the coalescence order — order
+// and meeting steps, 6 bytes a slot, and ranks, 4 bytes per stored walk:
+// 6·(width + width/20)·R + 4·width·R, 0 before a loaded index has its
+// graph. It is reported beside Bytes, which keeps meaning the path
+// storage alone.
 func (ix *Index) ForestBytes() int64 {
 	f := ix.forest
 	if f == nil {
@@ -108,10 +132,11 @@ func mergeMeet(a, b uint16) uint16 {
 	return max(a, b)
 }
 
-// fingerprint returns fingerprint fp's order, meeting steps and ranks.
-func (f *forest) fingerprint(fp, width int) (ord []int32, mt []uint16, rk []int32) {
-	lo, hi := fp*width, (fp+1)*width
-	return f.order[lo:hi], f.meet[lo:hi], f.rank[lo:hi]
+// fingerprint returns fingerprint fp's order and meeting steps, one entry
+// a slot, and its ranks, one a walker.
+func (f *forest) fingerprint(fp int) (ord []int32, mt []uint16, rk []int32) {
+	lo, hi := fp*f.slots, (fp+1)*f.slots
+	return f.order[lo:hi], f.meet[lo:hi], f.rank[fp*f.width : (fp+1)*f.width]
 }
 
 // buildForest sorts every fingerprint of an index from g, the graph its
@@ -119,7 +144,8 @@ func (f *forest) fingerprint(fp, width int) (ord []int32, mt []uint16, rk []int3
 // convention).
 func buildForest(ix *Index, g *graph.Graph, workers int) *forest {
 	width := ix.Width()
-	f := &forest{order: make([]int32, ix.r*width), meet: make([]uint16, ix.r*width), rank: make([]int32, ix.r*width)}
+	slots := orderSlots(width)
+	f := &forest{order: make([]int32, ix.r*slots), meet: make([]uint16, ix.r*slots), rank: make([]int32, ix.r*width), width: width, slots: slots}
 	if width == 0 {
 		return f
 	}
@@ -129,7 +155,7 @@ func buildForest(ix *Index, g *graph.Graph, workers int) *forest {
 		lo, hi := par.Range(ix.r, parts, w)
 		s := newLeafLists(ix.n, width)
 		for fp := lo; fp < hi; fp++ {
-			ord, mt, rk := f.fingerprint(fp, width)
+			ord, mt, rk := f.fingerprint(fp)
 			ix.sortFingerprint(g, hseed, fp, ord, mt, rk, s)
 		}
 	})
@@ -163,7 +189,8 @@ func newLeafLists(n, width int) *leafLists {
 // Where a list moves is the coupled move every walker on x takes, hashed
 // from the graph as walkFrom does, so no stored walk is read. Two lists
 // joined under a live y first meet there: the step is recorded on the seam
-// and never changes again. Each walker's rank is written as it is emitted.
+// and never changes again. Each walker's rank is written as it is emitted,
+// and an empty slot after every gapEvery walkers.
 func (ix *Index) sortFingerprint(g *graph.Graph, hseed uint64, fp int, ord []int32, mt []uint16, rk []int32, s *leafLists) {
 	move := func(x int32, t int) int32 { // where a walker on x stands after step t+1; -1 once dead
 		if x < 0 {
@@ -199,7 +226,7 @@ func (ix *Index) sortFingerprint(g *graph.Graph, hseed uint64, fp int, ord []int
 	}
 
 	clear(s.held[into])
-	for v := int32(0); int(v) < len(ord); v++ { // before step 1 every walker stands alone on its start
+	for v := int32(0); int(v) < len(rk); v++ { // before step 1 every walker stands alone on its start
 		join(move(int32(ix.lo)+v, 0)+1, v, v, 1)
 	}
 	for t := 1; t < ix.k; t++ {
@@ -214,7 +241,10 @@ func (ix *Index) sortFingerprint(g *graph.Graph, hseed uint64, fp int, ord []int
 	each(into, func(y int32) {
 		for v := s.head[into][y]; ; v = s.next[v] {
 			ord[i], mt[i], rk[v] = v, s.gap[v], int32(i)
-			i++
+			if i++; i%(gapEvery+1) == gapEvery {
+				ord[i], mt[i] = -1, 1
+				i++
+			}
 			if v == s.tail[into][y] {
 				break
 			}
@@ -275,14 +305,20 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 		*tp = touched
 		touchedPool.Put(tp)
 	}()
+	pow := ix.pow
 	credit := func(v int32, m uint16) {
-		if acc[v] == 0 {
-			if ix.pow[m-1] == 0 {
+		i := uint(uint32(v))
+		if i >= uint(len(acc)) {
+			return // an empty slot (-1): no walker to credit
+		}
+		w := pow[m-1]
+		if acc[i] == 0 {
+			if w == 0 {
 				return // underflowed weight: adds nothing, must not list v twice
 			}
 			touched = append(touched, v)
 		}
-		acc[v] += ix.pow[m-1]
+		acc[i] += w
 	}
 	owned := self >= 0 && self < width
 	for fp := 0; fp < ix.r; fp++ {
@@ -293,9 +329,10 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 		if entry(qp, 0) < 0 {
 			continue // dead before the first step: meets nobody
 		}
-		ord, mt, rk := f.fingerprint(fp, width)
-		// Walkers at ranks l and below precede the source, r and above
-		// follow it; lm and rm are its meeting steps with those two.
+		ord, mt, rk := f.fingerprint(fp)
+		// Slots l and below precede the source, r and above follow it; lm
+		// and rm are its meeting steps with the walkers in slots l and r —
+		// neutral in an empty slot, which credits nobody.
 		var l, r int
 		var lm, rm uint16
 		if owned {
@@ -308,12 +345,16 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 				lm = mt[l]
 			}
 		} else {
-			r = sort.Search(width, func(i int) bool { return !keyLess(ix.path(ord[i], fp), int(ord[i]), qp, self) })
+			// A foreign source: a key search places it, past the empty
+			// slots before the walker that follows it.
+			r = ix.keySearch(fp, ord, qp, self)
 			l = r - 1
 			if l >= 0 {
 				lm = firstMeet(qp, ix.path(ord[l], fp))
 			}
-			if r < width {
+			for ; r < len(ord) && ord[r] < 0; r++ {
+			}
+			if r < len(ord) {
 				rm = firstMeet(qp, ix.path(ord[r], fp))
 			}
 		}
@@ -326,7 +367,7 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 		}
 		for ; rm != 0; r++ {
 			credit(ord[r], rm)
-			rm = mergeMeet(rm, mt[r]) // the last rank's 0 ends the walk
+			rm = mergeMeet(rm, mt[r]) // the last walker's 0 ends the walk
 		}
 	}
 	if owned {
@@ -342,6 +383,19 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 		row.Append(int32(ix.lo)+v, s)
 	}
 	return nil
+}
+
+// keySearch returns the first slot of fingerprint fp's order whose next
+// walker — the one in it, or the first after it — does not precede the
+// walker with path key and id id in key order, len(ord) if there is none.
+// The slot before it holds a walker or does not exist. An empty slot is
+// stepped past by reading ord alone.
+func (ix *Index) keySearch(fp int, ord []int32, key []int32, id int) int {
+	return sort.Search(len(ord), func(i int) bool {
+		for ; i < len(ord) && ord[i] < 0; i++ {
+		}
+		return i == len(ord) || !keyLess(ix.path(ord[i], fp), int(ord[i]), key, id)
+	})
 }
 
 // eachSource runs row(si, walks, store-local id) for every source of a
@@ -409,19 +463,20 @@ func (ix *Index) SparseRows(ctx context.Context, g *graph.Graph, sources []int, 
 }
 
 // patch moves the walkers whose paths Update just repaired to their new
-// ranks. walks are the repaired store-local walk ids, ascending. Per
-// touched fingerprint the moved walkers' old slots are their ranks, so no
-// slot is searched for; each moved walker's new place is where a key search
-// over the kept walkers (whose keys did not change) puts it. The holes
-// equal the insertions in number, so every slot outside the span from the
-// first changed slot to the last one keeps its walker, and nothing outside
-// it is touched. Within it the kept walkers move in runs that share a
-// shift, each walker once, and are re-ranked where they land; the meeting
-// steps across each run of holes merge, and every inserted walker gets
-// fresh meeting steps with its neighbours. The key order is total, so the
-// patched structure is the one a rebuild produces, entry for entry.
-func (f *forest) patch(ix *Index, walks []int32, workers int) {
-	width := ix.Width()
+// slots and returns what it rewrote. walks are the repaired store-local
+// walk ids, ascending. Per touched fingerprint each moved walker's old
+// slot, found by its rank, is emptied first, the meeting step across it
+// merged into the walker before it — so the walkers left, whose keys did
+// not change, stand in key order with their meeting steps exact. Then each
+// moved walker goes back in where a key search over the walkers in place
+// puts it: into an empty slot of its gap if it has one, otherwise into a
+// slot open makes beside it (a short shift, or a re-spread where the
+// neighbourhood has run dry). The new walker and the one before it get
+// fresh meeting steps; every walker open moves keeps its own. The number
+// of empty slots stays the one Build left. The key order is total, so the
+// live slots are, walker for walker and step for step, the order a
+// rebuild sorts.
+func (f *forest) patch(ix *Index, walks []int32, workers int) patchStats {
 	byFP := make([][]int32, ix.r) // moved walkers per fingerprint
 	var fps []int
 	for _, walk := range walks {
@@ -432,147 +487,184 @@ func (f *forest) patch(ix *Index, walks []int32, workers int) {
 		byFP[fp] = append(byFP[fp], walk/int32(ix.r))
 	}
 	parts := par.ResolveMax(workers, len(fps))
+	pws := make([]patcher, parts)
 	par.Do(parts, func(w int) {
 		lo, hi := par.Range(len(fps), parts, w)
-		var holes []int
-		var ins []insertion
-		var seams []seam
-		var runs []run
+		pw := &pws[w]
 		for _, fp := range fps[lo:hi] {
-			ord, mt, rk := f.fingerprint(fp, width)
-			mv := byFP[fp]
+			ord, mt, rk := f.fingerprint(fp)
 			path := func(v int32) []int32 { return ix.path(v, fp) }
-
-			// The moved walkers' old slots. Their paths have already
-			// changed, so their old keys are gone; their ranks are not. A
-			// rank of -1 marks a moved walker until it is placed again.
-			holes = holes[:0]
-			for _, v := range mv {
-				holes = append(holes, int(rk[v]))
-				rk[v] = -1
+			prev := func(i int) int { // the slot of the last walker before slot i, or -1
+				for i--; i >= 0 && ord[i] < 0; i-- {
+				}
+				return i
 			}
-			slices.Sort(holes)
-			m := len(holes)
-
-			// Each moved walker goes back in after the kept walkers its key
-			// search counts before it; those sharing a gap sort by key. The
-			// search runs over the slots, a hole deferring to the first kept
-			// walker after it, and the kept walkers before the slot it finds
-			// are that slot less the holes before it.
-			ins = ins[:0]
-			for _, v := range mv {
+			next := func(i int) int { // the slot of the first walker from slot i on, or len(ord)
+				for ; i < len(ord) && ord[i] < 0; i++ {
+				}
+				return i
+			}
+			// Emptied from the last slot back, so the walker before each is
+			// found past the empty slots that were there before the batch,
+			// not past the ones it made.
+			pw.holes = pw.holes[:0]
+			for _, v := range byFP[fp] {
+				pw.holes = append(pw.holes, rk[v])
+			}
+			slices.Sort(pw.holes)
+			for i := len(pw.holes) - 1; i >= 0; i-- {
+				at := int(pw.holes[i])
+				if p := prev(at); p >= 0 {
+					mt[p] = mergeMeet(mt[p], mt[at])
+				}
+				ord[at], mt[at] = -1, 1
+			}
+			for _, v := range byFP[fp] {
 				key := path(v)
-				i := sort.Search(width, func(i int) bool {
-					for ; i < width && rk[ord[i]] < 0; i++ {
-					}
-					return i == width || !keyLess(path(ord[i]), int(ord[i]), key, int(v))
-				})
-				ins = append(ins, insertion{v, i - sort.SearchInts(holes, i)})
-			}
-			slices.SortFunc(ins, func(a, b insertion) int {
-				if a.rank != b.rank {
-					return a.rank - b.rank
+				// r is the first slot whose next walker follows v; the slot
+				// before it holds a walker or does not exist, and r itself
+				// is empty if v's gap has an empty slot.
+				r := ix.keySearch(fp, ord, key, int(v))
+				at := r
+				if next(r) == r {
+					at = pw.open(ord, mt, rk, r)
 				}
-				if keyLess(path(a.v), int(a.v), path(b.v), int(b.v)) {
-					return -1
+				ord[at], rk[v] = v, int32(at)
+				pw.reranked++
+				if p := prev(at); p >= 0 {
+					mt[p] = firstMeet(path(ord[p]), key)
 				}
-				return 1
-			})
-
-			// The changed span [a, b): insertion j lands on slot rank+j.
-			// Before a and from b on, a slot holds as many holes before it
-			// as insertions, so its walker stays.
-			a := min(holes[0], ins[0].rank)
-			b := max(holes[m-1]+1, ins[m-1].rank+m)
-
-			// Before anything moves: the kept walker before each run of
-			// holes will meet the kept walker after the run at the largest
-			// step across it, or never.
-			seams = seams[:0]
-			for h := 0; h < m; {
-				first := h
-				for h++; h < m && holes[h] == holes[h-1]+1; h++ {
-				}
-				if at := holes[first]; at > 0 {
-					step := mt[at-1]
-					for _, hole := range holes[first:h] {
-						step = mergeMeet(step, mt[hole])
-					}
-					seams = append(seams, seam{at - 1 - first, step})
-				}
-			}
-
-			// The span's kept walkers, in runs that share a shift: kept
-			// walker k (k-th once the holes close) moves from slot k plus
-			// the holes before it to slot k plus the insertions before it,
-			// and a run ends where either count changes.
-			runs = runs[:0]
-			for k, h, j := a, 0, 0; k < b-m; {
-				for ; h < m && holes[h]-h <= k; h++ {
-				}
-				for ; j < m && ins[j].rank <= k; j++ {
-				}
-				end := b - m
-				if h < m {
-					end = min(end, holes[h]-h)
-				}
-				if j < m {
-					end = min(end, ins[j].rank)
-				}
-				runs = append(runs, run{from: k + h, to: k + j, n: end - k})
-				k = end
-			}
-			// Each walker moves once: runs shifting right go from the back,
-			// runs shifting left from the front, so no run overwrites one
-			// still to move. A moved run is re-ranked while it is hot.
-			move := func(r run) {
-				copy(mt[r.to:r.to+r.n], mt[r.from:r.from+r.n])
-				copy(ord[r.to:r.to+r.n], ord[r.from:r.from+r.n])
-				for i := r.to; i < r.to+r.n; i++ {
-					rk[ord[i]] = int32(i)
-				}
-			}
-			for i := len(runs) - 1; i >= 0; i-- {
-				if runs[i].to > runs[i].from {
-					move(runs[i])
-				}
-			}
-			for _, r := range runs {
-				if r.to < r.from {
-					move(r)
-				}
-			}
-			for _, sm := range seams {
-				mt[sm.k+sort.Search(m, func(j int) bool { return ins[j].rank > sm.k })] = sm.step
-			}
-			for j, in := range ins {
-				ord[in.rank+j], rk[in.v] = in.v, int32(in.rank+j)
-			}
-			for j, in := range ins {
-				for i := max(in.rank+j-1, 0); i <= in.rank+j; i++ { // the walker before in.v, and in.v
-					mt[i] = 0
-					if i+1 < width {
-						mt[i] = firstMeet(path(ord[i]), path(ord[i+1]))
-					}
+				mt[at] = 0
+				if n := next(at + 1); n < len(ord) {
+					mt[at] = firstMeet(key, path(ord[n]))
 				}
 			}
 		}
 	})
+	var total patchStats
+	for _, pw := range pws {
+		total.reranked += pw.reranked
+		total.widest = max(total.widest, pw.widest)
+	}
+	return total
 }
 
-// insertion is a moved walker and the number of kept walkers before it.
-type insertion struct {
-	v    int32
-	rank int
+// patchStats is what a patch rewrote: the ranks it wrote, the inserted
+// walkers' included, and the most walkers one insertion moved.
+type patchStats struct{ reranked, widest int }
+
+// patcher is one patch worker: its counts, the slots it empties, and the
+// scratch of a re-spread.
+type patcher struct {
+	patchStats
+	holes   []int32
+	walkers []int32
+	meets   []uint16
 }
 
-// seam is the meeting step a patch gives kept walker k (k-th once the holes
-// close) with the kept walker after it.
-type seam struct {
-	k    int
-	step uint16
+// shiftReach is the farthest a patch looks for an empty slot to shift
+// walkers into, and spreadMin the smallest window it re-spreads once none
+// is that near.
+const (
+	shiftReach = 8 * gapEvery
+	spreadMin  = 16 * gapEvery
+)
+
+// open makes room for a walker going in before slot r, which holds the
+// walker after the gap or is len(ord), and returns the slot it opened. If
+// an empty slot lies within shiftReach slots, the walkers between it and
+// the gap move one slot towards it; otherwise the neighbourhood has run
+// dry and spread re-spreads it. Moved walkers keep their meeting steps and
+// are re-ranked.
+func (p *patcher) open(ord []int32, mt []uint16, rk []int32, r int) int {
+	for d := 1; d <= shiftReach; d++ {
+		if j := r + d; j < len(ord) && ord[j] < 0 { // slots r..j-1 move up
+			copy(ord[r+1:j+1], ord[r:j])
+			copy(mt[r+1:j+1], mt[r:j])
+			p.rerank(ord, rk, r+1, j+1)
+			return r
+		}
+		if j := r - 1 - d; j >= 0 && ord[j] < 0 { // slots j+1..r-1 move down
+			copy(ord[j:r-1], ord[j+1:r])
+			copy(mt[j:r-1], mt[j+1:r])
+			p.rerank(ord, rk, j, r-1)
+			return r - 1
+		}
+	}
+	return p.spread(ord, mt, rk, r)
 }
 
-// run is n kept walkers that a patch moves together from slot from to
-// slot to.
-type run struct{ from, to, n int }
+// spread lays the walkers of a window around slot r out again with the
+// window's empty slots evenly between them, the walker going in before
+// slot r counted among them, and returns that walker's slot. The window is
+// the smallest of spreadMin slots, doubled, that holds enough empty slots:
+// a quarter of the order's share of them at spreadMin, rising to all of it
+// at the whole order, which always qualifies (the packed-memory array's
+// rule). A dry neighbourhood so takes its slack from the nearest window
+// that has some to spare, and a large window, once spread, takes many
+// insertions before it runs dry again: insertions that drift one way,
+// emptying one end of the order and filling the other, cost a whole
+// re-spread only once every few hundred of them.
+func (p *patcher) spread(ord []int32, mt []uint16, rk []int32, r int) int {
+	top := math.Log2(float64(len(ord)) / spreadMin) // doublings from spreadMin to the whole order
+	a, b, empty := r, r, 0
+	count := func(lo, hi int) {
+		for _, v := range ord[lo:hi] {
+			empty += int(uint32(v) >> 31)
+		}
+	}
+	for size, lvl := spreadMin, 0.0; ; size, lvl = size*2, lvl+1 {
+		na := max(0, min(r-size/2, len(ord)-size))
+		nb := min(len(ord), na+size)
+		count(na, a)
+		count(b, nb)
+		a, b = na, nb
+		share := (1 + 3*lvl/top) / 4
+		if b-a == len(ord) || float64(empty*(gapEvery+1)) >= share*float64(b-a) {
+			break
+		}
+	}
+	if cap(p.walkers) <= b-a {
+		p.walkers, p.meets = make([]int32, 0, len(ord)+1), make([]uint16, 0, len(ord)+1)
+	}
+	p.walkers, p.meets = p.walkers[:0], p.meets[:0]
+	for i := a; i <= b; i++ {
+		if i == r {
+			p.walkers, p.meets = append(p.walkers, -1), append(p.meets, 0)
+		}
+		if i < b && ord[i] >= 0 {
+			p.walkers, p.meets = append(p.walkers, ord[i]), append(p.meets, mt[i])
+		}
+	}
+	// Walker j goes to slot a + ⌊j·(b-a)/n⌋, the empty slots between.
+	n := len(p.walkers)
+	step, rem := (b-a)/n, (b-a)%n
+	at, i, carry := -1, a, 0
+	for j, v := range p.walkers {
+		next := i + step
+		if carry += rem; carry >= n {
+			carry -= n
+			next++
+		}
+		if v < 0 {
+			at = i
+		} else {
+			ord[i], mt[i], rk[v] = v, p.meets[j], int32(i)
+		}
+		for i++; i < next; i++ {
+			ord[i], mt[i] = -1, 1
+		}
+	}
+	p.reranked += n - 1
+	p.widest = max(p.widest, n-1)
+	return at
+}
+
+// rerank writes the ranks of the walkers in slots [lo, hi).
+func (p *patcher) rerank(ord []int32, rk []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		rk[ord[i]] = int32(i)
+	}
+	p.reranked += hi - lo
+	p.widest = max(p.widest, hi-lo)
+}

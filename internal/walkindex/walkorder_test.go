@@ -52,30 +52,89 @@ func sweepRows(ix *Index, g *graph.Graph, sources []int) [][]float64 {
 // sweepRow is sweepRows for one source of a full-range index.
 func sweepRow(ix *Index, q int) []float64 { return sweepRows(ix, nil, []int{q})[0] }
 
-// requireSameForest fails unless got's order, meeting steps and ranks are,
-// entry for entry, the ones a from-scratch build (want) sorted.
+// liveForest returns fingerprint fp's live view: its walkers in key order,
+// each one's meeting step with the next, and each walker's rank in that
+// order — what the order would hold without its empty slots.
+func liveForest(ix *Index, fp int) (ord []int32, mt []uint16, rk []int32) {
+	slots, meets, _ := ix.forest.fingerprint(fp)
+	rk = make([]int32, ix.Width())
+	for i, v := range slots {
+		if v >= 0 {
+			rk[v] = int32(len(ord))
+			ord, mt = append(ord, v), append(mt, meets[i])
+		}
+	}
+	return ord, mt, rk
+}
+
+// requireGappedLayout checks the slots behind the live view: every
+// fingerprint has orderSlots(width) slots of which width/gapEvery are
+// empty, every empty slot holds -1 and meeting step 1, and every walker's
+// rank is its slot.
+func requireGappedLayout(t *testing.T, ix *Index, what string) {
+	t.Helper()
+	width := ix.Width()
+	for fp := 0; fp < ix.r; fp++ {
+		ord, mt, rk := ix.forest.fingerprint(fp)
+		if len(ord) != orderSlots(width) || len(mt) != len(ord) || len(rk) != width {
+			t.Fatalf("%s: fingerprint %d has %d slots, %d meeting steps and %d ranks over %d walkers", what, fp, len(ord), len(mt), len(rk), width)
+		}
+		empty := 0
+		for i, v := range ord {
+			if v < 0 {
+				empty++
+				if v != -1 || mt[i] != 1 {
+					t.Fatalf("%s: fingerprint %d empty slot %d holds %d / %d, want -1 / 1", what, fp, i, v, mt[i])
+				}
+			}
+		}
+		if empty != width/gapEvery {
+			t.Fatalf("%s: fingerprint %d has %d empty slots, want %d", what, fp, empty, width/gapEvery)
+		}
+		for v, at := range rk {
+			if at < 0 || int(at) >= len(ord) || ord[at] != int32(v) {
+				t.Fatalf("%s: fingerprint %d: walker %d ranked at slot %d, which does not hold it", what, fp, v, at)
+			}
+		}
+	}
+}
+
+// requireSameForest fails unless got's live order, meeting steps and
+// ranks are, entry for entry, the ones a from-scratch build (want) sorted,
+// and both layouts are sound.
 func requireSameForest(t *testing.T, got, want *Index, what string) {
 	t.Helper()
-	if !slices.Equal(got.forest.order, want.forest.order) {
-		t.Fatalf("%s: patched order differs from a rebuild", what)
-	}
-	if !slices.Equal(got.forest.meet, want.forest.meet) {
-		t.Fatalf("%s: patched meeting steps differ from a rebuild", what)
-	}
-	if !slices.Equal(got.forest.rank, want.forest.rank) {
-		t.Fatalf("%s: patched ranks differ from a rebuild", what)
+	requireGappedLayout(t, got, what)
+	requireGappedLayout(t, want, what+", the rebuild")
+	for fp := 0; fp < got.r; fp++ {
+		gord, gmt, grk := liveForest(got, fp)
+		word, wmt, wrk := liveForest(want, fp)
+		if !slices.Equal(gord, word) {
+			t.Fatalf("%s: fingerprint %d: patched order differs from a rebuild", what, fp)
+		}
+		if !slices.Equal(gmt, wmt) {
+			t.Fatalf("%s: fingerprint %d: patched meeting steps differ from a rebuild", what, fp)
+		}
+		if !slices.Equal(grk, wrk) {
+			t.Fatalf("%s: fingerprint %d: patched ranks differ from a rebuild", what, fp)
+		}
 	}
 }
 
 // requireCanonicalForest checks the structure against its definition, with
-// no reference to how it was built: every fingerprint's order is strictly
-// ascending by key, every meeting step is the neighbours' first meeting, and
-// the ranks are the order's inverse.
+// no reference to how it was built: the layout is sound, every
+// fingerprint's live order is strictly ascending by key and holds every
+// walker, every meeting step is the neighbours' first meeting, and the
+// ranks are the order's inverse.
 func requireCanonicalForest(t *testing.T, ix *Index) {
 	t.Helper()
+	requireGappedLayout(t, ix, "canonical")
 	width := ix.Width()
 	for fp := 0; fp < ix.r; fp++ {
-		ord, mt, rk := ix.forest.fingerprint(fp, width)
+		ord, mt, rk := liveForest(ix, fp)
+		if len(ord) != width {
+			t.Fatalf("fingerprint %d: %d walkers in the order, want %d", fp, len(ord), width)
+		}
 		for i, v := range ord {
 			if int(rk[v]) != i {
 				t.Fatalf("fingerprint %d: walker %d at rank %d, its rank entry says %d", fp, v, i, rk[v])
@@ -126,8 +185,8 @@ func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.ForestBytes() != int64(10*n*full.r) {
-		t.Fatalf("build: forest of %d bytes, want 10·n·R = %d", full.ForestBytes(), 10*n*full.r)
+	if want := int64(6*orderSlots(n)*full.r + 4*n*full.r); full.ForestBytes() != want {
+		t.Fatalf("build: forest of %d bytes, want 6·(n + n/%d)·R + 4·n·R = %d", full.ForestBytes(), gapEvery, want)
 	}
 	requireCanonicalForest(t, full)
 	want := make([][]float64, n)
@@ -282,6 +341,78 @@ func TestForestAfterLoadAndUpdate(t *testing.T) {
 	}
 }
 
+// TestForestLongEditStream: a patched order stays the rebuilt one over a
+// long edit stream. 300 random 8-edit batches on a citation graph move
+// walkers all over the order — and, as the graph densifies, steadily from
+// walkers that die early to walkers that live long, draining the slack at
+// one end — then 100 batches aimed at one hub, each adding or removing
+// edges from it to random vertices, reroute the walkers they move onto
+// the hub and so all into a few classes, draining the empty slots there.
+// After every batch the live order, meeting steps and ranks are the
+// rebuild's and the layout is sound. The most walkers one insertion moved
+// is logged per stream, and the hub stream must have run its
+// neighbourhood dry (a re-spread wider than shiftReach).
+func TestForestLongEditStream(t *testing.T) {
+	g := gen.CitationGraph(1500, 4, 5)
+	opt := Options{Walks: 16, Seed: 3}
+	ix, err := buildFull(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	hub := 0
+	for v := range n {
+		if g.OutDegree(v) > g.OutDegree(hub) {
+			hub = v
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	aimed := func(g *graph.Graph) []graph.Edit {
+		edits := make([]graph.Edit, 8)
+		for i := range edits {
+			v := rng.Intn(n)
+			op := graph.EditAdd
+			if slices.Contains(g.In(v), hub) {
+				op = graph.EditRemove
+			}
+			edits[i] = graph.Edit{Op: op, U: hub, V: v}
+		}
+		return edits
+	}
+	for _, stream := range []struct {
+		name    string
+		batches int
+		edits   func(*graph.Graph) []graph.Edit
+	}{
+		{"random", 300, func(g *graph.Graph) []graph.Edit { return editBatch(rng, g, 8) }},
+		{"hub", 100, aimed},
+	} {
+		var reranked, widest int
+		for batch := range stream.batches {
+			next, sum, err := g.ApplyEdits(stream.edits(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g = next
+			_, ps := ix.repair(g, sum.DirtyIn, 1+batch%3)
+			reranked += ps.reranked
+			widest = max(widest, ps.widest)
+			fresh, err := buildFull(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ix.Equal(fresh) {
+				t.Fatalf("%s batch %d: repaired walks differ from a rebuild", stream.name, batch)
+			}
+			requireSameForest(t, ix, fresh, fmt.Sprintf("%s batch %d", stream.name, batch))
+		}
+		t.Logf("%s stream: %d batches, %d ranks written a batch, at most %d walkers moved by one insertion", stream.name, stream.batches, reranked/stream.batches, widest)
+		if stream.name == "hub" && widest <= shiftReach {
+			t.Fatalf("the hub stream never ran its neighbourhood dry (at most %d walkers moved, the shift reaches %d)", widest, shiftReach)
+		}
+	}
+}
+
 // TestForestConcurrentReaders: queries share the order read-only and the
 // touched-list pool; many at once must each get the sweep's answer (run
 // under -race).
@@ -317,14 +448,16 @@ func TestForestConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// forestFuzzGraph decodes fuzz bytes into a small graph, index options and
-// an edit batch: three parameter bytes, then (u, v) byte pairs — the first
-// two thirds are the graph's edges, the rest toggle edges as edits.
+// forestFuzzGraph decodes fuzz bytes into a graph of up to 64 vertices
+// (so that ranges of more than gapEvery walkers, whose orders have empty
+// slots, occur), index options and edits: three parameter bytes, then (u,
+// v) byte pairs — the first two thirds are the graph's edges, the rest
+// toggle edges as edits.
 func forestFuzzGraph(data []byte) (*graph.Graph, Options, []graph.Edit) {
 	for len(data) < 4 {
 		data = append(data, 0)
 	}
-	n := 1 + int(data[0])%20
+	n := 1 + int(data[0])%64
 	opt := Options{K: 1 + int(data[1])%7, Walks: 1 + int(data[2])%5, Seed: int64(data[3]), Workers: 2}
 	pairs := data[4:]
 	var edges [][2]int
@@ -358,10 +491,11 @@ func reload(t testing.TB, ix *Index, g *graph.Graph) *Index {
 
 // FuzzForest: on any small graph the coalescence order answers every
 // source exactly like the sweep, on the full range and on an interior
-// range, before and after an edit batch; the order Save → Load →
-// AttachGraph sorts is the built one, and the patched order — of the
-// built index and of the loaded one — and the order of the patched index
-// saved and reloaded are the rebuilt one.
+// range, before and after each of three edit batches (the edits split in
+// order); the order Save → Load → AttachGraph sorts is the built one, and
+// after every batch the patched order — of the built index and of the
+// loaded one — and the order of the patched index saved and reloaded are
+// the rebuilt one.
 func FuzzForest(f *testing.F) {
 	f.Add([]byte{6, 3, 2, 1, 0, 1, 1, 2, 2, 0, 3, 1, 4, 2, 5, 4})                    // the FuzzLoad seed graph
 	f.Add([]byte{1, 0, 0, 0})                                                        // n=1, no edges
@@ -370,6 +504,7 @@ func FuzzForest(f *testing.F) {
 	f.Add([]byte{7, 6, 4, 3, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 0, 0, 3, 6, 0})  // ring: walks revisit vertices; edits cut it
 	f.Add([]byte{9, 0, 4, 5, 0, 1, 0, 2, 0, 3, 0, 4, 5, 6, 6, 7, 7, 8, 1, 0, 8, 5})  // K=1 star + chain
 	f.Add([]byte{19, 5, 4, 2, 3, 1, 3, 2, 3, 4, 1, 5, 2, 5, 9, 9, 4, 3, 3, 1, 9, 9}) // in-degree-0 hubs, self-loop edit
+	f.Add(gappedFuzzSeed())                                                          // 63 vertices: both ranges have empty slots
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			t.Skip("keep graphs small")
@@ -399,30 +534,49 @@ func FuzzForest(f *testing.F) {
 			requireSameForest(t, loaded[i], ix, fmt.Sprintf("range [%d,%d), loaded", ix.lo, ix.hi))
 		}
 
-		g2, sum, err := g.ApplyEdits(edits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ix := range []*Index{full, part} {
-			fresh, err := Build(g2, opt, ix.lo, ix.hi)
+		for b := range 3 {
+			g2, sum, err := g.ApplyEdits(edits[b*len(edits)/3 : (b+1)*len(edits)/3])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, jx := range []*Index{ix, loaded[i]} {
-				if _, err := jx.Update(g2, sum.DirtyIn, 2); err != nil {
+			for i, ix := range []*Index{full, part} {
+				fresh, err := Build(g2, opt, ix.lo, ix.hi)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if !jx.Equal(fresh) {
-					t.Fatal("repaired index differs from a rebuild")
+				for _, jx := range []*Index{ix, loaded[i]} {
+					if _, err := jx.Update(g2, sum.DirtyIn, 2); err != nil {
+						t.Fatal(err)
+					}
+					if !jx.Equal(fresh) {
+						t.Fatalf("batch %d: repaired index differs from a rebuild", b)
+					}
 				}
+				what := fmt.Sprintf("batch %d, range [%d,%d)", b, ix.lo, ix.hi)
+				requireSameForest(t, ix, fresh, what)
+				requireSameForest(t, loaded[i], fresh, what+", loaded then patched")
+				requireSameForest(t, reload(t, ix, g2), fresh, what+", patched then reloaded")
 			}
-			what := fmt.Sprintf("range [%d,%d)", ix.lo, ix.hi)
-			requireSameForest(t, ix, fresh, what)
-			requireSameForest(t, loaded[i], fresh, what+", loaded then patched")
-			requireSameForest(t, reload(t, ix, g2), fresh, what+", patched then reloaded")
+			g = g2
+			check(g, full, part, fmt.Sprintf("patched by batch %d", b))
 		}
-		check(g2, full, part, "patched")
 	})
+}
+
+// gappedFuzzSeed is a FuzzForest input on 63 vertices, a ring with chords
+// and 24 edits, so that both indexed ranges are wider than gapEvery.
+func gappedFuzzSeed() []byte {
+	data := []byte{62, 5, 3, 4}
+	for v := range 63 {
+		data = append(data, byte(v), byte((v+1)%63))
+	}
+	for v := 0; v < 63; v += 3 {
+		data = append(data, byte(v), byte((v*7)%63))
+	}
+	for v := 0; v < 48; v += 2 {
+		data = append(data, byte(v), byte((v*5+1)%63))
+	}
+	return data
 }
 
 // TestAttachGraphRefusesOtherGraph: the order of a loaded index comes from

@@ -278,9 +278,12 @@ func (s *raggedStore) rewrite(v int, fps []int, fix func(j int, path []int32)) {
 
 // setWalks replaces the walks fps (ascending) of store-local vertex v with
 // paths, k entries per walk with -1 tails: in place when every touched
-// group keeps its live lengths, at the tail of v's chunk otherwise.
+// group keeps its live lengths, at the tail of v's chunk otherwise. Each
+// group's walks are looked up once, into a table the group is rewritten
+// from.
 func (s *raggedStore) setWalks(v int, fps []int, paths []int32) {
 	c := v >> s.shift
+	cur := make([][]int32, s.group)
 	for len(fps) > 0 {
 		g := fps[0] / s.group
 		lo, hi := s.span(g)
@@ -289,28 +292,28 @@ func (s *raggedStore) setWalks(v int, fps []int, paths []int32) {
 			n++
 		}
 		mine, fresh := fps[:n], paths[:n*s.k]
-		old := s.row(v)
-		walkOf := func(fp int) []int32 {
-			if j, ok := slices.BinarySearch(mine, fp); ok {
-				return livePrefix(fresh[j*s.k : (j+1)*s.k])
-			}
-			return old.walk(fp)
+		old := s.row(v) // after any earlier group moved the chunk
+		cur = cur[:hi-lo]
+		for i := range cur {
+			cur[i] = old.walk(lo + i)
 		}
 		inPlace := true
-		for _, fp := range mine {
-			inPlace = inPlace && len(walkOf(fp)) == len(old.walk(fp))
+		for j, fp := range mine {
+			inPlace = inPlace && len(livePrefix(fresh[j*s.k:(j+1)*s.k])) == len(cur[fp-lo])
 		}
 		gi := v*s.groups + g
-		switch at := int(s.seg[gi]); {
-		case inPlace:
-			for _, fp := range mine {
-				copy(old.walk(fp), walkOf(fp))
+		if inPlace {
+			for j, fp := range mine {
+				copy(cur[fp-lo], fresh[j*s.k:(j+1)*s.k])
 			}
-		case at >= 0:
-			s.dead[c] += s.segLen(old.data, at, hi-lo)
-			fallthrough
-		default:
-			s.chunks[c], s.seg[gi] = s.appendGroup(s.chunks[c], lo, hi, walkOf)
+		} else {
+			if at := int(s.seg[gi]); at >= 0 {
+				s.dead[c] += s.segLen(old.data, at, hi-lo)
+			}
+			for j, fp := range mine {
+				cur[fp-lo] = livePrefix(fresh[j*s.k : (j+1)*s.k])
+			}
+			s.chunks[c], s.seg[gi] = s.appendGroup(s.chunks[c], lo, hi, func(fp int) []int32 { return cur[fp-lo] })
 		}
 		fps, paths = fps[n:], paths[n*s.k:]
 	}

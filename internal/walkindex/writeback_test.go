@@ -763,7 +763,8 @@ func benchRepair(b *testing.B, rng *rand.Rand, ix *Index, g *graph.Graph) (*grap
 	if err != nil {
 		b.Fatal(err)
 	}
-	return next, ix.repair(next, sum.DirtyIn, 1)
+	walks, _ := ix.repair(next, sum.DirtyIn, 1)
+	return next, walks
 }
 
 // BenchmarkWriteBack times the durable step of 8-edit batches on the

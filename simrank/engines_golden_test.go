@@ -116,10 +116,11 @@ func engineGoldenLine(s *simrank.Scores, st *simrank.Stats) string {
 
 // withRankBytes returns a recorded line as today's code must reproduce it.
 // Since the walk index keeps its coalescence order's inverse — one int32
-// per stored walk — monte-carlo's AuxBytes, which counts that order, is the
-// recorded figure plus 4·R·n (R its iterations, n the golden graph's
-// vertex count). Every other field, and every other engine's line, is
-// compared as recorded.
+// per stored walk — and leaves one empty slot of 6 bytes after every 20
+// walkers of a fingerprint, monte-carlo's AuxBytes, which counts that
+// order, is the recorded figure plus 4·R·n + 6·R·⌊n/20⌋ (R its
+// iterations, n the golden graph's vertex count). Every other field, and
+// every other engine's line, is compared as recorded.
 func withRankBytes(t *testing.T, line string) string {
 	t.Helper()
 	if !strings.Contains(line, " alg=monte-carlo ") {
@@ -138,7 +139,8 @@ func withRankBytes(t *testing.T, line string) string {
 	if n[fields[0]] == 0 || r == 0 || aux == 0 {
 		t.Fatalf("cannot read graph, iterations and aux from %q", line)
 	}
-	return strings.Replace(line, fmt.Sprintf(" aux=%d ", aux), fmt.Sprintf(" aux=%d ", aux+4*r*n[fields[0]]), 1)
+	nv := n[fields[0]]
+	return strings.Replace(line, fmt.Sprintf(" aux=%d ", aux), fmt.Sprintf(" aux=%d ", aux+4*r*nv+6*r*(nv/20)), 1)
 }
 
 // TestParentEngineGoldens: every engine, on both golden graphs, dense at
