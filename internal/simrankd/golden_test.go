@@ -219,9 +219,9 @@ var (
 // today's index reports. The parents' order took 6 bytes per stored walk
 // (the order and its meeting steps), so X = 6·w·R over w owned vertices
 // and R walks a vertex. It now also keeps its inverse, 4 bytes per stored
-// walk, and leaves one empty slot of 6 bytes after every 20 walkers of a
-// fingerprint, so the figure is 6·(w + ⌊w/20⌋)·R + 4·w·R, exactly, with R
-// the record's "walks".
+// walk, and a key head of 4 bytes in every slot, and leaves one empty slot
+// after every 20 walkers of a fingerprint, so the figure is 10·(w +
+// ⌊w/20⌋)·R + 4·w·R, exactly, with R the record's "walks".
 func withRankBytes(t *testing.T, want []byte) []byte {
 	t.Helper()
 	return denseForest.ReplaceAllFunc(want, func(m []byte) []byte {
@@ -232,7 +232,7 @@ func withRankBytes(t *testing.T, want []byte) []byte {
 			t.Fatalf("recorded %s is not 6 bytes per stored walk", m)
 		}
 		w := x / (6 * r)
-		return fmt.Appendf(nil, `"walks":%d,%s"index_forest_bytes":%d,"backend":"dense"`, r, sub[2], 6*(w+w/20)*r+4*w*r)
+		return fmt.Appendf(nil, `"walks":%d,%s"index_forest_bytes":%d,"backend":"dense"`, r, sub[2], 10*(w+w/20)*r+4*w*r)
 	})
 }
 

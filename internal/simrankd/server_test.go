@@ -234,13 +234,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("healthz = %+v", h)
 	}
 	// The coalescence order is accounted beside the path storage, not in
-	// it: 6 bytes a slot (n walkers and one empty slot after every 20) and
-	// 4 per stored walk, a fingerprint at a time. The path storage is the
+	// it: 10 bytes a slot (n walkers and one empty slot after every 20)
+	// and 4 per stored walk, a fingerprint at a time. The path storage is the
 	// ragged layout counted from the walks (the same build, walked again).
 	forest := forestBytes(idx.N(), idx.Walks())
 	index := raggedBytes(t, g, idx)
 	if h.ForestBytes != forest || h.IndexBytes != index {
-		t.Fatalf("healthz index_bytes = %d, index_forest_bytes = %d, want %d and 6·(n + n/20)·R + 4·n·R = %d", h.IndexBytes, h.ForestBytes, index, forest)
+		t.Fatalf("healthz index_bytes = %d, index_forest_bytes = %d, want %d and 10·(n + n/20)·R + 4·n·R = %d", h.IndexBytes, h.ForestBytes, index, forest)
 	}
 
 	// Same query twice: the second hit must come from the LRU.
@@ -268,9 +268,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 // forestBytes is the size of the coalescence order over width owned
 // vertices and walks walks a vertex: per fingerprint width walkers in
-// width + width/20 slots of 6 bytes, and a 4-byte rank per walker.
+// width + width/20 slots of 10 bytes, and a 4-byte rank per walker.
 func forestBytes(width, walks int) int64 {
-	return int64(6*(width+width/20)*walks + 4*width*walks)
+	return int64(10*(width+width/20)*walks + 4*width*walks)
 }
 
 // TestShardHealthzAndMetricsForestBytes: a shard server accounts its

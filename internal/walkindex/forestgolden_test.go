@@ -56,7 +56,7 @@ func forestGoldenRanges(n int) [][2]int {
 func forestDigest(w *bufio.Writer, name string, ix *Index) {
 	var buf []byte
 	for fp := 0; fp < ix.r; fp++ {
-		ord, mt, rk := liveForest(ix, fp)
+		ord, mt, _, rk := liveForest(ix, fp)
 		buf = buf[:0]
 		for _, v := range ord {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))

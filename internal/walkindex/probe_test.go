@@ -222,10 +222,12 @@ func FuzzProbe(f *testing.F) {
 // BenchmarkUpdate times an edit batch's repair — what Update runs on an
 // index without a file — on the mapped-edits shape (a citation graph of
 // 15000 vertices, 100 walks a vertex, 8-edit batches, one worker) and, not
-// under -short, on web graphs of d=11 at n = 10⁵ and 3·10⁵: one batch per
-// op, the edit application untimed. It reports the walks repaired, the
-// ranks the order's patch wrote and the coupled moves the probe hashed per
-// batch, and the worst batch's hash checks and the most walkers one
+// under -short, on a coauthor graph of the same size and d=8, whose walks
+// live to the horizon, and on web graphs of d=11 at n = 10⁵ and 3·10⁵: one
+// batch per op, the edit application untimed. It reports the walks
+// repaired, the ranks the order's patch wrote, the stored walks its key
+// searches and meeting steps read and the coupled moves the probe hashed
+// per batch, and the worst batch's hash checks and the most walkers one
 // insertion shifted.
 func BenchmarkUpdate(b *testing.B) {
 	for _, c := range []struct {
@@ -234,12 +236,13 @@ func BenchmarkUpdate(b *testing.B) {
 		g     func() *graph.Graph
 	}{
 		{"citation-d4-n15000", false, func() *graph.Graph { return gen.CitationGraph(15000, 4, 1) }},
+		{"coauthor-d8-n15000", true, func() *graph.Graph { return gen.CoauthorGraph(15000, 8, 1) }},
 		{"web-d11-n100000", true, func() *graph.Graph { return gen.WebGraph(100000, 11, 1) }},
 		{"web-d11-n300000", true, func() *graph.Graph { return gen.WebGraph(300000, 11, 1) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if c.large && testing.Short() {
-				b.Skip("builds an index of 10⁷ walks or more")
+				b.Skip("builds an index of 10⁷ walks or more, or of walks that live to the horizon")
 			}
 			b.StopTimer()
 			g := c.g()
@@ -248,7 +251,7 @@ func BenchmarkUpdate(b *testing.B) {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(1))
-			var repaired, reranked, checks, worst, widest int
+			var repaired, reranked, keyReads, checks, worst, widest int
 			for i := 0; i < b.N; i++ {
 				next, sum, err := g.ApplyEdits(editBatch(rng, g, 8))
 				if err != nil {
@@ -264,11 +267,13 @@ func BenchmarkUpdate(b *testing.B) {
 				b.StopTimer()
 				repaired += len(walks)
 				reranked += ps.reranked
+				keyReads += ps.keyReads
 				widest = max(widest, ps.widest)
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 			b.ReportMetric(float64(repaired)/float64(b.N), "walks_repaired/op")
 			b.ReportMetric(float64(reranked)/float64(b.N), "reranked/op")
+			b.ReportMetric(float64(keyReads)/float64(b.N), "key_reads/op")
 			b.ReportMetric(float64(checks)/float64(b.N), "probe_checks/op")
 			b.ReportMetric(float64(worst), "worst_probe_checks")
 			b.ReportMetric(float64(widest), "widest_shift")

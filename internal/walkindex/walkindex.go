@@ -25,7 +25,7 @@
 // after every 20 walkers for edits to fill, and beside it its inverse,
 // each walker's slot. A query looks an owned source up by its R ranks (a
 // foreign one by R key searches) and walks over those neighbourhoods —
-// cost proportional to the number of non-zero scores, 10.3*R bytes per
+// cost proportional to the number of non-zero scores, 14.5*R bytes per
 // vertex on top of the paths.
 //
 // A walk is its positions after steps 1, 2, … up to its death at an

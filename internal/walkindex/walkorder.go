@@ -28,28 +28,39 @@ import (
 // walkers is the largest such value between them, or never if any pair of
 // neighbours between them never meets.
 //
-// forest stores that order, the neighbour meeting steps and the order's
-// inverse for every fingerprint, laid out with slack: the order leaves one
-// empty slot after every gapEvery walkers, so a fingerprint of width
-// walkers takes width + width/gapEvery slots. An empty slot holds order -1
-// and meeting step 1, mergeMeet's neutral element, and a walker's meeting
-// step is the one with the next walker in key order, empty slots between
-// them or not — so the live slots, read in order, are exactly what a
-// layout without slack would store. Six bytes a slot and four a walker:
-// 10.3 bytes per stored walk. A query finds an owned source's place in
-// each fingerprint's order by its rank — its slot, no key is compared — and
-// a foreign source's by binary search on the key, stepping past empty
-// slots, then walks outwards while neighbours still meet, touching only
-// walkers that score: the cost is proportional to the answer, not to
-// n·R·K. It is derived state: excluded from Equal, Save and Bytes, sorted
-// from the graph by Build and by AttachGraph after a load (the walks are a
-// pure function of the graph, so no stored walk is read), patched by
-// Update, which empties each moved walker's old slot, found by its rank,
-// and puts the walker into an empty slot of its new gap, or shifts the
-// walkers up to the nearest empty slot by one, or — where the
-// neighbourhood has run dry — re-spreads the smallest window around the
-// gap that has slack to spare: an edit batch writes the ranks of the
-// walkers near each insertion, not of the whole fingerprint.
+// forest stores that order, the neighbour meeting steps, each walker's key
+// head and the order's inverse for every fingerprint, laid out with slack:
+// the order leaves one empty slot after every gapEvery walkers, so a
+// fingerprint of width walkers takes width + width/gapEvery slots. An
+// empty slot holds order -1 and meeting step 1, mergeMeet's neutral
+// element, and a walker's meeting step is the one with the next walker in
+// key order, empty slots between them or not — so the live slots, read in
+// order, are exactly what a layout without slack would store. Ten bytes a
+// slot and four a walker: 14.5 bytes per stored walk.
+//
+// A key head is the first word of a key, 4 bytes that decide most
+// comparisons without reading a stored walk: for a walker of live length
+// L ≥ 1 that ends on p it is L·n + p, clamped at 2³²−1, and for a walker
+// dead before step 1 its store-local id. Heads never decrease in key
+// order — shorter live length first, then pos_L, and the dead before step
+// 1 by id — and two walkers meet exactly when their live lengths and last
+// positions agree, so walkers whose heads differ never meet, and, with L ≥
+// 1 and no clamp, walkers whose heads are equal do.
+//
+// A query finds an owned source's place in each fingerprint's order by its
+// rank — its slot, no key is compared — and a foreign source's by binary
+// search on the key, stepping past empty slots and reading a stored walk
+// only where the heads tie, then walks outwards while neighbours still
+// meet, touching only walkers that score: the cost is proportional to the
+// answer, not to n·R·K. It is derived state: excluded from Equal, Save and
+// Bytes, sorted from the graph by Build and by AttachGraph after a load
+// (the walks are a pure function of the graph, so no stored walk is
+// read), patched by Update, which empties each moved walker's old slot,
+// found by its rank, and puts the walker into an empty slot of its new
+// gap, or shifts the walkers up to the nearest empty slot by one, or —
+// where the neighbourhood has run dry — re-spreads the smallest window
+// around the gap that has slack to spare: an edit batch writes the ranks
+// of the walkers near each insertion, not of the whole fingerprint.
 type forest struct {
 	// order[fp*slots+i] is the store-local walker in slot i of fingerprint
 	// fp's key order, -1 if the slot is empty.
@@ -58,6 +69,10 @@ type forest struct {
 	// slot i and the next walker in key order share a live position, 0 if
 	// they never do (and for the last walker); 1 in an empty slot.
 	meet []uint16
+	// head[fp*slots+i] is the key head of the walker in slot i (keyHead);
+	// it means nothing in an empty slot. A separate array, so that an
+	// owned source, which is placed by its rank, never reads it.
+	head []uint32
 	// rank[fp*width+v] is store-local walker v's slot in fingerprint fp's
 	// order: order[fp*slots+rank[fp*width+v]] == v.
 	rank []int32
@@ -67,24 +82,24 @@ type forest struct {
 
 // gapEvery is the order's slack: one empty slot follows every gapEvery
 // walkers of a sorted fingerprint, and a patch keeps their number. Their
-// six bytes come to 2.9% of the order's size.
+// ten bytes come to 3.4% of the order's size.
 const gapEvery = 20
 
 // orderSlots returns the slots of one fingerprint's order over width
 // walkers.
 func orderSlots(width int) int { return width + width/gapEvery }
 
-// ForestBytes returns the resident size of the coalescence order — order
-// and meeting steps, 6 bytes a slot, and ranks, 4 bytes per stored walk:
-// 6·(width + width/20)·R + 4·width·R, 0 before a loaded index has its
-// graph. It is reported beside Bytes, which keeps meaning the path
-// storage alone.
+// ForestBytes returns the resident size of the coalescence order — order,
+// meeting steps and key heads, 10 bytes a slot, and ranks, 4 bytes per
+// stored walk: 10·(width + width/20)·R + 4·width·R, 0 before a loaded
+// index has its graph. It is reported beside Bytes, which keeps meaning
+// the path storage alone.
 func (ix *Index) ForestBytes() int64 {
 	f := ix.forest
 	if f == nil {
 		return 0
 	}
-	return int64(len(f.order))*4 + int64(len(f.meet))*2 + int64(len(f.rank))*4
+	return int64(len(f.order))*4 + int64(len(f.meet))*2 + int64(len(f.head))*4 + int64(len(f.rank))*4
 }
 
 // path returns the stored fingerprint-fp walk of store-local walker v.
@@ -123,6 +138,24 @@ func keyLess(a []int32, va int, b []int32, vb int) bool {
 	return va < vb
 }
 
+// keyHead returns the key head of a walker of an n-vertex graph with path
+// walk and store-local id id: liveHead of its live length and last
+// position, or id if it is dead before step 1.
+func keyHead(walk []int32, id, n int) uint32 {
+	walk = livePrefix(walk)
+	if len(walk) == 0 {
+		return uint32(id)
+	}
+	return liveHead(len(walk), walk[len(walk)-1], n)
+}
+
+// liveHead is the key head of a walker of an n-vertex graph that lives l
+// ≥ 1 steps and ends on p: l·n + p, clamped at 2³²−1. It exceeds every
+// head of a walker dead before step 1, whose id is below n.
+func liveHead(l int, p int32, n int) uint32 {
+	return uint32(min(uint64(l)*uint64(n)+uint64(p), math.MaxUint32))
+}
+
 // mergeMeet is the meeting step of two walkers given the meeting steps
 // across the gap that separated them: the largest, or never if any is.
 func mergeMeet(a, b uint16) uint16 {
@@ -132,11 +165,11 @@ func mergeMeet(a, b uint16) uint16 {
 	return max(a, b)
 }
 
-// fingerprint returns fingerprint fp's order and meeting steps, one entry
-// a slot, and its ranks, one a walker.
-func (f *forest) fingerprint(fp int) (ord []int32, mt []uint16, rk []int32) {
+// fingerprint returns fingerprint fp's order, meeting steps and key
+// heads, one entry a slot, and its ranks, one a walker.
+func (f *forest) fingerprint(fp int) (ord []int32, mt []uint16, hd []uint32, rk []int32) {
 	lo, hi := fp*f.slots, (fp+1)*f.slots
-	return f.order[lo:hi], f.meet[lo:hi], f.rank[fp*f.width : (fp+1)*f.width]
+	return f.order[lo:hi], f.meet[lo:hi], f.head[lo:hi], f.rank[fp*f.width : (fp+1)*f.width]
 }
 
 // buildForest sorts every fingerprint of an index from g, the graph its
@@ -145,7 +178,7 @@ func (f *forest) fingerprint(fp int) (ord []int32, mt []uint16, rk []int32) {
 func buildForest(ix *Index, g *graph.Graph, workers int) *forest {
 	width := ix.Width()
 	slots := orderSlots(width)
-	f := &forest{order: make([]int32, ix.r*slots), meet: make([]uint16, ix.r*slots), rank: make([]int32, ix.r*width), width: width, slots: slots}
+	f := &forest{order: make([]int32, ix.r*slots), meet: make([]uint16, ix.r*slots), head: make([]uint32, ix.r*slots), rank: make([]int32, ix.r*width), width: width, slots: slots}
 	if width == 0 {
 		return f
 	}
@@ -155,8 +188,8 @@ func buildForest(ix *Index, g *graph.Graph, workers int) *forest {
 		lo, hi := par.Range(ix.r, parts, w)
 		s := newLeafLists(ix.n, width)
 		for fp := lo; fp < hi; fp++ {
-			ord, mt, rk := f.fingerprint(fp)
-			ix.sortFingerprint(g, hseed, fp, ord, mt, rk, s)
+			ord, mt, hd, rk := f.fingerprint(fp)
+			ix.sortFingerprint(g, hseed, fp, ord, mt, hd, rk, s)
 		}
 	})
 	return f
@@ -170,6 +203,15 @@ type leafLists struct {
 	held       [2][]uint64 // bitmap of the positions that have a list
 	next       []int32     // walker -> the walker after it in its list
 	gap        []uint16    // walker -> its meeting step with that successor
+	deaths     []death     // the runs of the dead list, in its order
+}
+
+// death is a run of walkers that died together — a list that died at one
+// step, or a walker dead before step 1 — by its last walker and the key
+// head they share.
+type death struct {
+	last int32
+	head uint32
 }
 
 func newLeafLists(n, width int) *leafLists {
@@ -181,17 +223,21 @@ func newLeafLists(n, width int) *leafLists {
 	return s
 }
 
-// sortFingerprint fills ord, mt and rk for one fingerprint by walking up the
-// forest: the key order of the walkers standing on y after step t+1 is the
-// concatenation, by ascending x, of the orders of the positions x that
-// step onto y, so each step appends whole lists in O(1) — work
+// sortFingerprint fills ord, mt, hd and rk for one fingerprint by walking
+// up the forest: the key order of the walkers standing on y after step t+1
+// is the concatenation, by ascending x, of the orders of the positions x
+// that step onto y, so each step appends whole lists in O(1) — work
 // proportional to the distinct (step, position) pairs, not to K·width.
 // Where a list moves is the coupled move every walker on x takes, hashed
 // from the graph as walkFrom does, so no stored walk is read. Two lists
 // joined under a live y first meet there: the step is recorded on the seam
-// and never changes again. Each walker's rank is written as it is emitted,
-// and an empty slot after every gapEvery walkers.
-func (ix *Index) sortFingerprint(g *graph.Graph, hseed uint64, fp int, ord []int32, mt []uint16, rk []int32, s *leafLists) {
+// and never changes again. A list that dies joins the dead list as one
+// run, whose key head — its lived steps and last position — is recorded
+// as it dies, so no walker is visited for it; every walker's head is
+// written as it is emitted, from its run's or from its list's position at
+// the horizon. Each walker's rank is written as it is emitted too, and an
+// empty slot after every gapEvery walkers.
+func (ix *Index) sortFingerprint(g *graph.Graph, hseed uint64, fp int, ord []int32, mt []uint16, hd []uint32, rk []int32, s *leafLists) {
 	move := func(x int32, t int) int32 { // where a walker on x stands after step t+1; -1 once dead
 		if x < 0 {
 			return -1
@@ -225,22 +271,44 @@ func (ix *Index) sortFingerprint(g *graph.Graph, hseed uint64, fp int, ord []int
 		}
 	}
 
+	// The dead list only ever grows at its tail — by the dead of the step
+	// before, then by the lists dying at this one, ascending — so its runs
+	// are recorded in its order.
+	s.deaths = s.deaths[:0]
 	clear(s.held[into])
 	for v := int32(0); int(v) < len(rk); v++ { // before step 1 every walker stands alone on its start
-		join(move(int32(ix.lo)+v, 0)+1, v, v, 1)
+		x := move(int32(ix.lo)+v, 0)
+		if x < 0 {
+			s.deaths = append(s.deaths, death{v, uint32(v)})
+		}
+		join(x+1, v, v, 1)
 	}
 	for t := 1; t < ix.k; t++ {
 		from := into
 		into = 1 - into
 		clear(s.held[into])
 		each(from, func(y int32) {
-			join(move(y-1, t)+1, s.head[from][y], s.tail[from][y], t+1)
+			x := move(y-1, t)
+			if x < 0 && y > 0 { // the list dies at step t+1, having lived t steps
+				s.deaths = append(s.deaths, death{s.tail[from][y], liveHead(t, y-1, ix.n)})
+			}
+			join(x+1, s.head[from][y], s.tail[from][y], t+1)
 		})
 	}
-	i := 0
+	i, run := 0, 0
 	each(into, func(y int32) {
+		var h uint32
+		if y > 0 {
+			h = liveHead(ix.k, y-1, ix.n)
+		}
 		for v := s.head[into][y]; ; v = s.next[v] {
-			ord[i], mt[i], rk[v] = v, s.gap[v], int32(i)
+			if y == 0 {
+				h = s.deaths[run].head
+				if v == s.deaths[run].last {
+					run++
+				}
+			}
+			ord[i], mt[i], hd[i], rk[v] = v, s.gap[v], h, int32(i)
 			if i++; i%(gapEvery+1) == gapEvery {
 				ord[i], mt[i] = -1, 1
 				i++
@@ -329,7 +397,7 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 		if entry(qp, 0) < 0 {
 			continue // dead before the first step: meets nobody
 		}
-		ord, mt, rk := f.fingerprint(fp)
+		ord, mt, hd, rk := f.fingerprint(fp)
 		// Slots l and below precede the source, r and above follow it; lm
 		// and rm are its meeting steps with the walkers in slots l and r —
 		// neutral in an empty slot, which credits nobody.
@@ -346,15 +414,17 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 			}
 		} else {
 			// A foreign source: a key search places it, past the empty
-			// slots before the walker that follows it.
-			r = ix.keySearch(fp, ord, qp, self)
+			// slots before the walker that follows it. A neighbour whose
+			// head differs from the source's never meets it.
+			h := keyHead(qp, self, ix.n)
+			r, _ = ix.keySearch(fp, ord, hd, qp, h, self)
 			l = r - 1
-			if l >= 0 {
+			if l >= 0 && hd[l] == h {
 				lm = firstMeet(qp, ix.path(ord[l], fp))
 			}
 			for ; r < len(ord) && ord[r] < 0; r++ {
 			}
-			if r < len(ord) {
+			if r < len(ord) && hd[r] == h {
 				rm = firstMeet(qp, ix.path(ord[r], fp))
 			}
 		}
@@ -387,15 +457,27 @@ func (ix *Index) forestRow(ctx context.Context, src walkRow, self int, row *spar
 
 // keySearch returns the first slot of fingerprint fp's order whose next
 // walker — the one in it, or the first after it — does not precede the
-// walker with path key and id id in key order, len(ord) if there is none.
-// The slot before it holds a walker or does not exist. An empty slot is
-// stepped past by reading ord alone.
-func (ix *Index) keySearch(fp int, ord []int32, key []int32, id int) int {
-	return sort.Search(len(ord), func(i int) bool {
+// walker with path key, key head h and id id in key order, len(ord) if
+// there is none, and the number of stored walks it read. The slot before
+// it holds a walker or does not exist. An empty slot is stepped past by
+// reading ord alone, and a walker's stored walk is read only when its head
+// ties h: a smaller head precedes the key, a larger one follows it. id is
+// store-local and below the width unless the key is live at step 1.
+func (ix *Index) keySearch(fp int, ord []int32, hd []uint32, key []int32, h uint32, id int) (int, int) {
+	reads := 0
+	at := sort.Search(len(ord), func(i int) bool {
 		for ; i < len(ord) && ord[i] < 0; i++ {
 		}
-		return i == len(ord) || !keyLess(ix.path(ord[i], fp), int(ord[i]), key, id)
+		if i == len(ord) {
+			return true
+		}
+		if hd[i] != h {
+			return hd[i] > h
+		}
+		reads++
+		return !keyLess(ix.path(ord[i], fp), int(ord[i]), key, id)
 	})
+	return at, reads
 }
 
 // eachSource runs row(si, walks, store-local id) for every source of a
@@ -471,11 +553,12 @@ func (ix *Index) SparseRows(ctx context.Context, g *graph.Graph, sources []int, 
 // moved walker goes back in where a key search over the walkers in place
 // puts it: into an empty slot of its gap if it has one, otherwise into a
 // slot open makes beside it (a short shift, or a re-spread where the
-// neighbourhood has run dry). The new walker and the one before it get
-// fresh meeting steps; every walker open moves keeps its own. The number
-// of empty slots stays the one Build left. The key order is total, so the
-// live slots are, walker for walker and step for step, the order a
-// rebuild sorts.
+// neighbourhood has run dry). The new walker gets its key head, and it and
+// the walker before it fresh meeting steps — 0, with no walk read, beside
+// a walker whose head differs; every walker open moves keeps its own step
+// and head. The number of empty slots stays the one Build left. The key
+// order is total, so the live slots are, walker for walker and step for
+// step, the order a rebuild sorts.
 func (f *forest) patch(ix *Index, walks []int32, workers int) patchStats {
 	byFP := make([][]int32, ix.r) // moved walkers per fingerprint
 	var fps []int
@@ -492,7 +575,7 @@ func (f *forest) patch(ix *Index, walks []int32, workers int) patchStats {
 		lo, hi := par.Range(len(fps), parts, w)
 		pw := &pws[w]
 		for _, fp := range fps[lo:hi] {
-			ord, mt, rk := f.fingerprint(fp)
+			ord, mt, hd, rk := f.fingerprint(fp)
 			path := func(v int32) []int32 { return ix.path(v, fp) }
 			prev := func(i int) int { // the slot of the last walker before slot i, or -1
 				for i--; i >= 0 && ord[i] < 0; i-- {
@@ -519,24 +602,33 @@ func (f *forest) patch(ix *Index, walks []int32, workers int) patchStats {
 				}
 				ord[at], mt[at] = -1, 1
 			}
+			meet := func(i int, key []int32, h uint32) uint16 { // the walker in slot i's meeting step with key
+				if hd[i] != h {
+					return 0
+				}
+				pw.keyReads++
+				return firstMeet(path(ord[i]), key)
+			}
 			for _, v := range byFP[fp] {
 				key := path(v)
+				h := keyHead(key, int(v), ix.n)
 				// r is the first slot whose next walker follows v; the slot
 				// before it holds a walker or does not exist, and r itself
 				// is empty if v's gap has an empty slot.
-				r := ix.keySearch(fp, ord, key, int(v))
+				r, reads := ix.keySearch(fp, ord, hd, key, h, int(v))
+				pw.keyReads += reads
 				at := r
 				if next(r) == r {
-					at = pw.open(ord, mt, rk, r)
+					at = pw.open(ord, mt, hd, rk, r)
 				}
-				ord[at], rk[v] = v, int32(at)
+				ord[at], hd[at], rk[v] = v, h, int32(at)
 				pw.reranked++
 				if p := prev(at); p >= 0 {
-					mt[p] = firstMeet(path(ord[p]), key)
+					mt[p] = meet(p, key, h)
 				}
 				mt[at] = 0
 				if n := next(at + 1); n < len(ord) {
-					mt[at] = firstMeet(key, path(ord[n]))
+					mt[at] = meet(n, key, h)
 				}
 			}
 		}
@@ -545,13 +637,15 @@ func (f *forest) patch(ix *Index, walks []int32, workers int) patchStats {
 	for _, pw := range pws {
 		total.reranked += pw.reranked
 		total.widest = max(total.widest, pw.widest)
+		total.keyReads += pw.keyReads
 	}
 	return total
 }
 
-// patchStats is what a patch rewrote: the ranks it wrote, the inserted
-// walkers' included, and the most walkers one insertion moved.
-type patchStats struct{ reranked, widest int }
+// patchStats is what a patch rewrote and read: the ranks it wrote, the
+// inserted walkers' included, the most walkers one insertion moved, and
+// the stored walks its key searches and meeting steps read.
+type patchStats struct{ reranked, widest, keyReads int }
 
 // patcher is one patch worker: its counts, the slots it empties, and the
 // scratch of a re-spread.
@@ -560,6 +654,7 @@ type patcher struct {
 	holes   []int32
 	walkers []int32
 	meets   []uint16
+	heads   []uint32
 }
 
 // shiftReach is the farthest a patch looks for an empty slot to shift
@@ -575,23 +670,25 @@ const (
 // an empty slot lies within shiftReach slots, the walkers between it and
 // the gap move one slot towards it; otherwise the neighbourhood has run
 // dry and spread re-spreads it. Moved walkers keep their meeting steps and
-// are re-ranked.
-func (p *patcher) open(ord []int32, mt []uint16, rk []int32, r int) int {
+// and heads and are re-ranked.
+func (p *patcher) open(ord []int32, mt []uint16, hd []uint32, rk []int32, r int) int {
 	for d := 1; d <= shiftReach; d++ {
 		if j := r + d; j < len(ord) && ord[j] < 0 { // slots r..j-1 move up
 			copy(ord[r+1:j+1], ord[r:j])
 			copy(mt[r+1:j+1], mt[r:j])
+			copy(hd[r+1:j+1], hd[r:j])
 			p.rerank(ord, rk, r+1, j+1)
 			return r
 		}
 		if j := r - 1 - d; j >= 0 && ord[j] < 0 { // slots j+1..r-1 move down
 			copy(ord[j:r-1], ord[j+1:r])
 			copy(mt[j:r-1], mt[j+1:r])
+			copy(hd[j:r-1], hd[j+1:r])
 			p.rerank(ord, rk, j, r-1)
 			return r - 1
 		}
 	}
-	return p.spread(ord, mt, rk, r)
+	return p.spread(ord, mt, hd, rk, r)
 }
 
 // spread lays the walkers of a window around slot r out again with the
@@ -605,7 +702,7 @@ func (p *patcher) open(ord []int32, mt []uint16, rk []int32, r int) int {
 // insertions before it runs dry again: insertions that drift one way,
 // emptying one end of the order and filling the other, cost a whole
 // re-spread only once every few hundred of them.
-func (p *patcher) spread(ord []int32, mt []uint16, rk []int32, r int) int {
+func (p *patcher) spread(ord []int32, mt []uint16, hd []uint32, rk []int32, r int) int {
 	top := math.Log2(float64(len(ord)) / spreadMin) // doublings from spreadMin to the whole order
 	a, b, empty := r, r, 0
 	count := func(lo, hi int) {
@@ -625,15 +722,15 @@ func (p *patcher) spread(ord []int32, mt []uint16, rk []int32, r int) int {
 		}
 	}
 	if cap(p.walkers) <= b-a {
-		p.walkers, p.meets = make([]int32, 0, len(ord)+1), make([]uint16, 0, len(ord)+1)
+		p.walkers, p.meets, p.heads = make([]int32, 0, len(ord)+1), make([]uint16, 0, len(ord)+1), make([]uint32, 0, len(ord)+1)
 	}
-	p.walkers, p.meets = p.walkers[:0], p.meets[:0]
+	p.walkers, p.meets, p.heads = p.walkers[:0], p.meets[:0], p.heads[:0]
 	for i := a; i <= b; i++ {
 		if i == r {
-			p.walkers, p.meets = append(p.walkers, -1), append(p.meets, 0)
+			p.walkers, p.meets, p.heads = append(p.walkers, -1), append(p.meets, 0), append(p.heads, 0)
 		}
 		if i < b && ord[i] >= 0 {
-			p.walkers, p.meets = append(p.walkers, ord[i]), append(p.meets, mt[i])
+			p.walkers, p.meets, p.heads = append(p.walkers, ord[i]), append(p.meets, mt[i]), append(p.heads, hd[i])
 		}
 	}
 	// Walker j goes to slot a + ⌊j·(b-a)/n⌋, the empty slots between.
@@ -649,7 +746,7 @@ func (p *patcher) spread(ord []int32, mt []uint16, rk []int32, r int) int {
 		if v < 0 {
 			at = i
 		} else {
-			ord[i], mt[i], rk[v] = v, p.meets[j], int32(i)
+			ord[i], mt[i], hd[i], rk[v] = v, p.meets[j], p.heads[j], int32(i)
 		}
 		for i++; i < next; i++ {
 			ord[i], mt[i] = -1, 1

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -53,18 +54,18 @@ func sweepRows(ix *Index, g *graph.Graph, sources []int) [][]float64 {
 func sweepRow(ix *Index, q int) []float64 { return sweepRows(ix, nil, []int{q})[0] }
 
 // liveForest returns fingerprint fp's live view: its walkers in key order,
-// each one's meeting step with the next, and each walker's rank in that
-// order — what the order would hold without its empty slots.
-func liveForest(ix *Index, fp int) (ord []int32, mt []uint16, rk []int32) {
-	slots, meets, _ := ix.forest.fingerprint(fp)
+// each one's meeting step with the next and key head, and each walker's
+// rank in that order — what the order would hold without its empty slots.
+func liveForest(ix *Index, fp int) (ord []int32, mt []uint16, hd []uint32, rk []int32) {
+	slots, meets, heads, _ := ix.forest.fingerprint(fp)
 	rk = make([]int32, ix.Width())
 	for i, v := range slots {
 		if v >= 0 {
 			rk[v] = int32(len(ord))
-			ord, mt = append(ord, v), append(mt, meets[i])
+			ord, mt, hd = append(ord, v), append(mt, meets[i]), append(hd, heads[i])
 		}
 	}
-	return ord, mt, rk
+	return ord, mt, hd, rk
 }
 
 // requireGappedLayout checks the slots behind the live view: every
@@ -75,9 +76,9 @@ func requireGappedLayout(t *testing.T, ix *Index, what string) {
 	t.Helper()
 	width := ix.Width()
 	for fp := 0; fp < ix.r; fp++ {
-		ord, mt, rk := ix.forest.fingerprint(fp)
-		if len(ord) != orderSlots(width) || len(mt) != len(ord) || len(rk) != width {
-			t.Fatalf("%s: fingerprint %d has %d slots, %d meeting steps and %d ranks over %d walkers", what, fp, len(ord), len(mt), len(rk), width)
+		ord, mt, hd, rk := ix.forest.fingerprint(fp)
+		if len(ord) != orderSlots(width) || len(mt) != len(ord) || len(hd) != len(ord) || len(rk) != width {
+			t.Fatalf("%s: fingerprint %d has %d slots, %d meeting steps, %d heads and %d ranks over %d walkers", what, fp, len(ord), len(mt), len(hd), len(rk), width)
 		}
 		empty := 0
 		for i, v := range ord {
@@ -99,21 +100,24 @@ func requireGappedLayout(t *testing.T, ix *Index, what string) {
 	}
 }
 
-// requireSameForest fails unless got's live order, meeting steps and
-// ranks are, entry for entry, the ones a from-scratch build (want) sorted,
-// and both layouts are sound.
+// requireSameForest fails unless got's live order, meeting steps, key
+// heads and ranks are, entry for entry, the ones a from-scratch build
+// (want) sorted, and both layouts are sound.
 func requireSameForest(t *testing.T, got, want *Index, what string) {
 	t.Helper()
 	requireGappedLayout(t, got, what)
 	requireGappedLayout(t, want, what+", the rebuild")
 	for fp := 0; fp < got.r; fp++ {
-		gord, gmt, grk := liveForest(got, fp)
-		word, wmt, wrk := liveForest(want, fp)
+		gord, gmt, ghd, grk := liveForest(got, fp)
+		word, wmt, whd, wrk := liveForest(want, fp)
 		if !slices.Equal(gord, word) {
 			t.Fatalf("%s: fingerprint %d: patched order differs from a rebuild", what, fp)
 		}
 		if !slices.Equal(gmt, wmt) {
 			t.Fatalf("%s: fingerprint %d: patched meeting steps differ from a rebuild", what, fp)
+		}
+		if !slices.Equal(ghd, whd) {
+			t.Fatalf("%s: fingerprint %d: patched key heads differ from a rebuild", what, fp)
 		}
 		if !slices.Equal(grk, wrk) {
 			t.Fatalf("%s: fingerprint %d: patched ranks differ from a rebuild", what, fp)
@@ -124,20 +128,25 @@ func requireSameForest(t *testing.T, got, want *Index, what string) {
 // requireCanonicalForest checks the structure against its definition, with
 // no reference to how it was built: the layout is sound, every
 // fingerprint's live order is strictly ascending by key and holds every
-// walker, every meeting step is the neighbours' first meeting, and the
-// ranks are the order's inverse.
+// walker, every meeting step is the neighbours' first meeting, every key
+// head is the head of its walker's path, heads never decrease along the
+// order, neighbours meet if and only if their heads are equal (short of
+// the clamp), and the ranks are the order's inverse.
 func requireCanonicalForest(t *testing.T, ix *Index) {
 	t.Helper()
 	requireGappedLayout(t, ix, "canonical")
 	width := ix.Width()
 	for fp := 0; fp < ix.r; fp++ {
-		ord, mt, rk := liveForest(ix, fp)
+		ord, mt, hd, rk := liveForest(ix, fp)
 		if len(ord) != width {
 			t.Fatalf("fingerprint %d: %d walkers in the order, want %d", fp, len(ord), width)
 		}
 		for i, v := range ord {
 			if int(rk[v]) != i {
 				t.Fatalf("fingerprint %d: walker %d at rank %d, its rank entry says %d", fp, v, i, rk[v])
+			}
+			if h := keyHead(ix.path(v, fp), int(v), ix.n); hd[i] != h {
+				t.Fatalf("fingerprint %d rank %d: key head %d, walker %d's path says %d", fp, i, hd[i], v, h)
 			}
 			var want uint16
 			if i+1 < width {
@@ -146,6 +155,12 @@ func requireCanonicalForest(t *testing.T, ix *Index) {
 					t.Fatalf("fingerprint %d: ranks %d and %d out of key order", fp, i, i+1)
 				}
 				want = firstMeet(ix.path(v, fp), ix.path(next, fp))
+				if hd[i] > hd[i+1] {
+					t.Fatalf("fingerprint %d: key heads fall from %d to %d between ranks %d and %d", fp, hd[i], hd[i+1], i, i+1)
+				}
+				if (want != 0) != (hd[i] == hd[i+1]) && hd[i] != math.MaxUint32 {
+					t.Fatalf("fingerprint %d: ranks %d and %d meet at step %d with heads %d and %d", fp, i, i+1, want, hd[i], hd[i+1])
+				}
 			}
 			if mt[i] != want {
 				t.Fatalf("fingerprint %d rank %d: meeting step %d, the paths say %d", fp, i, mt[i], want)
@@ -185,8 +200,8 @@ func requireForestEqualsSweep(t *testing.T, g *graph.Graph, opt Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(6*orderSlots(n)*full.r + 4*n*full.r); full.ForestBytes() != want {
-		t.Fatalf("build: forest of %d bytes, want 6·(n + n/%d)·R + 4·n·R = %d", full.ForestBytes(), gapEvery, want)
+	if want := int64(10*orderSlots(n)*full.r + 4*n*full.r); full.ForestBytes() != want {
+		t.Fatalf("build: forest of %d bytes, want 10·(n + n/%d)·R + 4·n·R = %d", full.ForestBytes(), gapEvery, want)
 	}
 	requireCanonicalForest(t, full)
 	want := make([][]float64, n)
@@ -311,6 +326,83 @@ func TestForestEqualsSweepRandom(t *testing.T) {
 	}
 }
 
+// TestKeyHeadNearClamp: on vertex counts so large that the heads of the
+// longest walks pass 2³²−1 (n·(K+1) ≥ 2³², a synthetic n: no graph is
+// built), a key head is monotone in the key order — head(a) < head(b)
+// implies keyLess(a, b) — and is L·n + pos_L below the clamp, 2³²−1 from
+// it on, and the store-local id of a walk dead before step 1, whether the
+// walk is its live prefix or padded with -1 to the horizon.
+func TestKeyHeadNearClamp(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []int{2, 3, 5, 13, 40} {
+		for _, div := range []int{k + 1, k, k - 1} {
+			n := int(min((1<<32+uint64(div)-1)/uint64(div), math.MaxInt32))
+			if uint64(n)*uint64(k+1) < 1<<32 {
+				continue
+			}
+			// Positions drawn from a few values, so that keys tie on their
+			// head and differ further down; the last ones straddle the
+			// clamp for the longest walks.
+			var near []int32
+			for _, p := range []int{0, 1, n / 2, n - 2, n - 1} {
+				near = append(near, int32(p))
+			}
+			for l := max(1, k-1); l <= k; l++ {
+				if edge := 1<<32 - 1 - l*n; edge >= 0 && edge < n {
+					near = append(near, int32(edge), int32(max(edge-1, 0)), int32(min(edge+1, n-1)))
+				}
+			}
+			walk := func() ([]int32, int) {
+				l := k - rng.Intn(3)
+				if rng.Intn(8) == 0 {
+					l = rng.Intn(k + 1)
+				}
+				w := make([]int32, l, k)
+				for i := range w {
+					w[i] = near[rng.Intn(len(near))]
+				}
+				if rng.Intn(2) == 0 {
+					for len(w) < k {
+						w = append(w, -1)
+					}
+				}
+				return w, rng.Intn(1000)
+			}
+			var clamped, exact int
+			for range 4000 {
+				a, ia := walk()
+				b, ib := walk()
+				ha, hb := keyHead(a, ia, n), keyHead(b, ib, n)
+				for _, c := range []struct {
+					w  []int32
+					id int
+					h  uint32
+				}{{a, ia, ha}, {b, ib, hb}} {
+					live := livePrefix(c.w)
+					want := uint64(c.id)
+					if l := len(live); l > 0 {
+						want = min(uint64(l)*uint64(n)+uint64(live[l-1]), math.MaxUint32)
+						if want == math.MaxUint32 {
+							clamped++
+						} else {
+							exact++
+						}
+					}
+					if uint64(c.h) != want {
+						t.Fatalf("K=%d n=%d: head of %v (id %d) = %d, want %d", k, n, c.w, c.id, c.h, want)
+					}
+				}
+				if ha < hb && !keyLess(a, ia, b, ib) || hb < ha && !keyLess(b, ib, a, ia) {
+					t.Fatalf("K=%d n=%d: heads %d and %d of %v and %v disagree with the key order", k, n, ha, hb, a, b)
+				}
+			}
+			if clamped == 0 || exact == 0 {
+				t.Fatalf("K=%d n=%d: %d clamped and %d exact heads, want both", k, n, clamped, exact)
+			}
+		}
+	}
+}
+
 // TestForestAfterLoadAndUpdate: the order AttachGraph sorts for a loaded
 // index is the one Build sorted, and the order Update patched still
 // answers like the sweep.
@@ -387,7 +479,7 @@ func TestForestLongEditStream(t *testing.T) {
 		{"random", 300, func(g *graph.Graph) []graph.Edit { return editBatch(rng, g, 8) }},
 		{"hub", 100, aimed},
 	} {
-		var reranked, widest int
+		var reranked, widest, keyReads int
 		for batch := range stream.batches {
 			next, sum, err := g.ApplyEdits(stream.edits(g))
 			if err != nil {
@@ -397,6 +489,7 @@ func TestForestLongEditStream(t *testing.T) {
 			_, ps := ix.repair(g, sum.DirtyIn, 1+batch%3)
 			reranked += ps.reranked
 			widest = max(widest, ps.widest)
+			keyReads += ps.keyReads
 			fresh, err := buildFull(g, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -406,7 +499,7 @@ func TestForestLongEditStream(t *testing.T) {
 			}
 			requireSameForest(t, ix, fresh, fmt.Sprintf("%s batch %d", stream.name, batch))
 		}
-		t.Logf("%s stream: %d batches, %d ranks written a batch, at most %d walkers moved by one insertion", stream.name, stream.batches, reranked/stream.batches, widest)
+		t.Logf("%s stream: %d batches, %d ranks written and %d stored walks read by key searches and meeting steps a batch, at most %d walkers moved by one insertion", stream.name, stream.batches, reranked/stream.batches, keyReads/stream.batches, widest)
 		if stream.name == "hub" && widest <= shiftReach {
 			t.Fatalf("the hub stream never ran its neighbourhood dry (at most %d walkers moved, the shift reaches %d)", widest, shiftReach)
 		}

@@ -116,11 +116,13 @@ func engineGoldenLine(s *simrank.Scores, st *simrank.Stats) string {
 
 // withRankBytes returns a recorded line as today's code must reproduce it.
 // Since the walk index keeps its coalescence order's inverse — one int32
-// per stored walk — and leaves one empty slot of 6 bytes after every 20
-// walkers of a fingerprint, monte-carlo's AuxBytes, which counts that
-// order, is the recorded figure plus 4·R·n + 6·R·⌊n/20⌋ (R its
-// iterations, n the golden graph's vertex count). Every other field, and
-// every other engine's line, is compared as recorded.
+// per stored walk — and a 4-byte key head in every slot of the order, and
+// leaves one empty slot after every 20 walkers of a fingerprint, the
+// order takes 10·(n + ⌊n/20⌋)·R + 4·n·R bytes where the recording counted
+// 6·n·R: monte-carlo's AuxBytes, which counts that order, is the recorded
+// figure plus 8·R·n + 10·R·⌊n/20⌋ (R its iterations, n the golden graph's
+// vertex count). Every other field, and every other engine's line, is
+// compared as recorded.
 func withRankBytes(t *testing.T, line string) string {
 	t.Helper()
 	if !strings.Contains(line, " alg=monte-carlo ") {
@@ -140,7 +142,7 @@ func withRankBytes(t *testing.T, line string) string {
 		t.Fatalf("cannot read graph, iterations and aux from %q", line)
 	}
 	nv := n[fields[0]]
-	return strings.Replace(line, fmt.Sprintf(" aux=%d ", aux), fmt.Sprintf(" aux=%d ", aux+4*r*nv+6*r*(nv/20)), 1)
+	return strings.Replace(line, fmt.Sprintf(" aux=%d ", aux), fmt.Sprintf(" aux=%d ", aux+8*r*nv+10*r*(nv/20)), 1)
 }
 
 // TestParentEngineGoldens: every engine, on both golden graphs, dense at

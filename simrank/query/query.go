@@ -138,10 +138,10 @@ func (ix *Index) Seed() int64 { return ix.wi.Seed() }
 func (ix *Index) Bytes() int64 { return ix.wi.Bytes() }
 
 // ForestBytes returns the in-memory size of the coalescence order that
-// answers queries in output-sensitive time — the order and its meeting
-// steps, 6 bytes a slot with one empty slot after every 20 walkers, and
-// its inverse, 4 bytes per stored walk (10.3·R per owned vertex), on top
-// of Bytes.
+// answers queries in output-sensitive time — the order, its meeting
+// steps and key heads, 10 bytes a slot with one empty slot after every 20
+// walkers, and its inverse, 4 bytes per stored walk (14.5·R per owned
+// vertex), on top of Bytes.
 func (ix *Index) ForestBytes() int64 { return ix.wi.ForestBytes() }
 
 // Graph returns the attached graph, or nil for a loaded index without

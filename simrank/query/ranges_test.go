@@ -285,7 +285,7 @@ func modelBytes(words []int, dead int) int64 {
 // walks — exactly, on every range; a shard set's Bytes add up to the full
 // index's, because offsets and segments are per vertex and a range adds
 // no term of its own; and after a batch that lengthens walks, Bytes also
-// counts the arena's dead words. ForestBytes is 6 bytes a slot of the
+// counts the arena's dead words. ForestBytes is 10 bytes a slot of the
 // order — w walkers and one empty slot after every 20, per fingerprint —
 // and 4 per stored walk; the no-op PrepareUpdates moves neither.
 func TestRangeSizeAccounting(t *testing.T) {
@@ -312,8 +312,8 @@ func TestRangeSizeAccounting(t *testing.T) {
 			t.Errorf("Bytes = %d, the walks say %d", ix.Bytes(), want)
 		}
 		width, walks := int64(hi-lo), int64(ix.Walks())
-		if want := 6*(width+width/20)*walks + 4*width*walks; ix.ForestBytes() != want {
-			t.Errorf("ForestBytes = %d, want 6·(w + w/20)·R + 4·w·R = %d", ix.ForestBytes(), want)
+		if want := 10*(width+width/20)*walks + 4*width*walks; ix.ForestBytes() != want {
+			t.Errorf("ForestBytes = %d, want 10·(w + w/20)·R + 4·w·R = %d", ix.ForestBytes(), want)
 		}
 		before := ix.Bytes() + ix.ForestBytes()
 		if err := ix.PrepareUpdates(2); err != nil {
