@@ -47,9 +47,11 @@ type EditSummary struct {
 }
 
 // ApplyEdits returns a new graph with the edit batch applied, leaving the
-// receiver untouched. Both CSR directions are rebuilt by merging each
-// affected adjacency row with its delta, so the cost is O(n + m + |edits|
-// log |edits|) regardless of how many edits are no-ops.
+// receiver untouched. Each CSR direction is rebuilt from its sorted dirty
+// list: only the dirty rows are merged with their deltas, and the rows
+// between two of them are copied in one run with their offsets shifted in
+// one pass. So the cost is O(|edits| log |edits|) of merging plus an
+// O(n + m) copy at memory speed, regardless of how many edits are no-ops.
 //
 // Semantics: edits are applied in order, so within one batch the last edit
 // to a given (U, V) pair wins; duplicate edits coalesce. Adding an existing
@@ -95,25 +97,43 @@ func (g *Graph) ApplyEdits(edits []Edit) (*Graph, EditSummary, error) {
 		}
 	}
 
-	m2 := g.m + sum.Added - sum.Removed
-	ng := &Graph{
-		n:        g.n,
-		m:        m2,
-		inStart:  make([]int, g.n+1),
-		inList:   make([]int, 0, m2),
-		outStart: make([]int, g.n+1),
-		outList:  make([]int, 0, m2),
-	}
-	for v := 0; v < g.n; v++ {
-		ng.inList = appendMergedRow(ng.inList, g.In(v), addIn[v], rmIn[v])
-		ng.inStart[v+1] = len(ng.inList)
-		ng.outList = appendMergedRow(ng.outList, g.Out(v), addOut[v], rmOut[v])
-		ng.outStart[v+1] = len(ng.outList)
-	}
-
 	sum.DirtyIn = sortedKeys(addIn, rmIn)
 	sum.DirtyOut = sortedKeys(addOut, rmOut)
+	m2 := g.m + sum.Added - sum.Removed
+	ng := &Graph{n: g.n, m: m2}
+	ng.inStart, ng.inList = applyRows(g.n, m2, g.inStart, g.inList, sum.DirtyIn, addIn, rmIn)
+	ng.outStart, ng.outList = applyRows(g.n, m2, g.outStart, g.outList, sum.DirtyOut, addOut, rmOut)
 	return ng, sum, nil
+}
+
+// applyRows returns the offsets and list of one CSR direction of n rows
+// and m edges: the rows of start and list, with each row of dirty
+// (ascending) merged with its delta in add and rm, and the rows between
+// two dirty vertices copied with one append, their offsets shifted in one
+// pass by how far the merges so far moved them.
+func applyRows(n, m int, start, list, dirty []int, add, rm map[int][]int) ([]int, []int) {
+	nStart, nList := make([]int, n+1), make([]int, 0, m)
+	copyRows := func(lo, hi int) { // rows lo..hi-1; nStart[lo] is set
+		if lo == hi {
+			return
+		}
+		shift := len(nList) - start[lo]
+		nList = append(nList, list[start[lo]:start[hi]]...)
+		src := start[lo+1 : hi+1]
+		dst := nStart[lo+1 : hi+1][:len(src)]
+		for i, off := range src {
+			dst[i] = off + shift
+		}
+	}
+	next := 0 // the first row not yet written
+	for _, d := range dirty {
+		copyRows(next, d)
+		nList = appendMergedRow(nList, list[start[d]:start[d+1]], add[d], rm[d])
+		nStart[d+1] = len(nList)
+		next = d + 1
+	}
+	copyRows(next, n)
+	return nStart, nList
 }
 
 // appendMergedRow appends old ∪ add ∖ rm to dst in sorted order. old is
@@ -121,9 +141,6 @@ func (g *Graph) ApplyEdits(edits []Edit) (*Graph, EditSummary, error) {
 // disjoint from each other by construction (one net op per edge pair), add
 // is disjoint from old, and rm ⊆ old.
 func appendMergedRow(dst, old, add, rm []int) []int {
-	if len(add) == 0 && len(rm) == 0 {
-		return append(dst, old...)
-	}
 	sort.Ints(add)
 	sort.Ints(rm)
 	ai, ri := 0, 0

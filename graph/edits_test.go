@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -183,4 +184,67 @@ func TestApplyEditsRandomVsOracle(t *testing.T) {
 		checkDirty(sum.DirtyIn, dirtyIn, "in")
 		checkDirty(sum.DirtyOut, dirtyOut, "out")
 	}
+}
+
+// FuzzApplyEdits: ApplyEdits against oracleApply on a graph and a batch
+// the fuzzer chooses, with DirtyIn and DirtyOut exactly the vertices whose
+// rows changed and the receiver untouched. The input is n (mod 48), the
+// number of starting edges, two bytes (u, v) per edge, and then three bytes
+// (op, u, v) per edit, each taken mod 2 or mod n.
+func FuzzApplyEdits(f *testing.F) {
+	f.Add([]byte{6, 2, 1, 2, 2, 3, 0, 3, 0, 0, 2, 5})                      // dirty rows at 0 and n−1
+	f.Add([]byte{6, 2, 1, 2, 4, 5, 0, 0, 2, 0, 0, 3, 0, 1, 3})             // adjacent dirty rows
+	f.Add([]byte{5, 3, 0, 1, 1, 2, 2, 3, 0, 0, 1, 1, 3, 4, 0, 1, 2})       // only no-ops
+	f.Add([]byte{5, 2, 3, 3, 0, 1, 0, 2, 2, 1, 3, 3, 0, 4, 4})             // self-loops
+	f.Add([]byte{5, 3, 0, 2, 1, 2, 2, 4, 1, 0, 2, 1, 1, 2, 1, 2, 4})       // a row emptied to degree 0
+	f.Add([]byte{0, 0})                                                    // no vertices
+	f.Add([]byte{40, 90, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 1, 2, 1, 3, 4}) // edges run out
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 1024 {
+			t.Skip()
+		}
+		n, edges := int(data[0])%48, int(data[1])
+		data = data[2:]
+		b := NewBuilder(n, 0)
+		b.EnsureVertices(n)
+		for ; n > 0 && edges > 0 && len(data) >= 2; edges-- {
+			b.AddEdge(int(data[0])%n, int(data[1])%n)
+			data = data[2:]
+		}
+		g := b.MustBuild()
+		var edits []Edit
+		for ; n > 0 && len(data) >= 3; data = data[3:] {
+			edits = append(edits, Edit{EditOp(data[0] % 2), int(data[1]) % n, int(data[2]) % n})
+		}
+		before := oracleApply(t, g, nil)
+
+		ng, sum, err := g.ApplyEdits(edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ng.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if !graphsEqual(ng, oracleApply(t, g, edits)) {
+			t.Fatal("ApplyEdits disagrees with the oracle's rebuild")
+		}
+		if !graphsEqual(g, before) {
+			t.Fatal("ApplyEdits changed the receiver")
+		}
+		if ng.NumEdges() != g.NumEdges()+sum.Added-sum.Removed {
+			t.Fatalf("%d edges, want %d + %d − %d", ng.NumEdges(), g.NumEdges(), sum.Added, sum.Removed)
+		}
+		var dirtyIn, dirtyOut []int
+		for v := 0; v < n; v++ {
+			if !slices.Equal(g.In(v), ng.In(v)) {
+				dirtyIn = append(dirtyIn, v)
+			}
+			if !slices.Equal(g.Out(v), ng.Out(v)) {
+				dirtyOut = append(dirtyOut, v)
+			}
+		}
+		if !slices.Equal(sum.DirtyIn, dirtyIn) || !slices.Equal(sum.DirtyOut, dirtyOut) {
+			t.Fatalf("dirty lists in %v, out %v; the changed rows are in %v, out %v", sum.DirtyIn, sum.DirtyOut, dirtyIn, dirtyOut)
+		}
+	})
 }

@@ -252,6 +252,7 @@ func BenchmarkUpdate(b *testing.B) {
 			}
 			rng := rand.New(rand.NewSource(1))
 			var repaired, reranked, keyReads, checks, worst, widest int
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				next, sum, err := g.ApplyEdits(editBatch(rng, g, 8))
 				if err != nil {

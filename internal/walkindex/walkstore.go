@@ -43,11 +43,15 @@ import "slices"
 //
 // Repair cannot lengthen a walk in place. rewrite hands each repaired walk
 // out padded to k entries, then overwrites a group whose walks keep their
-// live lengths, and otherwise writes the group afresh at the tail of its
-// vertex's chunk (the chunk's arena) and leaves the old segment dead. Once
-// dead words outnumber live ones in a chunk, compact rewrites that chunk
-// in (vertex, group) order, which is the layout a fresh build of the same
-// walks has. Bytes counts the dead words until then.
+// live lengths. Otherwise it splices the group into a scratch it keeps:
+// each run of unchanged walks is copied whole from the old segment and
+// their header offsets shift in one pass. The new segment goes over the
+// old one when it is no longer, and the difference is dead; otherwise it
+// goes to the tail of its vertex's chunk (the chunk's arena) and the whole
+// old segment is dead. Once warm, neither step allocates but the arena's
+// growth. Once dead words outnumber live ones in a chunk, compact rewrites
+// that chunk in (vertex, group) order, which is the layout a fresh build
+// of the same walks has. Bytes counts the dead words until then.
 
 // maxGroupEnd is the largest end offset a header entry holds.
 const maxGroupEnd = 1<<16 - 1
@@ -62,6 +66,8 @@ type raggedStore struct {
 	seg    []int64   // (vertex, group) → segment offset in its chunk, -1 if all dead
 	chunks [][]int32 // per chunk: its vertices' segments, header then live positions
 	dead   []int     // per chunk: words no seg points into
+
+	fixBuf, segBuf []int32 // rewrite's padded walks and setGroup's spliced segment, reused
 }
 
 // newRaggedStore returns a store for rows vertices of r walks of horizon k
@@ -175,43 +181,39 @@ func (s *raggedStore) span(g int) (lo, hi int) {
 	return g * s.group, min((g+1)*s.group, s.r)
 }
 
-// appendGroup writes the walks lo..hi-1 that walkOf returns, each its live
-// prefix exactly, as one segment at the tail of data, a chunk's segments,
-// and returns data and the segment's offset, or -1 without writing when
-// all are dead.
-func (s *raggedStore) appendGroup(data []int32, lo, hi int, walkOf func(fp int) []int32) ([]int32, int64) {
-	live := 0
-	for fp := lo; fp < hi; fp++ {
-		live += len(walkOf(fp))
-	}
-	if live == 0 {
-		return data, -1
-	}
-	at, hw := len(data), (s.group+1)/2
-	data = slices.Grow(data, hw+live)[:at+hw]
-	clear(data[at:])
-	end := 0
-	for fp := lo; fp < hi; fp++ {
-		w := walkOf(fp)
-		data = append(data, w...)
-		end += len(w)
-		i := fp - lo
-		data[at+i/2] |= int32(uint32(end) << (16 * (i % 2)))
-	}
-	return data, int64(at)
-}
-
 // appendVertex appends vertex v's walks to data, the segments of v's
 // chunk so far, and points v's offsets at them. The walks come as an r·k
 // block (walkFrom's and the codec's form) with the live length of each
 // walk, which whoever produced the walks knows: only that many entries of
-// a walk are read.
+// a walk are read. A group whose walks are all dead writes nothing.
 func (s *raggedStore) appendVertex(data []int32, v int, block []int32, lives []int) []int32 {
+	hw := (s.group + 1) / 2
 	for g := 0; g < s.groups; g++ {
 		lo, hi := s.span(g)
-		data, s.seg[v*s.groups+g] = s.appendGroup(data, lo, hi, func(fp int) []int32 { return block[fp*s.k : fp*s.k+lives[fp]] })
+		live := 0
+		for _, l := range lives[lo:hi] {
+			live += l
+		}
+		if live == 0 {
+			s.seg[v*s.groups+g] = -1
+			continue
+		}
+		at := len(data)
+		s.seg[v*s.groups+g] = int64(at)
+		data = slices.Grow(data, hw+live)[:at+hw]
+		clear(data[at:])
+		for fp := lo; fp < hi; fp++ {
+			data = append(data, block[fp*s.k:fp*s.k+lives[fp]]...)
+			putEnd(data[at:], fp-lo, len(data)-at-hw)
+		}
 	}
 	return data
+}
+
+// putEnd sets end offset i of the group header at hdr[0], whose entry i is
+// still 0.
+func putEnd(hdr []int32, i, end int) {
+	hdr[i/2] |= int32(uint32(end) << (16 * (i % 2)))
 }
 
 // vertexWords is the length in words of the segments appendVertex writes
@@ -261,11 +263,38 @@ func (s *raggedStore) segLen(data []int32, at, walks int) int {
 	return (s.group+1)/2 + groupEnd(data, at, walks-1)
 }
 
-// rewrite hands fix each walk padded to k entries and stores the results
-// with setWalks.
+// shiftEnds sets end offsets i..j-1 of the header hdr, where they are
+// still 0, to those of the header old plus shift. A word whose two
+// offsets both move shifts with one add: each half stays in [0, 2¹⁶), so
+// no carry or borrow crosses between them.
+func shiftEnds(hdr, old []int32, i, j, shift int) {
+	if i%2 == 1 && i < j {
+		putEnd(hdr, i, groupEnd(old, 0, i)+shift)
+		i++
+	}
+	both := uint32(shift) * (1<<16 + 1)
+	for ; i+1 < j; i += 2 {
+		hdr[i/2] = int32(uint32(old[i/2]) + both)
+	}
+	if i < j {
+		putEnd(hdr, i, groupEnd(old, 0, i)+shift)
+	}
+}
+
+// endAt is end offset i of the segment at data[at], 0 when the segment is
+// absent (at < 0) or i is before the first walk.
+func endAt(data []int32, at, i int) int {
+	if at < 0 || i < 0 {
+		return 0
+	}
+	return groupEnd(data, at, i)
+}
+
+// rewrite hands fix each walk padded to k entries, in a scratch the store
+// keeps, and stores the results with setWalks.
 func (s *raggedStore) rewrite(v int, fps []int, fix func(j int, path []int32)) {
-	paths := make([]int32, len(fps)*s.k)
-	row := s.row(v)
+	s.fixBuf = slices.Grow(s.fixBuf[:0], len(fps)*s.k)[:len(fps)*s.k]
+	paths, row := s.fixBuf, s.row(v)
 	for j, fp := range fps {
 		path := paths[j*s.k : (j+1)*s.k]
 		for t := copy(path, row.walk(fp)); t < s.k; t++ {
@@ -277,48 +306,90 @@ func (s *raggedStore) rewrite(v int, fps []int, fix func(j int, path []int32)) {
 }
 
 // setWalks replaces the walks fps (ascending) of store-local vertex v with
-// paths, k entries per walk with -1 tails: in place when every touched
-// group keeps its live lengths, at the tail of v's chunk otherwise. Each
-// group's walks are looked up once, into a table the group is rewritten
-// from.
+// paths, k entries per walk with -1 tails, one group at a time (setGroup),
+// and compacts v's chunk once its dead words outnumber its live ones.
 func (s *raggedStore) setWalks(v int, fps []int, paths []int32) {
 	c := v >> s.shift
-	cur := make([][]int32, s.group)
 	for len(fps) > 0 {
-		g := fps[0] / s.group
-		lo, hi := s.span(g)
+		lo, hi := s.span(fps[0] / s.group)
 		n := 1
 		for n < len(fps) && fps[n] < hi {
 			n++
 		}
-		mine, fresh := fps[:n], paths[:n*s.k]
-		old := s.row(v) // after any earlier group moved the chunk
-		cur = cur[:hi-lo]
-		for i := range cur {
-			cur[i] = old.walk(lo + i)
-		}
-		inPlace := true
-		for j, fp := range mine {
-			inPlace = inPlace && len(livePrefix(fresh[j*s.k:(j+1)*s.k])) == len(cur[fp-lo])
-		}
-		gi := v*s.groups + g
-		if inPlace {
-			for j, fp := range mine {
-				copy(cur[fp-lo], fresh[j*s.k:(j+1)*s.k])
-			}
-		} else {
-			if at := int(s.seg[gi]); at >= 0 {
-				s.dead[c] += s.segLen(old.data, at, hi-lo)
-			}
-			for j, fp := range mine {
-				cur[fp-lo] = livePrefix(fresh[j*s.k : (j+1)*s.k])
-			}
-			s.chunks[c], s.seg[gi] = s.appendGroup(s.chunks[c], lo, hi, func(fp int) []int32 { return cur[fp-lo] })
-		}
+		s.setGroup(c, v*s.groups+fps[0]/s.group, lo, hi, fps[:n], paths[:n*s.k])
 		fps, paths = fps[n:], paths[n*s.k:]
 	}
 	if 2*s.dead[c] > len(s.chunks[c]) {
 		s.compact(c)
+	}
+}
+
+// setGroup replaces the walks fps (ascending, in [lo, hi)) of group gi, in
+// chunk c, with paths. When every one keeps its live length the walks are
+// overwritten in place. Otherwise the group is spliced into a scratch the
+// store keeps: each run of unchanged walks is copied whole from the old
+// segment, and their end offsets shift by what the walks before them
+// gained or lost. The new segment goes over the old one when it is no
+// longer, leaving the difference dead, and to the tail of the chunk
+// otherwise, leaving the old segment dead; a group left all dead has no
+// segment.
+func (s *raggedStore) setGroup(c, gi, lo, hi int, fps []int, paths []int32) {
+	data, at, hw := s.chunks[c], int(s.seg[gi]), (s.group+1)/2
+	body := at + hw
+	inPlace := true
+	for j, fp := range fps {
+		l := len(livePrefix(paths[j*s.k : (j+1)*s.k]))
+		inPlace = inPlace && l == endAt(data, at, fp-lo)-endAt(data, at, fp-lo-1)
+	}
+	if inPlace {
+		for j, fp := range fps {
+			if at >= 0 { // else every walk stays dead
+				copy(data[body+endAt(data, at, fp-lo-1):body+endAt(data, at, fp-lo)], paths[j*s.k:])
+			}
+		}
+		return
+	}
+
+	buf := slices.Grow(s.segBuf[:0], hw)[:hw]
+	clear(buf)
+	for i, old := 0, 0; i < hi-lo; {
+		next := hi - lo // the next walk replaced, or the group's end
+		if len(fps) > 0 {
+			next = fps[0] - lo
+		}
+		if i < next && at < 0 { // walks i..next-1 are unchanged, and dead
+			for u := i; u < next; u++ {
+				putEnd(buf, u, len(buf)-hw)
+			}
+		} else if i < next { // walks i..next-1 are unchanged
+			end := endAt(data, at, next-1)
+			shiftEnds(buf, data[at:at+hw], i, next, len(buf)-hw-old)
+			buf = append(buf, data[body+old:body+end]...)
+			old = end
+		}
+		if next == hi-lo {
+			break
+		}
+		buf = append(buf, livePrefix(paths[:s.k])...)
+		putEnd(buf, next, len(buf)-hw)
+		old = endAt(data, at, next)
+		fps, paths, i = fps[1:], paths[s.k:], next+1
+	}
+	s.segBuf = buf
+
+	was := 0
+	if at >= 0 {
+		was = s.segLen(data, at, hi-lo)
+	}
+	switch {
+	case len(buf) == hw:
+		s.seg[gi], s.dead[c] = -1, s.dead[c]+was
+	case len(buf) <= was:
+		copy(data[at:], buf)
+		s.dead[c] += was - len(buf)
+	default:
+		s.seg[gi], s.dead[c] = int64(len(data)), s.dead[c]+was
+		s.chunks[c] = append(data, buf...)
 	}
 }
 

@@ -200,21 +200,37 @@ func runStoreModel(t *testing.T, next func(int) int, r, k, shift, rows, repairs 
 			copy(paths[j*k:(j+1)*k], block[fp*k:(fp+1)*k])
 		}
 
-		// The model's arena: a touched group whose live lengths change is
-		// written afresh at its chunk's tail and its old segment dies; past
-		// half the chunk's words, compaction drops them all.
+		// The model's arena: a touched group whose live lengths change goes
+		// over its old segment when the new one is no longer, and the
+		// difference dies; otherwise it goes to its chunk's tail and the
+		// whole old segment dies. Past half the chunk's words, compaction
+		// drops every dead word.
 		for g := 0; g < s.groups; g++ {
 			lo, hi := s.span(g)
-			moved := false
-			for j, fp := range fps {
-				if fp >= lo && fp < hi {
-					moved = moved || len(livePrefix(paths[j*k:(j+1)*k])) != len(livePrefix(m.row(v).walk(fp)))
+			moved, live := false, 0
+			for fp := lo; fp < hi; fp++ {
+				l := len(livePrefix(m.row(v).walk(fp)))
+				if j := slices.Index(fps, fp); j >= 0 {
+					nl := len(livePrefix(paths[j*k : (j+1)*k]))
+					moved, l = moved || nl != l, nl
 				}
+				live += l
 			}
-			if moved {
-				dead[c] += modelSegWords(m, v, g, s.group)
-				fresh[c] = false
+			if !moved {
+				continue
 			}
+			was, now := modelSegWords(m, v, g, s.group), 0
+			if live > 0 {
+				now = (s.group+1)/2 + live
+			}
+			if now <= was {
+				dead[c] += was - now
+			} else {
+				dead[c] += was
+			}
+			// Only a segment written over one of its own length keeps the
+			// layout a fresh build has.
+			fresh[c] = fresh[c] && now == was
 		}
 		fpsIn, pathsIn := slices.Clone(fps), slices.Clone(paths)
 		s.rewrite(v, fps, func(j int, path []int32) {
@@ -239,8 +255,9 @@ func runStoreModel(t *testing.T, next func(int) int, r, k, shift, rows, repairs 
 			compactions++
 		}
 		requireModel(t, s, m, dead, "repaired")
-		// A chunk compacted, or repaired in place only, has the layout a
-		// fresh build has, word for word; no other chunk changed.
+		// A chunk compacted, or repaired only in place or over segments of
+		// the same length, has the layout a fresh build has, word for
+		// word; no other chunk changed.
 		if fresh[c] {
 			buildChunk(built, m, c, nil)
 			requireSameLayout(t, s, built, c, "repaired")
@@ -324,6 +341,11 @@ func FuzzRaggedStore(f *testing.F) {
 	f.Add([]byte{4, 0, 6, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{5, 7, 2, 1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0, 1, 0, 1})
 	f.Add([]byte{3, 160, 6, 9, 8, 7, 6, 5, 4, 3, 2, 1})
+	// R = 5, K = 13, one all-dead vertex (seg −1), whose walk 2 comes alive
+	// to the horizon between four walks that stay dead: the splice must
+	// not read the absent old segment.
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 4, 4, 0, 4, 4, 1, 0, 0, 1,
+		1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 512 {
 			t.Skip()
@@ -403,5 +425,45 @@ func TestRaggedIndexMatchesDenseModel(t *testing.T) {
 		}
 		g = g2
 		compare("repaired", g)
+	}
+}
+
+// TestRewriteThatFitsAllocatesNothing: once its scratches are warm, a
+// store's rewrite of a group whose new segment fits over its old one
+// allocates nothing. The two walks swap their live lengths each run, so
+// the group is spliced every time, at the same offset, with no dead word.
+func TestRewriteThatFitsAllocatesNothing(t *testing.T) {
+	const r, k, rows = 100, 13, 64
+	m := newDenseStore(make([]int32, rows*r*k), r, k)
+	rng := rand.New(rand.NewSource(1))
+	for v := 0; v < rows; v++ {
+		modelWalks(rng.Intn, r, k, m.block(v))
+	}
+	s := buildRagged(m, v2BlockShift)
+	v, fps, lives := 7, []int{3, 60}, [2]int{5, 3}
+	fix := func(j int, path []int32) {
+		for t := range path {
+			path[t] = -1
+			if t < lives[j] {
+				path[t] = int32(fps[j] + t)
+			}
+		}
+	}
+	swap := func() {
+		lives[0], lives[1] = lives[1], lives[0]
+		s.rewrite(v, fps, fix)
+	}
+	swap() // the first run may move the group to the tail and grows the scratches
+	at, dead := s.seg[v*s.groups], slices.Clone(s.dead)
+	if allocs := testing.AllocsPerRun(100, swap); allocs != 0 {
+		t.Fatalf("a rewrite that fits allocates %.1f times a run", allocs)
+	}
+	if s.seg[v*s.groups] != at || !slices.Equal(s.dead, dead) {
+		t.Fatalf("the group moved from %d to %d, or dead words changed from %v to %v", at, s.seg[v*s.groups], dead, s.dead)
+	}
+	for j, fp := range fps {
+		if got := s.row(v).walk(fp); len(got) != lives[j] || (len(got) > 0 && got[0] != int32(fp)) {
+			t.Fatalf("walk %d is %v after the runs, want %d entries from %d", fp, got, lives[j], fp)
+		}
 	}
 }
