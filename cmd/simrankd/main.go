@@ -46,12 +46,11 @@
 //	GET  /healthz                         liveness + index parameters
 //	GET  /metrics                         Prometheus-style counters
 //
-// /v1/single_source and /v1/topk additionally accept ?engine=, selecting
-// the query family: "walk" (the default — the walk index's estimates,
-// exactly as above) or "linearized" (the exact converged row, solved on
-// demand through the linearized-system engine; see docs/API.md). The
-// linearized engine pays a one-time per-graph diagonal solve on its first
-// query; -prewarm-exact moves that cost to startup.
+// Every answer is the walk index's estimate (reranked exactly on request).
+// The four read endpoints accept ?engine=walk, the same as no parameter,
+// and refuse any other engine with a 400. Exact converged rows are an
+// offline computation: the simrank command's -algo linearized -query q,
+// or simrank.Compute.
 //
 // Router answers are byte-identical to what a single-node server over the
 // same graph would return; when a shard is unreachable the router answers
@@ -64,9 +63,7 @@
 // -max-inflight requests execute concurrently with a wait queue of
 // -queue-depth behind them, beyond which requests are shed with 429 +
 // Retry-After; reranked top-k requests whose remaining deadline cannot
-// afford the exact rerank are served raw walk estimates marked degraded,
-// and ?engine=linearized requests degrade to the walk estimates by the
-// same cost-model rules when the exact solve no longer fits the deadline.
+// afford the exact rerank are served raw walk estimates marked degraded.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: it stops accepting
 // connections and drains in-flight requests for -shutdown-drain; requests
@@ -109,15 +106,14 @@ type options struct {
 	n, d      int
 	seed      int64
 
-	indexPath    string
-	rebuild      bool
-	indexMmap    bool
-	c            float64
-	k            int
-	eps          float64
-	walks        int
-	workers      int
-	prewarmExact bool
+	indexPath string
+	rebuild   bool
+	indexMmap bool
+	c         float64
+	k         int
+	eps       float64
+	walks     int
+	workers   int
 
 	cacheSize int
 	maxBatch  int
@@ -161,9 +157,6 @@ func validate(o *options) error {
 	}
 	if o.drain < 0 {
 		return fmt.Errorf("-shutdown-drain must not be negative (got %v)", o.drain)
-	}
-	if o.prewarmExact && o.mode != "serve" {
-		return fmt.Errorf("-prewarm-exact only applies to -mode serve (got %q)", o.mode)
 	}
 	if o.indexMmap {
 		switch o.mode {
@@ -238,7 +231,6 @@ func main() {
 	flag.IntVar(&o.walks, "walks", 0, "walk fingerprints per vertex (0 = 100)")
 	flag.IntVar(&o.workers, "workers", 0, "index build/update worker pool (0 = all CPUs, 1 = serial)")
 	flag.IntVar(&o.cacheSize, "cache", 1024, "LRU query-cache entries (0 = disabled)")
-	flag.BoolVar(&o.prewarmExact, "prewarm-exact", false, "serve mode: run the linearized engine's diagonal solve at startup instead of on the first ?engine=linearized query")
 	flag.IntVar(&o.maxBatch, "max-batch", simrankd.DefaultMaxBatch, "max sources per /v1/batch request")
 	flag.IntVar(&o.joinCand, "join-max-candidates", query.DefaultMaxCandidates, "max candidate pairs a /v1/join may enumerate")
 	flag.DurationVar(&o.reqTimeout, "request-timeout", 10*time.Second, "deadline per /v1 request, also the cap on ?timeout_ms= overrides (0 = none)")
@@ -317,16 +309,6 @@ func main() {
 		served = idx
 		log.Printf("index: range [%d,%d) of n=%d walks=%d horizon=%d c=%g (%d bytes, %s)",
 			idx.Lo(), idx.Hi(), idx.N(), idx.Walks(), idx.Horizon(), idx.C(), idx.Bytes(), idx.Backend())
-		if o.prewarmExact {
-			t0 := time.Now()
-			if err := idx.PrepareExact(context.Background(), o.workers); err != nil {
-				fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
-				os.Exit(1)
-			}
-			st, _ := idx.ExactStats()
-			log.Printf("index: linearized solver built in %v (%d sweeps, residual %.3g)",
-				time.Since(t0), st.SolveIters, st.Residual)
-		}
 		if o.mode == "serve" {
 			handler = simrankd.NewServer(idx, cfg)
 		} else if handler, err = simrankd.NewShardServer(&shard.Shard{Index: idx}, cfg); err != nil {

@@ -305,7 +305,7 @@ func (s *Solver) SingleSource(ctx context.Context, q int, dst []float64) ([]floa
 }
 
 // SingleSourceScratch is SingleSource with a caller-owned workspace, for
-// callers answering many queries (the all-pairs engine, simrankd).
+// callers answering many queries (the all-pairs engine).
 func (s *Solver) SingleSourceScratch(ctx context.Context, q int, dst []float64, sc *Scratch) ([]float64, error) {
 	n := s.g.NumVertices()
 	if q < 0 || q >= n {

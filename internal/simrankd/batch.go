@@ -103,7 +103,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.checkMethod(w, r, http.MethodPost) {
 		return
 	}
-	if !s.requireWalkEngine(w, r) {
+	if !s.checkEngine(w, r) {
 		return
 	}
 	var req batchRequest
@@ -292,7 +292,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if !s.checkMethod(w, r, http.MethodPost) {
 		return
 	}
-	if !s.requireWalkEngine(w, r) {
+	if !s.checkEngine(w, r) {
 		return
 	}
 	var req joinRequest

@@ -30,12 +30,6 @@ import (
 // of the pools. Before the first completed rerank there is no estimate and
 // nothing degrades — the first request simply tries, and either completes
 // (seeding the model) or times out into a clean 503.
-//
-// ?engine=linearized requests degrade by the same rules through a second
-// EWMA cell: when the remaining deadline cannot afford an exact
-// single-source solve (whole-query cost, observed after every steady-state
-// solve), the request is served the walk estimates instead — marked
-// degraded, never cached — exactly like a rerank the budget cannot afford.
 
 // rerankSafety is the headroom multiplier on the estimated rerank cost: a
 // rerank is only attempted when at least twice its EWMA estimate remains,
@@ -49,9 +43,8 @@ const rerankSafety = 2
 // dozen requests.
 const rerankEWMAWeight = 8
 
-// since measures what the cost model learns from: each source's rerank
-// and each steady-state exact solve. A variable, so that tests can swap in
-// a deterministic clock.
+// since measures what the cost model learns from: each source's rerank. A
+// variable, so that tests can swap in a deterministic clock.
 var since = time.Since
 
 // ewmaObserve folds one observation (nanoseconds) into cell: the first
@@ -102,19 +95,11 @@ func (sv *serving) observeRerank(took []time.Duration, candidates int) {
 	ewmaObserve(&sv.rerankNanosPerCand, sum.Nanoseconds()/int64(candidates))
 }
 
-// observeExact folds one completed exact (linearized) single-source solve
-// into the whole-query cost EWMA. Callers skip the call that also paid the
-// one-time diagonal solve, so the model tracks steady-state query cost.
-func (sv *serving) observeExact(elapsed time.Duration) {
-	ewmaObserve(&sv.exactNanos, elapsed.Nanoseconds())
-}
-
-// writeCostModelMetrics emits the live values the degrade decisions are
-// made from — the two EWMA cells, 0 until their first observation — the
-// rerank time distribution, and the process's rerank work counts beside it.
+// writeCostModelMetrics emits the live value the degrade decision is made
+// from — the EWMA cell, 0 until its first observation — the rerank time
+// distribution, and the process's rerank work counts beside it.
 func (sv *serving) writeCostModelMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_rerank_nanos_per_candidate %d\n", sv.rerankNanosPerCand.Load())
-	fmt.Fprintf(w, "simrankd_exact_solve_nanos %d\n", sv.exactNanos.Load())
 	sv.rerankSeconds.WriteProm(w, "simrankd_rerank_seconds")
 	work := query.RerankWorkTotal()
 	fmt.Fprintf(w, "simrankd_rerank_interior_total %d\n", work.Interior)
@@ -135,23 +120,5 @@ func (sv *serving) shouldDegrade(ctx context.Context, candidates int) bool {
 		return false
 	}
 	need := time.Duration(per*uint64(candidates)) * rerankSafety
-	return time.Until(deadline) < need
-}
-
-// shouldDegradeExact reports whether `solves` exact (linearized)
-// single-source solves no longer fit the request's remaining deadline
-// budget. As with shouldDegrade, no deadline or no cost estimate yet means
-// never degrade — the first exact query simply tries, and either completes
-// (seeding the model) or times out into a clean 503.
-func (sv *serving) shouldDegradeExact(ctx context.Context, solves int) bool {
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		return false
-	}
-	per := sv.exactNanos.Load()
-	if per == 0 {
-		return false
-	}
-	need := time.Duration(per*uint64(solves)) * rerankSafety
 	return time.Until(deadline) < need
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -41,20 +42,19 @@ type goldenProbe struct {
 	before, after            func(sv *serving)
 }
 
-// degradeRerank and degradeExact seed the two EWMA cells with an hour, so
-// that any request carrying a deadline degrades deterministically.
+// degradeRerank seeds the rerank cost cell with an hour, so that any
+// reranked request carrying a deadline degrades deterministically.
 var (
 	degradeRerank = func(sv *serving) { sv.rerankNanosPerCand.Store(uint64(time.Hour)) }
 	resetRerank   = func(sv *serving) { sv.rerankNanosPerCand.Store(0) }
-	degradeExact  = func(sv *serving) { sv.exactNanos.Store(uint64(time.Hour)) }
-	resetExact    = func(sv *serving) { sv.exactNanos.Store(0) }
 )
 
 const goldenN = 60
 
 // goldenQueries is the request matrix of one phase: identityProbes (n =
-// 60) extended with the linearized engine, degraded answers, every batch
-// mode, and every 4xx text the validation tests name.
+// 60) extended with the linearized engine the parent served (every such
+// request is refused now, see engineRefusals), degraded answers, every
+// batch mode, and every 4xx text the validation tests name.
 func goldenQueries() []goldenProbe {
 	n := goldenN
 	var dense strings.Builder
@@ -92,8 +92,8 @@ func goldenQueries() []goldenProbe {
 		p("lss_sparse", "GET", "/v1/single_source?q=17&min=0.001&engine=linearized", ""),
 		p("lss_sparse_again", "GET", "/v1/single_source?q=17&min=0.0010&engine=linearized", ""),
 		p("lss_oob", "GET", fmt.Sprintf("/v1/single_source?q=%d&engine=linearized", n), ""),
-		{name: "lss_degraded_dense", method: "GET", path: "/v1/single_source?q=4&engine=linearized&timeout_ms=60000", before: degradeExact, after: resetExact},
-		{name: "lss_degraded_sparse", method: "GET", path: "/v1/single_source?q=17&min=0.001&engine=linearized&timeout_ms=60000", before: degradeExact, after: resetExact},
+		p("lss_degraded_dense", "GET", "/v1/single_source?q=4&engine=linearized&timeout_ms=60000", ""),
+		p("lss_degraded_sparse", "GET", "/v1/single_source?q=17&min=0.001&engine=linearized&timeout_ms=60000", ""),
 		// topk: plain, reranked, clamped, degraded, errors.
 		p("topk", "GET", "/v1/topk?q=7&k=9", ""),
 		p("topk_default_k", "GET", "/v1/topk?q=7", ""),
@@ -118,7 +118,7 @@ func goldenQueries() []goldenProbe {
 		p("etopk_k_over_n", "GET", fmt.Sprintf("/v1/topk?q=11&k=%d&engine=linearized", n+1), ""),
 		p("etopk_rerank_conflict", "GET", "/v1/topk?q=1&k=5&engine=linearized&rerank=1", ""),
 		p("etopk_oob", "GET", fmt.Sprintf("/v1/topk?q=%d&k=3&engine=linearized", n+2), ""),
-		{name: "etopk_degraded", method: "GET", path: "/v1/topk?q=11&k=7&engine=linearized&timeout_ms=60000", before: degradeExact, after: resetExact},
+		p("etopk_degraded", "GET", "/v1/topk?q=11&k=7&engine=linearized&timeout_ms=60000", ""),
 		// join.
 		p("join", "POST", "/v1/join", `{"k":5,"threshold":0.15}`),
 		p("join_respelled", "POST", "/v1/join", `{"k":5,"threshold":1.5e-1}`),
@@ -390,6 +390,38 @@ func recordText(t *testing.T, want []byte, record string) string {
 	return ""
 }
 
+// engineRefusals are the records of every request for an engine other than
+// "walk", by probe name: simrankd serves the walk index alone, so each is
+// checkEngine's one 400 — where the parent answered engine=linearized from
+// its exact solver, and refused an unknown engine in its own words.
+func engineRefusals(t *testing.T, want []byte) map[string]string {
+	t.Helper()
+	records := make(map[string]string)
+	for _, line := range strings.Split(string(want), "\n") {
+		head, ok := strings.CutPrefix(line, "== ")
+		if !ok {
+			continue
+		}
+		record, request, _ := strings.Cut(head, ": ")
+		_, target, _ := strings.Cut(request, " ")
+		u, err := url.Parse(target)
+		if err != nil {
+			t.Fatalf("%s: %v", record, err)
+		}
+		if eng := u.Query().Get("engine"); eng != "" && eng != "walk" {
+			records[record[strings.IndexByte(record, '/')+1:]] = "-- 400 Content-Type=\"application/json\"\n" +
+				`{"error":"unknown engine \"` + eng + `\" (want \"walk\")"}`
+		}
+	}
+	return records
+}
+
+// engineGone amends any transcript by engineRefusals.
+func engineGone(t *testing.T, want []byte) []byte {
+	t.Helper()
+	return replaceRecords(t, want, engineRefusals(t, want))
+}
+
 // joinNeverDegrades amends a fleet transcript with a down phase: the router
 // runs the join over its own graph, so with the middle backend down its
 // join is the recovered one — complete, with no degraded mark and no
@@ -416,13 +448,13 @@ func TestParentGoldens(t *testing.T) {
 		transcribe(t, &out, h, sv, "before", goldenQueries())
 		transcribe(t, &out, h, sv, "edit", goldenEdits)
 		transcribe(t, &out, h, sv, "after", goldenQueries())
-		var amend func(t *testing.T, want []byte) []byte
+		amend := engineGone
 		if down != nil {
 			down.mode.Store("503")
 			transcribe(t, &out, h, sv, "down", goldenDownProbes)
 			down.mode.Store("")
 			transcribe(t, &out, h, sv, "recovered", goldenRecoveredProbes)
-			amend = joinNeverDegrades
+			amend = func(t *testing.T, want []byte) []byte { return joinNeverDegrades(t, engineGone(t, want)) }
 		}
 		checkGoldenAgainst(t, name, out.Bytes(), amend)
 	}
@@ -466,7 +498,7 @@ func TestParentGoldens(t *testing.T) {
 			{name: "edges", method: "POST", path: "/v1/edges", body: `{"edits":[{"op":"add","u":2,"v":55}]}`},
 		})
 		checkGoldenAgainst(t, "serve-nograph.txt", out.Bytes(), func(t *testing.T, want []byte) []byte {
-			return replaceRecords(t, want, nographRefusals)
+			return replaceRecords(t, engineGone(t, want), nographRefusals)
 		})
 	})
 
@@ -528,14 +560,20 @@ func metricNames(t *testing.T, h http.Handler) []string {
 // router mode since the parent.
 var rerankWorkNames = []string{"simrankd_rerank_interior_total", "simrankd_rerank_frontier_total", "simrankd_rerank_memo_entries_total"}
 
+// linearizedMetricNames are the series of the linearized engine the parent
+// served, gone from serve and router mode.
+var linearizedMetricNames = []string{`simrankd_engine_requests_total{engine="walk"}`, `simrankd_engine_requests_total{engine="linearized"}`, "simrankd_exact_solve_nanos"}
+
 // TestParentMetricNames: every series (name and label set; order free)
 // each mode exported at the parent is still exported — one writer for the
 // shared lines must not have dropped any — and router mode now also reports
 // the update effects its /v1/edges response always carried, both ends of
 // a score leg count what crosses it, and serve and router mode count the
-// exact rerank's work. The one series a mode no longer exports is the
-// request count of each of a shard's two join endpoints, which are gone:
-// the router runs the join itself.
+// exact rerank's work. The series a mode no longer exports are the request
+// count of each of a shard's two join endpoints, which are gone (the router
+// runs the join itself), and in serve and router mode the linearized
+// engine's: its per-engine request counts and its solve-cost cell (the
+// engine is offline only).
 func TestParentMetricNames(t *testing.T) {
 	g := gen.WebGraph(goldenN, 5, 101)
 	opt := query.Options{Walks: 20, Seed: 7, Workers: 1}
@@ -562,11 +600,11 @@ func TestParentMetricNames(t *testing.T) {
 		h          http.Handler
 		also, gone []string
 	}{
-		{"serve", NewServer(idx, Config{Workers: 1}), rerankWorkNames, nil},
+		{"serve", NewServer(idx, Config{Workers: 1}), rerankWorkNames, linearizedMetricNames},
 		{"shard", ss, []string{"simrankd_shard_scores_entries_total"},
 			[]string{`simrankd_requests_total{endpoint="shard_join_candidates"}`, `simrankd_requests_total{endpoint="shard_join_score"}`}},
 		{"router", rt, append([]string{"simrankd_update_edges_added_total", "simrankd_update_edges_removed_total", "simrankd_update_walks_repaired_total",
-			"simrankd_shard_leg_bytes_total", "simrankd_shard_leg_rows_total"}, rerankWorkNames...), nil},
+			"simrankd_shard_leg_bytes_total", "simrankd_shard_leg_rows_total"}, rerankWorkNames...), linearizedMetricNames},
 	} {
 		got := metricNames(t, mode.h)
 		file := "metrics-" + mode.name + ".txt"

@@ -75,17 +75,3 @@ func smallBackend(t *testing.T, kind string, cfg Config) *Server {
 	t.Helper()
 	return newBackend(t, kind, gen.WebGraph(120, 6, 55), query.Options{Walks: 60, Seed: 5}, cfg)
 }
-
-// exactBuilt reports whether the source's linearized solver is built for
-// its current graph.
-func exactBuilt(s *Server) bool {
-	switch src := s.src.(type) {
-	case *localSource:
-		_, ok := src.idx.ExactStats()
-		return ok
-	case *fleetSource:
-		_, ok := src.exact.Stats(0, src.g)
-		return ok
-	}
-	return false
-}

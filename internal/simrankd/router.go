@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"oipsr/graph"
-	"oipsr/internal/linsr"
 	"oipsr/internal/sparserow"
 	"oipsr/internal/walkindex"
 	"oipsr/simrank/query"
@@ -41,11 +40,11 @@ import (
 //     layer, so retrying a partially-applied broadcast converges.
 //
 // It holds the full graph (tiny next to the walk rows, which live only on
-// the shards) for reranking, for validating edits, for the join and for
-// the linearized engine, and the per-shard generation vector whose
-// rendering is the front end's cache tag: any shard update changes the
-// vector, so stale merges are unreachable, exactly the single-node
-// generation-key scheme lifted to a fleet.
+// the shards) for reranking, for validating edits and for the join, and
+// the per-shard generation vector whose rendering is the front end's cache
+// tag: any shard update changes the vector, so stale merges are
+// unreachable, exactly the single-node generation-key scheme lifted to a
+// fleet.
 //
 // Each score leg runs under shardTimeout; a backend that sheds, fails,
 // or times out mid-scatter costs its vertex range, not the request — the
@@ -74,10 +73,6 @@ type fleetSource struct {
 	horizon int
 	c       float64
 	seed    int64
-
-	// exact holds the lazily-built linearized solver: the fleet source has
-	// the full graph, so exact rows are solved locally, not scattered.
-	exact linsr.Lazy
 
 	// shardErrors counts failed scatter legs (shed, error, timeout) — each
 	// one degrades a merged answer. legBytes and legRows count what the
@@ -466,15 +461,6 @@ func (rt *fleetSource) writeMetrics(w io.Writer) {
 	for i, g := range rt.gens {
 		fmt.Fprintf(w, "simrankd_shard_generation{shard=\"%d\"} %d\n", i, g)
 	}
-}
-
-// exactRow solves row q over the fleet source's graph, building the solver
-// first when there is none for it yet (the call that waits for that build
-// reports steady = false). The solver is keyed by the graph pointer alone:
-// every applied edit batch replaces rt.g, and the front end's read lock
-// keeps it stable.
-func (rt *fleetSource) exactRow(ctx context.Context, q int, dst []float64) ([]float64, bool, error) {
-	return rt.exact.SingleSource(ctx, 0, rt.g, linsr.Options{C: rt.c, Tol: query.ExactTol}, q, dst)
 }
 
 // join runs the single node's Join on a zero-width index over the fleet

@@ -21,7 +21,6 @@ package simrankd
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -107,9 +106,8 @@ type Server struct {
 	c       float64
 	horizon int
 
-	// scorePool recycles dense score rows of length n: what an exact
-	// (linearized) solve fills, and what a row is written out into for the
-	// one body that is dense by definition.
+	// scorePool recycles dense score rows of length n: what a row is
+	// written out into for the one body that is dense by definition.
 	scorePool sync.Pool
 
 	// Per-endpoint request counters exported on /metrics.
@@ -183,8 +181,8 @@ func (s *Server) cached(w http.ResponseWriter, key string) bool {
 }
 
 // writeBody finishes a request with an encoded body. A degraded body is a
-// stopgap — a rerank or solve the deadline could not afford, a vertex range
-// a fleet could not reach — not the answer the client asked for: it is
+// stopgap — a rerank the deadline could not afford, a vertex range a fleet
+// could not reach — not the answer the client asked for: it is
 // counted, marked with X-Simrank-Degraded, and never cached, or it would
 // keep being served after the pressure is gone. Any other body enters the
 // cache under key ("" = not cacheable).
@@ -206,15 +204,13 @@ type singleSourceResponse struct {
 	// Results holds only the entries with score >= min, sorted by
 	// decreasing score, when the min parameter was given.
 	Results []query.Ranked `json:"results,omitempty"`
-	// Degraded marks walk estimates served in place of the exact row an
-	// engine=linearized request could not afford, or a row missing at
-	// least one shard's range (those targets report score 0). Absent
-	// (false) on normal responses.
+	// Degraded marks a row missing at least one shard's range (those
+	// targets report score 0). Absent (false) on normal responses.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
 // handleSingleSource serves GET/POST
-// /v1/single_source?q=17[&min=0.01][&engine=walk|linearized].
+// /v1/single_source?q=17[&min=0.01][&engine=walk].
 func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 	s.reqSingleSource.Add(1)
 	s.serveOne(w, r, func(a *ask) (err error) {
@@ -231,8 +227,8 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 }
 
 // singleSourceBody marshals the /v1/single_source response body from q's
-// row, walk or exact — also the per-item line /v1/batch streams, so the two
-// endpoints answer (and cache) byte-identically. The thresholded form is
+// row — also the per-item line /v1/batch streams, so the two endpoints
+// answer (and cache) byte-identically. The thresholded form is
 // filtered from the row's entries; only the dense form — n scores by
 // definition — writes the row out, into a pooled buffer, at encode time.
 func (s *Server) singleSourceBody(q int, row *sparserow.Row, sparse bool, min float64, degraded bool) ([]byte, error) {
@@ -254,16 +250,16 @@ type topKResponse struct {
 	Reranked bool `json:"reranked"`
 	// Degraded marks a response that could not be what was asked for: raw
 	// walk estimates where the remaining deadline could not afford the
-	// exact rerank (or the exact solve), or a ranking over a row missing a
-	// shard's range. Without a missing range the scores are bit-identical
-	// to the rerank=0 response. Absent (false) on normal responses, so
-	// their bodies are unchanged.
+	// exact rerank, or a ranking over a row missing a shard's range.
+	// Without a missing range the scores are bit-identical to the rerank=0
+	// response. Absent (false) on normal responses, so their bodies are
+	// unchanged.
 	Degraded bool           `json:"degraded,omitempty"`
 	Results  []query.Ranked `json:"results"`
 }
 
 // handleTopK serves GET/POST
-// /v1/topk?q=17&k=10[&rerank=1][&engine=walk|linearized]. The row is
+// /v1/topk?q=17&k=10[&rerank=1][&engine=walk]. The row is
 // ranked, and optionally exactly reranked, in one place whatever the
 // source: the exact scorer's memoization is not bit-stable across visiting
 // orders, so reranking per shard would diverge.
@@ -277,9 +273,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		if a.k < 1 {
 			return fmt.Errorf("query: top-k size %d < 1", a.k)
 		}
-		if a.rerank = boolParam(r, "rerank"); a.rerank && a.exact {
-			return errors.New("\"rerank\" is not valid with engine=linearized (exact scores need no rerank)")
-		}
+		a.rerank = boolParam(r, "rerank")
 		return nil
 	})
 }
@@ -298,8 +292,6 @@ type ask struct {
 	// entries scoring at least min instead of all n scores.
 	sparse bool
 	min    float64
-	// exact selects engine=linearized (single endpoints only).
-	exact bool
 }
 
 // wholeRow reports a single_source answer of O(n) bytes: the dense row, or
@@ -310,19 +302,13 @@ func (a ask) wholeRow() bool { return !a.topk && (!a.sparse || a.min <= 0) }
 // caching O(n) bodies would make cache memory scale with graph size times
 // the entry count. The key is shared between the single endpoints and the
 // lines of /v1/batch, so a batch warms the cache for single queries and
-// vice versa. The linearized engine has its own families (lss, etopk), so
-// walk and exact bodies never collide; etopk has no rerank component
-// because exact scores need none.
+// vice versa.
 func (a ask) key(tag string, q int) string {
 	switch {
-	case a.topk && a.exact:
-		return cacheKey(tag, "etopk", q, a.k)
 	case a.topk:
 		return cacheKey(tag, "topk", q, a.k, a.rerank)
 	case a.wholeRow():
 		return ""
-	case a.exact:
-		return cacheKey(tag, "lss", q, a.min)
 	}
 	return cacheKey(tag, "ss", q, a.min)
 }
@@ -351,17 +337,13 @@ func cacheKey(tag, family string, params ...any) string {
 
 // answer makes the body of every source under a into bodies — the one
 // place a /v1 answer is made, for a single query and for each chunk of a
-// batch. It fetches the rows (the walk estimates, or exactRows for
-// engine=linearized), ranks them when a asks for a top-k, and encodes.
+// batch. It fetches the walk-estimate rows, ranks them when a asks for a
+// top-k, and encodes.
 // degraded reports bodies that are not what was asked for: they are
 // counted, marked and never cached. The caller holds mu.RLock and has
 // checked every source against n.
 func (s *Server) answer(ctx context.Context, a ask, sources []int, bodies [][]byte) (degraded bool, err error) {
-	fetch := s.src.rows
-	if a.exact {
-		fetch = s.exactRows
-	}
-	rows, degraded, err := fetch(ctx, sources)
+	rows, degraded, err := s.src.rows(ctx, sources)
 	if err != nil {
 		return false, err
 	}
@@ -405,23 +387,16 @@ func (s *Server) answer(ctx context.Context, a ask, sources []int, bodies [][]by
 	return degraded, nil
 }
 
-// serveOne answers /v1/single_source or /v1/topk. It parses what the two
-// share — the GET/POST method set, ?engine= (counted per engine) and the
-// required ?q= — then the endpoint's own parameters (parse fills them into
-// an ask whose engine is set), and answers the source as a batch of one:
-// cache lookup, answer, writeBody.
+// serveOne answers /v1/single_source or /v1/topk. It checks what the two
+// share — the GET/POST method set, ?engine= and the required ?q= — then the
+// endpoint's own parameters (parse fills them into an ask), and answers the
+// source as a batch of one: cache lookup, answer, writeBody.
 func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, parse func(a *ask) error) {
-	if !s.checkMethod(w, r, http.MethodGet, http.MethodPost) {
+	if !s.checkMethod(w, r, http.MethodGet, http.MethodPost) || !s.checkEngine(w, r) {
 		return
 	}
 	var a ask
-	var q int
-	eng, err := engineParam(r)
-	if err == nil {
-		s.countEngine(eng)
-		a.exact = eng == engineLinearized
-		q, err = intParam(r, "q", 0, true)
-	}
+	q, err := intParam(r, "q", 0, true)
 	if err == nil {
 		err = parse(&a)
 	}
@@ -480,8 +455,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrankd_batch_items_total %d\n", s.batchItems.Load())
 	fmt.Fprintf(w, "simrankd_batch_item_errors_total %d\n", s.batchItemErrors.Load())
 	fmt.Fprintf(w, "simrankd_requests_degraded_total %d\n", s.degradedTotal.Load())
-	fmt.Fprintf(w, "simrankd_engine_requests_total{engine=\"walk\"} %d\n", s.engineWalkTotal.Load())
-	fmt.Fprintf(w, "simrankd_engine_requests_total{engine=\"linearized\"} %d\n", s.engineLinTotal.Load())
 	s.writeCostModelMetrics(w)
 	fmt.Fprintf(w, "simrankd_cache_hits_total %d\n", hits)
 	fmt.Fprintf(w, "simrankd_cache_misses_total %d\n", misses)

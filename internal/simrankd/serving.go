@@ -52,23 +52,12 @@ type serving struct {
 	// deadline-aware degradation (see degrade.go).
 	rerankNanosPerCand atomic.Uint64
 
-	// exactNanos is the EWMA cost of one exact (linearized) single-source
-	// solve, in nanoseconds — the degradation cost model behind
-	// ?engine=linearized requests (see degrade.go).
-	exactNanos atomic.Uint64
-
 	// rerankSeconds is the time of every completed exact rerank of one
 	// source (a top-k request, or each source of a batch; the ranking
 	// alone, never the sweep before it) — the observations the
 	// per-candidate EWMA is folded from, kept as a distribution because the
 	// EWMA hides the hub-heavy tail that deadlines actually meet.
 	rerankSeconds *histogram.Histogram
-
-	// Per-engine request counters for the endpoints that accept ?engine=
-	// (/v1/single_source and /v1/topk), exported on /metrics as
-	// simrankd_engine_requests_total{engine}.
-	engineWalkTotal atomic.Int64
-	engineLinTotal  atomic.Int64
 
 	// Counters exported on /metrics. Latency is a histogram over every
 	// /v1 request, including error, shed, and degraded paths.
@@ -189,6 +178,22 @@ func (sv *serving) checkMethod(w http.ResponseWriter, r *http.Request, allowed .
 	w.Header().Set("Allow", strings.Join(allowed, ", "))
 	sv.writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s", r.Method, r.URL.Path)
 	return false
+}
+
+// checkEngine validates ?engine= on the four read endpoints. The walk
+// index is the one engine simrankd serves: an absent engine or "walk"
+// answers as if the parameter were not there, and any other value is a
+// 400, so a client asking for exact scores is refused, never served
+// estimates (exact rows are offline: simrank -algo linearized). It reads
+// the URL query alone — FormValue would also consume a POST form body, and
+// the /v1/batch and /v1/join bodies must reach the JSON decoder untouched.
+// Returns false after answering the request.
+func (sv *serving) checkEngine(w http.ResponseWriter, r *http.Request) bool {
+	if eng := r.URL.Query().Get("engine"); eng != "" && eng != "walk" {
+		sv.writeError(w, http.StatusBadRequest, "unknown engine %q (want \"walk\")", eng)
+		return false
+	}
+	return true
 }
 
 func writeJSONBytes(w http.ResponseWriter, body []byte) {

@@ -42,12 +42,6 @@ type rowSource interface {
 	// broadcast that reached part of a fleet).
 	applyEdits(ctx context.Context, edits []graph.Edit) (edgesResponse, error)
 
-	// exactRow solves row q of the converged SimRank matrix over the
-	// current graph into dst (length n). steady is false when the call also
-	// paid the one-time diagonal solve, which the per-query cost model must
-	// not see.
-	exactRow(ctx context.Context, q int, dst []float64) (row []float64, steady bool, err error)
-
 	// dims returns what never changes: the vertex count, the damping factor
 	// and the walk horizon.
 	dims() (n int, c float64, horizon int)
@@ -94,12 +88,6 @@ func (l *localSource) applyEdits(_ context.Context, edits []graph.Edit) (edgesRe
 		l.tag = strconv.FormatUint(resp.Generation, 10)
 	}
 	return resp, err
-}
-
-func (l *localSource) exactRow(ctx context.Context, q int, dst []float64) ([]float64, bool, error) {
-	_, prebuilt := l.idx.ExactStats()
-	row, err := l.idx.ExactSingleSource(ctx, q, dst)
-	return row, prebuilt, err
 }
 
 func (l *localSource) dims() (int, float64, int) { return l.idx.N(), l.idx.C(), l.idx.Horizon() }

@@ -88,12 +88,15 @@
 // from the attached graph. MultiSource and SparseRows return the owned
 // slice of each row for arbitrary sources; Pair and ApplyEdits behave as
 // on the full range; what needs all n rows in one place (SingleSource,
-// TopK, TopKBatch, Join, the exact engine, Save) is refused with one
-// error. simrankd's router composes score rows from a fleet and runs the
+// TopK, TopKBatch, Join, Save) is refused with one error. simrankd's router composes score rows from a fleet and runs the
 // join itself, over its own copy of the graph.
 //
 // Use the batch engines for all-pairs analytics, convergence studies, or
 // exact scores; use this package when queries arrive one vertex at a
 // time and latency or memory rules out n^2 work — the simrankd server
-// (cmd/simrankd) is a ready-made HTTP front end.
+// (cmd/simrankd) is a ready-made HTTP front end. This package has no exact
+// single-source path: an exact converged row is an offline computation,
+// simrank.Compute with the Linearized engine (the simrank CLI's -algo
+// linearized -query q), which solves the diagonal correction once per graph
+// and needs no n^2 state either.
 package query

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"oipsr/graph"
-	"oipsr/internal/linsr"
 	"oipsr/internal/par"
 	"oipsr/internal/sparserow"
 	"oipsr/internal/walkindex"
@@ -44,10 +43,6 @@ type Index struct {
 	// gen counts applied updates; cache layers fold it into their keys so
 	// pre-update responses can never be served post-update.
 	gen atomic.Uint64
-	// exact lazily holds the linearized-SimRank solver behind
-	// ExactSingleSource, keyed by (generation, graph) so edits invalidate
-	// it; see exactengine.go.
-	exact linsr.Lazy
 }
 
 // Ranked is one entry of a top-k result: a Vertex and its Score, encoded

@@ -218,26 +218,21 @@ func TestPartialRangeRefusals(t *testing.T) {
 	ix := buildRange(t, g, Options{Walks: 20, Seed: 1}, 10, 20, true)
 	scores := make([]float64, 30)
 	calls := map[string]func() error{
-		"SingleSource":      func() error { _, err := ix.SingleSource(ctx, 12); return err },
-		"SingleSourceInto":  func() error { _, err := ix.SingleSourceInto(ctx, 12, scores); return err },
-		"TopK":              func() error { _, err := ix.TopK(ctx, 12, 5, nil); return err },
-		"TopK rerank":       func() error { _, err := ix.TopK(ctx, 12, 5, &TopKOptions{Rerank: true}); return err },
-		"TopKFromScores":    func() error { _, err := ix.TopKFromScores(ctx, scores, 12, 5, nil); return err },
-		"TopKBatch":         func() error { _, err := ix.TopKBatch(ctx, []int{12, 3}, 5, nil, 1); return err },
-		"Join":              func() error { _, err := ix.Join(ctx, 5, 0.1, nil); return err },
-		"ExactSingleSource": func() error { _, err := ix.ExactSingleSource(ctx, 12, nil); return err },
-		"PrepareExact":      func() error { return ix.PrepareExact(ctx, 1) },
-		"Save":              func() error { return ix.Save(&bytes.Buffer{}) },
-		"SaveFile":          func() error { return ix.SaveFile(filepath.Join(t.TempDir(), "partial.idx")) },
+		"SingleSource":     func() error { _, err := ix.SingleSource(ctx, 12); return err },
+		"SingleSourceInto": func() error { _, err := ix.SingleSourceInto(ctx, 12, scores); return err },
+		"TopK":             func() error { _, err := ix.TopK(ctx, 12, 5, nil); return err },
+		"TopK rerank":      func() error { _, err := ix.TopK(ctx, 12, 5, &TopKOptions{Rerank: true}); return err },
+		"TopKFromScores":   func() error { _, err := ix.TopKFromScores(ctx, scores, 12, 5, nil); return err },
+		"TopKBatch":        func() error { _, err := ix.TopKBatch(ctx, []int{12, 3}, 5, nil, 1); return err },
+		"Join":             func() error { _, err := ix.Join(ctx, 5, 0.1, nil); return err },
+		"Save":             func() error { return ix.Save(&bytes.Buffer{}) },
+		"SaveFile":         func() error { return ix.SaveFile(filepath.Join(t.TempDir(), "partial.idx")) },
 	}
 	for name, call := range calls {
 		err := call()
 		if err == nil || !strings.Contains(err.Error(), "needs a full-range index, this one owns [10,20) of [0,30)") {
 			t.Errorf("%s on [10,20) of 30: %v, want the full-range refusal", name, err)
 		}
-	}
-	if _, built := ix.ExactStats(); built {
-		t.Error("ExactStats reports a solver on a partial range")
 	}
 }
 

@@ -471,11 +471,6 @@ func TestFullRangeBuildIsBuildIndex(t *testing.T) {
 			return flat, err
 		})
 		same("Join", func(ix *query.Index) (any, error) { return ix.Join(ctx, 10, 0.1, &query.JoinOptions{Workers: 2}) })
-		same("ExactSingleSource", func(ix *query.Index) (any, error) { return ix.ExactSingleSource(ctx, 17, nil) })
-		same("ExactStats", func(ix *query.Index) (any, error) {
-			st, ok := ix.ExactStats()
-			return []any{st.SolveIters, st.Residual, ok}, nil // the rest is a wall time
-		})
 		same("Save", func(ix *query.Index) (any, error) {
 			var buf bytes.Buffer
 			err := ix.Save(&buf)
