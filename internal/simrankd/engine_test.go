@@ -11,24 +11,28 @@ import (
 	"time"
 )
 
-// TestEngineParamValidation: ?engine= is input validation on every read
-// endpoint, in serve mode and through a two-shard router. An absent engine
-// and "walk" give byte-identical answers, computed afresh each (the cache
-// is off), and any other engine — "linearized" included, which simrankd
-// no longer serves — is the one 400, whatever else the request asks.
-func TestEngineParamValidation(t *testing.T) {
+// engineCases are the read requests the ?engine= tests send: every read
+// endpoint, with and without the options that change its answer.
+var engineCases = []struct{ method, path, body string }{
+	{"GET", "/v1/single_source?q=17", ""},
+	{"GET", "/v1/single_source?q=5&min=0.001", ""},
+	{"GET", "/v1/topk?q=7&k=9", ""},
+	{"GET", "/v1/topk?q=7&k=9&rerank=1", ""},
+	{"POST", "/v1/batch", `{"mode":"topk","sources":[3,17,200],"k":4,"rerank":true}`},
+	{"POST", "/v1/batch", `{"mode":"single_source","sources":[5,6],"min":0.002}`},
+	{"POST", "/v1/join", `{"k":5,"threshold":0.15}`},
+}
+
+// forEachEngineCase calls check with every engine case against a serve
+// node and a two-shard router over the same graph (the cache is off, so
+// every answer is computed afresh). ask sends the case with the given
+// ?engine= value, or with none when it is "".
+func forEachEngineCase(t *testing.T, check func(where string, ask func(engine string) (int, []byte))) {
+	t.Helper()
 	fl := newRouterFleet(t, 2, Config{Workers: 1, CacheSize: -1}, 0)
-	for _, c := range []struct{ method, path, body string }{
-		{"GET", "/v1/single_source?q=17", ""},
-		{"GET", "/v1/single_source?q=5&min=0.001", ""},
-		{"GET", "/v1/topk?q=7&k=9", ""},
-		{"GET", "/v1/topk?q=7&k=9&rerank=1", ""},
-		{"POST", "/v1/batch", `{"mode":"topk","sources":[3,17,200],"k":4,"rerank":true}`},
-		{"POST", "/v1/batch", `{"mode":"single_source","sources":[5,6],"min":0.002}`},
-		{"POST", "/v1/join", `{"k":5,"threshold":0.15}`},
-	} {
+	for _, c := range engineCases {
 		for mode, base := range map[string]string{"serve": fl.single.URL, "router": fl.router.URL} {
-			ask := func(engine string) (int, []byte) {
+			check(mode+" "+c.path+" "+c.body, func(engine string) (int, []byte) {
 				url := base + c.path
 				if engine != "" {
 					sep := "?"
@@ -41,22 +45,38 @@ func TestEngineParamValidation(t *testing.T) {
 					return get(t, url)
 				}
 				return postJSON(t, url, c.body)
-			}
-			code, plain := ask("")
-			if code != http.StatusOK {
-				t.Fatalf("%s %s %s: status %d, body %s", mode, c.path, c.body, code, plain)
-			}
-			if code, walk := ask("walk"); code != http.StatusOK || !bytes.Equal(plain, walk) {
-				t.Errorf("%s %s %s: engine=walk gave %d, body differs from no engine\nplain: %s\nwalk:  %s", mode, c.path, c.body, code, plain, walk)
-			}
-			for _, engine := range []string{"linearized", "bogus"} {
-				want := fmt.Sprintf(`{"error":"unknown engine \"%s\" (want \"walk\")"}`, engine) + "\n"
-				if code, body := ask(engine); code != http.StatusBadRequest || string(body) != want {
-					t.Errorf("%s %s %s engine=%s: status %d, body %q, want 400 %q", mode, c.path, c.body, engine, code, body, want)
-				}
-			}
+			})
 		}
 	}
+}
+
+// TestEngineWalkByteIdentity: on every read endpoint, in serve mode and
+// through a router, engine=walk answers byte for byte as no engine does.
+func TestEngineWalkByteIdentity(t *testing.T) {
+	forEachEngineCase(t, func(where string, ask func(string) (int, []byte)) {
+		code, plain := ask("")
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", where, code, plain)
+		}
+		if code, walk := ask("walk"); code != http.StatusOK || !bytes.Equal(plain, walk) {
+			t.Errorf("%s: engine=walk gave %d, body differs from no engine\nplain: %s\nwalk:  %s", where, code, plain, walk)
+		}
+	})
+}
+
+// TestEngineParamValidation: ?engine= is input validation on every read
+// endpoint, in serve mode and through a router. Any engine but walk —
+// "linearized" included, which simrankd no longer serves — is the one 400,
+// whatever else the request asks.
+func TestEngineParamValidation(t *testing.T) {
+	forEachEngineCase(t, func(where string, ask func(string) (int, []byte)) {
+		for _, engine := range []string{"linearized", "bogus"} {
+			want := fmt.Sprintf(`{"error":"unknown engine \"%s\" (want \"walk\")"}`, engine) + "\n"
+			if code, body := ask(engine); code != http.StatusBadRequest || string(body) != want {
+				t.Errorf("%s engine=%s: status %d, body %q, want 400 %q", where, engine, code, body, want)
+			}
+		}
+	})
 }
 
 // TestCostModelMetrics: the degradation cost model is readable from
