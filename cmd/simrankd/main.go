@@ -1,15 +1,13 @@
 // Command simrankd serves single-source and top-k SimRank queries over
 // HTTP from a persistent walk index (see oipsr/simrank/query).
 //
-// The daemon runs in one of four modes (-mode):
+// The daemon runs in one of three modes (-mode):
 //
-//	serve        single-node server over the whole graph (default)
-//	build-shards partition the graph into -shards walk-index shards,
-//	             publish them to -shard-dir with a sealed manifest, exit
-//	shard        serve one vertex range: /shard/v1/* partial-result
-//	             endpoints plus /v1/edges
-//	router       stateless scatter/gather front: the full /v1/* surface,
-//	             fanned out over -backends shard servers
+//	serve   single-node server over the whole graph (default)
+//	shard   serve range -shard-ordinal of a -shards way split, built from
+//	        the graph: /shard/v1/* partial-result endpoints plus /v1/edges
+//	router  stateless scatter/gather front: the full /v1/* surface,
+//	        fanned out over -backends shard servers
 //
 // In serve mode the daemon loads the graph (edge-list file or generator),
 // then loads the walk index from -index if the file exists, or builds it
@@ -26,12 +24,12 @@
 //
 //	simrankd -graph big.txt -index big.idx -index-mmap
 //
-// A sharded deployment of the same graph:
+// A sharded deployment of the same graph — each shard builds its range
+// from the graph at start-up and keeps no file:
 //
-//	simrankd -mode build-shards -gen web -n 5000 -d 11 -shards 3 -shard-dir shards/
-//	simrankd -mode shard -gen web -n 5000 -d 11 -shard-dir shards/ -shard-ordinal 0 -addr :8360
-//	...                                          -shard-ordinal 1 -addr :8361
-//	...                                          -shard-ordinal 2 -addr :8362
+//	simrankd -mode shard -gen web -n 5000 -d 11 -shards 3 -shard-ordinal 0 -addr :8360
+//	...                                        -shards 3 -shard-ordinal 1 -addr :8361
+//	...                                        -shards 3 -shard-ordinal 2 -addr :8362
 //	simrankd -mode router -gen web -n 5000 -d 11 -backends http://localhost:8360,http://localhost:8361,http://localhost:8362
 //
 // Endpoints (serve and router modes):
@@ -126,7 +124,6 @@ type options struct {
 
 	shards       int
 	shardOrdinal int
-	shardDir     string
 	backends     string
 	shardTimeout time.Duration
 }
@@ -136,9 +133,9 @@ type options struct {
 // found, phrased for the command line.
 func validate(o *options) error {
 	switch o.mode {
-	case "serve", "shard", "router", "build-shards":
+	case "serve", "shard", "router":
 	default:
-		return fmt.Errorf("-mode must be serve, shard, router or build-shards (got %q)", o.mode)
+		return fmt.Errorf("-mode must be serve, shard or router (got %q)", o.mode)
 	}
 	if o.maxBatch < 1 {
 		return fmt.Errorf("-max-batch must be at least 1 (got %d)", o.maxBatch)
@@ -159,35 +156,22 @@ func validate(o *options) error {
 		return fmt.Errorf("-shutdown-drain must not be negative (got %v)", o.drain)
 	}
 	if o.indexMmap {
-		switch o.mode {
-		case "serve":
-			if o.indexPath == "" {
-				return errors.New("-index-mmap needs -index (a file to write back to)")
-			}
-		case "shard":
-			if o.shardDir == "" {
-				return errors.New("-index-mmap in shard mode needs -shard-dir (a built manifest)")
-			}
-		default:
-			return fmt.Errorf("-index-mmap only applies to -mode serve or shard (got %q: the router holds no index, build-shards only writes files)", o.mode)
+		if o.mode != "serve" {
+			return fmt.Errorf("-index-mmap only applies to -mode serve (got %q: a shard builds its range from the graph, the router holds no index)", o.mode)
+		}
+		if o.indexPath == "" {
+			return errors.New("-index-mmap needs -index (a file to write back to)")
 		}
 	}
 	switch o.mode {
-	case "build-shards":
-		if o.shards < 1 {
-			return fmt.Errorf("-mode build-shards needs -shards >= 1 (got %d)", o.shards)
-		}
-		if o.shardDir == "" {
-			return errors.New("-mode build-shards needs -shard-dir")
-		}
 	case "shard":
-		if o.shardDir == "" && o.shards < 1 {
-			return errors.New("-mode shard needs -shard-dir (built manifest) or -shards (build in memory)")
+		if o.shards < 1 {
+			return fmt.Errorf("-mode shard needs -shards >= 1 (got %d)", o.shards)
 		}
 		if o.shardOrdinal < 0 {
 			return fmt.Errorf("-shard-ordinal must not be negative (got %d)", o.shardOrdinal)
 		}
-		if o.shardDir == "" && o.shardOrdinal >= o.shards {
+		if o.shardOrdinal >= o.shards {
 			return fmt.Errorf("-shard-ordinal %d out of range for -shards %d", o.shardOrdinal, o.shards)
 		}
 	case "router":
@@ -214,7 +198,7 @@ func splitBackends(s string) []string {
 
 func main() {
 	var o options
-	flag.StringVar(&o.mode, "mode", "serve", "serve | shard | router | build-shards")
+	flag.StringVar(&o.mode, "mode", "serve", "serve | shard | router")
 	flag.StringVar(&o.addr, "addr", ":8356", "listen address")
 	flag.BoolVar(&o.version, "version", false, "print version and exit")
 	flag.StringVar(&o.graphPath, "graph", "", "edge-list file to load")
@@ -224,7 +208,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "generator / index seed")
 	flag.StringVar(&o.indexPath, "index", "", "walk-index file: loaded when present, else built and saved here")
 	flag.BoolVar(&o.rebuild, "rebuild", false, "rebuild the index even if -index exists")
-	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve/shard: make every /v1/edges batch durable in an edit log beside the index file, rewritten into the file at checkpoints (each a whole re-save of the index), so a restart on the edited graph serves the edited index; the graph before the edits is refused")
+	flag.BoolVar(&o.indexMmap, "index-mmap", false, "serve: make every /v1/edges batch durable in an edit log beside the index file, rewritten into the file at checkpoints (each a whole re-save of the index), so a restart on the edited graph serves the edited index; the graph before the edits is refused")
 	flag.Float64Var(&o.c, "c", 0.6, "damping factor C")
 	flag.IntVar(&o.k, "k", 0, "walk horizon (0 = derive from -eps)")
 	flag.Float64Var(&o.eps, "eps", 1e-3, "truncation target when -k is 0")
@@ -237,9 +221,8 @@ func main() {
 	flag.IntVar(&o.maxInflight, "max-inflight", simrankd.DefaultMaxInflight(), "max /v1 requests executing concurrently")
 	flag.IntVar(&o.queueDepth, "queue-depth", 0, "requests allowed to wait for an execution slot; beyond it 429 (0 = 2*max-inflight, -1 = no queue)")
 	flag.DurationVar(&o.drain, "shutdown-drain", 10*time.Second, "time to drain in-flight requests on SIGINT/SIGTERM before cancelling them")
-	flag.IntVar(&o.shards, "shards", 0, "build-shards: partition count; shard: fleet size when building in memory")
-	flag.IntVar(&o.shardOrdinal, "shard-ordinal", 0, "shard: which manifest entry (or planned range) this process serves")
-	flag.StringVar(&o.shardDir, "shard-dir", "", "shard directory: written by build-shards, read by shard mode")
+	flag.IntVar(&o.shards, "shards", 0, "shard: fleet size, the number of ranges [0, n) is split into")
+	flag.IntVar(&o.shardOrdinal, "shard-ordinal", 0, "shard: which planned range this process serves")
 	flag.StringVar(&o.backends, "backends", "", "router: comma-separated shard base URLs, one per vertex range")
 	flag.DurationVar(&o.shardTimeout, "shard-timeout", simrankd.DefaultShardTimeout, "router: deadline per scatter leg to one shard")
 	flag.Parse()
@@ -278,17 +261,6 @@ func main() {
 	var handler http.Handler
 	var served *query.Index // closed after the drain: a write-back index checkpoints its edit log
 	switch o.mode {
-	case "build-shards":
-		t0 := time.Now()
-		m, err := shard.BuildAll(g, opt, o.shardDir, o.shards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simrankd: %v\n", err)
-			os.Exit(1)
-		}
-		log.Printf("shards: built %d format-v%d shards (n=%d walks=%d horizon=%d c=%g) into %s in %v",
-			len(m.Shards), m.Format, m.N, m.Walks, m.K, m.C, o.shardDir, time.Since(t0))
-		return
-
 	case "router":
 		rt, err := simrankd.NewRouter(g, splitBackends(o.backends), simrankd.RouterConfig{
 			Config: cfg, ShardTimeout: o.shardTimeout,
@@ -379,39 +351,18 @@ func run(handler http.Handler, addr string, drain time.Duration) error {
 
 // openIndex produces the index this process serves, graph attached: the
 // full range in serve mode, range -shard-ordinal of the fleet in shard
-// mode. It is loaded from where the flags keep it — the -index file, or
-// that entry of the -shard-dir manifest — and otherwise built. Under
-// -index-mmap the build is streamed into the -index file, which is then
-// opened once and keeps every edit batch durable (an edit log beside it,
-// checkpointed into it); any other index
-// is built in memory and saved to -index if given.
-// A loaded index that disagrees with the index-shaping flags is served as
-// it is, with a warning.
+// mode. A shard is always built from the graph. In serve mode the index
+// is loaded from the -index file when it exists (and -rebuild is not
+// given), and otherwise built. Under -index-mmap the build is streamed
+// into the -index file, which is then opened once and keeps every edit
+// batch durable (an edit log beside it, checkpointed into it); any other
+// index is built in memory and saved to -index if given. A loaded index
+// that disagrees with the index-shaping flags is served as it is, with a
+// warning.
 func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, error) {
 	r := shard.Range{Lo: 0, Hi: g.NumVertices()}
 	path := o.indexPath
-	load := func() (*query.Index, error) {
-		if o.indexMmap {
-			return query.LoadFileMapped(path, query.MappedOptions{})
-		}
-		return query.LoadFile(path)
-	}
-	sealed := false // a shard directory is built by build-shards, only read here
-	switch {
-	case o.mode == "shard" && o.shardDir != "":
-		m, err := shard.LoadManifest(o.shardDir)
-		if err != nil {
-			return nil, err
-		}
-		path, sealed = fmt.Sprintf("%s shard %d", o.shardDir, o.shardOrdinal), true
-		load = func() (*query.Index, error) {
-			sh, err := shard.OpenShard(o.shardDir, m, o.shardOrdinal, o.indexMmap)
-			if err != nil {
-				return nil, err
-			}
-			return sh.Index, nil
-		}
-	case o.mode == "shard":
+	if o.mode == "shard" {
 		ranges, err := shard.Plan(g.NumVertices(), o.shards)
 		if err != nil {
 			return nil, err
@@ -420,7 +371,13 @@ func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, err
 	}
 	// open loads the file at path and attaches the graph; how is for the log.
 	open := func(how string) (*query.Index, error) {
-		idx, err := load()
+		var idx *query.Index
+		var err error
+		if o.indexMmap {
+			idx, err = query.LoadFileMapped(path, query.MappedOptions{})
+		} else {
+			idx, err = query.LoadFile(path)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -432,15 +389,15 @@ func openIndex(g *graph.Graph, o *options, opt query.Options) (*query.Index, err
 		return idx, nil
 	}
 
-	if path != "" && (sealed || !o.rebuild) {
+	if path != "" && !o.rebuild {
 		idx, err := open("loaded")
 		switch {
 		case err == nil:
 			if warn := paramMismatch(idx, opt); warn != "" {
-				log.Printf("index: WARNING: loaded index disagrees with flags (%s); index-shaping flags are ignored for a loaded index — pass -rebuild (or re-run build-shards) to apply them", warn)
+				log.Printf("index: WARNING: loaded index disagrees with flags (%s); index-shaping flags are ignored for a loaded index — pass -rebuild to apply them", warn)
 			}
 			return idx, nil
-		case sealed || !errors.Is(err, os.ErrNotExist):
+		case !errors.Is(err, os.ErrNotExist):
 			return nil, fmt.Errorf("loading index %s: %w", path, err)
 		}
 	}

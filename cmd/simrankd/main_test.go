@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"log"
 	"os"
 	"path/filepath"
@@ -12,8 +13,8 @@ import (
 
 	"oipsr/graph"
 	"oipsr/graph/gen"
+	"oipsr/internal/walkindex"
 	"oipsr/simrank/query"
-	"oipsr/simrank/shard"
 )
 
 // goodOptions is a valid baseline; each failure case perturbs one field.
@@ -43,9 +44,12 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"queue_below_sentinel", func(o *options) { o.queueDepth = -2 }, "-queue-depth"},
 		{"neg_timeout", func(o *options) { o.reqTimeout = -time.Second }, "-request-timeout"},
 		{"neg_drain", func(o *options) { o.drain = -time.Second }, "-shutdown-drain"},
-		{"build_no_shards", func(o *options) { o.mode = "build-shards"; o.shardDir = "x" }, "-shards"},
-		{"build_no_dir", func(o *options) { o.mode = "build-shards"; o.shards = 2 }, "-shard-dir"},
-		{"shard_no_source", func(o *options) { o.mode = "shard" }, "-shard-dir"},
+		// build-shards is a retired mode: shards build their ranges from
+		// the graph, so there is no directory to write.
+		{"build_no_shards", func(o *options) { o.mode = "build-shards" }, "-mode"},
+		{"build_no_dir", func(o *options) { o.mode = "build-shards"; o.shards = 2 }, "-mode"},
+		{"build_shards", func(o *options) { o.mode = "build-shards"; o.shards = 4 }, "-mode"},
+		{"shard_no_source", func(o *options) { o.mode = "shard" }, "-shards"},
 		{"shard_neg_ordinal", func(o *options) { o.mode = "shard"; o.shards = 2; o.shardOrdinal = -1 }, "-shard-ordinal"},
 		{"shard_ordinal_oob", func(o *options) { o.mode = "shard"; o.shards = 2; o.shardOrdinal = 2 }, "-shard-ordinal"},
 		{"router_no_backends", func(o *options) { o.mode = "router" }, "-backends"},
@@ -61,11 +65,18 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 			o.backends = "http://a:1"
 			o.indexMmap = true
 		}, "-index-mmap"},
+		// A shard keeps no file to write back to.
 		{"mmap_shard_no_dir", func(o *options) {
 			o.mode = "shard"
 			o.shards = 2
 			o.indexMmap = true
-		}, "-shard-dir"},
+		}, "-index-mmap"},
+		{"shard_mmap", func(o *options) {
+			o.mode = "shard"
+			o.shards = 3
+			o.indexMmap = true
+			o.indexPath = "walks.idx"
+		}, "-index-mmap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,12 +101,9 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 		{"serve_defaults", func(o *options) {}},
 		{"no_queue_sentinel", func(o *options) { o.queueDepth = -1 }},
 		{"no_timeout", func(o *options) { o.reqTimeout = 0 }},
-		{"build_shards", func(o *options) { o.mode = "build-shards"; o.shards = 4; o.shardDir = "s/" }},
-		{"shard_from_dir", func(o *options) { o.mode = "shard"; o.shardDir = "s/"; o.shardOrdinal = 7 }},
 		{"shard_in_memory", func(o *options) { o.mode = "shard"; o.shards = 3; o.shardOrdinal = 2 }},
 		{"router", func(o *options) { o.mode = "router"; o.backends = "http://a:1, http://b:2" }},
 		{"serve_mmap", func(o *options) { o.indexMmap = true; o.indexPath = "walks.idx" }},
-		{"shard_mmap", func(o *options) { o.mode = "shard"; o.shardDir = "s/"; o.indexMmap = true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,18 +136,14 @@ func TestSplitBackends(t *testing.T) {
 
 // TestOpenIndexWarnsOnMismatchedFlags: an index loaded from disk is served
 // with the parameters it was built with, whatever -walks / -c / -k / -seed
-// say, and every way of loading one says so — the -index file and the
-// -shard-dir manifest entry, decoded and mapped — while flags that agree,
-// and a fresh build, warn about nothing.
+// say, and both ways of loading one say so — the -index file decoded and
+// mapped — while flags that agree, and a shard, which is always built from
+// the flags, warn about nothing.
 func TestOpenIndexWarnsOnMismatchedFlags(t *testing.T) {
 	g := gen.WebGraph(80, 5, 3)
 	built := query.Options{Walks: 12, Seed: 3, Workers: 1}
-	dir := t.TempDir()
-	indexPath := filepath.Join(dir, "web.idx")
+	indexPath := filepath.Join(t.TempDir(), "web.idx")
 	if _, err := query.BuildFileStreaming(g, built, indexPath, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shard.BuildAll(g, built, dir, 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -149,8 +153,6 @@ func TestOpenIndexWarnsOnMismatchedFlags(t *testing.T) {
 	}{
 		{"serve_index", func(o *options) { o.indexPath = indexPath }, 0},
 		{"serve_index_mmap", func(o *options) { o.indexPath = indexPath; o.indexMmap = true }, 0},
-		{"shard_dir", func(o *options) { o.mode = "shard"; o.shardDir = dir; o.shardOrdinal = 1 }, 40},
-		{"shard_dir_mmap", func(o *options) { o.mode = "shard"; o.shardDir = dir; o.shardOrdinal = 1; o.indexMmap = true }, 40},
 		{"shard_in_memory", func(o *options) { o.mode = "shard"; o.shards = 2; o.shardOrdinal = 1 }, 40},
 	} {
 		for _, flags := range []struct {
@@ -236,6 +238,37 @@ func TestOpenIndexRefusesOtherGraph(t *testing.T) {
 			t.Fatalf("-index-mmap=%v on the index's own graph: %v", mmap, err)
 		}
 		idx.Close()
+	}
+}
+
+// TestOpenIndexRefusesRetiredShard: a shard file of the retired layout —
+// the parent's [10, 120) file, with its owned range in a longer header —
+// given as -index fails start-up, decoded or written back, with a clean
+// ErrBadMagic, and is left as it was.
+func TestOpenIndexRefusesRetiredShard(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "walkindex", "testdata", "parent", "parent-v2.shard"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gen.WebGraph(130, 5, 7)
+	for _, mmap := range []bool{false, true} {
+		o := goodOptions()
+		o.indexPath, o.indexMmap = filepath.Join(t.TempDir(), "shard-0000.srwk"), mmap
+		if err := os.WriteFile(o.indexPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := validate(&o); err != nil {
+			t.Fatal(err)
+		}
+		if idx, err := openIndex(g, &o, query.Options{C: 0.7, K: 6, Walks: 8, Seed: 42}); !errors.Is(err, walkindex.ErrBadMagic) {
+			if err == nil {
+				idx.Close()
+			}
+			t.Fatalf("-index-mmap=%v: err = %v, want ErrBadMagic", mmap, err)
+		}
+		if got, err := os.ReadFile(o.indexPath); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("-index-mmap=%v: the refused file changed (read err %v)", mmap, err)
+		}
 	}
 }
 

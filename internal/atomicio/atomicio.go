@@ -2,27 +2,20 @@
 // sibling temp file, fsync, rename over the destination, fsync of the
 // directory so the rename itself survives a crash. A crash at any point
 // leaves either the old file or the complete new one — never a truncated
-// or empty artifact. query.SaveFile and the shard builder both publish
-// their index files through it.
+// or empty artifact. query.SaveFile, the streamed build and the
+// write-back's checkpoint publish their index files through it.
 package atomicio
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 )
 
-// WriteFile writes the output of write to path atomically. write receives
-// the temp file; any error it returns aborts the publish and removes the
-// temp file.
-func WriteFile(path string, write func(io.Writer) error) error {
-	return WriteFileAt(path, func(f *os.File) error { return write(f) })
-}
-
-// WriteFileAt is WriteFile for producers that need random access while
-// emitting the payload — the walk-index file writer writes its header and
-// directory at offset 0 after the payload, via WriteAt. write receives the
-// temp *os.File; the same abort/fsync/rename discipline applies.
+// WriteFileAt writes the output of write to path atomically. write
+// receives the temp *os.File, with random access for producers that need
+// it — the walk-index file writer writes its header and directory at
+// offset 0 after the payload, via WriteAt; any error it returns aborts the
+// publish and removes the temp file.
 func WriteFileAt(path string, write func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")

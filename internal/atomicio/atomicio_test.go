@@ -50,13 +50,13 @@ func wantContent(t *testing.T, path string, want []byte) {
 
 // TestWriteFilePublishes: success creates the file, then replaces it whole
 // — a shorter payload leaves no tail of the longer one — and the directory
-// entry exists, alone, when WriteFile returns.
+// entry exists, alone, when WriteFileAt returns.
 func TestWriteFilePublishes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index.srwk")
 	for _, payload := range []string{"the first, longer payload", "second"} {
-		err := WriteFile(path, func(w io.Writer) error {
-			_, err := io.WriteString(w, payload)
+		err := WriteFileAt(path, func(f *os.File) error {
+			_, err := io.WriteString(f, payload)
 			return err
 		})
 		if err != nil {
@@ -141,8 +141,8 @@ func TestWriteFileAllOrNothing(t *testing.T) {
 		if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		err := WriteFile(path, func(w io.Writer) error {
-			_, err := io.WriteString(w, "complete payload")
+		err := WriteFileAt(path, func(f *os.File) error {
+			_, err := io.WriteString(f, "complete payload")
 			return err
 		})
 		if err == nil {
@@ -155,7 +155,7 @@ func TestWriteFileAllOrNothing(t *testing.T) {
 	t.Run("missing directory", func(t *testing.T) {
 		dir := t.TempDir()
 		called := false
-		err := WriteFile(filepath.Join(dir, "absent", "index.srwk"), func(io.Writer) error {
+		err := WriteFileAt(filepath.Join(dir, "absent", "index.srwk"), func(*os.File) error {
 			called = true
 			return nil
 		})

@@ -151,7 +151,7 @@ func TestMappedServesBitIdenticalResponses(t *testing.T) {
 // index_bytes and /metrics simrankd_index_bytes, which are the handle's
 // Bytes before and after an edit batch (which moves it through the walks
 // it repaired). Serve mode over a dense and over a mapped (write-back)
-// index, shard mode over a dense and over a mapped shard.
+// index, shard mode over a shard, which is always built from the graph.
 func TestVisitBytesReported(t *testing.T) {
 	g := gen.WebGraph(90, 5, 3)
 	opt := query.Options{Walks: 20, Seed: 1, Workers: 1}
@@ -175,18 +175,6 @@ func TestVisitBytesReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := shard.BuildAll(g, opt, dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mappedShard, err := shard.OpenShard(dir, m, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mappedShard.Close()
-	if err := mappedShard.AttachGraph(g); err != nil {
-		t.Fatal(err)
-	}
 	shardServer := func(sh *shard.Shard) http.Handler {
 		ss, err := NewShardServer(sh, Config{Workers: 1})
 		if err != nil {
@@ -202,7 +190,6 @@ func TestVisitBytesReported(t *testing.T) {
 		"serve-dense":  {NewServer(built, Config{Workers: 1}), built},
 		"serve-mapped": {NewServer(mapped, Config{Workers: 1}), mapped},
 		"shard-dense":  {shardServer(denseShard), denseShard.Index},
-		"shard-mapped": {shardServer(mappedShard), mappedShard.Index},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ts := httptest.NewServer(c.h)

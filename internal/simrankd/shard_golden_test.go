@@ -17,28 +17,6 @@ import (
 // of the 3-way split of the golden graph.
 const goldenShardOrdinal = 1
 
-// goldenOpenShard builds a 3-shard directory of g and opens its middle
-// shard from the manifest, read-only or writing edits back to its file
-// (demand-paged at d366a63), no graph attached. The
-// OpenShard call is the only line of this file that does not compile at
-// d366a63, where it reads, when mapped,
-// shard.OpenShardMapped(dir, m, goldenShardOrdinal, query.MappedOptions{})
-// — see testdata/parent/README.md.
-func goldenOpenShard(t *testing.T, g *graph.Graph, opt query.Options, mapped bool) *shard.Shard {
-	t.Helper()
-	dir := t.TempDir()
-	m, err := shard.BuildAll(g, opt, dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := shard.OpenShard(dir, m, goldenShardOrdinal, mapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sh.Close() })
-	return sh
-}
-
 // shardReads is what a router asks a shard — [20, 40) of 60 vertices — and
 // every way of asking it wrong.
 func shardReads() []goldenProbe {
@@ -155,10 +133,12 @@ func applyShardErrorTexts(t *testing.T, want []byte) []byte {
 // router goldens only see through a merge: /healthz, the three
 // /shard/v1/* endpoints of the parent and /v1/edges on the middle range of
 // the 3-way split, before and after the golden edit batch, over a shard
-// built in memory and over one opened demand-paged from a shard directory.
-// The answers are d366a63's — the last commit where shard.Shard
-// implemented them itself — byte for byte, shardErrorTexts and
-// shardJoinGone excepted.
+// built in memory. The answers are d366a63's — the last commit where
+// shard.Shard implemented them itself — byte for byte, shardErrorTexts and
+// shardJoinGone excepted. The parent's replay of the same phases over a
+// shard opened from a shard directory (mapped-*) is not run: shards no
+// longer keep files, and dropMappedPhases checks that each of those
+// records is its dense-* twin before it drops it.
 func TestParentShardGoldens(t *testing.T) {
 	g := gen.WebGraph(goldenN, 5, 101)
 	opt := query.Options{Walks: 200, Seed: 7, Workers: 1}
@@ -170,55 +150,86 @@ func TestParentShardGoldens(t *testing.T) {
 	rg := ranges[goldenShardOrdinal]
 
 	var out bytes.Buffer
-	for _, backend := range []string{"dense", "mapped"} {
-		var sh *shard.Shard
-		if backend == "dense" {
-			if sh, err = shard.Build(g, opt, rg.Lo, rg.Hi); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			sh = goldenOpenShard(t, g, opt, true)
-			if err := sh.AttachGraph(g); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ss, err := NewShardServer(sh, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		transcribe(t, &out, ss, &ss.serving, backend+"-before", shardReads())
-		transcribe(t, &out, ss, &ss.serving, backend+"-edit", goldenEdits)
-		transcribe(t, &out, ss, &ss.serving, backend+"-after", shardReads())
+	sh, err := shard.Build(g, opt, rg.Lo, rg.Hi)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ss, err := NewShardServer(sh, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transcribe(t, &out, ss, &ss.serving, "dense-before", shardReads())
+	transcribe(t, &out, ss, &ss.serving, "dense-edit", goldenEdits)
+	transcribe(t, &out, ss, &ss.serving, "dense-after", shardReads())
 
 	// A shard nobody attached the graph to cannot be served at all.
-	_, err = NewShardServer(goldenOpenShard(t, g, opt, false), cfg)
+	_, err = NewShardServer(noGraphShard(t, g, opt), cfg)
 	fmt.Fprintf(&out, "== nograph/new_shard_server\n-- %v\n", err)
 
-	checkGoldenAgainst(t, "shard.txt", maskMappedBacking(out.Bytes()), func(t *testing.T, want []byte) []byte {
-		return maskMappedBacking(replaceRecords(t, applyShardErrorTexts(t, want), shardJoinGone()))
+	checkGoldenAgainst(t, "shard.txt", out.Bytes(), func(t *testing.T, want []byte) []byte {
+		return replaceRecords(t, applyShardErrorTexts(t, dropMappedPhases(t, want)), shardJoinGone())
 	})
 }
 
-// mappedBacking is what /healthz says about the storage of a shard opened
-// with OpenShard(…, true). At d366a63 it paged its file: index_bytes was
-// the file size, index_forest_bytes 0, backend "mapped". Its rows are
-// resident now, with a coalescence order, and the backend is
-// "write-back", so in the mapped-* records these three fields are masked
-// on both sides; every other byte, the scores included, is compared.
-var mappedBacking = regexp.MustCompile(`"index_bytes":\d+,"index_forest_bytes":\d+,"backend":"[a-z-]+"`)
+// noGraphShard is a shard with no graph attached: an index saved and
+// loaded back by query.Load, which leaves the graph to AttachGraph.
+func noGraphShard(t *testing.T, g *graph.Graph, opt query.Options) *shard.Shard {
+	t.Helper()
+	built, err := query.BuildIndex(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := query.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &shard.Shard{Index: ix}
+}
 
-// maskMappedBacking masks mappedBacking in the records of the mapped-*
-// phases of a shard transcript.
-func maskMappedBacking(b []byte) []byte {
-	lines := bytes.Split(b, []byte("\n"))
-	mapped := false
-	for i, line := range lines {
-		if bytes.HasPrefix(line, []byte("== ")) {
-			mapped = bytes.HasPrefix(line, []byte("== mapped-"))
-		} else if mapped {
-			lines[i] = mappedBacking.ReplaceAll(line, []byte(`"index_bytes":*,"index_forest_bytes":*,"backend":*`))
+// mappedBacking is what /healthz says about the storage of a shard opened
+// mapped from a shard directory: at d366a63 it paged its file
+// (index_bytes the file size, index_forest_bytes 0, backend "mapped"),
+// where the dense-* twin of the record reports its resident rows — with
+// index_bytes already dropped by checkGoldenAgainst (dropDenseBytes).
+var mappedBacking = regexp.MustCompile(`("index_bytes":\d+,)?"index_forest_bytes":\d+,"backend":"[a-z-]+"`)
+
+// dropMappedPhases removes the records of the mapped-* phases from the
+// parent's shard transcript, after checking that each is its dense-* twin
+// — status, headers and body, scores included — once mappedBacking is
+// masked in both.
+func dropMappedPhases(t *testing.T, want []byte) []byte {
+	t.Helper()
+	mask := func(s string) string {
+		return mappedBacking.ReplaceAllString(s, `"index_bytes":*,"index_forest_bytes":*,"backend":*`)
+	}
+	lines := strings.Split(string(want), "\n")
+	var kept []string
+	records, twins := map[string]string{}, map[string]string{}
+	for i := 0; i < len(lines); i++ {
+		name, isHeader := strings.CutPrefix(lines[i], "== ")
+		if !isHeader || !strings.HasPrefix(name, "mapped-") {
+			kept = append(kept, lines[i])
+			if isHeader && strings.HasPrefix(name, "dense-") {
+				records[strings.TrimPrefix(name, "dense-")] = mask(recordText(t, want, strings.SplitN(name, ":", 2)[0]))
+			}
+			continue
+		}
+		twins[strings.TrimPrefix(name, "mapped-")] = mask(recordText(t, want, strings.SplitN(name, ":", 2)[0]))
+		for i+1 < len(lines) && !strings.HasPrefix(lines[i+1], "== ") && lines[i+1] != "" {
+			i++
 		}
 	}
-	return bytes.Join(lines, []byte("\n"))
+	if len(twins) == 0 || len(twins) != len(records) {
+		t.Fatalf("the parent's transcript has %d mapped-* records and %d dense-* ones", len(twins), len(records))
+	}
+	for name, text := range twins {
+		if records[name] != text {
+			t.Fatalf("mapped-%s is not its dense-* twin:\n%s\n%s", name, text, records[name])
+		}
+	}
+	return []byte(strings.Join(kept, "\n"))
 }

@@ -77,12 +77,12 @@ func BenchmarkOpen(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			data := saveBytes(b, built, IndexFile)
+			data := saveBytes(b, built)
 			var decode, check, sort time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				f, err := readFile(bytes.NewReader(data), IndexFile)
+				f, err := readFile(bytes.NewReader(data))
 				if err != nil {
 					b.Fatal(err)
 				}

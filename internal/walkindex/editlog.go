@@ -55,7 +55,7 @@ import (
 // checkpoints whatever the log holds. A crash between the checkpoint's
 // rename and the log's removal leaves a log naming the old file, which the
 // next open ignores. Every other writer of a file at path — Save through
-// PublishFile, a streamed build, a shard directory build — removes the log
+// PublishFile, a streamed build — removes the log
 // before it publishes, so a log can never replay onto a fresh file that
 // happens to have its base's bytes.
 
@@ -74,8 +74,7 @@ var logMagic = [8]byte{'S', 'R', 'W', 'K', 'L', 'O', 'G', 0}
 // and the header's own CRC.
 const logHeaderLen = 8 + 4 + 8 + 4 + 4
 
-// logPath returns the path of the edit log beside the index or shard file
-// at path.
+// logPath returns the path of the edit log beside the index file at path.
 func logPath(path string) string { return path + ".log" }
 
 // logHeader returns the header of a log over the file of the given size
@@ -131,18 +130,6 @@ func nextRecord(body []byte) (payload []byte, used int, ok bool) {
 		return nil, 0, false
 	}
 	return body[w:end], end + 4, true
-}
-
-// LogPending reports whether the index or shard file at path, of the
-// given size and trailer checksum, has an edit log beside it with at least
-// one whole record: edits the file itself does not hold yet.
-func LogPending(path string, size int64, crc uint32) (bool, error) {
-	body, ok, err := readLog(path, size, crc)
-	if !ok || err != nil {
-		return false, err
-	}
-	_, _, ok = nextRecord(body)
-	return ok, nil
 }
 
 // removeLog deletes the edit log beside path, if there is one, and makes

@@ -27,12 +27,12 @@ func logFixture(t *testing.T, batches int) (string, *Index, []*graph.Graph, Opti
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := saveFile(t, built, IndexFile)
+	path := saveFile(t, built)
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := openWriteBack(t, path, IndexFile, g)
+	wb := openWriteBack(t, path, g)
 	graphs := []*graph.Graph{g}
 	rng := rand.New(rand.NewSource(3))
 	for len(graphs) <= batches {
@@ -60,7 +60,7 @@ func requireReload(t *testing.T, path string, g *graph.Graph, opt Options, what 
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireDurable(t, path, IndexFile, fresh, nil, what)
+	requireDurable(t, path, fresh, nil, what)
 }
 
 // TestEditLogTornTail cuts the log at every byte offset inside its last
@@ -87,7 +87,7 @@ func TestEditLogTornTail(t *testing.T) {
 		if err := os.WriteFile(logPath(path), log[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadFile(path, IndexFile)
+		got, err := LoadFile(path)
 		if err != nil {
 			t.Fatalf("log cut at %d: %v", cut, err)
 		}
@@ -104,7 +104,7 @@ func TestEditLogTornTail(t *testing.T) {
 	if err := os.WriteFile(logPath(path), log[:last+1], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	torn := openWriteBack(t, path, IndexFile, graphs[k-1])
+	torn := openWriteBack(t, path, graphs[k-1])
 	if !torn.file.logBroken || torn.file.logBytes != int64(last) {
 		t.Fatalf("reopened over a torn log: broken %v, %d valid bytes, want true, %d", torn.file.logBroken, torn.file.logBytes, last)
 	}
@@ -119,7 +119,7 @@ func TestEditLogTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireFile(t, path, saveBytes(t, fresh, IndexFile), "the batch after a torn log")
+	requireFile(t, path, saveBytes(t, fresh), "the batch after a torn log")
 	if _, err := os.Stat(logPath(path)); !os.IsNotExist(err) {
 		t.Fatalf("the batch after a torn log did not checkpoint (stat err %v)", err)
 	}
@@ -145,7 +145,7 @@ func TestEditLogCrashBeforeRemoval(t *testing.T) {
 	}
 	requireReload(t, path, graphs[k], opt, "a stale log beside the checkpoint")
 
-	reopened := openWriteBack(t, path, IndexFile, graphs[k])
+	reopened := openWriteBack(t, path, graphs[k])
 	if reopened.file.logBytes != 0 || reopened.file.logBroken {
 		t.Fatalf("a stale log was taken up: %d bytes, broken %v", reopened.file.logBytes, reopened.file.logBroken)
 	}
@@ -216,7 +216,7 @@ func TestEditLogFailedAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireFile(t, path, saveBytes(t, fresh2, IndexFile), "the checkpoint after a failed append")
+	requireFile(t, path, saveBytes(t, fresh2), "the checkpoint after a failed append")
 	if _, err := os.Stat(logPath(path)); !os.IsNotExist(err) {
 		t.Fatalf("the checkpoint left the log (stat err %v)", err)
 	}
@@ -255,7 +255,7 @@ func TestEditLogCheckpointShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireFile(t, path, saveBytes(t, fresh, IndexFile), "the checkpoint at the log's share")
+	requireFile(t, path, saveBytes(t, fresh), "the checkpoint at the log's share")
 	if _, err := os.Stat(logPath(path)); !os.IsNotExist(err) {
 		t.Fatalf("the checkpoint left the log (stat err %v)", err)
 	}
@@ -273,7 +273,7 @@ func FuzzEditLog(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	base := saveBytes(f, built, IndexFile)
+	base := saveBytes(f, built)
 	dir := f.TempDir()
 	path := filepath.Join(dir, "index.srwk")
 	if err := os.WriteFile(path, base, 0o644); err != nil {
@@ -287,7 +287,7 @@ func FuzzEditLog(f *testing.F) {
 	if err := os.WriteFile(src, base, 0o644); err != nil {
 		f.Fatal(err)
 	}
-	wb, err := LoadWriteBack(src, IndexFile)
+	wb, err := LoadWriteBack(src)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func FuzzEditLog(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ix, err := LoadFile(path, IndexFile)
+		ix, err := LoadFile(path)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("LoadFile over a log of %d bytes: %v", len(log), err)
@@ -359,7 +359,7 @@ func FuzzEditLog(f *testing.F) {
 			}
 			return
 		}
-		fresh, err := Load(bytes.NewReader(base), IndexFile)
+		fresh, err := Load(bytes.NewReader(base))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +367,7 @@ func FuzzEditLog(f *testing.F) {
 		if err := os.WriteFile(logPath(path), log[:logHeaderLen+valid], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		prefix, err := LoadFile(path, IndexFile)
+		prefix, err := LoadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func loadAlloc(t testing.TB, path string) uint64 {
 	os.Remove(logPath(path))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := LoadFile(path, IndexFile); err != nil {
+	if _, err := LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -72,10 +72,11 @@ func forestDigest(w *bufio.Writer, name string, ix *Index) {
 	}
 }
 
-// TestParentForestGoldens: Build, and Save → Load → AttachGraph, sort from
-// the graph, fingerprint for fingerprint, the order, meeting steps and
-// ranks the parent sorted from the stored walks, read through the live
-// view, with the gapped layout sound.
+// TestParentForestGoldens: Build, and AttachGraph on its rows reloaded
+// (saved and loaded over the full range, copied over a ranged one; see
+// reload), sort from the graph, fingerprint for fingerprint, the order,
+// meeting steps and ranks the parent sorted from the stored walks, read
+// through the live view, with the gapped layout sound.
 func TestParentForestGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds nine indexes of up to 15000 vertices")
@@ -107,7 +108,7 @@ func TestParentForestGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameLines(t, built.Bytes(), want, "Build")
-	requireSameLines(t, loaded.Bytes(), want, "Save → Load → AttachGraph")
+	requireSameLines(t, loaded.Bytes(), want, "reload → AttachGraph")
 }
 
 // requireSameLines fails at the first line where got differs from the

@@ -13,46 +13,39 @@ import (
 	"slices"
 )
 
-// On-disk format (all integers little-endian). One payload encoding, two
-// header layouts — a full index and a shard differ only in whether the
-// owned range is spliced into the header:
+// On-disk format (all integers little-endian):
 //
-//	index file                          shard file
-//	offset  size  field                 offset  size  field
-//	0       8     magic "SRWKIDX\x00"   0       8     magic "SRWKSHRD"
-//	8       4     format version (2)    8       4     format version (2)
-//	12      8     n   (vertices)        12      8     n   (full-graph vertices)
-//	                                    20      8     lo  (first owned vertex)
-//	                                    28      8     hi  (one past the last)
-//	20      8     k   (horizon)         36      8     k
-//	28      8     r   (fingerprints)    44      8     r
-//	36      8     c   (IEEE-754 bits)   52      8     c
-//	44      8     seed                  60      8     seed
-//	52                                  68
-//
-// (n, lo, hi, k, r, seed are int64.) An index file's range is [0, n) by
-// construction. After either header:
-//
-//	+0      4     block size B (start vertices per posting block, uint32)
-//	+4      4     numBlocks = ceil(rows/B) (uint32), rows = hi-lo
-//	+8      8*(numBlocks+1)  block directory: byte offset of each posting
+//	offset  size  field
+//	0       8     magic "SRWKIDX\x00"
+//	8       4     format version (2)
+//	12      8     n   (vertices)
+//	20      8     k   (horizon)
+//	28      8     r   (fingerprints)
+//	36      8     c   (IEEE-754 bits)
+//	44      8     seed
+//	52      4     block size B (start vertices per posting block, uint32)
+//	56      4     numBlocks = ceil(n/B) (uint32)
+//	60      8*(numBlocks+1)  block directory: byte offset of each posting
 //	              block within the payload; entry 0 is 0, entry numBlocks
 //	              is the payload length
 //	...     delta/varint posting blocks (payload; see v2.go for the codec)
 //	...     4     CRC-32 (IEEE) of every preceding byte
 //
+// (n, k, r, seed are int64.) A file holds a full-range index: its rows are
+// the n vertices [0, n). A ranged index lives in memory only — it is a
+// pure function of (graph, options), rebuilt from the graph by Build.
+//
 // The trailing checksum makes truncation and bit corruption detectable
 // without trusting the payload; the version field rejects files written by
 // a future or a retired revision (format 1, the dense raw-[]int32 payload,
-// is no longer read or written). The distinct magics keep a shard file
-// from ever loading as a full index or vice versa: every opening states
-// the kind it expects and the other kind's file is ErrBadMagic, not a
-// silent misread.
+// is no longer read or written), and the magic anything else, the
+// retired shard file layout ("SRWKSHRD", a 68-byte header carrying an
+// owned range) included: ErrBadMagic, not a silent misread.
 //
-// Load order — one sequence, run by readFile for both file kinds, whether
-// the index only reads its file (Load, LoadFile) or also writes it back
-// (LoadWriteBack); the path-based openers then replay the file's edit log
-// (editlog.go) and never read the file again:
+// Load order — one sequence, run by readFile whether the index only reads
+// its file (Load, LoadFile) or also writes it back (LoadWriteBack); the
+// path-based openers then replay the file's edit log (editlog.go) and
+// never read the file again:
 //
 //  1. header parse + plausibility guards: nothing payload-sized is
 //     allocated from unvalidated fields;
@@ -81,34 +74,11 @@ import (
 // writes.
 const FormatVersion = 2
 
-// FileKind names the two header layouts. Every save and every opening
-// states the kind it means, so an index file and a shard file can never
-// stand in for each other.
-type FileKind int
-
-const (
-	// IndexFile is the 52-byte-header layout of a full-range index.
-	IndexFile FileKind = iota
-	// ShardFile is the 68-byte-header layout carrying the owned range.
-	ShardFile
-)
-
-var fileMagic = [...][8]byte{
-	IndexFile: {'S', 'R', 'W', 'K', 'I', 'D', 'X', 0},
-	ShardFile: {'S', 'R', 'W', 'K', 'S', 'H', 'R', 'D'},
-}
-
-// String names the kind in error and section labels.
-func (kind FileKind) String() string {
-	if kind == ShardFile {
-		return "shard"
-	}
-	return "index"
-}
+var fileMagic = [8]byte{'S', 'R', 'W', 'K', 'I', 'D', 'X', 0}
 
 // Sentinel errors returned by Save and Load (possibly wrapped with detail).
 var (
-	ErrBadMagic = errors.New("walkindex: not a walk-index file of the expected kind (bad magic)")
+	ErrBadMagic = errors.New("walkindex: not a walk-index file (bad magic)")
 	ErrVersion  = errors.New("walkindex: unsupported format version")
 	ErrChecksum = errors.New("walkindex: checksum mismatch (corrupted index)")
 	// ErrTrailingData reports bytes after the CRC trailer — a concatenated
@@ -120,45 +90,38 @@ var (
 	ErrFormatLimits = errors.New("walkindex: index exceeds on-disk format limits")
 )
 
-// maxElems caps rows*r*k at load time so a corrupted header cannot trigger
+// maxElems caps n*r*k at load time so a corrupted header cannot trigger
 // an absurd allocation before the checksum is ever seen.
 const maxElems = int64(1) << 33
 
-// fileHeader is the parameter block both header layouts carry; it is the
-// one place that knows their byte layout (preamble writes it, readHeader
-// parses it).
+// fileHeader is the header's parameter block; it is the one place that
+// knows its byte layout (preamble writes it, readHeader parses it).
 type fileHeader struct {
-	kind            FileKind
-	n, lo, hi, k, r int64
-	c               float64
-	seed            int64
+	n, k, r int64
+	c       float64
+	seed    int64
 }
 
-// writableHeader describes an index of the given shape as a file of the
-// given kind, after running everything the load-side guards will check —
-// so every file this package writes is guaranteed loadable. Violations
-// wrap ErrFormatLimits. Only a full-range index can be an index file: that
-// layout has nowhere to record a range.
-func writableHeader(kind FileKind, n, lo, hi, k, r int, c float64, seed int64) (fileHeader, error) {
-	if kind == IndexFile && (lo != 0 || hi != n) {
-		return fileHeader{}, fmt.Errorf("walkindex: range [%d,%d) of [0,%d) cannot be written as a full index file", lo, hi, n)
+// writableHeader describes an index of the given shape as a file, after
+// running everything the load-side guards will check — so every file this
+// package writes is guaranteed loadable. Violations wrap ErrFormatLimits.
+// Only a full-range index can be written: the layout has nowhere to
+// record a range.
+func writableHeader(n, lo, hi, k, r int, c float64, seed int64) (fileHeader, error) {
+	if lo != 0 || hi != n {
+		return fileHeader{}, fmt.Errorf("walkindex: range [%d,%d) of [0,%d) cannot be written as an index file", lo, hi, n)
 	}
-	h := fileHeader{kind: kind, n: int64(n), lo: int64(lo), hi: int64(hi), k: int64(k), r: int64(r), c: c, seed: seed}
+	h := fileHeader{n: int64(n), k: int64(k), r: int64(r), c: c, seed: seed}
 	if err := h.check(); err != nil {
 		return fileHeader{}, fmt.Errorf("%w: %v", ErrFormatLimits, err)
 	}
 	return h, nil
 }
 
-func (h fileHeader) rows() int64 { return h.hi - h.lo }
-
 // check is the plausibility guard of load step 1.
 func (h fileHeader) check() error {
 	if h.n < 0 || h.k < 1 || h.r < 1 {
 		return fmt.Errorf("invalid dimensions (n=%d, k=%d, r=%d)", h.n, h.k, h.r)
-	}
-	if h.lo < 0 || h.hi < h.lo || h.hi > h.n {
-		return fmt.Errorf("invalid range [%d,%d) with n=%d", h.lo, h.hi, h.n)
 	}
 	if h.k > maxV2Horizon {
 		return fmt.Errorf("walk horizon k = %d exceeds %d", h.k, maxV2Horizon)
@@ -166,102 +129,80 @@ func (h fileHeader) check() error {
 	if !(h.c > 0 && h.c < 1) {
 		return fmt.Errorf("damping factor %v outside (0,1)", h.c)
 	}
-	rows := h.rows()
-	elems := rows * h.r * h.k
-	if rows > 0 && (elems/rows/h.r != h.k || elems > maxElems) {
-		return fmt.Errorf("rows*r*k = %d*%d*%d exceeds %d elements", rows, h.r, h.k, maxElems)
+	elems := h.n * h.r * h.k
+	if h.n > 0 && (elems/h.n/h.r != h.k || elems > maxElems) {
+		return fmt.Errorf("rows*r*k = %d*%d*%d exceeds %d elements", h.n, h.r, h.k, maxElems)
 	}
 	return nil
 }
 
 // preamble marshals everything that precedes the block directory: the
-// kind's header layout, then the block size and block count.
+// header, then the block size and block count.
 func (h fileHeader) preamble(blockB, numBlocks int) []byte {
-	fields := []uint64{uint64(h.n), uint64(h.k), uint64(h.r), math.Float64bits(h.c), uint64(h.seed)}
-	if h.kind == ShardFile {
-		fields = slices.Insert(fields, 1, uint64(h.lo), uint64(h.hi))
-	}
-	pre := make([]byte, 0, 12+8*len(fields)+8)
-	pre = append(pre, fileMagic[h.kind][:]...)
+	pre := make([]byte, 0, 60)
+	pre = append(pre, fileMagic[:]...)
 	pre = binary.LittleEndian.AppendUint32(pre, FormatVersion)
-	for _, f := range fields {
+	for _, f := range []uint64{uint64(h.n), uint64(h.k), uint64(h.r), math.Float64bits(h.c), uint64(h.seed)} {
 		pre = binary.LittleEndian.AppendUint64(pre, f)
 	}
 	pre = binary.LittleEndian.AppendUint32(pre, uint32(blockB))
 	return binary.LittleEndian.AppendUint32(pre, uint32(numBlocks))
 }
 
-// readHeader is load step 1: it parses a header of the expected kind and
-// runs the plausibility guards.
-func readHeader(br *bufio.Reader, crc hash.Hash32, kind FileKind) (fileHeader, error) {
-	section := kind.String() + " header"
-	var lead [12]byte
-	if err := readFull(br, crc, lead[:], section); err != nil {
+// readHeader is load step 1: it parses the header and runs the
+// plausibility guards.
+func readHeader(br *bufio.Reader, crc hash.Hash32) (fileHeader, error) {
+	const section = "index header"
+	var buf [52]byte
+	if err := readFull(br, crc, buf[:12], section); err != nil {
 		return fileHeader{}, err
 	}
-	if [8]byte(lead[:8]) != fileMagic[kind] {
+	if [8]byte(buf[:8]) != fileMagic {
 		return fileHeader{}, ErrBadMagic
 	}
-	if version := binary.LittleEndian.Uint32(lead[8:]); version != FormatVersion {
+	if version := binary.LittleEndian.Uint32(buf[8:]); version != FormatVersion {
 		return fileHeader{}, fmt.Errorf("%w: file has version %d, this build reads version %d", ErrVersion, version, FormatVersion)
 	}
-	nfields := 5
-	if kind == ShardFile {
-		nfields = 7
-	}
-	buf := make([]byte, 8*nfields)
-	if err := readFull(br, crc, buf, section); err != nil {
+	if err := readFull(br, crc, buf[12:], section); err != nil {
 		return fileHeader{}, err
 	}
-	field := func() int64 {
-		v := int64(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-		return v
-	}
-	h := fileHeader{kind: kind, n: field()}
-	if kind == ShardFile {
-		h.lo, h.hi = field(), field()
-	} else {
-		h.hi = h.n
-	}
-	h.k, h.r = field(), field()
-	h.c = math.Float64frombits(uint64(field()))
-	h.seed = field()
+	field := func(i int) int64 { return int64(binary.LittleEndian.Uint64(buf[12+8*i:])) }
+	h := fileHeader{n: field(0), k: field(1), r: field(2), c: math.Float64frombits(uint64(field(3))), seed: field(4)}
 	if err := h.check(); err != nil {
 		return fileHeader{}, fmt.Errorf("walkindex: implausible %s: %w", section, err)
 	}
 	return h, nil
 }
 
-// Save writes the index to w as a file of the given kind. It validates the
+// Save writes the index to w as an index file. It validates the
 // index against the load-side guards first and returns an
 // ErrFormatLimits-wrapped error instead of writing an unloadable file. The
 // encoding is canonical: load → save reproduces the file byte for byte.
 // The file is laid out in memory first; SaveAt writes it through an
 // io.WriterAt without holding it.
-func (ix *Index) Save(w io.Writer, kind FileKind) error {
+func (ix *Index) Save(w io.Writer) error {
 	var f memFile
-	if err := ix.SaveAt(&f, kind); err != nil {
+	if err := ix.SaveAt(&f); err != nil {
 		return err
 	}
 	_, err := w.Write(f)
 	return err
 }
 
-// SaveAt writes the index through w as a file of the given kind, the bytes
+// SaveAt writes the index through w as an index file, the bytes
 // Save writes: the resident rows' blocks, encoded on all CPUs, framed by
 // the one file writer.
-func (ix *Index) SaveAt(w io.WriterAt, kind FileKind) error {
-	_, _, err := ix.saveBlocks(w, kind, v2BlockVertices, 0)
+func (ix *Index) SaveAt(w io.WriterAt) error {
+	_, _, err := ix.saveBlocks(w, v2BlockVertices, 0)
 	return err
 }
 
-// saveBlocks writes the index through w as a file of the given kind with
+// saveBlocks writes the index through w as an index file with
 // blockB start vertices per posting block, the blocks encoded on workers
 // goroutines (1 = serial, <1 = all CPUs), and returns the file's size and
 // trailer checksum. SaveAt and the write-back's checkpoint share it.
-func (ix *Index) saveBlocks(w io.WriterAt, kind FileKind, blockB, workers int) (int64, uint32, error) {
-	h, err := writableHeader(kind, ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed)
+func (ix *Index) saveBlocks(w io.WriterAt, blockB, workers int) (int64, uint32, error) {
+	h, err := writableHeader(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -272,7 +213,7 @@ func (ix *Index) saveBlocks(w io.WriterAt, kind FileKind, blockB, workers int) (
 	return fw.finish()
 }
 
-// Load reads a file of the given kind written by Save or BuildStreaming
+// Load reads an index file written by Save or BuildStreaming
 // and decodes it into a resident index: the blocks decode on all CPUs,
 // each into its own chunk of live prefixes. It rejects files with a wrong
 // magic, an unsupported format version, a truncated payload, a checksum
@@ -280,8 +221,8 @@ func (ix *Index) saveBlocks(w io.WriterAt, kind FileKind, blockB, workers int) (
 // order above. The index never writes; LoadWriteBack (writeback.go)
 // loads one that keeps its file in step with every Update. Either answers
 // and repairs once AttachGraph has given it its graph.
-func Load(r io.Reader, kind FileKind) (*Index, error) {
-	f, err := readFile(r, kind)
+func Load(r io.Reader) (*Index, error) {
+	f, err := readFile(r)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +244,7 @@ type validFile struct {
 // AttachGraph.
 func (f *validFile) newIndex() *Index {
 	h := f.hdr
-	return newIndex(int(h.n), int(h.lo), int(h.hi), int(h.k), int(h.r), h.c, h.seed, f.rows)
+	return newIndex(int(h.n), 0, int(h.n), int(h.k), int(h.r), h.c, h.seed, f.rows)
 }
 
 // decodeWindow is how many payload bytes readFile reads before it decodes
@@ -322,19 +263,19 @@ var decodeWindow = 4 << 20
 // the first failing block in file order, with an implausible length, a
 // truncation, an undecodable block and an out-of-range entry in the load
 // order's precedence.
-func readFile(r io.Reader, kind FileKind) (*validFile, error) {
+func readFile(r io.Reader) (*validFile, error) {
 	// The CRC must cover exactly the bytes logically consumed (a tee under
 	// bufio would also hash read-ahead, including the trailing checksum),
 	// so readFull feeds each chunk to the hash by hand.
 	crc := crc32.NewIEEE()
 	br := bufio.NewReaderSize(r, 1<<16)
-	what := kind.String()
+	const what = "index"
 
-	hdr, err := readHeader(br, crc, kind)
+	hdr, err := readHeader(br, crc)
 	if err != nil {
 		return nil, err
 	}
-	rows, k, fps := hdr.rows(), int(hdr.k), int(hdr.r)
+	rows, k, fps := hdr.n, int(hdr.k), int(hdr.r)
 	blockB, dir, err := readV2Dir(br, crc, rows, what)
 	if err != nil {
 		return nil, err

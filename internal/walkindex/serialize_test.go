@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"oipsr/graph"
@@ -27,10 +28,10 @@ func buildSmall(t *testing.T) *Index {
 	return ix
 }
 
-func saveBytes(t testing.TB, ix *Index, kind FileKind) []byte {
+func saveBytes(t testing.TB, ix *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ix.Save(&buf, kind); err != nil {
+	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -43,13 +44,13 @@ func reseal(data []byte) {
 	binary.LittleEndian.PutUint32(data[len(data)-4:], sum)
 }
 
-// v1Bytes hand-writes ix in the retired format 1 (the kind's header with
-// version 1, the raw little-endian []int32 payload, the CRC trailer). No
-// code path writes or reads it any more; the tests and fuzz seeds keep
-// such files around as inputs that must be rejected cleanly.
-func v1Bytes(t testing.TB, ix *Index, kind FileKind) []byte {
+// v1Bytes hand-writes ix in the retired format 1 (the header with version
+// 1, the raw little-endian []int32 payload, the CRC trailer). No code path
+// writes or reads it any more; the tests and fuzz seeds keep such files
+// around as inputs that must be rejected cleanly.
+func v1Bytes(t testing.TB, ix *Index) []byte {
 	t.Helper()
-	h, err := writableHeader(kind, ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed)
+	h, err := writableHeader(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,42 +65,61 @@ func v1Bytes(t testing.TB, ix *Index, kind FileKind) []byte {
 	return binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
 }
 
-// opening is one of the four ways bytes reach readFile: either file kind,
-// read by Load from a stream or by LoadWriteBack from a path (the
-// "mapped" openings, after the flag that selects them). Every rejection
-// test below runs over all four, so the documented load order is asserted
-// for each opening by the same code instead of kept by convention.
+// opening is one of the two ways bytes reach readFile: read by Load from
+// a stream or by LoadWriteBack from a path (the "mapped" opening, after
+// the flag that selects it). Every rejection test below runs over both,
+// so the documented load order is asserted for each opening by the same
+// code instead of kept by convention.
 type opening struct {
 	name   string
-	kind   FileKind
 	mapped bool
 }
 
 var openings = []opening{
-	{"index-decoded", IndexFile, false},
-	{"index-mapped", IndexFile, true},
-	{"shard-decoded", ShardFile, false},
-	{"shard-mapped", ShardFile, true},
+	{"index-decoded", false},
+	{"index-mapped", true},
 }
 
-func (o opening) headerSize() int {
-	if o.kind == ShardFile {
-		return 68
+// headerSize is the bytes before the block size and count.
+const headerSize = 52
+
+// retiredShard is the parent's shard file of the range [10, 120): the
+// retired layout, whose 68-byte header carried the owned range under the
+// magic "SRWKSHRD". Every opening refuses it with ErrBadMagic.
+func retiredShard(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/parent/parent-v2.shard")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return 52
+	return data
+}
+
+// refusesRetiredShard runs, per opening, a subtest named for the retired
+// shard file through it ("shard-decoded", "shard-mapped") that requires
+// ErrBadMagic.
+func refusesRetiredShard(t *testing.T) {
+	data := retiredShard(t)
+	for _, o := range openings {
+		t.Run("shard"+strings.TrimPrefix(o.name, "index"), func(t *testing.T) {
+			if _, err := o.open(t, data); !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("retired shard file: err = %v, want ErrBadMagic", err)
+			}
+		})
+	}
 }
 
 // open feeds data to the opening's loader.
 func (o opening) open(t *testing.T, data []byte) (*Index, error) {
 	t.Helper()
 	if !o.mapped {
-		return Load(bytes.NewReader(data), o.kind)
+		return Load(bytes.NewReader(data))
 	}
 	path := filepath.Join(t.TempDir(), "file.srwk")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := LoadWriteBack(path, o.kind)
+	ix, err := LoadWriteBack(path)
 	if err == nil {
 		t.Cleanup(func() { ix.Close() })
 	}
@@ -107,25 +127,15 @@ func (o opening) open(t *testing.T, data []byte) (*Index, error) {
 }
 
 // forEachOpening runs fn once per opening with a fresh copy of a valid
-// file of the opening's kind (three posting blocks, the last one partial)
-// and the index it was saved from.
+// file (three posting blocks, the last one partial) and the index it was
+// saved from.
 func forEachOpening(t *testing.T, fn func(t *testing.T, o opening, ix *Index, valid []byte)) {
-	g := openingGraph()
-	opt := Options{C: 0.7, K: 9, Walks: 12, Seed: 42}
-	full, err := buildFull(g, opt)
+	ix, err := buildFull(openingGraph(), Options{C: 0.7, K: 9, Walks: 12, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranged, err := Build(g, opt, 10, 145)
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := saveBytes(t, ix)
 	for _, o := range openings {
-		ix := full
-		if o.kind == ShardFile {
-			ix = ranged
-		}
-		valid := saveBytes(t, ix, o.kind)
 		t.Run(o.name, func(t *testing.T) { fn(t, o, ix, bytes.Clone(valid)) })
 	}
 }
@@ -142,42 +152,34 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if !ix.Equal(got) {
 			t.Fatal("loaded index differs from saved index")
 		}
-		if got.Lo() != ix.Lo() || got.Hi() != ix.Hi() || got.N() != 150 {
+		if got.Lo() != 0 || got.Hi() != 150 || got.N() != 150 {
 			t.Fatalf("round-tripped range/size wrong: n=%d [%d,%d)", got.N(), got.Lo(), got.Hi())
 		}
-		if !bytes.Equal(saveBytes(t, got, o.kind), valid) {
+		if !bytes.Equal(saveBytes(t, got), valid) {
 			t.Fatal("load -> save is not byte-identical")
 		}
-		if o.kind == IndexFile {
-			// Bit-identical query results, not just equal storage.
-			attach(t, got, openingGraph())
-			a, b := ssRow(t, ix, 3), ssRow(t, got, 3)
-			for v := range a {
-				if a[v] != b[v] {
-					t.Fatalf("row of 3, cell %d: %g != %g after round-trip", v, a[v], b[v])
-				}
+		// Bit-identical query results, not just equal storage.
+		attach(t, got, openingGraph())
+		a, b := ssRow(t, ix, 3), ssRow(t, got, 3)
+		for v := range a {
+			if a[v] != b[v] {
+				t.Fatalf("row of 3, cell %d: %g != %g after round-trip", v, a[v], b[v])
 			}
 		}
 	})
 }
 
-// TestLoadRejectsBadMagic: a foreign magic is ErrBadMagic — and so is the
-// other kind's perfectly valid file, through every opening.
+// TestLoadRejectsBadMagic: a foreign magic is ErrBadMagic — and so is a
+// shard file of the retired layout, through every opening.
 func TestLoadRejectsBadMagic(t *testing.T) {
-	other := map[FileKind][]byte{}
-	forEachOpening(t, func(t *testing.T, o opening, _ *Index, valid []byte) {
-		other[o.kind] = bytes.Clone(valid)
-	})
 	forEachOpening(t, func(t *testing.T, o opening, _ *Index, valid []byte) {
 		valid[0] = 'X'
 		reseal(valid)
 		if _, err := o.open(t, valid); !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("err = %v, want ErrBadMagic", err)
 		}
-		if _, err := o.open(t, other[1-o.kind]); !errors.Is(err, ErrBadMagic) {
-			t.Fatalf("%v file: err = %v, want ErrBadMagic", 1-o.kind, err)
-		}
 	})
+	refusesRetiredShard(t)
 }
 
 // TestLoadRejectsVersionMismatch: a future revision and the retired format
@@ -189,7 +191,7 @@ func TestLoadRejectsVersionMismatch(t *testing.T) {
 		if _, err := o.open(t, valid); !errors.Is(err, ErrVersion) {
 			t.Fatalf("err = %v, want ErrVersion", err)
 		}
-		_, err := o.open(t, v1Bytes(t, ix, o.kind))
+		_, err := o.open(t, v1Bytes(t, ix))
 		if !errors.Is(err, ErrVersion) || !bytes.Contains([]byte(err.Error()), []byte("version 1")) {
 			t.Fatalf("format-1 file: err = %v, want ErrVersion naming version 1", err)
 		}
@@ -202,7 +204,7 @@ func TestLoadRejectsVersionMismatch(t *testing.T) {
 // structural decode error otherwise.
 func TestLoadRejectsCorruptedPayload(t *testing.T) {
 	forEachOpening(t, func(t *testing.T, o opening, _ *Index, valid []byte) {
-		payload := o.headerSize() + 8 + 8*4 // three blocks: four directory entries
+		payload := headerSize + 8 + 8*4 // three blocks: four directory entries
 		checksums := 0
 		for at := 9; at < len(valid); at += 7 {
 			data := bytes.Clone(valid)
@@ -227,7 +229,7 @@ func TestLoadRejectsCorruptedPayload(t *testing.T) {
 // posting block or the trailer is a wrapped io.ErrUnexpectedEOF.
 func TestLoadRejectsShortFile(t *testing.T) {
 	forEachOpening(t, func(t *testing.T, o opening, _ *Index, valid []byte) {
-		hs := o.headerSize()
+		hs := headerSize
 		for _, cut := range []int{0, 5, hs - 1, hs, hs + 8 + 11, hs + 8 + 8*4 + 17, len(valid) / 2, len(valid) - 3} {
 			_, err := o.open(t, valid[:cut])
 			if err == nil {
@@ -247,7 +249,7 @@ func TestLoadRejectsShortFile(t *testing.T) {
 // bound when the claim inflates what a present block decodes to.
 func TestLoadRejectsImplausibleHeader(t *testing.T) {
 	forEachOpening(t, func(t *testing.T, o opening, _ *Index, valid []byte) {
-		rOff := o.headerSize() - 24 // the fingerprint-count field
+		rOff := headerSize - 24 // the fingerprint-count field
 		forged := bytes.Clone(valid)
 		binary.LittleEndian.PutUint64(forged[rOff:], 1<<40)
 		reseal(forged)
@@ -255,17 +257,13 @@ func TestLoadRejectsImplausibleHeader(t *testing.T) {
 			t.Fatalf("rows*r*k overflow: err = %v, want a header-guard rejection", err)
 		}
 
-		// n = 2^29 vertices (for a shard, all of them owned) with one
-		// fingerprint passes the guards and claims 2^23 blocks; the stream
-		// ends after the first directory entry.
-		huge := bytes.Clone(valid[:o.headerSize()+8+8])
+		// n = 2^29 vertices with one fingerprint passes the guards and
+		// claims 2^23 blocks; the stream ends after the first directory
+		// entry.
+		huge := bytes.Clone(valid[:headerSize+8+8])
 		binary.LittleEndian.PutUint64(huge[12:], 1<<29)
-		if o.kind == ShardFile {
-			binary.LittleEndian.PutUint64(huge[20:], 0)
-			binary.LittleEndian.PutUint64(huge[28:], 1<<29)
-		}
 		binary.LittleEndian.PutUint64(huge[rOff:], 1)
-		binary.LittleEndian.PutUint32(huge[o.headerSize()+4:], 1<<23)
+		binary.LittleEndian.PutUint32(huge[headerSize+4:], 1<<23)
 		if _, err := o.open(t, huge); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("forged huge header on a short stream: err = %v, want a truncation error", err)
 		}
@@ -297,7 +295,7 @@ func TestLoadRejectsOutOfRangePath(t *testing.T) {
 		}
 		paths[2*ix.k] = 1_000_000
 		bad := newIndex(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed, buildRagged(newDenseStore(paths, ix.r, ix.k), v2BlockShift))
-		data := saveBytes(t, bad, o.kind)
+		data := saveBytes(t, bad)
 
 		_, err := o.open(t, data)
 		if err == nil || errors.Is(err, ErrChecksum) || !bytes.Contains([]byte(err.Error()), []byte("out of range")) {
@@ -330,12 +328,14 @@ func TestLoadRejectsTrailingData(t *testing.T) {
 // TestParentWrittenFilesLoad is the compatibility gate of the one-reader
 // refactor: testdata/parent holds an index file and a shard file (range
 // [10, 120)) written by the parent of that refactor, when a full index and
-// a shard were still two types — Build(g, opt, lo, hi) then Save today — on
-// gen.WebGraph(130, 5, 7), Options{C: 0.7, K: 6, Walks: 8, Seed: 42}, and
-// the answers that commit's code gave over them. Through every opening the
-// files must load, equal a fresh build, re-save to the same bytes, and
-// answer every query family with the recorded bits (JSON round-trips
-// float64 exactly).
+// a shard were still two types, on gen.WebGraph(130, 5, 7), Options{C:
+// 0.7, K: 6, Walks: 8, Seed: 42}, and the answers that commit's code gave
+// over them. Through every opening the index file must load, equal a
+// fresh build, re-save to the same bytes, and answer every query family
+// with the recorded bits (JSON round-trips float64 exactly). The shard
+// file's layout is retired: every opening refuses it with ErrBadMagic
+// (shard-decoded, shard-mapped), and its recorded answers are checked
+// against the range built in memory, Build(g, opt, 10, 120).
 func TestParentWrittenFilesLoad(t *testing.T) {
 	var want struct {
 		SingleSource []float64   `json:"single_source_3"`
@@ -355,63 +355,72 @@ func TestParentWrittenFilesLoad(t *testing.T) {
 	g := gen.WebGraph(130, 5, 7)
 	opt := Options{C: 0.7, K: 6, Walks: 8, Seed: 42}
 	ctx := context.Background()
+	// answers checks ix, over [0, 130) or [10, 120), against the parent's.
+	answers := func(t *testing.T, ix *Index) {
+		t.Helper()
+		full := ix.Lo() == 0
+		// The shard's three sources: one foreign below, two owned.
+		for i, row := range msRows(t, ix, g, []int{3, 77, 20}, 2) {
+			if full { // the shard rows are the [10,120) slice of the full ones
+				row = row[10:120]
+			}
+			if !slices.Equal(row, want.Partial[i]) {
+				t.Fatalf("row %d differs from the parent's MultiSource", i)
+			}
+		}
+		wantPairs := want.ShardPairs
+		if full {
+			wantPairs = want.JoinPairs
+			if !slices.Equal(ssRow(t, ix, 3), want.SingleSource) {
+				t.Fatal("row of 3 differs from the parent's SingleSource(3)")
+			}
+		}
+		for i, p := range want.Join {
+			if got := ix.Pair(g, p.A, p.B); got != wantPairs[i] {
+				t.Fatalf("Pair(%d,%d) = %v, parent said %v", p.A, p.B, got, wantPairs[i])
+			}
+		}
+		// The full index joins alone; the shard runs the same pipeline
+		// over its rows plus recomputed foreign ones.
+		join, err := ix.Join(ctx, g, 40, 0.05, 1<<20, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(join, want.Join) {
+			t.Fatal("Join differs from the parent's")
+		}
+	}
+
+	data, err := os.ReadFile("testdata/parent/parent-v2.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Build(g, opt, 0, 130)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, o := range openings {
 		t.Run(o.name, func(t *testing.T) {
-			lo, hi, file := 0, 130, "testdata/parent/parent-v2.idx"
-			if o.kind == ShardFile {
-				lo, hi, file = 10, 120, "testdata/parent/parent-v2.shard"
-			}
-			data, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
 			ix, err := o.open(t, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := Build(g, opt, lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ix.Equal(fresh) {
 				t.Fatal("parent-written file differs from a fresh build")
 			}
-			if !bytes.Equal(saveBytes(t, ix, o.kind), data) {
+			if !bytes.Equal(saveBytes(t, ix), data) {
 				t.Fatal("parent-written file does not re-save byte-identically")
 			}
 			attach(t, ix, g)
-
-			// The shard's three sources: one foreign below, two owned.
-			for i, row := range msRows(t, ix, g, []int{3, 77, 20}, 2) {
-				wantRow := want.Partial[i]
-				if o.kind == IndexFile { // the shard rows are the [10,120) slice of the full ones
-					row = row[10:120]
-				}
-				if !slices.Equal(row, wantRow) {
-					t.Fatalf("row %d differs from the parent's MultiSource", i)
-				}
-			}
-			wantPairs := want.ShardPairs
-			if o.kind == IndexFile {
-				wantPairs = want.JoinPairs
-				if !slices.Equal(ssRow(t, ix, 3), want.SingleSource) {
-					t.Fatal("row of 3 differs from the parent's SingleSource(3)")
-				}
-			}
-			for i, p := range want.Join {
-				if got := ix.Pair(g, p.A, p.B); got != wantPairs[i] {
-					t.Fatalf("Pair(%d,%d) = %v, parent said %v", p.A, p.B, got, wantPairs[i])
-				}
-			}
-			// The full index joins alone; the shard runs the same pipeline
-			// over its rows plus recomputed foreign ones.
-			join, err := ix.Join(ctx, g, 40, 0.05, 1<<20, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(join, want.Join) {
-				t.Fatal("Join differs from the parent's")
-			}
+			answers(t, ix)
 		})
 	}
+	refusesRetiredShard(t)
+	t.Run("shard-in-memory", func(t *testing.T) {
+		ix, err := Build(g, opt, 10, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers(t, ix)
+	})
 }

@@ -12,36 +12,22 @@ import (
 // Build holds every walk of its range in memory (the ragged live
 // prefixes) before anything reaches disk, which caps the graphs it can
 // index at available memory. BuildStreaming removes that cap: it cuts the
-// range into slices of whole posting blocks sized to a caller-supplied
+// vertices into slices of whole posting blocks sized to a caller-supplied
 // byte budget, generates each slice with Build's own loop (walkStore), and
 // hands it to the one file writer (fileWriter.addStore), which encodes its
 // blocks on the build's workers. Peak memory is one slice's live prefixes,
 // in one exactly sized chunk a block, plus per worker one vertex's dense
 // walks and one block's scratch, the writer's window of encoded blocks,
-// and its 8 B of directory a block — never the whole range. A slice never
+// and its 8 B of directory a block — never the whole index. A slice never
 // cuts a block, so no state crosses from one slice to the next, and the
-// file is Save's on a materialized Build of the same range, byte for
+// file is Save's on a materialized Build of the same graph, byte for
 // byte: the walk hash makes any vertex range computable independently,
 // and the block encoder and the writer are Save's own.
 
-// StreamStats reports what a streaming build wrote, with the resolved
-// build parameters (defaults filled, K derived from Eps) so callers can
-// record what was actually built — shard.BuildAll builds its
-// manifest entries from them.
+// StreamStats reports what a streaming build wrote.
 type StreamStats struct {
-	// Rows is the number of start vertices written, hi-lo.
-	Rows  int
-	K     int
-	Walks int
-	C     float64
-	Seed  int64
-
 	// Bytes is the total file size, CRC trailer included.
 	Bytes int64
-	// CRC32 is the trailer checksum — the CRC-32 (IEEE) of every byte
-	// before the trailer, which is also the value a shard manifest records
-	// for the file.
-	CRC32 uint32
 
 	// SliceVertices is the generation slice width the budget resolved to,
 	// and Slices the number of slices generated.
@@ -49,38 +35,35 @@ type StreamStats struct {
 	Slices        int
 }
 
-// BuildStreaming builds the walk index of vertex range [lo, hi) of g and
-// writes it through w as a file of the given kind, generating walks in
-// slices of whole posting blocks whose dense walks, 4·R·K bytes a vertex,
-// fit in budgetBytes — the slice keeps only their live prefixes — instead
-// of materializing the whole index. The bytes written are
-// identical to Save(w, kind) on Build(g, opt, lo, hi) — for any budget and
-// any worker count — so files from the two paths are interchangeable,
-// byte for byte. A budget below one block's 64·4·R·K bytes degrades to
-// one-block slices rather than failing.
-func BuildStreaming(g *graph.Graph, opt Options, lo, hi int, kind FileKind, w io.WriterAt, budget int64) (*StreamStats, error) {
+// BuildStreaming builds the walk index of g and writes it through w as an
+// index file, generating walks in slices of whole posting blocks whose
+// dense walks, 4·R·K bytes a vertex, fit in budgetBytes — the slice keeps
+// only their live prefixes — instead of materializing the whole index. The
+// bytes written are identical to Save(w) on Build(g, opt, 0, n) — for any
+// budget and any worker count — so files from the two paths are
+// interchangeable, byte for byte. A budget below one block's 64·4·R·K
+// bytes degrades to one-block slices rather than failing.
+func BuildStreaming(g *graph.Graph, opt Options, w io.WriterAt, budget int64) (*StreamStats, error) {
 	if err := opt.resolve(); err != nil {
 		return nil, err
 	}
 	if budget < 1 {
-		return nil, fmt.Errorf("walkindex: streaming %s build budget %d bytes, want >= 1", kind, budget)
+		return nil, fmt.Errorf("walkindex: streaming build budget %d bytes, want >= 1", budget)
 	}
-	hdr, err := writableHeader(kind, g.NumVertices(), lo, hi, opt.K, opt.Walks, opt.C, opt.Seed)
+	n := g.NumVertices()
+	hdr, err := writableHeader(n, 0, n, opt.K, opt.Walks, opt.C, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
-	rows := hi - lo
-	st := &StreamStats{Rows: rows, K: opt.K, Walks: opt.Walks, C: opt.C, Seed: opt.Seed,
-		SliceVertices: streamSliceVertices(budget, opt.Walks*opt.K, rows)}
+	st := &StreamStats{SliceVertices: streamSliceVertices(budget, opt.Walks*opt.K, n)}
 	fw := newFileWriter(w, hdr, v2BlockVertices)
-	for slo := 0; slo < rows; slo += st.SliceVertices {
+	for lo := 0; lo < n; lo += st.SliceVertices {
 		st.Slices++
-		slice := walkStore(g, opt, lo+slo, lo+min(slo+st.SliceVertices, rows))
-		if err := fw.addStore(slice, opt.Workers); err != nil {
+		if err := fw.addStore(walkStore(g, opt, lo, min(lo+st.SliceVertices, n)), opt.Workers); err != nil {
 			return nil, err
 		}
 	}
-	if st.Bytes, st.CRC32, err = fw.finish(); err != nil {
+	if st.Bytes, _, err = fw.finish(); err != nil {
 		return nil, err
 	}
 	return st, nil

@@ -42,11 +42,11 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bytes.NewBuffer(saveBytes(t, dense, IndexFile))
+		want := bytes.NewBuffer(saveBytes(t, dense))
 		for _, budget := range streamBudgets(opt.Walks * opt.K) {
 			for _, workers := range []int{1, 3} {
 				var w memFile
-				st, err := BuildStreaming(g, Options{Walks: 9, K: 7, Seed: 11, Workers: workers}, 0, g.NumVertices(), IndexFile, &w, budget)
+				st, err := BuildStreaming(g, Options{Walks: 9, K: 7, Seed: 11, Workers: workers}, &w, budget)
 				if err != nil {
 					t.Fatalf("%s budget=%d workers=%d: %v", name, budget, workers, err)
 				}
@@ -57,15 +57,12 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 				if st.Bytes != int64(len(w)) {
 					t.Fatalf("%s budget=%d: stats report %d bytes, wrote %d", name, budget, st.Bytes, len(w))
 				}
-				if st.Rows != g.NumVertices() || st.K != 7 || st.Walks != 9 {
-					t.Fatalf("%s: stats %+v disagree with resolved options", name, st)
-				}
 			}
 		}
 
 		// One round trip per graph: the streamed file loads, from a stream
 		// and for write-back, to an index Equal to the materialized build.
-		loaded, err := Load(bytes.NewReader(want.Bytes()), IndexFile)
+		loaded, err := Load(bytes.NewReader(want.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: loading streamed bytes: %v", name, err)
 		}
@@ -76,7 +73,7 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 		if err := os.WriteFile(path, want.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mx, err := LoadWriteBack(path, IndexFile)
+		mx, err := LoadWriteBack(path)
 		if err != nil {
 			t.Fatalf("%s: opening streamed bytes for write-back: %v", name, err)
 		}
@@ -84,43 +81,6 @@ func TestBuildStreamingByteIdentical(t *testing.T) {
 			t.Fatalf("%s: write-back streamed index != dense build", name)
 		}
 		mx.Close()
-	}
-}
-
-// TestBuildShardStreamingByteIdentical: a streamed shard file must
-// reproduce Save's bytes for ranges that start and end in the middle of
-// posting blocks, including empty and one-vertex ranges.
-func TestBuildShardStreamingByteIdentical(t *testing.T) {
-	g := gen.WebGraph(300, 5, 21)
-	opt := Options{Walks: 8, K: 6, Seed: 17}
-	ranges := [][2]int{{0, 300}, {37, 181}, {64, 128}, {1, 2}, {50, 50}, {299, 300}, {0, 63}}
-	for _, rg := range ranges {
-		lo, hi := rg[0], rg[1]
-		sx, err := Build(g, opt, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bytes.NewBuffer(saveBytes(t, sx, ShardFile))
-		for _, budget := range streamBudgets(opt.Walks * opt.K) {
-			var w memFile
-			st, err := BuildStreaming(g, Options{Walks: 8, K: 6, Seed: 17, Workers: 2}, lo, hi, ShardFile, &w, budget)
-			if err != nil {
-				t.Fatalf("[%d,%d) budget=%d: %v", lo, hi, budget, err)
-			}
-			if !bytes.Equal(w, want.Bytes()) {
-				t.Fatalf("[%d,%d) budget=%d: streamed shard bytes differ", lo, hi, budget)
-			}
-			if st.Rows != hi-lo {
-				t.Fatalf("[%d,%d): stats report %d rows", lo, hi, st.Rows)
-			}
-		}
-		loaded, err := Load(bytes.NewReader(want.Bytes()), ShardFile)
-		if err != nil {
-			t.Fatalf("[%d,%d): loading streamed shard: %v", lo, hi, err)
-		}
-		if !loaded.Equal(sx) {
-			t.Fatalf("[%d,%d): loaded streamed shard != dense shard", lo, hi)
-		}
 	}
 }
 
@@ -140,11 +100,11 @@ func TestBuildStreamingRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bytes.NewBuffer(saveBytes(t, dense, IndexFile))
+		want := bytes.NewBuffer(saveBytes(t, dense))
 		budget := 1 + rng.Int63n(int64(4*n*dense.Walks()*dense.Horizon())+64)
 		var w memFile
 		stream := Options{Walks: opt.Walks, K: opt.K, Seed: opt.Seed, Workers: 1 + rng.Intn(4)}
-		if _, err := BuildStreaming(g, stream, 0, n, IndexFile, &w, budget); err != nil {
+		if _, err := BuildStreaming(g, stream, &w, budget); err != nil {
 			t.Fatalf("trial %d (n=%d budget=%d): %v", trial, n, budget, err)
 		}
 		if !bytes.Equal(w, want.Bytes()) {
@@ -153,30 +113,21 @@ func TestBuildStreamingRandomized(t *testing.T) {
 	}
 }
 
-// TestBuildStreamingErrors: invalid budgets, options, and shard ranges are
-// rejected before anything is written.
+// TestBuildStreamingErrors: invalid budgets and options are rejected
+// before anything is written.
 func TestBuildStreamingErrors(t *testing.T) {
 	g := gen.WebGraph(20, 4, 1)
 	for _, budget := range []int64{0, -7} {
 		var w memFile
-		if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 0, 20, IndexFile, &w, budget); err == nil {
+		if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, &w, budget); err == nil {
 			t.Errorf("BuildStreaming accepted budget %d", budget)
 		}
 		if len(w) != 0 {
 			t.Errorf("BuildStreaming wrote %d bytes despite budget error", len(w))
 		}
 	}
-	if _, err := BuildStreaming(g, Options{C: 2}, 0, 20, IndexFile, &memFile{}, 1<<20); err == nil {
+	if _, err := BuildStreaming(g, Options{C: 2}, &memFile{}, 1<<20); err == nil {
 		t.Error("BuildStreaming accepted damping factor 2")
-	}
-	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 30, ShardFile, &memFile{}, 1<<20); err == nil {
-		t.Error("BuildStreaming accepted out-of-range shard")
-	}
-	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 10, IndexFile, &memFile{}, 1<<20); err == nil {
-		t.Error("BuildStreaming wrote a narrower range as a full index file")
-	}
-	if _, err := BuildStreaming(g, Options{Walks: 4, K: 3}, 5, 10, ShardFile, &memFile{}, 0); err == nil {
-		t.Error("BuildStreaming accepted zero budget")
 	}
 }
 

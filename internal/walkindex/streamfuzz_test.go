@@ -7,23 +7,21 @@ import (
 	"oipsr/graph"
 )
 
-// FuzzStreamSliceBoundary fuzzes streamed = Save across budgets, ranges
-// and worker counts: the budget decides how many whole posting blocks a
-// slice holds, the seed how many workers split each slice, and whatever
-// they come to — one block per slice, a slice past the range's end, a
-// shard range that starts or ends mid-block — the streamed file must stay
-// byte-identical to the materialized Save writer's, for both full indexes
-// and shard ranges. The seed corpus under testdata/fuzz pins the known
-// hard geometries (budget 1, widths of 63/64/65 vertices, shard ranges
-// straddling a block).
+// FuzzStreamSliceBoundary fuzzes streamed = Save across budgets and
+// worker counts: the budget decides how many whole posting blocks a slice
+// holds, the seed how many workers split each slice, and whatever they
+// come to — one block per slice, a slice past the graph's end — the
+// streamed file must stay byte-identical to the materialized Save
+// writer's. The seed corpus under testdata/fuzz pins the known hard
+// geometries (budget 1, widths of 63/64/65 vertices).
 func FuzzStreamSliceBoundary(f *testing.F) {
-	// n8, deg, walks, k, budget, seed, lo8, hi8
-	f.Add(uint8(65), uint8(3), uint8(4), uint8(3), int64(1), int64(7), uint8(10), uint8(200))
-	f.Add(uint8(130), uint8(2), uint8(6), uint8(0), int64(63*24), int64(21), uint8(64), uint8(1))
-	f.Add(uint8(200), uint8(3), uint8(8), uint8(5), int64(257), int64(-3), uint8(37), uint8(144))
-	f.Add(uint8(1), uint8(0), uint8(1), uint8(1), int64(1), int64(0), uint8(0), uint8(255))
-	f.Add(uint8(64), uint8(4), uint8(3), uint8(2), int64(1<<20), int64(99), uint8(0), uint8(64))
-	f.Fuzz(func(t *testing.T, n8, deg, walks, k uint8, budget, seed int64, lo8, hi8 uint8) {
+	// n8, deg, walks, k, budget, seed
+	f.Add(uint8(65), uint8(3), uint8(4), uint8(3), int64(1), int64(7))
+	f.Add(uint8(130), uint8(2), uint8(6), uint8(0), int64(63*24), int64(21))
+	f.Add(uint8(200), uint8(3), uint8(8), uint8(5), int64(257), int64(-3))
+	f.Add(uint8(1), uint8(0), uint8(1), uint8(1), int64(1), int64(0))
+	f.Add(uint8(64), uint8(4), uint8(3), uint8(2), int64(1<<20), int64(99))
+	f.Fuzz(func(t *testing.T, n8, deg, walks, k uint8, budget, seed int64) {
 		n := int(n8)%200 + 1
 		opt := Options{Walks: int(walks)%12 + 1, K: int(k) % 10, Seed: seed, Workers: int(uint64(seed)%4) + 1}
 		if budget < 1 {
@@ -46,31 +44,14 @@ func FuzzStreamSliceBoundary(f *testing.F) {
 		if err != nil {
 			t.Skip() // invalid option combination; rejection is tested elsewhere
 		}
-		want := saveBytes(t, ix, IndexFile)
+		want := saveBytes(t, ix)
 		var got memFile
-		st, err := BuildStreaming(g, opt, 0, n, IndexFile, &got, budget)
+		st, err := BuildStreaming(g, opt, &got, budget)
 		if err != nil {
 			t.Fatalf("BuildStreaming(n=%d, budget=%d): %v", n, budget, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("streamed index differs from materialized v2 (n=%d budget=%d slice=%d workers=%d)", n, budget, st.SliceVertices, opt.Workers)
-		}
-
-		// Shard range derived from the same bytes: lo anywhere, hi at or past
-		// it — empty ranges included.
-		lo := int(lo8) % (n + 1)
-		hi := lo + int(hi8)%(n-lo+1)
-		sx, err := Build(g, opt, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantS := saveBytes(t, sx, ShardFile)
-		var gotS memFile
-		if _, err := BuildStreaming(g, opt, lo, hi, ShardFile, &gotS, budget); err != nil {
-			t.Fatalf("BuildStreaming([%d,%d), budget=%d): %v", lo, hi, budget, err)
-		}
-		if !bytes.Equal(gotS, wantS) {
-			t.Fatalf("streamed shard [%d,%d) differs from materialized v2 (budget=%d)", lo, hi, budget)
 		}
 	})
 }

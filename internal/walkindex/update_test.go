@@ -15,7 +15,7 @@ import (
 // behavior on an index without in-memory derived state.
 func saveLoadRoundTrip(t *testing.T, ix *Index) *Index {
 	t.Helper()
-	loaded, err := Load(bytes.NewReader(saveBytes(t, ix, IndexFile)), IndexFile)
+	loaded, err := Load(bytes.NewReader(saveBytes(t, ix)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,6 @@ func decodeV2Block(buf []byte, dst []int32, lives []int, width, k, r int) (int32
 // crc32Combine, so nothing written is read back.
 type fileWriter struct {
 	w      io.WriterAt
-	what   string
 	blockB int           // start vertices per posting block
 	added  int           // blocks added so far
 	head   []byte        // the preamble, then the directory so far
@@ -234,11 +233,11 @@ type fileWriter struct {
 // newFileWriter starts a file with header h and blockB start vertices per
 // posting block; its blocks must then be added in order, each once.
 func newFileWriter(w io.WriterAt, h fileHeader, blockB int) *fileWriter {
-	nb := int(v2NumBlocks(h.rows(), int64(blockB)))
+	nb := int(v2NumBlocks(h.n, int64(blockB)))
 	head := binary.LittleEndian.AppendUint64(h.preamble(blockB, nb), 0)
 	crc := crc32.NewIEEE()
 	payload := io.NewOffsetWriter(w, int64(len(head))+8*int64(nb))
-	return &fileWriter{w: w, what: h.kind.String(), blockB: blockB, head: head, crc: crc,
+	return &fileWriter{w: w, blockB: blockB, head: head, crc: crc,
 		pw: bufio.NewWriterSize(io.MultiWriter(payload, crc), 1<<16)}
 }
 
@@ -281,7 +280,7 @@ func (fw *fileWriter) add(block []byte) error {
 		return fmt.Errorf("%w: encoded posting block of %d bytes exceeds %d", ErrFormatLimits, len(block), maxV2BlockBytes)
 	}
 	if _, err := fw.pw.Write(block); err != nil {
-		return fmt.Errorf("walkindex: writing %s blocks: %w", fw.what, err)
+		return fmt.Errorf("walkindex: writing index blocks: %w", err)
 	}
 	fw.size += int64(len(block))
 	fw.added++
@@ -293,15 +292,15 @@ func (fw *fileWriter) add(block []byte) error {
 // the file's size and its trailer checksum.
 func (fw *fileWriter) finish() (size int64, sum uint32, err error) {
 	if err := fw.pw.Flush(); err != nil {
-		return 0, 0, fmt.Errorf("walkindex: writing %s blocks: %w", fw.what, err)
+		return 0, 0, fmt.Errorf("walkindex: writing index blocks: %w", err)
 	}
 	if _, err := fw.w.WriteAt(fw.head, 0); err != nil {
-		return 0, 0, fmt.Errorf("walkindex: writing %s header: %w", fw.what, err)
+		return 0, 0, fmt.Errorf("walkindex: writing index header: %w", err)
 	}
 	size = int64(len(fw.head)) + fw.size
 	sum = crc32Combine(crc32.ChecksumIEEE(fw.head), fw.crc.Sum32(), fw.size)
 	if _, err := fw.w.WriteAt(binary.LittleEndian.AppendUint32(nil, sum), size); err != nil {
-		return 0, 0, fmt.Errorf("walkindex: writing %s checksum: %w", fw.what, err)
+		return 0, 0, fmt.Errorf("walkindex: writing index checksum: %w", err)
 	}
 	return size + 4, sum, nil
 }

@@ -27,15 +27,15 @@ func TestV2ReencodeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data := saveBytes(t, ix, IndexFile)
-			mid, err := Load(bytes.NewReader(data), IndexFile)
+			data := saveBytes(t, ix)
+			mid, err := Load(bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("loading: %v", err)
 			}
 			if !ix.Equal(mid) {
 				t.Fatal("round trip changed the index")
 			}
-			if !bytes.Equal(saveBytes(t, mid, IndexFile), data) {
+			if !bytes.Equal(saveBytes(t, mid), data) {
 				t.Fatal("re-encode is not byte-identical")
 			}
 		})
@@ -51,7 +51,7 @@ func TestV2Compresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, dense := len(saveBytes(t, ix, IndexFile)), 4*ix.Width()*ix.r*ix.k
+	file, dense := len(saveBytes(t, ix)), 4*ix.Width()*ix.r*ix.k
 	if ratio := float64(file) / float64(dense); ratio > 0.5 {
 		t.Errorf("file/dense size ratio %.3f, want <= 0.5 (%d vs %d bytes)", ratio, file, dense)
 	}
@@ -71,14 +71,12 @@ func TestSaveValidatesLoadGuards(t *testing.T) {
 		{"bad damping", &Index{n: 1, hi: 1, k: 2, r: 1, c: 1.5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, kind := range []FileKind{IndexFile, ShardFile} {
-				var buf bytes.Buffer
-				if err := tc.ix.Save(&buf, kind); !errors.Is(err, ErrFormatLimits) {
-					t.Fatalf("Save(%v) = %v, want ErrFormatLimits", kind, err)
-				}
-				if buf.Len() != 0 {
-					t.Fatalf("Save(%v) wrote %d bytes before failing validation", kind, buf.Len())
-				}
+			var buf bytes.Buffer
+			if err := tc.ix.Save(&buf); !errors.Is(err, ErrFormatLimits) {
+				t.Fatalf("Save = %v, want ErrFormatLimits", err)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("Save wrote %d bytes before failing validation", buf.Len())
 			}
 		})
 	}

@@ -42,8 +42,9 @@
 //
 // An Index owns the walks of one contiguous vertex range [lo, hi) of an
 // n-vertex graph — exactly the rows a full build stores for those start
-// vertices, bit for bit. The single-node index is the range [0, n); a
-// serving shard is any other range. A ranged index still answers for
+// vertices, bit for bit. The single-node index is the range [0, n), the
+// only one a file holds; a serving shard is any other range, built from
+// the graph and kept in memory. A ranged index still answers for
 // arbitrary vertices, because the coupled walks are pure hash functions of
 // (graph, Options): given the graph (cheap CSR, tiny next to the n·R·K path
 // store) it recomputes any foreign vertex's walks on demand via walkFrom,

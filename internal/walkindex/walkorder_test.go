@@ -566,26 +566,38 @@ func forestFuzzGraph(data []byte) (*graph.Graph, Options, []graph.Edit) {
 	return graph.MustFromEdges(n, edges), opt, edits
 }
 
-// reload saves ix as the file kind of its range, loads it back and attaches
-// g, the graph its walks were taken on.
+// reload gives ix's rows a new index and attaches g, the graph its walks
+// were taken on.
 func reload(t testing.TB, ix *Index, g *graph.Graph) *Index {
 	t.Helper()
-	kind := ShardFile
-	if ix.lo == 0 && ix.hi == ix.n {
-		kind = IndexFile
-	}
-	loaded, err := Load(bytes.NewReader(saveBytes(t, ix, kind)), kind)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := unordered(t, ix)
 	attach(t, loaded, g)
 	return loaded
+}
+
+// unordered is ix's rows in a new index with no coalescence order and no
+// graph: a full-range index saved and loaded back, a ranged one — which
+// no file holds — copied.
+func unordered(t testing.TB, ix *Index) *Index {
+	t.Helper()
+	if ix.lo == 0 && ix.hi == ix.n {
+		loaded, err := Load(bytes.NewReader(saveBytes(t, ix)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
+	paths := make([]int32, 0, ix.Width()*ix.r*ix.k)
+	for v := 0; v < ix.Width(); v++ {
+		paths = append(paths, ix.denseRow(v, nil)...)
+	}
+	return newIndex(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed, storeOf(paths, ix.r, ix.k))
 }
 
 // FuzzForest: on any small graph the coalescence order answers every
 // source exactly like the sweep, on the full range and on an interior
 // range, before and after each of three edit batches (the edits split in
-// order); the order Save → Load → AttachGraph sorts is the built one, and
+// order); the order reload's AttachGraph sorts is the built one, and
 // after every batch the patched order — of the built index and of the
 // loaded one — and the order of the patched index saved and reloaded are
 // the rebuilt one.
@@ -687,14 +699,7 @@ func TestAttachGraphRefusesOtherGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kind := ShardFile
-		if r[0] == 0 {
-			kind = IndexFile
-		}
-		loaded, err := Load(bytes.NewReader(saveBytes(t, ix, kind)), kind)
-		if err != nil {
-			t.Fatal(err)
-		}
+		loaded := unordered(t, ix)
 		if _, err := loaded.SparseRows(ctx, g, []int{r[0]}, 1); !errors.Is(err, errNoGraph) {
 			t.Fatalf("[%d,%d): SparseRows before AttachGraph: err = %v, want errNoGraph", r[0], r[1], err)
 		}

@@ -399,10 +399,10 @@ func TestRaggedIndexMatchesDenseModel(t *testing.T) {
 		requireBlocksMatchModel(t, m.paths, ix.r, ix.k, v2BlockVertices, when)
 		fresh := buildRagged(m, v2BlockShift)
 		var want bytes.Buffer
-		if err := newIndex(ix.n, 0, ix.n, ix.k, ix.r, ix.c, ix.seed, fresh).Save(&want, IndexFile); err != nil {
+		if err := newIndex(ix.n, 0, ix.n, ix.k, ix.r, ix.c, ix.seed, fresh).Save(&want); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(saveBytes(t, ix, IndexFile), want.Bytes()) {
+		if !bytes.Equal(saveBytes(t, ix), want.Bytes()) {
 			t.Fatalf("%s: Save differs from the model's", when)
 		}
 	}

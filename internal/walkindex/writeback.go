@@ -12,7 +12,7 @@ import (
 //
 // LoadWriteBack decodes a file into the resident store like LoadFile —
 // its edit log replayed (editlog.go) — and keeps what the file is: its
-// path and kind, its block size, and its size and trailer checksum, which
+// path, its block size, and its size and trailer checksum, which
 // name it in the log's header. Each Update appends its repaired walks to
 // the log; the file itself is rewritten only at a checkpoint, which
 // writes exactly the bytes Save writes for the resident rows, at the
@@ -42,7 +42,6 @@ var writeFile = atomicio.WriteFileAt
 // backing is the index file a write-back index keeps in step.
 type backing struct {
 	path   string
-	kind   FileKind
 	blockB int    // the file's block size, which a checkpoint keeps
 	size   int64  // the file's size in bytes
 	crc    uint32 // its trailer checksum
@@ -55,13 +54,13 @@ type backing struct {
 	rec, body []byte // the record being appended and its payload, reused
 }
 
-// LoadWriteBack reads the file of the given kind at path into a resident
+// LoadWriteBack reads the index file at path into a resident
 // index, exactly as LoadFile does — its edit log replayed — that makes
 // every Update durable: the batch is appended to the log, and the file
 // rewritten at each checkpoint (editlog.go). Call Close to checkpoint
 // what the log holds.
-func LoadWriteBack(path string, kind FileKind) (*Index, error) {
-	ix, bk, err := openFile(path, kind)
+func LoadWriteBack(path string) (*Index, error) {
+	ix, bk, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -69,25 +68,25 @@ func LoadWriteBack(path string, kind FileKind) (*Index, error) {
 	return ix, nil
 }
 
-// LoadFile reads the file of the given kind at path into a resident index
+// LoadFile reads the index file at path into a resident index
 // as Load does, then replays the edit log beside it, if one names the
 // file, onto the decoded rows: the index is the one the last durable
 // Update of a write-back index left. It never writes.
-func LoadFile(path string, kind FileKind) (*Index, error) {
-	ix, _, err := openFile(path, kind)
+func LoadFile(path string) (*Index, error) {
+	ix, _, err := openFile(path)
 	return ix, err
 }
 
 // openFile is the path-based open LoadFile and LoadWriteBack share: the
 // file decoded, its edit log replayed, and the file described as a
 // write-back index keeps it. The file is closed when it returns.
-func openFile(path string, kind FileKind) (*Index, *backing, error) {
+func openFile(path string) (*Index, *backing, error) {
 	src, err := os.Open(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("walkindex: opening %s file: %w", kind, err)
+		return nil, nil, fmt.Errorf("walkindex: opening index file: %w", err)
 	}
 	defer src.Close()
-	f, err := readFile(src, kind)
+	f, err := readFile(src)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -96,7 +95,7 @@ func openFile(path string, kind FileKind) (*Index, *backing, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return ix, &backing{path: path, kind: kind, blockB: int(f.blockB), size: f.size, crc: f.crc,
+	return ix, &backing{path: path, blockB: int(f.blockB), size: f.size, crc: f.crc,
 		logBytes: valid, logBroken: valid < total}, nil
 }
 
@@ -110,7 +109,7 @@ func (ix *Index) writeBack(workers int) error {
 	var sum uint32
 	err := writeFile(bk.path, func(f *os.File) error {
 		var err error
-		size, sum, err = ix.saveBlocks(f, bk.kind, bk.blockB, workers)
+		size, sum, err = ix.saveBlocks(f, bk.blockB, workers)
 		return err
 	})
 	if err != nil {

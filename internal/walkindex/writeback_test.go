@@ -17,12 +17,11 @@ import (
 	"oipsr/internal/sparserow"
 )
 
-// saveFile writes ix as a file of the given kind to a temp file and
-// returns the path.
-func saveFile(t *testing.T, ix *Index, kind FileKind) string {
+// saveFile writes ix to a temp file and returns the path.
+func saveFile(t *testing.T, ix *Index) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), kind.String()+".srwk")
-	if err := os.WriteFile(path, saveBytes(t, ix, kind), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "index.srwk")
+	if err := os.WriteFile(path, saveBytes(t, ix), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -30,9 +29,9 @@ func saveFile(t *testing.T, ix *Index, kind FileKind) string {
 
 // openWriteBack opens path for write-back, attaches g and closes the index
 // with the test.
-func openWriteBack(t *testing.T, path string, kind FileKind, g *graph.Graph) *Index {
+func openWriteBack(t *testing.T, path string, g *graph.Graph) *Index {
 	t.Helper()
-	ix, err := LoadWriteBack(path, kind)
+	ix, err := LoadWriteBack(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +44,15 @@ func openWriteBack(t *testing.T, path string, kind FileKind, g *graph.Graph) *In
 // v2BlockVertices — files of other writers are valid with any block size,
 // and a write-back must keep the one it found — written by a serial loop
 // of single blocks, the reference the windowed encoder is held to.
-func saveBlocked(t *testing.T, ix *Index, kind FileKind, blockB int) []byte {
+func saveBlocked(t *testing.T, ix *Index, blockB int) []byte {
 	t.Helper()
-	h, err := writableHeader(kind, ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed)
+	h, err := writableHeader(ix.n, ix.lo, ix.hi, ix.k, ix.r, ix.c, ix.seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var f memFile
 	fw := newFileWriter(&f, h, blockB)
-	for b := range int(v2NumBlocks(h.rows(), int64(blockB))) {
+	for b := range int(v2NumBlocks(h.n, int64(blockB))) {
 		if err := fw.add(ix.store.appendBlock(nil, b, blockB)); err != nil {
 			t.Fatal(err)
 		}
@@ -94,9 +93,9 @@ func requireFile(t *testing.T, path string, want []byte, what string) {
 // requireDurable fails unless the file at path and its edit log reload
 // (LoadFile) to fresh, and, when no log is pending beside it — a
 // checkpoint has just run — unless the file is want, byte for byte.
-func requireDurable(t *testing.T, path string, kind FileKind, fresh *Index, want []byte, what string) {
+func requireDurable(t *testing.T, path string, fresh *Index, want []byte, what string) {
 	t.Helper()
-	reloaded, err := LoadFile(path, kind)
+	reloaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatalf("%s: reload: %v", what, err)
 	}
@@ -168,7 +167,7 @@ func TestMappedByteIdenticalQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := openWriteBack(t, saveFile(t, built, IndexFile), IndexFile, g)
+	wb := openWriteBack(t, saveFile(t, built), g)
 	if !built.Equal(wb) {
 		t.Fatal("write-back index != built index")
 	}
@@ -217,10 +216,10 @@ func TestMappedUpdatePersists(t *testing.T) {
 	}
 	for _, blockB := range []int{v2BlockVertices, 7} {
 		path := filepath.Join(t.TempDir(), "index.srwk")
-		if err := os.WriteFile(path, saveBlocked(t, built, IndexFile, blockB), 0o644); err != nil {
+		if err := os.WriteFile(path, saveBlocked(t, built, blockB), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wb := openWriteBack(t, path, IndexFile, g0)
+		wb := openWriteBack(t, path, g0)
 		rng := rand.New(rand.NewSource(int64(blockB)))
 		g := g0
 		for batch := 0; batch < 6; batch++ {
@@ -239,7 +238,7 @@ func TestMappedUpdatePersists(t *testing.T) {
 			if !wb.Equal(fresh) {
 				t.Fatalf("block size %d, batch %d: write-back Update != fresh Build", blockB, batch)
 			}
-			requireDurable(t, path, IndexFile, fresh, saveBlocked(t, fresh, IndexFile, blockB), fmt.Sprintf("block size %d, batch %d", blockB, batch))
+			requireDurable(t, path, fresh, saveBlocked(t, fresh, blockB), fmt.Sprintf("block size %d, batch %d", blockB, batch))
 		}
 		if err := wb.Close(); err != nil {
 			t.Fatal(err)
@@ -248,7 +247,7 @@ func TestMappedUpdatePersists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireFile(t, path, saveBlocked(t, fresh, IndexFile, blockB), "after Close")
+		requireFile(t, path, saveBlocked(t, fresh, blockB), "after Close")
 		if _, err := os.Stat(logPath(path)); !os.IsNotExist(err) {
 			t.Fatalf("block size %d: Close left the edit log (stat err %v)", blockB, err)
 		}
@@ -256,139 +255,52 @@ func TestMappedUpdatePersists(t *testing.T) {
 }
 
 // TestWriteBackSpliceBoundaries repairs chosen vertices of a file at
-// block sizes 1, 3 and 13, as an index file and as a shard range: a
-// block's first vertex, its last, the last of the short final block,
+// block sizes 1, 3 and 13: a block's first vertex, its last, the last of the short final block,
 // adjacent vertices within a block and across a boundary. After every
 // batch the file and its edit log reload to a fresh build, and after a
 // checkpoint following every batch the file is that build's, byte for
 // byte.
 func TestWriteBackSpliceBoundaries(t *testing.T) {
 	opt := Options{K: 6, Walks: 5, Seed: 3}
-	for _, kind := range []FileKind{IndexFile, ShardFile} {
-		lo, hi := 0, hubN
-		if kind == ShardFile {
-			lo, hi = 7, 53
+	for _, blockB := range []int{1, 3, 13} {
+		g := hubGraph(int64(blockB))
+		built, err := buildFull(g, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		rows := hi - lo
-		for _, blockB := range []int{1, 3, 13} {
-			g := hubGraph(int64(blockB))
-			built, err := Build(g, opt, lo, hi)
+		path := filepath.Join(t.TempDir(), "splice.srwk")
+		if err := os.WriteFile(path, saveBlocked(t, built, blockB), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wb := openWriteBack(t, path, g)
+		rng := rand.New(rand.NewSource(int64(blockB)))
+		for _, targets := range [][]int{
+			{0},                        // the first vertex of the first block
+			{blockB},                   // a block's first vertex
+			{2*blockB - 1},             // a block's last vertex
+			{hubN - 1},                 // the last vertex of the short final block
+			{2*blockB - 1, 2 * blockB}, // adjacent, across a block boundary
+			{2 * blockB, 2*blockB + 1}, // adjacent, within a block when blockB > 1
+			{3, blockB, 2*blockB - 1, hubN - 1},
+			{blockB},
+		} {
+			slices.Sort(targets)
+			targets = slices.Compact(targets) // at block size 1, first and last coincide
+			if g, err = updateTargets(t, rng, wb, g, targets); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := buildFull(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(t.TempDir(), "splice.srwk")
-			if err := os.WriteFile(path, saveBlocked(t, built, kind, blockB), 0o644); err != nil {
+			what := fmt.Sprintf("block size %d, targets %v", blockB, targets)
+			want := saveBlocked(t, fresh, blockB)
+			requireDurable(t, path, fresh, want, what)
+			if err := wb.checkpoint(0); err != nil {
 				t.Fatal(err)
 			}
-			wb := openWriteBack(t, path, kind, g)
-			rng := rand.New(rand.NewSource(int64(blockB)))
-			for _, local := range [][]int{
-				{0},                        // the first vertex of the first block
-				{blockB},                   // a block's first vertex
-				{2*blockB - 1},             // a block's last vertex
-				{rows - 1},                 // the last vertex of the short final block
-				{2*blockB - 1, 2 * blockB}, // adjacent, across a block boundary
-				{2 * blockB, 2*blockB + 1}, // adjacent, within a block when blockB > 1
-				{3, blockB, 2*blockB - 1, rows - 1},
-				{blockB},
-			} {
-				var targets []int
-				for _, v := range local {
-					targets = append(targets, lo+v)
-				}
-				slices.Sort(targets)
-				targets = slices.Compact(targets) // at block size 1, first and last coincide
-				if g, err = updateTargets(t, rng, wb, g, targets); err != nil {
-					t.Fatal(err)
-				}
-				fresh, err := Build(g, opt, lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				what := fmt.Sprintf("%s, block size %d, targets %v", kind, blockB, targets)
-				want := saveBlocked(t, fresh, kind, blockB)
-				requireDurable(t, path, kind, fresh, want, what)
-				if err := wb.checkpoint(0); err != nil {
-					t.Fatal(err)
-				}
-				requireFile(t, path, want, what)
-			}
+			requireFile(t, path, want, what)
 		}
-	}
-}
-
-// TestWriteBackShardEquivalence covers the ranged sweeps: SparseRows and
-// the join's candidate enumeration on a shard range opened for write-back must match the
-// built range exactly.
-func TestWriteBackShardEquivalence(t *testing.T) {
-	g := gen.CitationGraph(420, 4, 19)
-	opt := Options{Walks: 16, Seed: 5}
-	sx, err := Build(g, opt, 60, 350)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb := openWriteBack(t, saveFile(t, sx, ShardFile), ShardFile, g)
-
-	ctx := context.Background()
-	sources := []int{0, 60, 200, 349, 419}
-	want := msRows(t, sx, g, sources, 3)
-	for i, row := range msRows(t, wb, g, sources, 3) {
-		if !slices.Equal(row, want[i]) {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-	wantCand, err := sx.joinCandidates(ctx, g, 0.05, 200000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCand, err := wb.joinCandidates(ctx, g, 0.05, 200000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(gotCand, wantCand) {
-		t.Fatalf("joinCandidates: %d keys, built %d", len(gotCand), len(wantCand))
-	}
-}
-
-// TestShardMappedByteIdentical: a shard range opened for write-back equals
-// the built range; after an edit batch its file and edit log reload to a
-// fresh shard build, after Close its file is that build's, byte for byte,
-// and it reopens as that build.
-func TestShardMappedByteIdentical(t *testing.T) {
-	g := gen.WebGraph(400, 5, 17)
-	opt := Options{Walks: 20, Seed: 6}
-	sx, err := Build(g, opt, 100, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := saveFile(t, sx, ShardFile)
-	wb := openWriteBack(t, path, ShardFile, g)
-	if !sx.Equal(wb) {
-		t.Fatal("write-back shard != built shard")
-	}
-
-	next, sum, err := g.ApplyEdits(editBatch(rand.New(rand.NewSource(2)), g, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repaired, err := wb.Update(next, sum.DirtyIn, 2); err != nil || repaired == 0 {
-		t.Fatalf("Update: %d walks repaired, err %v", repaired, err)
-	}
-	fresh, err := Build(next, opt, 100, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wb.Equal(fresh) {
-		t.Fatal("write-back shard Update != fresh shard build")
-	}
-	want := saveBytes(t, fresh, ShardFile)
-	requireDurable(t, path, ShardFile, fresh, want, "shard after a batch")
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	requireFile(t, path, want, "shard after Close")
-	if reopened := openWriteBack(t, path, ShardFile, next); !reopened.Equal(fresh) {
-		t.Fatal("reopened shard file != fresh shard build")
 	}
 }
 
@@ -401,7 +313,7 @@ func TestMappedConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := openWriteBack(t, saveFile(t, built, IndexFile), IndexFile, g)
+	wb := openWriteBack(t, saveFile(t, built), g)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -441,8 +353,8 @@ func TestWriteBackConcurrentReadersAndEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := saveFile(t, built, IndexFile)
-	wb := openWriteBack(t, path, IndexFile, g)
+	path := saveFile(t, built)
+	wb := openWriteBack(t, path, g)
 
 	var mu sync.RWMutex
 	stop := make(chan struct{})
@@ -496,8 +408,8 @@ func TestWriteBackConcurrentReadersAndEdits(t *testing.T) {
 	if !wb.Equal(fresh) {
 		t.Fatal("write-back index diverged from a fresh build after concurrent edits")
 	}
-	want := saveBytes(t, fresh, IndexFile)
-	requireDurable(t, path, IndexFile, fresh, want, "after concurrent edits")
+	want := saveBytes(t, fresh)
+	requireDurable(t, path, fresh, want, "after concurrent edits")
 	if err := wb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -508,11 +420,11 @@ func TestWriteBackConcurrentReadersAndEdits(t *testing.T) {
 // wrong — a missing file, the backend it reports, and Close.
 func TestLoadMappedRejections(t *testing.T) {
 	ix := buildSmall(t)
-	path := saveFile(t, ix, IndexFile)
-	if _, err := LoadWriteBack(filepath.Join(filepath.Dir(path), "missing.srwk"), IndexFile); err == nil {
+	path := saveFile(t, ix)
+	if _, err := LoadWriteBack(filepath.Join(filepath.Dir(path), "missing.srwk")); err == nil {
 		t.Error("LoadWriteBack accepted a missing file")
 	}
-	wb, err := LoadWriteBack(path, IndexFile)
+	wb, err := LoadWriteBack(path)
 	if err != nil {
 		t.Fatalf("LoadWriteBack rejected a valid file: %v", err)
 	}
@@ -541,12 +453,12 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := saveFile(t, built, IndexFile)
+	path := saveFile(t, built)
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := openWriteBack(t, path, IndexFile, g)
+	wb := openWriteBack(t, path, g)
 
 	rng := rand.New(rand.NewSource(9))
 	g1, err := updateTargets(t, rng, wb, g, []int{20})
@@ -573,7 +485,7 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 		t.Fatalf("checkpoint under a failing write: err = %v, want ErrWriteBack wrapping the injected error", err)
 	}
 	requireFile(t, path, before, "after the failed write")
-	requireDurable(t, path, IndexFile, fresh1, nil, "after the failed write")
+	requireDurable(t, path, fresh1, nil, "after the failed write")
 	if !wb.Equal(fresh1) {
 		t.Fatal("after the failed write the index is not the repaired one")
 	}
@@ -593,7 +505,7 @@ func TestWriteBackFailureKeepsOldFile(t *testing.T) {
 	if !wb.Equal(fresh2) {
 		t.Fatal("write-back Update != fresh Build after the recovery batch")
 	}
-	requireFile(t, path, saveBytes(t, fresh2, IndexFile), "after the recovery batch")
+	requireFile(t, path, saveBytes(t, fresh2), "after the recovery batch")
 	if _, err := os.Stat(logPath(path)); !os.IsNotExist(err) {
 		t.Fatalf("the recovery batch did not checkpoint: its log remains (stat err %v)", err)
 	}
@@ -635,10 +547,10 @@ func TestWriteBackNeverReadsOldFile(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), "index.srwk")
-			if err := os.WriteFile(path, saveBlocked(t, built, IndexFile, blockB), 0o644); err != nil {
+			if err := os.WriteFile(path, saveBlocked(t, built, blockB), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			wb := openWriteBack(t, path, IndexFile, g)
+			wb := openWriteBack(t, path, g)
 			rng := rand.New(rand.NewSource(1))
 			for step, target := range []int{3, 30} {
 				if err := tc.spoil(path); err != nil {
@@ -660,7 +572,7 @@ func TestWriteBackNeverReadsOldFile(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireFile(t, path, saveBlocked(t, fresh, IndexFile, blockB), what)
+				requireFile(t, path, saveBlocked(t, fresh, blockB), what)
 				if _, err := os.Stat(logPath(path)); !os.IsNotExist(err) {
 					t.Fatalf("%s left the edit log (stat err %v)", what, err)
 				}
@@ -685,10 +597,10 @@ func TestCheckpointSaveStreamSameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "index.srwk")
-	if err := os.WriteFile(path, saveBlocked(t, built, IndexFile, blockB), 0o644); err != nil {
+	if err := os.WriteFile(path, saveBlocked(t, built, blockB), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wb := openWriteBack(t, path, IndexFile, g)
+	wb := openWriteBack(t, path, g)
 	rng := rand.New(rand.NewSource(5))
 	for _, window := range []int{1, 3000, 4 << 20} {
 		decodeWindow = window
@@ -709,11 +621,11 @@ func TestCheckpointSaveStreamSameBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireFile(t, path, saveBlocked(t, fresh, IndexFile, blockB), what+", checkpoint")
+			requireFile(t, path, saveBlocked(t, fresh, blockB), what+", checkpoint")
 
-			want := saveBlocked(t, fresh, IndexFile, v2BlockVertices)
+			want := saveBlocked(t, fresh, v2BlockVertices)
 			var saved memFile
-			if _, _, err := fresh.saveBlocks(&saved, IndexFile, v2BlockVertices, workers); err != nil {
+			if _, _, err := fresh.saveBlocks(&saved, v2BlockVertices, workers); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(saved, want) {
@@ -723,7 +635,7 @@ func TestCheckpointSaveStreamSameBytes(t *testing.T) {
 				var streamed memFile
 				o := opt
 				o.Workers = workers
-				if _, err := BuildStreaming(g, o, 0, g.NumVertices(), IndexFile, &streamed, budget); err != nil {
+				if _, err := BuildStreaming(g, o, &streamed, budget); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(streamed, want) {
@@ -744,10 +656,10 @@ func openBenchWriteBack(b *testing.B) (*Index, *graph.Graph) {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "index.srwk")
-	if err := os.WriteFile(path, saveBytes(b, built, IndexFile), 0o644); err != nil {
+	if err := os.WriteFile(path, saveBytes(b, built), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	ix, err := LoadWriteBack(path, IndexFile)
+	ix, err := LoadWriteBack(path)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -35,9 +35,9 @@ var ErrWriteBack = walkindex.ErrWriteBack
 // walkindex.StreamStats.
 type BuildStreamStats = walkindex.StreamStats
 
-// StreamSliceBytes is the slice budget of the streamed builds this
-// repository runs, shard.BuildAll's and simrankd's: 64 MiB of walks, where
-// a whole index at R = 100 and K = 13 takes up to 5200 B a vertex.
+// StreamSliceBytes is the slice budget of simrankd's streamed builds: 64
+// MiB of walks, where a whole index at R = 100 and K = 13 takes up to 5200
+// B a vertex.
 const StreamSliceBytes = 64 << 20
 
 // BuildFileStreaming builds an index file for g directly on disk, never
@@ -51,7 +51,7 @@ func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes in
 	var st *walkindex.StreamStats
 	err := walkindex.PublishFile(path, func(f *os.File) error {
 		var err error
-		st, err = walkindex.BuildStreaming(g, opt, 0, g.NumVertices(), walkindex.IndexFile, f, budgetBytes)
+		st, err = walkindex.BuildStreaming(g, opt, f, budgetBytes)
 		return err
 	})
 	if err != nil {
@@ -78,7 +78,7 @@ func BuildFileStreaming(g *graph.Graph, opt Options, path string, budgetBytes in
 // AttachGraph has given it its graph. Call Close when done, to checkpoint
 // what the log holds.
 func LoadFileMapped(path string, _ MappedOptions) (*Index, error) {
-	wi, err := walkindex.LoadWriteBack(path, walkindex.IndexFile)
+	wi, err := walkindex.LoadWriteBack(path)
 	if err != nil {
 		return nil, err
 	}
@@ -86,8 +86,8 @@ func LoadFileMapped(path string, _ MappedOptions) (*Index, error) {
 }
 
 // Backend reports how the walk rows are kept: "dense" when in memory only,
-// "write-back" for an index from LoadFileMapped or OpenShard(…, true),
-// whose edit batches are also made durable beside its file.
+// "write-back" for an index from LoadFileMapped, whose edit batches are
+// also made durable beside its file.
 func (ix *Index) Backend() string { return ix.wi.Backend() }
 
 // Close checkpoints a write-back index that has an edit log beside its

@@ -540,22 +540,24 @@ func rerank(ctx context.Context, g *graph.Graph, c float64, horizon, q int, cand
 // walk-index format; see oipsr/internal/walkindex for the layout. It
 // validates the index against the load-side guards first and refuses
 // (walkindex.ErrFormatLimits) to write an unloadable file. An index file
-// holds the full range; shard files are shard.BuildAll's.
+// holds the full range: a ranged index is built from the graph, never
+// saved.
 func (ix *Index) Save(w io.Writer) error {
 	if err := ix.needFull("Save"); err != nil {
 		return err
 	}
-	return ix.wi.Save(w, walkindex.IndexFile)
+	return ix.wi.Save(w)
 }
 
 // Load reads an index written by Save, SaveFile or BuildFileStreaming,
 // decoding it into memory. The result answers Pair and the joins at once;
 // SingleSource, TopK, the batches, reranks and edits need AttachGraph
 // first, which sorts the coalescence order from the graph. Load rejects
-// truncated files, corrupted payloads (CRC), trailing data, shard files,
-// and format-version mismatches.
+// truncated files, corrupted payloads (CRC), trailing data, files of
+// another kind (the retired shard file included: ErrBadMagic), and
+// format-version mismatches.
 func Load(r io.Reader) (*Index, error) {
-	wi, err := walkindex.Load(r, walkindex.IndexFile)
+	wi, err := walkindex.Load(r)
 	if err != nil {
 		return nil, err
 	}
@@ -573,14 +575,14 @@ func (ix *Index) SaveFile(path string) error {
 	if err := ix.needFull("Save"); err != nil {
 		return err
 	}
-	return walkindex.PublishFile(path, func(f *os.File) error { return ix.wi.SaveAt(f, walkindex.IndexFile) })
+	return walkindex.PublishFile(path, func(f *os.File) error { return ix.wi.SaveAt(f) })
 }
 
 // LoadFile reads an index from path as Load does, then replays the edit
 // log an index from LoadFileMapped keeps beside the file, if one names
 // it: the result is the index as of that index's last durable batch.
 func LoadFile(path string) (*Index, error) {
-	wi, err := walkindex.LoadFile(path, walkindex.IndexFile)
+	wi, err := walkindex.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -90,6 +91,33 @@ func TestBuildFileStreamingRejectsBadBudget(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("aborted build left a file behind (stat err %v)", err)
+	}
+}
+
+// TestBuildFileStreamingDefaultBudgetBoundsMemory: simrankd streams its
+// -index-mmap builds in slices of StreamSliceBytes, so on an index whose
+// walks would take more than that as one dense slice the build allocates
+// less than that slice. The file does not depend on the slicing
+// (TestBuildFileStreamingByteIdentical, and walkindex's streamed = Save
+// suites at every budget).
+func TestBuildFileStreamingDefaultBudgetBoundsMemory(t *testing.T) {
+	// Every walk of an edgeless graph dies at its first step, so the build
+	// is cheap while its slice buffer of n*R*K int32s is not.
+	const n, walks, k = 400, 2000, 50
+	slice := uint64(n * walks * k * 4) // 160 MB, 2.4 times the slice budget
+	if slice <= StreamSliceBytes {
+		t.Fatalf("slice %d B does not exceed the slice budget %d B", slice, StreamSliceBytes)
+	}
+	g := graph.MustFromEdges(n, nil)
+	opt := Options{Walks: walks, K: k, Seed: 1, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := BuildFileStreaming(g, opt, filepath.Join(t.TempDir(), "edgeless.srwk"), StreamSliceBytes); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= slice {
+		t.Errorf("BuildFileStreaming allocated %d B, at least the single slice of %d B", got, slice)
 	}
 }
 

@@ -10,17 +10,20 @@
 // can answer "score every vertex I own against these sources" for
 // arbitrary sources. Per-target scores are independent, so a router
 // concatenates per-shard partial rows into the exact single-node dense
-// row; similarity joins shard along the fingerprint axis instead and merge
-// by set union + shared tail ranking. Nothing in the merge does float
-// arithmetic, which is why sharded answers are byte-identical to
-// single-node ones, not merely close.
+// row. Nothing in the merge does float arithmetic, which is why sharded
+// answers are byte-identical to single-node ones, not merely close. The
+// similarity join is not sharded: the router runs the single node's join
+// over its own graph.
 //
 // The handle over one shard's rows is query.Index, the type that serves
-// the full range too; what lives here is about fleets. Plan and BuildAll
-// produce a shard directory: one CRC-sealed shard file per range plus a
-// versioned manifest (manifest.go) binding the files, their checksums, and
-// the build parameters together; OpenShard loads one range back. Serving
-// lives in oipsr/internal/simrankd (shard mode and router mode).
+// the full range too; what lives here is about fleets. Plan splits [0, n)
+// into ranges and Build builds one range from the graph. A shard keeps no
+// file: like the graph it is built from, its rows are a pure function of
+// (graph, options), so a restarted shard rebuilds them. The one fleet
+// check is the router's (oipsr/internal/simrankd.NewRouter): every shard
+// reports the same (n, walks, horizon, c, seed) and the ranges tile
+// [0, n). Serving lives in oipsr/internal/simrankd (shard mode and router
+// mode).
 package shard
 
 import (
@@ -34,8 +37,7 @@ import (
 
 // Range is one planned shard's vertex range [Lo, Hi).
 type Range struct {
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
+	Lo, Hi int
 }
 
 // Plan partitions [0, n) into `shards` contiguous ranges, balanced to
