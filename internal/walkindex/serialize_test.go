@@ -170,7 +170,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLoadRejectsBadMagic: a foreign magic is ErrBadMagic — and so is a
-// shard file of the retired layout, through every opening.
+// shard file of the retired layout, through every opening. A second pass
+// (the "#01" subtests) swaps the two magics: an index body under the
+// retired shard magic is ErrBadMagic, and a retired shard file relabelled
+// with the index magic still never loads.
 func TestLoadRejectsBadMagic(t *testing.T) {
 	forEachOpening(t, func(t *testing.T, o opening, _ *Index, valid []byte) {
 		valid[0] = 'X'
@@ -180,6 +183,25 @@ func TestLoadRejectsBadMagic(t *testing.T) {
 		}
 	})
 	refusesRetiredShard(t)
+
+	shard := retiredShard(t)
+	forEachOpening(t, func(t *testing.T, o opening, _ *Index, valid []byte) {
+		copy(valid, shard[:len(fileMagic)])
+		reseal(valid)
+		if _, err := o.open(t, valid); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("index under the retired shard magic: err = %v, want ErrBadMagic", err)
+		}
+	})
+	relabelled := bytes.Clone(shard)
+	copy(relabelled, fileMagic[:])
+	reseal(relabelled)
+	for _, o := range openings {
+		t.Run("shard"+strings.TrimPrefix(o.name, "index"), func(t *testing.T) {
+			if _, err := o.open(t, relabelled); err == nil {
+				t.Fatal("retired shard file under the index magic loaded")
+			}
+		})
+	}
 }
 
 // TestLoadRejectsVersionMismatch: a future revision and the retired format
